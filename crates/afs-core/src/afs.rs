@@ -22,7 +22,7 @@ use afs_interpose::ApiLayer;
 use afs_ipc::SyncRegistry;
 use afs_net::Network;
 use afs_sim::{CostModel, OpTrace};
-use afs_telemetry::{Layer, SloSpec, SpanGuard, Telemetry};
+use afs_telemetry::{intern, Layer, SloSpec, SpanGuard, Telemetry};
 use afs_vfs::{VPath, Vfs, ACTIVE_STREAM};
 use afs_winapi::{
     Access, ApiResult, DelegateFileApi, Disposition, FileApi, FileInformation, Handle, HandleTable,
@@ -34,6 +34,7 @@ use crate::registry::SentinelRegistry;
 use crate::spec::{SentinelSpec, Strategy};
 use crate::strategy::executor::{self, FleetShardStat, SentinelExecutor};
 use crate::strategy::mux::SharedSentinel;
+use crate::strategy::wire::Launched;
 use crate::strategy::{self, ActiveOps, Instruments};
 
 /// Handle-number base for active handles, disjoint from the passive
@@ -49,9 +50,9 @@ type SharedMap = Arc<Mutex<HashMap<(String, Vec<u8>), Weak<dyn SharedSentinel>>>
 struct ActiveEntry {
     ops: Arc<dyn ActiveOps>,
     access: Access,
-    /// Keeps the shared sentinel (if any) alive while this handle is
-    /// open; the registry only holds a `Weak`. Never read — its drop is
-    /// its purpose.
+    /// Keeps the sentinel this handle is a session of (if any) alive while
+    /// the handle is open; the registry only holds a `Weak`. Never read —
+    /// its drop is its purpose.
     #[allow(dead_code)]
     shared: Option<Arc<dyn SharedSentinel>>,
 }
@@ -277,8 +278,10 @@ impl ActiveFileSystem {
         // truncates the data part (a truncating open must not see, or
         // feed, the running sentinel's cached state).
         // Batched opens always get a private sentinel: the ring driver
-        // stages writes and speculates reads application-side, which
-        // would break cross-session read-your-writes on a shared wire.
+        // stages writes and speculates reads application-side, and the
+        // session hub that would have to order those across sessions
+        // costs more per operation than a batched read does (see
+        // `strategy::wire::open`).
         let sharable = spec.sharing_enabled()
             && batch.is_none()
             && !matches!(spec.strategy(), Strategy::Process)
@@ -328,136 +331,68 @@ impl ActiveFileSystem {
         } else {
             None
         };
-        let instr = Instruments::new(
-            Arc::clone(&self.telemetry),
-            spec.name(),
-            Arc::clone(&self.exec),
-            self.nested,
+        let instr = Instruments {
+            model: self.model.clone(),
+            trace: Arc::clone(&self.trace),
+            strategy: spec.strategy().label(),
+            tel: Arc::clone(&self.telemetry),
+            sentinel: intern(spec.name()),
+            exec: Arc::clone(&self.exec),
+            pinned: self.nested,
             slo,
-        );
-        if sharable {
-            // First open (or the previous sentinel terminally closed):
-            // build the shared sentinel *without* holding the registry
-            // lock — its open hook may recursively open other active
-            // files through this same layer.
-            let logic = self
-                .registry
+        };
+        // Built *without* holding the registry lock — the open hook may
+        // recursively open other active files through this same layer.
+        let logic = || {
+            self.registry
                 .instantiate(&spec)
-                .ok_or(Win32Error::FileNotFound)?;
-            let built: Arc<dyn SharedSentinel> = match spec.strategy() {
-                Strategy::ProcessControl | Strategy::DllThread => strategy::mux::open_shared(
-                    spec.strategy(),
-                    logic,
-                    ctx,
-                    self.model.clone(),
-                    Arc::clone(&self.trace),
-                    instr,
-                )?,
-                Strategy::DllOnly => strategy::dll::open_shared(
-                    logic,
-                    ctx,
-                    self.model.clone(),
-                    Arc::clone(&self.trace),
-                    instr,
-                )?,
-                Strategy::Process => unreachable!("gated by `sharable`"),
-            };
-            let mut map = self.shared.lock();
-            if let Some(existing) = map.get(&key).and_then(Weak::upgrade) {
-                if let Some(ops) = existing.attach() {
-                    // Lost a racing first-open: join theirs. Dropping
-                    // `built` shuts its wire down; a spawned loop sees
-                    // the dead transport and runs its close hook.
-                    drop(map);
-                    return Ok(self.handles.insert(ActiveEntry {
-                        ops,
-                        access,
-                        shared: Some(existing),
-                    }));
-                }
-            }
-            map.retain(|_, weak| weak.strong_count() > 0);
-            map.insert(key, Arc::downgrade(&built));
-            drop(map);
-            let ops = built.attach().ok_or(Win32Error::BrokenPipe)?;
-            return Ok(self.handles.insert(ActiveEntry {
-                ops,
-                access,
-                shared: Some(built),
-            }));
-        }
-        let ops: Arc<dyn ActiveOps> = match spec.strategy() {
-            Strategy::Process => {
-                // Prefer a hand-written process sentinel; fall back to the
-                // adapted logic pump.
-                if let Some(raw) = self.registry.instantiate_raw(&spec) {
-                    strategy::process::open_raw(
-                        raw,
-                        ctx,
-                        self.model.clone(),
-                        Arc::clone(&self.trace),
-                        instr,
-                    )
-                } else {
-                    let logic = self
-                        .registry
-                        .instantiate(&spec)
-                        .ok_or(Win32Error::FileNotFound)?;
-                    strategy::process::open_logic(
-                        logic,
-                        ctx,
-                        self.model.clone(),
-                        Arc::clone(&self.trace),
-                        instr,
-                    )?
-                }
-            }
+                .ok_or(Win32Error::FileNotFound)
+        };
+        let launched = match spec.strategy() {
+            // Prefer a hand-written process sentinel; fall back to the
+            // adapted logic pump.
+            Strategy::Process => Launched::Private(match self.registry.instantiate_raw(&spec) {
+                Some(raw) => strategy::process::open_raw(raw, ctx, instr),
+                None => strategy::process::open_logic(logic()?, ctx, instr)?,
+            }),
             Strategy::ProcessControl => {
-                let logic = self
-                    .registry
-                    .instantiate(&spec)
-                    .ok_or(Win32Error::FileNotFound)?;
-                strategy::control::open(
-                    logic,
-                    ctx,
-                    self.model.clone(),
-                    Arc::clone(&self.trace),
-                    instr,
-                    batch,
-                )?
+                strategy::control::open(logic()?, ctx, instr, batch, sharable)?
             }
-            Strategy::DllThread => {
-                let logic = self
-                    .registry
-                    .instantiate(&spec)
-                    .ok_or(Win32Error::FileNotFound)?;
-                strategy::thread::open(
-                    logic,
-                    ctx,
-                    self.model.clone(),
-                    Arc::clone(&self.trace),
-                    instr,
-                    batch,
-                )?
-            }
+            Strategy::DllThread => strategy::thread::open(logic()?, ctx, instr, batch, sharable)?,
             Strategy::DllOnly => {
-                let logic = self
-                    .registry
-                    .instantiate(&spec)
-                    .ok_or(Win32Error::FileNotFound)?;
-                strategy::dll::open(
-                    logic,
-                    ctx,
-                    self.model.clone(),
-                    Arc::clone(&self.trace),
-                    instr,
-                )?
+                Launched::Shared(strategy::dll::open_shared(logic()?, ctx, instr)?)
+            }
+        };
+        let (ops, shared) = match launched {
+            Launched::Private(ops) => (ops, None),
+            Launched::Shared(built) => {
+                if sharable {
+                    let mut map = self.shared.lock();
+                    if let Some(existing) = map.get(&key).and_then(Weak::upgrade) {
+                        if let Some(ops) = existing.attach() {
+                            // Lost a racing first-open: join theirs.
+                            // Dropping `built` shuts its wire down; a
+                            // spawned loop sees the dead transport and
+                            // runs its close hook.
+                            drop(map);
+                            return Ok(self.handles.insert(ActiveEntry {
+                                ops,
+                                access,
+                                shared: Some(existing),
+                            }));
+                        }
+                    }
+                    map.retain(|_, weak| weak.strong_count() > 0);
+                    map.insert(key, Arc::downgrade(&built));
+                }
+                let ops = built.attach().ok_or(Win32Error::BrokenPipe)?;
+                (ops, Some(built))
             }
         };
         Ok(self.handles.insert(ActiveEntry {
             ops,
             access,
-            shared: None,
+            shared,
         }))
     }
 

@@ -14,19 +14,25 @@
 //!   depth is reached or a synchronous op needs ordering.
 //! * **Readahead** — a demand read that misses the speculative cache
 //!   submits itself plus sequential speculative reads to fill the batch;
-//!   later sequential reads are served from harvested completions with
-//!   zero new crossings.
+//!   later sequential reads are served from its completions with zero
+//!   new crossings.
 //! * **Scatter/gather spans** — `ReadFileScatter` rides the ring as one
 //!   entry, flushing staged writes ahead of itself in the same crossing.
 //!
-//! The sentinel side ([`RingDispatchTask`]) drains the ring in
-//! submission order through the shared [`execute_op`] and completes
-//! out of order through the completion index, so batched and unbatched
-//! execution stay transcript-equivalent: every application-visible
-//! result — data bytes, error codes, write-behind error surfacing via
-//! the sticky slot — is the same either way. Speculative reads assume
-//! read-idempotent sentinel logic (see docs/BATCHING.md), which is why
-//! batching is opt-in per file.
+//! The sentinel side is the one [`dispatch`](super::dispatch) loop over
+//! the ring port: it drains the ring in submission order through the
+//! shared `execute_op` and completes through the completion index, so
+//! batched and unbatched execution stay transcript-equivalent: every
+//! application-visible result — data bytes, error codes, write-behind
+//! error surfacing via the sticky slot — is the same either way.
+//! Speculative reads assume read-idempotent sentinel logic (see
+//! docs/BATCHING.md), which is why batching is opt-in per file.
+//!
+//! Nothing the driver does depends on *when* a completion lands in real
+//! time: it only ever blocks for a completion by id, so crossings and the
+//! virtual clock are a function of the operation sequence alone.
+//!
+//! [`StrategyHandle`]: super::handle::StrategyHandle
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -34,96 +40,22 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use afs_ipc::{BufferPool, Cqe, IpcError, RingPair, RingPort, RingTransport, Sqe, Transport};
-use afs_sim::{CostModel, CrossingKind, OpTrace};
-use afs_telemetry::{Layer, RingGauges, SpanScope, Telemetry};
-use afs_winapi::Win32Error;
+use afs_ipc::{IpcError, RingTransport, Sqe, Transport};
+use afs_sim::CrossingKind;
+use afs_telemetry::{Layer, RingGauges, Telemetry};
 
-use crate::ctx::SentinelCtx;
-use crate::logic::{SentinelError, SentinelLogic};
-use crate::strategy::executor::{SentinelPoll, TaskPoll};
-use crate::strategy::handle::StrategyHandle;
-use crate::strategy::{
-    execute_op, op_name, take_sticky_preemption, to_win32, ActiveOps, Instruments, Op, OpReply,
-    Reaper, SentinelSide,
-};
+use crate::strategy::{Instruments, Op, OpReply};
 
-/// Builds the batched variant of the DLL-with-thread strategy (§4.3
-/// substrate: user-level ring, thread switches).
-pub(crate) fn open_shared(
-    logic: Box<dyn SentinelLogic>,
-    ctx: SentinelCtx,
-    model: CostModel,
-    trace: Arc<OpTrace>,
-    instr: Instruments,
-    depth: usize,
-) -> Result<Arc<dyn ActiveOps>, Win32Error> {
-    let gauges = Arc::clone(instr.tel.rings());
-    let (ring, port) = RingPair::shared_observed(model.clone(), depth, gauges);
-    open_over(logic, ctx, model, trace, instr, "Thread", ring, port)
-}
-
-/// Builds the batched variant of the process-plus-control strategy (§4.2
-/// substrate: kernel doorbell, process switches).
-pub(crate) fn open_kernel(
-    logic: Box<dyn SentinelLogic>,
-    ctx: SentinelCtx,
-    model: CostModel,
-    trace: Arc<OpTrace>,
-    instr: Instruments,
-    depth: usize,
-) -> Result<Arc<dyn ActiveOps>, Win32Error> {
-    let gauges = Arc::clone(instr.tel.rings());
-    let (ring, port) = RingPair::kernel_observed(model.clone(), depth, gauges);
-    open_over(logic, ctx, model, trace, instr, "Process", ring, port)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn open_over(
-    mut logic: Box<dyn SentinelLogic>,
-    mut ctx: SentinelCtx,
-    model: CostModel,
-    trace: Arc<OpTrace>,
-    instr: Instruments,
-    strategy: &'static str,
-    ring: RingTransport<Op, OpReply>,
-    port: RingPort<Op, OpReply>,
-) -> Result<Arc<dyn ActiveOps>, Win32Error> {
-    logic.on_open(&mut ctx).map_err(|e| to_win32(&e))?;
-    let sticky = Arc::new(Mutex::new(None));
-    let sentinel_sticky = Arc::clone(&sticky);
-    let scope = Arc::new(SpanScope::default());
-    let side = instr.sentinel_side(strategy, Arc::clone(&scope));
-    // The driver watches the ctx's heal generation: a queued-write replay
-    // on the sentinel side bumps it, and the driver retires its
-    // speculative-cache epoch in response (see `sync_heal_generation`).
-    let heal_gen = ctx.heal_generation();
-    let done = instr.spawn_task(move |waker| {
-        port.set_wakeup(waker);
-        Box::new(RingDispatchTask::new(
-            logic,
-            ctx,
-            port,
-            sentinel_sticky,
-            side,
-        ))
-    });
-    let driver = RingDriver::new(
-        ring,
-        Arc::clone(&instr.tel),
-        strategy,
-        Arc::clone(instr.tel.rings()),
-        heal_gen,
-    );
-    Ok(Arc::new(StrategyHandle::new(
-        driver,
-        model,
-        trace,
-        strategy,
-        sticky,
-        Some(Reaper::Task(done)),
-        instr.app_side(scope),
-    )))
+/// One speculative read in flight.
+#[derive(Debug)]
+struct Speculation {
+    id: u64,
+    offset: u64,
+    len: u32,
+    /// The driver's epoch when it was submitted.
+    epoch: u64,
+    /// Last submission id of the batch it rode in.
+    tail: u64,
 }
 
 /// Mutable staging state of one [`RingDriver`], serialised by the
@@ -142,12 +74,12 @@ struct DriverState {
     /// Staged outbound bytes the handle's next `recv_data*` drains.
     outbound: Vec<u8>,
     outbound_pos: usize,
-    /// Harvested speculative reads: `(offset, len)` → produced bytes.
+    /// Reaped speculative reads: `(offset, len)` → produced bytes.
     cache: HashMap<(u64, u32), Vec<u8>>,
-    /// Speculative reads in flight: `(id, offset, len, epoch)`.
-    inflight: Vec<(u64, u64, u32, u64)>,
+    /// Speculative reads not yet reaped, in submission order.
+    inflight: Vec<Speculation>,
     /// Bumped by anything that can change file contents; speculative
-    /// results from an older epoch are discarded at harvest.
+    /// results from an older epoch are discarded when reaped.
     epoch: u64,
     /// Last observed value of the sentinel ctx's heal generation; a
     /// change means a queued-write replay ran and everything speculated
@@ -170,19 +102,17 @@ pub(crate) struct RingDriver {
 }
 
 impl RingDriver {
-    fn new(
+    pub(crate) fn new(
         ring: RingTransport<Op, OpReply>,
-        tel: Arc<Telemetry>,
-        strategy: &'static str,
-        gauges: Arc<RingGauges>,
+        instr: &Instruments,
         heal_gen: Arc<AtomicU64>,
     ) -> Self {
         RingDriver {
             ring,
             state: Mutex::new(DriverState::default()),
-            tel,
-            strategy,
-            gauges,
+            tel: Arc::clone(&instr.tel),
+            strategy: instr.strategy,
+            gauges: Arc::clone(instr.tel.rings()),
             heal_gen,
         }
     }
@@ -264,35 +194,64 @@ impl RingDriver {
         Ok(())
     }
 
-    /// Harvests any speculative completions that have landed, filling the
-    /// readahead cache with current-epoch results.
-    fn harvest(&self, state: &mut DriverState) -> afs_ipc::Result<()> {
-        let inflight = std::mem::take(&mut state.inflight);
-        for (id, offset, len, epoch) in inflight {
-            match self.ring.try_complete(id)? {
-                None => state.inflight.push((id, offset, len, epoch)),
-                Some(Cqe {
-                    reply: OpReply::Read { .. },
-                    data,
-                    ..
-                }) if epoch == state.epoch => {
-                    state.cache.insert((offset, len), data.unwrap_or_default());
-                }
-                // Stale epoch or a speculative failure: the unbatched
-                // wiring never issued this read, so its outcome must not
-                // become application-visible.
-                Some(_) => {}
+    /// Collects every speculative completion submitted up to and including
+    /// `through`, keeping current-epoch results in the readahead cache.
+    /// The ring is drained in order, so after a blocking completion of id
+    /// N everything below N is already posted and stamped no later: run
+    /// with `through` below such an N this neither waits nor moves the
+    /// clock.
+    fn reap(&self, state: &mut DriverState, through: u64) -> afs_ipc::Result<()> {
+        while state.inflight.first().is_some_and(|s| s.id <= through) {
+            let spec = state.inflight.remove(0);
+            let cqe = self.ring.complete(spec.id)?;
+            // A stale epoch or a speculative failure is dropped: the
+            // unbatched wiring never issued this read, so its outcome
+            // must not become application-visible.
+            if matches!(cqe.reply, OpReply::Read { .. }) && spec.epoch == state.epoch {
+                state
+                    .cache
+                    .insert((spec.offset, spec.len), cqe.data.unwrap_or_default());
             }
         }
+        // A replay may have run while those drained.
+        self.sync_heal_generation(state);
         Ok(())
     }
 
-    /// Serves a demand read: from the readahead cache when the exact span
-    /// was speculated (zero new crossings), otherwise with one batch of
+    /// Submits `batch` and blocks for the completion of its entry `id`,
+    /// staging the reply (plus any produced bytes) for
+    /// `recv_reply`/`recv_data*`.
+    fn roundtrip(
+        &self,
+        state: &mut DriverState,
+        batch: Vec<Sqe<Op>>,
+        id: u64,
+    ) -> afs_ipc::Result<()> {
+        self.submit(batch)?;
+        let cqe = self.ring.complete(id)?;
+        state.reply = Some(cqe.reply);
+        state.outbound = cqe.data.unwrap_or_default();
+        state.outbound_pos = 0;
+        self.reap(state, id)
+    }
+
+    /// Serves a demand read: from the readahead when the exact span was
+    /// speculated (zero new crossings), otherwise with one batch of
     /// staged writes + the demand read + sequential speculative reads.
     fn demand_read(&self, state: &mut DriverState, offset: u64, len: u32) -> afs_ipc::Result<()> {
         self.sync_heal_generation(state);
-        self.harvest(state)?;
+        // The span may still be in flight. Waiting for its whole batch —
+        // never submitting it again, never peeking at what has landed —
+        // is what keeps crossings and virtual time independent of how
+        // fast the sentinel happened to run.
+        let awaited = state
+            .inflight
+            .iter()
+            .find(|s| (s.offset, s.len, s.epoch) == (offset, len, state.epoch))
+            .map(|s| s.tail);
+        if let Some(tail) = awaited {
+            self.reap(state, tail)?;
+        }
         if let Some(data) = state.cache.remove(&(offset, len)) {
             self.gauges.readahead_hit();
             state.reply = Some(OpReply::Read {
@@ -309,8 +268,8 @@ impl RingDriver {
             cmd: Op::Read { offset, len },
             payload: None,
         });
-        let mut speculative = Vec::new();
         if len > 0 {
+            let tail = demand + (self.ring.depth().saturating_sub(batch.len())) as u64;
             let mut next = offset + u64::from(len);
             while batch.len() < self.ring.depth() {
                 let id = Self::next_id(state);
@@ -319,22 +278,21 @@ impl RingDriver {
                     cmd: Op::Read { offset: next, len },
                     payload: None,
                 });
-                speculative.push((id, next, len, state.epoch));
+                state.inflight.push(Speculation {
+                    id,
+                    offset: next,
+                    len,
+                    epoch: state.epoch,
+                    tail,
+                });
                 next += u64::from(len);
             }
         }
-        self.submit(batch)?;
-        state.inflight.extend(speculative);
-        let cqe = self.ring.complete(demand)?;
-        state.reply = Some(cqe.reply);
-        state.outbound = cqe.data.unwrap_or_default();
-        state.outbound_pos = 0;
-        Ok(())
+        self.roundtrip(state, batch, demand)
     }
 
     /// Runs one synchronous command through the ring: staged writes flush
-    /// ahead of it in the same crossing, and the caller's reply (plus any
-    /// produced bytes) is staged for `recv_reply`/`recv_data*`.
+    /// ahead of it in the same crossing.
     fn sync_roundtrip(&self, state: &mut DriverState, op: Op) -> afs_ipc::Result<()> {
         self.sync_heal_generation(state);
         if matches!(op, Op::Control { .. } | Op::ReadScatter { .. } | Op::Flush) {
@@ -351,12 +309,7 @@ impl RingDriver {
             cmd: op,
             payload: None,
         });
-        self.submit(batch)?;
-        let cqe = self.ring.complete(id)?;
-        state.reply = Some(cqe.reply);
-        state.outbound = cqe.data.unwrap_or_default();
-        state.outbound_pos = 0;
-        Ok(())
+        self.roundtrip(state, batch, id)
     }
 }
 
@@ -438,138 +391,5 @@ impl Transport for RingDriver {
         let batch = std::mem::take(&mut state.staged);
         let _ = self.submit(batch);
         self.ring.shutdown();
-    }
-}
-
-/// The sentinel side of a batched wiring: [`DispatchTask`]'s protocol —
-/// sticky write-behind failures, shared [`execute_op`] semantics, stats
-/// and spans — draining a [`RingPort`] instead of a
-/// [`PairPort`](afs_ipc::PairPort) and completing through the index.
-///
-/// [`DispatchTask`]: crate::strategy::DispatchTask
-pub(crate) struct RingDispatchTask {
-    logic: Box<dyn SentinelLogic>,
-    ctx: SentinelCtx,
-    port: RingPort<Op, OpReply>,
-    pool: BufferPool,
-    sticky: Arc<Mutex<Option<SentinelError>>>,
-    side: SentinelSide,
-}
-
-impl RingDispatchTask {
-    pub(crate) fn new(
-        logic: Box<dyn SentinelLogic>,
-        ctx: SentinelCtx,
-        port: RingPort<Op, OpReply>,
-        sticky: Arc<Mutex<Option<SentinelError>>>,
-        side: SentinelSide,
-    ) -> RingDispatchTask {
-        RingDispatchTask {
-            logic,
-            ctx,
-            port,
-            pool: BufferPool::new(),
-            sticky,
-            side,
-        }
-    }
-
-    /// Serves one submission; `Ready` when the sentinel should terminate.
-    fn serve(&mut self, sqe: Sqe<Op>) -> TaskPoll {
-        // Same rule as the unbatched dispatch loop: a parked write-behind
-        // failure pre-empts the next synchronous command. Submissions are
-        // drained in order and staged writes precede the demand op in
-        // every batch, so the pre-emption lands on the op the unbatched
-        // wiring would have failed.
-        if let Some(e) = take_sticky_preemption(&self.sticky, &sqe.cmd) {
-            return match self.port.post(Cqe {
-                id: sqe.id,
-                reply: OpReply::Failed(e),
-                data: None,
-            }) {
-                Ok(()) => TaskPoll::Pending,
-                Err(_) => TaskPoll::Ready,
-            };
-        }
-        let (logic, ctx) = (self.logic.as_mut(), &mut self.ctx);
-        match sqe.cmd {
-            Op::Write { offset, len } => {
-                let payload = sqe.payload.unwrap_or_default();
-                let (reply, _) = self.side.observe("write", || {
-                    execute_op(logic, ctx, Op::Write { offset, len }, &payload, &self.pool)
-                });
-                let failed = matches!(reply, OpReply::Failed(_));
-                self.side.stats().op(u64::from(len), 0, failed);
-                if let OpReply::Failed(e) = reply {
-                    *self.sticky.lock() = Some(e);
-                }
-                // Writes are acknowledged eagerly (write-behind): no
-                // completion entry, same as the unbatched loop's silence.
-                TaskPoll::Pending
-            }
-            Op::Close => {
-                let (reply, _) = self.side.observe("close", || {
-                    execute_op(logic, ctx, Op::Close, &[], &self.pool)
-                });
-                self.side
-                    .stats()
-                    .op(0, 0, matches!(reply, OpReply::Failed(_)));
-                let _ = self.port.post(Cqe {
-                    id: sqe.id,
-                    reply,
-                    data: None,
-                });
-                TaskPoll::Ready
-            }
-            cmd => {
-                let name = op_name(&cmd);
-                let (reply, data) = self
-                    .side
-                    .observe(name, || execute_op(logic, ctx, cmd, &[], &self.pool));
-                let bytes_out = data.as_ref().map_or(0, |d| d.len() as u64);
-                self.side
-                    .stats()
-                    .op(0, bytes_out, matches!(reply, OpReply::Failed(_)));
-                match self.port.post(Cqe {
-                    id: sqe.id,
-                    reply,
-                    data,
-                }) {
-                    Ok(()) => TaskPoll::Pending,
-                    Err(_) => TaskPoll::Ready,
-                }
-            }
-        }
-    }
-}
-
-impl SentinelPoll for RingDispatchTask {
-    fn poll(&mut self) -> TaskPoll {
-        let mut drained = 0u64;
-        loop {
-            let sqe = match self.port.poll_sqe() {
-                Ok(Some(sqe)) => sqe,
-                Ok(None) => {
-                    self.side.stats().note_queue_depth(drained);
-                    return TaskPoll::Pending;
-                }
-                // The application vanished without Close; still run the
-                // close hook.
-                Err(_) => {
-                    let _ = self.logic.on_close(&mut self.ctx);
-                    self.ctx.persist_cache();
-                    return TaskPoll::Ready;
-                }
-            };
-            drained += 1;
-            if let TaskPoll::Ready = self.serve(sqe) {
-                return TaskPoll::Ready;
-            }
-        }
-    }
-
-    fn abandon(&mut self) {
-        let _ = self.logic.on_close(&mut self.ctx);
-        self.ctx.persist_cache();
     }
 }

@@ -12,58 +12,29 @@
 //! strategy (§4.3) plugs in shared-memory transports instead, which is
 //! precisely the paper's point that the strategies trade copies and
 //! crossings, not semantics.
+//!
+//! [`PairTransport::kernel`]: afs_ipc::PairTransport::kernel
+//! [`StrategyHandle`]: crate::strategy::handle::StrategyHandle
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
-
-use afs_ipc::PairTransport;
-use afs_sim::{CostModel, OpTrace};
-use afs_telemetry::SpanScope;
 use afs_winapi::Win32Error;
 
 use crate::ctx::SentinelCtx;
 use crate::logic::SentinelLogic;
-use crate::strategy::handle::StrategyHandle;
-use crate::strategy::{to_win32, ActiveOps, DispatchTask, Instruments, Op, OpReply, Reaper};
+use crate::strategy::wire::{self, Boundary, Launched};
+use crate::strategy::Instruments;
 
-/// Builds the process-plus-control strategy for one open: runs the open
-/// hook, registers the sentinel "process" as a dispatch task on the
-/// sentinel executor, wires two data pipes plus the control channel, and
-/// returns the application-side ops. With `batch = Some(depth)` the
-/// boundary is wired as a submission/completion ring instead — one
-/// kernel doorbell per batch (see [`crate::strategy::batch`]).
+/// Builds the process-plus-control strategy for one open: the sentinel
+/// "process" is a dispatch loop on the sentinel executor, wired to the
+/// application over two data pipes plus the control channel. With
+/// `batch = Some(depth)` the boundary is wired as a submission/completion
+/// ring instead — one kernel doorbell per batch (see
+/// [`crate::strategy::batch`]).
 pub(crate) fn open(
-    mut logic: Box<dyn SentinelLogic>,
-    mut ctx: SentinelCtx,
-    model: CostModel,
-    trace: Arc<OpTrace>,
+    logic: Box<dyn SentinelLogic>,
+    ctx: SentinelCtx,
     instr: Instruments,
     batch: Option<usize>,
-) -> Result<Arc<dyn ActiveOps>, Win32Error> {
-    if let Some(depth) = batch {
-        return crate::strategy::batch::open_kernel(logic, ctx, model, trace, instr, depth);
-    }
-    logic.on_open(&mut ctx).map_err(|e| to_win32(&e))?;
-    let (transport, port) = PairTransport::<Op, OpReply>::kernel_observed(
-        model.clone(),
-        Arc::clone(instr.tel.gauges()),
-    );
-    let sticky = Arc::new(Mutex::new(None));
-    let sentinel_sticky = Arc::clone(&sticky);
-    let scope = Arc::new(SpanScope::default());
-    let side = instr.sentinel_side("Process", Arc::clone(&scope));
-    let done = instr.spawn_task(move |waker| {
-        port.set_wakeup(waker);
-        Box::new(DispatchTask::new(logic, ctx, port, sentinel_sticky, side))
-    });
-    Ok(Arc::new(StrategyHandle::new(
-        transport,
-        model,
-        trace,
-        "Process",
-        sticky,
-        Some(Reaper::Task(done)),
-        instr.app_side(scope),
-    )))
+    joinable: bool,
+) -> Result<Launched, Win32Error> {
+    wire::open(Boundary::Kernel, logic, ctx, instr, batch, joinable)
 }

@@ -25,8 +25,7 @@ use afs_sim::{clock, Cost, CostModel, CrossingKind, OpKind, OpTrace, TraceRecord
 use afs_telemetry::{now_ns, LatencyHistogram, Layer, SloTracker, SpanGuard, SpanScope, Telemetry};
 use afs_winapi::{SeekMethod, Win32Error};
 
-use crate::logic::SentinelError;
-use crate::strategy::{reap, to_win32, ActiveOps, Op, OpObserver, OpReply, Reaper};
+use crate::strategy::{reap, to_win32, ActiveOps, Op, OpObserver, OpReply, Reaper, Sticky};
 
 /// Every [`OpKind`] in [`op_index`] order, for the per-op histogram cache.
 const OP_KINDS: [OpKind; 7] = [
@@ -60,7 +59,7 @@ pub(crate) struct StrategyHandle<T: Transport<Cmd = Op, Reply = OpReply>> {
     strategy: &'static str,
     pointer: Mutex<u64>,
     op_lock: Mutex<()>,
-    sticky: Arc<Mutex<Option<SentinelError>>>,
+    sticky: Sticky,
     reaper: Mutex<Option<Reaper>>,
     /// Scratch buffers for scatter reassembly.
     pool: BufferPool,
@@ -81,7 +80,7 @@ impl<T: Transport<Cmd = Op, Reply = OpReply>> StrategyHandle<T> {
         model: CostModel,
         trace: Arc<OpTrace>,
         strategy: &'static str,
-        sticky: Arc<Mutex<Option<SentinelError>>>,
+        sticky: Sticky,
         reaper: Option<Reaper>,
         obs: OpObserver,
     ) -> Self {
@@ -172,7 +171,7 @@ impl<T: Transport<Cmd = Op, Reply = OpReply>> StrategyHandle<T> {
     }
 
     fn check_sticky(&self) -> Result<(), Win32Error> {
-        match self.sticky.lock().take() {
+        match self.sticky.take() {
             Some(e) => Err(to_win32(&e)),
             None => Ok(()),
         }
@@ -571,7 +570,7 @@ mod tests {
             CostModel::new(HardwareProfile::pentium_ii_300()),
             Arc::new(OpTrace::new()),
             "Process",
-            Arc::new(Mutex::new(None)),
+            Sticky::default(),
             None,
             obs,
         )

@@ -13,47 +13,91 @@
 //! | [`dll`]     | 4.4 | inline call | none | 0 | logic's own only |
 //!
 //! Since the strategies trade copies and crossings — not semantics — the
-//! whole hot path is unified behind one protocol: the [`Op`]/[`OpReply`]
-//! command set here, executed by [`execute_op`] wherever the sentinel
-//! lives (a poll-driven [`DispatchTask`] on the sharded
-//! [`executor::SentinelExecutor`] for §4.2/§4.3, inline for §4.4), and
+//! whole hot path is written once: the [`Op`]/[`OpReply`] command set
+//! here, executed by [`execute_op`] wherever the sentinel lives, and
 //! driven application-side by one generic
 //! [`StrategyHandle`](handle::StrategyHandle) over an
-//! [`afs_ipc::Transport`]. Per-command payload staging goes through an
+//! [`afs_ipc::Transport`]. Out of line (§4.2/§4.3) the sentinel is one
+//! poll-driven [`dispatch::SentinelLoop`] on the sharded
+//! [`executor::SentinelExecutor`], wired by the one builder in [`wire`];
+//! private or shared, batched or not are inputs to that loop — which
+//! port it drains and which sessions it is handed — not code paths beside
+//! it. Inline (§4.4) the sentinel is an [`dll::InlineShared`] whose
+//! sessions call [`execute_op`] on the application thread; a private open
+//! is its one-session case. Per-command payload staging goes through an
 //! [`afs_ipc::BufferPool`] so a settled sentinel allocates nothing per
 //! operation.
 
 pub(crate) mod batch;
 pub mod control;
+pub(crate) mod dispatch;
 pub mod dll;
 pub(crate) mod executor;
 pub(crate) mod handle;
 pub(crate) mod mux;
 pub mod process;
 pub mod thread;
+pub(crate) mod wire;
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use parking_lot::Mutex;
 
-use afs_ipc::{BufferPool, PairPort};
-use afs_sim::{clock, SimTime};
-use afs_telemetry::{
-    intern, now_ns, LatencyHistogram, Layer, SentinelStats, SloTracker, SpanScope, Telemetry,
-};
+use afs_ipc::{BufferPool, Transport};
+use afs_sim::{clock, CostModel, OpTrace, SimTime};
+use afs_telemetry::{now_ns, LatencyHistogram, Layer, SloTracker, SpanScope, Telemetry};
 use afs_winapi::Win32Error;
 
 use crate::ctx::SentinelCtx;
 use crate::logic::{SentinelError, SentinelLogic};
-use crate::strategy::executor::{SentinelPoll, TaskPoll};
 
-/// Per-open wiring handed to a strategy `open`: the telemetry hub, the
-/// interned name of the sentinel being opened, and the executor its
-/// dispatch task will be scheduled on.
+/// Where one session's write-behind failures park until its next
+/// synchronous operation; shared by the session's two ends.
+pub(crate) type Sticky = Arc<StickySlot>;
+
+/// The slot behind a [`Sticky`]. Both ends look into it on every
+/// operation and it is empty unless a write has just failed, so the
+/// empty answer comes from a flag, not from taking the lock.
+#[derive(Debug, Default)]
+pub(crate) struct StickySlot {
+    /// `parked.is_some()`, written only under the lock.
+    armed: AtomicBool,
+    parked: Mutex<Option<SentinelError>>,
+}
+
+impl StickySlot {
+    /// Parks `e`, replacing an earlier failure nobody collected.
+    pub(crate) fn park(&self, e: SentinelError) {
+        let mut parked = self.parked.lock();
+        *parked = Some(e);
+        self.armed.store(true, Ordering::Release);
+    }
+
+    /// Collects the parked failure, if any.
+    pub(crate) fn take(&self) -> Option<SentinelError> {
+        if !self.armed.load(Ordering::Acquire) {
+            return None;
+        }
+        let mut parked = self.parked.lock();
+        self.armed.store(false, Ordering::Release);
+        parked.take()
+    }
+}
+
+/// Per-open wiring handed to a strategy `open`: the cost model and trace
+/// ring the new handle records into, the telemetry hub, and the executor
+/// the sentinel's dispatch task will be scheduled on.
 #[derive(Clone)]
 pub(crate) struct Instruments {
+    pub(crate) model: CostModel,
+    pub(crate) trace: Arc<OpTrace>,
+    /// The strategy's label on trace records and spans
+    /// ([`Strategy::label`](crate::spec::Strategy::label)).
+    pub(crate) strategy: &'static str,
     pub(crate) tel: Arc<Telemetry>,
+    /// Interned name of the sentinel being opened.
     pub(crate) sentinel: &'static str,
     pub(crate) exec: Arc<executor::SentinelExecutor>,
     /// `true` when this open came through a sentinel's own ctx API (§3
@@ -68,22 +112,6 @@ pub(crate) struct Instruments {
 }
 
 impl Instruments {
-    pub(crate) fn new(
-        tel: Arc<Telemetry>,
-        sentinel: &str,
-        exec: Arc<executor::SentinelExecutor>,
-        pinned: bool,
-        slo: Option<Arc<SloTracker>>,
-    ) -> Self {
-        Instruments {
-            tel,
-            sentinel: intern(sentinel),
-            exec,
-            pinned,
-            slo,
-        }
-    }
-
     /// Registers a sentinel state machine: pooled normally, pinned to a
     /// dedicated thread for composition opens (see `pinned`).
     pub(crate) fn spawn_task<F>(&self, build: F) -> Arc<executor::TaskDone>
@@ -97,32 +125,46 @@ impl Instruments {
         }
     }
 
-    /// The application-side observation bundle for the strategy handle.
-    /// `scope` is the shared cell the handle publishes the in-flight op's
-    /// trace context in.
-    pub(crate) fn app_side(&self, scope: Arc<SpanScope>) -> OpObserver {
-        OpObserver {
+    /// The sentinel-side observation bundle: reads `scope` to parent its
+    /// spans to the operation in flight on the application side.
+    pub(crate) fn sentinel_side(&self, scope: Arc<SpanScope>) -> SentinelSide {
+        SentinelSide {
+            hist: self.tel.sentinel_hist(self.sentinel),
             tel: Arc::clone(&self.tel),
             scope,
-            slo: self.slo.clone(),
+            strategy: self.strategy,
+            note: "",
         }
     }
 
-    /// The sentinel-side observation bundle: reads `scope` to parent its
-    /// spans to the operation in flight on the application side.
-    pub(crate) fn sentinel_side(
+    /// The application end of one session: a [`StrategyHandle`] driving
+    /// `transport`, publishing the in-flight op's trace context in `scope`
+    /// and surfacing the failures its sentinel end parks in `sticky`.
+    ///
+    /// [`StrategyHandle`]: handle::StrategyHandle
+    pub(crate) fn handle<T>(
         &self,
-        strategy: &'static str,
+        transport: T,
+        sticky: Sticky,
         scope: Arc<SpanScope>,
-    ) -> SentinelSide {
-        SentinelSide {
-            hist: self.tel.sentinel_hist(self.sentinel),
-            stats: self.tel.sentinel_stats(self.sentinel),
-            tel: Arc::clone(&self.tel),
-            scope,
-            strategy,
-            note: "",
-        }
+        reaper: Option<Reaper>,
+    ) -> Arc<dyn ActiveOps>
+    where
+        T: Transport<Cmd = Op, Reply = OpReply> + 'static,
+    {
+        Arc::new(handle::StrategyHandle::new(
+            transport,
+            self.model.clone(),
+            Arc::clone(&self.trace),
+            self.strategy,
+            sticky,
+            reaper,
+            OpObserver {
+                tel: Arc::clone(&self.tel),
+                scope,
+                slo: self.slo.clone(),
+            },
+        ))
     }
 }
 
@@ -134,13 +176,11 @@ pub(crate) struct OpObserver {
 }
 
 /// Sentinel-side telemetry: span creation (parented across threads via the
-/// shared scope cell), the per-sentinel latency histogram, and the
-/// per-sentinel resource counters.
+/// shared scope cell) and the per-sentinel latency histogram.
 #[derive(Clone)]
 pub(crate) struct SentinelSide {
     tel: Arc<Telemetry>,
     hist: Arc<LatencyHistogram>,
-    stats: Arc<SentinelStats>,
     scope: Arc<SpanScope>,
     strategy: &'static str,
     /// Annotation applied to every span this side opens; the mux layer
@@ -155,11 +195,6 @@ impl SentinelSide {
     pub(crate) fn with_note(mut self, note: &'static str) -> SentinelSide {
         self.note = note;
         self
-    }
-
-    /// The per-sentinel resource counters this side feeds.
-    pub(crate) fn stats(&self) -> &Arc<SentinelStats> {
-        &self.stats
     }
 
     /// Runs one sentinel-side op execution under a [`Layer::Sentinel`] span
@@ -281,18 +316,12 @@ pub const CTL_STORE_SYNC: u32 = 0xAF00_57C3;
 /// Takes the parked write-behind failure when `op` is a synchronous
 /// command it should pre-empt. Writes never pre-empt (they are the ops
 /// that *park* failures) and Close reports through its own reply, with
-/// the handle re-checking sticky afterwards. Shared by every sentinel
-/// drain path — [`DispatchTask`], the mux loop, and the ring drain — so
-/// batched, multiplexed, and private dispatch surface write-behind
-/// failures under one rule.
-pub(crate) fn take_sticky_preemption(
-    sticky: &Mutex<Option<SentinelError>>,
-    op: &Op,
-) -> Option<SentinelError> {
+/// the handle re-checking sticky afterwards.
+pub(crate) fn take_sticky_preemption(sticky: &StickySlot, op: &Op) -> Option<SentinelError> {
     if matches!(op, Op::Write { .. } | Op::Close) {
         None
     } else {
-        sticky.lock().take()
+        sticky.take()
     }
 }
 
@@ -604,143 +633,6 @@ fn replay_queued_writes(logic: &mut dyn SentinelLogic, ctx: &mut SentinelCtx) {
         ctx.net().reliability_stats().note_replayed_write();
     }
     ctx.set_stale(false);
-}
-
-/// The sentinel dispatch state machine shared by the process-plus-control
-/// and DLL-with-thread strategies ("the thread … runs a dispatch loop
-/// using calls to AF_GetControl", §5.3), draining one [`PairPort`].
-///
-/// This is the old blocking dispatch loop refactored into a resumable
-/// [`SentinelPoll`] task: instead of blocking in `recv_cmd` on a dedicated
-/// thread, `poll` drains whatever the command lane holds (with
-/// `recv_cmd`-equivalent cost charging, see [`PairPort::poll_cmd`]) and
-/// yields, so the sentinel executor can park it without a thread. Write
-/// payloads still arrive with a short bounded wait — the application sends
-/// command and payload back-to-back under its op lock.
-///
-/// Write failures are parked in `sticky` and surfaced on the next
-/// synchronous operation, because writes are acknowledged eagerly
-/// (write-behind, §6). Payloads are staged in the port's buffer pool, so a
-/// settled sentinel performs no per-command allocation.
-pub(crate) struct DispatchTask {
-    logic: Box<dyn SentinelLogic>,
-    ctx: SentinelCtx,
-    port: PairPort<Op, OpReply>,
-    sticky: Arc<Mutex<Option<SentinelError>>>,
-    side: SentinelSide,
-}
-
-impl DispatchTask {
-    pub(crate) fn new(
-        logic: Box<dyn SentinelLogic>,
-        ctx: SentinelCtx,
-        port: PairPort<Op, OpReply>,
-        sticky: Arc<Mutex<Option<SentinelError>>>,
-        side: SentinelSide,
-    ) -> DispatchTask {
-        DispatchTask {
-            logic,
-            ctx,
-            port,
-            sticky,
-            side,
-        }
-    }
-
-    /// Serves one command; `Ready` when the sentinel should terminate.
-    fn serve(&mut self, op: Op) -> TaskPoll {
-        // A parked write-behind failure pre-empts the next synchronous
-        // command, so the application learns of it deterministically
-        // (commands are processed in order).
-        if let Some(e) = take_sticky_preemption(&self.sticky, &op) {
-            return match self.port.send_reply(OpReply::Failed(e)) {
-                Ok(()) => TaskPoll::Pending,
-                Err(_) => TaskPoll::Ready,
-            };
-        }
-        let (logic, ctx, port) = (self.logic.as_mut(), &mut self.ctx, &self.port);
-        match op {
-            Op::Write { len, .. } => {
-                let mut buf = port.pool().take(len as usize);
-                if len > 0 && port.recv_data_exact(&mut buf).is_err() {
-                    return TaskPoll::Ready;
-                }
-                let (reply, _) = self
-                    .side
-                    .observe("write", || execute_op(logic, ctx, op, &buf, port.pool()));
-                let failed = matches!(reply, OpReply::Failed(_));
-                self.side.stats().op(len as u64, 0, failed);
-                if let OpReply::Failed(e) = reply {
-                    *self.sticky.lock() = Some(e);
-                }
-                port.pool().put(buf);
-                TaskPoll::Pending
-            }
-            Op::Close => {
-                let (reply, _) = self
-                    .side
-                    .observe("close", || execute_op(logic, ctx, op, &[], port.pool()));
-                self.side
-                    .stats()
-                    .op(0, 0, matches!(reply, OpReply::Failed(_)));
-                let _ = port.send_reply(reply);
-                TaskPoll::Ready
-            }
-            other => {
-                let name = op_name(&other);
-                let (reply, data) = self
-                    .side
-                    .observe(name, || execute_op(logic, ctx, other, &[], port.pool()));
-                let bytes_out = data.as_ref().map_or(0, |d| d.len() as u64);
-                self.side
-                    .stats()
-                    .op(0, bytes_out, matches!(reply, OpReply::Failed(_)));
-                if port.send_reply(reply).is_err() {
-                    return TaskPoll::Ready;
-                }
-                if let Some(data) = data {
-                    if !data.is_empty() && port.send_data(&data).is_err() {
-                        return TaskPoll::Ready;
-                    }
-                    port.pool().put(data);
-                }
-                TaskPoll::Pending
-            }
-        }
-    }
-}
-
-impl SentinelPoll for DispatchTask {
-    fn poll(&mut self) -> TaskPoll {
-        // Commands served back-to-back in one poll were queued together:
-        // the run length is this task's observed backlog depth.
-        let mut drained = 0u64;
-        loop {
-            let op = match self.port.poll_cmd() {
-                Ok(Some(op)) => op,
-                Ok(None) => {
-                    self.side.stats().note_queue_depth(drained);
-                    return TaskPoll::Pending;
-                }
-                // The application vanished without Close (process killed);
-                // still run the close hook.
-                Err(_) => {
-                    let _ = self.logic.on_close(&mut self.ctx);
-                    self.ctx.persist_cache();
-                    return TaskPoll::Ready;
-                }
-            };
-            drained += 1;
-            if let TaskPoll::Ready = self.serve(op) {
-                return TaskPoll::Ready;
-            }
-        }
-    }
-
-    fn abandon(&mut self) {
-        let _ = self.logic.on_close(&mut self.ctx);
-        self.ctx.persist_cache();
-    }
 }
 
 /// Spawns a sentinel thread that inherits the opener's virtual clock and

@@ -4,7 +4,7 @@
 //! opens of the *same* active file that costs N sentinel threads, N
 //! transports, and N incoherent caches. This module keeps the paper's
 //! per-open handle semantics while sharing the machinery: the first open
-//! spawns the sentinel; later opens *attach* as new sessions on the same
+//! launches the sentinel; later opens *attach* as new sessions on the same
 //! [`MuxHub`], each with a private file pointer, private sticky
 //! write-behind error, and private telemetry scope.
 //!
@@ -14,35 +14,20 @@
 //!   [`Op`]/[`OpReply`] — which commands carry payload, which replies do,
 //!   which command is the terminal close, and when two writes are
 //!   contiguous (the hub coalesces those into one crossing).
-//! * [`MuxLoop`] is the sentinel side: it drains framed commands, executes
-//!   writes immediately at drain time (write-behind — wire order is the
-//!   only cross-session order there is), and queues reply-bearing
-//!   operations per session, servicing the sessions round-robin so one
-//!   chatty client cannot starve the rest.
+//! * The sentinel side is the one [`dispatch`](super::dispatch) loop over
+//!   the framed pair port; each attach admits the new session's record to
+//!   it before the session can send a frame.
 //! * [`SharedSentinel`] is what the open path's registry stores: later
 //!   opens call [`SharedSentinel::attach`] to join; `None` means the
 //!   sentinel already ran its terminal close and a fresh one is needed.
 
-use std::collections::{HashMap, VecDeque};
-
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use afs_ipc::{Framed, MuxHub, MuxProtocol, PairTransport};
+use afs_telemetry::{intern, SpanScope};
 
-use afs_ipc::{Framed, MuxHub, MuxProtocol, PairPort, PairTransport};
-use afs_sim::{CostModel, OpTrace};
-use afs_telemetry::{intern, SpanScope, Telemetry};
-use afs_winapi::Win32Error;
-
-use crate::ctx::SentinelCtx;
-use crate::logic::{SentinelError, SentinelLogic};
-use crate::spec::Strategy;
-use crate::strategy::executor::{SentinelPoll, TaskPoll};
-use crate::strategy::handle::StrategyHandle;
-use crate::strategy::{
-    execute_op, op_name, take_sticky_preemption, to_win32, ActiveOps, Instruments, Op, OpReply,
-    SentinelSide,
-};
+use crate::strategy::dispatch::{Joiners, Session};
+use crate::strategy::{ActiveOps, Instruments, Op, OpReply, Sticky};
 
 /// The wire-shape facts [`MuxHub`] needs about the [`Op`]/[`OpReply`]
 /// protocol.
@@ -94,19 +79,7 @@ impl MuxProtocol for OpMux {
     }
 }
 
-type Wire = PairTransport<Framed<Op>, Framed<OpReply>>;
-type WirePort = PairPort<Framed<Op>, Framed<OpReply>>;
-type OpHub = MuxHub<OpMux, Wire>;
-
-/// Per-session sentinel-side state, registered at attach so the dispatch
-/// loop can park write-behind failures and parent spans correctly.
-#[derive(Clone)]
-struct SessionRecord {
-    sticky: Arc<Mutex<Option<SentinelError>>>,
-    side: SentinelSide,
-}
-
-type SessionTable = Arc<Mutex<HashMap<u32, SessionRecord>>>;
+type OpHub = MuxHub<OpMux, PairTransport<Framed<Op>, Framed<OpReply>>>;
 
 /// A running sentinel that later opens of the same `(path, spec)` can
 /// join as additional sessions.
@@ -118,344 +91,41 @@ pub(crate) trait SharedSentinel: Send + Sync {
     fn session_count(&self) -> usize;
 }
 
-/// The shared form of the §4.2/§4.3 wire strategies: one sentinel task,
-/// one transport, many sessions multiplexed over it.
+/// The application side of a joinable §4.2/§4.3 sentinel: one transport,
+/// many sessions multiplexed over it.
 pub(crate) struct MuxShared {
-    hub: Arc<OpHub>,
-    sessions: SessionTable,
-    model: CostModel,
-    trace: Arc<OpTrace>,
-    strategy: &'static str,
+    pub(crate) hub: Arc<OpHub>,
+    pub(crate) joiners: Joiners,
     /// Interned data-part path, for the per-session span note.
-    file: &'static str,
-    instr: Instruments,
+    pub(crate) file: &'static str,
+    pub(crate) instr: Instruments,
 }
 
 impl SharedSentinel for MuxShared {
     fn attach(&self) -> Option<Arc<dyn ActiveOps>> {
         let session = self.hub.attach()?;
-        let sticky = Arc::new(Mutex::new(None));
+        let id = session.session_id();
+        let sticky = Sticky::default();
         let scope = Arc::new(SpanScope::default());
         // Every sentinel-side span of this session carries the owning
         // session id and file, so slow-op ancestry and trace dumps name
         // which of the multiplexed clients an op belongs to.
-        let note = intern(&format!(
-            "session={} file={}",
-            session.session_id(),
-            self.file
-        ));
-        let record = SessionRecord {
-            sticky: Arc::clone(&sticky),
-            side: self
-                .instr
-                .sentinel_side(self.strategy, Arc::clone(&scope))
-                .with_note(note),
-        };
-        {
-            // Sessions that closed non-terminally never reach the
-            // dispatch loop, so their records are pruned here instead.
-            let live = self.hub.live_sessions();
-            let mut table = self.sessions.lock();
-            table.retain(|id, _| live.contains(id));
-            table.insert(session.session_id(), record);
-        }
-        Some(Arc::new(StrategyHandle::new(
-            session,
-            self.model.clone(),
-            Arc::clone(&self.trace),
-            self.strategy,
-            sticky,
-            // The hub reaps the sentinel when the terminal close is
-            // acknowledged; the handle has nothing to join.
-            None,
-            self.instr.app_side(scope),
-        )))
+        let note = intern(&format!("session={id} file={}", self.file));
+        self.joiners.admit(
+            Session {
+                id,
+                sticky: Arc::clone(&sticky),
+                side: self.instr.sentinel_side(Arc::clone(&scope)).with_note(note),
+            },
+            self.hub.live_sessions(),
+        );
+        // The hub reaps the sentinel when the terminal close is
+        // acknowledged; the handle has nothing to join.
+        Some(self.instr.handle(session, sticky, scope, None))
     }
 
     fn session_count(&self) -> usize {
         self.hub.live_sessions().len()
-    }
-}
-
-/// Builds the shared sentinel for a wire strategy (§4.2 kernel pipes or
-/// §4.3 shared memory): runs the open hook once, registers the mux
-/// dispatch state machine on the sentinel executor, and returns the
-/// [`SharedSentinel`] later opens attach through.
-pub(crate) fn open_shared(
-    strategy: Strategy,
-    mut logic: Box<dyn SentinelLogic>,
-    mut ctx: SentinelCtx,
-    model: CostModel,
-    trace: Arc<OpTrace>,
-    instr: Instruments,
-) -> Result<Arc<MuxShared>, Win32Error> {
-    let (label, kernel) = match strategy {
-        Strategy::ProcessControl => ("Process", true),
-        Strategy::DllThread => ("Thread", false),
-        // §4.1 has no command lane to frame; §4.4 shares inline (dll.rs).
-        Strategy::Process | Strategy::DllOnly => return Err(Win32Error::NotSupported),
-    };
-    logic.on_open(&mut ctx).map_err(|e| to_win32(&e))?;
-    let file = intern(&ctx.path().file_path().to_string());
-    let (transport, port) = if kernel {
-        Wire::kernel_observed(model.clone(), Arc::clone(instr.tel.gauges()))
-    } else {
-        Wire::shared_observed(model.clone(), Arc::clone(instr.tel.gauges()))
-    };
-    let hub = MuxHub::new(
-        transport,
-        model.clone(),
-        Some(Arc::clone(instr.tel.sessions())),
-    );
-    let sessions: SessionTable = Arc::new(Mutex::new(HashMap::new()));
-    let state = MuxLoop {
-        logic,
-        ctx,
-        port,
-        sessions: Arc::clone(&sessions),
-        // Frames from sessions that detached before their staged writes
-        // drained still execute, observed under this fallback scope.
-        fallback: instr.sentinel_side(label, Arc::new(SpanScope::default())),
-        tel: Arc::clone(&instr.tel),
-        queues: HashMap::new(),
-        rotation: VecDeque::new(),
-    };
-    let done = instr.spawn_task(move |waker| {
-        state.port.set_wakeup(waker);
-        Box::new(state)
-    });
-    // The hub reaps by waiting on the executor's completion cell, the
-    // task-world stand-in for joining a dedicated sentinel thread.
-    hub.set_reaper(Box::new(move || done.wait()));
-    Ok(Arc::new(MuxShared {
-        hub,
-        sessions,
-        model,
-        trace,
-        strategy: label,
-        file,
-        instr,
-    }))
-}
-
-/// One dispatch step's outcome.
-enum Step {
-    /// Keep going.
-    Continue,
-    /// The application side vanished mid-protocol.
-    WireDead,
-    /// The terminal close was served; the loop is done.
-    Closed,
-}
-
-/// The sentinel side of the multiplexed wire: one poll-driven state
-/// machine (scheduled on the sentinel executor) serving every session of
-/// one shared sentinel.
-struct MuxLoop {
-    logic: Box<dyn SentinelLogic>,
-    ctx: SentinelCtx,
-    port: WirePort,
-    sessions: SessionTable,
-    fallback: SentinelSide,
-    tel: Arc<Telemetry>,
-    /// Reply-bearing operations awaiting service, per session.
-    queues: HashMap<u32, VecDeque<Op>>,
-    /// Round-robin order over sessions with a non-empty queue (each
-    /// session appears at most once).
-    rotation: VecDeque<u32>,
-}
-
-impl MuxLoop {
-    fn record(&self, session: u32) -> Option<SessionRecord> {
-        self.sessions.lock().get(&session).cloned()
-    }
-
-    /// Takes one frame off the wire. Writes execute immediately — they
-    /// are acknowledged eagerly on the application side, and executing in
-    /// wire order is what makes a flushed batch land before the read that
-    /// forced the flush. Everything that owes a reply queues for fair
-    /// servicing instead.
-    fn ingest(&mut self, frame: Framed<Op>) -> Step {
-        let session = frame.session;
-        let op = frame.body;
-        if let Op::Write { len, .. } = op {
-            let rec = self.record(session);
-            let Self {
-                logic,
-                ctx,
-                port,
-                fallback,
-                ..
-            } = self;
-            let mut buf = port.pool().take(len as usize);
-            if len > 0 && port.recv_data_exact(&mut buf).is_err() {
-                port.pool().put(buf);
-                return Step::WireDead;
-            }
-            let side = rec.as_ref().map_or(&*fallback, |r| &r.side);
-            let (reply, _) = side.observe("write", || {
-                execute_op(logic.as_mut(), ctx, op, &buf, port.pool())
-            });
-            side.stats()
-                .op(u64::from(len), 0, matches!(reply, OpReply::Failed(_)));
-            port.pool().put(buf);
-            if let OpReply::Failed(e) = reply {
-                if let Some(rec) = rec {
-                    *rec.sticky.lock() = Some(e);
-                }
-            }
-            return Step::Continue;
-        }
-        let queue = self.queues.entry(session).or_default();
-        if queue.is_empty() {
-            self.rotation.push_back(session);
-        }
-        queue.push_back(op);
-        Step::Continue
-    }
-
-    /// Serves one queued operation for `session`, mirroring the private
-    /// dispatch loop: a parked write-behind failure pre-empts the next
-    /// synchronous command (Close excepted — it reports via its own
-    /// reply and the handle re-checks sticky afterwards).
-    fn service(&mut self, session: u32, op: Op) -> Step {
-        let rec = self.record(session);
-        if let Some(e) = rec
-            .as_ref()
-            .and_then(|r| take_sticky_preemption(&r.sticky, &op))
-        {
-            let failed = Framed {
-                session,
-                body: OpReply::Failed(e),
-            };
-            return if self.port.send_reply(failed).is_err() {
-                Step::WireDead
-            } else {
-                Step::Continue
-            };
-        }
-        let closing = matches!(op, Op::Close);
-        let name = op_name(&op);
-        let Self {
-            logic,
-            ctx,
-            port,
-            fallback,
-            ..
-        } = self;
-        let side = rec.as_ref().map_or(&*fallback, |r| &r.side);
-        let (reply, data) = side.observe(name, || {
-            execute_op(logic.as_mut(), ctx, op, &[], port.pool())
-        });
-        side.stats().op(
-            0,
-            data.as_ref().map_or(0, |d| d.len() as u64),
-            matches!(reply, OpReply::Failed(_)),
-        );
-        if port
-            .send_reply(Framed {
-                session,
-                body: reply,
-            })
-            .is_err()
-        {
-            return Step::WireDead;
-        }
-        if let Some(data) = data {
-            if !data.is_empty() && port.send_data(&data).is_err() {
-                return Step::WireDead;
-            }
-            port.pool().put(data);
-        }
-        if closing {
-            Step::Closed
-        } else {
-            Step::Continue
-        }
-    }
-
-    /// The wire-dead epilogue: the application vanished without the
-    /// terminal close (process killed) — still run the close hook, like
-    /// the private loop.
-    fn finish(&mut self) {
-        let _ = self.logic.on_close(&mut self.ctx);
-        self.ctx.persist_cache();
-    }
-}
-
-impl SentinelPoll for MuxLoop {
-    /// One executor quantum: the blocking `recv_cmd` of the old dedicated
-    /// thread becomes `poll_cmd` — same syscall charge when a frame (or
-    /// the closure) is observed, no charge and `Pending` when the lane is
-    /// merely empty — so the mux's virtual timeline is unchanged.
-    fn poll(&mut self) -> TaskPoll {
-        loop {
-            // Nothing queued: look for the next frame, parking if the
-            // wire is quiet.
-            if self.rotation.is_empty() {
-                match self.port.poll_cmd() {
-                    Ok(Some(frame)) => {
-                        if matches!(self.ingest(frame), Step::WireDead) {
-                            self.finish();
-                            return TaskPoll::Ready;
-                        }
-                    }
-                    Ok(None) => return TaskPoll::Pending,
-                    Err(_) => {
-                        self.finish();
-                        return TaskPoll::Ready;
-                    }
-                }
-            }
-            // Fairness needs the whole backlog, not wire arrival order:
-            // drain everything already waiting before picking a session.
-            let mut dead = false;
-            loop {
-                match self.port.try_recv_cmd() {
-                    Ok(Some(frame)) => {
-                        if matches!(self.ingest(frame), Step::WireDead) {
-                            dead = true;
-                            break;
-                        }
-                    }
-                    Ok(None) => break,
-                    Err(_) => {
-                        dead = true;
-                        break;
-                    }
-                }
-            }
-            if dead {
-                self.finish();
-                return TaskPoll::Ready;
-            }
-            let depth: usize = self.queues.values().map(VecDeque::len).sum();
-            self.tel.sessions().note_queue_depth(depth as u64);
-            self.fallback.stats().note_queue_depth(depth as u64);
-            let Some(session) = self.rotation.pop_front() else {
-                continue;
-            };
-            let Some(op) = self.queues.get_mut(&session).and_then(VecDeque::pop_front) else {
-                continue;
-            };
-            if self.queues.get(&session).is_some_and(|q| !q.is_empty()) {
-                self.rotation.push_back(session);
-            }
-            match self.service(session, op) {
-                Step::Continue => {}
-                Step::WireDead => {
-                    self.finish();
-                    return TaskPoll::Ready;
-                }
-                // The terminal close already ran the close hook inside
-                // `execute_op`; no epilogue.
-                Step::Closed => return TaskPoll::Ready,
-            }
-        }
-    }
-
-    fn abandon(&mut self) {
-        self.finish();
     }
 }
 

@@ -28,15 +28,12 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use afs_ipc::{PipeReader, PipeWriter, StreamTransport};
-use afs_sim::{CostModel, OpTrace};
-use afs_telemetry::SpanScope;
 use afs_winapi::Win32Error;
 
 use crate::ctx::SentinelCtx;
 use crate::logic::SentinelLogic;
-use crate::strategy::handle::StrategyHandle;
 use crate::strategy::{
-    spawn_sentinel, to_win32, ActiveOps, Instruments, Op, OpReply, Reaper, SentinelSide,
+    spawn_sentinel, to_win32, ActiveOps, Instruments, Op, OpReply, Reaper, SentinelSide, Sticky,
 };
 
 /// Buffer size of the Figure 2 pump loops (`char buf[1024]`).
@@ -63,38 +60,33 @@ pub trait RawProcessSentinel: Send {
 }
 
 fn wire(
-    model: CostModel,
-    trace: Arc<OpTrace>,
     instr: &Instruments,
     sentinel: impl FnOnce(PipeReader, PipeWriter) + Send + 'static,
 ) -> Arc<dyn ActiveOps> {
-    let (transport, sentinel_stdin, sentinel_stdout) =
-        StreamTransport::<Op, OpReply>::new_observed(model.clone(), Arc::clone(instr.tel.gauges()));
+    let (transport, sentinel_stdin, sentinel_stdout) = StreamTransport::<Op, OpReply>::new_observed(
+        instr.model.clone(),
+        Arc::clone(instr.tel.gauges()),
+    );
     let join = spawn_sentinel("process", move || {
         sentinel(sentinel_stdin, sentinel_stdout);
     });
-    Arc::new(StrategyHandle::new(
+    // §4.1 streams have no command lane to poll, so the pump pair keeps
+    // dedicated threads; the reaper joins them directly.
+    instr.handle(
         transport,
-        model,
-        trace,
-        "SimpleProcess",
-        Arc::new(Mutex::new(None)),
-        // §4.1 streams have no command lane to poll, so the pump pair
-        // keeps dedicated threads; the reaper joins them directly.
+        Sticky::default(),
+        Arc::default(),
         Some(Reaper::Thread(join)),
-        instr.app_side(Arc::new(SpanScope::default())),
-    ))
+    )
 }
 
 /// Builds the simple process strategy around a hand-written sentinel.
 pub(crate) fn open_raw(
     mut sentinel: Box<dyn RawProcessSentinel>,
     ctx: SentinelCtx,
-    model: CostModel,
-    trace: Arc<OpTrace>,
     instr: Instruments,
 ) -> Arc<dyn ActiveOps> {
-    wire(model, trace, &instr, move |stdin, stdout| {
+    wire(&instr, move |stdin, stdout| {
         sentinel.run(ProcessIo { stdin, stdout, ctx });
     })
 }
@@ -106,15 +98,13 @@ pub(crate) fn open_raw(
 pub(crate) fn open_logic(
     mut logic: Box<dyn SentinelLogic>,
     mut ctx: SentinelCtx,
-    model: CostModel,
-    trace: Arc<OpTrace>,
     instr: Instruments,
 ) -> Result<Arc<dyn ActiveOps>, Win32Error> {
     logic.on_open(&mut ctx).map_err(|e| to_win32(&e))?;
     // The pump's streaming chunks are not tied to any single application
     // op, so its spans are roots and the scope cell goes unused.
-    let side = instr.sentinel_side("SimpleProcess", Arc::new(SpanScope::default()));
-    Ok(wire(model, trace, &instr, move |stdin, stdout| {
+    let side = instr.sentinel_side(Arc::default());
+    Ok(wire(&instr, move |stdin, stdout| {
         pump(logic, ctx, stdin, stdout, side);
     }))
 }

@@ -22,60 +22,28 @@
 //! | `AF_GetDataFromSentinel` | `recv_data_exact` in the strategy handle   |
 //!
 //! [`SharedBuffer::send`]: afs_ipc::SharedBuffer::send
+//! [`PairTransport::shared`]: afs_ipc::PairTransport::shared
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
-
-use afs_ipc::PairTransport;
-use afs_sim::{CostModel, OpTrace};
-use afs_telemetry::SpanScope;
+use afs_winapi::Win32Error;
 
 use crate::ctx::SentinelCtx;
 use crate::logic::SentinelLogic;
-use crate::strategy::handle::StrategyHandle;
-use crate::strategy::{ActiveOps, DispatchTask, Instruments, Op, OpReply, Reaper};
+use crate::strategy::wire::{self, Boundary, Launched};
+use crate::strategy::Instruments;
 
-/// Builds the DLL-with-thread strategy for one open: registers the
-/// `SentinelThrdMain` state machine with the sentinel executor (the
-/// bounded-pool stand-in for "starts a thread for running the
-/// orchestration routine") and wires shared-memory buffers plus user-level
-/// control channels. With `batch = Some(depth)` the same substrate is
-/// wired as a submission/completion ring instead — one crossing per batch
-/// (see [`crate::strategy::batch`]).
+/// Builds the DLL-with-thread strategy for one open: the
+/// `SentinelThrdMain` dispatch loop is registered with the sentinel
+/// executor (the bounded-pool stand-in for "starts a thread for running
+/// the orchestration routine") and wired over shared-memory buffers plus
+/// user-level control channels. With `batch = Some(depth)` the same
+/// substrate is wired as a submission/completion ring instead — one
+/// crossing per batch (see [`crate::strategy::batch`]).
 pub(crate) fn open(
-    mut logic: Box<dyn SentinelLogic>,
-    mut ctx: SentinelCtx,
-    model: CostModel,
-    trace: Arc<OpTrace>,
+    logic: Box<dyn SentinelLogic>,
+    ctx: SentinelCtx,
     instr: Instruments,
     batch: Option<usize>,
-) -> Result<Arc<dyn ActiveOps>, afs_winapi::Win32Error> {
-    if let Some(depth) = batch {
-        return crate::strategy::batch::open_shared(logic, ctx, model, trace, instr, depth);
-    }
-    logic
-        .on_open(&mut ctx)
-        .map_err(|e| crate::strategy::to_win32(&e))?;
-    let (transport, port) = PairTransport::<Op, OpReply>::shared_observed(
-        model.clone(),
-        Arc::clone(instr.tel.gauges()),
-    );
-    let sticky = Arc::new(Mutex::new(None));
-    let sentinel_sticky = Arc::clone(&sticky);
-    let scope = Arc::new(SpanScope::default());
-    let side = instr.sentinel_side("Thread", Arc::clone(&scope));
-    let done = instr.spawn_task(move |waker| {
-        port.set_wakeup(waker);
-        Box::new(DispatchTask::new(logic, ctx, port, sentinel_sticky, side))
-    });
-    Ok(Arc::new(StrategyHandle::new(
-        transport,
-        model,
-        trace,
-        "Thread",
-        sticky,
-        Some(Reaper::Task(done)),
-        instr.app_side(scope),
-    )))
+    joinable: bool,
+) -> Result<Launched, Win32Error> {
+    wire::open(Boundary::UserLevel, logic, ctx, instr, batch, joinable)
 }

@@ -275,10 +275,6 @@ fn register_world_collectors(
         out.push(Metric::gauge("afs_sessions_current", s.sessions));
         out.push(Metric::gauge("afs_sessions_peak", s.sessions_peak));
         out.push(Metric::counter("afs_session_attaches_total", s.attaches));
-        out.push(Metric::gauge(
-            "afs_session_queue_depth_peak",
-            s.queue_depth_peak,
-        ));
         out.push(Metric::counter(
             "afs_coalesced_writes_total",
             s.coalesced_writes,

@@ -1,7 +1,8 @@
 //! Ring batching is a transport optimisation, not a semantic change: a
 //! handle opened with `batch=on` must be indistinguishable from an
-//! unbatched one, op for op, under every §4 strategy. These tests drive
-//! the same single-handle script batched and unbatched and compare the
+//! unbatched one, op for op, under every §4 strategy, whether or not the
+//! sentinel may be joined (`share=`). These tests drive the same
+//! single-handle script over every combination and compare the
 //! transcripts byte for byte, assert the crossing reduction the ring
 //! exists for, check the ring gauges, and pin the spec-key validation
 //! (`batch=`, `ring_depth=`) to clear `InvalidParameter` failures.
@@ -18,9 +19,12 @@ use afs_winapi::{Access, Disposition, FileApi, SeekMethod, Win32Error};
 /// default.
 const DEPTHS: [&str; 3] = ["1", "3", "8"];
 
-fn build(strategy: Strategy, backing: Backing, batch: Option<&str>) -> AfsWorld {
+fn build(strategy: Strategy, backing: Backing, share: bool, batch: Option<&str>) -> AfsWorld {
     let world = AfsWorld::new();
     let mut spec = SentinelSpec::new("null", strategy).backing(backing);
+    if !share {
+        spec = spec.with("share", "off");
+    }
     if let Some(depth) = batch {
         spec = spec.with("batch", "on").with("ring_depth", depth);
     }
@@ -36,8 +40,13 @@ fn build(strategy: Strategy, backing: Backing, batch: Option<&str>) -> AfsWorld 
 /// sequential reads (readahead candidates), seeks, size queries, a
 /// scatter read, a refused control op, and short/EOF reads — every path
 /// the ring driver routes differently from the plain transport.
-fn transcript(strategy: Strategy, backing: Backing, batch: Option<&str>) -> Vec<Vec<u8>> {
-    let world = build(strategy, backing, batch);
+fn transcript(
+    strategy: Strategy,
+    backing: Backing,
+    share: bool,
+    batch: Option<&str>,
+) -> Vec<Vec<u8>> {
+    let world = build(strategy, backing, share, batch);
     let api = world.api();
     let _clock = clock::install(0);
     let mut log: Vec<Vec<u8>> = Vec::new();
@@ -141,14 +150,21 @@ fn transcript(strategy: Strategy, backing: Backing, batch: Option<&str>) -> Vec<
 fn batched_transcripts_match_unbatched_across_all_strategies() {
     for strategy in Strategy::ALL {
         for backing in [Backing::Memory, Backing::Disk] {
-            let plain = transcript(strategy, backing, None);
-            for depth in DEPTHS {
-                let batched = transcript(strategy, backing, Some(depth));
+            let plain = transcript(strategy, backing, true, None);
+            for share in [true, false] {
                 assert_eq!(
-                    plain, batched,
-                    "{strategy:?}/{backing:?}: batch=on ring_depth={depth} \
-                     must be transcript-equivalent"
+                    plain,
+                    transcript(strategy, backing, share, None),
+                    "{strategy:?}/{backing:?}: share={share} must be transcript-equivalent"
                 );
+                for depth in DEPTHS {
+                    assert_eq!(
+                        plain,
+                        transcript(strategy, backing, share, Some(depth)),
+                        "{strategy:?}/{backing:?}: share={share} batch=on \
+                         ring_depth={depth} must be transcript-equivalent"
+                    );
+                }
             }
         }
     }

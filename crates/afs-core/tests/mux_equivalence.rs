@@ -4,8 +4,10 @@
 //! a handle with a private sentinel: same returned values op for op, same
 //! final file content. These tests drive the same interleaved two-handle
 //! script with sharing on (the default — both opens multiplex one
-//! sentinel) and off (`share=off` — one sentinel per open) and compare
-//! the transcripts byte for byte, for every strategy that can share.
+//! sentinel) and off (`share=off` — one sentinel per open), unbatched and
+//! over rings of depth 1 and 8, and compare the transcripts byte for byte,
+//! for every strategy that can share. Sharing and batching are inputs to
+//! one sentinel-side loop, so they are inputs to one script here.
 
 use afs_core::{AfsWorld, Backing, SentinelSpec, Strategy};
 use afs_sim::clock;
@@ -19,11 +21,17 @@ const SHARABLE: [Strategy; 3] = [
     Strategy::DllOnly,
 ];
 
-fn build(strategy: Strategy, share: bool) -> AfsWorld {
+/// Ring depths swept beside the unbatched wiring (`None`).
+const BATCH: [Option<&str>; 3] = [None, Some("1"), Some("8")];
+
+fn build(strategy: Strategy, share: bool, batch: Option<&str>) -> AfsWorld {
     let world = AfsWorld::new();
     let mut spec = SentinelSpec::new("null", strategy).backing(Backing::Disk);
     if !share {
         spec = spec.with("share", "off");
+    }
+    if let Some(depth) = batch {
+        spec = spec.with("batch", "on").with("ring_depth", depth);
     }
     world.install_active_file("/eq.af", &spec).expect("install");
     world
@@ -32,9 +40,22 @@ fn build(strategy: Strategy, share: bool) -> AfsWorld {
 /// Runs a fixed interleaved two-handle script and returns everything the
 /// application could observe: each op's returned value and the bytes of
 /// every read, then the final regenerated file content.
-fn transcript(strategy: Strategy, share: bool) -> Vec<Vec<u8>> {
-    let world = build(strategy, share);
+fn transcript(strategy: Strategy, share: bool, batch: Option<&str>) -> Vec<Vec<u8>> {
+    let world = build(strategy, share, batch);
     let api = world.api();
+    // Two private sentinels promise no order between the two handles: a
+    // write is acknowledged before its sentinel (or, batched, its ring)
+    // has applied it, so whether the other handle's sentinel sees it is a
+    // race. Where the script depends on that order, the private legs —
+    // `share=off`, and every batched open, which never shares — settle the
+    // writing handle with a synchronous op first. The shared leg gets no
+    // such help: flush-before-reply across sessions is what it checks.
+    let private = !share || batch.is_some();
+    let settle = |h| {
+        if private {
+            api.get_file_size(h).expect("settle");
+        }
+    };
     let _clock = clock::install(0);
     let mut log: Vec<Vec<u8>> = Vec::new();
     let mut note = |tag: &str, bytes: &[u8]| {
@@ -52,11 +73,13 @@ fn transcript(strategy: Strategy, share: bool) -> Vec<Vec<u8>> {
 
     // Interleaved writes at independent pointers.
     assert_eq!(api.write_file(h1, b"alpha-").expect("w1"), 6);
+    settle(h1);
     assert_eq!(api.write_file(h2, b"HELLO").expect("w2"), 5);
     note("size1", &api.get_file_size(h1).expect("size").to_le_bytes());
 
     // h2 overwrote h1's prefix; h1 keeps writing at its own pointer.
     assert_eq!(api.write_file(h1, b"beta").expect("w3"), 4);
+    settle(h1);
 
     // Cross-session read-your-writes: h2 rewinds and must see the merged
     // image, including h1's writes that may still sit in a write batch.
@@ -110,19 +133,24 @@ fn transcript(strategy: Strategy, share: bool) -> Vec<Vec<u8>> {
 #[test]
 fn multiplexed_handles_are_indistinguishable_from_private() {
     for strategy in SHARABLE {
-        let shared = transcript(strategy, true);
-        let private = transcript(strategy, false);
-        assert_eq!(
-            shared, private,
-            "{strategy:?}: shared-sentinel transcript must match per-open sentinels"
-        );
+        let shared = transcript(strategy, true, None);
+        for share in [true, false] {
+            for batch in BATCH {
+                assert_eq!(
+                    shared,
+                    transcript(strategy, share, batch),
+                    "{strategy:?}: share={share} batch={batch:?} must match \
+                     the shared unbatched sentinel"
+                );
+            }
+        }
     }
 }
 
 #[test]
 fn second_open_attaches_to_the_running_sentinel() {
     for strategy in SHARABLE {
-        let world = build(strategy, true);
+        let world = build(strategy, true, None);
         let api = world.api();
         let _clock = clock::install(0);
         let h1 = api
@@ -157,7 +185,7 @@ fn second_open_attaches_to_the_running_sentinel() {
 
 #[test]
 fn share_off_forces_private_sentinels() {
-    let world = build(Strategy::DllThread, false);
+    let world = build(Strategy::DllThread, false, None);
     let api = world.api();
     let _clock = clock::install(0);
     let h1 = api
@@ -176,7 +204,7 @@ fn share_off_forces_private_sentinels() {
 
 #[test]
 fn truncating_dispositions_never_share() {
-    let world = build(Strategy::DllThread, true);
+    let world = build(Strategy::DllThread, true, None);
     let api = world.api();
     let _clock = clock::install(0);
     let h1 = api

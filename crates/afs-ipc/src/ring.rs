@@ -290,27 +290,6 @@ impl<C: Send, R: Send> RingTransport<C, R> {
         }
     }
 
-    /// Harvests the completion for `id` if it is already posted; never
-    /// blocks. The batching policy uses this to collect speculative
-    /// readahead completions opportunistically.
-    ///
-    /// # Errors
-    ///
-    /// [`IpcError::Closed`] if the sentinel is gone and `id` was never
-    /// posted.
-    pub fn try_complete(&self, id: u64) -> Result<Option<Cqe<R>>> {
-        let inner = &*self.inner;
-        let mut state = inner.state.lock();
-        if let Some((cqe, stamp)) = state.cq.remove(&id) {
-            clock::sync_to(stamp);
-            return Ok(Some(cqe));
-        }
-        if !state.sentinel_alive {
-            return Err(IpcError::Closed);
-        }
-        Ok(None)
-    }
-
     /// Tears the application side down: the sentinel's next drain observes
     /// closure (after the remaining submissions).
     pub fn shutdown(&self) {
@@ -585,7 +564,6 @@ mod tests {
         drop(port);
         assert_eq!(app.submit(vec![sqe(2, 0)]), Err(IpcError::BrokenPipe));
         assert_eq!(app.complete(1), Err(IpcError::Closed));
-        assert_eq!(app.try_complete(1), Err(IpcError::Closed));
     }
 
     #[test]

@@ -305,9 +305,8 @@ impl<C: Send + 'static, R: Send + 'static> PairPort<C, R> {
         self.commands.recv()
     }
 
-    /// Receives the next command if one is already queued; never blocks.
-    /// The multiplexing dispatch loop uses this to drain a burst into its
-    /// per-session queues before picking whom to serve.
+    /// Receives the next command if one is already queued; never blocks
+    /// and, unlike [`PairPort::poll_cmd`], never charges.
     ///
     /// # Errors
     ///

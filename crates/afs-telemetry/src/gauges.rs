@@ -98,7 +98,6 @@ pub struct SessionGauges {
     sessions: AtomicU64,
     sessions_peak: AtomicU64,
     attaches: AtomicU64,
-    queue_depth_peak: AtomicU64,
     coalesced_writes: AtomicU64,
     flushed_batches: AtomicU64,
     /// Flight recorder the session lifecycle feeds, when attached. The
@@ -143,11 +142,6 @@ impl SessionGauges {
         *self.flight.lock() = Some(flight);
     }
 
-    /// Records the total queued-op depth observed by a dispatch sweep.
-    pub fn note_queue_depth(&self, depth: u64) {
-        self.queue_depth_peak.fetch_max(depth, Ordering::Relaxed);
-    }
-
     /// Records one write absorbed into a session's staged batch (no
     /// crossing charged).
     pub fn coalesced_write(&self) {
@@ -166,7 +160,6 @@ impl SessionGauges {
             sessions: self.sessions.load(Ordering::Relaxed),
             sessions_peak: self.sessions_peak.load(Ordering::Relaxed),
             attaches: self.attaches.load(Ordering::Relaxed),
-            queue_depth_peak: self.queue_depth_peak.load(Ordering::Relaxed),
             coalesced_writes: self.coalesced_writes.load(Ordering::Relaxed),
             flushed_batches: self.flushed_batches.load(Ordering::Relaxed),
         }
@@ -182,8 +175,6 @@ pub struct SessionSnapshot {
     pub sessions_peak: u64,
     /// Total attaches since startup.
     pub attaches: u64,
-    /// Deepest total queued-op backlog a dispatch sweep has seen.
-    pub queue_depth_peak: u64,
     /// Writes absorbed into staged batches without a crossing.
     pub coalesced_writes: u64,
     /// Staged batches flushed as single crossings.
@@ -350,8 +341,9 @@ impl SentinelStats {
         }
     }
 
-    /// Records the sentinel's queued-op depth observed by a dispatch
-    /// sweep.
+    /// Records how many commands one poll of the sentinel's dispatch loop
+    /// served back-to-back: they were queued together, so the run length
+    /// is the backlog that poll found.
     pub fn note_queue_depth(&self, depth: u64) {
         self.queue_depth_peak.fetch_max(depth, Ordering::Relaxed);
     }
@@ -725,8 +717,6 @@ mod tests {
         g.attached(1);
         g.attached(2);
         g.detached();
-        g.note_queue_depth(5);
-        g.note_queue_depth(3);
         g.coalesced_write();
         g.coalesced_write();
         g.flushed_batch();
@@ -734,7 +724,6 @@ mod tests {
         assert_eq!(s.sessions, 1);
         assert_eq!(s.sessions_peak, 2);
         assert_eq!(s.attaches, 2);
-        assert_eq!(s.queue_depth_peak, 5);
         assert_eq!(s.coalesced_writes, 2);
         assert_eq!(s.flushed_batches, 1);
     }

@@ -359,14 +359,8 @@ impl Shell {
                 let s = self.world.telemetry().sessions().snapshot();
                 writeln!(
                     out,
-                    "current={} peak={} attaches={} queue_depth_peak={} \
-                     coalesced_writes={} batch_flushes={}",
-                    s.sessions,
-                    s.sessions_peak,
-                    s.attaches,
-                    s.queue_depth_peak,
-                    s.coalesced_writes,
-                    s.flushed_batches
+                    "current={} peak={} attaches={} coalesced_writes={} batch_flushes={}",
+                    s.sessions, s.sessions_peak, s.attaches, s.coalesced_writes, s.flushed_batches
                 )
                 .expect("write to string");
                 Ok(out)

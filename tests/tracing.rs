@@ -165,7 +165,7 @@ fn trace_annotations_charge_nothing_to_the_cost_model() {
 #[test]
 fn stolen_tasks_reparent_sentinel_spans_to_the_originating_op() {
     // A two-worker pool under eight files and four threads steals tasks
-    // between shards; a migrated `DispatchTask` must still parent its
+    // between shards; a migrated dispatch loop must still parent its
     // sentinel-side spans to the originating op's strategy span (via the
     // session's scope cell), never to whatever frame the stealing worker
     // happens to have open.
