@@ -2,7 +2,7 @@
 //! fault injection, and the reliability recovery loop.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -41,11 +41,14 @@ struct Faults {
     /// a transient outage a retry policy should ride out.
     flaky_next: AtomicU64,
     /// While `true`, the service is unreachable.
-    partitioned: Mutex<bool>,
+    partitioned: AtomicBool,
     /// Unreachable while `now_ns()` lies in `[start, end)`. With a virtual
     /// clock installed, retry backoff advances the clock *through* the
     /// window, so a scheduled partition genuinely heals mid-call.
     window: Mutex<Option<(u64, u64)>>,
+    /// Whether `window` holds one, stored under its lock: every message
+    /// to a healthy service loads this instead of taking the lock.
+    window_set: AtomicBool,
     /// Base injected latency per message, ns (charged to the caller's
     /// virtual clock).
     latency_ns: AtomicU64,
@@ -63,13 +66,20 @@ impl Faults {
         Faults {
             drop_next: AtomicU64::new(0),
             flaky_next: AtomicU64::new(0),
-            partitioned: Mutex::new(false),
+            partitioned: AtomicBool::new(false),
             window: Mutex::new(None),
+            window_set: AtomicBool::new(false),
             latency_ns: AtomicU64::new(0),
             jitter_ns: AtomicU64::new(0),
             loss_ppm: AtomicU64::new(0),
             rng: Mutex::new(SimRng::derive(seed, name)),
         }
+    }
+
+    fn set_window(&self, window: Option<(u64, u64)>) {
+        let mut slot = self.window.lock();
+        *slot = window;
+        self.window_set.store(window.is_some(), Ordering::SeqCst);
     }
 }
 
@@ -107,14 +117,14 @@ impl FaultPlan {
 
     /// Partitions the service away (or heals it).
     pub fn set_partitioned(&self, partitioned: bool) {
-        *self.faults.partitioned.lock() = partitioned;
+        self.faults.partitioned.store(partitioned, Ordering::SeqCst);
     }
 
     /// Schedules a partition over the virtual-time interval
     /// `[start_ns, end_ns)`; the service is unreachable while the caller's
     /// `now_ns()` falls inside it.
     pub fn partition_window(&self, start_ns: u64, end_ns: u64) {
-        *self.faults.window.lock() = Some((start_ns, end_ns));
+        self.faults.set_window(Some((start_ns, end_ns)));
     }
 
     /// Charges every message `base_ns` of latency plus a uniform jitter in
@@ -136,8 +146,8 @@ impl FaultPlan {
     pub fn clear(&self) {
         self.faults.drop_next.store(0, Ordering::SeqCst);
         self.faults.flaky_next.store(0, Ordering::SeqCst);
-        *self.faults.partitioned.lock() = false;
-        *self.faults.window.lock() = None;
+        self.faults.partitioned.store(false, Ordering::SeqCst);
+        self.faults.set_window(None);
         self.faults.latency_ns.store(0, Ordering::SeqCst);
         self.faults.jitter_ns.store(0, Ordering::SeqCst);
         self.faults.loss_ppm.store(0, Ordering::SeqCst);
@@ -151,7 +161,7 @@ impl FaultPlan {
     /// One-line summary of the configured faults, for diagnostics.
     pub fn describe(&self) -> String {
         let mut parts = Vec::new();
-        if *self.faults.partitioned.lock() {
+        if self.faults.partitioned.load(Ordering::SeqCst) {
             parts.push("partitioned".to_owned());
         }
         if let Some((s, e)) = *self.faults.window.lock() {
@@ -197,17 +207,28 @@ pub struct NetworkStats {
     pub dropped: u64,
 }
 
-#[derive(Default)]
-struct Registry {
-    services: HashMap<String, (Arc<dyn Service>, Arc<Faults>)>,
+/// One registered service and its fault state: what a message needs,
+/// behind one reference count.
+struct Endpoint {
+    service: Arc<dyn Service>,
+    faults: Arc<Faults>,
 }
 
-/// Circuit breakers and reliability counters shared by every clone of one
-/// network.
+/// Everything the clones of one network share, in one allocation: a clone
+/// bumps one reference count for all of it, and the words every message
+/// writes (the registry's reader count and the traffic counters) sit
+/// together instead of on eight lines.
 #[derive(Default)]
-struct ReliabilityShared {
+struct Shared {
+    registry: RwLock<HashMap<String, Arc<Endpoint>>>,
+    seed: AtomicU64,
     breakers: Mutex<HashMap<String, CircuitBreaker>>,
-    stats: ReliabilityStats,
+    reliability: ReliabilityStats,
+    rpcs: AtomicU64,
+    casts: AtomicU64,
+    bytes_sent: AtomicU64,
+    bytes_received: AtomicU64,
+    dropped: AtomicU64,
 }
 
 /// The simulated network connecting sentinels to remote information
@@ -221,15 +242,8 @@ struct ReliabilityShared {
 #[derive(Clone)]
 pub struct Network {
     model: CostModel,
-    registry: Arc<RwLock<Registry>>,
-    seed: Arc<AtomicU64>,
-    rel: Arc<ReliabilityShared>,
+    shared: Arc<Shared>,
     policy: Option<Arc<ReliabilityPolicy>>,
-    rpcs: Arc<AtomicU64>,
-    casts: Arc<AtomicU64>,
-    bytes_sent: Arc<AtomicU64>,
-    bytes_received: Arc<AtomicU64>,
-    dropped: Arc<AtomicU64>,
 }
 
 impl std::fmt::Debug for Network {
@@ -245,15 +259,8 @@ impl Network {
     pub fn new(model: CostModel) -> Self {
         Network {
             model,
-            registry: Arc::new(RwLock::new(Registry::default())),
-            seed: Arc::new(AtomicU64::new(0)),
-            rel: Arc::new(ReliabilityShared::default()),
+            shared: Arc::default(),
             policy: None,
-            rpcs: Arc::new(AtomicU64::new(0)),
-            casts: Arc::new(AtomicU64::new(0)),
-            bytes_sent: Arc::new(AtomicU64::new(0)),
-            bytes_received: Arc::new(AtomicU64::new(0)),
-            dropped: Arc::new(AtomicU64::new(0)),
         }
     }
 
@@ -266,25 +273,29 @@ impl Network {
     /// from. Re-seeds the streams of already-registered services, so it can
     /// be called at any point during world construction.
     pub fn set_seed(&self, seed: u64) {
-        self.seed.store(seed, Ordering::SeqCst);
-        for (name, (_, faults)) in self.registry.read().services.iter() {
-            *faults.rng.lock() = SimRng::derive(seed, name);
+        self.shared.seed.store(seed, Ordering::SeqCst);
+        for (name, endpoint) in self.shared.registry.read().iter() {
+            *endpoint.faults.rng.lock() = SimRng::derive(seed, name);
         }
     }
 
     /// The current deterministic seed.
     pub fn seed(&self) -> u64 {
-        self.seed.load(Ordering::SeqCst)
+        self.shared.seed.load(Ordering::SeqCst)
     }
 
     /// Registers (or replaces) a service under `name`, returning the fault
     /// plan for it.
     pub fn register(&self, name: &str, service: Arc<dyn Service>) -> FaultPlan {
         let faults = Arc::new(Faults::seeded(self.seed(), name));
-        self.registry
+        let endpoint = Endpoint {
+            service,
+            faults: Arc::clone(&faults),
+        };
+        self.shared
+            .registry
             .write()
-            .services
-            .insert(name.to_owned(), (service, Arc::clone(&faults)));
+            .insert(name.to_owned(), Arc::new(endpoint));
         FaultPlan {
             service: name.to_owned(),
             faults,
@@ -294,24 +305,20 @@ impl Network {
     /// The fault plan of an already-registered service, so tests and tools
     /// can inject faults without re-registering (and thereby resetting) it.
     pub fn plan(&self, name: &str) -> Option<FaultPlan> {
-        self.registry
-            .read()
-            .services
-            .get(name)
-            .map(|(_, f)| FaultPlan {
-                service: name.to_owned(),
-                faults: Arc::clone(f),
-            })
+        self.shared.registry.read().get(name).map(|e| FaultPlan {
+            service: name.to_owned(),
+            faults: Arc::clone(&e.faults),
+        })
     }
 
     /// Removes a service.
     pub fn unregister(&self, name: &str) {
-        self.registry.write().services.remove(name);
+        self.shared.registry.write().remove(name);
     }
 
     /// Names of registered services, sorted.
     pub fn services(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.registry.read().services.keys().cloned().collect();
+        let mut names: Vec<String> = self.shared.registry.read().keys().cloned().collect();
         names.sort();
         names
     }
@@ -333,18 +340,18 @@ impl Network {
 
     /// Copies out the shared reliability counters.
     pub fn reliability(&self) -> ReliabilitySnapshot {
-        self.rel.stats.snapshot()
+        self.shared.reliability.snapshot()
     }
 
     /// The live reliability counters, for layers above the transport
     /// (degraded reads, write queueing) to report into.
     pub fn reliability_stats(&self) -> &ReliabilityStats {
-        &self.rel.stats
+        &self.shared.reliability
     }
 
     /// Current circuit-breaker states, sorted by service name.
     pub fn breaker_states(&self) -> Vec<(String, &'static str)> {
-        let map = self.rel.breakers.lock();
+        let map = self.shared.breakers.lock();
         let mut states: Vec<(String, &'static str)> = map
             .iter()
             .map(|(name, b)| (name.clone(), b.state_label()))
@@ -353,12 +360,12 @@ impl Network {
         states
     }
 
-    fn lookup(&self, name: &str) -> Result<(Arc<dyn Service>, Arc<Faults>)> {
-        self.registry
+    fn lookup(&self, name: &str) -> Result<Arc<Endpoint>> {
+        self.shared
+            .registry
             .read()
-            .services
             .get(name)
-            .map(|(s, f)| (Arc::clone(s), Arc::clone(f)))
+            .cloned()
             .ok_or_else(|| NetError::ServiceNotFound(name.to_owned()))
     }
 
@@ -373,25 +380,27 @@ impl Network {
             };
             clock::advance(base.saturating_add(extra));
         }
-        if *faults.partitioned.lock() {
+        if faults.partitioned.load(Ordering::SeqCst) {
             return Err(NetError::Partitioned(name.to_owned()));
         }
-        if let Some((start, end)) = *faults.window.lock() {
-            let now = now_ns();
-            if now >= start && now < end {
-                return Err(NetError::Partitioned(name.to_owned()));
+        if faults.window_set.load(Ordering::SeqCst) {
+            if let Some((start, end)) = *faults.window.lock() {
+                let now = now_ns();
+                if now >= start && now < end {
+                    return Err(NetError::Partitioned(name.to_owned()));
+                }
             }
         }
         if consume_token(&faults.flaky_next) {
             return Err(NetError::Partitioned(name.to_owned()));
         }
         if consume_token(&faults.drop_next) {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
+            self.shared.dropped.fetch_add(1, Ordering::Relaxed);
             return Err(NetError::Dropped(name.to_owned()));
         }
         let ppm = faults.loss_ppm.load(Ordering::SeqCst);
         if ppm > 0 && faults.rng.lock().roll_ppm(ppm) {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
+            self.shared.dropped.fetch_add(1, Ordering::Relaxed);
             return Err(NetError::Dropped(name.to_owned()));
         }
         Ok(())
@@ -411,7 +420,7 @@ impl Network {
         let Some(cfg) = &policy.breaker else {
             return true;
         };
-        let mut map = self.rel.breakers.lock();
+        let mut map = self.shared.breakers.lock();
         map.entry(name.to_owned())
             .or_insert_with(|| CircuitBreaker::new(cfg.clone()))
             .allow(now_ns())
@@ -421,7 +430,7 @@ impl Network {
         if policy.breaker.is_none() {
             return;
         }
-        if let Some(b) = self.rel.breakers.lock().get_mut(name) {
+        if let Some(b) = self.shared.breakers.lock().get_mut(name) {
             b.on_success();
         }
     }
@@ -430,13 +439,13 @@ impl Network {
         let Some(cfg) = &policy.breaker else {
             return;
         };
-        let mut map = self.rel.breakers.lock();
+        let mut map = self.shared.breakers.lock();
         let tripped = map
             .entry(name.to_owned())
             .or_insert_with(|| CircuitBreaker::new(cfg.clone()))
             .on_failure(now_ns());
         if tripped {
-            self.rel.stats.note_breaker_trip();
+            self.shared.reliability.note_breaker_trip();
             drop(map);
             // A breaker opening is a post-mortem moment: freeze the recent
             // spans and event rings while the failing op is still in
@@ -472,7 +481,7 @@ impl Network {
         for attempt in 0..attempts {
             for candidate in &candidates {
                 if !self.breaker_allow(policy, candidate) {
-                    self.rel.stats.note_breaker_rejection();
+                    self.shared.reliability.note_breaker_rejection();
                     // The local refusal is part of the op's causal story:
                     // an annotated zero-work child span records it in the
                     // trace.
@@ -485,7 +494,7 @@ impl Network {
                     Ok(value) => {
                         self.breaker_success(policy, candidate);
                         if *candidate != service {
-                            self.rel.stats.note_failover();
+                            self.shared.reliability.note_failover();
                             let _sp = retry_span_noted(
                                 "failover",
                                 intern(&format!("cause=failover replica={candidate}")),
@@ -528,7 +537,7 @@ impl Network {
                     span = retry_span_noted("retry", "cause=backoff");
                 }
                 clock::advance(wait);
-                self.rel.stats.note_retry();
+                self.shared.reliability.note_retry();
             }
         }
         drop(span);
@@ -536,33 +545,37 @@ impl Network {
     }
 
     fn rpc_once(&self, service: &str, request: &[u8]) -> Result<Vec<u8>> {
-        let (svc, faults) = self.lookup(service)?;
-        self.check_faults(service, &faults)?;
+        let endpoint = self.lookup(service)?;
+        self.check_faults(service, &endpoint.faults)?;
         self.model.charge(Cost::NetBytes {
             bytes: request.len(),
         });
         self.model.charge(Cost::NetRoundTrip);
-        let response = svc.handle(request)?;
+        let response = endpoint.service.handle(request)?;
         self.model.charge(Cost::NetBytes {
             bytes: response.len(),
         });
-        self.rpcs.fetch_add(1, Ordering::Relaxed);
-        self.bytes_sent
+        let stats = &self.shared;
+        stats.rpcs.fetch_add(1, Ordering::Relaxed);
+        stats
+            .bytes_sent
             .fetch_add(request.len() as u64, Ordering::Relaxed);
-        self.bytes_received
+        stats
+            .bytes_received
             .fetch_add(response.len() as u64, Ordering::Relaxed);
         Ok(response)
     }
 
     fn cast_once(&self, service: &str, request: &[u8]) -> Result<()> {
-        let (svc, faults) = self.lookup(service)?;
-        self.check_faults(service, &faults)?;
+        let endpoint = self.lookup(service)?;
+        self.check_faults(service, &endpoint.faults)?;
         self.model.charge(Cost::NetBytes {
             bytes: request.len(),
         });
-        svc.handle_cast(request);
-        self.casts.fetch_add(1, Ordering::Relaxed);
-        self.bytes_sent
+        endpoint.service.handle_cast(request);
+        self.shared.casts.fetch_add(1, Ordering::Relaxed);
+        self.shared
+            .bytes_sent
             .fetch_add(request.len() as u64, Ordering::Relaxed);
         Ok(())
     }
@@ -580,8 +593,8 @@ impl Network {
     /// [`NetError::CircuitOpen`] when the breaker refuses the call, or
     /// whatever the service rejects with.
     pub fn rpc(&self, service: &str, request: &[u8]) -> Result<Vec<u8>> {
-        match self.policy.clone() {
-            Some(policy) => self.call_reliable(&policy, service, |candidate| {
+        match &self.policy {
+            Some(policy) => self.call_reliable(policy, service, |candidate| {
                 self.rpc_once(candidate, request)
             }),
             None => self.rpc_once(service, request),
@@ -598,8 +611,8 @@ impl Network {
     /// [`NetError::ServiceNotFound`], fault-injection errors, and
     /// [`NetError::CircuitOpen`]; delivery itself cannot fail.
     pub fn cast(&self, service: &str, request: &[u8]) -> Result<()> {
-        match self.policy.clone() {
-            Some(policy) => self.call_reliable(&policy, service, |candidate| {
+        match &self.policy {
+            Some(policy) => self.call_reliable(policy, service, |candidate| {
                 self.cast_once(candidate, request)
             }),
             None => self.cast_once(service, request),
@@ -608,12 +621,13 @@ impl Network {
 
     /// Copies out aggregate statistics.
     pub fn stats(&self) -> NetworkStats {
+        let stats = &self.shared;
         NetworkStats {
-            rpcs: self.rpcs.load(Ordering::Relaxed),
-            casts: self.casts.load(Ordering::Relaxed),
-            bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
-            bytes_received: self.bytes_received.load(Ordering::Relaxed),
-            dropped: self.dropped.load(Ordering::Relaxed),
+            rpcs: stats.rpcs.load(Ordering::Relaxed),
+            casts: stats.casts.load(Ordering::Relaxed),
+            bytes_sent: stats.bytes_sent.load(Ordering::Relaxed),
+            bytes_received: stats.bytes_received.load(Ordering::Relaxed),
+            dropped: stats.dropped.load(Ordering::Relaxed),
         }
     }
 }
@@ -935,10 +949,55 @@ mod tests {
         let plan = net.register("echo", Arc::new(Echo));
         assert_eq!(plan.describe(), "healthy");
         plan.set_partitioned(true);
+        plan.partition_window(5, 9);
         plan.latency(10, 2);
-        assert!(plan.describe().contains("partitioned"));
-        assert!(plan.describe().contains("latency=10ns±2"));
+        assert_eq!(plan.describe(), "partitioned window=[5,9)ns latency=10ns±2");
+        plan.set_partitioned(false);
+        assert_eq!(plan.describe(), "window=[5,9)ns latency=10ns±2");
         plan.clear();
         assert_eq!(plan.describe(), "healthy");
+    }
+
+    #[test]
+    fn clear_heals_every_fault_it_reports() {
+        let net = Network::new(CostModel::free());
+        let plan = net.register("echo", Arc::new(Echo));
+        let _g = clock::install(0);
+        plan.set_partitioned(true);
+        plan.partition_window(0, u64::MAX);
+        plan.drop_next(3);
+        plan.flaky(3);
+        plan.loss_ppm(1_000_000);
+        assert!(net.rpc("echo", b"x").is_err());
+        plan.clear();
+        assert_eq!(plan.describe(), "healthy");
+        for _ in 0..8 {
+            assert!(net.rpc("echo", b"x").is_ok(), "nothing is left armed");
+        }
+        // And the plan arms again after a clear.
+        plan.set_partitioned(true);
+        assert!(matches!(
+            net.rpc("echo", b"x"),
+            Err(NetError::Partitioned(_))
+        ));
+    }
+
+    #[test]
+    fn partition_window_can_be_cleared_and_set_again() {
+        let net = Network::new(CostModel::free());
+        let plan = net.register("echo", Arc::new(Echo));
+        let _g = clock::install(1_500);
+        let blocked = || matches!(net.rpc("echo", b"x"), Err(NetError::Partitioned(_)));
+        plan.partition_window(1_000, 2_000);
+        assert!(blocked(), "inside the first window");
+        plan.clear();
+        assert!(!blocked(), "cleared");
+        plan.partition_window(3_000, 4_000);
+        assert!(!blocked(), "the new window has not started");
+        assert_eq!(plan.describe(), "window=[3000,4000)ns");
+        clock::advance(2_000);
+        assert!(blocked(), "inside the second window");
+        plan.partition_window(0, 10);
+        assert!(!blocked(), "a later call replaces the window");
     }
 }

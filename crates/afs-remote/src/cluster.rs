@@ -1,4 +1,4 @@
-//! The replica-aware cluster client: one [`FileClient`]-shaped surface
+//! The replica-aware cluster client: one [`FileClient`](crate::FileClient)-shaped surface
 //! over a fleet of [`FileServer`](crate::FileServer)s.
 //!
 //! Placement comes from a consistent-hash [`Placement`]: every path has
@@ -32,7 +32,7 @@ use parking_lot::Mutex;
 use afs_net::{cluster::Placement, NetError, Network};
 use afs_telemetry::ClusterGauges;
 
-use crate::file_server::FileClient;
+use crate::file_server::Remote;
 
 /// How long one bounded-staleness wait round burns before re-polling
 /// the owners (virtual time).
@@ -117,8 +117,11 @@ impl ClusterClient {
         *self.acked.lock().get(path).unwrap_or(&0)
     }
 
-    fn client_for(&self, node: &str) -> FileClient {
-        FileClient::new(self.net.clone(), node)
+    fn client_for<'a>(&'a self, node: &'a str) -> Remote<'a> {
+        Remote {
+            net: &self.net,
+            service: node,
+        }
     }
 
     /// Writes `data` at `offset`: acknowledged by the first owner in
@@ -146,8 +149,10 @@ impl ClusterClient {
             match self.client_for(owner).put_acked(path, offset, data, floor) {
                 Ok((n, seq)) => {
                     let mut acked = self.acked.lock();
-                    let floor = acked.entry(path.to_owned()).or_insert(0);
-                    *floor = (*floor).max(seq);
+                    match acked.get_mut(path) {
+                        Some(floor) => *floor = (*floor).max(seq),
+                        None => drop(acked.insert(path.to_owned(), seq)),
+                    }
                     drop(acked);
                     let mut failed = 0u64;
                     let others = owners
@@ -293,9 +298,10 @@ impl ClusterClient {
 
 impl std::fmt::Debug for ClusterClient {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let placement = self.placement.lock();
         f.debug_struct("ClusterClient")
-            .field("nodes", &self.placement.lock().nodes().len())
-            .field("copies", &self.placement.lock().copies())
+            .field("nodes", &placement.nodes().len())
+            .field("copies", &placement.copies())
             .finish_non_exhaustive()
     }
 }

@@ -62,11 +62,7 @@ pub struct FileServer {
 impl FileServer {
     /// Creates an empty server.
     pub fn new() -> Arc<Self> {
-        Arc::new(FileServer {
-            vfs: Arc::new(Vfs::new()),
-            versions: Mutex::new(HashMap::new()),
-            pending_repl: Mutex::new(HashMap::new()),
-        })
+        Arc::new(Self::default())
     }
 
     /// Direct (out-of-band) access to the server's file system, used by
@@ -353,6 +349,71 @@ impl Service for FileServer {
     }
 }
 
+/// A [`FileClient`] that borrows its network and service name: the one
+/// copy of the encoders a cluster session uses, which picks the service
+/// per op and so has nothing to own. The calls are documented on the
+/// [`FileClient`] methods that delegate here.
+#[derive(Clone, Copy)]
+pub(crate) struct Remote<'a> {
+    pub(crate) net: &'a Network,
+    pub(crate) service: &'a str,
+}
+
+impl Remote<'_> {
+    pub(crate) fn get(self, path: &str, offset: u64, len: usize) -> afs_net::Result<Vec<u8>> {
+        let _bk = backend_span("remote-get");
+        let mut w = WireWriter::new();
+        w.u8(OP_GET).str(path).u64(offset).u32(len as u32);
+        let resp = self.net.rpc(self.service, &w.finish())?;
+        let mut r = check_status(&resp)?;
+        Ok(r.bytes()?.to_vec())
+    }
+
+    pub(crate) fn put_acked(
+        self,
+        path: &str,
+        offset: u64,
+        data: &[u8],
+        floor: u64,
+    ) -> afs_net::Result<(u64, u64)> {
+        let _bk = backend_span("remote-put-acked");
+        let mut w = WireWriter::new();
+        w.u8(OP_PUT_ACK)
+            .str(path)
+            .u64(offset)
+            .u64(floor)
+            .bytes(data);
+        let resp = self.net.rpc(self.service, &w.finish())?;
+        let mut r = check_status(&resp)?;
+        Ok((r.u64()?, r.u64()?))
+    }
+
+    pub(crate) fn replicate(
+        self,
+        path: &str,
+        offset: u64,
+        seq: u64,
+        data: &[u8],
+    ) -> afs_net::Result<()> {
+        let _bk = backend_span("remote-replicate");
+        let mut w = WireWriter::new();
+        w.u8(OP_REPL).str(path).u64(offset).u64(seq).bytes(data);
+        self.net.cast(self.service, &w.finish())
+    }
+
+    pub(crate) fn stat(self, path: &str) -> afs_net::Result<RemoteStat> {
+        let _bk = backend_span("remote-stat");
+        let mut w = WireWriter::new();
+        w.u8(OP_STAT).str(path);
+        let resp = self.net.rpc(self.service, &w.finish())?;
+        let mut r = check_status(&resp)?;
+        Ok(RemoteStat {
+            len: r.u64()?,
+            version: r.u64()?,
+        })
+    }
+}
+
 /// Typed client for [`FileServer`], used from sentinel code.
 #[derive(Debug, Clone)]
 pub struct FileClient {
@@ -374,6 +435,13 @@ impl FileClient {
         &self.service
     }
 
+    fn remote(&self) -> Remote<'_> {
+        Remote {
+            net: &self.net,
+            service: &self.service,
+        }
+    }
+
     /// Reads up to `len` bytes at `offset` (FTP `REST`+`RETR` / HTTP range
     /// GET).
     ///
@@ -381,12 +449,7 @@ impl FileClient {
     ///
     /// Network faults, or [`NetError::Rejected`] if the file is missing.
     pub fn get(&self, path: &str, offset: u64, len: usize) -> afs_net::Result<Vec<u8>> {
-        let _bk = backend_span("remote-get");
-        let mut w = WireWriter::new();
-        w.u8(OP_GET).str(path).u64(offset).u32(len as u32);
-        let resp = self.net.rpc(&self.service, &w.finish())?;
-        let mut r = check_status(&resp)?;
-        Ok(r.bytes()?.to_vec())
+        self.remote().get(path, offset, len)
     }
 
     /// Fetches a whole file by statting then reading, splitting the
@@ -445,16 +508,7 @@ impl FileClient {
         data: &[u8],
         floor: u64,
     ) -> afs_net::Result<(u64, u64)> {
-        let _bk = backend_span("remote-put-acked");
-        let mut w = WireWriter::new();
-        w.u8(OP_PUT_ACK)
-            .str(path)
-            .u64(offset)
-            .u64(floor)
-            .bytes(data);
-        let resp = self.net.rpc(&self.service, &w.finish())?;
-        let mut r = check_status(&resp)?;
-        Ok((r.u64()?, r.u64()?))
+        self.remote().put_acked(path, offset, data, floor)
     }
 
     /// Fans a primary-acknowledged write out to a replica without
@@ -467,10 +521,7 @@ impl FileClient {
     ///
     /// Only local faults (unknown service, injected drops).
     pub fn replicate(&self, path: &str, offset: u64, seq: u64, data: &[u8]) -> afs_net::Result<()> {
-        let _bk = backend_span("remote-replicate");
-        let mut w = WireWriter::new();
-        w.u8(OP_REPL).str(path).u64(offset).u64(seq).bytes(data);
-        self.net.cast(&self.service, &w.finish())
+        self.remote().replicate(path, offset, seq, data)
     }
 
     /// Streams `data` at `offset` without waiting for acknowledgement —
@@ -521,15 +572,7 @@ impl FileClient {
     ///
     /// [`NetError::Rejected`] if the file is missing.
     pub fn stat(&self, path: &str) -> afs_net::Result<RemoteStat> {
-        let _bk = backend_span("remote-stat");
-        let mut w = WireWriter::new();
-        w.u8(OP_STAT).str(path);
-        let resp = self.net.rpc(&self.service, &w.finish())?;
-        let mut r = check_status(&resp)?;
-        Ok(RemoteStat {
-            len: r.u64()?,
-            version: r.u64()?,
-        })
+        self.remote().stat(path)
     }
 
     /// Lists a directory: `(name, is_dir, len)` triples.
