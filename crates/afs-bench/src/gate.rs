@@ -348,225 +348,9 @@ pub fn compare(baseline: &BenchDoc, current: &BenchDoc, threshold_pct: f64) -> V
     violations
 }
 
-/// A minimal JSON reader — just enough structure for the bench documents
-/// and the chrome-trace span validation in `tests/telemetry.rs` (objects,
-/// arrays, strings, numbers, booleans, null), with no external dependency.
-pub mod json {
-    use std::collections::BTreeMap;
-
-    /// A parsed JSON value.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        /// `null`
-        Null,
-        /// `true` / `false`
-        Bool(bool),
-        /// Any JSON number.
-        Number(f64),
-        /// A string (escapes decoded minimally).
-        String(String),
-        /// An array.
-        Array(Vec<Value>),
-        /// An object, key order normalised.
-        Object(BTreeMap<String, Value>),
-    }
-
-    impl Value {
-        pub fn as_object(&self) -> Option<&BTreeMap<String, Value>> {
-            match self {
-                Value::Object(m) => Some(m),
-                _ => None,
-            }
-        }
-
-        pub fn as_array(&self) -> Option<&[Value]> {
-            match self {
-                Value::Array(items) => Some(items),
-                _ => None,
-            }
-        }
-
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::String(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        pub fn as_f64(&self) -> Option<f64> {
-            match self {
-                Value::Number(n) => Some(*n),
-                _ => None,
-            }
-        }
-
-        pub fn as_u64(&self) -> Option<u64> {
-            self.as_f64().and_then(|n| {
-                if n.fract() == 0.0 && n >= 0.0 {
-                    Some(n as u64)
-                } else {
-                    None
-                }
-            })
-        }
-    }
-
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing content at byte {pos}"));
-        }
-        Ok(value)
-    }
-
-    fn skip_ws(bytes: &[u8], pos: &mut usize) {
-        while *pos < bytes.len() && bytes[*pos].is_ascii_whitespace() {
-            *pos += 1;
-        }
-    }
-
-    fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b'{') => parse_object(bytes, pos),
-            Some(b'[') => parse_array(bytes, pos),
-            Some(b'"') => Ok(Value::String(parse_string(bytes, pos)?)),
-            Some(b't') => parse_literal(bytes, pos, "true", Value::Bool(true)),
-            Some(b'f') => parse_literal(bytes, pos, "false", Value::Bool(false)),
-            Some(b'n') => parse_literal(bytes, pos, "null", Value::Null),
-            Some(_) => parse_number(bytes, pos),
-            None => Err("unexpected end of input".to_owned()),
-        }
-    }
-
-    fn parse_literal(
-        bytes: &[u8],
-        pos: &mut usize,
-        lit: &str,
-        value: Value,
-    ) -> Result<Value, String> {
-        if bytes[*pos..].starts_with(lit.as_bytes()) {
-            *pos += lit.len();
-            Ok(value)
-        } else {
-            Err(format!("expected `{lit}` at byte {pos}", pos = *pos))
-        }
-    }
-
-    fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-        let start = *pos;
-        while *pos < bytes.len()
-            && matches!(bytes[*pos], b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-        {
-            *pos += 1;
-        }
-        std::str::from_utf8(&bytes[start..*pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Value::Number)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-
-    fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-        *pos += 1; // opening quote
-        let mut out = String::new();
-        while let Some(&b) = bytes.get(*pos) {
-            match b {
-                b'"' => {
-                    *pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    *pos += 1;
-                    match bytes.get(*pos) {
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(&c) => out.push(c as char),
-                        None => return Err("dangling escape".to_owned()),
-                    }
-                    *pos += 1;
-                }
-                _ => {
-                    // Multi-byte UTF-8 sequences pass through untouched.
-                    let ch_len = utf8_len(b);
-                    let end = (*pos + ch_len).min(bytes.len());
-                    out.push_str(
-                        std::str::from_utf8(&bytes[*pos..end]).map_err(|e| e.to_string())?,
-                    );
-                    *pos = end;
-                }
-            }
-        }
-        Err("unterminated string".to_owned())
-    }
-
-    fn utf8_len(first: u8) -> usize {
-        match first {
-            0x00..=0x7F => 1,
-            0xC0..=0xDF => 2,
-            0xE0..=0xEF => 3,
-            _ => 4,
-        }
-    }
-
-    fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-        *pos += 1; // '{'
-        let mut map = BTreeMap::new();
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) == Some(&b'}') {
-            *pos += 1;
-            return Ok(Value::Object(map));
-        }
-        loop {
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) != Some(&b'"') {
-                return Err(format!("expected object key at byte {pos}", pos = *pos));
-            }
-            let key = parse_string(bytes, pos)?;
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) != Some(&b':') {
-                return Err(format!("expected `:` at byte {pos}", pos = *pos));
-            }
-            *pos += 1;
-            let value = parse_value(bytes, pos)?;
-            map.insert(key, value);
-            skip_ws(bytes, pos);
-            match bytes.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b'}') => {
-                    *pos += 1;
-                    return Ok(Value::Object(map));
-                }
-                _ => return Err(format!("expected `,` or `}}` at byte {pos}", pos = *pos)),
-            }
-        }
-    }
-
-    fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-        *pos += 1; // '['
-        let mut items = Vec::new();
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) == Some(&b']') {
-            *pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            items.push(parse_value(bytes, pos)?);
-            skip_ws(bytes, pos);
-            match bytes.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b']') => {
-                    *pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(format!("expected `,` or `]` at byte {pos}", pos = *pos)),
-            }
-        }
-    }
-}
+/// The workspace's one JSON reader, at the path the bench documents and
+/// the whole-path benchmark have always imported it from.
+pub use afs_telemetry::json;
 
 #[cfg(test)]
 mod tests {

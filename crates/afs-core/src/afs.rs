@@ -22,7 +22,7 @@ use afs_interpose::ApiLayer;
 use afs_ipc::SyncRegistry;
 use afs_net::Network;
 use afs_sim::{CostModel, OpTrace};
-use afs_telemetry::{intern, Layer, SloSpec, SpanGuard, Telemetry};
+use afs_telemetry::{intern, Layer, SpanGuard, Telemetry};
 use afs_vfs::{VPath, Vfs, ACTIVE_STREAM};
 use afs_winapi::{
     Access, ApiResult, DelegateFileApi, Disposition, FileApi, FileInformation, Handle, HandleTable,
@@ -31,7 +31,7 @@ use afs_winapi::{
 
 use crate::ctx::SentinelCtx;
 use crate::registry::SentinelRegistry;
-use crate::spec::{SentinelSpec, Strategy};
+use crate::spec::{RuntimeSpec, SentinelSpec, Strategy};
 use crate::strategy::executor::{self, FleetShardStat, SentinelExecutor};
 use crate::strategy::mux::SharedSentinel;
 use crate::strategy::wire::Launched;
@@ -220,15 +220,18 @@ impl ActiveFileSystem {
     ) -> ApiResult<Handle> {
         // A spec smuggled past `install_active_file` (written straight
         // into the `:active` stream) is validated again here: unknown
-        // keys for a declaring sentinel fail the open.
-        if let Err(e) = self.registry.validate_spec(&spec) {
-            eprintln!("afs: refusing to open {}: {e}", vpath.file_path());
-            return Err(Win32Error::InvalidParameter);
-        }
-        // Ring batching: `batch=on` + `ring_depth=K` wire the §4.2/§4.3
-        // boundary as a submission/completion ring. Validated up front so
-        // a garbage value fails every open, not just the first.
-        let batch = parse_batch_spec(&spec, &vpath)?;
+        // keys for a declaring sentinel fail the open, and so does a bad
+        // value of a runtime key — on every open, before anything
+        // launches.
+        let rt = self
+            .registry
+            .validate_spec(&spec)
+            .map_err(|e| e.to_string())
+            .and_then(|()| RuntimeSpec::parse(&spec))
+            .map_err(|e| {
+                eprintln!("afs: refusing to open {}: {e}", vpath.file_path());
+                Win32Error::InvalidParameter
+            })?;
         // Access control: opening is "predicated upon access to the
         // passive file components" (§2.3).
         let meta = self.vfs.stat(&vpath.file_path())?;
@@ -242,10 +245,8 @@ impl ActiveFileSystem {
                 return Err(Win32Error::AccessDenied);
             }
         }
-        if let Some(allowed) = spec.config().get("allow_users") {
-            if !allowed.split(',').any(|u| u.trim() == self.user) {
-                return Err(Win32Error::AccessDenied);
-            }
+        if matches!(&rt.allow_users, Some(allowed) if !allowed.contains(&self.user)) {
+            return Err(Win32Error::AccessDenied);
         }
         match disposition {
             Disposition::CreateNew => return Err(Win32Error::FileExists),
@@ -256,10 +257,7 @@ impl ActiveFileSystem {
                 // A truncating open of a durable file also resets the
                 // store streams — otherwise recovery would resurrect the
                 // truncated-away state.
-                if matches!(
-                    spec.config().get("durable").map(String::as_str),
-                    Some("on") | Some("true") | Some("1")
-                ) {
+                if rt.durable.is_some() {
                     let file = vpath.file_path();
                     let _ = self
                         .vfs
@@ -282,8 +280,8 @@ impl ActiveFileSystem {
         // session hub that would have to order those across sessions
         // costs more per operation than a batched read does (see
         // `strategy::wire::open`).
-        let sharable = spec.sharing_enabled()
-            && batch.is_none()
+        let sharable = rt.share
+            && rt.ring_depth.is_none()
             && !matches!(spec.strategy(), Strategy::Process)
             && matches!(
                 disposition,
@@ -305,6 +303,7 @@ impl ActiveFileSystem {
             vpath.clone(),
             self.user.clone(),
             &spec,
+            &rt,
             Arc::clone(&self.vfs),
             self.net.clone(),
             self.sync.clone(),
@@ -320,17 +319,11 @@ impl ActiveFileSystem {
         nested_api.nested = true;
         ctx.set_api(Arc::new(Layered(nested_api)));
         // Service-level objectives: spec keys declare the targets, the
-        // telemetry hub tracks burn rates per file. Garbage values fail
-        // the open loudly rather than silently running unmonitored.
-        let slo_spec = parse_slo_spec(&spec, &vpath)?;
-        let slo = if slo_spec.is_declared() {
-            Some(
-                self.telemetry
-                    .slo_register(&vpath.file_path().to_string(), spec.name(), slo_spec),
-            )
-        } else {
-            None
-        };
+        // telemetry hub tracks burn rates per file.
+        let slo = rt.slo.is_declared().then(|| {
+            self.telemetry
+                .slo_register(&vpath.file_path().to_string(), spec.name(), rt.slo)
+        });
         let instr = Instruments {
             model: self.model.clone(),
             trace: Arc::clone(&self.trace),
@@ -356,9 +349,11 @@ impl ActiveFileSystem {
                 None => strategy::process::open_logic(logic()?, ctx, instr)?,
             }),
             Strategy::ProcessControl => {
-                strategy::control::open(logic()?, ctx, instr, batch, sharable)?
+                strategy::control::open(logic()?, ctx, instr, rt.ring_depth, sharable)?
             }
-            Strategy::DllThread => strategy::thread::open(logic()?, ctx, instr, batch, sharable)?,
+            Strategy::DllThread => {
+                strategy::thread::open(logic()?, ctx, instr, rt.ring_depth, sharable)?
+            }
             Strategy::DllOnly => {
                 Launched::Shared(strategy::dll::open_shared(logic()?, ctx, instr)?)
             }
@@ -585,93 +580,6 @@ impl DelegateFileApi for ActiveFileSystem {
             }
             None => self.delegate().device_io_control(handle, code, input),
         }
-    }
-}
-
-/// Parses the optional SLO spec keys: `slo_p99_us` (latency target,
-/// microseconds) and `slo_err_ppm` (error budget, parts per million).
-/// Garbage values fail the open — an unparseable objective silently
-/// dropped would run the file unmonitored while the operator believes
-/// otherwise.
-fn parse_slo_spec(spec: &SentinelSpec, vpath: &VPath) -> ApiResult<SloSpec> {
-    let mut out = SloSpec::default();
-    if let Some(v) = spec.config().get("slo_p99_us") {
-        match v.trim().parse::<u64>() {
-            Ok(us) if us > 0 => out.p99_ns = Some(us.saturating_mul(1_000)),
-            _ => {
-                eprintln!(
-                    "afs: refusing to open {}: bad slo_p99_us `{v}` (want positive integer microseconds)",
-                    vpath.file_path()
-                );
-                return Err(Win32Error::InvalidParameter);
-            }
-        }
-    }
-    if let Some(v) = spec.config().get("slo_err_ppm") {
-        match v.trim().parse::<u32>() {
-            Ok(ppm) if ppm <= 1_000_000 => out.err_ppm = Some(ppm),
-            _ => {
-                eprintln!(
-                    "afs: refusing to open {}: bad slo_err_ppm `{v}` (want 0..=1000000)",
-                    vpath.file_path()
-                );
-                return Err(Win32Error::InvalidParameter);
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Default submission-ring depth for `batch=on` opens that do not set
-/// `ring_depth=` explicitly.
-const DEFAULT_RING_DEPTH: usize = 8;
-
-/// Parses the ring-batching spec keys: `batch` (`on`/`off`) and
-/// `ring_depth` (positive integer K). Returns the ring depth for batched
-/// opens, `None` for unbatched ones. Garbage values — and `ring_depth`
-/// without `batch=on`, or a zero depth — fail the open with
-/// `InvalidParameter`, matching the registry's unknown-key rejection.
-///
-/// Strategies without a §4.2/§4.3 wire (`Process` streams, `DllOnly`
-/// inline calls) accept `batch=on` as a documented no-op, so one spec
-/// can be compared across all four strategies.
-fn parse_batch_spec(spec: &SentinelSpec, vpath: &VPath) -> ApiResult<Option<usize>> {
-    let enabled = match spec.config().get("batch").map(String::as_str) {
-        None => false,
-        Some("on") => true,
-        Some("off") => false,
-        Some(v) => {
-            eprintln!(
-                "afs: refusing to open {}: bad batch `{v}` (want on|off)",
-                vpath.file_path()
-            );
-            return Err(Win32Error::InvalidParameter);
-        }
-    };
-    let depth = match spec.config().get("ring_depth") {
-        None => None,
-        Some(v) => match v.trim().parse::<usize>() {
-            Ok(k) if k > 0 => Some(k),
-            _ => {
-                eprintln!(
-                    "afs: refusing to open {}: bad ring_depth `{v}` (want positive integer)",
-                    vpath.file_path()
-                );
-                return Err(Win32Error::InvalidParameter);
-            }
-        },
-    };
-    match (enabled, depth) {
-        (true, Some(k)) => Ok(Some(k)),
-        (true, None) => Ok(Some(DEFAULT_RING_DEPTH)),
-        (false, Some(_)) => {
-            eprintln!(
-                "afs: refusing to open {}: ring_depth without batch=on",
-                vpath.file_path()
-            );
-            Err(Win32Error::InvalidParameter)
-        }
-        (false, None) => Ok(None),
     }
 }
 

@@ -11,17 +11,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use afs_ipc::{NamedSemaphore, SyncRegistry};
-use afs_net::{BreakerConfig, Network, ReliabilityPolicy, RetryPolicy};
+use afs_net::Network;
 use afs_remote::{DbClient, FileClient, MailClient, QuoteClient, RegistryClient};
 use afs_sim::CostModel;
-use afs_store::{StoreOptions, SyncMode};
 use afs_telemetry::StoreGauges;
 use afs_vfs::{VPath, Vfs};
 use afs_winapi::FileApi;
 
 use crate::cache::CacheStore;
 use crate::logic::{SentinelError, SentinelResult};
-use crate::spec::SentinelSpec;
+use crate::spec::{RuntimeSpec, SentinelSpec};
 
 /// Everything a running sentinel can see and touch.
 pub struct SentinelCtx {
@@ -42,99 +41,6 @@ pub struct SentinelCtx {
     heal_gen: Arc<AtomicU64>,
 }
 
-/// Builds the reliability policy requested by a spec's `retry`,
-/// `replicas`, and `breaker.*` configuration keys, if any are present.
-///
-/// * `retry` — attempt count (enables retry with default backoff),
-/// * `retry.deadline_us` / `retry.backoff_us` / `retry.max_backoff_us` —
-///   retry schedule overrides, in microseconds,
-/// * `replicas` — comma-separated fallback services tried in order,
-/// * `breaker.threshold` / `breaker.cooldown_us` — circuit breaker.
-fn reliability_policy(config: &BTreeMap<String, String>) -> Option<ReliabilityPolicy> {
-    let get = |key: &str| config.get(key).map(String::as_str);
-    let get_u64 = |key: &str| get(key).and_then(|v| v.parse::<u64>().ok());
-    if get("retry").is_none() && get("replicas").is_none() && get("breaker.threshold").is_none() {
-        return None;
-    }
-    let mut retry = RetryPolicy::default();
-    if let Some(n) = get_u64("retry") {
-        retry.attempts = n.clamp(1, 64) as u32;
-    }
-    if let Some(us) = get_u64("retry.deadline_us") {
-        retry.deadline_ns = us.saturating_mul(1_000);
-    }
-    if let Some(us) = get_u64("retry.backoff_us") {
-        retry.base_backoff_ns = us.saturating_mul(1_000).max(1);
-    }
-    if let Some(us) = get_u64("retry.max_backoff_us") {
-        retry.max_backoff_ns = us.saturating_mul(1_000).max(retry.base_backoff_ns);
-    }
-    let replicas = get("replicas")
-        .map(|v| {
-            v.split(',')
-                .map(|s| s.trim().to_owned())
-                .filter(|s| !s.is_empty())
-                .collect()
-        })
-        .unwrap_or_default();
-    let breaker = get_u64("breaker.threshold").map(|threshold| BreakerConfig {
-        threshold: threshold.clamp(1, u64::from(u32::MAX)) as u32,
-        cooldown_ns: get_u64("breaker.cooldown_us")
-            .map_or(BreakerConfig::default().cooldown_ns, |us| {
-                us.saturating_mul(1_000)
-            }),
-    });
-    Some(ReliabilityPolicy {
-        retry,
-        replicas,
-        breaker,
-    })
-}
-
-/// Parses the spec's durability keys into [`StoreOptions`], or `None`
-/// when `durable` is absent/off.
-///
-/// * `durable` — `on`/`true`/`1` selects the WAL-backed page store,
-/// * `sync` — `always`/`commit`/`off` durability mode,
-/// * `checkpoint_pages` — auto-checkpoint threshold in pages (0 disables),
-/// * `page_size` — checkpoint granularity in bytes (must be non-zero).
-///
-/// # Errors
-///
-/// [`SentinelError::InvalidParameter`] for unparsable values — a typo'd
-/// sync mode must fail the open, not silently run non-durable.
-fn durable_store_options(
-    config: &BTreeMap<String, String>,
-) -> SentinelResult<Option<StoreOptions>> {
-    let on = matches!(
-        config.get("durable").map(String::as_str),
-        Some("on") | Some("true") | Some("1")
-    );
-    if !on {
-        if let Some(v) = config.get("durable") {
-            if !matches!(v.as_str(), "off" | "false" | "0") {
-                return Err(SentinelError::InvalidParameter);
-            }
-        }
-        return Ok(None);
-    }
-    let mut opts = StoreOptions::default();
-    if let Some(s) = config.get("sync") {
-        opts.sync = SyncMode::parse(s).ok_or(SentinelError::InvalidParameter)?;
-    }
-    if let Some(n) = config.get("checkpoint_pages") {
-        opts.checkpoint_pages = n.parse().map_err(|_| SentinelError::InvalidParameter)?;
-    }
-    if let Some(n) = config.get("page_size") {
-        opts.page_size = n
-            .parse()
-            .ok()
-            .filter(|&p: &u32| p > 0)
-            .ok_or(SentinelError::InvalidParameter)?;
-    }
-    Ok(Some(opts))
-}
-
 impl std::fmt::Debug for SentinelCtx {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SentinelCtx")
@@ -151,27 +57,18 @@ impl SentinelCtx {
         path: VPath,
         user: String,
         spec: &SentinelSpec,
+        rt: &RuntimeSpec,
         vfs: Arc<Vfs>,
         net: Network,
         sync: SyncRegistry,
         model: CostModel,
         store_gauges: Arc<StoreGauges>,
     ) -> SentinelResult<Self> {
-        let cache = match durable_store_options(spec.config())? {
+        let cache = match rt.durable {
             Some(opts) => {
-                // `durable=on` needs *some* cache to make durable; a
-                // no-cache spec asking for durability is a contradiction.
-                if spec.backing_kind() == crate::spec::Backing::None {
-                    return Err(SentinelError::InvalidParameter);
-                }
-                CacheStore::new_durable(
-                    Arc::clone(&vfs),
-                    &path.file_path(),
-                    model.clone(),
-                    opts,
-                    store_gauges,
-                )?
-                .0
+                let file = path.file_path();
+                CacheStore::new_durable(Arc::clone(&vfs), &file, model.clone(), opts, store_gauges)?
+                    .0
             }
             None => CacheStore::new(
                 spec.backing_kind(),
@@ -183,24 +80,9 @@ impl SentinelCtx {
         // A spec asking for retry/replicas/breaker gets a policy-carrying
         // network clone, so every typed client this context hands out runs
         // the recovery loop transparently.
-        let net = match reliability_policy(spec.config()) {
-            Some(policy) => net.with_policy(policy),
+        let net = match &rt.reliability {
+            Some(policy) => net.with_policy(policy.clone()),
             None => net,
-        };
-        let degraded = matches!(
-            spec.config().get("degraded").map(String::as_str),
-            Some("true") | Some("1")
-        );
-        // `staleness_ms=` tightens degraded mode from stale-allowed to
-        // bounded-staleness: a degraded read older than the bound fails
-        // instead of serving last-good bytes. Garbage fails the open.
-        let staleness_budget_ns = match spec.config().get("staleness_ms") {
-            Some(v) => Some(
-                v.parse::<u64>()
-                    .map_err(|_| SentinelError::InvalidParameter)?
-                    .saturating_mul(1_000_000),
-            ),
-            None => None,
         };
         Ok(SentinelCtx {
             path,
@@ -212,10 +94,10 @@ impl SentinelCtx {
             sync,
             model,
             api: None,
-            degraded,
+            degraded: rt.degraded,
             stale: false,
             stale_since_ns: None,
-            staleness_budget_ns,
+            staleness_budget_ns: rt.staleness_ns,
             write_queue: Vec::new(),
             heal_gen: Arc::new(AtomicU64::new(0)),
         })
@@ -273,7 +155,7 @@ impl SentinelCtx {
 
     // ---- degraded mode --------------------------------------------------------
 
-    /// Whether the spec enabled degraded mode (`degraded=true`): when every
+    /// Whether the spec enabled degraded mode (`degraded=on`): when every
     /// replica is down, reads are served from the last-good cache (flagged
     /// stale) and writes are queued for replay on heal.
     pub fn degraded_enabled(&self) -> bool {
@@ -297,7 +179,6 @@ impl SentinelCtx {
         self.stale = stale;
     }
 
-    /// The `staleness_ms=` bound in nanoseconds, if the spec set one.
     /// Whether a degraded read right now would exceed the spec's
     /// `staleness_ms=` bound: the handle has been serving last-good data
     /// for longer than the budget allows.
@@ -431,6 +312,7 @@ mod tests {
             path,
             "tester".to_owned(),
             &spec,
+            &RuntimeSpec::parse(&spec).expect("runtime keys"),
             vfs,
             Network::new(CostModel::free()),
             SyncRegistry::new(),
@@ -466,57 +348,6 @@ mod tests {
             .backing(Backing::Memory)
             .with("durable", "on"));
         assert_eq!(c.cache.kind(), Some(BackendKind::Durable));
-    }
-
-    #[test]
-    fn durable_spec_keys_are_validated() {
-        let vfs = Arc::new(Vfs::new());
-        let path = VPath::parse("/t.af").expect("path");
-        vfs.create_file(&path).expect("create");
-        let build = |spec: SentinelSpec| {
-            SentinelCtx::new(
-                path.clone(),
-                "tester".to_owned(),
-                &spec,
-                Arc::clone(&vfs),
-                Network::new(CostModel::free()),
-                SyncRegistry::new(),
-                CostModel::free(),
-                Arc::new(StoreGauges::default()),
-            )
-        };
-        // A typo'd sync mode fails loudly, not silently non-durable.
-        let bad_sync = SentinelSpec::new("x", Strategy::DllOnly)
-            .backing(Backing::Memory)
-            .with("durable", "on")
-            .with("sync", "sometimes");
-        assert!(matches!(
-            build(bad_sync).err(),
-            Some(SentinelError::InvalidParameter)
-        ));
-        // durable with no cache at all is a contradiction.
-        let no_cache = SentinelSpec::new("x", Strategy::DllOnly).with("durable", "on");
-        assert!(matches!(
-            build(no_cache).err(),
-            Some(SentinelError::InvalidParameter)
-        ));
-        // A garbage durable value is neither on nor off.
-        let garbage = SentinelSpec::new("x", Strategy::DllOnly)
-            .backing(Backing::Memory)
-            .with("durable", "maybe");
-        assert!(matches!(
-            build(garbage).err(),
-            Some(SentinelError::InvalidParameter)
-        ));
-        // Zero page size can never checkpoint.
-        let zero_page = SentinelSpec::new("x", Strategy::DllOnly)
-            .backing(Backing::Memory)
-            .with("durable", "on")
-            .with("page_size", "0");
-        assert!(matches!(
-            build(zero_page).err(),
-            Some(SentinelError::InvalidParameter)
-        ));
     }
 
     #[test]

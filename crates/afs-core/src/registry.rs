@@ -12,7 +12,7 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use crate::logic::SentinelLogic;
-use crate::spec::{SentinelSpec, SpecKeyError, RUNTIME_CONFIG_KEYS};
+use crate::spec::{runtime_keys, SentinelSpec, SpecKeyError};
 use crate::strategy::process::RawProcessSentinel;
 
 /// A factory producing one sentinel-logic instance per open.
@@ -72,9 +72,9 @@ impl SentinelRegistry {
 
     /// Registers a sentinel together with the configuration keys it
     /// understands. Specs naming this sentinel are then validated: any
-    /// config key that is neither in `keys` nor a
-    /// [`RUNTIME_CONFIG_KEYS`] entry fails [`Self::validate_spec`] with
-    /// an error naming the key.
+    /// config key that is neither in `keys` nor one of the runtime's own
+    /// (the `DESIGN.md` "Runtime keys" table) fails
+    /// [`Self::validate_spec`] with an error naming the key.
     pub fn register_with_keys<F>(&self, name: &str, keys: &[&str], factory: F)
     where
         F: Fn(&SentinelSpec) -> Box<dyn SentinelLogic> + Send + Sync + 'static,
@@ -105,12 +105,11 @@ impl SentinelRegistry {
             return Ok(());
         };
         for key in spec.config().keys() {
-            if RUNTIME_CONFIG_KEYS.contains(&key.as_str()) || declared.iter().any(|k| k == key) {
+            if runtime_keys().any(|k| k == key) || declared.iter().any(|k| k == key) {
                 continue;
             }
-            let mut known: Vec<String> = RUNTIME_CONFIG_KEYS
-                .iter()
-                .map(|&k| k.to_owned())
+            let mut known: Vec<String> = runtime_keys()
+                .map(str::to_owned)
                 .chain(declared.iter().cloned())
                 .collect();
             known.sort();

@@ -11,7 +11,7 @@ use afs_vfs::{VPath, Vfs};
 
 use super::*;
 use crate::logic::{SentinelError, SentinelResult};
-use crate::spec::{SentinelSpec, Strategy};
+use crate::spec::{RuntimeSpec, SentinelSpec, Strategy};
 use crate::strategy::executor::SentinelExecutor;
 
 /// What the probe logic saw, shared with the test body.
@@ -161,6 +161,7 @@ fn rig<P: SentinelPort>(
         path,
         "tester".to_owned(),
         &SentinelSpec::new("probe", Strategy::DllThread),
+        &RuntimeSpec::default(),
         vfs,
         Network::new(CostModel::free()),
         SyncRegistry::new(),

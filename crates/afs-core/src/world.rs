@@ -150,7 +150,9 @@ impl AfsWorldBuilder {
 
 /// Registers the world's standard collectors: cost-model counters, the
 /// per-(strategy, op) trace aggregates, the telemetry latency summaries,
-/// the shared queue/pool gauges, and the reliability counters.
+/// flight-recorder and SLO series, and the eight declared counter
+/// families — each of which names its own metrics (see
+/// `afs_telemetry::metric_family!`), so none is named here.
 fn register_world_collectors(
     metrics: &MetricsRegistry,
     model: CostModel,
@@ -159,29 +161,7 @@ fn register_world_collectors(
     telemetry: Arc<Telemetry>,
 ) {
     metrics.register(move |out| {
-        let rel = net.reliability();
-        out.push(Metric::counter("afs_retries_total", rel.retries));
-        out.push(Metric::counter("afs_failovers_total", rel.failovers));
-        out.push(Metric::counter(
-            "afs_breaker_trips_total",
-            rel.breaker_trips,
-        ));
-        out.push(Metric::counter(
-            "afs_breaker_rejections_total",
-            rel.breaker_rejections,
-        ));
-        out.push(Metric::counter(
-            "afs_degraded_reads_total",
-            rel.degraded_reads,
-        ));
-        out.push(Metric::counter(
-            "afs_queued_writes_total",
-            rel.queued_writes,
-        ));
-        out.push(Metric::counter(
-            "afs_replayed_writes_total",
-            rel.replayed_writes,
-        ));
+        net.reliability().metrics(&[], out);
         let net_stats = net.stats();
         out.push(Metric::counter("afs_net_dropped_total", net_stats.dropped));
     });
@@ -254,117 +234,12 @@ fn register_world_collectors(
         for (sentinel, snap) in telemetry.sentinel_hist_snapshots() {
             out.push(Metric::summary("afs_sentinel_latency_ns", snap).label("sentinel", sentinel));
         }
-        let g = telemetry.gauges().snapshot();
-        out.push(Metric::gauge("afs_pipe_buffered_bytes", g.pipe_buffered));
-        out.push(Metric::gauge(
-            "afs_pipe_buffered_peak_bytes",
-            g.pipe_buffered_peak,
-        ));
-        out.push(Metric::counter(
-            "afs_pipe_queue_messages_total",
-            g.pipe_messages,
-        ));
-        out.push(Metric::gauge("afs_shm_pending_slots", g.shm_pending));
-        out.push(Metric::counter("afs_shm_messages_total", g.shm_messages));
-        out.push(Metric::counter("afs_pool_reuses_total", g.pool_reuses));
-        out.push(Metric::counter(
-            "afs_pool_allocations_total",
-            g.pool_allocations,
-        ));
-        let s = telemetry.sessions().snapshot();
-        out.push(Metric::gauge("afs_sessions_current", s.sessions));
-        out.push(Metric::gauge("afs_sessions_peak", s.sessions_peak));
-        out.push(Metric::counter("afs_session_attaches_total", s.attaches));
-        out.push(Metric::counter(
-            "afs_coalesced_writes_total",
-            s.coalesced_writes,
-        ));
-        out.push(Metric::counter(
-            "afs_batch_flushes_total",
-            s.flushed_batches,
-        ));
-        let f = telemetry.fleet().snapshot();
-        out.push(Metric::gauge("afs_fleet_sentinels", f.sentinels));
-        out.push(Metric::gauge("afs_fleet_sentinels_peak", f.sentinels_peak));
-        out.push(Metric::counter("afs_fleet_spawned_total", f.spawned));
-        out.push(Metric::counter("afs_fleet_polls_total", f.polls));
-        out.push(Metric::counter("afs_fleet_steals_total", f.steals));
-        out.push(Metric::counter("afs_fleet_wakeups_total", f.wakeups));
-        out.push(Metric::counter("afs_fleet_parks_total", f.parks));
-        out.push(Metric::gauge(
-            "afs_fleet_queue_depth_peak",
-            f.queue_depth_peak,
-        ));
-        out.push(Metric::gauge("afs_fleet_workers", f.workers));
-        out.push(Metric::gauge("afs_fleet_shards", f.shards));
-        out.push(Metric::counter("afs_fleet_abandoned_total", f.abandoned));
-        let st = telemetry.store().snapshot();
-        out.push(Metric::counter(
-            "afs_store_wal_appends_total",
-            st.wal_appends,
-        ));
-        out.push(Metric::counter("afs_store_wal_bytes_total", st.wal_bytes));
-        out.push(Metric::counter("afs_store_fsyncs_total", st.fsyncs));
-        out.push(Metric::counter("afs_store_commits_total", st.commits));
-        out.push(Metric::counter(
-            "afs_store_checkpoints_total",
-            st.checkpoints,
-        ));
-        out.push(Metric::counter(
-            "afs_store_recovered_records_total",
-            st.recovered_records,
-        ));
-        out.push(Metric::counter(
-            "afs_store_torn_detected_total",
-            st.torn_detected,
-        ));
-        let rg = telemetry.rings().snapshot();
-        out.push(Metric::counter("afs_ring_batches_total", rg.batches));
-        out.push(Metric::counter(
-            "afs_ring_ops_submitted_total",
-            rg.ops_submitted,
-        ));
-        out.push(Metric::gauge("afs_ring_occupancy_peak", rg.occupancy_peak));
-        out.push(Metric::counter(
-            "afs_ring_completions_total",
-            rg.completions,
-        ));
-        out.push(Metric::counter(
-            "afs_ring_completions_out_of_order_total",
-            rg.completions_out_of_order,
-        ));
-        out.push(Metric::counter(
-            "afs_ring_readahead_hits_total",
-            rg.readahead_hits,
-        ));
-        let cl = telemetry.cluster().snapshot();
-        out.push(Metric::counter("afs_cluster_writes_total", cl.writes));
-        out.push(Metric::counter(
-            "afs_cluster_replications_total",
-            cl.replications,
-        ));
-        out.push(Metric::counter(
-            "afs_cluster_replication_failures_total",
-            cl.replication_failures,
-        ));
-        out.push(Metric::counter("afs_cluster_reads_total", cl.reads));
-        out.push(Metric::counter(
-            "afs_cluster_read_failovers_total",
-            cl.read_failovers,
-        ));
-        out.push(Metric::counter(
-            "afs_cluster_stale_waits_total",
-            cl.stale_waits,
-        ));
-        out.push(Metric::counter(
-            "afs_cluster_stale_rejects_total",
-            cl.stale_rejects,
-        ));
-        out.push(Metric::gauge("afs_cluster_nodes", cl.nodes));
-        out.push(Metric::counter(
-            "afs_cluster_rebalances_total",
-            cl.rebalances,
-        ));
+        telemetry.gauges().snapshot().metrics(&[], out);
+        telemetry.sessions().snapshot().metrics(&[], out);
+        telemetry.fleet().snapshot().metrics(&[], out);
+        telemetry.store().snapshot().metrics(&[], out);
+        telemetry.rings().snapshot().metrics(&[], out);
+        telemetry.cluster().snapshot().metrics(&[], out);
         out.push(Metric::counter(
             "afs_flight_triggers_total",
             telemetry.flight().trigger_count(),
@@ -406,24 +281,7 @@ fn register_world_collectors(
             }
         }
         for (sentinel, stats) in telemetry.sentinel_stats_snapshots() {
-            let tag = |m: Metric| m.label("sentinel", sentinel);
-            out.push(tag(Metric::counter("afs_sentinel_ops_total", stats.ops)));
-            out.push(tag(Metric::counter(
-                "afs_sentinel_errors_total",
-                stats.errors,
-            )));
-            out.push(tag(Metric::counter(
-                "afs_sentinel_bytes_in_total",
-                stats.bytes_in,
-            )));
-            out.push(tag(Metric::counter(
-                "afs_sentinel_bytes_out_total",
-                stats.bytes_out,
-            )));
-            out.push(tag(Metric::gauge(
-                "afs_sentinel_queue_depth_peak",
-                stats.queue_depth_peak,
-            )));
+            stats.metrics(&[("sentinel", sentinel)], out);
         }
     });
 }

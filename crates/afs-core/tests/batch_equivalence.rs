@@ -295,7 +295,6 @@ fn ring_depth_zero_is_rejected_at_open() {
 fn garbage_batch_and_ring_depth_values_are_rejected_at_open() {
     for (key, value) in [
         ("batch", "maybe"),
-        ("batch", "1"),
         ("ring_depth", "-3"),
         ("ring_depth", "eight"),
     ] {
@@ -338,9 +337,15 @@ fn ring_depth_without_batch_is_rejected_at_open() {
 
 #[test]
 fn batch_on_defaults_the_ring_depth_and_batch_off_is_plain() {
-    // `batch=on` alone opens with the default depth; `batch=off` (and no
-    // keys at all) opens unbatched. All three must just work.
-    for extra in [Some(("batch", "on")), Some(("batch", "off")), None] {
+    // `batch=on` alone (in any spelling of the one boolean grammar) opens
+    // with the default depth; `batch=off` (and no keys at all) opens
+    // unbatched. All must just work.
+    for extra in [
+        Some(("batch", "on")),
+        Some(("batch", "1")),
+        Some(("batch", "off")),
+        None,
+    ] {
         let world = AfsWorld::new();
         let mut spec = SentinelSpec::new("null", Strategy::DllThread).backing(Backing::Memory);
         if let Some((k, v)) = extra {

@@ -12,7 +12,7 @@
 //!
 //! [`Network`]: crate::Network
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 
 /// How a failed remote call is retried.
 ///
@@ -191,36 +191,25 @@ impl CircuitBreaker {
     }
 }
 
-/// Shared reliability counters — one set per [`crate::Network`] (clones
-/// share it), exported to Prometheus by the world's metrics collector.
-#[derive(Debug, Default)]
-pub struct ReliabilityStats {
-    retries: AtomicU64,
-    failovers: AtomicU64,
-    breaker_trips: AtomicU64,
-    breaker_rejections: AtomicU64,
-    degraded_reads: AtomicU64,
-    queued_writes: AtomicU64,
-    replayed_writes: AtomicU64,
-}
-
-/// A copied-out view of [`ReliabilityStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReliabilitySnapshot {
-    /// Backoff-then-reattempt rounds performed.
-    pub retries: u64,
-    /// Calls answered by a non-primary replica.
-    pub failovers: u64,
-    /// Times a circuit breaker tripped open.
-    pub breaker_trips: u64,
-    /// Calls refused locally by an open breaker.
-    pub breaker_rejections: u64,
-    /// Reads served from stale cache in degraded mode.
-    pub degraded_reads: u64,
-    /// Writes queued for replay while the remote was down.
-    pub queued_writes: u64,
-    /// Queued writes successfully replayed after heal.
-    pub replayed_writes: u64,
+afs_telemetry::metric_family! {
+    /// Shared reliability counters — one set per [`crate::Network`] (clones
+    /// share it), exported to Prometheus by the world's metrics collector.
+    ReliabilityStats => ReliabilitySnapshot {
+        /// Backoff-then-reattempt rounds performed.
+        retries: counter "afs_retries_total",
+        /// Calls answered by a non-primary replica.
+        failovers: counter "afs_failovers_total",
+        /// Times a circuit breaker tripped open.
+        breaker_trips: counter "afs_breaker_trips_total",
+        /// Calls refused locally by an open breaker.
+        breaker_rejections: counter "afs_breaker_rejections_total",
+        /// Reads served from stale cache in degraded mode.
+        degraded_reads: counter "afs_degraded_reads_total",
+        /// Writes queued for replay while the remote was down.
+        queued_writes: counter "afs_queued_writes_total",
+        /// Queued writes successfully replayed after heal.
+        replayed_writes: counter "afs_replayed_writes_total",
+    }
 }
 
 impl ReliabilityStats {
@@ -257,19 +246,6 @@ impl ReliabilityStats {
     /// A queued write replayed successfully.
     pub fn note_replayed_write(&self) {
         self.replayed_writes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Copies the counters out.
-    pub fn snapshot(&self) -> ReliabilitySnapshot {
-        ReliabilitySnapshot {
-            retries: self.retries.load(Ordering::Relaxed),
-            failovers: self.failovers.load(Ordering::Relaxed),
-            breaker_trips: self.breaker_trips.load(Ordering::Relaxed),
-            breaker_rejections: self.breaker_rejections.load(Ordering::Relaxed),
-            degraded_reads: self.degraded_reads.load(Ordering::Relaxed),
-            queued_writes: self.queued_writes.load(Ordering::Relaxed),
-            replayed_writes: self.replayed_writes.load(Ordering::Relaxed),
-        }
     }
 }
 

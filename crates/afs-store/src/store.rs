@@ -66,7 +66,7 @@ impl SyncMode {
 }
 
 /// Store tuning, mapped one-to-one from `SentinelSpec` keys.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoreOptions {
     /// Page granularity of the checkpointed area (`page_size=N`).
     pub page_size: u32,

@@ -383,169 +383,10 @@ pub fn flight_bundles_json(bundles: &[FlightBundle]) -> String {
     out
 }
 
-/// Minimal JSON validity check (recursive descent over the full grammar).
-/// Used by tests to guard the exporters against schema rot without pulling
-/// in a JSON dependency.
+/// Whether `input` is one well-formed JSON document — [`crate::json::parse`]
+/// accepts it. Guards the exporters against schema rot.
 pub fn json_is_valid(input: &str) -> bool {
-    let bytes = input.as_bytes();
-    let mut pos = 0usize;
-    let ok = parse_value(bytes, &mut pos);
-    skip_ws(bytes, &mut pos);
-    ok && pos == bytes.len()
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> bool {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => parse_string(bytes, pos),
-        Some(b't') => parse_literal(bytes, pos, b"true"),
-        Some(b'f') => parse_literal(bytes, pos, b"false"),
-        Some(b'n') => parse_literal(bytes, pos, b"null"),
-        Some(_) => parse_number(bytes, pos),
-        None => false,
-    }
-}
-
-fn parse_literal(bytes: &[u8], pos: &mut usize, lit: &[u8]) -> bool {
-    if bytes[*pos..].starts_with(lit) {
-        *pos += lit.len();
-        true
-    } else {
-        false
-    }
-}
-
-fn parse_object(bytes: &[u8], pos: &mut usize) -> bool {
-    *pos += 1; // consume '{'
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return true;
-    }
-    loop {
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b'"') || !parse_string(bytes, pos) {
-            return false;
-        }
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b':') {
-            return false;
-        }
-        *pos += 1;
-        if !parse_value(bytes, pos) {
-            return false;
-        }
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return true;
-            }
-            _ => return false,
-        }
-    }
-}
-
-fn parse_array(bytes: &[u8], pos: &mut usize) -> bool {
-    *pos += 1; // consume '['
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return true;
-    }
-    loop {
-        if !parse_value(bytes, pos) {
-            return false;
-        }
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return true;
-            }
-            _ => return false,
-        }
-    }
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> bool {
-    *pos += 1; // consume opening quote
-    while *pos < bytes.len() {
-        match bytes[*pos] {
-            b'"' => {
-                *pos += 1;
-                return true;
-            }
-            b'\\' => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *pos += 1,
-                    Some(b'u') => {
-                        if bytes.len() < *pos + 5
-                            || !bytes[*pos + 1..*pos + 5]
-                                .iter()
-                                .all(|b| b.is_ascii_hexdigit())
-                        {
-                            return false;
-                        }
-                        *pos += 5;
-                    }
-                    _ => return false,
-                }
-            }
-            0x00..=0x1f => return false,
-            _ => *pos += 1,
-        }
-    }
-    false
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> bool {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let int_start = *pos;
-    while *pos < bytes.len() && bytes[*pos].is_ascii_digit() {
-        *pos += 1;
-    }
-    if *pos == int_start {
-        return false;
-    }
-    if bytes.get(*pos) == Some(&b'.') {
-        *pos += 1;
-        let frac_start = *pos;
-        while *pos < bytes.len() && bytes[*pos].is_ascii_digit() {
-            *pos += 1;
-        }
-        if *pos == frac_start {
-            return false;
-        }
-    }
-    if matches!(bytes.get(*pos), Some(b'e' | b'E')) {
-        *pos += 1;
-        if matches!(bytes.get(*pos), Some(b'+' | b'-')) {
-            *pos += 1;
-        }
-        let exp_start = *pos;
-        while *pos < bytes.len() && bytes[*pos].is_ascii_digit() {
-            *pos += 1;
-        }
-        if *pos == exp_start {
-            return false;
-        }
-    }
-    *pos > start
+    crate::json::parse(input).is_ok()
 }
 
 #[cfg(test)]
@@ -737,6 +578,41 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// What `escape_json` writes, the one parser reads back unchanged:
+    /// quote, backslash, the named escapes, `\u00XX` control bytes, and
+    /// raw multi-byte UTF-8.
+    #[test]
+    fn hostile_strings_round_trip_through_the_one_parser() {
+        let hostile = "q\" b\\ n\n r\r t\t \u{1} \u{1b} é 🦀";
+        let doc = crate::json::parse(&json_snapshot(&[
+            Metric::counter(hostile, 1).label("file", hostile)
+        ]))
+        .expect("snapshot parses");
+        let metric = &doc.as_object().expect("root")["metrics"]
+            .as_array()
+            .expect("metrics")[0];
+        let metric = metric.as_object().expect("metric");
+        assert_eq!(metric["name"].as_str(), Some(hostile));
+        assert_eq!(
+            metric["labels"].as_object().expect("labels")["file"].as_str(),
+            Some(hostile)
+        );
+
+        let mut span = sample_span(1, 0);
+        span.note = crate::span::intern(hostile);
+        let trace = crate::json::parse(&chrome_trace(&[(hostile, vec![span])])).expect("trace");
+        let events = trace.as_array().expect("events");
+        let arg = |i: usize, key: &str| {
+            events[i].as_object().expect("event")["args"]
+                .as_object()
+                .expect("args")[key]
+                .as_str()
+                .map(str::to_owned)
+        };
+        assert_eq!(arg(0, "name").as_deref(), Some(hostile), "process label");
+        assert_eq!(arg(1, "note").as_deref(), Some(hostile), "span note");
     }
 
     #[test]

@@ -1,33 +1,101 @@
-//! Queue-depth and pool gauges fed by the IPC layer.
+//! The always-on counter families, each declared once.
 //!
-//! These are always-on relaxed atomics — cheap enough that the transports
-//! update them unconditionally, independent of span recording.
+//! These are relaxed atomics — cheap enough that the IPC, executor, store
+//! and cluster layers update them unconditionally, independent of span
+//! recording. [`metric_family!`](crate::metric_family) turns one list of
+//! `field: kind "exported_name"` lines into the live struct, its snapshot,
+//! `snapshot()` and the exporter hook, so a signal cannot exist in one of
+//! the four and be forgotten in another.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use crate::flight::FlightRecorder;
 
-/// Live depth/throughput gauges for pipes, shared buffers, and buffer
-/// pools.
-#[derive(Debug, Default)]
-pub struct QueueGauges {
-    pipe_buffered: AtomicU64,
-    pipe_peak: AtomicU64,
-    pipe_messages: AtomicU64,
-    shm_pending: AtomicU64,
-    shm_messages: AtomicU64,
-    pool_reuses: AtomicU64,
-    pool_allocations: AtomicU64,
+/// Declares one metric family from a single field list:
+///
+/// * `$live` — `Default` struct of one relaxed `AtomicU64` per field (plus
+///   the optional `{ extra: Type }` non-metric fields), with `snapshot()`;
+/// * `$snap` — `Copy` struct of `pub u64` fields carrying the doc comments,
+///   with `METRICS` (the `(exported name, kind)` rows, in export order)
+///   and `metrics(labels, out)`, which pushes one [`Metric`](crate::Metric)
+///   per row.
+///
+/// Event methods (which fields an event touches) stay hand-written on
+/// `$live`.
+#[macro_export]
+macro_rules! metric_family {
+    (
+        $(#[$live_doc:meta])*
+        $live:ident $({ $($extra:ident: $extra_ty:ty),* $(,)? })? => $snap:ident {
+            $($(#[$doc:meta])* $field:ident: $kind:ident $name:literal,)+
+        }
+    ) => {
+        $(#[$live_doc])*
+        #[derive(Debug, Default)]
+        pub struct $live {
+            $($field: ::std::sync::atomic::AtomicU64,)+
+            $($($extra: $extra_ty,)*)?
+        }
+
+        impl $live {
+            /// Copies out the current values.
+            pub fn snapshot(&self) -> $snap {
+                $snap {
+                    $($field: self.$field.load(::std::sync::atomic::Ordering::Relaxed),)+
+                }
+            }
+        }
+
+        #[doc = concat!("A point-in-time copy of [`", stringify!($live), "`].")]
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct $snap {
+            $($(#[$doc])* pub $field: u64,)+
+        }
+
+        impl $snap {
+            /// `(exported name, kind)` of every metric of the family, in
+            /// export order.
+            pub const METRICS: &'static [(&'static str, &'static str)] =
+                &[$(($name, stringify!($kind)),)+];
+
+            /// Appends the family's metrics, each carrying `labels`.
+            pub fn metrics(&self, labels: &[(&'static str, &str)], out: &mut Vec<$crate::Metric>) {
+                let tag = |m: $crate::Metric| labels.iter().fold(m, |m, &(k, v)| m.label(k, v));
+                $(out.push(tag($crate::Metric::$kind($name, self.$field)));)+
+            }
+        }
+    };
+}
+
+metric_family! {
+    /// Live depth/throughput gauges for pipes, shared buffers, and buffer
+    /// pools.
+    QueueGauges => GaugesSnapshot {
+        /// Bytes currently buffered across observed pipes.
+        pipe_buffered: gauge "afs_pipe_buffered_bytes",
+        /// High-water mark of buffered pipe bytes.
+        pipe_buffered_peak: gauge "afs_pipe_buffered_peak_bytes",
+        /// Total pipe message segments enqueued.
+        pipe_messages: counter "afs_pipe_queue_messages_total",
+        /// Shared-buffer slots currently holding an unread message.
+        shm_pending: gauge "afs_shm_pending_slots",
+        /// Total shared-buffer messages sent.
+        shm_messages: counter "afs_shm_messages_total",
+        /// Buffers served from a pool free list.
+        pool_reuses: counter "afs_pool_reuses_total",
+        /// Buffers freshly allocated by a pool.
+        pool_allocations: counter "afs_pool_allocations_total",
+    }
 }
 
 impl QueueGauges {
     /// Records `bytes` enqueued into a pipe (one message segment).
     pub fn pipe_enqueued(&self, bytes: u64) {
         let now = self.pipe_buffered.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        self.pipe_peak.fetch_max(now, Ordering::Relaxed);
+        self.pipe_buffered_peak.fetch_max(now, Ordering::Relaxed);
         self.pipe_messages.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -56,54 +124,30 @@ impl QueueGauges {
     pub fn pool_alloc(&self) {
         self.pool_allocations.fetch_add(1, Ordering::Relaxed);
     }
+}
 
-    /// Copies out the current gauge values.
-    pub fn snapshot(&self) -> GaugesSnapshot {
-        GaugesSnapshot {
-            pipe_buffered: self.pipe_buffered.load(Ordering::Relaxed),
-            pipe_buffered_peak: self.pipe_peak.load(Ordering::Relaxed),
-            pipe_messages: self.pipe_messages.load(Ordering::Relaxed),
-            shm_pending: self.shm_pending.load(Ordering::Relaxed),
-            shm_messages: self.shm_messages.load(Ordering::Relaxed),
-            pool_reuses: self.pool_reuses.load(Ordering::Relaxed),
-            pool_allocations: self.pool_allocations.load(Ordering::Relaxed),
-        }
+metric_family! {
+    /// Live gauges for the shared-sentinel session layer: how many opens
+    /// are multiplexed onto shared sentinels, how deep the dispatch queues
+    /// run, and how much write traffic the batcher absorbed without a
+    /// crossing.
+    ///
+    /// `flight` is the flight recorder the session lifecycle feeds, when
+    /// attached. The mux hub lives in `afs-ipc` below the telemetry hub,
+    /// so the hook is injected here rather than reached through
+    /// [`crate::Telemetry`].
+    SessionGauges { flight: Mutex<Option<Arc<FlightRecorder>>> } => SessionSnapshot {
+        /// Sessions currently attached to shared sentinels.
+        sessions: gauge "afs_sessions_current",
+        /// High-water mark of sessions on any one shared sentinel.
+        sessions_peak: gauge "afs_sessions_peak",
+        /// Total attaches since startup.
+        attaches: counter "afs_session_attaches_total",
+        /// Writes absorbed into staged batches without a crossing.
+        coalesced_writes: counter "afs_coalesced_writes_total",
+        /// Staged batches flushed as single crossings.
+        flushed_batches: counter "afs_batch_flushes_total",
     }
-}
-
-/// A point-in-time copy of [`QueueGauges`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GaugesSnapshot {
-    /// Bytes currently buffered across observed pipes.
-    pub pipe_buffered: u64,
-    /// High-water mark of buffered pipe bytes.
-    pub pipe_buffered_peak: u64,
-    /// Total pipe message segments enqueued.
-    pub pipe_messages: u64,
-    /// Shared-buffer slots currently holding an unread message.
-    pub shm_pending: u64,
-    /// Total shared-buffer messages sent.
-    pub shm_messages: u64,
-    /// Buffers served from a pool free list.
-    pub pool_reuses: u64,
-    /// Buffers freshly allocated by a pool.
-    pub pool_allocations: u64,
-}
-
-/// Live gauges for the shared-sentinel session layer: how many opens are
-/// multiplexed onto shared sentinels, how deep the dispatch queues run,
-/// and how much write traffic the batcher absorbed without a crossing.
-#[derive(Debug, Default)]
-pub struct SessionGauges {
-    sessions: AtomicU64,
-    sessions_peak: AtomicU64,
-    attaches: AtomicU64,
-    coalesced_writes: AtomicU64,
-    flushed_batches: AtomicU64,
-    /// Flight recorder the session lifecycle feeds, when attached. The
-    /// mux hub lives in `afs-ipc` below the telemetry hub, so the hook is
-    /// injected here rather than reached through [`crate::Telemetry`].
-    flight: Mutex<Option<Arc<FlightRecorder>>>,
 }
 
 impl SessionGauges {
@@ -153,51 +197,41 @@ impl SessionGauges {
     pub fn flushed_batch(&self) {
         self.flushed_batches.fetch_add(1, Ordering::Relaxed);
     }
+}
 
-    /// Copies out the current gauge values.
-    pub fn snapshot(&self) -> SessionSnapshot {
-        SessionSnapshot {
-            sessions: self.sessions.load(Ordering::Relaxed),
-            sessions_peak: self.sessions_peak.load(Ordering::Relaxed),
-            attaches: self.attaches.load(Ordering::Relaxed),
-            coalesced_writes: self.coalesced_writes.load(Ordering::Relaxed),
-            flushed_batches: self.flushed_batches.load(Ordering::Relaxed),
-        }
+metric_family! {
+    /// Live gauges for the sharded sentinel executor: how many sentinel
+    /// state machines exist, how hard the bounded worker pool is working,
+    /// and how often schedulers had to steal across shards or park.
+    FleetGauges => FleetSnapshot {
+        /// Sentinel state machines currently registered with the executor.
+        sentinels: gauge "afs_fleet_sentinels",
+        /// High-water mark of live sentinels.
+        sentinels_peak: gauge "afs_fleet_sentinels_peak",
+        /// Total sentinels ever spawned onto the executor.
+        spawned: counter "afs_fleet_spawned_total",
+        /// Total state-machine polls executed by workers.
+        polls: counter "afs_fleet_polls_total",
+        /// Polls served from a non-home shard (work stealing).
+        steals: counter "afs_fleet_steals_total",
+        /// Readiness wakeups that scheduled an idle sentinel.
+        wakeups: counter "afs_fleet_wakeups_total",
+        /// Times a worker parked with every shard queue empty.
+        parks: counter "afs_fleet_parks_total",
+        /// Deepest run queue any single shard has seen.
+        queue_depth_peak: gauge "afs_fleet_queue_depth_peak",
+        /// Live worker threads (0 before first spawn and after shutdown).
+        workers: gauge "afs_fleet_workers",
+        /// Number of shards (striping width).
+        shards: gauge "afs_fleet_shards",
+        /// Sentinels whose close hook ran at executor shutdown because
+        /// their application side never closed them.
+        abandoned: counter "afs_fleet_abandoned_total",
+        /// Sentinels pinned to dedicated threads (spawned from inside
+        /// another sentinel — §3 composition — so they cannot starve the
+        /// pool).
+        pinned: counter "afs_fleet_pinned_total",
     }
-}
-
-/// A point-in-time copy of [`SessionGauges`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SessionSnapshot {
-    /// Sessions currently attached to shared sentinels.
-    pub sessions: u64,
-    /// High-water mark of sessions on any one shared sentinel.
-    pub sessions_peak: u64,
-    /// Total attaches since startup.
-    pub attaches: u64,
-    /// Writes absorbed into staged batches without a crossing.
-    pub coalesced_writes: u64,
-    /// Staged batches flushed as single crossings.
-    pub flushed_batches: u64,
-}
-
-/// Live gauges for the sharded sentinel executor: how many sentinel
-/// state machines exist, how hard the bounded worker pool is working, and
-/// how often schedulers had to steal across shards or park.
-#[derive(Debug, Default)]
-pub struct FleetGauges {
-    sentinels: AtomicU64,
-    sentinels_peak: AtomicU64,
-    spawned: AtomicU64,
-    polls: AtomicU64,
-    steals: AtomicU64,
-    wakeups: AtomicU64,
-    parks: AtomicU64,
-    queue_depth_peak: AtomicU64,
-    workers: AtomicU64,
-    shards: AtomicU64,
-    abandoned: AtomicU64,
-    pinned: AtomicU64,
 }
 
 impl FleetGauges {
@@ -262,67 +296,25 @@ impl FleetGauges {
     pub fn set_shards(&self, shards: u64) {
         self.shards.store(shards, Ordering::Relaxed);
     }
+}
 
-    /// Copies out the current gauge values.
-    pub fn snapshot(&self) -> FleetSnapshot {
-        FleetSnapshot {
-            sentinels: self.sentinels.load(Ordering::Relaxed),
-            sentinels_peak: self.sentinels_peak.load(Ordering::Relaxed),
-            spawned: self.spawned.load(Ordering::Relaxed),
-            polls: self.polls.load(Ordering::Relaxed),
-            steals: self.steals.load(Ordering::Relaxed),
-            wakeups: self.wakeups.load(Ordering::Relaxed),
-            parks: self.parks.load(Ordering::Relaxed),
-            queue_depth_peak: self.queue_depth_peak.load(Ordering::Relaxed),
-            workers: self.workers.load(Ordering::Relaxed),
-            shards: self.shards.load(Ordering::Relaxed),
-            abandoned: self.abandoned.load(Ordering::Relaxed),
-            pinned: self.pinned.load(Ordering::Relaxed),
-        }
+metric_family! {
+    /// Per-sentinel resource accounting: the substrate quota throttling
+    /// will enforce against (ROADMAP sandboxing item). Fed by the
+    /// sentinel-side dispatch paths; always live, like the queue gauges.
+    /// Exported once per sentinel, labelled `sentinel`.
+    SentinelStats => SentinelStatsSnapshot {
+        /// Ops dispatched to the sentinel.
+        ops: counter "afs_sentinel_ops_total",
+        /// Ops that returned an error.
+        errors: counter "afs_sentinel_errors_total",
+        /// Payload bytes carried into the sentinel (writes).
+        bytes_in: counter "afs_sentinel_bytes_in_total",
+        /// Payload bytes carried out of the sentinel (reads).
+        bytes_out: counter "afs_sentinel_bytes_out_total",
+        /// Deepest queued-op backlog a dispatch sweep has seen.
+        queue_depth_peak: gauge "afs_sentinel_queue_depth_peak",
     }
-}
-
-/// A point-in-time copy of [`FleetGauges`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FleetSnapshot {
-    /// Sentinel state machines currently registered with the executor.
-    pub sentinels: u64,
-    /// High-water mark of live sentinels.
-    pub sentinels_peak: u64,
-    /// Total sentinels ever spawned onto the executor.
-    pub spawned: u64,
-    /// Total state-machine polls executed by workers.
-    pub polls: u64,
-    /// Polls served from a non-home shard (work stealing).
-    pub steals: u64,
-    /// Readiness wakeups that scheduled an idle sentinel.
-    pub wakeups: u64,
-    /// Times a worker parked with every shard queue empty.
-    pub parks: u64,
-    /// Deepest run queue any single shard has seen.
-    pub queue_depth_peak: u64,
-    /// Live worker threads (0 before first spawn and after shutdown).
-    pub workers: u64,
-    /// Number of shards (striping width).
-    pub shards: u64,
-    /// Sentinels whose close hook ran at executor shutdown because their
-    /// application side never closed them.
-    pub abandoned: u64,
-    /// Sentinels pinned to dedicated threads (spawned from inside another
-    /// sentinel — §3 composition — so they cannot starve the pool).
-    pub pinned: u64,
-}
-
-/// Per-sentinel resource accounting: the substrate quota throttling will
-/// enforce against (ROADMAP sandboxing item). Fed by the sentinel-side
-/// dispatch paths; always live, like the queue gauges.
-#[derive(Debug, Default)]
-pub struct SentinelStats {
-    ops: AtomicU64,
-    errors: AtomicU64,
-    bytes_in: AtomicU64,
-    bytes_out: AtomicU64,
-    queue_depth_peak: AtomicU64,
 }
 
 impl SentinelStats {
@@ -347,46 +339,28 @@ impl SentinelStats {
     pub fn note_queue_depth(&self, depth: u64) {
         self.queue_depth_peak.fetch_max(depth, Ordering::Relaxed);
     }
+}
 
-    /// Copies out the current counters.
-    pub fn snapshot(&self) -> SentinelStatsSnapshot {
-        SentinelStatsSnapshot {
-            ops: self.ops.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
-            bytes_in: self.bytes_in.load(Ordering::Relaxed),
-            bytes_out: self.bytes_out.load(Ordering::Relaxed),
-            queue_depth_peak: self.queue_depth_peak.load(Ordering::Relaxed),
-        }
+metric_family! {
+    /// Live gauges for submission/completion rings: batch sizes, ring
+    /// occupancy, completion ordering, and readahead effectiveness. Fed by
+    /// the ring transports and the handle-side batching policy; always
+    /// live, like the queue gauges.
+    RingGauges => RingSnapshot {
+        /// Doorbell rings (one per submitted batch).
+        batches: counter "afs_ring_batches_total",
+        /// Total operations carried by those batches.
+        ops_submitted: counter "afs_ring_ops_submitted_total",
+        /// Deepest submission-ring occupancy observed at submit time.
+        occupancy_peak: gauge "afs_ring_occupancy_peak",
+        /// Completions posted.
+        completions: counter "afs_ring_completions_total",
+        /// Completions posted out of submission order.
+        completions_out_of_order: counter "afs_ring_completions_out_of_order_total",
+        /// Reads served from harvested readahead completions (zero new
+        /// crossings).
+        readahead_hits: counter "afs_ring_readahead_hits_total",
     }
-}
-
-/// A point-in-time copy of [`SentinelStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SentinelStatsSnapshot {
-    /// Ops dispatched to the sentinel.
-    pub ops: u64,
-    /// Ops that returned an error.
-    pub errors: u64,
-    /// Payload bytes carried into the sentinel (writes).
-    pub bytes_in: u64,
-    /// Payload bytes carried out of the sentinel (reads).
-    pub bytes_out: u64,
-    /// Deepest queued-op backlog a dispatch sweep has seen.
-    pub queue_depth_peak: u64,
-}
-
-/// Live gauges for submission/completion rings: batch sizes, ring
-/// occupancy, completion ordering, and readahead effectiveness. Fed by
-/// the ring transports and the handle-side batching policy; always live,
-/// like the queue gauges.
-#[derive(Debug, Default)]
-pub struct RingGauges {
-    batches: AtomicU64,
-    ops_submitted: AtomicU64,
-    occupancy_peak: AtomicU64,
-    completions: AtomicU64,
-    completions_out_of_order: AtomicU64,
-    readahead_hits: AtomicU64,
 }
 
 impl RingGauges {
@@ -413,50 +387,31 @@ impl RingGauges {
     pub fn readahead_hit(&self) {
         self.readahead_hits.fetch_add(1, Ordering::Relaxed);
     }
+}
 
-    /// Copies out the current gauge values.
-    pub fn snapshot(&self) -> RingSnapshot {
-        RingSnapshot {
-            batches: self.batches.load(Ordering::Relaxed),
-            ops_submitted: self.ops_submitted.load(Ordering::Relaxed),
-            occupancy_peak: self.occupancy_peak.load(Ordering::Relaxed),
-            completions: self.completions.load(Ordering::Relaxed),
-            completions_out_of_order: self.completions_out_of_order.load(Ordering::Relaxed),
-            readahead_hits: self.readahead_hits.load(Ordering::Relaxed),
-        }
+metric_family! {
+    /// Live gauges for the durable page store: WAL traffic, commit/fsync
+    /// cadence, checkpoints, and what recovery found on reopen.
+    ///
+    /// `flight` is the flight recorder torn-tail detection triggers. The
+    /// store layer never sees the telemetry hub; the hub wires this up at
+    /// construction.
+    StoreGauges { flight: Mutex<Option<Arc<FlightRecorder>>> } => StoreSnapshot {
+        /// WAL records appended.
+        wal_appends: counter "afs_store_wal_appends_total",
+        /// Bytes of WAL records appended to the medium.
+        wal_bytes: counter "afs_store_wal_bytes_total",
+        /// fsync barriers issued.
+        fsyncs: counter "afs_store_fsyncs_total",
+        /// WAL batches committed (group commits).
+        commits: counter "afs_store_commits_total",
+        /// Checkpoints taken.
+        checkpoints: counter "afs_store_checkpoints_total",
+        /// WAL records replayed by redo recovery across reopens.
+        recovered_records: counter "afs_store_recovered_records_total",
+        /// Torn WAL tails detected via checksum and discarded.
+        torn_detected: counter "afs_store_torn_detected_total",
     }
-}
-
-/// A point-in-time copy of [`RingGauges`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RingSnapshot {
-    /// Doorbell rings (one per submitted batch).
-    pub batches: u64,
-    /// Total operations carried by those batches.
-    pub ops_submitted: u64,
-    /// Deepest submission-ring occupancy observed at submit time.
-    pub occupancy_peak: u64,
-    /// Completions posted.
-    pub completions: u64,
-    /// Completions posted out of submission order.
-    pub completions_out_of_order: u64,
-    /// Reads served from harvested readahead completions (zero new
-    /// crossings).
-    pub readahead_hits: u64,
-}
-
-/// Live gauges for the durable page store: WAL traffic, commit/fsync
-/// cadence, checkpoints, and what recovery found on reopen.
-#[derive(Debug, Default)]
-pub struct StoreGauges {
-    wal_appends: AtomicU64,
-    wal_bytes: AtomicU64,
-    fsyncs: AtomicU64,
-    commits: AtomicU64,
-    checkpoints: AtomicU64,
-    recovered_records: AtomicU64,
-    torn_detected: AtomicU64,
-    flight: Mutex<Option<Arc<FlightRecorder>>>,
 }
 
 impl StoreGauges {
@@ -497,60 +452,36 @@ impl StoreGauges {
     }
 
     /// Attaches the flight recorder torn-tail detection should trigger.
-    /// The store layer never sees the telemetry hub; the hub wires this up
-    /// at construction.
     pub fn set_flight(&self, flight: Arc<FlightRecorder>) {
         *self.flight.lock() = Some(flight);
     }
+}
 
-    /// Copies out the current gauge values.
-    pub fn snapshot(&self) -> StoreSnapshot {
-        StoreSnapshot {
-            wal_appends: self.wal_appends.load(Ordering::Relaxed),
-            wal_bytes: self.wal_bytes.load(Ordering::Relaxed),
-            fsyncs: self.fsyncs.load(Ordering::Relaxed),
-            commits: self.commits.load(Ordering::Relaxed),
-            checkpoints: self.checkpoints.load(Ordering::Relaxed),
-            recovered_records: self.recovered_records.load(Ordering::Relaxed),
-            torn_detected: self.torn_detected.load(Ordering::Relaxed),
-        }
+metric_family! {
+    /// Live gauges for the replicated active-file cluster: write fan-out,
+    /// read routing (primary hits vs failovers), membership churn, and
+    /// staleness-bound rejections. Fed by the cluster client; always live,
+    /// like the queue gauges.
+    ClusterGauges => ClusterSnapshot {
+        /// Primary-acknowledged writes.
+        writes: counter "afs_cluster_writes_total",
+        /// Replica casts fanned out by those writes.
+        replications: counter "afs_cluster_replications_total",
+        /// Replica casts that failed locally (dropped, partitioned).
+        replication_failures: counter "afs_cluster_replication_failures_total",
+        /// Reads routed through the placement.
+        reads: counter "afs_cluster_reads_total",
+        /// Reads served by a node other than the placement primary.
+        read_failovers: counter "afs_cluster_read_failovers_total",
+        /// Bounded-staleness wait rounds (budget burned, read retried).
+        stale_waits: counter "afs_cluster_stale_waits_total",
+        /// Reads rejected with every owner behind the staleness budget.
+        stale_rejects: counter "afs_cluster_stale_rejects_total",
+        /// Current fleet size.
+        nodes: gauge "afs_cluster_nodes",
+        /// Membership changes applied.
+        rebalances: counter "afs_cluster_rebalances_total",
     }
-}
-
-/// A point-in-time copy of [`StoreGauges`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StoreSnapshot {
-    /// WAL records appended.
-    pub wal_appends: u64,
-    /// Bytes of WAL records appended to the medium.
-    pub wal_bytes: u64,
-    /// fsync barriers issued.
-    pub fsyncs: u64,
-    /// WAL batches committed (group commits).
-    pub commits: u64,
-    /// Checkpoints taken.
-    pub checkpoints: u64,
-    /// WAL records replayed by redo recovery across reopens.
-    pub recovered_records: u64,
-    /// Torn WAL tails detected via checksum and discarded.
-    pub torn_detected: u64,
-}
-
-/// Live gauges for the replicated active-file cluster: write fan-out,
-/// read routing (primary hits vs failovers), membership churn, and
-/// staleness-bound rejections. Fed by the cluster client; always live,
-/// like the queue gauges.
-#[derive(Debug, Default)]
-pub struct ClusterGauges {
-    writes: AtomicU64,
-    replications: AtomicU64,
-    replication_failures: AtomicU64,
-    reads: AtomicU64,
-    read_failovers: AtomicU64,
-    stale_waits: AtomicU64,
-    stale_rejects: AtomicU64,
-    nodes: AtomicU64,
-    rebalances: AtomicU64,
 }
 
 impl ClusterGauges {
@@ -592,44 +523,6 @@ impl ClusterGauges {
         self.nodes.store(nodes, Ordering::Relaxed);
         self.rebalances.fetch_add(1, Ordering::Relaxed);
     }
-
-    /// Copies out the current gauge values.
-    pub fn snapshot(&self) -> ClusterSnapshot {
-        ClusterSnapshot {
-            writes: self.writes.load(Ordering::Relaxed),
-            replications: self.replications.load(Ordering::Relaxed),
-            replication_failures: self.replication_failures.load(Ordering::Relaxed),
-            reads: self.reads.load(Ordering::Relaxed),
-            read_failovers: self.read_failovers.load(Ordering::Relaxed),
-            stale_waits: self.stale_waits.load(Ordering::Relaxed),
-            stale_rejects: self.stale_rejects.load(Ordering::Relaxed),
-            nodes: self.nodes.load(Ordering::Relaxed),
-            rebalances: self.rebalances.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A point-in-time copy of [`ClusterGauges`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ClusterSnapshot {
-    /// Primary-acknowledged writes.
-    pub writes: u64,
-    /// Replica casts fanned out by those writes.
-    pub replications: u64,
-    /// Replica casts that failed locally (dropped, partitioned).
-    pub replication_failures: u64,
-    /// Reads routed through the placement.
-    pub reads: u64,
-    /// Reads served by a node other than the placement primary.
-    pub read_failovers: u64,
-    /// Bounded-staleness wait rounds (budget burned, read retried).
-    pub stale_waits: u64,
-    /// Reads rejected with every owner behind the staleness budget.
-    pub stale_rejects: u64,
-    /// Current fleet size.
-    pub nodes: u64,
-    /// Membership changes applied.
-    pub rebalances: u64,
 }
 
 #[cfg(test)]

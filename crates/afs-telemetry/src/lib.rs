@@ -40,6 +40,7 @@ mod export;
 mod flight;
 mod gauges;
 mod hist;
+pub mod json;
 mod registry;
 mod slo;
 mod span;

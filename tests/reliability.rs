@@ -194,7 +194,15 @@ fn breaker_trips_open_then_recovers_through_half_open() {
 
 #[test]
 fn degraded_reads_serve_stale_cache_and_flag_it() {
-    let (world, _server) = reliable_world(&[("degraded", "true")]);
+    // `on` is the one boolean grammar's spelling; before the runtime keys
+    // were one table it silently meant *off* here.
+    for spelling in ["true", "on"] {
+        degraded_scenario(spelling);
+    }
+}
+
+fn degraded_scenario(spelling: &str) {
+    let (world, _server) = reliable_world(&[("degraded", spelling)]);
     let plan = world.net().plan("files").expect("plan");
     let api = world.api();
     let h = api
@@ -232,6 +240,24 @@ fn degraded_reads_serve_stale_cache_and_flag_it() {
         vec![0u8]
     );
     api.close_handle(h).expect("close");
+}
+
+/// One row per grammar, through the file API an application uses: a
+/// value outside a runtime key's grammar fails the open — it used to run
+/// with the default (three attempts, degraded off, sharing on).
+#[test]
+fn bad_runtime_values_fail_the_open() {
+    for (key, value) in [("retry", "3x"), ("degraded", "maybe"), ("share", "banana")] {
+        let (world, _server) = reliable_world(&[(key, value)]);
+        assert_eq!(
+            world
+                .api()
+                .create_file("/m.af", Access::read_only(), Disposition::OpenExisting),
+            Err(Win32Error::InvalidParameter),
+            "{key}={value} must fail the open"
+        );
+        assert_eq!(world.open_sentinel_count(), 0, "nothing was launched");
+    }
 }
 
 #[test]

@@ -376,3 +376,313 @@ fn remote_reads_reach_the_backend_layer() {
         "cache hits show up as backend spans"
     );
 }
+
+// ---- the declared metric families ------------------------------------------
+
+/// `(exported name, kind)` of every declared family metric, family by
+/// family in export order — read off the declarations, not retyped.
+fn declared_families() -> Vec<(&'static str, &'static str)> {
+    use afs_telemetry::{
+        ClusterSnapshot, FleetSnapshot, RingSnapshot, SessionSnapshot, StoreSnapshot,
+    };
+    [
+        activefiles::ReliabilitySnapshot::METRICS,
+        activefiles::GaugesSnapshot::METRICS,
+        SessionSnapshot::METRICS,
+        FleetSnapshot::METRICS,
+        StoreSnapshot::METRICS,
+        RingSnapshot::METRICS,
+        ClusterSnapshot::METRICS,
+        activefiles::SentinelStatsSnapshot::METRICS,
+    ]
+    .concat()
+}
+
+/// The names `register_world_collectors` exported for the eight families
+/// before they were declared as tables, in its order, plus the one the
+/// hand-copied list had dropped (`afs_fleet_pinned_total`). Nothing else
+/// may move.
+const GOLDEN_FAMILY_NAMES: [&str; 58] = [
+    "afs_retries_total",
+    "afs_failovers_total",
+    "afs_breaker_trips_total",
+    "afs_breaker_rejections_total",
+    "afs_degraded_reads_total",
+    "afs_queued_writes_total",
+    "afs_replayed_writes_total",
+    "afs_pipe_buffered_bytes",
+    "afs_pipe_buffered_peak_bytes",
+    "afs_pipe_queue_messages_total",
+    "afs_shm_pending_slots",
+    "afs_shm_messages_total",
+    "afs_pool_reuses_total",
+    "afs_pool_allocations_total",
+    "afs_sessions_current",
+    "afs_sessions_peak",
+    "afs_session_attaches_total",
+    "afs_coalesced_writes_total",
+    "afs_batch_flushes_total",
+    "afs_fleet_sentinels",
+    "afs_fleet_sentinels_peak",
+    "afs_fleet_spawned_total",
+    "afs_fleet_polls_total",
+    "afs_fleet_steals_total",
+    "afs_fleet_wakeups_total",
+    "afs_fleet_parks_total",
+    "afs_fleet_queue_depth_peak",
+    "afs_fleet_workers",
+    "afs_fleet_shards",
+    "afs_fleet_abandoned_total",
+    "afs_fleet_pinned_total",
+    "afs_store_wal_appends_total",
+    "afs_store_wal_bytes_total",
+    "afs_store_fsyncs_total",
+    "afs_store_commits_total",
+    "afs_store_checkpoints_total",
+    "afs_store_recovered_records_total",
+    "afs_store_torn_detected_total",
+    "afs_ring_batches_total",
+    "afs_ring_ops_submitted_total",
+    "afs_ring_occupancy_peak",
+    "afs_ring_completions_total",
+    "afs_ring_completions_out_of_order_total",
+    "afs_ring_readahead_hits_total",
+    "afs_cluster_writes_total",
+    "afs_cluster_replications_total",
+    "afs_cluster_replication_failures_total",
+    "afs_cluster_reads_total",
+    "afs_cluster_read_failovers_total",
+    "afs_cluster_stale_waits_total",
+    "afs_cluster_stale_rejects_total",
+    "afs_cluster_nodes",
+    "afs_cluster_rebalances_total",
+    "afs_sentinel_ops_total",
+    "afs_sentinel_errors_total",
+    "afs_sentinel_bytes_in_total",
+    "afs_sentinel_bytes_out_total",
+    "afs_sentinel_queue_depth_peak",
+];
+
+/// Names exported by the collectors that are not families: their label
+/// sets (or their very presence) depend on what ran.
+const DYNAMIC_PREFIXES: [&str; 8] = [
+    "afs_cost_",
+    "afs_net_dropped_total",
+    "afs_ops_total",
+    "afs_op_",
+    "afs_spans_total",
+    "afs_sentinel_latency_ns",
+    "afs_flight_",
+    "afs_slo_",
+];
+
+/// A small workload that touches every layer a family counts: two shared
+/// sessions over shared memory, a kernel-pipe sentinel, a batched ring, a
+/// durable store, an SLO-tracked file, and a §3 composition open.
+fn mixed_workload() -> AfsWorld {
+    let w = AfsWorld::new();
+    register_standard_sentinels(&w);
+    let null = |strategy| SentinelSpec::new("null", strategy).backing(Backing::Memory);
+    for (path, spec) in [
+        ("/shared.af", null(Strategy::DllThread)),
+        ("/pipes.af", null(Strategy::ProcessControl)),
+        (
+            "/ring.af",
+            null(Strategy::DllThread)
+                .with("batch", "on")
+                .with("ring_depth", "4"),
+        ),
+        (
+            "/ledger.af",
+            null(Strategy::DllOnly)
+                .with("durable", "on")
+                .with("slo_p99_us", "1000"),
+        ),
+        ("/inner.af", null(Strategy::DllThread)),
+        (
+            "/outer.af",
+            SentinelSpec::new("relay", Strategy::DllThread).with("target", "/inner.af"),
+        ),
+    ] {
+        w.install_active_file(path, &spec).expect("install");
+    }
+    w.telemetry().set_enabled(true);
+    let api = w.api();
+    let open = |path| {
+        api.create_file(path, Access::read_write(), Disposition::OpenExisting)
+            .expect("open")
+    };
+    let (a, b) = (open("/shared.af"), open("/shared.af"));
+    let mut buf = [0u8; 8];
+    let rest = ["/pipes.af", "/ring.af", "/ledger.af", "/outer.af"].map(open);
+    for h in [a, b].into_iter().chain(rest) {
+        api.write_file(h, b"mixed workload").expect("write");
+        api.set_file_pointer(h, 0, SeekMethod::Begin).expect("seek");
+        api.read_file(h, &mut buf).expect("read");
+        api.read_file(h, &mut buf[..4]).expect("read on");
+        api.close_handle(h).expect("close");
+    }
+    w
+}
+
+#[test]
+fn every_declared_metric_is_exported_once_with_its_kind() {
+    use activefiles::MetricValue;
+    let declared = declared_families();
+    assert_eq!(
+        declared.iter().map(|d| d.0).collect::<Vec<_>>(),
+        GOLDEN_FAMILY_NAMES,
+        "family declarations: names and export order"
+    );
+    let w = mixed_workload();
+    let snapshot = w.metrics().snapshot();
+    // Exported family series, in export order, follow the declarations:
+    // once per family, once per sentinel for the labelled one.
+    let exported: Vec<&activefiles::Metric> = snapshot
+        .iter()
+        .filter(|m| declared.iter().any(|d| d.0 == m.name))
+        .collect();
+    let sentinels: Vec<&str> = w
+        .telemetry()
+        .sentinel_stats_snapshots()
+        .iter()
+        .map(|(name, _)| *name)
+        .collect();
+    assert!(sentinels.contains(&"null") && sentinels.contains(&"relay"));
+    let per_sentinel = activefiles::SentinelStatsSnapshot::METRICS.len();
+    let (unlabelled, labelled) = declared.split_at(declared.len() - per_sentinel);
+    // One `name kind sentinel` line per expected series.
+    let mut want: Vec<String> = unlabelled
+        .iter()
+        .map(|(name, kind)| format!("{name} {kind} -"))
+        .collect();
+    for sentinel in &sentinels {
+        for (name, kind) in labelled {
+            want.push(format!("{name} {kind} {sentinel}"));
+        }
+    }
+    let got: Vec<String> = exported
+        .iter()
+        .map(|m| {
+            let kind = match m.value {
+                MetricValue::Counter(_) => "counter",
+                MetricValue::Gauge(_) => "gauge",
+                MetricValue::Summary(_) => "summary",
+            };
+            let sentinel = match m.labels.as_slice() {
+                [] => "-",
+                [("sentinel", name)] => name,
+                other => panic!("{}: unexpected labels {other:?}", m.name),
+            };
+            format!("{} {kind} {sentinel}", m.name)
+        })
+        .collect();
+    assert_eq!(got, want);
+
+    // Every exported `afs_*` name is a declared family metric or comes
+    // from one of the few dynamic collectors — nothing is exported that
+    // no table and no list accounts for.
+    let prom = prometheus_text(&snapshot);
+    for line in prom.lines() {
+        let name = line.split(['{', ' ']).next().expect("series name");
+        assert!(
+            declared.iter().any(|d| d.0 == name)
+                || DYNAMIC_PREFIXES.iter().any(|p| name.starts_with(p)),
+            "`{name}` is exported but declared nowhere"
+        );
+    }
+    for prefix in DYNAMIC_PREFIXES {
+        assert!(prom.contains(prefix), "dynamic collector {prefix}* ran");
+    }
+}
+
+#[test]
+fn family_values_reach_the_export() {
+    let value = |w: &AfsWorld, name: &str| {
+        let hits: Vec<u64> = w
+            .metrics()
+            .snapshot()
+            .iter()
+            .filter(|m| m.name == name && m.labels.is_empty())
+            .map(|m| match m.value {
+                activefiles::MetricValue::Counter(v) | activefiles::MetricValue::Gauge(v) => v,
+                activefiles::MetricValue::Summary(_) => panic!("{name} is a summary"),
+            })
+            .collect();
+        assert_eq!(hits.len(), 1, "{name} exported once");
+        hits[0]
+    };
+    // A plain open pins nothing …
+    let (plain, file) = world_with(Strategy::DllThread);
+    let h = plain
+        .api()
+        .create_file(file, Access::read_only(), Disposition::OpenExisting)
+        .expect("open");
+    plain.api().close_handle(h).expect("close");
+    assert_eq!(value(&plain, "afs_fleet_pinned_total"), 0);
+    // … a §3 composition open (the relay sentinel opening `/inner.af`
+    // through its ctx's API) pins exactly the one sentinel it spawned.
+    let w = mixed_workload();
+    assert_eq!(value(&w, "afs_fleet_pinned_total"), 1);
+    assert_eq!(w.telemetry().fleet().snapshot().pinned, 1);
+    // One spot check per family that the exported value is the snapshot
+    // field of the same declaration line.
+    let t = w.telemetry();
+    assert_eq!(
+        value(&w, "afs_session_attaches_total"),
+        t.sessions().snapshot().attaches
+    );
+    assert!(
+        t.sessions().snapshot().attaches >= 2,
+        "two sessions on one sentinel"
+    );
+    assert_eq!(
+        value(&w, "afs_shm_messages_total"),
+        t.gauges().snapshot().shm_messages
+    );
+    assert!(value(&w, "afs_pipe_queue_messages_total") > 0);
+    assert_eq!(
+        value(&w, "afs_ring_batches_total"),
+        t.rings().snapshot().batches
+    );
+    assert!(value(&w, "afs_ring_ops_submitted_total") > 0);
+    assert_eq!(
+        value(&w, "afs_store_commits_total"),
+        t.store().snapshot().commits
+    );
+    assert!(value(&w, "afs_store_wal_appends_total") > 0);
+    assert_eq!(
+        value(&w, "afs_fleet_spawned_total"),
+        t.fleet().snapshot().spawned
+    );
+    assert_eq!(
+        value(&w, "afs_retries_total"),
+        w.net().reliability().retries
+    );
+    assert_eq!(
+        value(&w, "afs_cluster_nodes"),
+        0,
+        "no cluster in this world"
+    );
+}
+
+/// `docs/OBSERVABILITY.md`'s metric reference is the family declarations,
+/// rendered: same names, same kinds, same order.
+#[test]
+fn observability_md_lists_exactly_the_declared_metrics() {
+    let doc = include_str!("../docs/OBSERVABILITY.md");
+    let listed: Vec<(&str, &str)> = doc
+        .lines()
+        .filter_map(|l| l.strip_prefix("| `afs_"))
+        .filter_map(|l| {
+            let (name, rest) = l.split_once("` | ")?;
+            Some((name, rest.split(" |").next()?))
+        })
+        .collect();
+    let declared = declared_families();
+    assert_eq!(listed.len(), declared.len(), "one doc row per metric");
+    for ((name, kind), (want_name, want_kind)) in listed.iter().zip(&declared) {
+        assert_eq!(format!("afs_{name}"), *want_name);
+        assert_eq!(kind, want_kind, "{want_name}");
+    }
+}
