@@ -2,7 +2,7 @@
 //! open.
 //!
 //! The second open of an active file normally attaches to the running
-//! sentinel as a new session (`MuxTransport`); `share=off` forces the
+//! sentinel as a new session (`MuxSession`); `share=off` forces the
 //! paper's literal model — a private sentinel per open. This bench drives
 //! the same concurrent-writer workload as `figure6 --concurrency` at
 //! 1/2/8/32 clients in both modes and reports wall-clock per iteration;

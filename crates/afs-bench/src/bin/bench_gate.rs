@@ -1,66 +1,62 @@
 //! The CI bench-regression gate.
 //!
 //! ```text
-//! bench_gate <baseline.json> <current.json> [--threshold-pct N] [--summary FILE]
+//! bench_gate <baseline.json> <current.json> [--summary FILE]
 //! ```
 //!
-//! Both files are `figure6 --json` documents. Exits non-zero if any
-//! strategy's p99 latency in the current run exceeds the baseline's by
-//! more than the threshold (default 30%), or if a baseline strategy is
-//! missing from the current run. `--summary FILE` appends the per-cell
-//! comparison as a GitHub-flavoured markdown table — CI points it at
-//! `$GITHUB_STEP_SUMMARY` so the deltas render on the run page.
+//! Both files are `figure6 --json` documents of virtual-time numbers,
+//! reproducible to the bit, so the rule is exact: the gate prints one
+//! line per field of every cell that differs from the baseline (and per
+//! cell missing from either side) and exits non-zero on any. A change
+//! that moves a cell on purpose regenerates the baseline in the same PR.
+//! `--summary FILE` appends the per-cell comparison as a GitHub-flavoured
+//! markdown table — CI points it at `$GITHUB_STEP_SUMMARY` so the moved
+//! cells are marked on the run page.
 
 use std::io::Write;
 use std::process::ExitCode;
 
 use afs_bench::{compare, parse_bench_doc, BenchDoc};
 
-/// Renders the gate comparison as a markdown table: one row per cell in
-/// the current run, with the baseline p99, the delta against it, and a
-/// pass/fail column at the gate threshold.
-fn markdown_summary(baseline: &BenchDoc, current: &BenchDoc, threshold_pct: f64) -> String {
-    let mut out = String::new();
-    out.push_str("## Bench gate\n\n");
-    out.push_str(&format!(
-        "Threshold: p99 within +{threshold_pct}% of baseline ({} ops per cell).\n\n",
+/// Renders the comparison as a markdown table: one row per cell of either
+/// document, marked when any of `differences` names it.
+fn markdown_summary(
+    baseline: &BenchDoc,
+    current: &BenchDoc,
+    differences: &[(String, String)],
+) -> String {
+    let mut out = format!(
+        "## Bench gate\n\nEvery field of every cell equals the baseline, exactly \
+         ({} ops per cell).\n\n\
+         | cell | baseline mean / p50 / p99 (ns) | current mean / p50 / p99 (ns) | status |\n\
+         |---|---:|---:|---|\n",
         current.ops
-    ));
-    out.push_str("| cell | baseline p99 (ns) | current p99 (ns) | delta | status |\n");
-    out.push_str("|---|---:|---:|---:|---|\n");
-    for (label, cur) in &current.strategies {
-        match baseline.strategies.get(label) {
-            Some(base) => {
-                let delta_pct = if base.p99_ns == 0 {
-                    0.0
-                } else {
-                    (cur.p99_ns as f64 - base.p99_ns as f64) / base.p99_ns as f64 * 100.0
-                };
-                let status = if delta_pct > threshold_pct {
-                    "❌ regression"
-                } else {
-                    "✅"
-                };
-                out.push_str(&format!(
-                    "| {label} | {} | {} | {delta_pct:+.1}% | {status} |\n",
-                    base.p99_ns, cur.p99_ns
-                ));
-            }
-            None => {
-                out.push_str(&format!(
-                    "| {label} | — | {} | — | 🆕 no baseline |\n",
-                    cur.p99_ns
-                ));
-            }
-        }
-    }
-    for (label, base) in &baseline.strategies {
-        if !current.strategies.contains_key(label) {
-            out.push_str(&format!(
-                "| {label} | {} | — | — | ❌ missing from current run |\n",
-                base.p99_ns
-            ));
-        }
+    );
+    let cell = |doc: &BenchDoc, label: &str| match doc.strategies.get(label) {
+        Some(s) => format!("{:.1} / {} / {}", s.mean_ns, s.p50_ns, s.p99_ns),
+        None => "—".to_owned(),
+    };
+    let labels: std::collections::BTreeSet<&String> = baseline
+        .strategies
+        .keys()
+        .chain(current.strategies.keys())
+        .collect();
+    for label in labels {
+        let moved: Vec<&str> = differences
+            .iter()
+            .filter(|(cell, _)| cell == label)
+            .map(|(_, what)| what.as_str())
+            .collect();
+        let status = if moved.is_empty() {
+            "✅".to_owned()
+        } else {
+            format!("❌ {}", moved.join("; "))
+        };
+        out.push_str(&format!(
+            "| {label} | {} | {} | {status} |\n",
+            cell(baseline, label),
+            cell(current, label)
+        ));
     }
     out.push('\n');
     out
@@ -68,26 +64,17 @@ fn markdown_summary(baseline: &BenchDoc, current: &BenchDoc, threshold_pct: f64)
 
 fn die(msg: &str) -> ExitCode {
     eprintln!("bench_gate: {msg}");
-    eprintln!(
-        "usage: bench_gate <baseline.json> <current.json> [--threshold-pct N] [--summary FILE]"
-    );
+    eprintln!("usage: bench_gate <baseline.json> <current.json> [--summary FILE]");
     ExitCode::from(2)
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut paths = Vec::new();
-    let mut threshold_pct = 30.0f64;
     let mut summary_path: Option<String> = None;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--threshold-pct" => {
-                let Some(value) = iter.next().and_then(|v| v.parse::<f64>().ok()) else {
-                    return die("--threshold-pct needs a numeric value");
-                };
-                threshold_pct = value;
-            }
             "--summary" => {
                 let Some(value) = iter.next() else {
                     return die("--summary needs an output path");
@@ -117,11 +104,11 @@ fn main() -> ExitCode {
         Err(e) => return die(&e),
     };
 
-    let violations = compare(&baseline, &current, threshold_pct);
+    let differences = compare(&baseline, &current);
     if let Some(path) = summary_path {
         // Append rather than truncate: $GITHUB_STEP_SUMMARY accumulates
         // sections from every step in the job.
-        let table = markdown_summary(&baseline, &current, threshold_pct);
+        let table = markdown_summary(&baseline, &current, &differences);
         let write = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
@@ -131,21 +118,15 @@ fn main() -> ExitCode {
             return die(&format!("cannot write summary {path}: {e}"));
         }
     }
-    for (label, cur) in &current.strategies {
-        match baseline.strategies.get(label) {
-            Some(base) => println!(
-                "{label}: p99 {} ns (baseline {} ns, limit +{threshold_pct}%)",
-                cur.p99_ns, base.p99_ns
-            ),
-            None => println!("{label}: p99 {} ns (no baseline entry)", cur.p99_ns),
-        }
-    }
-    if violations.is_empty() {
-        println!("bench gate: PASS ({} strategies)", current.strategies.len());
+    if differences.is_empty() {
+        println!(
+            "bench gate: PASS ({} cells, every field equal)",
+            current.strategies.len()
+        );
         ExitCode::SUCCESS
     } else {
-        for v in &violations {
-            eprintln!("bench gate: REGRESSION — {v}");
+        for (cell, what) in &differences {
+            eprintln!("bench gate: MOVED — {cell}: {what}");
         }
         ExitCode::FAILURE
     }

@@ -6,7 +6,7 @@
 //! every strategy's full hot path) and renders it as a small JSON
 //! document. Because every sample is *virtual* time from the calibrated
 //! cost model, the numbers are bit-for-bit reproducible across machines,
-//! so CI can hold them to a tight threshold without flakiness.
+//! so CI holds them to the committed baseline exactly.
 //!
 //! [`parse_bench_doc`] + [`compare`] implement the gate itself, used by
 //! the `bench_gate` binary against the committed `BENCH_baseline.json`.
@@ -36,7 +36,7 @@ pub struct StrategyStats {
     pub mean_ns: f64,
     /// Median per-op latency.
     pub p50_ns: u64,
-    /// 99th-percentile per-op latency — the gated number.
+    /// 99th-percentile per-op latency.
     pub p99_ns: u64,
 }
 
@@ -105,8 +105,8 @@ pub fn gate_fleet_files() -> usize {
 pub fn bench_json(ops: usize, profile: HardwareProfile) -> String {
     const BLOCK: usize = 128;
     // (label, mean, p50, p99, crossings-per-op). The crossings column is
-    // only rendered for the batching cells; the gate compares p99 and
-    // treats extra fields as informational.
+    // only rendered for the batching and cluster cells; `compare` reads
+    // the three latency fields (CI's `cmp` covers the rest).
     let mut entries: Vec<(String, f64, u64, u64, Option<f64>)> = Vec::new();
     for strategy in GATE_STRATEGIES {
         let m = measure(
@@ -324,28 +324,39 @@ pub fn parse_bench_doc(text: &str) -> Result<BenchDoc, String> {
     Ok(BenchDoc { ops, strategies })
 }
 
-/// Compares `current` against `baseline`: any strategy whose p99 exceeds
-/// the baseline's by more than `threshold_pct` percent is a regression.
-/// Strategies present in the baseline but missing from the current run
-/// are regressions too (a silently dropped series must not pass the
-/// gate). Returns one message per violation; empty means the gate passes.
-pub fn compare(baseline: &BenchDoc, current: &BenchDoc, threshold_pct: f64) -> Vec<String> {
-    let mut violations = Vec::new();
-    for (label, base) in &baseline.strategies {
-        let Some(cur) = current.strategies.get(label) else {
-            violations.push(format!("{label}: missing from current run"));
+/// Compares `current` against `baseline` with zero tolerance — every cell
+/// is virtual time, reproducible to the bit. Returns `(cell, what)`: one
+/// entry per field (`mean_ns`, `p50_ns`, `p99_ns`) of every cell that
+/// differs, per cell the baseline has and the current run lacks (a
+/// silently dropped series must not pass the gate), and per cell only
+/// the current run has. Empty means the gate passes.
+pub fn compare(baseline: &BenchDoc, current: &BenchDoc) -> Vec<(String, String)> {
+    let mut differences = Vec::new();
+    let mut differs = |cell: &String, what: String| differences.push((cell.clone(), what));
+    for (cell, base) in &baseline.strategies {
+        let Some(cur) = current.strategies.get(cell) else {
+            differs(cell, "missing from current run".to_owned());
             continue;
         };
-        let limit = base.p99_ns as f64 * (1.0 + threshold_pct / 100.0);
-        if cur.p99_ns as f64 > limit {
-            violations.push(format!(
-                "{label}: p99 {} ns exceeds baseline {} ns by more than {threshold_pct}% \
-                 (limit {:.0} ns)",
-                cur.p99_ns, base.p99_ns, limit
-            ));
+        if cur.mean_ns != base.mean_ns {
+            let (cur, base) = (cur.mean_ns, base.mean_ns);
+            differs(cell, format!("mean_ns {cur:.1} (baseline {base:.1})"));
+        }
+        for (field, cur, base) in [
+            ("p50_ns", cur.p50_ns, base.p50_ns),
+            ("p99_ns", cur.p99_ns, base.p99_ns),
+        ] {
+            if cur != base {
+                differs(cell, format!("{field} {cur} (baseline {base})"));
+            }
         }
     }
-    violations
+    for cell in current.strategies.keys() {
+        if !baseline.strategies.contains_key(cell) {
+            differs(cell, "not in baseline".to_owned());
+        }
+    }
+    differences
 }
 
 /// The workspace's one JSON reader, at the path the bench documents and
@@ -462,30 +473,41 @@ mod tests {
     #[test]
     fn compare_passes_identical_documents() {
         let doc = parse_bench_doc(&bench_json(10, HardwareProfile::pentium_ii_300())).expect("doc");
-        assert!(compare(&doc, &doc, 30.0).is_empty());
+        assert!(compare(&doc, &doc).is_empty());
     }
 
     #[test]
-    fn compare_flags_p99_regressions_and_missing_strategies() {
+    fn compare_names_every_field_that_moved_and_every_cell_missing_or_extra() {
         let baseline = parse_bench_doc(
             r#"{"ops": 10, "strategies": {
                 "DLL": {"mean_ns": 100.0, "p50_ns": 100, "p99_ns": 100},
+                "Process": {"mean_ns": 300.0, "p50_ns": 300, "p99_ns": 300},
                 "Thread": {"mean_ns": 200.0, "p50_ns": 200, "p99_ns": 200}
             }}"#,
         )
         .expect("baseline");
         let current = parse_bench_doc(
             r#"{"ops": 10, "strategies": {
-                "DLL": {"mean_ns": 140.0, "p50_ns": 140, "p99_ns": 140}
+                "DLL": {"mean_ns": 100.5, "p50_ns": 100, "p99_ns": 99},
+                "Process": {"mean_ns": 300.0, "p50_ns": 300, "p99_ns": 300},
+                "mux-1-shared": {"mean_ns": 1.0, "p50_ns": 1, "p99_ns": 1}
             }}"#,
         )
         .expect("current");
-        let violations = compare(&baseline, &current, 30.0);
-        assert_eq!(violations.len(), 2, "regression + missing: {violations:?}");
-        assert!(violations.iter().any(|v| v.contains("DLL")));
-        assert!(violations.iter().any(|v| v.contains("missing")));
-        // Within threshold passes.
-        assert!(compare(&baseline, &baseline, 30.0).is_empty());
+        let differences: Vec<String> = compare(&baseline, &current)
+            .iter()
+            .map(|(cell, what)| format!("{cell}: {what}"))
+            .collect();
+        assert_eq!(
+            differences,
+            [
+                "DLL: mean_ns 100.5 (baseline 100.0)",
+                "DLL: p99_ns 99 (baseline 100)",
+                "Thread: missing from current run",
+                "mux-1-shared: not in baseline",
+            ],
+            "an improvement is a difference too: the baseline is regenerated on purpose"
+        );
     }
 
     #[test]

@@ -45,7 +45,7 @@ const ACTIVE_HANDLE_BASE: u64 = 1 << 32;
 /// the same active file with the same spec attaches a new session instead
 /// of spawning a second sentinel. Weak entries — the sentinel lives
 /// exactly as long as some open handle keeps it alive.
-type SharedMap = Arc<Mutex<HashMap<(String, Vec<u8>), Weak<dyn SharedSentinel>>>>;
+type SharedMap = Mutex<HashMap<(String, Vec<u8>), Weak<dyn SharedSentinel>>>;
 
 struct ActiveEntry {
     ops: Arc<dyn ActiveOps>,
@@ -60,9 +60,7 @@ struct ActiveEntry {
 /// The runtime shared by every [`ActiveFileSystem`] layer instance in one
 /// world: file system, network, sentinel registry, sync namespace, cost
 /// model, and the identity of the "current user".
-#[derive(Clone)]
-pub struct ActiveFileSystem {
-    inner: Arc<dyn FileApi>,
+struct Runtime {
     vfs: Arc<Vfs>,
     net: Network,
     registry: SentinelRegistry,
@@ -72,13 +70,21 @@ pub struct ActiveFileSystem {
     telemetry: Arc<Telemetry>,
     user: String,
     signing_key: Option<u64>,
-    handles: Arc<HandleTable<ActiveEntry>>,
+    handles: HandleTable<ActiveEntry>,
     shared: SharedMap,
     /// The bounded worker pool every §4.2/§4.3 and mux sentinel of this
     /// runtime is scheduled on. Declared after `handles` so that when the
-    /// last clone drops, closing transports wake their tasks before the
+    /// runtime drops, closing transports wake their tasks before the
     /// executor's own teardown drains the stragglers.
     exec: Arc<SentinelExecutor>,
+}
+
+/// The intercepted API over one `inner` API below it: an instance of the
+/// [`ActiveFilesLayer`] that wrapped it, sharing that layer's runtime.
+#[derive(Clone)]
+pub struct ActiveFileSystem {
+    inner: Arc<dyn FileApi>,
+    runtime: Arc<Runtime>,
     /// `true` on the clone handed to sentinel contexts: opens made
     /// through it are §3 composition, whose sentinels are pinned off the
     /// bounded pool (the opener may block a worker waiting on them).
@@ -88,111 +94,17 @@ pub struct ActiveFileSystem {
 impl std::fmt::Debug for ActiveFileSystem {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ActiveFileSystem")
-            .field("user", &self.user)
-            .field("open_active_handles", &self.handles.len())
+            .field("user", &self.runtime.user)
+            .field("open_active_handles", &self.runtime.handles.len())
             .finish_non_exhaustive()
     }
 }
 
 impl ActiveFileSystem {
-    /// Creates the runtime over `inner` (the passive API used for
-    /// non-active paths and for the data parts).
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        inner: Arc<dyn FileApi>,
-        vfs: Arc<Vfs>,
-        net: Network,
-        registry: SentinelRegistry,
-        sync: SyncRegistry,
-        model: CostModel,
-        user: &str,
-    ) -> Self {
-        let telemetry = Telemetry::new();
-        let exec =
-            SentinelExecutor::new(executor::default_workers(), Arc::clone(telemetry.fleet()));
-        ActiveFileSystem {
-            inner,
-            vfs,
-            net,
-            registry,
-            sync,
-            model,
-            trace: Arc::new(OpTrace::new()),
-            telemetry,
-            user: user.to_owned(),
-            signing_key: None,
-            handles: Arc::new(HandleTable::with_start(ACTIVE_HANDLE_BASE)),
-            shared: Arc::new(Mutex::new(HashMap::new())),
-            exec,
-            nested: false,
-        }
-    }
-
-    /// Number of currently open active handles (each holds a live
-    /// sentinel).
-    pub fn open_sentinels(&self) -> usize {
-        self.handles.len()
-    }
-
-    /// The worker-pool bound M of the sentinel executor.
-    pub fn fleet_workers(&self) -> usize {
-        self.exec.worker_cap()
-    }
-
-    /// Live sentinel tasks registered on the executor (§4.2/§4.3 and mux
-    /// sentinels; §4.1 pumps and §4.4 inline opens are not tasks).
-    pub fn fleet_tasks(&self) -> u64 {
-        self.exec.live()
-    }
-
-    /// Per-shard executor occupancy, for diagnostics (`afsh fleet`).
-    pub fn fleet_shards(&self) -> Vec<FleetShardStat> {
-        self.exec.shard_stats()
-    }
-
-    /// Deterministic executor teardown: joins every worker, then drains
-    /// remaining tasks inline (close hooks still run). The world's drop
-    /// path calls this after clearing the handle table.
-    pub fn fleet_shutdown(&self) {
-        self.exec.shutdown();
-    }
-
-    /// Live shared sentinels: `(path, sentinel name, strategy label,
-    /// session count)` per entry, for diagnostics (`afsh sessions`).
-    pub fn shared_sentinels(&self) -> Vec<(String, String, &'static str, usize)> {
-        self.shared
-            .lock()
-            .iter()
-            .filter_map(|((path, spec_bytes), weak)| {
-                let shared = weak.upgrade()?;
-                let spec = SentinelSpec::decode(spec_bytes).ok()?;
-                Some((
-                    path.clone(),
-                    spec.name().to_owned(),
-                    spec.strategy().label(),
-                    shared.session_count(),
-                ))
-            })
-            .collect()
-    }
-
-    /// The per-world observability ring: every operation on every active
-    /// handle records strategy, kind, bytes, time, crossings, and copies.
-    pub fn trace(&self) -> &Arc<OpTrace> {
-        &self.trace
-    }
-
-    /// The telemetry hub shared by every layer this runtime spans: spans,
-    /// latency histograms, and queue gauges. Disabled (and free) by
-    /// default; see [`Telemetry::set_enabled`].
-    pub fn telemetry(&self) -> &Arc<Telemetry> {
-        &self.telemetry
-    }
-
     /// Opens the root [`Layer::Interpose`] span for one intercepted call
     /// against an active handle (no-op while telemetry is disabled).
     fn interpose_span(&self, name: &'static str) -> Option<SpanGuard> {
-        self.telemetry.span(Layer::Interpose, name)
+        self.runtime.telemetry.span(Layer::Interpose, name)
     }
 
     /// Decides whether `path` names an active file: the file exists and
@@ -204,7 +116,7 @@ impl ActiveFileSystem {
             return None;
         }
         let active = vpath.with_stream(ACTIVE_STREAM);
-        let bytes = self.vfs.read_stream_to_end(&active).ok()?;
+        let bytes = self.runtime.vfs.read_stream_to_end(&active).ok()?;
         if bytes.is_empty() {
             return None;
         }
@@ -218,12 +130,13 @@ impl ActiveFileSystem {
         access: Access,
         disposition: Disposition,
     ) -> ApiResult<Handle> {
+        let run = &*self.runtime;
         // A spec smuggled past `install_active_file` (written straight
         // into the `:active` stream) is validated again here: unknown
         // keys for a declaring sentinel fail the open, and so does a bad
         // value of a runtime key — on every open, before anything
         // launches.
-        let rt = self
+        let rt = run
             .registry
             .validate_spec(&spec)
             .map_err(|e| e.to_string())
@@ -234,18 +147,18 @@ impl ActiveFileSystem {
             })?;
         // Access control: opening is "predicated upon access to the
         // passive file components" (§2.3).
-        let meta = self.vfs.stat(&vpath.file_path())?;
+        let meta = run.vfs.stat(&vpath.file_path())?;
         if meta.attributes.readonly && access.write {
             return Err(Win32Error::AccessDenied);
         }
         // Code-signing policy (§2.3 extension): with a signing key set,
         // only sentinels whose active part verifies may launch.
-        if let Some(key) = self.signing_key {
-            if !crate::security::check_active_file(&self.vfs, &vpath.file_path(), key) {
+        if let Some(key) = run.signing_key {
+            if !crate::security::check_active_file(&run.vfs, &vpath.file_path(), key) {
                 return Err(Win32Error::AccessDenied);
             }
         }
-        if matches!(&rt.allow_users, Some(allowed) if !allowed.contains(&self.user)) {
+        if matches!(&rt.allow_users, Some(allowed) if !allowed.contains(&run.user)) {
             return Err(Win32Error::AccessDenied);
         }
         match disposition {
@@ -253,16 +166,16 @@ impl ActiveFileSystem {
             Disposition::CreateAlways | Disposition::TruncateExisting => {
                 // Directory-level dispositions act on the passive data
                 // part; the active part is untouched.
-                self.vfs.write_stream_replace(&vpath.file_path(), &[])?;
+                run.vfs.write_stream_replace(&vpath.file_path(), &[])?;
                 // A truncating open of a durable file also resets the
                 // store streams — otherwise recovery would resurrect the
                 // truncated-away state.
                 if rt.durable.is_some() {
                     let file = vpath.file_path();
-                    let _ = self
+                    let _ = run
                         .vfs
                         .delete_stream(&file.with_stream(afs_store::PAGES_STREAM));
-                    let _ = self
+                    let _ = run
                         .vfs
                         .delete_stream(&file.with_stream(afs_store::WAL_STREAM));
                 }
@@ -289,9 +202,9 @@ impl ActiveFileSystem {
             );
         let key = (vpath.file_path().to_string(), spec.encode());
         if sharable {
-            if let Some(existing) = self.shared.lock().get(&key).and_then(Weak::upgrade) {
+            if let Some(existing) = run.shared.lock().get(&key).and_then(Weak::upgrade) {
                 if let Some(ops) = existing.attach() {
-                    return Ok(self.handles.insert(ActiveEntry {
+                    return Ok(run.handles.insert(ActiveEntry {
                         ops,
                         access,
                         shared: Some(existing),
@@ -301,50 +214,51 @@ impl ActiveFileSystem {
         }
         let mut ctx = SentinelCtx::new(
             vpath.clone(),
-            self.user.clone(),
+            run.user.clone(),
             &spec,
             &rt,
-            Arc::clone(&self.vfs),
-            self.net.clone(),
-            self.sync.clone(),
-            self.model.clone(),
-            Arc::clone(self.telemetry.store()),
+            Arc::clone(&run.vfs),
+            run.net.clone(),
+            run.sync.clone(),
+            run.model.clone(),
+            Arc::clone(run.telemetry.store()),
         )
         .map_err(|e| strategy::to_win32(&e))?;
         // Sentinels see the intercepted API (this layer), so they can
         // open other active files — §3 composition. Clones share the
-        // handle table, so handles interoperate. The clone is marked
-        // nested: sentinels it spawns are pinned off the bounded pool.
-        let mut nested_api = self.clone();
-        nested_api.nested = true;
-        ctx.set_api(Arc::new(Layered(nested_api)));
+        // runtime, so handles interoperate. The clone is marked nested:
+        // sentinels it spawns are pinned off the bounded pool.
+        ctx.set_api(Arc::new(Layered(ActiveFileSystem {
+            nested: true,
+            ..self.clone()
+        })));
         // Service-level objectives: spec keys declare the targets, the
         // telemetry hub tracks burn rates per file.
         let slo = rt.slo.is_declared().then(|| {
-            self.telemetry
+            run.telemetry
                 .slo_register(&vpath.file_path().to_string(), spec.name(), rt.slo)
         });
         let instr = Instruments {
-            model: self.model.clone(),
-            trace: Arc::clone(&self.trace),
+            model: run.model.clone(),
+            trace: Arc::clone(&run.trace),
             strategy: spec.strategy().label(),
-            tel: Arc::clone(&self.telemetry),
+            tel: Arc::clone(&run.telemetry),
             sentinel: intern(spec.name()),
-            exec: Arc::clone(&self.exec),
+            exec: Arc::clone(&run.exec),
             pinned: self.nested,
             slo,
         };
         // Built *without* holding the registry lock — the open hook may
         // recursively open other active files through this same layer.
         let logic = || {
-            self.registry
+            run.registry
                 .instantiate(&spec)
                 .ok_or(Win32Error::FileNotFound)
         };
         let launched = match spec.strategy() {
             // Prefer a hand-written process sentinel; fall back to the
             // adapted logic pump.
-            Strategy::Process => Launched::Private(match self.registry.instantiate_raw(&spec) {
+            Strategy::Process => Launched::Private(match run.registry.instantiate_raw(&spec) {
                 Some(raw) => strategy::process::open_raw(raw, ctx, instr),
                 None => strategy::process::open_logic(logic()?, ctx, instr)?,
             }),
@@ -362,7 +276,7 @@ impl ActiveFileSystem {
             Launched::Private(ops) => (ops, None),
             Launched::Shared(built) => {
                 if sharable {
-                    let mut map = self.shared.lock();
+                    let mut map = run.shared.lock();
                     if let Some(existing) = map.get(&key).and_then(Weak::upgrade) {
                         if let Some(ops) = existing.attach() {
                             // Lost a racing first-open: join theirs.
@@ -370,7 +284,7 @@ impl ActiveFileSystem {
                             // spawned loop sees the dead transport and
                             // runs its close hook.
                             drop(map);
-                            return Ok(self.handles.insert(ActiveEntry {
+                            return Ok(run.handles.insert(ActiveEntry {
                                 ops,
                                 access,
                                 shared: Some(existing),
@@ -384,7 +298,7 @@ impl ActiveFileSystem {
                 (ops, Some(built))
             }
         };
-        Ok(self.handles.insert(ActiveEntry {
+        Ok(run.handles.insert(ActiveEntry {
             ops,
             access,
             shared,
@@ -395,7 +309,7 @@ impl ActiveFileSystem {
         if handle.raw() < ACTIVE_HANDLE_BASE {
             return None;
         }
-        self.handles.get(handle).ok()
+        self.runtime.handles.get(handle).ok()
     }
 }
 
@@ -463,7 +377,7 @@ impl DelegateFileApi for ActiveFileSystem {
 
     fn close_handle(&self, handle: Handle) -> ApiResult<()> {
         if handle.raw() >= ACTIVE_HANDLE_BASE {
-            let entry = self.handles.remove(handle)?;
+            let entry = self.runtime.handles.remove(handle)?;
             let _op = self.interpose_span("CloseHandle");
             return entry.ops.close();
         }
@@ -584,23 +498,12 @@ impl DelegateFileApi for ActiveFileSystem {
 }
 
 /// The installable interception layer carrying an [`ActiveFileSystem`]
-/// runtime. All instances produced by [`ApiLayer::wrap`] share one active
-/// handle table, so the layer can report how many sentinels are live.
+/// runtime. All instances produced by [`ApiLayer::wrap`] share it — one
+/// active handle table, so the layer can report how many sentinels are
+/// live, and one executor, so they all schedule their sentinels on the
+/// same bounded pool.
 pub struct ActiveFilesLayer {
-    vfs: Arc<Vfs>,
-    net: Network,
-    registry: SentinelRegistry,
-    sync: SyncRegistry,
-    model: CostModel,
-    trace: Arc<OpTrace>,
-    telemetry: Arc<Telemetry>,
-    user: String,
-    signing_key: Option<u64>,
-    handles: Arc<HandleTable<ActiveEntry>>,
-    shared: SharedMap,
-    /// One executor per layer: every [`ActiveFileSystem`] this layer
-    /// wraps schedules its sentinels on the same bounded pool.
-    exec: Arc<SentinelExecutor>,
+    runtime: Arc<Runtime>,
 }
 
 impl ActiveFilesLayer {
@@ -617,7 +520,7 @@ impl ActiveFilesLayer {
         let telemetry = Telemetry::new();
         let exec =
             SentinelExecutor::new(executor::default_workers(), Arc::clone(telemetry.fleet()));
-        ActiveFilesLayer {
+        let runtime = Arc::new(Runtime {
             vfs,
             net,
             registry,
@@ -627,39 +530,54 @@ impl ActiveFilesLayer {
             telemetry,
             user: user.to_owned(),
             signing_key: None,
-            handles: Arc::new(HandleTable::with_start(ACTIVE_HANDLE_BASE)),
-            shared: Arc::new(Mutex::new(HashMap::new())),
+            handles: HandleTable::with_start(ACTIVE_HANDLE_BASE),
+            shared: Mutex::new(HashMap::new()),
             exec,
-        }
+        });
+        ActiveFilesLayer { runtime }
+    }
+
+    /// The runtime, while this layer is still being configured.
+    fn configure(&mut self) -> &mut Runtime {
+        Arc::get_mut(&mut self.runtime).expect("a layer is configured before it wraps an API")
     }
 
     /// Rebuilds the sentinel executor with an explicit worker-pool bound
     /// M. Only meaningful before the first open (the fresh pool spawns its
     /// workers lazily, so swapping here is free).
     pub fn with_fleet_workers(mut self, workers: usize) -> Self {
-        self.exec = SentinelExecutor::new(workers, Arc::clone(self.telemetry.fleet()));
+        let fleet = Arc::clone(self.runtime.telemetry.fleet());
+        self.configure().exec = SentinelExecutor::new(workers, fleet);
+        self
+    }
+
+    /// Enables the code-signing policy: opens refuse unsigned or
+    /// tampered active parts.
+    pub fn with_signing_key(mut self, key: u64) -> Self {
+        self.configure().signing_key = Some(key);
         self
     }
 
     /// The worker-pool bound M of the sentinel executor.
     pub fn fleet_workers(&self) -> usize {
-        self.exec.worker_cap()
+        self.runtime.exec.worker_cap()
     }
 
-    /// Live sentinel tasks registered on the executor.
+    /// Live sentinel tasks registered on the executor (§4.2/§4.3 and mux
+    /// sentinels; §4.1 pumps and §4.4 inline opens are not tasks).
     pub fn fleet_tasks(&self) -> u64 {
-        self.exec.live()
+        self.runtime.exec.live()
     }
 
     /// Per-shard executor occupancy, for diagnostics (`afsh fleet`).
     pub fn fleet_shards(&self) -> Vec<FleetShardStat> {
-        self.exec.shard_stats()
+        self.runtime.exec.shard_stats()
     }
 
-    /// Deterministic executor teardown; see
-    /// [`ActiveFileSystem::fleet_shutdown`].
+    /// Deterministic executor teardown: joins every worker, then drains
+    /// remaining tasks inline (close hooks still run).
     pub fn fleet_shutdown(&self) {
-        self.exec.shutdown();
+        self.runtime.exec.shutdown();
     }
 
     /// Deterministic world teardown: drops every still-open active handle
@@ -667,21 +585,23 @@ impl ActiveFilesLayer {
     /// hook and retires), then drains the executor. After this returns no
     /// sentinel task and no fleet worker is live.
     pub fn quiesce(&self) {
-        drop(self.handles.drain());
-        self.shared.lock().clear();
-        self.exec.shutdown();
+        drop(self.runtime.handles.drain());
+        self.runtime.shared.lock().clear();
+        self.runtime.exec.shutdown();
     }
 
-    /// The layer-wide observability ring shared by every
-    /// [`ActiveFileSystem`] instance this layer wraps.
+    /// The per-world observability ring: every operation on every active
+    /// handle records strategy, kind, bytes, time, crossings, and copies.
     pub fn trace(&self) -> &Arc<OpTrace> {
-        &self.trace
+        &self.runtime.trace
     }
 
     /// Live shared sentinels: `(path, sentinel name, strategy label,
-    /// session count)` per entry, across every instance this layer wraps.
+    /// session count)` per entry, across every instance this layer wraps
+    /// (for diagnostics: `afsh sessions`).
     pub fn shared_sentinels(&self) -> Vec<(String, String, &'static str, usize)> {
-        self.shared
+        self.runtime
+            .shared
             .lock()
             .iter()
             .filter_map(|((path, spec_bytes), weak)| {
@@ -697,23 +617,17 @@ impl ActiveFilesLayer {
             .collect()
     }
 
-    /// The layer-wide telemetry hub shared by every [`ActiveFileSystem`]
-    /// instance this layer wraps.
+    /// The telemetry hub shared by every layer this runtime spans: spans,
+    /// latency histograms, and queue gauges. Disabled (and free) by
+    /// default; see [`Telemetry::set_enabled`].
     pub fn telemetry(&self) -> &Arc<Telemetry> {
-        &self.telemetry
-    }
-
-    /// Enables the code-signing policy: opens refuse unsigned or
-    /// tampered active parts.
-    pub fn with_signing_key(mut self, key: u64) -> Self {
-        self.signing_key = Some(key);
-        self
+        &self.runtime.telemetry
     }
 
     /// Number of currently open active handles (each holds a live
     /// sentinel).
     pub fn open_sentinels(&self) -> usize {
-        self.handles.len()
+        self.runtime.handles.len()
     }
 }
 
@@ -725,18 +639,7 @@ impl ApiLayer for ActiveFilesLayer {
     fn wrap(&self, inner: Arc<dyn FileApi>) -> Arc<dyn FileApi> {
         Arc::new(Layered(ActiveFileSystem {
             inner,
-            vfs: Arc::clone(&self.vfs),
-            net: self.net.clone(),
-            registry: self.registry.clone(),
-            sync: self.sync.clone(),
-            model: self.model.clone(),
-            trace: Arc::clone(&self.trace),
-            telemetry: Arc::clone(&self.telemetry),
-            user: self.user.clone(),
-            signing_key: self.signing_key,
-            handles: Arc::clone(&self.handles),
-            shared: Arc::clone(&self.shared),
-            exec: Arc::clone(&self.exec),
+            runtime: Arc::clone(&self.runtime),
             nested: false,
         }))
     }

@@ -2,11 +2,11 @@
 //!
 //! The §4.2/§4.3 wirings cross the protection boundary twice per
 //! operation. With `batch=on` / `ring_depth=K` in the spec, the same
-//! [`StrategyHandle`] drives a [`RingDriver`] instead of a
-//! [`PairTransport`](afs_ipc::PairTransport): operations are staged into
-//! an [`afs_ipc::RingPair`] submission ring and the boundary is crossed
-//! once per *batch* — 1 crossing + K dispatches, in the cost model's
-//! terms. Three populations fill a batch:
+//! [`StrategyHandle`] hands its operations to a [`RingDriver`] instead of
+//! a [`PairTransport`](afs_ipc::PairTransport): they are staged into an
+//! [`afs_ipc::RingPair`] submission ring and the boundary is crossed once
+//! per *batch* — 1 crossing + K dispatches, in the cost model's terms.
+//! Three populations fill a batch:
 //!
 //! * **Coalesced writes** — write-behind staging merges adjacent writes
 //!   into one submission entry with no window cap (beyond the mux
@@ -40,10 +40,11 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use afs_ipc::{IpcError, RingTransport, Sqe, Transport};
+use afs_ipc::{IpcError, RingTransport, Sqe};
 use afs_sim::CrossingKind;
 use afs_telemetry::{Layer, RingGauges, Telemetry};
 
+use crate::strategy::handle::{deliver, AppPort};
 use crate::strategy::{Instruments, Op, OpReply};
 
 /// One speculative read in flight.
@@ -59,21 +60,14 @@ struct Speculation {
 }
 
 /// Mutable staging state of one [`RingDriver`], serialised by the
-/// strategy handle's op lock (and a mutex here, for `&self` methods).
+/// strategy handle (and a mutex here, taken once per operation, for
+/// `&self` methods).
 #[derive(Debug, Default)]
 struct DriverState {
     /// Next submission id (monotonic; completions key off it).
     next_id: u64,
     /// Write-behind submissions staged since the last doorbell.
     staged: Vec<Sqe<Op>>,
-    /// A `Write` command waiting for its payload (`send_cmd` then
-    /// `send_data`, back to back under the handle's op lock).
-    pending_write: Option<Op>,
-    /// The staged reply the handle's next `recv_reply` returns.
-    reply: Option<OpReply>,
-    /// Staged outbound bytes the handle's next `recv_data*` drains.
-    outbound: Vec<u8>,
-    outbound_pos: usize,
     /// Reaped speculative reads: `(offset, len)` → produced bytes.
     cache: HashMap<(u64, u32), Vec<u8>>,
     /// Speculative reads not yet reaped, in submission order.
@@ -87,9 +81,13 @@ struct DriverState {
     heal_seen: u64,
 }
 
-/// The application side of a batched wiring: an [`afs_ipc::Transport`]
-/// whose command lane stages into a submission ring. Crossing charges
-/// happen in [`RingTransport::submit`] — once per batch — so
+/// What a completed submission came back with: the reply and any bytes
+/// it produced.
+type Completed = afs_ipc::Result<(OpReply, Option<Vec<u8>>)>;
+
+/// The application side of a batched wiring: an [`AppPort`] whose
+/// operations stage into a submission ring. Crossing charges happen in
+/// [`RingTransport::submit`] — once per batch — so
 /// `charges_own_crossings` tells the strategy handle to skip its own
 /// per-op round-trip charge.
 pub(crate) struct RingDriver {
@@ -218,27 +216,19 @@ impl RingDriver {
         Ok(())
     }
 
-    /// Submits `batch` and blocks for the completion of its entry `id`,
-    /// staging the reply (plus any produced bytes) for
-    /// `recv_reply`/`recv_data*`.
-    fn roundtrip(
-        &self,
-        state: &mut DriverState,
-        batch: Vec<Sqe<Op>>,
-        id: u64,
-    ) -> afs_ipc::Result<()> {
+    /// Submits `batch` and blocks for the completion of its entry `id`:
+    /// the reply plus any produced bytes.
+    fn roundtrip(&self, state: &mut DriverState, batch: Vec<Sqe<Op>>, id: u64) -> Completed {
         self.submit(batch)?;
         let cqe = self.ring.complete(id)?;
-        state.reply = Some(cqe.reply);
-        state.outbound = cqe.data.unwrap_or_default();
-        state.outbound_pos = 0;
-        self.reap(state, id)
+        self.reap(state, id)?;
+        Ok((cqe.reply, cqe.data))
     }
 
     /// Serves a demand read: from the readahead when the exact span was
     /// speculated (zero new crossings), otherwise with one batch of
     /// staged writes + the demand read + sequential speculative reads.
-    fn demand_read(&self, state: &mut DriverState, offset: u64, len: u32) -> afs_ipc::Result<()> {
+    fn demand_read(&self, state: &mut DriverState, offset: u64, len: u32) -> Completed {
         self.sync_heal_generation(state);
         // The span may still be in flight. Waiting for its whole batch —
         // never submitting it again, never peeking at what has landed —
@@ -254,12 +244,8 @@ impl RingDriver {
         }
         if let Some(data) = state.cache.remove(&(offset, len)) {
             self.gauges.readahead_hit();
-            state.reply = Some(OpReply::Read {
-                n: data.len() as u32,
-            });
-            state.outbound = data;
-            state.outbound_pos = 0;
-            return Ok(());
+            let n = data.len() as u32;
+            return Ok((OpReply::Read { n }, Some(data)));
         }
         let mut batch = std::mem::take(&mut state.staged);
         let demand = Self::next_id(state);
@@ -293,7 +279,7 @@ impl RingDriver {
 
     /// Runs one synchronous command through the ring: staged writes flush
     /// ahead of it in the same crossing.
-    fn sync_roundtrip(&self, state: &mut DriverState, op: Op) -> afs_ipc::Result<()> {
+    fn sync_roundtrip(&self, state: &mut DriverState, op: Op) -> Completed {
         self.sync_heal_generation(state);
         if matches!(op, Op::Control { .. } | Op::ReadScatter { .. } | Op::Flush) {
             // Controls can mutate sentinel state; scatter reads advance
@@ -322,74 +308,38 @@ impl std::fmt::Debug for RingDriver {
     }
 }
 
-impl Transport for RingDriver {
-    type Cmd = Op;
-    type Reply = OpReply;
-
+impl AppPort for RingDriver {
     fn crossing(&self) -> CrossingKind {
         self.ring.crossing()
-    }
-
-    fn supports_control(&self) -> bool {
-        true
     }
 
     fn charges_own_crossings(&self) -> bool {
         true
     }
 
-    fn ring_depth(&self) -> Option<usize> {
-        Some(self.ring.depth())
+    fn post(&self, op: Op, payload: &[u8]) -> afs_ipc::Result<()> {
+        let Op::Write { offset, .. } = op else {
+            return Err(IpcError::Unsupported);
+        };
+        self.stage_write(&mut self.state.lock(), offset, payload.to_vec())
     }
 
-    fn send_cmd(&self, cmd: Op) -> afs_ipc::Result<()> {
+    fn call(&self, op: Op, into: &mut [u8]) -> afs_ipc::Result<(OpReply, usize)> {
         let mut state = self.state.lock();
-        match cmd {
-            Op::Write { len, .. } if len > 0 => {
-                // Payload follows via `send_data` under the same op lock.
-                state.pending_write = Some(cmd);
-                Ok(())
-            }
-            Op::Write { offset, .. } => self.stage_write(&mut state, offset, Vec::new()),
+        let (reply, data) = match op {
             Op::Read { offset, len } => self.demand_read(&mut state, offset, len),
             op => self.sync_roundtrip(&mut state, op),
-        }
+        }?;
+        deliver(reply, data.as_deref(), into)
     }
+}
 
-    fn recv_reply(&self) -> afs_ipc::Result<OpReply> {
-        self.state.lock().reply.take().ok_or(IpcError::Closed)
-    }
-
-    fn send_data(&self, data: &[u8]) -> afs_ipc::Result<()> {
-        let mut state = self.state.lock();
-        match state.pending_write.take() {
-            Some(Op::Write { offset, .. }) => self.stage_write(&mut state, offset, data.to_vec()),
-            _ => Err(IpcError::Closed),
-        }
-    }
-
-    fn recv_data(&self, buf: &mut [u8]) -> afs_ipc::Result<usize> {
-        self.recv_data_exact(buf)
-    }
-
-    fn recv_data_exact(&self, buf: &mut [u8]) -> afs_ipc::Result<usize> {
-        let mut state = self.state.lock();
-        let available = state.outbound.len() - state.outbound_pos;
-        let n = buf.len().min(available);
-        let start = state.outbound_pos;
-        buf[..n].copy_from_slice(&state.outbound[start..start + n]);
-        state.outbound_pos += n;
-        if state.outbound_pos == state.outbound.len() {
-            state.outbound = Vec::new();
-            state.outbound_pos = 0;
-        }
-        Ok(n)
-    }
-
-    fn shutdown(&self) {
-        let mut state = self.state.lock();
-        let batch = std::mem::take(&mut state.staged);
+/// An abandoned handle (dropped without `CloseHandle`) still owes the
+/// sentinel the writes it acknowledged: they go out before the ring's own
+/// drop closes it. A sentinel that is already gone is ignored.
+impl Drop for RingDriver {
+    fn drop(&mut self) {
+        let batch = std::mem::take(&mut self.state.get_mut().staged);
         let _ = self.submit(batch);
-        self.ring.shutdown();
     }
 }

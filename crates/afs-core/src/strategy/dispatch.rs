@@ -457,4 +457,4 @@ impl<P: SentinelPort> SentinelPoll for SentinelLoop<P> {
 }
 
 #[cfg(test)]
-mod tests;
+pub(crate) mod tests;

@@ -3,7 +3,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use afs_ipc::{PairTransport, RingPair, RingTransport, Sqe, SyncRegistry, Transport};
+use afs_ipc::{PairTransport, RingPair, RingTransport, Sqe, SyncRegistry};
 use afs_net::Network;
 use afs_sim::{CostModel, OpTrace};
 use afs_telemetry::{intern, StoreGauges, Telemetry};
@@ -134,7 +134,7 @@ struct Rig {
     joiners: Joiners,
 }
 
-fn instruments() -> Instruments {
+pub(crate) fn instruments() -> Instruments {
     let tel = Telemetry::new();
     Instruments {
         model: CostModel::free(),
@@ -148,16 +148,12 @@ fn instruments() -> Instruments {
     }
 }
 
-fn rig<P: SentinelPort>(
-    name: &'static str,
-    fail_writes: bool,
-    session: u32,
-    wire: impl FnOnce(CostModel) -> (App, P),
-) -> Rig {
+/// A sentinel context over a fresh one-file world.
+pub(crate) fn probe_ctx() -> SentinelCtx {
     let vfs = Arc::new(Vfs::new());
     let path = VPath::parse("/probe.af").expect("path");
     vfs.create_file(&path).expect("create");
-    let ctx = SentinelCtx::new(
+    SentinelCtx::new(
         path,
         "tester".to_owned(),
         &SentinelSpec::new("probe", Strategy::DllThread),
@@ -168,7 +164,16 @@ fn rig<P: SentinelPort>(
         CostModel::free(),
         Arc::new(StoreGauges::default()),
     )
-    .expect("ctx");
+    .expect("ctx")
+}
+
+fn rig<P: SentinelPort>(
+    name: &'static str,
+    fail_writes: bool,
+    session: u32,
+    wire: impl FnOnce(CostModel) -> (App, P),
+) -> Rig {
+    let ctx = probe_ctx();
     let instr = instruments();
     let seen = Arc::new(Seen::default());
     let sticky = Sticky::default();

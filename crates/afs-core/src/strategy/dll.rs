@@ -8,12 +8,12 @@
 //! no pipes, no events, no domain crossing — the only costs are whatever
 //! the logic itself does.
 //!
-//! Rather than a bespoke handle, the strategy implements the
-//! [`Transport`] protocol *inline*: an [`InlineSession`] runs each command
-//! through the same [`execute_op`] the dispatch loop uses, at the moment
-//! the shared [`StrategyHandle`](super::handle::StrategyHandle) "sends"
-//! it. Its [`CrossingKind::None`] boundary makes the handle charge zero
-//! crossings, so the §4.4 cost profile falls out of the wiring. The
+//! Rather than a bespoke handle, the strategy is one more
+//! [`AppPort`] carrier: an [`InlineSession`] runs each operation through
+//! the same [`execute_op`] the dispatch loop uses, at the moment the
+//! shared [`StrategyHandle`](super::handle::StrategyHandle) posts or
+//! calls it. Its [`CrossingKind::None`] boundary makes the handle charge
+//! zero crossings, so the §4.4 cost profile falls out of the wiring. The
 //! sentinel itself is an [`InlineShared`] — the logic and context behind
 //! one lock — and every open is a session on one: an open nobody else can
 //! join simply stays its only session.
@@ -22,13 +22,14 @@ use std::sync::{Arc, Weak};
 
 use parking_lot::Mutex;
 
-use afs_ipc::{BufferPool, IpcError, Transport};
+use afs_ipc::{BufferPool, IpcError};
 use afs_sim::CrossingKind;
 use afs_telemetry::{SessionGauges, SpanScope};
 use afs_winapi::Win32Error;
 
 use crate::ctx::SentinelCtx;
 use crate::logic::SentinelLogic;
+use crate::strategy::handle::{deliver, AppPort};
 use crate::strategy::mux::SharedSentinel;
 use crate::strategy::{
     execute_op, op_name, to_win32, ActiveOps, Instruments, Op, OpReply, SentinelSide, Sticky,
@@ -45,8 +46,8 @@ struct InlineCore {
 }
 
 /// The §4.4 sentinel: one logic/context pair, its sessions calling into
-/// it inline. Per-session state (staged reply bytes, the parked write,
-/// the sticky error) lives in each [`InlineSession`].
+/// it inline. Per-session state (the sticky error) lives in each
+/// [`InlineSession`].
 pub(crate) struct InlineShared {
     core: Mutex<InlineCore>,
     pool: BufferPool,
@@ -55,19 +56,9 @@ pub(crate) struct InlineShared {
     weak_self: Weak<InlineShared>,
 }
 
-/// What one session has staged between the protocol's steps: the command
-/// awaiting its payload, then the reply and bytes awaiting collection.
-struct SessionStaging {
-    pending_write: Option<Op>,
-    reply: Option<OpReply>,
-    outbound: Vec<u8>,
-    outbound_pos: usize,
-}
-
-/// One session's inline transport over the shared core.
+/// One session's inline carrier over the shared core.
 struct InlineSession {
     shared: Arc<InlineShared>,
-    staging: Mutex<SessionStaging>,
     /// Shared with the handle: write failures park here, exactly like the
     /// dispatch loop's write-behind semantics.
     sticky: Sticky,
@@ -77,111 +68,51 @@ struct InlineSession {
 }
 
 impl InlineSession {
-    fn run(&self, op: Op, payload: &[u8]) {
-        let name = op_name(&op);
+    /// Runs `op` on this thread under the core lock — all there is to a
+    /// §4.4 operation. A closed sentinel takes no more commands.
+    fn run(&self, op: Op, payload: &[u8]) -> afs_ipc::Result<(OpReply, Option<Vec<u8>>)> {
         let mut core = self.shared.core.lock();
-        let InlineCore { logic, ctx, .. } = &mut *core;
-        let (reply, data) = self.side.observe_inline(name, || {
-            execute_op(logic.as_mut(), ctx, op, payload, &self.shared.pool)
-        });
-        drop(core);
-        let mut staging = self.staging.lock();
-        staging.reply = Some(reply);
-        let drained = std::mem::replace(&mut staging.outbound, data.unwrap_or_default());
-        staging.outbound_pos = 0;
-        self.shared.pool.put(drained);
-    }
-
-    fn run_write(&self, op: Op, payload: &[u8]) {
-        let mut core = self.shared.core.lock();
-        let InlineCore { logic, ctx, .. } = &mut *core;
-        let (reply, _) = self.side.observe_inline("write", || {
-            execute_op(logic.as_mut(), ctx, op, payload, &self.shared.pool)
-        });
-        if let OpReply::Failed(e) = reply {
-            self.sticky.park(e);
+        if core.closed {
+            return Err(IpcError::BrokenPipe);
         }
+        if matches!(op, Op::Close) {
+            core.live -= 1;
+            self.shared.gauges.detached();
+            if core.live > 0 {
+                // The sentinel stays up for the other sessions; this
+                // session's close is acknowledged locally.
+                return Ok((OpReply::Done, None));
+            }
+            // Last session out runs the real close hook.
+            core.closed = true;
+        }
+        let InlineCore { logic, ctx, .. } = &mut *core;
+        Ok(self.side.observe_inline(op_name(&op), || {
+            execute_op(logic.as_mut(), ctx, op, payload, &self.shared.pool)
+        }))
     }
 }
 
-impl Transport for InlineSession {
-    type Cmd = Op;
-    type Reply = OpReply;
-
+impl AppPort for InlineSession {
     fn crossing(&self) -> CrossingKind {
         CrossingKind::None
     }
 
-    fn supports_control(&self) -> bool {
-        true
-    }
-
-    fn send_cmd(&self, op: Op) -> Result<(), IpcError> {
-        if self.shared.core.lock().closed {
-            return Err(IpcError::Closed);
-        }
-        match op {
-            Op::Write { len, .. } if len > 0 => {
-                self.staging.lock().pending_write = Some(op);
-            }
-            Op::Write { .. } => self.run_write(op, &[]),
-            Op::Close => {
-                let mut core = self.shared.core.lock();
-                core.live -= 1;
-                self.shared.gauges.detached();
-                if core.live == 0 {
-                    // Last session out runs the real close hook.
-                    let InlineCore { logic, ctx, .. } = &mut *core;
-                    let (reply, _) = self.side.observe_inline("close", || {
-                        execute_op(logic.as_mut(), ctx, Op::Close, &[], &self.shared.pool)
-                    });
-                    core.closed = true;
-                    drop(core);
-                    self.staging.lock().reply = Some(reply);
-                } else {
-                    // The sentinel stays up for the other sessions; this
-                    // session's close is acknowledged locally.
-                    drop(core);
-                    self.staging.lock().reply = Some(OpReply::Done);
-                }
-            }
-            other => self.run(other, &[]),
+    fn post(&self, op: Op, payload: &[u8]) -> afs_ipc::Result<()> {
+        if let (OpReply::Failed(e), _) = self.run(op, payload)? {
+            self.sticky.park(e);
         }
         Ok(())
     }
 
-    fn recv_reply(&self) -> Result<OpReply, IpcError> {
-        self.staging.lock().reply.take().ok_or(IpcError::Closed)
-    }
-
-    fn send_data(&self, data: &[u8]) -> Result<(), IpcError> {
-        let Some(op) = self.staging.lock().pending_write.take() else {
-            return Err(IpcError::BrokenPipe);
-        };
-        self.run_write(op, data);
-        Ok(())
-    }
-
-    fn recv_data(&self, buf: &mut [u8]) -> Result<usize, IpcError> {
-        self.recv_data_exact(buf)
-    }
-
-    fn recv_data_exact(&self, buf: &mut [u8]) -> Result<usize, IpcError> {
-        let mut staging = self.staging.lock();
-        let available = staging.outbound.len() - staging.outbound_pos;
-        let take = buf.len().min(available);
-        let from = staging.outbound_pos;
-        buf[..take].copy_from_slice(&staging.outbound[from..from + take]);
-        staging.outbound_pos += take;
-        if staging.outbound_pos >= staging.outbound.len() {
-            let drained = std::mem::take(&mut staging.outbound);
-            staging.outbound_pos = 0;
-            self.shared.pool.put(drained);
+    fn call(&self, op: Op, into: &mut [u8]) -> afs_ipc::Result<(OpReply, usize)> {
+        let (reply, data) = self.run(op, &[])?;
+        let delivered = deliver(reply, data.as_deref(), into);
+        if let Some(buf) = data {
+            self.shared.pool.put(buf);
         }
-        Ok(take)
+        delivered
     }
-
-    fn shutdown(&self) {}
 }
 
 impl SharedSentinel for InlineShared {
@@ -199,12 +130,6 @@ impl SharedSentinel for InlineShared {
         let scope = Arc::new(SpanScope::default());
         let session = InlineSession {
             shared: me,
-            staging: Mutex::new(SessionStaging {
-                pending_write: None,
-                reply: None,
-                outbound: Vec::new(),
-                outbound_pos: 0,
-            }),
             sticky: Arc::clone(&sticky),
             side: self.instr.sentinel_side(Arc::clone(&scope)),
         };

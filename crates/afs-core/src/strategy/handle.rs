@@ -1,31 +1,148 @@
-//! The one application-side handle behind all four strategies.
+//! The application side of every command-carrying strategy: one seam, one
+//! handle.
 //!
-//! A [`StrategyHandle`] drives the [`Op`]/[`OpReply`] protocol over any
-//! [`Transport`]: kernel pipes plus a control channel (§4.2), shared
-//! memory plus user-level events (§4.3), the inline call path (§4.4), or —
-//! when the transport has no control lane (§4.1) — plain streaming with
-//! every command-shaped operation failing as the paper prescribes
-//! ("operations such as ReadFileScatter … cannot be implemented as there
-//! is no method of passing control information").
+//! [`AppPort`] is the mirror image of the sentinel side's
+//! [`SentinelPort`](super::dispatch::SentinelPort): where the loop takes a
+//! whole command with `next` and answers it with `reply`, the application
+//! hands a carrier a whole operation — [`AppPort::post`] for the
+//! write-behind command nobody waits on, [`AppPort::call`] for everything
+//! else, the bytes that follow a reply landing in the caller's buffer.
+//! Four carriers implement it, and they differ only in what moves the
+//! bytes:
 //!
-//! Every operation is recorded in an [`OpTrace`]: virtual elapsed time,
-//! payload bytes, and the protection-domain crossings and buffer copies
-//! charged while it ran, so a run can be audited against the per-strategy
-//! cost table of §4. One caveat: writes are acknowledged eagerly
-//! (write-behind), so sentinel-side charges for a write may land in a
-//! *later* operation's record — per-op write costs are eventual, while
-//! totals stay exact.
+//! | Carrier | `call` does | and charges |
+//! |---------|-------------|-------------|
+//! | [`PairTransport<Op, OpReply>`] (§4.2/§4.3, private) | command, reply, payload over the four lanes | the lanes' syscalls/events and copies; the handle adds the round trip's two switches |
+//! | [`MuxSession`] (shared) | flushes staged writes, frames the command, pulls its reply or takes it from its mailbox | two switches per transmitted frame, `Memcpy` per staging copy |
+//! | [`RingDriver`](super::batch::RingDriver) (`batch=on`) | staged writes + the command (+ readahead) in one batch, or a readahead hit | one doorbell and one switch pair per batch, `Memcpy` per entry |
+//! | `InlineSession` (§4.4) | `execute_op` on this thread under the core lock | nothing beyond the logic's own |
+//!
+//! A [`StrategyHandle`] drives the [`Op`]/[`OpReply`] protocol over any of
+//! them and keeps what is per-open: the file pointer, the sticky
+//! write-behind error, the reaper. (§4.1 has no commands to carry; its
+//! handle is the stream handle in [`process`](super::process).)
+//!
+//! Every operation is recorded by a [`Recorder`] in an [`OpTrace`]:
+//! virtual elapsed time, payload bytes, and the protection-domain
+//! crossings and buffer copies charged while it ran, so a run can be
+//! audited against the per-strategy cost table of §4. One caveat: writes
+//! are acknowledged eagerly (write-behind), so sentinel-side charges for a
+//! write may land in a *later* operation's record — per-op write costs are
+//! eventual, while totals stay exact.
 
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use afs_ipc::{BufferPool, Transport};
+use afs_ipc::{BufferPool, IpcError, MuxSession, PairTransport};
 use afs_sim::{clock, Cost, CostModel, CrossingKind, OpKind, OpTrace, TraceRecord};
 use afs_telemetry::{now_ns, LatencyHistogram, Layer, SloTracker, SpanGuard, SpanScope, Telemetry};
 use afs_winapi::{SeekMethod, Win32Error};
 
-use crate::strategy::{reap, to_win32, ActiveOps, Op, OpObserver, OpReply, Reaper, Sticky};
+use crate::strategy::mux::OpMux;
+use crate::strategy::{reap, to_win32, ActiveOps, Op, OpReply, Reaper, Sticky};
+
+/// The application end of one session's wire, as much of it as the
+/// handle needs: an operation goes in whole and comes back whole.
+pub(crate) trait AppPort: Send + Sync {
+    /// Which protection boundary an operation round-trip crosses.
+    fn crossing(&self) -> CrossingKind;
+
+    /// Whether the carrier charges its own crossings. One that batches or
+    /// coalesces must, since an operation's crossing count is no longer a
+    /// per-op constant; the handle then skips its round-trip charge.
+    fn charges_own_crossings(&self) -> bool {
+        false
+    }
+
+    /// Sends a `Write` and its bytes; nobody waits for the outcome (a
+    /// failure parks in the session's sticky slot).
+    ///
+    /// # Errors
+    ///
+    /// The sentinel end is gone.
+    fn post(&self, op: Op, payload: &[u8]) -> afs_ipc::Result<()>;
+
+    /// Sends `op`, waits for its reply, and lands the bytes that follow
+    /// the reply in the front of `into`; returns the reply and how many.
+    ///
+    /// # Errors
+    ///
+    /// [`IpcError::BrokenPipe`] when the command went nowhere because the
+    /// sentinel end was already gone — or when the reply announced more
+    /// bytes than `into` has room for, a protocol violation that fails the
+    /// operation and leaves the wire usable. Anything else: the wire died
+    /// under the operation.
+    fn call(&self, op: Op, into: &mut [u8]) -> afs_ipc::Result<(OpReply, usize)>;
+}
+
+/// The private §4.2/§4.3 wire: exactly the paper's sequence — "a 'read
+/// 50' command is sent to the sentinel, and then 50 bytes are read from
+/// the read pipe".
+impl AppPort for PairTransport<Op, OpReply> {
+    fn crossing(&self) -> CrossingKind {
+        PairTransport::crossing(self)
+    }
+
+    fn post(&self, op: Op, payload: &[u8]) -> afs_ipc::Result<()> {
+        self.send_cmd(op)?;
+        if payload.is_empty() {
+            return Ok(());
+        }
+        self.send_data(payload)
+    }
+
+    fn call(&self, op: Op, into: &mut [u8]) -> afs_ipc::Result<(OpReply, usize)> {
+        self.send_cmd(op)?;
+        let reply = self.recv_reply()?;
+        let n = match reply {
+            OpReply::Read { n } => self.recv_payload(n as usize, into)?,
+            _ => 0,
+        };
+        Ok((reply, n))
+    }
+}
+
+/// One session of a shared sentinel; the hub charges per transmitted
+/// frame, so a coalesced write crosses nothing.
+impl AppPort for MuxSession<OpMux> {
+    fn crossing(&self) -> CrossingKind {
+        MuxSession::crossing(self)
+    }
+
+    fn charges_own_crossings(&self) -> bool {
+        true
+    }
+
+    fn post(&self, op: Op, payload: &[u8]) -> afs_ipc::Result<()> {
+        MuxSession::post(self, op, payload)
+    }
+
+    fn call(&self, op: Op, into: &mut [u8]) -> afs_ipc::Result<(OpReply, usize)> {
+        MuxSession::call(self, op, into)
+    }
+}
+
+/// Lands the bytes a reply came with in the front of `into`, for the
+/// carriers that hold reply and bytes together (a ring completion, an
+/// inline result). The count the reply announces is what is delivered,
+/// under the same rule as on a wire: more than `into` holds fails the
+/// operation.
+pub(crate) fn deliver(
+    reply: OpReply,
+    data: Option<&[u8]>,
+    into: &mut [u8],
+) -> afs_ipc::Result<(OpReply, usize)> {
+    let n = match reply {
+        OpReply::Read { n } => n as usize,
+        _ => 0,
+    };
+    match (into.get_mut(..n), data.unwrap_or_default().get(..n)) {
+        (Some(dst), Some(src)) => dst.copy_from_slice(src),
+        _ => return Err(IpcError::BrokenPipe),
+    }
+    Ok((reply, n))
+}
 
 /// Every [`OpKind`] in [`op_index`] order, for the per-op histogram cache.
 const OP_KINDS: [OpKind; 7] = [
@@ -50,19 +167,13 @@ fn op_index(op: OpKind) -> usize {
     }
 }
 
-/// Application-side handle: one implementation of the full `ActiveOps`
-/// surface, generic over where the sentinel lives.
-pub(crate) struct StrategyHandle<T: Transport<Cmd = Op, Reply = OpReply>> {
-    transport: T,
+/// What every application-side handle records an operation into: the
+/// trace ring, the file's SLO tracker, the per-(strategy, op) histogram
+/// and the op's strategy span.
+pub(crate) struct Recorder {
     model: CostModel,
     trace: Arc<OpTrace>,
     strategy: &'static str,
-    pointer: Mutex<u64>,
-    op_lock: Mutex<()>,
-    sticky: Sticky,
-    reaper: Mutex<Option<Reaper>>,
-    /// Scratch buffers for scatter reassembly.
-    pool: BufferPool,
     tel: Arc<Telemetry>,
     /// Publishes the in-flight op's trace context so the sentinel task can
     /// parent (and trace) its spans to the op it is serving, no matter
@@ -74,38 +185,38 @@ pub(crate) struct StrategyHandle<T: Transport<Cmd = Op, Reply = OpReply>> {
     hists: [Arc<LatencyHistogram>; 7],
 }
 
-impl<T: Transport<Cmd = Op, Reply = OpReply>> StrategyHandle<T> {
+impl Recorder {
     pub(crate) fn new(
-        transport: T,
         model: CostModel,
         trace: Arc<OpTrace>,
         strategy: &'static str,
-        sticky: Sticky,
-        reaper: Option<Reaper>,
-        obs: OpObserver,
+        tel: Arc<Telemetry>,
+        scope: Arc<SpanScope>,
+        slo: Option<Arc<SloTracker>>,
     ) -> Self {
-        let hists = OP_KINDS.map(|kind| obs.tel.strategy_hist(strategy, kind.label()));
-        StrategyHandle {
-            transport,
+        let hists = OP_KINDS.map(|kind| tel.strategy_hist(strategy, kind.label()));
+        Recorder {
             model,
             trace,
             strategy,
-            pointer: Mutex::new(0),
-            op_lock: Mutex::new(()),
-            sticky,
-            reaper: Mutex::new(reaper),
-            pool: BufferPool::new(),
-            tel: obs.tel,
-            scope: obs.scope,
-            slo: obs.slo,
+            tel,
+            scope,
+            slo,
             hists,
         }
     }
 
     /// Opens a [`Layer::Transport`] span for the wire exchange of the
     /// current op (no-op while telemetry is disabled).
-    fn transport_span(&self, name: &'static str) -> Option<SpanGuard> {
+    pub(crate) fn transport_span(&self, name: &'static str) -> Option<SpanGuard> {
         self.tel.span_tagged(Layer::Transport, name, self.strategy)
+    }
+
+    /// Charges the two switches of one round trip across `crossing`.
+    pub(crate) fn charge_round_trip(&self, crossing: CrossingKind) {
+        for _ in 0..crossing.round_trip_switches() {
+            self.model.charge(Cost::Crossing(crossing));
+        }
     }
 
     /// Runs one operation under trace: the closure returns the result plus
@@ -114,7 +225,7 @@ impl<T: Transport<Cmd = Op, Reply = OpReply>> StrategyHandle<T> {
     /// enabled it additionally opens the op's [`Layer::Strategy`] span
     /// (published through `scope` for sentinel-side parenting) and records
     /// the latency histogram for `(strategy, op)`.
-    fn traced<R>(
+    pub(crate) fn traced<R>(
         &self,
         op: OpKind,
         f: impl FnOnce() -> (Result<R, Win32Error>, u64),
@@ -157,16 +268,38 @@ impl<T: Transport<Cmd = Op, Reply = OpReply>> StrategyHandle<T> {
         }
         result
     }
+}
+
+/// Application-side handle: one implementation of the full `ActiveOps`
+/// surface, generic over what carries its operations to the sentinel.
+pub(crate) struct StrategyHandle<P: AppPort> {
+    port: P,
+    rec: Recorder,
+    /// The file pointer. Holding it is what serialises the handle's
+    /// operations: commands carry absolute offsets, so an operation owns
+    /// the pointer from the offset it sends to the count it adds.
+    pointer: Mutex<u64>,
+    sticky: Sticky,
+    reaper: Mutex<Option<Reaper>>,
+    /// Scratch buffers for scatter reassembly.
+    pool: BufferPool,
+}
+
+impl<P: AppPort> StrategyHandle<P> {
+    pub(crate) fn new(port: P, rec: Recorder, sticky: Sticky, reaper: Option<Reaper>) -> Self {
+        StrategyHandle {
+            port,
+            rec,
+            pointer: Mutex::new(0),
+            sticky,
+            reaper: Mutex::new(reaper),
+            pool: BufferPool::new(),
+        }
+    }
 
     fn charge_round_trip(&self) {
-        if self.transport.charges_own_crossings() {
-            // A multiplexing transport charges per transmitted frame —
-            // a coalesced write crosses nothing.
-            return;
-        }
-        let crossing = self.transport.crossing();
-        for _ in 0..crossing.round_trip_switches() {
-            self.model.charge(Cost::Crossing(crossing));
+        if !self.port.charges_own_crossings() {
+            self.rec.charge_round_trip(self.port.crossing());
         }
     }
 
@@ -177,137 +310,79 @@ impl<T: Transport<Cmd = Op, Reply = OpReply>> StrategyHandle<T> {
         }
     }
 
-    fn recv_reply(&self) -> Result<OpReply, Win32Error> {
-        self.transport
-            .recv_reply()
-            .map_err(|_| Win32Error::BrokenPipe)
+    /// One charged round trip under its transport span; a `Failed` reply
+    /// and a failed wire both come back as the Win32 code the stub
+    /// returns. The caller holds the pointer.
+    fn round_trip(&self, op: Op, into: &mut [u8]) -> Result<(OpReply, usize), Win32Error> {
+        let _wire = self.rec.transport_span("round-trip");
+        self.charge_round_trip();
+        match self.port.call(op, into) {
+            Ok((OpReply::Failed(e), _)) => Err(to_win32(&e)),
+            Ok(answer) => Ok(answer),
+            Err(_) => Err(Win32Error::BrokenPipe),
+        }
     }
 
-    /// The traced `GetSize` round trip. Callers must hold `op_lock`
-    /// (parking_lot mutexes are not reentrant, so `seek` cannot simply
-    /// call [`ActiveOps::size`] once it has serialised itself).
+    /// The command read shared by `read` and `read_scatter`: `op` reads at
+    /// `*pointer` into `into`, and the pointer moves by what arrived.
+    /// Returns the result and the traced byte count.
+    fn read_at(
+        &self,
+        pointer: &mut u64,
+        op: Op,
+        into: &mut [u8],
+    ) -> (Result<usize, Win32Error>, u64) {
+        let result = match self.round_trip(op, into) {
+            Ok((OpReply::Read { .. }, n)) => Ok(n),
+            Ok(_) => Err(Win32Error::BrokenPipe),
+            Err(e) => Err(e),
+        };
+        let n = *result.as_ref().unwrap_or(&0) as u64;
+        *pointer += n;
+        (result, n)
+    }
+
+    /// The traced `GetSize` round trip. The caller holds the pointer.
     fn size_locked(&self) -> Result<u64, Win32Error> {
-        self.traced(OpKind::Size, || {
-            let _wire = self.transport_span("round-trip");
-            self.charge_round_trip();
-            let r = (|| {
-                self.transport
-                    .send_cmd(Op::GetSize)
-                    .map_err(|_| Win32Error::BrokenPipe)?;
-                match self.recv_reply() {
-                    Ok(OpReply::Size(n)) => Ok(n),
-                    Ok(OpReply::Failed(e)) => Err(to_win32(&e)),
-                    _ => Err(Win32Error::BrokenPipe),
-                }
-            })();
+        self.rec.traced(OpKind::Size, || {
+            let r = match self.round_trip(Op::GetSize, &mut []) {
+                Ok((OpReply::Size(n), _)) => Ok(n),
+                Ok(_) => Err(Win32Error::BrokenPipe),
+                Err(e) => Err(e),
+            };
             (r, 0)
         })
     }
-
-    /// The command-protocol read shared by `read` and `read_scatter`:
-    /// sends `op`, receives the reply, and pulls `n` bytes into the
-    /// buffer `fill` returns for them.
-    fn command_read(
-        &self,
-        op: Op,
-        mut fill: impl FnMut(usize) -> Result<usize, Win32Error>,
-    ) -> Result<usize, Win32Error> {
-        self.transport
-            .send_cmd(op)
-            .map_err(|_| Win32Error::BrokenPipe)?;
-        match self.recv_reply()? {
-            OpReply::Read { n } => fill(n as usize),
-            OpReply::Failed(e) => Err(to_win32(&e)),
-            _ => Err(Win32Error::BrokenPipe),
-        }
-    }
 }
 
-impl<T: Transport<Cmd = Op, Reply = OpReply>> ActiveOps for StrategyHandle<T> {
+impl<P: AppPort> ActiveOps for StrategyHandle<P> {
     fn read(&self, buf: &mut [u8]) -> Result<usize, Win32Error> {
-        if !self.transport.supports_control() {
-            // §4.1 streaming: no commands, no pointer, no op serialisation
-            // (a blocked read must not stall a concurrent write).
-            return self.traced(OpKind::Read, || {
-                let _wire = self.transport_span("stream-recv");
-                self.charge_round_trip();
-                let r = self
-                    .transport
-                    .recv_data(buf)
-                    .map_err(|_| Win32Error::BrokenPipe);
-                let n = *r.as_ref().unwrap_or(&0) as u64;
-                (r, n)
-            });
-        }
-        let _op = self.op_lock.lock();
+        let mut pointer = self.pointer.lock();
         self.check_sticky()?;
-        self.traced(OpKind::Read, || {
-            let _wire = self.transport_span("round-trip");
-            self.charge_round_trip();
-            let mut pointer = self.pointer.lock();
-            let result = self.command_read(
-                Op::Read {
-                    offset: *pointer,
-                    len: buf.len() as u32,
-                },
-                |n| {
-                    if n > buf.len() {
-                        // Over-delivery is a protocol violation (same rule
-                        // as `read_scatter`): drain the wire so a shared
-                        // transport stays framed, then fail the op.
-                        let mut scratch = self.pool.take(n);
-                        let _ = self.transport.recv_data_exact(&mut scratch);
-                        self.pool.put(scratch);
-                        return Err(Win32Error::BrokenPipe);
-                    }
-                    if n > 0 {
-                        self.transport
-                            .recv_data_exact(&mut buf[..n])
-                            .map_err(|_| Win32Error::BrokenPipe)?;
-                    }
-                    Ok(n)
-                },
-            );
-            if let Ok(n) = result {
-                *pointer += n as u64;
-            }
-            let n = *result.as_ref().unwrap_or(&0) as u64;
-            (result, n)
+        self.rec.traced(OpKind::Read, || {
+            let op = Op::Read {
+                offset: *pointer,
+                len: buf.len() as u32,
+            };
+            self.read_at(&mut pointer, op, buf)
         })
     }
 
     fn write(&self, data: &[u8]) -> Result<usize, Win32Error> {
-        if !self.transport.supports_control() {
-            return self.traced(OpKind::Write, || {
-                let _wire = self.transport_span("stream-send");
-                self.charge_round_trip();
-                let r = self
-                    .transport
-                    .send_data(data)
-                    .map(|()| data.len())
-                    .map_err(|_| Win32Error::BrokenPipe);
-                (r, data.len() as u64)
-            });
-        }
-        let _op = self.op_lock.lock();
+        let mut pointer = self.pointer.lock();
         self.check_sticky()?;
-        self.traced(OpKind::Write, || {
-            let _wire = self.transport_span("send");
+        self.rec.traced(OpKind::Write, || {
+            let _wire = self.rec.transport_span("send");
             self.charge_round_trip();
-            let mut pointer = self.pointer.lock();
             let result = (|| {
-                self.transport
-                    .send_cmd(Op::Write {
-                        offset: *pointer,
-                        len: data.len() as u32,
-                    })
+                let op = Op::Write {
+                    offset: *pointer,
+                    len: data.len() as u32,
+                };
+                self.port
+                    .post(op, data)
                     .map_err(|_| Win32Error::BrokenPipe)?;
-                if !data.is_empty() {
-                    self.transport
-                        .send_data(data)
-                        .map_err(|_| Win32Error::BrokenPipe)?;
-                }
-                if self.transport.crossing() == CrossingKind::None {
+                if self.port.crossing() == CrossingKind::None {
                     // §4.4: the sentinel routine ran inline on this call,
                     // so its error is already known — surface it now
                     // rather than write-behind style on a later op.
@@ -321,20 +396,16 @@ impl<T: Transport<Cmd = Op, Reply = OpReply>> ActiveOps for StrategyHandle<T> {
     }
 
     fn seek(&self, offset: i64, method: SeekMethod) -> Result<u64, Win32Error> {
-        if !self.transport.supports_control() {
-            // "seek in Unix … cannot be implemented" (§4.1).
-            return Err(Win32Error::CallNotImplemented);
-        }
         // Seeks are resolved application-side: commands carry absolute
         // offsets, so moving the pointer costs nothing remote — except
-        // End-relative seeks, which need the size. The whole resolve-and-
-        // store runs under `op_lock`: a read/write interleaving between the
-        // base query and the pointer store would make the stored position
-        // stale, silently rewinding the file pointer.
-        let _op = self.op_lock.lock();
+        // End-relative seeks, which need the size. The pointer is held
+        // across the whole resolve-and-store: a read/write interleaving
+        // between the base query and the store would make the stored
+        // position stale, silently rewinding the file pointer.
+        let mut pointer = self.pointer.lock();
         let base: i64 = match method {
             SeekMethod::Begin => 0,
-            SeekMethod::Current => *self.pointer.lock() as i64,
+            SeekMethod::Current => *pointer as i64,
             SeekMethod::End => {
                 self.check_sticky()?;
                 self.size_locked()? as i64
@@ -346,160 +417,85 @@ impl<T: Transport<Cmd = Op, Reply = OpReply>> ActiveOps for StrategyHandle<T> {
         if target < 0 {
             return Err(Win32Error::InvalidParameter);
         }
-        *self.pointer.lock() = target as u64;
+        *pointer = target as u64;
         Ok(target as u64)
     }
 
     fn size(&self) -> Result<u64, Win32Error> {
-        if !self.transport.supports_control() {
-            // "GetFileSize cannot be implemented" (§4.1).
-            return Err(Win32Error::CallNotImplemented);
-        }
-        let _op = self.op_lock.lock();
+        let _pointer = self.pointer.lock();
         self.check_sticky()?;
         self.size_locked()
     }
 
     fn read_scatter(&self, bufs: &mut [&mut [u8]]) -> Result<usize, Win32Error> {
-        if !self.transport.supports_control() {
-            // "Operations such as ReadFileScatter … cannot be implemented"
-            // (§4.1).
-            return Err(Win32Error::CallNotImplemented);
-        }
-        let _op = self.op_lock.lock();
+        let mut pointer = self.pointer.lock();
         self.check_sticky()?;
-        self.traced(OpKind::ReadScatter, || {
-            let _wire = self.transport_span("round-trip");
-            self.charge_round_trip();
-            let mut pointer = self.pointer.lock();
-            let lens: Vec<u32> = bufs.iter().map(|b| b.len() as u32).collect();
-            let requested: usize = bufs.iter().map(|b| b.len()).sum();
-            let result = self.command_read(
-                Op::ReadScatter {
-                    offset: *pointer,
-                    lens,
-                },
-                |n| {
-                    if n == 0 {
-                        return Ok(0);
-                    }
-                    // The sentinel produced one contiguous message; pull
-                    // it into pooled scratch, then deal it out to the
-                    // caller's buffers in order. The deal-out is pointer
-                    // shuffling inside the application, not a transfer, so
-                    // it is not charged.
-                    let mut scratch = self.pool.take(n);
-                    self.transport
-                        .recv_data_exact(&mut scratch)
-                        .map_err(|_| Win32Error::BrokenPipe)?;
-                    if n > requested {
-                        // Over-delivery is a protocol violation: accepting
-                        // it would silently drop the excess bytes while
-                        // advancing the pointer past what the caller saw.
-                        // The wire is drained (scratch above), the op fails.
-                        self.pool.put(scratch);
-                        return Err(Win32Error::BrokenPipe);
-                    }
-                    let mut offset = 0;
-                    for buf in bufs.iter_mut() {
-                        if offset >= n {
-                            break;
-                        }
-                        let take = buf.len().min(n - offset);
-                        buf[..take].copy_from_slice(&scratch[offset..offset + take]);
-                        offset += take;
-                    }
-                    self.pool.put(scratch);
-                    Ok(n)
-                },
-            );
-            if let Ok(n) = result {
-                *pointer += n as u64;
+        self.rec.traced(OpKind::ReadScatter, || {
+            let op = Op::ReadScatter {
+                offset: *pointer,
+                lens: bufs.iter().map(|b| b.len() as u32).collect(),
+            };
+            // The sentinel produces one contiguous message; it lands in
+            // pooled scratch and is dealt out to the caller's buffers in
+            // order. The deal-out is pointer shuffling inside the
+            // application, not a transfer, so it is not charged.
+            let mut scratch = self.pool.take(bufs.iter().map(|b| b.len()).sum());
+            let (result, n) = self.read_at(&mut pointer, op, &mut scratch);
+            let mut rest = &scratch[..n as usize];
+            for buf in bufs.iter_mut() {
+                let (head, tail) = rest.split_at(buf.len().min(rest.len()));
+                buf[..head.len()].copy_from_slice(head);
+                rest = tail;
             }
-            let n = *result.as_ref().unwrap_or(&0) as u64;
+            self.pool.put(scratch);
             (result, n)
         })
     }
 
     fn control(&self, code: u32, payload: &[u8]) -> Result<Vec<u8>, Win32Error> {
-        if !self.transport.supports_control() {
-            // "There is no method of passing control information" (§4.1).
-            return Err(Win32Error::CallNotImplemented);
-        }
-        let _op = self.op_lock.lock();
+        let _pointer = self.pointer.lock();
         self.check_sticky()?;
-        self.traced(OpKind::Control, || {
-            let _wire = self.transport_span("round-trip");
-            self.charge_round_trip();
-            if self
-                .transport
-                .send_cmd(Op::Control {
-                    code,
-                    payload: payload.to_vec(),
-                })
-                .is_err()
-            {
-                return (Err(Win32Error::BrokenPipe), payload.len() as u64);
-            }
-            match self.recv_reply() {
-                Ok(OpReply::Control { payload: response }) => {
+        self.rec.traced(OpKind::Control, || {
+            let op = Op::Control {
+                code,
+                payload: payload.to_vec(),
+            };
+            match self.round_trip(op, &mut []) {
+                Ok((OpReply::Control { payload: response }, _)) => {
                     let bytes = (payload.len() + response.len()) as u64;
                     (Ok(response), bytes)
                 }
-                Ok(OpReply::Failed(e)) => (Err(to_win32(&e)), payload.len() as u64),
-                _ => (Err(Win32Error::BrokenPipe), payload.len() as u64),
+                Ok(_) => (Err(Win32Error::BrokenPipe), payload.len() as u64),
+                Err(e) => (Err(e), payload.len() as u64),
             }
         })
     }
 
     fn flush(&self) -> Result<(), Win32Error> {
-        if !self.transport.supports_control() {
-            // Nothing to command; the stream itself is the flush.
-            return Ok(());
-        }
-        let _op = self.op_lock.lock();
+        let _pointer = self.pointer.lock();
         self.check_sticky()?;
-        self.traced(OpKind::Flush, || {
-            let _wire = self.transport_span("round-trip");
-            self.charge_round_trip();
-            let r = (|| {
-                self.transport
-                    .send_cmd(Op::Flush)
-                    .map_err(|_| Win32Error::BrokenPipe)?;
-                match self.recv_reply()? {
-                    OpReply::Done => Ok(()),
-                    OpReply::Failed(e) => Err(to_win32(&e)),
-                    _ => Err(Win32Error::BrokenPipe),
-                }
-            })();
+        self.rec.traced(OpKind::Flush, || {
+            let r = match self.round_trip(Op::Flush, &mut []) {
+                Ok((OpReply::Done, _)) => Ok(()),
+                Ok(_) => Err(Win32Error::BrokenPipe),
+                Err(e) => Err(e),
+            };
             (r, 0)
         })
     }
 
     fn close(&self) -> Result<(), Win32Error> {
-        if !self.transport.supports_control() {
-            return self.traced(OpKind::Close, || {
-                // "The CloseHandle call just shuts down the created pipes"
-                // (Appendix A.2); the sentinel sees EOF, finishes, and is
-                // reaped.
-                let _wire = self.transport_span("shutdown");
-                self.transport.shutdown();
-                reap(&self.reaper);
-                (Ok(()), 0)
-            });
-        }
-        let result = self.traced(OpKind::Close, || {
-            let _op = self.op_lock.lock();
-            let _wire = self.transport_span("round-trip");
+        let result = self.rec.traced(OpKind::Close, || {
+            let _pointer = self.pointer.lock();
+            let _wire = self.rec.transport_span("round-trip");
             self.charge_round_trip();
-            let r = match self.transport.send_cmd(Op::Close) {
-                Ok(()) => match self.recv_reply() {
-                    Ok(OpReply::Done) => Ok(()),
-                    Ok(OpReply::Failed(e)) => Err(to_win32(&e)),
-                    _ => Err(Win32Error::BrokenPipe),
-                },
-                // Sentinel already gone; close is idempotent.
-                Err(_) => Ok(()),
+            let r = match self.port.call(Op::Close, &mut []) {
+                Ok((OpReply::Done, _)) => Ok(()),
+                Ok((OpReply::Failed(e), _)) => Err(to_win32(&e)),
+                // Never delivered — the sentinel is already gone; close
+                // is idempotent.
+                Err(IpcError::BrokenPipe) => Ok(()),
+                _ => Err(Win32Error::BrokenPipe),
             };
             (r, 0)
         });
@@ -510,116 +506,4 @@ impl<T: Transport<Cmd = Op, Reply = OpReply>> ActiveOps for StrategyHandle<T> {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use afs_sim::HardwareProfile;
-
-    /// A scripted wire that replies `Read { n }` to every command and
-    /// serves however many payload bytes are asked for — a sentinel that
-    /// delivers more than the caller requested.
-    struct OverDeliver {
-        n: u32,
-    }
-
-    impl Transport for OverDeliver {
-        type Cmd = Op;
-        type Reply = OpReply;
-
-        fn crossing(&self) -> CrossingKind {
-            CrossingKind::InterProcess
-        }
-
-        fn supports_control(&self) -> bool {
-            true
-        }
-
-        fn send_cmd(&self, _cmd: Op) -> afs_ipc::Result<()> {
-            Ok(())
-        }
-
-        fn recv_reply(&self) -> afs_ipc::Result<OpReply> {
-            Ok(OpReply::Read { n: self.n })
-        }
-
-        fn send_data(&self, _data: &[u8]) -> afs_ipc::Result<()> {
-            Ok(())
-        }
-
-        fn recv_data(&self, buf: &mut [u8]) -> afs_ipc::Result<usize> {
-            buf.fill(0xAB);
-            Ok(buf.len())
-        }
-
-        fn recv_data_exact(&self, buf: &mut [u8]) -> afs_ipc::Result<usize> {
-            buf.fill(0xAB);
-            Ok(buf.len())
-        }
-
-        fn shutdown(&self) {}
-    }
-
-    fn handle_over(n: u32) -> StrategyHandle<OverDeliver> {
-        let tel = Telemetry::new();
-        let obs = OpObserver {
-            tel: Arc::clone(&tel),
-            scope: Arc::new(SpanScope::default()),
-            slo: None,
-        };
-        StrategyHandle::new(
-            OverDeliver { n },
-            CostModel::new(HardwareProfile::pentium_ii_300()),
-            Arc::new(OpTrace::new()),
-            "Process",
-            Sticky::default(),
-            None,
-            obs,
-        )
-    }
-
-    #[test]
-    fn scatter_over_delivery_is_a_protocol_error() {
-        let _clock = clock::install(0);
-        // 8 bytes requested across two buffers; the sentinel claims 12.
-        let handle = handle_over(12);
-        let mut a = [0u8; 4];
-        let mut b = [0u8; 4];
-        let before = *handle.pointer.lock();
-        let err = handle
-            .read_scatter(&mut [&mut a[..], &mut b[..]])
-            .expect_err("over-delivery must fail");
-        assert_eq!(err, Win32Error::BrokenPipe);
-        assert_eq!(
-            *handle.pointer.lock(),
-            before,
-            "pointer must not advance past a rejected transfer"
-        );
-    }
-
-    #[test]
-    fn scatter_exact_delivery_still_works() {
-        let _clock = clock::install(0);
-        let handle = handle_over(8);
-        let mut a = [0u8; 4];
-        let mut b = [0u8; 4];
-        let n = handle
-            .read_scatter(&mut [&mut a[..], &mut b[..]])
-            .expect("exact delivery");
-        assert_eq!(n, 8);
-        assert_eq!(a, [0xAB; 4]);
-        assert_eq!(b, [0xAB; 4]);
-        assert_eq!(*handle.pointer.lock(), 8);
-    }
-
-    #[test]
-    fn plain_read_over_delivery_cannot_overrun() {
-        let _clock = clock::install(0);
-        // `read` slices its own buffer by the reply count, so an
-        // oversized reply fails before any copy can overrun.
-        let handle = handle_over(64);
-        let mut buf = [0u8; 8];
-        // n=64 > buf.len()=8: the fill closure indexes buf[..n] — guard
-        // rejects rather than panics.
-        let r = handle.read(&mut buf);
-        assert!(r.is_err(), "oversized read reply must not succeed");
-    }
-}
+mod tests;

@@ -5,26 +5,29 @@
 //! different partitioning of functionality between the application and an
 //! external "process":
 //!
-//! | Module | Paper §| Sentinel runs as | Transport | Crossings/op | Copies/transfer |
-//! |--------|---------|------------------|-----------|--------------|-----------------|
+//! | Module | Paper §| Sentinel runs as | Carrier | Crossings/op | Copies/transfer |
+//! |--------|---------|------------------|---------|--------------|-----------------|
 //! | [`process`] | 4.1 | separate process (thread stand-in) | two pipes | 2 process switches | 2 kernel copies |
 //! | [`control`] | 4.2 | separate process | two pipes + control channel | 2 process switches | 2 kernel copies |
 //! | [`thread`]  | 4.3 | thread in the app | shared memory + events | 2 thread switches | 1 user copy |
 //! | [`dll`]     | 4.4 | inline call | none | 0 | logic's own only |
 //!
 //! Since the strategies trade copies and crossings — not semantics — the
-//! whole hot path is written once: the [`Op`]/[`OpReply`] command set
-//! here, executed by [`execute_op`] wherever the sentinel lives, and
-//! driven application-side by one generic
-//! [`StrategyHandle`](handle::StrategyHandle) over an
-//! [`afs_ipc::Transport`]. Out of line (§4.2/§4.3) the sentinel is one
-//! poll-driven [`dispatch::SentinelLoop`] on the sharded
-//! [`executor::SentinelExecutor`], wired by the one builder in [`wire`];
-//! private or shared, batched or not are inputs to that loop — which
-//! port it drains and which sessions it is handed — not code paths beside
-//! it. Inline (§4.4) the sentinel is an [`dll::InlineShared`] whose
+//! whole hot path is written once, around two seams where an operation is
+//! one value: the [`Op`]/[`OpReply`] command set here, handed by one
+//! generic [`StrategyHandle`](handle::StrategyHandle) to a carrier as
+//! [`post`/`call`](handle::AppPort), taken from the wire by the sentinel
+//! side as [`next`/`reply`](dispatch::SentinelPort), and executed by
+//! [`execute_op`] wherever the sentinel lives. Out of line (§4.2/§4.3)
+//! the sentinel is one poll-driven [`dispatch::SentinelLoop`] on the
+//! sharded [`executor::SentinelExecutor`], wired by the one builder in
+//! [`wire`]; private or shared, batched or not are inputs to that loop —
+//! which port it drains and which sessions it is handed — not code paths
+//! beside it. Inline (§4.4) the sentinel is an [`dll::InlineShared`] whose
 //! sessions call [`execute_op`] on the application thread; a private open
-//! is its one-session case. Per-command payload staging goes through an
+//! is its one-session case. §4.1 carries no commands at all: its handle
+//! streams over the two pipes and drops the rest "with an appropriate
+//! return code". Per-command payload staging goes through an
 //! [`afs_ipc::BufferPool`] so a settled sentinel allocates nothing per
 //! operation.
 
@@ -45,7 +48,7 @@ use std::thread::JoinHandle;
 
 use parking_lot::Mutex;
 
-use afs_ipc::{BufferPool, Transport};
+use afs_ipc::BufferPool;
 use afs_sim::{clock, CostModel, OpTrace, SimTime};
 use afs_telemetry::{now_ns, LatencyHistogram, Layer, SloTracker, SpanScope, Telemetry};
 use afs_winapi::Win32Error;
@@ -137,42 +140,35 @@ impl Instruments {
         }
     }
 
-    /// The application end of one session: a [`StrategyHandle`] driving
-    /// `transport`, publishing the in-flight op's trace context in `scope`
-    /// and surfacing the failures its sentinel end parks in `sticky`.
-    ///
-    /// [`StrategyHandle`]: handle::StrategyHandle
-    pub(crate) fn handle<T>(
-        &self,
-        transport: T,
-        sticky: Sticky,
-        scope: Arc<SpanScope>,
-        reaper: Option<Reaper>,
-    ) -> Arc<dyn ActiveOps>
-    where
-        T: Transport<Cmd = Op, Reply = OpReply> + 'static,
-    {
-        Arc::new(handle::StrategyHandle::new(
-            transport,
+    /// What an application-side handle of this open records its
+    /// operations into, publishing the in-flight op's trace context in
+    /// `scope`.
+    pub(crate) fn recorder(&self, scope: Arc<SpanScope>) -> handle::Recorder {
+        handle::Recorder::new(
             self.model.clone(),
             Arc::clone(&self.trace),
             self.strategy,
-            sticky,
-            reaper,
-            OpObserver {
-                tel: Arc::clone(&self.tel),
-                scope,
-                slo: self.slo.clone(),
-            },
-        ))
+            Arc::clone(&self.tel),
+            scope,
+            self.slo.clone(),
+        )
     }
-}
 
-/// Application-side telemetry for one [`StrategyHandle`](handle::StrategyHandle).
-pub(crate) struct OpObserver {
-    pub(crate) tel: Arc<Telemetry>,
-    pub(crate) scope: Arc<SpanScope>,
-    pub(crate) slo: Option<Arc<SloTracker>>,
+    /// The application end of one session: a [`StrategyHandle`] driving
+    /// `port`, publishing the in-flight op's trace context in `scope` and
+    /// surfacing the failures its sentinel end parks in `sticky`.
+    ///
+    /// [`StrategyHandle`]: handle::StrategyHandle
+    pub(crate) fn handle(
+        &self,
+        port: impl handle::AppPort + 'static,
+        sticky: Sticky,
+        scope: Arc<SpanScope>,
+        reaper: Option<Reaper>,
+    ) -> Arc<dyn ActiveOps> {
+        let rec = self.recorder(scope);
+        Arc::new(handle::StrategyHandle::new(port, rec, sticky, reaper))
+    }
 }
 
 /// Sentinel-side telemetry: span creation (parented across threads via the

@@ -23,7 +23,7 @@
 
 use std::sync::Arc;
 
-use afs_ipc::{Framed, MuxHub, MuxProtocol, PairTransport};
+use afs_ipc::{MuxHub, MuxProtocol};
 use afs_telemetry::{intern, SpanScope};
 
 use crate::strategy::dispatch::{Joiners, Session};
@@ -79,8 +79,6 @@ impl MuxProtocol for OpMux {
     }
 }
 
-type OpHub = MuxHub<OpMux, PairTransport<Framed<Op>, Framed<OpReply>>>;
-
 /// A running sentinel that later opens of the same `(path, spec)` can
 /// join as additional sessions.
 pub(crate) trait SharedSentinel: Send + Sync {
@@ -94,7 +92,7 @@ pub(crate) trait SharedSentinel: Send + Sync {
 /// The application side of a joinable §4.2/§4.3 sentinel: one transport,
 /// many sessions multiplexed over it.
 pub(crate) struct MuxShared {
-    pub(crate) hub: Arc<OpHub>,
+    pub(crate) hub: Arc<MuxHub<OpMux>>,
     pub(crate) joiners: Joiners,
     /// Interned data-part path, for the per-session span note.
     pub(crate) file: &'static str,

@@ -8,9 +8,10 @@
 //! purely streaming: "operations such as ReadFileScatter (or seek in
 //! Unix) and GetFileSize cannot be implemented as there is no method of
 //! passing control information", and the client stubs drop them "with an
-//! appropriate return code" (Appendix A.2). The wiring is
-//! [`StreamTransport`], whose missing control lane is exactly what makes
-//! the shared [`StrategyHandle`] fail those operations.
+//! appropriate return code" (Appendix A.2). So this strategy is not a
+//! command carrier at all: its handle is a [`StreamHandle`] over the two
+//! pipe ends, sharing only the operation [`Recorder`] with the
+//! [`StrategyHandle`] the other three strategies use.
 //!
 //! Two programming models are supported, as in the paper:
 //!
@@ -27,13 +28,15 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use afs_ipc::{PipeReader, PipeWriter, StreamTransport};
-use afs_winapi::Win32Error;
+use afs_ipc::{Pipe, PipeReader, PipeWriter};
+use afs_sim::{CrossingKind, OpKind};
+use afs_winapi::{SeekMethod, Win32Error};
 
 use crate::ctx::SentinelCtx;
 use crate::logic::SentinelLogic;
+use crate::strategy::handle::Recorder;
 use crate::strategy::{
-    spawn_sentinel, to_win32, ActiveOps, Instruments, Op, OpReply, Reaper, SentinelSide, Sticky,
+    reap, spawn_sentinel, to_win32, ActiveOps, Instruments, Reaper, SentinelSide,
 };
 
 /// Buffer size of the Figure 2 pump loops (`char buf[1024]`).
@@ -59,25 +62,114 @@ pub trait RawProcessSentinel: Send {
     fn run(&mut self, io: ProcessIo);
 }
 
+/// The application end of the §4.1 wiring: the write pipe's writer and
+/// the read pipe's reader, no pointer and no op serialisation (a blocked
+/// read must not stall a concurrent write).
+struct StreamHandle {
+    to_sentinel: Mutex<Option<PipeWriter>>,
+    from_sentinel: Mutex<Option<PipeReader>>,
+    rec: Recorder,
+    reaper: Mutex<Option<Reaper>>,
+}
+
+impl StreamHandle {
+    /// One traced streaming transfer: the round trip's two process
+    /// switches, then `io` on whichever pipe end `end` still holds.
+    fn stream<E>(
+        &self,
+        op: OpKind,
+        span: &'static str,
+        end: &Mutex<Option<E>>,
+        io: impl FnOnce(&E) -> afs_ipc::Result<usize>,
+    ) -> Result<usize, Win32Error> {
+        self.rec.traced(op, || {
+            let _wire = self.rec.transport_span(span);
+            self.rec.charge_round_trip(CrossingKind::InterProcess);
+            let r = match end.lock().as_ref().map(io) {
+                Some(Ok(n)) => Ok(n),
+                _ => Err(Win32Error::BrokenPipe),
+            };
+            let n = *r.as_ref().unwrap_or(&0) as u64;
+            (r, n)
+        })
+    }
+}
+
+/// `read` / `write` / `close` over the pipes; everything that would need
+/// "a method of passing control information" is dropped with the
+/// appropriate return code (§4.1, Appendix A.2).
+impl ActiveOps for StreamHandle {
+    fn read(&self, buf: &mut [u8]) -> Result<usize, Win32Error> {
+        self.stream(OpKind::Read, "stream-recv", &self.from_sentinel, |pipe| {
+            pipe.read(buf)
+        })
+    }
+
+    fn write(&self, data: &[u8]) -> Result<usize, Win32Error> {
+        self.stream(OpKind::Write, "stream-send", &self.to_sentinel, |pipe| {
+            pipe.write(data).map(|()| data.len())
+        })
+    }
+
+    fn seek(&self, _offset: i64, _method: SeekMethod) -> Result<u64, Win32Error> {
+        Err(Win32Error::CallNotImplemented)
+    }
+
+    fn size(&self) -> Result<u64, Win32Error> {
+        Err(Win32Error::CallNotImplemented)
+    }
+
+    fn read_scatter(&self, _bufs: &mut [&mut [u8]]) -> Result<usize, Win32Error> {
+        Err(Win32Error::CallNotImplemented)
+    }
+
+    fn control(&self, _code: u32, _payload: &[u8]) -> Result<Vec<u8>, Win32Error> {
+        Err(Win32Error::CallNotImplemented)
+    }
+
+    fn flush(&self) -> Result<(), Win32Error> {
+        // Nothing to command; the stream itself is the flush.
+        Ok(())
+    }
+
+    fn close(&self) -> Result<(), Win32Error> {
+        self.rec.traced(OpKind::Close, || {
+            // "The CloseHandle call just shuts down the created pipes"
+            // (Appendix A.2): dropping the write end delivers EOF to the
+            // sentinel's stdin, dropping the read end breaks any pump
+            // blocked on a full read pipe; the sentinel finishes and is
+            // reaped.
+            let _wire = self.rec.transport_span("shutdown");
+            self.to_sentinel.lock().take();
+            self.from_sentinel.lock().take();
+            reap(&self.reaper);
+            (Ok(()), 0)
+        })
+    }
+}
+
 fn wire(
     instr: &Instruments,
     sentinel: impl FnOnce(PipeReader, PipeWriter) + Send + 'static,
 ) -> Arc<dyn ActiveOps> {
-    let (transport, sentinel_stdin, sentinel_stdout) = StreamTransport::<Op, OpReply>::new_observed(
-        instr.model.clone(),
-        Arc::clone(instr.tel.gauges()),
-    );
+    // The two anonymous pipes of Figure 2.
+    let pipe = || {
+        let gauges = Arc::clone(instr.tel.gauges());
+        Pipe::anonymous_observed(instr.model.clone(), CrossingKind::InterProcess, gauges)
+    };
+    let (app_write, sentinel_stdin) = pipe();
+    let (sentinel_stdout, app_read) = pipe();
+    // §4.1 streams have no command lane to poll, so the pump pair keeps
+    // dedicated threads; the reaper joins them directly.
     let join = spawn_sentinel("process", move || {
         sentinel(sentinel_stdin, sentinel_stdout);
     });
-    // §4.1 streams have no command lane to poll, so the pump pair keeps
-    // dedicated threads; the reaper joins them directly.
-    instr.handle(
-        transport,
-        Sticky::default(),
-        Arc::default(),
-        Some(Reaper::Thread(join)),
-    )
+    Arc::new(StreamHandle {
+        to_sentinel: Mutex::new(Some(app_write)),
+        from_sentinel: Mutex::new(Some(app_read)),
+        rec: instr.recorder(Arc::default()),
+        reaper: Mutex::new(Some(Reaper::Thread(join))),
+    })
 }
 
 /// Builds the simple process strategy around a hand-written sentinel.
@@ -173,4 +265,50 @@ fn pump(
     let Shared { logic, ctx } = &mut *s;
     let _ = logic.on_close(ctx);
     ctx.persist_cache();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::strategy::dispatch::tests::{instruments, probe_ctx};
+
+    /// Greets on stdout, collects stdin to EOF, then writes until its
+    /// reader goes away.
+    struct Chatty(Arc<Mutex<Vec<u8>>>);
+
+    impl RawProcessSentinel for Chatty {
+        fn run(&mut self, io: ProcessIo) {
+            io.stdout.write(b"hello").expect("greeting");
+            let mut buf = [0u8; 16];
+            while let Ok(n @ 1..) = io.stdin.read(&mut buf) {
+                self.0.lock().extend_from_slice(&buf[..n]);
+            }
+            while io.stdout.write(&[0u8; PUMP_CHUNK]).is_ok() {}
+            self.0.lock().extend_from_slice(b"|reader gone");
+        }
+    }
+
+    #[test]
+    fn the_stream_handle_streams_and_drops_the_rest_with_a_return_code() {
+        let heard = Arc::new(Mutex::new(Vec::new()));
+        let sentinel = Box::new(Chatty(Arc::clone(&heard)));
+        let ops = open_raw(sentinel, probe_ctx(), instruments());
+        let mut buf = [0u8; 5];
+        assert_eq!(ops.read(&mut buf), Ok(5));
+        assert_eq!(&buf, b"hello");
+        assert_eq!(ops.write(b"abc"), Ok(3));
+        let not_implemented = Win32Error::CallNotImplemented;
+        assert_eq!(ops.seek(0, SeekMethod::Begin), Err(not_implemented));
+        assert_eq!(ops.size(), Err(not_implemented));
+        assert_eq!(ops.read_scatter(&mut [&mut buf[..]]), Err(not_implemented));
+        assert_eq!(ops.control(1, b""), Err(not_implemented));
+        assert_eq!(ops.flush(), Ok(()));
+        // Close shuts both pipes — EOF on the sentinel's stdin, a broken
+        // stdout under its blocked write — and returns once it is reaped.
+        assert_eq!(ops.close(), Ok(()));
+        assert_eq!(*heard.lock(), b"abc|reader gone");
+        assert_eq!(ops.read(&mut buf), Err(Win32Error::BrokenPipe));
+        assert_eq!(ops.write(b"x"), Err(Win32Error::BrokenPipe));
+        assert_eq!(ops.close(), Ok(()));
+    }
 }

@@ -19,7 +19,7 @@
 //! | `AF_SendDataToSentinel`  | [`SharedBuffer::send`] app → sentinel      |
 //! | `AF_GetDataFromAppl`     | `recv` in the dispatch loop                |
 //! | `AF_SendDataToAppl`      | [`SharedBuffer::send`] sentinel → app      |
-//! | `AF_GetDataFromSentinel` | `recv_data_exact` in the strategy handle   |
+//! | `AF_GetDataFromSentinel` | `recv_payload` in the pair wire's `call`    |
 //!
 //! [`SharedBuffer::send`]: afs_ipc::SharedBuffer::send
 //! [`PairTransport::shared`]: afs_ipc::PairTransport::shared

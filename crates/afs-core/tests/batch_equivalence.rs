@@ -170,6 +170,42 @@ fn batched_transcripts_match_unbatched_across_all_strategies() {
     }
 }
 
+/// What the data part holds after a handle took three writes and was
+/// abandoned — dropped at world teardown without `CloseHandle`.
+fn abandoned_handle_content(strategy: Strategy, batch: Option<&str>) -> Vec<u8> {
+    let world = build(strategy, Backing::Memory, false, batch);
+    let api = world.api();
+    let _clock = clock::install(0);
+    let h = api
+        .create_file("/b.af", Access::read_write(), Disposition::OpenExisting)
+        .expect("open");
+    for chunk in [b"0123", b"4567", b"89ab"] {
+        assert_eq!(api.write_file(h, chunk).expect("write"), 4);
+    }
+    world.quiesce();
+    world
+        .vfs()
+        .read_stream_to_end(&afs_vfs::VPath::parse("/b.af").expect("path"))
+        .expect("data part")
+}
+
+/// Every `WriteFile` that returned is owed to the sentinel, `CloseHandle`
+/// or not: a batched handle must not take its staged writes with it.
+#[test]
+fn an_abandoned_batched_handle_loses_no_acknowledged_write() {
+    for strategy in [Strategy::ProcessControl, Strategy::DllThread] {
+        let plain = abandoned_handle_content(strategy, None);
+        assert_eq!(plain, b"0123456789ab", "{strategy:?}: unbatched");
+        for depth in DEPTHS {
+            assert_eq!(
+                plain,
+                abandoned_handle_content(strategy, Some(depth)),
+                "{strategy:?}: batch=on ring_depth={depth} abandoned"
+            );
+        }
+    }
+}
+
 /// The tentpole number, asserted at the strategy layer: sequential reads
 /// over the ring cross protection domains about `ring_depth` times less
 /// often than unbatched reads, for both boundary strategies.
@@ -271,7 +307,7 @@ fn ring_gauges_record_batches_and_readahead_hits() {
 }
 
 #[test]
-fn ring_depth_zero_is_rejected_at_open() {
+fn a_zero_ring_depth_is_rejected_at_open() {
     let world = AfsWorld::new();
     world
         .install_active_file(
@@ -316,7 +352,7 @@ fn garbage_batch_and_ring_depth_values_are_rejected_at_open() {
 }
 
 #[test]
-fn ring_depth_without_batch_is_rejected_at_open() {
+fn a_ring_depth_without_batch_is_rejected_at_open() {
     let world = AfsWorld::new();
     world
         .install_active_file(

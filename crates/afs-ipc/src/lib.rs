@@ -23,13 +23,14 @@
 //!   multiple sentinels on the same active file use to synchronise
 //!   "amongst themselves in a program-dependent fashion" (§2.2).
 //!
-//! On top of the primitives, [`transport::Transport`] packages one
-//! strategy's complete wiring (typed command/reply lanes plus a data lane)
-//! behind a single trait, [`ring::RingPair`] adds io_uring-style
-//! submission/completion rings that cross the boundary once per *batch*
-//! instead of once per op, and [`pool::BufferPool`] recycles the staging
-//! buffers all of them use, so the hot path settles into a steady state
-//! with no per-operation allocation.
+//! On top of the primitives, [`transport::PairTransport`] packages the
+//! complete §4.2/§4.3 wiring (typed command/reply lanes plus a data lane
+//! each way), [`mux::MuxHub`] shares one such wire among many sessions,
+//! [`ring::RingPair`] adds io_uring-style submission/completion rings
+//! that cross the boundary once per *batch* instead of once per op, and
+//! [`pool::BufferPool`] recycles the staging buffers all of them use, so
+//! the hot path settles into a steady state with no per-operation
+//! allocation.
 //!
 //! All primitives work identically with or without a virtual clock
 //! installed, so the same code paths serve both the Figure 6 simulation and
@@ -55,7 +56,7 @@ pub use pool::BufferPool;
 pub use ring::{Cqe, RingPair, RingPort, RingTransport, Sqe};
 pub use shared_buf::SharedBuffer;
 pub use sync::{NamedSemaphore, SyncRegistry};
-pub use transport::{DataRx, DataTx, PairPort, PairTransport, StreamTransport, Transport};
+pub use transport::{DataRx, DataTx, PairPort, PairTransport};
 
 /// Result alias used across this crate.
 pub type Result<T> = std::result::Result<T, IpcError>;

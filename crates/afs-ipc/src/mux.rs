@@ -2,19 +2,22 @@
 //!
 //! The paper's §2.2 rule — one sentinel per open — costs N threads, N
 //! transports, and N incoherent caches for N concurrent opens of the same
-//! active file. A [`MuxHub`] shares one underlying control-capable
-//! [`Transport`] among many *sessions*: each command and reply travels as
-//! a [`Framed`] value carrying its session id, the hub demultiplexes
-//! replies into per-session mailboxes, and back-to-back contiguous writes
-//! from one session are *coalesced* into a single staged batch that
-//! crosses the protection boundary once instead of once per write.
+//! active file. A [`MuxHub`] shares one [`PairTransport`] among many
+//! *sessions*: each command and reply travels as a [`Framed`] value
+//! carrying its session id, the hub demultiplexes replies into
+//! per-session mailboxes, and back-to-back contiguous writes from one
+//! session are *coalesced* into a single staged batch that crosses the
+//! protection boundary once instead of once per write.
+//!
+//! A [`MuxSession`] speaks in whole operations: [`MuxSession::post`] for
+//! the write nobody waits on, [`MuxSession::call`] for everything else,
+//! the bytes behind a reply landing in the caller's buffer.
 //!
 //! Cost accounting stays honest: the hub charges the two crossing
 //! switches per *transmitted frame* (so a coalesced write charges only
 //! the user-level copy into its staging buffer), and every staging copy
-//! is charged as a [`Cost::Memcpy`]. Because of that, transports handed
-//! out by the hub report [`Transport::charges_own_crossings`], and the
-//! strategy handle above must not add its own per-op round-trip charge.
+//! is charged as a [`Cost::Memcpy`]. Because of that, the layer driving a
+//! session must not add its own per-op round-trip charge.
 //!
 //! The hub is protocol-agnostic: a [`MuxProtocol`] implementation tells
 //! it how many payload bytes follow a command or reply on the data lane,
@@ -31,7 +34,7 @@ use afs_sim::{clock, Cost, CostModel, CrossingKind, SimTime};
 use afs_telemetry::SessionGauges;
 
 use crate::pool::BufferPool;
-use crate::{IpcError, Result, Transport};
+use crate::{IpcError, PairTransport, Result};
 
 /// Writes staged per session before a forced flush; bounds both memory
 /// and the latency outlier of the flush-carrying operation.
@@ -102,14 +105,10 @@ struct RecvState<P: MuxProtocol> {
     dead: bool,
 }
 
-/// The application-side multiplexer: owns the single underlying
-/// transport and hands out per-session [`MuxSession`] transports.
-pub struct MuxHub<P, T>
-where
-    P: MuxProtocol,
-    T: Transport<Cmd = Framed<P::Cmd>, Reply = Framed<P::Reply>>,
-{
-    under: T,
+/// The application-side multiplexer: owns the single underlying wire and
+/// hands out per-session [`MuxSession`] endpoints.
+pub struct MuxHub<P: MuxProtocol> {
+    under: PairTransport<Framed<P::Cmd>, Framed<P::Reply>>,
     model: CostModel,
     pool: BufferPool,
     send: Mutex<SendState<P>>,
@@ -128,13 +127,13 @@ where
 /// the sentinel has fully terminated and yields its final virtual time.
 pub type SentinelReaper = Box<dyn FnOnce() -> SimTime + Send>;
 
-impl<P, T> MuxHub<P, T>
-where
-    P: MuxProtocol,
-    T: Transport<Cmd = Framed<P::Cmd>, Reply = Framed<P::Reply>>,
-{
+impl<P: MuxProtocol> MuxHub<P> {
     /// Wraps `under`, charging crossings and staging copies to `model`.
-    pub fn new(under: T, model: CostModel, gauges: Option<Arc<SessionGauges>>) -> Arc<Self> {
+    pub fn new(
+        under: PairTransport<Framed<P::Cmd>, Framed<P::Reply>>,
+        model: CostModel,
+        gauges: Option<Arc<SessionGauges>>,
+    ) -> Arc<Self> {
         Arc::new(MuxHub {
             under,
             model,
@@ -163,7 +162,7 @@ where
 
     /// Attaches a new session, or `None` once the hub has closed (the
     /// caller then spawns a fresh sentinel instead).
-    pub fn attach(self: &Arc<Self>) -> Option<MuxSession<P, T>> {
+    pub fn attach(self: &Arc<Self>) -> Option<MuxSession<P>> {
         let id = {
             let mut s = self.send.lock();
             if s.closed {
@@ -180,12 +179,6 @@ where
         Some(MuxSession {
             hub: Arc::clone(self),
             id,
-            pending: Mutex::new(None),
-            inbound: Mutex::new(Inbound {
-                buf: Vec::new(),
-                pos: 0,
-                direct: 0,
-            }),
             closing: AtomicBool::new(false),
         })
     }
@@ -325,28 +318,28 @@ where
         }
     }
 
-    /// Returns the next reply for `session`, demultiplexing on behalf of
-    /// every waiter: whoever finds the wire idle pulls the next framed
-    /// reply. A reply for *another* session has its payload drained into
-    /// a staged buffer immediately (the data lane must stay aligned with
-    /// the reply lane) and is deposited in that session's mailbox; the
-    /// puller's *own* reply is returned [`Pulled::Direct`] instead — the
-    /// data lane is handed to the caller, who drains the payload straight
-    /// into its destination buffer with no staging copy, which keeps the
-    /// uncontended profile identical to a private transport.
-    fn recv_for(&self, session: u32) -> Result<Pulled<P::Reply>> {
+    /// Returns the next reply for `session` with its payload in `into`,
+    /// demultiplexing on behalf of every waiter: whoever finds the wire
+    /// idle pulls the next framed reply and the payload behind it (the
+    /// data lane must stay aligned with the reply lane). A reply for
+    /// *another* session is deposited, payload staged, in that session's
+    /// mailbox; the puller's *own* payload goes straight into `into` with
+    /// no staging copy, which keeps the uncontended profile identical to
+    /// a private transport.
+    fn recv_for(&self, session: u32, into: &mut [u8]) -> Result<(P::Reply, usize)> {
         let mut rs = self.recv.lock();
         loop {
             match rs.mailboxes.get_mut(&session) {
                 Some(mailbox) => {
-                    if let Some((reply, buf)) = mailbox.pop_front() {
-                        return Ok(Pulled::Staged(reply, buf));
+                    if let Some((reply, staged)) = mailbox.pop_front() {
+                        drop(rs);
+                        return self.unstage(reply, staged, into);
                     }
                 }
                 None => return Err(IpcError::BrokenPipe),
             }
             if rs.dead {
-                return Err(IpcError::BrokenPipe);
+                return Err(IpcError::Closed);
             }
             if rs.pulling {
                 self.recv_ready.wait(&mut rs);
@@ -354,164 +347,134 @@ where
             }
             rs.pulling = true;
             drop(rs);
-            let frame = match self.under.recv_reply() {
-                Ok(frame) => frame,
-                Err(_) => {
-                    rs = self.recv.lock();
-                    rs.pulling = false;
-                    rs.dead = true;
-                    self.recv_ready.notify_all();
-                    return Err(IpcError::BrokenPipe);
-                }
-            };
-            let n = P::reply_payload_len(&frame.body);
-            if frame.session == session {
-                if n == 0 {
-                    rs = self.recv.lock();
-                    rs.pulling = false;
-                    self.recv_ready.notify_all();
-                    drop(rs);
-                }
-                // With payload pending, `pulling` stays set: the data
-                // lane belongs to this session until it drains the
-                // bytes (see `finish_direct`).
-                return Ok(Pulled::Direct(frame.body, n));
-            }
-            let pulled = (|| {
-                let mut buf = self.pool.take(n);
-                if n > 0 {
-                    self.under.recv_data_exact(&mut buf)?;
-                }
-                Ok::<_, IpcError>(buf)
-            })();
+            let pulled = self.pull(session, into);
+            // The wire is released on every way out of the pull.
             rs = self.recv.lock();
             rs.pulling = false;
+            self.recv_ready.notify_all();
             match pulled {
-                Ok(buf) => {
-                    if let Some(mailbox) = rs.mailboxes.get_mut(&frame.session) {
-                        mailbox.push_back((frame.body, buf));
+                Ok(Pulled::Own(reply, n)) => return Ok((reply, n)),
+                Ok(Pulled::Peer(peer, reply, staged)) => {
+                    if let Some(mailbox) = rs.mailboxes.get_mut(&peer) {
+                        mailbox.push_back((reply, staged));
                     }
                 }
-                Err(_) => rs.dead = true,
+                Err(e) => {
+                    // An over-announced payload was drained: that fails
+                    // this call, not the wire.
+                    rs.dead = e != IpcError::BrokenPipe;
+                    return Err(e);
+                }
             }
-            self.recv_ready.notify_all();
         }
     }
 
-    /// Releases the wire after a [`Pulled::Direct`] payload is drained
-    /// (or failed to drain, in which case the wire is dead).
-    fn finish_direct(&self, ok: bool) {
-        let mut rs = self.recv.lock();
-        rs.pulling = false;
-        if !ok {
-            rs.dead = true;
+    /// Pulls one framed reply and its payload off the wire. Only the
+    /// thread that set `pulling` runs this.
+    ///
+    /// # Errors
+    ///
+    /// [`IpcError::BrokenPipe`] when the caller's own reply announced
+    /// more bytes than `into` holds (see [`PairTransport::recv_payload`]);
+    /// anything else means the wire is dead.
+    fn pull(&self, session: u32, into: &mut [u8]) -> Result<Pulled<P::Reply>> {
+        let frame = self.under.recv_reply()?;
+        let n = P::reply_payload_len(&frame.body);
+        if frame.session == session {
+            let n = self.under.recv_payload(n, into)?;
+            return Ok(Pulled::Own(frame.body, n));
         }
-        self.recv_ready.notify_all();
+        let mut staged = self.pool.take(n);
+        self.under.recv_payload(n, &mut staged)?;
+        Ok(Pulled::Peer(frame.session, frame.body, staged))
+    }
+
+    /// Hands over a reply a peer pulled on this session's behalf. The
+    /// wire transfer was charged when the peer pulled it; the copy out of
+    /// its staging buffer is an extra user-level copy the demultiplexer
+    /// really performs, so it is charged too.
+    fn unstage(
+        &self,
+        reply: P::Reply,
+        staged: Vec<u8>,
+        into: &mut [u8],
+    ) -> Result<(P::Reply, usize)> {
+        let n = staged.len();
+        let fits = into.get_mut(..n).map(|dst| dst.copy_from_slice(&staged));
+        self.pool.put(staged);
+        fits.ok_or(IpcError::BrokenPipe)?;
+        if n > 0 {
+            self.model.charge(Cost::Memcpy { bytes: n });
+        }
+        Ok((reply, n))
     }
 }
 
-/// How a reply reached the session: staged by a demultiplexing peer, or
-/// pulled directly off the wire by the session itself (`usize` payload
-/// bytes still on the data lane, owed to the caller).
+/// What one pull took off the wire: the puller's own reply, its payload
+/// already delivered, or a peer's, staged.
 enum Pulled<R> {
-    Staged(R, Vec<u8>),
-    Direct(R, usize),
+    Own(R, usize),
+    Peer(u32, R, Vec<u8>),
 }
 
-/// Staged inbound payload for one session's `recv_data_exact` calls.
-struct Inbound {
-    buf: Vec<u8>,
-    pos: usize,
-    /// Bytes of a directly-pulled reply still sitting on the underlying
-    /// data lane, owned by this session until drained.
-    direct: usize,
-}
-
-/// One session's view of a [`MuxHub`]: a complete control-capable
-/// [`Transport`], indistinguishable in use from a private wiring.
-pub struct MuxSession<P, T>
-where
-    P: MuxProtocol,
-    T: Transport<Cmd = Framed<P::Cmd>, Reply = Framed<P::Reply>>,
-{
-    hub: Arc<MuxHub<P, T>>,
+/// One session's view of a [`MuxHub`], indistinguishable in use from a
+/// private wiring. Nothing but its identity outlives an operation.
+pub struct MuxSession<P: MuxProtocol> {
+    hub: Arc<MuxHub<P>>,
     id: u32,
-    /// A payload-carrying command parked until its bytes arrive via
-    /// `send_data`, so frame and payload hit the wire adjacently.
-    pending: Mutex<Option<P::Cmd>>,
-    inbound: Mutex<Inbound>,
     /// This session transmitted the terminal close; its acknowledgement
     /// reaps the sentinel thread.
     closing: AtomicBool,
 }
 
-impl<P, T> MuxSession<P, T>
-where
-    P: MuxProtocol,
-    T: Transport<Cmd = Framed<P::Cmd>, Reply = Framed<P::Reply>>,
-{
+impl<P: MuxProtocol> MuxSession<P> {
     /// This session's id on the hub.
     pub fn session_id(&self) -> u32 {
         self.id
     }
 
     /// The hub this session rides on.
-    pub fn hub(&self) -> &Arc<MuxHub<P, T>> {
+    pub fn hub(&self) -> &Arc<MuxHub<P>> {
         &self.hub
     }
-}
 
-impl<P, T> Transport for MuxSession<P, T>
-where
-    P: MuxProtocol,
-    T: Transport<Cmd = Framed<P::Cmd>, Reply = Framed<P::Reply>>,
-{
-    type Cmd = P::Cmd;
-    type Reply = P::Reply;
-
-    fn crossing(&self) -> CrossingKind {
+    /// Which protection boundary a transmitted frame crosses.
+    pub fn crossing(&self) -> CrossingKind {
         self.hub.under.crossing()
     }
 
-    fn supports_control(&self) -> bool {
-        true
-    }
-
-    fn charges_own_crossings(&self) -> bool {
-        true
-    }
-
-    fn send_cmd(&self, cmd: P::Cmd) -> Result<()> {
+    /// Sends `cmd` and the `payload` that follows it, waiting for nothing.
+    /// Under contention the frame is staged instead, and adjacent ones
+    /// coalesce.
+    ///
+    /// # Errors
+    ///
+    /// [`IpcError::BrokenPipe`] once the hub has closed or the wire is
+    /// gone.
+    pub fn post(&self, cmd: P::Cmd, payload: &[u8]) -> Result<()> {
         if P::cmd_payload_len(&cmd) > 0 {
-            *self.pending.lock() = Some(cmd);
-            return Ok(());
+            self.hub.send_payload(self.id, cmd, payload)
+        } else {
+            self.hub.send_plain(self.id, cmd)
         }
-        if P::is_close(&cmd) {
-            return self.hub.send_close(self.id, cmd, &self.closing);
-        }
-        self.hub.send_plain(self.id, cmd)
     }
 
-    fn recv_reply(&self) -> Result<P::Reply> {
-        let result = self.hub.recv_for(self.id).map(|pulled| {
-            let mut inbound = self.inbound.lock();
-            match pulled {
-                Pulled::Staged(reply, payload) => {
-                    let drained = std::mem::replace(&mut inbound.buf, payload);
-                    inbound.pos = 0;
-                    inbound.direct = 0;
-                    self.hub.pool.put(drained);
-                    reply
-                }
-                Pulled::Direct(reply, pending) => {
-                    let drained = std::mem::take(&mut inbound.buf);
-                    inbound.pos = 0;
-                    inbound.direct = pending;
-                    self.hub.pool.put(drained);
-                    reply
-                }
-            }
-        });
+    /// Sends `cmd`, waits for its reply, and lands the bytes that follow
+    /// the reply in `into`; returns the reply and the byte count.
+    ///
+    /// # Errors
+    ///
+    /// [`IpcError::BrokenPipe`] when nothing was transmitted (the hub has
+    /// closed, the wire is gone) or the reply announced more bytes than
+    /// `into` holds; [`IpcError::Closed`] when the wire died before the
+    /// reply arrived.
+    pub fn call(&self, cmd: P::Cmd, into: &mut [u8]) -> Result<(P::Reply, usize)> {
+        if P::is_close(&cmd) {
+            self.hub.send_close(self.id, cmd, &self.closing)?;
+        } else {
+            self.hub.send_plain(self.id, cmd)?;
+        }
+        let result = self.hub.recv_for(self.id, into);
         if self.closing.load(Ordering::SeqCst) {
             // Terminal close acknowledged (or wire gone): fold the
             // sentinel's final virtual time into this thread.
@@ -519,62 +482,11 @@ where
         }
         result
     }
-
-    fn send_data(&self, data: &[u8]) -> Result<()> {
-        let cmd = self.pending.lock().take().ok_or(IpcError::Unsupported)?;
-        self.hub.send_payload(self.id, cmd, data)
-    }
-
-    fn recv_data(&self, buf: &mut [u8]) -> Result<usize> {
-        self.recv_data_exact(buf)
-    }
-
-    fn recv_data_exact(&self, buf: &mut [u8]) -> Result<usize> {
-        let mut inbound = self.inbound.lock();
-        if inbound.direct > 0 {
-            // This session pulled its own reply: the payload is still on
-            // the underlying data lane and goes straight into `buf` — no
-            // staging copy, exactly the private-transport profile.
-            if buf.len() > inbound.direct {
-                drop(inbound);
-                self.hub.finish_direct(false);
-                return Err(IpcError::BrokenPipe);
-            }
-            let pulled = self.hub.under.recv_data_exact(buf);
-            inbound.direct -= buf.len();
-            let done = inbound.direct == 0;
-            drop(inbound);
-            if pulled.is_err() {
-                self.hub.finish_direct(false);
-                return Err(IpcError::BrokenPipe);
-            }
-            if done {
-                self.hub.finish_direct(true);
-            }
-            return Ok(buf.len());
-        }
-        let available = inbound.buf.len() - inbound.pos;
-        if available < buf.len() {
-            return Err(IpcError::BrokenPipe);
-        }
-        let start = inbound.pos;
-        buf.copy_from_slice(&inbound.buf[start..start + buf.len()]);
-        inbound.pos += buf.len();
-        // The wire transfer was charged when a peer pulled this reply on
-        // our behalf; the copy out of its staging buffer is an extra
-        // user-level copy the demultiplexer really performs, so it is
-        // charged too.
-        self.hub.model.charge(Cost::Memcpy { bytes: buf.len() });
-        Ok(buf.len())
-    }
-
-    fn shutdown(&self) {}
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::PairTransport;
 
     /// A toy protocol: `(tag, offset, len)` commands where tag 1 writes
     /// `len` payload bytes, tag 2 reads, tag 9 closes; replies `(n,)`
@@ -629,11 +541,30 @@ mod tests {
         }
     }
 
-    type ToyHub = Arc<MuxHub<Toy, PairTransport<Framed<ToyCmd>, Framed<ToyReply>>>>;
+    type ToyHub = Arc<MuxHub<Toy>>;
+    type ToyPort = crate::PairPort<Framed<ToyCmd>, Framed<ToyReply>>;
 
-    fn hub() -> (ToyHub, crate::PairPort<Framed<ToyCmd>, Framed<ToyReply>>) {
+    fn hub() -> (ToyHub, ToyPort) {
         let (transport, port) = PairTransport::shared(CostModel::free());
         (MuxHub::new(transport, CostModel::free(), None), port)
+    }
+
+    fn cmd(tag: u8, offset: u64, len: u32) -> ToyCmd {
+        ToyCmd { tag, offset, len }
+    }
+
+    /// Answers `frame` with `data` from the sentinel side.
+    fn answer(port: &ToyPort, frame: &Framed<ToyCmd>, data: &[u8]) {
+        port.send_reply(Framed {
+            session: frame.session,
+            body: ToyReply {
+                n: data.len() as u32,
+            },
+        })
+        .expect("reply");
+        if !data.is_empty() {
+            port.send_data(data).expect("data");
+        }
     }
 
     #[test]
@@ -641,49 +572,30 @@ mod tests {
         let (hub, port) = hub();
         let a = hub.attach().expect("a");
         let b = hub.attach().expect("b");
-        a.send_cmd(ToyCmd {
-            tag: 2,
-            offset: 0,
-            len: 4,
-        })
-        .expect("a read");
-        b.send_cmd(ToyCmd {
-            tag: 2,
-            offset: 8,
-            len: 4,
-        })
-        .expect("b read");
         let (id_a, id_b) = (a.session_id(), b.session_id());
-        // The data lane is a rendezvous (one-slot / bounded), so the
-        // sentinel side runs on its own thread, like the real loop.
-        let sentinel = std::thread::spawn(move || {
+        std::thread::scope(|s| {
+            // The data lane is a rendezvous (one-slot / bounded), so each
+            // session calls from its own thread, like real handles do.
+            let read = |session: MuxSession<Toy>, offset| {
+                move || {
+                    let mut buf = [0u8; 4];
+                    let (reply, n) = session.call(cmd(2, offset, 4), &mut buf).expect("call");
+                    assert_eq!((reply, n), (ToyReply { n: 4 }, 4));
+                    buf
+                }
+            };
+            let call_a = s.spawn(read(a, 0));
             let fa = port.recv_cmd().expect("frame a");
+            let call_b = s.spawn(read(b, 8));
             let fb = port.recv_cmd().expect("frame b");
-            assert_eq!(fa.session, id_a);
-            assert_eq!(fb.session, id_b);
-            // Reply out of request order: b first.
-            port.send_reply(Framed {
-                session: fb.session,
-                body: ToyReply { n: 4 },
-            })
-            .expect("reply b");
-            port.send_data(b"BBBB").expect("data b");
-            port.send_reply(Framed {
-                session: fa.session,
-                body: ToyReply { n: 4 },
-            })
-            .expect("reply a");
-            port.send_data(b"AAAA").expect("data a");
+            assert_eq!((fa.session, fb.session), (id_a, id_b));
+            // Reply out of request order: whoever holds the wire pulls
+            // b's frame first and leaves it in b's box.
+            answer(&port, &fb, b"BBBB");
+            answer(&port, &fa, b"AAAA");
+            assert_eq!(&call_a.join().expect("a"), b"AAAA");
+            assert_eq!(&call_b.join().expect("b"), b"BBBB");
         });
-        // a pulls b's frame on the way to its own; b's lands in b's box.
-        assert_eq!(a.recv_reply().expect("a reply"), ToyReply { n: 4 });
-        let mut buf = [0u8; 4];
-        a.recv_data_exact(&mut buf).expect("a data");
-        assert_eq!(&buf, b"AAAA");
-        assert_eq!(b.recv_reply().expect("b reply"), ToyReply { n: 4 });
-        b.recv_data_exact(&mut buf).expect("b data");
-        assert_eq!(&buf, b"BBBB");
-        sentinel.join().expect("sentinel thread");
     }
 
     #[test]
@@ -692,49 +604,30 @@ mod tests {
         let a = hub.attach().expect("a");
         let _b = hub.attach().expect("b"); // second session switches staging on
         for i in 0..4u64 {
-            a.send_cmd(ToyCmd {
-                tag: 1,
-                offset: i * 4,
-                len: 4,
-            })
-            .expect("cmd");
-            a.send_data(b"wxyz").expect("payload");
+            a.post(cmd(1, i * 4, 4), b"wxyz").expect("write");
         }
         // Nothing on the wire yet: all four writes sit in one stage.
         assert_eq!(port.try_recv_cmd().expect("empty"), None);
-        // A read forces the flush: the batch frame precedes the read.
-        a.send_cmd(ToyCmd {
-            tag: 2,
-            offset: 0,
-            len: 1,
-        })
-        .expect("read");
-        let flush = port.recv_cmd().expect("flush frame");
-        assert_eq!(
-            flush.body,
-            ToyCmd {
-                tag: 1,
-                offset: 0,
-                len: 16
-            }
-        );
-        let mut payload = vec![0u8; 16];
-        port.recv_data_exact(&mut payload).expect("batch payload");
-        assert_eq!(&payload, b"wxyzwxyzwxyzwxyz");
-        assert_eq!(port.recv_cmd().expect("read frame").body.tag, 2);
+        std::thread::scope(|s| {
+            // A read forces the flush: the batch frame precedes the read.
+            let read = s.spawn(|| a.call(cmd(2, 0, 1), &mut [0u8; 1]).expect("read"));
+            let flush = port.recv_cmd().expect("flush frame");
+            assert_eq!(flush.body, cmd(1, 0, 16));
+            let mut payload = vec![0u8; 16];
+            port.recv_data_exact(&mut payload).expect("batch payload");
+            assert_eq!(&payload, b"wxyzwxyzwxyzwxyz");
+            let frame = port.recv_cmd().expect("read frame");
+            assert_eq!(frame.body.tag, 2);
+            answer(&port, &frame, b"w");
+            assert_eq!(read.join().expect("join"), (ToyReply { n: 1 }, 1));
+        });
     }
 
     #[test]
     fn single_session_writes_go_straight_to_the_wire() {
         let (hub, port) = hub();
         let a = hub.attach().expect("a");
-        a.send_cmd(ToyCmd {
-            tag: 1,
-            offset: 0,
-            len: 3,
-        })
-        .expect("cmd");
-        a.send_data(b"abc").expect("payload");
+        a.post(cmd(1, 0, 3), b"abc").expect("write");
         let frame = port.recv_cmd().expect("frame");
         assert_eq!(frame.body.len, 3);
         let mut buf = [0u8; 3];
@@ -747,23 +640,18 @@ mod tests {
         let (hub, port) = hub();
         let a = hub.attach().expect("a");
         let b = hub.attach().expect("b");
-        a.send_cmd(ToyCmd {
-            tag: 9,
-            offset: 0,
-            len: 0,
-        })
-        .expect("a close");
-        // a's close was acknowledged locally, nothing on the wire.
-        assert_eq!(a.recv_reply().expect("local ack"), ToyReply { n: 0 });
+        // a's close is acknowledged locally, nothing on the wire.
+        let ack = a.call(cmd(9, 0, 0), &mut []).expect("local ack");
+        assert_eq!(ack, (ToyReply { n: 0 }, 0));
         assert_eq!(port.try_recv_cmd().expect("empty"), None);
         assert_eq!(hub.live_sessions(), vec![b.session_id()]);
-        b.send_cmd(ToyCmd {
-            tag: 9,
-            offset: 0,
-            len: 0,
-        })
-        .expect("b close");
-        assert_eq!(port.recv_cmd().expect("wire close").body.tag, 9);
+        std::thread::scope(|s| {
+            let close = s.spawn(|| b.call(cmd(9, 0, 0), &mut []).expect("b close"));
+            let frame = port.recv_cmd().expect("wire close");
+            assert_eq!(frame.body.tag, 9);
+            answer(&port, &frame, b"");
+            close.join().expect("join");
+        });
         assert!(hub.is_closed());
         assert!(hub.attach().is_none(), "closed hub refuses new sessions");
     }
@@ -778,26 +666,21 @@ mod tests {
         let _b = hub.attach().expect("b");
         let before = model.snapshot();
         for i in 0..8u64 {
-            a.send_cmd(ToyCmd {
-                tag: 1,
-                offset: i * 2,
-                len: 2,
-            })
-            .expect("cmd");
-            a.send_data(b"hi").expect("payload");
+            a.post(cmd(1, i * 2, 2), b"hi").expect("write");
         }
         let staged = model.snapshot().since(&before);
         assert_eq!(staged.thread_switches, 0, "coalesced writes cross nothing");
-        a.send_cmd(ToyCmd {
-            tag: 3,
-            offset: 0,
-            len: 0,
-        })
-        .expect("sync op");
+        std::thread::scope(|s| {
+            let sync = s.spawn(|| a.call(cmd(3, 0, 0), &mut []).expect("sync op"));
+            port.recv_cmd().expect("batch frame");
+            port.recv_data_exact(&mut [0u8; 16]).expect("batch payload");
+            let frame = port.recv_cmd().expect("sync frame");
+            answer(&port, &frame, b"");
+            sync.join().expect("join");
+        });
         let flushed = model.snapshot().since(&before);
         // One batch frame + one sync frame: two round trips total.
         assert_eq!(flushed.thread_switches, 4);
-        drop(port);
     }
 
     #[test]
@@ -805,20 +688,8 @@ mod tests {
         let (hub, port) = hub();
         let a = hub.attach().expect("a");
         let _b = hub.attach().expect("b");
-        a.send_cmd(ToyCmd {
-            tag: 1,
-            offset: 0,
-            len: 2,
-        })
-        .expect("cmd");
-        a.send_data(b"aa").expect("payload");
-        a.send_cmd(ToyCmd {
-            tag: 1,
-            offset: 100,
-            len: 2,
-        })
-        .expect("cmd");
-        a.send_data(b"bb").expect("payload");
+        a.post(cmd(1, 0, 2), b"aa").expect("staged");
+        a.post(cmd(1, 100, 2), b"bb").expect("second");
         // The non-contiguous second write pushed the first out.
         let frame = port.recv_cmd().expect("flushed first write");
         assert_eq!(frame.body.offset, 0);

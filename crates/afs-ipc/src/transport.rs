@@ -1,25 +1,21 @@
-//! The [`Transport`] abstraction: one protocol surface over the three IPC
-//! substrates of §4.
+//! The command/reply pair wire of §4.2 and §4.3.
 //!
 //! The paper's strategies differ in *what carries the bytes*, not in what
-//! the bytes mean: §4.1 uses a bare pipe pair (streaming only), §4.2 adds
-//! a control channel beside two data pipes, and §4.3 swaps the pipes for
-//! shared memory plus events. A [`Transport`] packages one application
-//! side of that choice — typed command/reply lanes plus a byte-granular
-//! data lane — so a single generic strategy handle can drive all of them.
-//! [`PairTransport::kernel`], [`PairTransport::shared`], and
-//! [`StreamTransport::new`] build the three concrete wirings; the
-//! DLL-only strategy implements the same trait with inline calls in the
-//! core crate.
+//! the bytes mean: §4.2 adds a control channel beside two data pipes, and
+//! §4.3 swaps the pipes for shared memory plus events. A
+//! [`PairTransport`] is the application end of either choice — four
+//! lanes: typed commands out, typed replies in, bytes both ways —
+//! built by [`PairTransport::kernel`] or [`PairTransport::shared`], and a
+//! [`PairPort`] is the sentinel end the dispatch loop drains. The lanes
+//! carry whatever command and reply types the layer above frames; what an
+//! *operation* is (one `post`, or one `call` whose reply says how many
+//! bytes follow it) is that layer's business — the core crate's
+//! `AppPort` for one session, [`MuxHub`](crate::MuxHub) for many.
 //!
-//! The sentinel side of a control-capable wiring is a [`PairPort`], which
-//! the dispatch loop drains. Both sides stage payloads through a
-//! [`BufferPool`](crate::BufferPool) rather than allocating per message.
+//! Both ends stage payloads through a [`BufferPool`](crate::BufferPool)
+//! rather than allocating per message.
 
-use std::marker::PhantomData;
 use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 use afs_sim::{CostModel, CrossingKind};
 use afs_telemetry::QueueGauges;
@@ -82,65 +78,8 @@ impl DataRx for SharedBuffer {
     }
 }
 
-/// The application side of one strategy's IPC wiring: typed commands out,
-/// typed replies in, bytes both ways.
-///
-/// `recv_data` reads *up to* `buf.len()` bytes (the streaming read of
-/// §4.1); `recv_data_exact` assembles exactly `buf.len()` (the
-/// command-sized transfers of §4.2/§4.3).
-pub trait Transport: Send + Sync {
-    /// Command type carried on the control lane.
-    type Cmd: Send + 'static;
-    /// Reply type carried back.
-    type Reply: Send + 'static;
-
-    /// Which protection boundary an operation round-trip crosses.
-    fn crossing(&self) -> CrossingKind;
-
-    /// Whether the wiring has a control lane. Without one (§4.1) only the
-    /// data lane works and `send_cmd`/`recv_reply` fail with
-    /// [`IpcError::Unsupported`].
-    fn supports_control(&self) -> bool;
-
-    /// Whether the transport charges its own protection-domain crossings
-    /// as part of `send_cmd`/`send_data`. A multiplexing transport that
-    /// batches adjacent commands must, since an operation's crossing count
-    /// is no longer a per-op constant; callers then skip their own
-    /// round-trip charge.
-    fn charges_own_crossings(&self) -> bool {
-        false
-    }
-
-    /// The submission-ring depth when the wiring batches commands over a
-    /// [`ring::RingPair`](crate::ring::RingPair) — the K of "1 crossing +
-    /// K dispatches". `None` for unbatched wirings that cross per op.
-    fn ring_depth(&self) -> Option<usize> {
-        None
-    }
-
-    /// Sends one command to the sentinel.
-    fn send_cmd(&self, cmd: Self::Cmd) -> Result<()>;
-
-    /// Receives the sentinel's reply to the last command.
-    fn recv_reply(&self) -> Result<Self::Reply>;
-
-    /// Sends payload bytes to the sentinel.
-    fn send_data(&self, data: &[u8]) -> Result<()>;
-
-    /// Receives up to `buf.len()` payload bytes (0 means end-of-stream).
-    fn recv_data(&self, buf: &mut [u8]) -> Result<usize>;
-
-    /// Receives exactly `buf.len()` payload bytes (short only at
-    /// end-of-stream).
-    fn recv_data_exact(&self, buf: &mut [u8]) -> Result<usize>;
-
-    /// Tears the wiring down (used by strategies that signal close by
-    /// closing the substrate rather than by command).
-    fn shutdown(&self);
-}
-
-/// Application side of a control-capable wiring (§4.2/§4.3): a command
-/// channel, a reply channel, and one data lane per direction.
+/// Application side of the pair wire (§4.2/§4.3): a command channel, a
+/// reply channel, and one data lane per direction.
 pub struct PairTransport<C: Send + 'static, R: Send + 'static> {
     commands: ControlSender<C>,
     replies: ControlReceiver<R>,
@@ -263,39 +202,67 @@ impl<C: Send + 'static, R: Send + 'static> PairTransport<C, R> {
     }
 }
 
-impl<C: Send + 'static, R: Send + 'static> Transport for PairTransport<C, R> {
-    type Cmd = C;
-    type Reply = R;
-
-    fn crossing(&self) -> CrossingKind {
+impl<C: Send + 'static, R: Send + 'static> PairTransport<C, R> {
+    /// Which protection boundary an operation round-trip crosses.
+    pub fn crossing(&self) -> CrossingKind {
         self.crossing
     }
 
-    fn supports_control(&self) -> bool {
-        true
-    }
-
-    fn send_cmd(&self, cmd: C) -> Result<()> {
+    /// Sends one command to the sentinel.
+    ///
+    /// # Errors
+    ///
+    /// [`IpcError::BrokenPipe`] once the sentinel side is gone.
+    pub fn send_cmd(&self, cmd: C) -> Result<()> {
         self.commands.send(cmd)
     }
 
-    fn recv_reply(&self) -> Result<R> {
+    /// Receives the sentinel's next reply.
+    ///
+    /// # Errors
+    ///
+    /// [`IpcError::Closed`] once the sentinel side is gone.
+    pub fn recv_reply(&self) -> Result<R> {
         self.replies.recv()
     }
 
-    fn send_data(&self, data: &[u8]) -> Result<()> {
+    /// Sends payload bytes to the sentinel.
+    pub fn send_data(&self, data: &[u8]) -> Result<()> {
         self.data_tx.send(data)
     }
 
-    fn recv_data(&self, buf: &mut [u8]) -> Result<usize> {
+    /// Receives exactly `buf.len()` payload bytes (short only at
+    /// end-of-stream).
+    pub fn recv_data_exact(&self, buf: &mut [u8]) -> Result<usize> {
         self.data_rx.recv_exact(buf)
     }
 
-    fn recv_data_exact(&self, buf: &mut [u8]) -> Result<usize> {
-        self.data_rx.recv_exact(buf)
+    /// Pulls the `n` payload bytes a reply announced into the front of
+    /// `into`: the one place the bytes behind a reply leave the wire.
+    ///
+    /// # Errors
+    ///
+    /// A reply announcing more bytes than `into` has room for is a
+    /// protocol violation: the excess is drained, so a lane shared with
+    /// other sessions stays framed, and the pull fails with
+    /// [`IpcError::BrokenPipe`]. [`IpcError::Closed`] means the sentinel
+    /// side vanished mid-payload and the lane is dead.
+    pub fn recv_payload(&self, n: usize, into: &mut [u8]) -> Result<usize> {
+        // A pipe reports a vanished writer as a short count, not an error:
+        // either way the payload is not coming.
+        let pull = |dst: &mut [u8]| match self.data_rx.recv_exact(dst) {
+            Ok(got) if got == dst.len() => Ok(()),
+            _ => Err(IpcError::Closed),
+        };
+        match into.get_mut(..n) {
+            Some([]) => Ok(0),
+            Some(dst) => pull(dst).map(|()| n),
+            None => {
+                pull(&mut vec![0; n])?;
+                Err(IpcError::BrokenPipe)
+            }
+        }
     }
-
-    fn shutdown(&self) {}
 }
 
 impl<C: Send + 'static, R: Send + 'static> PairPort<C, R> {
@@ -356,103 +323,6 @@ impl<C: Send + 'static, R: Send + 'static> PairPort<C, R> {
     }
 }
 
-/// Application side of the §4.1 wiring: two bare pipes, no control lane.
-/// Reads and writes stream; everything needing a command fails with
-/// [`IpcError::Unsupported`].
-///
-/// The type is generic over the (unused) command protocol so it can stand
-/// wherever a control-capable transport of the same protocol can.
-pub struct StreamTransport<C, R> {
-    to_sentinel: Mutex<Option<PipeWriter>>,
-    from_sentinel: Mutex<Option<PipeReader>>,
-    _protocol: PhantomData<fn() -> (C, R)>,
-}
-
-impl<C: Send + 'static, R: Send + 'static> StreamTransport<C, R> {
-    /// Builds the wiring, returning the transport plus the sentinel's
-    /// `stdin` reader and `stdout` writer (the two anonymous pipes of
-    /// Figure 2).
-    pub fn new(model: CostModel) -> (StreamTransport<C, R>, PipeReader, PipeWriter) {
-        StreamTransport::build(model, None)
-    }
-
-    /// Like [`StreamTransport::new`], but reports pipe depth to `gauges`.
-    pub fn new_observed(
-        model: CostModel,
-        gauges: Arc<QueueGauges>,
-    ) -> (StreamTransport<C, R>, PipeReader, PipeWriter) {
-        StreamTransport::build(model, Some(gauges))
-    }
-
-    fn build(
-        model: CostModel,
-        gauges: Option<Arc<QueueGauges>>,
-    ) -> (StreamTransport<C, R>, PipeReader, PipeWriter) {
-        let crossing = CrossingKind::InterProcess;
-        let pipe = |model: CostModel| match &gauges {
-            Some(g) => Pipe::anonymous_observed(model, crossing, Arc::clone(g)),
-            None => Pipe::anonymous(model, crossing),
-        };
-        let (app_write, sentinel_stdin) = pipe(model.clone());
-        let (sentinel_stdout, app_read) = pipe(model);
-        (
-            StreamTransport {
-                to_sentinel: Mutex::new(Some(app_write)),
-                from_sentinel: Mutex::new(Some(app_read)),
-                _protocol: PhantomData,
-            },
-            sentinel_stdin,
-            sentinel_stdout,
-        )
-    }
-}
-
-impl<C: Send + 'static, R: Send + 'static> Transport for StreamTransport<C, R> {
-    type Cmd = C;
-    type Reply = R;
-
-    fn crossing(&self) -> CrossingKind {
-        CrossingKind::InterProcess
-    }
-
-    fn supports_control(&self) -> bool {
-        false
-    }
-
-    fn send_cmd(&self, _cmd: C) -> Result<()> {
-        // "There is no method of passing control information" (§4.1).
-        Err(IpcError::Unsupported)
-    }
-
-    fn recv_reply(&self) -> Result<R> {
-        Err(IpcError::Unsupported)
-    }
-
-    fn send_data(&self, data: &[u8]) -> Result<()> {
-        let guard = self.to_sentinel.lock();
-        guard.as_ref().ok_or(IpcError::Closed)?.write(data)
-    }
-
-    fn recv_data(&self, buf: &mut [u8]) -> Result<usize> {
-        let guard = self.from_sentinel.lock();
-        guard.as_ref().ok_or(IpcError::Closed)?.read(buf)
-    }
-
-    fn recv_data_exact(&self, buf: &mut [u8]) -> Result<usize> {
-        let guard = self.from_sentinel.lock();
-        guard.as_ref().ok_or(IpcError::Closed)?.read_exact(buf)
-    }
-
-    fn shutdown(&self) {
-        // Dropping the write end delivers EOF to the sentinel's stdin, and
-        // dropping the read end breaks any pump blocked on a full read
-        // pipe ("the CloseHandle call just shuts down the created pipes",
-        // Appendix A.2).
-        self.to_sentinel.lock().take();
-        self.from_sentinel.lock().take();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -472,7 +342,6 @@ mod tests {
         app.recv_data_exact(&mut buf).expect("app recv");
         assert_eq!(&buf, b"up!!");
         assert_eq!(app.crossing(), CrossingKind::InterProcess);
-        assert!(app.supports_control());
     }
 
     #[test]
@@ -516,20 +385,19 @@ mod tests {
     }
 
     #[test]
-    fn stream_transport_has_no_control_lane() {
-        let (app, stdin, stdout) = StreamTransport::<u8, u8>::new(CostModel::free());
-        assert!(!app.supports_control());
-        assert_eq!(app.send_cmd(1), Err(IpcError::Unsupported));
-        assert_eq!(app.recv_reply(), Err(IpcError::Unsupported));
-        app.send_data(b"in").expect("send");
-        let mut buf = [0u8; 2];
-        stdin.read_exact(&mut buf).expect("sentinel read");
-        assert_eq!(&buf, b"in");
-        stdout.write(b"ou").expect("sentinel write");
-        app.recv_data(&mut buf).expect("recv");
-        assert_eq!(&buf, b"ou");
-        app.shutdown();
-        assert_eq!(app.send_data(b"x"), Err(IpcError::Closed));
-        assert_eq!(stdin.read(&mut buf).expect("eof"), 0);
+    fn an_over_announced_payload_is_drained_and_the_lane_stays_framed() {
+        let (app, port) = PairTransport::<u8, u8>::kernel(CostModel::free());
+        port.send_data(b"0123456789").expect("oversized payload");
+        port.send_data(b"next").expect("following payload");
+        let mut buf = [0u8; 4];
+        assert_eq!(app.recv_payload(10, &mut buf), Err(IpcError::BrokenPipe));
+        assert_eq!(buf, [0u8; 4], "nothing lands in the caller's buffer");
+        assert_eq!(app.recv_payload(4, &mut buf), Ok(4));
+        assert_eq!(&buf, b"next");
+        // The sentinel vanishing mid-payload is a dead lane, not a
+        // protocol violation.
+        port.send_data(b"ha").expect("half a payload");
+        drop(port);
+        assert_eq!(app.recv_payload(4, &mut buf), Err(IpcError::Closed));
     }
 }

@@ -13,6 +13,7 @@
 //!   [`Backing`](afs_core::Backing) — disk or memory.
 
 use afs_core::{SentinelCtx, SentinelError, SentinelLogic, SentinelRegistry, SentinelResult};
+use afs_remote::FileClient;
 
 /// `DeviceIoControl` code: set readahead from the first payload byte
 /// (non-zero = on); the reply is the *previous* setting as one byte.
@@ -31,7 +32,9 @@ pub const CTL_GET_READAHEAD: u32 = 2;
 /// memory if the next read is sequential — halving round trips for
 /// streaming readers.
 pub struct MirrorSentinel {
-    remote: Option<(String, String)>,
+    /// The remote file, when configured: a client for its service (built
+    /// once, at open) and its path there.
+    remote: Option<(FileClient, String)>,
     readahead: bool,
     prefetched: Option<(u64, Vec<u8>)>,
 }
@@ -46,7 +49,7 @@ impl MirrorSentinel {
         }
     }
 
-    fn serve_prefetch(&mut self, offset: u64, buf: &mut [u8]) -> Option<usize> {
+    fn serve_prefetch(&self, offset: u64, buf: &mut [u8]) -> Option<usize> {
         let (start, data) = self.prefetched.as_ref()?;
         let start = *start;
         if offset < start || offset >= start + data.len() as u64 {
@@ -71,7 +74,7 @@ impl Default for MirrorSentinel {
 impl SentinelLogic for MirrorSentinel {
     fn on_open(&mut self, ctx: &mut SentinelCtx) -> SentinelResult<()> {
         self.remote = match (ctx.config_str("service"), ctx.config_str("remote")) {
-            (Some(s), Some(r)) => Some((s.to_owned(), r.to_owned())),
+            (Some(s), Some(r)) => Some((ctx.file_client(s), r.to_owned())),
             _ => None,
         };
         self.readahead = ctx.config_bool("readahead");
@@ -84,7 +87,7 @@ impl SentinelLogic for MirrorSentinel {
         offset: u64,
         buf: &mut [u8],
     ) -> SentinelResult<usize> {
-        let Some((service, remote)) = self.remote.clone() else {
+        let Some((client, remote)) = &self.remote else {
             return ctx.cache().read_at(offset, buf);
         };
         if self.readahead {
@@ -92,7 +95,7 @@ impl SentinelLogic for MirrorSentinel {
                 return Ok(n);
             }
             let want = buf.len() * 2;
-            let data = ctx.file_client(&service).get(&remote, offset, want)?;
+            let data = client.get(remote, offset, want)?;
             let n = buf.len().min(data.len());
             buf[..n].copy_from_slice(&data[..n]);
             if data.len() > n {
@@ -102,18 +105,21 @@ impl SentinelLogic for MirrorSentinel {
             }
             return Ok(n);
         }
-        let data = ctx.file_client(&service).get(&remote, offset, buf.len())?;
-        buf[..data.len()].copy_from_slice(&data);
-        Ok(data.len())
+        // A service may answer with more than was asked for; only what
+        // fits is the caller's.
+        let data = client.get(remote, offset, buf.len())?;
+        let n = buf.len().min(data.len());
+        buf[..n].copy_from_slice(&data[..n]);
+        Ok(n)
     }
 
     fn write(&mut self, ctx: &mut SentinelCtx, offset: u64, data: &[u8]) -> SentinelResult<usize> {
         match &self.remote {
-            Some((service, remote)) => {
+            Some((client, remote)) => {
                 // Any write invalidates the readahead window — cheap and
                 // always safe.
                 self.prefetched = None;
-                ctx.file_client(service).put_async(remote, offset, data)?;
+                client.put_async(remote, offset, data)?;
                 Ok(data.len())
             }
             None => ctx.cache().write_at(offset, data),
@@ -122,7 +128,7 @@ impl SentinelLogic for MirrorSentinel {
 
     fn len(&mut self, ctx: &mut SentinelCtx) -> SentinelResult<u64> {
         match &self.remote {
-            Some((service, remote)) => Ok(ctx.file_client(service).stat(remote)?.len),
+            Some((client, remote)) => Ok(client.stat(remote)?.len),
             None => ctx.cache().len(),
         }
     }
@@ -183,6 +189,52 @@ mod tests {
         write_active(&world, "/m.af", b"XY");
         let client = afs_remote::FileClient::new(world.net().clone(), "files");
         assert_eq!(client.get_all("/blob").expect("get"), b"XY23456789abcdef");
+    }
+
+    /// A file service that answers every GET with as much of the file as
+    /// it has, whatever length was asked for.
+    struct OverDelivering(Arc<FileServer>);
+
+    impl Service for OverDelivering {
+        fn handle(&self, request: &[u8]) -> afs_net::Result<Vec<u8>> {
+            let mut request = request.to_vec();
+            // GET is opcode 1 and ends with the requested length (u32).
+            if let [1, .., a, b, c, d] = request.as_mut_slice() {
+                [*a, *b, *c, *d] = u32::MAX.to_le_bytes();
+            }
+            self.0.handle(&request)
+        }
+    }
+
+    #[test]
+    fn a_service_answering_with_more_than_asked_is_clamped() {
+        use afs_winapi::{Access, Disposition, FileApi};
+        let world = test_world();
+        let server = FileServer::new();
+        server.seed("/blob", b"0123456789abcdef");
+        world.net().register(
+            "files",
+            Arc::new(OverDelivering(server)) as Arc<dyn Service>,
+        );
+        world
+            .install_active_file(
+                "/m.af",
+                &SentinelSpec::new("mirror", Strategy::ProcessControl)
+                    .with("service", "files")
+                    .with("remote", "/blob"),
+            )
+            .expect("install");
+        let api = world.api();
+        let h = api
+            .create_file("/m.af", Access::read_only(), Disposition::OpenExisting)
+            .expect("open");
+        let mut buf = [0u8; 4];
+        assert_eq!(api.read_file(h, &mut buf).expect("read"), 4);
+        assert_eq!(&buf, b"0123");
+        // The sentinel is still there to serve the next operation.
+        assert_eq!(api.read_file(h, &mut buf).expect("next read"), 4);
+        assert_eq!(&buf, b"4567");
+        api.close_handle(h).expect("close");
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub use afs_core::{
 };
 pub use afs_interpose::{ApiHandle, ApiLayer, CallCounters, CountingLayer, MediatingConnector};
 pub use afs_ipc::{
-    BufferPool, ControlChannel, Event, Pipe, ResetMode, SharedBuffer, SyncRegistry, Transport,
+    BufferPool, ControlChannel, Event, PairTransport, Pipe, ResetMode, SharedBuffer, SyncRegistry,
 };
 pub use afs_net::{
     BreakerConfig, CircuitBreaker, FaultPlan, NetError, Network, ReliabilityPolicy,
