@@ -5,7 +5,7 @@
 //! Usage:
 //!
 //! ```text
-//! figure6 [--ops N] [--profile pentium|modern] [--copies] [--trace] [--simple-process] [--concurrency] [--fleet] [--workers M] [--batch] [--cluster] [--spans FILE] [--json FILE]
+//! figure6 [--ops N] [--profile pentium|modern] [--csv] [--copies] [--trace] [--simple-process] [--concurrency] [--fleet] [--workers M] [--batch] [--cluster] [--spans FILE] [--json FILE]
 //! ```
 //!
 //! `--copies` appends the per-operation accounting table (syscalls,

@@ -66,27 +66,16 @@ pub const CLUSTER_REBALANCE_KEYS: usize = 256;
 /// every machine.
 const CLUSTER_SHARDS: usize = 8;
 
-/// Client counts of the two gated cluster cells. Release builds gate
-/// the headline 100k and 1M points; debug builds (the in-repo test
-/// suite) scale down to 1k and 10k so `cargo test` stays quick — the
+/// Labels and client counts of the two gated cluster cells. Release
+/// builds gate the headline 100k and 1M points; debug builds (the in-repo
+/// test suite) scale down to 1k and 10k so `cargo test` stays quick — the
 /// label carries the count, so a debug-produced document can never pass
 /// silently against the release baseline.
-pub fn gate_cluster_clients() -> [usize; 2] {
-    if cfg!(debug_assertions) {
-        [1_000, 10_000]
-    } else {
-        [100_000, 1_000_000]
-    }
-}
-
-/// Gate-cell label for a client count: `cluster-100k`, `cluster-1m`, …
-pub fn cluster_cell_label(clients: usize) -> String {
-    if clients >= 1_000_000 {
-        format!("cluster-{}m", clients / 1_000_000)
-    } else {
-        format!("cluster-{}k", clients / 1_000)
-    }
-}
+pub(crate) const GATE_CLUSTER: [(&str, usize); 2] = if cfg!(debug_assertions) {
+    [("cluster-1k", 1_000), ("cluster-10k", 10_000)]
+} else {
+    [("cluster-100k", 100_000), ("cluster-1m", 1_000_000)]
+};
 
 fn cluster_file(rank: usize) -> String {
     format!("/data/f{rank}.af")
@@ -268,7 +257,7 @@ pub fn measure_cluster_rebalance(keys: usize, profile: HardwareProfile) -> Rebal
 /// two gated counts (1k → 100k → 1M in release builds).
 pub fn cluster_panel_clients() -> Vec<usize> {
     let mut counts = vec![1_000];
-    for clients in gate_cluster_clients() {
+    for (_, clients) in GATE_CLUSTER {
         if !counts.contains(&clients) {
             counts.push(clients);
         }

@@ -17,20 +17,21 @@ pub mod gate;
 pub mod workload;
 
 pub use cluster::{
-    cluster_cell_label, cluster_panel_clients, gate_cluster_clients, measure_cluster,
-    measure_cluster_rebalance, render_cluster_panel, ClusterMeasurement, RebalanceMeasurement,
-    CLUSTER_BLOCK, CLUSTER_COPIES, CLUSTER_FILES, CLUSTER_FLEET, CLUSTER_REBALANCE_KEYS,
+    cluster_panel_clients, measure_cluster, measure_cluster_rebalance, render_cluster_panel,
+    ClusterMeasurement, RebalanceMeasurement, CLUSTER_BLOCK, CLUSTER_COPIES, CLUSTER_FILES,
+    CLUSTER_FLEET, CLUSTER_REBALANCE_KEYS,
 };
 pub use gate::{bench_json, compare, parse_bench_doc, BenchDoc, StrategyStats};
 
 use std::sync::Arc;
 
 use afs_core::{AfsWorld, Backing, SentinelSpec, Strategy};
+use afs_interpose::ApiHandle;
 use afs_net::Service;
 use afs_remote::{FileClient, FileServer};
 use afs_sim::{clock, CostSnapshot, HardwareProfile, Series};
 use afs_vfs::VPath;
-use afs_winapi::{Access, Disposition, FileApi, SeekMethod};
+use afs_winapi::{Access, Disposition, FileApi, Handle, SeekMethod};
 
 /// The block sizes of Figure 6.
 pub const BLOCK_SIZES: [usize; 5] = [8, 32, 128, 512, 2048];
@@ -107,69 +108,51 @@ impl Measurement {
     }
 }
 
-/// Builds a world configured for one Figure 6 cell and returns the active
-/// file path to drive.
+/// The one place a bench world is built: a `mirror` sentinel under
+/// `strategy` in front of `extent` — on a remote file server, or in the
+/// data part for the disk and memory caches — with `keys` appended to its
+/// spec. Returns the world and the active file's path.
 pub(crate) fn build_world(
     path: PathKind,
     strategy: Strategy,
     profile: HardwareProfile,
-    total_bytes: usize,
+    extent: &[u8],
+    keys: &[(&str, &str)],
 ) -> (AfsWorld, &'static str) {
     let world = AfsWorld::builder().profile(profile).build();
     afs_sentinels::register_all(world.sentinels());
     let file = "/bench.af";
-    match path {
+    let mut spec = SentinelSpec::new("mirror", strategy);
+    spec = match path {
         PathKind::Remote => {
             let server = FileServer::new();
-            server.seed("/blob", &vec![0xA5u8; total_bytes]);
-            world
-                .net()
-                .register("files", Arc::clone(&server) as Arc<dyn Service>);
-            world
-                .install_active_file(
-                    file,
-                    &SentinelSpec::new("mirror", strategy)
-                        .with("service", "files")
-                        .with("remote", "/blob"),
-                )
-                .expect("install mirror");
+            server.seed("/blob", extent);
+            world.net().register("files", server as Arc<dyn Service>);
+            spec.with("service", "files").with("remote", "/blob")
         }
-        PathKind::Disk | PathKind::Memory => {
-            let backing = if path == PathKind::Disk {
-                Backing::Disk
-            } else {
-                Backing::Memory
-            };
-            world
-                .install_active_file(
-                    file,
-                    &SentinelSpec::new("mirror", strategy).backing(backing),
-                )
-                .expect("install mirror");
-            // Pre-populate the data part so reads have bytes to return
-            // (the memory cache warms from it on open).
-            world
-                .vfs()
-                .write_stream_replace(
-                    &VPath::parse(file).expect("path"),
-                    &vec![0xA5u8; total_bytes],
-                )
-                .expect("seed data part");
-        }
+        PathKind::Disk => spec.backing(Backing::Disk),
+        PathKind::Memory => spec.backing(Backing::Memory),
+    };
+    for (key, value) in keys {
+        spec = spec.with(key, value);
+    }
+    world
+        .install_active_file(file, &spec)
+        .expect("install mirror");
+    if path != PathKind::Remote {
+        // Pre-populate the data part so reads have bytes to return (the
+        // memory cache warms from it on open).
+        world
+            .vfs()
+            .write_stream_replace(&VPath::parse(file).expect("path"), extent)
+            .expect("seed data part");
     }
     (world, file)
 }
 
-/// Public wrapper over the world construction for external benches: a
-/// world + active-file path for one (path, strategy, profile) cell with a
-/// pre-seeded extent.
-pub fn build_world_for_bench(
-    path: PathKind,
-    strategy: Strategy,
-    profile: HardwareProfile,
-    total_bytes: usize,
-) -> (AfsWorld, &'static str) {
-    build_world(path, strategy, profile, total_bytes)
+/// The extent every Figure 6 cell reads: `bytes` of one filler value.
+pub(crate) fn filler(bytes: usize) -> Vec<u8> {
+    vec![0xA5u8; bytes]
 }
 
 /// Runs one Figure 6 cell: `ops` sequential operations of `block` bytes
@@ -183,14 +166,12 @@ pub fn measure(
     ops: usize,
     profile: HardwareProfile,
 ) -> Measurement {
-    let total = block * ops;
-    let (world, file) = build_world(path, strategy, profile, total);
-    run_cell(&world, file, direction, block, ops)
+    measure_traced(path, strategy, direction, block, ops, profile).0
 }
 
 /// Like [`measure`], but also returns the world's per-op trace summary —
 /// the observed §4 cost profile (crossings and copies per operation) for
-/// the cell, straight from the [`afs_sim::OpTrace`] ring.
+/// the cell, straight from the world's [`afs_sim::OpTrace`].
 pub fn measure_traced(
     path: PathKind,
     strategy: Strategy,
@@ -199,9 +180,8 @@ pub fn measure_traced(
     ops: usize,
     profile: HardwareProfile,
 ) -> (Measurement, Vec<afs_sim::OpSummary>) {
-    let total = block * ops;
-    let (world, file) = build_world(path, strategy, profile, total);
-    let m = run_cell(&world, file, direction, block, ops);
+    let (world, file) = build_world(path, strategy, profile, &filler(block * ops), &[]);
+    let m = run_blocks(&world, file, direction, block, ops);
     (m, world.trace().summary())
 }
 
@@ -217,23 +197,17 @@ pub fn span_trace(ops: usize, profile: HardwareProfile) -> String {
         Strategy::DllThread,
         Strategy::DllOnly,
     ];
-    let mut groups: Vec<(&str, Vec<afs_telemetry::SpanRecord>)> = Vec::new();
-    for strategy in strategies {
-        let (world, file) = build_world(PathKind::Memory, strategy, profile.clone(), BLOCK * ops);
-        world.telemetry().set_enabled(true);
-        let api = world.api();
-        let _guard = clock::install(0);
-        let h = api
-            .create_file(file, Access::read_only(), Disposition::OpenExisting)
-            .expect("open bench file");
-        let mut buf = vec![0u8; BLOCK];
-        for _ in 0..ops {
-            let n = api.read_file(h, &mut buf).expect("read");
-            assert_eq!(n, BLOCK, "seeded file must satisfy full blocks");
-        }
-        api.close_handle(h).expect("close");
-        groups.push((strategy.label(), world.telemetry().spans()));
-    }
+    let groups: Vec<(&str, Vec<afs_telemetry::SpanRecord>)> = strategies
+        .into_iter()
+        .map(|strategy| {
+            let extent = filler(BLOCK * ops);
+            let (world, file) =
+                build_world(PathKind::Memory, strategy, profile.clone(), &extent, &[]);
+            world.telemetry().set_enabled(true);
+            run_blocks(&world, file, Direction::Read, BLOCK, ops);
+            (strategy.label(), world.telemetry().spans())
+        })
+        .collect();
     afs_telemetry::chrome_trace(&groups)
 }
 
@@ -259,33 +233,26 @@ pub struct TraceAblation {
 pub fn measure_trace_ablation(ops: usize, profile: HardwareProfile) -> TraceAblation {
     const BLOCK: usize = 128;
     let run = |instrumented: bool| {
-        let world = AfsWorld::builder().profile(profile.clone()).build();
-        afs_sentinels::register_all(world.sentinels());
-        let file = "/bench.af";
-        let mut spec = SentinelSpec::new("mirror", Strategy::DllThread).backing(Backing::Memory);
-        if instrumented {
-            // Everything the observability layer can switch on at once:
-            // spans, a slow-op threshold low enough to scan every op, and
-            // a declared SLO so the burn-rate windows tick per operation.
-            spec = spec
-                .with("slo_p99_us", "1000")
-                .with("slo_err_ppm", "100000");
-        }
-        world
-            .install_active_file(file, &spec)
-            .expect("install mirror");
-        world
-            .vfs()
-            .write_stream_replace(
-                &VPath::parse(file).expect("path"),
-                &vec![0xA5u8; BLOCK * ops],
-            )
-            .expect("seed data part");
+        // Everything the observability layer can switch on at once:
+        // spans, a slow-op threshold low enough to scan every op, and a
+        // declared SLO so the burn-rate windows tick per operation.
+        let keys: &[(&str, &str)] = if instrumented {
+            &[("slo_p99_us", "1000"), ("slo_err_ppm", "100000")]
+        } else {
+            &[]
+        };
+        let (world, file) = build_world(
+            PathKind::Memory,
+            Strategy::DllThread,
+            profile.clone(),
+            &filler(BLOCK * ops),
+            keys,
+        );
         if instrumented {
             world.telemetry().set_enabled(true);
             world.telemetry().set_slow_threshold_ns(1);
         }
-        run_cell(&world, file, Direction::Read, BLOCK, ops)
+        run_blocks(&world, file, Direction::Read, BLOCK, ops)
     };
     let base = run(false);
     let traced = run(true);
@@ -324,63 +291,55 @@ pub struct BatchAblation {
     pub transcripts_match: bool,
 }
 
-/// Measures the batching ablation: one gate cell (memory path,
-/// DLL-with-thread, [`BATCH_BLOCK`]-byte sequential reads) run over the
-/// plain pair transport, then re-run with `batch=on` /
-/// `ring_depth=`[`BATCH_RING_DEPTH`] so the boundary is a
-/// submission/completion ring. The seeded extent carries a varying byte
-/// pattern so the transcript comparison catches offset errors, not just
-/// length errors.
+/// One side of the batching ablation: the memory-path, DLL-with-thread,
+/// [`BATCH_BLOCK`]-byte sequential-read cell over the plain pair
+/// transport, or with `batch=on` / `ring_depth=`[`BATCH_RING_DEPTH`] so
+/// the boundary is a submission/completion ring. Returns the latency
+/// summary, the crossings per operation and every byte the reads
+/// returned. The seeded extent carries a varying byte pattern so a
+/// transcript comparison catches offset errors, not just length errors.
+pub(crate) fn measure_batch_side(
+    batched: bool,
+    ops: usize,
+    profile: HardwareProfile,
+) -> (afs_sim::Summary, f64, Vec<u8>) {
+    let extent: Vec<u8> = (0..BATCH_BLOCK * ops).map(|i| (i % 251) as u8).collect();
+    let depth = BATCH_RING_DEPTH.to_string();
+    let ring = [("batch", "on"), ("ring_depth", depth.as_str())];
+    let (world, file) = build_world(
+        PathKind::Memory,
+        Strategy::DllThread,
+        profile,
+        &extent,
+        if batched { &ring } else { &[] },
+    );
+    let mut transcript = Vec::with_capacity(extent.len());
+    let mut buf = vec![0u8; BATCH_BLOCK];
+    let m = run_cell(&world, file, Access::read_only(), ops, |api, h| {
+        let n = api.read_file(h, &mut buf).expect("read");
+        assert_eq!(n, BATCH_BLOCK, "seeded file must satisfy full blocks");
+        transcript.extend_from_slice(&buf[..n]);
+    });
+    let crossings = m.counters.process_switches + m.counters.thread_switches;
+    (
+        m.series.summarize(),
+        crossings as f64 / ops.max(1) as f64,
+        transcript,
+    )
+}
+
+/// Measures the batching ablation: both sides of [`measure_batch_side`]
+/// and whether their transcripts agree.
 pub fn measure_batch_ablation(ops: usize, profile: HardwareProfile) -> BatchAblation {
-    let seed: Vec<u8> = (0..BATCH_BLOCK * ops).map(|i| (i % 251) as u8).collect();
-    let run = |batched: bool| {
-        let world = AfsWorld::builder().profile(profile.clone()).build();
-        afs_sentinels::register_all(world.sentinels());
-        let file = "/bench.af";
-        let mut spec = SentinelSpec::new("mirror", Strategy::DllThread).backing(Backing::Memory);
-        if batched {
-            spec = spec
-                .with("batch", "on")
-                .with("ring_depth", &BATCH_RING_DEPTH.to_string());
-        }
-        world
-            .install_active_file(file, &spec)
-            .expect("install mirror");
-        world
-            .vfs()
-            .write_stream_replace(&VPath::parse(file).expect("path"), &seed)
-            .expect("seed data part");
-        let model = world.model().clone();
-        let _guard = clock::install(0);
-        let api = world.api();
-        let h = api
-            .create_file(file, Access::read_only(), Disposition::OpenExisting)
-            .expect("open bench file");
-        let before = model.snapshot();
-        let mut series = Series::with_capacity(ops);
-        let mut transcript = Vec::with_capacity(BATCH_BLOCK * ops);
-        let mut buf = vec![0u8; BATCH_BLOCK];
-        for _ in 0..ops {
-            let start = clock::now();
-            let n = api.read_file(h, &mut buf).expect("read");
-            series.push(clock::now() - start);
-            assert_eq!(n, BATCH_BLOCK, "seeded file must satisfy full blocks");
-            transcript.extend_from_slice(&buf[..n]);
-        }
-        let counters = model.snapshot().since(&before);
-        api.close_handle(h).expect("close");
-        (series.summarize(), counters, transcript)
-    };
-    let (unbatched, uc, ut) = run(false);
-    let (batched, bc, bt) = run(true);
-    let per_op =
-        |c: &CostSnapshot| (c.process_switches + c.thread_switches) as f64 / ops.max(1) as f64;
+    let (unbatched, crossings_per_op_unbatched, plain) =
+        measure_batch_side(false, ops, profile.clone());
+    let (batched, crossings_per_op_batched, ring) = measure_batch_side(true, ops, profile);
     BatchAblation {
-        crossings_per_op_unbatched: per_op(&uc),
-        crossings_per_op_batched: per_op(&bc),
-        transcripts_match: ut == bt,
         unbatched,
         batched,
+        crossings_per_op_unbatched,
+        crossings_per_op_batched,
+        transcripts_match: plain == ring,
     }
 }
 
@@ -419,50 +378,56 @@ pub fn render_batch_panel(ops: usize, profile: &HardwareProfile) -> String {
     out
 }
 
-/// Drives `ops` operations of `block` bytes against an already-built
-/// world's active file, timing each under a fresh virtual clock.
+/// The one timed loop: opens `file`, runs `op` `ops` times with each call
+/// timed under a fresh virtual clock, and closes the handle. Returns the
+/// per-call durations and the counter deltas over the loop.
 fn run_cell(
+    world: &AfsWorld,
+    file: &str,
+    access: Access,
+    ops: usize,
+    mut op: impl FnMut(&ApiHandle, Handle),
+) -> Measurement {
+    let api = world.api();
+    let model = world.model().clone();
+    let _guard = clock::install(0);
+    let h = api
+        .create_file(file, access, Disposition::OpenExisting)
+        .expect("open bench file");
+    let mut series = Series::with_capacity(ops);
+    let before = model.snapshot();
+    for _ in 0..ops {
+        let start = clock::now();
+        op(&api, h);
+        series.push(clock::now() - start);
+    }
+    let counters = model.snapshot().since(&before);
+    api.close_handle(h).expect("close");
+    Measurement { series, counters }
+}
+
+/// [`run_cell`] over `ops` sequential reads or writes of `block` bytes.
+fn run_blocks(
     world: &AfsWorld,
     file: &str,
     direction: Direction,
     block: usize,
     ops: usize,
 ) -> Measurement {
-    let api = world.api();
-    let model = world.model().clone();
-
-    let _guard = clock::install(0);
-    let access = match direction {
-        Direction::Read => Access::read_only(),
-        Direction::Write => Access::read_write(),
-    };
-    let h = api
-        .create_file(file, access, Disposition::OpenExisting)
-        .expect("open bench file");
-    let mut series = Series::with_capacity(ops);
-    let before_counters = model.snapshot();
     let mut buf = vec![0u8; block];
-    for i in 0..ops {
-        let start = clock::now();
-        match direction {
-            Direction::Read => {
-                let n = api.read_file(h, &mut buf).expect("read");
-                assert_eq!(n, block, "seeded file must satisfy full blocks");
-            }
-            Direction::Write => {
-                // Writes start at offset 0 so the disk/memory cache does
-                // not grow unboundedly relative to reads; the pointer
-                // advances naturally like the paper's streaming writer.
-                let n = api.write_file(h, &buf).expect("write");
-                assert_eq!(n, block);
-            }
-        }
-        series.push(clock::now() - start);
-        let _ = i;
+    match direction {
+        Direction::Read => run_cell(world, file, Access::read_only(), ops, |api, h| {
+            let n = api.read_file(h, &mut buf).expect("read");
+            assert_eq!(n, block, "seeded file must satisfy full blocks");
+        }),
+        // Writes start at offset 0 so the disk/memory cache does not grow
+        // unboundedly relative to reads; the pointer advances naturally
+        // like the paper's streaming writer.
+        Direction::Write => run_cell(world, file, Access::read_write(), ops, |api, h| {
+            let n = api.write_file(h, &buf).expect("write");
+            assert_eq!(n, block);
+        }),
     }
-    let counters = model.snapshot().since(&before_counters);
-    api.close_handle(h).expect("close");
-    Measurement { series, counters }
 }
 
 /// Direct (uninstrumented) access to the same path — the baseline the
@@ -483,10 +448,8 @@ pub fn measure_baseline(
     match path {
         PathKind::Remote => {
             let server = FileServer::new();
-            server.seed("/blob", &vec![0xA5u8; total]);
-            world
-                .net()
-                .register("files", Arc::clone(&server) as Arc<dyn Service>);
+            server.seed("/blob", &filler(total));
+            world.net().register("files", server as Arc<dyn Service>);
             let client = FileClient::new(world.net().clone(), "files");
             let payload = vec![0u8; block];
             for i in 0..ops {
@@ -514,7 +477,7 @@ pub fn measure_baseline(
             let h = api
                 .create_file(vpath, Access::read_write(), Disposition::CreateAlways)
                 .expect("create");
-            api.write_file(h, &vec![0xA5u8; total]).expect("seed");
+            api.write_file(h, &filler(total)).expect("seed");
             api.set_file_pointer(h, 0, SeekMethod::Begin)
                 .expect("rewind");
             let payload = vec![0u8; block];
@@ -574,7 +537,7 @@ pub struct MuxMeasurement {
     pub total_crossings: u64,
 }
 
-/// Runs one concurrency cell: `clients` threads each open `/mux.af`
+/// Runs one concurrency cell: `clients` threads each open the bench file
 /// (ProcessControl strategy, memory cache), seek to a private region, and
 /// issue `ops_per_client` sequential writes of [`MUX_BLOCK`] bytes.
 ///
@@ -589,22 +552,14 @@ pub fn measure_concurrency(
     profile: HardwareProfile,
 ) -> MuxMeasurement {
     let block = MUX_BLOCK;
-    let world = AfsWorld::builder().profile(profile).build();
-    afs_sentinels::register_all(world.sentinels());
-    let file = "/mux.af";
-    let mut spec = SentinelSpec::new("mirror", Strategy::ProcessControl).backing(Backing::Memory);
-    if !shared {
-        spec = spec.with("share", "off");
-    }
-    world.install_active_file(file, &spec).expect("install mux");
     let region = ops_per_client * block;
-    world
-        .vfs()
-        .write_stream_replace(
-            &VPath::parse(file).expect("path"),
-            &vec![0xA5u8; region * clients],
-        )
-        .expect("seed data part");
+    let (world, file) = build_world(
+        PathKind::Memory,
+        Strategy::ProcessControl,
+        profile,
+        &filler(region * clients),
+        if shared { &[] } else { &[("share", "off")] },
+    );
 
     let model = world.model().clone();
     let before = model.snapshot();
@@ -838,23 +793,14 @@ pub fn measure_store(ops: usize, profile: HardwareProfile) -> StoreMeasurement {
     world
         .install_active_file(file, &durable_null_spec())
         .expect("install durable file");
-    let _guard = clock::install(0);
-    let api = world.api();
-    let h = api
-        .create_file(file, Access::read_write(), Disposition::OpenExisting)
-        .expect("open durable file");
-    let mut series = Series::with_capacity(ops);
-    let buf = vec![0xA5u8; STORE_BLOCK];
-    for _ in 0..ops {
-        let start = clock::now();
+    let buf = filler(STORE_BLOCK);
+    let m = run_cell(&world, file, Access::read_write(), ops, |api, h| {
         let n = api.write_file(h, &buf).expect("durable write");
         assert_eq!(n, STORE_BLOCK);
         api.flush_file_buffers(h).expect("commit");
-        series.push(clock::now() - start);
-    }
-    api.close_handle(h).expect("close");
+    });
     StoreMeasurement {
-        summary: series.summarize(),
+        summary: m.series.summarize(),
         store: world.telemetry().store().snapshot(),
     }
 }

@@ -4,8 +4,7 @@
 //! time). Real legacy applications mix reads, writes, and seeks; this
 //! module generates seeded traces of such applications and replays them
 //! against an active file, measuring end-to-end virtual time per
-//! strategy. Used by the `ablation_macro` Criterion bench and by tests
-//! that need "an application-shaped" op stream.
+//! strategy. Used by tests that need "an application-shaped" op stream.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -156,7 +155,8 @@ pub fn replay_virtual_time(
     strategy: Strategy,
     profile: HardwareProfile,
 ) -> u64 {
-    let (world, file) = crate::build_world(path, strategy, profile, trace.extent as usize + 2048);
+    let extent = crate::filler(trace.extent as usize + 2048);
+    let (world, file) = crate::build_world(path, strategy, profile, &extent, &[]);
     world.telemetry().set_enabled(true);
     let api = world.api();
     let _guard = clock::install(0);
@@ -257,7 +257,8 @@ mod tests {
             PathKind::Memory,
             Strategy::DllOnly,
             HardwareProfile::free(),
-            trace.extent as usize + 2048,
+            &crate::filler(trace.extent as usize + 2048),
+            &[],
         );
         let api = world.api();
         let h = api

@@ -232,9 +232,12 @@ impl SentinelCtx {
         self.config_str(key).and_then(|v| v.parse().ok())
     }
 
-    /// Reads a configuration boolean (`"true"`/`"1"`).
+    /// Reads a configuration boolean in the runtime keys' one grammar
+    /// (`on|true|1` / `off|false|0`); absent or any other value is off.
     pub fn config_bool(&self, key: &str) -> bool {
-        matches!(self.config_str(key), Some("true") | Some("1"))
+        self.config_str(key)
+            .and_then(crate::spec::flag)
+            .unwrap_or(false)
     }
 
     // ---- typed remote clients -------------------------------------------------
@@ -326,12 +329,21 @@ mod tests {
     fn config_accessors() {
         let spec = SentinelSpec::new("x", Strategy::DllOnly)
             .with("service", "files")
-            .with("count", "42")
-            .with("flag", "true");
+            .with("count", "42");
         let c = ctx(spec);
         assert_eq!(c.config_str("service"), Some("files"));
         assert_eq!(c.config_u64("count"), Some(42));
-        assert!(c.config_bool("flag"));
+        for (spelling, value) in [
+            ("on", true),
+            ("true", true),
+            ("1", true),
+            ("off", false),
+            ("false", false),
+            ("0", false),
+        ] {
+            let c = ctx(SentinelSpec::new("x", Strategy::DllOnly).with("flag", spelling));
+            assert_eq!(c.config_bool("flag"), value, "flag={spelling}");
+        }
         assert!(!c.config_bool("absent"));
         assert_eq!(c.require_str("service").expect("present"), "files");
         assert!(c.require_str("missing").is_err());

@@ -280,7 +280,7 @@ fn set<T>(slot: &mut T, value: Option<T>) -> Option<()> {
 }
 
 /// The one boolean grammar.
-fn flag(v: &str) -> Option<bool> {
+pub(crate) fn flag(v: &str) -> Option<bool> {
     match v.trim() {
         "on" | "true" | "1" => Some(true),
         "off" | "false" | "0" => Some(false),

@@ -168,7 +168,7 @@ fn op_index(op: OpKind) -> usize {
 }
 
 /// What every application-side handle records an operation into: the
-/// trace ring, the file's SLO tracker, the per-(strategy, op) histogram
+/// op trace, the file's SLO tracker, the per-(strategy, op) histogram
 /// and the op's strategy span.
 pub(crate) struct Recorder {
     model: CostModel,

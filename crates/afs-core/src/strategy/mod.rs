@@ -398,74 +398,19 @@ pub(crate) fn execute_op(
         replay_queued_writes(logic, ctx);
     }
     match op {
-        Op::Read { offset, len } => {
-            let mut buf = pool.take(len as usize);
-            match logic.read(ctx, offset, &mut buf) {
-                Ok(n) => {
-                    if ctx.degraded_enabled() {
-                        // Refresh the last-good cache; a fresh remote read
-                        // with nothing queued means we are current again.
-                        let _ = ctx.cache().write_at(offset, &buf[..n]);
-                        if ctx.write_queue_len() == 0 {
-                            ctx.set_stale(false);
-                        }
-                    }
-                    buf.truncate(n);
-                    (OpReply::Read { n: n as u32 }, Some(buf))
-                }
-                Err(SentinelError::Net(_))
-                    if ctx.degraded_enabled()
-                        && ctx.cache().is_present()
-                        && !ctx.staleness_exceeded() =>
-                {
-                    // Every replica is down: serve the last-good bytes and
-                    // flag the handle stale (§6's availability argument,
-                    // extended — the legacy application keeps running).
-                    match ctx.cache().read_at(offset, &mut buf) {
-                        Ok(n) => {
-                            note_degraded_entry(ctx, "read");
-                            ctx.set_stale(true);
-                            ctx.net().reliability_stats().note_degraded_read();
-                            buf.truncate(n);
-                            (OpReply::Read { n: n as u32 }, Some(buf))
-                        }
-                        Err(e) => {
-                            pool.put(buf);
-                            (OpReply::Failed(e), None)
-                        }
-                    }
-                }
-                Err(e) => {
-                    pool.put(buf);
-                    (OpReply::Failed(e), None)
-                }
-            }
-        }
+        Op::Read { offset, len } => read_segments(
+            logic,
+            ctx,
+            offset,
+            len as usize,
+            std::iter::once(len as usize),
+            pool,
+        ),
         Op::ReadScatter { offset, lens } => {
-            let total: usize = lens.iter().map(|&l| l as usize).sum();
-            let mut buf = pool.take(total);
-            let mut filled = 0usize;
-            let mut cursor = offset;
-            for &len in &lens {
-                if len == 0 {
-                    continue;
-                }
-                match logic.read(ctx, cursor, &mut buf[filled..filled + len as usize]) {
-                    Ok(n) => {
-                        filled += n;
-                        cursor += n as u64;
-                        if n < len as usize {
-                            break; // end of data mid-scatter
-                        }
-                    }
-                    Err(e) => {
-                        pool.put(buf);
-                        return (OpReply::Failed(e), None);
-                    }
-                }
-            }
-            buf.truncate(filled);
-            (OpReply::Read { n: filled as u32 }, Some(buf))
+            // An empty segment asks the sentinel nothing.
+            let lens = lens.iter().map(|&l| l as usize);
+            let total = lens.clone().sum();
+            read_segments(logic, ctx, offset, total, lens.filter(|&l| l != 0), pool)
         }
         Op::Write { offset, .. } => match logic.write(ctx, offset, payload) {
             Ok(_) => (OpReply::Done, None),
@@ -533,6 +478,80 @@ pub(crate) fn execute_op(
             ctx.persist_cache();
             (reply, None)
         }
+    }
+}
+
+/// Serves a read of consecutive segments starting at `offset` into one
+/// pooled buffer of `total` bytes; `Read` is the one-segment scatter. A
+/// short segment is the end of the data and ends the read.
+fn read_segments(
+    logic: &mut dyn SentinelLogic,
+    ctx: &mut SentinelCtx,
+    offset: u64,
+    total: usize,
+    lens: impl Iterator<Item = usize>,
+    pool: &BufferPool,
+) -> (OpReply, Option<Vec<u8>>) {
+    let mut buf = pool.take(total);
+    let mut filled = 0usize;
+    for len in lens {
+        match read_segment(
+            logic,
+            ctx,
+            offset + filled as u64,
+            &mut buf[filled..filled + len],
+        ) {
+            Ok(n) => {
+                filled += n;
+                if n < len {
+                    break;
+                }
+            }
+            Err(e) => {
+                pool.put(buf);
+                return (OpReply::Failed(e), None);
+            }
+        }
+    }
+    buf.truncate(filled);
+    (OpReply::Read { n: filled as u32 }, Some(buf))
+}
+
+/// Reads one segment through the sentinel logic under the degraded-mode
+/// contract: a read the remote answered refreshes the last-good cache,
+/// and one it could not answer is served from that cache with the handle
+/// flagged stale.
+fn read_segment(
+    logic: &mut dyn SentinelLogic,
+    ctx: &mut SentinelCtx,
+    offset: u64,
+    buf: &mut [u8],
+) -> Result<usize, SentinelError> {
+    match logic.read(ctx, offset, buf) {
+        Ok(n) => {
+            if ctx.degraded_enabled() {
+                // A fresh remote read with nothing queued means we are
+                // current again.
+                let _ = ctx.cache().write_at(offset, &buf[..n]);
+                if ctx.write_queue_len() == 0 {
+                    ctx.set_stale(false);
+                }
+            }
+            Ok(n)
+        }
+        Err(SentinelError::Net(_))
+            if ctx.degraded_enabled() && ctx.cache().is_present() && !ctx.staleness_exceeded() =>
+        {
+            // Every replica is down: serve the last-good bytes and flag
+            // the handle stale (§6's availability argument, extended —
+            // the legacy application keeps running).
+            let n = ctx.cache().read_at(offset, buf)?;
+            note_degraded_entry(ctx, "read");
+            ctx.set_stale(true);
+            ctx.net().reliability_stats().note_degraded_read();
+            Ok(n)
+        }
+        Err(e) => Err(e),
     }
 }
 

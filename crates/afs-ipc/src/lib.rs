@@ -34,7 +34,7 @@
 //!
 //! All primitives work identically with or without a virtual clock
 //! installed, so the same code paths serve both the Figure 6 simulation and
-//! wall-clock Criterion benches.
+//! the wall-clock `benchmark/` harness.
 
 pub mod control;
 pub mod error;

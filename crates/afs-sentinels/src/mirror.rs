@@ -324,7 +324,7 @@ mod readahead_tests {
     use afs_remote::FileServer;
     use std::sync::Arc;
 
-    fn world_with_blob(readahead: bool) -> (afs_core::AfsWorld, afs_net::Network) {
+    fn world_with_blob(readahead: &str) -> (afs_core::AfsWorld, afs_net::Network) {
         let world = test_world();
         let server = FileServer::new();
         server.seed("/blob", &(0..=255u8).collect::<Vec<u8>>().repeat(8));
@@ -337,7 +337,7 @@ mod readahead_tests {
                 &SentinelSpec::new("mirror", Strategy::DllOnly)
                     .with("service", "files")
                     .with("remote", "/blob")
-                    .with("readahead", if readahead { "true" } else { "false" }),
+                    .with("readahead", readahead),
             )
             .expect("install");
         let net = world.net().clone();
@@ -346,8 +346,8 @@ mod readahead_tests {
 
     #[test]
     fn readahead_preserves_content_exactly() {
-        let (plain_world, _) = world_with_blob(false);
-        let (eager_world, _) = world_with_blob(true);
+        let (plain_world, _) = world_with_blob("false");
+        let (eager_world, _) = world_with_blob("true");
         assert_eq!(
             read_active(&plain_world, "/m.af"),
             read_active(&eager_world, "/m.af"),
@@ -357,22 +357,27 @@ mod readahead_tests {
 
     #[test]
     fn readahead_halves_round_trips_for_sequential_reads() {
-        let (plain_world, plain_net) = world_with_blob(false);
-        let (eager_world, eager_net) = world_with_blob(true);
+        let (plain_world, plain_net) = world_with_blob("false");
         let _ = read_active(&plain_world, "/m.af");
-        let _ = read_active(&eager_world, "/m.af");
         let plain_rpcs = plain_net.stats().rpcs;
-        let eager_rpcs = eager_net.stats().rpcs;
-        assert!(
-            eager_rpcs * 1000 <= plain_rpcs * 700,
-            "eager ({eager_rpcs}) should need far fewer round trips than lazy ({plain_rpcs})"
-        );
+        // `on` is the one boolean grammar's spelling; `config_bool` used
+        // to read it as off.
+        for spelling in ["true", "on"] {
+            let (eager_world, eager_net) = world_with_blob(spelling);
+            let _ = read_active(&eager_world, "/m.af");
+            let eager_rpcs = eager_net.stats().rpcs;
+            assert!(
+                eager_rpcs * 1000 <= plain_rpcs * 700,
+                "readahead={spelling} ({eager_rpcs}) should need far fewer round trips \
+                 than lazy ({plain_rpcs})"
+            );
+        }
     }
 
     #[test]
     fn control_toggles_readahead_at_runtime() {
         use afs_winapi::{Access, Disposition, FileApi, Win32Error};
-        let (world, net) = world_with_blob(false);
+        let (world, net) = world_with_blob("false");
         let api = world.api();
         let h = api
             .create_file("/m.af", Access::read_only(), Disposition::OpenExisting)
@@ -412,7 +417,7 @@ mod readahead_tests {
     #[test]
     fn writes_invalidate_the_readahead_window() {
         use afs_winapi::{Access, Disposition, FileApi, SeekMethod};
-        let (world, _) = world_with_blob(true);
+        let (world, _) = world_with_blob("true");
         let api = world.api();
         let h = api
             .create_file("/m.af", Access::read_write(), Disposition::OpenExisting)

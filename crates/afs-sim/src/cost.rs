@@ -159,8 +159,9 @@ impl HardwareProfile {
         }
     }
 
-    /// All-zero profile: charges advance no time. Used by wall-clock
-    /// (Criterion) benches and by semantics-only tests.
+    /// All-zero profile: charges advance no time. The default world
+    /// profile; used by semantics-only tests and by `benchmark/`'s
+    /// host-time probes.
     pub fn free() -> Self {
         HardwareProfile {
             name: "free",

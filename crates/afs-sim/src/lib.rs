@@ -30,8 +30,8 @@
 //!   ("data streaming hides some of the latency", §6).
 //!
 //! When no virtual clock is registered on the current thread every charge is
-//! a no-op, so the exact same component code can be benchmarked under
-//! Criterion for wall-clock measurements.
+//! a no-op, so the exact same component code can be timed on the host
+//! clock (`benchmark/`).
 //!
 //! # Examples
 //!
@@ -55,4 +55,4 @@ pub use clock::{ClockGuard, SimTime};
 pub use cost::{Cost, CostModel, CostSnapshot, CrossingKind, HardwareProfile};
 pub use rng::SimRng;
 pub use stats::{Series, Summary};
-pub use trace::{OpKind, OpSummary, OpTrace, TraceRecord, DEFAULT_TRACE_CAPACITY};
+pub use trace::{OpKind, OpSummary, OpTrace, TraceRecord};

@@ -1,4 +1,4 @@
-//! Per-operation observability: the [`OpTrace`] ring.
+//! Per-operation observability: the [`OpTrace`] totals.
 //!
 //! The paper's §4 analysis reasons about each strategy in terms of *what
 //! one operation costs*: how many protection-domain crossings, how many
@@ -10,11 +10,9 @@
 //! 2 thread switches; DLL-only: nothing).
 //!
 //! The strategy handles record one [`TraceRecord`] per completed
-//! operation. Records land in a bounded ring (old entries drop) *and* in a
-//! cumulative per-(strategy, op) aggregate, so long benchmark runs keep
-//! exact totals while interactive tools can still inspect recent history.
+//! operation into a cumulative per-(strategy, op) aggregate, so runs of
+//! any length keep exact totals.
 
-use std::collections::VecDeque;
 use std::fmt;
 
 use parking_lot::Mutex;
@@ -127,44 +125,23 @@ impl OpSummary {
     }
 }
 
-/// Default number of recent records the ring retains.
-pub const DEFAULT_TRACE_CAPACITY: usize = 4096;
-
+/// Exact cumulative per-(strategy, op) totals. Cheap to share behind an
+/// `Arc`; recording is one short mutex hold.
 #[derive(Debug, Default)]
-struct TraceState {
-    ring: VecDeque<TraceRecord>,
-    totals: Vec<OpSummary>,
-}
-
-/// A bounded ring of recent [`TraceRecord`]s plus exact cumulative
-/// per-(strategy, op) totals. Cheap to share behind an `Arc`; recording is
-/// one short mutex hold.
-#[derive(Debug)]
 pub struct OpTrace {
-    capacity: usize,
-    state: Mutex<TraceState>,
+    totals: Mutex<Vec<OpSummary>>,
 }
 
 impl OpTrace {
-    /// Creates a trace retaining [`DEFAULT_TRACE_CAPACITY`] recent records.
+    /// Creates an empty trace.
     pub fn new() -> Self {
-        OpTrace::with_capacity(DEFAULT_TRACE_CAPACITY)
+        OpTrace::default()
     }
 
-    /// Creates a trace retaining up to `capacity` recent records (totals
-    /// are always exact regardless of capacity).
-    pub fn with_capacity(capacity: usize) -> Self {
-        OpTrace {
-            capacity: capacity.max(1),
-            state: Mutex::new(TraceState::default()),
-        }
-    }
-
-    /// Appends one record, evicting the oldest if the ring is full.
+    /// Adds one record to its (strategy, op) total.
     pub fn record(&self, record: TraceRecord) {
-        let mut state = self.state.lock();
-        if let Some(total) = state
-            .totals
+        let mut totals = self.totals.lock();
+        if let Some(total) = totals
             .iter_mut()
             .find(|t| t.strategy == record.strategy && t.op == record.op)
         {
@@ -174,7 +151,7 @@ impl OpTrace {
             total.crossings += record.crossings;
             total.copies += record.copies;
         } else {
-            state.totals.push(OpSummary {
+            totals.push(OpSummary {
                 strategy: record.strategy,
                 op: record.op,
                 count: 1,
@@ -184,27 +161,18 @@ impl OpTrace {
                 copies: record.copies,
             });
         }
-        if state.ring.len() == self.capacity {
-            state.ring.pop_front();
-        }
-        state.ring.push_back(record);
-    }
-
-    /// Copies out the retained recent records, oldest first.
-    pub fn records(&self) -> Vec<TraceRecord> {
-        self.state.lock().ring.iter().cloned().collect()
     }
 
     /// Cumulative per-(strategy, op) totals, ordered by strategy then op.
     pub fn summary(&self) -> Vec<OpSummary> {
-        let mut totals = self.state.lock().totals.clone();
+        let mut totals = self.totals.lock().clone();
         totals.sort_by(|a, b| a.strategy.cmp(b.strategy).then(a.op.cmp(&b.op)));
         totals
     }
 
     /// Total number of operations ever recorded.
     pub fn len(&self) -> u64 {
-        self.state.lock().totals.iter().map(|t| t.count).sum()
+        self.totals.lock().iter().map(|t| t.count).sum()
     }
 
     /// True if nothing has been recorded yet.
@@ -212,17 +180,9 @@ impl OpTrace {
         self.len() == 0
     }
 
-    /// Discards all records and totals.
+    /// Discards all totals.
     pub fn clear(&self) {
-        let mut state = self.state.lock();
-        state.ring.clear();
-        state.totals.clear();
-    }
-}
-
-impl Default for OpTrace {
-    fn default() -> Self {
-        OpTrace::new()
+        self.totals.lock().clear();
     }
 }
 
@@ -261,24 +221,13 @@ mod tests {
     }
 
     #[test]
-    fn ring_is_bounded_but_totals_are_exact() {
-        let trace = OpTrace::with_capacity(4);
-        for i in 0..10 {
-            trace.record(rec("DLL", OpKind::Read, i));
-        }
-        assert_eq!(trace.records().len(), 4);
-        assert_eq!(trace.records()[0].bytes, 6, "oldest records evicted");
-        assert_eq!(trace.summary()[0].count, 10, "totals survive eviction");
-    }
-
-    #[test]
     fn clear_resets_everything() {
         let trace = OpTrace::new();
         trace.record(rec("DLL", OpKind::Close, 0));
         assert!(!trace.is_empty());
         trace.clear();
         assert!(trace.is_empty());
-        assert!(trace.records().is_empty());
+        assert!(trace.summary().is_empty());
     }
 
     #[test]

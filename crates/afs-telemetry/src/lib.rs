@@ -2,7 +2,7 @@
 //!
 //! The paper's §4 argument is a cost-accounting exercise: protection-domain
 //! crossings, buffer copies, and switches *per operation*. The
-//! [`OpTrace`](afs_sim) ring aggregates those costs after the fact; this
+//! [`OpTrace`](afs_sim) totals aggregate those costs after the fact; this
 //! crate makes one operation followable end to end:
 //!
 //! * **Spans** ([`Telemetry`], [`SpanGuard`], [`Layer`]) — every

@@ -197,11 +197,25 @@ fn degraded_reads_serve_stale_cache_and_flag_it() {
     // `on` is the one boolean grammar's spelling; before the runtime keys
     // were one table it silently meant *off* here.
     for spelling in ["true", "on"] {
-        degraded_scenario(spelling);
+        degraded_scenario(spelling, |api, h, buf| api.read_file(h, buf));
     }
 }
 
-fn degraded_scenario(spelling: &str) {
+/// `ReadFileScatter` is a read like any other: it used to bypass the
+/// last-good cache and fail with `NetworkError` on the same handle where
+/// `ReadFile` served stale bytes.
+#[test]
+fn degraded_scatter_reads_serve_stale_cache_and_flag_it() {
+    degraded_scenario("on", |api, h, buf| {
+        let (head, tail) = buf.split_at_mut(8);
+        api.read_file_scatter(h, &mut [head, tail])
+    });
+}
+
+type ReadCall =
+    fn(&activefiles::ApiHandle, activefiles::Handle, &mut [u8]) -> Result<usize, Win32Error>;
+
+fn degraded_scenario(spelling: &str, read: ReadCall) {
     let (world, _server) = reliable_world(&[("degraded", spelling)]);
     let plan = world.net().plan("files").expect("plan");
     let api = world.api();
@@ -209,8 +223,7 @@ fn degraded_scenario(spelling: &str) {
         .create_file("/m.af", Access::read_only(), Disposition::OpenExisting)
         .expect("open");
     let mut buf = [0u8; 17];
-    api.read_file(h, &mut buf)
-        .expect("warm the last-good cache");
+    read(&api, h, &mut buf).expect("warm the last-good cache");
     assert_eq!(&buf[..], BODY);
     assert_eq!(
         api.device_io_control(h, CTL_QUERY_STALE, &[]).expect("ctl"),
@@ -221,8 +234,7 @@ fn degraded_scenario(spelling: &str) {
     plan.set_partitioned(true);
     api.set_file_pointer(h, 0, SeekMethod::Begin).expect("seek");
     let mut stale_buf = [0u8; 17];
-    api.read_file(h, &mut stale_buf)
-        .expect("degraded read keeps the application running");
+    read(&api, h, &mut stale_buf).expect("degraded read keeps the application running");
     assert_eq!(&stale_buf[..], BODY, "last-good bytes");
     assert_eq!(
         api.device_io_control(h, CTL_QUERY_STALE, &[]).expect("ctl"),
@@ -234,7 +246,7 @@ fn degraded_scenario(spelling: &str) {
     // Healing makes the next read fresh again.
     plan.set_partitioned(false);
     api.set_file_pointer(h, 0, SeekMethod::Begin).expect("seek");
-    api.read_file(h, &mut buf).expect("fresh read");
+    read(&api, h, &mut buf).expect("fresh read");
     assert_eq!(
         api.device_io_control(h, CTL_QUERY_STALE, &[]).expect("ctl"),
         vec![0u8]
