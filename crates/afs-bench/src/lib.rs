@@ -416,9 +416,16 @@ fn run_blocks(
 ) -> Measurement {
     let mut buf = vec![0u8; block];
     match direction {
+        // A §4.1 stream is a pipe, and `ReadFile` on a pipe returns what
+        // is there: read until the block is full. (The command strategies
+        // fill it on the first call.)
         Direction::Read => run_cell(world, file, Access::read_only(), ops, |api, h| {
-            let n = api.read_file(h, &mut buf).expect("read");
-            assert_eq!(n, block, "seeded file must satisfy full blocks");
+            let mut filled = 0;
+            while filled < block {
+                let n = api.read_file(h, &mut buf[filled..]).expect("read");
+                assert_ne!(n, 0, "seeded file must satisfy full blocks");
+                filled += n;
+            }
         }),
         // Writes start at offset 0 so the disk/memory cache does not grow
         // unboundedly relative to reads; the pointer advances naturally
@@ -945,6 +952,21 @@ mod tests {
         );
         assert_eq!(m.series.len(), 50);
         assert!(m.mean_us() > 0.0);
+    }
+
+    /// A §4.1 stream hands a block larger than its pipe chunk over in
+    /// pieces; the cell still times whole blocks.
+    #[test]
+    fn simple_process_reads_fill_blocks_a_pipe_delivers_in_pieces() {
+        let m = measure(
+            PathKind::Remote,
+            Strategy::Process,
+            Direction::Read,
+            2048,
+            20,
+            HardwareProfile::pentium_ii_300(),
+        );
+        assert_eq!(m.series.len(), 20);
     }
 
     #[test]

@@ -29,7 +29,7 @@ use afs_ipc::{BufferPool, ChannelWaker, Cqe, Framed, IpcError, PairPort, RingPor
 use afs_telemetry::SentinelStats;
 
 use crate::ctx::SentinelCtx;
-use crate::logic::SentinelLogic;
+use crate::logic::{SentinelError, SentinelLogic};
 use crate::strategy::executor::{SentinelPoll, TaskDone, TaskPoll};
 use crate::strategy::{
     execute_op, op_name, take_sticky_preemption, Instruments, Op, OpReply, SentinelSide, Sticky,
@@ -387,9 +387,24 @@ impl<P: SentinelPort> SentinelLoop<P> {
         }
         let write = matches!(op, Op::Write { .. });
         let close = matches!(op, Op::Close);
-        let (reply, data) = sess.side.observe(op_name(&op), || {
-            execute_op(logic.as_mut(), ctx, op, &payload, port.pool())
+        // A read's bytes have a wire to cross: they are staged in a
+        // pooled buffer the reply takes with it.
+        let mut data = op.read_room().map(|room| port.pool().take(room));
+        let executed = sess.side.observe(op_name(&op), || {
+            let into = data.as_deref_mut().unwrap_or_default();
+            execute_op(logic.as_mut(), ctx, op, &payload, into)
         });
+        // Over-delivery has no reply of its own on a wire; the routine's
+        // claim is refused like any other failure of it.
+        let reply = executed.unwrap_or_else(|_| {
+            let refused = "sentinel read reported more bytes than it was asked for";
+            OpReply::Failed(SentinelError::Other(refused.into()))
+        });
+        if let (OpReply::Read { n }, Some(bytes)) = (&reply, &mut data) {
+            bytes.truncate(*n as usize);
+        } else if let Some(unused) = data.take() {
+            port.pool().put(unused);
+        }
         *closed |= close;
         stats.op(
             payload.len() as u64,

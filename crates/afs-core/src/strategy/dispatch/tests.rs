@@ -21,6 +21,9 @@ struct Seen {
     writes: Mutex<Vec<Vec<u8>>>,
 }
 
+/// Where the probe's reads start over-reporting.
+const OVER: u64 = 100;
+
 /// Records writes (failing them on request) and counts close hooks.
 struct Probe {
     seen: Arc<Seen>,
@@ -28,9 +31,10 @@ struct Probe {
 }
 
 impl SentinelLogic for Probe {
-    fn read(&mut self, _: &mut SentinelCtx, _: u64, buf: &mut [u8]) -> SentinelResult<usize> {
+    fn read(&mut self, _: &mut SentinelCtx, offset: u64, buf: &mut [u8]) -> SentinelResult<usize> {
         buf.fill(b'r');
-        Ok(buf.len())
+        // From `OVER` on, the routine claims four bytes it had no room for.
+        Ok(buf.len() + if offset >= OVER { 4 } else { 0 })
     }
 
     fn write(&mut self, _: &mut SentinelCtx, _: u64, data: &[u8]) -> SentinelResult<usize> {
@@ -257,6 +261,34 @@ fn a_parked_write_failure_preempts_the_next_synchronous_op_and_nothing_else() {
         assert_eq!(r.task.poll(), TaskPoll::Ready, "{port}");
         assert_eq!(r.app.reply(), OpReply::Done, "{port}");
         assert!(r.sticky.take().is_some(), "{port}: still parked");
+    }
+}
+
+/// A read routine that over-reports — on the last segment or before it —
+/// fails that command and nothing else: no bytes travel, the loop stays
+/// up and the next command is served.
+#[test]
+fn an_over_reporting_read_routine_fails_the_command_and_the_loop_stays_up() {
+    let over_reads = [
+        Op::Read {
+            offset: OVER,
+            len: 8,
+        },
+        Op::ReadScatter {
+            offset: OVER,
+            lens: vec![4, 4],
+        },
+    ];
+    for over_read in over_reads {
+        for mut r in rigs(false) {
+            let port = r.port;
+            r.app.send(over_read.clone(), None);
+            assert_eq!(r.task.poll(), TaskPoll::Pending, "{port}");
+            assert!(matches!(r.app.reply(), OpReply::Failed(_)), "{port}");
+            r.app.send(Op::Read { offset: 0, len: 4 }, None);
+            assert_eq!(r.task.poll(), TaskPoll::Pending, "{port}");
+            assert_eq!(r.app.reply(), OpReply::Read { n: 4 }, "{port}");
+        }
     }
 }
 

@@ -22,14 +22,14 @@ use std::sync::{Arc, Weak};
 
 use parking_lot::Mutex;
 
-use afs_ipc::{BufferPool, IpcError};
+use afs_ipc::IpcError;
 use afs_sim::CrossingKind;
 use afs_telemetry::{SessionGauges, SpanScope};
 use afs_winapi::Win32Error;
 
 use crate::ctx::SentinelCtx;
 use crate::logic::SentinelLogic;
-use crate::strategy::handle::{deliver, AppPort};
+use crate::strategy::handle::AppPort;
 use crate::strategy::mux::SharedSentinel;
 use crate::strategy::{
     execute_op, op_name, to_win32, ActiveOps, Instruments, Op, OpReply, SentinelSide, Sticky,
@@ -50,7 +50,6 @@ struct InlineCore {
 /// [`InlineSession`].
 pub(crate) struct InlineShared {
     core: Mutex<InlineCore>,
-    pool: BufferPool,
     instr: Instruments,
     gauges: Arc<SessionGauges>,
     weak_self: Weak<InlineShared>,
@@ -69,8 +68,9 @@ struct InlineSession {
 
 impl InlineSession {
     /// Runs `op` on this thread under the core lock — all there is to a
-    /// §4.4 operation. A closed sentinel takes no more commands.
-    fn run(&self, op: Op, payload: &[u8]) -> afs_ipc::Result<(OpReply, Option<Vec<u8>>)> {
+    /// §4.4 operation: the routine reads straight into `into`, nothing is
+    /// staged. A closed sentinel takes no more commands.
+    fn run(&self, op: Op, payload: &[u8], into: &mut [u8]) -> afs_ipc::Result<OpReply> {
         let mut core = self.shared.core.lock();
         if core.closed {
             return Err(IpcError::BrokenPipe);
@@ -81,15 +81,15 @@ impl InlineSession {
             if core.live > 0 {
                 // The sentinel stays up for the other sessions; this
                 // session's close is acknowledged locally.
-                return Ok((OpReply::Done, None));
+                return Ok(OpReply::Done);
             }
             // Last session out runs the real close hook.
             core.closed = true;
         }
         let InlineCore { logic, ctx, .. } = &mut *core;
-        Ok(self.side.observe_inline(op_name(&op), || {
-            execute_op(logic.as_mut(), ctx, op, payload, &self.shared.pool)
-        }))
+        self.side.observe_inline(op_name(&op), || {
+            execute_op(logic.as_mut(), ctx, op, payload, into)
+        })
     }
 }
 
@@ -99,19 +99,16 @@ impl AppPort for InlineSession {
     }
 
     fn post(&self, op: Op, payload: &[u8]) -> afs_ipc::Result<()> {
-        if let (OpReply::Failed(e), _) = self.run(op, payload)? {
+        if let OpReply::Failed(e) = self.run(op, payload, &mut [])? {
             self.sticky.park(e);
         }
         Ok(())
     }
 
     fn call(&self, op: Op, into: &mut [u8]) -> afs_ipc::Result<(OpReply, usize)> {
-        let (reply, data) = self.run(op, &[])?;
-        let delivered = deliver(reply, data.as_deref(), into);
-        if let Some(buf) = data {
-            self.shared.pool.put(buf);
-        }
-        delivered
+        let reply = self.run(op, &[], into)?;
+        let n = reply.announced();
+        Ok((reply, n))
     }
 }
 
@@ -150,7 +147,6 @@ pub(crate) fn open_shared(
     instr: Instruments,
 ) -> Result<Arc<InlineShared>, Win32Error> {
     logic.on_open(&mut ctx).map_err(|e| to_win32(&e))?;
-    let pool = BufferPool::observed(Arc::clone(instr.tel.gauges()));
     let gauges = Arc::clone(instr.tel.sessions());
     Ok(Arc::new_cyclic(|weak_self| InlineShared {
         core: Mutex::new(InlineCore {
@@ -159,7 +155,6 @@ pub(crate) fn open_shared(
             live: 0,
             closed: false,
         }),
-        pool,
         instr,
         gauges,
         weak_self: weak_self.clone(),

@@ -25,7 +25,9 @@
 //! Every operation is recorded by a [`Recorder`] in an [`OpTrace`]:
 //! virtual elapsed time, payload bytes, and the protection-domain
 //! crossings and buffer copies charged while it ran, so a run can be
-//! audited against the per-strategy cost table of §4. One caveat: writes
+//! audited against the per-strategy cost table of §4. The inline carrier's
+//! operations are measured by their own thread's charges, the others' by
+//! the whole model's (see `Recorder::window`). One caveat: writes
 //! are acknowledged eagerly (write-behind), so sentinel-side charges for a
 //! write may land in a *later* operation's record — per-op write costs are
 //! eventual, while totals stay exact.
@@ -35,7 +37,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use afs_ipc::{BufferPool, IpcError, MuxSession, PairTransport};
-use afs_sim::{clock, Cost, CostModel, CrossingKind, OpKind, OpTrace, TraceRecord};
+use afs_sim::{clock, Cost, CostModel, CrossingKind, OpKind, OpTrace, OpWindow, TraceRecord};
 use afs_telemetry::{now_ns, LatencyHistogram, Layer, SloTracker, SpanGuard, SpanScope, Telemetry};
 use afs_winapi::{SeekMethod, Win32Error};
 
@@ -124,19 +126,15 @@ impl AppPort for MuxSession<OpMux> {
 }
 
 /// Lands the bytes a reply came with in the front of `into`, for the
-/// carriers that hold reply and bytes together (a ring completion, an
-/// inline result). The count the reply announces is what is delivered,
-/// under the same rule as on a wire: more than `into` holds fails the
-/// operation.
+/// carrier that holds reply and bytes together (a ring completion). The
+/// count the reply announces is what is delivered, under the same rule as
+/// on a wire: more than `into` holds fails the operation.
 pub(crate) fn deliver(
     reply: OpReply,
     data: Option<&[u8]>,
     into: &mut [u8],
 ) -> afs_ipc::Result<(OpReply, usize)> {
-    let n = match reply {
-        OpReply::Read { n } => n as usize,
-        _ => 0,
-    };
+    let n = reply.announced();
     match (into.get_mut(..n), data.unwrap_or_default().get(..n)) {
         (Some(dst), Some(src)) => dst.copy_from_slice(src),
         _ => return Err(IpcError::BrokenPipe),
@@ -174,6 +172,8 @@ pub(crate) struct Recorder {
     model: CostModel,
     trace: Arc<OpTrace>,
     strategy: &'static str,
+    /// The boundary this handle's operations cross.
+    crossing: CrossingKind,
     tel: Arc<Telemetry>,
     /// Publishes the in-flight op's trace context so the sentinel task can
     /// parent (and trace) its spans to the op it is serving, no matter
@@ -190,6 +190,7 @@ impl Recorder {
         model: CostModel,
         trace: Arc<OpTrace>,
         strategy: &'static str,
+        crossing: CrossingKind,
         tel: Arc<Telemetry>,
         scope: Arc<SpanScope>,
         slo: Option<Arc<SloTracker>>,
@@ -199,6 +200,7 @@ impl Recorder {
             model,
             trace,
             strategy,
+            crossing,
             tel,
             scope,
             slo,
@@ -212,10 +214,24 @@ impl Recorder {
         self.tel.span_tagged(Layer::Transport, name, self.strategy)
     }
 
-    /// Charges the two switches of one round trip across `crossing`.
-    pub(crate) fn charge_round_trip(&self, crossing: CrossingKind) {
-        for _ in 0..crossing.round_trip_switches() {
-            self.model.charge(Cost::Crossing(crossing));
+    /// Charges the two switches of one round trip across the boundary.
+    pub(crate) fn charge_round_trip(&self) {
+        for _ in 0..self.crossing.round_trip_switches() {
+            self.model.charge(Cost::Crossing(self.crossing));
+        }
+    }
+
+    /// The counters an operation's record is the movement of. An inline
+    /// (§4.4) operation runs wholly on its caller's thread, so that
+    /// thread's own charges are its cost exactly, whatever other handles
+    /// do meanwhile — and reading them touches nothing shared. An
+    /// operation served across a boundary is charged on other threads
+    /// too, so its window is the whole model's (and takes in whatever
+    /// else was charged while it ran).
+    fn window(&self) -> OpWindow {
+        match self.crossing {
+            CrossingKind::None => OpWindow::of_this_thread(),
+            _ => self.model.op_window(),
         }
     }
 
@@ -243,17 +259,17 @@ impl Recorder {
             tel_started = now_ns();
         }
         let started = clock::now();
-        let before = self.model.snapshot();
+        let before = self.window();
         let (result, bytes) = f();
         let elapsed_ns = clock::now().saturating_sub(started);
-        let delta = self.model.snapshot().since(&before);
+        let charged = self.window().since(&before);
         self.trace.record(TraceRecord {
             strategy: self.strategy,
             op,
             bytes,
             elapsed_ns,
-            crossings: delta.process_switches + delta.thread_switches,
-            copies: delta.copies,
+            crossings: charged.crossings,
+            copies: charged.copies,
         });
         if let Some(slo) = &self.slo {
             // Virtual elapsed time, so burn rates are exact under the sim
@@ -299,7 +315,7 @@ impl<P: AppPort> StrategyHandle<P> {
 
     fn charge_round_trip(&self) {
         if !self.port.charges_own_crossings() {
-            self.rec.charge_round_trip(self.port.crossing());
+            self.rec.charge_round_trip();
         }
     }
 

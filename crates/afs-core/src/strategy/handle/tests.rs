@@ -274,7 +274,9 @@ fn over_delivery_fails_the_op_and_nothing_else() {
     type OverRead = fn(&Arc<dyn ActiveOps>) -> Result<usize, Win32Error>;
     let plain: OverRead = |ops| read(ops, 8).map(|bytes| bytes.len());
     let scatter: OverRead = |ops| ops.read_scatter(&mut [&mut [0u8; 8][..]]);
-    for over_read in [plain, scatter] {
+    // Over-reported on a segment that is not the last one.
+    let split: OverRead = |ops| ops.read_scatter(&mut [&mut [0u8; 4][..], &mut [0u8; 4][..]]);
+    for over_read in [plain, scatter, split] {
         for r in rigs() {
             let c = r.carrier;
             r.ops.seek(OVER as i64, SeekMethod::Begin).expect(c);

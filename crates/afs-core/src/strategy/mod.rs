@@ -27,9 +27,10 @@
 //! sessions call [`execute_op`] on the application thread; a private open
 //! is its one-session case. §4.1 carries no commands at all: its handle
 //! streams over the two pipes and drops the rest "with an appropriate
-//! return code". Per-command payload staging goes through an
+//! return code". Out of line, per-command payload staging goes through an
 //! [`afs_ipc::BufferPool`] so a settled sentinel allocates nothing per
-//! operation.
+//! operation; inline, a read lands in the caller's buffer and nothing is
+//! staged at all.
 
 pub(crate) mod batch;
 pub mod control;
@@ -48,8 +49,8 @@ use std::thread::JoinHandle;
 
 use parking_lot::Mutex;
 
-use afs_ipc::BufferPool;
-use afs_sim::{clock, CostModel, OpTrace, SimTime};
+use afs_ipc::IpcError;
+use afs_sim::{clock, CostModel, CrossingKind, OpTrace, SimTime};
 use afs_telemetry::{now_ns, LatencyHistogram, Layer, SloTracker, SpanScope, Telemetry};
 use afs_winapi::Win32Error;
 
@@ -141,13 +142,18 @@ impl Instruments {
     }
 
     /// What an application-side handle of this open records its
-    /// operations into, publishing the in-flight op's trace context in
-    /// `scope`.
-    pub(crate) fn recorder(&self, scope: Arc<SpanScope>) -> handle::Recorder {
+    /// operations into — they cross `crossing` — publishing the in-flight
+    /// op's trace context in `scope`.
+    pub(crate) fn recorder(
+        &self,
+        crossing: CrossingKind,
+        scope: Arc<SpanScope>,
+    ) -> handle::Recorder {
         handle::Recorder::new(
             self.model.clone(),
             Arc::clone(&self.trace),
             self.strategy,
+            crossing,
             Arc::clone(&self.tel),
             scope,
             self.slo.clone(),
@@ -166,7 +172,7 @@ impl Instruments {
         scope: Arc<SpanScope>,
         reaper: Option<Reaper>,
     ) -> Arc<dyn ActiveOps> {
-        let rec = self.recorder(scope);
+        let rec = self.recorder(port.crossing(), scope);
         Arc::new(handle::StrategyHandle::new(port, rec, sticky, reaper))
     }
 }
@@ -375,45 +381,69 @@ pub(crate) enum OpReply {
     Failed(SentinelError),
 }
 
+impl Op {
+    /// How many bytes a read command asks for — the room its bytes need
+    /// where they land; `None` for every other command.
+    pub(crate) fn read_room(&self) -> Option<usize> {
+        match self {
+            Op::Read { len, .. } => Some(*len as usize),
+            Op::ReadScatter { lens, .. } => Some(lens.iter().map(|&l| l as usize).sum()),
+            _ => None,
+        }
+    }
+}
+
+impl OpReply {
+    /// How many bytes the reply announces behind it.
+    pub(crate) fn announced(&self) -> usize {
+        match self {
+            OpReply::Read { n } => *n as usize,
+            _ => 0,
+        }
+    }
+}
+
 /// Executes one protocol command against the sentinel logic, wherever the
 /// sentinel runs: the dispatch loop (§4.2, §4.3) and the inline DLL-only
 /// transport (§4.4) both funnel through here, so all four strategies share
 /// operation semantics by construction.
 ///
-/// Returns the reply plus, for reads, the produced bytes (a pooled buffer
-/// the caller returns to `pool` after sending). `payload` carries the
-/// bytes of a `Write`; other commands ignore it. A `Write` failure comes
-/// back as `Failed` — the caller decides whether to park it (write-behind)
-/// or surface it.
+/// `payload` carries the bytes of a `Write`; a read's bytes land in the
+/// front of `into`, which the caller sizes by [`Op::read_room`] — staging
+/// where the reply has to travel, the application's own buffer where it
+/// does not. Other commands ignore both. A `Write` failure comes back as
+/// `Failed` — the caller decides whether to park it (write-behind) or
+/// surface it.
+///
+/// # Errors
+///
+/// [`IpcError::BrokenPipe`](afs_ipc::IpcError::BrokenPipe) when a read
+/// routine reports more bytes than it was given room for: over-delivery,
+/// the violation [`AppPort::call`](handle::AppPort::call) names, caught
+/// where the bytes land. Nothing is delivered and the sentinel stays up.
 pub(crate) fn execute_op(
     logic: &mut dyn SentinelLogic,
     ctx: &mut SentinelCtx,
     op: Op,
     payload: &[u8],
-    pool: &BufferPool,
-) -> (OpReply, Option<Vec<u8>>) {
+    into: &mut [u8],
+) -> afs_ipc::Result<OpReply> {
     // Writes queued while the remote was down replay ahead of the next
     // command, so a healed remote catches up before new state lands on it.
     if ctx.degraded_enabled() && ctx.write_queue_len() > 0 {
         replay_queued_writes(logic, ctx);
     }
-    match op {
-        Op::Read { offset, len } => read_segments(
-            logic,
-            ctx,
-            offset,
-            len as usize,
-            std::iter::once(len as usize),
-            pool,
-        ),
+    Ok(match op {
+        Op::Read { offset, len } => {
+            read_segments(logic, ctx, offset, std::iter::once(len as usize), into)?
+        }
         Op::ReadScatter { offset, lens } => {
             // An empty segment asks the sentinel nothing.
-            let lens = lens.iter().map(|&l| l as usize);
-            let total = lens.clone().sum();
-            read_segments(logic, ctx, offset, total, lens.filter(|&l| l != 0), pool)
+            let lens = lens.iter().map(|&l| l as usize).filter(|&l| l != 0);
+            read_segments(logic, ctx, offset, lens, into)?
         }
         Op::Write { offset, .. } => match logic.write(ctx, offset, payload) {
-            Ok(_) => (OpReply::Done, None),
+            Ok(_) => OpReply::Done,
             Err(SentinelError::Net(_)) if ctx.degraded_enabled() => {
                 // The remote is down: accept the write into the last-good
                 // cache and queue it for replay on heal.
@@ -422,12 +452,12 @@ pub(crate) fn execute_op(
                 note_degraded_entry(ctx, "write");
                 ctx.set_stale(true);
                 ctx.net().reliability_stats().note_queued_write();
-                (OpReply::Done, None)
+                OpReply::Done
             }
-            Err(e) => (OpReply::Failed(e), None),
+            Err(e) => OpReply::Failed(e),
         },
         Op::GetSize => match logic.len(ctx) {
-            Ok(n) => (OpReply::Size(n), None),
+            Ok(n) => OpReply::Size(n),
             Err(SentinelError::Net(_))
                 if ctx.degraded_enabled()
                     && ctx.cache().is_present()
@@ -437,22 +467,22 @@ pub(crate) fn execute_op(
                     Ok(n) => {
                         note_degraded_entry(ctx, "size");
                         ctx.set_stale(true);
-                        (OpReply::Size(n), None)
+                        OpReply::Size(n)
                     }
-                    Err(e) => (OpReply::Failed(e), None),
+                    Err(e) => OpReply::Failed(e),
                 }
             }
-            Err(e) => (OpReply::Failed(e), None),
+            Err(e) => OpReply::Failed(e),
         },
         Op::Flush => match logic.flush(ctx) {
             // `FlushFileBuffers` is the group-commit point of a durable
             // cache: after the logic's own flush, seal the staged WAL
             // batch.
             Ok(()) => match flush_durable_cache(ctx) {
-                Ok(()) => (OpReply::Done, None),
-                Err(e) => (OpReply::Failed(e), None),
+                Ok(()) => OpReply::Done,
+                Err(e) => OpReply::Failed(e),
             },
-            Err(e) => (OpReply::Failed(e), None),
+            Err(e) => OpReply::Failed(e),
         },
         Op::Control {
             code,
@@ -460,14 +490,14 @@ pub(crate) fn execute_op(
         } => {
             if code == CTL_QUERY_STALE {
                 let payload = vec![u8::from(ctx.is_stale())];
-                return (OpReply::Control { payload }, None);
-            }
-            if let Some(reply) = store_control(ctx, code, &request) {
-                return (reply, None);
-            }
-            match logic.control(ctx, code, &request) {
-                Ok(response) => (OpReply::Control { payload: response }, None),
-                Err(e) => (OpReply::Failed(e), None),
+                OpReply::Control { payload }
+            } else if let Some(reply) = store_control(ctx, code, &request) {
+                reply
+            } else {
+                match logic.control(ctx, code, &request) {
+                    Ok(response) => OpReply::Control { payload: response },
+                    Err(e) => OpReply::Failed(e),
+                }
             }
         }
         Op::Close => {
@@ -476,45 +506,39 @@ pub(crate) fn execute_op(
                 Err(e) => OpReply::Failed(e),
             };
             ctx.persist_cache();
-            (reply, None)
+            reply
         }
-    }
+    })
 }
 
-/// Serves a read of consecutive segments starting at `offset` into one
-/// pooled buffer of `total` bytes; `Read` is the one-segment scatter. A
-/// short segment is the end of the data and ends the read.
+/// Serves a read of consecutive segments starting at `offset` into the
+/// front of `into`; `Read` is the one-segment scatter. A short segment is
+/// the end of the data and ends the read; a segment reported longer than
+/// it is — or one `into` has no room for — is over-delivery.
 fn read_segments(
     logic: &mut dyn SentinelLogic,
     ctx: &mut SentinelCtx,
     offset: u64,
-    total: usize,
     lens: impl Iterator<Item = usize>,
-    pool: &BufferPool,
-) -> (OpReply, Option<Vec<u8>>) {
-    let mut buf = pool.take(total);
+    into: &mut [u8],
+) -> afs_ipc::Result<OpReply> {
     let mut filled = 0usize;
     for len in lens {
-        match read_segment(
-            logic,
-            ctx,
-            offset + filled as u64,
-            &mut buf[filled..filled + len],
-        ) {
+        let segment = into
+            .get_mut(filled..filled + len)
+            .ok_or(IpcError::BrokenPipe)?;
+        match read_segment(logic, ctx, offset + filled as u64, segment) {
+            Ok(n) if n > len => return Err(IpcError::BrokenPipe),
             Ok(n) => {
                 filled += n;
                 if n < len {
                     break;
                 }
             }
-            Err(e) => {
-                pool.put(buf);
-                return (OpReply::Failed(e), None);
-            }
+            Err(e) => return Ok(OpReply::Failed(e)),
         }
     }
-    buf.truncate(filled);
-    (OpReply::Read { n: filled as u32 }, Some(buf))
+    Ok(OpReply::Read { n: filled as u32 })
 }
 
 /// Reads one segment through the sentinel logic under the degraded-mode
@@ -531,8 +555,11 @@ fn read_segment(
         Ok(n) => {
             if ctx.degraded_enabled() {
                 // A fresh remote read with nothing queued means we are
-                // current again.
-                let _ = ctx.cache().write_at(offset, &buf[..n]);
+                // current again. (An over-reported count vouches for no
+                // bytes; `read_segments` fails it.)
+                if let Some(fresh) = buf.get(..n) {
+                    let _ = ctx.cache().write_at(offset, fresh);
+                }
                 if ctx.write_queue_len() == 0 {
                     ctx.set_stale(false);
                 }

@@ -84,7 +84,7 @@ impl StreamHandle {
     ) -> Result<usize, Win32Error> {
         self.rec.traced(op, || {
             let _wire = self.rec.transport_span(span);
-            self.rec.charge_round_trip(CrossingKind::InterProcess);
+            self.rec.charge_round_trip();
             let r = match end.lock().as_ref().map(io) {
                 Some(Ok(n)) => Ok(n),
                 _ => Err(Win32Error::BrokenPipe),
@@ -167,7 +167,7 @@ fn wire(
     Arc::new(StreamHandle {
         to_sentinel: Mutex::new(Some(app_write)),
         from_sentinel: Mutex::new(Some(app_read)),
-        rec: instr.recorder(Arc::default()),
+        rec: instr.recorder(CrossingKind::InterProcess, Arc::default()),
         reaper: Mutex::new(Some(Reaper::Thread(join))),
     })
 }

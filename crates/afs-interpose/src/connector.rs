@@ -2,9 +2,9 @@
 
 use std::error::Error;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use parking_lot::RwLock;
+use parking_lot::Mutex;
 
 use afs_vfs::{DirEntry, FileAttributes};
 use afs_winapi::{
@@ -50,30 +50,55 @@ struct Installed {
     secure: bool,
 }
 
-struct State {
-    layers: Vec<Installed>,
+/// One generation of the chain — the simulated IAT as it stood between
+/// two layer changes — and the link to the generation that replaced it.
+/// The list only ever grows at its tail, so finding the current chain is
+/// a walk over loads.
+struct Generation {
     chain: Arc<dyn FileApi>,
+    next: OnceLock<Box<Generation>>,
+}
+
+impl Generation {
+    fn new(chain: Arc<dyn FileApi>) -> Self {
+        Generation {
+            chain,
+            next: OnceLock::new(),
+        }
+    }
+
+    fn newest(&self) -> &Generation {
+        let mut generation = self;
+        while let Some(next) = generation.next.get() {
+            generation = next;
+        }
+        generation
+    }
 }
 
 /// Runtime manager of the interception chain over a base [`FileApi`].
 ///
 /// The chain is rebuilt whenever layers change; handles obtained earlier
 /// from [`MediatingConnector::api`] observe the new chain immediately.
+/// Every rebuild appends a generation that lives until the connector and
+/// all its handles are gone: one small `Arc` chain per install or
+/// uninstall, which is what lets a call dispatch without taking a lock or
+/// a reference.
 pub struct MediatingConnector {
     base: Arc<dyn FileApi>,
-    state: Arc<RwLock<State>>,
+    /// Installed layers, innermost first. Holding this lock is what
+    /// serialises layer changes, so each appends to the true tail.
+    layers: Mutex<Vec<Installed>>,
+    first: Arc<Generation>,
 }
 
 impl MediatingConnector {
     /// Creates a connector whose initial chain is just `base`.
     pub fn new(base: Arc<dyn FileApi>) -> Self {
-        let state = State {
-            layers: Vec::new(),
-            chain: Arc::clone(&base),
-        };
         MediatingConnector {
+            first: Arc::new(Generation::new(Arc::clone(&base))),
+            layers: Mutex::new(Vec::new()),
             base,
-            state: Arc::new(RwLock::new(state)),
         }
     }
 
@@ -81,7 +106,7 @@ impl MediatingConnector {
     /// Cheap to clone; all clones observe chain changes.
     pub fn api(&self) -> ApiHandle {
         ApiHandle {
-            state: Arc::clone(&self.state),
+            first: Arc::clone(&self.first),
         }
     }
 
@@ -106,12 +131,12 @@ impl MediatingConnector {
     }
 
     fn install_inner(&self, layer: Arc<dyn ApiLayer>, secure: bool) -> Result<(), InterposeError> {
-        let mut state = self.state.write();
-        if state.layers.iter().any(|l| l.layer.name() == layer.name()) {
+        let mut layers = self.layers.lock();
+        if layers.iter().any(|l| l.layer.name() == layer.name()) {
             return Err(InterposeError::DuplicateLayer(layer.name().to_owned()));
         }
-        state.layers.push(Installed { layer, secure });
-        state.chain = Self::rebuild(&self.base, &state.layers);
+        layers.push(Installed { layer, secure });
+        self.publish(&layers);
         Ok(())
     }
 
@@ -123,49 +148,57 @@ impl MediatingConnector {
     /// [`InterposeError::SecuredLayer`] if installed via
     /// [`MediatingConnector::install_secure`].
     pub fn uninstall(&self, name: &str) -> Result<(), InterposeError> {
-        let mut state = self.state.write();
-        let idx = state
-            .layers
+        let mut layers = self.layers.lock();
+        let idx = layers
             .iter()
             .position(|l| l.layer.name() == name)
             .ok_or_else(|| InterposeError::UnknownLayer(name.to_owned()))?;
-        if state.layers[idx].secure {
+        if layers[idx].secure {
             return Err(InterposeError::SecuredLayer(name.to_owned()));
         }
-        state.layers.remove(idx);
-        state.chain = Self::rebuild(&self.base, &state.layers);
+        layers.remove(idx);
+        self.publish(&layers);
         Ok(())
     }
 
     /// Names of installed layers, innermost first.
     pub fn installed(&self) -> Vec<String> {
-        self.state
-            .read()
-            .layers
+        self.layers
+            .lock()
             .iter()
             .map(|l| l.layer.name().to_owned())
             .collect()
     }
 
-    fn rebuild(base: &Arc<dyn FileApi>, layers: &[Installed]) -> Arc<dyn FileApi> {
-        let mut chain = Arc::clone(base);
+    /// Builds the chain for `layers` and appends it as the newest
+    /// generation. The caller holds the layer lock.
+    fn publish(&self, layers: &[Installed]) {
+        let mut chain = Arc::clone(&self.base);
         for installed in layers {
             chain = installed.layer.wrap(chain);
         }
-        chain
+        let appended = self
+            .first
+            .newest()
+            .next
+            .set(Box::new(Generation::new(chain)));
+        assert!(appended.is_ok(), "layer changes are serialised");
     }
 }
 
 /// The application's view of the file API: a stable handle that always
-/// dispatches through the connector's *current* chain.
+/// dispatches through the connector's *current* chain — the paper's IAT
+/// is a pointer the call jumps through, so a dispatch is a few loads and
+/// writes nothing. A call in flight when the layers change finishes on
+/// the generation it started on.
 #[derive(Clone)]
 pub struct ApiHandle {
-    state: Arc<RwLock<State>>,
+    first: Arc<Generation>,
 }
 
 impl ApiHandle {
-    fn chain(&self) -> Arc<dyn FileApi> {
-        Arc::clone(&self.state.read().chain)
+    fn chain(&self) -> &dyn FileApi {
+        &*self.first.newest().chain
     }
 }
 
@@ -276,6 +309,9 @@ impl FileApi for ApiHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Barrier;
+
     use afs_sim::CostModel;
     use afs_vfs::Vfs;
     use afs_winapi::PassiveFileApi;
@@ -449,6 +485,50 @@ mod tests {
         let b = a.clone();
         seed(&a, "/f", b"x");
         conn.install(Arc::new(Shout)).expect("install");
-        assert_eq!(read_all(&b, "/f"), b"X");
+        // Once `install` has returned, every handle — cloned before or
+        // taken after — dispatches through the layer.
+        for api in [&a, &b, &a.clone(), &conn.api()] {
+            assert_eq!(read_all(api, "/f"), b"X");
+        }
+    }
+
+    #[test]
+    fn calls_race_layer_changes_without_ever_failing() {
+        let conn = connector();
+        let api = conn.api();
+        seed(&api, "/f", b"quiet");
+        let (changing, started) = (AtomicBool::new(true), Barrier::new(2));
+        std::thread::scope(|scope| {
+            let reader = scope.spawn(|| {
+                let mut reads = 0u32;
+                started.wait();
+                while changing.load(Ordering::Acquire) || reads == 0 {
+                    // A call in flight when the layers change finishes
+                    // on the chain it started on, so each read is wholly
+                    // one or the other.
+                    let got = read_all(&api, "/f");
+                    assert!(got == b"quiet" || got == b"QUIET", "read {got:?}");
+                    reads += 1;
+                }
+            });
+            started.wait();
+            for _ in 0..100 {
+                conn.install(Arc::new(Shout)).expect("install");
+                conn.uninstall("shout").expect("uninstall");
+            }
+            changing.store(false, Ordering::Release);
+            reader.join().expect("reader");
+        });
+        assert_eq!(read_all(&api, "/f"), b"quiet");
+    }
+
+    #[test]
+    fn a_handle_outlives_its_connector() {
+        let conn = connector();
+        let api = conn.api();
+        seed(&api, "/f", b"kept");
+        conn.install(Arc::new(Shout)).expect("install");
+        drop(conn);
+        assert_eq!(read_all(&api.clone(), "/f"), b"KEPT");
     }
 }

@@ -7,10 +7,12 @@
 //! counts how many of each kind of charge happened, which backs the
 //! `figure6 --copies` diagnostic table.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::clock;
+use crate::stripe::Striped;
 
 /// Which protection boundary a handoff crosses. Determines whether a
 /// blocking handoff costs a process context switch, a thread switch, or
@@ -204,15 +206,18 @@ impl HardwareProfile {
     }
 }
 
-/// Per-kind counters accumulated by a [`CostModel`].
-///
-/// The counters are global across all threads sharing the model; they back
-/// the "copies per operation" diagnostic of the benchmark harness.
+/// Per-kind counters accumulated by a [`CostModel`], one set per stripe:
+/// a charge adds to the charging thread's stripe, a reader sums them all.
+/// They back the "copies per operation" diagnostic of the benchmark
+/// harness. The three an [`OpWindow`] reads come first, so the window
+/// loads one line per stripe.
 #[derive(Debug, Default)]
+#[repr(C)]
 struct Counters {
-    syscalls: AtomicU64,
     process_switches: AtomicU64,
     thread_switches: AtomicU64,
+    copies: AtomicU64,
+    syscalls: AtomicU64,
     memcpy_bytes: AtomicU64,
     pipe_copy_bytes: AtomicU64,
     pipe_messages: AtomicU64,
@@ -221,7 +226,6 @@ struct Counters {
     disk_accesses: AtomicU64,
     disk_bytes: AtomicU64,
     event_signals: AtomicU64,
-    copies: AtomicU64,
 }
 
 /// A point-in-time copy of the model's counters.
@@ -276,13 +280,48 @@ impl CostSnapshot {
     }
 }
 
+/// The part of the counters one operation's record is made of, read
+/// before and after the operation: protection-domain crossings (process
+/// plus thread switches) and buffer copies.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct OpWindow {
+    /// Process switches plus thread switches.
+    pub crossings: u64,
+    /// Buffer copies of any kind, per copy operation.
+    pub copies: u64,
+}
+
+thread_local! {
+    /// What this thread has charged, to any model: its simulation state
+    /// beside the virtual clock.
+    static OWN: Cell<OpWindow> = const { Cell::new(OpWindow { crossings: 0, copies: 0 }) };
+}
+
+impl OpWindow {
+    /// The calling thread's own charges since it started, whatever model
+    /// they went to. Moves only when this thread charges, so a difference
+    /// of two readings is exact whatever other threads do meanwhile — the
+    /// window of an operation that runs wholly on its caller's thread.
+    pub fn of_this_thread() -> OpWindow {
+        OWN.get()
+    }
+
+    /// Component-wise difference `self - earlier`, saturating at zero.
+    pub fn since(&self, earlier: &OpWindow) -> OpWindow {
+        OpWindow {
+            crossings: self.crossings.saturating_sub(earlier.crossings),
+            copies: self.copies.saturating_sub(earlier.copies),
+        }
+    }
+}
+
 /// Translates abstract costs into virtual time and counts them.
 ///
 /// Cloning is cheap (`Arc` internally); clones share counters.
 #[derive(Debug, Clone)]
 pub struct CostModel {
     profile: Arc<HardwareProfile>,
-    counters: Arc<Counters>,
+    counters: Arc<Striped<Counters>>,
 }
 
 impl CostModel {
@@ -290,7 +329,7 @@ impl CostModel {
     pub fn new(profile: HardwareProfile) -> Self {
         CostModel {
             profile: Arc::new(profile),
-            counters: Arc::new(Counters::default()),
+            counters: Arc::default(),
         }
     }
 
@@ -323,64 +362,82 @@ impl CostModel {
     }
 
     fn count(&self, cost: Cost) {
-        let c = &*self.counters;
+        let c = self.counters.mine();
+        let add = |counter: &AtomicU64, n: u64| {
+            counter.fetch_add(n, Ordering::Relaxed);
+        };
+        let own = |crossings: u64, copies: u64| {
+            let was = OWN.get();
+            OWN.set(OpWindow {
+                crossings: was.crossings + crossings,
+                copies: was.copies + copies,
+            });
+        };
         match cost {
-            Cost::Syscall => {
-                c.syscalls.fetch_add(1, Ordering::Relaxed);
-            }
+            Cost::Syscall => add(&c.syscalls, 1),
             Cost::ProcessSwitch | Cost::Crossing(CrossingKind::InterProcess) => {
-                c.process_switches.fetch_add(1, Ordering::Relaxed);
+                add(&c.process_switches, 1);
+                own(1, 0);
             }
             Cost::ThreadSwitch | Cost::Crossing(CrossingKind::InterThread) => {
-                c.thread_switches.fetch_add(1, Ordering::Relaxed);
+                add(&c.thread_switches, 1);
+                own(1, 0);
             }
             Cost::Crossing(CrossingKind::None) => {}
             Cost::Memcpy { bytes } => {
-                c.memcpy_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-                c.copies.fetch_add(1, Ordering::Relaxed);
+                add(&c.memcpy_bytes, bytes as u64);
+                add(&c.copies, 1);
+                own(0, 1);
             }
             Cost::PipeCopy { bytes } => {
-                c.pipe_copy_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-                c.copies.fetch_add(1, Ordering::Relaxed);
+                add(&c.pipe_copy_bytes, bytes as u64);
+                add(&c.copies, 1);
+                own(0, 1);
             }
-            Cost::PipeMessage => {
-                c.pipe_messages.fetch_add(1, Ordering::Relaxed);
-            }
-            Cost::NetRoundTrip => {
-                c.net_round_trips.fetch_add(1, Ordering::Relaxed);
-            }
-            Cost::NetBytes { bytes } => {
-                c.net_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-            }
-            Cost::DiskAccess => {
-                c.disk_accesses.fetch_add(1, Ordering::Relaxed);
-            }
+            Cost::PipeMessage => add(&c.pipe_messages, 1),
+            Cost::NetRoundTrip => add(&c.net_round_trips, 1),
+            Cost::NetBytes { bytes } => add(&c.net_bytes, bytes as u64),
+            Cost::DiskAccess => add(&c.disk_accesses, 1),
             Cost::DiskReadBytes { bytes } | Cost::DiskWriteBytes { bytes } => {
-                c.disk_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
+                add(&c.disk_bytes, bytes as u64);
             }
-            Cost::EventSignal => {
-                c.event_signals.fetch_add(1, Ordering::Relaxed);
-            }
+            Cost::EventSignal => add(&c.event_signals, 1),
         }
     }
 
-    /// Copies out the current counters.
+    /// Copies out the current counters, summed over every stripe.
     pub fn snapshot(&self) -> CostSnapshot {
-        let c = &*self.counters;
+        let sum = |pick: fn(&Counters) -> &AtomicU64| {
+            let load = |c| pick(c).load(Ordering::Relaxed);
+            self.counters.iter().map(load).sum()
+        };
         CostSnapshot {
-            syscalls: c.syscalls.load(Ordering::Relaxed),
-            process_switches: c.process_switches.load(Ordering::Relaxed),
-            thread_switches: c.thread_switches.load(Ordering::Relaxed),
-            memcpy_bytes: c.memcpy_bytes.load(Ordering::Relaxed),
-            pipe_copy_bytes: c.pipe_copy_bytes.load(Ordering::Relaxed),
-            pipe_messages: c.pipe_messages.load(Ordering::Relaxed),
-            net_round_trips: c.net_round_trips.load(Ordering::Relaxed),
-            net_bytes: c.net_bytes.load(Ordering::Relaxed),
-            disk_accesses: c.disk_accesses.load(Ordering::Relaxed),
-            disk_bytes: c.disk_bytes.load(Ordering::Relaxed),
-            event_signals: c.event_signals.load(Ordering::Relaxed),
-            copies: c.copies.load(Ordering::Relaxed),
+            syscalls: sum(|c| &c.syscalls),
+            process_switches: sum(|c| &c.process_switches),
+            thread_switches: sum(|c| &c.thread_switches),
+            memcpy_bytes: sum(|c| &c.memcpy_bytes),
+            pipe_copy_bytes: sum(|c| &c.pipe_copy_bytes),
+            pipe_messages: sum(|c| &c.pipe_messages),
+            net_round_trips: sum(|c| &c.net_round_trips),
+            net_bytes: sum(|c| &c.net_bytes),
+            disk_accesses: sum(|c| &c.disk_accesses),
+            disk_bytes: sum(|c| &c.disk_bytes),
+            event_signals: sum(|c| &c.event_signals),
+            copies: sum(|c| &c.copies),
         }
+    }
+
+    /// The [`OpWindow`] of everything charged to this model by any thread:
+    /// the three counters a record needs and no others, which is what an
+    /// operation served on another thread has to be measured with.
+    pub fn op_window(&self) -> OpWindow {
+        let mut window = OpWindow::default();
+        for c in self.counters.iter() {
+            window.crossings += c.process_switches.load(Ordering::Relaxed)
+                + c.thread_switches.load(Ordering::Relaxed);
+            window.copies += c.copies.load(Ordering::Relaxed);
+        }
+        window
     }
 }
 
@@ -394,6 +451,7 @@ impl Default for CostModel {
 mod tests {
     use super::*;
     use crate::clock;
+    use crate::rng::SimRng;
 
     #[test]
     fn prices_follow_profile() {
@@ -458,6 +516,125 @@ mod tests {
         let clone = model.clone();
         clone.charge(Cost::EventSignal);
         assert_eq!(model.snapshot().event_signals, 1);
+        // From another thread's stripe too.
+        std::thread::spawn(move || clone.charge(Cost::EventSignal))
+            .join()
+            .expect("charging thread");
+        assert_eq!(model.snapshot().event_signals, 2);
+    }
+
+    /// A seeded charge of any kind.
+    fn seeded_charge(rng: &mut SimRng) -> Cost {
+        let bytes = rng.next_below(4096) as usize;
+        let crossing = [
+            CrossingKind::InterProcess,
+            CrossingKind::InterThread,
+            CrossingKind::None,
+        ][rng.next_below(3) as usize];
+        [
+            Cost::Syscall,
+            Cost::ProcessSwitch,
+            Cost::ThreadSwitch,
+            Cost::Memcpy { bytes },
+            Cost::PipeCopy { bytes },
+            Cost::PipeMessage,
+            Cost::NetRoundTrip,
+            Cost::NetBytes { bytes },
+            Cost::DiskAccess,
+            Cost::DiskReadBytes { bytes },
+            Cost::DiskWriteBytes { bytes },
+            Cost::EventSignal,
+            Cost::Crossing(crossing),
+        ][rng.next_below(13) as usize]
+    }
+
+    /// The arithmetic the counters must agree with: what `costs` add up
+    /// to, charge by charge.
+    fn sum_of(costs: &[Cost]) -> CostSnapshot {
+        let mut sum = CostSnapshot::default();
+        for &cost in costs {
+            match cost {
+                Cost::Syscall => sum.syscalls += 1,
+                Cost::ProcessSwitch | Cost::Crossing(CrossingKind::InterProcess) => {
+                    sum.process_switches += 1;
+                }
+                Cost::ThreadSwitch | Cost::Crossing(CrossingKind::InterThread) => {
+                    sum.thread_switches += 1;
+                }
+                Cost::Crossing(CrossingKind::None) => {}
+                Cost::Memcpy { bytes } => {
+                    sum.memcpy_bytes += bytes as u64;
+                    sum.copies += 1;
+                }
+                Cost::PipeCopy { bytes } => {
+                    sum.pipe_copy_bytes += bytes as u64;
+                    sum.copies += 1;
+                }
+                Cost::PipeMessage => sum.pipe_messages += 1,
+                Cost::NetRoundTrip => sum.net_round_trips += 1,
+                Cost::NetBytes { bytes } => sum.net_bytes += bytes as u64,
+                Cost::DiskAccess => sum.disk_accesses += 1,
+                Cost::DiskReadBytes { bytes } | Cost::DiskWriteBytes { bytes } => {
+                    sum.disk_bytes += bytes as u64;
+                }
+                Cost::EventSignal => sum.event_signals += 1,
+            }
+        }
+        sum
+    }
+
+    /// Runs `threads` chargers of `model` side by side, each making
+    /// `charges` seeded charges and checking that its own window moved by
+    /// exactly those; returns everything they charged.
+    fn charge_from(model: &CostModel, threads: u64, charges: u32) -> Vec<Cost> {
+        let start = std::sync::Barrier::new(threads as usize);
+        std::thread::scope(|scope| {
+            let chargers: Vec<_> = (0..threads)
+                .map(|t| {
+                    let start = &start;
+                    scope.spawn(move || {
+                        let mut rng = SimRng::new(0xC057 + t);
+                        let costs: Vec<Cost> =
+                            (0..charges).map(|_| seeded_charge(&mut rng)).collect();
+                        start.wait();
+                        let before = OpWindow::of_this_thread();
+                        costs.iter().for_each(|&cost| model.charge(cost));
+                        let own = OpWindow::of_this_thread().since(&before);
+                        let sum = sum_of(&costs);
+                        assert_eq!(own.crossings, sum.process_switches + sum.thread_switches);
+                        assert_eq!(own.copies, sum.copies);
+                        costs
+                    })
+                })
+                .collect();
+            chargers
+                .into_iter()
+                .flat_map(|c| c.join().expect("charging thread"))
+                .collect()
+        })
+    }
+
+    #[test]
+    fn striped_counters_sum_exactly_under_threads() {
+        let model = CostModel::free();
+        let expect = sum_of(&charge_from(&model, 8, 10_000));
+        assert_eq!(model.snapshot(), expect);
+        let window = model.op_window();
+        assert_eq!(
+            window.crossings,
+            expect.process_switches + expect.thread_switches
+        );
+        assert_eq!(window.copies, expect.copies);
+    }
+
+    /// More chargers than stripes, so some share a stripe: a thread's own
+    /// window still moves by its own charges only (checked in every
+    /// charger), and the totals stay exact.
+    #[test]
+    fn own_window_moves_only_by_the_callers_charges() {
+        let model = CostModel::free();
+        let charged = charge_from(&model, 12, 2_000);
+        assert_eq!(model.snapshot(), sum_of(&charged));
     }
 
     #[test]

@@ -49,10 +49,11 @@ pub mod clock;
 pub mod cost;
 pub mod rng;
 pub mod stats;
+mod stripe;
 pub mod trace;
 
 pub use clock::{ClockGuard, SimTime};
-pub use cost::{Cost, CostModel, CostSnapshot, CrossingKind, HardwareProfile};
+pub use cost::{Cost, CostModel, CostSnapshot, CrossingKind, HardwareProfile, OpWindow};
 pub use rng::SimRng;
 pub use stats::{Series, Summary};
 pub use trace::{OpKind, OpSummary, OpTrace, TraceRecord};

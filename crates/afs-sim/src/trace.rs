@@ -12,10 +12,22 @@
 //! The strategy handles record one [`TraceRecord`] per completed
 //! operation into a cumulative per-(strategy, op) aggregate, so runs of
 //! any length keep exact totals.
+//!
+//! Attribution rule: a record's crossings and copies are what was charged
+//! between the operation's start and end — by the **calling thread** when
+//! the strategy is inline (§4.4: every charge of the operation happens on
+//! that thread, so the row is exact however many clients run beside it),
+//! by **all threads** when the operation crosses a boundary (the sentinel
+//! charges its share elsewhere; rows of concurrent wire clients take in
+//! each other's charges). So work a *nested* sentinel's worker thread
+//! does — §3 composition under a DLL-only outer file — shows in the
+//! nested handle's own row, not also in the outer one.
 
 use std::fmt;
 
 use parking_lot::Mutex;
+
+use crate::stripe::Striped;
 
 /// Which application-visible operation a record describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -125,11 +137,29 @@ impl OpSummary {
     }
 }
 
+/// Adds `part` to the total of its (strategy, op) pair in `totals`.
+fn absorb(totals: &mut Vec<OpSummary>, part: OpSummary) {
+    match totals
+        .iter_mut()
+        .find(|t| t.strategy == part.strategy && t.op == part.op)
+    {
+        Some(total) => {
+            total.count += part.count;
+            total.bytes += part.bytes;
+            total.elapsed_ns += part.elapsed_ns;
+            total.crossings += part.crossings;
+            total.copies += part.copies;
+        }
+        None => totals.push(part),
+    }
+}
+
 /// Exact cumulative per-(strategy, op) totals. Cheap to share behind an
-/// `Arc`; recording is one short mutex hold.
+/// `Arc`; recording is one short hold of the recording thread's own
+/// stripe, and the readers merge the stripes.
 #[derive(Debug, Default)]
 pub struct OpTrace {
-    totals: Mutex<Vec<OpSummary>>,
+    totals: Striped<Mutex<Vec<OpSummary>>>,
 }
 
 impl OpTrace {
@@ -140,39 +170,33 @@ impl OpTrace {
 
     /// Adds one record to its (strategy, op) total.
     pub fn record(&self, record: TraceRecord) {
-        let mut totals = self.totals.lock();
-        if let Some(total) = totals
-            .iter_mut()
-            .find(|t| t.strategy == record.strategy && t.op == record.op)
-        {
-            total.count += 1;
-            total.bytes += record.bytes;
-            total.elapsed_ns += record.elapsed_ns;
-            total.crossings += record.crossings;
-            total.copies += record.copies;
-        } else {
-            totals.push(OpSummary {
-                strategy: record.strategy,
-                op: record.op,
-                count: 1,
-                bytes: record.bytes,
-                elapsed_ns: record.elapsed_ns,
-                crossings: record.crossings,
-                copies: record.copies,
-            });
-        }
+        let one = OpSummary {
+            strategy: record.strategy,
+            op: record.op,
+            count: 1,
+            bytes: record.bytes,
+            elapsed_ns: record.elapsed_ns,
+            crossings: record.crossings,
+            copies: record.copies,
+        };
+        absorb(&mut self.totals.mine().lock(), one);
     }
 
     /// Cumulative per-(strategy, op) totals, ordered by strategy then op.
     pub fn summary(&self) -> Vec<OpSummary> {
-        let mut totals = self.totals.lock().clone();
+        let mut totals = Vec::new();
+        for stripe in self.totals.iter() {
+            for part in stripe.lock().iter() {
+                absorb(&mut totals, part.clone());
+            }
+        }
         totals.sort_by(|a, b| a.strategy.cmp(b.strategy).then(a.op.cmp(&b.op)));
         totals
     }
 
     /// Total number of operations ever recorded.
     pub fn len(&self) -> u64 {
-        self.totals.lock().iter().map(|t| t.count).sum()
+        self.summary().iter().map(|total| total.count).sum()
     }
 
     /// True if nothing has been recorded yet.
@@ -182,13 +206,16 @@ impl OpTrace {
 
     /// Discards all totals.
     pub fn clear(&self) {
-        self.totals.lock().clear();
+        for stripe in self.totals.iter() {
+            stripe.lock().clear();
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SimRng;
 
     fn rec(strategy: &'static str, op: OpKind, bytes: u64) -> TraceRecord {
         TraceRecord {
@@ -228,6 +255,90 @@ mod tests {
         trace.clear();
         assert!(trace.is_empty());
         assert!(trace.summary().is_empty());
+    }
+
+    /// The trace this one replaced — every record into one `Vec` — kept
+    /// as the reference model.
+    #[derive(Default)]
+    struct SingleVec(Vec<OpSummary>);
+
+    impl SingleVec {
+        fn record(&mut self, r: &TraceRecord) {
+            match self
+                .0
+                .iter_mut()
+                .find(|t| t.strategy == r.strategy && t.op == r.op)
+            {
+                Some(t) => {
+                    t.count += 1;
+                    t.bytes += r.bytes;
+                    t.elapsed_ns += r.elapsed_ns;
+                    t.crossings += r.crossings;
+                    t.copies += r.copies;
+                }
+                None => self.0.push(OpSummary {
+                    strategy: r.strategy,
+                    op: r.op,
+                    count: 1,
+                    bytes: r.bytes,
+                    elapsed_ns: r.elapsed_ns,
+                    crossings: r.crossings,
+                    copies: r.copies,
+                }),
+            }
+        }
+
+        fn summary(mut self) -> Vec<OpSummary> {
+            self.0
+                .sort_by(|a, b| a.strategy.cmp(b.strategy).then(a.op.cmp(&b.op)));
+            self.0
+        }
+    }
+
+    fn seeded_records(thread: u64) -> Vec<TraceRecord> {
+        const OPS: [OpKind; 7] = [
+            OpKind::Read,
+            OpKind::ReadScatter,
+            OpKind::Write,
+            OpKind::Size,
+            OpKind::Flush,
+            OpKind::Control,
+            OpKind::Close,
+        ];
+        let mut rng = SimRng::new(0x7ACE + thread);
+        (0..5_000)
+            .map(|_| TraceRecord {
+                strategy: ["Process", "Thread", "DLL"][rng.next_below(3) as usize],
+                op: OPS[rng.next_below(7) as usize],
+                bytes: rng.next_below(4096),
+                elapsed_ns: rng.next_below(1_000_000),
+                crossings: rng.next_below(3),
+                copies: rng.next_below(4),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn striped_totals_equal_the_single_vec_model_under_threads() {
+        let trace = OpTrace::new();
+        let mut model = SingleVec::default();
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for thread in 0..4 {
+                let records = seeded_records(thread);
+                records.iter().for_each(|r| model.record(r));
+                let (trace, start) = (&trace, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    records.into_iter().for_each(|r| trace.record(r));
+                });
+            }
+        });
+        assert_eq!(trace.len(), 20_000);
+        assert_eq!(trace.summary(), model.summary());
+        trace.clear();
+        assert!(trace.is_empty());
+        assert!(trace.totals.iter().all(|stripe| stripe.lock().is_empty()));
     }
 
     #[test]

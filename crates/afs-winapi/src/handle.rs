@@ -34,14 +34,24 @@ impl std::fmt::Display for Handle {
     }
 }
 
-/// A concurrent map from [`Handle`] to per-open state `T`.
+/// Shards per [`HandleTable`].
+const SHARDS: usize = 8;
+
+/// One shard of the map, on cache lines of its own: operations on
+/// handles in different shards write nothing in common.
+#[derive(Debug)]
+#[repr(align(128))]
+struct Shard<T>(Mutex<HashMap<u64, Arc<T>>>);
+
+/// A concurrent map from [`Handle`] to per-open state `T`, sharded by
+/// handle number (consecutive opens land in different shards).
 ///
 /// Handle values are never reused within one table, mirroring the
 /// practical uniqueness guarantees applications rely on.
 #[derive(Debug)]
 pub struct HandleTable<T> {
     next: AtomicU64,
-    entries: Mutex<HashMap<u64, Arc<T>>>,
+    shards: [Shard<T>; SHARDS],
 }
 
 impl<T> Default for HandleTable<T> {
@@ -63,14 +73,18 @@ impl<T> HandleTable<T> {
     pub fn with_start(start: u64) -> Self {
         HandleTable {
             next: AtomicU64::new(start),
-            entries: Mutex::new(HashMap::new()),
+            shards: std::array::from_fn(|_| Shard(Mutex::new(HashMap::new()))),
         }
+    }
+
+    fn shard(&self, id: u64) -> &Mutex<HashMap<u64, Arc<T>>> {
+        &self.shards[(id % SHARDS as u64) as usize].0
     }
 
     /// Registers `state` and returns its new handle.
     pub fn insert(&self, state: T) -> Handle {
         let id = self.next.fetch_add(1, Ordering::Relaxed);
-        self.entries.lock().insert(id, Arc::new(state));
+        self.shard(id).lock().insert(id, Arc::new(state));
         Handle(id)
     }
 
@@ -80,7 +94,7 @@ impl<T> HandleTable<T> {
     ///
     /// [`Win32Error::InvalidHandle`] if the handle is unknown or closed.
     pub fn get(&self, handle: Handle) -> ApiResult<Arc<T>> {
-        self.entries
+        self.shard(handle.0)
             .lock()
             .get(&handle.0)
             .cloned()
@@ -94,7 +108,7 @@ impl<T> HandleTable<T> {
     /// [`Win32Error::InvalidHandle`] if the handle is unknown or already
     /// closed.
     pub fn remove(&self, handle: Handle) -> ApiResult<Arc<T>> {
-        self.entries
+        self.shard(handle.0)
             .lock()
             .remove(&handle.0)
             .ok_or(Win32Error::InvalidHandle)
@@ -104,21 +118,21 @@ impl<T> HandleTable<T> {
     /// caller controls when they drop (world teardown closes all active
     /// handles before shutting sentinels down).
     pub fn drain(&self) -> Vec<Arc<T>> {
-        self.entries
-            .lock()
-            .drain()
-            .map(|(_, state)| state)
-            .collect()
+        let mut states = Vec::new();
+        for shard in &self.shards {
+            states.extend(shard.0.lock().drain().map(|(_, state)| state));
+        }
+        states
     }
 
     /// Number of open handles.
     pub fn len(&self) -> usize {
-        self.entries.lock().len()
+        self.shards.iter().map(|shard| shard.0.lock().len()).sum()
     }
 
     /// `true` if no handles are open.
     pub fn is_empty(&self) -> bool {
-        self.entries.lock().is_empty()
+        self.len() == 0
     }
 }
 
@@ -164,6 +178,55 @@ mod tests {
         assert_eq!(states.len(), 2);
         assert!(table.is_empty());
         assert_eq!(table.get(Handle(16)), Err(Win32Error::InvalidHandle));
+    }
+
+    /// Eight threads open, look up and close side by side, each leaving
+    /// every fourth handle open: no handle is issued twice, every lookup
+    /// finds its own state, and at rest the shards together hold exactly
+    /// what was left open.
+    #[test]
+    fn sharded_table_is_exact_under_threads() {
+        let table: HandleTable<(u64, u64)> = HandleTable::new();
+        let start = std::sync::Barrier::new(8);
+        let per_thread: Vec<Vec<(Handle, bool)>> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..8u64)
+                .map(|t| {
+                    let (table, start) = (&table, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        (0..1_000u64)
+                            .map(|i| {
+                                let h = table.insert((t, i));
+                                assert_eq!(*table.get(h).expect("own handle"), (t, i));
+                                let keep = i % 4 == 0;
+                                if !keep {
+                                    assert_eq!(*table.remove(h).expect("close"), (t, i));
+                                    assert_eq!(table.remove(h), Err(Win32Error::InvalidHandle));
+                                    assert_eq!(table.get(h), Err(Win32Error::InvalidHandle));
+                                }
+                                (h, keep)
+                            })
+                            .collect()
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("worker"))
+                .collect()
+        });
+        let issued: Vec<(Handle, bool)> = per_thread.into_iter().flatten().collect();
+        let unique: std::collections::HashSet<Handle> = issued.iter().map(|(h, _)| *h).collect();
+        assert_eq!(unique.len(), 8_000, "every handle unique");
+        let kept = issued.iter().filter(|(_, keep)| *keep).count();
+        assert_eq!((table.len(), kept), (2_000, 2_000));
+        let mut drained: Vec<(u64, u64)> = table.drain().iter().map(|state| **state).collect();
+        drained.sort_unstable();
+        let expect: Vec<(u64, u64)> = (0..8)
+            .flat_map(|t| (0..1_000).step_by(4).map(move |i| (t, i)))
+            .collect();
+        assert_eq!(drained, expect, "drain returns every open state");
+        assert!(table.is_empty());
     }
 
     #[test]

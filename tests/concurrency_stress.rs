@@ -210,6 +210,51 @@ fn stress_dll_only() {
     run_stress(Strategy::DllOnly);
 }
 
+/// An inline (§4.4) operation's record is made of its own thread's
+/// charges, so the `DLL` rows stay exact whatever other clients charge
+/// meanwhile: twelve threads — more than the cost model has stripes —
+/// each reading its own DLL-only file, and every read is recorded with
+/// exactly the one copy it made.
+#[test]
+fn inline_rows_are_exact_under_concurrent_clients() {
+    const CLIENTS: usize = 12;
+    const READS: u64 = 50_000;
+    let world = AfsWorld::new();
+    activefiles::register_standard_sentinels(&world);
+    let dll = SentinelSpec::new("null", Strategy::DllOnly).backing(Backing::Memory);
+    let start = std::sync::Barrier::new(CLIENTS);
+    std::thread::scope(|scope| {
+        for client in 0..CLIENTS {
+            let path = format!("/inline-{client}.af");
+            world.install_active_file(&path, &dll).expect("install");
+            let (api, start) = (world.api(), &start);
+            scope.spawn(move || {
+                let _clock = clock::install(0);
+                let h = api
+                    .create_file(&path, Access::read_only(), Disposition::OpenExisting)
+                    .expect("open");
+                start.wait();
+                for _ in 0..READS {
+                    api.read_file(h, &mut [0u8; 8]).expect("read");
+                }
+                api.close_handle(h).expect("close");
+            });
+        }
+    });
+    let reads = world
+        .trace()
+        .summary()
+        .into_iter()
+        .find(|row| row.strategy == "DLL" && row.op == OpKind::Read)
+        .expect("a DLL read row");
+    assert_eq!(reads.count, CLIENTS as u64 * READS);
+    assert_eq!(
+        (reads.copies, reads.crossings),
+        (reads.count, 0),
+        "one copy per read"
+    );
+}
+
 /// Regression test for the file-pointer bug this change fixes: an
 /// End-relative seek resolves the size and stores the pointer as two
 /// steps; without `op_lock` around both, a concurrent write on the same

@@ -666,6 +666,39 @@ fn family_values_reach_the_export() {
     );
 }
 
+/// A §4.4 read lands in the caller's buffer (the scatter in the handle's
+/// own scratch): the sentinel side stages nothing, so no pooled buffer is
+/// taken, reused or fresh.
+#[test]
+fn inline_reads_take_no_pooled_buffer() {
+    let (w, file) = world_with(Strategy::DllOnly);
+    let api = w.api();
+    let h = api
+        .create_file(file, Access::read_only(), Disposition::OpenExisting)
+        .expect("open");
+    let pooled = || {
+        let gauges = w.telemetry().gauges().snapshot();
+        gauges.pool_reuses + gauges.pool_allocations
+    };
+    let before = pooled();
+    let rewind = || {
+        api.set_file_pointer(h, 0, SeekMethod::Begin)
+            .expect("rewind")
+    };
+    let mut buf = [0u8; 9];
+    for _ in 0..100 {
+        rewind();
+        assert_eq!(api.read_file(h, &mut buf), Ok(9));
+    }
+    assert_eq!(&buf, b"telemetry");
+    rewind();
+    let (mut a, mut b) = ([0u8; 9], [0u8; 8]);
+    let n = api.read_file_scatter(h, &mut [&mut a[..], &mut b[..]]);
+    assert_eq!((n, &a, &b), (Ok(17), b"telemetry", b" payload"));
+    assert_eq!(pooled(), before, "101 inline reads pooled nothing");
+    api.close_handle(h).expect("close");
+}
+
 /// `docs/OBSERVABILITY.md`'s metric reference is the family declarations,
 /// rendered: same names, same kinds, same order.
 #[test]
