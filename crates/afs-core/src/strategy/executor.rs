@@ -20,7 +20,7 @@
 
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -132,8 +132,36 @@ struct TaskHandle {
 struct Shard {
     /// Run queue: tasks with something to observe, awaiting a worker.
     queue: Mutex<VecDeque<Arc<TaskHandle>>>,
+    /// `queue.len()`, stored under the queue lock by every push and pop,
+    /// so a worker passes an empty shard without taking its lock. Only a
+    /// hint — nothing is read through it (the queue lock publishes the
+    /// tasks), a stale 0 is caught by the re-scan under `idle` before a
+    /// worker parks — hence `Relaxed`.
+    queued: AtomicUsize,
     /// This shard's stripe of the live-task table.
     tasks: Mutex<HashMap<u64, Arc<TaskHandle>>>,
+}
+
+impl Shard {
+    /// Appends `task` to the run queue; returns the queue's new length.
+    fn push(&self, task: Arc<TaskHandle>) -> usize {
+        let mut queue = self.queue.lock();
+        queue.push_back(task);
+        let depth = queue.len();
+        self.queued.store(depth, Ordering::Relaxed);
+        depth
+    }
+
+    /// Takes the oldest queued task, if the hint says there may be one.
+    fn pop(&self) -> Option<Arc<TaskHandle>> {
+        if self.queued.load(Ordering::Relaxed) == 0 {
+            return None;
+        }
+        let mut queue = self.queue.lock();
+        let task = queue.pop_front();
+        self.queued.store(queue.len(), Ordering::Relaxed);
+        task
+    }
 }
 
 /// Park/wake state of one pinned sentinel thread (a sentinel spawned from
@@ -166,9 +194,12 @@ struct Inner {
     shards: Vec<CachePadded<Shard>>,
     worker_cap: usize,
     workers: Mutex<Vec<JoinHandle<()>>>,
-    /// Lock + condvar idle workers park on; enqueuers notify under the
-    /// lock so a wakeup cannot slip between a worker's last scan and its
-    /// wait.
+    /// Lock + condvar idle workers park on. No wakeup can slip between a
+    /// worker's last scan and its wait: an enqueuer stores the shard's
+    /// `queued` hint, *then* takes `idle` and notifies; a parker re-reads
+    /// every hint under `idle` before it waits. So either the enqueuer's
+    /// turn with `idle` came first and the parker sees the hint, or the
+    /// parker is already waiting (counted) when the notify comes.
     idle: Mutex<()>,
     idle_cv: Condvar,
     /// Pinned sentinel threads, joined at shutdown *after* the pool
@@ -198,6 +229,7 @@ impl SentinelExecutor {
             .map(|_| {
                 CachePadded(Shard {
                     queue: Mutex::new(VecDeque::new()),
+                    queued: AtomicUsize::new(0),
                     tasks: Mutex::new(HashMap::new()),
                 })
             })
@@ -235,10 +267,16 @@ impl SentinelExecutor {
             .shards
             .iter()
             .enumerate()
-            .map(|(i, shard)| FleetShardStat {
-                shard: i,
-                live: shard.0.tasks.lock().len(),
-                queued: shard.0.queue.lock().len(),
+            .map(|(i, shard)| {
+                let live = shard.0.tasks.lock().len();
+                let queue = shard.0.queue.lock();
+                // Both only change under this lock, together.
+                assert_eq!(shard.0.queued.load(Ordering::Relaxed), queue.len());
+                FleetShardStat {
+                    shard: i,
+                    live,
+                    queued: queue.len(),
+                }
             })
             .collect()
     }
@@ -447,13 +485,9 @@ impl Inner {
     }
 
     fn enqueue(&self, task: Arc<TaskHandle>) {
-        let shard = self.shard_of(task.id);
-        let depth = {
-            let mut queue = shard.queue.lock();
-            queue.push_back(task);
-            queue.len()
-        };
+        let depth = self.shard_of(task.id).push(task);
         self.gauges.note_queue_depth(depth as u64);
+        // The hint is stored; now `idle` (see its docs for the order).
         let _guard = self.idle.lock();
         self.idle_cv.notify_one();
     }
@@ -469,7 +503,7 @@ impl Inner {
             let mut found = None;
             for offset in 0..shard_count {
                 let shard = &self.shards[(home + offset) % shard_count].0;
-                if let Some(task) = shard.queue.lock().pop_front() {
+                if let Some(task) = shard.pop() {
                     if offset != 0 {
                         self.gauges.steal();
                     }
@@ -497,7 +531,7 @@ impl Inner {
     fn any_queued(&self) -> bool {
         self.shards
             .iter()
-            .any(|shard| !shard.0.queue.lock().is_empty())
+            .any(|shard| shard.0.queued.load(Ordering::Relaxed) != 0)
     }
 
     /// Polls `task` until its lane is drained, re-polling if a wake raced
@@ -756,6 +790,115 @@ mod tests {
         assert_eq!(snap.workers, 2);
         assert!(snap.sentinels_peak <= 64);
         assert_eq!(exec.shard_stats().iter().map(|s| s.live).sum::<usize>(), 0);
+    }
+
+    /// Spins (yielding) until `cond` holds; fails after 30 s instead of
+    /// hanging — a lost wake is a condition that never comes true.
+    fn eventually(what: &str, cond: impl Fn() -> bool) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while !cond() {
+            assert!(std::time::Instant::now() < deadline, "never: {what}");
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn every_wake_is_consumed_and_hints_match_queues() {
+        const TASKS: usize = 64;
+        const WAKES: usize = 1_000;
+        let exec = SentinelExecutor::new(2, Arc::new(FleetGauges::default()));
+        let fixtures: Vec<Fixture> = (0..TASKS).map(|_| Fixture::new()).collect();
+        let mut wakers = Vec::new();
+        let dones: Vec<_> = fixtures
+            .iter()
+            .map(|fx| {
+                exec.spawn(|waker| {
+                    wakers.push(waker);
+                    fx.task(0)
+                })
+            })
+            .collect();
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            // Each thread wakes its own quarter of the tasks, round-robin,
+            // while also reading the shard stats: `shard_stats` asserts
+            // hint == queue length under the queue lock.
+            for (fxs, wakers) in fixtures.chunks(TASKS / 4).zip(wakers.chunks(TASKS / 4)) {
+                let (exec, start) = (&exec, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for round in 0..WAKES {
+                        for (fx, waker) in fxs.iter().zip(wakers) {
+                            fx.ticks.fetch_add(1, Ordering::SeqCst);
+                            waker();
+                        }
+                        if round % 50 == 0 {
+                            exec.shard_stats();
+                        }
+                    }
+                });
+            }
+        });
+        // Nothing else will wake them: every tick must already have a
+        // poll coming.
+        for fx in &fixtures {
+            eventually("every tick consumed", || {
+                fx.consumed.load(Ordering::SeqCst) == WAKES
+            });
+        }
+        eventually("run queues empty at rest", || {
+            exec.shard_stats().iter().all(|s| s.queued == 0)
+        });
+        for shard in &exec.inner.shards {
+            assert_eq!(shard.0.queued.load(Ordering::Relaxed), 0);
+        }
+        for (fx, waker) in fixtures.iter().zip(&wakers) {
+            fx.closed.store(true, Ordering::SeqCst);
+            waker();
+        }
+        for done in dones {
+            done.wait();
+        }
+    }
+
+    #[test]
+    fn one_wake_rouses_a_parked_worker() {
+        let gauges = Arc::new(FleetGauges::default());
+        let exec = SentinelExecutor::new(1, Arc::clone(&gauges));
+        let fx = Fixture::new();
+        let mut waker_slot = None;
+        let done = exec.spawn(|waker| {
+            waker_slot = Some(waker);
+            fx.task(0)
+        });
+        let waker = waker_slot.expect("waker");
+        eventually("the first poll", || gauges.snapshot().polls >= 1);
+        // Catch the worker parked: a notify under `idle` that returns
+        // `true` found it waiting, and it cannot park again before `idle`
+        // is let go, so `parks` read here is exact.
+        let parks = loop {
+            let idle = exec.inner.idle.lock();
+            if exec.inner.idle_cv.notify_one() {
+                break gauges.snapshot().parks;
+            }
+            drop(idle);
+            std::thread::yield_now();
+        };
+        // `parks` is bumped under `idle` just before the wait, and the
+        // wake below takes `idle`: by then the worker is in the condvar,
+        // with nothing queued.
+        eventually("the worker parks again", || {
+            gauges.snapshot().parks == parks + 1
+        });
+        assert!(exec.shard_stats().iter().all(|s| s.queued == 0));
+        fx.ticks.fetch_add(1, Ordering::SeqCst);
+        waker();
+        eventually("the tick is consumed", || {
+            fx.consumed.load(Ordering::SeqCst) == 1
+        });
+        fx.closed.store(true, Ordering::SeqCst);
+        waker();
+        done.wait();
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! which command is the terminal close, and when two payload-carrying
 //! commands form one contiguous transfer.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 
@@ -86,7 +86,8 @@ struct WriteStage<C> {
 /// Send-side state, guarded by one lock so a command frame and its
 /// payload bytes reach the underlying lanes back to back.
 struct SendState<P: MuxProtocol> {
-    stages: HashMap<u32, WriteStage<P::Cmd>>,
+    /// Ordered by session id: a flush drains lowest id first.
+    stages: BTreeMap<u32, WriteStage<P::Cmd>>,
     live: Vec<u32>,
     /// The terminal close went out (or the wire died): no more sends.
     closed: bool,
@@ -139,7 +140,7 @@ impl<P: MuxProtocol> MuxHub<P> {
             model,
             pool: BufferPool::new(),
             send: Mutex::new(SendState {
-                stages: HashMap::new(),
+                stages: BTreeMap::new(),
                 live: Vec::new(),
                 closed: false,
             }),
@@ -222,10 +223,7 @@ impl<P: MuxProtocol> MuxHub<P> {
     /// *after* earlier writes — a read, a size query, a close — forces
     /// this, preserving cross-session read-your-writes.
     fn flush_stages_locked(&self, s: &mut SendState<P>) -> Result<()> {
-        let mut ids: Vec<u32> = s.stages.keys().copied().collect();
-        ids.sort_unstable();
-        for id in ids {
-            let stage = s.stages.remove(&id).expect("staged id");
+        while let Some((id, stage)) = s.stages.pop_first() {
             let result = self.transmit_locked(id, stage.cmd, &stage.buf);
             self.pool.put(stage.buf);
             result?;
@@ -620,6 +618,35 @@ mod tests {
             assert_eq!(frame.body.tag, 2);
             answer(&port, &frame, b"w");
             assert_eq!(read.join().expect("join"), (ToyReply { n: 1 }, 1));
+        });
+    }
+
+    #[test]
+    fn a_flush_sends_staged_batches_lowest_session_first() {
+        let (hub, port) = hub();
+        let sessions: Vec<_> = (0..3).map(|_| hub.attach().expect("attach")).collect();
+        // Staged out of id order: third, first, second.
+        for i in [2usize, 0, 1] {
+            sessions[i]
+                .post(cmd(1, i as u64 * 8, 2), &[b'a' + i as u8; 2])
+                .expect("staged");
+        }
+        assert_eq!(port.try_recv_cmd().expect("empty"), None);
+        std::thread::scope(|s| {
+            let reader = &sessions[2];
+            let read = s.spawn(|| reader.call(cmd(2, 0, 1), &mut [0u8; 1]).expect("read"));
+            for (i, session) in sessions.iter().enumerate() {
+                let frame = port.recv_cmd().expect("batch frame");
+                assert_eq!(frame.session, session.session_id());
+                assert_eq!(frame.body, cmd(1, i as u64 * 8, 2));
+                let mut payload = [0u8; 2];
+                port.recv_data_exact(&mut payload).expect("batch payload");
+                assert_eq!(payload, [b'a' + i as u8; 2]);
+            }
+            let frame = port.recv_cmd().expect("read frame");
+            assert_eq!((frame.session, frame.body.tag), (reader.session_id(), 2));
+            answer(&port, &frame, b"a");
+            read.join().expect("join");
         });
     }
 

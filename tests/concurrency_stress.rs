@@ -255,6 +255,97 @@ fn inline_rows_are_exact_under_concurrent_clients() {
     );
 }
 
+/// Bytes of the file each client of [`handoffs_lose_no_wake`] owns.
+const REGION: usize = 4096;
+
+/// One client of [`handoffs_lose_no_wake`]: a seeded mix of writes and
+/// checked reads inside the region `[base, base + REGION)` of `path`.
+fn handoff_client(world: &AfsWorld, path: &str, base: usize, seed: u64) {
+    const OPS: usize = 20_000;
+    let _clock = clock::install(0);
+    let api = world.api();
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let h = api
+        .create_file(path, Access::read_write(), Disposition::OpenExisting)
+        .expect("open");
+    let seek = |at: usize| {
+        api.set_file_pointer(h, (base + at) as i64, SeekMethod::Begin)
+            .expect("seek");
+    };
+    // The region exists, whole, before anything reads it.
+    let mut shadow = vec![0u8; REGION];
+    seek(0);
+    assert_eq!(api.write_file(h, &shadow).expect("fill"), REGION);
+    for op in 0..OPS {
+        let len = 1 + rng.gen_range(0..64) as usize;
+        let at = rng.gen_range(0..(REGION - len) as u32) as usize;
+        seek(at);
+        if rng.gen_range(0..2) == 0 {
+            shadow[at..at + len].fill(op as u8);
+            assert_eq!(
+                api.write_file(h, &shadow[at..at + len]).expect("write"),
+                len
+            );
+        } else {
+            let mut buf = [0u8; 64];
+            assert_eq!(api.read_file(h, &mut buf[..len]).expect("read"), len);
+            assert_eq!(&buf[..len], &shadow[at..at + len], "{path} op {op}");
+        }
+    }
+    seek(0);
+    let mut back = vec![0u8; REGION];
+    assert_eq!(api.read_file(h, &mut back).expect("read back"), REGION);
+    assert!(back == shadow, "{path}: the final read-back differs");
+    api.close_handle(h).expect("close");
+}
+
+/// Handoff liveness: on an out-of-line file every read is a wake of the
+/// sentinel side and a wake back, so a wake lost anywhere between the
+/// wire's condvars and the executor's parked workers is a client that
+/// never returns. Two application threads × 20 000 operations each — on
+/// one file when the wiring shares its sentinel (no `keys`: two sessions
+/// of one hub), on a file each when every open gets a sentinel of its
+/// own. A watchdog turns a hang into a failure; the sweep seed shapes
+/// the op mix.
+fn handoffs_lose_no_wake(strategy: Strategy, keys: &'static [(&'static str, &'static str)]) {
+    let seed = test_seed();
+    let (done, finished) = std::sync::mpsc::channel();
+    let clients = std::thread::spawn(move || {
+        let world = AfsWorld::new();
+        activefiles::register_standard_sentinels(&world);
+        let mut spec = SentinelSpec::new("null", strategy).backing(Backing::Memory);
+        for (key, value) in keys {
+            spec = spec.with(key, value);
+        }
+        let paths = ["/handoff-0.af", "/handoff-1.af"];
+        std::thread::scope(|scope| {
+            for (client, own) in paths.iter().enumerate() {
+                world.install_active_file(own, &spec).expect("install");
+                let path = if keys.is_empty() { paths[0] } else { own };
+                let (world, seed) = (&world, seed.wrapping_mul(31) + client as u64);
+                scope.spawn(move || handoff_client(world, path, client * REGION, seed));
+            }
+        });
+        let _ = done.send(());
+    });
+    match finished.recv_timeout(std::time::Duration::from_secs(300)) {
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+            panic!("{strategy:?} {keys:?}: a client hung, a wake was lost")
+        }
+        // Finished, or panicked (the sender dropped): the join says which.
+        _ => clients.join().expect("handoff clients"),
+    }
+}
+
+#[test]
+fn handoffs_lose_no_wake_on_any_out_of_line_wiring() {
+    for strategy in [Strategy::DllThread, Strategy::ProcessControl] {
+        handoffs_lose_no_wake(strategy, &[("share", "off")]);
+        handoffs_lose_no_wake(strategy, &[]);
+        handoffs_lose_no_wake(strategy, &[("batch", "on")]);
+    }
+}
+
 /// Regression test for the file-pointer bug this change fixes: an
 /// End-relative seek resolves the size and stores the pointer as two
 /// steps; without `op_lock` around both, a concurrent write on the same
