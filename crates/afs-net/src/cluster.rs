@@ -20,9 +20,15 @@
 //! Everything here is pure data — hashing is an in-tree FNV-1a, so
 //! placement is bit-identical across runs, processes, and the seed
 //! sweep's seeds. The ring itself is one sorted `Vec` of points over the
-//! sorted member names, built without allocating per point: a cluster
-//! session owns a private ring, so building one has to cost about what
-//! the handful of ops the session then issues cost.
+//! sorted member names, built without allocating per point — and built
+//! once per membership: it is a pure function of the virtual-node count
+//! and the member names, so every [`Placement`] with the same members
+//! holds the same `Arc` (`shared_ring` below), and opening a cluster
+//! session costs a name list, not a ring.
+
+use std::sync::{Arc, OnceLock};
+
+use parking_lot::Mutex;
 
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 
@@ -75,6 +81,11 @@ fn point_hash(prefix: u64, v: usize) -> u64 {
     finalize(fnv1a_extend(prefix, &digits[at..]))
 }
 
+/// Where `name` is (`Ok`) or belongs (`Err`) in sorted member names.
+fn position(nodes: &[String], name: &str) -> Result<usize, usize> {
+    nodes.binary_search_by(|n| n.as_str().cmp(name))
+}
+
 /// A consistent-hash ring over named service nodes.
 ///
 /// Nodes are placed at `vnodes` points each (virtual nodes smooth the
@@ -125,10 +136,6 @@ impl HashRing {
         self.nodes.is_empty()
     }
 
-    fn position(&self, name: &str) -> Result<usize, usize> {
-        self.nodes.binary_search_by(|n| n.as_str().cmp(name))
-    }
-
     /// Adds a member; a duplicate name is a no-op.
     pub fn add_node(&mut self, name: &str) {
         let prefix = point_prefix(name);
@@ -138,7 +145,7 @@ impl HashRing {
     /// [`add_node`](HashRing::add_node) with the hash of point `v` as an
     /// input, so a test can make two members collide.
     fn add_node_at(&mut self, name: &str, hash: impl Fn(usize) -> u64) {
-        let Err(at) = self.position(name) else {
+        let Err(at) = position(&self.nodes, name) else {
             return;
         };
         self.nodes.insert(at, name.to_owned());
@@ -166,7 +173,7 @@ impl HashRing {
 
     /// Removes a member; an unknown name is a no-op.
     pub fn remove_node(&mut self, name: &str) {
-        let Ok(at) = self.position(name) else {
+        let Ok(at) = position(&self.nodes, name) else {
             return;
         };
         self.nodes.remove(at);
@@ -179,14 +186,14 @@ impl HashRing {
         });
     }
 
-    /// The first `count` *distinct* members clockwise from `key`'s hash:
-    /// the primary first, then the failover/replica order. Returns fewer
-    /// than `count` when the fleet is smaller than that.
-    pub fn owners(&self, key: &str, count: usize) -> Vec<String> {
-        let want = count.min(self.nodes.len());
-        let mut out: Vec<String> = Vec::with_capacity(want);
-        if want == 0 {
-            return out;
+    /// The one walk behind every owner lookup: offers `take` the members
+    /// clockwise from `key`'s hash, by index into
+    /// [`nodes`](HashRing::nodes), until it has taken `count` of them or
+    /// the whole fleet. `take` answers whether the member was new to it.
+    fn walk(&self, key: &str, count: usize, mut take: impl FnMut(usize) -> bool) {
+        let mut wanted = count.min(self.nodes.len());
+        if wanted == 0 {
+            return;
         }
         let start = fnv1a(key.as_bytes());
         let first = self.points.partition_point(|point| point.0 < start);
@@ -195,19 +202,48 @@ impl HashRing {
         for &(hash, id) in after.iter().chain(before) {
             // An entry behind another of the same hash is shadowed: not
             // on the ring. A member seen twice in a row was taken the
-            // first time; that spares most of the name comparisons below.
+            // first time; that spares `take` most of its comparisons.
             if last_hash.replace(hash) == Some(hash) || last_id.replace(id) == Some(id) {
                 continue;
             }
-            let node = &self.nodes[id];
-            if !out.contains(node) {
-                out.push(node.clone());
-                if out.len() == want {
+            if take(id) {
+                wanted -= 1;
+                if wanted == 0 {
                     break;
                 }
             }
         }
+    }
+
+    /// The first `count` *distinct* members clockwise from `key`'s hash:
+    /// the primary first, then the failover/replica order. Returns fewer
+    /// than `count` when the fleet is smaller than that.
+    pub fn owners(&self, key: &str, count: usize) -> Vec<String> {
+        let mut out: Vec<String> = Vec::with_capacity(count.min(self.nodes.len()));
+        self.walk(key, count, |id| {
+            let new = !out.contains(&self.nodes[id]);
+            if new {
+                out.push(self.nodes[id].clone());
+            }
+            new
+        });
         out
+    }
+
+    /// [`owners`](HashRing::owners), naming nobody: fills `out` from the
+    /// front with the owners' indices into [`nodes`](HashRing::nodes), at
+    /// most `out.len()` of them, and returns the filled part.
+    fn owner_indices<'a>(&self, key: &str, out: &'a mut [usize]) -> &'a [usize] {
+        let mut found = 0;
+        self.walk(key, out.len(), |id| {
+            let new = !out[..found].contains(&id);
+            if new {
+                out[found] = id;
+                found += 1;
+            }
+            new
+        });
+        &out[..found]
     }
 
     /// The single owner of `key`, when the ring is non-empty.
@@ -216,15 +252,55 @@ impl HashRing {
     }
 }
 
-/// Replica-aware placement: a [`HashRing`] plus a replication factor.
+/// Most memberships [`shared_ring`] remembers before it starts over.
+const REMEMBERED_RINGS: usize = 16;
+
+/// Every ring built and still remembered, found again by what it was
+/// built from. The memo holds its rings strongly: a workload of short
+/// sessions drops each session before it opens the next, so a memo of
+/// `Weak`s would find its ring dead and rebuild it at most opens.
+static RINGS: Mutex<Vec<Arc<HashRing>>> = Mutex::new(Vec::new());
+
+/// The ring of `nodes` (sorted) at `vnodes` points each: built on the
+/// first request for that membership, the same allocation on every one
+/// after it. One lock per call, and a [`Placement`] calls once per
+/// membership change, never per lookup.
+fn shared_ring(vnodes: usize, nodes: &[String]) -> Arc<HashRing> {
+    let mut rings = RINGS.lock();
+    let known = rings
+        .iter()
+        .find(|ring| ring.vnodes == vnodes && ring.nodes == nodes);
+    if let Some(ring) = known {
+        return Arc::clone(ring);
+    }
+    let mut ring = HashRing::new(vnodes);
+    for name in nodes {
+        ring.add_node(name);
+    }
+    let ring = Arc::new(ring);
+    if rings.len() == REMEMBERED_RINGS {
+        rings.clear();
+    }
+    rings.push(Arc::clone(&ring));
+    ring
+}
+
+/// Replica-aware placement: a membership, its [`HashRing`] and a
+/// replication factor.
 ///
 /// `owners(path)` answers the cluster client's routing question — writes
 /// go to the first entry (the primary) and replicate to the rest; reads
-/// try the entries in order.
+/// try the entries in order. A placement owns only its member names; the
+/// ring is shared with every other placement of the same members.
 #[derive(Debug, Clone)]
 pub struct Placement {
-    ring: HashRing,
+    /// Member names, sorted.
+    nodes: Vec<String>,
     copies: usize,
+    /// The ring of `nodes`, resolved by the first lookup after a
+    /// membership change: the memberships a fleet passes through while
+    /// it is being listed are never built.
+    ring: OnceLock<Arc<HashRing>>,
 }
 
 impl Placement {
@@ -233,8 +309,9 @@ impl Placement {
     /// virtual-node count.
     pub fn new(copies: usize) -> Placement {
         Placement {
-            ring: HashRing::new(HashRing::DEFAULT_VNODES),
+            nodes: Vec::new(),
             copies: copies.max(1),
+            ring: OnceLock::new(),
         }
     }
 
@@ -245,29 +322,51 @@ impl Placement {
 
     /// The member names, sorted.
     pub fn nodes(&self) -> &[String] {
-        self.ring.nodes()
+        &self.nodes
     }
 
-    /// Adds a member service to the fleet.
+    /// Adds a member service to the fleet; a duplicate name is a no-op.
     pub fn add_node(&mut self, name: &str) {
-        self.ring.add_node(name);
+        if let Err(at) = position(&self.nodes, name) {
+            self.nodes.insert(at, name.to_owned());
+            self.ring = OnceLock::new();
+        }
     }
 
-    /// Removes a member service from the fleet.
+    /// Removes a member service from the fleet; an unknown name is a
+    /// no-op.
     pub fn remove_node(&mut self, name: &str) {
-        self.ring.remove_node(name);
+        if let Ok(at) = position(&self.nodes, name) {
+            self.nodes.remove(at);
+            self.ring = OnceLock::new();
+        }
+    }
+
+    fn ring(&self) -> &Arc<HashRing> {
+        self.ring
+            .get_or_init(|| shared_ring(HashRing::DEFAULT_VNODES, &self.nodes))
     }
 
     /// `[primary, replica, ...]` for `path` — distinct nodes, at most
     /// [`copies`](Placement::copies), deterministic for a given
     /// membership.
     pub fn owners(&self, path: &str) -> Vec<String> {
-        self.ring.owners(path, self.copies)
+        self.ring().owners(path, self.copies)
+    }
+
+    /// [`owners`](Placement::owners) without naming anybody: fills `out`
+    /// from the front with the owners' indices into
+    /// [`nodes`](Placement::nodes) — at most `out.len()` of them, so a
+    /// caller after every owner passes [`copies`](Placement::copies)
+    /// slots — and returns the filled part. Allocates nothing.
+    pub fn owner_indices<'a>(&self, path: &str, out: &'a mut [usize]) -> &'a [usize] {
+        let want = out.len().min(self.copies);
+        self.ring().owner_indices(path, &mut out[..want])
     }
 
     /// The primary for `path`, when the fleet is non-empty.
     pub fn primary(&self, path: &str) -> Option<String> {
-        self.ring.primary(path)
+        self.ring().primary(path)
     }
 }
 
@@ -543,8 +642,95 @@ mod tests {
         assert_eq!(ring.owners("/x", 3), ["gamma"]);
     }
 
+    /// The memo of built rings is one per process, and the tests below
+    /// count on what it holds: one of them at a time.
+    static MEMO_TESTS: Mutex<()> = Mutex::new(());
+
+    fn placed(copies: usize, members: &[&str]) -> Placement {
+        let mut placement = Placement::new(copies);
+        for name in members {
+            placement.add_node(name);
+        }
+        placement
+    }
+
+    #[test]
+    fn placements_of_one_membership_share_one_ring() {
+        let _alone = MEMO_TESTS.lock();
+        let a = placed(2, &["share-b", "share-a", "share-c"]);
+        let mut b = placed(3, &["share-c", "share-a", "share-b", "share-a"]);
+        assert!(Arc::ptr_eq(a.ring(), b.ring()), "same members, any order");
+        // A membership change resolves another ring and leaves a clone
+        // taken before it where it was.
+        let before = b.clone();
+        b.add_node("share-d");
+        assert!(!Arc::ptr_eq(a.ring(), b.ring()));
+        assert_eq!(b.ring().nodes(), b.nodes());
+        assert!(Arc::ptr_eq(a.ring(), before.ring()));
+        assert_eq!(before.nodes(), a.nodes());
+        for key in keys(50) {
+            assert_eq!(before.owners(&key)[..2], a.owners(&key)[..]);
+        }
+        // Back at the first membership, back on its ring.
+        b.remove_node("share-d");
+        assert!(Arc::ptr_eq(a.ring(), b.ring()));
+        // Every placement gone, and the next one still finds it built.
+        let ring = Arc::downgrade(a.ring());
+        drop((a, b, before));
+        let again = placed(1, &["share-a", "share-b", "share-c"]);
+        let kept = ring.upgrade().expect("the memo keeps its rings");
+        assert!(Arc::ptr_eq(again.ring(), &kept));
+    }
+
+    #[test]
+    fn more_memberships_than_the_memo_holds_still_place_correctly() {
+        let _alone = MEMO_TESTS.lock();
+        let keys = keys(40);
+        for _round in 0..2 {
+            for size in 1..=REMEMBERED_RINGS + 3 {
+                let members: Vec<String> = (0..size).map(|i| format!("many-{i}")).collect();
+                let mut placement = Placement::new(2);
+                let mut ring = HashRing::new(HashRing::DEFAULT_VNODES);
+                for name in &members {
+                    placement.add_node(name);
+                    ring.add_node(name);
+                }
+                for key in &keys {
+                    assert_eq!(placement.owners(key), ring.owners(key, 2), "{size} {key}");
+                }
+                assert!(RINGS.lock().len() <= REMEMBERED_RINGS);
+            }
+        }
+    }
+
+    #[test]
+    fn the_index_walk_names_the_same_owners() {
+        let _alone = MEMO_TESTS.lock();
+        let ring = fleet(5);
+        let names: Vec<&str> = ring.nodes().iter().map(String::as_str).collect();
+        let placement = placed(2, &names);
+        for key in keys(100) {
+            // Nobody, the primary, `copies`, and more than the fleet.
+            for count in [0, 1, 2, 3, 5, 9] {
+                let mut ids = vec![usize::MAX; count];
+                let ids = ring.owner_indices(&key, &mut ids);
+                let named: Vec<&String> = ids.iter().map(|&id| &ring.nodes()[id]).collect();
+                assert_eq!(named, ring.owners(&key, count).iter().collect::<Vec<_>>());
+                assert_eq!(ids.len(), count.min(5), "{key} x{count}");
+                // A placement stops at `copies` however many slots it is
+                // given, and sooner when given fewer.
+                let mut ids = vec![usize::MAX; count];
+                let ids = placement.owner_indices(&key, &mut ids);
+                let named: Vec<&String> = ids.iter().map(|&id| &placement.nodes()[id]).collect();
+                let owners = placement.owners(&key);
+                assert_eq!(named, owners.iter().take(count).collect::<Vec<_>>());
+            }
+        }
+    }
+
     #[test]
     fn placement_wraps_the_ring_with_a_replication_factor() {
+        let _alone = MEMO_TESTS.lock();
         let mut placement = Placement::new(3);
         assert_eq!(placement.copies(), 3);
         for i in 0..5 {

@@ -65,6 +65,14 @@ impl WireWriter {
         WireWriter { buf: Vec::new() }
     }
 
+    /// Creates an empty writer with room for `bytes`: a message whose
+    /// size is known up front is encoded in one allocation.
+    pub fn with_capacity(bytes: usize) -> Self {
+        WireWriter {
+            buf: Vec::with_capacity(bytes),
+        }
+    }
+
     /// Appends a `u8`.
     pub fn u8(&mut self, v: u8) -> &mut Self {
         self.buf.push(v);

@@ -27,7 +27,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 
 use afs_net::{cluster::Placement, NetError, Network};
 use afs_telemetry::ClusterGauges;
@@ -37,6 +37,10 @@ use crate::file_server::Remote;
 /// How long one bounded-staleness wait round burns before re-polling
 /// the owners (virtual time).
 const STALE_WAIT_STEP_NS: u64 = 1_000_000; // 1 ms
+
+/// Owner lists up to this long are walked on the stack; a session
+/// keeping more copies than this spills to the heap.
+const INLINE_OWNERS: usize = 8;
 
 /// Whether an error means "try the next owner" (transport-level fault)
 /// rather than "the service answered no".
@@ -55,7 +59,10 @@ fn failover_worthy(err: &NetError) -> bool {
 /// read-your-writes reads.
 pub struct ClusterClient {
     net: Network,
-    placement: Mutex<Placement>,
+    /// The session's membership. An op holds the read side while it
+    /// walks its owners; [`add_node`](ClusterClient::add_node) and
+    /// [`remove_node`](ClusterClient::remove_node) take the write side.
+    placement: RwLock<Placement>,
     /// Read-your-writes floor: per path, the highest replication
     /// sequence this session has been acknowledged.
     acked: Mutex<HashMap<String, u64>>,
@@ -72,7 +79,7 @@ impl ClusterClient {
     pub fn new(net: Network, copies: usize, staleness_ms: Option<u64>) -> ClusterClient {
         ClusterClient {
             net,
-            placement: Mutex::new(Placement::new(copies)),
+            placement: RwLock::new(Placement::new(copies)),
             acked: Mutex::new(HashMap::new()),
             staleness_budget_ns: staleness_ms.map(|ms| ms.saturating_mul(1_000_000)),
             gauges: Arc::new(ClusterGauges::default()),
@@ -92,23 +99,54 @@ impl ClusterClient {
     }
 
     /// Adds a member service to the fleet (placement rebalances
-    /// deterministically; at most `1/N` of keys move).
+    /// deterministically; at most `1/N` of keys move). The change lands
+    /// between ops: it waits for the owner walks in flight, and an op
+    /// sees the membership from before it or from after it, never a mix.
     pub fn add_node(&self, name: &str) {
-        let mut placement = self.placement.lock();
+        let mut placement = self.placement.write();
         placement.add_node(name);
         self.gauges.membership(placement.nodes().len() as u64);
     }
 
-    /// Removes a member service from the fleet.
+    /// Removes a member service from the fleet; like
+    /// [`add_node`](ClusterClient::add_node), between ops.
     pub fn remove_node(&self, name: &str) {
-        let mut placement = self.placement.lock();
+        let mut placement = self.placement.write();
         placement.remove_node(name);
         self.gauges.membership(placement.nodes().len() as u64);
     }
 
     /// The current owner list for `path`: `[primary, replicas...]`.
     pub fn owners(&self, path: &str) -> Vec<String> {
-        self.placement.lock().owners(path)
+        self.placement.read().owners(path)
+    }
+
+    /// Runs `walk` over the fleet's names and, as indices into them,
+    /// `path`'s owners, primary first — both borrowed from the placement
+    /// for the walk's duration: nothing is cloned and, up to
+    /// [`INLINE_OWNERS`] copies, nothing allocated. The walk runs under
+    /// the placement's read side, so it must not reach for the placement
+    /// again: a second read nested behind a waiting `add_node` can
+    /// deadlock. An empty fleet has nobody to walk: `ServiceNotFound`.
+    fn with_owners<T>(
+        &self,
+        path: &str,
+        walk: impl FnOnce(&[String], &[usize]) -> afs_net::Result<T>,
+    ) -> afs_net::Result<T> {
+        let placement = self.placement.read();
+        let mut inline = [0; INLINE_OWNERS];
+        let mut spilled = Vec::new();
+        let ids = if placement.copies() <= INLINE_OWNERS {
+            &mut inline[..]
+        } else {
+            spilled.resize(placement.copies(), 0);
+            &mut spilled[..]
+        };
+        let owners = placement.owner_indices(path, ids);
+        if owners.is_empty() {
+            return Err(NetError::ServiceNotFound("empty cluster".to_owned()));
+        }
+        walk(placement.nodes(), owners)
     }
 
     /// The session's read-your-writes floor for `path` (0 when this
@@ -139,51 +177,47 @@ impl ClusterClient {
     /// [`NetError::Rejected`] when every reachable owner is behind the
     /// session's floor.
     pub fn write(&self, path: &str, offset: u64, data: &[u8]) -> afs_net::Result<u64> {
-        let owners = self.owners(path);
-        if owners.is_empty() {
-            return Err(NetError::ServiceNotFound("empty cluster".to_owned()));
-        }
-        let floor = self.acked_seq(path);
-        let mut last_err = None;
-        for (idx, owner) in owners.iter().enumerate() {
-            match self.client_for(owner).put_acked(path, offset, data, floor) {
-                Ok((n, seq)) => {
-                    let mut acked = self.acked.lock();
-                    match acked.get_mut(path) {
-                        Some(floor) => *floor = (*floor).max(seq),
-                        None => drop(acked.insert(path.to_owned(), seq)),
-                    }
-                    drop(acked);
-                    let mut failed = 0u64;
-                    let others = owners
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| *i != idx)
-                        .map(|(_, o)| o);
-                    let mut fanned = 0u64;
-                    for other in others {
-                        fanned += 1;
-                        if self
-                            .client_for(other)
-                            .replicate(path, offset, seq, data)
-                            .is_err()
-                        {
-                            failed += 1;
+        self.with_owners(path, |nodes, owners| {
+            let floor = self.acked_seq(path);
+            let mut last_err = None;
+            for &owner in owners {
+                match self
+                    .client_for(&nodes[owner])
+                    .put_acked(path, offset, data, floor)
+                {
+                    Ok((n, seq)) => {
+                        let mut acked = self.acked.lock();
+                        match acked.get_mut(path) {
+                            Some(floor) => *floor = (*floor).max(seq),
+                            None => drop(acked.insert(path.to_owned(), seq)),
                         }
+                        drop(acked);
+                        // Owners are distinct: everyone but the one
+                        // that acknowledged gets the cast.
+                        let mut failed = 0u64;
+                        for &other in owners.iter().filter(|&&other| other != owner) {
+                            if self
+                                .client_for(&nodes[other])
+                                .replicate(path, offset, seq, data)
+                                .is_err()
+                            {
+                                failed += 1;
+                            }
+                        }
+                        self.gauges.write(owners.len() as u64 - 1, failed);
+                        return Ok(n);
                     }
-                    self.gauges.write(fanned, failed);
-                    return Ok(n);
+                    // A rejection here is a lagging copy refusing to
+                    // allocate a sequence behind the session's floor —
+                    // failover-worthy, like a transport fault.
+                    Err(e) if failover_worthy(&e) || matches!(e, NetError::Rejected(_)) => {
+                        last_err = Some(e);
+                    }
+                    Err(e) => return Err(e),
                 }
-                // A rejection here is a lagging copy refusing to
-                // allocate a sequence behind the session's floor —
-                // failover-worthy, like a transport fault.
-                Err(e) if failover_worthy(&e) || matches!(e, NetError::Rejected(_)) => {
-                    last_err = Some(e);
-                }
-                Err(e) => return Err(e),
             }
-        }
-        Err(last_err.expect("at least one owner attempted"))
+            Err(last_err.expect("at least one owner attempted"))
+        })
     }
 
     /// Reads up to `len` bytes at `offset` from the first owner (in
@@ -200,59 +234,63 @@ impl ClusterClient {
         let required = self.acked_seq(path);
         let mut budget = self.staleness_budget_ns.unwrap_or(0);
         loop {
-            let owners = self.owners(path);
-            if owners.is_empty() {
-                return Err(NetError::ServiceNotFound("empty cluster".to_owned()));
-            }
-            let mut last_err = None;
-            let mut missing = None;
-            let mut behind = 0usize;
-            for (idx, owner) in owners.iter().enumerate() {
-                let client = self.client_for(owner);
-                match client.stat(path) {
-                    Ok(stat) if stat.version >= required => {
-                        // The stat said fresh, but the get itself can
-                        // still hit a transport fault (the owner died
-                        // in between): fail over to the remaining
-                        // owners like any other fault.
-                        match client.get(path, offset, len) {
-                            Ok(data) => {
-                                self.gauges.read(idx != 0);
-                                return Ok(data);
+            // One round over the owners: the bytes, or `None` when every
+            // reachable owner is behind the session's writes.
+            let round = self.with_owners(path, |nodes, owners| {
+                let mut last_err = None;
+                let mut missing = None;
+                let mut behind = 0usize;
+                for (idx, &owner) in owners.iter().enumerate() {
+                    let client = self.client_for(&nodes[owner]);
+                    match client.stat(path) {
+                        Ok(stat) if stat.version >= required => {
+                            // The stat said fresh, but the get itself can
+                            // still hit a transport fault (the owner died
+                            // in between): fail over to the remaining
+                            // owners like any other fault.
+                            match client.get(path, offset, len) {
+                                Ok(data) => {
+                                    self.gauges.read(idx != 0);
+                                    return Ok(Some(data));
+                                }
+                                Err(e) if failover_worthy(&e) => last_err = Some(e),
+                                Err(e) => return Err(e),
                             }
-                            Err(e) if failover_worthy(&e) => last_err = Some(e),
-                            Err(e) => return Err(e),
                         }
-                    }
-                    Ok(_) => behind += 1,
-                    // A rejected stat means this owner holds no copy.
-                    // With a non-zero floor that is replication lag (a
-                    // joiner the casts have not caught up) — wait for
-                    // it. With no floor the file may simply live on a
-                    // later owner (written by another session): keep
-                    // walking, and only surface the rejection if no
-                    // owner serves the read.
-                    Err(e @ NetError::Rejected(_)) => {
-                        if required > 0 {
-                            behind += 1;
-                        } else {
-                            missing = Some(e);
+                        Ok(_) => behind += 1,
+                        // A rejected stat means this owner holds no copy.
+                        // With a non-zero floor that is replication lag (a
+                        // joiner the casts have not caught up) — wait for
+                        // it. With no floor the file may simply live on a
+                        // later owner (written by another session): keep
+                        // walking, and only surface the rejection if no
+                        // owner serves the read.
+                        Err(e @ NetError::Rejected(_)) => {
+                            if required > 0 {
+                                behind += 1;
+                            } else {
+                                missing = Some(e);
+                            }
                         }
+                        Err(e) if failover_worthy(&e) => last_err = Some(e),
+                        Err(e) => return Err(e),
                     }
-                    Err(e) if failover_worthy(&e) => last_err = Some(e),
-                    Err(e) => return Err(e),
                 }
+                if behind == 0 {
+                    // No owner is lagging: the failure is a transport fault
+                    // or a genuinely absent file, not staleness — surface
+                    // it rather than burning the staleness budget.
+                    return Err(last_err.or(missing).expect("owners existed"));
+                }
+                Ok(None)
+            });
+            if let Some(data) = round? {
+                return Ok(data);
             }
-            if behind == 0 {
-                // No owner is lagging: the failure is a transport fault
-                // or a genuinely absent file, not staleness — surface
-                // it rather than burning the staleness budget.
-                return Err(last_err.or(missing).expect("owners existed"));
-            }
-            // Every reachable owner is behind the session's writes. Burn
-            // bounded-staleness budget and re-poll; once it is spent the
-            // lag becomes the application's problem — bounded, never
-            // silent.
+            // Burn bounded-staleness budget and re-poll — with the
+            // placement released, so a membership change can land
+            // between rounds; once the budget is spent the lag becomes
+            // the application's problem — bounded, never silent.
             if budget < STALE_WAIT_STEP_NS {
                 self.gauges.stale_reject();
                 return Err(NetError::Rejected(format!(
@@ -272,33 +310,31 @@ impl ClusterClient {
     ///
     /// A transport fault when no owner is reachable.
     pub fn stat(&self, path: &str) -> afs_net::Result<crate::RemoteStat> {
-        let owners = self.owners(path);
-        if owners.is_empty() {
-            return Err(NetError::ServiceNotFound("empty cluster".to_owned()));
-        }
-        let mut best: Option<crate::RemoteStat> = None;
-        let mut last_err = None;
-        for owner in &owners {
-            match self.client_for(owner).stat(path) {
-                Ok(stat) => {
-                    best = Some(match best {
-                        Some(b) if b.version >= stat.version => b,
-                        _ => stat,
-                    });
+        self.with_owners(path, |nodes, owners| {
+            let mut best: Option<crate::RemoteStat> = None;
+            let mut last_err = None;
+            for &owner in owners {
+                match self.client_for(&nodes[owner]).stat(path) {
+                    Ok(stat) => {
+                        best = Some(match best {
+                            Some(b) if b.version >= stat.version => b,
+                            _ => stat,
+                        });
+                    }
+                    Err(e) => last_err = Some(e),
                 }
-                Err(e) => last_err = Some(e),
             }
-        }
-        match best {
-            Some(stat) => Ok(stat),
-            None => Err(last_err.expect("owners existed")),
-        }
+            match best {
+                Some(stat) => Ok(stat),
+                None => Err(last_err.expect("owners existed")),
+            }
+        })
     }
 }
 
 impl std::fmt::Debug for ClusterClient {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let placement = self.placement.lock();
+        let placement = self.placement.read();
         f.debug_struct("ClusterClient")
             .field("nodes", &placement.nodes().len())
             .field("copies", &placement.copies())
@@ -507,6 +543,92 @@ mod tests {
         let err = fresh.read("/data/never.af", 0, 4).expect_err("absent");
         assert!(matches!(err, NetError::Rejected(_)), "{err:?}");
         assert_eq!(fresh.gauges().snapshot().stale_waits, 0);
+    }
+
+    #[test]
+    fn membership_changes_land_between_ops() {
+        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+        use std::sync::{mpsc, Barrier};
+        use std::time::Duration;
+
+        const CHURNS: usize = 1_000;
+        let (net, _servers, client) = fleet(3);
+        net.register("files-3", FileServer::new() as Arc<dyn Service>);
+        let paths: Vec<String> = (0..16).map(|i| format!("/data/k{i}.af")).collect();
+        // The two owner lists an op may see for a path: the fleet's
+        // without the fourth member, and with it.
+        let without: Vec<Vec<String>> = paths.iter().map(|p| client.owners(p)).collect();
+        client.add_node("files-3");
+        let with: Vec<Vec<String>> = paths.iter().map(|p| client.owners(p)).collect();
+        client.remove_node("files-3");
+        assert_ne!(without, with, "the joiner owns something");
+
+        let (done, finished) = mpsc::channel();
+        let watched = std::thread::spawn(move || {
+            let (start, churned) = (Barrier::new(3), AtomicBool::new(false));
+            let ops = AtomicU64::new(0);
+            std::thread::scope(|scope| {
+                // Each worker owns every second path: it reads back
+                // exactly what it last wrote there, whoever the owners
+                // are by then (one of them always outlives the change).
+                for worker in 0..2 {
+                    let (client, paths, start, churned) = (&client, &paths, &start, &churned);
+                    let ops = &ops;
+                    let (without, with) = (&without, &with);
+                    scope.spawn(move || {
+                        let mine = || (worker..paths.len()).step_by(2);
+                        let mut last = vec![0u64; paths.len()];
+                        for i in mine() {
+                            client
+                                .write(&paths[i], 0, &last[i].to_le_bytes())
+                                .expect("seed");
+                        }
+                        start.wait();
+                        let mut rounds = 0u64;
+                        while !churned.load(Ordering::SeqCst) {
+                            rounds += 1;
+                            for i in mine() {
+                                if (rounds + i as u64).is_multiple_of(3) {
+                                    last[i] = rounds;
+                                    let wrote = client.write(&paths[i], 0, &rounds.to_le_bytes());
+                                    assert_eq!(wrote, Ok(8), "{}", paths[i]);
+                                }
+                                let read = client.read(&paths[i], 0, 8).expect("read");
+                                assert_eq!(read, last[i].to_le_bytes(), "{}", paths[i]);
+                                ops.fetch_add(1, Ordering::SeqCst);
+                                let owners = client.owners(&paths[i]);
+                                assert!(
+                                    owners == without[i] || owners == with[i],
+                                    "{}: half-changed owner list {owners:?}",
+                                    paths[i]
+                                );
+                            }
+                        }
+                    });
+                }
+                start.wait();
+                for _ in 0..CHURNS {
+                    // Every change has ops around it: the next waits for
+                    // one to finish after this one.
+                    let seen = ops.load(Ordering::SeqCst);
+                    client.add_node("files-3");
+                    client.remove_node("files-3");
+                    while ops.load(Ordering::SeqCst) == seen {
+                        std::thread::yield_now();
+                    }
+                }
+                churned.store(true, Ordering::SeqCst);
+            });
+            done.send(client.gauges().snapshot().rebalances)
+                .expect("report");
+        });
+        // The watchdog: an op that nested the placement's read side
+        // behind a waiting writer would hang here, not fail.
+        let rebalances = finished
+            .recv_timeout(Duration::from_secs(120))
+            .expect("ops and membership changes deadlocked");
+        watched.join().expect("workers");
+        assert_eq!(rebalances as usize, 3 + 2 + 2 * CHURNS);
     }
 
     #[test]

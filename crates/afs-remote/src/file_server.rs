@@ -10,13 +10,13 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 
 use afs_net::{NetError, Network, Service, WireWriter};
 use afs_telemetry::backend_span;
 use afs_vfs::{VPath, Vfs};
 
-use crate::{check_status, err_response, ok_response};
+use crate::{check_status, err_response, ok_response, STATUS_OK};
 
 const OP_GET: u8 = 1;
 const OP_PUT: u8 = 2;
@@ -30,6 +30,16 @@ const OP_REPL: u8 = 9;
 
 /// Largest single GET transfer the server satisfies (1 MiB).
 pub const MAX_TRANSFER: usize = 1 << 20;
+
+/// Where a write from the wire may end at most (64 MiB). Its offset is
+/// as untrusted as a GET's length: unchecked, one message zero-fills a
+/// terabyte, or wraps `offset + len` and panics inside the `Vfs` with
+/// its lock held.
+const MAX_FILE_LEN: u64 = 1 << 26;
+
+/// What precedes the payload in a GET reply: the status byte and the
+/// payload's `u32` length.
+const GET_HEADER: usize = 5;
 
 /// Most replication casts held back per path waiting for a sequence
 /// gap to fill. Beyond this the newest cast is dropped — safe, because
@@ -49,14 +59,51 @@ pub struct RemoteStat {
     pub version: u64,
 }
 
+/// What the server keeps for a wire path it has versioned.
+struct Tracked {
+    /// The path as the `Vfs` takes it, parsed when the entry was made.
+    vpath: VPath,
+    /// Monotonic version, bumped on every mutation.
+    version: u64,
+}
+
 /// A remote file store speaking a GET/PUT/STAT/LIST protocol.
+///
+/// Lock order, wherever more than one is held: `files`, then
+/// `pending_repl`, then the `Vfs`'s own lock.
 pub struct FileServer {
     vfs: Arc<Vfs>,
-    versions: Mutex<HashMap<String, u64>>,
+    /// Every wire path a mutation has succeeded on. GET and STAT take the
+    /// read side and find the path already parsed; mutations take the
+    /// write side for their whole length, so a version and the bytes it
+    /// counts move together.
+    files: RwLock<HashMap<String, Tracked>>,
     /// Replication casts that arrived ahead of a sequence gap, held
     /// back until the missing sequences fill in ([`MAX_PENDING_REPL`]
     /// per path).
     pending_repl: Mutex<HashMap<String, PendingCasts>>,
+}
+
+/// An OK reply of `u64` fields, sized before it is written: one
+/// allocation.
+fn ok_u64s(fields: &[u64]) -> Vec<u8> {
+    let mut w = WireWriter::with_capacity(1 + 8 * fields.len());
+    w.u8(STATUS_OK);
+    for &field in fields {
+        w.u64(field);
+    }
+    w.finish()
+}
+
+/// Refuses a write from the wire that would end past [`MAX_FILE_LEN`].
+fn check_extent(offset: u64, data: &[u8]) -> Result<(), String> {
+    match offset.checked_add(data.len() as u64) {
+        Some(end) if end <= MAX_FILE_LEN => Ok(()),
+        _ => Err(format!(
+            "write of {} bytes at offset {offset} ends past the {MAX_FILE_LEN}-byte file limit",
+            data.len()
+        )),
+    }
 }
 
 impl FileServer {
@@ -79,29 +126,63 @@ impl FileServer {
     ///
     /// Panics on invalid paths — setup code should fail loudly.
     pub fn seed(&self, path: &str, data: &[u8]) {
-        let vpath = VPath::parse(path).expect("valid seed path");
-        if let Some(parent) = vpath.parent() {
-            self.vfs.create_dir_all(&parent).expect("seed parents");
-        }
-        if !self.vfs.is_file(&vpath) {
-            self.vfs.create_file(&vpath).expect("seed create");
-        }
-        self.vfs
-            .write_stream_replace(&vpath, data)
-            .expect("seed write");
-        self.bump(path);
+        self.mutate(path, |file| {
+            if let Some(parent) = file.vpath.parent() {
+                self.vfs.create_dir_all(&parent).expect("seed parents");
+            }
+            if !self.vfs.is_file(&file.vpath) {
+                self.vfs.create_file(&file.vpath).expect("seed create");
+            }
+            self.vfs
+                .write_stream_replace(&file.vpath, data)
+                .expect("seed write");
+            file.version += 1;
+            Ok(())
+        })
+        .expect("valid seed path");
     }
 
     /// Current version of a path (0 if never written).
     pub fn version(&self, path: &str) -> u64 {
-        *self.versions.lock().get(path).unwrap_or(&0)
+        self.files.read().get(path).map_or(0, |file| file.version)
     }
 
-    fn bump(&self, path: &str) -> u64 {
-        let mut versions = self.versions.lock();
-        let v = versions.entry(path.to_owned()).or_insert(0);
-        *v += 1;
-        *v
+    /// Runs a read of `path` on its parsed form and version, under the
+    /// table's read side. A path the table does not hold is parsed here
+    /// and not kept: the request is untrusted, and a table that reads
+    /// could grow is memory anyone can spend.
+    fn inspect<T>(
+        &self,
+        path: &str,
+        read: impl FnOnce(&VPath, u64) -> Result<T, String>,
+    ) -> Result<T, String> {
+        match self.files.read().get(path) {
+            Some(file) => read(&file.vpath, file.version),
+            None => read(&Self::parse(path)?, 0),
+        }
+    }
+
+    /// Runs a mutation of `path` on its table entry, under the table's
+    /// write side. A path enters the table, parsed once, when a mutation
+    /// of it first succeeds.
+    fn mutate<T>(
+        &self,
+        path: &str,
+        apply: impl FnOnce(&mut Tracked) -> Result<T, String>,
+    ) -> Result<T, String> {
+        let mut files = self.files.write();
+        if let Some(file) = files.get_mut(path) {
+            return apply(file);
+        }
+        let mut file = Tracked {
+            vpath: Self::parse(path)?,
+            version: 0,
+        };
+        let done = apply(&mut file);
+        if done.is_ok() {
+            files.insert(path.to_owned(), file);
+        }
+        done
     }
 
     /// Applies one replication cast. Bytes apply **only in sequence
@@ -112,29 +193,30 @@ impl FileServer {
     /// writes this copy actually holds — the invariant the cluster's
     /// read-your-writes floor check relies on: `version >= floor`
     /// implies every acknowledged write up to `floor` is present.
-    fn apply_repl(&self, path: &str, offset: u64, seq: u64, data: Vec<u8>) -> Result<u64, String> {
-        let vpath = Self::parse(path)?;
-        let mut versions = self.versions.lock();
-        let v = versions.entry(path.to_owned()).or_insert(0);
-        if seq <= *v {
-            return Ok(*v);
+    fn apply_repl(
+        &self,
+        path: &str,
+        file: &mut Tracked,
+        offset: u64,
+        seq: u64,
+        data: &[u8],
+    ) -> Result<u64, String> {
+        if seq <= file.version {
+            return Ok(file.version);
         }
         let mut pending = self.pending_repl.lock();
         let queue = pending.entry(path.to_owned()).or_default();
         if queue.len() < MAX_PENDING_REPL || queue.contains_key(&seq) {
-            queue.insert(seq, (offset, data));
+            queue.insert(seq, (offset, data.to_vec()));
         }
-        while let Some((off, bytes)) = queue.remove(&(*v + 1)) {
-            self.ensure_file(&vpath)?;
-            self.vfs
-                .write_stream(&vpath, off, &bytes)
-                .map_err(|e| e.to_string())?;
-            *v += 1;
+        while let Some((off, bytes)) = queue.remove(&(file.version + 1)) {
+            self.write_at(&file.vpath, off, &bytes)?;
+            file.version += 1;
         }
         if queue.is_empty() {
             pending.remove(path);
         }
-        Ok(*v)
+        Ok(file.version)
     }
 
     fn parse(path: &str) -> Result<VPath, String> {
@@ -153,50 +235,48 @@ impl FileServer {
         self.vfs.create_file(vpath).map_err(|e| e.to_string())
     }
 
+    /// Writes `data` at `offset`, creating the file if needed.
+    fn write_at(&self, vpath: &VPath, offset: u64, data: &[u8]) -> Result<usize, String> {
+        self.ensure_file(vpath)?;
+        self.vfs
+            .write_stream(vpath, offset, data)
+            .map_err(|e| e.to_string())
+    }
+
     fn dispatch(&self, request: &[u8]) -> Result<Vec<u8>, NetError> {
         let mut r = afs_net::WireReader::new(request);
-        let op = r.u8()?;
-        let reply = match op {
+        let reply = match r.u8()? {
             OP_GET => {
-                let path = r.str()?.to_owned();
+                let path = r.str()?;
                 let offset = r.u64()?;
                 // The requested length is untrusted: cap the transfer
                 // unit so a bogus request cannot force a giant
                 // allocation. Clients split larger reads.
                 let len = (r.u32()? as usize).min(MAX_TRANSFER);
-                match Self::parse(&path).and_then(|vp| {
-                    let mut buf = vec![0u8; len];
+                self.inspect(path, |vp, _| {
+                    // The reply is built in place: the stream's bytes
+                    // land behind the header, which is filled in after.
+                    let mut reply = vec![STATUS_OK; GET_HEADER + len];
                     let n = self
                         .vfs
-                        .read_stream(&vp, offset, &mut buf)
+                        .read_stream(vp, offset, &mut reply[GET_HEADER..])
                         .map_err(|e| e.to_string())?;
-                    buf.truncate(n);
-                    Ok(buf)
-                }) {
-                    Ok(data) => ok_response(|w| {
-                        w.bytes(&data);
-                    }),
-                    Err(e) => err_response(&e),
-                }
+                    reply[1..GET_HEADER].copy_from_slice(&(n as u32).to_le_bytes());
+                    reply.truncate(GET_HEADER + n);
+                    Ok(reply)
+                })
             }
             OP_PUT => {
-                let path = r.str()?.to_owned();
+                let path = r.str()?;
                 let offset = r.u64()?;
-                let data = r.bytes()?.to_vec();
-                match Self::parse(&path).and_then(|vp| {
-                    self.ensure_file(&vp)?;
-                    self.vfs
-                        .write_stream(&vp, offset, &data)
-                        .map_err(|e| e.to_string())
-                }) {
-                    Ok(n) => {
-                        self.bump(&path);
-                        ok_response(|w| {
-                            w.u64(n as u64);
-                        })
-                    }
-                    Err(e) => err_response(&e),
-                }
+                let data = r.bytes()?;
+                check_extent(offset, data).and_then(|()| {
+                    self.mutate(path, |file| {
+                        let n = self.write_at(&file.vpath, offset, data)?;
+                        file.version += 1;
+                        Ok(ok_u64s(&[n as u64]))
+                    })
+                })
             }
             OP_PUT_ACK => {
                 // A cluster primary write: same mutation as OP_PUT, but
@@ -208,128 +288,98 @@ impl FileServer {
                 // allocate a sequence would collide with sequences
                 // already acknowledged elsewhere (split-brain) and would
                 // acknowledge a copy missing earlier acked writes.
-                let path = r.str()?.to_owned();
+                let path = r.str()?;
                 let offset = r.u64()?;
                 let floor = r.u64()?;
-                let data = r.bytes()?.to_vec();
-                match Self::parse(&path).and_then(|vp| {
-                    let mut versions = self.versions.lock();
-                    let v = versions.entry(path.clone()).or_insert(0);
-                    if *v < floor {
-                        return Err(format!(
-                            "copy at version {v} is behind session floor {floor}"
-                        ));
-                    }
-                    self.ensure_file(&vp)?;
-                    let n = self
-                        .vfs
-                        .write_stream(&vp, offset, &data)
-                        .map_err(|e| e.to_string())?;
-                    *v += 1;
-                    Ok((n, *v))
-                }) {
-                    Ok((n, seq)) => ok_response(|w| {
-                        w.u64(n as u64).u64(seq);
-                    }),
-                    Err(e) => err_response(&e),
-                }
+                let data = r.bytes()?;
+                check_extent(offset, data).and_then(|()| {
+                    self.mutate(path, |file| {
+                        let v = file.version;
+                        if v < floor {
+                            return Err(format!(
+                                "copy at version {v} is behind session floor {floor}"
+                            ));
+                        }
+                        let n = self.write_at(&file.vpath, offset, data)?;
+                        file.version += 1;
+                        Ok(ok_u64s(&[n as u64, file.version]))
+                    })
+                })
             }
             OP_REPL => {
                 // Replication apply: the write plus the primary's
                 // sequence number, applied strictly in sequence order
                 // (stale casts skipped, gap casts held back) — see
                 // [`FileServer::apply_repl`].
-                let path = r.str()?.to_owned();
+                let path = r.str()?;
                 let offset = r.u64()?;
                 let seq = r.u64()?;
-                let data = r.bytes()?.to_vec();
-                match self.apply_repl(&path, offset, seq, data) {
-                    Ok(version) => ok_response(|w| {
-                        w.u64(version);
-                    }),
-                    Err(e) => err_response(&e),
-                }
+                let data = r.bytes()?;
+                check_extent(offset, data)
+                    .and_then(|()| {
+                        self.mutate(path, |file| self.apply_repl(path, file, offset, seq, data))
+                    })
+                    .map(|version| ok_u64s(&[version]))
             }
             OP_APPEND => {
-                let path = r.str()?.to_owned();
-                let data = r.bytes()?.to_vec();
-                match Self::parse(&path).and_then(|vp| {
-                    self.ensure_file(&vp)?;
-                    let len = self.vfs.stream_len(&vp).map_err(|e| e.to_string())?;
-                    self.vfs
-                        .write_stream(&vp, len, &data)
-                        .map_err(|e| e.to_string())
-                }) {
-                    Ok(n) => {
-                        self.bump(&path);
-                        ok_response(|w| {
-                            w.u64(n as u64);
-                        })
-                    }
-                    Err(e) => err_response(&e),
-                }
+                let path = r.str()?;
+                let data = r.bytes()?;
+                self.mutate(path, |file| {
+                    self.ensure_file(&file.vpath)?;
+                    let len = self
+                        .vfs
+                        .stream_len(&file.vpath)
+                        .map_err(|e| e.to_string())?;
+                    let n = self
+                        .vfs
+                        .write_stream(&file.vpath, len, data)
+                        .map_err(|e| e.to_string())?;
+                    file.version += 1;
+                    Ok(ok_u64s(&[n as u64]))
+                })
             }
             OP_REPLACE => {
-                let path = r.str()?.to_owned();
-                let data = r.bytes()?.to_vec();
-                match Self::parse(&path).and_then(|vp| {
-                    self.ensure_file(&vp)?;
+                let path = r.str()?;
+                let data = r.bytes()?;
+                self.mutate(path, |file| {
+                    self.ensure_file(&file.vpath)?;
                     self.vfs
-                        .write_stream_replace(&vp, &data)
-                        .map_err(|e| e.to_string())
-                }) {
-                    Ok(()) => {
-                        self.bump(&path);
-                        ok_response(|_| {})
-                    }
-                    Err(e) => err_response(&e),
-                }
+                        .write_stream_replace(&file.vpath, data)
+                        .map_err(|e| e.to_string())?;
+                    file.version += 1;
+                    Ok(ok_response(|_| {}))
+                })
             }
             OP_STAT => {
-                let path = r.str()?.to_owned();
-                match Self::parse(&path)
-                    .and_then(|vp| self.vfs.stream_len(&vp).map_err(|e| e.to_string()))
-                {
-                    Ok(len) => {
-                        let version = self.version(&path);
-                        ok_response(|w| {
-                            w.u64(len).u64(version);
-                        })
-                    }
-                    Err(e) => err_response(&e),
-                }
+                let path = r.str()?;
+                self.inspect(path, |vp, version| {
+                    let len = self.vfs.stream_len(vp).map_err(|e| e.to_string())?;
+                    Ok(ok_u64s(&[len, version]))
+                })
             }
-            OP_LIST => {
-                let dir = r.str()?.to_owned();
-                match Self::parse(&dir)
-                    .and_then(|vp| self.vfs.list_dir(&vp).map_err(|e| e.to_string()))
-                {
-                    Ok(entries) => ok_response(|w| {
+            OP_LIST => Self::parse(r.str()?)
+                .and_then(|vp| self.vfs.list_dir(&vp).map_err(|e| e.to_string()))
+                .map(|entries| {
+                    ok_response(|w| {
                         w.seq(entries.len());
                         for e in &entries {
                             w.str(&e.name)
                                 .bool(e.kind == afs_vfs::NodeKind::Directory)
                                 .u64(e.len);
                         }
-                    }),
-                    Err(e) => err_response(&e),
-                }
-            }
+                    })
+                }),
             OP_DELETE => {
-                let path = r.str()?.to_owned();
-                match Self::parse(&path)
-                    .and_then(|vp| self.vfs.delete(&vp).map_err(|e| e.to_string()))
-                {
-                    Ok(()) => {
-                        self.bump(&path);
-                        ok_response(|_| {})
-                    }
-                    Err(e) => err_response(&e),
-                }
+                let path = r.str()?;
+                self.mutate(path, |file| {
+                    self.vfs.delete(&file.vpath).map_err(|e| e.to_string())?;
+                    file.version += 1;
+                    Ok(ok_response(|_| {}))
+                })
             }
-            t => err_response(&format!("unknown file-server op {t}")),
+            t => Err(format!("unknown file-server op {t}")),
         };
-        Ok(reply)
+        Ok(reply.unwrap_or_else(|e| err_response(&e)))
     }
 }
 
@@ -337,7 +387,7 @@ impl Default for FileServer {
     fn default() -> Self {
         FileServer {
             vfs: Arc::new(Vfs::new()),
-            versions: Mutex::new(HashMap::new()),
+            files: RwLock::new(HashMap::new()),
             pending_repl: Mutex::new(HashMap::new()),
         }
     }
@@ -362,11 +412,15 @@ pub(crate) struct Remote<'a> {
 impl Remote<'_> {
     pub(crate) fn get(self, path: &str, offset: u64, len: usize) -> afs_net::Result<Vec<u8>> {
         let _bk = backend_span("remote-get");
-        let mut w = WireWriter::new();
+        let mut w = WireWriter::with_capacity(1 + (4 + path.len()) + 8 + 4);
         w.u8(OP_GET).str(path).u64(offset).u32(len as u32);
-        let resp = self.net.rpc(self.service, &w.finish())?;
-        let mut r = check_status(&resp)?;
-        Ok(r.bytes()?.to_vec())
+        let mut resp = self.net.rpc(self.service, &w.finish())?;
+        let len = check_status(&resp)?.bytes()?.len();
+        // The reply is this call's own: the payload stays where it
+        // arrived, minus the header before it and anything after it.
+        resp.drain(..GET_HEADER);
+        resp.truncate(len);
+        Ok(resp)
     }
 
     pub(crate) fn put_acked(
@@ -377,7 +431,7 @@ impl Remote<'_> {
         floor: u64,
     ) -> afs_net::Result<(u64, u64)> {
         let _bk = backend_span("remote-put-acked");
-        let mut w = WireWriter::new();
+        let mut w = WireWriter::with_capacity(1 + (4 + path.len()) + 8 + 8 + (4 + data.len()));
         w.u8(OP_PUT_ACK)
             .str(path)
             .u64(offset)
@@ -396,14 +450,14 @@ impl Remote<'_> {
         data: &[u8],
     ) -> afs_net::Result<()> {
         let _bk = backend_span("remote-replicate");
-        let mut w = WireWriter::new();
+        let mut w = WireWriter::with_capacity(1 + (4 + path.len()) + 8 + 8 + (4 + data.len()));
         w.u8(OP_REPL).str(path).u64(offset).u64(seq).bytes(data);
         self.net.cast(self.service, &w.finish())
     }
 
     pub(crate) fn stat(self, path: &str) -> afs_net::Result<RemoteStat> {
         let _bk = backend_span("remote-stat");
-        let mut w = WireWriter::new();
+        let mut w = WireWriter::with_capacity(1 + (4 + path.len()));
         w.u8(OP_STAT).str(path);
         let resp = self.net.rpc(self.service, &w.finish())?;
         let mut r = check_status(&resp)?;
@@ -762,6 +816,419 @@ mod tests {
         client.replicate("/c/w", 0, 3, b"three").expect("repl");
         assert_eq!(server.version("/c/w"), 1);
         assert_eq!(client.get_all("/c/w").expect("get"), b"one");
+    }
+
+    /// `op`, `path` and the rest of a write request as the wire carries
+    /// them: `extra` is the floor (PUT_ACK) or the sequence (REPL).
+    fn write_request(op: u8, path: &str, offset: u64, extra: Option<u64>, data: &[u8]) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        w.u8(op).str(path).u64(offset);
+        if let Some(extra) = extra {
+            w.u64(extra);
+        }
+        w.bytes(data);
+        w.finish()
+    }
+
+    #[test]
+    fn a_write_past_the_file_limit_is_rejected_not_applied() {
+        let (server, client) = setup();
+        client.put("/w/x", 0, b"before").expect("put");
+        let rejected = |request: Vec<u8>| {
+            let reply = server.handle(&request).expect("well-formed");
+            assert!(
+                matches!(check_status(&reply), Err(NetError::Rejected(_))),
+                "{request:?} answered {reply:?}"
+            );
+        };
+        // An offset that wraps `offset + len`, and one that merely ends a
+        // byte past the limit.
+        for offset in [u64::MAX - 1, MAX_FILE_LEN - 1] {
+            rejected(write_request(OP_PUT, "/w/x", offset, None, b"xy"));
+            rejected(write_request(OP_PUT_ACK, "/w/x", offset, Some(0), b"xy"));
+            // In sequence, and ahead of a gap: a cast is refused when it
+            // arrives, not when its turn to apply comes.
+            rejected(write_request(OP_REPL, "/w/x", offset, Some(2), b"xy"));
+            rejected(write_request(OP_REPL, "/w/x", offset, Some(9), b"xy"));
+            // A path no write has named is not left behind in the table.
+            rejected(write_request(OP_PUT, "/w/fresh", offset, None, b"xy"));
+        }
+        assert!(server.pending_repl.lock().is_empty(), "nothing held back");
+        assert!(!server.files.read().contains_key("/w/fresh"));
+        // The server still serves, and nothing moved.
+        assert_eq!(server.version("/w/x"), 1);
+        assert_eq!(client.get_all("/w/x").expect("get"), b"before");
+        client.replicate("/w/x", 0, 2, b"after!").expect("repl");
+        assert_eq!(client.get_all("/w/x").expect("get"), b"after!");
+    }
+
+    #[test]
+    fn a_write_ending_exactly_at_the_file_limit_succeeds() {
+        let (_server, client) = setup();
+        client.put("/w/big", MAX_FILE_LEN - 2, b"xy").expect("put");
+        let stat = client.stat("/w/big").expect("stat");
+        assert_eq!(stat.len, MAX_FILE_LEN);
+        assert_eq!(
+            client.get("/w/big", MAX_FILE_LEN - 2, 8).expect("get"),
+            b"xy"
+        );
+    }
+
+    /// The server as it was before the table: a `versions` map beside
+    /// the `Vfs`, every message's path copied out and parsed again, every
+    /// reply built through `ok_response`. Kept as the reference the
+    /// table must agree with, reply for reply. (One client at a time, so
+    /// no locks; the write limit sits where the server's does.)
+    #[derive(Default)]
+    struct Model {
+        vfs: Vfs,
+        versions: HashMap<String, u64>,
+        pending_repl: HashMap<String, PendingCasts>,
+    }
+
+    impl Model {
+        fn version(&self, path: &str) -> u64 {
+            *self.versions.get(path).unwrap_or(&0)
+        }
+
+        fn bump(&mut self, path: &str) {
+            *self.versions.entry(path.to_owned()).or_insert(0) += 1;
+        }
+
+        fn ensure_file(vfs: &Vfs, vpath: &VPath) -> Result<(), String> {
+            if vfs.is_file(vpath) {
+                return Ok(());
+            }
+            if let Some(parent) = vpath.parent() {
+                vfs.create_dir_all(&parent).map_err(|e| e.to_string())?;
+            }
+            vfs.create_file(vpath).map_err(|e| e.to_string())
+        }
+
+        fn apply_repl(
+            &mut self,
+            path: &str,
+            offset: u64,
+            seq: u64,
+            data: Vec<u8>,
+        ) -> Result<u64, String> {
+            let vpath = FileServer::parse(path)?;
+            let v = self.versions.entry(path.to_owned()).or_insert(0);
+            if seq <= *v {
+                return Ok(*v);
+            }
+            let queue = self.pending_repl.entry(path.to_owned()).or_default();
+            if queue.len() < MAX_PENDING_REPL || queue.contains_key(&seq) {
+                queue.insert(seq, (offset, data));
+            }
+            while let Some((off, bytes)) = queue.remove(&(*v + 1)) {
+                Self::ensure_file(&self.vfs, &vpath)?;
+                self.vfs
+                    .write_stream(&vpath, off, &bytes)
+                    .map_err(|e| e.to_string())?;
+                *v += 1;
+            }
+            if queue.is_empty() {
+                self.pending_repl.remove(path);
+            }
+            Ok(*v)
+        }
+
+        fn handle(&mut self, request: &[u8]) -> Result<Vec<u8>, NetError> {
+            let mut r = afs_net::WireReader::new(request);
+            let op = r.u8()?;
+            let reply = match op {
+                OP_GET => {
+                    let path = r.str()?.to_owned();
+                    let offset = r.u64()?;
+                    let len = (r.u32()? as usize).min(MAX_TRANSFER);
+                    match FileServer::parse(&path).and_then(|vp| {
+                        let mut buf = vec![0u8; len];
+                        let n = self
+                            .vfs
+                            .read_stream(&vp, offset, &mut buf)
+                            .map_err(|e| e.to_string())?;
+                        buf.truncate(n);
+                        Ok(buf)
+                    }) {
+                        Ok(data) => ok_response(|w| {
+                            w.bytes(&data);
+                        }),
+                        Err(e) => err_response(&e),
+                    }
+                }
+                OP_PUT => {
+                    let path = r.str()?.to_owned();
+                    let offset = r.u64()?;
+                    let data = r.bytes()?.to_vec();
+                    match check_extent(offset, &data)
+                        .and_then(|()| FileServer::parse(&path))
+                        .and_then(|vp| {
+                            Self::ensure_file(&self.vfs, &vp)?;
+                            self.vfs
+                                .write_stream(&vp, offset, &data)
+                                .map_err(|e| e.to_string())
+                        }) {
+                        Ok(n) => {
+                            self.bump(&path);
+                            ok_response(|w| {
+                                w.u64(n as u64);
+                            })
+                        }
+                        Err(e) => err_response(&e),
+                    }
+                }
+                OP_PUT_ACK => {
+                    let path = r.str()?.to_owned();
+                    let offset = r.u64()?;
+                    let floor = r.u64()?;
+                    let data = r.bytes()?.to_vec();
+                    match check_extent(offset, &data)
+                        .and_then(|()| FileServer::parse(&path))
+                        .and_then(|vp| {
+                            let v = self.versions.entry(path.clone()).or_insert(0);
+                            if *v < floor {
+                                return Err(format!(
+                                    "copy at version {v} is behind session floor {floor}"
+                                ));
+                            }
+                            Self::ensure_file(&self.vfs, &vp)?;
+                            let n = self
+                                .vfs
+                                .write_stream(&vp, offset, &data)
+                                .map_err(|e| e.to_string())?;
+                            *v += 1;
+                            Ok((n, *v))
+                        }) {
+                        Ok((n, seq)) => ok_response(|w| {
+                            w.u64(n as u64).u64(seq);
+                        }),
+                        Err(e) => err_response(&e),
+                    }
+                }
+                OP_REPL => {
+                    let path = r.str()?.to_owned();
+                    let offset = r.u64()?;
+                    let seq = r.u64()?;
+                    let data = r.bytes()?.to_vec();
+                    match check_extent(offset, &data)
+                        .and_then(|()| self.apply_repl(&path, offset, seq, data))
+                    {
+                        Ok(version) => ok_response(|w| {
+                            w.u64(version);
+                        }),
+                        Err(e) => err_response(&e),
+                    }
+                }
+                OP_APPEND => {
+                    let path = r.str()?.to_owned();
+                    let data = r.bytes()?.to_vec();
+                    match FileServer::parse(&path).and_then(|vp| {
+                        Self::ensure_file(&self.vfs, &vp)?;
+                        let len = self.vfs.stream_len(&vp).map_err(|e| e.to_string())?;
+                        self.vfs
+                            .write_stream(&vp, len, &data)
+                            .map_err(|e| e.to_string())
+                    }) {
+                        Ok(n) => {
+                            self.bump(&path);
+                            ok_response(|w| {
+                                w.u64(n as u64);
+                            })
+                        }
+                        Err(e) => err_response(&e),
+                    }
+                }
+                OP_REPLACE => {
+                    let path = r.str()?.to_owned();
+                    let data = r.bytes()?.to_vec();
+                    match FileServer::parse(&path).and_then(|vp| {
+                        Self::ensure_file(&self.vfs, &vp)?;
+                        self.vfs
+                            .write_stream_replace(&vp, &data)
+                            .map_err(|e| e.to_string())
+                    }) {
+                        Ok(()) => {
+                            self.bump(&path);
+                            ok_response(|_| {})
+                        }
+                        Err(e) => err_response(&e),
+                    }
+                }
+                OP_STAT => {
+                    let path = r.str()?.to_owned();
+                    match FileServer::parse(&path)
+                        .and_then(|vp| self.vfs.stream_len(&vp).map_err(|e| e.to_string()))
+                    {
+                        Ok(len) => {
+                            let version = self.version(&path);
+                            ok_response(|w| {
+                                w.u64(len).u64(version);
+                            })
+                        }
+                        Err(e) => err_response(&e),
+                    }
+                }
+                OP_LIST => {
+                    let dir = r.str()?.to_owned();
+                    match FileServer::parse(&dir)
+                        .and_then(|vp| self.vfs.list_dir(&vp).map_err(|e| e.to_string()))
+                    {
+                        Ok(entries) => ok_response(|w| {
+                            w.seq(entries.len());
+                            for e in &entries {
+                                w.str(&e.name)
+                                    .bool(e.kind == afs_vfs::NodeKind::Directory)
+                                    .u64(e.len);
+                            }
+                        }),
+                        Err(e) => err_response(&e),
+                    }
+                }
+                OP_DELETE => {
+                    let path = r.str()?.to_owned();
+                    match FileServer::parse(&path)
+                        .and_then(|vp| self.vfs.delete(&vp).map_err(|e| e.to_string()))
+                    {
+                        Ok(()) => {
+                            self.bump(&path);
+                            ok_response(|_| {})
+                        }
+                        Err(e) => err_response(&e),
+                    }
+                }
+                t => err_response(&format!("unknown file-server op {t}")),
+            };
+            Ok(reply)
+        }
+    }
+
+    /// Paths only reads name, so the table must never hold them: a file
+    /// put there behind the server's back (its reads succeed), files that
+    /// never exist, and four paths that do not parse.
+    const READ_ONLY_PATHS: [&str; 8] = [
+        "/oob", "/never", "/never:s", "/d/never", "x", "/a//b", "/a:", "/a:s:t",
+    ];
+    /// Paths writes name too: a file beside one of its named streams,
+    /// two files in one directory, that directory itself (no write to it
+    /// can succeed), a path under a file (nor to it), and two that do
+    /// not parse.
+    const WRITTEN_PATHS: [&str; 9] = [
+        "/a", "/a:s", "/d/b", "/d/c.af", "/d", "/a/under", "/e/f/g", "x", "/a//b",
+    ];
+
+    fn pick<T: Copy>(rng: &mut afs_sim::SimRng, from: &[T]) -> T {
+        from[rng.next_below(from.len() as u64) as usize]
+    }
+
+    /// One seeded request: any of the nine ops (or 0, which is none),
+    /// aimed to hit the edges as often as the middle.
+    fn request(rng: &mut afs_sim::SimRng, server: &FileServer) -> Vec<u8> {
+        let op = rng.next_below(10) as u8;
+        let reads = matches!(op, OP_GET | OP_STAT | OP_LIST);
+        let path = if reads && rng.next_below(3) == 0 {
+            pick(rng, &READ_ONLY_PATHS)
+        } else {
+            pick(rng, &WRITTEN_PATHS)
+        };
+        let version = server.version(path);
+        let mut data = vec![0u8; rng.next_below(12) as usize];
+        data.fill_with(|| rng.next_u64() as u8);
+        // Mostly inside small files; sometimes past the file limit.
+        let offset = pick(rng, &[0, 0, 1, 5, 40, 300, MAX_FILE_LEN + 1, u64::MAX - 1]);
+        let mut w = WireWriter::new();
+        w.u8(op).str(path);
+        match op {
+            OP_GET => {
+                // Nothing, a little, past any file's end, past the cap.
+                let len = pick(rng, &[0, 1, 7, 4096, MAX_TRANSFER as u32 + 1, u32::MAX]);
+                w.u64(offset).u32(len);
+            }
+            OP_PUT => {
+                w.u64(offset).bytes(&data);
+            }
+            OP_PUT_ACK => {
+                // At, below and above what the copy holds.
+                let floor = pick(rng, &[0, version, version, version + 1, version + 7]);
+                w.u64(offset).u64(floor).bytes(&data);
+            }
+            OP_REPL => {
+                // In sequence, duplicates, stale ones, and gaps.
+                let ahead = pick(rng, &[1, 1, 1, 2, 2, 3, 5]);
+                let seq = pick(rng, &[0, version, version + ahead, version + ahead]);
+                w.u64(offset).u64(seq).bytes(&data);
+            }
+            OP_APPEND | OP_REPLACE => {
+                w.bytes(&data);
+            }
+            _ => {}
+        }
+        w.finish()
+    }
+
+    #[test]
+    fn the_table_changes_no_reply() {
+        for seed in 0..6 {
+            let mut rng = afs_sim::SimRng::new(seed);
+            let server = FileServer::new();
+            let mut model = Model::default();
+            for vfs in [&*server.vfs, &model.vfs] {
+                let oob = VPath::parse("/oob").expect("path");
+                vfs.create_file(&oob).expect("create");
+                vfs.write_stream(&oob, 0, b"out of band").expect("write");
+            }
+            let mut step = |request: Vec<u8>, what: &str| {
+                assert_eq!(
+                    server.handle(&request),
+                    model.handle(&request),
+                    "seed {seed} {what}: {request:?}"
+                );
+                for path in READ_ONLY_PATHS.iter().chain(&WRITTEN_PATHS) {
+                    assert_eq!(
+                        server.version(path),
+                        model.version(path),
+                        "seed {seed} {what}: version of {path} after {request:?}"
+                    );
+                }
+                let files = server.files.read();
+                for path in files.keys() {
+                    assert!(
+                        WRITTEN_PATHS.contains(&path.as_str()) && model.versions.contains_key(path),
+                        "seed {seed} {what}: the table holds {path}"
+                    );
+                }
+            };
+            // More casts than a path may hold back: the newest are
+            // dropped, and so, the queue being full, is the one that
+            // would fill the gap. One cast fewer, and it fills: the held
+            // ones drain in order.
+            let held = MAX_PENDING_REPL as u64;
+            for (path, last, drained) in [("/d/b", held + 40, 0), ("/d/c.af", held, held)] {
+                for seq in 2..=last {
+                    let cast = write_request(OP_REPL, path, seq % 50, Some(seq), b"held");
+                    step(cast, "flood");
+                }
+                let queued = server.pending_repl.lock()[path].len();
+                assert_eq!(queued, MAX_PENDING_REPL.min(last as usize - 1));
+                step(write_request(OP_REPL, path, 0, Some(1), b"gap"), "fill");
+                assert_eq!(server.version(path), drained);
+            }
+            for n in 0..1500 {
+                let request = request(&mut rng, &server);
+                step(request, &format!("step {n}"));
+            }
+            // And the bytes behind the replies.
+            for path in WRITTEN_PATHS {
+                let Ok(vpath) = VPath::parse(path) else {
+                    continue;
+                };
+                assert_eq!(
+                    server.vfs.read_stream_to_end(&vpath).ok(),
+                    model.vfs.read_stream_to_end(&vpath).ok(),
+                    "seed {seed}: bytes of {path}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,12 +1,17 @@
 //! What a cluster session costs the host, in heap allocations.
 //!
-//! A `ClusterClient` session owns a private copy of the fleet's hash
-//! ring, and a workload of short sessions opens one every few ops. The
-//! ring used to be built with a `format!`, a `String` clone and a
-//! `BTreeMap` insert per point — 1035 allocations for the open and first
-//! read below on a five-member fleet, against 24 for each read after it.
-//! These budgets keep that from coming back unnoticed: they sit ~20 %
-//! above what the code does today, far below what it did.
+//! A workload of short `ClusterClient` sessions opens one every few ops,
+//! so an open has to cost about what an op costs, and an op about what
+//! its messages carry. Neither was so: the ring used to be built per
+//! session with a `format!`, a `String` clone and a `BTreeMap` insert per
+//! point (1035 allocations for the open and first read below on a
+//! five-member fleet), then built flat but still per session (40); and a
+//! read re-derived per message what its receiver already knew (23
+//! allocations where 4 carry bytes). A session now owns its member names
+//! and shares the fleet's one built ring with every other session of the
+//! same membership, and a message is one buffer each way. These budgets
+//! keep the rest from coming back unnoticed: they sit ~20 % above what
+//! the code does today.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -18,11 +23,20 @@ use afs_sim::CostModel;
 use afs_telemetry::ClusterGauges;
 
 /// One open — `new`, five `add_node`s, `with_gauges` — and the first
-/// read (measured: 40, of which the read is 23).
-const OPEN_AND_FIRST_READ_BUDGET: u64 = 48;
-/// One steady-state read, a stat and a get round trip (measured: 23,
-/// most of them the servers' request parsing and replies).
-const READ_BUDGET: u64 = 28;
+/// read, on a fleet some session has placed on before (measured: 12 —
+/// the gauges, the five names, their `Vec` grown twice, and the read;
+/// 40 while every session built its ring, and the fleet's first session
+/// still pays 18 more to build the one they share).
+const OPEN_AND_FIRST_READ_BUDGET: u64 = 14;
+/// One steady-state read, a stat and a get round trip (measured: 4 —
+/// each request and each reply, nothing else; 23 while the server parsed
+/// the path of every message).
+const READ_BUDGET: u64 = 5;
+/// One steady-state write at two copies, a put-ack round trip and one
+/// replication cast (measured: 7 — the two requests, the two replies,
+/// and the replica queueing the cast before it applies it: its bytes,
+/// its path, a map node; 32 before).
+const WRITE_BUDGET: u64 = 8;
 
 const FLEET: usize = 5;
 
@@ -105,6 +119,9 @@ fn opening_a_session_costs_about_what_its_ops_cost() {
     let net = fleet();
     let members: Vec<String> = (0..FLEET).map(member).collect();
     let gauges = Arc::new(ClusterGauges::default());
+    // The fleet's first placement builds its ring; every session after
+    // that, this one included, finds it built.
+    drop(open(&net, &members, &gauges).owners("/data/f.af"));
     let spent = allocations(|| {
         let session = open(&net, &members, &gauges);
         assert_eq!(session.read("/data/f.af", 0, 128).expect("read").len(), 128);
@@ -130,5 +147,25 @@ fn a_steady_state_read_stays_within_its_budget() {
     assert!(
         spent <= READS * READ_BUDGET,
         "{READS} reads made {spent} allocations, budget {READ_BUDGET} each"
+    );
+}
+
+#[test]
+fn a_steady_state_write_stays_within_its_budget() {
+    let net = fleet();
+    let members: Vec<String> = (0..FLEET).map(member).collect();
+    let session = open(&net, &members, &Arc::new(ClusterGauges::default()));
+    session
+        .write("/data/f.af", 0, &[1u8; 128])
+        .expect("warm-up write");
+    const WRITES: u64 = 100;
+    let spent = allocations(|| {
+        for _ in 0..WRITES {
+            assert_eq!(session.write("/data/f.af", 0, &[2u8; 128]), Ok(128));
+        }
+    });
+    assert!(
+        spent <= WRITES * WRITE_BUDGET,
+        "{WRITES} writes made {spent} allocations, budget {WRITE_BUDGET} each"
     );
 }
