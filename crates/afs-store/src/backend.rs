@@ -273,11 +273,6 @@ impl DurableBackend {
         Ok((DurableBackend { store, model }, report))
     }
 
-    /// Wraps an already-open store (tests, tools).
-    pub fn from_store(store: PageStore, model: CostModel) -> Self {
-        DurableBackend { store, model }
-    }
-
     /// The underlying store.
     pub fn store(&self) -> &PageStore {
         &self.store
@@ -307,9 +302,6 @@ impl StoreBackend for DurableBackend {
     }
 
     fn set_len(&mut self, len: u64) -> Result<(), StoreError> {
-        if len > isize::MAX as u64 {
-            return Err(StoreError::InvalidParameter);
-        }
         self.store.set_len(len)
     }
 

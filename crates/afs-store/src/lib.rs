@@ -3,7 +3,7 @@
 //! The durability subsystem of the Active Files reproduction: a page-based
 //! backing store whose mutations go through a checksummed write-ahead log
 //! (group commit in virtual time), with redo-on-reopen recovery,
-//! torn-write detection, checkpointing, snapshot/backup, and a
+//! torn-write detection, checkpointing, serialize/deserialize, and a
 //! crash-injection harness that kills a run at *every* WAL byte boundary
 //! and proves recovery is exact.
 //!
@@ -16,7 +16,6 @@
 //!   active file).
 //! - [`store`] — [`PageStore`]: staging, commit, checkpoint, recovery,
 //!   serialize/deserialize.
-//! - [`snapshot`] — [`Backup`]: stepwise online copy between stores.
 //! - [`crash`] — [`crash_sweep`]: the every-boundary kill-point harness.
 //!
 //! Costs are charged to the §4 virtual-time model at the medium boundary
@@ -27,14 +26,12 @@ pub mod backend;
 pub mod checksum;
 pub mod crash;
 pub mod medium;
-pub mod snapshot;
 pub mod store;
 pub mod wal;
 
 pub use backend::{BackendKind, DurableBackend, MemBackend, StoreBackend, VfsBackend};
 pub use crash::{crash_sweep, CrashOp, CrashReport};
 pub use medium::{MemMedium, StoreMedium, VfsMedium, PAGES_STREAM, WAL_STREAM};
-pub use snapshot::{Backup, BackupStep};
 pub use store::{
     CheckpointReport, PageStore, RecoveryReport, StoreOptions, StoreStats, SyncMode, PAGES_HEADER,
 };

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use afs_vfs::{VPath, Vfs};
+use afs_vfs::{VPath, Vfs, VfsError};
 
 use crate::StoreError;
 
@@ -141,7 +141,7 @@ impl VfsMedium {
         match self.vfs.read_stream_to_end(path) {
             Ok(bytes) => Ok(bytes),
             // A stream that was never written reads as empty.
-            Err(afs_vfs::VfsError::StreamNotFound(_)) => Ok(Vec::new()),
+            Err(VfsError::StreamNotFound(_)) => Ok(Vec::new()),
             Err(e) => Err(StoreError::from(e)),
         }
     }
@@ -167,17 +167,16 @@ impl StoreMedium for VfsMedium {
     }
 
     fn append_wal(&self, data: &[u8]) -> Result<(), StoreError> {
-        let at = self.vfs.stream_len(&self.wal).unwrap_or(0);
-        self.vfs.write_stream(&self.wal, at, data)?;
+        self.vfs.append_stream(&self.wal, data)?;
         Ok(())
     }
 
     fn truncate_wal(&self, len: u64) -> Result<(), StoreError> {
-        if len == 0 && self.vfs.stream_len(&self.wal).is_err() {
-            return Ok(());
+        match self.vfs.set_stream_len(&self.wal, len) {
+            // A WAL never written is already empty.
+            Err(VfsError::StreamNotFound(_) | VfsError::NotFound(_)) if len == 0 => Ok(()),
+            other => other.map_err(StoreError::from),
         }
-        self.vfs.set_stream_len(&self.wal, len)?;
-        Ok(())
     }
 
     fn sync(&self) -> Result<(), StoreError> {

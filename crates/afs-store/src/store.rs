@@ -1,12 +1,14 @@
 //! The durable page store: in-memory content, WAL-first durability.
 //!
 //! All reads and writes act on an in-memory copy of the content; every
-//! mutation is *staged* as a [`WalRecord`] and becomes durable when the
-//! batch commits — one framed append of the whole batch plus a
-//! [`WalRecord::Commit`] seal (group commit), followed by an fsync
-//! barrier. A checkpoint writes the dirty pages into the pages area and
-//! truncates the WAL. Reopening replays the committed WAL prefix over the
-//! checkpointed pages (redo recovery) and discards any torn tail.
+//! mutation is *staged* by framing its WAL record straight onto one
+//! reusable buffer, so the staged batch is its own WAL image. It becomes
+//! durable when the batch commits — a
+//! [`Commit`](crate::WalRecord::Commit) seal framed onto the end and that
+//! one slice appended (group commit), followed by an fsync barrier. A
+//! checkpoint writes the dirty pages (one bit each) into the pages area
+//! and truncates the WAL. Reopening replays the committed WAL prefix over
+//! the checkpointed pages (redo recovery) and discards any torn tail.
 //!
 //! Costs are charged to the §4 virtual-time model at the medium boundary:
 //! one [`Cost::Syscall`] plus [`Cost::DiskWriteBytes`] per WAL append or
@@ -14,14 +16,13 @@
 //! [`Cost::DiskReadBytes`] scan on open — so durability has an honest,
 //! reproducible price in every `OpTrace` and bench cell.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use afs_sim::{Cost, CostModel};
 use afs_telemetry::StoreGauges;
 
 use crate::medium::StoreMedium;
-use crate::wal::{self, WalRecord};
+use crate::wal::{self, KIND_COMMIT, KIND_SET_LEN, KIND_WRITE};
 use crate::StoreError;
 
 const MAGIC: &[u8; 4] = b"AFPG";
@@ -145,9 +146,11 @@ pub struct StoreStats {
 pub struct PageStore {
     medium: Box<dyn StoreMedium>,
     content: Vec<u8>,
-    staged: Vec<WalRecord>,
-    dirty_pages: BTreeSet<u64>,
-    len_dirty: bool,
+    /// The staged batch, framed exactly as it will land in the WAL.
+    staged: Vec<u8>,
+    staged_records: u64,
+    /// One bit per page changed since the last checkpoint.
+    dirty: Vec<u64>,
     wal_len: u64,
     commit_seq: u64,
     checkpoint_seq: u64,
@@ -221,7 +224,7 @@ impl PageStore {
         });
 
         let fresh = pages_image.is_empty() && wal_image.is_empty();
-        let (mut content, checkpoint_seq) = if pages_image.is_empty() {
+        let (content, checkpoint_seq) = if pages_image.is_empty() {
             (Vec::new(), 0)
         } else {
             let (page_size, content_len, checkpoint_seq) = parse_header(&pages_image)?;
@@ -237,32 +240,39 @@ impl PageStore {
         };
 
         let scan = wal::scan(&wal_image);
-        let mut dirty_pages = BTreeSet::new();
-        let mut len_dirty = false;
+        let mut store = PageStore {
+            medium,
+            content,
+            staged: Vec::new(),
+            staged_records: 0,
+            dirty: Vec::new(),
+            wal_len: scan.committed_len,
+            commit_seq: scan.last_commit_seq.max(checkpoint_seq),
+            checkpoint_seq,
+            opts,
+            model,
+            gauges,
+            stats: StoreStats::default(),
+        };
         let mut recovered_records = 0u64;
         let mut recovered_commits = 0u64;
         for record in &scan.records[..scan.committed_records as usize] {
-            wal::apply(&mut content, record);
-            match record {
-                WalRecord::Write { offset, data } => {
-                    mark_dirty(&mut dirty_pages, opts.page_size, *offset, data.len());
+            match record.parts() {
+                (KIND_COMMIT, ..) => recovered_commits += 1,
+                (kind, word, data) => {
+                    store.apply(kind, word, data);
                     recovered_records += 1;
                 }
-                WalRecord::SetLen { .. } => {
-                    len_dirty = true;
-                    recovered_records += 1;
-                }
-                WalRecord::Commit { .. } => recovered_commits += 1,
             }
         }
         let discarded = wal_image.len() as u64 - scan.committed_len;
         if discarded > 0 {
             // Cleanly drop the tail so later appends land at a seal.
-            medium.truncate_wal(scan.committed_len)?;
+            store.medium.truncate_wal(scan.committed_len)?;
         }
-        gauges.recovered(recovered_records);
+        store.gauges.recovered(recovered_records);
         if scan.torn {
-            gauges.torn();
+            store.gauges.torn();
         }
         let report = RecoveryReport {
             fresh,
@@ -270,34 +280,15 @@ impl PageStore {
             recovered_commits,
             torn_detected: scan.torn,
             discarded_bytes: discarded,
-            content_len: content.len() as u64,
+            content_len: store.len(),
         };
-        let commit_seq = scan.last_commit_seq.max(checkpoint_seq);
-        let stats = StoreStats {
+        store.stats = StoreStats {
             recovered_records,
             torn_detected: scan.torn,
-            wal_len: scan.committed_len,
-            content_len: content.len() as u64,
             sync: opts.sync,
             ..StoreStats::default()
         };
-        Ok((
-            PageStore {
-                medium,
-                content,
-                staged: Vec::new(),
-                dirty_pages,
-                len_dirty,
-                wal_len: scan.committed_len,
-                commit_seq,
-                checkpoint_seq,
-                opts,
-                model,
-                gauges,
-                stats,
-            },
-            report,
-        ))
+        Ok((store, report))
     }
 
     /// Current content length.
@@ -332,7 +323,7 @@ impl PageStore {
 
     /// Records staged since the last commit.
     pub fn staged_records(&self) -> u64 {
-        self.staged.len() as u64
+        self.staged_records
     }
 
     /// Switches the durability mode at runtime (the consistency knob).
@@ -344,7 +335,7 @@ impl PageStore {
     /// Per-store counters.
     pub fn stats(&self) -> StoreStats {
         let mut s = self.stats;
-        s.staged_records = self.staged.len() as u64;
+        s.staged_records = self.staged_records;
         s.wal_len = self.wal_len;
         s.content_len = self.content.len() as u64;
         s
@@ -364,34 +355,19 @@ impl PageStore {
     /// cache's warm-up. The seed becomes durable at the next checkpoint.
     pub fn seed(&mut self, contents: &[u8]) {
         debug_assert!(self.content.is_empty() && self.wal_len == 0);
-        self.content = contents.to_vec();
-        mark_dirty(
-            &mut self.dirty_pages,
-            self.opts.page_size,
-            0,
-            contents.len(),
-        );
-        self.len_dirty = !contents.is_empty();
+        self.apply(KIND_WRITE, 0, contents);
     }
 
     /// Writes `data` at `offset`, staging a redo record.
     ///
     /// # Errors
     ///
-    /// Medium errors from an auto-commit (`sync=always`).
+    /// [`StoreError::InvalidParameter`] for a range past `isize::MAX`
+    /// (the WAL range rule); medium errors from an auto-commit
+    /// (`sync=always`).
     pub fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<usize, StoreError> {
-        let record = WalRecord::Write {
-            offset,
-            data: data.to_vec(),
-        };
-        wal::apply(&mut self.content, &record);
-        mark_dirty(
-            &mut self.dirty_pages,
-            self.opts.page_size,
-            offset,
-            data.len(),
-        );
-        self.staged.push(record);
+        wal::range_end(offset, data.len()).ok_or(StoreError::InvalidParameter)?;
+        self.stage(KIND_WRITE, offset, data);
         self.after_mutation()?;
         Ok(data.len())
     }
@@ -400,12 +376,10 @@ impl PageStore {
     ///
     /// # Errors
     ///
-    /// Medium errors from an auto-commit (`sync=always`).
+    /// As [`PageStore::write_at`].
     pub fn set_len(&mut self, len: u64) -> Result<(), StoreError> {
-        let record = WalRecord::SetLen { len };
-        wal::apply(&mut self.content, &record);
-        self.len_dirty = true;
-        self.staged.push(record);
+        wal::range_end(len, 0).ok_or(StoreError::InvalidParameter)?;
+        self.stage(KIND_SET_LEN, len, &[]);
         self.after_mutation()
     }
 
@@ -415,29 +389,42 @@ impl PageStore {
     ///
     /// Medium errors from an auto-commit (`sync=always`).
     pub fn replace(&mut self, contents: &[u8]) -> Result<(), StoreError> {
-        self.set_len_quiet(contents.len() as u64);
+        self.stage(KIND_SET_LEN, contents.len() as u64, &[]);
         if !contents.is_empty() {
-            let record = WalRecord::Write {
-                offset: 0,
-                data: contents.to_vec(),
-            };
-            wal::apply(&mut self.content, &record);
-            mark_dirty(
-                &mut self.dirty_pages,
-                self.opts.page_size,
-                0,
-                contents.len(),
-            );
-            self.staged.push(record);
+            self.stage(KIND_WRITE, 0, contents);
         }
         self.after_mutation()
     }
 
-    fn set_len_quiet(&mut self, len: u64) {
-        let record = WalRecord::SetLen { len };
-        wal::apply(&mut self.content, &record);
-        self.len_dirty = true;
-        self.staged.push(record);
+    /// Applies one mutation to the content and marks the pages it changed:
+    /// a write its bytes, a `SetLen` every page in `[min(old, new),
+    /// max(old, new))` — bytes a truncate dropped must reach the pages
+    /// area as zeros if the content grows back over them.
+    fn apply(&mut self, kind: u8, word: u64, data: &[u8]) {
+        let old = self.len();
+        wal::redo(&mut self.content, kind, word, data);
+        let (from, to) = if kind == KIND_WRITE {
+            (word, word + data.len() as u64)
+        } else {
+            (old.min(word), old.max(word))
+        };
+        if from < to {
+            let ps = u64::from(self.opts.page_size);
+            let (first, last) = (from / ps, (to - 1) / ps);
+            if self.dirty.len() as u64 <= last / 64 {
+                self.dirty.resize(last as usize / 64 + 1, 0);
+            }
+            for page in first..=last {
+                self.dirty[page as usize / 64] |= 1 << (page % 64);
+            }
+        }
+    }
+
+    /// Applies one mutation and frames its record onto the staged batch.
+    fn stage(&mut self, kind: u8, word: u64, data: &[u8]) {
+        self.apply(kind, word, data);
+        wal::frame(&mut self.staged, kind, word, data);
+        self.staged_records += 1;
     }
 
     fn after_mutation(&mut self) -> Result<(), StoreError> {
@@ -447,40 +434,31 @@ impl PageStore {
         Ok(())
     }
 
-    /// Commits the staged batch: one framed append of every staged record
-    /// plus a commit seal, then (unless `sync=off`) an fsync barrier.
-    /// Returns the commit sequence, or `None` when nothing was staged.
+    /// Commits the staged batch: the commit seal framed onto its end, the
+    /// whole batch appended in one call, then (unless `sync=off`) an fsync
+    /// barrier. Returns the commit sequence, or `None` when nothing was
+    /// staged.
     ///
     /// # Errors
     ///
-    /// Medium errors; the batch stays staged on failure.
+    /// Medium errors; the batch stays staged on failure, without its seal,
+    /// so a retry seals it once, with the same sequence number.
     pub fn commit(&mut self) -> Result<Option<u64>, StoreError> {
-        if self.staged.is_empty() {
+        if self.staged_records == 0 {
             return Ok(None);
         }
         let seq = self.commit_seq + 1;
-        let mut buf = Vec::new();
-        let mut records = 0u64;
-        for record in &self.staged {
-            record.encode_into(&mut buf);
-            records += 1;
+        let batch_len = self.staged.len();
+        wal::frame(&mut self.staged, KIND_COMMIT, seq, &[]);
+        if let Err(e) = self.append_staged() {
+            self.staged.truncate(batch_len);
+            return Err(e);
         }
-        WalRecord::Commit { seq }.encode_into(&mut buf);
-        records += 1;
-        self.medium.append_wal(&buf)?;
-        self.model.charge(Cost::Syscall);
-        self.model.charge(Cost::DiskWriteBytes { bytes: buf.len() });
-        self.gauges.wal_append(buf.len() as u64);
-        self.stats.wal_appends += records;
-        self.stats.wal_bytes += buf.len() as u64;
-        if self.opts.sync != SyncMode::Off {
-            self.medium.sync()?;
-            self.model.charge(Cost::DiskAccess);
-            self.gauges.fsync();
-            self.stats.fsyncs += 1;
-        }
+        self.wal_len += self.staged.len() as u64;
         self.staged.clear();
-        self.wal_len += buf.len() as u64;
+        // Steady batches reuse the buffer; a one-off large one is released.
+        self.staged.shrink_to(self.opts.page_size as usize);
+        self.staged_records = 0;
         self.commit_seq = seq;
         self.gauges.commit();
         self.stats.commits += 1;
@@ -491,6 +469,24 @@ impl PageStore {
             self.checkpoint()?;
         }
         Ok(Some(seq))
+    }
+
+    /// Appends the sealed staged batch and, unless `sync=off`, syncs it.
+    fn append_staged(&mut self) -> Result<(), StoreError> {
+        let bytes = self.staged.len();
+        self.medium.append_wal(&self.staged)?;
+        self.model.charge(Cost::Syscall);
+        self.model.charge(Cost::DiskWriteBytes { bytes });
+        self.gauges.wal_append(bytes as u64);
+        self.stats.wal_appends += self.staged_records + 1;
+        self.stats.wal_bytes += bytes as u64;
+        if self.opts.sync != SyncMode::Off {
+            self.medium.sync()?;
+            self.model.charge(Cost::DiskAccess);
+            self.gauges.fsync();
+            self.stats.fsyncs += 1;
+        }
+        Ok(())
     }
 
     /// Commits, then writes every dirty page (and the header) into the
@@ -505,20 +501,25 @@ impl PageStore {
         // this cannot recurse.
         self.commit()?;
         let ps = u64::from(self.opts.page_size);
+        let len = self.len();
         let mut pages_written = 0u64;
         let mut bytes_written = 0u64;
-        for &page in &self.dirty_pages {
-            let start = page * ps;
-            if start >= self.content.len() as u64 {
-                continue;
+        for (i, &word) in self.dirty.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let start = (i as u64 * 64 + u64::from(bits.trailing_zeros())) * ps;
+                bits &= bits - 1;
+                if start >= len {
+                    continue;
+                }
+                let end = (start + ps).min(len);
+                self.medium.write_pages_at(
+                    PAGES_HEADER as u64 + start,
+                    &self.content[start as usize..end as usize],
+                )?;
+                pages_written += 1;
+                bytes_written += end - start;
             }
-            let end = (start + ps).min(self.content.len() as u64);
-            self.medium.write_pages_at(
-                PAGES_HEADER as u64 + start,
-                &self.content[start as usize..end as usize],
-            )?;
-            pages_written += 1;
-            bytes_written += end - start;
         }
         let header = encode_header(
             self.opts.page_size,
@@ -544,8 +545,7 @@ impl PageStore {
         self.stats.fsyncs += 1;
         self.wal_len = 0;
         self.checkpoint_seq = self.commit_seq;
-        self.dirty_pages.clear();
-        self.len_dirty = false;
+        self.dirty.fill(0);
         Ok(CheckpointReport {
             pages_written,
             wal_truncated_bytes: truncated,
@@ -595,22 +595,18 @@ impl PageStore {
     }
 }
 
-fn mark_dirty(dirty: &mut BTreeSet<u64>, page_size: u32, offset: u64, len: usize) {
-    if len == 0 {
-        return;
-    }
-    let ps = u64::from(page_size);
-    let first = offset / ps;
-    let last = (offset + len as u64 - 1) / ps;
-    for page in first..=last {
-        dirty.insert(page);
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    use rand::rngs::SmallRng;
+    use rand::{Rng, RngCore, SeedableRng};
+
     use super::*;
+    use crate::checksum::tests::crc32_bytewise;
     use crate::medium::MemMedium;
+    use crate::wal::WalRecord;
 
     fn open_mem(medium: &MemMedium, opts: StoreOptions) -> (PageStore, RecoveryReport) {
         PageStore::open(
@@ -802,5 +798,415 @@ mod tests {
             before.disk_accesses + 1,
             "fsync charged"
         );
+    }
+
+    #[test]
+    fn a_truncate_then_checkpoint_leaves_zeros_not_the_old_bytes() {
+        let medium = MemMedium::new();
+        let opts = StoreOptions {
+            page_size: 32,
+            ..no_auto()
+        };
+        let (mut store, _) = open_mem(&medium, opts);
+        store.write_at(0, &[0xAA; 119]).expect("write");
+        store.checkpoint().expect("checkpoint");
+        store.set_len(50).expect("truncate");
+        store.write_at(110, &[0xBB; 9]).expect("write");
+        store.checkpoint().expect("checkpoint");
+        let mut expected = [0xAA; 119];
+        expected[50..110].fill(0);
+        expected[110..].fill(0xBB);
+        assert_eq!(store.contents(), expected);
+        let (pages, wal) = medium.images();
+        assert!(wal.is_empty());
+        assert_eq!(&pages[PAGES_HEADER..], expected, "the pages area alone");
+        drop(store);
+        let (store, _) = open_mem(&medium, opts);
+        assert_eq!(store.contents(), expected, "bytes 50..110 read back zero");
+    }
+
+    #[test]
+    fn a_range_no_buffer_can_hold_is_refused_and_recovered_from() {
+        let medium = MemMedium::new();
+        let (mut store, _) = open_mem(&medium, no_auto());
+        store.write_at(0, b"kept").expect("write");
+        store.commit().expect("commit");
+        let max = isize::MAX as u64;
+        assert_eq!(
+            store.write_at(u64::MAX - 1, b"wrap"),
+            Err(StoreError::InvalidParameter)
+        );
+        assert_eq!(store.set_len(max + 1), Err(StoreError::InvalidParameter));
+        assert_eq!(store.staged_records(), 0, "a refusal stages nothing");
+        drop(store);
+        // Well framed, checksum-valid and sealed, yet no content buffer
+        // can hold it: recovery reads it as damage instead of panicking.
+        let (pages, good) = medium.images();
+        for bad in [
+            WalRecord::Write {
+                offset: u64::MAX - 1,
+                data: vec![0xEE; 4],
+            },
+            WalRecord::SetLen { len: max + 1 },
+        ] {
+            let mut wal = good.clone();
+            bad.encode_into(&mut wal);
+            WalRecord::Commit { seq: 2 }.encode_into(&mut wal);
+            let damaged = MemMedium::from_parts(pages.clone(), wal.clone());
+            let (store, report) = open_mem(&damaged, no_auto());
+            assert_eq!(store.contents(), b"kept", "{bad:?}");
+            assert!(report.torn_detected, "{bad:?}");
+            assert_eq!(report.discarded_bytes, (wal.len() - good.len()) as u64);
+            assert_eq!(store.commit_seq(), 1);
+        }
+    }
+
+    /// A [`MemMedium`] whose next append or sync fails when armed.
+    #[derive(Debug, Clone, Default)]
+    struct Failing {
+        inner: MemMedium,
+        fail_append: Arc<AtomicBool>,
+        fail_sync: Arc<AtomicBool>,
+    }
+
+    impl StoreMedium for Failing {
+        fn read_pages(&self) -> Result<Vec<u8>, StoreError> {
+            self.inner.read_pages()
+        }
+        fn write_pages_at(&self, offset: u64, data: &[u8]) -> Result<(), StoreError> {
+            self.inner.write_pages_at(offset, data)
+        }
+        fn set_pages_len(&self, len: u64) -> Result<(), StoreError> {
+            self.inner.set_pages_len(len)
+        }
+        fn read_wal(&self) -> Result<Vec<u8>, StoreError> {
+            self.inner.read_wal()
+        }
+        fn append_wal(&self, data: &[u8]) -> Result<(), StoreError> {
+            if self.fail_append.swap(false, Ordering::Relaxed) {
+                return Err(StoreError::Io("append refused".into()));
+            }
+            self.inner.append_wal(data)
+        }
+        fn truncate_wal(&self, len: u64) -> Result<(), StoreError> {
+            self.inner.truncate_wal(len)
+        }
+        fn sync(&self) -> Result<(), StoreError> {
+            if self.fail_sync.swap(false, Ordering::Relaxed) {
+                return Err(StoreError::Io("sync refused".into()));
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_failed_commit_leaves_the_batch_staged_and_the_retry_seals_it_once() {
+        for fail_sync in [false, true] {
+            let medium = Failing::default();
+            let (mut store, _) = PageStore::open(
+                Box::new(medium.clone()),
+                no_auto(),
+                CostModel::free(),
+                Arc::new(StoreGauges::default()),
+            )
+            .expect("open");
+            store.write_at(0, b"abc").expect("write");
+            store.set_len(5).expect("set_len");
+            let armed = if fail_sync {
+                &medium.fail_sync
+            } else {
+                &medium.fail_append
+            };
+            armed.store(true, Ordering::Relaxed);
+            assert!(store.commit().is_err(), "fail_sync={fail_sync}");
+            assert_eq!((store.staged_records(), store.commit_seq()), (2, 0));
+            let (_, first) = medium.inner.images();
+            assert_eq!(store.commit(), Ok(Some(1)), "the retry commits as seq 1");
+            assert_eq!(store.staged_records(), 0);
+            let (_, wal) = medium.inner.images();
+            let retry = &wal[first.len()..];
+            let scan = wal::scan(retry);
+            assert_eq!(
+                scan.records,
+                [
+                    WalRecord::Write {
+                        offset: 0,
+                        data: b"abc".to_vec()
+                    },
+                    WalRecord::SetLen { len: 5 },
+                    WalRecord::Commit { seq: 1 },
+                ],
+                "fail_sync={fail_sync}: one batch, one seal"
+            );
+            assert_eq!(scan.committed_len, retry.len() as u64);
+            if fail_sync {
+                // The failed attempt's append reached the medium; the
+                // retry appended the very same bytes.
+                assert_eq!(first, retry);
+            } else {
+                assert!(first.is_empty());
+            }
+            drop(store);
+            let (store, _) = PageStore::open(
+                Box::new(medium),
+                no_auto(),
+                CostModel::free(),
+                Arc::new(StoreGauges::default()),
+            )
+            .expect("reopen");
+            assert_eq!((store.contents(), store.commit_seq()), (&b"abc\0\0"[..], 1));
+        }
+    }
+
+    /// The staging this module did before a batch was its own WAL image,
+    /// kept as the reference the framed batch is held to: records staged
+    /// as [`WalRecord`]s, each framed through a body `Vec` with the
+    /// bytewise CRC, dirty pages in a `BTreeSet`, and — the bug — a
+    /// `set_len` that marks no page.
+    #[derive(Debug)]
+    struct Reference {
+        medium: MemMedium,
+        content: Vec<u8>,
+        staged: Vec<WalRecord>,
+        dirty: BTreeSet<u64>,
+        wal_len: u64,
+        commit_seq: u64,
+        opts: StoreOptions,
+        stats: StoreStats,
+    }
+
+    fn reference_encode(record: &WalRecord, out: &mut Vec<u8>) {
+        let mut body = Vec::new();
+        match record {
+            WalRecord::Write { offset, data } => {
+                body.push(1);
+                body.extend_from_slice(&offset.to_le_bytes());
+                body.extend_from_slice(data);
+            }
+            WalRecord::SetLen { len } => {
+                body.push(2);
+                body.extend_from_slice(&len.to_le_bytes());
+            }
+            WalRecord::Commit { seq } => {
+                body.push(3);
+                body.extend_from_slice(&seq.to_le_bytes());
+            }
+        }
+        out.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        out.extend_from_slice(&body);
+        out.extend_from_slice(&crc32_bytewise(&body).to_le_bytes());
+    }
+
+    impl Reference {
+        fn new(opts: StoreOptions) -> Self {
+            Reference {
+                medium: MemMedium::new(),
+                content: Vec::new(),
+                staged: Vec::new(),
+                dirty: BTreeSet::new(),
+                wal_len: 0,
+                commit_seq: 0,
+                opts,
+                stats: StoreStats {
+                    sync: opts.sync,
+                    ..StoreStats::default()
+                },
+            }
+        }
+
+        fn stage(&mut self, record: WalRecord) {
+            match &record {
+                WalRecord::Write { offset, data } => {
+                    let end = *offset as usize + data.len();
+                    if self.content.len() < end {
+                        self.content.resize(end, 0);
+                    }
+                    self.content[*offset as usize..end].copy_from_slice(data);
+                    let ps = u64::from(self.opts.page_size);
+                    if !data.is_empty() {
+                        let last = (offset + data.len() as u64 - 1) / ps;
+                        self.dirty.extend(offset / ps..=last);
+                    }
+                }
+                WalRecord::SetLen { len } => self.content.resize(*len as usize, 0),
+                WalRecord::Commit { .. } => unreachable!("commits are not staged"),
+            }
+            self.staged.push(record);
+        }
+
+        fn mutated(&mut self) {
+            if self.opts.sync == SyncMode::Always {
+                self.commit();
+            }
+        }
+
+        fn write_at(&mut self, offset: u64, data: &[u8]) {
+            let data = data.to_vec();
+            self.stage(WalRecord::Write { offset, data });
+            self.mutated();
+        }
+
+        fn set_len(&mut self, len: u64) {
+            self.stage(WalRecord::SetLen { len });
+            self.mutated();
+        }
+
+        fn replace(&mut self, contents: &[u8]) {
+            self.stage(WalRecord::SetLen {
+                len: contents.len() as u64,
+            });
+            if !contents.is_empty() {
+                let data = contents.to_vec();
+                self.stage(WalRecord::Write { offset: 0, data });
+            }
+            self.mutated();
+        }
+
+        fn commit(&mut self) {
+            if self.staged.is_empty() {
+                return;
+            }
+            let seq = self.commit_seq + 1;
+            let mut buf = Vec::new();
+            for record in &self.staged {
+                reference_encode(record, &mut buf);
+            }
+            reference_encode(&WalRecord::Commit { seq }, &mut buf);
+            self.medium.append_wal(&buf).expect("append");
+            self.stats.wal_appends += self.staged.len() as u64 + 1;
+            self.stats.wal_bytes += buf.len() as u64;
+            if self.opts.sync != SyncMode::Off {
+                self.stats.fsyncs += 1;
+            }
+            self.staged.clear();
+            self.wal_len += buf.len() as u64;
+            self.commit_seq = seq;
+            self.stats.commits += 1;
+            let limit = u64::from(self.opts.checkpoint_pages) * u64::from(self.opts.page_size);
+            if self.opts.checkpoint_pages > 0 && self.wal_len >= limit {
+                self.checkpoint();
+            }
+        }
+
+        fn checkpoint(&mut self) {
+            self.commit();
+            let ps = u64::from(self.opts.page_size);
+            let len = self.content.len() as u64;
+            for &page in &self.dirty {
+                let start = page * ps;
+                if start < len {
+                    let end = (start + ps).min(len) as usize;
+                    let bytes = &self.content[start as usize..end];
+                    let at = PAGES_HEADER as u64 + start;
+                    self.medium.write_pages_at(at, bytes).expect("pages");
+                }
+            }
+            let header = encode_header(self.opts.page_size, len, self.commit_seq);
+            self.medium.write_pages_at(0, &header).expect("header");
+            self.medium
+                .set_pages_len(PAGES_HEADER as u64 + len)
+                .expect("pages len");
+            self.medium.truncate_wal(0).expect("truncate");
+            self.stats.checkpoints += 1;
+            self.stats.fsyncs += 1;
+            self.wal_len = 0;
+            self.dirty.clear();
+        }
+
+        fn stats(&self) -> StoreStats {
+            StoreStats {
+                staged_records: self.staged.len() as u64,
+                wal_len: self.wal_len,
+                content_len: self.content.len() as u64,
+                ..self.stats
+            }
+        }
+    }
+
+    fn seed_from_env() -> u64 {
+        std::env::var("AFS_TEST_SEED")
+            .ok()
+            .and_then(|v| v.trim().parse().ok())
+            .unwrap_or(0xAF5_0001)
+    }
+
+    /// The framing change alters nothing a reader of the medium can see:
+    /// seeded scripts drive the store and the reference side by side, and
+    /// after every step the WAL images are byte-equal, and so are the
+    /// pages areas except where the reference kept bytes a truncate had
+    /// dropped — there the store holds zeros, as its content does.
+    /// `AFS_TEST_SEED` varies the scripts (CI's crash-sweep lanes).
+    #[test]
+    fn the_medium_holds_the_reference_framings_bytes() {
+        let seed = seed_from_env();
+        for page_size in [8u32, 4096] {
+            for sync in [SyncMode::Always, SyncMode::Commit, SyncMode::Off] {
+                let opts = StoreOptions {
+                    page_size,
+                    sync,
+                    checkpoint_pages: 4,
+                };
+                let label = format!("seed {seed} page {page_size} sync {}", sync.label());
+                let mut rng = SmallRng::seed_from_u64(seed ^ u64::from(page_size) ^ sync as u64);
+                let medium = MemMedium::new();
+                let (mut store, _) = open_mem(&medium, opts);
+                let mut reference = Reference::new(opts);
+                let (mut checkpoints, mut checkpointed) = (0, None);
+                for step in 0..300 {
+                    let len = store.len();
+                    match rng.gen_range(0..16) {
+                        0..=6 => {
+                            let offset = rng.gen_range(0..len + 2 * u64::from(page_size.min(64)));
+                            let size = if rng.gen_range(0..8) == 0 {
+                                rng.gen_range(0..3 * page_size as usize)
+                            } else {
+                                rng.gen_range(1..48)
+                            };
+                            let mut data = vec![0u8; size];
+                            rng.fill_bytes(&mut data);
+                            store.write_at(offset, &data).expect("write");
+                            reference.write_at(offset, &data);
+                        }
+                        7..=8 => {
+                            let to = rng.gen_range(0..len + 24);
+                            store.set_len(to).expect("set_len");
+                            reference.set_len(to);
+                        }
+                        9 => {
+                            let mut data = vec![0u8; rng.gen_range(0..80)];
+                            rng.fill_bytes(&mut data);
+                            store.replace(&data).expect("replace");
+                            reference.replace(&data);
+                        }
+                        10..=13 => {
+                            store.commit().expect("commit");
+                            reference.commit();
+                        }
+                        _ => {
+                            store.checkpoint().expect("checkpoint");
+                            reference.checkpoint();
+                        }
+                    }
+                    let at = format!("{label} step {step}");
+                    assert_eq!(store.stats(), reference.stats(), "{at}");
+                    assert_eq!(store.staged_records(), reference.staged.len() as u64);
+                    assert_eq!(store.contents(), reference.content, "{at}");
+                    let (pages, wal) = medium.images();
+                    let (ref_pages, ref_wal) = reference.medium.images();
+                    assert_eq!(wal, ref_wal, "{at}: the WAL bytes");
+                    if store.stats().checkpoints > checkpoints {
+                        checkpoints = store.stats().checkpoints;
+                        checkpointed = Some(store.contents().to_vec());
+                    }
+                    assert_eq!(pages.len(), ref_pages.len(), "{at}");
+                    if let Some(content) = &checkpointed {
+                        assert_eq!(pages[..PAGES_HEADER], ref_pages[..PAGES_HEADER], "{at}");
+                        assert_eq!(&pages[PAGES_HEADER..], content, "{at}: the pages area");
+                        let stale = pages.iter().zip(&ref_pages).filter(|(p, r)| p != r);
+                        assert!(stale.clone().all(|(&p, _)| p == 0), "{at}");
+                    }
+                }
+            }
+        }
     }
 }

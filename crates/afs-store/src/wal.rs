@@ -12,9 +12,9 @@ use crate::checksum::crc32;
 use crate::StoreError;
 
 /// Record kinds (the body's leading byte).
-const KIND_WRITE: u8 = 1;
-const KIND_SET_LEN: u8 = 2;
-const KIND_COMMIT: u8 = 3;
+pub(crate) const KIND_WRITE: u8 = 1;
+pub(crate) const KIND_SET_LEN: u8 = 2;
+pub(crate) const KIND_COMMIT: u8 = 3;
 
 /// Per-record framing overhead: length prefix + trailing CRC.
 pub const RECORD_OVERHEAD: usize = 8;
@@ -43,29 +43,20 @@ pub enum WalRecord {
 }
 
 impl WalRecord {
+    /// The record as its body reads: kind tag, the `u64` (offset, length
+    /// or sequence), and the data bytes (empty but for a write).
+    pub(crate) fn parts(&self) -> (u8, u64, &[u8]) {
+        match self {
+            WalRecord::Write { offset, data } => (KIND_WRITE, *offset, data),
+            WalRecord::SetLen { len } => (KIND_SET_LEN, *len, &[]),
+            WalRecord::Commit { seq } => (KIND_COMMIT, *seq, &[]),
+        }
+    }
+
     /// Appends the framed record to `out`, returning its encoded length.
     pub fn encode_into(&self, out: &mut Vec<u8>) -> usize {
-        let mut body = Vec::new();
-        match self {
-            WalRecord::Write { offset, data } => {
-                body.push(KIND_WRITE);
-                body.extend_from_slice(&offset.to_le_bytes());
-                body.extend_from_slice(data);
-            }
-            WalRecord::SetLen { len } => {
-                body.push(KIND_SET_LEN);
-                body.extend_from_slice(&len.to_le_bytes());
-            }
-            WalRecord::Commit { seq } => {
-                body.push(KIND_COMMIT);
-                body.extend_from_slice(&seq.to_le_bytes());
-            }
-        }
-        let crc = crc32(&body);
-        out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        out.extend_from_slice(&body);
-        out.extend_from_slice(&crc.to_le_bytes());
-        body.len() + RECORD_OVERHEAD
+        let (kind, word, data) = self.parts();
+        frame(out, kind, word, data)
     }
 
     fn decode_body(body: &[u8]) -> Result<WalRecord, StoreError> {
@@ -76,16 +67,52 @@ impl WalRecord {
                 b.get(..8).ok_or_else(bad)?.try_into().expect("8 bytes"),
             ))
         };
+        // A range no content buffer can hold is damage, not a record to
+        // replay (the WAL range rule, `range_end`).
         match kind {
-            KIND_WRITE => Ok(WalRecord::Write {
-                offset: u64_at(rest)?,
-                data: rest.get(8..).ok_or_else(bad)?.to_vec(),
-            }),
-            KIND_SET_LEN if rest.len() == 8 => Ok(WalRecord::SetLen { len: u64_at(rest)? }),
+            KIND_WRITE => {
+                let (offset, data) = (u64_at(rest)?, rest.get(8..).ok_or_else(bad)?);
+                range_end(offset, data.len()).ok_or_else(bad)?;
+                Ok(WalRecord::Write {
+                    offset,
+                    data: data.to_vec(),
+                })
+            }
+            KIND_SET_LEN if rest.len() == 8 => {
+                let len = u64_at(rest)?;
+                range_end(len, 0).ok_or_else(bad)?;
+                Ok(WalRecord::SetLen { len })
+            }
             KIND_COMMIT if rest.len() == 8 => Ok(WalRecord::Commit { seq: u64_at(rest)? }),
             _ => Err(bad()),
         }
     }
+}
+
+/// Frames one record straight onto the end of `out` — length, body
+/// (`kind`, `word`, `data`), CRC of the body as it lies in `out` — and
+/// returns its encoded length. No body is built on the side: a staged
+/// batch is its WAL image byte for byte.
+pub(crate) fn frame(out: &mut Vec<u8>, kind: u8, word: u64, data: &[u8]) -> usize {
+    let body_len = 1 + 8 + data.len();
+    out.extend_from_slice(&(body_len as u32).to_le_bytes());
+    let body_start = out.len();
+    out.push(kind);
+    out.extend_from_slice(&word.to_le_bytes());
+    out.extend_from_slice(data);
+    let crc = crc32(&out[body_start..]);
+    out.extend_from_slice(&crc.to_le_bytes());
+    body_len + RECORD_OVERHEAD
+}
+
+/// The end of `len` bytes at `offset`, if a content buffer can reach it:
+/// no `u64` overflow and no further than `isize::MAX` (the WAL range rule
+/// — a store refuses such a mutation and recovery reads one as damage).
+pub(crate) fn range_end(offset: u64, len: usize) -> Option<usize> {
+    offset
+        .checked_add(len as u64)
+        .filter(|&end| end <= isize::MAX as u64)
+        .map(|end| end as usize)
 }
 
 /// The result of scanning a WAL image from the medium.
@@ -153,16 +180,23 @@ pub fn scan(bytes: &[u8]) -> WalScan {
 
 /// Applies one redo record to a content buffer.
 pub fn apply(content: &mut Vec<u8>, record: &WalRecord) {
-    match record {
-        WalRecord::Write { offset, data } => {
-            let end = *offset as usize + data.len();
+    let (kind, word, data) = record.parts();
+    redo(content, kind, word, data);
+}
+
+/// Applies one redo mutation, in [`WalRecord::parts`] form, to a content
+/// buffer. The range must obey [`range_end`].
+pub(crate) fn redo(content: &mut Vec<u8>, kind: u8, word: u64, data: &[u8]) {
+    match kind {
+        KIND_WRITE => {
+            let end = word as usize + data.len();
             if content.len() < end {
                 content.resize(end, 0);
             }
-            content[*offset as usize..end].copy_from_slice(data);
+            content[word as usize..end].copy_from_slice(data);
         }
-        WalRecord::SetLen { len } => content.resize(*len as usize, 0),
-        WalRecord::Commit { .. } => {}
+        KIND_SET_LEN => content.resize(word as usize, 0),
+        _ => {}
     }
 }
 
@@ -226,6 +260,37 @@ mod tests {
             apply(&mut content, r);
         }
         assert_eq!(content, b"hel");
+    }
+
+    #[test]
+    fn a_range_no_buffer_can_hold_is_damage_but_its_boundary_is_not() {
+        let max = isize::MAX as u64;
+        let log = |record: WalRecord| {
+            let mut bytes = Vec::new();
+            record.encode_into(&mut bytes);
+            WalRecord::Commit { seq: 1 }.encode_into(&mut bytes);
+            scan(&bytes)
+        };
+        let write = |offset| WalRecord::Write {
+            offset,
+            data: vec![0xEE; 4],
+        };
+        for bad in [
+            write(u64::MAX - 1),
+            write(max - 3),
+            WalRecord::SetLen { len: max + 1 },
+            WalRecord::SetLen { len: u64::MAX },
+        ] {
+            let s = log(bad.clone());
+            assert!(s.torn, "{bad:?} must read as damage");
+            assert_eq!((s.records.len(), s.committed_records), (0, 0), "{bad:?}");
+        }
+        for edge in [write(max - 4), WalRecord::SetLen { len: max }] {
+            let s = log(edge.clone());
+            assert!(!s.torn, "{edge:?} ends exactly at isize::MAX");
+            assert_eq!(s.records[0], edge);
+            assert_eq!(s.committed_records, 2);
+        }
     }
 
     #[test]

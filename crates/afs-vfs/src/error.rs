@@ -24,6 +24,9 @@ pub enum VfsError {
     StreamNotFound(String),
     /// A directory slated for non-recursive deletion is not empty.
     NotEmpty(String),
+    /// A byte range no stream can hold: its end overflows `u64` or lies
+    /// past `isize::MAX`.
+    OutOfRange(String),
 }
 
 impl VfsError {
@@ -38,7 +41,8 @@ impl VfsError {
             | VfsError::AccessDenied(p)
             | VfsError::LockConflict(p)
             | VfsError::StreamNotFound(p)
-            | VfsError::NotEmpty(p) => p,
+            | VfsError::NotEmpty(p)
+            | VfsError::OutOfRange(p) => p,
         }
     }
 }
@@ -55,6 +59,7 @@ impl fmt::Display for VfsError {
             VfsError::LockConflict(p) => write!(f, "byte-range lock conflict: {p}"),
             VfsError::StreamNotFound(p) => write!(f, "stream not found: {p}"),
             VfsError::NotEmpty(p) => write!(f, "directory not empty: {p}"),
+            VfsError::OutOfRange(p) => write!(f, "byte range out of reach: {p}"),
         }
     }
 }

@@ -133,6 +133,35 @@ impl Vfs {
         }
     }
 
+    /// The file a stream write may change: an existing, writable file.
+    fn writable<'a>(inner: &'a mut Inner, path: &VPath) -> Result<&'a mut FileNode> {
+        let (_, file) = Self::file_node_mut(inner, path)?;
+        if file.attributes.readonly {
+            return Err(VfsError::AccessDenied(path.to_string()));
+        }
+        Ok(file)
+    }
+
+    /// The stream `path` names in `file`, created empty on first use —
+    /// the only time its name is allocated.
+    fn stream_mut<'a>(file: &'a mut FileNode, path: &VPath) -> &'a mut Vec<u8> {
+        if !file.streams.contains_key(path.stream()) {
+            file.streams.insert(path.stream().to_owned(), Vec::new());
+        }
+        file.streams.get_mut(path.stream()).expect("just ensured")
+    }
+
+    /// The end of `len` bytes at `offset`, or [`VfsError::OutOfRange`]
+    /// when no stream can reach it: the sum overflows or passes
+    /// `isize::MAX`.
+    fn range_end(path: &VPath, offset: u64, len: usize) -> Result<usize> {
+        offset
+            .checked_add(len as u64)
+            .filter(|&end| end <= isize::MAX as u64)
+            .map(|end| end as usize)
+            .ok_or_else(|| VfsError::OutOfRange(path.to_string()))
+    }
+
     fn alloc(inner: &mut Inner, node: Node) -> usize {
         if let Some(idx) = inner.free.pop() {
             inner.nodes[idx] = Some(node);
@@ -467,22 +496,39 @@ impl Vfs {
     ///
     /// # Errors
     ///
-    /// [`VfsError::AccessDenied`] if the file is read-only.
+    /// [`VfsError::AccessDenied`] if the file is read-only;
+    /// [`VfsError::OutOfRange`] if `offset + data.len()` is out of reach.
     pub fn write_stream(&self, path: &VPath, offset: u64, data: &[u8]) -> Result<usize> {
+        let end = Self::range_end(path, offset, data.len())?;
         let tick = self.tick();
         let mut inner = self.inner.write();
-        let (_, file) = Self::file_node_mut(&mut inner, path)?;
-        if file.attributes.readonly {
-            return Err(VfsError::AccessDenied(path.to_string()));
-        }
-        let stream = file.streams.entry(path.stream().to_owned()).or_default();
-        let end = offset as usize + data.len();
+        let file = Self::writable(&mut inner, path)?;
+        let stream = Self::stream_mut(file, path);
         if stream.len() < end {
             stream.resize(end, 0);
         }
         stream[offset as usize..end].copy_from_slice(data);
         file.modified = tick;
         Ok(data.len())
+    }
+
+    /// Appends `data` at the end of the stream, creating it on first
+    /// write, under one lock and one path walk. Returns the offset the
+    /// bytes landed at.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Vfs::write_stream`].
+    pub fn append_stream(&self, path: &VPath, data: &[u8]) -> Result<u64> {
+        let tick = self.tick();
+        let mut inner = self.inner.write();
+        let file = Self::writable(&mut inner, path)?;
+        let stream = Self::stream_mut(file, path);
+        let at = stream.len() as u64;
+        Self::range_end(path, at, data.len())?;
+        stream.extend_from_slice(data);
+        file.modified = tick;
+        Ok(at)
     }
 
     /// Replaces the stream's entire contents.
@@ -493,10 +539,7 @@ impl Vfs {
     pub fn write_stream_replace(&self, path: &VPath, data: &[u8]) -> Result<()> {
         let tick = self.tick();
         let mut inner = self.inner.write();
-        let (_, file) = Self::file_node_mut(&mut inner, path)?;
-        if file.attributes.readonly {
-            return Err(VfsError::AccessDenied(path.to_string()));
-        }
+        let file = Self::writable(&mut inner, path)?;
         file.streams.insert(path.stream().to_owned(), data.to_vec());
         file.modified = tick;
         Ok(())
@@ -521,19 +564,18 @@ impl Vfs {
     /// # Errors
     ///
     /// [`VfsError::AccessDenied`] if the file is read-only;
-    /// [`VfsError::StreamNotFound`] if the stream does not exist.
+    /// [`VfsError::StreamNotFound`] if the stream does not exist;
+    /// [`VfsError::OutOfRange`] if `len` is out of reach.
     pub fn set_stream_len(&self, path: &VPath, len: u64) -> Result<()> {
+        let len = Self::range_end(path, len, 0)?;
         let tick = self.tick();
         let mut inner = self.inner.write();
-        let (_, file) = Self::file_node_mut(&mut inner, path)?;
-        if file.attributes.readonly {
-            return Err(VfsError::AccessDenied(path.to_string()));
-        }
+        let file = Self::writable(&mut inner, path)?;
         let stream = file
             .streams
             .get_mut(path.stream())
             .ok_or_else(|| VfsError::StreamNotFound(path.to_string()))?;
-        stream.resize(len as usize, 0);
+        stream.resize(len, 0);
         file.modified = tick;
         Ok(())
     }
@@ -923,6 +965,45 @@ mod tests {
             vfs.read_stream_to_end(&p("/f")).expect("read"),
             vec![b'0', b'1', b'2', b'3', 0, 0]
         );
+    }
+
+    #[test]
+    fn append_lands_at_the_end_and_creates_the_stream() {
+        let vfs = vfs_with_file("/f");
+        assert_eq!(vfs.append_stream(&p("/f:log"), b"one").expect("a"), 0);
+        assert_eq!(vfs.append_stream(&p("/f:log"), b"two").expect("a"), 3);
+        assert_eq!(vfs.read_stream_to_end(&p("/f:log")).expect("r"), b"onetwo");
+        assert_eq!(vfs.read_stream_to_end(&p("/f")).expect("r"), b"");
+        vfs.set_readonly(&p("/f"), true).expect("ro");
+        assert!(matches!(
+            vfs.append_stream(&p("/f:log"), b"x"),
+            Err(VfsError::AccessDenied(_))
+        ));
+    }
+
+    #[test]
+    fn a_range_no_stream_can_reach_is_refused_not_a_panic() {
+        let vfs = vfs_with_file("/f");
+        vfs.write_stream(&p("/f"), 0, b"kept").expect("w");
+        let max = isize::MAX as u64;
+        for offset in [u64::MAX - 1, u64::MAX, max - 3] {
+            assert!(matches!(
+                vfs.write_stream(&p("/f"), offset, b"four"),
+                Err(VfsError::OutOfRange(_))
+            ));
+        }
+        for len in [max + 1, u64::MAX] {
+            assert!(matches!(
+                vfs.set_stream_len(&p("/f"), len),
+                Err(VfsError::OutOfRange(_))
+            ));
+        }
+        // The lock was not taken, let alone held through a panic.
+        assert_eq!(vfs.read_stream_to_end(&p("/f")).expect("r"), b"kept");
+        vfs.write_stream(&p("/f"), 4, b"!").expect("w");
+        // The boundary itself is in reach (too large to allocate here).
+        assert_eq!(Vfs::range_end(&p("/f"), max - 4, 4), Ok(max as usize));
+        assert_eq!(Vfs::range_end(&p("/f"), max, 0), Ok(max as usize));
     }
 
     #[test]

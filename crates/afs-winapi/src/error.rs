@@ -112,6 +112,7 @@ impl From<VfsError> for Win32Error {
             VfsError::LockConflict(_) => Win32Error::LockViolation,
             VfsError::StreamNotFound(_) => Win32Error::FileNotFound,
             VfsError::NotEmpty(_) => Win32Error::DirNotEmpty,
+            VfsError::OutOfRange(_) => Win32Error::InvalidParameter,
         }
     }
 }
@@ -138,6 +139,10 @@ mod tests {
         assert_eq!(
             Win32Error::from(VfsError::NotFound("/f".into())),
             Win32Error::FileNotFound
+        );
+        assert_eq!(
+            Win32Error::from(VfsError::OutOfRange("/f".into())),
+            Win32Error::InvalidParameter
         );
     }
 
