@@ -223,7 +223,9 @@ impl ClusterClient {
     /// Reads up to `len` bytes at `offset` from the first owner (in
     /// placement order) whose copy has caught up to this session's
     /// acknowledged writes, waiting out replication lag within the
-    /// staleness budget.
+    /// staleness budget. Each owner asked costs one message: the read
+    /// carries the session's floor and the owner checks it under the
+    /// same lock as it reads the bytes.
     ///
     /// # Errors
     ///
@@ -242,29 +244,18 @@ impl ClusterClient {
                 let mut behind = 0usize;
                 for (idx, &owner) in owners.iter().enumerate() {
                     let client = self.client_for(&nodes[owner]);
-                    match client.stat(path) {
-                        Ok(stat) if stat.version >= required => {
-                            // The stat said fresh, but the get itself can
-                            // still hit a transport fault (the owner died
-                            // in between): fail over to the remaining
-                            // owners like any other fault.
-                            match client.get(path, offset, len) {
-                                Ok(data) => {
-                                    self.gauges.read(idx != 0);
-                                    return Ok(Some(data));
-                                }
-                                Err(e) if failover_worthy(&e) => last_err = Some(e),
-                                Err(e) => return Err(e),
-                            }
+                    match client.get_at_floor(path, offset, len, required) {
+                        Ok(data) => {
+                            self.gauges.read(idx != 0);
+                            return Ok(Some(data));
                         }
-                        Ok(_) => behind += 1,
-                        // A rejected stat means this owner holds no copy.
-                        // With a non-zero floor that is replication lag (a
-                        // joiner the casts have not caught up) — wait for
-                        // it. With no floor the file may simply live on a
-                        // later owner (written by another session): keep
-                        // walking, and only surface the rejection if no
-                        // owner serves the read.
+                        // A rejection means this owner's copy is behind the
+                        // floor or absent. With a non-zero floor either is
+                        // replication lag (a joiner the casts have not
+                        // caught up) — wait for it. With no floor the file
+                        // may simply live on a later owner (written by
+                        // another session): keep walking, and only surface
+                        // the rejection if no owner serves the read.
                         Err(e @ NetError::Rejected(_)) => {
                             if required > 0 {
                                 behind += 1;
@@ -472,42 +463,44 @@ mod tests {
     }
 
     #[test]
-    fn read_fails_over_when_the_get_itself_faults() {
+    fn read_fails_over_when_the_primary_drops_the_read() {
         use std::sync::atomic::{AtomicBool, Ordering};
 
-        // Wraps a file server, failing the next OP_GET (op byte 1)
-        // with a transport fault — the owner "dies" between the stat
-        // and the get.
-        struct GetFlaky {
+        // Wraps a file server, failing the next floor-checked read (op
+        // byte 10) with a transport fault — the primary "dies" with the
+        // read in flight.
+        struct ReadFlaky {
             inner: Arc<FileServer>,
-            fail_next_get: Arc<AtomicBool>,
+            fail_next_read: Arc<AtomicBool>,
         }
-        impl Service for GetFlaky {
+        impl Service for ReadFlaky {
             fn handle(&self, request: &[u8]) -> afs_net::Result<Vec<u8>> {
-                if request.first() == Some(&1) && self.fail_next_get.swap(false, Ordering::SeqCst) {
-                    return Err(NetError::Dropped("get lost in flight".to_owned()));
+                if request.first() == Some(&10) && self.fail_next_read.swap(false, Ordering::SeqCst)
+                {
+                    return Err(NetError::Dropped("read lost in flight".to_owned()));
                 }
                 self.inner.handle(request)
             }
         }
 
         let net = Network::new(CostModel::free());
-        let fail_next_get = Arc::new(AtomicBool::new(false));
+        let fail_next_read = Arc::new(AtomicBool::new(false));
         let client = ClusterClient::new(net.clone(), 2, Some(10));
         for i in 0..3 {
-            let wrapped = GetFlaky {
+            let wrapped = ReadFlaky {
                 inner: FileServer::new(),
-                fail_next_get: Arc::clone(&fail_next_get),
+                fail_next_read: Arc::clone(&fail_next_read),
             };
             net.register(&format!("files-{i}"), Arc::new(wrapped) as Arc<dyn Service>);
             client.add_node(&format!("files-{i}"));
         }
         let path = "/data/g.af";
         client.write(path, 0, b"payload").expect("write");
-        fail_next_get.store(true, Ordering::SeqCst);
-        // The primary's stat answers fresh, then its get faults: the
-        // read must fail over to the replica, not surface the fault.
+        fail_next_read.store(true, Ordering::SeqCst);
+        // The primary's read faults: the read must fail over to the
+        // replica, not surface the fault.
         assert_eq!(client.read(path, 0, 7).expect("read"), b"payload");
+        assert!(!fail_next_read.load(Ordering::SeqCst), "the fault fired");
         assert!(client.gauges().snapshot().read_failovers >= 1);
     }
 
@@ -526,7 +519,7 @@ mod tests {
             .find(|p| client.owners(p)[0] == "files-3")
             .expect("some path's primary moved to the joiner");
         // A session that never wrote the path (floor 0) reads it: the
-        // new primary holds no copy and rejects the stat — the walk
+        // new primary holds no copy and rejects the read — the walk
         // must continue to the owner that has the bytes instead of
         // surfacing the joiner's rejection.
         let fresh = ClusterClient::new(net.clone(), 2, Some(10));
@@ -653,5 +646,191 @@ mod tests {
             assert_eq!(got.expect("read"), path.as_bytes(), "{path}");
         }
         assert_eq!(client.gauges().snapshot().rebalances, 4);
+    }
+
+    /// The read walk as it was before the floor rode the read: per owner
+    /// a `STAT` for the copy's version, then a `GET` from the first one
+    /// caught up. Kept as the reference the one-message walk must agree
+    /// with, result for result and gauge for gauge.
+    fn read_stat_then_get(
+        client: &ClusterClient,
+        path: &str,
+        offset: u64,
+        len: usize,
+    ) -> afs_net::Result<Vec<u8>> {
+        let required = client.acked_seq(path);
+        let mut budget = client.staleness_budget_ns.unwrap_or(0);
+        loop {
+            let round = client.with_owners(path, |nodes, owners| {
+                let mut last_err = None;
+                let mut missing = None;
+                let mut behind = 0usize;
+                for (idx, &owner) in owners.iter().enumerate() {
+                    let remote = client.client_for(&nodes[owner]);
+                    match remote.stat(path) {
+                        Ok(stat) if stat.version >= required => {
+                            match remote.get(path, offset, len) {
+                                Ok(data) => {
+                                    client.gauges.read(idx != 0);
+                                    return Ok(Some(data));
+                                }
+                                Err(e) if failover_worthy(&e) => last_err = Some(e),
+                                Err(e) => return Err(e),
+                            }
+                        }
+                        Ok(_) => behind += 1,
+                        Err(e @ NetError::Rejected(_)) => {
+                            if required > 0 {
+                                behind += 1;
+                            } else {
+                                missing = Some(e);
+                            }
+                        }
+                        Err(e) if failover_worthy(&e) => last_err = Some(e),
+                        Err(e) => return Err(e),
+                    }
+                }
+                if behind == 0 {
+                    return Err(last_err.or(missing).expect("owners existed"));
+                }
+                Ok(None)
+            });
+            if let Some(data) = round? {
+                return Ok(data);
+            }
+            if budget < STALE_WAIT_STEP_NS {
+                client.gauges.stale_reject();
+                return Err(NetError::Rejected(format!(
+                    "staleness bound exceeded for {path}: no replica at seq {required}"
+                )));
+            }
+            budget -= STALE_WAIT_STEP_NS;
+            client.gauges.stale_wait();
+            afs_sim::clock::advance(STALE_WAIT_STEP_NS);
+        }
+    }
+
+    /// The read gauges a walk moves.
+    fn read_gauges(client: &ClusterClient) -> [u64; 4] {
+        let snap = client.gauges().snapshot();
+        [
+            snap.reads,
+            snap.read_failovers,
+            snap.stale_waits,
+            snap.stale_rejects,
+        ]
+    }
+
+    /// Seeded schedules of state faults — owners partitioned and healed,
+    /// a replica that missed a cast, a joiner with no copy, a path nobody
+    /// holds — read at floors of 0 and above by both walks over the same
+    /// fleet. Reads change no server state, so each walk sees what the
+    /// other saw; nothing here reads the clock or counts messages, which
+    /// the one-message walk changes on purpose.
+    #[test]
+    fn the_one_message_read_agrees_with_stat_then_get() {
+        const MEMBERS: usize = 4;
+        const PATHS: [&str; 6] = ["/d/a", "/d/b", "/d/c", "/d/e", "/d/f", "/d/never"];
+        let _clock = afs_sim::clock::install(0);
+        let pick = |rng: &mut afs_sim::SimRng, n: usize| rng.next_below(n as u64) as usize;
+        let member = |i: usize| format!("files-{i}");
+        let index = |name: &str| name["files-".len()..].parse::<usize>().expect("member");
+        // Served, rejected by the staleness bound, rejected as missing,
+        // partitioned away.
+        let mut outcomes = [0usize; 4];
+        for seed in 0..8 {
+            let mut rng = afs_sim::SimRng::new(seed);
+            let net = Network::new(CostModel::free());
+            // The last member joins later, with no copy of anything.
+            let plans: Vec<_> = (0..=MEMBERS)
+                .map(|i| net.register(&member(i), FileServer::new() as Arc<dyn Service>))
+                .collect();
+            // Two writers (one bounded, one not) and a session that never
+            // writes, so reads at floor 0.
+            let sessions = [
+                ClusterClient::new(net.clone(), 2, Some(3)),
+                ClusterClient::new(net.clone(), 3, None),
+                ClusterClient::new(net.clone(), 2, Some(2)),
+            ];
+            for session in &sessions {
+                for i in 0..MEMBERS {
+                    session.add_node(&member(i));
+                }
+            }
+            let (mut partitioned, mut joined) = ([false; MEMBERS + 1], false);
+            for step in 0..400u64 {
+                let writer = &sessions[pick(&mut rng, 2)];
+                let path = PATHS[pick(&mut rng, PATHS.len() - 1)];
+                let offset = [0, 0, 3][pick(&mut rng, 3)];
+                let data = vec![step as u8; 1 + pick(&mut rng, 8)];
+                match rng.next_below(20) {
+                    0..=4 => drop(writer.write(path, offset, &data)),
+                    5..=7 => {
+                        // Partitioned one time in three, healed otherwise.
+                        let i = pick(&mut rng, MEMBERS + 1);
+                        partitioned[i] = rng.next_below(3) == 0;
+                        plans[i].set_partitioned(partitioned[i]);
+                    }
+                    8..=9 => {
+                        // The last owner misses this write's cast.
+                        let last = index(&writer.owners(path).pop().expect("owners"));
+                        plans[last].set_partitioned(true);
+                        drop(writer.write(path, offset, &data));
+                        plans[last].set_partitioned(partitioned[last]);
+                    }
+                    10 => {
+                        joined = !joined;
+                        for session in &sessions {
+                            if joined {
+                                session.add_node(&member(MEMBERS));
+                            } else {
+                                session.remove_node(&member(MEMBERS));
+                            }
+                        }
+                    }
+                    _ => {
+                        let session = &sessions[pick(&mut rng, sessions.len())];
+                        let path = PATHS[pick(&mut rng, PATHS.len())];
+                        let offset = [0, 1, 4, 100][pick(&mut rng, 4)];
+                        let len = [0, 3, 16][pick(&mut rng, 3)];
+                        let what = format!(
+                            "seed {seed} step {step}: {path} at floor {}",
+                            session.acked_seq(path)
+                        );
+                        let before = read_gauges(session);
+                        let one = session.read(path, offset, len);
+                        let between = read_gauges(session);
+                        let two = read_stat_then_get(session, path, offset, len);
+                        let after = read_gauges(session);
+                        match (&one, &two) {
+                            (Ok(a), Ok(b)) => assert_eq!(a, b, "{what}"),
+                            (Err(a), Err(b)) => assert_eq!(
+                                std::mem::discriminant(a),
+                                std::mem::discriminant(b),
+                                "{what}: {a:?} / {b:?}"
+                            ),
+                            _ => panic!("{what}: {one:?} / {two:?}"),
+                        }
+                        let moved =
+                            |from: [u64; 4], to: [u64; 4]| [0, 1, 2, 3].map(|g| to[g] - from[g]);
+                        assert_eq!(moved(before, between), moved(between, after), "{what}");
+                        let outcome = match one {
+                            Ok(_) => 0,
+                            Err(NetError::Rejected(_)) if between[3] > before[3] => 1,
+                            Err(NetError::Rejected(_)) => 2,
+                            Err(NetError::Partitioned(_)) => 3,
+                            Err(e) => panic!("{what}: {e:?}"),
+                        };
+                        outcomes[outcome] += 1;
+                    }
+                }
+            }
+        }
+        // The schedules reach every outcome, not only the happy one.
+        assert!(outcomes.iter().all(|&n| n > 0), "{outcomes:?}");
+        assert!(
+            outcomes[0] > outcomes.iter().sum::<usize>() / 3,
+            "{outcomes:?}"
+        );
     }
 }

@@ -10,7 +10,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 
 use afs_net::{NetError, Network, Service, WireWriter};
 use afs_telemetry::backend_span;
@@ -27,6 +27,7 @@ const OP_DELETE: u8 = 6;
 const OP_REPLACE: u8 = 7;
 const OP_PUT_ACK: u8 = 8;
 const OP_REPL: u8 = 9;
+const OP_GET_AT_FLOOR: u8 = 10;
 
 /// Largest single GET transfer the server satisfies (1 MiB).
 pub const MAX_TRANSFER: usize = 1 << 20;
@@ -42,8 +43,9 @@ const MAX_FILE_LEN: u64 = 1 << 26;
 const GET_HEADER: usize = 5;
 
 /// Most replication casts held back per path waiting for a sequence
-/// gap to fill. Beyond this the newest cast is dropped — safe, because
+/// gap to fill. Beyond this a new gap cast is dropped — safe, because
 /// the copy simply stays behind and reads detect that via the version.
+/// The cast that fills the gap is never held, so it always applies.
 const MAX_PENDING_REPL: usize = 256;
 
 /// Held-back replication casts for one path: sequence → `(offset,
@@ -65,23 +67,48 @@ struct Tracked {
     vpath: VPath,
     /// Monotonic version, bumped on every mutation.
     version: u64,
+    /// Replication casts that arrived ahead of a sequence gap, held
+    /// back until the missing sequences fill in ([`MAX_PENDING_REPL`]
+    /// at most). Every key is above `version`.
+    held: PendingCasts,
+}
+
+impl Tracked {
+    /// Drops the held casts the version has reached by other means (a
+    /// local `PUT` overtook them): they would be skipped on arrival, so
+    /// they must not wait, or count toward the cap, for ever.
+    fn drop_overtaken(&mut self) {
+        while self
+            .held
+            .first_key_value()
+            .is_some_and(|(&seq, _)| seq <= self.version)
+        {
+            self.held.pop_first();
+        }
+    }
 }
 
 /// A remote file store speaking a GET/PUT/STAT/LIST protocol.
 ///
-/// Lock order, wherever more than one is held: `files`, then
-/// `pending_repl`, then the `Vfs`'s own lock.
+/// Lock order, wherever more than one is held: `files`, then the `Vfs`'s
+/// own lock.
 pub struct FileServer {
     vfs: Arc<Vfs>,
     /// Every wire path a mutation has succeeded on. GET and STAT take the
     /// read side and find the path already parsed; mutations take the
-    /// write side for their whole length, so a version and the bytes it
-    /// counts move together.
+    /// write side for their whole length, so a version, the bytes it
+    /// counts and the casts held for it move together.
     files: RwLock<HashMap<String, Tracked>>,
-    /// Replication casts that arrived ahead of a sequence gap, held
-    /// back until the missing sequences fill in ([`MAX_PENDING_REPL`]
-    /// per path).
-    pending_repl: Mutex<HashMap<String, PendingCasts>>,
+}
+
+/// Why a copy refuses a session: it is missing acknowledged writes.
+fn check_floor(version: u64, floor: u64) -> Result<(), String> {
+    if version < floor {
+        return Err(format!(
+            "copy at version {version} is behind session floor {floor}"
+        ));
+    }
+    Ok(())
 }
 
 /// An OK reply of `u64` fields, sized before it is written: one
@@ -172,11 +199,14 @@ impl FileServer {
     ) -> Result<T, String> {
         let mut files = self.files.write();
         if let Some(file) = files.get_mut(path) {
-            return apply(file);
+            let done = apply(file);
+            file.drop_overtaken();
+            return done;
         }
         let mut file = Tracked {
             vpath: Self::parse(path)?,
             version: 0,
+            held: PendingCasts::new(),
         };
         let done = apply(&mut file);
         if done.is_ok() {
@@ -187,15 +217,16 @@ impl FileServer {
 
     /// Applies one replication cast. Bytes apply **only in sequence
     /// order**: a stale or re-delivered cast (`seq <= version`) is
-    /// skipped entirely (old bytes never overwrite newer ones), and a
-    /// cast that arrived ahead of a gap is held back until the missing
-    /// sequences fill in. The version therefore never advances past the
-    /// writes this copy actually holds — the invariant the cluster's
-    /// read-your-writes floor check relies on: `version >= floor`
-    /// implies every acknowledged write up to `floor` is present.
+    /// skipped entirely (old bytes never overwrite newer ones), a cast
+    /// that arrived ahead of a gap is held back until the missing
+    /// sequences fill in, and the cast that fills the gap applies from
+    /// the request, then drains the held ones it unblocked. The version
+    /// therefore never advances past the writes this copy actually holds
+    /// — the invariant the cluster's read-your-writes floor check relies
+    /// on: `version >= floor` implies every acknowledged write up to
+    /// `floor` is present.
     fn apply_repl(
         &self,
-        path: &str,
         file: &mut Tracked,
         offset: u64,
         seq: u64,
@@ -204,17 +235,17 @@ impl FileServer {
         if seq <= file.version {
             return Ok(file.version);
         }
-        let mut pending = self.pending_repl.lock();
-        let queue = pending.entry(path.to_owned()).or_default();
-        if queue.len() < MAX_PENDING_REPL || queue.contains_key(&seq) {
-            queue.insert(seq, (offset, data.to_vec()));
+        if seq == file.version + 1 {
+            self.write_at(&file.vpath, offset, data)?;
+            file.version += 1;
+        } else if file.held.len() < MAX_PENDING_REPL || file.held.contains_key(&seq) {
+            file.held.insert(seq, (offset, data.to_vec()));
         }
-        while let Some((off, bytes)) = queue.remove(&(file.version + 1)) {
+        // Held casts now in sequence drain: the ones this cast unblocked,
+        // or one a local write took the version up to.
+        while let Some((off, bytes)) = file.held.remove(&(file.version + 1)) {
             self.write_at(&file.vpath, off, &bytes)?;
             file.version += 1;
-        }
-        if queue.is_empty() {
-            pending.remove(path);
         }
         Ok(file.version)
     }
@@ -246,14 +277,19 @@ impl FileServer {
     fn dispatch(&self, request: &[u8]) -> Result<Vec<u8>, NetError> {
         let mut r = afs_net::WireReader::new(request);
         let reply = match r.u8()? {
-            OP_GET => {
+            op @ (OP_GET | OP_GET_AT_FLOOR) => {
                 let path = r.str()?;
                 let offset = r.u64()?;
                 // The requested length is untrusted: cap the transfer
                 // unit so a bogus request cannot force a giant
                 // allocation. Clients split larger reads.
                 let len = (r.u32()? as usize).min(MAX_TRANSFER);
-                self.inspect(path, |vp, _| {
+                // A cluster read carries the session's floor: a copy
+                // behind it refuses, as it refuses a PUT_ACK, and the
+                // version it checks is the one the bytes are read under.
+                let floor = if op == OP_GET_AT_FLOOR { r.u64()? } else { 0 };
+                self.inspect(path, |vp, version| {
+                    check_floor(version, floor)?;
                     // The reply is built in place: the stream's bytes
                     // land behind the header, which is filled in after.
                     let mut reply = vec![STATUS_OK; GET_HEADER + len];
@@ -294,12 +330,7 @@ impl FileServer {
                 let data = r.bytes()?;
                 check_extent(offset, data).and_then(|()| {
                     self.mutate(path, |file| {
-                        let v = file.version;
-                        if v < floor {
-                            return Err(format!(
-                                "copy at version {v} is behind session floor {floor}"
-                            ));
-                        }
+                        check_floor(file.version, floor)?;
                         let n = self.write_at(&file.vpath, offset, data)?;
                         file.version += 1;
                         Ok(ok_u64s(&[n as u64, file.version]))
@@ -317,7 +348,7 @@ impl FileServer {
                 let data = r.bytes()?;
                 check_extent(offset, data)
                     .and_then(|()| {
-                        self.mutate(path, |file| self.apply_repl(path, file, offset, seq, data))
+                        self.mutate(path, |file| self.apply_repl(file, offset, seq, data))
                     })
                     .map(|version| ok_u64s(&[version]))
             }
@@ -388,7 +419,6 @@ impl Default for FileServer {
         FileServer {
             vfs: Arc::new(Vfs::new()),
             files: RwLock::new(HashMap::new()),
-            pending_repl: Mutex::new(HashMap::new()),
         }
     }
 }
@@ -414,7 +444,33 @@ impl Remote<'_> {
         let _bk = backend_span("remote-get");
         let mut w = WireWriter::with_capacity(1 + (4 + path.len()) + 8 + 4);
         w.u8(OP_GET).str(path).u64(offset).u32(len as u32);
-        let mut resp = self.net.rpc(self.service, &w.finish())?;
+        self.fetch(&w.finish())
+    }
+
+    /// A GET that the server answers only from a copy at or above
+    /// `floor`, checked under the same table read as the bytes: the
+    /// cluster's read in one message. A copy behind the floor, or with
+    /// no file, answers [`NetError::Rejected`].
+    pub(crate) fn get_at_floor(
+        self,
+        path: &str,
+        offset: u64,
+        len: usize,
+        floor: u64,
+    ) -> afs_net::Result<Vec<u8>> {
+        let _bk = backend_span("remote-get-at-floor");
+        let mut w = WireWriter::with_capacity(1 + (4 + path.len()) + 8 + 4 + 8);
+        w.u8(OP_GET_AT_FLOOR)
+            .str(path)
+            .u64(offset)
+            .u32(len as u32)
+            .u64(floor);
+        self.fetch(&w.finish())
+    }
+
+    /// Sends a GET-shaped request and returns the payload of its reply.
+    fn fetch(self, request: &[u8]) -> afs_net::Result<Vec<u8>> {
+        let mut resp = self.net.rpc(self.service, request)?;
         let len = check_status(&resp)?.bytes()?.len();
         // The reply is this call's own: the payload stays where it
         // arrived, minus the header before it and anything after it.
@@ -818,6 +874,61 @@ mod tests {
         assert_eq!(client.get_all("/c/w").expect("get"), b"one");
     }
 
+    #[test]
+    fn a_held_cast_a_local_write_overtook_is_dropped() {
+        let (server, client) = setup();
+        let held = |server: &FileServer| server.files.read()["/c/o"].held.len();
+        client.replicate("/c/o", 0, 1, b"one!").expect("repl");
+        // Casts 3 and on wait for seq 2, until the queue is full.
+        let last = 2 + MAX_PENDING_REPL as u64;
+        for seq in 3..=last {
+            client.replicate("/c/o", 0, seq, b"held").expect("repl");
+        }
+        assert_eq!(held(&server), MAX_PENDING_REPL);
+        // Local writes take the version past every held cast: each
+        // would be skipped on arrival now, so none may wait on or keep
+        // its place in the queue.
+        for _ in 1..last {
+            client.put("/c/o", 0, b"own!").expect("put");
+        }
+        assert_eq!(server.version("/c/o"), last);
+        assert_eq!(held(&server), 0);
+        assert_eq!(client.get_all("/c/o").expect("get"), b"own!");
+        // The queue has room again: a gap cast is held, then drained.
+        client
+            .replicate("/c/o", 0, last + 2, b"next")
+            .expect("repl");
+        assert_eq!(held(&server), 1);
+        client
+            .replicate("/c/o", 0, last + 1, b"fill")
+            .expect("repl");
+        assert_eq!(server.version("/c/o"), last + 2);
+        assert_eq!(client.get_all("/c/o").expect("get"), b"next");
+    }
+
+    #[test]
+    fn a_read_at_floor_refuses_a_copy_behind_it() {
+        let (server, client) = setup();
+        client.put("/c/r", 0, b"v1").expect("put");
+        client.put("/c/r", 0, b"v2").expect("put");
+        let remote = client.remote();
+        assert_eq!(
+            remote.get_at_floor("/c/r", 0, 8, 0).expect("floor 0"),
+            b"v2"
+        );
+        assert_eq!(remote.get_at_floor("/c/r", 0, 8, 2).expect("at"), b"v2");
+        let err = remote.get_at_floor("/c/r", 0, 8, 3).expect_err("behind");
+        assert!(matches!(err, NetError::Rejected(_)), "{err:?}");
+        // No file: rejected at any floor, as a GET is.
+        for floor in [0, 1] {
+            let err = remote
+                .get_at_floor("/c/none", 0, 8, floor)
+                .expect_err("absent");
+            assert!(matches!(err, NetError::Rejected(_)), "{err:?}");
+        }
+        assert_eq!(server.version("/c/r"), 2);
+    }
+
     /// `op`, `path` and the rest of a write request as the wire carries
     /// them: `extra` is the floor (PUT_ACK) or the sequence (REPL).
     fn write_request(op: u8, path: &str, offset: u64, extra: Option<u64>, data: &[u8]) -> Vec<u8> {
@@ -853,7 +964,14 @@ mod tests {
             // A path no write has named is not left behind in the table.
             rejected(write_request(OP_PUT, "/w/fresh", offset, None, b"xy"));
         }
-        assert!(server.pending_repl.lock().is_empty(), "nothing held back");
+        assert!(
+            server
+                .files
+                .read()
+                .values()
+                .all(|file| file.held.is_empty()),
+            "nothing held back"
+        );
         assert!(!server.files.read().contains_key("/w/fresh"));
         // The server still serves, and nothing moved.
         assert_eq!(server.version("/w/x"), 1);
@@ -893,6 +1011,18 @@ mod tests {
 
         fn bump(&mut self, path: &str) {
             *self.versions.entry(path.to_owned()).or_insert(0) += 1;
+            self.drop_overtaken(path);
+        }
+
+        /// Forgets `path`'s held casts at or below its version.
+        fn drop_overtaken(&mut self, path: &str) {
+            let version = self.version(path);
+            if let Some(queue) = self.pending_repl.get_mut(path) {
+                queue.retain(|&seq, _| seq > version);
+                if queue.is_empty() {
+                    self.pending_repl.remove(path);
+                }
+            }
         }
 
         fn ensure_file(vfs: &Vfs, vpath: &VPath) -> Result<(), String> {
@@ -917,18 +1047,27 @@ mod tests {
             if seq <= *v {
                 return Ok(*v);
             }
-            let queue = self.pending_repl.entry(path.to_owned()).or_default();
-            if queue.len() < MAX_PENDING_REPL || queue.contains_key(&seq) {
-                queue.insert(seq, (offset, data));
-            }
-            while let Some((off, bytes)) = queue.remove(&(*v + 1)) {
+            let mut next = if seq == *v + 1 {
+                Some((offset, data))
+            } else {
+                let queue = self.pending_repl.entry(path.to_owned()).or_default();
+                if queue.len() < MAX_PENDING_REPL || queue.contains_key(&seq) {
+                    queue.insert(seq, (offset, data));
+                }
+                queue.remove(&(*v + 1))
+            };
+            while let Some((off, bytes)) = next {
                 Self::ensure_file(&self.vfs, &vpath)?;
                 self.vfs
                     .write_stream(&vpath, off, &bytes)
                     .map_err(|e| e.to_string())?;
                 *v += 1;
+                next = self
+                    .pending_repl
+                    .get_mut(path)
+                    .and_then(|queue| queue.remove(&(*v + 1)));
             }
-            if queue.is_empty() {
+            if self.pending_repl.get(path).is_some_and(BTreeMap::is_empty) {
                 self.pending_repl.remove(path);
             }
             Ok(*v)
@@ -938,11 +1077,18 @@ mod tests {
             let mut r = afs_net::WireReader::new(request);
             let op = r.u8()?;
             let reply = match op {
-                OP_GET => {
+                OP_GET | OP_GET_AT_FLOOR => {
                     let path = r.str()?.to_owned();
                     let offset = r.u64()?;
                     let len = (r.u32()? as usize).min(MAX_TRANSFER);
+                    let floor = if op == OP_GET_AT_FLOOR { r.u64()? } else { 0 };
                     match FileServer::parse(&path).and_then(|vp| {
+                        let v = self.version(&path);
+                        if v < floor {
+                            return Err(format!(
+                                "copy at version {v} is behind session floor {floor}"
+                            ));
+                        }
                         let mut buf = vec![0u8; len];
                         let n = self
                             .vfs
@@ -1000,9 +1146,12 @@ mod tests {
                             *v += 1;
                             Ok((n, *v))
                         }) {
-                        Ok((n, seq)) => ok_response(|w| {
-                            w.u64(n as u64).u64(seq);
-                        }),
+                        Ok((n, seq)) => {
+                            self.drop_overtaken(&path);
+                            ok_response(|w| {
+                                w.u64(n as u64).u64(seq);
+                            })
+                        }
                         Err(e) => err_response(&e),
                     }
                 }
@@ -1011,9 +1160,12 @@ mod tests {
                     let offset = r.u64()?;
                     let seq = r.u64()?;
                     let data = r.bytes()?.to_vec();
-                    match check_extent(offset, &data)
-                        .and_then(|()| self.apply_repl(&path, offset, seq, data))
-                    {
+                    let applied = check_extent(offset, &data)
+                        .and_then(|()| self.apply_repl(&path, offset, seq, data));
+                    // A gap cast held before a local write took the
+                    // version up to it is overtaken once this one lands.
+                    self.drop_overtaken(&path);
+                    match applied {
                         Ok(version) => ok_response(|w| {
                             w.u64(version);
                         }),
@@ -1121,11 +1273,11 @@ mod tests {
         from[rng.next_below(from.len() as u64) as usize]
     }
 
-    /// One seeded request: any of the nine ops (or 0, which is none),
+    /// One seeded request: any of the ten ops (or 0, which is none),
     /// aimed to hit the edges as often as the middle.
     fn request(rng: &mut afs_sim::SimRng, server: &FileServer) -> Vec<u8> {
-        let op = rng.next_below(10) as u8;
-        let reads = matches!(op, OP_GET | OP_STAT | OP_LIST);
+        let op = rng.next_below(11) as u8;
+        let reads = matches!(op, OP_GET | OP_GET_AT_FLOOR | OP_STAT | OP_LIST);
         let path = if reads && rng.next_below(3) == 0 {
             pick(rng, &READ_ONLY_PATHS)
         } else {
@@ -1138,18 +1290,21 @@ mod tests {
         let offset = pick(rng, &[0, 0, 1, 5, 40, 300, MAX_FILE_LEN + 1, u64::MAX - 1]);
         let mut w = WireWriter::new();
         w.u8(op).str(path);
+        // At, below and above what the copy holds.
+        let floor = pick(rng, &[0, version, version, version + 1, version + 7]);
         match op {
-            OP_GET => {
+            OP_GET | OP_GET_AT_FLOOR => {
                 // Nothing, a little, past any file's end, past the cap.
                 let len = pick(rng, &[0, 1, 7, 4096, MAX_TRANSFER as u32 + 1, u32::MAX]);
                 w.u64(offset).u32(len);
+                if op == OP_GET_AT_FLOOR {
+                    w.u64(floor);
+                }
             }
             OP_PUT => {
                 w.u64(offset).bytes(&data);
             }
             OP_PUT_ACK => {
-                // At, below and above what the copy holds.
-                let floor = pick(rng, &[0, version, version, version + 1, version + 7]);
                 w.u64(offset).u64(floor).bytes(&data);
             }
             OP_REPL => {
@@ -1191,24 +1346,29 @@ mod tests {
                     );
                 }
                 let files = server.files.read();
-                for path in files.keys() {
+                for (path, file) in files.iter() {
                     assert!(
                         WRITTEN_PATHS.contains(&path.as_str()) && model.versions.contains_key(path),
                         "seed {seed} {what}: the table holds {path}"
                     );
+                    assert_eq!(
+                        file.held.len(),
+                        model.pending_repl.get(path).map_or(0, BTreeMap::len),
+                        "seed {seed} {what}: casts held for {path} after {request:?}"
+                    );
                 }
             };
             // More casts than a path may hold back: the newest are
-            // dropped, and so, the queue being full, is the one that
-            // would fill the gap. One cast fewer, and it fills: the held
-            // ones drain in order.
+            // dropped, but the one that fills the gap is never held, so
+            // it applies even with the queue full and drains the held
+            // ones in order. One cast fewer, and it fills all the same.
             let held = MAX_PENDING_REPL as u64;
-            for (path, last, drained) in [("/d/b", held + 40, 0), ("/d/c.af", held, held)] {
+            for (path, last, drained) in [("/d/b", held + 40, held + 1), ("/d/c.af", held, held)] {
                 for seq in 2..=last {
                     let cast = write_request(OP_REPL, path, seq % 50, Some(seq), b"held");
                     step(cast, "flood");
                 }
-                let queued = server.pending_repl.lock()[path].len();
+                let queued = server.files.read()[path].held.len();
                 assert_eq!(queued, MAX_PENDING_REPL.min(last as usize - 1));
                 step(write_request(OP_REPL, path, 0, Some(1), b"gap"), "fill");
                 assert_eq!(server.version(path), drained);

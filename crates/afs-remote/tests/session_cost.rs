@@ -9,9 +9,10 @@
 //! read re-derived per message what its receiver already knew (23
 //! allocations where 4 carry bytes). A session now owns its member names
 //! and shares the fleet's one built ring with every other session of the
-//! same membership, and a message is one buffer each way. These budgets
-//! keep the rest from coming back unnoticed: they sit ~20 % above what
-//! the code does today.
+//! same membership, a message is one buffer each way, and a read is one
+//! message (the session's floor rides it; it was a `STAT` and a `GET`).
+//! These budgets keep the rest from coming back unnoticed: they sit
+//! ~20 % above what the code does today. The message counts are exact.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -23,20 +24,21 @@ use afs_sim::CostModel;
 use afs_telemetry::ClusterGauges;
 
 /// One open — `new`, five `add_node`s, `with_gauges` — and the first
-/// read, on a fleet some session has placed on before (measured: 12 —
+/// read, on a fleet some session has placed on before (measured: 10 —
 /// the gauges, the five names, their `Vec` grown twice, and the read;
-/// 40 while every session built its ring, and the fleet's first session
-/// still pays 18 more to build the one they share).
-const OPEN_AND_FIRST_READ_BUDGET: u64 = 14;
-/// One steady-state read, a stat and a get round trip (measured: 4 —
-/// each request and each reply, nothing else; 23 while the server parsed
-/// the path of every message).
-const READ_BUDGET: u64 = 5;
+/// 12 while a read was two round trips, 40 while every session built its
+/// ring, and the fleet's first session still pays 18 more to build the
+/// one they share).
+const OPEN_AND_FIRST_READ_BUDGET: u64 = 12;
+/// One steady-state read, one round trip (measured: 2 — the request and
+/// the reply, nothing else; 4 as a stat and a get, 23 while the server
+/// parsed the path of every message).
+const READ_BUDGET: u64 = 3;
 /// One steady-state write at two copies, a put-ack round trip and one
-/// replication cast (measured: 7 — the two requests, the two replies,
-/// and the replica queueing the cast before it applies it: its bytes,
-/// its path, a map node; 32 before).
-const WRITE_BUDGET: u64 = 8;
+/// replication cast (measured: 4 — the two requests and the two replies;
+/// 7 while the replica queued every cast before applying it: its bytes,
+/// its path, a map node; 32 before that).
+const WRITE_BUDGET: u64 = 5;
 
 const FLEET: usize = 5;
 
@@ -139,6 +141,7 @@ fn a_steady_state_read_stays_within_its_budget() {
     let session = open(&net, &members, &Arc::new(ClusterGauges::default()));
     session.read("/data/f.af", 0, 128).expect("warm-up read");
     const READS: u64 = 100;
+    let before = net.stats();
     let spent = allocations(|| {
         for _ in 0..READS {
             session.read("/data/f.af", 0, 128).expect("read");
@@ -148,6 +151,10 @@ fn a_steady_state_read_stays_within_its_budget() {
         spent <= READS * READ_BUDGET,
         "{READS} reads made {spent} allocations, budget {READ_BUDGET} each"
     );
+    // A healthy read is one request and its reply.
+    let after = net.stats();
+    assert_eq!(after.rpcs - before.rpcs, READS);
+    assert_eq!(after.casts - before.casts, 0);
 }
 
 #[test]
@@ -159,6 +166,7 @@ fn a_steady_state_write_stays_within_its_budget() {
         .write("/data/f.af", 0, &[1u8; 128])
         .expect("warm-up write");
     const WRITES: u64 = 100;
+    let before = net.stats();
     let spent = allocations(|| {
         for _ in 0..WRITES {
             assert_eq!(session.write("/data/f.af", 0, &[2u8; 128]), Ok(128));
@@ -168,4 +176,8 @@ fn a_steady_state_write_stays_within_its_budget() {
         spent <= WRITES * WRITE_BUDGET,
         "{WRITES} writes made {spent} allocations, budget {WRITE_BUDGET} each"
     );
+    // A write at two copies: the ack's round trip and one cast.
+    let after = net.stats();
+    assert_eq!(after.rpcs - before.rpcs, WRITES);
+    assert_eq!(after.casts - before.casts, WRITES);
 }
