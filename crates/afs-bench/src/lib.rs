@@ -457,7 +457,7 @@ pub fn measure_baseline(
             let server = FileServer::new();
             server.seed("/blob", &filler(total));
             world.net().register("files", server as Arc<dyn Service>);
-            let client = FileClient::new(world.net().clone(), "files");
+            let client = FileClient::new(world.net().endpoint(["files"]));
             let payload = vec![0u8; block];
             for i in 0..ops {
                 let offset = (i * block) as u64;

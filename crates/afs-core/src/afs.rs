@@ -574,12 +574,6 @@ impl ActiveFilesLayer {
         self.runtime.exec.shard_stats()
     }
 
-    /// Deterministic executor teardown: joins every worker, then drains
-    /// remaining tasks inline (close hooks still run).
-    pub fn fleet_shutdown(&self) {
-        self.runtime.exec.shutdown();
-    }
-
     /// Deterministic world teardown: drops every still-open active handle
     /// (closing each transport wakes its sentinel, which runs its close
     /// hook and retires), then drains the executor. After this returns no

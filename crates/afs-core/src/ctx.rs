@@ -11,8 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use afs_ipc::{NamedSemaphore, SyncRegistry};
-use afs_net::Network;
-use afs_remote::{DbClient, FileClient, MailClient, QuoteClient, RegistryClient};
+use afs_net::{Endpoint, Network};
 use afs_sim::CostModel;
 use afs_telemetry::StoreGauges;
 use afs_vfs::{VPath, Vfs};
@@ -30,6 +29,7 @@ pub struct SentinelCtx {
     cache: CacheStore,
     vfs: Arc<Vfs>,
     net: Network,
+    replicas: Vec<String>,
     sync: SyncRegistry,
     model: CostModel,
     api: Option<Arc<dyn FileApi>>,
@@ -78,8 +78,8 @@ impl SentinelCtx {
             ),
         };
         // A spec asking for retry/replicas/breaker gets a policy-carrying
-        // network clone, so every typed client this context hands out runs
-        // the recovery loop transparently.
+        // network clone, so every walk this context's endpoints make runs
+        // under it transparently.
         let net = match &rt.reliability {
             Some(policy) => net.with_policy(policy.clone()),
             None => net,
@@ -91,6 +91,7 @@ impl SentinelCtx {
             cache,
             vfs,
             net,
+            replicas: rt.replicas.clone(),
             sync,
             model,
             api: None,
@@ -143,7 +144,7 @@ impl SentinelCtx {
         &self.vfs
     }
 
-    /// The simulated network.
+    /// The simulated network, under the spec's reliability policy.
     pub fn net(&self) -> &Network {
         &self.net
     }
@@ -240,31 +241,15 @@ impl SentinelCtx {
             .unwrap_or(false)
     }
 
-    // ---- typed remote clients -------------------------------------------------
+    // ---- remote services --------------------------------------------------------
 
-    /// A file-server client for `service`.
-    pub fn file_client(&self, service: &str) -> FileClient {
-        FileClient::new(self.net.clone(), service)
-    }
-
-    /// A mail (POP/SMTP) client.
-    pub fn mail_client(&self) -> MailClient {
-        MailClient::new(self.net.clone())
-    }
-
-    /// A quote-feed client for `service`.
-    pub fn quote_client(&self, service: &str) -> QuoteClient {
-        QuoteClient::new(self.net.clone(), service)
-    }
-
-    /// A registry client for `service`.
-    pub fn registry_client(&self, service: &str) -> RegistryClient {
-        RegistryClient::new(self.net.clone(), service)
-    }
-
-    /// A database client for `service`.
-    pub fn db_client(&self, service: &str) -> DbClient {
-        DbClient::new(self.net.clone(), service)
+    /// How this sentinel reaches `service`: over its network, under the
+    /// spec's policy, walking `service` then the spec's `replicas=`, each
+    /// once, in order. A typed client takes it, e.g.
+    /// `afs_remote::FileClient::new(ctx.endpoint("files"))`.
+    pub fn endpoint(&self, service: &str) -> Endpoint {
+        let replicas = self.replicas.iter().map(String::as_str);
+        self.net.endpoint(std::iter::once(service).chain(replicas))
     }
 
     // ---- cross-sentinel synchronisation ---------------------------------------

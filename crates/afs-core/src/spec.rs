@@ -142,15 +142,18 @@ pub(crate) struct RuntimeSpec {
     pub degraded: bool,
     /// `staleness_ms`, in ns. Read here as the bound on how long degraded
     /// reads may keep serving last-good bytes before they fail instead;
-    /// `afs_remote::ClusterClient` reads the same key name as how long a
-    /// read may wait out replication lag. No spec reaches both.
+    /// the cluster client in `afs-remote` reads the same key name as how
+    /// long a read may wait out replication lag. No spec reaches both.
     pub staleness_ns: Option<u64>,
     /// `durable=on` with its `sync`, `checkpoint_pages` and `page_size`:
     /// the cache is the WAL-backed page store.
     pub durable: Option<StoreOptions>,
-    /// `retry*`, `replicas`, `breaker.*`: present once any of `retry`,
-    /// `replicas` or `breaker.threshold` is; the sentinel's network then
-    /// runs every remote call through the recovery loop.
+    /// `replicas`: the owners [`crate::SentinelCtx::endpoint`] walks after
+    /// the service it is asked for, in order. Also switches the policy on.
+    pub replicas: Vec<String>,
+    /// `retry*`, `breaker.*`: present once any of `retry`, `replicas` or
+    /// `breaker.threshold` is; the sentinel's network then walks every
+    /// remote call under it.
     pub reliability: Option<ReliabilityPolicy>,
     /// `slo_p99_us` / `slo_err_ppm`: the objectives telemetry tracks.
     pub slo: SloSpec,
@@ -169,6 +172,7 @@ impl Default for RuntimeSpec {
             degraded: false,
             staleness_ns: None,
             durable: None,
+            replicas: Vec::new(),
             reliability: None,
             slo: SloSpec::default(),
             ring_depth: None,
@@ -239,7 +243,7 @@ const RUNTIME_KEYS: &[(&str, &str, Apply)] = &[
     }),
     ("replicas", "comma-separated service names", |d, v| {
         d.reliable = true;
-        set(&mut d.policy.replicas, Some(list(v)))
+        set(&mut d.rt.replicas, Some(list(v)))
     }),
     (
         "breaker.threshold",
@@ -613,7 +617,7 @@ mod tests {
             |rt| retry(rt).max_backoff_ns == 9_000,
         ),
         ("replicas", "files-b, files-c,,", &[], |rt| {
-            policy(rt).replicas == ["files-b", "files-c"] && policy(rt).breaker.is_none()
+            rt.replicas == ["files-b", "files-c"] && policy(rt).breaker.is_none()
         }),
         ("breaker.threshold", "2", &[], |rt| {
             policy(rt).breaker

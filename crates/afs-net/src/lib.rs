@@ -20,10 +20,13 @@
 //! * [`cluster`] — consistent-hash membership and replica-aware
 //!   placement for running active files against a fleet of services
 //!   instead of a single one.
+//! * [`Network::walk`] — the one failover walk: a caller's owners,
+//!   primary first, each asked once per pass. An [`Endpoint`] is a
+//!   service's owner list as one caller reaches it.
 //! * [`reliability`] — retry policies with deterministic exponential
-//!   backoff, replica failover, per-service circuit breakers, and the
-//!   counters the telemetry exports. A [`Network::with_policy`] clone runs
-//!   every call through the recovery loop.
+//!   backoff, per-service circuit breakers, and the counters the
+//!   telemetry exports. A [`Network::with_policy`] clone walks every call
+//!   under its policy.
 //!
 //! Services execute inline on the caller's thread; their compute is free,
 //! which matches the paper's measurement focus on the *client-side*
@@ -37,7 +40,7 @@ pub mod wire;
 
 pub use cluster::{HashRing, Placement};
 pub use error::NetError;
-pub use net::{FaultPlan, Network, NetworkStats, Service};
+pub use net::{Endpoint, FaultPlan, Network, NetworkStats, Owner, Service};
 pub use reliability::{
     BreakerConfig, CircuitBreaker, ReliabilityPolicy, ReliabilitySnapshot, ReliabilityStats,
     RetryPolicy,

@@ -1,5 +1,5 @@
 //! The network fabric: service registry, RPC/cast calls, cost accounting,
-//! fault injection, and the reliability recovery loop.
+//! fault injection, and the failover walk every call runs.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -8,10 +8,11 @@ use std::sync::Arc;
 use parking_lot::{Mutex, RwLock};
 
 use afs_sim::{clock, Cost, CostModel, SimRng};
-use afs_telemetry::{flight_note, flight_trigger, intern, now_ns, retry_span_noted};
+use afs_telemetry::{flight_note, flight_trigger, intern, now_ns, retry_span_noted, SpanGuard};
 
 use crate::reliability::{
-    CircuitBreaker, ReliabilityPolicy, ReliabilitySnapshot, ReliabilityStats,
+    BreakerConfig, CircuitBreaker, ReliabilityPolicy, ReliabilitySnapshot, ReliabilityStats,
+    RetryPolicy,
 };
 use crate::{NetError, Result};
 
@@ -98,7 +99,6 @@ fn consume_token(counter: &AtomicU64) -> bool {
 /// Handle for configuring faults against one service.
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
-    service: String,
     faults: Arc<Faults>,
 }
 
@@ -153,11 +153,6 @@ impl FaultPlan {
         self.faults.loss_ppm.store(0, Ordering::SeqCst);
     }
 
-    /// The service this plan applies to.
-    pub fn service(&self) -> &str {
-        &self.service
-    }
-
     /// One-line summary of the configured faults, for diagnostics.
     pub fn describe(&self) -> String {
         let mut parts = Vec::new();
@@ -209,7 +204,7 @@ pub struct NetworkStats {
 
 /// One registered service and its fault state: what a message needs,
 /// behind one reference count.
-struct Endpoint {
+struct Registered {
     service: Arc<dyn Service>,
     faults: Arc<Faults>,
 }
@@ -220,7 +215,7 @@ struct Endpoint {
 /// together instead of on eight lines.
 #[derive(Default)]
 struct Shared {
-    registry: RwLock<HashMap<String, Arc<Endpoint>>>,
+    registry: RwLock<HashMap<String, Arc<Registered>>>,
     seed: AtomicU64,
     breakers: Mutex<HashMap<String, CircuitBreaker>>,
     reliability: ReliabilityStats,
@@ -234,11 +229,13 @@ struct Shared {
 /// The simulated network connecting sentinels to remote information
 /// sources. Cloning is cheap; clones share the registry and statistics.
 ///
-/// A clone produced by [`Network::with_policy`] additionally runs every
-/// `rpc`/`cast` through the reliability loop: retry with deterministic
-/// exponential backoff, replica failover, and per-service circuit
-/// breaking. Breakers and reliability counters stay shared across all
-/// clones, so one sentinel tripping a breaker protects every other caller.
+/// Every call is a [`Network::walk`] over the owners its caller names —
+/// one for [`Network::rpc`]/[`Network::cast`], an [`Endpoint`]'s list,
+/// a cluster's placement. A clone produced by [`Network::with_policy`]
+/// walks under that policy: retry with deterministic exponential backoff
+/// and per-service circuit breaking. Breakers and reliability counters
+/// stay shared across all clones, so one sentinel tripping a breaker
+/// protects every other caller.
 #[derive(Clone)]
 pub struct Network {
     model: CostModel,
@@ -264,11 +261,6 @@ impl Network {
         }
     }
 
-    /// The cost model traffic is charged against.
-    pub fn model(&self) -> &CostModel {
-        &self.model
-    }
-
     /// Sets the seed all per-service fault streams and retry jitter derive
     /// from. Re-seeds the streams of already-registered services, so it can
     /// be called at any point during world construction.
@@ -288,25 +280,21 @@ impl Network {
     /// plan for it.
     pub fn register(&self, name: &str, service: Arc<dyn Service>) -> FaultPlan {
         let faults = Arc::new(Faults::seeded(self.seed(), name));
-        let endpoint = Endpoint {
+        let registered = Registered {
             service,
             faults: Arc::clone(&faults),
         };
         self.shared
             .registry
             .write()
-            .insert(name.to_owned(), Arc::new(endpoint));
-        FaultPlan {
-            service: name.to_owned(),
-            faults,
-        }
+            .insert(name.to_owned(), Arc::new(registered));
+        FaultPlan { faults }
     }
 
     /// The fault plan of an already-registered service, so tests and tools
     /// can inject faults without re-registering (and thereby resetting) it.
     pub fn plan(&self, name: &str) -> Option<FaultPlan> {
         self.shared.registry.read().get(name).map(|e| FaultPlan {
-            service: name.to_owned(),
             faults: Arc::clone(&e.faults),
         })
     }
@@ -323,19 +311,30 @@ impl Network {
         names
     }
 
-    /// A clone of this network that runs every call through `policy`:
-    /// retry with deterministic backoff, replica failover, and (when
-    /// configured) circuit breaking. The registry, statistics, breakers,
-    /// and reliability counters remain shared with the original.
+    /// A clone of this network that walks every call under `policy`:
+    /// retry with deterministic backoff and (when configured) circuit
+    /// breaking. Which owners a call walks stays the caller's. The
+    /// registry, statistics, breakers, and reliability counters remain
+    /// shared with the original.
     pub fn with_policy(&self, policy: ReliabilityPolicy) -> Network {
         let mut clone = self.clone();
         clone.policy = Some(Arc::new(policy));
         clone
     }
 
-    /// The reliability policy this clone enforces, if any.
-    pub fn policy(&self) -> Option<&ReliabilityPolicy> {
-        self.policy.as_deref()
+    /// `owners`, primary first, as reached over this network and under
+    /// its policy: each name once, in the order first given.
+    pub fn endpoint<'a>(&self, owners: impl IntoIterator<Item = &'a str>) -> Endpoint {
+        let mut names: Vec<String> = Vec::new();
+        for name in owners {
+            if !names.iter().any(|n| n == name) {
+                names.push(name.to_owned());
+            }
+        }
+        Endpoint {
+            net: self.clone(),
+            owners: names,
+        }
     }
 
     /// Copies out the shared reliability counters.
@@ -360,7 +359,7 @@ impl Network {
         states
     }
 
-    fn lookup(&self, name: &str) -> Result<Arc<Endpoint>> {
+    fn lookup(&self, name: &str) -> Result<Arc<Registered>> {
         self.shared
             .registry
             .read()
@@ -406,9 +405,10 @@ impl Network {
         Ok(())
     }
 
-    /// Whether an error is worth retrying / failing over: transient
-    /// transport faults, or a missing service (a replica may hold the
-    /// data). Application-level rejections and codec errors are final.
+    /// Whether an error is a fault of the transport rather than an answer:
+    /// the walk moves on to the next owner (a missing service counts —
+    /// another owner may hold the data). Application-level rejections and
+    /// codec errors are answers, and final.
     fn retryable(err: &NetError) -> bool {
         matches!(
             err,
@@ -416,37 +416,41 @@ impl Network {
         )
     }
 
-    fn breaker_allow(&self, policy: &ReliabilityPolicy, name: &str) -> bool {
-        let Some(cfg) = &policy.breaker else {
-            return true;
-        };
+    /// Runs `f` on `name`'s breaker, made from `cfg` on first use: only a
+    /// service's first call under a breaker names it into the map.
+    fn with_breaker<T>(
+        &self,
+        cfg: &BreakerConfig,
+        name: &str,
+        f: impl FnOnce(&mut CircuitBreaker) -> T,
+    ) -> T {
         let mut map = self.shared.breakers.lock();
-        map.entry(name.to_owned())
-            .or_insert_with(|| CircuitBreaker::new(cfg.clone()))
-            .allow(now_ns())
-    }
-
-    fn breaker_success(&self, policy: &ReliabilityPolicy, name: &str) {
-        if policy.breaker.is_none() {
-            return;
+        if let Some(breaker) = map.get_mut(name) {
+            return f(breaker);
         }
-        if let Some(b) = self.shared.breakers.lock().get_mut(name) {
-            b.on_success();
-        }
-    }
-
-    fn breaker_failure(&self, policy: &ReliabilityPolicy, name: &str) {
-        let Some(cfg) = &policy.breaker else {
-            return;
-        };
-        let mut map = self.shared.breakers.lock();
-        let tripped = map
+        f(map
             .entry(name.to_owned())
-            .or_insert_with(|| CircuitBreaker::new(cfg.clone()))
-            .on_failure(now_ns());
-        if tripped {
+            .or_insert_with(|| CircuitBreaker::new(cfg.clone())))
+    }
+
+    fn breaker_allow(&self, cfg: Option<&BreakerConfig>, name: &str) -> bool {
+        cfg.is_none_or(|cfg| self.with_breaker(cfg, name, |b| b.allow(now_ns())))
+    }
+
+    fn breaker_success(&self, cfg: Option<&BreakerConfig>, name: &str) {
+        if cfg.is_some() {
+            if let Some(b) = self.shared.breakers.lock().get_mut(name) {
+                b.on_success();
+            }
+        }
+    }
+
+    fn breaker_failure(&self, cfg: Option<&BreakerConfig>, name: &str) {
+        let Some(cfg) = cfg else {
+            return;
+        };
+        if self.with_breaker(cfg, name, |b| b.on_failure(now_ns())) {
             self.shared.reliability.note_breaker_trip();
-            drop(map);
             // A breaker opening is a post-mortem moment: freeze the recent
             // spans and event rings while the failing op is still in
             // flight, so the bundle contains its causal trace.
@@ -454,94 +458,152 @@ impl Network {
         }
     }
 
-    /// The recovery loop: tries the primary then each replica, breaker
-    /// permitting; between rounds waits out an exponential backoff with
-    /// deterministic jitter. Backoff consumes *virtual* time, so scheduled
-    /// partitions ([`FaultPlan::partition_window`]) heal while we wait.
-    fn call_reliable<T>(
+    /// The failover walk, the tree's only one: asks `owners`, primary
+    /// first, until one serves. `ask` gets each as an [`Owner`] taking one
+    /// message and returns `Ok(Some(_))` (served), `Ok(None)` (answered,
+    /// but not this owner — a copy behind the caller's floor, a file it
+    /// lacks: the walk moves on, the caller keeps its own reading of why)
+    /// or an error: a transport fault moves the walk on, any other ends it.
+    ///
+    /// Without a policy that is one pass and nothing else. Under
+    /// [`Network::with_policy`] each owner's breaker is asked first, and a
+    /// pass that met only faults is repeated after a jittered exponential
+    /// backoff in *virtual* time (so a [`FaultPlan::partition_window`]
+    /// heals while we wait), within the policy's attempts and deadline.
+    ///
+    /// # Errors
+    ///
+    /// The first answer that is not a fault; else the last fault or
+    /// breaker refusal. A pass an owner declined in ends with `Ok(None)`.
+    #[inline]
+    pub fn walk<'a, T>(
         &self,
-        policy: &ReliabilityPolicy,
-        service: &str,
-        mut call: impl FnMut(&str) -> Result<T>,
-    ) -> Result<T> {
-        let mut candidates: Vec<&str> = Vec::with_capacity(1 + policy.replicas.len());
-        candidates.push(service);
-        for replica in &policy.replicas {
-            if replica != service && !candidates.contains(&replica.as_str()) {
-                candidates.push(replica);
-            }
-        }
-        let attempts = policy.retry.attempts.max(1);
-        let start = now_ns();
-        let mut jitter_rng = SimRng::derive(self.seed(), service);
-        let mut last_err = None;
-        // The retry span is opened lazily so the happy path stays span-free.
-        let mut span_opened = false;
-        let mut span = None;
-        for attempt in 0..attempts {
-            for candidate in &candidates {
-                if !self.breaker_allow(policy, candidate) {
-                    self.shared.reliability.note_breaker_rejection();
-                    // The local refusal is part of the op's causal story:
-                    // an annotated zero-work child span records it in the
-                    // trace.
-                    drop(retry_span_noted("breaker-reject", "cause=breaker_open"));
-                    flight_note("net", format!("breaker_reject service={candidate}"));
-                    last_err = Some(NetError::CircuitOpen((*candidate).to_owned()));
+        owners: impl Iterator<Item = &'a str> + Clone,
+        mut ask: impl FnMut(Owner<'_>) -> Result<Option<T>>,
+    ) -> Result<Option<T>> {
+        let primary = || owners.clone().next().unwrap_or_default();
+        let policy = self.policy.as_deref();
+        let breaker = policy.and_then(|p| p.breaker.as_ref());
+        let start = if policy.is_some() { now_ns() } else { 0 };
+        let mut last_fault = None;
+        // Both made at the first backoff: the happy path is RNG- and
+        // span-free.
+        let (mut rng, mut span) = (None, None);
+        for pass in 0.. {
+            let mut declined = false;
+            for (index, name) in owners.clone().enumerate() {
+                if !self.breaker_allow(breaker, name) {
+                    last_fault = Some(self.refused(name));
                     continue;
                 }
-                match call(candidate) {
-                    Ok(value) => {
-                        self.breaker_success(policy, candidate);
-                        if *candidate != service {
-                            self.shared.reliability.note_failover();
-                            let _sp = retry_span_noted(
-                                "failover",
-                                intern(&format!("cause=failover replica={candidate}")),
-                            );
-                            flight_note(
-                                "net",
-                                format!("failover service={service} replica={candidate}"),
-                            );
+                match ask(Owner {
+                    net: self,
+                    name,
+                    index,
+                }) {
+                    Ok(None) => {
+                        self.breaker_success(breaker, name);
+                        declined = true;
+                    }
+                    Ok(served) => {
+                        self.breaker_success(breaker, name);
+                        if index != 0 && policy.is_some() {
+                            self.failed_over(primary(), name);
                         }
-                        return Ok(value);
+                        return Ok(served);
                     }
                     Err(err) if Self::retryable(&err) => {
-                        self.breaker_failure(policy, candidate);
-                        last_err = Some(err);
+                        self.breaker_failure(breaker, name);
+                        last_fault = Some(err);
                     }
                     Err(err) => {
                         // An application-level rejection means the service
                         // answered: the transport is healthy, so a half-open
                         // probe resolves (and the failure streak resets)
                         // rather than staying in flight forever.
-                        self.breaker_success(policy, candidate);
+                        self.breaker_success(breaker, name);
                         return Err(err);
                     }
                 }
             }
-            if attempt + 1 < attempts {
-                let shift = attempt.min(20);
-                let backoff = policy
-                    .retry
-                    .base_backoff_ns
-                    .saturating_mul(1u64 << shift)
-                    .min(policy.retry.max_backoff_ns);
-                let wait = backoff.saturating_add(jitter_rng.next_below(backoff / 2 + 1));
-                let elapsed = now_ns().saturating_sub(start);
-                if elapsed.saturating_add(wait) > policy.retry.deadline_ns {
-                    break;
-                }
-                if !span_opened {
-                    span_opened = true;
-                    span = retry_span_noted("retry", "cause=backoff");
-                }
-                clock::advance(wait);
-                self.shared.reliability.note_retry();
+            if declined {
+                return Ok(None);
+            }
+            let Some(policy) = policy else {
+                break;
+            };
+            if !self.back_off(&policy.retry, pass, start, primary(), &mut rng, &mut span) {
+                break;
             }
         }
         drop(span);
-        Err(last_err.unwrap_or_else(|| NetError::ServiceNotFound(service.to_owned())))
+        Err(last_fault.unwrap_or_else(|| NetError::ServiceNotFound(primary().to_owned())))
+    }
+
+    /// A breaker refused `name` locally: the refusal is part of the op's
+    /// causal story, so an annotated zero-work child span records it.
+    #[cold]
+    fn refused(&self, name: &str) -> NetError {
+        self.shared.reliability.note_breaker_rejection();
+        drop(retry_span_noted("breaker-reject", "cause=breaker_open"));
+        flight_note("net", format!("breaker_reject service={name}"));
+        NetError::CircuitOpen(name.to_owned())
+    }
+
+    #[cold]
+    fn failed_over(&self, primary: &str, replica: &str) {
+        self.shared.reliability.note_failover();
+        let _sp = retry_span_noted(
+            "failover",
+            intern(&format!("cause=failover replica={replica}")),
+        );
+        flight_note(
+            "net",
+            format!("failover service={primary} replica={replica}"),
+        );
+    }
+
+    /// Waits out the backoff before the pass after `pass`, if `retry`
+    /// allows one: exponential, plus jitter from `primary`'s stream
+    /// (derived at the first wait), within the deadline counted from
+    /// `start`. The retry span opens at the first wait.
+    #[cold]
+    fn back_off(
+        &self,
+        retry: &RetryPolicy,
+        pass: u32,
+        start: u64,
+        primary: &str,
+        rng: &mut Option<SimRng>,
+        span: &mut Option<Option<SpanGuard>>,
+    ) -> bool {
+        if pass + 1 >= retry.attempts.max(1) {
+            return false;
+        }
+        let backoff = retry
+            .base_backoff_ns
+            .saturating_mul(1u64 << pass.min(20))
+            .min(retry.max_backoff_ns);
+        let jitter = rng.get_or_insert_with(|| SimRng::derive(self.seed(), primary));
+        let wait = backoff.saturating_add(jitter.next_below(backoff / 2 + 1));
+        if now_ns().saturating_sub(start).saturating_add(wait) > retry.deadline_ns {
+            return false;
+        }
+        span.get_or_insert_with(|| retry_span_noted("retry", "cause=backoff"));
+        clock::advance(wait);
+        self.shared.reliability.note_retry();
+        true
+    }
+
+    /// A walk whose owners never decline.
+    #[inline]
+    fn call<'a, T>(
+        &self,
+        owners: impl Iterator<Item = &'a str> + Clone,
+        mut once: impl FnMut(&str) -> Result<T>,
+    ) -> Result<T> {
+        self.walk(owners, |owner| once(owner.name).map(Some))
+            .map(|served| served.expect("no owner declines"))
     }
 
     fn rpc_once(&self, service: &str, request: &[u8]) -> Result<Vec<u8>> {
@@ -583,9 +645,9 @@ impl Network {
     /// Synchronous request/response to a service.
     ///
     /// Charged as: request bytes out + one round trip + response bytes
-    /// back — the read critical path of Figure 5 path 1. On a
-    /// policy-carrying clone ([`Network::with_policy`]) transient failures
-    /// are retried and failed over per the policy.
+    /// back — the read critical path of Figure 5 path 1. A walk of one
+    /// owner: on a policy-carrying clone ([`Network::with_policy`])
+    /// transient failures are retried per the policy.
     ///
     /// # Errors
     ///
@@ -593,30 +655,24 @@ impl Network {
     /// [`NetError::CircuitOpen`] when the breaker refuses the call, or
     /// whatever the service rejects with.
     pub fn rpc(&self, service: &str, request: &[u8]) -> Result<Vec<u8>> {
-        match &self.policy {
-            Some(policy) => self.call_reliable(policy, service, |candidate| {
-                self.rpc_once(candidate, request)
-            }),
-            None => self.rpc_once(service, request),
-        }
+        self.call(std::iter::once(service), |name| {
+            self.rpc_once(name, request)
+        })
     }
 
     /// Fire-and-forget message to a service: charged only the outbound
     /// per-byte streaming cost, no round trip ("writes are issued without
-    /// waiting for their completion", §6). On a policy-carrying clone
-    /// transient failures are retried and failed over per the policy.
+    /// waiting for their completion", §6). A walk of one owner, like
+    /// [`Network::rpc`].
     ///
     /// # Errors
     ///
     /// [`NetError::ServiceNotFound`], fault-injection errors, and
     /// [`NetError::CircuitOpen`]; delivery itself cannot fail.
     pub fn cast(&self, service: &str, request: &[u8]) -> Result<()> {
-        match &self.policy {
-            Some(policy) => self.call_reliable(policy, service, |candidate| {
-                self.cast_once(candidate, request)
-            }),
-            None => self.cast_once(service, request),
-        }
+        self.call(std::iter::once(service), |name| {
+            self.cast_once(name, request)
+        })
     }
 
     /// Copies out aggregate statistics.
@@ -629,6 +685,58 @@ impl Network {
             bytes_received: stats.bytes_received.load(Ordering::Relaxed),
             dropped: stats.dropped.load(Ordering::Relaxed),
         }
+    }
+}
+
+/// One owner as a [`Network::walk`] hands it to its caller: a message to
+/// it is sent once, with no retry or failover of its own — the walk
+/// around it is the only one.
+#[derive(Clone, Copy)]
+pub struct Owner<'a> {
+    net: &'a Network,
+    name: &'a str,
+    index: usize,
+}
+
+impl Owner<'_> {
+    /// Its place in the walk's owner list: 0 is the primary.
+    pub fn index(&self) -> usize {
+        self.index
+    }
+
+    /// One request/response, charged and failing as [`Network::rpc`] does
+    /// (a breaker's refusal is the walk's).
+    pub fn rpc(&self, request: &[u8]) -> Result<Vec<u8>> {
+        self.net.rpc_once(self.name, request)
+    }
+}
+
+/// A service as one caller reaches it: the caller's network, with its
+/// policy if any, and the service's owners, primary first
+/// ([`Network::endpoint`]). Every call is a [`Network::walk`] over them.
+#[derive(Debug, Clone)]
+pub struct Endpoint {
+    net: Network,
+    owners: Vec<String>,
+}
+
+impl Endpoint {
+    fn owners(&self) -> impl Iterator<Item = &str> + Clone {
+        self.owners.iter().map(String::as_str)
+    }
+
+    /// Request/response from the first owner to serve, charged as
+    /// [`Network::rpc`]; its errors are [`Network::walk`]'s.
+    pub fn rpc(&self, request: &[u8]) -> Result<Vec<u8>> {
+        self.net
+            .call(self.owners(), |name| self.net.rpc_once(name, request))
+    }
+
+    /// Fire-and-forget to the first owner to take it, charged as
+    /// [`Network::cast`]; its errors are [`Network::walk`]'s.
+    pub fn cast(&self, request: &[u8]) -> Result<()> {
+        self.net
+            .call(self.owners(), |name| self.net.cast_once(name, request))
     }
 }
 
@@ -872,15 +980,64 @@ mod tests {
         let plan = net.register("files", Arc::new(Tagged("primary")));
         net.register("files-a", Arc::new(Tagged("a")));
         net.register("files-b", Arc::new(Tagged("b")));
-        let reliable = net.with_policy(ReliabilityPolicy {
-            replicas: vec!["files-a".to_owned(), "files-b".to_owned()],
-            ..ReliabilityPolicy::default()
-        });
-        assert_eq!(reliable.rpc("files", b"x").expect("rpc"), b"primary");
+        let reliable = net
+            .with_policy(ReliabilityPolicy::default())
+            .endpoint(["files", "files-a", "files-b"]);
+        assert_eq!(reliable.rpc(b"x").expect("rpc"), b"primary");
         assert_eq!(net.reliability().failovers, 0);
         plan.set_partitioned(true);
-        assert_eq!(reliable.rpc("files", b"x").expect("failover"), b"a");
+        assert_eq!(reliable.rpc(b"x").expect("failover"), b"a");
         assert_eq!(net.reliability().failovers, 1);
+    }
+
+    /// Counts the messages that reach it.
+    #[derive(Default)]
+    struct Counted(std::sync::atomic::AtomicU64);
+
+    impl Service for Counted {
+        fn handle(&self, _request: &[u8]) -> Result<Vec<u8>> {
+            self.0.fetch_add(1, Ordering::SeqCst);
+            Ok(Vec::new())
+        }
+    }
+
+    #[test]
+    fn an_endpoint_asks_each_owner_once_in_the_order_given() {
+        let net = Network::new(CostModel::free());
+        let counts: Vec<Arc<Counted>> = (0..2).map(|_| Arc::default()).collect();
+        let primary = net.register("a", Arc::clone(&counts[0]) as Arc<dyn Service>);
+        net.register("b", Arc::clone(&counts[1]) as Arc<dyn Service>);
+        let endpoint = net.endpoint(["a", "b", "a", "b"]);
+        primary.set_partitioned(true);
+        endpoint.cast(b"x").expect("the second owner takes it");
+        net.plan("b").expect("plan").set_partitioned(true);
+        let _g = clock::install(0);
+        assert!(matches!(endpoint.rpc(b"x"), Err(NetError::Partitioned(_))));
+        // Duplicates are dropped: a policy-free walk is one pass, each
+        // owner asked once, and it counts no failover, retry or time.
+        assert_eq!(net.stats().casts, 1);
+        assert_eq!(counts[1].0.load(Ordering::SeqCst), 1);
+        assert_eq!(net.reliability(), ReliabilitySnapshot::default());
+        assert_eq!(clock::now(), 0);
+    }
+
+    #[test]
+    fn a_pass_an_owner_declined_ends_the_walk() {
+        let net = Network::new(CostModel::free());
+        net.register("a", Arc::new(Echo));
+        let plan = net.register("b", Arc::new(Echo));
+        plan.set_partitioned(true);
+        let reliable = net.with_policy(ReliabilityPolicy::default());
+        let mut asked = Vec::new();
+        let walked = reliable.walk(["a", "b"].into_iter(), |owner| {
+            asked.push(owner.index());
+            owner.rpc(b"x").map(|_| None::<()>)
+        });
+        // `a` answered but declined, `b` was partitioned: no backoff and
+        // no second pass, whatever the policy allows.
+        assert_eq!(walked, Ok(None));
+        assert_eq!(asked, [0, 1]);
+        assert_eq!(net.reliability().retries, 0);
     }
 
     #[test]
@@ -896,7 +1053,6 @@ mod tests {
                 threshold: 2,
                 cooldown_ns: u64::MAX,
             }),
-            ..ReliabilityPolicy::default()
         });
         plan.set_partitioned(true);
         assert!(reliable.rpc("echo", b"x").is_err());
@@ -931,7 +1087,6 @@ mod tests {
                 threshold: 1,
                 cooldown_ns: 1_000,
             }),
-            ..ReliabilityPolicy::default()
         });
         let _g = clock::install(0);
         plan.set_partitioned(true);

@@ -1,16 +1,19 @@
 //! The reliability layer: retry policies, per-service circuit breakers,
-//! replica failover, and the shared counters the telemetry exports.
+//! and the shared counters the telemetry exports.
 //!
 //! The paper's sentinels mediate between a legacy application and remote
 //! services; the related middleware literature (fault-tolerant dispatch to
 //! legacy workers, confined IPC) argues the mediation layer is the right
 //! place to absorb faults. Here that layer is the [`Network`] itself: a
-//! sentinel whose spec carries `retry`/`replicas`/`breaker.*` keys gets a
+//! sentinel whose spec carries `retry`/`breaker.*` keys gets a
 //! policy-carrying network clone ([`Network::with_policy`]), and every
-//! remote call it makes — through any typed client — runs the recovery
-//! loop in `net.rs` governed by the types in this module.
+//! remote call it makes is one [`Network::walk`] governed by the types in
+//! this module. Which owners a walk tries is not policy: the caller names
+//! them (an endpoint's list, a cluster's placement).
 //!
 //! [`Network`]: crate::Network
+//! [`Network::with_policy`]: crate::Network::with_policy
+//! [`Network::walk`]: crate::Network::walk
 
 use std::sync::atomic::Ordering;
 
@@ -23,7 +26,7 @@ use std::sync::atomic::Ordering;
 /// instant genuinely heals while the caller "waits".
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RetryPolicy {
-    /// Total attempts per candidate round (1 = no retry).
+    /// Passes over the walk's owners (1 = no retry).
     pub attempts: u32,
     /// Give up once the next backoff would pass this many ns after the
     /// first attempt started.
@@ -69,8 +72,6 @@ impl Default for BreakerConfig {
 pub struct ReliabilityPolicy {
     /// Retry schedule.
     pub retry: RetryPolicy,
-    /// Fallback services tried, in order, when the requested one fails.
-    pub replicas: Vec<String>,
     /// Circuit breaker, if enabled.
     pub breaker: Option<BreakerConfig>,
 }

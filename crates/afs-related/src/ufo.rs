@@ -33,7 +33,7 @@ impl UfoLayer {
         UfoLayer {
             prefix: prefix.trim_end_matches('/').to_owned(),
             remote_root: remote_root.trim_end_matches('/').to_owned(),
-            client: FileClient::new(net, service),
+            client: FileClient::new(net.endpoint([service])),
         }
     }
 }

@@ -14,7 +14,9 @@
 //! remembers the last sequence it was acknowledged per path, so reads
 //! are **read-your-writes**: a read walks the owners in placement order
 //! and only accepts a copy whose version has caught up to the session's
-//! sequence.
+//! sequence. Both walks are the network's one failover walk
+//! ([`Network::walk`]) over the placement's owners; the session keeps
+//! only its reading of an owner's refusal.
 //!
 //! When every reachable owner is behind — a replica missed a cast and
 //! the primary then failed — the `staleness_ms` budget decides the
@@ -30,9 +32,9 @@ use std::sync::Arc;
 use parking_lot::{Mutex, RwLock};
 
 use afs_net::{cluster::Placement, NetError, Network};
-use afs_telemetry::ClusterGauges;
+use afs_telemetry::{backend_span, ClusterGauges};
 
-use crate::file_server::Remote;
+use crate::file_server::{repl_request, Remote};
 
 /// How long one bounded-staleness wait round burns before re-polling
 /// the owners (virtual time).
@@ -41,18 +43,6 @@ const STALE_WAIT_STEP_NS: u64 = 1_000_000; // 1 ms
 /// Owner lists up to this long are walked on the stack; a session
 /// keeping more copies than this spills to the heap.
 const INLINE_OWNERS: usize = 8;
-
-/// Whether an error means "try the next owner" (transport-level fault)
-/// rather than "the service answered no".
-fn failover_worthy(err: &NetError) -> bool {
-    matches!(
-        err,
-        NetError::Dropped(_)
-            | NetError::Partitioned(_)
-            | NetError::ServiceNotFound(_)
-            | NetError::CircuitOpen(_)
-    )
-}
 
 /// A fleet-routing file client: consistent-hash placement, primary-ack
 /// writes with async replication, and bounded-staleness
@@ -155,13 +145,6 @@ impl ClusterClient {
         *self.acked.lock().get(path).unwrap_or(&0)
     }
 
-    fn client_for<'a>(&'a self, node: &'a str) -> Remote<'a> {
-        Remote {
-            net: &self.net,
-            service: node,
-        }
-    }
-
     /// Writes `data` at `offset`: acknowledged by the first owner in
     /// placement order (normally the primary) whose copy has caught up
     /// to this session's acknowledged floor, then fanned out to the
@@ -180,43 +163,39 @@ impl ClusterClient {
         self.with_owners(path, |nodes, owners| {
             let floor = self.acked_seq(path);
             let mut last_err = None;
-            for &owner in owners {
-                match self
-                    .client_for(&nodes[owner])
-                    .put_acked(path, offset, data, floor)
-                {
-                    Ok((n, seq)) => {
-                        let mut acked = self.acked.lock();
-                        match acked.get_mut(path) {
-                            Some(floor) => *floor = (*floor).max(seq),
-                            None => drop(acked.insert(path.to_owned(), seq)),
-                        }
-                        drop(acked);
-                        // Owners are distinct: everyone but the one
-                        // that acknowledged gets the cast.
-                        let mut failed = 0u64;
-                        for &other in owners.iter().filter(|&&other| other != owner) {
-                            if self
-                                .client_for(&nodes[other])
-                                .replicate(path, offset, seq, data)
-                                .is_err()
-                            {
-                                failed += 1;
-                            }
-                        }
-                        self.gauges.write(owners.len() as u64 - 1, failed);
-                        return Ok(n);
-                    }
-                    // A rejection here is a lagging copy refusing to
-                    // allocate a sequence behind the session's floor —
-                    // failover-worthy, like a transport fault.
-                    Err(e) if failover_worthy(&e) || matches!(e, NetError::Rejected(_)) => {
-                        last_err = Some(e);
-                    }
-                    Err(e) => return Err(e),
+            let names = owners.iter().map(|&owner| nodes[owner].as_str());
+            let acked = self.net.walk(names, |owner| {
+                let ack = owner.put_acked(path, offset, data, floor);
+                last_err = ack.as_ref().err().cloned();
+                match ack {
+                    Ok(ack) => Ok(Some((owner.index(), ack))),
+                    // A refusal is a lagging copy that will not allocate a
+                    // sequence behind the session's floor: the next may.
+                    Err(NetError::Rejected(_)) => Ok(None),
+                    Err(e) => Err(e),
+                }
+            });
+            let Ok(Some((acker, (n, seq)))) = acked else {
+                return Err(acked.err().or(last_err).expect("an owner refused"));
+            };
+            let mut acked = self.acked.lock();
+            match acked.get_mut(path) {
+                Some(floor) => *floor = (*floor).max(seq),
+                None => drop(acked.insert(path.to_owned(), seq)),
+            }
+            drop(acked);
+            // Owners are distinct: everyone but the one that acknowledged
+            // gets the cast.
+            let mut failed = 0u64;
+            for (_, &other) in owners.iter().enumerate().filter(|&(i, _)| i != acker) {
+                let _bk = backend_span("remote-replicate");
+                let cast = repl_request(path, offset, seq, data);
+                if self.net.cast(&nodes[other], &cast).is_err() {
+                    failed += 1;
                 }
             }
-            Err(last_err.expect("at least one owner attempted"))
+            self.gauges.write(owners.len() as u64 - 1, failed);
+            Ok(n)
         })
     }
 
@@ -239,41 +218,37 @@ impl ClusterClient {
             // One round over the owners: the bytes, or `None` when every
             // reachable owner is behind the session's writes.
             let round = self.with_owners(path, |nodes, owners| {
-                let mut last_err = None;
-                let mut missing = None;
-                let mut behind = 0usize;
-                for (idx, &owner) in owners.iter().enumerate() {
-                    let client = self.client_for(&nodes[owner]);
-                    match client.get_at_floor(path, offset, len, required) {
-                        Ok(data) => {
-                            self.gauges.read(idx != 0);
-                            return Ok(Some(data));
-                        }
-                        // A rejection means this owner's copy is behind the
+                let (mut behind, mut missing, mut fault) = (false, None, None);
+                let names = owners.iter().map(|&owner| nodes[owner].as_str());
+                let served = self.net.walk(names, |owner| {
+                    match owner.get_at_floor(path, offset, len, required) {
+                        Ok(data) => Ok(Some((owner.index(), data))),
+                        // A refusal means this owner's copy is behind the
                         // floor or absent. With a non-zero floor either is
                         // replication lag (a joiner the casts have not
                         // caught up) — wait for it. With no floor the file
                         // may simply live on a later owner (written by
                         // another session): keep walking, and only surface
-                        // the rejection if no owner serves the read.
+                        // the refusal if no owner serves the read.
                         Err(e @ NetError::Rejected(_)) => {
-                            if required > 0 {
-                                behind += 1;
-                            } else {
-                                missing = Some(e);
-                            }
+                            behind |= required > 0;
+                            missing = Some(e);
+                            Ok(None)
                         }
-                        Err(e) if failover_worthy(&e) => last_err = Some(e),
-                        Err(e) => return Err(e),
+                        Err(e) => Err(fault.insert(e).clone()),
                     }
-                }
-                if behind == 0 {
+                });
+                match served? {
+                    Some((index, data)) => {
+                        self.gauges.read(index != 0);
+                        Ok(Some(data))
+                    }
+                    None if behind => Ok(None),
                     // No owner is lagging: the failure is a transport fault
                     // or a genuinely absent file, not staleness — surface
                     // it rather than burning the staleness budget.
-                    return Err(last_err.or(missing).expect("owners existed"));
+                    None => Err(fault.or(missing).expect("an owner refused")),
                 }
-                Ok(None)
             });
             if let Some(data) = round? {
                 return Ok(data);
@@ -292,34 +267,6 @@ impl ClusterClient {
             self.gauges.stale_wait();
             afs_sim::clock::advance(STALE_WAIT_STEP_NS);
         }
-    }
-
-    /// Length and version of the freshest reachable copy of `path`,
-    /// walking owners in placement order.
-    ///
-    /// # Errors
-    ///
-    /// A transport fault when no owner is reachable.
-    pub fn stat(&self, path: &str) -> afs_net::Result<crate::RemoteStat> {
-        self.with_owners(path, |nodes, owners| {
-            let mut best: Option<crate::RemoteStat> = None;
-            let mut last_err = None;
-            for &owner in owners {
-                match self.client_for(&nodes[owner]).stat(path) {
-                    Ok(stat) => {
-                        best = Some(match best {
-                            Some(b) if b.version >= stat.version => b,
-                            _ => stat,
-                        });
-                    }
-                    Err(e) => last_err = Some(e),
-                }
-            }
-            match best {
-                Some(stat) => Ok(stat),
-                None => Err(last_err.expect("owners existed")),
-            }
-        })
     }
 }
 
@@ -460,6 +407,36 @@ mod tests {
         client.write(path, 0, b"w2").expect("failover write");
         assert_eq!(client.acked_seq(path), 2);
         assert_eq!(client.read(path, 0, 2).expect("read"), b"w2");
+    }
+
+    /// A policy governs the session's one walk: a partitioned primary is
+    /// asked once and the replica serves in the same pass — no backoff,
+    /// no retry loop of its own around each owner.
+    #[test]
+    fn a_policy_walks_the_owners_not_each_owner() {
+        use afs_net::{ReliabilityPolicy, RetryPolicy};
+
+        let _clock = afs_sim::clock::install(0);
+        let (net, _servers, _) = fleet(3);
+        let reliable = net.with_policy(ReliabilityPolicy {
+            retry: RetryPolicy {
+                attempts: 3,
+                ..RetryPolicy::default()
+            },
+            ..ReliabilityPolicy::default()
+        });
+        let client = ClusterClient::new(reliable, 2, Some(10));
+        for i in 0..3 {
+            client.add_node(&format!("files-{i}"));
+        }
+        let path = "/data/p.af";
+        client.write(path, 0, b"bytes").expect("write");
+        let primary = client.owners(path)[0].clone();
+        net.plan(&primary).expect("plan").set_partitioned(true);
+        assert_eq!(client.read(path, 0, 5).expect("replica"), b"bytes");
+        assert_eq!(net.reliability().retries, 0);
+        assert_eq!(afs_sim::clock::now(), 0, "no backoff was waited out");
+        assert_eq!(client.gauges().snapshot().read_failovers, 1);
     }
 
     #[test]
@@ -648,10 +625,19 @@ mod tests {
         assert_eq!(client.gauges().snapshot().rebalances, 4);
     }
 
+    /// Whether the reference walk below moves past an owner's error.
+    fn transport_fault(err: &NetError) -> bool {
+        matches!(
+            err,
+            NetError::Dropped(_) | NetError::Partitioned(_) | NetError::ServiceNotFound(_)
+        )
+    }
+
     /// The read walk as it was before the floor rode the read: per owner
     /// a `STAT` for the copy's version, then a `GET` from the first one
-    /// caught up. Kept as the reference the one-message walk must agree
-    /// with, result for result and gauge for gauge.
+    /// caught up, each owner looped over by hand. Kept as the reference
+    /// the one-message walk must agree with, result for result and gauge
+    /// for gauge.
     fn read_stat_then_get(
         client: &ClusterClient,
         path: &str,
@@ -666,7 +652,7 @@ mod tests {
                 let mut missing = None;
                 let mut behind = 0usize;
                 for (idx, &owner) in owners.iter().enumerate() {
-                    let remote = client.client_for(&nodes[owner]);
+                    let remote = client.net.endpoint([nodes[owner].as_str()]);
                     match remote.stat(path) {
                         Ok(stat) if stat.version >= required => {
                             match remote.get(path, offset, len) {
@@ -674,7 +660,7 @@ mod tests {
                                     client.gauges.read(idx != 0);
                                     return Ok(Some(data));
                                 }
-                                Err(e) if failover_worthy(&e) => last_err = Some(e),
+                                Err(e) if transport_fault(&e) => last_err = Some(e),
                                 Err(e) => return Err(e),
                             }
                         }
@@ -686,7 +672,7 @@ mod tests {
                                 missing = Some(e);
                             }
                         }
-                        Err(e) if failover_worthy(&e) => last_err = Some(e),
+                        Err(e) if transport_fault(&e) => last_err = Some(e),
                         Err(e) => return Err(e),
                     }
                 }

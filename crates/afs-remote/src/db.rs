@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use afs_net::{Network, Service, WireWriter};
+use afs_net::{Endpoint, Service, WireWriter};
 
 use crate::{check_status, err_response, ok_response};
 
@@ -175,17 +175,13 @@ impl Service for DbServer {
 /// Typed client for [`DbServer`].
 #[derive(Debug, Clone)]
 pub struct DbClient {
-    net: Network,
-    service: String,
+    endpoint: Endpoint,
 }
 
 impl DbClient {
-    /// Creates a client for `service` over `net`.
-    pub fn new(net: Network, service: &str) -> Self {
-        DbClient {
-            net,
-            service: service.to_owned(),
-        }
+    /// Creates a client for the service `endpoint` reaches.
+    pub fn new(endpoint: Endpoint) -> Self {
+        DbClient { endpoint }
     }
 
     /// Inserts or updates a key; returns the new change sequence.
@@ -196,7 +192,7 @@ impl DbClient {
     pub fn put(&self, key: &str, value: &[u8]) -> afs_net::Result<u64> {
         let mut w = WireWriter::new();
         w.u8(OP_PUT).str(key).bytes(value);
-        let resp = self.net.rpc(&self.service, &w.finish())?;
+        let resp = self.endpoint.rpc(&w.finish())?;
         let mut r = check_status(&resp)?;
         Ok(r.u64()?)
     }
@@ -209,7 +205,7 @@ impl DbClient {
     pub fn get(&self, key: &str) -> afs_net::Result<Vec<u8>> {
         let mut w = WireWriter::new();
         w.u8(OP_GET).str(key);
-        let resp = self.net.rpc(&self.service, &w.finish())?;
+        let resp = self.endpoint.rpc(&w.finish())?;
         let mut r = check_status(&resp)?;
         Ok(r.bytes()?.to_vec())
     }
@@ -222,7 +218,7 @@ impl DbClient {
     pub fn delete(&self, key: &str) -> afs_net::Result<u64> {
         let mut w = WireWriter::new();
         w.u8(OP_DELETE).str(key);
-        let resp = self.net.rpc(&self.service, &w.finish())?;
+        let resp = self.endpoint.rpc(&w.finish())?;
         let mut r = check_status(&resp)?;
         Ok(r.u64()?)
     }
@@ -236,7 +232,7 @@ impl DbClient {
     pub fn scan(&self, prefix: &str) -> afs_net::Result<Vec<(String, Vec<u8>)>> {
         let mut w = WireWriter::new();
         w.u8(OP_SCAN).str(prefix);
-        let resp = self.net.rpc(&self.service, &w.finish())?;
+        let resp = self.endpoint.rpc(&w.finish())?;
         let mut r = check_status(&resp)?;
         let n = r.seq()?;
         let mut out = Vec::with_capacity(n.min(256));
@@ -257,7 +253,7 @@ impl DbClient {
     pub fn changes_since(&self, since: u64) -> afs_net::Result<Vec<DbEvent>> {
         let mut w = WireWriter::new();
         w.u8(OP_CHANGES).u64(since);
-        let resp = self.net.rpc(&self.service, &w.finish())?;
+        let resp = self.endpoint.rpc(&w.finish())?;
         let mut r = check_status(&resp)?;
         let n = r.seq()?;
         let mut out = Vec::with_capacity(n.min(256));
@@ -282,7 +278,7 @@ impl DbClient {
     pub fn seq(&self) -> afs_net::Result<u64> {
         let mut w = WireWriter::new();
         w.u8(OP_SEQ);
-        let resp = self.net.rpc(&self.service, &w.finish())?;
+        let resp = self.endpoint.rpc(&w.finish())?;
         let mut r = check_status(&resp)?;
         Ok(r.u64()?)
     }
@@ -294,10 +290,10 @@ mod tests {
     use afs_sim::CostModel;
 
     fn setup() -> (Arc<DbServer>, DbClient) {
-        let net = Network::new(CostModel::free());
+        let net = afs_net::Network::new(CostModel::free());
         let server = DbServer::new();
         net.register("db", Arc::clone(&server) as Arc<dyn Service>);
-        (server, DbClient::new(net, "db"))
+        (server, DbClient::new(net.endpoint(["db"])))
     }
 
     #[test]

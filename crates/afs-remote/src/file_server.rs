@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use afs_net::{NetError, Network, Service, WireWriter};
+use afs_net::{Endpoint, NetError, Owner, Service, WireWriter};
 use afs_telemetry::backend_span;
 use afs_vfs::{VPath, Vfs};
 
@@ -429,18 +429,14 @@ impl Service for FileServer {
     }
 }
 
-/// A [`FileClient`] that borrows its network and service name: the one
-/// copy of the encoders a cluster session uses, which picks the service
-/// per op and so has nothing to own. The calls are documented on the
+/// File-server calls over whatever carries them: a [`FileClient`]'s
+/// [`Endpoint`] walks its owners, an [`Owner`] a cluster walk hands out
+/// takes one message. `get` and `stat` are documented on the
 /// [`FileClient`] methods that delegate here.
-#[derive(Clone, Copy)]
-pub(crate) struct Remote<'a> {
-    pub(crate) net: &'a Network,
-    pub(crate) service: &'a str,
-}
+pub(crate) trait Remote {
+    fn rpc(&self, request: &[u8]) -> afs_net::Result<Vec<u8>>;
 
-impl Remote<'_> {
-    pub(crate) fn get(self, path: &str, offset: u64, len: usize) -> afs_net::Result<Vec<u8>> {
+    fn get(&self, path: &str, offset: u64, len: usize) -> afs_net::Result<Vec<u8>> {
         let _bk = backend_span("remote-get");
         let mut w = WireWriter::with_capacity(1 + (4 + path.len()) + 8 + 4);
         w.u8(OP_GET).str(path).u64(offset).u32(len as u32);
@@ -451,8 +447,8 @@ impl Remote<'_> {
     /// `floor`, checked under the same table read as the bytes: the
     /// cluster's read in one message. A copy behind the floor, or with
     /// no file, answers [`NetError::Rejected`].
-    pub(crate) fn get_at_floor(
-        self,
+    fn get_at_floor(
+        &self,
         path: &str,
         offset: u64,
         len: usize,
@@ -469,8 +465,8 @@ impl Remote<'_> {
     }
 
     /// Sends a GET-shaped request and returns the payload of its reply.
-    fn fetch(self, request: &[u8]) -> afs_net::Result<Vec<u8>> {
-        let mut resp = self.net.rpc(self.service, request)?;
+    fn fetch(&self, request: &[u8]) -> afs_net::Result<Vec<u8>> {
+        let mut resp = self.rpc(request)?;
         let len = check_status(&resp)?.bytes()?.len();
         // The reply is this call's own: the payload stays where it
         // arrived, minus the header before it and anything after it.
@@ -479,8 +475,13 @@ impl Remote<'_> {
         Ok(resp)
     }
 
-    pub(crate) fn put_acked(
-        self,
+    /// A `PUT` whose acknowledgement also returns the file's new version:
+    /// the replication sequence a cluster writer fans out to the other
+    /// owners. `floor` is the session's highest acknowledged sequence for
+    /// the path; a copy behind it refuses ([`NetError::Rejected`]) rather
+    /// than allocate a colliding sequence. Returns `(bytes_written, seq)`.
+    fn put_acked(
+        &self,
         path: &str,
         offset: u64,
         data: &[u8],
@@ -493,29 +494,16 @@ impl Remote<'_> {
             .u64(offset)
             .u64(floor)
             .bytes(data);
-        let resp = self.net.rpc(self.service, &w.finish())?;
+        let resp = self.rpc(&w.finish())?;
         let mut r = check_status(&resp)?;
         Ok((r.u64()?, r.u64()?))
     }
 
-    pub(crate) fn replicate(
-        self,
-        path: &str,
-        offset: u64,
-        seq: u64,
-        data: &[u8],
-    ) -> afs_net::Result<()> {
-        let _bk = backend_span("remote-replicate");
-        let mut w = WireWriter::with_capacity(1 + (4 + path.len()) + 8 + 8 + (4 + data.len()));
-        w.u8(OP_REPL).str(path).u64(offset).u64(seq).bytes(data);
-        self.net.cast(self.service, &w.finish())
-    }
-
-    pub(crate) fn stat(self, path: &str) -> afs_net::Result<RemoteStat> {
+    fn stat(&self, path: &str) -> afs_net::Result<RemoteStat> {
         let _bk = backend_span("remote-stat");
         let mut w = WireWriter::with_capacity(1 + (4 + path.len()));
         w.u8(OP_STAT).str(path);
-        let resp = self.net.rpc(self.service, &w.finish())?;
+        let resp = self.rpc(&w.finish())?;
         let mut r = check_status(&resp)?;
         Ok(RemoteStat {
             len: r.u64()?,
@@ -524,32 +512,37 @@ impl Remote<'_> {
     }
 }
 
+impl Remote for Endpoint {
+    fn rpc(&self, request: &[u8]) -> afs_net::Result<Vec<u8>> {
+        Endpoint::rpc(self, request)
+    }
+}
+
+impl Remote for Owner<'_> {
+    fn rpc(&self, request: &[u8]) -> afs_net::Result<Vec<u8>> {
+        Owner::rpc(self, request)
+    }
+}
+
+/// A replication cast: a write and the sequence its primary acknowledged
+/// it at. The copy applies casts in sequence order, stale ones skipped and
+/// gap ones held until the missing sequences arrive.
+pub(crate) fn repl_request(path: &str, offset: u64, seq: u64, data: &[u8]) -> Vec<u8> {
+    let mut w = WireWriter::with_capacity(1 + (4 + path.len()) + 8 + 8 + (4 + data.len()));
+    w.u8(OP_REPL).str(path).u64(offset).u64(seq).bytes(data);
+    w.finish()
+}
+
 /// Typed client for [`FileServer`], used from sentinel code.
 #[derive(Debug, Clone)]
 pub struct FileClient {
-    net: Network,
-    service: String,
+    endpoint: Endpoint,
 }
 
 impl FileClient {
-    /// Creates a client talking to `service` over `net`.
-    pub fn new(net: Network, service: &str) -> Self {
-        FileClient {
-            net,
-            service: service.to_owned(),
-        }
-    }
-
-    /// The service name this client targets.
-    pub fn service(&self) -> &str {
-        &self.service
-    }
-
-    fn remote(&self) -> Remote<'_> {
-        Remote {
-            net: &self.net,
-            service: &self.service,
-        }
+    /// Creates a client for the file service `endpoint` reaches.
+    pub fn new(endpoint: Endpoint) -> Self {
+        FileClient { endpoint }
     }
 
     /// Reads up to `len` bytes at `offset` (FTP `REST`+`RETR` / HTTP range
@@ -559,7 +552,7 @@ impl FileClient {
     ///
     /// Network faults, or [`NetError::Rejected`] if the file is missing.
     pub fn get(&self, path: &str, offset: u64, len: usize) -> afs_net::Result<Vec<u8>> {
-        self.remote().get(path, offset, len)
+        self.endpoint.get(path, offset, len)
     }
 
     /// Fetches a whole file by statting then reading, splitting the
@@ -593,45 +586,9 @@ impl FileClient {
         let _bk = backend_span("remote-put");
         let mut w = WireWriter::new();
         w.u8(OP_PUT).str(path).u64(offset).bytes(data);
-        let resp = self.net.rpc(&self.service, &w.finish())?;
+        let resp = self.endpoint.rpc(&w.finish())?;
         let mut r = check_status(&resp)?;
         Ok(r.u64()?)
-    }
-
-    /// Writes `data` at `offset` like [`FileClient::put`], but the
-    /// acknowledgement also returns the file's new version — the
-    /// replication sequence number a cluster writer fans out to replicas
-    /// via [`FileClient::replicate`]. `floor` is the session's highest
-    /// previously acknowledged sequence for the path: a server whose
-    /// copy is behind it refuses the ack (it missed replicated writes
-    /// and must not allocate a colliding sequence), so the returned
-    /// sequence is always `> floor`. Returns `(bytes_written, seq)`.
-    ///
-    /// # Errors
-    ///
-    /// Network faults, or [`NetError::Rejected`] when this server's
-    /// copy is behind `floor`.
-    pub fn put_acked(
-        &self,
-        path: &str,
-        offset: u64,
-        data: &[u8],
-        floor: u64,
-    ) -> afs_net::Result<(u64, u64)> {
-        self.remote().put_acked(path, offset, data, floor)
-    }
-
-    /// Fans a primary-acknowledged write out to a replica without
-    /// waiting: the replica applies the bytes in sequence order (stale
-    /// casts skipped, gap casts held until the missing sequences
-    /// arrive) and its version tracks the highest contiguously applied
-    /// sequence. Fire-and-forget, like [`FileClient::put_async`].
-    ///
-    /// # Errors
-    ///
-    /// Only local faults (unknown service, injected drops).
-    pub fn replicate(&self, path: &str, offset: u64, seq: u64, data: &[u8]) -> afs_net::Result<()> {
-        self.remote().replicate(path, offset, seq, data)
     }
 
     /// Streams `data` at `offset` without waiting for acknowledgement —
@@ -645,7 +602,7 @@ impl FileClient {
         let _bk = backend_span("remote-put-async");
         let mut w = WireWriter::new();
         w.u8(OP_PUT).str(path).u64(offset).bytes(data);
-        self.net.cast(&self.service, &w.finish())
+        self.endpoint.cast(&w.finish())
     }
 
     /// Appends `data`, returning bytes written.
@@ -657,7 +614,7 @@ impl FileClient {
         let _bk = backend_span("remote-append");
         let mut w = WireWriter::new();
         w.u8(OP_APPEND).str(path).bytes(data);
-        let resp = self.net.rpc(&self.service, &w.finish())?;
+        let resp = self.endpoint.rpc(&w.finish())?;
         let mut r = check_status(&resp)?;
         Ok(r.u64()?)
     }
@@ -671,7 +628,7 @@ impl FileClient {
         let _bk = backend_span("remote-replace");
         let mut w = WireWriter::new();
         w.u8(OP_REPLACE).str(path).bytes(data);
-        let resp = self.net.rpc(&self.service, &w.finish())?;
+        let resp = self.endpoint.rpc(&w.finish())?;
         check_status(&resp)?;
         Ok(())
     }
@@ -682,7 +639,7 @@ impl FileClient {
     ///
     /// [`NetError::Rejected`] if the file is missing.
     pub fn stat(&self, path: &str) -> afs_net::Result<RemoteStat> {
-        self.remote().stat(path)
+        self.endpoint.stat(path)
     }
 
     /// Lists a directory: `(name, is_dir, len)` triples.
@@ -694,7 +651,7 @@ impl FileClient {
         let _bk = backend_span("remote-list");
         let mut w = WireWriter::new();
         w.u8(OP_LIST).str(dir);
-        let resp = self.net.rpc(&self.service, &w.finish())?;
+        let resp = self.endpoint.rpc(&w.finish())?;
         let mut r = check_status(&resp)?;
         let n = r.seq()?;
         let mut out = Vec::with_capacity(n.min(256));
@@ -716,7 +673,7 @@ impl FileClient {
         let _bk = backend_span("remote-delete");
         let mut w = WireWriter::new();
         w.u8(OP_DELETE).str(path);
-        let resp = self.net.rpc(&self.service, &w.finish())?;
+        let resp = self.endpoint.rpc(&w.finish())?;
         check_status(&resp)?;
         Ok(())
     }
@@ -727,11 +684,22 @@ mod tests {
     use super::*;
     use afs_sim::CostModel;
 
+    /// Casts one replication write to the client's server.
+    fn replicate(
+        client: &FileClient,
+        path: &str,
+        offset: u64,
+        seq: u64,
+        data: &[u8],
+    ) -> afs_net::Result<()> {
+        client.endpoint.cast(&repl_request(path, offset, seq, data))
+    }
+
     fn setup() -> (Arc<FileServer>, FileClient) {
-        let net = Network::new(CostModel::free());
+        let net = afs_net::Network::new(CostModel::free());
         let server = FileServer::new();
         net.register("files", Arc::clone(&server) as Arc<dyn Service>);
-        (server, FileClient::new(net, "files"))
+        (server, FileClient::new(net.endpoint(["files"])))
     }
 
     #[test]
@@ -815,9 +783,15 @@ mod tests {
     #[test]
     fn put_acked_returns_the_replication_seq() {
         let (server, client) = setup();
-        let (n, seq) = client.put_acked("/c/x", 0, b"v1", 0).expect("put-ack");
+        let (n, seq) = client
+            .endpoint
+            .put_acked("/c/x", 0, b"v1", 0)
+            .expect("put-ack");
         assert_eq!((n, seq), (2, 1));
-        let (_, seq) = client.put_acked("/c/x", 0, b"v2", 1).expect("put-ack");
+        let (_, seq) = client
+            .endpoint
+            .put_acked("/c/x", 0, b"v2", 1)
+            .expect("put-ack");
         assert_eq!(seq, 2);
         assert_eq!(server.version("/c/x"), 2);
     }
@@ -825,11 +799,15 @@ mod tests {
     #[test]
     fn put_acked_refuses_a_copy_behind_the_floor() {
         let (server, client) = setup();
-        client.put_acked("/c/f", 0, b"v1", 0).expect("put-ack");
+        client
+            .endpoint
+            .put_acked("/c/f", 0, b"v1", 0)
+            .expect("put-ack");
         // A session acked seq 3 elsewhere; this copy only holds seq 1.
         // Acking here would allocate seq 2 — a sequence the session
         // already holds — so the server must refuse.
         let err = client
+            .endpoint
             .put_acked("/c/f", 0, b"v4", 3)
             .expect_err("behind floor");
         assert!(matches!(err, NetError::Rejected(_)), "{err:?}");
@@ -840,12 +818,12 @@ mod tests {
     #[test]
     fn replicate_applies_in_sequence_order() {
         let (server, client) = setup();
-        client.replicate("/c/y", 0, 1, b"fresh").expect("repl");
+        replicate(&client, "/c/y", 0, 1, b"fresh").expect("repl");
         assert_eq!(server.version("/c/y"), 1);
         assert_eq!(client.get_all("/c/y").expect("get"), b"fresh");
         // A stale or re-delivered cast is skipped entirely: neither
         // the version nor the bytes regress.
-        client.replicate("/c/y", 0, 1, b"dup!!").expect("repl");
+        replicate(&client, "/c/y", 0, 1, b"dup!!").expect("repl");
         assert_eq!(server.version("/c/y"), 1);
         assert_eq!(client.get_all("/c/y").expect("get"), b"fresh");
     }
@@ -855,9 +833,9 @@ mod tests {
         let (server, client) = setup();
         // Seq 2 arrives before seq 1: the version must not claim a
         // write whose bytes this copy does not hold yet.
-        client.replicate("/c/z", 3, 2, b"bbb").expect("repl");
+        replicate(&client, "/c/z", 3, 2, b"bbb").expect("repl");
         assert_eq!(server.version("/c/z"), 0);
-        client.replicate("/c/z", 0, 1, b"aaa").expect("repl");
+        replicate(&client, "/c/z", 0, 1, b"aaa").expect("repl");
         assert_eq!(server.version("/c/z"), 2);
         assert_eq!(client.get_all("/c/z").expect("get"), b"aaabbb");
     }
@@ -865,11 +843,11 @@ mod tests {
     #[test]
     fn a_missed_cast_keeps_the_version_behind() {
         let (server, client) = setup();
-        client.replicate("/c/w", 0, 1, b"one").expect("repl");
+        replicate(&client, "/c/w", 0, 1, b"one").expect("repl");
         // Seq 2 was dropped in flight; seq 3 arrives. The version must
         // stay at 1 — advancing to 3 would make a read-your-writes
         // floor check accept a copy missing write 2's bytes.
-        client.replicate("/c/w", 0, 3, b"three").expect("repl");
+        replicate(&client, "/c/w", 0, 3, b"three").expect("repl");
         assert_eq!(server.version("/c/w"), 1);
         assert_eq!(client.get_all("/c/w").expect("get"), b"one");
     }
@@ -878,11 +856,11 @@ mod tests {
     fn a_held_cast_a_local_write_overtook_is_dropped() {
         let (server, client) = setup();
         let held = |server: &FileServer| server.files.read()["/c/o"].held.len();
-        client.replicate("/c/o", 0, 1, b"one!").expect("repl");
+        replicate(&client, "/c/o", 0, 1, b"one!").expect("repl");
         // Casts 3 and on wait for seq 2, until the queue is full.
         let last = 2 + MAX_PENDING_REPL as u64;
         for seq in 3..=last {
-            client.replicate("/c/o", 0, seq, b"held").expect("repl");
+            replicate(&client, "/c/o", 0, seq, b"held").expect("repl");
         }
         assert_eq!(held(&server), MAX_PENDING_REPL);
         // Local writes take the version past every held cast: each
@@ -895,13 +873,9 @@ mod tests {
         assert_eq!(held(&server), 0);
         assert_eq!(client.get_all("/c/o").expect("get"), b"own!");
         // The queue has room again: a gap cast is held, then drained.
-        client
-            .replicate("/c/o", 0, last + 2, b"next")
-            .expect("repl");
+        replicate(&client, "/c/o", 0, last + 2, b"next").expect("repl");
         assert_eq!(held(&server), 1);
-        client
-            .replicate("/c/o", 0, last + 1, b"fill")
-            .expect("repl");
+        replicate(&client, "/c/o", 0, last + 1, b"fill").expect("repl");
         assert_eq!(server.version("/c/o"), last + 2);
         assert_eq!(client.get_all("/c/o").expect("get"), b"next");
     }
@@ -911,7 +885,7 @@ mod tests {
         let (server, client) = setup();
         client.put("/c/r", 0, b"v1").expect("put");
         client.put("/c/r", 0, b"v2").expect("put");
-        let remote = client.remote();
+        let remote = &client.endpoint;
         assert_eq!(
             remote.get_at_floor("/c/r", 0, 8, 0).expect("floor 0"),
             b"v2"
@@ -976,7 +950,7 @@ mod tests {
         // The server still serves, and nothing moved.
         assert_eq!(server.version("/w/x"), 1);
         assert_eq!(client.get_all("/w/x").expect("get"), b"before");
-        client.replicate("/w/x", 0, 2, b"after!").expect("repl");
+        replicate(&client, "/w/x", 0, 2, b"after!").expect("repl");
         assert_eq!(client.get_all("/w/x").expect("get"), b"after!");
     }
 

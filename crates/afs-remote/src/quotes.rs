@@ -14,7 +14,7 @@ use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use afs_net::{Network, Service, WireWriter};
+use afs_net::{Endpoint, Service, WireWriter};
 
 use crate::{check_status, err_response, ok_response};
 
@@ -118,17 +118,13 @@ impl Service for QuoteServer {
 /// Typed client for [`QuoteServer`].
 #[derive(Debug, Clone)]
 pub struct QuoteClient {
-    net: Network,
-    service: String,
+    endpoint: Endpoint,
 }
 
 impl QuoteClient {
-    /// Creates a client for `service` over `net`.
-    pub fn new(net: Network, service: &str) -> Self {
-        QuoteClient {
-            net,
-            service: service.to_owned(),
-        }
+    /// Creates a client for the service `endpoint` reaches.
+    pub fn new(endpoint: Endpoint) -> Self {
+        QuoteClient { endpoint }
     }
 
     /// Fetches current quotes for `symbols`.
@@ -142,7 +138,7 @@ impl QuoteClient {
         for s in symbols {
             w.str(s);
         }
-        let resp = self.net.rpc(&self.service, &w.finish())?;
+        let resp = self.endpoint.rpc(&w.finish())?;
         let mut r = check_status(&resp)?;
         let tick = r.u64()?;
         let n = r.seq()?;
@@ -167,7 +163,7 @@ impl QuoteClient {
     pub fn advance(&self) -> afs_net::Result<u64> {
         let mut w = WireWriter::new();
         w.u8(OP_TICK);
-        let resp = self.net.rpc(&self.service, &w.finish())?;
+        let resp = self.endpoint.rpc(&w.finish())?;
         let mut r = check_status(&resp)?;
         Ok(r.u64()?)
     }
@@ -179,10 +175,10 @@ mod tests {
     use afs_sim::CostModel;
 
     fn setup() -> (Arc<QuoteServer>, QuoteClient) {
-        let net = Network::new(CostModel::free());
+        let net = afs_net::Network::new(CostModel::free());
         let server = QuoteServer::new(42, &["ACME", "INIT"]);
         net.register("quotes", Arc::clone(&server) as Arc<dyn Service>);
-        (server, QuoteClient::new(net, "quotes"))
+        (server, QuoteClient::new(net.endpoint(["quotes"])))
     }
 
     #[test]

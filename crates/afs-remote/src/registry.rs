@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use afs_net::{Network, Service, WireWriter};
+use afs_net::{Endpoint, Service, WireWriter};
 
 use crate::{check_status, err_response, ok_response};
 
@@ -209,17 +209,13 @@ impl Service for RegistryServer {
 /// Typed client for [`RegistryServer`].
 #[derive(Debug, Clone)]
 pub struct RegistryClient {
-    net: Network,
-    service: String,
+    endpoint: Endpoint,
 }
 
 impl RegistryClient {
-    /// Creates a client for `service` over `net`.
-    pub fn new(net: Network, service: &str) -> Self {
-        RegistryClient {
-            net,
-            service: service.to_owned(),
-        }
+    /// Creates a client for the service `endpoint` reaches.
+    pub fn new(endpoint: Endpoint) -> Self {
+        RegistryClient { endpoint }
     }
 
     /// Reads one value.
@@ -230,7 +226,7 @@ impl RegistryClient {
     pub fn get_value(&self, key: &str, name: &str) -> afs_net::Result<RegistryValue> {
         let mut w = WireWriter::new();
         w.u8(OP_GET_VALUE).str(key).str(name);
-        let resp = self.net.rpc(&self.service, &w.finish())?;
+        let resp = self.endpoint.rpc(&w.finish())?;
         let mut r = check_status(&resp)?;
         Ok(RegistryValue::decode(&mut r)?)
     }
@@ -244,7 +240,7 @@ impl RegistryClient {
         let mut w = WireWriter::new();
         w.u8(OP_SET_VALUE).str(key).str(name);
         value.encode(&mut w);
-        let resp = self.net.rpc(&self.service, &w.finish())?;
+        let resp = self.endpoint.rpc(&w.finish())?;
         check_status(&resp)?;
         Ok(())
     }
@@ -257,7 +253,7 @@ impl RegistryClient {
     pub fn delete_value(&self, key: &str, name: &str) -> afs_net::Result<()> {
         let mut w = WireWriter::new();
         w.u8(OP_DELETE_VALUE).str(key).str(name);
-        let resp = self.net.rpc(&self.service, &w.finish())?;
+        let resp = self.endpoint.rpc(&w.finish())?;
         check_status(&resp)?;
         Ok(())
     }
@@ -270,7 +266,7 @@ impl RegistryClient {
     pub fn enum_keys(&self, key: &str) -> afs_net::Result<Vec<String>> {
         let mut w = WireWriter::new();
         w.u8(OP_ENUM_KEYS).str(key);
-        let resp = self.net.rpc(&self.service, &w.finish())?;
+        let resp = self.endpoint.rpc(&w.finish())?;
         let mut r = check_status(&resp)?;
         let n = r.seq()?;
         (0..n).map(|_| Ok(r.str()?.to_owned())).collect()
@@ -284,7 +280,7 @@ impl RegistryClient {
     pub fn enum_values(&self, key: &str) -> afs_net::Result<Vec<(String, RegistryValue)>> {
         let mut w = WireWriter::new();
         w.u8(OP_ENUM_VALUES).str(key);
-        let resp = self.net.rpc(&self.service, &w.finish())?;
+        let resp = self.endpoint.rpc(&w.finish())?;
         let mut r = check_status(&resp)?;
         let n = r.seq()?;
         let mut out = Vec::with_capacity(n.min(256));
@@ -304,7 +300,7 @@ impl RegistryClient {
     pub fn create_key(&self, key: &str) -> afs_net::Result<()> {
         let mut w = WireWriter::new();
         w.u8(OP_CREATE_KEY).str(key);
-        let resp = self.net.rpc(&self.service, &w.finish())?;
+        let resp = self.endpoint.rpc(&w.finish())?;
         check_status(&resp)?;
         Ok(())
     }
@@ -317,7 +313,7 @@ impl RegistryClient {
     pub fn delete_key(&self, key: &str) -> afs_net::Result<()> {
         let mut w = WireWriter::new();
         w.u8(OP_DELETE_KEY).str(key);
-        let resp = self.net.rpc(&self.service, &w.finish())?;
+        let resp = self.endpoint.rpc(&w.finish())?;
         check_status(&resp)?;
         Ok(())
     }
@@ -329,10 +325,10 @@ mod tests {
     use afs_sim::CostModel;
 
     fn setup() -> (Arc<RegistryServer>, RegistryClient) {
-        let net = Network::new(CostModel::free());
+        let net = afs_net::Network::new(CostModel::free());
         let server = RegistryServer::new();
         net.register("registry", Arc::clone(&server) as Arc<dyn Service>);
-        (server, RegistryClient::new(net, "registry"))
+        (server, RegistryClient::new(net.endpoint(["registry"])))
     }
 
     #[test]

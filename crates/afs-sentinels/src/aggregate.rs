@@ -8,7 +8,7 @@
 use std::collections::BTreeMap;
 
 use afs_core::{SentinelCtx, SentinelError, SentinelLogic, SentinelRegistry, SentinelResult};
-use afs_remote::RegistryValue;
+use afs_remote::{FileClient, MailClient, QuoteClient, RegistryClient, RegistryValue};
 
 /// Seamless access to one remote file: fetched into the local cache on
 /// open, written back on close if modified — "the sentinel accesses the
@@ -39,7 +39,7 @@ impl SentinelLogic for RemoteFileSentinel {
     fn on_open(&mut self, ctx: &mut SentinelCtx) -> SentinelResult<()> {
         let service = ctx.require_str("service")?.to_owned();
         let remote = ctx.require_str("remote")?.to_owned();
-        let client = ctx.file_client(&service);
+        let client = FileClient::new(ctx.endpoint(&service));
         let data = client.get_all(&remote)?;
         ctx.cache().replace(&data)?;
         Ok(())
@@ -70,7 +70,7 @@ impl SentinelLogic for RemoteFileSentinel {
                 .unwrap_or(true);
             if writeback {
                 let data = ctx.cache().to_vec()?;
-                ctx.file_client(&service).replace(&remote, &data)?;
+                FileClient::new(ctx.endpoint(&service)).replace(&remote, &data)?;
                 self.dirty = false;
             }
         }
@@ -108,7 +108,7 @@ impl SentinelLogic for MergeSentinel {
         let service = ctx.require_str("service")?.to_owned();
         let remotes = ctx.require_str("remotes")?.to_owned();
         let separator = ctx.config_str("separator").unwrap_or("").to_owned();
-        let client = ctx.file_client(&service);
+        let client = FileClient::new(ctx.endpoint(&service));
         let mut merged = Vec::new();
         for (i, remote) in remotes.split(',').map(str::trim).enumerate() {
             if i > 0 {
@@ -170,7 +170,7 @@ impl SentinelLogic for InboxSentinel {
             .map(str::to_owned)
             .unwrap_or_else(|| ctx.user().to_owned());
         let delete = ctx.config_bool("delete");
-        let client = ctx.mail_client();
+        let client = MailClient::new(ctx.net().clone());
         let mut rendered = Vec::new();
         for server in servers.split(',').map(str::trim) {
             for id in client.list(server, &user)? {
@@ -236,7 +236,7 @@ impl SentinelLogic for StockTickerSentinel {
         let service = ctx.require_str("service")?.to_owned();
         let symbols_cfg = ctx.require_str("symbols")?.to_owned();
         let symbols: Vec<&str> = symbols_cfg.split(',').map(str::trim).collect();
-        let quotes = ctx.quote_client(&service).quotes(&symbols)?;
+        let quotes = QuoteClient::new(ctx.endpoint(&service)).quotes(&symbols)?;
         let mut rendered = String::new();
         for q in &quotes {
             rendered.push_str(&format!(
@@ -320,7 +320,7 @@ impl SentinelLogic for RegistryFileSentinel {
     fn on_open(&mut self, ctx: &mut SentinelCtx) -> SentinelResult<()> {
         let service = ctx.require_str("service")?.to_owned();
         let key = ctx.require_str("key")?.to_owned();
-        let values = ctx.registry_client(&service).enum_values(&key)?;
+        let values = RegistryClient::new(ctx.endpoint(&service)).enum_values(&key)?;
         let mut rendered = String::new();
         for (name, value) in values {
             let shown = match value {
@@ -369,7 +369,7 @@ impl SentinelLogic for RegistryFileSentinel {
         }
         let service = ctx.require_str("service")?.to_owned();
         let key = ctx.require_str("key")?.to_owned();
-        let client = ctx.registry_client(&service);
+        let client = RegistryClient::new(ctx.endpoint(&service));
         let current: std::collections::BTreeMap<String, String> = client
             .enum_values(&key)?
             .into_iter()
@@ -909,7 +909,7 @@ mod tests {
         assert_eq!(read_active(&world, "/local.af"), b"remote original");
         // Writing through the active file propagates on close.
         write_active(&world, "/local.af", b"edited locally!");
-        let client = afs_remote::FileClient::new(world.net().clone(), "files");
+        let client = afs_remote::FileClient::new(world.net().endpoint(["files"]));
         assert_eq!(
             client.get_all("/pub/data.txt").expect("get"),
             b"edited locally!"

@@ -9,6 +9,7 @@
 //! refreshing the view when anything under the prefix changed.
 
 use afs_core::{SentinelCtx, SentinelError, SentinelLogic, SentinelRegistry, SentinelResult};
+use afs_remote::DbClient;
 
 /// A consistency-tracking view over a [`DbServer`](afs_remote::DbServer)
 /// prefix scan, rendered as `key=value` lines.
@@ -36,7 +37,7 @@ impl LiveQuerySentinel {
     fn render(&mut self, ctx: &mut SentinelCtx) -> SentinelResult<()> {
         let service = ctx.require_str("service")?.to_owned();
         let prefix = ctx.config_str("prefix").unwrap_or("").to_owned();
-        let client = ctx.db_client(&service);
+        let client = DbClient::new(ctx.endpoint(&service));
         let rows = client.scan(&prefix)?;
         let mut rendered = String::new();
         for (k, v) in rows {
@@ -53,7 +54,7 @@ impl LiveQuerySentinel {
         }
         let service = ctx.require_str("service")?.to_owned();
         let prefix = ctx.config_str("prefix").unwrap_or("").to_owned();
-        let client = ctx.db_client(&service);
+        let client = DbClient::new(ctx.endpoint(&service));
         let changes = client.changes_since(self.seen_seq)?;
         if changes.iter().any(|c| c.key.starts_with(&prefix)) {
             self.render(ctx)?;

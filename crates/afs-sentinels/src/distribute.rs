@@ -5,6 +5,7 @@
 
 use afs_core::{SentinelCtx, SentinelError, SentinelLogic, SentinelRegistry, SentinelResult};
 use afs_net::WireWriter;
+use afs_remote::{FileClient, MailClient};
 
 /// The outbox file: "the outbox-file can be programmed to send email to a
 /// particular recipient, every time some data is written to it. This
@@ -113,8 +114,7 @@ impl SentinelLogic for OutboxSentinel {
         let text = String::from_utf8_lossy(&self.buffer).into_owned();
         let (recipients, subject, body) = Self::parse(&text)?;
         let refs: Vec<&str> = recipients.iter().map(String::as_str).collect();
-        ctx.mail_client()
-            .send(&service, &from, &refs, &subject, &body)?;
+        MailClient::new(ctx.net().clone()).send(&service, &from, &refs, &subject, &body)?;
         self.buffer.clear();
         Ok(())
     }
@@ -157,7 +157,7 @@ impl SentinelLogic for FanOutSentinel {
         let n = ctx.cache().write_at(offset, data)?;
         let service = ctx.require_str("service")?.to_owned();
         let targets = ctx.require_str("targets")?.to_owned();
-        let client = ctx.file_client(&service);
+        let client = FileClient::new(ctx.endpoint(&service));
         for target in targets.split(',').map(str::trim) {
             // Streamed (asynchronous) update to each replica (§6).
             client.put_async(target, offset, data)?;
@@ -191,7 +191,7 @@ impl NotifySentinel {
         }
         let mut w = WireWriter::new();
         w.str(event).str(&ctx.path().to_string()).str(ctx.user());
-        ctx.net().cast(service, &w.finish())?;
+        ctx.endpoint(service).cast(&w.finish())?;
         Ok(())
     }
 }
@@ -325,7 +325,7 @@ mod tests {
             )
             .expect("install");
         write_active(&world, "/pub.af", b"replicated payload");
-        let client = afs_remote::FileClient::new(world.net().clone(), "files");
+        let client = afs_remote::FileClient::new(world.net().endpoint(["files"]));
         for target in ["/r1", "/r2", "/r3"] {
             assert_eq!(client.get_all(target).expect("get"), b"replicated payload");
         }

@@ -74,7 +74,7 @@ impl Default for MirrorSentinel {
 impl SentinelLogic for MirrorSentinel {
     fn on_open(&mut self, ctx: &mut SentinelCtx) -> SentinelResult<()> {
         self.remote = match (ctx.config_str("service"), ctx.config_str("remote")) {
-            (Some(s), Some(r)) => Some((ctx.file_client(s), r.to_owned())),
+            (Some(s), Some(r)) => Some((FileClient::new(ctx.endpoint(s)), r.to_owned())),
             _ => None,
         };
         self.readahead = ctx.config_bool("readahead");
@@ -187,7 +187,7 @@ mod tests {
             .expect("install");
         assert_eq!(read_active(&world, "/m.af"), b"0123456789abcdef");
         write_active(&world, "/m.af", b"XY");
-        let client = afs_remote::FileClient::new(world.net().clone(), "files");
+        let client = afs_remote::FileClient::new(world.net().endpoint(["files"]));
         assert_eq!(client.get_all("/blob").expect("get"), b"XY23456789abcdef");
     }
 

@@ -223,12 +223,6 @@ impl SpanRing {
             .map(|i| self.buf[(self.head + i) % cap])
             .collect()
     }
-
-    fn clear(&mut self) {
-        self.head = 0;
-        self.len = 0;
-        self.pushed = 0;
-    }
 }
 
 /// An in-flight span, tracked so slow-op reports can render ancestry and
@@ -325,11 +319,6 @@ impl Telemetry {
     /// Sets the slow-op threshold in nanoseconds (0 disables reporting).
     pub fn set_slow_threshold_ns(&self, ns: u64) {
         self.slow_ns.store(ns, Ordering::Relaxed);
-    }
-
-    /// Current slow-op threshold in nanoseconds (0 = disabled).
-    pub fn slow_threshold_ns(&self) -> u64 {
-        self.slow_ns.load(Ordering::Relaxed)
     }
 
     /// Opens a span parented to the innermost open span on this thread
@@ -520,12 +509,6 @@ impl Telemetry {
     /// Total spans ever recorded (survives ring eviction).
     pub fn span_count(&self) -> u64 {
         self.ring.lock().pushed
-    }
-
-    /// Discards retained spans and slow-op reports (histograms persist).
-    pub fn clear_spans(&self) {
-        self.ring.lock().clear();
-        self.slow.lock().clear();
     }
 
     /// Slow-op reports collected so far (bounded).

@@ -77,11 +77,6 @@ impl PassiveFileApi {
         &self.model
     }
 
-    /// Number of open handles (diagnostic).
-    pub fn open_handles(&self) -> usize {
-        self.handles.len()
-    }
-
     fn parse(path: &str) -> ApiResult<VPath> {
         VPath::parse(path).map_err(Win32Error::from)
     }

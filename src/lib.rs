@@ -62,7 +62,7 @@ pub use afs_ipc::{
     BufferPool, ControlChannel, Event, PairTransport, Pipe, ResetMode, SharedBuffer, SyncRegistry,
 };
 pub use afs_net::{
-    BreakerConfig, CircuitBreaker, FaultPlan, NetError, Network, ReliabilityPolicy,
+    BreakerConfig, CircuitBreaker, Endpoint, FaultPlan, NetError, Network, ReliabilityPolicy,
     ReliabilitySnapshot, RetryPolicy, Service,
 };
 pub use afs_remote::{

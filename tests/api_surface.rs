@@ -34,7 +34,7 @@ fn flush_pushes_write_behind_state_out() {
     api.write_file(h, b"edited!").expect("write");
     // Before flush the remote still has the original (write-behind).
     api.flush_file_buffers(h).expect("flush");
-    let client = activefiles::FileClient::new(w.net().clone(), "files");
+    let client = activefiles::FileClient::new(w.net().endpoint(["files"]));
     assert_eq!(client.get_all("/doc").expect("get"), b"edited!");
     api.close_handle(h).expect("close");
 }

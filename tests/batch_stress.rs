@@ -190,7 +190,7 @@ fn post_heal_reads_never_observe_pre_replay_speculation() {
     );
     api.close_handle(h).expect("close");
     // And the replayed write reached the remote.
-    let check = FileClient::new(world.net().clone(), "files");
+    let check = FileClient::new(world.net().endpoint(["files"]));
     assert_eq!(check.get("/blob", 0, 4).expect("remote read"), b"EDIT");
 }
 

@@ -137,7 +137,7 @@ fn message_loss_counts_are_observable() {
     let (world, _server, net) = world_with_server();
     let plan = net.plan("files").expect("plan for registered service");
     plan.drop_next(3);
-    let client = activefiles::FileClient::new(net.clone(), "files");
+    let client = activefiles::FileClient::new(net.endpoint(["files"]));
     for _ in 0..3 {
         assert!(client.stat("/blob").is_err());
     }

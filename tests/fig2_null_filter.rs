@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use activefiles::prelude::*;
-use activefiles::{FileServer, ProcessIo, RawProcessSentinel, Service};
+use activefiles::{FileClient, FileServer, ProcessIo, RawProcessSentinel, Service};
 
 /// The Figure 2 sentinel, translated line for line: two pump loops over
 /// `stdin`/`stdout`, a remote source, and the local cache.
@@ -28,7 +28,7 @@ impl RawProcessSentinel for Fig2NullFilter {
             .require_str("remote")
             .expect("remote config")
             .to_owned();
-        let client = io.ctx.file_client(&service);
+        let client = FileClient::new(io.ctx.endpoint(&service));
 
         // Thread 1 (dir == READ in the paper): remote -> cache + stdout.
         // Run inline first: pull the whole source through in 1 KiB chunks
@@ -110,7 +110,7 @@ fn figure2_sentinel_mirrors_remote_source_both_directions() {
     api.write_file(h, b" + local additions").expect("write");
     api.close_handle(h).expect("close");
 
-    let client = activefiles::FileClient::new(world.net().clone(), "ftp");
+    let client = activefiles::FileClient::new(world.net().endpoint(["ftp"]));
     assert_eq!(
         client.get_all("/src/data").expect("remote read"),
         b"bytes that live on a remote machine + local additions"

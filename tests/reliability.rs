@@ -8,8 +8,8 @@ use std::sync::Arc;
 
 use activefiles::prelude::*;
 use activefiles::{
-    clock, prometheus_text, BreakerConfig, CostModel, FileClient, FileServer, NetError, Network,
-    ReliabilityPolicy, RetryPolicy, Service, CTL_QUERY_STALE,
+    clock, prometheus_text, BreakerConfig, CostModel, FileClient, FileServer, MailStore, NetError,
+    Network, PopServer, ReliabilityPolicy, RetryPolicy, Service, CTL_QUERY_STALE,
 };
 
 const BODY: &[u8] = b"remote data bytes";
@@ -145,6 +145,58 @@ fn failover_prefers_the_first_healthy_replica() {
     api.close_handle(h).expect("close");
 }
 
+/// `replicas=` names the owners after the service an endpoint reaches; a
+/// mail client names its server per call and has none. While the list
+/// was the whole network's policy, a POP `LIST` to a partitioned `pop1`
+/// failed over to the listed file server — `LIST`'s op byte is the file
+/// server's `PUT` — which answered with a malformed-request error.
+#[test]
+fn replicas_never_carry_mail_to_a_file_server() {
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    struct Counting(Arc<FileServer>, AtomicU64);
+    impl Service for Counting {
+        fn handle(&self, request: &[u8]) -> Result<Vec<u8>, NetError> {
+            self.1.fetch_add(1, Ordering::SeqCst);
+            self.0.handle(request)
+        }
+    }
+
+    let world = AfsWorld::new();
+    register_standard_sentinels(&world);
+    let store = MailStore::new();
+    store.deliver("x@y", "me@here", "s", "b");
+    let pop1 = world
+        .net()
+        .register("pop1", PopServer::new(store) as Arc<dyn Service>);
+    let files_b = Arc::new(Counting(FileServer::new(), AtomicU64::new(0)));
+    world
+        .net()
+        .register("files-b", Arc::clone(&files_b) as Arc<dyn Service>);
+    let spec = SentinelSpec::new("inbox", Strategy::DllOnly)
+        .backing(Backing::Memory)
+        .with("servers", "pop1")
+        .with("user", "me@here")
+        .with("replicas", "files-b")
+        .with("retry", "1");
+    world
+        .install_active_file("/inbox.af", &spec)
+        .expect("install");
+    pop1.set_partitioned(true);
+    assert_eq!(
+        world
+            .api()
+            .create_file("/inbox.af", Access::read_only(), Disposition::OpenExisting),
+        Err(Win32Error::NetworkError),
+        "the partition's error reaches the application"
+    );
+    assert_eq!(
+        files_b.1.load(Ordering::SeqCst),
+        0,
+        "no mail request reached the file server"
+    );
+}
+
 #[test]
 fn breaker_trips_open_then_recovers_through_half_open() {
     let net = Network::new(CostModel::free());
@@ -156,13 +208,12 @@ fn breaker_trips_open_then_recovers_through_half_open() {
             attempts: 1,
             ..RetryPolicy::default()
         },
-        replicas: Vec::new(),
         breaker: Some(BreakerConfig {
             threshold: 3,
             cooldown_ns: 1_000_000,
         }),
     });
-    let client = FileClient::new(reliable.clone(), "files");
+    let client = FileClient::new(reliable.endpoint(["files"]));
     let _g = clock::install(0);
 
     plan.set_partitioned(true);
@@ -307,7 +358,7 @@ fn queued_writes_replay_in_order_on_heal() {
     );
     api.close_handle(h).expect("close");
     // The remote caught up with the write made while it was down.
-    let check = FileClient::new(world.net().clone(), "files");
+    let check = FileClient::new(world.net().endpoint(["files"]));
     assert_eq!(check.get("/blob", 0, 4).expect("remote read"), b"EDIT");
 }
 
@@ -383,7 +434,6 @@ fn halfopen_window_admits_exactly_one_concurrent_probe() {
             attempts: 1,
             ..RetryPolicy::default()
         },
-        replicas: Vec::new(),
         breaker: Some(BreakerConfig {
             threshold: 1,
             cooldown_ns: 1_000,
@@ -467,7 +517,7 @@ fn seeded_worlds_reproduce_their_fault_streams() {
         let plan = net.register("files", server as Arc<dyn Service>);
         net.set_seed(seed);
         plan.loss_ppm(400_000); // 40% loss
-        let client = FileClient::new(net.clone(), "files");
+        let client = FileClient::new(net.endpoint(["files"]));
         (0..32)
             .map(|_| u8::from(client.stat("/blob").is_ok()))
             .collect::<Vec<u8>>()
