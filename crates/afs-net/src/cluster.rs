@@ -21,14 +21,14 @@
 //! placement is bit-identical across runs, processes, and the seed
 //! sweep's seeds. The ring itself is one sorted `Vec` of points over the
 //! sorted member names, built without allocating per point — and built
-//! once per membership: it is a pure function of the virtual-node count
-//! and the member names, so every [`Placement`] with the same members
-//! holds the same `Arc` (`shared_ring` below), and opening a cluster
-//! session costs a name list, not a ring.
+//! once per membership and thread: it is a pure function of the
+//! virtual-node count and the member names, so every [`Placement`] a
+//! thread resolves with the same members holds the same `Arc`
+//! (`shared_ring` below), and opening a cluster session costs a name
+//! list, not a ring.
 
+use std::cell::RefCell;
 use std::sync::{Arc, OnceLock};
-
-use parking_lot::Mutex;
 
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 
@@ -252,37 +252,44 @@ impl HashRing {
     }
 }
 
-/// Most memberships [`shared_ring`] remembers before it starts over.
+/// Most memberships [`shared_ring`] remembers, per thread, before it
+/// starts over.
 const REMEMBERED_RINGS: usize = 16;
 
-/// Every ring built and still remembered, found again by what it was
-/// built from. The memo holds its rings strongly: a workload of short
-/// sessions drops each session before it opens the next, so a memo of
-/// `Weak`s would find its ring dead and rebuild it at most opens.
-static RINGS: Mutex<Vec<Arc<HashRing>>> = Mutex::new(Vec::new());
+thread_local! {
+    /// Every ring this thread built and still remembers, found again by
+    /// what it was built from. Per thread, so two clients opening sessions
+    /// on two threads share no lock and no reference count: each builds
+    /// the fleet's ring once. The memo holds its rings strongly: a
+    /// workload of short sessions drops each session before it opens the
+    /// next, so a memo of `Weak`s would find its ring dead and rebuild it
+    /// at most opens.
+    static RINGS: RefCell<Vec<Arc<HashRing>>> = const { RefCell::new(Vec::new()) };
+}
 
 /// The ring of `nodes` (sorted) at `vnodes` points each: built on the
-/// first request for that membership, the same allocation on every one
-/// after it. One lock per call, and a [`Placement`] calls once per
-/// membership change, never per lookup.
+/// thread's first request for that membership, the same allocation on
+/// every one after it. A [`Placement`] calls once per membership change,
+/// never per lookup.
 fn shared_ring(vnodes: usize, nodes: &[String]) -> Arc<HashRing> {
-    let mut rings = RINGS.lock();
-    let known = rings
-        .iter()
-        .find(|ring| ring.vnodes == vnodes && ring.nodes == nodes);
-    if let Some(ring) = known {
-        return Arc::clone(ring);
-    }
-    let mut ring = HashRing::new(vnodes);
-    for name in nodes {
-        ring.add_node(name);
-    }
-    let ring = Arc::new(ring);
-    if rings.len() == REMEMBERED_RINGS {
-        rings.clear();
-    }
-    rings.push(Arc::clone(&ring));
-    ring
+    RINGS.with_borrow_mut(|rings| {
+        let known = rings
+            .iter()
+            .find(|ring| ring.vnodes == vnodes && ring.nodes == nodes);
+        if let Some(ring) = known {
+            return Arc::clone(ring);
+        }
+        let mut ring = HashRing::new(vnodes);
+        for name in nodes {
+            ring.add_node(name);
+        }
+        let ring = Arc::new(ring);
+        if rings.len() == REMEMBERED_RINGS {
+            rings.clear();
+        }
+        rings.push(Arc::clone(&ring));
+        ring
+    })
 }
 
 /// Replica-aware placement: a membership, its [`HashRing`] and a
@@ -642,10 +649,6 @@ mod tests {
         assert_eq!(ring.owners("/x", 3), ["gamma"]);
     }
 
-    /// The memo of built rings is one per process, and the tests below
-    /// count on what it holds: one of them at a time.
-    static MEMO_TESTS: Mutex<()> = Mutex::new(());
-
     fn placed(copies: usize, members: &[&str]) -> Placement {
         let mut placement = Placement::new(copies);
         for name in members {
@@ -656,7 +659,6 @@ mod tests {
 
     #[test]
     fn placements_of_one_membership_share_one_ring() {
-        let _alone = MEMO_TESTS.lock();
         let a = placed(2, &["share-b", "share-a", "share-c"]);
         let mut b = placed(3, &["share-c", "share-a", "share-b", "share-a"]);
         assert!(Arc::ptr_eq(a.ring(), b.ring()), "same members, any order");
@@ -683,8 +685,30 @@ mod tests {
     }
 
     #[test]
+    fn each_thread_builds_the_fleets_ring_once_for_itself() {
+        let members = ["own-a", "own-b", "own-c"];
+        let here = placed(2, &members);
+        let there = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let first = placed(2, &members);
+                    let again = placed(1, &members);
+                    assert!(Arc::ptr_eq(first.ring(), again.ring()));
+                    Arc::clone(first.ring())
+                })
+                .join()
+                .expect("other thread")
+        });
+        // Two threads' sessions share no ring, so opening and dropping
+        // them moves no reference count the other thread moves.
+        assert!(!Arc::ptr_eq(here.ring(), &there));
+        for key in keys(50) {
+            assert_eq!(here.owners(&key), there.owners(&key, 2));
+        }
+    }
+
+    #[test]
     fn more_memberships_than_the_memo_holds_still_place_correctly() {
-        let _alone = MEMO_TESTS.lock();
         let keys = keys(40);
         for _round in 0..2 {
             for size in 1..=REMEMBERED_RINGS + 3 {
@@ -698,14 +722,13 @@ mod tests {
                 for key in &keys {
                     assert_eq!(placement.owners(key), ring.owners(key, 2), "{size} {key}");
                 }
-                assert!(RINGS.lock().len() <= REMEMBERED_RINGS);
+                assert!(RINGS.with_borrow(Vec::len) <= REMEMBERED_RINGS);
             }
         }
     }
 
     #[test]
     fn the_index_walk_names_the_same_owners() {
-        let _alone = MEMO_TESTS.lock();
         let ring = fleet(5);
         let names: Vec<&str> = ring.nodes().iter().map(String::as_str).collect();
         let placement = placed(2, &names);
@@ -730,7 +753,6 @@ mod tests {
 
     #[test]
     fn placement_wraps_the_ring_with_a_replication_factor() {
-        let _alone = MEMO_TESTS.lock();
         let mut placement = Placement::new(3);
         assert_eq!(placement.copies(), 3);
         for i in 0..5 {

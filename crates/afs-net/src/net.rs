@@ -5,9 +5,9 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
-use afs_sim::{clock, Cost, CostModel, SimRng};
+use afs_sim::{clock, Cost, CostModel, Generations, SimRng, Striped};
 use afs_telemetry::{flight_note, flight_trigger, intern, now_ns, retry_span_noted, SpanGuard};
 
 use crate::reliability::{
@@ -202,23 +202,39 @@ pub struct NetworkStats {
     pub dropped: u64,
 }
 
-/// One registered service and its fault state: what a message needs,
-/// behind one reference count.
+/// One registered service and its fault state: what a message needs.
 struct Registered {
+    name: String,
     service: Arc<dyn Service>,
     faults: Arc<Faults>,
 }
 
-/// Everything the clones of one network share, in one allocation: a clone
-/// bumps one reference count for all of it, and the words every message
-/// writes (the registry's reader count and the traffic counters) sit
-/// together instead of on eight lines.
+/// The registry as it stood between two changes: the seed every fault
+/// stream derives from, and the services, sorted by name. A change
+/// publishes a new one; the services it did not touch are shared with the
+/// one before.
+#[derive(Clone, Default)]
+struct Registry {
+    seed: u64,
+    services: Vec<Arc<Registered>>,
+}
+
+impl Registry {
+    /// Where `name` is (`Ok`) or belongs (`Err`).
+    fn position(&self, name: &str) -> std::result::Result<usize, usize> {
+        self.services
+            .binary_search_by(|registered| registered.name.as_str().cmp(name))
+    }
+
+    fn get(&self, name: &str) -> Option<&Registered> {
+        let at = self.position(name).ok()?;
+        Some(&self.services[at])
+    }
+}
+
+/// The traffic counters, one set per stripe.
 #[derive(Default)]
-struct Shared {
-    registry: RwLock<HashMap<String, Arc<Registered>>>,
-    seed: AtomicU64,
-    breakers: Mutex<HashMap<String, CircuitBreaker>>,
-    reliability: ReliabilityStats,
+struct Traffic {
     rpcs: AtomicU64,
     casts: AtomicU64,
     bytes_sent: AtomicU64,
@@ -226,8 +242,26 @@ struct Shared {
     dropped: AtomicU64,
 }
 
+/// Everything the clones of one network share, in one allocation: a clone
+/// moves one reference count for all of it. What a message does here is
+/// load the newest registry and add to its own thread's traffic stripe,
+/// so two clients' messages write nothing in common. The alignment puts
+/// the reference count (the `Arc`'s header) on a line of its own, away
+/// from the words every message loads.
+#[repr(align(128))]
+struct Shared {
+    /// `register`, `unregister` and `set_seed` are its changes, and its
+    /// change lock serialises them.
+    registry: Generations<Registry>,
+    model: CostModel,
+    traffic: Striped<Traffic>,
+    breakers: Mutex<HashMap<String, CircuitBreaker>>,
+    reliability: ReliabilityStats,
+}
+
 /// The simulated network connecting sentinels to remote information
-/// sources. Cloning is cheap; clones share the registry and statistics.
+/// sources. A clone is one reference count (two under a policy); clones
+/// share the registry, the cost model and the statistics.
 ///
 /// Every call is a [`Network::walk`] over the owners its caller names —
 /// one for [`Network::rpc`]/[`Network::cast`], an [`Endpoint`]'s list,
@@ -238,7 +272,6 @@ struct Shared {
 /// protects every other caller.
 #[derive(Clone)]
 pub struct Network {
-    model: CostModel,
     shared: Arc<Shared>,
     policy: Option<Arc<ReliabilityPolicy>>,
 }
@@ -254,61 +287,86 @@ impl std::fmt::Debug for Network {
 impl Network {
     /// Creates an empty network charging to `model`.
     pub fn new(model: CostModel) -> Self {
-        Network {
+        let shared = Shared {
+            registry: Generations::new(Registry::default()),
             model,
-            shared: Arc::default(),
+            traffic: Striped::default(),
+            breakers: Mutex::default(),
+            reliability: ReliabilityStats::default(),
+        };
+        Network {
+            shared: Arc::new(shared),
             policy: None,
         }
     }
 
+    /// The registry as the newest change left it.
+    fn registry(&self) -> &Registry {
+        self.shared.registry.newest()
+    }
+
     /// Sets the seed all per-service fault streams and retry jitter derive
     /// from. Re-seeds the streams of already-registered services, so it can
-    /// be called at any point during world construction.
+    /// be called at any point during world construction; a service
+    /// registered concurrently is seeded from the one or the other seed,
+    /// wholly, and re-seeded if it was the old one.
     pub fn set_seed(&self, seed: u64) {
-        self.shared.seed.store(seed, Ordering::SeqCst);
-        for (name, endpoint) in self.shared.registry.read().iter() {
-            *endpoint.faults.rng.lock() = SimRng::derive(seed, name);
+        let mut change = self.shared.registry.change();
+        let services = change.newest().services.clone();
+        for registered in &services {
+            *registered.faults.rng.lock() = SimRng::derive(seed, &registered.name);
         }
+        change.publish(Registry { seed, services });
     }
 
     /// The current deterministic seed.
     pub fn seed(&self) -> u64 {
-        self.shared.seed.load(Ordering::SeqCst)
+        self.registry().seed
     }
 
     /// Registers (or replaces) a service under `name`, returning the fault
-    /// plan for it.
+    /// plan for it. A call already in flight to a service it replaces
+    /// finishes there; every call after it reaches the new one.
     pub fn register(&self, name: &str, service: Arc<dyn Service>) -> FaultPlan {
-        let faults = Arc::new(Faults::seeded(self.seed(), name));
-        let registered = Registered {
+        let mut change = self.shared.registry.change();
+        let mut next = change.newest().clone();
+        let faults = Arc::new(Faults::seeded(next.seed, name));
+        let registered = Arc::new(Registered {
+            name: name.to_owned(),
             service,
             faults: Arc::clone(&faults),
-        };
-        self.shared
-            .registry
-            .write()
-            .insert(name.to_owned(), Arc::new(registered));
+        });
+        match next.position(name) {
+            Ok(at) => next.services[at] = registered,
+            Err(at) => next.services.insert(at, registered),
+        }
+        change.publish(next);
         FaultPlan { faults }
     }
 
     /// The fault plan of an already-registered service, so tests and tools
     /// can inject faults without re-registering (and thereby resetting) it.
     pub fn plan(&self, name: &str) -> Option<FaultPlan> {
-        self.shared.registry.read().get(name).map(|e| FaultPlan {
-            faults: Arc::clone(&e.faults),
+        self.registry().get(name).map(|registered| FaultPlan {
+            faults: Arc::clone(&registered.faults),
         })
     }
 
-    /// Removes a service.
+    /// Removes a service: every call after it answers
+    /// [`NetError::ServiceNotFound`], a call already in flight finishes.
     pub fn unregister(&self, name: &str) {
-        self.shared.registry.write().remove(name);
+        let mut change = self.shared.registry.change();
+        let mut next = change.newest().clone();
+        if let Ok(at) = next.position(name) {
+            next.services.remove(at);
+            change.publish(next);
+        }
     }
 
     /// Names of registered services, sorted.
     pub fn services(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.shared.registry.read().keys().cloned().collect();
-        names.sort();
-        names
+        let services = &self.registry().services;
+        services.iter().map(|r| r.name.clone()).collect()
     }
 
     /// A clone of this network that walks every call under `policy`:
@@ -359,12 +417,11 @@ impl Network {
         states
     }
 
-    fn lookup(&self, name: &str) -> Result<Arc<Registered>> {
-        self.shared
-            .registry
-            .read()
+    /// The service a message to `name` reaches, borrowed from the newest
+    /// registry: loads only, no lock and no reference count.
+    fn lookup(&self, name: &str) -> Result<&Registered> {
+        self.registry()
             .get(name)
-            .cloned()
             .ok_or_else(|| NetError::ServiceNotFound(name.to_owned()))
     }
 
@@ -393,13 +450,10 @@ impl Network {
         if consume_token(&faults.flaky_next) {
             return Err(NetError::Partitioned(name.to_owned()));
         }
-        if consume_token(&faults.drop_next) {
-            self.shared.dropped.fetch_add(1, Ordering::Relaxed);
-            return Err(NetError::Dropped(name.to_owned()));
-        }
         let ppm = faults.loss_ppm.load(Ordering::SeqCst);
-        if ppm > 0 && faults.rng.lock().roll_ppm(ppm) {
-            self.shared.dropped.fetch_add(1, Ordering::Relaxed);
+        if consume_token(&faults.drop_next) || (ppm > 0 && faults.rng.lock().roll_ppm(ppm)) {
+            let traffic = self.shared.traffic.mine();
+            traffic.dropped.fetch_add(1, Ordering::Relaxed);
             return Err(NetError::Dropped(name.to_owned()));
         }
         Ok(())
@@ -607,36 +661,38 @@ impl Network {
     }
 
     fn rpc_once(&self, service: &str, request: &[u8]) -> Result<Vec<u8>> {
-        let endpoint = self.lookup(service)?;
-        self.check_faults(service, &endpoint.faults)?;
-        self.model.charge(Cost::NetBytes {
+        let registered = self.lookup(service)?;
+        self.check_faults(service, &registered.faults)?;
+        let model = &self.shared.model;
+        model.charge(Cost::NetBytes {
             bytes: request.len(),
         });
-        self.model.charge(Cost::NetRoundTrip);
-        let response = endpoint.service.handle(request)?;
-        self.model.charge(Cost::NetBytes {
+        model.charge(Cost::NetRoundTrip);
+        let response = registered.service.handle(request)?;
+        model.charge(Cost::NetBytes {
             bytes: response.len(),
         });
-        let stats = &self.shared;
-        stats.rpcs.fetch_add(1, Ordering::Relaxed);
-        stats
+        let traffic = self.shared.traffic.mine();
+        traffic.rpcs.fetch_add(1, Ordering::Relaxed);
+        traffic
             .bytes_sent
             .fetch_add(request.len() as u64, Ordering::Relaxed);
-        stats
+        traffic
             .bytes_received
             .fetch_add(response.len() as u64, Ordering::Relaxed);
         Ok(response)
     }
 
     fn cast_once(&self, service: &str, request: &[u8]) -> Result<()> {
-        let endpoint = self.lookup(service)?;
-        self.check_faults(service, &endpoint.faults)?;
-        self.model.charge(Cost::NetBytes {
+        let registered = self.lookup(service)?;
+        self.check_faults(service, &registered.faults)?;
+        self.shared.model.charge(Cost::NetBytes {
             bytes: request.len(),
         });
-        endpoint.service.handle_cast(request);
-        self.shared.casts.fetch_add(1, Ordering::Relaxed);
-        self.shared
+        registered.service.handle_cast(request);
+        let traffic = self.shared.traffic.mine();
+        traffic.casts.fetch_add(1, Ordering::Relaxed);
+        traffic
             .bytes_sent
             .fetch_add(request.len() as u64, Ordering::Relaxed);
         Ok(())
@@ -675,15 +731,18 @@ impl Network {
         })
     }
 
-    /// Copies out aggregate statistics.
+    /// Copies out aggregate statistics, summed over every stripe.
     pub fn stats(&self) -> NetworkStats {
-        let stats = &self.shared;
+        let sum = |pick: fn(&Traffic) -> &AtomicU64| {
+            let load = |traffic| pick(traffic).load(Ordering::Relaxed);
+            self.shared.traffic.iter().map(load).sum()
+        };
         NetworkStats {
-            rpcs: stats.rpcs.load(Ordering::Relaxed),
-            casts: stats.casts.load(Ordering::Relaxed),
-            bytes_sent: stats.bytes_sent.load(Ordering::Relaxed),
-            bytes_received: stats.bytes_received.load(Ordering::Relaxed),
-            dropped: stats.dropped.load(Ordering::Relaxed),
+            rpcs: sum(|t| &t.rpcs),
+            casts: sum(|t| &t.casts),
+            bytes_sent: sum(|t| &t.bytes_sent),
+            bytes_received: sum(|t| &t.bytes_received),
+            dropped: sum(|t| &t.dropped),
         }
     }
 }
@@ -1096,6 +1155,158 @@ mod tests {
         clock::advance(2_000);
         assert!(reliable.rpc("echo", b"x").is_ok(), "half-open probe");
         assert_eq!(net.breaker_states(), vec![("echo".to_owned(), "closed")]);
+    }
+
+    #[test]
+    fn stats_are_exact_after_two_threads_of_traffic() {
+        const N: u64 = 2_000;
+        let net = Network::new(CostModel::free());
+        net.register("echo", Arc::new(Echo));
+        net.register("lossy", Arc::new(Echo)).drop_next(2 * N);
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    start.wait();
+                    for _ in 0..N {
+                        assert_eq!(net.rpc("echo", b"ping").expect("rpc"), b"ping");
+                        net.cast("echo", b"abc").expect("cast");
+                        let lost = net.rpc("lossy", b"x");
+                        assert!(matches!(lost, Err(NetError::Dropped(_))));
+                    }
+                });
+            }
+        });
+        let expect = NetworkStats {
+            rpcs: 2 * N,
+            casts: 2 * N,
+            bytes_sent: 2 * N * 7,
+            bytes_received: 2 * N * 4,
+            dropped: 2 * N,
+        };
+        assert_eq!(net.stats(), expect);
+    }
+
+    /// Blocks each request until the test lets it through.
+    struct Gate {
+        entered: std::sync::Barrier,
+        release: std::sync::Barrier,
+    }
+
+    impl Service for Gate {
+        fn handle(&self, request: &[u8]) -> Result<Vec<u8>> {
+            self.entered.wait();
+            self.release.wait();
+            Ok(request.to_vec())
+        }
+    }
+
+    #[test]
+    fn registry_changes_reach_a_thread_mid_traffic_at_its_next_call() {
+        use std::sync::atomic::AtomicU8;
+
+        // What the changing thread has done: 1 after `register` returned,
+        // 2 before `unregister` is called, 3 after it returned.
+        const REGISTERED: u8 = 1;
+        const UNREGISTERING: u8 = 2;
+        const GONE: u8 = 3;
+        let net = Network::new(CostModel::free());
+        net.register("echo", Arc::new(Echo));
+        let phase = AtomicU8::new(0);
+        let (mut reached, mut refused) = (0u64, 0u64);
+        std::thread::scope(|scope| {
+            let traffic = scope.spawn(|| {
+                let mut before = 0;
+                while before != GONE {
+                    net.rpc("echo", b"x").expect("the other service stays");
+                    // A call started after a change returned sees it.
+                    before = phase.load(Ordering::SeqCst);
+                    match net.rpc("late", b"hi") {
+                        Ok(reply) => {
+                            assert_ne!(before, GONE, "reached after unregister returned");
+                            assert_eq!(reply, b"late");
+                            reached += 1;
+                        }
+                        Err(NetError::ServiceNotFound(_)) => {
+                            assert_ne!(before, REGISTERED, "missed after register returned");
+                            refused += 1;
+                        }
+                        Err(err) => panic!("{err:?}"),
+                    }
+                }
+            });
+            while net.stats().rpcs < 1_000 {
+                std::thread::yield_now();
+            }
+            net.register("late", Arc::new(Tagged("late")));
+            phase.store(REGISTERED, Ordering::SeqCst);
+            let at = net.stats().rpcs;
+            while net.stats().rpcs < at + 2_000 {
+                std::thread::yield_now();
+            }
+            phase.store(UNREGISTERING, Ordering::SeqCst);
+            net.unregister("late");
+            phase.store(GONE, Ordering::SeqCst);
+            traffic.join().expect("traffic");
+        });
+        assert!(reached > 0 && refused > 0, "{reached} / {refused}");
+
+        // A call already in flight when its service goes finishes there.
+        let gate = Arc::new(Gate {
+            entered: std::sync::Barrier::new(2),
+            release: std::sync::Barrier::new(2),
+        });
+        net.register("gate", Arc::clone(&gate) as Arc<dyn Service>);
+        std::thread::scope(|scope| {
+            let call = scope.spawn(|| net.rpc("gate", b"in flight"));
+            gate.entered.wait();
+            net.unregister("gate");
+            gate.release.wait();
+            assert_eq!(call.join().expect("call"), Ok(b"in flight".to_vec()));
+        });
+        assert!(matches!(
+            net.rpc("gate", b"x"),
+            Err(NetError::ServiceNotFound(_))
+        ));
+    }
+
+    #[test]
+    fn a_service_registered_while_the_seed_changes_takes_the_new_seed() {
+        let losses = |net: &Network, plan: &FaultPlan| {
+            plan.loss_ppm(500_000);
+            (0..64)
+                .map(|_| net.rpc("svc", b"x").is_err())
+                .collect::<Vec<bool>>()
+        };
+        let seeded = Network::new(CostModel::free());
+        seeded.set_seed(2);
+        let plan = seeded.register("svc", Arc::new(Echo));
+        let expect = losses(&seeded, &plan);
+        for round in 0..500 {
+            let net = Network::new(CostModel::free());
+            net.set_seed(1);
+            // Both sides spin, so the two calls start within a few
+            // nanoseconds of each other (a barrier's wake-up is slower
+            // than the whole race).
+            let (ready, go) = (AtomicBool::new(false), AtomicBool::new(false));
+            let plan = std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    ready.store(true, Ordering::SeqCst);
+                    while !go.load(Ordering::SeqCst) {
+                        std::hint::spin_loop();
+                    }
+                    net.set_seed(2);
+                });
+                while !ready.load(Ordering::SeqCst) {
+                    std::hint::spin_loop();
+                }
+                go.store(true, Ordering::SeqCst);
+                net.register("svc", Arc::new(Echo))
+            });
+            // Registered before the change, the service was re-seeded;
+            // after it, seeded from the new seed: never the old stream.
+            assert_eq!(losses(&net, &plan), expect, "round {round}");
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! its own acknowledged writes plus the configured bound.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Mutex, RwLock};
 
@@ -52,14 +52,35 @@ pub struct ClusterClient {
     /// The session's membership. An op holds the read side while it
     /// walks its owners; [`add_node`](ClusterClient::add_node) and
     /// [`remove_node`](ClusterClient::remove_node) take the write side.
-    placement: RwLock<Placement>,
+    membership: RwLock<Membership>,
     /// Read-your-writes floor: per path, the highest replication
     /// sequence this session has been acknowledged.
     acked: Mutex<HashMap<String, u64>>,
     /// Bounded-staleness budget for reads (`None`: a lagging fleet is
     /// surfaced immediately).
     staleness_budget_ns: Option<u64>,
-    gauges: Arc<ClusterGauges>,
+    /// The metrics sink: the one [`with_gauges`](ClusterClient::with_gauges)
+    /// attached, or else a set of the session's own, made when first
+    /// needed — so a session that is given one allocates none.
+    gauges: OnceLock<Arc<ClusterGauges>>,
+}
+
+/// A session's placement, and the membership changes it made while it had
+/// no gauges to count them in.
+struct Membership {
+    placement: Placement,
+    uncounted: u64,
+}
+
+impl Membership {
+    /// Counts one change: in `gauges` when the session has them, else
+    /// until it does.
+    fn changed(&mut self, gauges: Option<&Arc<ClusterGauges>>) {
+        match gauges {
+            Some(gauges) => gauges.membership(self.placement.nodes().len() as u64, 1),
+            None => self.uncounted += 1,
+        }
+    }
 }
 
 impl ClusterClient {
@@ -67,25 +88,45 @@ impl ClusterClient {
     /// file. `staleness_ms` bounds how long a read may wait for a
     /// lagging owner to catch up to the session's own writes.
     pub fn new(net: Network, copies: usize, staleness_ms: Option<u64>) -> ClusterClient {
+        let membership = Membership {
+            placement: Placement::new(copies),
+            uncounted: 0,
+        };
         ClusterClient {
             net,
-            placement: RwLock::new(Placement::new(copies)),
+            membership: RwLock::new(membership),
             acked: Mutex::new(HashMap::new()),
             staleness_budget_ns: staleness_ms.map(|ms| ms.saturating_mul(1_000_000)),
-            gauges: Arc::new(ClusterGauges::default()),
+            gauges: OnceLock::new(),
         }
     }
 
     /// Shares `gauges` as the client's metrics sink (e.g. the world
-    /// telemetry hub's cluster gauges).
+    /// telemetry hub's cluster gauges). Membership changes made before
+    /// it are not counted there.
     pub fn with_gauges(mut self, gauges: Arc<ClusterGauges>) -> ClusterClient {
-        self.gauges = gauges;
+        self.gauges = OnceLock::from(gauges);
         self
     }
 
-    /// The gauges this client feeds.
+    /// The gauges this client feeds. Must not be called with the
+    /// membership held (it may take the read side).
     pub fn gauges(&self) -> &Arc<ClusterGauges> {
-        &self.gauges
+        if let Some(gauges) = self.gauges.get() {
+            return gauges;
+        }
+        // Made under the membership's read side, so no change lands
+        // between counting the changes so far and publishing the gauges
+        // that count the rest.
+        let membership = self.membership.read();
+        self.gauges.get_or_init(|| {
+            let gauges = Arc::new(ClusterGauges::default());
+            if membership.uncounted > 0 {
+                let nodes = membership.placement.nodes().len() as u64;
+                gauges.membership(nodes, membership.uncounted);
+            }
+            gauges
+        })
     }
 
     /// Adds a member service to the fleet (placement rebalances
@@ -93,37 +134,39 @@ impl ClusterClient {
     /// between ops: it waits for the owner walks in flight, and an op
     /// sees the membership from before it or from after it, never a mix.
     pub fn add_node(&self, name: &str) {
-        let mut placement = self.placement.write();
-        placement.add_node(name);
-        self.gauges.membership(placement.nodes().len() as u64);
+        let mut membership = self.membership.write();
+        membership.placement.add_node(name);
+        membership.changed(self.gauges.get());
     }
 
     /// Removes a member service from the fleet; like
     /// [`add_node`](ClusterClient::add_node), between ops.
     pub fn remove_node(&self, name: &str) {
-        let mut placement = self.placement.write();
-        placement.remove_node(name);
-        self.gauges.membership(placement.nodes().len() as u64);
+        let mut membership = self.membership.write();
+        membership.placement.remove_node(name);
+        membership.changed(self.gauges.get());
     }
 
     /// The current owner list for `path`: `[primary, replicas...]`.
     pub fn owners(&self, path: &str) -> Vec<String> {
-        self.placement.read().owners(path)
+        self.membership.read().placement.owners(path)
     }
 
     /// Runs `walk` over the fleet's names and, as indices into them,
     /// `path`'s owners, primary first — both borrowed from the placement
     /// for the walk's duration: nothing is cloned and, up to
     /// [`INLINE_OWNERS`] copies, nothing allocated. The walk runs under
-    /// the placement's read side, so it must not reach for the placement
-    /// again: a second read nested behind a waiting `add_node` can
-    /// deadlock. An empty fleet has nobody to walk: `ServiceNotFound`.
+    /// the membership's read side, so it must not reach for the
+    /// membership again, [`gauges`](ClusterClient::gauges) included: a
+    /// second read nested behind a waiting `add_node` can deadlock. An
+    /// empty fleet has nobody to walk: `ServiceNotFound`.
     fn with_owners<T>(
         &self,
         path: &str,
         walk: impl FnOnce(&[String], &[usize]) -> afs_net::Result<T>,
     ) -> afs_net::Result<T> {
-        let placement = self.placement.read();
+        let membership = self.membership.read();
+        let placement = &membership.placement;
         let mut inline = [0; INLINE_OWNERS];
         let mut spilled = Vec::new();
         let ids = if placement.copies() <= INLINE_OWNERS {
@@ -160,7 +203,7 @@ impl ClusterClient {
     /// [`NetError::Rejected`] when every reachable owner is behind the
     /// session's floor.
     pub fn write(&self, path: &str, offset: u64, data: &[u8]) -> afs_net::Result<u64> {
-        self.with_owners(path, |nodes, owners| {
+        let (n, replicas, failed) = self.with_owners(path, |nodes, owners| {
             let floor = self.acked_seq(path);
             let mut last_err = None;
             let names = owners.iter().map(|&owner| nodes[owner].as_str());
@@ -194,9 +237,10 @@ impl ClusterClient {
                     failed += 1;
                 }
             }
-            self.gauges.write(owners.len() as u64 - 1, failed);
-            Ok(n)
-        })
+            Ok((n, owners.len() as u64 - 1, failed))
+        })?;
+        self.gauges().write(replicas, failed);
+        Ok(n)
     }
 
     /// Reads up to `len` bytes at `offset` from the first owner (in
@@ -239,10 +283,7 @@ impl ClusterClient {
                     }
                 });
                 match served? {
-                    Some((index, data)) => {
-                        self.gauges.read(index != 0);
-                        Ok(Some(data))
-                    }
+                    Some(served) => Ok(Some(served)),
                     None if behind => Ok(None),
                     // No owner is lagging: the failure is a transport fault
                     // or a genuinely absent file, not staleness — surface
@@ -250,7 +291,8 @@ impl ClusterClient {
                     None => Err(fault.or(missing).expect("an owner refused")),
                 }
             });
-            if let Some(data) = round? {
+            if let Some((index, data)) = round? {
+                self.gauges().read(index != 0);
                 return Ok(data);
             }
             // Burn bounded-staleness budget and re-poll — with the
@@ -258,13 +300,13 @@ impl ClusterClient {
             // between rounds; once the budget is spent the lag becomes
             // the application's problem — bounded, never silent.
             if budget < STALE_WAIT_STEP_NS {
-                self.gauges.stale_reject();
+                self.gauges().stale_reject();
                 return Err(NetError::Rejected(format!(
                     "staleness bound exceeded for {path}: no replica at seq {required}"
                 )));
             }
             budget -= STALE_WAIT_STEP_NS;
-            self.gauges.stale_wait();
+            self.gauges().stale_wait();
             afs_sim::clock::advance(STALE_WAIT_STEP_NS);
         }
     }
@@ -272,7 +314,7 @@ impl ClusterClient {
 
 impl std::fmt::Debug for ClusterClient {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let placement = self.placement.read();
+        let placement = &self.membership.read().placement;
         f.debug_struct("ClusterClient")
             .field("nodes", &placement.nodes().len())
             .field("copies", &placement.copies())
@@ -656,10 +698,7 @@ mod tests {
                     match remote.stat(path) {
                         Ok(stat) if stat.version >= required => {
                             match remote.get(path, offset, len) {
-                                Ok(data) => {
-                                    client.gauges.read(idx != 0);
-                                    return Ok(Some(data));
-                                }
+                                Ok(data) => return Ok(Some((idx, data))),
                                 Err(e) if transport_fault(&e) => last_err = Some(e),
                                 Err(e) => return Err(e),
                             }
@@ -681,17 +720,18 @@ mod tests {
                 }
                 Ok(None)
             });
-            if let Some(data) = round? {
+            if let Some((idx, data)) = round? {
+                client.gauges().read(idx != 0);
                 return Ok(data);
             }
             if budget < STALE_WAIT_STEP_NS {
-                client.gauges.stale_reject();
+                client.gauges().stale_reject();
                 return Err(NetError::Rejected(format!(
                     "staleness bound exceeded for {path}: no replica at seq {required}"
                 )));
             }
             budget -= STALE_WAIT_STEP_NS;
-            client.gauges.stale_wait();
+            client.gauges().stale_wait();
             afs_sim::clock::advance(STALE_WAIT_STEP_NS);
         }
     }

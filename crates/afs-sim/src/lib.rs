@@ -47,13 +47,16 @@
 
 pub mod clock;
 pub mod cost;
+pub mod generations;
 pub mod rng;
 pub mod stats;
-mod stripe;
+pub mod stripe;
 pub mod trace;
 
 pub use clock::{ClockGuard, SimTime};
 pub use cost::{Cost, CostModel, CostSnapshot, CrossingKind, HardwareProfile, OpWindow};
+pub use generations::Generations;
 pub use rng::SimRng;
 pub use stats::{Series, Summary};
+pub use stripe::Striped;
 pub use trace::{OpKind, OpSummary, OpTrace, TraceRecord};

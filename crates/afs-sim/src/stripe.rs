@@ -1,11 +1,12 @@
 //! Striped state: one cell per stripe, each on cache lines of its own, a
 //! thread writing only the stripe it was dealt.
 //!
-//! The simulator's bookkeeping ([`CostModel`](crate::CostModel) counters,
-//! [`OpTrace`](crate::OpTrace) totals) is written by every operation of
-//! every thread and read at the end of a run. Kept in one place it makes
-//! independent clients take turns on a cache line; striped, a writer
-//! touches only its own lines and the rare reader visits all of them.
+//! Bookkeeping that every operation of every thread writes and a report
+//! reads at the end ([`CostModel`](crate::CostModel) counters,
+//! [`OpTrace`](crate::OpTrace) totals, a network's traffic counters, the
+//! cluster gauges) kept in one place makes independent clients take turns
+//! on a cache line; striped, a writer touches only its own lines and the
+//! rare reader visits all of them. The tree has this one mechanism.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -20,9 +21,11 @@ pub(crate) const STRIPES: usize = 8;
 struct Padded<T>(T);
 
 /// A fixed array of padded cells: [`Striped::mine`] for the calling
-/// thread's, [`Striped::iter`] to visit them all.
+/// thread's, [`Striped::iter`] to visit them all. A cell must stay correct
+/// when two threads share it, and a reader summing cells sees each one at
+/// its own moment: exact once the writers are done.
 #[derive(Debug, Default)]
-pub(crate) struct Striped<T>([Padded<T>; STRIPES]);
+pub struct Striped<T>([Padded<T>; STRIPES]);
 
 /// Deals stripe indices round-robin off `counter`.
 fn next_index(counter: &AtomicUsize) -> usize {
@@ -38,12 +41,18 @@ thread_local! {
 
 impl<T> Striped<T> {
     /// The calling thread's cell.
-    pub(crate) fn mine(&self) -> &T {
+    pub fn mine(&self) -> &T {
         &self.0[MINE.with(|index| *index)].0
     }
 
+    /// The first cell: the one place for a value that is a level, not a
+    /// sum, so it is written and read where every thread finds it.
+    pub fn first(&self) -> &T {
+        &self.0[0].0
+    }
+
     /// Every cell, in stripe order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &T> {
+    pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.0.iter().map(|cell| &cell.0)
     }
 }

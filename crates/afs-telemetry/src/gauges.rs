@@ -18,6 +18,11 @@ use crate::flight::FlightRecorder;
 ///
 /// * `$live` — `Default` struct of one relaxed `AtomicU64` per field (plus
 ///   the optional `{ extra: Type }` non-metric fields), with `snapshot()`;
+///   or, declared `$live striped($cell)`, one [`Striped`](crate::Striped)
+///   set of those fields (the struct `$cell`), so that threads writing it
+///   write lines of their own: a counter is added to the writer's stripe
+///   and summed by `snapshot()`, a gauge is a level, not a sum, and lives
+///   on the first stripe alone;
 /// * `$snap` — `Copy` struct of `pub u64` fields carrying the doc comments,
 ///   with `METRICS` (the `(exported name, kind)` rows, in export order)
 ///   and `metrics(labels, out)`, which pushes one [`Metric`](crate::Metric)
@@ -27,6 +32,47 @@ use crate::flight::FlightRecorder;
 /// `$live`.
 #[macro_export]
 macro_rules! metric_family {
+    (@striped counter $cells:expr, $field:ident) => {
+        $cells
+            .iter()
+            .map(|cell| cell.$field.load(::std::sync::atomic::Ordering::Relaxed))
+            .sum()
+    };
+    (@striped gauge $cells:expr, $field:ident) => {
+        $cells.first().$field.load(::std::sync::atomic::Ordering::Relaxed)
+    };
+    (
+        $(#[$live_doc:meta])*
+        $live:ident striped($cell:ident) => $snap:ident {
+            $($(#[$doc:meta])* $field:ident: $kind:ident $name:literal,)+
+        }
+    ) => {
+        #[doc = concat!("One stripe of [`", stringify!($live), "`].")]
+        #[derive(Debug, Default)]
+        struct $cell {
+            $($field: ::std::sync::atomic::AtomicU64,)+
+        }
+
+        $(#[$live_doc])*
+        #[derive(Debug, Default)]
+        pub struct $live {
+            cells: $crate::Striped<$cell>,
+        }
+
+        impl $live {
+            /// Copies out the current values: each counter summed over
+            /// the stripes, each gauge read from the first.
+            pub fn snapshot(&self) -> $snap {
+                $snap {
+                    $($field: $crate::metric_family!(@striped $kind self.cells, $field),)+
+                }
+            }
+        }
+
+        $crate::metric_family!(@snapshot $live => $snap {
+            $($(#[$doc])* $field: $kind $name,)+
+        });
+    };
     (
         $(#[$live_doc:meta])*
         $live:ident $({ $($extra:ident: $extra_ty:ty),* $(,)? })? => $snap:ident {
@@ -49,6 +95,13 @@ macro_rules! metric_family {
             }
         }
 
+        $crate::metric_family!(@snapshot $live => $snap {
+            $($(#[$doc])* $field: $kind $name,)+
+        });
+    };
+    (@snapshot $live:ident => $snap:ident {
+        $($(#[$doc:meta])* $field:ident: $kind:ident $name:literal,)+
+    }) => {
         #[doc = concat!("A point-in-time copy of [`", stringify!($live), "`].")]
         #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
         pub struct $snap {
@@ -461,8 +514,9 @@ metric_family! {
     /// Live gauges for the replicated active-file cluster: write fan-out,
     /// read routing (primary hits vs failovers), membership churn, and
     /// staleness-bound rejections. Fed by the cluster client; always live,
-    /// like the queue gauges.
-    ClusterGauges => ClusterSnapshot {
+    /// like the queue gauges. Striped: cluster sessions on different
+    /// threads share one set, and each op of each records here.
+    ClusterGauges striped(ClusterCell) => ClusterSnapshot {
         /// Primary-acknowledged writes.
         writes: counter "afs_cluster_writes_total",
         /// Replica casts fanned out by those writes.
@@ -489,18 +543,20 @@ impl ClusterGauges {
     /// casts it fanned out (`replicas`) and how many of those casts
     /// failed locally (`failed`).
     pub fn write(&self, replicas: u64, failed: u64) {
-        self.writes.fetch_add(1, Ordering::Relaxed);
-        self.replications.fetch_add(replicas, Ordering::Relaxed);
-        self.replication_failures
+        let mine = self.cells.mine();
+        mine.writes.fetch_add(1, Ordering::Relaxed);
+        mine.replications.fetch_add(replicas, Ordering::Relaxed);
+        mine.replication_failures
             .fetch_add(failed, Ordering::Relaxed);
     }
 
     /// Records one read; `failover` when it was served by a node other
     /// than the placement primary.
     pub fn read(&self, failover: bool) {
-        self.reads.fetch_add(1, Ordering::Relaxed);
+        let mine = self.cells.mine();
+        mine.reads.fetch_add(1, Ordering::Relaxed);
         if failover {
-            self.read_failovers.fetch_add(1, Ordering::Relaxed);
+            mine.read_failovers.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -508,20 +564,29 @@ impl ClusterGauges {
     /// behind the session's required sequence; the reader burned budget
     /// and retried).
     pub fn stale_wait(&self) {
-        self.stale_waits.fetch_add(1, Ordering::Relaxed);
+        self.cells
+            .mine()
+            .stale_waits
+            .fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a read rejected because no owner caught up within the
     /// staleness budget.
     pub fn stale_reject(&self) {
-        self.stale_rejects.fetch_add(1, Ordering::Relaxed);
+        self.cells
+            .mine()
+            .stale_rejects
+            .fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records the fleet size after a membership change, counting the
-    /// change as one rebalance.
-    pub fn membership(&self, nodes: u64) {
-        self.nodes.store(nodes, Ordering::Relaxed);
-        self.rebalances.fetch_add(1, Ordering::Relaxed);
+    /// Records the fleet size after `changes` membership changes, counting
+    /// each as one rebalance.
+    pub fn membership(&self, nodes: u64, changes: u64) {
+        self.cells.first().nodes.store(nodes, Ordering::Relaxed);
+        self.cells
+            .mine()
+            .rebalances
+            .fetch_add(changes, Ordering::Relaxed);
     }
 }
 
@@ -538,8 +603,8 @@ mod tests {
         g.read(true);
         g.stale_wait();
         g.stale_reject();
-        g.membership(3);
-        g.membership(4);
+        g.membership(3, 1);
+        g.membership(4, 1);
         let s = g.snapshot();
         assert_eq!(s.writes, 2);
         assert_eq!(s.replications, 4);
@@ -550,6 +615,38 @@ mod tests {
         assert_eq!(s.stale_rejects, 1);
         assert_eq!(s.nodes, 4);
         assert_eq!(s.rebalances, 2);
+    }
+
+    #[test]
+    fn cluster_gauges_are_exact_after_two_threads() {
+        const N: u64 = 5_000;
+        let g = ClusterGauges::default();
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    start.wait();
+                    for i in 0..N {
+                        g.read(i % 4 == 0);
+                        g.write(1, u64::from(i % 10 == 0));
+                        g.stale_wait();
+                    }
+                    g.stale_reject();
+                    g.membership(5, 1);
+                });
+            }
+        });
+        let s = g.snapshot();
+        assert_eq!(
+            [s.reads, s.read_failovers, s.writes, s.replications],
+            [2 * N, 2 * N / 4, 2 * N, 2 * N]
+        );
+        assert_eq!(s.replication_failures, 2 * N / 10);
+        assert_eq!([s.stale_waits, s.stale_rejects], [2 * N, 2]);
+        // Both threads set the fleet size to 5: a level, not a sum.
+        assert_eq!([s.nodes, s.rebalances], [5, 2]);
+        g.membership(4, 3);
+        assert_eq!([g.snapshot().nodes, g.snapshot().rebalances], [4, 5]);
     }
 
     #[test]
