@@ -5,20 +5,19 @@
 //! command precedes every data transfer, and every other file operation is
 //! "passed to the sentinel process as commands with arguments".
 //!
-//! A [`ControlChannel`] is a typed, unbounded FIFO of command values. Each
-//! send charges one syscall plus the fixed pipe-message overhead (control
-//! messages are small; their payload cost is negligible next to the data
-//! pipes), and timestamps the message with the sender's virtual clock; the
-//! receiver synchronises forward when it dequeues.
+//! A [`ControlChannel`] is a typed, unbounded FIFO of command values: the
+//! [stamped channel](crate::stamped) with no capacity and a waker. Each
+//! send rings a doorbell — one syscall plus the fixed pipe-message
+//! overhead over a kernel pipe (control messages are small; their payload
+//! cost is negligible next to the data pipes), one event signal at user
+//! level — and the receiver moves to the sender's stamp when it dequeues.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
+use afs_sim::{Cost, CostModel};
 
-use afs_sim::{clock, Cost, CostModel, SimTime};
-
-use crate::{IpcError, Result};
+use crate::stamped::{End, Gauge, Stamped, Taking};
+use crate::Result;
 
 /// Callback installed by a poll-driven consumer; invoked whenever the
 /// channel transitions to "something to observe" (a new message, or the
@@ -26,43 +25,15 @@ use crate::{IpcError, Result};
 /// cheap and must not block on the consumer.
 pub type ChannelWaker = Arc<dyn Fn() + Send + Sync>;
 
-#[derive(Default)]
-struct WakerCell(Option<ChannelWaker>);
-
-impl std::fmt::Debug for WakerCell {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(if self.0.is_some() {
-            "WakerCell(set)"
-        } else {
-            "WakerCell(unset)"
-        })
-    }
-}
-
-#[derive(Debug)]
-struct State<T> {
-    queue: VecDeque<(T, SimTime)>,
-    senders: usize,
-    receivers: usize,
-    waker: WakerCell,
-}
-
-/// How sends are charged: over a kernel pipe (process strategies) or via
-/// user-level events and shared memory (the DLL-with-thread strategy,
-/// Appendix A.3: "these 'messages' are implemented using events and shared
-/// memory").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ChannelKind {
-    Kernel,
-    UserLevel,
-}
-
 #[derive(Debug)]
 struct Inner<T> {
     model: CostModel,
-    kind: ChannelKind,
-    state: Mutex<State<T>>,
-    available: Condvar,
+    /// Carried over a kernel pipe (process strategies) rather than
+    /// user-level events and shared memory (the DLL-with-thread strategy,
+    /// Appendix A.3: "these 'messages' are implemented using events and
+    /// shared memory").
+    kernel: bool,
+    core: Stamped<T>,
 }
 
 /// Factory for control channel endpoint pairs.
@@ -74,29 +45,24 @@ impl ControlChannel {
     /// send charges one syscall plus the per-message pipe overhead.
     #[allow(clippy::new_ret_no_self)] // factory for an endpoint pair, like Pipe::anonymous
     pub fn new<T: Send>(model: CostModel) -> (ControlSender<T>, ControlReceiver<T>) {
-        Self::with_kind(model, ChannelKind::Kernel)
+        Self::over(model, true, None)
     }
 
     /// Creates a typed control channel carried over user-level events and
     /// shared memory: each send charges only one event signal.
     pub fn user_level<T: Send>(model: CostModel) -> (ControlSender<T>, ControlReceiver<T>) {
-        Self::with_kind(model, ChannelKind::UserLevel)
+        Self::over(model, false, None)
     }
 
-    fn with_kind<T: Send>(
+    pub(crate) fn over<T: Send>(
         model: CostModel,
-        kind: ChannelKind,
+        kernel: bool,
+        gauge: Option<Gauge>,
     ) -> (ControlSender<T>, ControlReceiver<T>) {
         let inner = Arc::new(Inner {
             model,
-            kind,
-            state: Mutex::new(State {
-                queue: VecDeque::new(),
-                senders: 1,
-                receivers: 1,
-                waker: WakerCell(None),
-            }),
-            available: Condvar::new(),
+            kernel,
+            core: Stamped::new(None, gauge),
         });
         (
             ControlSender {
@@ -118,36 +84,33 @@ impl<T: Send> ControlSender<T> {
     ///
     /// # Errors
     ///
-    /// Returns [`IpcError::BrokenPipe`] if the receiving end is gone.
+    /// Returns [`IpcError::BrokenPipe`](crate::IpcError::BrokenPipe) if
+    /// the receiving end is gone.
     pub fn send(&self, msg: T) -> Result<()> {
+        self.send_all(1, [msg])
+    }
+
+    /// Enqueues `n` commands behind one doorbell and one stamp.
+    pub(crate) fn send_all(&self, n: usize, msgs: impl IntoIterator<Item = T>) -> Result<()> {
         let inner = &*self.inner;
-        match inner.kind {
-            ChannelKind::Kernel => {
-                inner.model.charge(Cost::Syscall);
-                inner.model.charge(Cost::PipeMessage);
-            }
-            ChannelKind::UserLevel => {
-                inner.model.charge(Cost::EventSignal);
-            }
+        if inner.kernel {
+            inner.model.charge(Cost::Syscall);
+            inner.model.charge(Cost::PipeMessage);
+        } else {
+            inner.model.charge(Cost::EventSignal);
         }
-        let stamp = clock::now();
-        let mut state = inner.state.lock();
-        if state.receivers == 0 {
-            return Err(IpcError::BrokenPipe);
-        }
-        state.queue.push_back((msg, stamp));
-        inner.available.notify_one();
-        let waker = state.waker.0.clone();
-        drop(state);
-        if let Some(wake) = waker {
-            wake();
-        }
-        Ok(())
+        inner.core.send(n, || msgs)
+    }
+
+    /// Closes the channel from this side while the handle lives on: the
+    /// receiver drains what is queued, then observes closure.
+    pub(crate) fn close(&self) {
+        self.inner.core.close();
     }
 
     /// Duplicates the sender handle.
     pub fn duplicate(&self) -> ControlSender<T> {
-        self.inner.state.lock().senders += 1;
+        self.inner.core.duplicate(End::Sender);
         ControlSender {
             inner: Arc::clone(&self.inner),
         }
@@ -156,20 +119,7 @@ impl<T: Send> ControlSender<T> {
 
 impl<T> Drop for ControlSender<T> {
     fn drop(&mut self) {
-        let mut state = self.inner.state.lock();
-        state.senders -= 1;
-        let waker = if state.senders == 0 {
-            self.inner.available.notify_all();
-            state.waker.0.clone()
-        } else {
-            None
-        };
-        drop(state);
-        // Closure is an observable event too: a parked poll-driven
-        // consumer must wake to notice the channel died.
-        if let Some(wake) = waker {
-            wake();
-        }
+        self.inner.core.hang_up(End::Sender);
     }
 }
 
@@ -184,39 +134,12 @@ impl<T: Send> ControlReceiver<T> {
     ///
     /// # Errors
     ///
-    /// Returns [`IpcError::Closed`] once all senders are gone and the
-    /// queue is drained — the sentinel's dispatch loop uses this to
-    /// terminate.
+    /// Returns [`IpcError::Closed`](crate::IpcError::Closed) once all
+    /// senders are gone and the queue is drained — the sentinel's dispatch
+    /// loop uses this to terminate.
     pub fn recv(&self) -> Result<T> {
-        let inner = &*self.inner;
-        if inner.kind == ChannelKind::Kernel {
-            inner.model.charge(Cost::Syscall);
-        }
-        let mut state = inner.state.lock();
-        loop {
-            if let Some((msg, stamp)) = state.queue.pop_front() {
-                clock::sync_to(stamp);
-                return Ok(msg);
-            }
-            if state.senders == 0 {
-                return Err(IpcError::Closed);
-            }
-            inner.available.wait(&mut state);
-        }
-    }
-
-    /// Dequeues a command if one is already queued; never blocks.
-    pub fn try_recv(&self) -> Result<Option<T>> {
-        let inner = &*self.inner;
-        let mut state = inner.state.lock();
-        if let Some((msg, stamp)) = state.queue.pop_front() {
-            clock::sync_to(stamp);
-            return Ok(Some(msg));
-        }
-        if state.senders == 0 {
-            return Err(IpcError::Closed);
-        }
-        Ok(None)
+        self.charge_observed();
+        self.inner.core.take().map(Taking::whole)
     }
 
     /// Non-blocking receive that charges exactly what [`recv`] would.
@@ -233,43 +156,42 @@ impl<T: Send> ControlReceiver<T> {
     ///
     /// # Errors
     ///
-    /// [`IpcError::Closed`] once all senders are gone and the queue is
-    /// drained.
+    /// [`IpcError::Closed`](crate::IpcError::Closed) once all senders are
+    /// gone and the queue is drained.
     pub fn poll_recv(&self) -> Result<Option<T>> {
-        let inner = &*self.inner;
-        let mut state = inner.state.lock();
-        if state.queue.is_empty() && state.senders > 0 {
-            return Ok(None);
+        let polled = self.inner.core.poll();
+        if !matches!(polled, Ok(None)) {
+            self.charge_observed();
         }
-        if inner.kind == ChannelKind::Kernel {
-            inner.model.charge(Cost::Syscall);
-        }
-        match state.queue.pop_front() {
-            Some((msg, stamp)) => {
-                clock::sync_to(stamp);
-                Ok(Some(msg))
-            }
-            None => Err(IpcError::Closed),
+        Ok(polled?.map(Taking::whole))
+    }
+
+    /// The receive-side syscall of a kernel channel, paid before the
+    /// clock moves to the message.
+    fn charge_observed(&self) {
+        if self.inner.kernel {
+            self.inner.model.charge(Cost::Syscall);
         }
     }
 
     /// Installs `waker`, invoked on every send and when the last sender
     /// drops. Replaces any previously installed waker.
     pub fn set_waker(&self, waker: ChannelWaker) {
-        self.inner.state.lock().waker.0 = Some(waker);
+        self.inner.core.set_waker(waker);
     }
 }
 
 impl<T> Drop for ControlReceiver<T> {
     fn drop(&mut self) {
-        self.inner.state.lock().receivers -= 1;
+        self.inner.core.hang_up(End::Receiver);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use afs_sim::HardwareProfile;
+    use crate::IpcError;
+    use afs_sim::{clock, HardwareProfile};
 
     #[test]
     fn commands_arrive_in_order() {
@@ -299,11 +221,11 @@ mod tests {
     }
 
     #[test]
-    fn try_recv_does_not_block() {
+    fn poll_recv_does_not_block() {
         let (tx, rx) = ControlChannel::new::<u8>(CostModel::free());
-        assert_eq!(rx.try_recv().expect("empty"), None);
+        assert_eq!(rx.poll_recv().expect("empty"), None);
         tx.send(9).expect("send");
-        assert_eq!(rx.try_recv().expect("one"), Some(9));
+        assert_eq!(rx.poll_recv().expect("one"), Some(9));
     }
 
     #[test]
@@ -354,7 +276,6 @@ mod tests {
 
     #[test]
     fn poll_recv_charges_like_recv_only_when_observing() {
-        use afs_sim::Cost;
         let model = CostModel::new(HardwareProfile::pentium_ii_300());
         let syscall = model.price(Cost::Syscall);
         let (tx, rx) = ControlChannel::new::<u8>(model);

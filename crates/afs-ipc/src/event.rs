@@ -1,44 +1,36 @@
 //! NT-style event objects.
 //!
-//! The DLL-with-thread strategy synchronises the application thread and the
-//! in-process sentinel thread with events plus shared memory ("these
-//! 'messages' are implemented using events and shared memory", Appendix
-//! A.3). An [`Event`] supports the two NT reset modes:
+//! The paper's DLL-with-thread strategy synchronises the application
+//! thread and the in-process sentinel thread with events plus shared
+//! memory ("these 'messages' are implemented using events and shared
+//! memory", Appendix A.3); this runtime carries those messages on the
+//! user-level [`ControlChannel`](crate::ControlChannel), one event signal
+//! each. An [`Event`] is the standalone NT auto-reset event: a wait
+//! consumes the signal, so one waiter is released per signal, and signals
+//! set before a wait consumes them coalesce into one.
 //!
-//! * [`ResetMode::Auto`] — a wait consumes the signal (one waiter released
-//!   per signal),
-//! * [`ResetMode::Manual`] — the event stays signalled until reset.
-//!
-//! Signals carry the signaller's virtual clock; a satisfied wait
-//! synchronises the waiter forward.
+//! A signal carries the signaller's virtual clock, and a satisfied wait
+//! takes it by the [stamped channel's](crate::stamped) receive rule.
 
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
-
 use afs_sim::{clock, Cost, CostModel, SimTime};
 
-/// Whether a satisfied wait consumes the signal.
+use crate::stamped::Signal;
+
+/// Whether a satisfied wait consumes the signal. NT's manual-reset mode
+/// has no user here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ResetMode {
     /// The event resets automatically when a single wait is satisfied.
     Auto,
-    /// The event stays signalled until [`Event::reset`] is called.
-    Manual,
-}
-
-#[derive(Debug)]
-struct State {
-    signalled: bool,
-    stamp: SimTime,
 }
 
 #[derive(Debug)]
 struct Inner {
     model: CostModel,
-    mode: ResetMode,
-    state: Mutex<State>,
-    cond: Condvar,
+    /// The pending signal's stamp, if one is pending.
+    pending: Signal<Option<SimTime>>,
 }
 
 /// A shareable event object (clones refer to the same event).
@@ -49,72 +41,32 @@ pub struct Event {
 
 impl Event {
     /// Creates an event, initially unsignalled.
-    pub fn new(model: CostModel, mode: ResetMode) -> Self {
+    pub fn new(model: CostModel, _mode: ResetMode) -> Self {
         Event {
             inner: Arc::new(Inner {
                 model,
-                mode,
-                state: Mutex::new(State {
-                    signalled: false,
-                    stamp: 0,
-                }),
-                cond: Condvar::new(),
+                pending: Signal::new(None),
             }),
         }
     }
 
-    /// Signals the event (NT `SetEvent`), waking one waiter in auto mode or
-    /// all waiters in manual mode. Charges one event-signal cost.
+    /// Signals the event (NT `SetEvent`), releasing one waiter. Charges
+    /// one event-signal cost.
     pub fn set(&self) {
         let inner = &*self.inner;
         inner.model.charge(Cost::EventSignal);
-        let mut state = inner.state.lock();
-        state.signalled = true;
-        state.stamp = state.stamp.max(clock::now());
-        match inner.mode {
-            ResetMode::Auto => {
-                inner.cond.notify_one();
-            }
-            ResetMode::Manual => {
-                inner.cond.notify_all();
-            }
-        }
+        let now = clock::now();
+        inner
+            .pending
+            .publish(|pending| *pending = Some(pending.map_or(now, |t| t.max(now))));
     }
 
-    /// Clears the signal (NT `ResetEvent`). Meaningful for manual-reset
-    /// events; harmless for auto-reset ones.
-    pub fn reset(&self) {
-        self.inner.state.lock().signalled = false;
-    }
-
-    /// Blocks until the event is signalled, then synchronises this thread's
-    /// virtual clock to the signal's timestamp. In auto mode the signal is
-    /// consumed.
+    /// Blocks until the event is signalled, consumes the signal, and moves
+    /// this thread's virtual clock to the signal's stamp.
     pub fn wait(&self) {
-        let inner = &*self.inner;
-        let mut state = inner.state.lock();
-        while !state.signalled {
-            inner.cond.wait(&mut state);
-        }
-        clock::sync_to(state.stamp);
-        if inner.mode == ResetMode::Auto {
-            state.signalled = false;
-        }
-    }
-
-    /// Returns `true` and consumes the signal (in auto mode) if the event
-    /// is currently signalled; never blocks.
-    pub fn try_wait(&self) -> bool {
-        let inner = &*self.inner;
-        let mut state = inner.state.lock();
-        if !state.signalled {
-            return false;
-        }
-        clock::sync_to(state.stamp);
-        if inner.mode == ResetMode::Auto {
-            state.signalled = false;
-        }
-        true
+        self.inner
+            .pending
+            .wait_take(|pending| pending.take().map(|stamp| ((), stamp)));
     }
 }
 
@@ -122,24 +74,7 @@ impl Event {
 mod tests {
     use super::*;
     use afs_sim::HardwareProfile;
-
-    #[test]
-    fn auto_reset_consumes_signal() {
-        let e = Event::new(CostModel::free(), ResetMode::Auto);
-        e.set();
-        assert!(e.try_wait());
-        assert!(!e.try_wait());
-    }
-
-    #[test]
-    fn manual_reset_persists_until_reset() {
-        let e = Event::new(CostModel::free(), ResetMode::Manual);
-        e.set();
-        assert!(e.try_wait());
-        assert!(e.try_wait());
-        e.reset();
-        assert!(!e.try_wait());
-    }
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn wait_blocks_until_set() {
@@ -176,39 +111,18 @@ mod tests {
         e.set();
         assert_eq!(model.snapshot().event_signals, 1);
     }
-}
-
-#[cfg(test)]
-mod more_tests {
-    use super::*;
-
-    #[test]
-    fn manual_reset_releases_all_waiters() {
-        let e = Event::new(CostModel::free(), ResetMode::Manual);
-        let waiters: Vec<_> = (0..4)
-            .map(|_| {
-                let e = e.clone();
-                std::thread::spawn(move || e.wait())
-            })
-            .collect();
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        e.set();
-        for w in waiters {
-            w.join().expect("all released by one manual set");
-        }
-    }
 
     #[test]
     fn auto_reset_releases_exactly_one_per_set() {
         let e = Event::new(CostModel::free(), ResetMode::Auto);
-        let released = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let released = Arc::new(AtomicUsize::new(0));
         let waiters: Vec<_> = (0..3)
             .map(|_| {
                 let e = e.clone();
-                let released = std::sync::Arc::clone(&released);
+                let released = Arc::clone(&released);
                 std::thread::spawn(move || {
                     e.wait();
-                    released.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                    released.fetch_add(1, Ordering::SeqCst);
                 })
             })
             .collect();
@@ -216,20 +130,18 @@ mod more_tests {
         e.set();
         // Eventually exactly one waiter proceeds.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(1);
-        while released.load(std::sync::atomic::Ordering::SeqCst) < 1
-            && std::time::Instant::now() < deadline
-        {
+        while released.load(Ordering::SeqCst) < 1 && std::time::Instant::now() < deadline {
             std::thread::yield_now();
         }
         std::thread::sleep(std::time::Duration::from_millis(20));
-        assert_eq!(released.load(std::sync::atomic::Ordering::SeqCst), 1);
+        assert_eq!(released.load(Ordering::SeqCst), 1);
         // Release the rest one at a time, waiting for each signal to be
         // consumed: setting an auto-reset event again before a released
         // waiter consumes the signal coalesces the two sets into one (the
         // signal is a flag, not a counter) and would strand a waiter.
         for expected in 2..=3 {
             e.set();
-            while released.load(std::sync::atomic::Ordering::SeqCst) < expected {
+            while released.load(Ordering::SeqCst) < expected {
                 std::thread::yield_now();
             }
         }

@@ -13,15 +13,20 @@
 //!   kernel→user copy on the reader, exactly the two copies the paper
 //!   attributes to pipe-based strategies (§6).
 //! * [`control::ControlChannel`] — a typed command channel modelling the
-//!   third (control) pipe of the process-plus-control strategy (§4.2).
-//! * [`event::Event`] — an auto/manual reset event, the synchronisation
-//!   object of the DLL-with-thread strategy (Appendix A.3).
+//!   third (control) pipe of the process-plus-control strategy (§4.2), or,
+//!   at user level, the event-signalled messages of the DLL-with-thread
+//!   strategy (Appendix A.3).
+//! * [`event::Event`] — an NT auto-reset event.
 //! * [`shared_buf::SharedBuffer`] — a single-copy shared-memory handoff
 //!   ("File data is not copied from user space to kernel space and then to
 //!   user space …, instead using only one user-level copy", §4.3).
 //! * [`sync::SyncRegistry`] — named semaphores/mutexes, the mechanism
 //!   multiple sentinels on the same active file use to synchronise
 //!   "amongst themselves in a program-dependent fashion" (§2.2).
+//!
+//! The pipe, the shared buffer, the control channel and the ring's
+//! submission queue are instances of one [stamped channel](stamped),
+//! which holds the crate's whole virtual-time rule.
 //!
 //! On top of the primitives, [`transport::PairTransport`] packages the
 //! complete §4.2/§4.3 wiring (typed command/reply lanes plus a data lane
@@ -44,6 +49,7 @@ pub mod pipe;
 pub mod pool;
 pub mod ring;
 pub mod shared_buf;
+pub mod stamped;
 pub mod sync;
 pub mod transport;
 

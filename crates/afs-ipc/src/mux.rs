@@ -605,7 +605,7 @@ mod tests {
             a.post(cmd(1, i * 4, 4), b"wxyz").expect("write");
         }
         // Nothing on the wire yet: all four writes sit in one stage.
-        assert_eq!(port.try_recv_cmd().expect("empty"), None);
+        assert_eq!(port.poll_cmd().expect("empty"), None);
         std::thread::scope(|s| {
             // A read forces the flush: the batch frame precedes the read.
             let read = s.spawn(|| a.call(cmd(2, 0, 1), &mut [0u8; 1]).expect("read"));
@@ -631,7 +631,7 @@ mod tests {
                 .post(cmd(1, i as u64 * 8, 2), &[b'a' + i as u8; 2])
                 .expect("staged");
         }
-        assert_eq!(port.try_recv_cmd().expect("empty"), None);
+        assert_eq!(port.poll_cmd().expect("empty"), None);
         std::thread::scope(|s| {
             let reader = &sessions[2];
             let read = s.spawn(|| reader.call(cmd(2, 0, 1), &mut [0u8; 1]).expect("read"));
@@ -670,7 +670,7 @@ mod tests {
         // a's close is acknowledged locally, nothing on the wire.
         let ack = a.call(cmd(9, 0, 0), &mut []).expect("local ack");
         assert_eq!(ack, (ToyReply { n: 0 }, 0));
-        assert_eq!(port.try_recv_cmd().expect("empty"), None);
+        assert_eq!(port.poll_cmd().expect("empty"), None);
         assert_eq!(hub.live_sessions(), vec![b.session_id()]);
         std::thread::scope(|s| {
             let close = s.spawn(|| b.call(cmd(9, 0, 0), &mut []).expect("b close"));
@@ -723,6 +723,6 @@ mod tests {
         let mut buf = [0u8; 2];
         port.recv_data_exact(&mut buf).expect("payload");
         assert_eq!(&buf, b"aa");
-        assert_eq!(port.try_recv_cmd().expect("second still staged"), None);
+        assert_eq!(port.poll_cmd().expect("second still staged"), None);
     }
 }

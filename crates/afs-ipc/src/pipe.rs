@@ -2,34 +2,28 @@
 //!
 //! A [`Pipe`] is a bounded FIFO of bytes between one or more writers and
 //! one or more readers (handles can be duplicated, mirroring NT's
-//! `DuplicateHandle`). Physically the pipe is a segment queue guarded by a
-//! mutex; *logically* it is an NT anonymous pipe, and it charges the cost
-//! model accordingly:
+//! `DuplicateHandle`). It is the [stamped channel](crate::stamped) counted
+//! in bytes, with a capacity of [`DEFAULT_CAPACITY`], whose readers may
+//! take part of a segment; *logically* it is an NT anonymous pipe, and it
+//! charges the cost model accordingly:
 //!
 //! * a write charges one syscall, one fixed per-message overhead, and one
 //!   user→kernel copy of the payload;
 //! * a read charges one syscall and one kernel→user copy.
 //!
-//! Virtual time flows through the pipe: each enqueued segment carries the
-//! writer's clock, a reader synchronises forward to the stamp of the data
-//! it consumes, and a writer blocked on a full pipe synchronises forward to
-//! the reader's clock at the moment space was freed. The last rule is what
-//! turns the bounded capacity into *bandwidth backpressure*: a fast
-//! application writing through a slow sentinel is throttled to the
-//! sentinel's drain rate, which is exactly how the paper explains the
-//! Write panels of Figure 6 ("any increase in the overhead of a write
-//! stems from bandwidth restrictions imposed by the sentinel", §6).
+//! Virtual time flows through the pipe by the core's rule: a reader moves
+//! to the stamp of the data it consumes, and a writer to the reader's
+//! clock when the bytes it reuses were freed — the bandwidth backpressure
+//! the paper explains Figure 6's Write panels by (§6).
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
-
-use afs_sim::{clock, Cost, CostModel, CrossingKind, SimTime};
+use afs_sim::{Cost, CostModel, CrossingKind};
 use afs_telemetry::QueueGauges;
 
 use crate::pool::BufferPool;
-use crate::{IpcError, Result};
+use crate::stamped::{End, Flow, Gauge, Stamped};
+use crate::Result;
 
 /// Default pipe capacity, matching the small in-kernel buffer of NT
 /// anonymous pipes.
@@ -39,24 +33,12 @@ pub const DEFAULT_CAPACITY: usize = 16 * 1024;
 struct Segment {
     data: Vec<u8>,
     pos: usize,
-    ready: SimTime,
 }
 
 impl Segment {
     fn remaining(&self) -> usize {
         self.data.len() - self.pos
     }
-}
-
-#[derive(Debug)]
-struct State {
-    segments: VecDeque<Segment>,
-    buffered: usize,
-    writers: usize,
-    readers: usize,
-    /// Reader's virtual clock when space was last freed; a writer that had
-    /// to block for space synchronises to this.
-    last_drain: SimTime,
 }
 
 #[derive(Debug)]
@@ -67,12 +49,8 @@ struct Inner {
     /// Recycles segment buffers: the reader returns fully-consumed
     /// segments, the writer reuses them for subsequent chunks. Purely an
     /// allocation optimisation — charges are identical either way.
-    pool: Arc<BufferPool>,
-    /// Optional queue-depth gauges; always-on relaxed atomics when present.
-    gauges: Option<Arc<QueueGauges>>,
-    state: Mutex<State>,
-    readable: Condvar,
-    writable: Condvar,
+    pool: BufferPool,
+    core: Stamped<Segment>,
 }
 
 /// Factory for pipe endpoint pairs.
@@ -95,13 +73,11 @@ impl Pipe {
         crossing: CrossingKind,
         gauges: Arc<QueueGauges>,
     ) -> (PipeWriter, PipeReader) {
-        Pipe::build(
-            model,
-            crossing,
-            DEFAULT_CAPACITY,
-            Arc::new(BufferPool::new()),
-            Some(gauges),
-        )
+        let gauge: Gauge = Box::new(move |flow| match flow {
+            Flow::Sent { units, .. } => gauges.pipe_enqueued(units as u64),
+            Flow::Taken(units) => gauges.pipe_drained(units as u64),
+        });
+        Pipe::build(model, crossing, DEFAULT_CAPACITY, Some(gauge))
     }
 
     /// Creates an anonymous pipe with an explicit buffer capacity.
@@ -114,48 +90,22 @@ impl Pipe {
         crossing: CrossingKind,
         capacity: usize,
     ) -> (PipeWriter, PipeReader) {
-        Pipe::with_pool(model, crossing, capacity, Arc::new(BufferPool::new()))
-    }
-
-    /// Creates an anonymous pipe staging its segments in `pool`, so
-    /// several pipes can share one free list (and tests can observe
-    /// reuse).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn with_pool(
-        model: CostModel,
-        crossing: CrossingKind,
-        capacity: usize,
-        pool: Arc<BufferPool>,
-    ) -> (PipeWriter, PipeReader) {
-        Pipe::build(model, crossing, capacity, pool, None)
+        Pipe::build(model, crossing, capacity, None)
     }
 
     fn build(
         model: CostModel,
         crossing: CrossingKind,
         capacity: usize,
-        pool: Arc<BufferPool>,
-        gauges: Option<Arc<QueueGauges>>,
+        gauge: Option<Gauge>,
     ) -> (PipeWriter, PipeReader) {
         assert!(capacity > 0, "pipe capacity must be positive");
         let inner = Arc::new(Inner {
             model,
             crossing,
             capacity,
-            pool,
-            gauges,
-            state: Mutex::new(State {
-                segments: VecDeque::new(),
-                buffered: 0,
-                writers: 1,
-                readers: 1,
-                last_drain: 0,
-            }),
-            readable: Condvar::new(),
-            writable: Condvar::new(),
+            pool: BufferPool::new(),
+            core: Stamped::new(Some(capacity), gauge),
         });
         (
             PipeWriter {
@@ -188,56 +138,27 @@ impl PipeWriter {
     ///
     /// # Errors
     ///
-    /// Returns [`IpcError::BrokenPipe`] if every reader is gone (data
-    /// written so far may have been discarded, as with a real pipe).
+    /// Returns [`IpcError::BrokenPipe`](crate::IpcError::BrokenPipe) if
+    /// every reader is gone (data written so far may have been discarded,
+    /// as with a real pipe).
     pub fn write(&self, buf: &[u8]) -> Result<()> {
         let inner = &*self.inner;
         inner.model.charge(Cost::Syscall);
         inner.model.charge(Cost::PipeMessage);
         if buf.is_empty() {
-            let state = inner.state.lock();
-            return if state.readers == 0 {
-                Err(IpcError::BrokenPipe)
-            } else {
-                Ok(())
-            };
+            return inner.core.send(0, || []);
         }
-        let mut offset = 0;
-        while offset < buf.len() {
-            // Writes no larger than the capacity are atomic (PIPE_BUF
-            // semantics): wait until the whole chunk fits so that segments
-            // from concurrent writers never interleave mid-write.
-            let take = (buf.len() - offset).min(inner.capacity);
-            let mut state = inner.state.lock();
-            if state.readers == 0 {
-                return Err(IpcError::BrokenPipe);
-            }
-            while inner.capacity - state.buffered < take {
-                if state.readers == 0 {
-                    return Err(IpcError::BrokenPipe);
-                }
-                inner.writable.wait(&mut state);
-                // We only reach here after the reader drained; inherit its
-                // clock so backpressure shows up as elapsed writer time.
-                clock::sync_to(state.last_drain);
-            }
-            // Space is reserved by holding the lock through the enqueue;
-            // the copy is the user→kernel copy of this chunk.
-            inner.model.charge(Cost::PipeCopy { bytes: take });
-            let mut chunk = inner.pool.take_capacity(take);
-            chunk.extend_from_slice(&buf[offset..offset + take]);
-            let ready = clock::now();
-            state.buffered += take;
-            state.segments.push_back(Segment {
-                data: chunk,
-                pos: 0,
-                ready,
-            });
-            if let Some(gauges) = &inner.gauges {
-                gauges.pipe_enqueued(take as u64);
-            }
-            offset += take;
-            inner.readable.notify_one();
+        // Writes no larger than the capacity are atomic (PIPE_BUF
+        // semantics): each chunk waits until it fits whole, so segments
+        // from concurrent writers never interleave mid-write.
+        for chunk in buf.chunks(inner.capacity) {
+            inner.core.send(chunk.len(), || {
+                // The user→kernel copy of this chunk.
+                inner.model.charge(Cost::PipeCopy { bytes: chunk.len() });
+                let mut data = inner.pool.take_capacity(chunk.len());
+                data.extend_from_slice(chunk);
+                [Segment { data, pos: 0 }]
+            })?;
         }
         Ok(())
     }
@@ -250,7 +171,7 @@ impl PipeWriter {
     /// Duplicates the handle (NT `DuplicateHandle` semantics): the pipe
     /// stays writable until every writer handle is dropped.
     pub fn duplicate(&self) -> PipeWriter {
-        self.inner.state.lock().writers += 1;
+        self.inner.core.duplicate(End::Sender);
         PipeWriter {
             inner: Arc::clone(&self.inner),
         }
@@ -259,11 +180,7 @@ impl PipeWriter {
 
 impl Drop for PipeWriter {
     fn drop(&mut self) {
-        let mut state = self.inner.state.lock();
-        state.writers -= 1;
-        if state.writers == 0 {
-            self.inner.readable.notify_all();
-        }
+        self.inner.core.hang_up(End::Sender);
     }
 }
 
@@ -280,40 +197,27 @@ impl PipeReader {
         if buf.is_empty() {
             return Ok(0);
         }
-        let mut state = inner.state.lock();
-        while state.segments.is_empty() {
-            if state.writers == 0 {
-                return Ok(0);
-            }
-            inner.readable.wait(&mut state);
-        }
+        let Ok(mut taking) = inner.core.take() else {
+            return Ok(0);
+        };
         let mut copied = 0;
-        let mut newest: SimTime = 0;
         while copied < buf.len() {
-            let Some(front) = state.segments.front_mut() else {
+            let Some(front) = taking.front() else {
                 break;
             };
             let take = front.remaining().min(buf.len() - copied);
             buf[copied..copied + take].copy_from_slice(&front.data[front.pos..front.pos + take]);
             front.pos += take;
             copied += take;
-            newest = newest.max(front.ready);
             if front.remaining() == 0 {
-                if let Some(spent) = state.segments.pop_front() {
+                if let Some(spent) = taking.pop() {
                     inner.pool.put(spent.data);
                 }
             }
         }
-        state.buffered -= copied;
-        if let Some(gauges) = &inner.gauges {
-            gauges.pipe_drained(copied as u64);
-        }
-        // The data cannot be in the reader's hands before the writer put it
-        // in the pipe.
-        clock::sync_to(newest);
-        inner.model.charge(Cost::PipeCopy { bytes: copied });
-        state.last_drain = clock::now();
-        inner.writable.notify_all();
+        taking.finish(copied, || {
+            inner.model.charge(Cost::PipeCopy { bytes: copied });
+        });
         Ok(copied)
     }
 
@@ -341,7 +245,7 @@ impl PipeReader {
     /// Duplicates the handle; the pipe reports a broken pipe to writers
     /// only after every reader handle is dropped.
     pub fn duplicate(&self) -> PipeReader {
-        self.inner.state.lock().readers += 1;
+        self.inner.core.duplicate(End::Receiver);
         PipeReader {
             inner: Arc::clone(&self.inner),
         }
@@ -350,18 +254,16 @@ impl PipeReader {
 
 impl Drop for PipeReader {
     fn drop(&mut self) {
-        let mut state = self.inner.state.lock();
-        state.readers -= 1;
-        if state.readers == 0 {
-            self.inner.writable.notify_all();
-        }
+        self.inner.core.hang_up(End::Receiver);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use afs_sim::HardwareProfile;
+    use crate::IpcError;
+    use afs_sim::{clock, HardwareProfile};
+    use std::sync::mpsc;
 
     fn free_pipe() -> (PipeWriter, PipeReader) {
         Pipe::anonymous(CostModel::free(), CrossingKind::InterProcess)
@@ -412,6 +314,7 @@ mod tests {
         let (w, r) = free_pipe();
         drop(r);
         assert_eq!(w.write(b"x"), Err(IpcError::BrokenPipe));
+        assert_eq!(w.write(b""), Err(IpcError::BrokenPipe));
     }
 
     #[test]
@@ -475,52 +378,78 @@ mod tests {
         assert!(writer_after >= 1_000_000);
     }
 
-    #[test]
-    fn backpressure_carries_reader_time_to_writer() {
+    /// The writer's clock after its second 8-byte write into an 8-byte
+    /// pipe whose reader drains the first at 50 ms virtual, with the real
+    /// race decided one way or the other.
+    fn writer_clock_after_backpressure(reader_drains_first: bool) -> u64 {
         let model = CostModel::new(HardwareProfile::pentium_ii_300());
         let (w, r) = Pipe::with_capacity(model, CrossingKind::InterProcess, 8);
-        // Reader thread consumes slowly in virtual time: it advances its
-        // clock far ahead before draining.
-        let rt = std::thread::spawn(move || {
+        let (first_written, written) = mpsc::channel();
+        let (drained, first_drained) = mpsc::channel();
+        let reader = std::thread::spawn(move || {
             let _g = clock::install(0);
-            std::thread::sleep(std::time::Duration::from_millis(30));
-            clock::advance(50_000_000); // reader is at 50 ms virtual
-            let mut buf = [0u8; 64];
-            let mut total = 0;
-            while total < 16 {
-                total += r.read(&mut buf).expect("read");
+            written.recv().expect("first write");
+            if !reader_drains_first {
+                // Let the second write block on the full pipe.
+                std::thread::sleep(std::time::Duration::from_millis(30));
             }
+            clock::advance(50_000_000);
+            r.read_exact(&mut [0u8; 8]).expect("drain");
+            drained.send(()).expect("signal");
+            r.read_exact(&mut [0u8; 8]).expect("second");
         });
         let _g = clock::install(0);
-        // First 8 bytes fit; second 8 must wait for the drain at 50 ms.
-        w.write(&[0u8; 8]).expect("write");
-        let before_block = clock::now();
-        assert!(before_block < 50_000_000);
-        w.write(&[0u8; 8]).expect("write");
-        assert!(
-            clock::now() >= 50_000_000,
-            "writer should inherit reader drain time, got {}",
-            clock::now()
-        );
-        rt.join().expect("join");
+        w.write(&[0u8; 8]).expect("first fits");
+        assert!(clock::now() < 50_000_000);
+        first_written.send(()).expect("signal");
+        if reader_drains_first {
+            first_drained.recv().expect("drained");
+        }
+        w.write(&[0u8; 8]).expect("second reuses the drained bytes");
+        reader.join().expect("join");
+        clock::now()
     }
 
     #[test]
-    fn segments_recycle_through_the_pool() {
-        let pool = Arc::new(BufferPool::new());
-        let (w, r) = Pipe::with_pool(
-            CostModel::free(),
-            CrossingKind::InterProcess,
-            64,
-            Arc::clone(&pool),
+    fn a_writer_moves_to_the_drain_it_reuses_whether_or_not_it_waited() {
+        let waited = writer_clock_after_backpressure(false);
+        let found_space = writer_clock_after_backpressure(true);
+        assert!(
+            waited >= 50_000_000,
+            "writer inherits the drain, got {waited}"
         );
+        assert_eq!(found_space, waited, "the real race does not move the clock");
+    }
+
+    #[test]
+    fn round_trips_keep_two_drains_and_one_allocation() {
+        let model = || CostModel::new(HardwareProfile::pentium_ii_300());
+        let (ask, asked) = Pipe::anonymous(model(), CrossingKind::InterProcess);
+        let (answer, answered) = Pipe::anonymous(model(), CrossingKind::InterProcess);
+        let server = std::thread::spawn(move || {
+            let _g = clock::install(0);
+            let mut buf = [0u8; 16];
+            while asked.read_exact(&mut buf).expect("request") == 16 {
+                answer.write(&buf).expect("response");
+            }
+            answer
+        });
+        let _g = clock::install(0);
         let mut buf = [0u8; 16];
-        for _ in 0..10 {
-            w.write(&[3u8; 16]).expect("write");
-            assert_eq!(r.read(&mut buf).expect("read"), 16);
+        for _ in 0..10_000 {
+            ask.write(&[5u8; 16]).expect("request");
+            answered.read_exact(&mut buf).expect("response");
+            assert!(ask.inner.core.drain_entries() <= 2);
         }
-        assert_eq!(pool.allocations(), 1, "only the first chunk allocates");
-        assert_eq!(pool.reuses(), 9);
+        assert_eq!(
+            ask.inner.pool.allocations(),
+            1,
+            "the pool still allocates once"
+        );
+        drop(ask);
+        let answer = server.join().expect("join");
+        assert!(answer.inner.core.drain_entries() <= 2);
+        assert_eq!(answered.inner.pool.allocations(), 1);
     }
 
     #[test]

@@ -10,6 +10,12 @@
 //! the submission ring in order and completes out of order through a
 //! completion index keyed by submission id ([`Cqe`]).
 //!
+//! The submission ring is a [`ControlChannel`] of entries — the same
+//! stamped, unbounded, waker-driven FIFO — that a batch enters under one
+//! doorbell and one stamp. The completion index is not a FIFO (it is
+//! harvested by id), so it keeps its own map and borrows only the stamped
+//! core's lock, condvar and receive rule.
+//!
 //! Charging is honest with respect to the unbatched wirings:
 //!
 //! * **Submit** (application side): one doorbell — syscall + pipe message
@@ -20,27 +26,25 @@
 //! * **Drain** (sentinel side): observing an entry across a kernel
 //!   boundary costs the syscall a blocking receive would have cost;
 //!   draining the user-level ring is free, exactly like
-//!   [`ControlReceiver::poll_recv`](crate::control::ControlReceiver).
+//!   [`ControlReceiver::poll_recv`].
 //! * **Complete**: posting read data charges the sentinel the single
 //!   user-level copy into the completion area; the application's
-//!   [`RingTransport::complete`] synchronises its virtual clock to the
-//!   completion stamp and charges nothing — the return crossing was
-//!   prepaid at submit.
+//!   [`RingTransport::complete`] moves its virtual clock to the completion
+//!   stamp and charges nothing — the return crossing was prepaid at
+//!   submit.
 //!
 //! So a K-op batch costs 1 doorbell + 2 crossings where the unbatched
 //! wiring costs K doorbells + 2K crossings: crossings-per-op drop ~K× on
 //! workloads that batch well (the `ablation_batch` bench cell).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
-
-use parking_lot::{Condvar, Mutex};
 
 use afs_sim::{clock, Cost, CostModel, CrossingKind, SimTime};
 use afs_telemetry::RingGauges;
 
-use crate::control::ChannelWaker;
-use crate::{IpcError, Result};
+use crate::stamped::{Flow, Gauge, Signal};
+use crate::{ChannelWaker, ControlChannel, ControlReceiver, ControlSender, IpcError, Result};
 
 /// One submission-ring entry: a typed command plus its optional payload
 /// bytes (a write's data rides its entry, so the whole batch lands in one
@@ -68,32 +72,8 @@ pub struct Cqe<R> {
     pub data: Option<Vec<u8>>,
 }
 
-#[derive(Default)]
-struct WakerCell(Option<ChannelWaker>);
-
-impl std::fmt::Debug for WakerCell {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(if self.0.is_some() {
-            "WakerCell(set)"
-        } else {
-            "WakerCell(unset)"
-        })
-    }
-}
-
-/// How the doorbell is charged: across a kernel/process boundary or via
-/// user-level events and shared memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RingKind {
-    Kernel,
-    UserLevel,
-}
-
 #[derive(Debug)]
-struct RingState<C, R> {
-    /// Submission entries in flight, oldest first, each stamped with the
-    /// submitter's virtual clock.
-    sq: VecDeque<(Sqe<C>, SimTime)>,
+struct Completions<R> {
     /// The completion index: out-of-order completions park here until the
     /// application harvests them by id.
     cq: HashMap<u64, (Cqe<R>, SimTime)>,
@@ -102,18 +82,14 @@ struct RingState<C, R> {
     max_posted: Option<u64>,
     app_alive: bool,
     sentinel_alive: bool,
-    waker: WakerCell,
 }
 
 #[derive(Debug)]
-struct Inner<C, R> {
+struct Shared<R> {
     model: CostModel,
-    kind: RingKind,
     crossing: CrossingKind,
     depth: usize,
-    state: Mutex<RingState<C, R>>,
-    /// Signalled on every completion post and on sentinel teardown.
-    completed: Condvar,
+    completions: Signal<Completions<R>>,
     gauges: Option<Arc<RingGauges>>,
 }
 
@@ -129,7 +105,7 @@ impl RingPair {
         model: CostModel,
         depth: usize,
     ) -> (RingTransport<C, R>, RingPort<C, R>) {
-        Self::build(model, depth, RingKind::Kernel, None)
+        Self::build(model, depth, CrossingKind::InterProcess, None)
     }
 
     /// Builds a ring inside the process over shared memory (§4.3
@@ -139,7 +115,7 @@ impl RingPair {
         model: CostModel,
         depth: usize,
     ) -> (RingTransport<C, R>, RingPort<C, R>) {
-        Self::build(model, depth, RingKind::UserLevel, None)
+        Self::build(model, depth, CrossingKind::InterThread, None)
     }
 
     /// Like [`RingPair::kernel`], but reports batch sizes, occupancy, and
@@ -149,7 +125,7 @@ impl RingPair {
         depth: usize,
         gauges: Arc<RingGauges>,
     ) -> (RingTransport<C, R>, RingPort<C, R>) {
-        Self::build(model, depth, RingKind::Kernel, Some(gauges))
+        Self::build(model, depth, CrossingKind::InterProcess, Some(gauges))
     }
 
     /// Like [`RingPair::shared`], but reports batch sizes, occupancy, and
@@ -159,40 +135,42 @@ impl RingPair {
         depth: usize,
         gauges: Arc<RingGauges>,
     ) -> (RingTransport<C, R>, RingPort<C, R>) {
-        Self::build(model, depth, RingKind::UserLevel, Some(gauges))
+        Self::build(model, depth, CrossingKind::InterThread, Some(gauges))
     }
 
     fn build<C: Send, R: Send>(
         model: CostModel,
         depth: usize,
-        kind: RingKind,
+        crossing: CrossingKind,
         gauges: Option<Arc<RingGauges>>,
     ) -> (RingTransport<C, R>, RingPort<C, R>) {
-        let crossing = match kind {
-            RingKind::Kernel => CrossingKind::InterProcess,
-            RingKind::UserLevel => CrossingKind::InterThread,
-        };
-        let inner = Arc::new(Inner {
+        let gauge = gauges.clone().map(|g| -> Gauge {
+            Box::new(move |flow| {
+                if let Flow::Sent { units, queued } = flow {
+                    g.batch_submitted(units as u64, queued as u64);
+                }
+            })
+        });
+        let kernel = crossing == CrossingKind::InterProcess;
+        let (sq_tx, sq_rx) = ControlChannel::over(model.clone(), kernel, gauge);
+        let shared = Arc::new(Shared {
             model,
-            kind,
             crossing,
             depth: depth.max(1),
-            state: Mutex::new(RingState {
-                sq: VecDeque::new(),
+            completions: Signal::new(Completions {
                 cq: HashMap::new(),
                 max_posted: None,
                 app_alive: true,
                 sentinel_alive: true,
-                waker: WakerCell(None),
             }),
-            completed: Condvar::new(),
             gauges,
         });
         (
             RingTransport {
-                inner: Arc::clone(&inner),
+                sq: sq_tx,
+                shared: Arc::clone(&shared),
             },
-            RingPort { inner },
+            RingPort { sq: sq_rx, shared },
         )
     }
 }
@@ -201,18 +179,19 @@ impl RingPair {
 /// harvesting by submission id.
 #[derive(Debug)]
 pub struct RingTransport<C: Send, R: Send> {
-    inner: Arc<Inner<C, R>>,
+    sq: ControlSender<Sqe<C>>,
+    shared: Arc<Shared<R>>,
 }
 
 impl<C: Send, R: Send> RingTransport<C, R> {
     /// The ring depth the pair was built with — the batching policy's K.
     pub fn depth(&self) -> usize {
-        self.inner.depth
+        self.shared.depth
     }
 
     /// The boundary a batch crosses.
     pub fn crossing(&self) -> CrossingKind {
-        self.inner.crossing
+        self.shared.crossing
     }
 
     /// Submits `batch` in order and rings the doorbell once: one doorbell
@@ -226,80 +205,41 @@ impl<C: Send, R: Send> RingTransport<C, R> {
         if batch.is_empty() {
             return Ok(());
         }
-        let inner = &*self.inner;
-        match inner.kind {
-            RingKind::Kernel => {
-                inner.model.charge(Cost::Syscall);
-                inner.model.charge(Cost::PipeMessage);
-            }
-            RingKind::UserLevel => {
-                inner.model.charge(Cost::EventSignal);
-            }
+        let shared = &*self.shared;
+        for _ in 0..shared.crossing.round_trip_switches() {
+            shared.model.charge(Cost::Crossing(shared.crossing));
         }
-        for _ in 0..inner.crossing.round_trip_switches() {
-            inner.model.charge(Cost::Crossing(inner.crossing));
-        }
-        for sqe in &batch {
-            if let Some(payload) = &sqe.payload {
-                if !payload.is_empty() {
-                    inner.model.charge(Cost::Memcpy {
-                        bytes: payload.len(),
-                    });
-                }
+        for payload in batch.iter().filter_map(|sqe| sqe.payload.as_ref()) {
+            if !payload.is_empty() {
+                shared.model.charge(Cost::Memcpy {
+                    bytes: payload.len(),
+                });
             }
         }
-        let stamp = clock::now();
-        let ops = batch.len() as u64;
-        let mut state = inner.state.lock();
-        if !state.sentinel_alive {
-            return Err(IpcError::BrokenPipe);
-        }
-        for sqe in batch {
-            state.sq.push_back((sqe, stamp));
-        }
-        if let Some(g) = &inner.gauges {
-            g.batch_submitted(ops, state.sq.len() as u64);
-        }
-        let waker = state.waker.0.clone();
-        drop(state);
-        if let Some(wake) = waker {
-            wake();
-        }
-        Ok(())
+        self.sq.send_all(batch.len(), batch)
     }
 
-    /// Blocks until the completion for `id` is posted, synchronising the
-    /// caller's virtual clock to the completion stamp. The return crossing
-    /// was prepaid at submit, so nothing further is charged.
+    /// Blocks until the completion for `id` is posted, moving the caller's
+    /// virtual clock to the completion stamp. The return crossing was
+    /// prepaid at submit, so nothing further is charged.
     ///
     /// # Errors
     ///
     /// [`IpcError::Closed`] if the sentinel dies before posting `id`.
     pub fn complete(&self, id: u64) -> Result<Cqe<R>> {
-        let inner = &*self.inner;
-        let mut state = inner.state.lock();
-        loop {
-            if let Some((cqe, stamp)) = state.cq.remove(&id) {
-                clock::sync_to(stamp);
-                return Ok(cqe);
-            }
-            if !state.sentinel_alive {
-                return Err(IpcError::Closed);
-            }
-            inner.completed.wait(&mut state);
-        }
+        self.shared
+            .completions
+            .wait_take(|c| match c.cq.remove(&id) {
+                Some((cqe, stamp)) => Some((Ok(cqe), stamp)),
+                None => (!c.sentinel_alive).then_some((Err(IpcError::Closed), 0)),
+            })
     }
 
     /// Tears the application side down: the sentinel's next drain observes
     /// closure (after the remaining submissions).
     pub fn shutdown(&self) {
-        let mut state = self.inner.state.lock();
-        state.app_alive = false;
-        let waker = state.waker.0.clone();
-        drop(state);
-        if let Some(wake) = waker {
-            wake();
-        }
+        self.shared.completions.publish(|c| c.app_alive = false);
+        self.sq.close();
     }
 }
 
@@ -313,7 +253,8 @@ impl<C: Send, R: Send> Drop for RingTransport<C, R> {
 /// completions in any order.
 #[derive(Debug)]
 pub struct RingPort<C: Send, R: Send> {
-    inner: Arc<Inner<C, R>>,
+    sq: ControlReceiver<Sqe<C>>,
+    shared: Arc<Shared<R>>,
 }
 
 impl<C: Send, R: Send> RingPort<C, R> {
@@ -327,21 +268,7 @@ impl<C: Send, R: Send> RingPort<C, R> {
     /// [`IpcError::Closed`] once the application side is gone and the
     /// submission ring is drained.
     pub fn poll_sqe(&self) -> Result<Option<Sqe<C>>> {
-        let inner = &*self.inner;
-        let mut state = inner.state.lock();
-        if state.sq.is_empty() && state.app_alive {
-            return Ok(None);
-        }
-        if inner.kind == RingKind::Kernel {
-            inner.model.charge(Cost::Syscall);
-        }
-        match state.sq.pop_front() {
-            Some((sqe, stamp)) => {
-                clock::sync_to(stamp);
-                Ok(Some(sqe))
-            }
-            None => Err(IpcError::Closed),
-        }
+        self.sq.poll_recv()
     }
 
     /// Posts one completion into the index, charging the single user-level
@@ -351,45 +278,42 @@ impl<C: Send, R: Send> RingPort<C, R> {
     ///
     /// [`IpcError::BrokenPipe`] once the application side is gone.
     pub fn post(&self, cqe: Cqe<R>) -> Result<()> {
-        let inner = &*self.inner;
-        if let Some(data) = &cqe.data {
-            if !data.is_empty() {
-                inner.model.charge(Cost::Memcpy { bytes: data.len() });
-            }
+        let shared = &*self.shared;
+        if let Some(data) = cqe.data.as_ref().filter(|data| !data.is_empty()) {
+            shared.model.charge(Cost::Memcpy { bytes: data.len() });
         }
         let stamp = clock::now();
-        let mut state = inner.state.lock();
-        if !state.app_alive {
-            return Err(IpcError::BrokenPipe);
-        }
-        let out_of_order = state.max_posted.is_some_and(|m| cqe.id < m);
-        state.max_posted = Some(state.max_posted.map_or(cqe.id, |m| m.max(cqe.id)));
-        if let Some(g) = &inner.gauges {
-            g.completed(out_of_order);
-        }
-        state.cq.insert(cqe.id, (cqe, stamp));
-        inner.completed.notify_all();
-        Ok(())
+        shared.completions.publish(|c| {
+            if !c.app_alive {
+                return Err(IpcError::BrokenPipe);
+            }
+            let out_of_order = c.max_posted.is_some_and(|m| cqe.id < m);
+            c.max_posted = Some(c.max_posted.map_or(cqe.id, |m| m.max(cqe.id)));
+            if let Some(g) = &shared.gauges {
+                g.completed(out_of_order);
+            }
+            c.cq.insert(cqe.id, (cqe, stamp));
+            Ok(())
+        })
     }
 
     /// Installs a readiness waker, invoked on every doorbell and when the
     /// application side shuts down. The sentinel executor parks on this.
     pub fn set_wakeup(&self, waker: ChannelWaker) {
-        self.inner.state.lock().waker.0 = Some(waker);
+        self.sq.set_waker(waker);
     }
 
     /// The ring depth the pair was built with.
     pub fn depth(&self) -> usize {
-        self.inner.depth
+        self.shared.depth
     }
 }
 
 impl<C: Send, R: Send> Drop for RingPort<C, R> {
     fn drop(&mut self) {
-        let mut state = self.inner.state.lock();
-        state.sentinel_alive = false;
-        drop(state);
-        self.inner.completed.notify_all();
+        self.shared
+            .completions
+            .publish(|c| c.sentinel_alive = false);
     }
 }
 

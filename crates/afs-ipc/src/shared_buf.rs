@@ -12,29 +12,19 @@
 //!   buffer inside the shared address space, so the physical copy
 //!   performed here is *not* charged a second time.
 //!
-//! The slot blocks a sender while occupied and a receiver while empty,
-//! providing the same rendezvous the prototype builds from events.
+//! The slot is the [stamped channel](crate::stamped) with a capacity of
+//! one message: it blocks a sender while occupied and a receiver while
+//! empty, the rendezvous the prototype builds from events, and a sender
+//! moves to the clock at which the previous message was taken.
 
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
-
-use afs_sim::{clock, Cost, CostModel, SimTime};
+use afs_sim::{Cost, CostModel};
 use afs_telemetry::QueueGauges;
 
 use crate::pool::BufferPool;
+use crate::stamped::{Flow, Gauge, Stamped};
 use crate::{IpcError, Result};
-
-#[derive(Debug)]
-struct State {
-    slot: Option<(Vec<u8>, SimTime)>,
-    closed: bool,
-    /// Receiver's virtual clock when the slot was last emptied; a sender
-    /// that had to wait for space synchronises to this, which is what
-    /// turns the one-slot rendezvous into bandwidth backpressure (the
-    /// same rule as the pipe's `last_drain`).
-    last_take: SimTime,
-}
 
 #[derive(Debug)]
 struct Inner {
@@ -43,11 +33,7 @@ struct Inner {
     /// shared-memory region of the prototype. Allocation-only; charges are
     /// unaffected.
     pool: BufferPool,
-    /// Optional slot-occupancy gauges.
-    gauges: Option<Arc<QueueGauges>>,
-    state: Mutex<State>,
-    filled: Condvar,
-    emptied: Condvar,
+    core: Stamped<Vec<u8>>,
 }
 
 /// A one-slot shared-memory mailbox (clones refer to the same slot).
@@ -64,22 +50,19 @@ impl SharedBuffer {
 
     /// Like [`SharedBuffer::new`], but reports slot occupancy to `gauges`.
     pub fn observed(model: CostModel, gauges: Arc<QueueGauges>) -> Self {
-        SharedBuffer::build(model, Some(gauges))
+        let gauge: Gauge = Box::new(move |flow| match flow {
+            Flow::Sent { .. } => gauges.shm_filled(),
+            Flow::Taken(_) => gauges.shm_taken(),
+        });
+        SharedBuffer::build(model, Some(gauge))
     }
 
-    fn build(model: CostModel, gauges: Option<Arc<QueueGauges>>) -> Self {
+    fn build(model: CostModel, gauge: Option<Gauge>) -> Self {
         SharedBuffer {
             inner: Arc::new(Inner {
                 model,
                 pool: BufferPool::new(),
-                gauges,
-                state: Mutex::new(State {
-                    slot: None,
-                    closed: false,
-                    last_take: 0,
-                }),
-                filled: Condvar::new(),
-                emptied: Condvar::new(),
+                core: Stamped::new(Some(1), gauge),
             }),
         }
     }
@@ -92,27 +75,16 @@ impl SharedBuffer {
     /// Returns [`IpcError::Closed`] if the buffer has been closed.
     pub fn send(&self, data: &[u8]) -> Result<()> {
         let inner = &*self.inner;
-        let mut state = inner.state.lock();
-        while state.slot.is_some() {
-            if state.closed {
-                return Err(IpcError::Closed);
-            }
-            inner.emptied.wait(&mut state);
-            clock::sync_to(state.last_take);
-        }
-        if state.closed {
-            return Err(IpcError::Closed);
-        }
-        inner.model.charge(Cost::Memcpy { bytes: data.len() });
-        inner.model.charge(Cost::EventSignal);
-        let mut staged = inner.pool.take_capacity(data.len());
-        staged.extend_from_slice(data);
-        state.slot = Some((staged, clock::now()));
-        if let Some(gauges) = &inner.gauges {
-            gauges.shm_filled();
-        }
-        inner.filled.notify_one();
-        Ok(())
+        inner
+            .core
+            .send(1, || {
+                inner.model.charge(Cost::Memcpy { bytes: data.len() });
+                inner.model.charge(Cost::EventSignal);
+                let mut staged = inner.pool.take_capacity(data.len());
+                staged.extend_from_slice(data);
+                [staged]
+            })
+            .map_err(|_| IpcError::Closed)
     }
 
     /// Takes the next message, copying as much as fits into `buf`, blocking
@@ -128,68 +100,29 @@ impl SharedBuffer {
     /// Returns [`IpcError::Closed`] if the buffer is closed and empty.
     pub fn recv_into(&self, buf: &mut [u8]) -> Result<usize> {
         let inner = &*self.inner;
-        let mut state = inner.state.lock();
-        loop {
-            if let Some((data, stamp)) = state.slot.take() {
-                clock::sync_to(stamp);
-                let n = data.len().min(buf.len());
-                buf[..n].copy_from_slice(&data[..n]);
-                let len = data.len();
-                inner.pool.put(data);
-                state.last_take = state.last_take.max(clock::now());
-                if let Some(gauges) = &inner.gauges {
-                    gauges.shm_taken();
-                }
-                inner.emptied.notify_one();
-                return Ok(len);
-            }
-            if state.closed {
-                return Err(IpcError::Closed);
-            }
-            inner.filled.wait(&mut state);
-        }
-    }
-
-    /// Takes the next message as an owned vector.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IpcError::Closed`] if the buffer is closed and empty.
-    pub fn recv(&self) -> Result<Vec<u8>> {
-        let inner = &*self.inner;
-        let mut state = inner.state.lock();
-        loop {
-            if let Some((data, stamp)) = state.slot.take() {
-                clock::sync_to(stamp);
-                state.last_take = state.last_take.max(clock::now());
-                if let Some(gauges) = &inner.gauges {
-                    gauges.shm_taken();
-                }
-                inner.emptied.notify_one();
-                return Ok(data);
-            }
-            if state.closed {
-                return Err(IpcError::Closed);
-            }
-            inner.filled.wait(&mut state);
-        }
+        let mut taking = inner.core.take()?;
+        let data = taking.pop().expect("a take holds an item");
+        let n = data.len().min(buf.len());
+        buf[..n].copy_from_slice(&data[..n]);
+        let len = data.len();
+        inner.pool.put(data);
+        taking.finish(1, || {});
+        Ok(len)
     }
 
     /// Closes the buffer: pending and future operations fail with
     /// [`IpcError::Closed`] (a message already in the slot can still be
     /// received).
     pub fn close(&self) {
-        let mut state = self.inner.state.lock();
-        state.closed = true;
-        self.inner.filled.notify_all();
-        self.inner.emptied.notify_all();
+        self.inner.core.close();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use afs_sim::HardwareProfile;
+    use afs_sim::{clock, HardwareProfile};
+    use std::sync::mpsc;
 
     #[test]
     fn send_then_recv_roundtrips() {
@@ -233,6 +166,7 @@ mod tests {
         }
         assert_eq!(b.inner.pool.allocations(), 1);
         assert_eq!(b.inner.pool.reuses(), 4);
+        assert_eq!(b.inner.core.drain_entries(), 1);
     }
 
     #[test]
@@ -254,7 +188,7 @@ mod tests {
     fn close_unblocks_receiver_with_closed() {
         let b = SharedBuffer::new(CostModel::free());
         let b2 = b.clone();
-        let t = std::thread::spawn(move || b2.recv());
+        let t = std::thread::spawn(move || b2.recv_into(&mut [0u8; 4]));
         std::thread::sleep(std::time::Duration::from_millis(10));
         b.close();
         assert_eq!(t.join().expect("join"), Err(IpcError::Closed));
@@ -266,8 +200,10 @@ mod tests {
         let b = SharedBuffer::new(CostModel::free());
         b.send(b"last").expect("send");
         b.close();
-        assert_eq!(b.recv().expect("drain"), b"last".to_vec());
-        assert_eq!(b.recv(), Err(IpcError::Closed));
+        let mut buf = [0u8; 4];
+        assert_eq!(b.recv_into(&mut buf), Ok(4));
+        assert_eq!(&buf, b"last");
+        assert_eq!(b.recv_into(&mut buf), Err(IpcError::Closed));
     }
 
     #[test]
@@ -276,7 +212,7 @@ mod tests {
         let b = SharedBuffer::observed(CostModel::free(), Arc::clone(&gauges));
         b.send(b"m").expect("send");
         assert_eq!(gauges.snapshot().shm_pending, 1);
-        b.recv().expect("recv");
+        b.recv_into(&mut [0u8; 1]).expect("recv");
         let snap = gauges.snapshot();
         assert_eq!(snap.shm_pending, 0);
         assert_eq!(snap.shm_messages, 1);
@@ -293,7 +229,48 @@ mod tests {
         .join()
         .expect("join");
         let _g = clock::install(0);
-        b.recv().expect("recv");
+        b.recv_into(&mut [0u8; 1]).expect("recv");
         assert!(clock::now() >= 9_000);
+    }
+
+    /// The sender's clock after its second message, when the first is
+    /// taken at 50 ms virtual before that send arrives or after it blocked.
+    fn sender_clock_after_backpressure(taken_first: bool) -> u64 {
+        let b = SharedBuffer::new(CostModel::new(HardwareProfile::pentium_ii_300()));
+        let rx = b.clone();
+        let (first_sent, sent) = mpsc::channel();
+        let (taken, first_taken) = mpsc::channel();
+        let receiver = std::thread::spawn(move || {
+            let _g = clock::install(0);
+            sent.recv().expect("first send");
+            if !taken_first {
+                std::thread::sleep(std::time::Duration::from_millis(30));
+            }
+            clock::advance(50_000_000);
+            rx.recv_into(&mut [0u8; 1]).expect("take");
+            taken.send(()).expect("signal");
+            rx.recv_into(&mut [0u8; 1]).expect("second");
+        });
+        let _g = clock::install(0);
+        b.send(b"a").expect("first fills the slot");
+        assert!(clock::now() < 50_000_000);
+        first_sent.send(()).expect("signal");
+        if taken_first {
+            first_taken.recv().expect("taken");
+        }
+        b.send(b"b").expect("second reuses the slot");
+        receiver.join().expect("join");
+        clock::now()
+    }
+
+    #[test]
+    fn a_sender_moves_to_the_take_it_reuses_whether_or_not_it_waited() {
+        let waited = sender_clock_after_backpressure(false);
+        let found_space = sender_clock_after_backpressure(true);
+        assert!(
+            waited >= 50_000_000,
+            "sender inherits the take, got {waited}"
+        );
+        assert_eq!(found_space, waited, "the real race does not move the clock");
     }
 }

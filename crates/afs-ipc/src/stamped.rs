@@ -1,0 +1,373 @@
+//! One stamped channel: the core every FIFO carrier in this crate is an
+//! instance of, and the one place virtual time crosses between threads.
+//!
+//! [`Pipe`](crate::Pipe), [`SharedBuffer`](crate::SharedBuffer),
+//! [`ControlChannel`](crate::ControlChannel) and the ring's submission
+//! queue are each a queue of `(item, send stamp)` with a capacity counted
+//! in units — bytes, slots, or none at all — and their own cost charges on
+//! top. The virtual-time rule of such a channel is two sentences, written
+//! here once:
+//!
+//! * a receiver's clock moves to the send stamp of the item it takes;
+//! * a sender's clock moves to the drain stamp of the capacity it reuses,
+//!   whether or not it really waited for it.
+//!
+//! The second sentence turns a bounded capacity into bandwidth
+//! backpressure — "any increase in the overhead of a write stems from
+//! bandwidth restrictions imposed by the sentinel" (§6) — and *whether or
+//! not it waited* makes that a function of the operation sequence: a
+//! sender that finds the space already free, because its receiver won the
+//! real race, moves exactly as far as one that blocked for it.
+//!
+//! Units are numbered in send order, so sending units `[s, s + n)` into
+//! capacity `C` reuses the units freed when the receivers' running total
+//! reached `s + n − C`. The core logs `(units taken so far, receiver's
+//! clock)` after each take and keeps only the entries a later send can
+//! still land on: none freed before the last `C` units sent, and no two
+//! leading entries that are both no later than the newest send stamp (a
+//! sender on that clock moves past neither). With one sending thread the
+//! log is exact; a second sender behind the newest stamp may be moved up
+//! to it, never less than the rule says.
+//!
+//! `Signal` lends the same lock, condvar and receive rule to the two
+//! stamped carriers that are not FIFOs: the ring's completion index, taken
+//! by id, and [`Event`](crate::Event), a flag.
+
+use std::collections::VecDeque;
+use std::fmt;
+
+use parking_lot::{Condvar, Mutex, MutexGuard};
+
+use afs_sim::{clock, SimTime};
+
+use crate::{ChannelWaker, IpcError, Result};
+
+/// What a channel reports to its gauges hook, under its lock, so a depth
+/// gauge never sees a take before the send it drains.
+pub(crate) enum Flow {
+    /// `units` entered the queue, which now holds `queued` items.
+    Sent { units: usize, queued: usize },
+    /// `units` left it.
+    Taken(usize),
+}
+
+/// A channel's gauges hook.
+pub(crate) type Gauge = Box<dyn Fn(Flow) + Send + Sync>;
+
+/// Which end of a channel a handle holds.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum End {
+    Sender,
+    Receiver,
+}
+
+struct State<T> {
+    queue: VecDeque<(T, SimTime)>,
+    /// Units sent and taken, ever.
+    sent: u64,
+    taken: u64,
+    /// `(units taken so far, receiver's clock)` after each take a later
+    /// send can still reuse; bounded channels only.
+    drains: VecDeque<(u64, SimTime)>,
+    /// The newest send stamp.
+    floor: SimTime,
+    senders: usize,
+    receivers: usize,
+    closed: bool,
+    waker: Option<ChannelWaker>,
+}
+
+impl<T> State<T> {
+    /// Drops the drain entries no later send can land on.
+    fn prune(&mut self, capacity: u64) {
+        while let Some(&(taken, drained)) = self.drains.front() {
+            let next = self.drains.get(1).map_or(SimTime::MAX, |&(_, d)| d);
+            if taken + capacity > self.sent && drained.max(next) > self.floor {
+                break;
+            }
+            self.drains.pop_front();
+        }
+    }
+}
+
+/// The stamped channel core (see the module docs).
+pub(crate) struct Stamped<T> {
+    /// Units the queue holds at most; `None` is unbounded.
+    capacity: Option<u64>,
+    gauge: Option<Gauge>,
+    state: Mutex<State<T>>,
+    /// Receivers wait here for an item, senders for capacity.
+    readable: Condvar,
+    writable: Condvar,
+}
+
+impl<T> fmt::Debug for Stamped<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Stamped")
+            .field("capacity", &self.capacity)
+            .finish_non_exhaustive()
+    }
+}
+
+impl<T> Stamped<T> {
+    /// A channel with one sender and one receiver.
+    pub fn new(capacity: Option<usize>, gauge: Option<Gauge>) -> Self {
+        Stamped {
+            capacity: capacity.map(|cap| cap as u64),
+            gauge,
+            state: Mutex::new(State {
+                queue: VecDeque::new(),
+                sent: 0,
+                taken: 0,
+                drains: VecDeque::new(),
+                floor: 0,
+                senders: 1,
+                receivers: 1,
+                closed: false,
+                waker: None,
+            }),
+            readable: Condvar::new(),
+            writable: Condvar::new(),
+        }
+    }
+
+    /// Sends what `make` builds — `units` of capacity between its items,
+    /// all under one stamp — blocking until they fit. `make` runs under
+    /// the lock after the sender's clock has moved, so the charges it
+    /// makes land in the stamp.
+    ///
+    /// # Errors
+    ///
+    /// [`IpcError::BrokenPipe`] once every receiver is gone or the channel
+    /// is closed.
+    pub fn send<I: IntoIterator<Item = T>>(
+        &self,
+        units: usize,
+        make: impl FnOnce() -> I,
+    ) -> Result<()> {
+        let n = units as u64;
+        let mut s = self.state.lock();
+        while s.receivers > 0 && !s.closed {
+            match self.capacity {
+                Some(cap) if s.sent - s.taken + n > cap => self.writable.wait(&mut s),
+                _ => break,
+            }
+        }
+        if s.receivers == 0 || s.closed {
+            return Err(IpcError::BrokenPipe);
+        }
+        // These units reuse what the receivers freed when their total
+        // reached `reuse`: move to that drain whether or not we waited.
+        let reuse = self.capacity.and_then(|cap| (s.sent + n).checked_sub(cap));
+        if let Some(reuse) = reuse.filter(|&reuse| n > 0 && reuse > 0) {
+            if let Some(&(_, drained)) = s.drains.iter().find(|&&(taken, _)| taken >= reuse) {
+                clock::sync_to(drained);
+            }
+        }
+        let items = make();
+        let stamp = clock::now();
+        s.queue.extend(items.into_iter().map(|item| (item, stamp)));
+        s.sent += n;
+        s.floor = s.floor.max(stamp);
+        if let Some(cap) = self.capacity {
+            s.prune(cap);
+        }
+        if let Some(gauge) = &self.gauge {
+            let queued = s.queue.len();
+            gauge(Flow::Sent { units, queued });
+        }
+        self.readable.notify_one();
+        Self::wake(s);
+        Ok(())
+    }
+
+    /// Waits for an item, holding the lock until the take finishes.
+    ///
+    /// # Errors
+    ///
+    /// [`IpcError::Closed`] once every sender is gone (or the channel is
+    /// closed) and the queue is drained.
+    pub fn take(&self) -> Result<Taking<'_, T>> {
+        self.ready(true)
+            .map(|t| t.expect("a blocking take returns with an item"))
+    }
+
+    /// Like [`Stamped::take`], but `Ok(None)` instead of waiting.
+    pub fn poll(&self) -> Result<Option<Taking<'_, T>>> {
+        self.ready(false)
+    }
+
+    fn ready(&self, wait: bool) -> Result<Option<Taking<'_, T>>> {
+        let mut s = self.state.lock();
+        while s.queue.is_empty() {
+            if s.senders == 0 || s.closed {
+                return Err(IpcError::Closed);
+            }
+            if !wait {
+                return Ok(None);
+            }
+            self.readable.wait(&mut s);
+        }
+        Ok(Some(Taking {
+            core: self,
+            state: s,
+            newest: 0,
+        }))
+    }
+
+    /// Another handle on `end` (NT `DuplicateHandle`).
+    pub fn duplicate(&self, end: End) {
+        let mut s = self.state.lock();
+        match end {
+            End::Sender => s.senders += 1,
+            End::Receiver => s.receivers += 1,
+        }
+    }
+
+    /// A handle on `end` is gone. The last receiver's going fails blocked
+    /// senders; the last sender's wakes receivers and the waker, since
+    /// closure is something a poll-driven consumer must observe too.
+    pub fn hang_up(&self, end: End) {
+        let mut s = self.state.lock();
+        match end {
+            End::Receiver => {
+                s.receivers -= 1;
+                if s.receivers == 0 {
+                    self.writable.notify_all();
+                }
+            }
+            End::Sender => {
+                s.senders -= 1;
+                if s.senders == 0 && !s.closed {
+                    self.readable.notify_all();
+                    Self::wake(s);
+                }
+            }
+        }
+    }
+
+    /// Closes both ends at once: sends fail, and takes fail once the
+    /// queue is drained.
+    pub fn close(&self) {
+        let mut s = self.state.lock();
+        if std::mem::replace(&mut s.closed, true) {
+            return;
+        }
+        self.readable.notify_all();
+        self.writable.notify_all();
+        if s.senders > 0 {
+            Self::wake(s);
+        }
+    }
+
+    /// Installs `waker`, invoked after every send and when the senders'
+    /// side goes away. Replaces any previous waker.
+    pub fn set_waker(&self, waker: ChannelWaker) {
+        self.state.lock().waker = Some(waker);
+    }
+
+    /// Fires the waker outside the lock: it runs on the sender's thread
+    /// and may take the consumer's.
+    fn wake(s: MutexGuard<'_, State<T>>) {
+        let waker = s.waker.clone();
+        drop(s);
+        if let Some(wake) = waker {
+            wake();
+        }
+    }
+}
+
+/// A take in progress: the lock is held and the items looked at are
+/// noted until [`Taking::finish`] applies both halves of the rule.
+pub(crate) struct Taking<'a, T> {
+    core: &'a Stamped<T>,
+    state: MutexGuard<'a, State<T>>,
+    newest: SimTime,
+}
+
+impl<T> Taking<'_, T> {
+    /// The front item, to take part of.
+    pub fn front(&mut self) -> Option<&mut T> {
+        let (item, stamp) = self.state.queue.front_mut()?;
+        self.newest = self.newest.max(*stamp);
+        Some(item)
+    }
+
+    /// Removes the front item.
+    pub fn pop(&mut self) -> Option<T> {
+        let (item, stamp) = self.state.queue.pop_front()?;
+        self.newest = self.newest.max(stamp);
+        Some(item)
+    }
+
+    /// Takes the front item whole, as one unit.
+    pub fn whole(mut self) -> T {
+        let item = self.pop().expect("a take holds an item");
+        self.finish(1, || {});
+        item
+    }
+
+    /// Ends the take of `units`: the receiver moves to the newest send
+    /// stamp it looked at, pays `charge`, and its clock then is the drain
+    /// stamp of the capacity it freed.
+    pub fn finish(mut self, units: usize, charge: impl FnOnce()) {
+        clock::sync_to(self.newest);
+        charge();
+        let core = self.core;
+        let s = &mut *self.state;
+        s.taken += units as u64;
+        if let Some(gauge) = &core.gauge {
+            gauge(Flow::Taken(units));
+        }
+        if let Some(cap) = core.capacity {
+            s.drains.push_back((s.taken, clock::now()));
+            s.prune(cap);
+            core.writable.notify_all();
+        }
+    }
+}
+
+/// The core's lock, condvar and receive rule for a stamped carrier that
+/// is not a FIFO.
+#[derive(Debug)]
+pub(crate) struct Signal<S> {
+    state: Mutex<S>,
+    changed: Condvar,
+}
+
+impl<S> Signal<S> {
+    pub fn new(state: S) -> Self {
+        Signal {
+            state: Mutex::new(state),
+            changed: Condvar::new(),
+        }
+    }
+
+    /// Changes the state and wakes every waiter to look again.
+    pub fn publish<R>(&self, change: impl FnOnce(&mut S) -> R) -> R {
+        let r = change(&mut self.state.lock());
+        self.changed.notify_all();
+        r
+    }
+
+    /// Blocks until `ready` yields a value and its send stamp, then moves
+    /// the caller's clock to that stamp: the receive rule.
+    pub fn wait_take<R>(&self, mut ready: impl FnMut(&mut S) -> Option<(R, SimTime)>) -> R {
+        let mut s = self.state.lock();
+        loop {
+            if let Some((r, stamp)) = ready(&mut s) {
+                clock::sync_to(stamp);
+                return r;
+            }
+            self.changed.wait(&mut s);
+        }
+    }
+}
+
+#[cfg(test)]
+impl<T> Stamped<T> {
+    /// How many drain entries the log holds.
+    pub(crate) fn drain_entries(&self) -> usize {
+        self.state.lock().drains.len()
+    }
+}

@@ -272,16 +272,6 @@ impl<C: Send + 'static, R: Send + 'static> PairPort<C, R> {
         self.commands.recv()
     }
 
-    /// Receives the next command if one is already queued; never blocks
-    /// and, unlike [`PairPort::poll_cmd`], never charges.
-    ///
-    /// # Errors
-    ///
-    /// [`IpcError::Closed`] once the application side is gone.
-    pub fn try_recv_cmd(&self) -> Result<Option<C>> {
-        self.commands.try_recv()
-    }
-
     /// Non-blocking receive with `recv_cmd`-equivalent charging: the
     /// kernel-syscall cost is paid when a command (or channel closure) is
     /// observed, never for an empty poll. This is what a poll-driven
