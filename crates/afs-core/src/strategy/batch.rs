@@ -135,7 +135,9 @@ impl RingDriver {
 
     /// Rings the doorbell for `batch` under a transport-layer span (which
     /// nests under the in-flight op's strategy span on this thread).
-    fn submit(&self, batch: Vec<Sqe<Op>>) -> afs_ipc::Result<()> {
+    /// `awaited`: this thread blocks on the batch's completions next (see
+    /// [`RingTransport::submit_awaited`]).
+    fn submit(&self, batch: Vec<Sqe<Op>>, awaited: bool) -> afs_ipc::Result<()> {
         if batch.is_empty() {
             return Ok(());
         }
@@ -145,7 +147,11 @@ impl RingDriver {
         if let Some(sp) = span.as_mut() {
             sp.set_bytes(batch.len() as u64);
         }
-        self.ring.submit(batch)
+        if awaited {
+            self.ring.submit_awaited(batch)
+        } else {
+            self.ring.submit(batch)
+        }
     }
 
     /// Stages one write submission, merging it into the previous staged
@@ -187,7 +193,7 @@ impl RingDriver {
         }
         if state.staged.len() >= self.ring.depth() {
             let batch = std::mem::take(&mut state.staged);
-            self.submit(batch)?;
+            self.submit(batch, false)?;
         }
         Ok(())
     }
@@ -219,7 +225,7 @@ impl RingDriver {
     /// Submits `batch` and blocks for the completion of its entry `id`:
     /// the reply plus any produced bytes.
     fn roundtrip(&self, state: &mut DriverState, batch: Vec<Sqe<Op>>, id: u64) -> Completed {
-        self.submit(batch)?;
+        self.submit(batch, true)?;
         let cqe = self.ring.complete(id)?;
         self.reap(state, id)?;
         Ok((cqe.reply, cqe.data))
@@ -340,6 +346,6 @@ impl AppPort for RingDriver {
 impl Drop for RingDriver {
     fn drop(&mut self) {
         let batch = std::mem::take(&mut self.state.get_mut().staged);
-        let _ = self.submit(batch);
+        let _ = self.submit(batch, false);
     }
 }

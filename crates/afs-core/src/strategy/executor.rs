@@ -7,26 +7,29 @@
 //! one per core) multiplexing every poll-driven sentinel state machine
 //! ([`SentinelPoll`]): a sentinel is *scheduled* only when its transport's
 //! readiness waker fires, runs until its command lane is drained, then
-//! parks without occupying a thread.
+//! parks without occupying a thread. When the command is *awaited* — its
+//! sender blocks on the answer next, and the answer fits the lanes back —
+//! an idle sentinel is polled on the sender's thread instead, so the
+//! operation costs no thread switch on the host.
 //!
 //! Scheduling structures are striped into per-shard locks (the
 //! cache-padded striping idiom): each shard owns a run queue and a slice
 //! of the live-task table, a task's shard is a pure function of its id,
 //! and workers pop from their home shard first, stealing from the others
 //! only when home is empty. Virtual time is preserved exactly: each task
-//! carries its own [`SimTime`] across polls, installed on whichever worker
+//! carries its own [`SimTime`] across polls, installed on whichever thread
 //! polls it, so a sentinel's virtual timeline is identical to the one its
 //! dedicated thread would have produced.
 
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 
 use parking_lot::{Condvar, Mutex};
 
-use afs_ipc::ChannelWaker;
+use afs_ipc::{ChannelWaker, Wake};
 use afs_sim::{clock, SimTime};
 use afs_telemetry::FleetGauges;
 
@@ -67,7 +70,8 @@ pub(crate) enum TaskPoll {
 /// blocking dispatch loop. `poll` must drain everything currently
 /// available and return instead of blocking on an empty command lane.
 pub(crate) trait SentinelPoll: Send {
-    /// Drains the transport; called only by one worker at a time.
+    /// Drains the transport; called by one thread at a time — a worker, or
+    /// the sender of an awaited command.
     fn poll(&mut self) -> TaskPoll;
 
     /// Runs the sentinel's close hook without a transport exchange. Called
@@ -83,6 +87,7 @@ struct CachePadded<T>(T);
 
 // Task scheduling states. Transitions:
 //   IDLE -QUEUED-> (waker)   QUEUED -RUNNING-> (worker pops)
+//   IDLE -RUNNING-> (awaited waker: the sender polls it)
 //   RUNNING -NOTIFIED-> (waker during poll, worker re-polls)
 //   RUNNING -IDLE-> (poll returned Pending, no wake raced)
 //   any -DONE-> (poll returned Ready)
@@ -311,12 +316,9 @@ impl SentinelExecutor {
             vtime: Mutex::new(clock::is_active().then(clock::now)),
             done: Arc::clone(&done),
         });
-        let weak = Arc::downgrade(inner);
-        let wake_handle = Arc::clone(&handle);
-        let waker: ChannelWaker = Arc::new(move || {
-            if let Some(inner) = weak.upgrade() {
-                inner.wake(&wake_handle);
-            }
+        let waker: ChannelWaker = Arc::new(TaskWaker {
+            inner: Arc::downgrade(inner),
+            task: Arc::clone(&handle),
         });
         *handle.task.lock() = Some(build(waker));
         inner
@@ -434,6 +436,24 @@ impl Drop for SentinelExecutor {
     }
 }
 
+/// A pooled task's readiness hook, installed on its command lane.
+struct TaskWaker {
+    inner: Weak<Inner>,
+    task: Arc<TaskHandle>,
+}
+
+impl Wake for TaskWaker {
+    fn wake(&self, awaited: bool) {
+        if let Some(inner) = self.inner.upgrade() {
+            if awaited {
+                inner.wake_awaited(&self.task);
+            } else {
+                inner.wake(&self.task);
+            }
+        }
+    }
+}
+
 impl Inner {
     fn shard_of(&self, id: u64) -> &Shard {
         &self.shards[id as usize & (self.shards.len() - 1)].0
@@ -484,6 +504,27 @@ impl Inner {
         }
     }
 
+    /// Readiness from an awaited send (see [`Wake`]): its sender blocks
+    /// on the answer next, so an idle task is claimed and run right here,
+    /// on the sender's thread, by the same [`Inner::run`] a worker uses —
+    /// instead of waking a worker and sleeping until it is done. The
+    /// task's own clock is installed for each poll and the sender's comes
+    /// back after it; the thread counts as sentinel code meanwhile, so a
+    /// §3 composition open still pins. Any other state means a worker has
+    /// the task or is coming for it: an ordinary wake.
+    fn wake_awaited(&self, task: &Arc<TaskHandle>) {
+        if task
+            .state
+            .compare_exchange(IDLE, RUNNING, Ordering::AcqRel, Ordering::Acquire)
+            .is_err()
+        {
+            return self.wake(task);
+        }
+        let outer = IN_SENTINEL.with(|flag| flag.replace(true));
+        self.run(task);
+        IN_SENTINEL.with(|flag| flag.set(outer));
+    }
+
     fn enqueue(&self, task: Arc<TaskHandle>) {
         let depth = self.shard_of(task.id).push(task);
         self.gauges.note_queue_depth(depth as u64);
@@ -512,7 +553,7 @@ impl Inner {
                 }
             }
             match found {
-                Some(task) => self.run(task),
+                Some(task) => self.run(&task),
                 None => {
                     let mut guard = self.idle.lock();
                     if self.shutdown.load(Ordering::Acquire) {
@@ -535,13 +576,15 @@ impl Inner {
     }
 
     /// Polls `task` until its lane is drained, re-polling if a wake raced
-    /// the poll, under the task's own virtual clock.
-    fn run(&self, task: Arc<TaskHandle>) {
+    /// the poll, under the task's own virtual clock. Whoever claimed the
+    /// task runs this: a worker that popped it, or the sender of an
+    /// awaited command.
+    fn run(&self, task: &Arc<TaskHandle>) {
         task.state.store(RUNNING, Ordering::Release);
         loop {
-            match self.poll_once(&task) {
+            match self.poll_once(task) {
                 None | Some(TaskPoll::Ready) => {
-                    self.retire(&task);
+                    self.retire(task);
                     return;
                 }
                 Some(TaskPoll::Pending) => {
@@ -562,15 +605,17 @@ impl Inner {
         }
     }
 
-    /// One clock-scoped poll; `None` means the task was already gone.
+    /// One clock-scoped poll; `None` means the task was already gone. The
+    /// task's clock — or none, if it has none — replaces the polling
+    /// thread's for the poll.
     fn poll_once(&self, task: &TaskHandle) -> Option<TaskPoll> {
         let mut cell = task.task.lock();
         let machine = cell.as_mut()?;
         let mut vtime = task.vtime.lock();
-        let guard = vtime.map(clock::install);
+        let guard = clock::enter(*vtime);
         self.gauges.poll();
         let result = machine.poll();
-        if guard.is_some() {
+        if vtime.is_some() {
             *vtime = Some(clock::now());
         }
         drop(guard);
@@ -730,9 +775,9 @@ mod tests {
         });
         let waker = waker_slot.expect("waker handed to build");
         fx.ticks.fetch_add(3, Ordering::SeqCst);
-        waker();
+        waker.wake(false);
         fx.closed.store(true, Ordering::SeqCst);
-        waker();
+        waker.wake(false);
         done.wait();
         assert_eq!(fx.consumed.load(Ordering::SeqCst), 3);
         assert_eq!(exec.live(), 0);
@@ -757,9 +802,47 @@ mod tests {
         let waker = waker_slot.expect("waker");
         fx.ticks.fetch_add(5, Ordering::SeqCst);
         fx.closed.store(true, Ordering::SeqCst);
-        waker();
+        waker.wake(false);
         // Inherited 1_000, charged 5 ticks × 10 ns on worker threads.
         assert_eq!(done.wait(), 1_050);
+    }
+
+    #[test]
+    fn an_awaited_wake_runs_an_idle_task_on_its_sender_under_the_task_s_clock() {
+        let gauges = Arc::new(FleetGauges::default());
+        let exec = SentinelExecutor::new(1, Arc::clone(&gauges));
+        let fx = Fixture::new();
+        let _clock = clock::install(1_000);
+        let mut waker_slot = None;
+        let done = exec.spawn(|waker| {
+            waker_slot = Some(waker);
+            fx.task(10)
+        });
+        let waker = waker_slot.expect("waker");
+        eventually("the task idles after its first poll", || {
+            exec.inner.shards.iter().any(|shard| {
+                let tasks = shard.0.tasks.lock();
+                tasks
+                    .values()
+                    .any(|t| t.state.load(Ordering::SeqCst) == IDLE)
+            })
+        });
+        let before = gauges.snapshot();
+        clock::advance(5_000);
+        fx.ticks.fetch_add(3, Ordering::SeqCst);
+        waker.wake(true);
+        // Served before the wake returned: on this thread.
+        assert_eq!(fx.consumed.load(Ordering::SeqCst), 3);
+        assert_eq!(clock::now(), 6_000, "the sender's clock comes back");
+        assert!(!in_sentinel_context());
+        let after = gauges.snapshot();
+        assert_eq!(after.wakeups, before.wakeups);
+        assert_eq!(after.polls, before.polls + 1);
+        fx.closed.store(true, Ordering::SeqCst);
+        waker.wake(true);
+        // The task's own timeline: inherited 1_000, three ticks of 10 ns.
+        assert_eq!(done.wait(), 1_030);
+        assert_eq!(exec.live(), 0);
     }
 
     #[test]
@@ -777,7 +860,7 @@ mod tests {
                 });
                 fx.ticks.fetch_add(2, Ordering::SeqCst);
                 fx.closed.store(true, Ordering::SeqCst);
-                slot.expect("waker")();
+                slot.expect("waker").wake(false);
                 done
             })
             .collect();
@@ -830,7 +913,7 @@ mod tests {
                     for round in 0..WAKES {
                         for (fx, waker) in fxs.iter().zip(wakers) {
                             fx.ticks.fetch_add(1, Ordering::SeqCst);
-                            waker();
+                            waker.wake(false);
                         }
                         if round % 50 == 0 {
                             exec.shard_stats();
@@ -854,7 +937,7 @@ mod tests {
         }
         for (fx, waker) in fixtures.iter().zip(&wakers) {
             fx.closed.store(true, Ordering::SeqCst);
-            waker();
+            waker.wake(false);
         }
         for done in dones {
             done.wait();
@@ -892,12 +975,12 @@ mod tests {
         });
         assert!(exec.shard_stats().iter().all(|s| s.queued == 0));
         fx.ticks.fetch_add(1, Ordering::SeqCst);
-        waker();
+        waker.wake(false);
         eventually("the tick is consumed", || {
             fx.consumed.load(Ordering::SeqCst) == 1
         });
         fx.closed.store(true, Ordering::SeqCst);
-        waker();
+        waker.wake(false);
         done.wait();
     }
 

@@ -95,7 +95,7 @@ impl AppPort for PairTransport<Op, OpReply> {
     }
 
     fn call(&self, op: Op, into: &mut [u8]) -> afs_ipc::Result<(OpReply, usize)> {
-        self.send_cmd(op)?;
+        self.send_awaited(op, into.len())?;
         let reply = self.recv_reply()?;
         let n = match reply {
             OpReply::Read { n } => self.recv_payload(n as usize, into)?,

@@ -19,11 +19,28 @@ use afs_sim::{Cost, CostModel};
 use crate::stamped::{End, Gauge, Stamped, Taking};
 use crate::Result;
 
-/// Callback installed by a poll-driven consumer; invoked whenever the
-/// channel transitions to "something to observe" (a new message, or the
-/// last sender dropping). Fires on the *sender's* thread, so it must be
-/// cheap and must not block on the consumer.
-pub type ChannelWaker = Arc<dyn Fn() + Send + Sync>;
+/// Readiness hook of a poll-driven consumer, invoked whenever the channel
+/// transitions to "something to observe" (a new message, or the last
+/// sender dropping). It fires on the *sender's* thread.
+pub trait Wake: Send + Sync {
+    /// Something arrived. `awaited` marks a send whose sender blocks on
+    /// the answer next and sends nothing after it, and whose answer fits
+    /// the lanes back: nothing the consumer sends while serving it can
+    /// wait on the sender's own drain. A consumer may serve such a send
+    /// on the sender's thread. Otherwise the hook must be cheap and must
+    /// not block on the consumer.
+    fn wake(&self, awaited: bool);
+}
+
+/// A closure is a hook that treats every send alike.
+impl<F: Fn() + Send + Sync> Wake for F {
+    fn wake(&self, _awaited: bool) {
+        self();
+    }
+}
+
+/// The hook a consumer installs (see [`Wake`]).
+pub type ChannelWaker = Arc<dyn Wake>;
 
 #[derive(Debug)]
 struct Inner<T> {
@@ -87,11 +104,29 @@ impl<T: Send> ControlSender<T> {
     /// Returns [`IpcError::BrokenPipe`](crate::IpcError::BrokenPipe) if
     /// the receiving end is gone.
     pub fn send(&self, msg: T) -> Result<()> {
-        self.send_all(1, [msg])
+        self.send_all(1, [msg], false)
+    }
+
+    /// Enqueues a command whose sender blocks on the answer next, sends
+    /// nothing after it, and has room for whatever the answer brings back
+    /// (the waker is told so; see [`Wake`]). Charged like [`send`].
+    ///
+    /// [`send`]: ControlSender::send
+    ///
+    /// # Errors
+    ///
+    /// As [`send`](ControlSender::send).
+    pub fn send_awaited(&self, msg: T) -> Result<()> {
+        self.send_all(1, [msg], true)
     }
 
     /// Enqueues `n` commands behind one doorbell and one stamp.
-    pub(crate) fn send_all(&self, n: usize, msgs: impl IntoIterator<Item = T>) -> Result<()> {
+    pub(crate) fn send_all(
+        &self,
+        n: usize,
+        msgs: impl IntoIterator<Item = T>,
+        awaited: bool,
+    ) -> Result<()> {
         let inner = &*self.inner;
         if inner.kernel {
             inner.model.charge(Cost::Syscall);
@@ -99,7 +134,7 @@ impl<T: Send> ControlSender<T> {
         } else {
             inner.model.charge(Cost::EventSignal);
         }
-        inner.core.send(n, || msgs)
+        inner.core.send(n, awaited, || msgs)
     }
 
     /// Closes the channel from this side while the handle lives on: the
@@ -178,6 +213,12 @@ impl<T: Send> ControlReceiver<T> {
     /// drops. Replaces any previously installed waker.
     pub fn set_waker(&self, waker: ChannelWaker) {
         self.inner.core.set_waker(waker);
+    }
+
+    /// Closes the channel from this side while the handle lives on: every
+    /// send fails from here on.
+    pub(crate) fn close(&self) {
+        self.inner.core.close();
     }
 }
 
@@ -272,6 +313,24 @@ mod tests {
         assert_eq!(fired.load(Ordering::SeqCst), 2);
         assert_eq!(rx.poll_recv().expect("queued"), Some(1));
         assert_eq!(rx.poll_recv(), Err(IpcError::Closed));
+    }
+
+    #[test]
+    fn the_waker_learns_which_sends_are_awaited() {
+        struct Log(parking_lot::Mutex<Vec<bool>>);
+        impl Wake for Log {
+            fn wake(&self, awaited: bool) {
+                self.0.lock().push(awaited);
+            }
+        }
+        let (tx, rx) = ControlChannel::user_level::<u8>(CostModel::free());
+        let log = Arc::new(Log(parking_lot::Mutex::new(Vec::new())));
+        rx.set_waker(Arc::clone(&log) as ChannelWaker);
+        tx.send(1).expect("post");
+        tx.send_awaited(2).expect("awaited");
+        drop(tx);
+        // The hang-up is no send anyone waits on.
+        assert_eq!(*log.0.lock(), [false, true, false]);
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub mod stamped;
 pub mod sync;
 pub mod transport;
 
-pub use control::{ChannelWaker, ControlChannel, ControlReceiver, ControlSender};
+pub use control::{ChannelWaker, ControlChannel, ControlReceiver, ControlSender, Wake};
 pub use error::IpcError;
 pub use event::{Event, ResetMode};
 pub use mux::{Framed, MuxHub, MuxProtocol, MuxSession, SentinelReaper, STAGE_CAPACITY};

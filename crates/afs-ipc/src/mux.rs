@@ -206,15 +206,35 @@ impl<P: MuxProtocol> MuxHub<P> {
     /// wire. Must run under the send lock so the command and its payload
     /// stay adjacent on the data lane.
     fn transmit_locked(&self, session: u32, cmd: P::Cmd, payload: &[u8]) -> Result<()> {
-        let crossing = self.under.crossing();
-        for _ in 0..crossing.round_trip_switches() {
-            self.model.charge(Cost::Crossing(crossing));
-        }
+        self.charge_round_trip();
         self.under.send_cmd(Framed { session, body: cmd })?;
         if !payload.is_empty() {
             self.under.send_data(payload)?;
         }
         Ok(())
+    }
+
+    /// Transmits a call's frame — the last this session sends before it
+    /// waits for the reply, with room for `reply_room` bytes behind it —
+    /// as an awaited send ([`PairTransport::send_awaited`]). The sentinel
+    /// may then run on this thread, still under the send lock. That
+    /// cannot cycle: the dispatch loop never takes the hub's lock, and a
+    /// lane too small for the reply is sent as any other frame is. Other
+    /// sessions' sends wait for the lock as they would behind a busy
+    /// worker, and a peer's reply already on the lane is pulled by its own
+    /// waiter, which needs nothing this thread holds.
+    fn transmit_call_locked(&self, session: u32, cmd: P::Cmd, reply_room: usize) -> Result<()> {
+        self.charge_round_trip();
+        self.under
+            .send_awaited(Framed { session, body: cmd }, reply_room)
+    }
+
+    /// Charges the switches of one transmitted frame's round trip.
+    fn charge_round_trip(&self) {
+        let crossing = self.under.crossing();
+        for _ in 0..crossing.round_trip_switches() {
+            self.model.charge(Cost::Crossing(crossing));
+        }
     }
 
     /// Flushes every session's staged batch, lowest session id first (a
@@ -234,14 +254,19 @@ impl<P: MuxProtocol> MuxHub<P> {
         Ok(())
     }
 
-    /// Sends a command that carries no payload and is not a close.
-    fn send_plain(&self, session: u32, cmd: P::Cmd) -> Result<()> {
+    /// Sends a command that carries no payload and is not a close: a
+    /// call's, with room for `reply_room` bytes behind its reply, or a
+    /// posted one (`None`).
+    fn send_plain(&self, session: u32, cmd: P::Cmd, reply_room: Option<usize>) -> Result<()> {
         let mut s = self.send.lock();
         if s.closed {
             return Err(IpcError::BrokenPipe);
         }
         self.flush_stages_locked(&mut s)?;
-        self.transmit_locked(session, cmd, &[])
+        match reply_room {
+            Some(room) => self.transmit_call_locked(session, cmd, room),
+            None => self.transmit_locked(session, cmd, &[]),
+        }
     }
 
     /// Sends (or stages) a payload-carrying command. With a single live
@@ -304,7 +329,7 @@ impl<P: MuxProtocol> MuxHub<P> {
             if let Some(g) = &self.gauges {
                 g.terminal_close();
             }
-            self.transmit_locked(session, cmd, &[])
+            self.transmit_call_locked(session, cmd, 0)
         } else {
             drop(s);
             let mut rs = self.recv.lock();
@@ -453,7 +478,7 @@ impl<P: MuxProtocol> MuxSession<P> {
         if P::cmd_payload_len(&cmd) > 0 {
             self.hub.send_payload(self.id, cmd, payload)
         } else {
-            self.hub.send_plain(self.id, cmd)
+            self.hub.send_plain(self.id, cmd, None)
         }
     }
 
@@ -470,7 +495,7 @@ impl<P: MuxProtocol> MuxSession<P> {
         if P::is_close(&cmd) {
             self.hub.send_close(self.id, cmd, &self.closing)?;
         } else {
-            self.hub.send_plain(self.id, cmd)?;
+            self.hub.send_plain(self.id, cmd, Some(into.len()))?;
         }
         let result = self.hub.recv_for(self.id, into);
         if self.closing.load(Ordering::SeqCst) {

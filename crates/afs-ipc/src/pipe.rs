@@ -146,13 +146,13 @@ impl PipeWriter {
         inner.model.charge(Cost::Syscall);
         inner.model.charge(Cost::PipeMessage);
         if buf.is_empty() {
-            return inner.core.send(0, || []);
+            return inner.core.send(0, false, || []);
         }
         // Writes no larger than the capacity are atomic (PIPE_BUF
         // semantics): each chunk waits until it fits whole, so segments
         // from concurrent writers never interleave mid-write.
         for chunk in buf.chunks(inner.capacity) {
-            inner.core.send(chunk.len(), || {
+            inner.core.send(chunk.len(), false, || {
                 // The user→kernel copy of this chunk.
                 inner.model.charge(Cost::PipeCopy { bytes: chunk.len() });
                 let mut data = inner.pool.take_capacity(chunk.len());
@@ -240,6 +240,11 @@ impl PipeReader {
     /// The protection boundary this pipe crosses.
     pub fn crossing(&self) -> CrossingKind {
         self.inner.crossing
+    }
+
+    /// The bytes the pipe holds before a writer waits for a reader.
+    pub fn capacity(&self) -> usize {
+        self.inner.capacity
     }
 
     /// Duplicates the handle; the pipe reports a broken pipe to writers

@@ -202,6 +202,25 @@ impl<C: Send, R: Send> RingTransport<C, R> {
     ///
     /// [`IpcError::BrokenPipe`] once the sentinel side is gone.
     pub fn submit(&self, batch: Vec<Sqe<C>>) -> Result<()> {
+        self.ring(batch, false)
+    }
+
+    /// Submits `batch` like [`submit`], for a caller that blocks on its
+    /// completions next and submits nothing meanwhile. Completions land in
+    /// an index that never waits on the application, so every such batch
+    /// is marked awaited (see [`Wake`](crate::control::Wake)): the
+    /// sentinel may serve it on this thread.
+    ///
+    /// [`submit`]: RingTransport::submit
+    ///
+    /// # Errors
+    ///
+    /// As [`submit`](RingTransport::submit).
+    pub fn submit_awaited(&self, batch: Vec<Sqe<C>>) -> Result<()> {
+        self.ring(batch, true)
+    }
+
+    fn ring(&self, batch: Vec<Sqe<C>>, awaited: bool) -> Result<()> {
         if batch.is_empty() {
             return Ok(());
         }
@@ -216,7 +235,7 @@ impl<C: Send, R: Send> RingTransport<C, R> {
                 });
             }
         }
-        self.sq.send_all(batch.len(), batch)
+        self.sq.send_all(batch.len(), batch, awaited)
     }
 
     /// Blocks until the completion for `id` is posted, moving the caller's
@@ -311,6 +330,10 @@ impl<C: Send, R: Send> RingPort<C, R> {
 
 impl<C: Send, R: Send> Drop for RingPort<C, R> {
     fn drop(&mut self) {
+        // Submissions fail before completions do: an application that saw
+        // `complete` report the sentinel gone must not submit successfully
+        // after it.
+        self.sq.close();
         self.shared
             .completions
             .publish(|c| c.sentinel_alive = false);
@@ -488,6 +511,38 @@ mod tests {
         drop(port);
         assert_eq!(app.submit(vec![sqe(2, 0)]), Err(IpcError::BrokenPipe));
         assert_eq!(app.complete(1), Err(IpcError::Closed));
+    }
+
+    #[test]
+    fn once_complete_reports_the_sentinel_gone_submit_fails_too() {
+        let (app, port) = RingPair::shared::<u32, u32>(CostModel::free(), 4);
+        app.submit(vec![sqe(1, 0)]).expect("submit");
+        let app = Arc::new(app);
+        // The port's hang-up fires its waker; look at both sides from
+        // inside it, before the drop goes on.
+        let seen = Arc::new(parking_lot::Mutex::new(None));
+        let (weak, shared, log) = (
+            Arc::downgrade(&app),
+            Arc::clone(&port.shared),
+            Arc::clone(&seen),
+        );
+        port.set_wakeup(Arc::new(move || {
+            let Some(app) = weak.upgrade() else {
+                return; // the application side's own shutdown
+            };
+            let completing = shared
+                .completions
+                .wait_take(|c| Some((c.sentinel_alive, 0)));
+            *log.lock() = Some((app.submit(vec![sqe(2, 0)]), completing));
+        }));
+        drop(port);
+        assert_eq!(
+            *seen.lock(),
+            Some((Err(IpcError::BrokenPipe), true)),
+            "submissions fail while completions still wait"
+        );
+        assert_eq!(app.complete(1), Err(IpcError::Closed));
+        assert_eq!(app.submit(vec![sqe(3, 0)]), Err(IpcError::BrokenPipe));
     }
 
     #[test]

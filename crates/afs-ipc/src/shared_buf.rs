@@ -77,7 +77,7 @@ impl SharedBuffer {
         let inner = &*self.inner;
         inner
             .core
-            .send(1, || {
+            .send(1, false, || {
                 inner.model.charge(Cost::Memcpy { bytes: data.len() });
                 inner.model.charge(Cost::EventSignal);
                 let mut staged = inner.pool.take_capacity(data.len());

@@ -134,7 +134,8 @@ impl<T> Stamped<T> {
     /// Sends what `make` builds — `units` of capacity between its items,
     /// all under one stamp — blocking until they fit. `make` runs under
     /// the lock after the sender's clock has moved, so the charges it
-    /// makes land in the stamp.
+    /// makes land in the stamp. `awaited` is passed on to the waker (see
+    /// [`Wake`](crate::control::Wake)).
     ///
     /// # Errors
     ///
@@ -143,6 +144,7 @@ impl<T> Stamped<T> {
     pub fn send<I: IntoIterator<Item = T>>(
         &self,
         units: usize,
+        awaited: bool,
         make: impl FnOnce() -> I,
     ) -> Result<()> {
         let n = units as u64;
@@ -177,7 +179,7 @@ impl<T> Stamped<T> {
             gauge(Flow::Sent { units, queued });
         }
         self.readable.notify_one();
-        Self::wake(s);
+        Self::wake(s, awaited);
         Ok(())
     }
 
@@ -240,7 +242,7 @@ impl<T> Stamped<T> {
                 s.senders -= 1;
                 if s.senders == 0 && !s.closed {
                     self.readable.notify_all();
-                    Self::wake(s);
+                    Self::wake(s, false);
                 }
             }
         }
@@ -256,7 +258,7 @@ impl<T> Stamped<T> {
         self.readable.notify_all();
         self.writable.notify_all();
         if s.senders > 0 {
-            Self::wake(s);
+            Self::wake(s, false);
         }
     }
 
@@ -267,12 +269,12 @@ impl<T> Stamped<T> {
     }
 
     /// Fires the waker outside the lock: it runs on the sender's thread
-    /// and may take the consumer's.
-    fn wake(s: MutexGuard<'_, State<T>>) {
+    /// and may take the consumer's, or serve it there.
+    fn wake(s: MutexGuard<'_, State<T>>, awaited: bool) {
         let waker = s.waker.clone();
         drop(s);
-        if let Some(wake) = waker {
-            wake();
+        if let Some(waker) = waker {
+            waker.wake(awaited);
         }
     }
 }

@@ -38,6 +38,10 @@ pub trait DataRx: Send + Sync {
     /// assembled from several physical ones). Returns the number of bytes
     /// received, which is less than `buf.len()` only at end-of-stream.
     fn recv_exact(&self, buf: &mut [u8]) -> Result<usize>;
+
+    /// The most bytes one message can bring without its sender waiting
+    /// for this end to drain the lane first.
+    fn capacity(&self) -> usize;
 }
 
 impl DataTx for PipeWriter {
@@ -49,6 +53,10 @@ impl DataTx for PipeWriter {
 impl DataRx for PipeReader {
     fn recv_exact(&self, buf: &mut [u8]) -> Result<usize> {
         self.read_exact(buf)
+    }
+
+    fn capacity(&self) -> usize {
+        PipeReader::capacity(self)
     }
 }
 
@@ -75,6 +83,11 @@ impl DataRx for SharedBuffer {
             filled += n;
         }
         Ok(filled)
+    }
+
+    /// The slot takes any one message whole.
+    fn capacity(&self) -> usize {
+        usize::MAX
     }
 }
 
@@ -215,6 +228,27 @@ impl<C: Send + 'static, R: Send + 'static> PairTransport<C, R> {
     /// [`IpcError::BrokenPipe`] once the sentinel side is gone.
     pub fn send_cmd(&self, cmd: C) -> Result<()> {
         self.commands.send(cmd)
+    }
+
+    /// Sends the command the caller blocks on the reply to next, sending
+    /// nothing after it, with room for `reply_room` bytes behind the
+    /// reply. When that room fits the application-ward data lane, nothing
+    /// the sentinel sends while serving the command can wait on this
+    /// caller's drain, and the send is marked awaited (see
+    /// [`Wake`](crate::control::Wake)): the sentinel may run on this
+    /// thread. A larger room is sent as [`send_cmd`] sends.
+    ///
+    /// [`send_cmd`]: PairTransport::send_cmd
+    ///
+    /// # Errors
+    ///
+    /// As [`send_cmd`](PairTransport::send_cmd).
+    pub fn send_awaited(&self, cmd: C, reply_room: usize) -> Result<()> {
+        if reply_room <= self.data_rx.capacity() {
+            self.commands.send_awaited(cmd)
+        } else {
+            self.commands.send(cmd)
+        }
     }
 
     /// Receives the sentinel's next reply.

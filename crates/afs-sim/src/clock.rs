@@ -35,7 +35,16 @@ pub type SimTime = u64;
 /// ```
 #[must_use = "dropping the guard uninstalls the clock"]
 pub fn install(start: SimTime) -> ClockGuard {
-    let previous = CLOCK.with(|c| c.replace(Some(start)));
+    enter(Some(start))
+}
+
+/// Puts `clock` on the current thread — a clock at that time, or none at
+/// all — until the guard drops, whatever the thread had before. This is
+/// how one thread runs code on behalf of another timeline and comes back
+/// to its own.
+#[must_use = "dropping the guard restores the previous clock"]
+pub fn enter(clock: Option<SimTime>) -> ClockGuard {
+    let previous = CLOCK.with(|c| c.replace(clock));
     ClockGuard { previous }
 }
 
@@ -138,6 +147,17 @@ mod tests {
             assert_eq!(now(), 500);
         }
         assert_eq!(now(), 1);
+    }
+
+    #[test]
+    fn entering_no_clock_suspends_the_thread_s_own() {
+        let _outer = install(7);
+        {
+            let _none = enter(None);
+            assert!(!is_active());
+            advance(50);
+        }
+        assert_eq!(now(), 7);
     }
 
     #[test]

@@ -99,11 +99,14 @@ impl TraceContext {
 /// *own* cell, so sentinel-side spans re-parent to the originating op,
 /// never to whatever the worker thread happens to be running.
 ///
-/// The two fields are separate atomics; a torn read is impossible in
-/// practice because the owning handle serialises its ops under `op_lock`
-/// (trace is stored before parent, and loaded after).
+/// The two fields are separate atomics under a sequence count, so a load
+/// always returns both halves of one publish. The handle's op lock does
+/// not make that so: a posted write's sentinel reads the cell while the
+/// application publishes its next op.
 #[derive(Debug, Default)]
 pub struct SpanScope {
+    /// Odd while a publish is under way; bumped by two per publish.
+    seq: AtomicU64,
     span: AtomicU64,
     trace: AtomicU64,
 }
@@ -111,24 +114,60 @@ pub struct SpanScope {
 impl SpanScope {
     /// Publishes the context children should adopt.
     pub fn publish(&self, ctx: TraceContext) {
-        self.trace.store(ctx.trace, Ordering::Release);
-        self.span.store(ctx.parent, Ordering::Release);
+        self.write(ctx.trace, ctx.parent);
     }
 
     /// Reads the current context (unsampled when nothing is published).
     pub fn load(&self) -> TraceContext {
-        let parent = self.span.load(Ordering::Acquire);
-        TraceContext {
-            trace: self.trace.load(Ordering::Acquire),
-            parent,
-            sampled: parent != 0,
+        loop {
+            let before = self.seq.load(Ordering::Acquire);
+            if before & 1 == 1 {
+                // A writer preempted mid-publish may share this CPU.
+                std::thread::yield_now();
+                continue;
+            }
+            let parent = self.span.load(Ordering::Relaxed);
+            let trace = self.trace.load(Ordering::Relaxed);
+            // Pairs with the writer's release fence: a load that saw a
+            // field of a publish sees that publish's odd count below.
+            std::sync::atomic::fence(Ordering::Acquire);
+            if self.seq.load(Ordering::Relaxed) == before {
+                return TraceContext {
+                    trace,
+                    parent,
+                    sampled: parent != 0,
+                };
+            }
         }
     }
 
     /// Clears the published context.
     pub fn clear(&self) {
-        self.span.store(0, Ordering::Release);
-        self.trace.store(0, Ordering::Release);
+        self.write(0, 0);
+    }
+
+    /// Stores both fields between an odd and an even count. Writers take
+    /// the odd count in turn, so two publishes never interleave either.
+    fn write(&self, trace: u64, span: u64) {
+        let mut seq = self.seq.load(Ordering::Relaxed);
+        loop {
+            if seq & 1 == 1 {
+                std::thread::yield_now();
+                seq = self.seq.load(Ordering::Relaxed);
+                continue;
+            }
+            match self
+                .seq
+                .compare_exchange_weak(seq, seq + 1, Ordering::Acquire, Ordering::Relaxed)
+            {
+                Ok(_) => break,
+                Err(now) => seq = now,
+            }
+        }
+        std::sync::atomic::fence(Ordering::Release);
+        self.trace.store(trace, Ordering::Relaxed);
+        self.span.store(span, Ordering::Relaxed);
+        self.seq.store(seq + 2, Ordering::Release);
     }
 }
 
@@ -858,6 +897,32 @@ pub fn intern(name: &str) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_scope_load_returns_both_halves_of_one_publish() {
+        const PUBLISHES: u64 = 200_000;
+        let scope = SpanScope::default();
+        let done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for n in 1..=PUBLISHES {
+                    scope.publish(TraceContext {
+                        trace: n,
+                        parent: n,
+                        sampled: true,
+                    });
+                }
+                done.store(true, Ordering::SeqCst);
+            });
+            while !done.load(Ordering::SeqCst) {
+                let ctx = scope.load();
+                assert_eq!(ctx.trace, ctx.parent, "a torn read");
+            }
+        });
+        assert_eq!(scope.load().parent, PUBLISHES);
+        scope.clear();
+        assert_eq!(scope.load(), TraceContext::default());
+    }
 
     #[test]
     fn disabled_telemetry_records_nothing() {
