@@ -10,21 +10,25 @@
 //! 1k → 100k → 1M — all in virtual time, so the per-op latency
 //! distribution is bit-for-bit reproducible and CI can gate it.
 //!
-//! Three gate cells come from here: `cluster-100k` and `cluster-1m`
+//! Four gate cells come from here: `cluster-100k` and `cluster-1m`
 //! (the flat-p99 claim: per-op latency does not grow with the session
-//! count at a fixed fleet size) and `cluster-rebalance` (a node join
+//! count at a fixed fleet size), `cluster-rebalance` (a node join
 //! moves at most `1/N + 5%` of the keys, and every key stays readable
-//! through the membership change).
+//! through the membership change) and `cluster-mirror` (the same mix
+//! issued by an application through `mirror` active files that name the
+//! fleet, Figure 6(a) over the replicated path).
 
 use std::sync::Arc;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use afs_net::{Network, Service};
+use afs_core::{AfsWorld, SentinelSpec, Strategy};
+use afs_net::{Fleet, Network, Service};
 use afs_remote::{ClusterClient, FileServer};
 use afs_sim::{clock, CostModel, HardwareProfile, Series};
 use afs_telemetry::{ClusterGauges, ClusterSnapshot};
+use afs_winapi::{Access, Disposition, FileApi, SeekMethod};
 
 use crate::workload::Zipf;
 
@@ -58,6 +62,9 @@ pub const CLUSTER_BURST: usize = 64;
 /// Virtual gap between arrival bursts.
 pub const CLUSTER_BURST_GAP_NS: u64 = 1_000_000;
 
+/// Operations the `cluster-mirror` cell issues: the panel's 1k point.
+pub const CLUSTER_MIRROR_OPS: usize = 1_000;
+
 /// Keys written before the `cluster-rebalance` join.
 pub const CLUSTER_REBALANCE_KEYS: usize = 256;
 
@@ -83,6 +90,19 @@ fn cluster_file(rank: usize) -> String {
 
 fn member(i: usize) -> String {
     format!("files-{i}")
+}
+
+/// [`CLUSTER_FLEET`] file servers on `net`, each seeded with every
+/// cluster file.
+fn seeded_fleet(net: &Network) {
+    let seed_block: Vec<u8> = (0..CLUSTER_BLOCK).map(|i| (i % 251) as u8).collect();
+    for i in 0..CLUSTER_FLEET {
+        let server = FileServer::new();
+        for rank in 0..CLUSTER_FILES {
+            server.seed(&cluster_file(rank), &seed_block);
+        }
+        net.register(&member(i), server as Arc<dyn Service>);
+    }
 }
 
 /// One measured cluster cell.
@@ -113,14 +133,7 @@ pub struct ClusterMeasurement {
 pub fn measure_cluster(clients: usize, profile: HardwareProfile) -> ClusterMeasurement {
     let net = Network::new(CostModel::new(profile));
     let gauges = Arc::new(ClusterGauges::default());
-    let seed_block: Vec<u8> = (0..CLUSTER_BLOCK).map(|i| (i % 251) as u8).collect();
-    for i in 0..CLUSTER_FLEET {
-        let server = FileServer::new();
-        for rank in 0..CLUSTER_FILES {
-            server.seed(&cluster_file(rank), &seed_block);
-        }
-        net.register(&member(i), server as Arc<dyn Service>);
-    }
+    seeded_fleet(&net);
 
     let shards = CLUSTER_SHARDS.min(clients).max(1);
     let per = clients / shards;
@@ -170,6 +183,69 @@ pub fn measure_cluster(clients: usize, profile: HardwareProfile) -> ClusterMeasu
         summary: series.summarize(),
         cluster: gauges.snapshot(),
         messages_per_op: (stats.rpcs + stats.casts) as f64 / clients.max(1) as f64,
+    }
+}
+
+/// The `cluster-mirror` cell: the panel's mix — zipfian files, the read
+/// fraction, [`CLUSTER_BLOCK`]-byte ops — as an application issues it:
+/// `ops` `ReadFile`/`WriteFile` calls on [`CLUSTER_FILES`] `mirror`
+/// active files (`DllThread`, `service=fleet`, `remote=/data/f{rank}.af`)
+/// over the same fleet, registered as `fleet`. Each call is timed under
+/// the application's virtual clock; `clients` is the call count and
+/// `messages_per_op` the network messages per call.
+pub fn measure_cluster_mirror(ops: usize, profile: HardwareProfile) -> ClusterMeasurement {
+    let world = AfsWorld::builder().profile(profile).build();
+    afs_sentinels::register_all(world.sentinels());
+    let net = world.net();
+    seeded_fleet(net);
+    let fleet = Fleet::new(CLUSTER_COPIES);
+    for i in 0..CLUSTER_FLEET {
+        fleet.add_node(&member(i));
+    }
+    net.register_fleet("fleet", fleet);
+    let api = world.api();
+    let _guard = clock::install(0);
+    let handles: Vec<_> = (0..CLUSTER_FILES)
+        .map(|rank| {
+            let file = format!("/f{rank}.af");
+            let spec = SentinelSpec::new("mirror", Strategy::DllThread)
+                .with("service", "fleet")
+                .with("remote", &cluster_file(rank))
+                .with("staleness_ms", &CLUSTER_STALENESS_MS.to_string());
+            world.install_active_file(&file, &spec).expect("install");
+            api.create_file(&file, Access::read_write(), Disposition::OpenExisting)
+                .expect("open")
+        })
+        .collect();
+    let zipf = Zipf::new(CLUSTER_FILES, CLUSTER_THETA);
+    let mut rng = SmallRng::seed_from_u64(0xC10D);
+    let (payload, mut buf) = ([0xB7u8; CLUSTER_BLOCK], [0u8; CLUSTER_BLOCK]);
+    let mut series = Series::with_capacity(ops);
+    let before = net.stats();
+    for _ in 0..ops {
+        let handle = handles[zipf.sample(&mut rng)];
+        api.set_file_pointer(handle, 0, SeekMethod::Begin)
+            .expect("seek");
+        let start = clock::now();
+        let n = if rng.gen_bool(CLUSTER_READ_FRACTION) {
+            api.read_file(handle, &mut buf).expect("mirror read")
+        } else {
+            api.write_file(handle, &payload).expect("mirror write")
+        };
+        assert_eq!(n, CLUSTER_BLOCK);
+        series.push(clock::now() - start);
+    }
+    // Closing waits for the posted writes, and their messages.
+    for handle in handles {
+        api.close_handle(handle).expect("close");
+    }
+    let after = net.stats();
+    ClusterMeasurement {
+        clients: ops,
+        summary: series.summarize(),
+        cluster: world.telemetry().cluster().snapshot(),
+        messages_per_op: ((after.rpcs + after.casts) - (before.rpcs + before.casts)) as f64
+            / ops.max(1) as f64,
     }
 }
 
@@ -292,6 +368,18 @@ pub fn render_cluster_panel(profile: &HardwareProfile) -> String {
             m.cluster.stale_waits,
         ));
     }
+    let m = measure_cluster_mirror(CLUSTER_MIRROR_OPS, profile.clone());
+    out.push_str(&format!(
+        "{:>9} {:>8.1}us {:>8.1}us {:>8.2} {:>10} {:>12} {:>11}  \
+         <- the same mix as ReadFile/WriteFile on {CLUSTER_FILES} mirror files (DllThread)\n",
+        m.clients,
+        m.summary.p50_ns as f64 / 1_000.0,
+        m.summary.p99_ns as f64 / 1_000.0,
+        m.messages_per_op,
+        m.cluster.read_failovers,
+        m.cluster.replications,
+        m.cluster.stale_waits,
+    ));
     let r = measure_cluster_rebalance(CLUSTER_REBALANCE_KEYS, profile.clone());
     out.push_str(&format!(
         "rebalance: {} joins {} nodes — {} of {} primaries moved (bound {:.1}), \

@@ -79,7 +79,7 @@ pub type CellRun = fn(usize, &HardwareProfile) -> (Summary, Option<f64>);
 /// and unbatched transcripts diverge, if the cluster p99 is not flat
 /// across the session counts, or if a node join moves more than
 /// `1/N + 5%` of the keys, so the gate proves those claims on every run.
-pub const GATE_CELLS: [(&str, CellRun); 18] = [
+pub const GATE_CELLS: [(&str, CellRun); 19] = [
     // The four §4 strategies: memory path, 128-byte sequential reads.
     ("SimpleProcess", |ops, p| {
         strategy_cell(Strategy::Process, ops, p)
@@ -146,6 +146,12 @@ pub const GATE_CELLS: [(&str, CellRun); 18] = [
             r.moved_limit
         );
         (r.summary, Some(r.messages_per_op))
+    }),
+    // The same zipfian mix through `mirror` active files that name the
+    // fleet: the replicated path behind the paper's own seam.
+    ("cluster-mirror", |_, p| {
+        let m = crate::measure_cluster_mirror(crate::CLUSTER_MIRROR_OPS, p.clone());
+        (m.summary, Some(m.messages_per_op))
     }),
     // The Thread cell over the plain transport and over the
     // submission/completion ring.

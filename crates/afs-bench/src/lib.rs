@@ -17,9 +17,9 @@ pub mod gate;
 pub mod workload;
 
 pub use cluster::{
-    cluster_panel_clients, measure_cluster, measure_cluster_rebalance, render_cluster_panel,
-    ClusterMeasurement, RebalanceMeasurement, CLUSTER_BLOCK, CLUSTER_COPIES, CLUSTER_FILES,
-    CLUSTER_FLEET, CLUSTER_REBALANCE_KEYS,
+    cluster_panel_clients, measure_cluster, measure_cluster_mirror, measure_cluster_rebalance,
+    render_cluster_panel, ClusterMeasurement, RebalanceMeasurement, CLUSTER_BLOCK, CLUSTER_COPIES,
+    CLUSTER_FILES, CLUSTER_FLEET, CLUSTER_MIRROR_OPS, CLUSTER_REBALANCE_KEYS,
 };
 pub use gate::{bench_json, compare, parse_bench_doc, BenchDoc, StrategyStats};
 

@@ -141,6 +141,7 @@ impl ActiveFileSystem {
             .validate_spec(&spec)
             .map_err(|e| e.to_string())
             .and_then(|()| RuntimeSpec::parse(&spec))
+            .and_then(|rt| refuse_replicas_beside_a_fleet(rt, &spec, &run.net))
             .map_err(|e| {
                 eprintln!("afs: refusing to open {}: {e}", vpath.file_path());
                 Win32Error::InvalidParameter
@@ -221,7 +222,7 @@ impl ActiveFileSystem {
             run.net.clone(),
             run.sync.clone(),
             run.model.clone(),
-            Arc::clone(run.telemetry.store()),
+            &run.telemetry,
         )
         .map_err(|e| strategy::to_win32(&e))?;
         // Sentinels see the intercepted API (this layer), so they can
@@ -636,5 +637,46 @@ impl ApiLayer for ActiveFilesLayer {
             runtime: Arc::clone(&self.runtime),
             nested: false,
         }))
+    }
+}
+
+/// `replicas=` beside a `service=` that names a fleet fails the open: the
+/// fleet's placement already names every path's replicas.
+fn refuse_replicas_beside_a_fleet(
+    rt: RuntimeSpec,
+    spec: &SentinelSpec,
+    net: &afs_net::Network,
+) -> Result<RuntimeSpec, String> {
+    let fleet = |service: &str| net.endpoint([service]).fleet().is_some();
+    match spec.config().get("service") {
+        Some(service) if !rt.replicas.is_empty() && fleet(service) => Err(format!(
+            "bad replicas `{}` (service `{service}` is a fleet: its placement names the replicas)",
+            rt.replicas.join(",")
+        )),
+        _ => Ok(rt),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn replicas_beside_a_fleet_name_are_refused_naming_replicas() {
+        let net = afs_net::Network::new(afs_sim::CostModel::free());
+        net.register_fleet("fleet", afs_net::Fleet::new(2));
+        let spec = |service: &str| {
+            SentinelSpec::new("mirror", Strategy::DllOnly)
+                .with("service", service)
+                .with("replicas", "files-b")
+        };
+        let check = |spec: &SentinelSpec| {
+            let rt = RuntimeSpec::parse(spec).expect("keys parse");
+            refuse_replicas_beside_a_fleet(rt, spec, &net)
+        };
+        let err = check(&spec("fleet")).expect_err("a fleet names its own replicas");
+        assert!(err.starts_with("bad replicas `files-b`"), "{err}");
+        // Beside a plain service, `replicas=` is the failover list it was.
+        assert!(check(&spec("files")).is_ok());
     }
 }

@@ -11,9 +11,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use afs_ipc::{NamedSemaphore, SyncRegistry};
-use afs_net::{Endpoint, Network};
+use afs_net::{Endpoint, NetError, Network};
 use afs_sim::CostModel;
-use afs_telemetry::StoreGauges;
+use afs_telemetry::{ClusterGauges, Telemetry};
 use afs_vfs::{VPath, Vfs};
 use afs_winapi::FileApi;
 
@@ -37,6 +37,7 @@ pub struct SentinelCtx {
     stale: bool,
     stale_since_ns: Option<u64>,
     staleness_budget_ns: Option<u64>,
+    cluster_gauges: Arc<ClusterGauges>,
     write_queue: Vec<(u64, Vec<u8>)>,
     heal_gen: Arc<AtomicU64>,
 }
@@ -62,13 +63,13 @@ impl SentinelCtx {
         net: Network,
         sync: SyncRegistry,
         model: CostModel,
-        store_gauges: Arc<StoreGauges>,
+        telemetry: &Telemetry,
     ) -> SentinelResult<Self> {
         let cache = match rt.durable {
             Some(opts) => {
                 let file = path.file_path();
-                CacheStore::new_durable(Arc::clone(&vfs), &file, model.clone(), opts, store_gauges)?
-                    .0
+                let gauges = Arc::clone(telemetry.store());
+                CacheStore::new_durable(Arc::clone(&vfs), &file, model.clone(), opts, gauges)?.0
             }
             None => CacheStore::new(
                 spec.backing_kind(),
@@ -99,6 +100,7 @@ impl SentinelCtx {
             stale: false,
             stale_since_ns: None,
             staleness_budget_ns: rt.staleness_ns,
+            cluster_gauges: Arc::clone(telemetry.cluster()),
             write_queue: Vec::new(),
             heal_gen: Arc::new(AtomicU64::new(0)),
         })
@@ -180,14 +182,17 @@ impl SentinelCtx {
         self.stale = stale;
     }
 
-    /// Whether a degraded read right now would exceed the spec's
-    /// `staleness_ms=` bound: the handle has been serving last-good data
-    /// for longer than the budget allows.
-    pub(crate) fn staleness_exceeded(&self) -> bool {
-        match (self.staleness_budget_ns, self.stale_since_ns) {
-            (Some(budget), Some(since)) => afs_sim::clock::now().saturating_sub(since) > budget,
-            _ => false,
-        }
+    /// Whether an op that failed with `err` may be served from the
+    /// last-good cache: degraded mode is on, a cache is there, no owner
+    /// answered (a refusal is an answer, and never served), and the handle
+    /// has not yet gone longer than `staleness_ms` without a copy that
+    /// holds its acknowledged writes.
+    pub(crate) fn may_serve_last_good(&self, err: &NetError) -> bool {
+        let within = match (self.staleness_budget_ns, self.stale_since_ns) {
+            (Some(budget), Some(since)) => afs_sim::clock::now().saturating_sub(since) <= budget,
+            _ => true,
+        };
+        self.degraded && err.is_fault() && self.cache.is_present() && within
     }
 
     /// Writes queued while the remote was down, in arrival order.
@@ -245,11 +250,16 @@ impl SentinelCtx {
 
     /// How this sentinel reaches `service`: over its network, under the
     /// spec's policy, walking `service` then the spec's `replicas=`, each
-    /// once, in order. A typed client takes it, e.g.
+    /// once, in order — or, when `service` names a fleet, the owners its
+    /// placement gives each path. It carries the spec's `staleness_ms`
+    /// and, over a fleet, the world's cluster gauges to the session a typed
+    /// client opens on it, e.g.
     /// `afs_remote::FileClient::new(ctx.endpoint("files"))`.
     pub fn endpoint(&self, service: &str) -> Endpoint {
         let replicas = self.replicas.iter().map(String::as_str);
-        self.net.endpoint(std::iter::once(service).chain(replicas))
+        let owners = self.net.endpoint(std::iter::once(service).chain(replicas));
+        let gauges = owners.fleet().map(|_| Arc::clone(&self.cluster_gauges));
+        owners.for_session(self.staleness_budget_ns, gauges)
     }
 
     // ---- cross-sentinel synchronisation ---------------------------------------
@@ -305,7 +315,7 @@ mod tests {
             Network::new(CostModel::free()),
             SyncRegistry::new(),
             CostModel::free(),
-            Arc::new(StoreGauges::default()),
+            &Telemetry::new(),
         )
         .expect("ctx")
     }

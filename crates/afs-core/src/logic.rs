@@ -31,8 +31,8 @@ pub enum SentinelError {
     /// Access denied by sentinel policy (resource-centric access control,
     /// §7).
     Denied(String),
-    /// A remote source failed.
-    Net(String),
+    /// A remote source failed: no owner answered, or one refused.
+    Net(NetError),
     /// A local file-system failure.
     Vfs(String),
     /// Any other failure, with a message.
@@ -57,7 +57,7 @@ impl Error for SentinelError {}
 
 impl From<NetError> for SentinelError {
     fn from(e: NetError) -> Self {
-        SentinelError::Net(e.to_string())
+        SentinelError::Net(e)
     }
 }
 

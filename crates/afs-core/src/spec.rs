@@ -140,10 +140,9 @@ pub(crate) struct RuntimeSpec {
     /// `degraded`: with every replica down, reads are served from the
     /// last-good cache (flagged stale) and writes queue for replay.
     pub degraded: bool,
-    /// `staleness_ms`, in ns. Read here as the bound on how long degraded
-    /// reads may keep serving last-good bytes before they fail instead;
-    /// the cluster client in `afs-remote` reads the same key name as how
-    /// long a read may wait out replication lag. No spec reaches both.
+    /// `staleness_ms`, in ns: the longest a read may go without a copy that
+    /// holds the session's acknowledged writes before it fails — waiting
+    /// out a lagging replica, or serving last-good bytes in degraded mode.
     pub staleness_ns: Option<u64>,
     /// `durable=on` with its `sync`, `checkpoint_pages` and `page_size`:
     /// the cache is the WAL-backed page store.

@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use afs_ipc::{PairTransport, RingPair, RingTransport, Sqe, SyncRegistry};
 use afs_net::Network;
 use afs_sim::{CostModel, OpTrace};
-use afs_telemetry::{intern, StoreGauges, Telemetry};
+use afs_telemetry::{intern, Telemetry};
 use afs_vfs::{VPath, Vfs};
 
 use super::*;
@@ -166,7 +166,7 @@ pub(crate) fn probe_ctx() -> SentinelCtx {
         Network::new(CostModel::free()),
         SyncRegistry::new(),
         CostModel::free(),
-        Arc::new(StoreGauges::default()),
+        &Telemetry::new(),
     )
     .expect("ctx")
 }

@@ -444,7 +444,7 @@ pub(crate) fn execute_op(
         }
         Op::Write { offset, .. } => match logic.write(ctx, offset, payload) {
             Ok(_) => OpReply::Done,
-            Err(SentinelError::Net(_)) if ctx.degraded_enabled() => {
+            Err(SentinelError::Net(e)) if e.is_fault() && ctx.degraded_enabled() => {
                 // The remote is down: accept the write into the last-good
                 // cache and queue it for replay on heal.
                 let _ = ctx.cache().write_at(offset, payload);
@@ -458,20 +458,14 @@ pub(crate) fn execute_op(
         },
         Op::GetSize => match logic.len(ctx) {
             Ok(n) => OpReply::Size(n),
-            Err(SentinelError::Net(_))
-                if ctx.degraded_enabled()
-                    && ctx.cache().is_present()
-                    && !ctx.staleness_exceeded() =>
-            {
-                match ctx.cache().len() {
-                    Ok(n) => {
-                        note_degraded_entry(ctx, "size");
-                        ctx.set_stale(true);
-                        OpReply::Size(n)
-                    }
-                    Err(e) => OpReply::Failed(e),
+            Err(SentinelError::Net(e)) if ctx.may_serve_last_good(&e) => match ctx.cache().len() {
+                Ok(n) => {
+                    note_degraded_entry(ctx, "size");
+                    ctx.set_stale(true);
+                    OpReply::Size(n)
                 }
-            }
+                Err(e) => OpReply::Failed(e),
+            },
             Err(e) => OpReply::Failed(e),
         },
         Op::Flush => match logic.flush(ctx) {
@@ -566,12 +560,11 @@ fn read_segment(
             }
             Ok(n)
         }
-        Err(SentinelError::Net(_))
-            if ctx.degraded_enabled() && ctx.cache().is_present() && !ctx.staleness_exceeded() =>
-        {
+        Err(SentinelError::Net(e)) if ctx.may_serve_last_good(&e) => {
             // Every replica is down: serve the last-good bytes and flag
             // the handle stale (§6's availability argument, extended —
-            // the legacy application keeps running).
+            // the legacy application keeps running). An owner's refusal
+            // is an answer, never served from the cache.
             let n = ctx.cache().read_at(offset, buf)?;
             note_degraded_entry(ctx, "read");
             ctx.set_stale(true);

@@ -1,34 +1,25 @@
-//! Membership and placement for a replicated active-file cluster.
+//! Membership and placement for a replicated file service.
 //!
-//! The paper's sentinels talk to one remote service per file. To run the
-//! same files against a *fleet* of services, something has to decide
-//! which service owns which path — and keep that decision stable as the
-//! fleet grows or shrinks, or every membership change would invalidate
-//! every client's routing.
+//! To run files against a *fleet* of services, something has to decide
+//! which service owns which path, and keep that decision stable as the
+//! fleet changes. [`HashRing`] is the consistent-hash answer: each member
+//! sits at [`HashRing::DEFAULT_VNODES`] points, a key belongs to the first
+//! point at or after its hash, and a join of an `N+1`-th member moves
+//! about `1/N` of the keys, never a full reshuffle. [`Placement`] adds a
+//! replication factor — `owners(path)` is the primary, then the replicas —
+//! and [`Fleet`] is a placement behind one lock, shared by every endpoint
+//! placed over it.
 //!
-//! [`HashRing`] is the classic consistent-hash answer: each node is
-//! hashed onto a ring at [`HashRing::DEFAULT_VNODES`] points, a key is
-//! owned by the first node point at or after its own hash, and a
-//! membership change only reassigns the keys adjacent to the points that
-//! appeared or vanished — in expectation `1/N` of the keyspace for a
-//! join of an `N+1`-th node, never a full reshuffle. [`Placement`] wraps
-//! the ring with a replication factor and answers the routing question
-//! the cluster client actually asks: `owners(path)` → the primary
-//! followed by the replicas, each a distinct node, in deterministic
-//! order.
-//!
-//! Everything here is pure data — hashing is an in-tree FNV-1a, so
-//! placement is bit-identical across runs, processes, and the seed
-//! sweep's seeds. The ring itself is one sorted `Vec` of points over the
-//! sorted member names, built without allocating per point — and built
-//! once per membership and thread: it is a pure function of the
-//! virtual-node count and the member names, so every [`Placement`] a
-//! thread resolves with the same members holds the same `Arc`
-//! (`shared_ring` below), and opening a cluster session costs a name
-//! list, not a ring.
+//! Hashing is an in-tree FNV-1a, so placement is bit-identical across runs
+//! and seeds. A ring is one sorted `Vec` of points over the sorted member
+//! names, a pure function of them, so it is built once per membership and
+//! thread and shared (`shared_ring` below): a placement owns only names.
 
 use std::cell::RefCell;
 use std::sync::{Arc, OnceLock};
+
+use afs_telemetry::ClusterGauges;
+use parking_lot::RwLock;
 
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 
@@ -124,16 +115,6 @@ impl HashRing {
     /// The member names, sorted.
     pub fn nodes(&self) -> &[String] {
         &self.nodes
-    }
-
-    /// Number of members.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether the ring has no members.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
     }
 
     /// Adds a member; a duplicate name is a no-op.
@@ -244,11 +225,6 @@ impl HashRing {
             new
         });
         &out[..found]
-    }
-
-    /// The single owner of `key`, when the ring is non-empty.
-    pub fn primary(&self, key: &str) -> Option<String> {
-        self.owners(key, 1).into_iter().next()
     }
 }
 
@@ -370,10 +346,63 @@ impl Placement {
         let want = out.len().min(self.copies);
         self.ring().owner_indices(path, &mut out[..want])
     }
+}
 
-    /// The primary for `path`, when the fleet is non-empty.
-    pub fn primary(&self, path: &str) -> Option<String> {
-        self.ring().primary(path)
+/// A replicated service's membership: one [`Placement`] behind one lock,
+/// shared by reference — a clone is the same fleet. An op walks its owners
+/// under the read side and a change takes the write side, so a change
+/// lands between ops: an op sees the membership before it or after it.
+#[derive(Debug, Clone)]
+pub struct Fleet(pub(crate) Arc<RwLock<Membership>>);
+
+/// A fleet's placement, and where its changes are counted: in the gauges
+/// [`Fleet::count_in`] attached, or until then in `uncounted`.
+#[derive(Debug)]
+pub(crate) struct Membership {
+    pub(crate) placement: Placement,
+    gauges: Option<Arc<ClusterGauges>>,
+    uncounted: u64,
+}
+
+impl Fleet {
+    /// An empty fleet keeping `copies` copies of every file.
+    pub fn new(copies: usize) -> Fleet {
+        Fleet(Arc::new(RwLock::new(Membership {
+            placement: Placement::new(copies),
+            gauges: None,
+            uncounted: 0,
+        })))
+    }
+
+    /// Adds a member service (at most `1/N` of keys move).
+    pub fn add_node(&self, name: &str) {
+        self.change(|placement| placement.add_node(name));
+    }
+
+    /// Removes a member service.
+    pub fn remove_node(&self, name: &str) {
+        self.change(|placement| placement.remove_node(name));
+    }
+
+    fn change(&self, edit: impl FnOnce(&mut Placement)) {
+        let mut membership = self.0.write();
+        edit(&mut membership.placement);
+        let nodes = membership.placement.nodes().len() as u64;
+        match &membership.gauges {
+            Some(gauges) => gauges.membership(nodes, 1),
+            None => membership.uncounted += 1,
+        }
+    }
+
+    /// Counts the membership changes from now on in `gauges`, and with
+    /// `earlier` also the ones made since the fleet last had gauges.
+    pub fn count_in(&self, gauges: &Arc<ClusterGauges>, earlier: bool) {
+        let mut membership = self.0.write();
+        let uncounted = std::mem::take(&mut membership.uncounted);
+        if earlier && uncounted > 0 {
+            gauges.membership(membership.placement.nodes().len() as u64, uncounted);
+        }
+        membership.gauges = Some(Arc::clone(gauges));
     }
 }
 
@@ -381,6 +410,13 @@ impl Placement {
 mod tests {
     use super::*;
     use std::collections::BTreeMap;
+
+    impl HashRing {
+        /// The single owner of `key`, when the ring is non-empty.
+        fn primary(&self, key: &str) -> Option<String> {
+            self.owners(key, 1).into_iter().next()
+        }
+    }
 
     fn fleet(n: usize) -> HashRing {
         let mut ring = HashRing::new(HashRing::DEFAULT_VNODES);
@@ -760,7 +796,10 @@ mod tests {
         }
         let owners = placement.owners("/data/x.af");
         assert_eq!(owners.len(), 3);
-        assert_eq!(owners[0], placement.primary("/data/x.af").expect("primary"));
+        assert_eq!(
+            owners[0],
+            placement.ring().primary("/data/x.af").expect("primary")
+        );
         placement.remove_node(&owners[0]);
         assert_eq!(placement.nodes().len(), 4);
         assert_ne!(placement.owners("/data/x.af")[0], owners[0]);

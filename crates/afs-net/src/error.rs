@@ -23,6 +23,20 @@ pub enum NetError {
     CircuitOpen(String),
 }
 
+impl NetError {
+    /// Whether no owner answered: a transport fault or a breaker's refusal,
+    /// not a rejection or an undecodable reply.
+    pub fn is_fault(&self) -> bool {
+        matches!(
+            self,
+            NetError::Dropped(_)
+                | NetError::Partitioned(_)
+                | NetError::ServiceNotFound(_)
+                | NetError::CircuitOpen(_)
+        )
+    }
+}
+
 impl fmt::Display for NetError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

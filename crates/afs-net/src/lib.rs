@@ -17,12 +17,11 @@
 //!   N messages, partition a service away or over a scheduled virtual-time
 //!   window, inject seeded latency and probabilistic loss) for the failure
 //!   tests.
-//! * [`cluster`] — consistent-hash membership and replica-aware
-//!   placement for running active files against a fleet of services
-//!   instead of a single one.
+//! * [`cluster`] — consistent-hash placement, and the [`Fleet`] a
+//!   placement is shared as: a replicated service a sentinel names.
 //! * [`Network::walk`] — the one failover walk: a caller's owners,
-//!   primary first, each asked once per pass. An [`Endpoint`] is a
-//!   service's owner list as one caller reaches it.
+//!   primary first, each asked once per pass. An [`Endpoint`] gives each
+//!   path its owners — a listed service and replicas, or a fleet's.
 //! * [`reliability`] — retry policies with deterministic exponential
 //!   backoff, per-service circuit breakers, and the counters the
 //!   telemetry exports. A [`Network::with_policy`] clone walks every call
@@ -38,7 +37,7 @@ pub mod net;
 pub mod reliability;
 pub mod wire;
 
-pub use cluster::{HashRing, Placement};
+pub use cluster::{Fleet, HashRing, Placement};
 pub use error::NetError;
 pub use net::{Endpoint, FaultPlan, Network, NetworkStats, Owner, Service};
 pub use reliability::{

@@ -8,8 +8,11 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use afs_sim::{clock, Cost, CostModel, Generations, SimRng, Striped};
-use afs_telemetry::{flight_note, flight_trigger, intern, now_ns, retry_span_noted, SpanGuard};
+use afs_telemetry::{
+    flight_note, flight_trigger, intern, now_ns, retry_span_noted, ClusterGauges, SpanGuard,
+};
 
+use crate::cluster::Fleet;
 use crate::reliability::{
     BreakerConfig, CircuitBreaker, ReliabilityPolicy, ReliabilitySnapshot, ReliabilityStats,
     RetryPolicy,
@@ -257,6 +260,8 @@ struct Shared {
     traffic: Striped<Traffic>,
     breakers: Mutex<HashMap<String, CircuitBreaker>>,
     reliability: ReliabilityStats,
+    /// The named fleets: read when an endpoint is made, never by a message.
+    fleets: Mutex<Vec<(String, Fleet)>>,
 }
 
 /// The simulated network connecting sentinels to remote information
@@ -293,6 +298,7 @@ impl Network {
             traffic: Striped::default(),
             breakers: Mutex::default(),
             reliability: ReliabilityStats::default(),
+            fleets: Mutex::default(),
         };
         Network {
             shared: Arc::new(shared),
@@ -380,8 +386,18 @@ impl Network {
         clone
     }
 
+    /// Names `fleet` (or replaces the fleet of that name): an endpoint
+    /// asked for by the name alone is placed over it.
+    pub fn register_fleet(&self, name: &str, fleet: Fleet) {
+        let mut fleets = self.shared.fleets.lock();
+        fleets.retain(|(named, _)| named != name);
+        fleets.push((name.to_owned(), fleet));
+    }
+
     /// `owners`, primary first, as reached over this network and under
-    /// its policy: each name once, in the order first given.
+    /// its policy: each name once, in the order first given. One name that
+    /// [`register_fleet`](Network::register_fleet) gave a fleet is that
+    /// fleet, placed ([`Network::placed`]).
     pub fn endpoint<'a>(&self, owners: impl IntoIterator<Item = &'a str>) -> Endpoint {
         let mut names: Vec<String> = Vec::new();
         for name in owners {
@@ -389,9 +405,28 @@ impl Network {
                 names.push(name.to_owned());
             }
         }
+        if let [name] = &names[..] {
+            let fleets = self.shared.fleets.lock();
+            if let Some((_, fleet)) = fleets.iter().find(|(named, _)| named == name) {
+                return self.placed(fleet.clone());
+            }
+        }
+        let ids = (0..names.len()).collect();
+        self.reach(Owners::Listed(names, ids))
+    }
+
+    /// `fleet` as reached over this network and under its policy: every
+    /// path's owners are the ones its placement gives that path.
+    pub fn placed(&self, fleet: Fleet) -> Endpoint {
+        self.reach(Owners::Placed(fleet))
+    }
+
+    fn reach(&self, owners: Owners) -> Endpoint {
         Endpoint {
             net: self.clone(),
-            owners: names,
+            owners,
+            staleness_ns: None,
+            gauges: None,
         }
     }
 
@@ -457,17 +492,6 @@ impl Network {
             return Err(NetError::Dropped(name.to_owned()));
         }
         Ok(())
-    }
-
-    /// Whether an error is a fault of the transport rather than an answer:
-    /// the walk moves on to the next owner (a missing service counts —
-    /// another owner may hold the data). Application-level rejections and
-    /// codec errors are answers, and final.
-    fn retryable(err: &NetError) -> bool {
-        matches!(
-            err,
-            NetError::Dropped(_) | NetError::Partitioned(_) | NetError::ServiceNotFound(_)
-        )
     }
 
     /// Runs `f` on `name`'s breaker, made from `cfg` on first use: only a
@@ -566,7 +590,9 @@ impl Network {
                         }
                         return Ok(served);
                     }
-                    Err(err) if Self::retryable(&err) => {
+                    // A fault moves the walk on (a missing service counts:
+                    // another owner may hold the data); an answer is final.
+                    Err(err) if err.is_fault() => {
                         self.breaker_failure(breaker, name);
                         last_fault = Some(err);
                     }
@@ -770,32 +796,125 @@ impl Owner<'_> {
     }
 }
 
-/// A service as one caller reaches it: the caller's network, with its
-/// policy if any, and the service's owners, primary first
-/// ([`Network::endpoint`]). Every call is a [`Network::walk`] over them.
+/// Owner lists up to this long are walked from the stack, not the heap.
+const INLINE_OWNERS: usize = 8;
+
+/// Who owns a path at an endpoint.
+#[derive(Debug, Clone)]
+enum Owners {
+    /// The same owners for every path, primary first, and their indices.
+    Listed(Vec<String>, Vec<usize>),
+    /// The owners a fleet's placement gives each path.
+    Placed(Fleet),
+}
+
+/// A service as one caller reaches it: the caller's network and policy;
+/// the owners, listed ([`Network::endpoint`]) or placed per path over a
+/// fleet ([`Network::placed`]); and what a session over it reads under.
+/// Every call is a [`Network::walk`] over one path's owners.
 #[derive(Debug, Clone)]
 pub struct Endpoint {
     net: Network,
-    owners: Vec<String>,
+    owners: Owners,
+    staleness_ns: Option<u64>,
+    gauges: Option<Arc<ClusterGauges>>,
 }
 
 impl Endpoint {
-    fn owners(&self) -> impl Iterator<Item = &str> + Clone {
-        self.owners.iter().map(String::as_str)
+    /// This endpoint for a session that reads within `staleness_ns` (how
+    /// long a read may go without a copy that holds the session's
+    /// acknowledged writes; `None`: it fails at once) and feeds `gauges`.
+    pub fn for_session(
+        mut self,
+        staleness_ns: Option<u64>,
+        gauges: Option<Arc<ClusterGauges>>,
+    ) -> Endpoint {
+        (self.staleness_ns, self.gauges) = (staleness_ns, gauges);
+        self
     }
 
-    /// Request/response from the first owner to serve, charged as
-    /// [`Network::rpc`]; its errors are [`Network::walk`]'s.
+    /// The session's staleness budget, ns.
+    pub fn staleness_ns(&self) -> Option<u64> {
+        self.staleness_ns
+    }
+
+    /// The gauges a session over this endpoint feeds, if it was given any.
+    pub fn gauges(&self) -> Option<&Arc<ClusterGauges>> {
+        self.gauges.as_ref()
+    }
+
+    /// The fleet this endpoint is placed over, if it is.
+    pub fn fleet(&self) -> Option<&Fleet> {
+        match &self.owners {
+            Owners::Placed(fleet) => Some(fleet),
+            Owners::Listed(..) => None,
+        }
+    }
+
+    /// The network its calls travel, under the caller's policy.
+    pub fn net(&self) -> &Network {
+        &self.net
+    }
+
+    /// Runs `walk` over the owner names and, as indices into them,
+    /// `path`'s owners, primary first, borrowed: up to eight owners,
+    /// nothing is allocated. Over a fleet it runs under the fleet's read
+    /// side, which `walk` must not take again (nested behind a waiting
+    /// change, it deadlocks); an empty fleet answers `ServiceNotFound`.
+    pub fn with_owners<T>(
+        &self,
+        path: &str,
+        walk: impl FnOnce(&[String], &[usize]) -> Result<T>,
+    ) -> Result<T> {
+        let fleet = match &self.owners {
+            Owners::Listed(names, ids) => return walk(names, ids),
+            Owners::Placed(fleet) => fleet,
+        };
+        let membership = fleet.0.read();
+        let placement = &membership.placement;
+        let (mut inline, mut spilled) = ([0; INLINE_OWNERS], Vec::new());
+        let ids = if placement.copies() <= INLINE_OWNERS {
+            &mut inline[..]
+        } else {
+            spilled.resize(placement.copies(), 0);
+            &mut spilled[..]
+        };
+        let ids = placement.owner_indices(path, ids);
+        if ids.is_empty() {
+            return Err(NetError::ServiceNotFound("empty cluster".to_owned()));
+        }
+        walk(placement.nodes(), ids)
+    }
+
+    /// A walk of one message to the first of `path`'s owners to take it.
+    fn call<T>(&self, path: &str, once: impl FnMut(&str) -> Result<T>) -> Result<T> {
+        self.with_owners(path, |nodes, ids| {
+            self.net
+                .call(ids.iter().map(|&id| nodes[id].as_str()), once)
+        })
+    }
+
+    /// Request/response from the first of `path`'s owners to serve,
+    /// charged as [`Network::rpc`]; its errors are [`Network::walk`]'s.
+    pub fn rpc_at(&self, path: &str, request: &[u8]) -> Result<Vec<u8>> {
+        self.call(path, |name| self.net.rpc_once(name, request))
+    }
+
+    /// [`rpc_at`](Endpoint::rpc_at) for a service that owns no paths:
+    /// over a fleet, the owners of the empty one.
     pub fn rpc(&self, request: &[u8]) -> Result<Vec<u8>> {
-        self.net
-            .call(self.owners(), |name| self.net.rpc_once(name, request))
+        self.rpc_at("", request)
     }
 
-    /// Fire-and-forget to the first owner to take it, charged as
-    /// [`Network::cast`]; its errors are [`Network::walk`]'s.
+    /// Fire-and-forget to the first of `path`'s owners to take it, charged
+    /// as [`Network::cast`]; its errors are [`Network::walk`]'s.
+    pub fn cast_at(&self, path: &str, request: &[u8]) -> Result<()> {
+        self.call(path, |name| self.net.cast_once(name, request))
+    }
+
+    /// [`cast_at`](Endpoint::cast_at) for a service that owns no paths.
     pub fn cast(&self, request: &[u8]) -> Result<()> {
-        self.net
-            .call(self.owners(), |name| self.net.cast_once(name, request))
+        self.cast_at("", request)
     }
 }
 

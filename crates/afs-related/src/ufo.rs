@@ -12,7 +12,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use afs_interpose::ApiLayer;
-use afs_net::Network;
+use afs_net::{Endpoint, Network};
 use afs_remote::FileClient;
 use afs_winapi::{
     Access, ApiResult, DelegateFileApi, Disposition, FileApi, Handle, Layered, Win32Error,
@@ -23,7 +23,7 @@ use afs_winapi::{
 pub struct UfoLayer {
     prefix: String,
     remote_root: String,
-    client: FileClient,
+    service: Endpoint,
 }
 
 impl UfoLayer {
@@ -33,7 +33,7 @@ impl UfoLayer {
         UfoLayer {
             prefix: prefix.trim_end_matches('/').to_owned(),
             remote_root: remote_root.trim_end_matches('/').to_owned(),
-            client: FileClient::new(net.endpoint([service])),
+            service: net.endpoint([service]),
         }
     }
 }
@@ -48,7 +48,7 @@ impl ApiLayer for UfoLayer {
             inner,
             prefix: self.prefix.clone(),
             remote_root: self.remote_root.clone(),
-            client: self.client.clone(),
+            client: FileClient::new(self.service.clone()),
             opens: Mutex::new(HashMap::new()),
         }))
     }

@@ -1,333 +1,55 @@
-//! The replica-aware cluster client: one [`FileClient`](crate::FileClient)-shaped surface
-//! over a fleet of [`FileServer`](crate::FileServer)s.
-//!
-//! Placement comes from a consistent-hash [`Placement`]: every path has
-//! a primary and `copies - 1` replicas, stable under membership churn.
-//! The write path is **primary-ack with asynchronous replication**: the
-//! write round-trips to the primary (which allocates the replication
-//! sequence number by bumping the file version) and fans out to the
-//! replicas as fire-and-forget casts carrying that sequence. Replicas
-//! apply casts strictly in sequence order — a copy's version never
-//! claims writes whose bytes it does not hold — and an ack carries the
-//! session's floor, so an owner that missed casts refuses to allocate
-//! a sequence (no split-brain re-issue across failover). The client
-//! remembers the last sequence it was acknowledged per path, so reads
-//! are **read-your-writes**: a read walks the owners in placement order
-//! and only accepts a copy whose version has caught up to the session's
-//! sequence. Both walks are the network's one failover walk
-//! ([`Network::walk`]) over the placement's owners; the session keeps
-//! only its reading of an owner's refusal.
-//!
-//! When every reachable owner is behind — a replica missed a cast and
-//! the primary then failed — the `staleness_ms` budget decides the
-//! outcome: the reader burns virtual time in bounded waits, re-polling
-//! the owners, and surfaces an error once the budget is spent. This
-//! tightens the single-service degraded mode's "stale allowed" into
-//! *bounded* staleness: the application never observes data older than
-//! its own acknowledged writes plus the configured bound.
+//! [`ClusterClient`]: a file session over a fleet of its own.
+use afs_net::Fleet;
 
-use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
-
-use parking_lot::{Mutex, RwLock};
-
-use afs_net::{cluster::Placement, NetError, Network};
-use afs_telemetry::{backend_span, ClusterGauges};
-
-use crate::file_server::{repl_request, Remote};
-
-/// How long one bounded-staleness wait round burns before re-polling
-/// the owners (virtual time).
-const STALE_WAIT_STEP_NS: u64 = 1_000_000; // 1 ms
-
-/// Owner lists up to this long are walked on the stack; a session
-/// keeping more copies than this spills to the heap.
-const INLINE_OWNERS: usize = 8;
-
-/// A fleet-routing file client: consistent-hash placement, primary-ack
-/// writes with async replication, and bounded-staleness
-/// read-your-writes reads.
-pub struct ClusterClient {
-    net: Network,
-    /// The session's membership. An op holds the read side while it
-    /// walks its owners; [`add_node`](ClusterClient::add_node) and
-    /// [`remove_node`](ClusterClient::remove_node) take the write side.
-    membership: RwLock<Membership>,
-    /// Read-your-writes floor: per path, the highest replication
-    /// sequence this session has been acknowledged.
-    acked: Mutex<HashMap<String, u64>>,
-    /// Bounded-staleness budget for reads (`None`: a lagging fleet is
-    /// surfaced immediately).
-    staleness_budget_ns: Option<u64>,
-    /// The metrics sink: the one [`with_gauges`](ClusterClient::with_gauges)
-    /// attached, or else a set of the session's own, made when first
-    /// needed — so a session that is given one allocates none.
-    gauges: OnceLock<Arc<ClusterGauges>>,
-}
-
-/// A session's placement, and the membership changes it made while it had
-/// no gauges to count them in.
-struct Membership {
-    placement: Placement,
-    uncounted: u64,
-}
-
-impl Membership {
-    /// Counts one change: in `gauges` when the session has them, else
-    /// until it does.
-    fn changed(&mut self, gauges: Option<&Arc<ClusterGauges>>) {
-        match gauges {
-            Some(gauges) => gauges.membership(self.placement.nodes().len() as u64, 1),
-            None => self.uncounted += 1,
-        }
-    }
-}
+/// A [`FileClient`](crate::FileClient) over a private [`Fleet`], kept
+/// for `benchmark/`: the issue re-basing `cluster-zipf` onto `read_file` deletes it.
+#[derive(Debug)]
+pub struct ClusterClient(crate::FileClient);
 
 impl ClusterClient {
-    /// Creates a client over `net` keeping `copies` total copies per
-    /// file. `staleness_ms` bounds how long a read may wait for a
-    /// lagging owner to catch up to the session's own writes.
-    pub fn new(net: Network, copies: usize, staleness_ms: Option<u64>) -> ClusterClient {
-        let membership = Membership {
-            placement: Placement::new(copies),
-            uncounted: 0,
-        };
-        ClusterClient {
-            net,
-            membership: RwLock::new(membership),
-            acked: Mutex::new(HashMap::new()),
-            staleness_budget_ns: staleness_ms.map(|ms| ms.saturating_mul(1_000_000)),
-            gauges: OnceLock::new(),
-        }
+    /// A session over an empty fleet of `copies` copies; lag waited out `staleness_ms`.
+    pub fn new(net: afs_net::Network, copies: usize, staleness_ms: Option<u64>) -> ClusterClient {
+        let ns = staleness_ms.map(|ms| ms.saturating_mul(1_000_000));
+        let placed = net.placed(Fleet::new(copies));
+        ClusterClient(crate::FileClient::new(placed.for_session(ns, None)))
     }
-
-    /// Shares `gauges` as the client's metrics sink (e.g. the world
-    /// telemetry hub's cluster gauges). Membership changes made before
-    /// it are not counted there.
-    pub fn with_gauges(mut self, gauges: Arc<ClusterGauges>) -> ClusterClient {
-        self.gauges = OnceLock::from(gauges);
-        self
+    /// [`FileClient::with_gauges`](crate::FileClient::with_gauges).
+    pub fn with_gauges(self, gauges: std::sync::Arc<afs_telemetry::ClusterGauges>) -> Self {
+        ClusterClient(self.0.with_gauges(gauges))
     }
-
-    /// The gauges this client feeds. Must not be called with the
-    /// membership held (it may take the read side).
-    pub fn gauges(&self) -> &Arc<ClusterGauges> {
-        if let Some(gauges) = self.gauges.get() {
-            return gauges;
-        }
-        // Made under the membership's read side, so no change lands
-        // between counting the changes so far and publishing the gauges
-        // that count the rest.
-        let membership = self.membership.read();
-        self.gauges.get_or_init(|| {
-            let gauges = Arc::new(ClusterGauges::default());
-            if membership.uncounted > 0 {
-                let nodes = membership.placement.nodes().len() as u64;
-                gauges.membership(nodes, membership.uncounted);
-            }
-            gauges
-        })
-    }
-
-    /// Adds a member service to the fleet (placement rebalances
-    /// deterministically; at most `1/N` of keys move). The change lands
-    /// between ops: it waits for the owner walks in flight, and an op
-    /// sees the membership from before it or from after it, never a mix.
+    /// [`Fleet::add_node`] on the session's fleet.
     pub fn add_node(&self, name: &str) {
-        let mut membership = self.membership.write();
-        membership.placement.add_node(name);
-        membership.changed(self.gauges.get());
+        self.0.endpoint.fleet().expect("placed").add_node(name);
     }
-
-    /// Removes a member service from the fleet; like
-    /// [`add_node`](ClusterClient::add_node), between ops.
-    pub fn remove_node(&self, name: &str) {
-        let mut membership = self.membership.write();
-        membership.placement.remove_node(name);
-        membership.changed(self.gauges.get());
-    }
-
-    /// The current owner list for `path`: `[primary, replicas...]`.
-    pub fn owners(&self, path: &str) -> Vec<String> {
-        self.membership.read().placement.owners(path)
-    }
-
-    /// Runs `walk` over the fleet's names and, as indices into them,
-    /// `path`'s owners, primary first — both borrowed from the placement
-    /// for the walk's duration: nothing is cloned and, up to
-    /// [`INLINE_OWNERS`] copies, nothing allocated. The walk runs under
-    /// the membership's read side, so it must not reach for the
-    /// membership again, [`gauges`](ClusterClient::gauges) included: a
-    /// second read nested behind a waiting `add_node` can deadlock. An
-    /// empty fleet has nobody to walk: `ServiceNotFound`.
-    fn with_owners<T>(
-        &self,
-        path: &str,
-        walk: impl FnOnce(&[String], &[usize]) -> afs_net::Result<T>,
-    ) -> afs_net::Result<T> {
-        let membership = self.membership.read();
-        let placement = &membership.placement;
-        let mut inline = [0; INLINE_OWNERS];
-        let mut spilled = Vec::new();
-        let ids = if placement.copies() <= INLINE_OWNERS {
-            &mut inline[..]
-        } else {
-            spilled.resize(placement.copies(), 0);
-            &mut spilled[..]
-        };
-        let owners = placement.owner_indices(path, ids);
-        if owners.is_empty() {
-            return Err(NetError::ServiceNotFound("empty cluster".to_owned()));
-        }
-        walk(placement.nodes(), owners)
-    }
-
-    /// The session's read-your-writes floor for `path` (0 when this
-    /// session has not written it).
-    pub fn acked_seq(&self, path: &str) -> u64 {
-        *self.acked.lock().get(path).unwrap_or(&0)
-    }
-
-    /// Writes `data` at `offset`: acknowledged by the first owner in
-    /// placement order (normally the primary) whose copy has caught up
-    /// to this session's acknowledged floor, then fanned out to the
-    /// remaining owners as replication casts carrying the acknowledged
-    /// sequence. Sending the floor with the ack keeps sequence
-    /// allocation monotonic across failover: an owner behind the floor
-    /// refuses (it would re-issue an already-acknowledged sequence) and
-    /// the write moves on to a caught-up owner. Returns bytes written.
-    ///
-    /// # Errors
-    ///
-    /// The last owner's transport fault when none is reachable, or
-    /// [`NetError::Rejected`] when every reachable owner is behind the
-    /// session's floor.
+    /// [`FileClient::put`](crate::FileClient::put).
     pub fn write(&self, path: &str, offset: u64, data: &[u8]) -> afs_net::Result<u64> {
-        let (n, replicas, failed) = self.with_owners(path, |nodes, owners| {
-            let floor = self.acked_seq(path);
-            let mut last_err = None;
-            let names = owners.iter().map(|&owner| nodes[owner].as_str());
-            let acked = self.net.walk(names, |owner| {
-                let ack = owner.put_acked(path, offset, data, floor);
-                last_err = ack.as_ref().err().cloned();
-                match ack {
-                    Ok(ack) => Ok(Some((owner.index(), ack))),
-                    // A refusal is a lagging copy that will not allocate a
-                    // sequence behind the session's floor: the next may.
-                    Err(NetError::Rejected(_)) => Ok(None),
-                    Err(e) => Err(e),
-                }
-            });
-            let Ok(Some((acker, (n, seq)))) = acked else {
-                return Err(acked.err().or(last_err).expect("an owner refused"));
-            };
-            let mut acked = self.acked.lock();
-            match acked.get_mut(path) {
-                Some(floor) => *floor = (*floor).max(seq),
-                None => drop(acked.insert(path.to_owned(), seq)),
-            }
-            drop(acked);
-            // Owners are distinct: everyone but the one that acknowledged
-            // gets the cast.
-            let mut failed = 0u64;
-            for (_, &other) in owners.iter().enumerate().filter(|&(i, _)| i != acker) {
-                let _bk = backend_span("remote-replicate");
-                let cast = repl_request(path, offset, seq, data);
-                if self.net.cast(&nodes[other], &cast).is_err() {
-                    failed += 1;
-                }
-            }
-            Ok((n, owners.len() as u64 - 1, failed))
-        })?;
-        self.gauges().write(replicas, failed);
-        Ok(n)
+        self.0.put(path, offset, data)
     }
-
-    /// Reads up to `len` bytes at `offset` from the first owner (in
-    /// placement order) whose copy has caught up to this session's
-    /// acknowledged writes, waiting out replication lag within the
-    /// staleness budget. Each owner asked costs one message: the read
-    /// carries the session's floor and the owner checks it under the
-    /// same lock as it reads the bytes.
-    ///
-    /// # Errors
-    ///
-    /// A transport fault when no owner is reachable; [`NetError::
-    /// Rejected`] when reachable owners stayed behind the session's
-    /// sequence past the staleness budget.
+    /// [`FileClient::get`](crate::FileClient::get).
     pub fn read(&self, path: &str, offset: u64, len: usize) -> afs_net::Result<Vec<u8>> {
-        let required = self.acked_seq(path);
-        let mut budget = self.staleness_budget_ns.unwrap_or(0);
-        loop {
-            // One round over the owners: the bytes, or `None` when every
-            // reachable owner is behind the session's writes.
-            let round = self.with_owners(path, |nodes, owners| {
-                let (mut behind, mut missing, mut fault) = (false, None, None);
-                let names = owners.iter().map(|&owner| nodes[owner].as_str());
-                let served = self.net.walk(names, |owner| {
-                    match owner.get_at_floor(path, offset, len, required) {
-                        Ok(data) => Ok(Some((owner.index(), data))),
-                        // A refusal means this owner's copy is behind the
-                        // floor or absent. With a non-zero floor either is
-                        // replication lag (a joiner the casts have not
-                        // caught up) — wait for it. With no floor the file
-                        // may simply live on a later owner (written by
-                        // another session): keep walking, and only surface
-                        // the refusal if no owner serves the read.
-                        Err(e @ NetError::Rejected(_)) => {
-                            behind |= required > 0;
-                            missing = Some(e);
-                            Ok(None)
-                        }
-                        Err(e) => Err(fault.insert(e).clone()),
-                    }
-                });
-                match served? {
-                    Some(served) => Ok(Some(served)),
-                    None if behind => Ok(None),
-                    // No owner is lagging: the failure is a transport fault
-                    // or a genuinely absent file, not staleness — surface
-                    // it rather than burning the staleness budget.
-                    None => Err(fault.or(missing).expect("an owner refused")),
-                }
-            });
-            if let Some((index, data)) = round? {
-                self.gauges().read(index != 0);
-                return Ok(data);
-            }
-            // Burn bounded-staleness budget and re-poll — with the
-            // placement released, so a membership change can land
-            // between rounds; once the budget is spent the lag becomes
-            // the application's problem — bounded, never silent.
-            if budget < STALE_WAIT_STEP_NS {
-                self.gauges().stale_reject();
-                return Err(NetError::Rejected(format!(
-                    "staleness bound exceeded for {path}: no replica at seq {required}"
-                )));
-            }
-            budget -= STALE_WAIT_STEP_NS;
-            self.gauges().stale_wait();
-            afs_sim::clock::advance(STALE_WAIT_STEP_NS);
-        }
+        self.0.get(path, offset, len)
     }
 }
 
-impl std::fmt::Debug for ClusterClient {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let placement = &self.membership.read().placement;
-        f.debug_struct("ClusterClient")
-            .field("nodes", &placement.nodes().len())
-            .field("copies", &placement.copies())
-            .finish_non_exhaustive()
+impl std::ops::Deref for ClusterClient {
+    type Target = crate::FileClient;
+    fn deref(&self) -> &crate::FileClient {
+        &self.0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FileServer;
-    use afs_net::Service;
+    use crate::{FileClient, FileServer};
+    use afs_net::{NetError, Network, Service};
     use afs_sim::CostModel;
+    use std::sync::Arc;
+
+    /// Removes `name` from the session's fleet.
+    fn remove_node(client: &ClusterClient, name: &str) {
+        client.endpoint.fleet().expect("placed").remove_node(name);
+    }
 
     fn fleet(n: usize) -> (Network, Vec<Arc<FileServer>>, ClusterClient) {
         let net = Network::new(CostModel::free());
@@ -485,8 +207,8 @@ mod tests {
     fn read_fails_over_when_the_primary_drops_the_read() {
         use std::sync::atomic::{AtomicBool, Ordering};
 
-        // Wraps a file server, failing the next floor-checked read (op
-        // byte 10) with a transport fault — the primary "dies" with the
+        // Wraps a file server, failing the next read (`GET`, op byte 1)
+        // with a transport fault — the primary "dies" with the
         // read in flight.
         struct ReadFlaky {
             inner: Arc<FileServer>,
@@ -494,7 +216,7 @@ mod tests {
         }
         impl Service for ReadFlaky {
             fn handle(&self, request: &[u8]) -> afs_net::Result<Vec<u8>> {
-                if request.first() == Some(&10) && self.fail_next_read.swap(false, Ordering::SeqCst)
+                if request.first() == Some(&1) && self.fail_next_read.swap(false, Ordering::SeqCst)
                 {
                     return Err(NetError::Dropped("read lost in flight".to_owned()));
                 }
@@ -572,7 +294,7 @@ mod tests {
         let without: Vec<Vec<String>> = paths.iter().map(|p| client.owners(p)).collect();
         client.add_node("files-3");
         let with: Vec<Vec<String>> = paths.iter().map(|p| client.owners(p)).collect();
-        client.remove_node("files-3");
+        remove_node(&client, "files-3");
         assert_ne!(without, with, "the joiner owns something");
 
         let (done, finished) = mpsc::channel();
@@ -624,7 +346,7 @@ mod tests {
                     // one to finish after this one.
                     let seen = ops.load(Ordering::SeqCst);
                     client.add_node("files-3");
-                    client.remove_node("files-3");
+                    remove_node(&client, "files-3");
                     while ops.load(Ordering::SeqCst) == seen {
                         std::thread::yield_now();
                     }
@@ -679,50 +401,53 @@ mod tests {
     /// a `STAT` for the copy's version, then a `GET` from the first one
     /// caught up, each owner looped over by hand. Kept as the reference
     /// the one-message walk must agree with, result for result and gauge
-    /// for gauge.
+    /// for gauge. `budget_ms` is the session's staleness budget.
     fn read_stat_then_get(
         client: &ClusterClient,
+        net: &Network,
+        budget_ms: Option<u64>,
         path: &str,
         offset: u64,
         len: usize,
     ) -> afs_net::Result<Vec<u8>> {
+        const STALE_WAIT_STEP_NS: u64 = 1_000_000;
         let required = client.acked_seq(path);
-        let mut budget = client.staleness_budget_ns.unwrap_or(0);
+        let mut budget = budget_ms.unwrap_or(0) * 1_000_000;
         loop {
-            let round = client.with_owners(path, |nodes, owners| {
-                let mut last_err = None;
-                let mut missing = None;
-                let mut behind = 0usize;
-                for (idx, &owner) in owners.iter().enumerate() {
-                    let remote = client.net.endpoint([nodes[owner].as_str()]);
-                    match remote.stat(path) {
-                        Ok(stat) if stat.version >= required => {
-                            match remote.get(path, offset, len) {
-                                Ok(data) => return Ok(Some((idx, data))),
-                                Err(e) if transport_fault(&e) => last_err = Some(e),
-                                Err(e) => return Err(e),
-                            }
-                        }
-                        Ok(_) => behind += 1,
-                        Err(e @ NetError::Rejected(_)) => {
-                            if required > 0 {
-                                behind += 1;
-                            } else {
-                                missing = Some(e);
-                            }
+            let mut last_err = None;
+            let mut missing = None;
+            let mut behind = 0usize;
+            let mut served = None;
+            for (idx, owner) in client.owners(path).iter().enumerate() {
+                // A fresh session reads at floor 0: unconditionally.
+                let remote = FileClient::new(net.endpoint([owner.as_str()]));
+                match remote.stat(path) {
+                    Ok(stat) if stat.version >= required => match remote.get(path, offset, len) {
+                        Ok(data) => {
+                            served = Some((idx, data));
+                            break;
                         }
                         Err(e) if transport_fault(&e) => last_err = Some(e),
                         Err(e) => return Err(e),
+                    },
+                    Ok(_) => behind += 1,
+                    Err(e @ NetError::Rejected(_)) => {
+                        if required > 0 {
+                            behind += 1;
+                        } else {
+                            missing = Some(e);
+                        }
                     }
+                    Err(e) if transport_fault(&e) => last_err = Some(e),
+                    Err(e) => return Err(e),
                 }
-                if behind == 0 {
-                    return Err(last_err.or(missing).expect("owners existed"));
-                }
-                Ok(None)
-            });
-            if let Some((idx, data)) = round? {
+            }
+            if let Some((idx, data)) = served {
                 client.gauges().read(idx != 0);
                 return Ok(data);
+            }
+            if behind == 0 {
+                return Err(last_err.or(missing).expect("owners existed"));
             }
             if budget < STALE_WAIT_STEP_NS {
                 client.gauges().stale_reject();
@@ -773,10 +498,11 @@ mod tests {
                 .collect();
             // Two writers (one bounded, one not) and a session that never
             // writes, so reads at floor 0.
+            let budgets = [Some(3), None, Some(2)];
             let sessions = [
-                ClusterClient::new(net.clone(), 2, Some(3)),
-                ClusterClient::new(net.clone(), 3, None),
-                ClusterClient::new(net.clone(), 2, Some(2)),
+                ClusterClient::new(net.clone(), 2, budgets[0]),
+                ClusterClient::new(net.clone(), 3, budgets[1]),
+                ClusterClient::new(net.clone(), 2, budgets[2]),
             ];
             for session in &sessions {
                 for i in 0..MEMBERS {
@@ -810,12 +536,13 @@ mod tests {
                             if joined {
                                 session.add_node(&member(MEMBERS));
                             } else {
-                                session.remove_node(&member(MEMBERS));
+                                remove_node(session, &member(MEMBERS));
                             }
                         }
                     }
                     _ => {
-                        let session = &sessions[pick(&mut rng, sessions.len())];
+                        let which = pick(&mut rng, sessions.len());
+                        let session = &sessions[which];
                         let path = PATHS[pick(&mut rng, PATHS.len())];
                         let offset = [0, 1, 4, 100][pick(&mut rng, 4)];
                         let len = [0, 3, 16][pick(&mut rng, 3)];
@@ -826,7 +553,8 @@ mod tests {
                         let before = read_gauges(session);
                         let one = session.read(path, offset, len);
                         let between = read_gauges(session);
-                        let two = read_stat_then_get(session, path, offset, len);
+                        let two =
+                            read_stat_then_get(session, &net, budgets[which], path, offset, len);
                         let after = read_gauges(session);
                         match (&one, &two) {
                             (Ok(a), Ok(b)) => assert_eq!(a, b, "{what}"),

@@ -8,12 +8,12 @@
 //! the paper's intermediary approach lacks.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 
 use afs_net::{Endpoint, NetError, Owner, Service, WireWriter};
-use afs_telemetry::backend_span;
+use afs_telemetry::{backend_span, intern, retry_span, retry_span_noted, ClusterGauges};
 use afs_vfs::{VPath, Vfs};
 
 use crate::{check_status, err_response, ok_response, STATUS_OK};
@@ -25,9 +25,7 @@ const OP_STAT: u8 = 4;
 const OP_LIST: u8 = 5;
 const OP_DELETE: u8 = 6;
 const OP_REPLACE: u8 = 7;
-const OP_PUT_ACK: u8 = 8;
 const OP_REPL: u8 = 9;
-const OP_GET_AT_FLOOR: u8 = 10;
 
 /// Largest single GET transfer the server satisfies (1 MiB).
 pub const MAX_TRANSFER: usize = 1 << 20;
@@ -277,17 +275,17 @@ impl FileServer {
     fn dispatch(&self, request: &[u8]) -> Result<Vec<u8>, NetError> {
         let mut r = afs_net::WireReader::new(request);
         let reply = match r.u8()? {
-            op @ (OP_GET | OP_GET_AT_FLOOR) => {
+            OP_GET => {
                 let path = r.str()?;
                 let offset = r.u64()?;
                 // The requested length is untrusted: cap the transfer
                 // unit so a bogus request cannot force a giant
                 // allocation. Clients split larger reads.
                 let len = (r.u32()? as usize).min(MAX_TRANSFER);
-                // A cluster read carries the session's floor: a copy
-                // behind it refuses, as it refuses a PUT_ACK, and the
-                // version it checks is the one the bytes are read under.
-                let floor = if op == OP_GET_AT_FLOOR { r.u64()? } else { 0 };
+                // A read carries the session's floor: a copy behind it
+                // refuses, as it refuses a PUT, and the version it checks
+                // is the one the bytes are read under.
+                let floor = r.u64()?;
                 self.inspect(path, |vp, version| {
                     check_floor(version, floor)?;
                     // The reply is built in place: the stream's bytes
@@ -303,26 +301,13 @@ impl FileServer {
                 })
             }
             OP_PUT => {
-                let path = r.str()?;
-                let offset = r.u64()?;
-                let data = r.bytes()?;
-                check_extent(offset, data).and_then(|()| {
-                    self.mutate(path, |file| {
-                        let n = self.write_at(&file.vpath, offset, data)?;
-                        file.version += 1;
-                        Ok(ok_u64s(&[n as u64]))
-                    })
-                })
-            }
-            OP_PUT_ACK => {
-                // A cluster primary write: same mutation as OP_PUT, but
-                // the request carries the session's acknowledged floor
-                // and the acknowledgement carries the new version — the
+                // The request carries the session's acknowledged floor
+                // and the acknowledgement the new version — the
                 // replication sequence number the writer fans out to the
                 // replicas and remembers for read-your-writes. A copy
-                // behind the floor refuses the ack: letting a laggard
-                // allocate a sequence would collide with sequences
-                // already acknowledged elsewhere (split-brain) and would
+                // behind the floor refuses: letting a laggard allocate a
+                // sequence would collide with sequences already
+                // acknowledged elsewhere (split-brain) and would
                 // acknowledge a copy missing earlier acked writes.
                 let path = r.str()?;
                 let offset = r.u64()?;
@@ -383,7 +368,9 @@ impl FileServer {
             }
             OP_STAT => {
                 let path = r.str()?;
+                let floor = r.u64()?;
                 self.inspect(path, |vp, version| {
+                    check_floor(version, floor)?;
                     let len = self.vfs.stream_len(vp).map_err(|e| e.to_string())?;
                     Ok(ok_u64s(&[len, version]))
                 })
@@ -429,130 +416,243 @@ impl Service for FileServer {
     }
 }
 
-/// File-server calls over whatever carries them: a [`FileClient`]'s
-/// [`Endpoint`] walks its owners, an [`Owner`] a cluster walk hands out
-/// takes one message. `get` and `stat` are documented on the
-/// [`FileClient`] methods that delegate here.
-pub(crate) trait Remote {
-    fn rpc(&self, request: &[u8]) -> afs_net::Result<Vec<u8>>;
+/// One wait for lagging owners, in virtual time.
+const STALE_WAIT_STEP_NS: u64 = 1_000_000; // 1 ms
 
-    fn get(&self, path: &str, offset: u64, len: usize) -> afs_net::Result<Vec<u8>> {
-        let _bk = backend_span("remote-get");
-        let mut w = WireWriter::with_capacity(1 + (4 + path.len()) + 8 + 4);
-        w.u8(OP_GET).str(path).u64(offset).u32(len as u32);
-        self.fetch(&w.finish())
-    }
-
-    /// A GET that the server answers only from a copy at or above
-    /// `floor`, checked under the same table read as the bytes: the
-    /// cluster's read in one message. A copy behind the floor, or with
-    /// no file, answers [`NetError::Rejected`].
-    fn get_at_floor(
-        &self,
-        path: &str,
-        offset: u64,
-        len: usize,
-        floor: u64,
-    ) -> afs_net::Result<Vec<u8>> {
-        let _bk = backend_span("remote-get-at-floor");
-        let mut w = WireWriter::with_capacity(1 + (4 + path.len()) + 8 + 4 + 8);
-        w.u8(OP_GET_AT_FLOOR)
-            .str(path)
-            .u64(offset)
-            .u32(len as u32)
-            .u64(floor);
-        self.fetch(&w.finish())
-    }
-
-    /// Sends a GET-shaped request and returns the payload of its reply.
-    fn fetch(&self, request: &[u8]) -> afs_net::Result<Vec<u8>> {
-        let mut resp = self.rpc(request)?;
-        let len = check_status(&resp)?.bytes()?.len();
-        // The reply is this call's own: the payload stays where it
-        // arrived, minus the header before it and anything after it.
-        resp.drain(..GET_HEADER);
-        resp.truncate(len);
-        Ok(resp)
-    }
-
-    /// A `PUT` whose acknowledgement also returns the file's new version:
-    /// the replication sequence a cluster writer fans out to the other
-    /// owners. `floor` is the session's highest acknowledged sequence for
-    /// the path; a copy behind it refuses ([`NetError::Rejected`]) rather
-    /// than allocate a colliding sequence. Returns `(bytes_written, seq)`.
-    fn put_acked(
-        &self,
-        path: &str,
-        offset: u64,
-        data: &[u8],
-        floor: u64,
-    ) -> afs_net::Result<(u64, u64)> {
-        let _bk = backend_span("remote-put-acked");
-        let mut w = WireWriter::with_capacity(1 + (4 + path.len()) + 8 + 8 + (4 + data.len()));
-        w.u8(OP_PUT_ACK)
-            .str(path)
-            .u64(offset)
-            .u64(floor)
-            .bytes(data);
-        let resp = self.rpc(&w.finish())?;
-        let mut r = check_status(&resp)?;
-        Ok((r.u64()?, r.u64()?))
-    }
-
-    fn stat(&self, path: &str) -> afs_net::Result<RemoteStat> {
-        let _bk = backend_span("remote-stat");
-        let mut w = WireWriter::with_capacity(1 + (4 + path.len()));
-        w.u8(OP_STAT).str(path);
-        let resp = self.rpc(&w.finish())?;
-        let mut r = check_status(&resp)?;
-        Ok(RemoteStat {
-            len: r.u64()?,
-            version: r.u64()?,
-        })
-    }
+/// A `GET`, served only by a copy at or above `floor` (0: by any).
+fn get_request(path: &str, offset: u64, len: usize, floor: u64) -> Vec<u8> {
+    let mut w = WireWriter::with_capacity(1 + (4 + path.len()) + 8 + 4 + 8);
+    w.u8(OP_GET).str(path).u64(offset);
+    w.u32(len as u32).u64(floor);
+    w.finish()
 }
 
-impl Remote for Endpoint {
-    fn rpc(&self, request: &[u8]) -> afs_net::Result<Vec<u8>> {
-        Endpoint::rpc(self, request)
-    }
+/// A `PUT`, acknowledged only by a copy at or above `floor`.
+fn put_request(path: &str, offset: u64, floor: u64, data: &[u8]) -> Vec<u8> {
+    let mut w = WireWriter::with_capacity(1 + (4 + path.len()) + 8 + 8 + (4 + data.len()));
+    w.u8(OP_PUT).str(path).u64(offset).u64(floor).bytes(data);
+    w.finish()
 }
 
-impl Remote for Owner<'_> {
-    fn rpc(&self, request: &[u8]) -> afs_net::Result<Vec<u8>> {
-        Owner::rpc(self, request)
-    }
+/// A `STAT`, answered only by a copy at or above `floor`.
+fn stat_request(path: &str, floor: u64) -> Vec<u8> {
+    let mut w = WireWriter::with_capacity(1 + (4 + path.len()) + 8);
+    w.u8(OP_STAT).str(path).u64(floor);
+    w.finish()
 }
 
-/// A replication cast: a write and the sequence its primary acknowledged
-/// it at. The copy applies casts in sequence order, stale ones skipped and
-/// gap ones held until the missing sequences arrive.
+/// A `PUT`'s (bytes written, version) or a `STAT`'s (length, version).
+fn two_u64s(resp: &[u8]) -> afs_net::Result<(u64, u64)> {
+    let mut r = check_status(resp)?;
+    Ok((r.u64()?, r.u64()?))
+}
+
+/// A replication cast: a write at the sequence its primary acknowledged.
 pub(crate) fn repl_request(path: &str, offset: u64, seq: u64, data: &[u8]) -> Vec<u8> {
     let mut w = WireWriter::with_capacity(1 + (4 + path.len()) + 8 + 8 + (4 + data.len()));
     w.u8(OP_REPL).str(path).u64(offset).u64(seq).bytes(data);
     w.finish()
 }
 
-/// Typed client for [`FileServer`], used from sentinel code.
-#[derive(Debug, Clone)]
+/// Typed client for [`FileServer`], and the one file session: every op
+/// walks its path's owners ([`Endpoint::with_owners`]). Listed owners are
+/// failover spares: the first to answer serves, unsequenced. Over a fleet
+/// the owners are copies: a read carries the session's read-your-writes
+/// floor — per path, the highest version it was acknowledged — and waits
+/// out copies behind it within the endpoint's staleness budget; a write is
+/// acknowledged by the first owner at the floor and cast, at the new
+/// version, to the others; and an op the copies do not sequence (append,
+/// replace, delete) is refused for a path with more than one.
+#[derive(Debug)]
 pub struct FileClient {
-    endpoint: Endpoint,
+    pub(crate) endpoint: Endpoint,
+    acked: Mutex<HashMap<String, u64>>,
+    /// The endpoint's gauges, the ones `with_gauges` attached, or the
+    /// session's own, made when first needed.
+    gauges: OnceLock<Arc<ClusterGauges>>,
 }
 
 impl FileClient {
-    /// Creates a client for the file service `endpoint` reaches.
+    /// Creates a session with the file service `endpoint` reaches,
+    /// feeding the endpoint's gauges if it carries any.
     pub fn new(endpoint: Endpoint) -> Self {
-        FileClient { endpoint }
+        let gauges = endpoint.gauges().cloned();
+        FileClient {
+            endpoint,
+            acked: Mutex::new(HashMap::new()),
+            gauges: gauges.map_or_else(OnceLock::new, OnceLock::from),
+        }
+    }
+
+    /// Shares `gauges` as the session's metrics sink; over a fleet they
+    /// also count its membership changes from now on.
+    pub fn with_gauges(mut self, gauges: Arc<ClusterGauges>) -> Self {
+        if let Some(fleet) = self.endpoint.fleet() {
+            fleet.count_in(&gauges, false);
+        }
+        self.gauges = OnceLock::from(gauges);
+        self
+    }
+
+    /// The gauges this session feeds, made here if it was given none (over
+    /// a fleet they count its changes so far). Never called in a walk.
+    pub fn gauges(&self) -> &Arc<ClusterGauges> {
+        self.gauges.get_or_init(|| {
+            let gauges = Arc::new(ClusterGauges::default());
+            if let Some(fleet) = self.endpoint.fleet() {
+                fleet.count_in(&gauges, true);
+            }
+            gauges
+        })
+    }
+
+    /// `path`'s owners, primary first.
+    pub fn owners(&self, path: &str) -> Vec<String> {
+        let named = self.endpoint.with_owners(path, |nodes, owners| {
+            Ok(owners.iter().map(|&owner| nodes[owner].clone()).collect())
+        });
+        named.unwrap_or_default()
+    }
+
+    /// How many copies of `path` the session keeps in step: a fleet's
+    /// owners of it; listed owners are spares, not copies.
+    fn copies(&self, path: &str) -> afs_net::Result<usize> {
+        if self.endpoint.fleet().is_none() {
+            return Ok(1);
+        }
+        self.endpoint
+            .with_owners(path, |_, owners| Ok(owners.len()))
+    }
+
+    /// The session's read-your-writes floor for `path` (0: never written).
+    pub fn acked_seq(&self, path: &str) -> u64 {
+        *self.acked.lock().get(path).unwrap_or(&0)
+    }
+
+    /// The read walk: `path`'s owners asked with the floor until one
+    /// serves. Only a refusal above floor 0 is lag worth waiting for (at 0
+    /// the file may live on a later owner); the fleet is released between
+    /// rounds, so a membership change can land.
+    fn read<T>(
+        &self,
+        path: &str,
+        ask: impl Fn(Owner<'_>, u64) -> afs_net::Result<T>,
+    ) -> afs_net::Result<T> {
+        let floor = self.acked_seq(path);
+        let mut budget = self.endpoint.staleness_ns().unwrap_or(0);
+        loop {
+            // The value and who served it, or the last owner behind.
+            let round = self.endpoint.with_owners(path, |nodes, owners| {
+                let (mut behind, mut missing, mut fault) = (None, None, None);
+                let names = owners.iter().map(|&owner| nodes[owner].as_str());
+                let served = self
+                    .endpoint
+                    .net()
+                    .walk(names, |owner| match ask(owner, floor) {
+                        Ok(value) => Ok(Some((owner.index(), value))),
+                        Err(e @ NetError::Rejected(_)) => {
+                            if floor > 0 {
+                                behind = Some(owner.index());
+                            }
+                            missing = Some(e);
+                            Ok(None)
+                        }
+                        Err(e) => Err(fault.insert(e).clone()),
+                    })?;
+                match (served, behind) {
+                    (Some(served), _) => Ok(Ok(served)),
+                    (None, Some(at)) => Ok(Err(nodes[owners[at]].clone())),
+                    // Nobody is lagging: a transport fault or a file no
+                    // owner holds, not staleness — no budget is burned.
+                    (None, None) => Err(fault.or(missing).expect("an owner refused")),
+                }
+            })?;
+            match round {
+                Ok((index, value)) => {
+                    // Only a fleet's reads count: listed owners are spares.
+                    if self.endpoint.fleet().is_some() {
+                        self.gauges().read(index != 0);
+                    }
+                    return Ok(value);
+                }
+                Err(owner) if budget < STALE_WAIT_STEP_NS => {
+                    let mut span = retry_span("stale-reject");
+                    if let Some(span) = &mut span {
+                        span.set_note(intern(&format!("cause=stale owner={owner} floor={floor}")));
+                    }
+                    self.gauges().stale_reject();
+                    return Err(NetError::Rejected(format!(
+                        "staleness bound exceeded for {path}: no replica at seq {floor}"
+                    )));
+                }
+                Err(_) => {}
+            }
+            let _span = retry_span_noted("stale-wait", "cause=stale");
+            budget -= STALE_WAIT_STEP_NS;
+            self.gauges().stale_wait();
+            afs_sim::clock::advance(STALE_WAIT_STEP_NS);
+        }
+    }
+
+    /// The acknowledged write over a fleet's owners of `path`: applied by
+    /// the first at the floor, cast to the rest at the version it answers.
+    /// Returns bytes written.
+    fn write(&self, path: &str, offset: u64, data: &[u8]) -> afs_net::Result<u64> {
+        let (gauges, floor) = (self.gauges(), self.acked_seq(path));
+        let request = put_request(path, offset, floor, data);
+        self.endpoint.with_owners(path, |nodes, owners| {
+            let mut last_err = None;
+            let names = owners.iter().map(|&owner| nodes[owner].as_str());
+            let acked = self.endpoint.net().walk(names, |owner| {
+                let ack = owner.rpc(&request).and_then(|resp| two_u64s(&resp));
+                last_err = ack.as_ref().err().cloned();
+                match ack {
+                    Ok(ack) => Ok(Some((owner.index(), ack))),
+                    // A copy behind the floor will not allocate a sequence
+                    // the session already holds: the next owner may.
+                    Err(NetError::Rejected(_)) => Ok(None),
+                    Err(e) => Err(e),
+                }
+            });
+            let Ok(Some((acker, (n, seq)))) = acked else {
+                return Err(acked.err().or(last_err).expect("an owner refused"));
+            };
+            let mut acked = self.acked.lock();
+            match acked.get_mut(path) {
+                Some(floor) => *floor = (*floor).max(seq),
+                None => drop(acked.insert(path.to_owned(), seq)),
+            }
+            drop(acked);
+            let mut failed = 0u64;
+            for (_, &other) in owners.iter().enumerate().filter(|&(i, _)| i != acker) {
+                let _bk = backend_span("remote-replicate");
+                let cast = repl_request(path, offset, seq, data);
+                if self.endpoint.net().cast(&nodes[other], &cast).is_err() {
+                    failed += 1;
+                }
+            }
+            gauges.write(owners.len() as u64 - 1, failed);
+            Ok(n)
+        })
     }
 
     /// Reads up to `len` bytes at `offset` (FTP `REST`+`RETR` / HTTP range
-    /// GET).
+    /// GET) from the first owner whose copy holds this session's writes.
     ///
     /// # Errors
     ///
-    /// Network faults, or [`NetError::Rejected`] if the file is missing.
+    /// Network faults; [`NetError::Rejected`] if no owner holds the file or
+    /// the reachable ones stayed behind past the staleness budget.
     pub fn get(&self, path: &str, offset: u64, len: usize) -> afs_net::Result<Vec<u8>> {
-        self.endpoint.get(path, offset, len)
+        let _bk = backend_span("remote-get");
+        self.read(path, |owner, floor| {
+            // The payload stays in the buffer it arrived in.
+            let mut resp = owner.rpc(&get_request(path, offset, len, floor))?;
+            let payload = check_status(&resp)?.bytes()?.len();
+            resp.drain(..GET_HEADER);
+            resp.truncate(payload);
+            Ok(resp)
+        })
     }
 
     /// Fetches a whole file by statting then reading, splitting the
@@ -576,45 +676,62 @@ impl FileClient {
         Ok(out)
     }
 
-    /// Writes `data` at `offset`, creating the file if needed. Returns
-    /// bytes written. Synchronous (waits for the server).
+    /// Writes `data` at `offset`, creating the file if needed, and waits
+    /// for the acknowledgement. Returns bytes written.
     ///
     /// # Errors
     ///
-    /// Network faults or server rejection.
+    /// Network faults; [`NetError::Rejected`] when every reachable owner
+    /// refused it.
     pub fn put(&self, path: &str, offset: u64, data: &[u8]) -> afs_net::Result<u64> {
         let _bk = backend_span("remote-put");
-        let mut w = WireWriter::new();
-        w.u8(OP_PUT).str(path).u64(offset).bytes(data);
-        let resp = self.endpoint.rpc(&w.finish())?;
-        let mut r = check_status(&resp)?;
-        Ok(r.u64()?)
+        if self.endpoint.fleet().is_some() {
+            return self.write(path, offset, data);
+        }
+        let request = put_request(path, offset, 0, data);
+        Ok(two_u64s(&self.endpoint.rpc_at(path, &request)?)?.0)
     }
 
-    /// Streams `data` at `offset` without waiting for acknowledgement —
-    /// the sentinel's write-behind path ("the sentinel … sends an update
-    /// message to the remote service", §6).
+    /// Streams `data` at `offset` without waiting — the sentinel's
+    /// write-behind path (§6) — unless a fleet keeps more than one copy of
+    /// `path`: then it is [`put`](FileClient::put), since copies apply only
+    /// sequenced writes.
     ///
     /// # Errors
     ///
-    /// Only local faults (unknown service, injected drops).
+    /// As one copy, only local faults; over more, `put`'s.
     pub fn put_async(&self, path: &str, offset: u64, data: &[u8]) -> afs_net::Result<()> {
         let _bk = backend_span("remote-put-async");
-        let mut w = WireWriter::new();
-        w.u8(OP_PUT).str(path).u64(offset).bytes(data);
-        self.endpoint.cast(&w.finish())
+        if self.copies(path)? > 1 {
+            return self.write(path, offset, data).map(drop);
+        }
+        let request = put_request(path, offset, 0, data);
+        self.endpoint.cast_at(path, &request)
+    }
+
+    /// `request`, an op copies do not sequence, for the first of `path`'s
+    /// owners to serve; refused over more than one copy, which it would
+    /// leave a version apart for good (every later cast waits on a gap).
+    fn unsequenced(&self, path: &str, request: &[u8]) -> afs_net::Result<Vec<u8>> {
+        match self.copies(path)? {
+            1 => self.endpoint.rpc_at(path, request),
+            n => Err(NetError::Rejected(format!(
+                "{path} has {n} copies: only put replicates"
+            ))),
+        }
     }
 
     /// Appends `data`, returning bytes written.
     ///
     /// # Errors
     ///
-    /// Network faults or server rejection.
+    /// Network faults or server rejection; [`NetError::Rejected`] over a
+    /// fleet keeping more than one copy of `path`.
     pub fn append(&self, path: &str, data: &[u8]) -> afs_net::Result<u64> {
         let _bk = backend_span("remote-append");
         let mut w = WireWriter::new();
         w.u8(OP_APPEND).str(path).bytes(data);
-        let resp = self.endpoint.rpc(&w.finish())?;
+        let resp = self.unsequenced(path, &w.finish())?;
         let mut r = check_status(&resp)?;
         Ok(r.u64()?)
     }
@@ -623,23 +740,27 @@ impl FileClient {
     ///
     /// # Errors
     ///
-    /// Network faults or server rejection.
+    /// As [`FileClient::append`].
     pub fn replace(&self, path: &str, data: &[u8]) -> afs_net::Result<()> {
         let _bk = backend_span("remote-replace");
         let mut w = WireWriter::new();
         w.u8(OP_REPLACE).str(path).bytes(data);
-        let resp = self.endpoint.rpc(&w.finish())?;
+        let resp = self.unsequenced(path, &w.finish())?;
         check_status(&resp)?;
         Ok(())
     }
 
-    /// Returns length and version.
+    /// Returns length and version, as [`get`](FileClient::get) reads.
     ///
     /// # Errors
     ///
-    /// [`NetError::Rejected`] if the file is missing.
+    /// As [`FileClient::get`].
     pub fn stat(&self, path: &str) -> afs_net::Result<RemoteStat> {
-        self.endpoint.stat(path)
+        let _bk = backend_span("remote-stat");
+        let (len, version) = self.read(path, |owner, floor| {
+            two_u64s(&owner.rpc(&stat_request(path, floor))?)
+        })?;
+        Ok(RemoteStat { len, version })
     }
 
     /// Lists a directory: `(name, is_dir, len)` triples.
@@ -651,7 +772,7 @@ impl FileClient {
         let _bk = backend_span("remote-list");
         let mut w = WireWriter::new();
         w.u8(OP_LIST).str(dir);
-        let resp = self.endpoint.rpc(&w.finish())?;
+        let resp = self.endpoint.rpc_at(dir, &w.finish())?;
         let mut r = check_status(&resp)?;
         let n = r.seq()?;
         let mut out = Vec::with_capacity(n.min(256));
@@ -668,12 +789,12 @@ impl FileClient {
     ///
     /// # Errors
     ///
-    /// Network faults or server rejection.
+    /// As [`FileClient::append`].
     pub fn delete(&self, path: &str) -> afs_net::Result<()> {
         let _bk = backend_span("remote-delete");
         let mut w = WireWriter::new();
         w.u8(OP_DELETE).str(path);
-        let resp = self.endpoint.rpc(&w.finish())?;
+        let resp = self.unsequenced(path, &w.finish())?;
         check_status(&resp)?;
         Ok(())
     }
@@ -781,35 +902,64 @@ mod tests {
     }
 
     #[test]
-    fn put_acked_returns_the_replication_seq() {
-        let (server, client) = setup();
-        let (n, seq) = client
-            .endpoint
-            .put_acked("/c/x", 0, b"v1", 0)
-            .expect("put-ack");
-        assert_eq!((n, seq), (2, 1));
-        let (_, seq) = client
-            .endpoint
-            .put_acked("/c/x", 0, b"v2", 1)
-            .expect("put-ack");
-        assert_eq!(seq, 2);
-        assert_eq!(server.version("/c/x"), 2);
+    fn listed_owners_are_failover_spares_not_copies() {
+        let net = afs_net::Network::new(CostModel::free());
+        let (primary, spare) = (FileServer::new(), FileServer::new());
+        net.register("files", Arc::clone(&primary) as Arc<dyn Service>);
+        net.register("spare", Arc::clone(&spare) as Arc<dyn Service>);
+        spare.seed("/f", b"spare's own");
+        let client = FileClient::new(net.endpoint(["files", "spare"]));
+        // A write reaches the first owner alone, unsequenced, and leaves
+        // the session no floor; appends and replaces are not refused.
+        client.put("/f", 0, b"primary").expect("put");
+        client.put_async("/f", 0, b"PRIMARY").expect("put_async");
+        client.append("/f", b"!").expect("append");
+        assert_eq!((primary.version("/f"), spare.version("/f")), (3, 1));
+        assert_eq!(client.acked_seq("/f"), 0);
+        // With the first owner gone the spare serves its own bytes.
+        net.plan("files").expect("plan").set_partitioned(true);
+        assert_eq!(client.get_all("/f").expect("failover"), b"spare's own");
+        assert_eq!(client.gauges().snapshot().reads, 0, "not a fleet's read");
+    }
+
+    /// A `PUT` at `floor` straight to the client's server, as one owner
+    /// of a walk receives it: `(bytes written, new version)`.
+    fn put_at(
+        client: &FileClient,
+        path: &str,
+        data: &[u8],
+        floor: u64,
+    ) -> afs_net::Result<(u64, u64)> {
+        two_u64s(&client.endpoint.rpc(&put_request(path, 0, floor, data))?)
+    }
+
+    /// A `GET` of up to 8 bytes at `floor` straight to the client's server.
+    fn get_at(client: &FileClient, path: &str, floor: u64) -> afs_net::Result<Vec<u8>> {
+        let reply = client.endpoint.rpc(&get_request(path, 0, 8, floor))?;
+        Ok(check_status(&reply)?.bytes()?.to_vec())
     }
 
     #[test]
-    fn put_acked_refuses_a_copy_behind_the_floor() {
+    fn a_put_acknowledges_the_replication_seq() {
         let (server, client) = setup();
-        client
-            .endpoint
-            .put_acked("/c/f", 0, b"v1", 0)
-            .expect("put-ack");
+        assert_eq!(put_at(&client, "/c/x", b"v1", 0).expect("put"), (2, 1));
+        let (_, seq) = put_at(&client, "/c/x", b"v2", 1).expect("put");
+        assert_eq!(seq, 2);
+        assert_eq!(server.version("/c/x"), 2);
+        // One listed owner holds no copies to keep in step: the session
+        // keeps no floor (over a fleet it keeps the version acknowledged).
+        client.put("/c/x", 0, b"v3").expect("put");
+        assert_eq!(client.acked_seq("/c/x"), 0);
+    }
+
+    #[test]
+    fn a_put_refuses_a_copy_behind_the_floor() {
+        let (server, client) = setup();
+        put_at(&client, "/c/f", b"v1", 0).expect("put");
         // A session acked seq 3 elsewhere; this copy only holds seq 1.
         // Acking here would allocate seq 2 — a sequence the session
         // already holds — so the server must refuse.
-        let err = client
-            .endpoint
-            .put_acked("/c/f", 0, b"v4", 3)
-            .expect_err("behind floor");
+        let err = put_at(&client, "/c/f", b"v4", 3).expect_err("behind floor");
         assert!(matches!(err, NetError::Rejected(_)), "{err:?}");
         assert_eq!(server.version("/c/f"), 1, "no sequence allocated");
         assert_eq!(client.get_all("/c/f").expect("get"), b"v1");
@@ -885,33 +1035,29 @@ mod tests {
         let (server, client) = setup();
         client.put("/c/r", 0, b"v1").expect("put");
         client.put("/c/r", 0, b"v2").expect("put");
-        let remote = &client.endpoint;
-        assert_eq!(
-            remote.get_at_floor("/c/r", 0, 8, 0).expect("floor 0"),
-            b"v2"
-        );
-        assert_eq!(remote.get_at_floor("/c/r", 0, 8, 2).expect("at"), b"v2");
-        let err = remote.get_at_floor("/c/r", 0, 8, 3).expect_err("behind");
+        assert_eq!(get_at(&client, "/c/r", 0).expect("floor 0"), b"v2");
+        assert_eq!(get_at(&client, "/c/r", 2).expect("at"), b"v2");
+        let err = get_at(&client, "/c/r", 3).expect_err("behind");
         assert!(matches!(err, NetError::Rejected(_)), "{err:?}");
+        // A STAT refuses the same copy.
+        let stat = client.endpoint.rpc(&stat_request("/c/r", 3));
+        assert!(matches!(
+            two_u64s(&stat.expect("reply")),
+            Err(NetError::Rejected(_))
+        ));
         // No file: rejected at any floor, as a GET is.
         for floor in [0, 1] {
-            let err = remote
-                .get_at_floor("/c/none", 0, 8, floor)
-                .expect_err("absent");
+            let err = get_at(&client, "/c/none", floor).expect_err("absent");
             assert!(matches!(err, NetError::Rejected(_)), "{err:?}");
         }
         assert_eq!(server.version("/c/r"), 2);
     }
 
     /// `op`, `path` and the rest of a write request as the wire carries
-    /// them: `extra` is the floor (PUT_ACK) or the sequence (REPL).
-    fn write_request(op: u8, path: &str, offset: u64, extra: Option<u64>, data: &[u8]) -> Vec<u8> {
+    /// them: `extra` is the floor (PUT) or the sequence (REPL).
+    fn write_request(op: u8, path: &str, offset: u64, extra: u64, data: &[u8]) -> Vec<u8> {
         let mut w = WireWriter::new();
-        w.u8(op).str(path).u64(offset);
-        if let Some(extra) = extra {
-            w.u64(extra);
-        }
-        w.bytes(data);
+        w.u8(op).str(path).u64(offset).u64(extra).bytes(data);
         w.finish()
     }
 
@@ -929,14 +1075,13 @@ mod tests {
         // An offset that wraps `offset + len`, and one that merely ends a
         // byte past the limit.
         for offset in [u64::MAX - 1, MAX_FILE_LEN - 1] {
-            rejected(write_request(OP_PUT, "/w/x", offset, None, b"xy"));
-            rejected(write_request(OP_PUT_ACK, "/w/x", offset, Some(0), b"xy"));
+            rejected(write_request(OP_PUT, "/w/x", offset, 0, b"xy"));
             // In sequence, and ahead of a gap: a cast is refused when it
             // arrives, not when its turn to apply comes.
-            rejected(write_request(OP_REPL, "/w/x", offset, Some(2), b"xy"));
-            rejected(write_request(OP_REPL, "/w/x", offset, Some(9), b"xy"));
+            rejected(write_request(OP_REPL, "/w/x", offset, 2, b"xy"));
+            rejected(write_request(OP_REPL, "/w/x", offset, 9, b"xy"));
             // A path no write has named is not left behind in the table.
-            rejected(write_request(OP_PUT, "/w/fresh", offset, None, b"xy"));
+            rejected(write_request(OP_PUT, "/w/fresh", offset, 0, b"xy"));
         }
         assert!(
             server
@@ -1051,11 +1196,11 @@ mod tests {
             let mut r = afs_net::WireReader::new(request);
             let op = r.u8()?;
             let reply = match op {
-                OP_GET | OP_GET_AT_FLOOR => {
+                OP_GET => {
                     let path = r.str()?.to_owned();
                     let offset = r.u64()?;
                     let len = (r.u32()? as usize).min(MAX_TRANSFER);
-                    let floor = if op == OP_GET_AT_FLOOR { r.u64()? } else { 0 };
+                    let floor = r.u64()?;
                     match FileServer::parse(&path).and_then(|vp| {
                         let v = self.version(&path);
                         if v < floor {
@@ -1078,27 +1223,6 @@ mod tests {
                     }
                 }
                 OP_PUT => {
-                    let path = r.str()?.to_owned();
-                    let offset = r.u64()?;
-                    let data = r.bytes()?.to_vec();
-                    match check_extent(offset, &data)
-                        .and_then(|()| FileServer::parse(&path))
-                        .and_then(|vp| {
-                            Self::ensure_file(&self.vfs, &vp)?;
-                            self.vfs
-                                .write_stream(&vp, offset, &data)
-                                .map_err(|e| e.to_string())
-                        }) {
-                        Ok(n) => {
-                            self.bump(&path);
-                            ok_response(|w| {
-                                w.u64(n as u64);
-                            })
-                        }
-                        Err(e) => err_response(&e),
-                    }
-                }
-                OP_PUT_ACK => {
                     let path = r.str()?.to_owned();
                     let offset = r.u64()?;
                     let floor = r.u64()?;
@@ -1183,9 +1307,16 @@ mod tests {
                 }
                 OP_STAT => {
                     let path = r.str()?.to_owned();
-                    match FileServer::parse(&path)
-                        .and_then(|vp| self.vfs.stream_len(&vp).map_err(|e| e.to_string()))
-                    {
+                    let floor = r.u64()?;
+                    let v = self.version(&path);
+                    match FileServer::parse(&path).and_then(|vp| {
+                        if v < floor {
+                            return Err(format!(
+                                "copy at version {v} is behind session floor {floor}"
+                            ));
+                        }
+                        self.vfs.stream_len(&vp).map_err(|e| e.to_string())
+                    }) {
                         Ok(len) => {
                             let version = self.version(&path);
                             ok_response(|w| {
@@ -1247,11 +1378,11 @@ mod tests {
         from[rng.next_below(from.len() as u64) as usize]
     }
 
-    /// One seeded request: any of the ten ops (or 0, which is none),
-    /// aimed to hit the edges as often as the middle.
+    /// One seeded request: any of the eight ops (or 0, 8 or 10, which
+    /// are none), aimed to hit the edges as often as the middle.
     fn request(rng: &mut afs_sim::SimRng, server: &FileServer) -> Vec<u8> {
         let op = rng.next_below(11) as u8;
-        let reads = matches!(op, OP_GET | OP_GET_AT_FLOOR | OP_STAT | OP_LIST);
+        let reads = matches!(op, OP_GET | OP_STAT | OP_LIST);
         let path = if reads && rng.next_below(3) == 0 {
             pick(rng, &READ_ONLY_PATHS)
         } else {
@@ -1267,19 +1398,16 @@ mod tests {
         // At, below and above what the copy holds.
         let floor = pick(rng, &[0, version, version, version + 1, version + 7]);
         match op {
-            OP_GET | OP_GET_AT_FLOOR => {
+            OP_GET => {
                 // Nothing, a little, past any file's end, past the cap.
                 let len = pick(rng, &[0, 1, 7, 4096, MAX_TRANSFER as u32 + 1, u32::MAX]);
-                w.u64(offset).u32(len);
-                if op == OP_GET_AT_FLOOR {
-                    w.u64(floor);
-                }
+                w.u64(offset).u32(len).u64(floor);
             }
             OP_PUT => {
-                w.u64(offset).bytes(&data);
-            }
-            OP_PUT_ACK => {
                 w.u64(offset).u64(floor).bytes(&data);
+            }
+            OP_STAT => {
+                w.u64(floor);
             }
             OP_REPL => {
                 // In sequence, duplicates, stale ones, and gaps.
@@ -1339,12 +1467,12 @@ mod tests {
             let held = MAX_PENDING_REPL as u64;
             for (path, last, drained) in [("/d/b", held + 40, held + 1), ("/d/c.af", held, held)] {
                 for seq in 2..=last {
-                    let cast = write_request(OP_REPL, path, seq % 50, Some(seq), b"held");
+                    let cast = write_request(OP_REPL, path, seq % 50, seq, b"held");
                     step(cast, "flood");
                 }
                 let queued = server.files.read()[path].held.len();
                 assert_eq!(queued, MAX_PENDING_REPL.min(last as usize - 1));
-                step(write_request(OP_REPL, path, 0, Some(1), b"gap"), "fill");
+                step(write_request(OP_REPL, path, 0, 1, b"gap"), "fill");
                 assert_eq!(server.version(path), drained);
             }
             for n in 0..1500 {

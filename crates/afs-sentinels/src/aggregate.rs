@@ -18,14 +18,21 @@ use afs_remote::{FileClient, MailClient, QuoteClient, RegistryClient, RegistryVa
 ///
 /// Configuration: `service` (file-server name), `remote` (path on the
 /// server), `writeback` (`true` to push changes on close; default true).
+/// A writeback replaces the file, which a fleet keeping two copies of it
+/// refuses ([`FileClient::replace`]): over one, set `writeback=false`.
 pub struct RemoteFileSentinel {
+    /// The session with `service`, made at open and kept for writeback.
+    client: Option<FileClient>,
     dirty: bool,
 }
 
 impl RemoteFileSentinel {
     /// Creates the sentinel.
     pub fn new() -> Self {
-        RemoteFileSentinel { dirty: false }
+        RemoteFileSentinel {
+            client: None,
+            dirty: false,
+        }
     }
 }
 
@@ -42,6 +49,7 @@ impl SentinelLogic for RemoteFileSentinel {
         let client = FileClient::new(ctx.endpoint(&service));
         let data = client.get_all(&remote)?;
         ctx.cache().replace(&data)?;
+        self.client = Some(client);
         Ok(())
     }
 
@@ -61,8 +69,7 @@ impl SentinelLogic for RemoteFileSentinel {
     }
 
     fn flush(&mut self, ctx: &mut SentinelCtx) -> SentinelResult<()> {
-        if self.dirty {
-            let service = ctx.require_str("service")?.to_owned();
+        if let (true, Some(client)) = (self.dirty, &self.client) {
             let remote = ctx.require_str("remote")?.to_owned();
             let writeback = ctx
                 .config_str("writeback")
@@ -70,7 +77,7 @@ impl SentinelLogic for RemoteFileSentinel {
                 .unwrap_or(true);
             if writeback {
                 let data = ctx.cache().to_vec()?;
-                FileClient::new(ctx.endpoint(&service)).replace(&remote, &data)?;
+                client.replace(&remote, &data)?;
                 self.dirty = false;
             }
         }
@@ -888,6 +895,78 @@ mod tests {
     use afs_net::Service;
     use afs_remote::{FileServer, MailStore, PopServer, QuoteServer, RegistryServer};
     use std::sync::Arc;
+
+    #[test]
+    fn remote_file_reads_a_fleet_copy_with_the_primary_partitioned() {
+        let world = test_world();
+        crate::test_fleet(&world);
+        let writer = afs_remote::FileClient::new(world.net().endpoint(["fleet"]));
+        writer.put("/shared/doc", 0, b"replicated").expect("put");
+        let primary = &writer.owners("/shared/doc")[0];
+        world
+            .net()
+            .plan(primary)
+            .expect("plan")
+            .set_partitioned(true);
+        world
+            .install_active_file(
+                "/doc.af",
+                &SentinelSpec::new("remote-file", Strategy::DllOnly)
+                    .backing(Backing::Memory)
+                    .with("service", "fleet")
+                    .with("remote", "/shared/doc"),
+            )
+            .expect("install");
+        // `get_all` on open walks the path's owners: the replica serves.
+        assert_eq!(read_active(&world, "/doc.af"), b"replicated");
+        assert_eq!(world.telemetry().cluster().snapshot().read_failovers, 2);
+    }
+
+    #[test]
+    fn remote_file_writeback_to_a_fleet_is_refused_and_the_copies_stay_in_step() {
+        use afs_winapi::{Access, Disposition, FileApi};
+        let world = test_world();
+        let servers = crate::test_fleet(&world);
+        let writer = afs_remote::FileClient::new(world.net().endpoint(["fleet"]));
+        writer.put("/shared/doc", 0, b"replicated").expect("put");
+        for (path, sentinel) in [("/doc.af", "remote-file"), ("/m.af", "mirror")] {
+            world
+                .install_active_file(
+                    path,
+                    &SentinelSpec::new(sentinel, Strategy::DllOnly)
+                        .backing(Backing::Memory)
+                        .with("service", "fleet")
+                        .with("remote", "/shared/doc"),
+                )
+                .expect("install");
+        }
+        let copies = || {
+            let owners = writer.owners("/shared/doc");
+            let server =
+                |name: &str| &servers[name["files-".len()..].parse::<usize>().expect("member")];
+            let path = afs_vfs::VPath::parse("/shared/doc").expect("path");
+            owners
+                .iter()
+                .map(|owner| {
+                    let server = server(owner);
+                    let bytes = server.vfs().read_stream_to_end(&path).expect("copy");
+                    (server.version("/shared/doc"), bytes)
+                })
+                .collect::<Vec<_>>()
+        };
+        let api = world.api();
+        let h = api
+            .create_file("/doc.af", Access::read_write(), Disposition::OpenExisting)
+            .expect("open");
+        api.write_file(h, b"EDITED").expect("write");
+        // The writeback replaces the file on one copy only, so it fails
+        // the close instead of leaving the other a version behind.
+        assert!(api.close_handle(h).is_err(), "writeback over two copies");
+        assert_eq!(copies(), vec![(1, b"replicated".to_vec()); 2]);
+        // A write the copies sequence still reaches both, at one version.
+        write_active(&world, "/m.af", b"MIRROR");
+        assert_eq!(copies(), vec![(2, b"MIRRORated".to_vec()); 2]);
+    }
 
     #[test]
     fn remote_file_fetches_and_writes_back() {

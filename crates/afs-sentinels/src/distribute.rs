@@ -128,12 +128,16 @@ impl SentinelLogic for OutboxSentinel {
 /// file servers. Reads come from the local cache.
 ///
 /// Configuration: `service`, `targets` (comma-separated remote paths).
-pub struct FanOutSentinel;
+pub struct FanOutSentinel {
+    /// The session with `service`, made at the first write and kept, so
+    /// its read-your-writes floors outlive a write.
+    client: Option<FileClient>,
+}
 
 impl FanOutSentinel {
     /// Creates the sentinel.
     pub fn new() -> Self {
-        FanOutSentinel
+        FanOutSentinel { client: None }
     }
 }
 
@@ -157,7 +161,9 @@ impl SentinelLogic for FanOutSentinel {
         let n = ctx.cache().write_at(offset, data)?;
         let service = ctx.require_str("service")?.to_owned();
         let targets = ctx.require_str("targets")?.to_owned();
-        let client = FileClient::new(ctx.endpoint(&service));
+        let client = self
+            .client
+            .get_or_insert_with(|| FileClient::new(ctx.endpoint(&service)));
         for target in targets.split(',').map(str::trim) {
             // Streamed (asynchronous) update to each replica (§6).
             client.put_async(target, offset, data)?;
@@ -329,6 +335,81 @@ mod tests {
         for target in ["/r1", "/r2", "/r3"] {
             assert_eq!(client.get_all(target).expect("get"), b"replicated payload");
         }
+    }
+
+    #[test]
+    fn fan_out_to_a_fleet_lands_on_both_owners_at_one_version() {
+        let world = test_world();
+        let servers = crate::test_fleet(&world);
+        let fleet = afs_remote::FileClient::new(world.net().endpoint(["fleet"]));
+        world
+            .install_active_file(
+                "/pub.af",
+                &SentinelSpec::new("fan-out", Strategy::DllThread)
+                    .backing(Backing::Memory)
+                    .with("service", "fleet")
+                    .with("targets", "/r1, /r2"),
+            )
+            .expect("install");
+        write_active(&world, "/pub.af", b"replicated payload");
+        for target in ["/r1", "/r2"] {
+            let owners = fleet.owners(target);
+            assert_eq!(owners.len(), 2, "{target}");
+            for owner in &owners {
+                let server = &servers[owner["files-".len()..].parse::<usize>().expect("member")];
+                // Acknowledged by one, cast to the other at that version.
+                assert_eq!(server.version(target), 1, "{target} on {owner}");
+                let path = afs_vfs::VPath::parse(target).expect("path");
+                let bytes = server.vfs().read_stream_to_end(&path).expect("copy");
+                assert_eq!(bytes, b"replicated payload", "{target} on {owner}");
+            }
+        }
+    }
+
+    #[test]
+    fn fan_out_to_a_fleet_refuses_a_write_only_a_lagging_copy_could_take() {
+        use afs_winapi::{Access, Disposition, FileApi};
+        let world = test_world();
+        let servers = crate::test_fleet(&world);
+        let fleet = afs_remote::FileClient::new(world.net().endpoint(["fleet"]));
+        world
+            .install_active_file(
+                "/pub.af",
+                &SentinelSpec::new("fan-out", Strategy::DllOnly)
+                    .backing(Backing::Memory)
+                    .with("service", "fleet")
+                    .with("targets", "/r1"),
+            )
+            .expect("install");
+        let owners = fleet.owners("/r1");
+        let server =
+            |name: &str| &servers[name["files-".len()..].parse::<usize>().expect("member")];
+        let (primary, replica) = (&owners[0], &owners[1]);
+        let api = world.api();
+        let h = api
+            .create_file("/pub.af", Access::write_only(), Disposition::OpenExisting)
+            .expect("open");
+        // The primary acknowledges; the replica misses the cast.
+        world.net().plan(replica).expect("plan").drop_next(1);
+        api.write_file(h, b"one").expect("first write");
+        assert_eq!(server(primary).version("/r1"), 1);
+        assert_eq!(server(replica).version("/r1"), 0);
+        // With the primary gone only the lagging copy is reachable. The
+        // session still holds its floor, so the copy refuses to issue a
+        // sequence the primary already issued, and the write fails.
+        world
+            .net()
+            .plan(primary)
+            .expect("plan")
+            .set_partitioned(true);
+        assert!(api.write_file(h, b"two").is_err(), "a split-brain write");
+        assert_eq!(server(replica).version("/r1"), 0, "no sequence issued");
+        world
+            .net()
+            .plan(primary)
+            .expect("plan")
+            .set_partitioned(false);
+        api.close_handle(h).expect("close");
     }
 
     /// Collects notification messages for assertions.

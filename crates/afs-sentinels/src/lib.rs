@@ -56,6 +56,27 @@ pub(crate) fn test_world() -> afs_core::AfsWorld {
     world
 }
 
+/// Test helper: a fleet of three file servers keeping two copies of
+/// every file, registered in `world` as `fleet`; its servers (member
+/// `files-{i}` is the `i`-th).
+#[cfg(test)]
+pub(crate) fn test_fleet(
+    world: &afs_core::AfsWorld,
+) -> Vec<std::sync::Arc<afs_remote::FileServer>> {
+    let fleet = afs_net::Fleet::new(2);
+    let servers = (0..3)
+        .map(|i| {
+            let (name, server) = (format!("files-{i}"), afs_remote::FileServer::new());
+            let service = std::sync::Arc::clone(&server) as std::sync::Arc<dyn afs_net::Service>;
+            world.net().register(&name, service);
+            fleet.add_node(&name);
+            server
+        })
+        .collect();
+    world.net().register_fleet("fleet", fleet);
+    servers
+}
+
 /// Test helper: read an active file to the end through the file API.
 #[cfg(test)]
 pub(crate) fn read_active(world: &afs_core::AfsWorld, path: &str) -> Vec<u8> {

@@ -186,6 +186,8 @@ mod tests {
             )
             .expect("install");
         assert_eq!(read_active(&world, "/m.af"), b"0123456789abcdef");
+        // One listed server is not a fleet: the cluster family stays at 0.
+        assert_eq!(world.telemetry().cluster().snapshot().reads, 0);
         write_active(&world, "/m.af", b"XY");
         let client = afs_remote::FileClient::new(world.net().endpoint(["files"]));
         assert_eq!(client.get_all("/blob").expect("get"), b"XY23456789abcdef");
@@ -198,8 +200,9 @@ mod tests {
     impl Service for OverDelivering {
         fn handle(&self, request: &[u8]) -> afs_net::Result<Vec<u8>> {
             let mut request = request.to_vec();
-            // GET is opcode 1 and ends with the requested length (u32).
-            if let [1, .., a, b, c, d] = request.as_mut_slice() {
+            // GET is opcode 1 and ends with the requested length (u32)
+            // and the session's floor (u64).
+            if let [1, .., a, b, c, d, _, _, _, _, _, _, _, _] = request.as_mut_slice() {
                 [*a, *b, *c, *d] = u32::MAX.to_le_bytes();
             }
             self.0.handle(&request)

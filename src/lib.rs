@@ -62,8 +62,8 @@ pub use afs_ipc::{
     BufferPool, ControlChannel, Event, PairTransport, Pipe, ResetMode, SharedBuffer, SyncRegistry,
 };
 pub use afs_net::{
-    BreakerConfig, CircuitBreaker, Endpoint, FaultPlan, NetError, Network, ReliabilityPolicy,
-    ReliabilitySnapshot, RetryPolicy, Service,
+    BreakerConfig, CircuitBreaker, Endpoint, FaultPlan, Fleet, NetError, Network,
+    ReliabilityPolicy, ReliabilitySnapshot, RetryPolicy, Service,
 };
 pub use afs_remote::{
     ClusterClient, DbClient, DbServer, FileClient, FileServer, MailClient, MailStore, PopServer,

@@ -9,7 +9,11 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 use activefiles::prelude::*;
-use activefiles::{clock, prometheus_text, FileServer, Layer, Service, SpanRecord};
+use activefiles::{
+    clock, prometheus_text, Cost, CostModel, FileClient, FileServer, Fleet, HardwareProfile, Layer,
+    Service, SpanRecord,
+};
+use afs_sim::CostSnapshot;
 
 const REPLICA_BODY: &[u8] = b"replica B body !!";
 
@@ -323,4 +327,128 @@ fn slo_spec_keys_validate_and_export_burn_rates() {
         prom.contains("file=\"/slo.af\""),
         "SLO series are labelled by file:\n{prom}"
     );
+}
+
+/// What `delta`'s counters cost under `model`: every charge the read made.
+fn priced(model: &CostModel, delta: &CostSnapshot) -> u64 {
+    assert_eq!((delta.disk_accesses, delta.disk_bytes), (0, 0), "no disk");
+    model.price(Cost::Syscall) * delta.syscalls
+        + model.price(Cost::ProcessSwitch) * delta.process_switches
+        + model.price(Cost::ThreadSwitch) * delta.thread_switches
+        + model.price(Cost::Memcpy {
+            bytes: delta.memcpy_bytes as usize,
+        })
+        + model.price(Cost::PipeCopy {
+            bytes: delta.pipe_copy_bytes as usize,
+        })
+        + model.price(Cost::PipeMessage) * delta.pipe_messages
+        + model.price(Cost::NetRoundTrip) * delta.net_round_trips
+        + model.price(Cost::NetBytes {
+            bytes: delta.net_bytes as usize,
+        })
+        + model.price(Cost::EventSignal) * delta.event_signals
+}
+
+#[test]
+fn a_refused_fleet_read_is_one_trace_from_read_file_to_the_replica() {
+    let world = AfsWorld::builder()
+        .profile(HardwareProfile::pentium_ii_300())
+        .build();
+    register_standard_sentinels(&world);
+    let net = world.net();
+    let fleet = Fleet::new(2);
+    for i in 0..3 {
+        let name = format!("files-{i}");
+        net.register(&name, FileServer::new() as Arc<dyn Service>);
+        fleet.add_node(&name);
+    }
+    net.register_fleet("fleet", fleet);
+    world
+        .install_active_file(
+            "/m.af",
+            &SentinelSpec::new("mirror", Strategy::DllOnly)
+                .with("service", "fleet")
+                .with("remote", "/data/x.af")
+                .with("staleness_ms", "2"),
+        )
+        .expect("install");
+    let _g = clock::install(0);
+    let api = world.api();
+    let h = api
+        .create_file("/m.af", Access::read_write(), Disposition::OpenExisting)
+        .expect("open");
+    // One acknowledged write whose replication cast the replica misses,
+    // then the primary goes: the only reachable copy is behind the
+    // session's floor.
+    let owners = FileClient::new(net.endpoint(["fleet"])).owners("/data/x.af");
+    net.plan(&owners[1]).expect("replica plan").drop_next(1);
+    assert_eq!(api.write_file(h, b"acked").expect("write"), 5);
+    net.plan(&owners[0])
+        .expect("primary plan")
+        .set_partitioned(true);
+    api.set_file_pointer(h, 0, SeekMethod::Begin).expect("seek");
+
+    world.telemetry().set_enabled(true);
+    let (before, charged) = (clock::now(), world.model().snapshot());
+    let mut buf = [0u8; 5];
+    assert_eq!(api.read_file(h, &mut buf), Err(Win32Error::NetworkError));
+    let charges = priced(world.model(), &world.model().snapshot().since(&charged));
+    assert_eq!(
+        clock::now() - before,
+        charges + 2_000_000,
+        "the read waited out exactly its 2 ms budget beyond what it was charged"
+    );
+    api.close_handle(h).expect("close");
+
+    let spans = world.telemetry().spans();
+    let root = spans
+        .iter()
+        .find(|s| s.name == "ReadFile" && s.parent == 0)
+        .expect("interpose root span");
+    let trace: Vec<&SpanRecord> = spans.iter().filter(|s| s.trace == root.trace).collect();
+    for s in &trace {
+        assert!(
+            s.id == root.id || trace.iter().any(|p| p.id == s.parent),
+            "span {}#{} dangles outside the causal chain: {trace:#?}",
+            s.name,
+            s.id
+        );
+    }
+    // The chain from the refusal up to the application's call.
+    let reject = trace
+        .iter()
+        .find(|s| s.name == "stale-reject")
+        .expect("the refusal is a span");
+    assert_eq!(
+        reject.note,
+        format!("cause=stale owner={} floor=1", owners[1]),
+        "the reject names the replica that refused and the floor it missed"
+    );
+    let mut chain = vec![reject.name];
+    let mut at = reject.parent;
+    while at != 0 {
+        let parent = trace.iter().find(|s| s.id == at).expect("parent in trace");
+        chain.push(parent.name);
+        at = parent.parent;
+    }
+    assert_eq!(chain.first(), Some(&"stale-reject"));
+    assert_eq!(chain.last(), Some(&"ReadFile"), "{chain:?}");
+    assert!(chain.contains(&"remote-get"), "{chain:?}");
+    let sentinel = trace.iter().find(|s| s.layer == Layer::Sentinel);
+    assert!(
+        sentinel.is_some_and(|s| chain.contains(&s.name)),
+        "the mirror's sentinel span is on the chain: {chain:?}"
+    );
+    let count = |name: &str| trace.iter().filter(|s| s.name == name).count();
+    assert_eq!(count("stale-wait"), 2, "two 1 ms waits: {trace:#?}");
+    assert_eq!(count("stale-reject"), 1);
+    let get = trace.iter().find(|s| s.name == "remote-get").expect("get");
+    assert!(
+        trace
+            .iter()
+            .filter(|s| s.name.starts_with("stale-"))
+            .all(|s| s.parent == get.id && s.layer == Layer::Retry),
+        "the waits and the reject are the get's retry children: {trace:#?}"
+    );
+    assert_eq!(world.telemetry().cluster().snapshot().stale_rejects, 1);
 }
