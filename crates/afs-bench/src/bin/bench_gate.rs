@@ -6,8 +6,9 @@
 //!
 //! Both files are `figure6 --json` documents of virtual-time numbers,
 //! reproducible to the bit, so the rule is exact: the gate prints one
-//! line per field of every cell that differs from the baseline (and per
-//! cell missing from either side) and exits non-zero on any. A change
+//! line per field of every cell that differs from the baseline — latency
+//! or count — (and per cell missing from either side, and for a differing
+//! `ops` or `profile`) and exits non-zero on any. A change
 //! that moves a cell on purpose regenerates the baseline in the same PR.
 //! `--summary FILE` appends the per-cell comparison as a GitHub-flavoured
 //! markdown table — CI points it at `$GITHUB_STEP_SUMMARY` so the moved
@@ -19,7 +20,8 @@ use std::process::ExitCode;
 use afs_bench::{compare, parse_bench_doc, BenchDoc};
 
 /// Renders the comparison as a markdown table: one row per cell of either
-/// document, marked when any of `differences` names it.
+/// document, marked with the name and value of every field `differences`
+/// reports for it.
 fn markdown_summary(
     baseline: &BenchDoc,
     current: &BenchDoc,
@@ -40,6 +42,7 @@ fn markdown_summary(
         .strategies
         .keys()
         .chain(current.strategies.keys())
+        .chain(differences.iter().map(|(cell, _)| cell))
         .collect();
     for label in labels {
         let moved: Vec<&str> = differences

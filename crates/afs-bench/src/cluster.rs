@@ -10,13 +10,13 @@
 //! 1k → 100k → 1M — all in virtual time, so the per-op latency
 //! distribution is bit-for-bit reproducible and CI can gate it.
 //!
-//! Four gate cells come from here: `cluster-100k` and `cluster-1m`
+//! The grid's cluster cells come from here: one per swept session count
 //! (the flat-p99 claim: per-op latency does not grow with the session
-//! count at a fixed fleet size), `cluster-rebalance` (a node join
-//! moves at most `1/N + 5%` of the keys, and every key stays readable
-//! through the membership change) and `cluster-mirror` (the same mix
-//! issued by an application through `mirror` active files that name the
-//! fleet, Figure 6(a) over the replicated path).
+//! count at a fixed fleet size), `cluster-rebalance` (a node join moves
+//! at most `1/N + 5%` of the keys, and every key stays readable through
+//! the membership change) and `cluster-mirror` (the same mix issued by an
+//! application through `mirror` active files that name the fleet,
+//! Figure 6(a) over the replicated path).
 
 use std::sync::Arc;
 
@@ -73,15 +73,15 @@ pub const CLUSTER_REBALANCE_KEYS: usize = 256;
 /// every machine.
 const CLUSTER_SHARDS: usize = 8;
 
-/// Labels and client counts of the two gated cluster cells. Release
-/// builds gate the headline 100k and 1M points; debug builds (the in-repo
-/// test suite) scale down to 1k and 10k so `cargo test` stays quick — the
-/// label carries the count, so a debug-produced document can never pass
-/// silently against the release baseline.
-pub(crate) const GATE_CLUSTER: [(&str, usize); 2] = if cfg!(debug_assertions) {
-    [("cluster-1k", 1_000), ("cluster-10k", 10_000)]
+/// Session counts of the cluster sweep: the 1k reference and the two
+/// headline counts. Release builds sweep 1k → 100k → 1M; debug builds
+/// (the in-repo test suite) stop at 10k so `cargo test` stays quick — the
+/// cell name carries the count, so a debug-produced document can never
+/// pass silently against the release baseline.
+pub const CLUSTER_SESSIONS: &[usize] = if cfg!(debug_assertions) {
+    &[1_000, 10_000]
 } else {
-    [("cluster-100k", 100_000), ("cluster-1m", 1_000_000)]
+    &[1_000, 100_000, 1_000_000]
 };
 
 fn cluster_file(rank: usize) -> String {
@@ -108,8 +108,6 @@ fn seeded_fleet(net: &Network) {
 /// One measured cluster cell.
 #[derive(Debug, Clone)]
 pub struct ClusterMeasurement {
-    /// Virtual client sessions driven.
-    pub clients: usize,
     /// Pooled per-op virtual latencies across every session.
     pub summary: afs_sim::Summary,
     /// Cluster gauges accumulated over the run.
@@ -179,7 +177,6 @@ pub fn measure_cluster(clients: usize, profile: HardwareProfile) -> ClusterMeasu
     }
     let stats = net.stats();
     ClusterMeasurement {
-        clients,
         summary: series.summarize(),
         cluster: gauges.snapshot(),
         messages_per_op: (stats.rpcs + stats.casts) as f64 / clients.max(1) as f64,
@@ -191,8 +188,8 @@ pub fn measure_cluster(clients: usize, profile: HardwareProfile) -> ClusterMeasu
 /// `ops` `ReadFile`/`WriteFile` calls on [`CLUSTER_FILES`] `mirror`
 /// active files (`DllThread`, `service=fleet`, `remote=/data/f{rank}.af`)
 /// over the same fleet, registered as `fleet`. Each call is timed under
-/// the application's virtual clock; `clients` is the call count and
-/// `messages_per_op` the network messages per call.
+/// the application's virtual clock; `messages_per_op` is the network
+/// messages per call.
 pub fn measure_cluster_mirror(ops: usize, profile: HardwareProfile) -> ClusterMeasurement {
     let world = AfsWorld::builder().profile(profile).build();
     afs_sentinels::register_all(world.sentinels());
@@ -241,7 +238,6 @@ pub fn measure_cluster_mirror(ops: usize, profile: HardwareProfile) -> ClusterMe
     }
     let after = net.stats();
     ClusterMeasurement {
-        clients: ops,
         summary: series.summarize(),
         cluster: world.telemetry().cluster().snapshot(),
         messages_per_op: ((after.rpcs + after.casts) - (before.rpcs + before.casts)) as f64
@@ -253,22 +249,16 @@ pub fn measure_cluster_mirror(ops: usize, profile: HardwareProfile) -> ClusterMe
 /// behaviour when a node joins the fleet.
 #[derive(Debug, Clone)]
 pub struct RebalanceMeasurement {
-    /// Keys written before the join.
-    pub keys: usize,
     /// Keys whose primary moved to the joiner.
     pub moved: usize,
     /// The movement bound the join must respect:
     /// `keys / (N + 1) + 5%` — consistent hashing's fair share plus
     /// slack for virtual-node granularity.
     pub moved_limit: f64,
-    /// Per-key post-join read latencies (moved keys fail over to the
-    /// surviving copies, so the tail carries the failover cost).
-    pub summary: afs_sim::Summary,
-    /// Cluster gauges after the run (`read_failovers` > 0 proves moved
-    /// keys really re-routed).
-    pub cluster: ClusterSnapshot,
-    /// Network messages per post-join read.
-    pub messages_per_op: f64,
+    /// The post-join reads, one per key (moved keys fail over to the
+    /// surviving copies, so the tail carries the failover cost, and
+    /// `read_failovers` > 0 proves they really re-routed).
+    pub reads: ClusterMeasurement,
 }
 
 /// Writes `keys` files into a [`CLUSTER_FLEET`]-node fleet, joins one
@@ -318,81 +308,16 @@ pub fn measure_cluster_rebalance(keys: usize, profile: HardwareProfile) -> Rebal
     let msgs_after = net.stats();
     let moved_limit = keys as f64 / (CLUSTER_FLEET + 1) as f64 + keys as f64 * 0.05;
     RebalanceMeasurement {
-        keys,
         moved,
         moved_limit,
-        summary: series.summarize(),
-        cluster: gauges.snapshot(),
-        messages_per_op: ((msgs_after.rpcs + msgs_after.casts)
-            - (msgs_before.rpcs + msgs_before.casts)) as f64
-            / keys.max(1) as f64,
+        reads: ClusterMeasurement {
+            summary: series.summarize(),
+            cluster: gauges.snapshot(),
+            messages_per_op: ((msgs_after.rpcs + msgs_after.casts)
+                - (msgs_before.rpcs + msgs_before.casts)) as f64
+                / keys.max(1) as f64,
+        },
     }
-}
-
-/// Client counts swept by `figure6 --cluster`: a 1k reference plus the
-/// two gated counts (1k → 100k → 1M in release builds).
-pub fn cluster_panel_clients() -> Vec<usize> {
-    let mut counts = vec![1_000];
-    for (_, clients) in GATE_CLUSTER {
-        if !counts.contains(&clients) {
-            counts.push(clients);
-        }
-    }
-    counts
-}
-
-/// Runs the cluster sweep and the rebalance cell and renders them as
-/// the text table `figure6 --cluster` prints.
-pub fn render_cluster_panel(profile: &HardwareProfile) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "Cluster panel — {CLUSTER_FLEET}-node fleet, {CLUSTER_COPIES} copies per file, \
-         zipf({CLUSTER_THETA}) over {CLUSTER_FILES} files, {:.0}% reads, \
-         {CLUSTER_BLOCK}-byte ops, staleness_ms={CLUSTER_STALENESS_MS}\n",
-        CLUSTER_READ_FRACTION * 100.0
-    ));
-    out.push_str(&format!(
-        "{:>9} {:>10} {:>10} {:>8} {:>10} {:>12} {:>11}\n",
-        "clients", "p50", "p99", "msgs/op", "failovers", "replications", "stale-waits"
-    ));
-    for clients in cluster_panel_clients() {
-        let m = measure_cluster(clients, profile.clone());
-        out.push_str(&format!(
-            "{:>9} {:>8.1}us {:>8.1}us {:>8.2} {:>10} {:>12} {:>11}\n",
-            m.clients,
-            m.summary.p50_ns as f64 / 1_000.0,
-            m.summary.p99_ns as f64 / 1_000.0,
-            m.messages_per_op,
-            m.cluster.read_failovers,
-            m.cluster.replications,
-            m.cluster.stale_waits,
-        ));
-    }
-    let m = measure_cluster_mirror(CLUSTER_MIRROR_OPS, profile.clone());
-    out.push_str(&format!(
-        "{:>9} {:>8.1}us {:>8.1}us {:>8.2} {:>10} {:>12} {:>11}  \
-         <- the same mix as ReadFile/WriteFile on {CLUSTER_FILES} mirror files (DllThread)\n",
-        m.clients,
-        m.summary.p50_ns as f64 / 1_000.0,
-        m.summary.p99_ns as f64 / 1_000.0,
-        m.messages_per_op,
-        m.cluster.read_failovers,
-        m.cluster.replications,
-        m.cluster.stale_waits,
-    ));
-    let r = measure_cluster_rebalance(CLUSTER_REBALANCE_KEYS, profile.clone());
-    out.push_str(&format!(
-        "rebalance: {} joins {} nodes — {} of {} primaries moved (bound {:.1}), \
-         post-join read p99 {:.1}us, failovers {}\n",
-        member(CLUSTER_FLEET),
-        CLUSTER_FLEET,
-        r.moved,
-        r.keys,
-        r.moved_limit,
-        r.summary.p99_ns as f64 / 1_000.0,
-        r.cluster.read_failovers,
-    ));
-    out
 }
 
 #[cfg(test)]
@@ -437,24 +362,17 @@ mod tests {
         assert!(r.moved > 0, "a join must take over some primaries");
         assert!(
             (r.moved as f64) <= r.moved_limit,
-            "join moved {} of {} keys, over the 1/N + 5% bound {:.1}",
+            "join moved {} of 200 keys, over the 1/N + 5% bound {:.1}",
             r.moved,
-            r.keys,
             r.moved_limit
         );
         assert!(
-            r.cluster.read_failovers > 0,
+            r.reads.cluster.read_failovers > 0,
             "moved keys read through failover"
         );
-        assert_eq!(r.cluster.rebalances, 1, "exactly one membership change");
-    }
-
-    #[test]
-    fn panel_renders_every_swept_count() {
-        let text = render_cluster_panel(&HardwareProfile::free());
-        for clients in cluster_panel_clients() {
-            assert!(text.contains(&format!("{clients}")), "{text}");
-        }
-        assert!(text.contains("rebalance:"), "{text}");
+        assert_eq!(
+            r.reads.cluster.rebalances, 1,
+            "exactly one membership change"
+        );
     }
 }

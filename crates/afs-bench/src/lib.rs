@@ -7,21 +7,19 @@
 //! caching paths (remote source, on-disk cache, in-memory cache).
 //!
 //! [`measure`] runs exactly that experiment over the real runtime with the
-//! calibrated Pentium-II cost model and per-thread virtual clocks; the
-//! `figure6` binary prints the six panels, and `tests/figure6_shape.rs`
-//! asserts the reproduction claims (ordering, growth, read/write
-//! asymmetry).
+//! calibrated Pentium-II cost model and per-thread virtual clocks;
+//! [`grid`] measures every cell the harness can print exactly once, into
+//! the one document the bench gate holds; [`render`] prints every table
+//! from that document; and `tests/figure6_shape.rs` asserts the
+//! reproduction claims (ordering, growth, read/write asymmetry).
 
 pub mod cluster;
 pub mod gate;
+pub mod view;
 pub mod workload;
 
-pub use cluster::{
-    cluster_panel_clients, measure_cluster, measure_cluster_mirror, measure_cluster_rebalance,
-    render_cluster_panel, ClusterMeasurement, RebalanceMeasurement, CLUSTER_BLOCK, CLUSTER_COPIES,
-    CLUSTER_FILES, CLUSTER_FLEET, CLUSTER_MIRROR_OPS, CLUSTER_REBALANCE_KEYS,
-};
-pub use gate::{bench_json, compare, parse_bench_doc, BenchDoc, StrategyStats};
+pub use gate::{bench_json, compare, grid, parse_bench_doc, BenchDoc, Cell};
+pub use view::render;
 
 use std::sync::Arc;
 
@@ -40,8 +38,8 @@ pub const BLOCK_SIZES: [usize; 5] = [8, 32, 128, 512, 2048];
 pub const DEFAULT_OPS: usize = 1000;
 
 /// The three implementation series of Figure 6 (the simple process
-/// strategy of §4.1 is not plotted in the paper; the harness can still
-/// run it for the ablation).
+/// strategy of §4.1 is not plotted in the paper; the harness still runs
+/// it as a column of its own).
 pub const FIGURE6_STRATEGIES: [Strategy; 3] = [
     Strategy::ProcessControl,
     Strategy::DllThread,
@@ -90,6 +88,19 @@ pub enum Direction {
     Read,
     /// `WriteFile` cost.
     Write,
+}
+
+impl Direction {
+    /// Both directions, reads first.
+    pub const BOTH: [Direction; 2] = [Direction::Read, Direction::Write];
+
+    /// Lower-case name used in cell names ("read", "write").
+    pub fn label(self) -> &'static str {
+        match self {
+            Direction::Read => "read",
+            Direction::Write => "write",
+        }
+    }
 }
 
 /// One measured cell of Figure 6.
@@ -166,23 +177,43 @@ pub fn measure(
     ops: usize,
     profile: HardwareProfile,
 ) -> Measurement {
-    measure_traced(path, strategy, direction, block, ops, profile).0
+    let (world, file) = build_world(path, strategy, profile, &filler(block * ops), &[]);
+    run_blocks(&world, file, direction, block, ops)
 }
 
-/// Like [`measure`], but also returns the world's per-op trace summary —
-/// the observed §4 cost profile (crossings and copies per operation) for
-/// the cell, straight from the world's [`afs_sim::OpTrace`].
-pub fn measure_traced(
-    path: PathKind,
-    strategy: Strategy,
-    direction: Direction,
-    block: usize,
-    ops: usize,
-    profile: HardwareProfile,
-) -> (Measurement, Vec<afs_sim::OpSummary>) {
-    let (world, file) = build_world(path, strategy, profile, &filler(block * ops), &[]);
-    let m = run_blocks(&world, file, direction, block, ops);
-    (m, world.trace().summary())
+/// The live §4 cost profile `figure6 --trace` appends: every strategy's
+/// per-op [`afs_sim::OpTrace`] summary over `ops` 2048-byte memory-path
+/// reads, as the strategy handles recorded it.
+pub fn op_trace_rows(ops: usize, profile: &HardwareProfile) -> String {
+    const BLOCK: usize = 2048;
+    let mut out = format!(
+        "Per-op trace at block={BLOCK}, memory path ({ops} reads per strategy)\n\
+         {:>14} {:>8} {:>6} {:>10} {:>9} {:>10} {:>9}\n",
+        "strategy", "op", "count", "bytes/op", "us/op", "cross/op", "copies/op"
+    );
+    for strategy in FIGURE6_STRATEGIES {
+        let (world, file) = build_world(
+            PathKind::Memory,
+            strategy,
+            profile.clone(),
+            &filler(BLOCK * ops),
+            &[],
+        );
+        run_blocks(&world, file, Direction::Read, BLOCK, ops);
+        for row in world.trace().summary() {
+            out.push_str(&format!(
+                "{:>14} {:>8} {:>6} {:>10.1} {:>9.2} {:>10.2} {:>9.2}\n",
+                row.strategy,
+                row.op.label(),
+                row.count,
+                row.bytes_per_op(),
+                row.micros_per_op(),
+                row.crossings_per_op(),
+                row.copies_per_op(),
+            ));
+        }
+    }
+    out
 }
 
 /// Runs a small sequential-read workload through all four §4 strategies
@@ -211,107 +242,48 @@ pub fn span_trace(ops: usize, profile: HardwareProfile) -> String {
     afs_telemetry::chrome_trace(&groups)
 }
 
-/// The tracing-overhead ablation: the same cell measured dark and fully
-/// instrumented, plus whether the §4 charge deltas matched bit-for-bit.
-#[derive(Debug, Clone)]
-pub struct TraceAblation {
-    /// Telemetry disabled — the dark baseline.
-    pub base: afs_sim::Summary,
-    /// Telemetry enabled (spans, slow-op scan, SLO windows, flight rings).
-    pub traced: afs_sim::Summary,
-    /// Whether both runs charged the cost model identically. Tracing is
-    /// observability, not work: any divergence is a §4 accounting bug.
-    pub charges_match: bool,
-}
-
-/// Measures the observability tax: one gate cell (memory path,
-/// DLL-with-thread, 128-byte sequential reads) run dark, then re-run with
-/// telemetry fully on — span capture, slow-op scanning, a declared SLO,
-/// and the flight-recorder rings all active. Because latency is virtual
-/// time and spans charge nothing, the two summaries must agree; the
-/// `ablation_trace` gate cell pins the instrumented number.
-pub fn measure_trace_ablation(ops: usize, profile: HardwareProfile) -> TraceAblation {
+/// The `ablation_trace` cell: the `Thread` gate cell (memory path,
+/// DLL-with-thread, 128-byte sequential reads) re-run with telemetry fully
+/// on — span capture, slow-op scanning, a declared SLO, and the
+/// flight-recorder rings all active. Because latency is virtual time and
+/// spans charge nothing, it must equal the `Thread` cell in every field.
+pub fn measure_instrumented(ops: usize, profile: HardwareProfile) -> Measurement {
     const BLOCK: usize = 128;
-    let run = |instrumented: bool| {
-        // Everything the observability layer can switch on at once:
-        // spans, a slow-op threshold low enough to scan every op, and a
-        // declared SLO so the burn-rate windows tick per operation.
-        let keys: &[(&str, &str)] = if instrumented {
-            &[("slo_p99_us", "1000"), ("slo_err_ppm", "100000")]
-        } else {
-            &[]
-        };
-        let (world, file) = build_world(
-            PathKind::Memory,
-            Strategy::DllThread,
-            profile.clone(),
-            &filler(BLOCK * ops),
-            keys,
-        );
-        if instrumented {
-            world.telemetry().set_enabled(true);
-            world.telemetry().set_slow_threshold_ns(1);
-        }
-        run_blocks(&world, file, Direction::Read, BLOCK, ops)
-    };
-    let base = run(false);
-    let traced = run(true);
-    TraceAblation {
-        charges_match: base.counters == traced.counters,
-        base: base.series.summarize(),
-        traced: traced.series.summarize(),
-    }
+    // A slow-op threshold low enough to scan every op, and a declared SLO
+    // so the burn-rate windows tick per operation.
+    let (world, file) = build_world(
+        PathKind::Memory,
+        Strategy::DllThread,
+        profile,
+        &filler(BLOCK * ops),
+        &[("slo_p99_us", "1000"), ("slo_err_ppm", "100000")],
+    );
+    world.telemetry().set_enabled(true);
+    world.telemetry().set_slow_threshold_ns(1);
+    run_blocks(&world, file, Direction::Read, BLOCK, ops)
 }
 
 /// Block size used by the batching ablation (the Figure 6 midpoint).
 pub const BATCH_BLOCK: usize = 128;
 
-/// Ring depth used by the batching ablation and the `ablation_batch`
-/// gate cells.
+/// Ring depth used by the batching ablation and the `ablation_batch-on`
+/// gate cell.
 pub const BATCH_RING_DEPTH: usize = 8;
 
-/// The ring-batching ablation: the same sequential-read cell measured
-/// unbatched and with `batch=on`, plus the crossing counts the ring
-/// exists to cut and the transcript-equivalence verdict.
-#[derive(Debug, Clone)]
-pub struct BatchAblation {
-    /// Plain Thread-strategy cell — one round trip per read.
-    pub unbatched: afs_sim::Summary,
-    /// Ring-batched cell — one doorbell plus one round trip per
-    /// [`BATCH_RING_DEPTH`] reads, readahead filling the ring.
-    pub batched: afs_sim::Summary,
-    /// Protection-domain crossings (process plus thread switches) per
-    /// operation, unbatched.
-    pub crossings_per_op_unbatched: f64,
-    /// Crossings per operation, batched — the ~K× smaller number.
-    pub crossings_per_op_batched: f64,
-    /// Whether both runs returned byte-identical data for every read.
-    /// Batching is a transport optimisation, not a semantic change: any
-    /// divergence is a ring bug.
-    pub transcripts_match: bool,
-}
-
-/// One side of the batching ablation: the memory-path, DLL-with-thread,
-/// [`BATCH_BLOCK`]-byte sequential-read cell over the plain pair
-/// transport, or with `batch=on` / `ring_depth=`[`BATCH_RING_DEPTH`] so
-/// the boundary is a submission/completion ring. Returns the latency
-/// summary, the crossings per operation and every byte the reads
-/// returned. The seeded extent carries a varying byte pattern so a
-/// transcript comparison catches offset errors, not just length errors.
-pub(crate) fn measure_batch_side(
-    batched: bool,
-    ops: usize,
-    profile: HardwareProfile,
-) -> (afs_sim::Summary, f64, Vec<u8>) {
+/// The `ablation_batch-on` cell: the `Thread` gate cell with `batch=on` /
+/// `ring_depth=`[`BATCH_RING_DEPTH`], so the boundary is a
+/// submission/completion ring. The seeded extent carries a varying byte
+/// pattern and the reads must return it byte for byte, so an offset error
+/// fails the measurement, not just a length error.
+pub fn measure_batched(ops: usize, profile: HardwareProfile) -> Measurement {
     let extent: Vec<u8> = (0..BATCH_BLOCK * ops).map(|i| (i % 251) as u8).collect();
     let depth = BATCH_RING_DEPTH.to_string();
-    let ring = [("batch", "on"), ("ring_depth", depth.as_str())];
     let (world, file) = build_world(
         PathKind::Memory,
         Strategy::DllThread,
         profile,
         &extent,
-        if batched { &ring } else { &[] },
+        &[("batch", "on"), ("ring_depth", depth.as_str())],
     );
     let mut transcript = Vec::with_capacity(extent.len());
     let mut buf = vec![0u8; BATCH_BLOCK];
@@ -320,62 +292,11 @@ pub(crate) fn measure_batch_side(
         assert_eq!(n, BATCH_BLOCK, "seeded file must satisfy full blocks");
         transcript.extend_from_slice(&buf[..n]);
     });
-    let crossings = m.counters.process_switches + m.counters.thread_switches;
-    (
-        m.series.summarize(),
-        crossings as f64 / ops.max(1) as f64,
-        transcript,
-    )
-}
-
-/// Measures the batching ablation: both sides of [`measure_batch_side`]
-/// and whether their transcripts agree.
-pub fn measure_batch_ablation(ops: usize, profile: HardwareProfile) -> BatchAblation {
-    let (unbatched, crossings_per_op_unbatched, plain) =
-        measure_batch_side(false, ops, profile.clone());
-    let (batched, crossings_per_op_batched, ring) = measure_batch_side(true, ops, profile);
-    BatchAblation {
-        unbatched,
-        batched,
-        crossings_per_op_unbatched,
-        crossings_per_op_batched,
-        transcripts_match: plain == ring,
-    }
-}
-
-/// Runs the batching ablation and renders it as the text table `figure6
-/// --batch` prints.
-pub fn render_batch_panel(ops: usize, profile: &HardwareProfile) -> String {
-    let a = measure_batch_ablation(ops, profile.clone());
-    let mut out = String::new();
-    out.push_str(&format!(
-        "Batching ablation — submission/completion ring vs per-op round trips \
-         (Thread strategy, memory cache, {BATCH_BLOCK}-byte sequential reads, \
-         ring_depth={BATCH_RING_DEPTH}, {ops} ops)\n"
-    ));
-    out.push_str(&format!(
-        "{:>10} {:>12} {:>12} {:>12} {:>14}\n",
-        "mode", "mean", "p50", "p99", "crossings/op"
-    ));
-    for (label, s, cross) in [
-        ("unbatched", &a.unbatched, a.crossings_per_op_unbatched),
-        ("batched", &a.batched, a.crossings_per_op_batched),
-    ] {
-        out.push_str(&format!(
-            "{:>10} {:>10.1}us {:>10.1}us {:>10.1}us {:>14.2}\n",
-            label,
-            s.mean_ns as f64 / 1_000.0,
-            s.p50_ns as f64 / 1_000.0,
-            s.p99_ns as f64 / 1_000.0,
-            cross,
-        ));
-    }
-    out.push_str(&format!(
-        "transcripts match: {}; crossing reduction: {:.1}x\n",
-        if a.transcripts_match { "yes" } else { "NO" },
-        a.crossings_per_op_unbatched / a.crossings_per_op_batched.max(f64::EPSILON),
-    ));
-    out
+    assert!(
+        transcript == extent,
+        "batched reads must return the seeded extent byte for byte"
+    );
+    m
 }
 
 /// The one timed loop: opens `file`, runs `op` `ops` times with each call
@@ -528,25 +449,12 @@ pub const MUX_CLIENTS: [usize; 4] = [1, 2, 8, 32];
 /// Block size used by the concurrency ablation (the Figure 6 midpoint).
 pub const MUX_BLOCK: usize = 128;
 
-/// One cell of the concurrency ablation: `clients` concurrent writers on
-/// one active file, with the sentinel either shared (session-multiplexed)
-/// or private per open (`share=off`).
-#[derive(Debug, Clone)]
-pub struct MuxMeasurement {
-    /// Number of concurrent clients.
-    pub clients: usize,
-    /// Whether opens shared one sentinel.
-    pub shared: bool,
-    /// Pooled per-write virtual latencies across every client.
-    pub summary: afs_sim::Summary,
-    /// Protection-domain crossings over the whole run (process plus
-    /// thread switches) — the number session multiplexing exists to cut.
-    pub total_crossings: u64,
-}
-
 /// Runs one concurrency cell: `clients` threads each open the bench file
 /// (ProcessControl strategy, memory cache), seek to a private region, and
-/// issue `ops_per_client` sequential writes of [`MUX_BLOCK`] bytes.
+/// issue `ops_per_client` sequential writes of [`MUX_BLOCK`] bytes, with
+/// the sentinel either shared (session-multiplexed) or private per open
+/// (`share=off`). Returns every client's per-write latency, pooled, and
+/// the counter deltas over the whole run (opens and closes included).
 ///
 /// Barriers fence the write phase on both sides so every write runs with
 /// all sessions attached: shared-sentinel staging behaviour (and thus the
@@ -557,7 +465,7 @@ pub fn measure_concurrency(
     shared: bool,
     ops_per_client: usize,
     profile: HardwareProfile,
-) -> MuxMeasurement {
+) -> Measurement {
     let block = MUX_BLOCK;
     let region = ops_per_client * block;
     let (world, file) = build_world(
@@ -604,53 +512,19 @@ pub fn measure_concurrency(
         series.extend(join.join().expect("client thread"));
     }
     let counters = model.snapshot().since(&before);
-    MuxMeasurement {
-        clients,
-        shared,
-        summary: series.summarize(),
-        total_crossings: counters.process_switches + counters.thread_switches,
-    }
+    Measurement { series, counters }
 }
 
-/// Runs the full concurrency panel (shared and private at each client
-/// count) and renders it as the text table `figure6 --concurrency`
-/// prints.
-pub fn render_concurrency_panel(ops_per_client: usize, profile: &HardwareProfile) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "Concurrency ablation — shared sentinel vs per-open (Process strategy, \
-         memory cache, {MUX_BLOCK}-byte writes, {ops_per_client} per client)\n"
-    ));
-    out.push_str(&format!(
-        "{:>8} {:>12} {:>12} {:>12} {:>13} {:>13} {:>13}\n",
-        "clients",
-        "shared-p50",
-        "shared-p99",
-        "shared-cross",
-        "private-p50",
-        "private-p99",
-        "private-cross"
-    ));
-    for clients in MUX_CLIENTS {
-        let s = measure_concurrency(clients, true, ops_per_client, profile.clone());
-        let p = measure_concurrency(clients, false, ops_per_client, profile.clone());
-        out.push_str(&format!(
-            "{:>8} {:>10.1}us {:>10.1}us {:>12} {:>11.1}us {:>11.1}us {:>13}\n",
-            clients,
-            s.summary.p50_ns as f64 / 1_000.0,
-            s.summary.p99_ns as f64 / 1_000.0,
-            s.total_crossings,
-            p.summary.p50_ns as f64 / 1_000.0,
-            p.summary.p99_ns as f64 / 1_000.0,
-            p.total_crossings,
-        ));
-    }
-    out
-}
-
-/// Fleet sizes swept by `figure6 --fleet` — the headline claim is the
-/// last point: ten thousand concurrent active files on a bounded pool.
-pub const FLEET_SIZES: [usize; 3] = [100, 1_000, 10_000];
+/// Fleet sizes of the fleet panel — the headline claim is the last point:
+/// ten thousand concurrent active files on a bounded pool. Debug builds
+/// (the in-repo test suite) stop at one thousand so `cargo test` stays
+/// quick; the cell name carries the size, so a debug-produced document
+/// can never pass silently against the release baseline.
+pub const FLEET_SIZES: &[usize] = if cfg!(debug_assertions) {
+    &[100, 1_000]
+} else {
+    &[100, 1_000, 10_000]
+};
 
 /// Block size used by the fleet panel (the Figure 6 midpoint).
 pub const FLEET_BLOCK: usize = 128;
@@ -659,10 +533,6 @@ pub const FLEET_BLOCK: usize = 128;
 /// multiplexed over the bounded sentinel executor.
 #[derive(Debug, Clone)]
 pub struct FleetMeasurement {
-    /// Number of concurrently-open active files.
-    pub files: usize,
-    /// The executor's worker cap (the pool bound `M`).
-    pub worker_cap: usize,
     /// Per-read virtual latencies across every file.
     pub summary: afs_sim::Summary,
     /// Executor gauges sampled while every sentinel was live.
@@ -729,57 +599,13 @@ pub fn measure_fleet(
         api.close_handle(h).expect("close fleet file");
     }
     FleetMeasurement {
-        files,
-        worker_cap: world.fleet_workers(),
         summary: series.summarize(),
         fleet,
     }
 }
 
-/// Runs the fleet sweep ([`FLEET_SIZES`], one read per file) and renders
-/// it as the text table `figure6 --fleet` prints. The flat p50/p99
-/// columns against a fixed worker count are the executor's headline:
-/// sentinel count scales without scaling threads.
-pub fn render_fleet_panel(profile: &HardwareProfile, workers: Option<usize>) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "Fleet panel — sharded sentinel executor (Thread strategy, memory cache, \
-         {FLEET_BLOCK}-byte reads, one per file)\n"
-    ));
-    out.push_str(&format!(
-        "{:>8} {:>10} {:>10} {:>9} {:>8} {:>10} {:>8} {:>9}\n",
-        "files", "p50", "p99", "workers", "shards", "sentinels", "steals", "wakeups"
-    ));
-    for files in FLEET_SIZES {
-        let m = measure_fleet(files, 1, workers, profile.clone());
-        out.push_str(&format!(
-            "{:>8} {:>8.1}us {:>8.1}us {:>4}/{:<4} {:>8} {:>10} {:>8} {:>9}\n",
-            m.files,
-            m.summary.p50_ns as f64 / 1_000.0,
-            m.summary.p99_ns as f64 / 1_000.0,
-            m.fleet.workers,
-            m.worker_cap,
-            m.fleet.shards,
-            m.fleet.sentinels,
-            m.fleet.steals,
-            m.fleet.wakeups,
-        ));
-    }
-    out
-}
-
 /// Block size of the durable-store cells.
 pub const STORE_BLOCK: usize = 128;
-
-/// One measured durable-store cell: per-commit (or per-recovery) virtual
-/// latencies plus the store gauges after the run.
-#[derive(Debug, Clone)]
-pub struct StoreMeasurement {
-    /// Per-sample virtual latencies.
-    pub summary: afs_sim::Summary,
-    /// WAL/fsync/checkpoint counters accumulated over the run.
-    pub store: afs_telemetry::StoreSnapshot,
-}
 
 fn durable_null_spec() -> SentinelSpec {
     SentinelSpec::new("null", Strategy::DllOnly)
@@ -794,33 +620,25 @@ fn durable_null_spec() -> SentinelSpec {
 /// Every sample is one write + one flush, i.e. one group-committed WAL
 /// batch with its fsync barrier — the §4 cost model charging durability
 /// honestly.
-pub fn measure_store(ops: usize, profile: HardwareProfile) -> StoreMeasurement {
+pub fn measure_store(ops: usize, profile: HardwareProfile) -> Measurement {
     let world = AfsWorld::builder().profile(profile).build();
     let file = "/store.af";
     world
         .install_active_file(file, &durable_null_spec())
         .expect("install durable file");
     let buf = filler(STORE_BLOCK);
-    let m = run_cell(&world, file, Access::read_write(), ops, |api, h| {
+    run_cell(&world, file, Access::read_write(), ops, |api, h| {
         let n = api.write_file(h, &buf).expect("durable write");
         assert_eq!(n, STORE_BLOCK);
         api.flush_file_buffers(h).expect("commit");
-    });
-    StoreMeasurement {
-        summary: m.series.summarize(),
-        store: world.telemetry().store().snapshot(),
-    }
+    })
 }
 
 /// The `store-recovery` cell: virtual time to reopen a durable active
 /// file whose WAL holds `commits` committed batches — spec decode,
 /// sentinel instantiation, WAL scan, and redo replay, measured over
 /// `reopens` cold opens of fresh worlds sharing the surviving disk.
-pub fn measure_store_recovery(
-    commits: usize,
-    reopens: usize,
-    profile: HardwareProfile,
-) -> StoreMeasurement {
+pub fn measure_store_recovery(commits: usize, reopens: usize, profile: HardwareProfile) -> Series {
     let vfs = Arc::new(afs_vfs::Vfs::new());
     let file = "/recover.af";
     {
@@ -844,7 +662,6 @@ pub fn measure_store_recovery(
         api.close_handle(h).expect("close");
     }
     let mut series = Series::with_capacity(reopens);
-    let mut store = afs_telemetry::StoreSnapshot::default();
     for _ in 0..reopens {
         let world = AfsWorld::builder()
             .profile(profile.clone())
@@ -858,82 +675,8 @@ pub fn measure_store_recovery(
             .expect("reopen durable file");
         series.push(clock::now() - start);
         api.close_handle(h).expect("close");
-        store = world.telemetry().store().snapshot();
     }
-    StoreMeasurement {
-        summary: series.summarize(),
-        store,
-    }
-}
-
-/// A full panel: mean µs per (strategy, block size), plus the baseline
-/// row.
-#[derive(Debug, Clone)]
-pub struct Panel {
-    /// Which caching path.
-    pub path: PathKind,
-    /// Read or write.
-    pub direction: Direction,
-    /// `rows[strategy_index][block_index]` mean µs, strategy order =
-    /// [`FIGURE6_STRATEGIES`].
-    pub rows: Vec<Vec<f64>>,
-    /// Baseline mean µs per block size.
-    pub baseline: Vec<f64>,
-}
-
-/// Runs one full panel of Figure 6.
-pub fn run_panel(
-    path: PathKind,
-    direction: Direction,
-    ops: usize,
-    profile: &HardwareProfile,
-) -> Panel {
-    let mut rows = Vec::new();
-    for strategy in FIGURE6_STRATEGIES {
-        let mut row = Vec::new();
-        for block in BLOCK_SIZES {
-            row.push(measure(path, strategy, direction, block, ops, profile.clone()).mean_us());
-        }
-        rows.push(row);
-    }
-    let baseline = BLOCK_SIZES
-        .iter()
-        .map(|&block| measure_baseline(path, direction, block, ops, profile.clone()).mean_us())
-        .collect();
-    Panel {
-        path,
-        direction,
-        rows,
-        baseline,
-    }
-}
-
-/// Renders a panel as the text table the `figure6` binary prints.
-pub fn render_panel(panel: &Panel) -> String {
-    let mut out = String::new();
-    let dir = match panel.direction {
-        Direction::Read => "Read",
-        Direction::Write => "Write",
-    };
-    out.push_str(&format!(
-        "Figure 6({}) — {} — {} (µs per call, mean of sweep)\n",
-        panel.path.panel(),
-        panel.path.describe(),
-        dir
-    ));
-    out.push_str(&format!("{:>8}", "block"));
-    for strategy in FIGURE6_STRATEGIES {
-        out.push_str(&format!("{:>10}", strategy.label()));
-    }
-    out.push_str(&format!("{:>10}\n", "baseline"));
-    for (bi, block) in BLOCK_SIZES.iter().enumerate() {
-        out.push_str(&format!("{block:>8}"));
-        for row in &panel.rows {
-            out.push_str(&format!("{:>10.1}", row[bi]));
-        }
-        out.push_str(&format!("{:>10.1}\n", panel.baseline[bi]));
-    }
-    out
+    series
 }
 
 #[cfg(test)]
@@ -1050,23 +793,21 @@ mod tests {
     fn fleet_scales_on_a_bounded_pool_with_flat_p99() {
         const WORKERS: usize = 2;
         let profile = HardwareProfile::pentium_ii_300();
-        let big_files = gate::gate_fleet_files();
+        let big_files = *FLEET_SIZES.last().expect("a fleet size");
         let small = measure_fleet(100, 1, Some(WORKERS), profile.clone());
         let big = measure_fleet(big_files, 1, Some(WORKERS), profile);
         assert!(
             big.fleet.workers <= WORKERS as u64,
-            "{} files ran on {} workers (cap {WORKERS})",
-            big.files,
+            "{big_files} files ran on {} workers (cap {WORKERS})",
             big.fleet.workers
         );
         assert_eq!(
-            big.fleet.sentinels, big.files as u64,
+            big.fleet.sentinels, big_files as u64,
             "every file's sentinel was live at once"
         );
         assert!(
             big.summary.p99_ns as f64 <= small.summary.p99_ns as f64 * 1.3,
-            "p99 must stay flat as the fleet grows: {} files {} ns vs 100 files {} ns",
-            big.files,
+            "p99 must stay flat as the fleet grows: {big_files} files {} ns vs 100 files {} ns",
             big.summary.p99_ns,
             small.summary.p99_ns
         );
@@ -1108,14 +849,64 @@ mod tests {
         );
     }
 
+    /// The tentpole claim of the ring, asserted at gate granularity: it
+    /// cuts protection-domain crossings per sequential read by about the
+    /// ring depth (and `measure_batched` itself checks the bytes).
     #[test]
-    fn render_panel_has_all_rows() {
+    fn batch_ablation_cuts_crossings_by_about_ring_depth() {
         let profile = HardwareProfile::pentium_ii_300();
-        let panel = run_panel(PathKind::Memory, Direction::Read, 10, &profile);
-        let text = render_panel(&panel);
-        assert!(text.contains("Process"));
-        assert!(text.contains("Thread"));
-        assert!(text.contains("DLL"));
-        assert!(text.contains("2048"));
+        let crossings = |m: &Measurement| {
+            (m.counters.process_switches + m.counters.thread_switches) as f64
+                / m.series.len() as f64
+        };
+        let plain = crossings(&measure(
+            PathKind::Memory,
+            Strategy::DllThread,
+            Direction::Read,
+            BATCH_BLOCK,
+            64,
+            profile.clone(),
+        ));
+        let ring = crossings(&measure_batched(64, profile));
+        let reduction = plain / ring.max(f64::EPSILON);
+        assert!(
+            reduction >= BATCH_RING_DEPTH as f64 * 0.75,
+            "crossings/op {plain:.2} -> {ring:.2} is only a {reduction:.1}x drop \
+             (ring depth {BATCH_RING_DEPTH})"
+        );
+    }
+
+    #[test]
+    fn trace_ablation_is_free() {
+        // The acceptance bound is <= 5% p99 overhead with zero extra §4
+        // charges; in virtual time the two must in fact coincide, because
+        // spans, slow-op scans, SLO windows, and flight rings charge the
+        // cost model nothing — the 5% headroom is for the day that stops
+        // being true, so the gate fails loudly rather than drifting.
+        let profile = HardwareProfile::pentium_ii_300();
+        let dark = measure(
+            PathKind::Memory,
+            Strategy::DllThread,
+            Direction::Read,
+            128,
+            50,
+            profile.clone(),
+        );
+        let traced = measure_instrumented(50, profile);
+        assert_eq!(
+            dark.counters, traced.counters,
+            "tracing charged the §4 cost model"
+        );
+        let (dark, traced) = (dark.series.summarize(), traced.series.summarize());
+        assert!(
+            traced.p99_ns as f64 <= dark.p99_ns as f64 * 1.05,
+            "instrumented p99 {} ns exceeds dark p99 {} ns by more than 5%",
+            traced.p99_ns,
+            dark.p99_ns
+        );
+        assert_eq!(
+            traced.p50_ns, dark.p50_ns,
+            "identical charges must mean identical virtual medians"
+        );
     }
 }

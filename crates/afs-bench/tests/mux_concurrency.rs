@@ -9,10 +9,15 @@
 //! 3. The measurements are deterministic (virtual time), so the bench
 //!    gate can hold them to a threshold without flakiness.
 
-use afs_bench::measure_concurrency;
+use afs_bench::{measure_concurrency, Measurement};
 use afs_sim::HardwareProfile;
 
 const OPS: usize = 100;
+
+/// Protection-domain crossings over the whole run.
+fn crossings(m: &Measurement) -> u64 {
+    m.counters.process_switches + m.counters.thread_switches
+}
 
 fn profile() -> HardwareProfile {
     HardwareProfile::pentium_ii_300()
@@ -23,16 +28,16 @@ fn shared_beats_private_at_eight_clients() {
     let shared = measure_concurrency(8, true, OPS, profile());
     let private = measure_concurrency(8, false, OPS, profile());
     assert!(
-        shared.summary.p99_ns < private.summary.p99_ns,
+        shared.series.summarize().p99_ns < private.series.summarize().p99_ns,
         "shared p99 {} ns must beat private p99 {} ns",
-        shared.summary.p99_ns,
-        private.summary.p99_ns
+        shared.series.summarize().p99_ns,
+        private.series.summarize().p99_ns
     );
     assert!(
-        shared.total_crossings < private.total_crossings,
+        crossings(&shared) < crossings(&private),
         "shared crossings {} must beat private crossings {}",
-        shared.total_crossings,
-        private.total_crossings
+        crossings(&shared),
+        crossings(&private)
     );
 }
 
@@ -43,11 +48,13 @@ fn single_client_shared_costs_the_same_as_private() {
     // With one session the hub transmits immediately (no staging), so the
     // per-write cost is identical to a private transport.
     assert_eq!(
-        shared.summary.p99_ns, private.summary.p99_ns,
+        shared.series.summarize().p99_ns,
+        private.series.summarize().p99_ns,
         "uncontended mux must not add latency"
     );
     assert_eq!(
-        shared.total_crossings, private.total_crossings,
+        crossings(&shared),
+        crossings(&private),
         "uncontended mux must not add crossings"
     );
 }
@@ -61,8 +68,8 @@ fn crossings_scale_with_clients_only_when_private() {
     // Private sentinels pay per-op crossings per client: 4x the clients
     // is ~4x the crossings. The shared sentinel batches, so its growth
     // must be well under that.
-    let private_growth = private_8.total_crossings as f64 / private_2.total_crossings as f64;
-    let shared_growth = shared_8.total_crossings as f64 / shared_2.total_crossings.max(1) as f64;
+    let private_growth = crossings(&private_8) as f64 / crossings(&private_2) as f64;
+    let shared_growth = crossings(&shared_8) as f64 / crossings(&shared_2).max(1) as f64;
     assert!(
         private_growth > 3.0,
         "private crossings grow with clients (got {private_growth:.2})"
@@ -80,11 +87,13 @@ fn concurrency_measurements_are_deterministic() {
         let a = measure_concurrency(clients, shared, OPS, profile());
         let b = measure_concurrency(clients, shared, OPS, profile());
         assert_eq!(
-            a.summary, b.summary,
+            a.series.summarize(),
+            b.series.summarize(),
             "virtual-time latencies reproduce ({clients} clients, shared={shared})"
         );
         assert_eq!(
-            a.total_crossings, b.total_crossings,
+            crossings(&a),
+            crossings(&b),
             "crossings reproduce ({clients} clients, shared={shared})"
         );
     }

@@ -5,7 +5,7 @@
 //! charges abstract [`Cost`]s; the model translates them into nanoseconds
 //! and advances the caller's virtual clock. A [`CostSnapshot`] additionally
 //! counts how many of each kind of charge happened, which backs the
-//! `figure6 --copies` diagnostic table.
+//! per-op counts of the bench grid and `figure6`'s accounting view.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
