@@ -11,11 +11,12 @@
 //! * **Coalesced writes** — write-behind staging merges adjacent writes
 //!   into one submission entry with no window cap (beyond the mux
 //!   layer's adjacent-only 64 KiB coalescing) and flushes when the ring
-//!   depth is reached or a synchronous op needs ordering.
+//!   depth is reached or a synchronous op needs ordering. The entry keeps
+//!   the trace context of the first write it merged.
 //! * **Readahead** — a demand read that misses the speculative cache
-//!   submits itself plus sequential speculative reads to fill the batch;
-//!   later sequential reads are served from its completions with zero
-//!   new crossings.
+//!   submits itself plus sequential speculative reads to fill the batch,
+//!   all under the demand read's trace context; later sequential reads
+//!   are served from its completions with zero new crossings.
 //! * **Scatter/gather spans** — `ReadFileScatter` rides the ring as one
 //!   entry, flushing staged writes ahead of itself in the same crossing.
 //!
@@ -40,11 +41,11 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use afs_ipc::{IpcError, RingTransport, Sqe};
+use afs_ipc::{Framed, IpcError, RingTransport, Sqe};
 use afs_sim::CrossingKind;
-use afs_telemetry::{Layer, RingGauges, Telemetry};
+use afs_telemetry::{Layer, RingGauges, Telemetry, TraceContext};
 
-use crate::strategy::handle::{deliver, AppPort};
+use crate::strategy::handle::{deliver, private_frame, AppPort};
 use crate::strategy::{Instruments, Op, OpReply};
 
 /// One speculative read in flight.
@@ -67,7 +68,7 @@ struct DriverState {
     /// Next submission id (monotonic; completions key off it).
     next_id: u64,
     /// Write-behind submissions staged since the last doorbell.
-    staged: Vec<Sqe<Op>>,
+    staged: Vec<Sqe<Framed<Op>>>,
     /// Reaped speculative reads: `(offset, len)` → produced bytes.
     cache: HashMap<(u64, u32), Vec<u8>>,
     /// Speculative reads not yet reaped, in submission order.
@@ -91,7 +92,7 @@ type Completed = afs_ipc::Result<(OpReply, Option<Vec<u8>>)>;
 /// `charges_own_crossings` tells the strategy handle to skip its own
 /// per-op round-trip charge.
 pub(crate) struct RingDriver {
-    ring: RingTransport<Op, OpReply>,
+    ring: RingTransport<Framed<Op>, OpReply>,
     state: Mutex<DriverState>,
     tel: Arc<Telemetry>,
     strategy: &'static str,
@@ -101,7 +102,7 @@ pub(crate) struct RingDriver {
 
 impl RingDriver {
     pub(crate) fn new(
-        ring: RingTransport<Op, OpReply>,
+        ring: RingTransport<Framed<Op>, OpReply>,
         instr: &Instruments,
         heal_gen: Arc<AtomicU64>,
     ) -> Self {
@@ -137,7 +138,7 @@ impl RingDriver {
     /// nests under the in-flight op's strategy span on this thread).
     /// `awaited`: this thread blocks on the batch's completions next (see
     /// [`RingTransport::submit_awaited`]).
-    fn submit(&self, batch: Vec<Sqe<Op>>, awaited: bool) -> afs_ipc::Result<()> {
+    fn submit(&self, batch: Vec<Sqe<Framed<Op>>>, awaited: bool) -> afs_ipc::Result<()> {
         if batch.is_empty() {
             return Ok(());
         }
@@ -154,13 +155,14 @@ impl RingDriver {
         }
     }
 
-    /// Stages one write submission, merging it into the previous staged
-    /// write when byte-adjacent (no window cap), and flushes the staged
-    /// batch once it reaches the ring depth.
+    /// Stages one write submission under its op's `trace`, merging it
+    /// into the previous staged write when byte-adjacent (no window cap),
+    /// and flushes the staged batch once it reaches the ring depth.
     fn stage_write(
         &self,
         state: &mut DriverState,
         offset: u64,
+        trace: TraceContext,
         payload: Vec<u8>,
     ) -> afs_ipc::Result<()> {
         // Contents are changing: speculative results issued before this
@@ -170,7 +172,11 @@ impl RingDriver {
         state.cache.clear();
         let coalesced = match state.staged.last_mut() {
             Some(Sqe {
-                cmd: Op::Write { offset: o, len },
+                cmd:
+                    Framed {
+                        body: Op::Write { offset: o, len },
+                        ..
+                    },
                 payload: Some(buf),
                 ..
             }) if *o + u64::from(*len) == offset => {
@@ -182,12 +188,10 @@ impl RingDriver {
         };
         if !coalesced {
             let id = Self::next_id(state);
+            let len = payload.len() as u32;
             state.staged.push(Sqe {
                 id,
-                cmd: Op::Write {
-                    offset,
-                    len: payload.len() as u32,
-                },
+                cmd: private_frame(Op::Write { offset, len }, trace),
                 payload: Some(payload),
             });
         }
@@ -224,17 +228,29 @@ impl RingDriver {
 
     /// Submits `batch` and blocks for the completion of its entry `id`:
     /// the reply plus any produced bytes.
-    fn roundtrip(&self, state: &mut DriverState, batch: Vec<Sqe<Op>>, id: u64) -> Completed {
+    fn roundtrip(
+        &self,
+        state: &mut DriverState,
+        batch: Vec<Sqe<Framed<Op>>>,
+        id: u64,
+    ) -> Completed {
         self.submit(batch, true)?;
         let cqe = self.ring.complete(id)?;
         self.reap(state, id)?;
         Ok((cqe.reply, cqe.data))
     }
 
-    /// Serves a demand read: from the readahead when the exact span was
-    /// speculated (zero new crossings), otherwise with one batch of
-    /// staged writes + the demand read + sequential speculative reads.
-    fn demand_read(&self, state: &mut DriverState, offset: u64, len: u32) -> Completed {
+    /// Serves a demand read under its op's `trace`: from the
+    /// readahead when the exact span was speculated (zero new crossings),
+    /// otherwise with one batch of staged writes + the demand read +
+    /// sequential speculative reads.
+    fn demand_read(
+        &self,
+        state: &mut DriverState,
+        offset: u64,
+        len: u32,
+        trace: TraceContext,
+    ) -> Completed {
         self.sync_heal_generation(state);
         // The span may still be in flight. Waiting for its whole batch —
         // never submitting it again, never peeking at what has landed —
@@ -257,7 +273,7 @@ impl RingDriver {
         let demand = Self::next_id(state);
         batch.push(Sqe {
             id: demand,
-            cmd: Op::Read { offset, len },
+            cmd: private_frame(Op::Read { offset, len }, trace),
             payload: None,
         });
         if len > 0 {
@@ -267,7 +283,7 @@ impl RingDriver {
                 let id = Self::next_id(state);
                 batch.push(Sqe {
                     id,
-                    cmd: Op::Read { offset: next, len },
+                    cmd: private_frame(Op::Read { offset: next, len }, trace),
                     payload: None,
                 });
                 state.inflight.push(Speculation {
@@ -283,9 +299,9 @@ impl RingDriver {
         self.roundtrip(state, batch, demand)
     }
 
-    /// Runs one synchronous command through the ring: staged writes flush
-    /// ahead of it in the same crossing.
-    fn sync_roundtrip(&self, state: &mut DriverState, op: Op) -> Completed {
+    /// Runs one synchronous command under its op's `trace` through
+    /// the ring: staged writes flush ahead of it in the same crossing.
+    fn sync_roundtrip(&self, state: &mut DriverState, op: Op, trace: TraceContext) -> Completed {
         self.sync_heal_generation(state);
         if matches!(op, Op::Control { .. } | Op::ReadScatter { .. } | Op::Flush) {
             // Controls can mutate sentinel state; scatter reads advance
@@ -298,7 +314,7 @@ impl RingDriver {
         let id = Self::next_id(state);
         batch.push(Sqe {
             id,
-            cmd: op,
+            cmd: private_frame(op, trace),
             payload: None,
         });
         self.roundtrip(state, batch, id)
@@ -323,18 +339,23 @@ impl AppPort for RingDriver {
         true
     }
 
-    fn post(&self, op: Op, payload: &[u8]) -> afs_ipc::Result<()> {
+    fn post(&self, op: Op, trace: TraceContext, payload: &[u8]) -> afs_ipc::Result<()> {
         let Op::Write { offset, .. } = op else {
             return Err(IpcError::Unsupported);
         };
-        self.stage_write(&mut self.state.lock(), offset, payload.to_vec())
+        self.stage_write(&mut self.state.lock(), offset, trace, payload.to_vec())
     }
 
-    fn call(&self, op: Op, into: &mut [u8]) -> afs_ipc::Result<(OpReply, usize)> {
+    fn call(
+        &self,
+        op: Op,
+        trace: TraceContext,
+        into: &mut [u8],
+    ) -> afs_ipc::Result<(OpReply, usize)> {
         let mut state = self.state.lock();
         let (reply, data) = match op {
-            Op::Read { offset, len } => self.demand_read(&mut state, offset, len),
-            op => self.sync_roundtrip(&mut state, op),
+            Op::Read { offset, len } => self.demand_read(&mut state, offset, len, trace),
+            op => self.sync_roundtrip(&mut state, op, trace),
         }?;
         deliver(reply, data.as_deref(), into)
     }

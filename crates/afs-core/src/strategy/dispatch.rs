@@ -9,9 +9,13 @@
 //!
 //! | Wiring | Port | Sessions |
 //! |--------|------|----------|
-//! | private, unbatched | `PairPort<Op, OpReply>` | the one admitted at open |
+//! | private, unbatched | `PairPort<Framed<Op>, Framed<OpReply>>` | the one admitted at open |
 //! | shared | `PairPort<Framed<Op>, Framed<OpReply>>` | admitted as opens attach |
 //! | batched | [`RingSentinelPort`] | the one admitted at open |
+//!
+//! Every lane carries a command in one envelope, [`Framed`]: the session
+//! it belongs to (0 on a private wire) and the trace context of the op it
+//! serves, under which the loop observes it.
 //!
 //! Commands are served in wire order. Each session is one strategy handle,
 //! whose op lock allows one reply-bearing command on the wire at a time, so
@@ -26,7 +30,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use afs_ipc::{BufferPool, ChannelWaker, Cqe, Framed, IpcError, PairPort, RingPort};
-use afs_telemetry::SentinelStats;
+use afs_telemetry::{SentinelStats, TraceContext};
 
 use crate::ctx::SentinelCtx;
 use crate::logic::{SentinelError, SentinelLogic};
@@ -38,6 +42,8 @@ use crate::strategy::{
 /// One command as the loop sees it, whatever carried it.
 pub(crate) struct Inbound {
     pub(crate) session: u32,
+    /// The trace context of the op the command serves.
+    pub(crate) trace: TraceContext,
     /// Submission id the reply comes back under (ring ports; 0 elsewhere).
     pub(crate) id: u64,
     pub(crate) op: Op,
@@ -77,84 +83,33 @@ pub(crate) trait SentinelPort: Send + 'static {
     fn set_wakeup(&self, waker: ChannelWaker);
 }
 
-/// Stages the payload that follows a `Write` on a pair port's data lane.
-fn pair_inbound<C, R>(port: &PairPort<C, R>, session: u32, op: Op) -> afs_ipc::Result<Inbound>
-where
-    C: Send + 'static,
-    R: Send + 'static,
-{
-    let payload = match op {
-        Op::Write { len, .. } if len > 0 => {
-            let mut buf = port.pool().take(len as usize);
-            // A pipe reports a vanished writer as a short count, not an
-            // error: either way the payload is not coming.
-            if port.recv_data_exact(&mut buf).ok() != Some(buf.len()) {
-                port.pool().put(buf);
-                return Err(IpcError::BrokenPipe);
-            }
-            buf
-        }
-        _ => Vec::new(),
-    };
-    Ok(Inbound {
-        session,
-        id: 0,
-        op,
-        payload,
-    })
-}
-
-/// Sends a reply frame, then its bytes on the data lane.
-fn pair_reply<C, R>(port: &PairPort<C, R>, frame: R, data: Option<Vec<u8>>) -> afs_ipc::Result<()>
-where
-    C: Send + 'static,
-    R: Send + 'static,
-{
-    let sent = port.send_reply(frame).and_then(|()| match &data {
-        Some(bytes) if !bytes.is_empty() => port.send_data(bytes),
-        _ => Ok(()),
-    });
-    if let Some(bytes) = data {
-        port.pool().put(bytes);
-    }
-    sent
-}
-
-/// The private, unbatched wire: one session, no framing.
-impl SentinelPort for PairPort<Op, OpReply> {
-    fn next(&self) -> afs_ipc::Result<Option<Inbound>> {
-        match self.poll_cmd()? {
-            Some(op) => pair_inbound(self, PRIVATE_SESSION, op).map(Some),
-            None => Ok(None),
-        }
-    }
-
-    fn reply(
-        &self,
-        _session: u32,
-        _id: u64,
-        reply: OpReply,
-        data: Option<Vec<u8>>,
-    ) -> afs_ipc::Result<()> {
-        pair_reply(self, reply, data)
-    }
-
-    fn pool(&self) -> &BufferPool {
-        PairPort::pool(self)
-    }
-
-    fn set_wakeup(&self, waker: ChannelWaker) {
-        PairPort::set_wakeup(self, waker);
-    }
-}
-
-/// The shared wire: every frame names its session.
+/// The pair wire, private or shared: every frame names its session.
 impl SentinelPort for PairPort<Framed<Op>, Framed<OpReply>> {
     fn next(&self) -> afs_ipc::Result<Option<Inbound>> {
-        match self.poll_cmd()? {
-            Some(frame) => pair_inbound(self, frame.session, frame.body).map(Some),
-            None => Ok(None),
-        }
+        let Some(frame) = self.poll_cmd()? else {
+            return Ok(None);
+        };
+        // The payload that follows a `Write` on the data lane.
+        let payload = match frame.body {
+            Op::Write { len, .. } if len > 0 => {
+                let mut buf = self.pool().take(len as usize);
+                // A pipe reports a vanished writer as a short count, not
+                // an error: either way the payload is not coming.
+                if self.recv_data_exact(&mut buf).ok() != Some(buf.len()) {
+                    self.pool().put(buf);
+                    return Err(IpcError::BrokenPipe);
+                }
+                buf
+            }
+            _ => Vec::new(),
+        };
+        Ok(Some(Inbound {
+            session: frame.session,
+            trace: frame.trace,
+            id: 0,
+            op: frame.body,
+            payload,
+        }))
     }
 
     fn reply(
@@ -166,9 +121,17 @@ impl SentinelPort for PairPort<Framed<Op>, Framed<OpReply>> {
     ) -> afs_ipc::Result<()> {
         let frame = Framed {
             session,
+            trace: TraceContext::default(),
             body: reply,
         };
-        pair_reply(self, frame, data)
+        let sent = self.send_reply(frame).and_then(|()| match &data {
+            Some(bytes) if !bytes.is_empty() => self.send_data(bytes),
+            _ => Ok(()),
+        });
+        if let Some(bytes) = data {
+            self.pool().put(bytes);
+        }
+        sent
     }
 
     fn pool(&self) -> &BufferPool {
@@ -183,12 +146,12 @@ impl SentinelPort for PairPort<Framed<Op>, Framed<OpReply>> {
 /// The batched wire: submissions carry their payload, completions are
 /// posted by id (so the ring itself recycles nothing into the pool).
 pub(crate) struct RingSentinelPort {
-    ring: RingPort<Op, OpReply>,
+    ring: RingPort<Framed<Op>, OpReply>,
     pool: BufferPool,
 }
 
 impl RingSentinelPort {
-    pub(crate) fn new(ring: RingPort<Op, OpReply>) -> Self {
+    pub(crate) fn new(ring: RingPort<Framed<Op>, OpReply>) -> Self {
         RingSentinelPort {
             ring,
             pool: BufferPool::new(),
@@ -199,9 +162,10 @@ impl RingSentinelPort {
 impl SentinelPort for RingSentinelPort {
     fn next(&self) -> afs_ipc::Result<Option<Inbound>> {
         Ok(self.ring.poll_sqe()?.map(|sqe| Inbound {
-            session: PRIVATE_SESSION,
+            session: sqe.cmd.session,
+            trace: sqe.cmd.trace,
             id: sqe.id,
-            op: sqe.cmd,
+            op: sqe.cmd.body,
             payload: sqe.payload.unwrap_or_default(),
         }))
     }
@@ -351,7 +315,7 @@ impl<P: SentinelPort> SentinelLoop<P> {
         port: P,
         joiners: Joiners,
     ) -> Arc<TaskDone> {
-        let departed = instr.sentinel_side(Arc::default());
+        let departed = instr.sentinel_side();
         let stats = instr.tel.sentinel_stats(instr.sentinel);
         instr.spawn_task(move |waker| {
             port.set_wakeup(waker);
@@ -364,6 +328,7 @@ impl<P: SentinelPort> SentinelLoop<P> {
     fn serve(&mut self, inbound: Inbound) -> afs_ipc::Result<Served> {
         let Inbound {
             session,
+            trace,
             id,
             op,
             payload,
@@ -390,7 +355,7 @@ impl<P: SentinelPort> SentinelLoop<P> {
         // A read's bytes have a wire to cross: they are staged in a
         // pooled buffer the reply takes with it.
         let mut data = op.read_room().map(|room| port.pool().take(room));
-        let executed = sess.side.observe(op_name(&op), || {
+        let executed = sess.side.observe(op_name(&op), trace, || {
             let into = data.as_deref_mut().unwrap_or_default();
             execute_op(logic.as_mut(), ctx, op, &payload, into)
         });

@@ -1,5 +1,5 @@
-//! The loop's contract, checked once per port: the three wirings differ
-//! in what carries a command, never in what the loop does with it.
+//! The loop's contract, checked once per wiring: the three differ in what
+//! carries a command, never in what the loop does with it.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -13,6 +13,7 @@ use super::*;
 use crate::logic::{SentinelError, SentinelResult};
 use crate::spec::{RuntimeSpec, SentinelSpec, Strategy};
 use crate::strategy::executor::SentinelExecutor;
+use crate::strategy::handle::private_frame;
 
 /// What the probe logic saw, shared with the test body.
 #[derive(Default)]
@@ -58,11 +59,10 @@ impl SentinelLogic for Probe {
 /// The application end of each port, driven by hand: the test polls
 /// the loop itself between a send and the matching receive.
 enum App {
-    Pair(PairTransport<Op, OpReply>),
     /// Speaks as the given session.
-    Framed(PairTransport<Framed<Op>, Framed<OpReply>>, u32),
+    Pair(PairTransport<Framed<Op>, Framed<OpReply>>, u32),
     /// Carries the last submission id.
-    Ring(RingTransport<Op, OpReply>, u64),
+    Ring(RingTransport<Framed<Op>, OpReply>, u64),
 }
 
 /// The session the framed rig is admitted as.
@@ -75,15 +75,10 @@ impl App {
     /// simply a write of nothing).
     fn send(&mut self, op: Op, payload: Option<&[u8]>) {
         match self {
-            App::Pair(t) => {
-                t.send_cmd(op).expect("cmd");
-                if let Some(p) = payload {
-                    t.send_data(p).expect("data");
-                }
-            }
-            App::Framed(t, session) => {
+            App::Pair(t, session) => {
                 t.send_cmd(Framed {
                     session: *session,
+                    trace: TraceContext::default(),
                     body: op,
                 })
                 .expect("cmd");
@@ -95,7 +90,7 @@ impl App {
                 *next += 1;
                 t.submit(vec![Sqe {
                     id: *next,
-                    cmd: op,
+                    cmd: private_frame(op, TraceContext::default()),
                     payload: payload.map(<[u8]>::to_vec),
                 }])
                 .expect("submit");
@@ -105,7 +100,7 @@ impl App {
 
     /// Changes which session a framed application frames as.
     fn speak_as(&mut self, id: u32) {
-        if let App::Framed(_, session) = self {
+        if let App::Pair(_, session) = self {
             *session = id;
         }
     }
@@ -118,8 +113,7 @@ impl App {
     /// Collects the reply to the last synchronous command.
     fn reply(&mut self) -> OpReply {
         match self {
-            App::Pair(t) => t.recv_reply().expect("reply"),
-            App::Framed(t, session) => {
+            App::Pair(t, session) => {
                 let frame = t.recv_reply().expect("reply");
                 assert_eq!(frame.session, *session, "reply names its session");
                 frame.body
@@ -186,7 +180,7 @@ fn rig<P: SentinelPort>(
         Session {
             id: session,
             sticky: Arc::clone(&sticky),
-            side: instr.sentinel_side(Arc::default()),
+            side: instr.sentinel_side(),
         },
         vec![session],
     );
@@ -203,7 +197,7 @@ fn rig<P: SentinelPort>(
             ctx,
             port,
             joiners.clone(),
-            instr.sentinel_side(Arc::default()),
+            instr.sentinel_side(),
             instr.tel.sentinel_stats(instr.sentinel),
         )),
         seen,
@@ -212,18 +206,19 @@ fn rig<P: SentinelPort>(
     }
 }
 
-/// One rig per port. The pair ports ride kernel pipes, the one
-/// substrate on which an application can vanish between a command and
-/// its payload (a §4.3 sentinel thread dies with its application).
+/// One rig per wiring: the pair port private (session 0) and shared,
+/// and the ring. The pair rigs ride kernel pipes, the one substrate on
+/// which an application can vanish between a command and its payload (a
+/// §4.3 sentinel thread dies with its application).
 fn rigs(fail_writes: bool) -> [Rig; 3] {
     [
         rig("pair", fail_writes, PRIVATE_SESSION, |model| {
             let (t, port) = PairTransport::kernel(model);
-            (App::Pair(t), port)
+            (App::Pair(t, PRIVATE_SESSION), port)
         }),
         rig("framed pair", fail_writes, FRAMED_SESSION, |model| {
             let (t, port) = PairTransport::kernel(model);
-            (App::Framed(t, FRAMED_SESSION), port)
+            (App::Pair(t, FRAMED_SESSION), port)
         }),
         rig("ring", fail_writes, PRIVATE_SESSION, |model| {
             let (t, port) = RingPair::shared(model, 4);
@@ -343,7 +338,7 @@ fn sessions_join_a_running_loop_and_departed_ones_are_pruned() {
     const LATE: u32 = 9;
     let mut r = rig("framed pair", true, FRAMED_SESSION, |model| {
         let (t, port) = PairTransport::kernel(model);
-        (App::Framed(t, FRAMED_SESSION), port)
+        (App::Pair(t, FRAMED_SESSION), port)
     });
     r.app.write(b"mine");
     r.task.poll();
@@ -356,7 +351,7 @@ fn sessions_join_a_running_loop_and_departed_ones_are_pruned() {
         Session {
             id: LATE,
             sticky: Arc::clone(&late),
-            side: instruments().sentinel_side(Arc::default()),
+            side: instruments().sentinel_side(),
         },
         vec![LATE],
     );

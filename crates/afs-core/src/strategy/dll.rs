@@ -24,7 +24,7 @@ use parking_lot::Mutex;
 
 use afs_ipc::IpcError;
 use afs_sim::CrossingKind;
-use afs_telemetry::{SessionGauges, SpanScope};
+use afs_telemetry::{SessionGauges, TraceContext};
 use afs_winapi::Win32Error;
 
 use crate::ctx::SentinelCtx;
@@ -62,15 +62,22 @@ struct InlineSession {
     /// dispatch loop's write-behind semantics.
     sticky: Sticky,
     /// Sentinel-side telemetry; the inline sentinel's spans nest under the
-    /// calling thread's open transport span.
+    /// op's transport span, whose context the handle passes in.
     side: SentinelSide,
 }
 
 impl InlineSession {
-    /// Runs `op` on this thread under the core lock — all there is to a
-    /// §4.4 operation: the routine reads straight into `into`, nothing is
-    /// staged. A closed sentinel takes no more commands.
-    fn run(&self, op: Op, payload: &[u8], into: &mut [u8]) -> afs_ipc::Result<OpReply> {
+    /// Runs `op` under its op's `trace` on this thread under the core
+    /// lock — all there is to a §4.4 operation: the routine reads straight
+    /// into `into`, nothing is staged. A closed sentinel takes no more
+    /// commands.
+    fn run(
+        &self,
+        op: Op,
+        trace: TraceContext,
+        payload: &[u8],
+        into: &mut [u8],
+    ) -> afs_ipc::Result<OpReply> {
         let mut core = self.shared.core.lock();
         if core.closed {
             return Err(IpcError::BrokenPipe);
@@ -87,7 +94,7 @@ impl InlineSession {
             core.closed = true;
         }
         let InlineCore { logic, ctx, .. } = &mut *core;
-        self.side.observe_inline(op_name(&op), || {
+        self.side.observe(op_name(&op), trace, || {
             execute_op(logic.as_mut(), ctx, op, payload, into)
         })
     }
@@ -98,15 +105,20 @@ impl AppPort for InlineSession {
         CrossingKind::None
     }
 
-    fn post(&self, op: Op, payload: &[u8]) -> afs_ipc::Result<()> {
-        if let OpReply::Failed(e) = self.run(op, payload, &mut [])? {
+    fn post(&self, op: Op, trace: TraceContext, payload: &[u8]) -> afs_ipc::Result<()> {
+        if let OpReply::Failed(e) = self.run(op, trace, payload, &mut [])? {
             self.sticky.park(e);
         }
         Ok(())
     }
 
-    fn call(&self, op: Op, into: &mut [u8]) -> afs_ipc::Result<(OpReply, usize)> {
-        let reply = self.run(op, &[], into)?;
+    fn call(
+        &self,
+        op: Op,
+        trace: TraceContext,
+        into: &mut [u8],
+    ) -> afs_ipc::Result<(OpReply, usize)> {
+        let reply = self.run(op, trace, &[], into)?;
         let n = reply.announced();
         Ok((reply, n))
     }
@@ -124,13 +136,12 @@ impl SharedSentinel for InlineShared {
             self.gauges.attached(core.live as u64);
         }
         let sticky = Sticky::default();
-        let scope = Arc::new(SpanScope::default());
         let session = InlineSession {
             shared: me,
             sticky: Arc::clone(&sticky),
-            side: self.instr.sentinel_side(Arc::clone(&scope)),
+            side: self.instr.sentinel_side(),
         };
-        Some(self.instr.handle(session, sticky, scope, None))
+        Some(self.instr.handle(session, sticky, None))
     }
 
     fn session_count(&self) -> usize {

@@ -12,7 +12,7 @@
 //!
 //! | Carrier | `call` does | and charges |
 //! |---------|-------------|-------------|
-//! | [`PairTransport<Op, OpReply>`] (§4.2/§4.3, private) | command, reply, payload over the four lanes | the lanes' syscalls/events and copies; the handle adds the round trip's two switches |
+//! | [`PairTransport`] (§4.2/§4.3, private) | command, reply, payload over the four lanes | the lanes' syscalls/events and copies; the handle adds the round trip's two switches |
 //! | [`MuxSession`] (shared) | flushes staged writes, frames the command, pulls its reply or takes it from its mailbox | two switches per transmitted frame, `Memcpy` per staging copy |
 //! | [`RingDriver`](super::batch::RingDriver) (`batch=on`) | staged writes + the command (+ readahead) in one batch, or a readahead hit | one doorbell and one switch pair per batch, `Memcpy` per entry |
 //! | `InlineSession` (§4.4) | `execute_op` on this thread under the core lock | nothing beyond the logic's own |
@@ -21,6 +21,13 @@
 //! them and keeps what is per-open: the file pointer, the sticky
 //! write-behind error, the reaper. (§4.1 has no commands to carry; its
 //! handle is the stream handle in [`process`](super::process).)
+//!
+//! Every command goes with the [`TraceContext`] of its op's transport
+//! span (`send` or `round-trip`): the out-of-line carriers put it on the
+//! command's [`Framed`] envelope, the inline one hands it to the
+//! sentinel, so a sentinel span joins the op it serves however late the
+//! command is served. A command is charged per message, never by size, so
+//! the context costs nothing.
 //!
 //! Every operation is recorded by a [`Recorder`] in an [`OpTrace`]:
 //! virtual elapsed time, payload bytes, and the protection-domain
@@ -36,11 +43,14 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use afs_ipc::{BufferPool, IpcError, MuxSession, PairTransport};
+use afs_ipc::{BufferPool, Framed, IpcError, MuxSession, PairTransport};
 use afs_sim::{clock, Cost, CostModel, CrossingKind, OpKind, OpTrace, OpWindow, TraceRecord};
-use afs_telemetry::{now_ns, LatencyHistogram, Layer, SloTracker, SpanGuard, SpanScope, Telemetry};
+use afs_telemetry::{
+    now_ns, LatencyHistogram, Layer, SloTracker, SpanGuard, Telemetry, TraceContext,
+};
 use afs_winapi::{SeekMethod, Win32Error};
 
+use crate::strategy::dispatch::PRIVATE_SESSION;
 use crate::strategy::mux::OpMux;
 use crate::strategy::{reap, to_win32, ActiveOps, Op, OpReply, Reaper, Sticky};
 
@@ -57,16 +67,18 @@ pub(crate) trait AppPort: Send + Sync {
         false
     }
 
-    /// Sends a `Write` and its bytes; nobody waits for the outcome (a
-    /// failure parks in the session's sticky slot).
+    /// Sends a `Write` under its op's `trace`, and its bytes; nobody
+    /// waits for the outcome (a failure parks in the session's sticky
+    /// slot).
     ///
     /// # Errors
     ///
     /// The sentinel end is gone.
-    fn post(&self, op: Op, payload: &[u8]) -> afs_ipc::Result<()>;
+    fn post(&self, op: Op, trace: TraceContext, payload: &[u8]) -> afs_ipc::Result<()>;
 
-    /// Sends `op`, waits for its reply, and lands the bytes that follow
-    /// the reply in the front of `into`; returns the reply and how many.
+    /// Sends `op` under its op's `trace`, waits for its reply, and
+    /// lands the bytes that follow the reply in the front of `into`;
+    /// returns the reply and how many.
     ///
     /// # Errors
     ///
@@ -75,28 +87,48 @@ pub(crate) trait AppPort: Send + Sync {
     /// bytes than `into` has room for, a protocol violation that fails the
     /// operation and leaves the wire usable. Anything else: the wire died
     /// under the operation.
-    fn call(&self, op: Op, into: &mut [u8]) -> afs_ipc::Result<(OpReply, usize)>;
+    fn call(
+        &self,
+        op: Op,
+        trace: TraceContext,
+        into: &mut [u8],
+    ) -> afs_ipc::Result<(OpReply, usize)>;
+}
+
+/// `op` under its op's `trace`, framed for a wire that carries one
+/// session.
+pub(crate) fn private_frame(op: Op, trace: TraceContext) -> Framed<Op> {
+    Framed {
+        session: PRIVATE_SESSION,
+        trace,
+        body: op,
+    }
 }
 
 /// The private §4.2/§4.3 wire: exactly the paper's sequence — "a 'read
 /// 50' command is sent to the sentinel, and then 50 bytes are read from
 /// the read pipe".
-impl AppPort for PairTransport<Op, OpReply> {
+impl AppPort for PairTransport<Framed<Op>, Framed<OpReply>> {
     fn crossing(&self) -> CrossingKind {
         PairTransport::crossing(self)
     }
 
-    fn post(&self, op: Op, payload: &[u8]) -> afs_ipc::Result<()> {
-        self.send_cmd(op)?;
+    fn post(&self, op: Op, trace: TraceContext, payload: &[u8]) -> afs_ipc::Result<()> {
+        self.send_cmd(private_frame(op, trace))?;
         if payload.is_empty() {
             return Ok(());
         }
         self.send_data(payload)
     }
 
-    fn call(&self, op: Op, into: &mut [u8]) -> afs_ipc::Result<(OpReply, usize)> {
-        self.send_awaited(op, into.len())?;
-        let reply = self.recv_reply()?;
+    fn call(
+        &self,
+        op: Op,
+        trace: TraceContext,
+        into: &mut [u8],
+    ) -> afs_ipc::Result<(OpReply, usize)> {
+        self.send_awaited(private_frame(op, trace), into.len())?;
+        let reply = self.recv_reply()?.body;
         let n = match reply {
             OpReply::Read { n } => self.recv_payload(n as usize, into)?,
             _ => 0,
@@ -116,12 +148,17 @@ impl AppPort for MuxSession<OpMux> {
         true
     }
 
-    fn post(&self, op: Op, payload: &[u8]) -> afs_ipc::Result<()> {
-        MuxSession::post(self, op, payload)
+    fn post(&self, op: Op, trace: TraceContext, payload: &[u8]) -> afs_ipc::Result<()> {
+        MuxSession::post(self, op, trace, payload)
     }
 
-    fn call(&self, op: Op, into: &mut [u8]) -> afs_ipc::Result<(OpReply, usize)> {
-        MuxSession::call(self, op, into)
+    fn call(
+        &self,
+        op: Op,
+        trace: TraceContext,
+        into: &mut [u8],
+    ) -> afs_ipc::Result<(OpReply, usize)> {
+        MuxSession::call(self, op, trace, into)
     }
 }
 
@@ -175,10 +212,6 @@ pub(crate) struct Recorder {
     /// The boundary this handle's operations cross.
     crossing: CrossingKind,
     tel: Arc<Telemetry>,
-    /// Publishes the in-flight op's trace context so the sentinel task can
-    /// parent (and trace) its spans to the op it is serving, no matter
-    /// which executor worker polls it.
-    scope: Arc<SpanScope>,
     /// The file's SLO tracker, when objectives are declared in the spec.
     slo: Option<Arc<SloTracker>>,
     /// Per-(strategy, op) latency histograms, resolved once at open.
@@ -192,7 +225,6 @@ impl Recorder {
         strategy: &'static str,
         crossing: CrossingKind,
         tel: Arc<Telemetry>,
-        scope: Arc<SpanScope>,
         slo: Option<Arc<SloTracker>>,
     ) -> Self {
         let hists = OP_KINDS.map(|kind| tel.strategy_hist(strategy, kind.label()));
@@ -202,16 +234,21 @@ impl Recorder {
             strategy,
             crossing,
             tel,
-            scope,
             slo,
             hists,
         }
     }
 
     /// Opens a [`Layer::Transport`] span for the wire exchange of the
-    /// current op (no-op while telemetry is disabled).
-    pub(crate) fn transport_span(&self, name: &'static str) -> Option<SpanGuard> {
-        self.tel.span_tagged(Layer::Transport, name, self.strategy)
+    /// current op (no-op while telemetry is disabled), and returns it with
+    /// the context its command carries to the sentinel (the default while
+    /// disabled).
+    pub(crate) fn transport_span(&self, name: &'static str) -> (Option<SpanGuard>, TraceContext) {
+        let span = self.tel.span_tagged(Layer::Transport, name, self.strategy);
+        let trace = span
+            .as_ref()
+            .map_or_else(TraceContext::default, SpanGuard::context);
+        (span, trace)
     }
 
     /// Charges the two switches of one round trip across the boundary.
@@ -238,9 +275,8 @@ impl Recorder {
     /// Runs one operation under trace: the closure returns the result plus
     /// the payload byte count, and the wrapper attributes the virtual time
     /// and the cost-counter deltas that accrued meanwhile. With telemetry
-    /// enabled it additionally opens the op's [`Layer::Strategy`] span
-    /// (published through `scope` for sentinel-side parenting) and records
-    /// the latency histogram for `(strategy, op)`.
+    /// enabled it additionally opens the op's [`Layer::Strategy`] span and
+    /// records the latency histogram for `(strategy, op)`.
     pub(crate) fn traced<R>(
         &self,
         op: OpKind,
@@ -253,9 +289,6 @@ impl Recorder {
             span = self
                 .tel
                 .span_tagged(Layer::Strategy, op.label(), self.strategy);
-            if let Some(sp) = &span {
-                self.scope.publish(sp.context());
-            }
             tel_started = now_ns();
         }
         let started = clock::now();
@@ -330,9 +363,9 @@ impl<P: AppPort> StrategyHandle<P> {
     /// and a failed wire both come back as the Win32 code the stub
     /// returns. The caller holds the pointer.
     fn round_trip(&self, op: Op, into: &mut [u8]) -> Result<(OpReply, usize), Win32Error> {
-        let _wire = self.rec.transport_span("round-trip");
+        let (_wire, trace) = self.rec.transport_span("round-trip");
         self.charge_round_trip();
-        match self.port.call(op, into) {
+        match self.port.call(op, trace, into) {
             Ok((OpReply::Failed(e), _)) => Err(to_win32(&e)),
             Ok(answer) => Ok(answer),
             Err(_) => Err(Win32Error::BrokenPipe),
@@ -388,7 +421,7 @@ impl<P: AppPort> ActiveOps for StrategyHandle<P> {
         let mut pointer = self.pointer.lock();
         self.check_sticky()?;
         self.rec.traced(OpKind::Write, || {
-            let _wire = self.rec.transport_span("send");
+            let (_wire, trace) = self.rec.transport_span("send");
             self.charge_round_trip();
             let result = (|| {
                 let op = Op::Write {
@@ -396,7 +429,7 @@ impl<P: AppPort> ActiveOps for StrategyHandle<P> {
                     len: data.len() as u32,
                 };
                 self.port
-                    .post(op, data)
+                    .post(op, trace, data)
                     .map_err(|_| Win32Error::BrokenPipe)?;
                 if self.port.crossing() == CrossingKind::None {
                     // §4.4: the sentinel routine ran inline on this call,
@@ -503,9 +536,9 @@ impl<P: AppPort> ActiveOps for StrategyHandle<P> {
     fn close(&self) -> Result<(), Win32Error> {
         let result = self.rec.traced(OpKind::Close, || {
             let _pointer = self.pointer.lock();
-            let _wire = self.rec.transport_span("round-trip");
+            let (_wire, trace) = self.rec.transport_span("round-trip");
             self.charge_round_trip();
-            let r = match self.port.call(Op::Close, &mut []) {
+            let r = match self.port.call(Op::Close, trace, &mut []) {
                 Ok((OpReply::Done, _)) => Ok(()),
                 Ok((OpReply::Failed(e), _)) => Err(to_win32(&e)),
                 // Never delivered — the sentinel is already gone; close

@@ -75,23 +75,16 @@ impl SentinelLogic for Scripted {
     }
 }
 
-/// Serves a pair port — plain or framed — from the script, as a sentinel
-/// thread the handle's close reaps. With `sessions > 1`, vanishing waits
-/// until every session has a command on the wire, so one of them is
-/// pulling and the rest are waiting on it.
-fn serve_pair<C, R>(
-    port: PairPort<C, R>,
-    sessions: usize,
-    open: impl Fn(C) -> (u32, Op) + Send + 'static,
-    frame: impl Fn(u32, OpReply) -> R + Send + 'static,
-) -> Reaper
-where
-    C: Send + 'static,
-    R: Send + 'static,
-{
+/// Serves a pair port — private or shared — from the script, as a
+/// sentinel thread the handle's close reaps. With `sessions > 1`,
+/// vanishing waits until every session has a command on the wire, so one
+/// of them is pulling and the rest are waiting on it.
+fn serve_pair(port: PairPort<Framed<Op>, Framed<OpReply>>, sessions: usize) -> Reaper {
     Reaper::Thread(spawn_sentinel("scripted", move || {
-        while let Ok(cmd) = port.recv_cmd() {
-            let (session, op) = open(cmd);
+        while let Ok(Framed {
+            session, body: op, ..
+        }) = port.recv_cmd()
+        {
             if let Op::Write { len, .. } = op {
                 let mut payload = vec![0; len as usize];
                 if len > 0 && port.recv_data_exact(&mut payload).is_err() {
@@ -105,7 +98,11 @@ where
                 }
                 return;
             };
-            let sent = port.send_reply(frame(session, reply));
+            let sent = port.send_reply(Framed {
+                session,
+                trace: TraceContext::default(),
+                body: reply,
+            });
             if sent.is_err() || (!data.is_empty() && port.send_data(&data).is_err()) {
                 return;
             }
@@ -131,28 +128,23 @@ fn handle(
     port: impl AppPort + 'static,
     reaper: Option<Reaper>,
 ) -> Arc<dyn ActiveOps> {
-    instr.handle(port, Sticky::default(), Arc::default(), reaper)
+    instr.handle(port, Sticky::default(), reaper)
 }
 
 fn rigs() -> [Rig; 4] {
     let instr = instruments();
     let model = || instr.model.clone();
 
-    let (pair, port) = PairTransport::<Op, OpReply>::kernel(model());
-    let pair_end = serve_pair(port, 1, |op| (0, op), |_, reply| reply);
+    let (pair, port) = PairTransport::<Framed<Op>, Framed<OpReply>>::kernel(model());
+    let pair_end = serve_pair(port, 1);
 
-    let (wire, port) = PairTransport::<Framed<Op>, Framed<OpReply>>::kernel(model());
+    let (wire, port) = PairTransport::kernel(model());
     let hub = MuxHub::<OpMux>::new(wire, model(), None);
-    let hub_end = serve_pair(
-        port,
-        2,
-        |f: Framed<Op>| (f.session, f.body),
-        |session, body| Framed { session, body },
-    );
+    let hub_end = serve_pair(port, 2);
     hub.set_reaper(Box::new(move || hub_end.wait()));
     let [hub_a, hub_b] = [(); 2].map(|()| handle(&instr, hub.attach().expect("attach"), None));
 
-    let (ring, port) = RingPair::shared::<Op, OpReply>(model(), 4);
+    let (ring, port) = RingPair::shared::<Framed<Op>, OpReply>(model(), 4);
     let driver = RingDriver::new(ring, &instr, Arc::new(AtomicU64::new(0)));
     let ring_end = Reaper::Thread(spawn_sentinel("scripted-ring", move || loop {
         let sqe = match port.poll_sqe() {
@@ -163,10 +155,11 @@ fn rigs() -> [Rig; 4] {
             }
             Err(_) => return,
         };
-        if matches!(sqe.cmd, Op::Write { .. }) {
+        let op = sqe.cmd.body;
+        if matches!(op, Op::Write { .. }) {
             continue;
         }
-        let Some((reply, data)) = script(&sqe.cmd) else {
+        let Some((reply, data)) = script(&op) else {
             return;
         };
         let cqe = Cqe {
@@ -174,7 +167,7 @@ fn rigs() -> [Rig; 4] {
             reply,
             data: Some(data),
         };
-        if port.post(cqe).is_err() || matches!(sqe.cmd, Op::Close) {
+        if port.post(cqe).is_err() || matches!(op, Op::Close) {
             return;
         }
     }));

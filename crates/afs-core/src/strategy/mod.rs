@@ -51,7 +51,7 @@ use parking_lot::Mutex;
 
 use afs_ipc::IpcError;
 use afs_sim::{clock, CostModel, CrossingKind, OpTrace, SimTime};
-use afs_telemetry::{now_ns, LatencyHistogram, Layer, SloTracker, SpanScope, Telemetry};
+use afs_telemetry::{now_ns, LatencyHistogram, Layer, SloTracker, Telemetry, TraceContext};
 use afs_winapi::Win32Error;
 
 use crate::ctx::SentinelCtx;
@@ -129,61 +129,51 @@ impl Instruments {
         }
     }
 
-    /// The sentinel-side observation bundle: reads `scope` to parent its
-    /// spans to the operation in flight on the application side.
-    pub(crate) fn sentinel_side(&self, scope: Arc<SpanScope>) -> SentinelSide {
+    /// The sentinel-side observation bundle.
+    pub(crate) fn sentinel_side(&self) -> SentinelSide {
         SentinelSide {
             hist: self.tel.sentinel_hist(self.sentinel),
             tel: Arc::clone(&self.tel),
-            scope,
             strategy: self.strategy,
             note: "",
         }
     }
 
     /// What an application-side handle of this open records its
-    /// operations into — they cross `crossing` — publishing the in-flight
-    /// op's trace context in `scope`.
-    pub(crate) fn recorder(
-        &self,
-        crossing: CrossingKind,
-        scope: Arc<SpanScope>,
-    ) -> handle::Recorder {
+    /// operations into — they cross `crossing`.
+    pub(crate) fn recorder(&self, crossing: CrossingKind) -> handle::Recorder {
         handle::Recorder::new(
             self.model.clone(),
             Arc::clone(&self.trace),
             self.strategy,
             crossing,
             Arc::clone(&self.tel),
-            scope,
             self.slo.clone(),
         )
     }
 
     /// The application end of one session: a [`StrategyHandle`] driving
-    /// `port`, publishing the in-flight op's trace context in `scope` and
-    /// surfacing the failures its sentinel end parks in `sticky`.
+    /// `port` and surfacing the failures its sentinel end parks in
+    /// `sticky`.
     ///
     /// [`StrategyHandle`]: handle::StrategyHandle
     pub(crate) fn handle(
         &self,
         port: impl handle::AppPort + 'static,
         sticky: Sticky,
-        scope: Arc<SpanScope>,
         reaper: Option<Reaper>,
     ) -> Arc<dyn ActiveOps> {
-        let rec = self.recorder(port.crossing(), scope);
+        let rec = self.recorder(port.crossing());
         Arc::new(handle::StrategyHandle::new(port, rec, sticky, reaper))
     }
 }
 
-/// Sentinel-side telemetry: span creation (parented across threads via the
-/// shared scope cell) and the per-sentinel latency histogram.
+/// Sentinel-side telemetry: span creation (parented to the op whose frame
+/// the sentinel is serving) and the per-sentinel latency histogram.
 #[derive(Clone)]
 pub(crate) struct SentinelSide {
     tel: Arc<Telemetry>,
     hist: Arc<LatencyHistogram>,
-    scope: Arc<SpanScope>,
     strategy: &'static str,
     /// Annotation applied to every span this side opens; the mux layer
     /// sets `"session=<id> file=<path>"` so slow-op ancestry and traces
@@ -200,51 +190,23 @@ impl SentinelSide {
     }
 
     /// Runs one sentinel-side op execution under a [`Layer::Sentinel`] span
-    /// parented to the application's in-flight strategy span, recording the
-    /// execution latency in the per-sentinel histogram. The parent (and
-    /// trace) come from the scope *cell*, not the polling thread's own
-    /// span stack, so a task migrated across executor workers by
-    /// work-stealing still re-parents to the originating op.
-    pub(crate) fn observe<R>(&self, name: &'static str, f: impl FnOnce() -> R) -> R {
+    /// parented to `trace` — the op's transport span, carried on the frame
+    /// that brought the command (`TraceContext::default()`, a root, for
+    /// the §4.1 pump, whose chunks serve no one op) — recording the
+    /// execution latency in the per-sentinel histogram. Whichever thread
+    /// serves the frame, and however late, the span joins its own op.
+    pub(crate) fn observe<R>(
+        &self,
+        name: &'static str,
+        trace: TraceContext,
+        f: impl FnOnce() -> R,
+    ) -> R {
         if !self.tel.enabled() {
             return f();
         }
-        let ctx = self.scope.load();
-        let _span = self
-            .tel
-            .span_in_context(Layer::Sentinel, name, self.strategy, ctx, self.note);
-        let started = now_ns();
-        let result = f();
-        self.hist.record(now_ns().saturating_sub(started));
-        result
-    }
-
-    /// Like [`SentinelSide::observe`], but parents to the innermost open
-    /// span on this thread — the §4.4 inline case, where the sentinel runs
-    /// under the application's transport span.
-    pub(crate) fn observe_inline<R>(&self, name: &'static str, f: impl FnOnce() -> R) -> R {
-        if !self.tel.enabled() {
-            return f();
-        }
-        let mut span = self.tel.span_tagged(Layer::Sentinel, name, self.strategy);
-        if let Some(span) = span.as_mut() {
-            span.set_note(self.note);
-        }
-        let started = now_ns();
-        let result = f();
-        self.hist.record(now_ns().saturating_sub(started));
-        result
-    }
-
-    /// Like [`SentinelSide::observe`], but as a root span — the §4.1 pump,
-    /// whose streaming chunks are not tied to any one application op.
-    pub(crate) fn observe_root<R>(&self, name: &'static str, f: impl FnOnce() -> R) -> R {
-        if !self.tel.enabled() {
-            return f();
-        }
-        let _span = self
-            .tel
-            .span_with_parent(Layer::Sentinel, name, self.strategy, 0);
+        let _span =
+            self.tel
+                .span_in_context(Layer::Sentinel, name, self.strategy, trace, self.note);
         let started = now_ns();
         let result = f();
         self.hist.record(now_ns().saturating_sub(started));

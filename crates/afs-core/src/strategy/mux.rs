@@ -6,7 +6,7 @@
 //! per-open handle semantics while sharing the machinery: the first open
 //! launches the sentinel; later opens *attach* as new sessions on the same
 //! [`MuxHub`], each with a private file pointer, private sticky
-//! write-behind error, and private telemetry scope.
+//! write-behind error, and its own span note.
 //!
 //! Division of labour:
 //!
@@ -24,7 +24,7 @@
 use std::sync::Arc;
 
 use afs_ipc::{MuxHub, MuxProtocol};
-use afs_telemetry::{intern, SpanScope};
+use afs_telemetry::intern;
 
 use crate::strategy::dispatch::{Joiners, Session};
 use crate::strategy::{ActiveOps, Instruments, Op, OpReply, Sticky};
@@ -104,7 +104,6 @@ impl SharedSentinel for MuxShared {
         let session = self.hub.attach()?;
         let id = session.session_id();
         let sticky = Sticky::default();
-        let scope = Arc::new(SpanScope::default());
         // Every sentinel-side span of this session carries the owning
         // session id and file, so slow-op ancestry and trace dumps name
         // which of the multiplexed clients an op belongs to.
@@ -113,13 +112,13 @@ impl SharedSentinel for MuxShared {
             Session {
                 id,
                 sticky: Arc::clone(&sticky),
-                side: self.instr.sentinel_side(Arc::clone(&scope)).with_note(note),
+                side: self.instr.sentinel_side().with_note(note),
             },
             self.hub.live_sessions(),
         );
         // The hub reaps the sentinel when the terminal close is
         // acknowledged; the handle has nothing to join.
-        Some(self.instr.handle(session, sticky, scope, None))
+        Some(self.instr.handle(session, sticky, None))
     }
 
     fn session_count(&self) -> usize {

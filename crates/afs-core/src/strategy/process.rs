@@ -30,6 +30,7 @@ use parking_lot::Mutex;
 
 use afs_ipc::{Pipe, PipeReader, PipeWriter};
 use afs_sim::{CrossingKind, OpKind};
+use afs_telemetry::TraceContext;
 use afs_winapi::{SeekMethod, Win32Error};
 
 use crate::ctx::SentinelCtx;
@@ -83,7 +84,7 @@ impl StreamHandle {
         io: impl FnOnce(&E) -> afs_ipc::Result<usize>,
     ) -> Result<usize, Win32Error> {
         self.rec.traced(op, || {
-            let _wire = self.rec.transport_span(span);
+            let (_wire, _) = self.rec.transport_span(span);
             self.rec.charge_round_trip();
             let r = match end.lock().as_ref().map(io) {
                 Some(Ok(n)) => Ok(n),
@@ -139,7 +140,7 @@ impl ActiveOps for StreamHandle {
             // sentinel's stdin, dropping the read end breaks any pump
             // blocked on a full read pipe; the sentinel finishes and is
             // reaped.
-            let _wire = self.rec.transport_span("shutdown");
+            let (_wire, _) = self.rec.transport_span("shutdown");
             self.to_sentinel.lock().take();
             self.from_sentinel.lock().take();
             reap(&self.reaper);
@@ -167,7 +168,7 @@ fn wire(
     Arc::new(StreamHandle {
         to_sentinel: Mutex::new(Some(app_write)),
         from_sentinel: Mutex::new(Some(app_read)),
-        rec: instr.recorder(CrossingKind::InterProcess, Arc::default()),
+        rec: instr.recorder(CrossingKind::InterProcess),
         reaper: Mutex::new(Some(Reaper::Thread(join))),
     })
 }
@@ -193,9 +194,7 @@ pub(crate) fn open_logic(
     instr: Instruments,
 ) -> Result<Arc<dyn ActiveOps>, Win32Error> {
     logic.on_open(&mut ctx).map_err(|e| to_win32(&e))?;
-    // The pump's streaming chunks are not tied to any single application
-    // op, so its spans are roots and the scope cell goes unused.
-    let side = instr.sentinel_side(Arc::default());
+    let side = instr.sentinel_side();
     Ok(wire(&instr, move |stdin, stdout| {
         pump(logic, ctx, stdin, stdout, side);
     }))
@@ -223,7 +222,9 @@ fn pump(
         let mut cursor = 0u64;
         let mut buf = [0u8; PUMP_CHUNK];
         loop {
-            let produced = reader_side.observe_root("stream-read", || {
+            // A streamed chunk serves no one application op: its span is a
+            // root, as is the write direction's below.
+            let produced = reader_side.observe("stream-read", TraceContext::default(), || {
                 let mut s = reader_shared.lock();
                 let Shared { logic, ctx } = &mut *s;
                 logic.read(ctx, cursor, &mut buf)
@@ -247,7 +248,7 @@ fn pump(
         match stdin.read(&mut buf) {
             Ok(0) | Err(_) => break, // EOF: application closed
             Ok(n) => {
-                let accepted = side.observe_root("stream-write", || {
+                let accepted = side.observe("stream-write", TraceContext::default(), || {
                     let mut s = shared.lock();
                     let Shared { logic, ctx } = &mut *s;
                     logic.write(ctx, cursor, &buf[..n]).is_ok()

@@ -20,7 +20,7 @@
 use std::sync::Arc;
 
 use afs_ipc::{Framed, MuxHub, PairPort, PairTransport, RingPair};
-use afs_telemetry::{intern, SpanScope};
+use afs_telemetry::intern;
 use afs_winapi::Win32Error;
 
 use crate::ctx::SentinelCtx;
@@ -73,7 +73,7 @@ pub(crate) fn open(
     let joiners = Joiners::default();
     if joinable && batch.is_none() {
         let file = intern(&ctx.path().file_path().to_string());
-        let (transport, port) = pair::<Framed<Op>, Framed<OpReply>>(boundary, &instr);
+        let (transport, port) = pair(boundary, &instr);
         let hub = MuxHub::new(
             transport,
             instr.model.clone(),
@@ -91,20 +91,19 @@ pub(crate) fn open(
         })));
     }
     let sticky = Sticky::default();
-    let scope = Arc::new(SpanScope::default());
     joiners.admit(
         Session {
             id: PRIVATE_SESSION,
             sticky: Arc::clone(&sticky),
-            side: instr.sentinel_side(Arc::clone(&scope)),
+            side: instr.sentinel_side(),
         },
         vec![PRIVATE_SESSION],
     );
     let ops = match batch {
         None => {
-            let (transport, port) = pair::<Op, OpReply>(boundary, &instr);
+            let (transport, port) = pair(boundary, &instr);
             let done = SentinelLoop::spawn(&instr, logic, ctx, port, joiners);
-            instr.handle(transport, sticky, scope, Some(Reaper::Task(done)))
+            instr.handle(transport, sticky, Some(Reaper::Task(done)))
         }
         Some(depth) => {
             let rings = Arc::clone(instr.tel.rings());
@@ -118,18 +117,21 @@ pub(crate) fn open(
             let driver = RingDriver::new(ring, &instr, ctx.heal_generation());
             let port = RingSentinelPort::new(port);
             let done = SentinelLoop::spawn(&instr, logic, ctx, port, joiners);
-            instr.handle(driver, sticky, scope, Some(Reaper::Task(done)))
+            instr.handle(driver, sticky, Some(Reaper::Task(done)))
         }
     };
     Ok(Launched::Private(ops))
 }
 
-/// The command/reply pair lane over `boundary`'s substrate.
-fn pair<C, R>(boundary: Boundary, instr: &Instruments) -> (PairTransport<C, R>, PairPort<C, R>)
-where
-    C: Send + 'static,
-    R: Send + 'static,
-{
+/// A command/reply pair lane, private or shared: its application end and
+/// its sentinel end.
+type Lane = (
+    PairTransport<Framed<Op>, Framed<OpReply>>,
+    PairPort<Framed<Op>, Framed<OpReply>>,
+);
+
+/// The pair lane over `boundary`'s substrate.
+fn pair(boundary: Boundary, instr: &Instruments) -> Lane {
     let gauges = Arc::clone(instr.tel.gauges());
     match boundary {
         Boundary::Kernel => PairTransport::kernel_observed(instr.model.clone(), gauges),

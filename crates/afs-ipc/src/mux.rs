@@ -4,10 +4,12 @@
 //! transports, and N incoherent caches for N concurrent opens of the same
 //! active file. A [`MuxHub`] shares one [`PairTransport`] among many
 //! *sessions*: each command and reply travels as a [`Framed`] value
-//! carrying its session id, the hub demultiplexes replies into
-//! per-session mailboxes, and back-to-back contiguous writes from one
-//! session are *coalesced* into a single staged batch that crosses the
-//! protection boundary once instead of once per write.
+//! carrying its session id (and a command, its op's trace context), the
+//! hub demultiplexes replies into per-session mailboxes, and back-to-back
+//! contiguous writes from one session are *coalesced* into a single
+//! staged batch that crosses the protection boundary once instead of once
+//! per write. A coalesced batch carries the trace context of the first
+//! write it merged.
 //!
 //! A [`MuxSession`] speaks in whole operations: [`MuxSession::post`] for
 //! the write nobody waits on, [`MuxSession::call`] for everything else,
@@ -31,7 +33,7 @@ use std::sync::Arc;
 use parking_lot::{Condvar, Mutex};
 
 use afs_sim::{clock, Cost, CostModel, CrossingKind, SimTime};
-use afs_telemetry::SessionGauges;
+use afs_telemetry::{SessionGauges, TraceContext};
 
 use crate::pool::BufferPool;
 use crate::{IpcError, PairTransport, Result};
@@ -40,11 +42,18 @@ use crate::{IpcError, PairTransport, Result};
 /// and the latency outlier of the flush-carrying operation.
 pub const STAGE_CAPACITY: usize = 64 * 1024;
 
-/// A command or reply framed with the session it belongs to.
+/// A command or reply framed with the session it belongs to: the
+/// envelope every command lane carries. A command's frame also carries
+/// the trace context of the op it serves, so sentinel-side spans join that
+/// op's trace whichever thread serves the frame, and whenever; a reply's
+/// is the default. It rides a message the §4 model charges per message,
+/// so it costs nothing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Framed<T> {
-    /// The session the body belongs to.
+    /// The session the body belongs to (0 on a wire with one session).
     pub session: u32,
+    /// The trace context of the op a command serves.
+    pub trace: TraceContext,
     /// The framed command or reply.
     pub body: T,
 }
@@ -77,9 +86,10 @@ pub trait MuxProtocol: Send + Sync + 'static {
     fn coalesce(acc: &Self::Cmd, next: &Self::Cmd) -> Option<Self::Cmd>;
 }
 
-/// One session's staged, not-yet-transmitted contiguous write batch.
+/// One session's staged, not-yet-transmitted contiguous write batch, in
+/// the frame of the first write it merged.
 struct WriteStage<C> {
-    cmd: C,
+    frame: Framed<C>,
     buf: Vec<u8>,
 }
 
@@ -205,9 +215,9 @@ impl<P: MuxProtocol> MuxHub<P> {
     /// Charges the round trip and puts one frame (plus payload) on the
     /// wire. Must run under the send lock so the command and its payload
     /// stay adjacent on the data lane.
-    fn transmit_locked(&self, session: u32, cmd: P::Cmd, payload: &[u8]) -> Result<()> {
+    fn transmit_locked(&self, frame: Framed<P::Cmd>, payload: &[u8]) -> Result<()> {
         self.charge_round_trip();
-        self.under.send_cmd(Framed { session, body: cmd })?;
+        self.under.send_cmd(frame)?;
         if !payload.is_empty() {
             self.under.send_data(payload)?;
         }
@@ -223,10 +233,9 @@ impl<P: MuxProtocol> MuxHub<P> {
     /// sessions' sends wait for the lock as they would behind a busy
     /// worker, and a peer's reply already on the lane is pulled by its own
     /// waiter, which needs nothing this thread holds.
-    fn transmit_call_locked(&self, session: u32, cmd: P::Cmd, reply_room: usize) -> Result<()> {
+    fn transmit_call_locked(&self, frame: Framed<P::Cmd>, reply_room: usize) -> Result<()> {
         self.charge_round_trip();
-        self.under
-            .send_awaited(Framed { session, body: cmd }, reply_room)
+        self.under.send_awaited(frame, reply_room)
     }
 
     /// Charges the switches of one transmitted frame's round trip.
@@ -243,8 +252,8 @@ impl<P: MuxProtocol> MuxHub<P> {
     /// *after* earlier writes — a read, a size query, a close — forces
     /// this, preserving cross-session read-your-writes.
     fn flush_stages_locked(&self, s: &mut SendState<P>) -> Result<()> {
-        while let Some((id, stage)) = s.stages.pop_first() {
-            let result = self.transmit_locked(id, stage.cmd, &stage.buf);
+        while let Some((_, stage)) = s.stages.pop_first() {
+            let result = self.transmit_locked(stage.frame, &stage.buf);
             self.pool.put(stage.buf);
             result?;
             if let Some(g) = &self.gauges {
@@ -257,15 +266,15 @@ impl<P: MuxProtocol> MuxHub<P> {
     /// Sends a command that carries no payload and is not a close: a
     /// call's, with room for `reply_room` bytes behind its reply, or a
     /// posted one (`None`).
-    fn send_plain(&self, session: u32, cmd: P::Cmd, reply_room: Option<usize>) -> Result<()> {
+    fn send_plain(&self, frame: Framed<P::Cmd>, reply_room: Option<usize>) -> Result<()> {
         let mut s = self.send.lock();
         if s.closed {
             return Err(IpcError::BrokenPipe);
         }
         self.flush_stages_locked(&mut s)?;
         match reply_room {
-            Some(room) => self.transmit_call_locked(session, cmd, room),
-            None => self.transmit_locked(session, cmd, &[]),
+            Some(room) => self.transmit_call_locked(frame, room),
+            None => self.transmit_locked(frame, &[]),
         }
     }
 
@@ -273,19 +282,20 @@ impl<P: MuxProtocol> MuxHub<P> {
     /// session the frame goes straight to the wire — the paper-exact
     /// per-op profile; with contention it is staged and adjacent
     /// contiguous writes coalesce into one crossing.
-    fn send_payload(&self, session: u32, cmd: P::Cmd, data: &[u8]) -> Result<()> {
+    fn send_payload(&self, frame: Framed<P::Cmd>, data: &[u8]) -> Result<()> {
         let mut s = self.send.lock();
         if s.closed {
             return Err(IpcError::BrokenPipe);
         }
         if s.live.len() <= 1 {
             self.flush_stages_locked(&mut s)?;
-            return self.transmit_locked(session, cmd, data);
+            return self.transmit_locked(frame, data);
         }
+        let session = frame.session;
         if let Some(stage) = s.stages.get_mut(&session) {
             if stage.buf.len() + data.len() <= STAGE_CAPACITY {
-                if let Some(merged) = P::coalesce(&stage.cmd, &cmd) {
-                    stage.cmd = merged;
+                if let Some(merged) = P::coalesce(&stage.frame.body, &frame.body) {
+                    stage.frame.body = merged;
                     stage.buf.extend_from_slice(data);
                     self.model.charge(Cost::Memcpy { bytes: data.len() });
                     if let Some(g) = &self.gauges {
@@ -296,7 +306,7 @@ impl<P: MuxProtocol> MuxHub<P> {
             }
             // Full or non-contiguous: the old batch goes out first.
             let stage = s.stages.remove(&session).expect("stage");
-            let result = self.transmit_locked(session, stage.cmd, &stage.buf);
+            let result = self.transmit_locked(stage.frame, &stage.buf);
             self.pool.put(stage.buf);
             result?;
             if let Some(g) = &self.gauges {
@@ -306,14 +316,16 @@ impl<P: MuxProtocol> MuxHub<P> {
         let mut buf = self.pool.take_capacity(data.len().min(STAGE_CAPACITY));
         buf.extend_from_slice(data);
         self.model.charge(Cost::Memcpy { bytes: data.len() });
-        s.stages.insert(session, WriteStage { cmd, buf });
+        s.stages.insert(session, WriteStage { frame, buf });
         Ok(())
     }
 
-    /// Detaches `session` with close command `cmd`. A non-final close is
-    /// acknowledged locally — the shared sentinel must keep running; the
-    /// final close flushes, transmits, and marks the hub closed.
-    fn send_close(&self, session: u32, cmd: P::Cmd, closing: &AtomicBool) -> Result<()> {
+    /// Detaches the session `frame` comes from, with the close command it
+    /// carries. A non-final close is acknowledged locally — the shared
+    /// sentinel must keep running; the final close flushes, transmits, and
+    /// marks the hub closed.
+    fn send_close(&self, frame: Framed<P::Cmd>, closing: &AtomicBool) -> Result<()> {
+        let session = frame.session;
         let mut s = self.send.lock();
         if s.closed {
             return Err(IpcError::BrokenPipe);
@@ -329,7 +341,7 @@ impl<P: MuxProtocol> MuxHub<P> {
             if let Some(g) = &self.gauges {
                 g.terminal_close();
             }
-            self.transmit_call_locked(session, cmd, 0)
+            self.transmit_call_locked(frame, 0)
         } else {
             drop(s);
             let mut rs = self.recv.lock();
@@ -466,24 +478,34 @@ impl<P: MuxProtocol> MuxSession<P> {
         self.hub.under.crossing()
     }
 
-    /// Sends `cmd` and the `payload` that follows it, waiting for nothing.
-    /// Under contention the frame is staged instead, and adjacent ones
-    /// coalesce.
+    /// Frames `cmd` for this session under the op's `trace`.
+    fn frame(&self, cmd: P::Cmd, trace: TraceContext) -> Framed<P::Cmd> {
+        Framed {
+            session: self.id,
+            trace,
+            body: cmd,
+        }
+    }
+
+    /// Sends `cmd`, under its op's `trace`, and the `payload` that
+    /// follows it, waiting for nothing. Under contention the frame is
+    /// staged instead, and adjacent ones coalesce.
     ///
     /// # Errors
     ///
     /// [`IpcError::BrokenPipe`] once the hub has closed or the wire is
     /// gone.
-    pub fn post(&self, cmd: P::Cmd, payload: &[u8]) -> Result<()> {
+    pub fn post(&self, cmd: P::Cmd, trace: TraceContext, payload: &[u8]) -> Result<()> {
         if P::cmd_payload_len(&cmd) > 0 {
-            self.hub.send_payload(self.id, cmd, payload)
+            self.hub.send_payload(self.frame(cmd, trace), payload)
         } else {
-            self.hub.send_plain(self.id, cmd, None)
+            self.hub.send_plain(self.frame(cmd, trace), None)
         }
     }
 
-    /// Sends `cmd`, waits for its reply, and lands the bytes that follow
-    /// the reply in `into`; returns the reply and the byte count.
+    /// Sends `cmd` under its op's `trace`, waits for its reply, and
+    /// lands the bytes that follow the reply in `into`; returns the reply
+    /// and the byte count.
     ///
     /// # Errors
     ///
@@ -491,11 +513,17 @@ impl<P: MuxProtocol> MuxSession<P> {
     /// closed, the wire is gone) or the reply announced more bytes than
     /// `into` holds; [`IpcError::Closed`] when the wire died before the
     /// reply arrived.
-    pub fn call(&self, cmd: P::Cmd, into: &mut [u8]) -> Result<(P::Reply, usize)> {
-        if P::is_close(&cmd) {
-            self.hub.send_close(self.id, cmd, &self.closing)?;
+    pub fn call(
+        &self,
+        cmd: P::Cmd,
+        trace: TraceContext,
+        into: &mut [u8],
+    ) -> Result<(P::Reply, usize)> {
+        let frame = self.frame(cmd, trace);
+        if P::is_close(&frame.body) {
+            self.hub.send_close(frame, &self.closing)?;
         } else {
-            self.hub.send_plain(self.id, cmd, Some(into.len()))?;
+            self.hub.send_plain(frame, Some(into.len()))?;
         }
         let result = self.hub.recv_for(self.id, into);
         if self.closing.load(Ordering::SeqCst) {
@@ -565,6 +593,12 @@ mod tests {
     }
 
     type ToyHub = Arc<MuxHub<Toy>>;
+
+    const NO_TRACE: TraceContext = TraceContext {
+        trace: 0,
+        parent: 0,
+        sampled: false,
+    };
     type ToyPort = crate::PairPort<Framed<ToyCmd>, Framed<ToyReply>>;
 
     fn hub() -> (ToyHub, ToyPort) {
@@ -580,6 +614,7 @@ mod tests {
     fn answer(port: &ToyPort, frame: &Framed<ToyCmd>, data: &[u8]) {
         port.send_reply(Framed {
             session: frame.session,
+            trace: NO_TRACE,
             body: ToyReply {
                 n: data.len() as u32,
             },
@@ -602,7 +637,9 @@ mod tests {
             let read = |session: MuxSession<Toy>, offset| {
                 move || {
                     let mut buf = [0u8; 4];
-                    let (reply, n) = session.call(cmd(2, offset, 4), &mut buf).expect("call");
+                    let (reply, n) = session
+                        .call(cmd(2, offset, 4), NO_TRACE, &mut buf)
+                        .expect("call");
                     assert_eq!((reply, n), (ToyReply { n: 4 }, 4));
                     buf
                 }
@@ -626,16 +663,22 @@ mod tests {
         let (hub, port) = hub();
         let a = hub.attach().expect("a");
         let _b = hub.attach().expect("b"); // second session switches staging on
+                                           // Each write is its own op; the batch goes out in the first's.
+        let op = |i: u64| TraceContext {
+            trace: 100 + i,
+            parent: 200 + i,
+            sampled: true,
+        };
         for i in 0..4u64 {
-            a.post(cmd(1, i * 4, 4), b"wxyz").expect("write");
+            a.post(cmd(1, i * 4, 4), op(i), b"wxyz").expect("write");
         }
         // Nothing on the wire yet: all four writes sit in one stage.
         assert_eq!(port.poll_cmd().expect("empty"), None);
         std::thread::scope(|s| {
             // A read forces the flush: the batch frame precedes the read.
-            let read = s.spawn(|| a.call(cmd(2, 0, 1), &mut [0u8; 1]).expect("read"));
+            let read = s.spawn(|| a.call(cmd(2, 0, 1), NO_TRACE, &mut [0u8; 1]).expect("read"));
             let flush = port.recv_cmd().expect("flush frame");
-            assert_eq!(flush.body, cmd(1, 0, 16));
+            assert_eq!((flush.body, flush.trace), (cmd(1, 0, 16), op(0)));
             let mut payload = vec![0u8; 16];
             port.recv_data_exact(&mut payload).expect("batch payload");
             assert_eq!(&payload, b"wxyzwxyzwxyzwxyz");
@@ -653,13 +696,17 @@ mod tests {
         // Staged out of id order: third, first, second.
         for i in [2usize, 0, 1] {
             sessions[i]
-                .post(cmd(1, i as u64 * 8, 2), &[b'a' + i as u8; 2])
+                .post(cmd(1, i as u64 * 8, 2), NO_TRACE, &[b'a' + i as u8; 2])
                 .expect("staged");
         }
         assert_eq!(port.poll_cmd().expect("empty"), None);
         std::thread::scope(|s| {
             let reader = &sessions[2];
-            let read = s.spawn(|| reader.call(cmd(2, 0, 1), &mut [0u8; 1]).expect("read"));
+            let read = s.spawn(|| {
+                reader
+                    .call(cmd(2, 0, 1), NO_TRACE, &mut [0u8; 1])
+                    .expect("read")
+            });
             for (i, session) in sessions.iter().enumerate() {
                 let frame = port.recv_cmd().expect("batch frame");
                 assert_eq!(frame.session, session.session_id());
@@ -679,7 +726,7 @@ mod tests {
     fn single_session_writes_go_straight_to_the_wire() {
         let (hub, port) = hub();
         let a = hub.attach().expect("a");
-        a.post(cmd(1, 0, 3), b"abc").expect("write");
+        a.post(cmd(1, 0, 3), NO_TRACE, b"abc").expect("write");
         let frame = port.recv_cmd().expect("frame");
         assert_eq!(frame.body.len, 3);
         let mut buf = [0u8; 3];
@@ -693,12 +740,12 @@ mod tests {
         let a = hub.attach().expect("a");
         let b = hub.attach().expect("b");
         // a's close is acknowledged locally, nothing on the wire.
-        let ack = a.call(cmd(9, 0, 0), &mut []).expect("local ack");
+        let ack = a.call(cmd(9, 0, 0), NO_TRACE, &mut []).expect("local ack");
         assert_eq!(ack, (ToyReply { n: 0 }, 0));
         assert_eq!(port.poll_cmd().expect("empty"), None);
         assert_eq!(hub.live_sessions(), vec![b.session_id()]);
         std::thread::scope(|s| {
-            let close = s.spawn(|| b.call(cmd(9, 0, 0), &mut []).expect("b close"));
+            let close = s.spawn(|| b.call(cmd(9, 0, 0), NO_TRACE, &mut []).expect("b close"));
             let frame = port.recv_cmd().expect("wire close");
             assert_eq!(frame.body.tag, 9);
             answer(&port, &frame, b"");
@@ -718,12 +765,12 @@ mod tests {
         let _b = hub.attach().expect("b");
         let before = model.snapshot();
         for i in 0..8u64 {
-            a.post(cmd(1, i * 2, 2), b"hi").expect("write");
+            a.post(cmd(1, i * 2, 2), NO_TRACE, b"hi").expect("write");
         }
         let staged = model.snapshot().since(&before);
         assert_eq!(staged.thread_switches, 0, "coalesced writes cross nothing");
         std::thread::scope(|s| {
-            let sync = s.spawn(|| a.call(cmd(3, 0, 0), &mut []).expect("sync op"));
+            let sync = s.spawn(|| a.call(cmd(3, 0, 0), NO_TRACE, &mut []).expect("sync op"));
             port.recv_cmd().expect("batch frame");
             port.recv_data_exact(&mut [0u8; 16]).expect("batch payload");
             let frame = port.recv_cmd().expect("sync frame");
@@ -740,8 +787,8 @@ mod tests {
         let (hub, port) = hub();
         let a = hub.attach().expect("a");
         let _b = hub.attach().expect("b");
-        a.post(cmd(1, 0, 2), b"aa").expect("staged");
-        a.post(cmd(1, 100, 2), b"bb").expect("second");
+        a.post(cmd(1, 0, 2), NO_TRACE, b"aa").expect("staged");
+        a.post(cmd(1, 100, 2), NO_TRACE, b"bb").expect("second");
         // The non-contiguous second write pushed the first out.
         let frame = port.recv_cmd().expect("flushed first write");
         assert_eq!(frame.body.offset, 0);

@@ -49,6 +49,8 @@ use crate::{ChannelWaker, ControlChannel, ControlReceiver, ControlSender, IpcErr
 /// One submission-ring entry: a typed command plus its optional payload
 /// bytes (a write's data rides its entry, so the whole batch lands in one
 /// crossing), keyed by a submission id the completion comes back under.
+/// The core crate's command is a [`Framed`](crate::Framed) one, so each
+/// entry carries the trace context of the op it serves.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Sqe<C> {
     /// Submission id; the matching [`Cqe`] carries the same id.

@@ -9,7 +9,7 @@ use parking_lot::Mutex;
 
 use afs_sim::{clock, Cost, CostModel, Generations, SimRng, Striped};
 use afs_telemetry::{
-    flight_note, flight_trigger, intern, now_ns, retry_span_noted, ClusterGauges, SpanGuard,
+    flight_note, flight_trigger, intern, now_ns, retry_span, ClusterGauges, SpanGuard,
 };
 
 use crate::cluster::Fleet;
@@ -625,7 +625,7 @@ impl Network {
     #[cold]
     fn refused(&self, name: &str) -> NetError {
         self.shared.reliability.note_breaker_rejection();
-        drop(retry_span_noted("breaker-reject", "cause=breaker_open"));
+        drop(retry_span("breaker-reject", "cause=breaker_open"));
         flight_note("net", format!("breaker_reject service={name}"));
         NetError::CircuitOpen(name.to_owned())
     }
@@ -633,7 +633,7 @@ impl Network {
     #[cold]
     fn failed_over(&self, primary: &str, replica: &str) {
         self.shared.reliability.note_failover();
-        let _sp = retry_span_noted(
+        let _sp = retry_span(
             "failover",
             intern(&format!("cause=failover replica={replica}")),
         );
@@ -669,7 +669,7 @@ impl Network {
         if now_ns().saturating_sub(start).saturating_add(wait) > retry.deadline_ns {
             return false;
         }
-        span.get_or_insert_with(|| retry_span_noted("retry", "cause=backoff"));
+        span.get_or_insert_with(|| retry_span("retry", "cause=backoff"));
         clock::advance(wait);
         self.shared.reliability.note_retry();
         true

@@ -13,7 +13,7 @@ use std::sync::{Arc, OnceLock};
 use parking_lot::{Mutex, RwLock};
 
 use afs_net::{Endpoint, NetError, Owner, Service, WireWriter};
-use afs_telemetry::{backend_span, intern, retry_span, retry_span_noted, ClusterGauges};
+use afs_telemetry::{backend_span, intern, retry_span, ClusterGauges};
 use afs_vfs::{VPath, Vfs};
 
 use crate::{check_status, err_response, ok_response, STATUS_OK};
@@ -576,7 +576,7 @@ impl FileClient {
                     return Ok(value);
                 }
                 Err(owner) if budget < STALE_WAIT_STEP_NS => {
-                    let mut span = retry_span("stale-reject");
+                    let mut span = retry_span("stale-reject", "");
                     if let Some(span) = &mut span {
                         span.set_note(intern(&format!("cause=stale owner={owner} floor={floor}")));
                     }
@@ -587,7 +587,7 @@ impl FileClient {
                 }
                 Err(_) => {}
             }
-            let _span = retry_span_noted("stale-wait", "cause=stale");
+            let _span = retry_span("stale-wait", "cause=stale");
             budget -= STALE_WAIT_STEP_NS;
             self.gauges().stale_wait();
             afs_sim::clock::advance(STALE_WAIT_STEP_NS);

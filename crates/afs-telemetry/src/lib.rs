@@ -19,9 +19,10 @@
 //! * **Exporters** ([`prometheus_text`], [`json_snapshot`],
 //!   [`chrome_trace`]) — text metrics plus `trace_event` JSON loadable in
 //!   `chrome://tracing` / Perfetto.
-//! * **Trace context** ([`TraceContext`], [`SpanScope`]) — a propagated
-//!   (trace id, parent span, sampling bit) triple that crosses mux
-//!   sessions, executor poll/steal boundaries, and RPC recovery, so one
+//! * **Trace context** ([`TraceContext`]) — a propagated (trace id,
+//!   parent span, sampling bit) triple that rides the frame carrying an
+//!   op to its sentinel (across mux sessions and executor poll/steal
+//!   boundaries) and RPC recovery, so one
 //!   causal trace covers interpose → strategy → executor → net → backend.
 //! * **Flight recorder** ([`FlightRecorder`]) — always-on bounded event
 //!   rings; breaker-open / degraded-entry / torn-tail / slow-op triggers
@@ -61,6 +62,6 @@ pub use hist::{HistogramSnapshot, LatencyHistogram, HIST_BUCKETS};
 pub use registry::{Metric, MetricValue, MetricsRegistry};
 pub use slo::{BurnRates, SloSnapshot, SloSpec, SloTracker};
 pub use span::{
-    backend_span, flight_note, flight_trigger, intern, now_ns, retry_span, retry_span_noted, Layer,
-    SlowOp, SpanGuard, SpanRecord, SpanScope, Telemetry, TraceContext, DEFAULT_SPAN_CAPACITY,
+    backend_span, flight_note, flight_trigger, intern, now_ns, retry_span, Layer, SlowOp,
+    SpanGuard, SpanRecord, Telemetry, TraceContext, DEFAULT_SPAN_CAPACITY,
 };

@@ -1,24 +1,23 @@
 //! The span model: one record per layer an operation passes through.
 //!
 //! A span is opened with [`Telemetry::span`] (or a sibling) and closed when
-//! the returned [`SpanGuard`] drops. Parentage is established two ways:
+//! the returned [`SpanGuard`] drops. A span's parent is one of:
 //!
-//! * **Same thread** — a thread-local stack of open frames; a new span
-//!   parents to the innermost open span created by the *same* `Telemetry`
-//!   instance. This covers interpose → strategy → transport nesting on the
-//!   application thread, and the inline §4.4 sentinel.
-//! * **Cross thread** — the strategy handle publishes the current
-//!   [`TraceContext`] (trace id + strategy span id) in a shared
-//!   [`SpanScope`] cell; the sentinel side opens its span with
-//!   [`Telemetry::span_in_context`], re-parenting to the originating op
-//!   no matter which executor worker polls the task. Write-behind means a
-//!   sentinel-side write span can *outlive* its parent; parentage is
-//!   attribution there, strict containment is only guaranteed for
-//!   synchronous reads (see `docs/OBSERVABILITY.md`).
+//! * **the innermost open span on this thread** created by the *same*
+//!   `Telemetry` instance (a thread-local stack of open frames). This
+//!   covers interpose → strategy → transport nesting on the application
+//!   thread, and the backend and retry spans under a sentinel span.
+//! * **an explicit [`TraceContext`]** ([`Telemetry::span_in_context`]).
+//!   The sentinel side opens its span under the context its command's
+//!   frame carried — the op's transport span — whichever thread serves
+//!   the frame and whenever. A posted write's sentinel span can therefore
+//!   *outlive* its parent; parentage is attribution there, strict
+//!   containment is only guaranteed for synchronous reads (see
+//!   `docs/OBSERVABILITY.md`).
 //!
 //! Every span belongs to a **trace**: a root span mints the trace id (its
-//! own span id), and children inherit it through frames, scope cells, or
-//! an explicit [`TraceContext`], so one causal trace covers interpose →
+//! own span id), and children inherit it through frames or an explicit
+//! [`TraceContext`], so one causal trace covers interpose →
 //! strategy → executor poll → net RPC → remote backend even across retry,
 //! failover, and work-stealing boundaries.
 
@@ -89,85 +88,6 @@ impl TraceContext {
     /// Whether the context carries an active, sampled trace.
     pub fn is_active(&self) -> bool {
         self.sampled && self.trace != 0
-    }
-}
-
-/// Cross-thread propagation cell: the application-side handle publishes
-/// the in-flight op's [`TraceContext`] here, and the sentinel side reads
-/// it to parent (and trace) its spans. One cell per session/handle — a
-/// task migrated across executor workers by work-stealing still reads its
-/// *own* cell, so sentinel-side spans re-parent to the originating op,
-/// never to whatever the worker thread happens to be running.
-///
-/// The two fields are separate atomics under a sequence count, so a load
-/// always returns both halves of one publish. The handle's op lock does
-/// not make that so: a posted write's sentinel reads the cell while the
-/// application publishes its next op.
-#[derive(Debug, Default)]
-pub struct SpanScope {
-    /// Odd while a publish is under way; bumped by two per publish.
-    seq: AtomicU64,
-    span: AtomicU64,
-    trace: AtomicU64,
-}
-
-impl SpanScope {
-    /// Publishes the context children should adopt.
-    pub fn publish(&self, ctx: TraceContext) {
-        self.write(ctx.trace, ctx.parent);
-    }
-
-    /// Reads the current context (unsampled when nothing is published).
-    pub fn load(&self) -> TraceContext {
-        loop {
-            let before = self.seq.load(Ordering::Acquire);
-            if before & 1 == 1 {
-                // A writer preempted mid-publish may share this CPU.
-                std::thread::yield_now();
-                continue;
-            }
-            let parent = self.span.load(Ordering::Relaxed);
-            let trace = self.trace.load(Ordering::Relaxed);
-            // Pairs with the writer's release fence: a load that saw a
-            // field of a publish sees that publish's odd count below.
-            std::sync::atomic::fence(Ordering::Acquire);
-            if self.seq.load(Ordering::Relaxed) == before {
-                return TraceContext {
-                    trace,
-                    parent,
-                    sampled: parent != 0,
-                };
-            }
-        }
-    }
-
-    /// Clears the published context.
-    pub fn clear(&self) {
-        self.write(0, 0);
-    }
-
-    /// Stores both fields between an odd and an even count. Writers take
-    /// the odd count in turn, so two publishes never interleave either.
-    fn write(&self, trace: u64, span: u64) {
-        let mut seq = self.seq.load(Ordering::Relaxed);
-        loop {
-            if seq & 1 == 1 {
-                std::thread::yield_now();
-                seq = self.seq.load(Ordering::Relaxed);
-                continue;
-            }
-            match self
-                .seq
-                .compare_exchange_weak(seq, seq + 1, Ordering::Acquire, Ordering::Relaxed)
-            {
-                Ok(_) => break,
-                Err(now) => seq = now,
-            }
-        }
-        std::sync::atomic::fence(Ordering::Release);
-        self.trace.store(trace, Ordering::Relaxed);
-        self.span.store(span, Ordering::Relaxed);
-        self.seq.store(seq + 2, Ordering::Release);
     }
 }
 
@@ -377,42 +297,9 @@ impl Telemetry {
         self.begin(layer, name, strategy, "", None)
     }
 
-    /// Opens a span with an explicit parent id (0 for a root). The trace
-    /// id is recovered from the open-span table when the parent is still
-    /// in flight, so legacy callers keep causal continuity; prefer
-    /// [`Telemetry::span_in_context`] where a [`TraceContext`] is at hand.
-    pub fn span_with_parent(
-        self: &Arc<Self>,
-        layer: Layer,
-        name: &'static str,
-        strategy: &'static str,
-        parent: u64,
-    ) -> Option<SpanGuard> {
-        let trace = if parent == 0 {
-            0
-        } else {
-            self.open
-                .lock()
-                .iter()
-                .find(|o| o.id == parent)
-                .map_or(0, |o| o.trace)
-        };
-        self.begin(
-            layer,
-            name,
-            strategy,
-            "",
-            Some(TraceContext {
-                trace,
-                parent,
-                sampled: true,
-            }),
-        )
-    }
-
     /// Opens a span under an explicit propagated [`TraceContext`] — the
-    /// cross-boundary form used by sentinel-side execution (context read
-    /// from a [`SpanScope`] cell) and RPC recovery. `note` annotates the
+    /// cross-boundary form used by sentinel-side execution (the context
+    /// its command's frame carried) and RPC recovery. `note` annotates the
     /// span (`""` for none); an unsampled context still records, as a new
     /// root.
     pub fn span_in_context(
@@ -723,7 +610,7 @@ pub struct SpanGuard {
 }
 
 impl SpanGuard {
-    /// The span's unique id (publish this for cross-thread parenting).
+    /// The span's unique id.
     pub fn id(&self) -> u64 {
         self.record.id
     }
@@ -734,7 +621,7 @@ impl SpanGuard {
     }
 
     /// The [`TraceContext`] a child of this span should adopt — what the
-    /// strategy handle publishes into its [`SpanScope`] cell.
+    /// strategy handle puts on the frame that carries its op.
     pub fn context(&self) -> TraceContext {
         TraceContext {
             trace: self.record.trace,
@@ -833,18 +720,13 @@ pub fn backend_span(name: &'static str) -> Option<SpanGuard> {
     tel.span_in_context(Layer::Backend, name, "", ctx, "")
 }
 
-/// Opens a [`Layer::Retry`] span parented like [`backend_span`]. The
-/// reliability layer in `afs-net` opens one when a remote call enters
-/// recovery (backoff, failover, breaker probing), so retried operations
-/// are visible in the span tree without any hub plumbed through.
-pub fn retry_span(name: &'static str) -> Option<SpanGuard> {
-    let (tel, ctx) = top_frame()?;
-    tel.span_in_context(Layer::Retry, name, "", ctx, "")
-}
-
-/// Like [`retry_span`], but annotated at creation: the recovery loop
-/// marks rejection, backoff, and failover spans with a `cause=` note.
-pub fn retry_span_noted(name: &'static str, note: &'static str) -> Option<SpanGuard> {
+/// Opens a [`Layer::Retry`] span parented like [`backend_span`] and
+/// annotated with `note` (`""` for none). The reliability layer in
+/// `afs-net` opens one when a remote call enters recovery (backoff,
+/// failover, breaker probing), marked with a `cause=` note, so retried
+/// operations are visible in the span tree without any hub plumbed
+/// through.
+pub fn retry_span(name: &'static str, note: &'static str) -> Option<SpanGuard> {
     let (tel, ctx) = top_frame()?;
     tel.span_in_context(Layer::Retry, name, "", ctx, note)
 }
@@ -899,32 +781,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn a_scope_load_returns_both_halves_of_one_publish() {
-        const PUBLISHES: u64 = 200_000;
-        let scope = SpanScope::default();
-        let done = AtomicBool::new(false);
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                for n in 1..=PUBLISHES {
-                    scope.publish(TraceContext {
-                        trace: n,
-                        parent: n,
-                        sampled: true,
-                    });
-                }
-                done.store(true, Ordering::SeqCst);
-            });
-            while !done.load(Ordering::SeqCst) {
-                let ctx = scope.load();
-                assert_eq!(ctx.trace, ctx.parent, "a torn read");
-            }
-        });
-        assert_eq!(scope.load().parent, PUBLISHES);
-        scope.clear();
-        assert_eq!(scope.load(), TraceContext::default());
-    }
-
-    #[test]
     fn disabled_telemetry_records_nothing() {
         let tel = Telemetry::new();
         assert!(tel.span(Layer::Interpose, "ReadFile").is_none());
@@ -959,10 +815,15 @@ mod tests {
         let tel = Telemetry::new();
         tel.set_enabled(true);
         let _outer = tel.span(Layer::Interpose, "WriteFile").expect("outer");
+        let ctx = TraceContext {
+            trace: 7000,
+            parent: 7777,
+            sampled: true,
+        };
         let cross = tel
-            .span_with_parent(Layer::Sentinel, "write", "Process", 7777)
+            .span_in_context(Layer::Sentinel, "write", "Process", ctx, "")
             .expect("cross");
-        assert_eq!(cross.record.parent, 7777);
+        assert_eq!((cross.record.parent, cross.record.trace), (7777, 7000));
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //!    even when the multiplexer coalesces adjacent writes on the wire.
 //! 3. **Span-tree validity** — with telemetry on, every recorded span's
 //!    parent either is a recorded span or is 0 (a root); cross-thread
-//!    parenting through the session scope cells never fabricates ids.
+//!    parenting through the context each command's frame carries never
+//!    fabricates ids.
 //!
 //! The seed honours `AFS_TEST_SEED`, so the CI seed sweep exercises eight
 //! different interleaving schedules.

@@ -87,8 +87,9 @@ fn single_read_yields_a_span_tree_of_at_least_three_layers() {
 #[test]
 fn children_close_within_their_parents() {
     // Containment is checked for read-driven spans: write-behind sentinel
-    // work is *attributed* to the strategy span via the scope cell but may
-    // drain after it closes, and §4.1 pump chunks are deliberate roots.
+    // work is *attributed* to its op through the context its frame carries
+    // but may drain after that op returns, and §4.1 pump chunks are
+    // deliberate roots.
     for strategy in ALL_STRATEGIES {
         let (w, file) = world_with(strategy);
         w.telemetry().set_enabled(true);

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use activefiles::prelude::*;
 use activefiles::{
     clock, prometheus_text, Cost, CostModel, FileClient, FileServer, Fleet, HardwareProfile, Layer,
-    Service, SpanRecord,
+    Service, SpanRecord, VPath,
 };
 use afs_sim::CostSnapshot;
 
@@ -138,16 +138,44 @@ fn failover_read_yields_one_contiguous_causal_trace() {
     );
 }
 
+/// What `script` charged to the cost model and how far it moved the
+/// virtual clock, on a fresh `world()`, with telemetry on or off.
+fn charged(
+    world: &dyn Fn() -> AfsWorld,
+    script: &dyn Fn(&AfsWorld),
+    telemetry_on: bool,
+) -> (CostSnapshot, u64) {
+    let world = world();
+    let _g = clock::install(0);
+    world.telemetry().set_enabled(telemetry_on);
+    script(&world);
+    world.quiesce();
+    (world.model().snapshot(), clock::now())
+}
+
+/// Asserts that `script` charges and advances the same with telemetry on
+/// and off.
+fn assert_free(carrier: &str, world: &dyn Fn() -> AfsWorld, script: &dyn Fn(&AfsWorld)) {
+    let (charges_on, clock_on) = charged(world, script, true);
+    let (charges_off, clock_off) = charged(world, script, false);
+    assert_eq!(
+        charges_on, charges_off,
+        "{carrier}: tracing added cost-model charges the silent run never saw"
+    );
+    assert_eq!(
+        clock_on, clock_off,
+        "{carrier}: tracing consumed virtual time"
+    );
+}
+
 #[test]
 fn trace_annotations_charge_nothing_to_the_cost_model() {
     // The whole observability layer — spans, notes, flight bundles, SLO
-    // windows — must be free in §4 terms: bit-identical cost-model
-    // charges and virtual-clock advance whether telemetry is on or off.
-    let run = |telemetry_on: bool| {
-        let world = failover_world();
-        let _g = clock::install(0);
-        schedule_faults(&world);
-        world.telemetry().set_enabled(telemetry_on);
+    // windows, the trace context on every frame — must be free in §4
+    // terms: bit-identical cost-model charges and virtual-clock advance
+    // whether telemetry is on or off, on every carrier.
+    let failover = |world: &AfsWorld| {
+        schedule_faults(world);
         let api = world.api();
         let h = api
             .create_file("/m.af", Access::read_only(), Disposition::OpenExisting)
@@ -155,24 +183,50 @@ fn trace_annotations_charge_nothing_to_the_cost_model() {
         let mut buf = [0u8; 17];
         api.read_file(h, &mut buf).expect("read");
         api.close_handle(h).expect("close");
-        (world.model().snapshot(), clock::now())
     };
-    let (charges_on, clock_on) = run(true);
-    let (charges_off, clock_off) = run(false);
-    assert_eq!(
-        charges_on, charges_off,
-        "tracing added cost-model charges the silent run never saw"
-    );
-    assert_eq!(clock_on, clock_off, "tracing consumed virtual time");
+    assert_free("remote dll-only", &failover_world, &failover);
+
+    let null = |strategy| SentinelSpec::new("null", strategy).backing(Backing::Memory);
+    let mut carriers = vec![("process", null(Strategy::Process), 1)];
+    carriers.extend(write_carriers(null));
+    for (carrier, spec, sessions) in carriers {
+        let world = || {
+            let world = AfsWorld::new();
+            register_standard_sentinels(&world);
+            world.install_active_file("/w.af", &spec).expect("install");
+            world
+                .vfs()
+                .write_stream_replace(&VPath::parse("/w.af").expect("path"), b"0123456789abcdef")
+                .expect("seed");
+            world
+        };
+        let write_read_close = |world: &AfsWorld| {
+            let api = world.api();
+            let handles: Vec<_> = (0..sessions)
+                .map(|_| {
+                    api.create_file("/w.af", Access::read_write(), Disposition::OpenExisting)
+                        .expect("open")
+                })
+                .collect();
+            api.write_file(handles[0], b"data").expect("write");
+            let mut buf = [0u8; 4];
+            api.read_file(handles[0], &mut buf).expect("read");
+            for h in handles {
+                api.close_handle(h).expect("close");
+            }
+        };
+        assert_free(carrier, &world, &write_read_close);
+    }
 }
 
 #[test]
 fn stolen_tasks_reparent_sentinel_spans_to_the_originating_op() {
     // A two-worker pool under eight files and four threads steals tasks
     // between shards; a migrated dispatch loop must still parent its
-    // sentinel-side spans to the originating op's strategy span (via the
-    // session's scope cell), never to whatever frame the stealing worker
-    // happens to have open.
+    // sentinel-side spans to the originating op's transport span (carried
+    // on the command's frame), never to whatever frame the stealing worker
+    // happens to have open — nor, for a posted write, to the op the
+    // application has moved on to.
     const FILES: usize = 8;
     const THREADS: usize = 4;
     let world = Arc::new(AfsWorld::builder().fleet_workers(2).build());
@@ -236,8 +290,8 @@ fn stolen_tasks_reparent_sentinel_spans_to_the_originating_op() {
         checked += 1;
         assert_eq!(
             parent.layer,
-            Layer::Strategy,
-            "sentinel span {}#{} parents to a {} span, not its op's strategy span",
+            Layer::Transport,
+            "sentinel span {}#{} parents to a {} span, not its op's transport span",
             s.name,
             s.id,
             parent.layer.label()
@@ -247,9 +301,142 @@ fn stolen_tasks_reparent_sentinel_spans_to_the_originating_op() {
             "sentinel span {}#{} lost its originating trace",
             s.name, s.id
         );
+        let call = match s.name {
+            "write" => "WriteFile",
+            "read" => "ReadFile",
+            "close" => "CloseHandle",
+            other => panic!("unexpected sentinel op {other}"),
+        };
+        if let Some(root) = by_id.get(&s.trace) {
+            assert_eq!(
+                root.name, call,
+                "sentinel span {}#{} is in another op's trace",
+                s.name, s.id
+            );
+        }
     }
     assert!(checked > 0, "no sentinel spans survived to check");
     world.quiesce();
+}
+
+/// Every carrier a posted write can take to its sentinel: the four that
+/// carry it out of line, and the inline one. The third field is how many
+/// sessions share the sentinel (the hub stages writes only with two).
+fn write_carriers(
+    spec: impl Fn(Strategy) -> SentinelSpec,
+) -> [(&'static str, SentinelSpec, usize); 5] {
+    [
+        ("thread", spec(Strategy::DllThread).with("share", "off"), 1),
+        (
+            "process-control",
+            spec(Strategy::ProcessControl).with("share", "off"),
+            1,
+        ),
+        ("shared hub", spec(Strategy::DllThread), 2),
+        (
+            "ring",
+            spec(Strategy::DllThread)
+                .with("batch", "on")
+                .with("ring_depth", "4"),
+            1,
+        ),
+        ("dll-only", spec(Strategy::DllOnly), 1),
+    ]
+}
+
+/// Runs `WriteFile` → `SetFilePointer` → `ReadFile` on `/w.af` with
+/// telemetry on, and returns the spans.
+fn write_seek_read(world: &AfsWorld, sessions: usize) -> Vec<SpanRecord> {
+    let _g = clock::install(0);
+    world.telemetry().set_enabled(true);
+    let api = world.api();
+    let handles: Vec<_> = (0..sessions)
+        .map(|_| {
+            api.create_file("/w.af", Access::read_write(), Disposition::OpenExisting)
+                .expect("open")
+        })
+        .collect();
+    let h = handles[0];
+    api.write_file(h, b"data").expect("write");
+    api.set_file_pointer(h, 0, SeekMethod::Begin).expect("seek");
+    let mut buf = [0u8; 4];
+    api.read_file(h, &mut buf).expect("read");
+    for h in handles {
+        api.close_handle(h).expect("close");
+    }
+    world.quiesce();
+    world.telemetry().spans()
+}
+
+/// The one span named `name` on `layer`.
+fn only<'a>(spans: &'a [SpanRecord], layer: Layer, name: &str, carrier: &str) -> &'a SpanRecord {
+    let found: Vec<_> = spans
+        .iter()
+        .filter(|s| s.layer == layer && s.name == name)
+        .collect();
+    assert_eq!(found.len(), 1, "{carrier}: one {name} span: {spans:#?}");
+    found[0]
+}
+
+#[test]
+fn a_posted_write_is_served_in_its_own_trace_on_every_carrier() {
+    // The sentinel runs a posted write only once the application has
+    // moved on to its next op; the trace that write joins is the one its
+    // frame carried, not whichever op is in flight when it is served.
+    let mut wrong = Vec::new();
+    let null = |strategy| SentinelSpec::new("null", strategy).backing(Backing::Memory);
+    for (carrier, spec, sessions) in write_carriers(null) {
+        let world = AfsWorld::new();
+        register_standard_sentinels(&world);
+        world.install_active_file("/w.af", &spec).expect("install");
+        let spans = write_seek_read(&world, sessions);
+        let root = only(&spans, Layer::Interpose, "WriteFile", carrier);
+        let send = only(&spans, Layer::Transport, "send", carrier);
+        let write = only(&spans, Layer::Sentinel, "write", carrier);
+        assert_eq!(send.trace, root.trace, "{carrier}: send is the op's");
+        if (write.trace, write.parent) != (root.trace, send.id) {
+            wrong.push(format!(
+                "null/{carrier}: write under {}",
+                name_of(&spans, write.parent)
+            ));
+        }
+    }
+
+    // The server side of a write joins it through the sentinel's span.
+    let mirror = |strategy| {
+        SentinelSpec::new("mirror", strategy)
+            .backing(Backing::Memory)
+            .with("service", "files")
+            .with("remote", "/blob")
+    };
+    for (carrier, spec, sessions) in write_carriers(mirror) {
+        let world = AfsWorld::new();
+        register_standard_sentinels(&world);
+        let server = FileServer::new();
+        server.seed("/blob", b"remote body");
+        world.net().register("files", server as Arc<dyn Service>);
+        world.install_active_file("/w.af", &spec).expect("install");
+        let spans = write_seek_read(&world, sessions);
+        let root = only(&spans, Layer::Interpose, "WriteFile", carrier);
+        let put = only(&spans, Layer::Backend, "remote-put-async", carrier);
+        if put.trace != root.trace {
+            wrong.push(format!("mirror/{carrier}: put in trace #{}", put.trace));
+        }
+    }
+    assert!(
+        wrong.is_empty(),
+        "writes served in another op's trace: {wrong:#?}"
+    );
+}
+
+/// The name of the span with id `id` and the root of its trace, as
+/// `name (in <root>)`.
+fn name_of(spans: &[SpanRecord], id: u64) -> String {
+    let find = |id| spans.iter().find(|s| s.id == id);
+    match find(id) {
+        Some(s) => format!("{} (in {})", s.name, find(s.trace).map_or("?", |r| r.name)),
+        None => format!("#{id}"),
+    }
 }
 
 #[test]
