@@ -221,12 +221,18 @@ pub fn grid(ops: usize, profile: &HardwareProfile, workers: Option<usize>) -> Be
             }
         }
     }
+    let mux = |m: Measurement| {
+        let crossings = m.counters.process_switches + m.counters.thread_switches;
+        Cell::new(&m.series.summarize()).with("crossings", crossings as f64)
+    };
     for clients in MUX_CLIENTS {
         for shared in [true, false] {
-            let m = measure_concurrency(clients, shared, ops, p());
-            let crossings = m.counters.process_switches + m.counters.thread_switches;
-            let cell = Cell::new(&m.series.summarize()).with("crossings", crossings as f64);
-            put(&mux_cell(clients, shared), cell);
+            let m = measure_concurrency(clients, shared, false, ops, p());
+            put(&mux_cell(clients, shared), mux(m));
+        }
+        if clients >= 8 {
+            let m = measure_concurrency(clients, true, true, ops, p());
+            put(&format!("mux-{clients}-shared-batched"), mux(m));
         }
     }
     let fleet = |files, ops, workers| {

@@ -453,7 +453,8 @@ pub const MUX_BLOCK: usize = 128;
 /// (ProcessControl strategy, memory cache), seek to a private region, and
 /// issue `ops_per_client` sequential writes of [`MUX_BLOCK`] bytes, with
 /// the sentinel either shared (session-multiplexed) or private per open
-/// (`share=off`). Returns every client's per-write latency, pooled, and
+/// (`share=off`), over the pair lane or, `batched`, a ring (`batch=on
+/// ring_depth=8`). Returns every client's per-write latency, pooled, and
 /// the counter deltas over the whole run (opens and closes included).
 ///
 /// Barriers fence the write phase on both sides so every write runs with
@@ -463,17 +464,25 @@ pub const MUX_BLOCK: usize = 128;
 pub fn measure_concurrency(
     clients: usize,
     shared: bool,
+    batched: bool,
     ops_per_client: usize,
     profile: HardwareProfile,
 ) -> Measurement {
     let block = MUX_BLOCK;
     let region = ops_per_client * block;
+    let mut keys = Vec::new();
+    if !shared {
+        keys.push(("share", "off"));
+    }
+    if batched {
+        keys.extend([("batch", "on"), ("ring_depth", "8")]);
+    }
     let (world, file) = build_world(
         PathKind::Memory,
         Strategy::ProcessControl,
         profile,
         &filler(region * clients),
-        if shared { &[] } else { &[("share", "off")] },
+        &keys,
     );
 
     let model = world.model().clone();

@@ -25,8 +25,8 @@ fn profile() -> HardwareProfile {
 
 #[test]
 fn shared_beats_private_at_eight_clients() {
-    let shared = measure_concurrency(8, true, OPS, profile());
-    let private = measure_concurrency(8, false, OPS, profile());
+    let shared = measure_concurrency(8, true, false, OPS, profile());
+    let private = measure_concurrency(8, false, false, OPS, profile());
     assert!(
         shared.series.summarize().p99_ns < private.series.summarize().p99_ns,
         "shared p99 {} ns must beat private p99 {} ns",
@@ -43,8 +43,8 @@ fn shared_beats_private_at_eight_clients() {
 
 #[test]
 fn single_client_shared_costs_the_same_as_private() {
-    let shared = measure_concurrency(1, true, OPS, profile());
-    let private = measure_concurrency(1, false, OPS, profile());
+    let shared = measure_concurrency(1, true, false, OPS, profile());
+    let private = measure_concurrency(1, false, false, OPS, profile());
     // With one session the hub transmits immediately (no staging), so the
     // per-write cost is identical to a private transport.
     assert_eq!(
@@ -61,10 +61,10 @@ fn single_client_shared_costs_the_same_as_private() {
 
 #[test]
 fn crossings_scale_with_clients_only_when_private() {
-    let shared_2 = measure_concurrency(2, true, OPS, profile());
-    let shared_8 = measure_concurrency(8, true, OPS, profile());
-    let private_2 = measure_concurrency(2, false, OPS, profile());
-    let private_8 = measure_concurrency(8, false, OPS, profile());
+    let shared_2 = measure_concurrency(2, true, false, OPS, profile());
+    let shared_8 = measure_concurrency(8, true, false, OPS, profile());
+    let private_2 = measure_concurrency(2, false, false, OPS, profile());
+    let private_8 = measure_concurrency(8, false, false, OPS, profile());
     // Private sentinels pay per-op crossings per client: 4x the clients
     // is ~4x the crossings. The shared sentinel batches, so its growth
     // must be well under that.
@@ -83,18 +83,42 @@ fn crossings_scale_with_clients_only_when_private() {
 
 #[test]
 fn concurrency_measurements_are_deterministic() {
-    for (clients, shared) in [(2, true), (8, true), (2, false)] {
-        let a = measure_concurrency(clients, shared, OPS, profile());
-        let b = measure_concurrency(clients, shared, OPS, profile());
+    let cells = [
+        (2, true, false),
+        (8, true, false),
+        (2, false, false),
+        (8, true, true),
+    ];
+    for (clients, shared, batched) in cells {
+        let a = measure_concurrency(clients, shared, batched, OPS, profile());
+        let b = measure_concurrency(clients, shared, batched, OPS, profile());
         assert_eq!(
             a.series.summarize(),
             b.series.summarize(),
-            "virtual-time latencies reproduce ({clients} clients, shared={shared})"
+            "virtual-time latencies reproduce ({clients} clients, shared={shared}, \
+             batched={batched})"
         );
         assert_eq!(
             crossings(&a),
             crossings(&b),
-            "crossings reproduce ({clients} clients, shared={shared})"
+            "crossings reproduce ({clients} clients, shared={shared}, batched={batched})"
+        );
+    }
+}
+
+#[test]
+fn sessions_sharing_a_ring_cross_less_than_sessions_sharing_a_pair() {
+    // Every client's staged writes leave in one batch: the whole run
+    // crosses twice for them and twice for the last close, at any count.
+    for clients in [8, 32] {
+        let pair = measure_concurrency(clients, true, false, OPS, profile());
+        let ring = measure_concurrency(clients, true, true, OPS, profile());
+        assert_eq!(crossings(&ring), 4, "{clients} clients over one ring");
+        assert!(crossings(&ring) < crossings(&pair), "{clients} clients");
+        assert_eq!(
+            ring.series.summarize().p99_ns,
+            pair.series.summarize().p99_ns,
+            "{clients} clients: a staged write costs its copy on either hub"
         );
     }
 }

@@ -189,13 +189,7 @@ impl ActiveFileSystem {
         // strategy cannot carry commands (§4.1 streams), or the open
         // truncates the data part (a truncating open must not see, or
         // feed, the running sentinel's cached state).
-        // Batched opens always get a private sentinel: the ring driver
-        // stages writes and speculates reads application-side, and the
-        // session hub that would have to order those across sessions
-        // costs more per operation than a batched read does (see
-        // `strategy::wire::open`).
         let sharable = rt.share
-            && rt.ring_depth.is_none()
             && !matches!(spec.strategy(), Strategy::Process)
             && matches!(
                 disposition,

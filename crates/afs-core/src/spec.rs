@@ -647,7 +647,10 @@ mod tests {
             rt.ring_depth == Some(DEFAULT_RING_DEPTH)
         }),
         ("batch", "1", &[], |rt| rt.ring_depth.is_some()),
-        ("batch", "off", &[], |rt| rt.ring_depth.is_none()),
+        // `off` is what no `batch` key means: no ring.
+        ("batch", "off", &[], |rt| {
+            rt.ring_depth == parsed(&[]).expect("no keys").ring_depth
+        }),
         ("ring_depth", " 4 ", &[("batch", "on")], |rt| {
             rt.ring_depth == Some(4)
         }),

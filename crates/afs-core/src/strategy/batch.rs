@@ -8,17 +8,22 @@
 //! per *batch* — 1 crossing + K dispatches, in the cost model's terms.
 //! Three populations fill a batch:
 //!
-//! * **Coalesced writes** — write-behind staging merges adjacent writes
-//!   into one submission entry with no window cap (beyond the mux
-//!   layer's adjacent-only 64 KiB coalescing) and flushes when the ring
-//!   depth is reached or a synchronous op needs ordering. The entry keeps
-//!   the trace context of the first write it merged.
+//! * **Coalesced writes** — write-behind staging through the one
+//!   [`Stager`](afs_ipc::Stager) (adjacent writes of one session merge,
+//!   up to 64 KiB an entry); a session's entries flush when it holds K of
+//!   them or a synchronous op needs ordering. An entry keeps the trace
+//!   context of the first write it merged.
 //! * **Readahead** — a demand read that misses the speculative cache
 //!   submits itself plus sequential speculative reads to fill the batch,
-//!   all under the demand read's trace context; later sequential reads
-//!   are served from its completions with zero new crossings.
+//!   all in the demand read's session and trace context; later sequential
+//!   reads are served from its completions with zero new crossings.
 //! * **Scatter/gather spans** — `ReadFileScatter` rides the ring as one
 //!   entry, flushing staged writes ahead of itself in the same crossing.
+//!
+//! The driver is a session hub, as [`MuxHub`](afs_ipc::MuxHub) is for the
+//! pair lane: every open of a batched file is a session on its one ring,
+//! a private open the one-session case. docs/BATCHING.md ("Shared rings")
+//! states the rules that order its sessions.
 //!
 //! The sentinel side is the one [`dispatch`](super::dispatch) loop over
 //! the ring port: it drains the ring in submission order through the
@@ -41,11 +46,14 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use afs_ipc::{Framed, IpcError, RingTransport, Sqe};
+use afs_ipc::{
+    AppPort, Framed, IpcError, RingTransport, SentinelReaper, SessionHub, Sessions, Sqe, Stager,
+};
 use afs_sim::CrossingKind;
-use afs_telemetry::{Layer, RingGauges, Telemetry, TraceContext};
+use afs_telemetry::{Layer, RingGauges, Telemetry};
 
-use crate::strategy::handle::{deliver, private_frame, AppPort};
+use crate::strategy::handle::deliver;
+use crate::strategy::mux::OpMux;
 use crate::strategy::{Instruments, Op, OpReply};
 
 /// One speculative read in flight.
@@ -60,15 +68,15 @@ struct Speculation {
     tail: u64,
 }
 
-/// Mutable staging state of one [`RingDriver`], serialised by the
-/// strategy handle (and a mutex here, taken once per operation, for
-/// `&self` methods).
-#[derive(Debug, Default)]
+/// Mutable state of one [`RingDriver`], behind the mutex every operation
+/// of every session takes once.
+#[derive(Default)]
 struct DriverState {
     /// Next submission id (monotonic; completions key off it).
     next_id: u64,
-    /// Write-behind submissions staged since the last doorbell.
-    staged: Vec<Sqe<Framed<Op>>>,
+    sessions: Sessions,
+    /// Write-behind entries staged since their session's last doorbell.
+    staged: Stager<OpMux>,
     /// Reaped speculative reads: `(offset, len)` → produced bytes.
     cache: HashMap<(u64, u32), Vec<u8>>,
     /// Speculative reads not yet reaped, in submission order.
@@ -82,15 +90,33 @@ struct DriverState {
     heal_seen: u64,
 }
 
+impl DriverState {
+    /// The next submission id.
+    fn next_id(&mut self) -> u64 {
+        self.next_id += 1;
+        self.next_id
+    }
+
+    /// The staged entries of `only` (every session's, lowest id first,
+    /// when `None`) as the head of a batch of `depth` submissions.
+    fn batch(&mut self, only: Option<u32>, depth: usize) -> Vec<Sqe<Framed<Op>>> {
+        let mut batch = Vec::with_capacity(depth);
+        for (cmd, payload) in self.staged.take(only) {
+            self.next_id += 1;
+            let (id, payload) = (self.next_id, Some(payload));
+            batch.push(Sqe { id, cmd, payload });
+        }
+        batch
+    }
+}
+
 /// What a completed submission came back with: the reply and any bytes
 /// it produced.
 type Completed = afs_ipc::Result<(OpReply, Option<Vec<u8>>)>;
 
-/// The application side of a batched wiring: an [`AppPort`] whose
-/// operations stage into a submission ring. Crossing charges happen in
-/// [`RingTransport::submit`] — once per batch — so
-/// `charges_own_crossings` tells the strategy handle to skip its own
-/// per-op round-trip charge.
+/// The application side of a batched sentinel: one ring, its sessions'
+/// operations staged into it. Crossing charges happen in
+/// [`RingTransport::submit`], once per batch.
 pub(crate) struct RingDriver {
     ring: RingTransport<Framed<Op>, OpReply>,
     state: Mutex<DriverState>,
@@ -105,20 +131,21 @@ impl RingDriver {
         ring: RingTransport<Framed<Op>, OpReply>,
         instr: &Instruments,
         heal_gen: Arc<AtomicU64>,
+        reaper: SentinelReaper,
     ) -> Self {
+        let sessions = Sessions::new(Arc::clone(instr.tel.sessions()), Some(reaper));
         RingDriver {
             ring,
-            state: Mutex::new(DriverState::default()),
+            state: Mutex::new(DriverState {
+                sessions,
+                staged: Stager::new(instr.model.clone()),
+                ..DriverState::default()
+            }),
             tel: Arc::clone(&instr.tel),
             strategy: instr.strategy,
             gauges: Arc::clone(instr.tel.rings()),
             heal_gen,
         }
-    }
-
-    fn next_id(state: &mut DriverState) -> u64 {
-        state.next_id += 1;
-        state.next_id
     }
 
     /// Retires the speculative epoch when a queued-write replay has run
@@ -153,53 +180,6 @@ impl RingDriver {
         } else {
             self.ring.submit(batch)
         }
-    }
-
-    /// Stages one write submission under its op's `trace`, merging it
-    /// into the previous staged write when byte-adjacent (no window cap),
-    /// and flushes the staged batch once it reaches the ring depth.
-    fn stage_write(
-        &self,
-        state: &mut DriverState,
-        offset: u64,
-        trace: TraceContext,
-        payload: Vec<u8>,
-    ) -> afs_ipc::Result<()> {
-        // Contents are changing: speculative results issued before this
-        // write no longer reflect the file the unbatched wiring would
-        // read.
-        state.epoch += 1;
-        state.cache.clear();
-        let coalesced = match state.staged.last_mut() {
-            Some(Sqe {
-                cmd:
-                    Framed {
-                        body: Op::Write { offset: o, len },
-                        ..
-                    },
-                payload: Some(buf),
-                ..
-            }) if *o + u64::from(*len) == offset => {
-                buf.extend_from_slice(&payload);
-                *len += payload.len() as u32;
-                true
-            }
-            _ => false,
-        };
-        if !coalesced {
-            let id = Self::next_id(state);
-            let len = payload.len() as u32;
-            state.staged.push(Sqe {
-                id,
-                cmd: private_frame(Op::Write { offset, len }, trace),
-                payload: Some(payload),
-            });
-        }
-        if state.staged.len() >= self.ring.depth() {
-            let batch = std::mem::take(&mut state.staged);
-            self.submit(batch, false)?;
-        }
-        Ok(())
     }
 
     /// Collects every speculative completion submitted up to and including
@@ -240,17 +220,15 @@ impl RingDriver {
         Ok((cqe.reply, cqe.data))
     }
 
-    /// Serves a demand read under its op's `trace`: from the
-    /// readahead when the exact span was speculated (zero new crossings),
-    /// otherwise with one batch of staged writes + the demand read +
-    /// sequential speculative reads.
-    fn demand_read(
-        &self,
-        state: &mut DriverState,
-        offset: u64,
-        len: u32,
-        trace: TraceContext,
-    ) -> Completed {
+    /// Serves a demand read, `frame`: from the readahead when the exact
+    /// span was speculated (zero new crossings), otherwise with one batch
+    /// of staged writes + the demand read + sequential speculative reads
+    /// in the demand's session and trace, filling what its session's own
+    /// staged entries leave of the ring depth.
+    fn demand_read(&self, state: &mut DriverState, frame: Framed<Op>) -> Completed {
+        let Op::Read { offset, len } = frame.body else {
+            unreachable!("a demand read is a read");
+        };
         self.sync_heal_generation(state);
         // The span may still be in flight. Waiting for its whole batch —
         // never submitting it again, never peeking at what has landed —
@@ -269,40 +247,50 @@ impl RingDriver {
             let n = data.len() as u32;
             return Ok((OpReply::Read { n }, Some(data)));
         }
-        let mut batch = std::mem::take(&mut state.staged);
-        let demand = Self::next_id(state);
+        let Framed { session, trace, .. } = frame;
+        let depth = self.ring.depth();
+        let room = match len {
+            0 => 0,
+            _ => depth.saturating_sub(state.staged.held(session) + 1),
+        };
+        let mut batch = state.batch(None, depth);
+        let demand = state.next_id();
         batch.push(Sqe {
             id: demand,
-            cmd: private_frame(Op::Read { offset, len }, trace),
+            cmd: frame,
             payload: None,
         });
-        if len > 0 {
-            let tail = demand + (self.ring.depth().saturating_sub(batch.len())) as u64;
-            let mut next = offset + u64::from(len);
-            while batch.len() < self.ring.depth() {
-                let id = Self::next_id(state);
-                batch.push(Sqe {
-                    id,
-                    cmd: private_frame(Op::Read { offset: next, len }, trace),
-                    payload: None,
-                });
-                state.inflight.push(Speculation {
-                    id,
-                    offset: next,
-                    len,
-                    epoch: state.epoch,
-                    tail,
-                });
-                next += u64::from(len);
-            }
+        let tail = demand + room as u64;
+        let mut next = offset + u64::from(len);
+        for _ in 0..room {
+            let id = state.next_id();
+            let body = Op::Read { offset: next, len };
+            batch.push(Sqe {
+                id,
+                cmd: Framed {
+                    session,
+                    trace,
+                    body,
+                },
+                payload: None,
+            });
+            state.inflight.push(Speculation {
+                id,
+                offset: next,
+                len,
+                epoch: state.epoch,
+                tail,
+            });
+            next += u64::from(len);
         }
         self.roundtrip(state, batch, demand)
     }
 
-    /// Runs one synchronous command under its op's `trace` through
-    /// the ring: staged writes flush ahead of it in the same crossing.
-    fn sync_roundtrip(&self, state: &mut DriverState, op: Op, trace: TraceContext) -> Completed {
+    /// Runs one synchronous command, `frame`, through the ring: every
+    /// session's staged writes flush ahead of it in the same crossing.
+    fn sync_roundtrip(&self, state: &mut DriverState, frame: Framed<Op>) -> Completed {
         self.sync_heal_generation(state);
+        let op = &frame.body;
         if matches!(op, Op::Control { .. } | Op::ReadScatter { .. } | Op::Flush) {
             // Controls can mutate sentinel state; scatter reads advance
             // shared context; flush seals durable batches. All invalidate
@@ -310,53 +298,79 @@ impl RingDriver {
             state.epoch += 1;
             state.cache.clear();
         }
-        let mut batch = std::mem::take(&mut state.staged);
-        let id = Self::next_id(state);
+        let mut batch = state.batch(None, self.ring.depth());
+        let id = state.next_id();
         batch.push(Sqe {
             id,
-            cmd: private_frame(op, trace),
+            cmd: frame,
             payload: None,
         });
         self.roundtrip(state, batch, id)
     }
 }
 
-impl std::fmt::Debug for RingDriver {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RingDriver")
-            .field("strategy", &self.strategy)
-            .field("depth", &self.ring.depth())
-            .finish_non_exhaustive()
+impl SessionHub<OpMux> for RingDriver {
+    fn attach(&self) -> Option<(u32, Vec<u32>)> {
+        self.state.lock().sessions.attach()
+    }
+
+    fn session_count(&self) -> usize {
+        self.state.lock().sessions.count()
     }
 }
 
-impl AppPort for RingDriver {
+impl AppPort<OpMux> for RingDriver {
     fn crossing(&self) -> CrossingKind {
         self.ring.crossing()
     }
 
-    fn charges_own_crossings(&self) -> bool {
-        true
-    }
-
-    fn post(&self, op: Op, trace: TraceContext, payload: &[u8]) -> afs_ipc::Result<()> {
-        let Op::Write { offset, .. } = op else {
-            return Err(IpcError::Unsupported);
-        };
-        self.stage_write(&mut self.state.lock(), offset, trace, payload.to_vec())
-    }
-
-    fn call(
-        &self,
-        op: Op,
-        trace: TraceContext,
-        into: &mut [u8],
-    ) -> afs_ipc::Result<(OpReply, usize)> {
+    /// Stages one write, `frame`, with its `payload`, and submits its
+    /// session's entries once the session holds the ring depth of them.
+    fn post(&self, frame: Framed<Op>, payload: &[u8]) -> afs_ipc::Result<()> {
         let mut state = self.state.lock();
-        let (reply, data) = match op {
-            Op::Read { offset, len } => self.demand_read(&mut state, offset, len, trace),
-            op => self.sync_roundtrip(&mut state, op, trace),
-        }?;
+        if state.sessions.is_closed() {
+            return Err(IpcError::BrokenPipe);
+        }
+        if !matches!(frame.body, Op::Write { .. }) {
+            return Err(IpcError::Unsupported);
+        }
+        // Contents are changing: speculative results issued before this
+        // write no longer reflect the file the unbatched wiring would
+        // read.
+        state.epoch += 1;
+        state.cache.clear();
+        let session = frame.session;
+        if !state.staged.merge(&frame, payload) {
+            state.staged.push(frame, Vec::new(), payload);
+        }
+        if state.staged.held(session) >= self.ring.depth() {
+            let batch = state.batch(Some(session), 0);
+            self.submit(batch, false)?;
+        }
+        Ok(())
+    }
+
+    /// Runs `frame`, a command its session waits on. A close while other
+    /// sessions stay flushes every staged entry and is acknowledged here;
+    /// the last one crosses and reaps the sentinel.
+    fn call(&self, frame: Framed<Op>, into: &mut [u8]) -> afs_ipc::Result<(OpReply, usize)> {
+        let mut state = self.state.lock();
+        if state.sessions.is_closed() {
+            return Err(IpcError::BrokenPipe);
+        }
+        let close = matches!(frame.body, Op::Close);
+        if close && !state.sessions.detach(frame.session) {
+            let batch = state.batch(None, 0);
+            return self.submit(batch, false).map(|()| (OpReply::Done, 0));
+        }
+        let completed = match frame.body {
+            Op::Read { .. } => self.demand_read(&mut state, frame),
+            _ => self.sync_roundtrip(&mut state, frame),
+        };
+        if close {
+            state.sessions.reap();
+        }
+        let (reply, data) = completed?;
         deliver(reply, data.as_deref(), into)
     }
 }
@@ -366,7 +380,7 @@ impl AppPort for RingDriver {
 /// drop closes it. A sentinel that is already gone is ignored.
 impl Drop for RingDriver {
     fn drop(&mut self) {
-        let batch = std::mem::take(&mut self.state.get_mut().staged);
+        let batch = self.state.get_mut().batch(None, 0);
         let _ = self.submit(batch, false);
     }
 }

@@ -226,9 +226,10 @@ impl Joiners {
     }
 }
 
-/// The sessions one loop serves: an arena the loop owns, so the hot path
-/// borrows a session without locking or cloning, fed through [`Joiners`].
-struct SessionTable {
+/// The sessions one sentinel serves — a loop's, or an inline core's: an
+/// arena it owns, so the hot path borrows a session without locking or
+/// cloning, fed through [`Joiners`].
+pub(crate) struct SessionTable {
     arena: Vec<Session>,
     joiners: Joiners,
     /// Stands in for a session whose record was pruned while its last
@@ -238,7 +239,20 @@ struct SessionTable {
 }
 
 impl SessionTable {
-    fn get(&mut self, id: u32) -> &Session {
+    /// No session yet; `departed` observes what departed sessions left.
+    pub(crate) fn new(joiners: Joiners, departed: SentinelSide) -> Self {
+        SessionTable {
+            arena: Vec::new(),
+            joiners,
+            departed: Session {
+                id: u32::MAX,
+                sticky: Sticky::default(),
+                side: departed,
+            },
+        }
+    }
+
+    pub(crate) fn get(&mut self, id: u32) -> &Session {
         let find = |arena: &[Session]| arena.iter().position(|s| s.id == id);
         let found = find(&self.arena).or_else(|| {
             // Admission happens-before a session's first frame, so an
@@ -293,15 +307,7 @@ impl<P: SentinelPort> SentinelLoop<P> {
             logic,
             ctx,
             port,
-            sessions: SessionTable {
-                arena: Vec::new(),
-                joiners,
-                departed: Session {
-                    id: u32::MAX,
-                    sticky: Sticky::default(),
-                    side: departed,
-                },
-            },
+            sessions: SessionTable::new(joiners, departed),
             stats,
             closed: false,
         }

@@ -13,7 +13,6 @@ use super::*;
 use crate::logic::{SentinelError, SentinelResult};
 use crate::spec::{RuntimeSpec, SentinelSpec, Strategy};
 use crate::strategy::executor::SentinelExecutor;
-use crate::strategy::handle::private_frame;
 
 /// What the probe logic saw, shared with the test body.
 #[derive(Default)]
@@ -90,7 +89,11 @@ impl App {
                 *next += 1;
                 t.submit(vec![Sqe {
                     id: *next,
-                    cmd: private_frame(op, TraceContext::default()),
+                    cmd: Framed {
+                        session: PRIVATE_SESSION,
+                        trace: TraceContext::default(),
+                        body: op,
+                    },
                     payload: payload.map(<[u8]>::to_vec),
                 }])
                 .expect("submit");

@@ -8,166 +8,121 @@
 //! no pipes, no events, no domain crossing — the only costs are whatever
 //! the logic itself does.
 //!
-//! Rather than a bespoke handle, the strategy is one more
-//! [`AppPort`] carrier: an [`InlineSession`] runs each operation through
-//! the same [`execute_op`] the dispatch loop uses, at the moment the
-//! shared [`StrategyHandle`](super::handle::StrategyHandle) posts or
-//! calls it. Its [`CrossingKind::None`] boundary makes the handle charge
-//! zero crossings, so the §4.4 cost profile falls out of the wiring. The
+//! Rather than a bespoke handle, the strategy is one more session hub:
+//! each session's `AppPort` runs its operations through the same
+//! [`execute_op`] the dispatch loop uses, at the moment the shared
+//! [`StrategyHandle`](super::handle::StrategyHandle) posts or calls it.
+//! Its [`CrossingKind::None`] boundary makes the handle charge zero
+//! crossings, so the §4.4 cost profile falls out of the wiring. The
 //! sentinel itself is an [`InlineShared`] — the logic and context behind
 //! one lock — and every open is a session on one: an open nobody else can
 //! join simply stays its only session.
 
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use afs_ipc::IpcError;
+use afs_ipc::{AppPort, Framed, IpcError, SessionHub, Sessions};
 use afs_sim::CrossingKind;
-use afs_telemetry::{SessionGauges, TraceContext};
 use afs_winapi::Win32Error;
 
 use crate::ctx::SentinelCtx;
 use crate::logic::SentinelLogic;
-use crate::strategy::handle::AppPort;
-use crate::strategy::mux::SharedSentinel;
-use crate::strategy::{
-    execute_op, op_name, to_win32, ActiveOps, Instruments, Op, OpReply, SentinelSide, Sticky,
-};
+use crate::strategy::dispatch::{Joiners, SessionTable};
+use crate::strategy::mux::{Joinable, OpMux};
+use crate::strategy::{execute_op, op_name, to_win32, Instruments, Op, OpReply};
 
-/// The sentinel logic and context shared by every session of one
-/// DLL-only sentinel. All execution serialises on this lock — the §4.4
-/// analogue of the wire strategies' single dispatch loop.
+/// The §4.4 sentinel: one logic/context pair behind one lock, its
+/// sessions calling into it inline. All execution serialises on this
+/// lock — the §4.4 analogue of the wire strategies' single dispatch loop,
+/// whose session table it keeps too: a write failure parks in its
+/// session's sticky slot, and a span joins its session's note.
+pub(crate) struct InlineShared {
+    core: Mutex<InlineCore>,
+}
+
 struct InlineCore {
     logic: Box<dyn SentinelLogic>,
     ctx: SentinelCtx,
-    live: usize,
-    closed: bool,
+    sessions: Sessions,
+    table: SessionTable,
 }
 
-/// The §4.4 sentinel: one logic/context pair, its sessions calling into
-/// it inline. Per-session state (the sticky error) lives in each
-/// [`InlineSession`].
-pub(crate) struct InlineShared {
-    core: Mutex<InlineCore>,
-    instr: Instruments,
-    gauges: Arc<SessionGauges>,
-    weak_self: Weak<InlineShared>,
-}
-
-/// One session's inline carrier over the shared core.
-struct InlineSession {
-    shared: Arc<InlineShared>,
-    /// Shared with the handle: write failures park here, exactly like the
-    /// dispatch loop's write-behind semantics.
-    sticky: Sticky,
-    /// Sentinel-side telemetry; the inline sentinel's spans nest under the
-    /// op's transport span, whose context the handle passes in.
-    side: SentinelSide,
-}
-
-impl InlineSession {
-    /// Runs `op` under its op's `trace` on this thread under the core
-    /// lock — all there is to a §4.4 operation: the routine reads straight
-    /// into `into`, nothing is staged. A closed sentinel takes no more
-    /// commands.
-    fn run(
-        &self,
-        op: Op,
-        trace: TraceContext,
-        payload: &[u8],
-        into: &mut [u8],
-    ) -> afs_ipc::Result<OpReply> {
-        let mut core = self.shared.core.lock();
-        if core.closed {
+impl InlineShared {
+    /// Runs `frame` on this thread under the core lock — all there is to
+    /// a §4.4 operation: the routine reads straight into `into`, nothing
+    /// is staged. A closed sentinel takes no more commands.
+    fn run(&self, frame: Framed<Op>, payload: &[u8], into: &mut [u8]) -> afs_ipc::Result<OpReply> {
+        let mut core = self.core.lock();
+        if core.sessions.is_closed() {
             return Err(IpcError::BrokenPipe);
         }
-        if matches!(op, Op::Close) {
-            core.live -= 1;
-            self.shared.gauges.detached();
-            if core.live > 0 {
-                // The sentinel stays up for the other sessions; this
-                // session's close is acknowledged locally.
-                return Ok(OpReply::Done);
-            }
-            // Last session out runs the real close hook.
-            core.closed = true;
+        // The last session out runs the real close hook, on this thread:
+        // there is nothing to reap.
+        if matches!(frame.body, Op::Close) && !core.sessions.detach(frame.session) {
+            // The sentinel stays up for the other sessions; this
+            // session's close is acknowledged locally.
+            return Ok(OpReply::Done);
         }
-        let InlineCore { logic, ctx, .. } = &mut *core;
-        self.side.observe(op_name(&op), trace, || {
-            execute_op(logic.as_mut(), ctx, op, payload, into)
+        let InlineCore {
+            logic, ctx, table, ..
+        } = &mut *core;
+        let side = &table.get(frame.session).side;
+        side.observe(op_name(&frame.body), frame.trace, || {
+            execute_op(logic.as_mut(), ctx, frame.body, payload, into)
         })
     }
 }
 
-impl AppPort for InlineSession {
+impl SessionHub<OpMux> for InlineShared {
+    fn attach(&self) -> Option<(u32, Vec<u32>)> {
+        self.core.lock().sessions.attach()
+    }
+
+    fn session_count(&self) -> usize {
+        self.core.lock().sessions.count()
+    }
+}
+
+impl AppPort<OpMux> for InlineShared {
     fn crossing(&self) -> CrossingKind {
         CrossingKind::None
     }
 
-    fn post(&self, op: Op, trace: TraceContext, payload: &[u8]) -> afs_ipc::Result<()> {
-        if let OpReply::Failed(e) = self.run(op, trace, payload, &mut [])? {
-            self.sticky.park(e);
+    fn post(&self, frame: Framed<Op>, payload: &[u8]) -> afs_ipc::Result<()> {
+        let session = frame.session;
+        if let OpReply::Failed(e) = self.run(frame, payload, &mut [])? {
+            self.core.lock().table.get(session).sticky.park(e);
         }
         Ok(())
     }
 
-    fn call(
-        &self,
-        op: Op,
-        trace: TraceContext,
-        into: &mut [u8],
-    ) -> afs_ipc::Result<(OpReply, usize)> {
-        let reply = self.run(op, trace, &[], into)?;
+    fn call(&self, frame: Framed<Op>, into: &mut [u8]) -> afs_ipc::Result<(OpReply, usize)> {
+        let reply = self.run(frame, &[], into)?;
         let n = reply.announced();
         Ok((reply, n))
     }
 }
 
-impl SharedSentinel for InlineShared {
-    fn attach(&self) -> Option<Arc<dyn ActiveOps>> {
-        let me = self.weak_self.upgrade()?;
-        {
-            let mut core = self.core.lock();
-            if core.closed {
-                return None;
-            }
-            core.live += 1;
-            self.gauges.attached(core.live as u64);
-        }
-        let sticky = Sticky::default();
-        let session = InlineSession {
-            shared: me,
-            sticky: Arc::clone(&sticky),
-            side: self.instr.sentinel_side(),
-        };
-        Some(self.instr.handle(session, sticky, None))
-    }
-
-    fn session_count(&self) -> usize {
-        self.core.lock().live
-    }
-}
-
-/// Builds the DLL-only sentinel: runs the open hook once and returns the
-/// [`SharedSentinel`] this open — and, if the caller registers it, later
-/// opens — attach through.
+/// Builds the DLL-only sentinel: runs the open hook once and returns what
+/// this open — and, if the caller registers it, later opens — attach
+/// through.
 pub(crate) fn open_shared(
     mut logic: Box<dyn SentinelLogic>,
     mut ctx: SentinelCtx,
     instr: Instruments,
-) -> Result<Arc<InlineShared>, Win32Error> {
+) -> Result<Arc<Joinable<InlineShared>>, Win32Error> {
     logic.on_open(&mut ctx).map_err(|e| to_win32(&e))?;
-    let gauges = Arc::clone(instr.tel.sessions());
-    Ok(Arc::new_cyclic(|weak_self| InlineShared {
-        core: Mutex::new(InlineCore {
-            logic,
-            ctx,
-            live: 0,
-            closed: false,
-        }),
-        instr,
-        gauges,
-        weak_self: weak_self.clone(),
-    }))
+    let path = ctx.path().clone();
+    let joiners = Joiners::default();
+    let core = InlineCore {
+        logic,
+        ctx,
+        sessions: Sessions::new(Arc::clone(instr.tel.sessions()), None),
+        table: SessionTable::new(joiners.clone(), instr.sentinel_side()),
+    };
+    let hub = InlineShared {
+        core: Mutex::new(core),
+    };
+    Ok(Joinable::new(hub, joiners, &path, instr))
 }

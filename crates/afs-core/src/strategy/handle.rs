@@ -7,27 +7,28 @@
 //! hands a carrier a whole operation — [`AppPort::post`] for the
 //! write-behind command nobody waits on, [`AppPort::call`] for everything
 //! else, the bytes that follow a reply landing in the caller's buffer.
-//! Four carriers implement it, and they differ only in what moves the
-//! bytes:
+//! Four carriers implement it — the bare pair, and each of three session
+//! hubs (see [`mux`](super::mux)) — and they differ only in what moves
+//! the bytes; each charges its own crossings:
 //!
 //! | Carrier | `call` does | and charges |
 //! |---------|-------------|-------------|
-//! | [`PairTransport`] (§4.2/§4.3, private) | command, reply, payload over the four lanes | the lanes' syscalls/events and copies; the handle adds the round trip's two switches |
-//! | [`MuxSession`] (shared) | flushes staged writes, frames the command, pulls its reply or takes it from its mailbox | two switches per transmitted frame, `Memcpy` per staging copy |
-//! | [`RingDriver`](super::batch::RingDriver) (`batch=on`) | staged writes + the command (+ readahead) in one batch, or a readahead hit | one doorbell and one switch pair per batch, `Memcpy` per entry |
-//! | `InlineSession` (§4.4) | `execute_op` on this thread under the core lock | nothing beyond the logic's own |
+//! | [`PairTransport`](afs_ipc::PairTransport) (§4.2/§4.3, private) | command, reply, payload over the four lanes | two switches per command, the lanes' syscalls/events and copies |
+//! | [`MuxHub`](afs_ipc::MuxHub) (shared) | flushes staged writes, frames the command, pulls its reply or takes it from its mailbox | two switches per transmitted frame, `Memcpy` per staging copy |
+//! | [`RingDriver`](super::batch::RingDriver) (`batch=on`) | every session's staged writes + the command (+ readahead) in one batch, or a readahead hit | one doorbell and one switch pair per batch, `Memcpy` per staging copy |
+//! | [`InlineShared`](super::dll::InlineShared) (§4.4) | `execute_op` on this thread under the core lock | nothing beyond the logic's own |
 //!
 //! A [`StrategyHandle`] drives the [`Op`]/[`OpReply`] protocol over any of
-//! them and keeps what is per-open: the file pointer, the sticky
-//! write-behind error, the reaper. (§4.1 has no commands to carry; its
-//! handle is the stream handle in [`process`](super::process).)
+//! them and keeps what is per-open: its session, the file pointer, the
+//! sticky write-behind error, the reaper. (§4.1 has no commands to carry;
+//! its handle is the stream handle in [`process`](super::process).)
 //!
-//! Every command goes with the [`TraceContext`] of its op's transport
-//! span (`send` or `round-trip`): the out-of-line carriers put it on the
-//! command's [`Framed`] envelope, the inline one hands it to the
-//! sentinel, so a sentinel span joins the op it serves however late the
-//! command is served. A command is charged per message, never by size, so
-//! the context costs nothing.
+//! Every command goes in a [`Framed`] envelope with its session and the
+//! [`TraceContext`] of its op's transport span (`send` or `round-trip`):
+//! the out-of-line carriers put it on the wire, the inline one hands it
+//! to the sentinel, so a sentinel span joins the op it serves however
+//! late the command is served. A command is charged per message, never
+//! by size, so the envelope costs nothing.
 //!
 //! Every operation is recorded by a [`Recorder`] in an [`OpTrace`]:
 //! virtual elapsed time, payload bytes, and the protection-domain
@@ -43,124 +44,15 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use afs_ipc::{BufferPool, Framed, IpcError, MuxSession, PairTransport};
-use afs_sim::{clock, Cost, CostModel, CrossingKind, OpKind, OpTrace, OpWindow, TraceRecord};
+use afs_ipc::{AppPort, BufferPool, Framed, IpcError};
+use afs_sim::{clock, CostModel, CrossingKind, OpKind, OpTrace, OpWindow, TraceRecord};
 use afs_telemetry::{
     now_ns, LatencyHistogram, Layer, SloTracker, SpanGuard, Telemetry, TraceContext,
 };
 use afs_winapi::{SeekMethod, Win32Error};
 
-use crate::strategy::dispatch::PRIVATE_SESSION;
 use crate::strategy::mux::OpMux;
 use crate::strategy::{reap, to_win32, ActiveOps, Op, OpReply, Reaper, Sticky};
-
-/// The application end of one session's wire, as much of it as the
-/// handle needs: an operation goes in whole and comes back whole.
-pub(crate) trait AppPort: Send + Sync {
-    /// Which protection boundary an operation round-trip crosses.
-    fn crossing(&self) -> CrossingKind;
-
-    /// Whether the carrier charges its own crossings. One that batches or
-    /// coalesces must, since an operation's crossing count is no longer a
-    /// per-op constant; the handle then skips its round-trip charge.
-    fn charges_own_crossings(&self) -> bool {
-        false
-    }
-
-    /// Sends a `Write` under its op's `trace`, and its bytes; nobody
-    /// waits for the outcome (a failure parks in the session's sticky
-    /// slot).
-    ///
-    /// # Errors
-    ///
-    /// The sentinel end is gone.
-    fn post(&self, op: Op, trace: TraceContext, payload: &[u8]) -> afs_ipc::Result<()>;
-
-    /// Sends `op` under its op's `trace`, waits for its reply, and
-    /// lands the bytes that follow the reply in the front of `into`;
-    /// returns the reply and how many.
-    ///
-    /// # Errors
-    ///
-    /// [`IpcError::BrokenPipe`] when the command went nowhere because the
-    /// sentinel end was already gone — or when the reply announced more
-    /// bytes than `into` has room for, a protocol violation that fails the
-    /// operation and leaves the wire usable. Anything else: the wire died
-    /// under the operation.
-    fn call(
-        &self,
-        op: Op,
-        trace: TraceContext,
-        into: &mut [u8],
-    ) -> afs_ipc::Result<(OpReply, usize)>;
-}
-
-/// `op` under its op's `trace`, framed for a wire that carries one
-/// session.
-pub(crate) fn private_frame(op: Op, trace: TraceContext) -> Framed<Op> {
-    Framed {
-        session: PRIVATE_SESSION,
-        trace,
-        body: op,
-    }
-}
-
-/// The private §4.2/§4.3 wire: exactly the paper's sequence — "a 'read
-/// 50' command is sent to the sentinel, and then 50 bytes are read from
-/// the read pipe".
-impl AppPort for PairTransport<Framed<Op>, Framed<OpReply>> {
-    fn crossing(&self) -> CrossingKind {
-        PairTransport::crossing(self)
-    }
-
-    fn post(&self, op: Op, trace: TraceContext, payload: &[u8]) -> afs_ipc::Result<()> {
-        self.send_cmd(private_frame(op, trace))?;
-        if payload.is_empty() {
-            return Ok(());
-        }
-        self.send_data(payload)
-    }
-
-    fn call(
-        &self,
-        op: Op,
-        trace: TraceContext,
-        into: &mut [u8],
-    ) -> afs_ipc::Result<(OpReply, usize)> {
-        self.send_awaited(private_frame(op, trace), into.len())?;
-        let reply = self.recv_reply()?.body;
-        let n = match reply {
-            OpReply::Read { n } => self.recv_payload(n as usize, into)?,
-            _ => 0,
-        };
-        Ok((reply, n))
-    }
-}
-
-/// One session of a shared sentinel; the hub charges per transmitted
-/// frame, so a coalesced write crosses nothing.
-impl AppPort for MuxSession<OpMux> {
-    fn crossing(&self) -> CrossingKind {
-        MuxSession::crossing(self)
-    }
-
-    fn charges_own_crossings(&self) -> bool {
-        true
-    }
-
-    fn post(&self, op: Op, trace: TraceContext, payload: &[u8]) -> afs_ipc::Result<()> {
-        MuxSession::post(self, op, trace, payload)
-    }
-
-    fn call(
-        &self,
-        op: Op,
-        trace: TraceContext,
-        into: &mut [u8],
-    ) -> afs_ipc::Result<(OpReply, usize)> {
-        MuxSession::call(self, op, trace, into)
-    }
-}
 
 /// Lands the bytes a reply came with in the front of `into`, for the
 /// carrier that holds reply and bytes together (a ring completion). The
@@ -253,9 +145,7 @@ impl Recorder {
 
     /// Charges the two switches of one round trip across the boundary.
     pub(crate) fn charge_round_trip(&self) {
-        for _ in 0..self.crossing.round_trip_switches() {
-            self.model.charge(Cost::Crossing(self.crossing));
-        }
+        self.model.charge_round_trip(self.crossing);
     }
 
     /// The counters an operation's record is the movement of. An inline
@@ -321,8 +211,10 @@ impl Recorder {
 
 /// Application-side handle: one implementation of the full `ActiveOps`
 /// surface, generic over what carries its operations to the sentinel.
-pub(crate) struct StrategyHandle<P: AppPort> {
-    port: P,
+pub(crate) struct StrategyHandle<P: AppPort<OpMux> + ?Sized> {
+    port: Arc<P>,
+    /// The session its commands are framed in.
+    session: u32,
     rec: Recorder,
     /// The file pointer. Holding it is what serialises the handle's
     /// operations: commands carry absolute offsets, so an operation owns
@@ -334,10 +226,17 @@ pub(crate) struct StrategyHandle<P: AppPort> {
     pool: BufferPool,
 }
 
-impl<P: AppPort> StrategyHandle<P> {
-    pub(crate) fn new(port: P, rec: Recorder, sticky: Sticky, reaper: Option<Reaper>) -> Self {
+impl<P: AppPort<OpMux> + ?Sized> StrategyHandle<P> {
+    pub(crate) fn new(
+        port: Arc<P>,
+        session: u32,
+        rec: Recorder,
+        sticky: Sticky,
+        reaper: Option<Reaper>,
+    ) -> Self {
         StrategyHandle {
             port,
+            session,
             rec,
             pointer: Mutex::new(0),
             sticky,
@@ -346,9 +245,12 @@ impl<P: AppPort> StrategyHandle<P> {
         }
     }
 
-    fn charge_round_trip(&self) {
-        if !self.port.charges_own_crossings() {
-            self.rec.charge_round_trip();
+    /// `op` in this handle's session, under its op's `trace`.
+    fn frame(&self, op: Op, trace: TraceContext) -> Framed<Op> {
+        Framed {
+            session: self.session,
+            trace,
+            body: op,
         }
     }
 
@@ -364,8 +266,7 @@ impl<P: AppPort> StrategyHandle<P> {
     /// returns. The caller holds the pointer.
     fn round_trip(&self, op: Op, into: &mut [u8]) -> Result<(OpReply, usize), Win32Error> {
         let (_wire, trace) = self.rec.transport_span("round-trip");
-        self.charge_round_trip();
-        match self.port.call(op, trace, into) {
+        match self.port.call(self.frame(op, trace), into) {
             Ok((OpReply::Failed(e), _)) => Err(to_win32(&e)),
             Ok(answer) => Ok(answer),
             Err(_) => Err(Win32Error::BrokenPipe),
@@ -404,7 +305,7 @@ impl<P: AppPort> StrategyHandle<P> {
     }
 }
 
-impl<P: AppPort> ActiveOps for StrategyHandle<P> {
+impl<P: AppPort<OpMux> + ?Sized> ActiveOps for StrategyHandle<P> {
     fn read(&self, buf: &mut [u8]) -> Result<usize, Win32Error> {
         let mut pointer = self.pointer.lock();
         self.check_sticky()?;
@@ -422,14 +323,13 @@ impl<P: AppPort> ActiveOps for StrategyHandle<P> {
         self.check_sticky()?;
         self.rec.traced(OpKind::Write, || {
             let (_wire, trace) = self.rec.transport_span("send");
-            self.charge_round_trip();
             let result = (|| {
                 let op = Op::Write {
                     offset: *pointer,
                     len: data.len() as u32,
                 };
                 self.port
-                    .post(op, trace, data)
+                    .post(self.frame(op, trace), data)
                     .map_err(|_| Win32Error::BrokenPipe)?;
                 if self.port.crossing() == CrossingKind::None {
                     // §4.4: the sentinel routine ran inline on this call,
@@ -537,8 +437,7 @@ impl<P: AppPort> ActiveOps for StrategyHandle<P> {
         let result = self.rec.traced(OpKind::Close, || {
             let _pointer = self.pointer.lock();
             let (_wire, trace) = self.rec.transport_span("round-trip");
-            self.charge_round_trip();
-            let r = match self.port.call(Op::Close, trace, &mut []) {
+            let r = match self.port.call(self.frame(Op::Close, trace), &mut []) {
                 Ok((OpReply::Done, _)) => Ok(()),
                 Ok((OpReply::Failed(e), _)) => Err(to_win32(&e)),
                 // Never delivered — the sentinel is already gone; close

@@ -5,19 +5,19 @@
 //! four bytes more than were asked for and reads at [`VANISH`] take the
 //! sentinel end away instead of answering.
 
-use std::sync::atomic::AtomicU64;
 use std::sync::mpsc;
 use std::time::Duration;
 
-use afs_ipc::{Cqe, Framed, MuxHub, PairPort, RingPair};
+use afs_ipc::{Cqe, Framed, MuxHub, PairPort, PairTransport, RingPair, SessionHub};
 
 use super::*;
 use crate::ctx::SentinelCtx;
 use crate::logic::{SentinelLogic, SentinelResult};
 use crate::strategy::batch::RingDriver;
 use crate::strategy::dispatch::tests::{instruments, probe_ctx};
+use crate::strategy::dispatch::{Joiners, PRIVATE_SESSION};
 use crate::strategy::dll;
-use crate::strategy::mux::SharedSentinel;
+use crate::strategy::mux::{Joinable, OpMux, SharedSentinel};
 use crate::strategy::{spawn_sentinel, Instruments};
 
 const FILE: &[u8; 16] = b"0123456789abcdef";
@@ -125,10 +125,17 @@ struct Rig {
 
 fn handle(
     instr: &Instruments,
-    port: impl AppPort + 'static,
+    port: impl AppPort<OpMux> + 'static,
     reaper: Option<Reaper>,
 ) -> Arc<dyn ActiveOps> {
-    instr.handle(port, Sticky::default(), reaper)
+    instr.handle(Arc::new(port), PRIVATE_SESSION, Sticky::default(), reaper)
+}
+
+/// Two sessions on `hub`, whose sentinel end takes no session records.
+fn sessions(hub: impl SessionHub<OpMux>, instr: &Instruments) -> [Arc<dyn ActiveOps>; 2] {
+    let path = afs_vfs::VPath::parse("/rig.af").expect("path");
+    let hub = Joinable::new(hub, Joiners::default(), &path, instr.clone());
+    [(); 2].map(|()| hub.attach().expect("attach"))
 }
 
 fn rigs() -> [Rig; 4] {
@@ -139,13 +146,12 @@ fn rigs() -> [Rig; 4] {
     let pair_end = serve_pair(port, 1);
 
     let (wire, port) = PairTransport::kernel(model());
-    let hub = MuxHub::<OpMux>::new(wire, model(), None);
     let hub_end = serve_pair(port, 2);
-    hub.set_reaper(Box::new(move || hub_end.wait()));
-    let [hub_a, hub_b] = [(); 2].map(|()| handle(&instr, hub.attach().expect("attach"), None));
+    let reaper = Box::new(move || hub_end.wait());
+    let hub = MuxHub::<OpMux>::new(wire, model(), Arc::default(), Some(reaper));
+    let [hub_a, hub_b] = sessions(hub, &instr);
 
     let (ring, port) = RingPair::shared::<Framed<Op>, OpReply>(model(), 4);
-    let driver = RingDriver::new(ring, &instr, Arc::new(AtomicU64::new(0)));
     let ring_end = Reaper::Thread(spawn_sentinel("scripted-ring", move || loop {
         let sqe = match port.poll_sqe() {
             Ok(Some(sqe)) => sqe,
@@ -171,6 +177,11 @@ fn rigs() -> [Rig; 4] {
             return;
         }
     }));
+    let reaper = Box::new(move || ring_end.wait());
+    let [ring_a, ring_b] = sessions(
+        RingDriver::new(ring, &instr, Arc::default(), reaper),
+        &instr,
+    );
 
     let inline = dll::open_shared(Box::new(Scripted), probe_ctx(), instr.clone()).expect("open");
     let [inline_a, inline_b] = [(); 2].map(|()| inline.attach().expect("attach"));
@@ -190,8 +201,8 @@ fn rigs() -> [Rig; 4] {
         },
         Rig {
             carrier: "ring",
-            ops: handle(&instr, driver, Some(ring_end)),
-            sibling: None,
+            ops: ring_a,
+            sibling: Some(ring_b),
             can_vanish: true,
         },
         Rig {

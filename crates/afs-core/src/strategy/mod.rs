@@ -16,7 +16,7 @@
 //! whole hot path is written once, around two seams where an operation is
 //! one value: the [`Op`]/[`OpReply`] command set here, handed by one
 //! generic [`StrategyHandle`](handle::StrategyHandle) to a carrier as
-//! [`post`/`call`](handle::AppPort), taken from the wire by the sentinel
+//! [`post`/`call`](afs_ipc::AppPort), taken from the wire by the sentinel
 //! side as [`next`/`reply`](dispatch::SentinelPort), and executed by
 //! [`execute_op`] wherever the sentinel lives. Out of line (§4.2/§4.3)
 //! the sentinel is one poll-driven [`dispatch::SentinelLoop`] on the
@@ -152,19 +152,21 @@ impl Instruments {
         )
     }
 
-    /// The application end of one session: a [`StrategyHandle`] driving
+    /// The application end of `session`: a [`StrategyHandle`] driving
     /// `port` and surfacing the failures its sentinel end parks in
     /// `sticky`.
     ///
     /// [`StrategyHandle`]: handle::StrategyHandle
     pub(crate) fn handle(
         &self,
-        port: impl handle::AppPort + 'static,
+        port: Arc<impl afs_ipc::AppPort<mux::OpMux> + 'static>,
+        session: u32,
         sticky: Sticky,
         reaper: Option<Reaper>,
     ) -> Arc<dyn ActiveOps> {
         let rec = self.recorder(port.crossing());
-        Arc::new(handle::StrategyHandle::new(port, rec, sticky, reaper))
+        let handle = handle::StrategyHandle::new(port, session, rec, sticky, reaper);
+        Arc::new(handle)
     }
 }
 
@@ -381,7 +383,7 @@ impl OpReply {
 ///
 /// [`IpcError::BrokenPipe`](afs_ipc::IpcError::BrokenPipe) when a read
 /// routine reports more bytes than it was given room for: over-delivery,
-/// the violation [`AppPort::call`](handle::AppPort::call) names, caught
+/// the violation [`AppPort::call`](afs_ipc::AppPort::call) names, caught
 /// where the bytes land. Nothing is delivered and the sentinel stays up.
 pub(crate) fn execute_op(
     logic: &mut dyn SentinelLogic,

@@ -1,30 +1,38 @@
-//! Shared-sentinel session multiplexing for the wire strategies.
+//! Shared-sentinel sessions, for every strategy that carries commands.
 //!
 //! The paper's §2.2 prescribes one sentinel per open. For N concurrent
 //! opens of the *same* active file that costs N sentinel threads, N
 //! transports, and N incoherent caches. This module keeps the paper's
 //! per-open handle semantics while sharing the machinery: the first open
-//! launches the sentinel; later opens *attach* as new sessions on the same
-//! [`MuxHub`], each with a private file pointer, private sticky
-//! write-behind error, and its own span note.
+//! launches the sentinel; later opens *attach* as new sessions on it,
+//! each with a private file pointer, private sticky write-behind error,
+//! and its own span note.
 //!
 //! Division of labour:
 //!
-//! * [`OpMux`] teaches the protocol-agnostic hub the wire shape of
-//!   [`Op`]/[`OpReply`] — which commands carry payload, which replies do,
-//!   which command is the terminal close, and when two writes are
-//!   contiguous (the hub coalesces those into one crossing).
-//! * The sentinel side is the one [`dispatch`](super::dispatch) loop over
-//!   the framed pair port; each attach admits the new session's record to
-//!   it before the session can send a frame.
-//! * [`SharedSentinel`] is what the open path's registry stores: later
-//!   opens call [`SharedSentinel::attach`] to join; `None` means the
-//!   sentinel already ran its terminal close and a fresh one is needed.
+//! * [`OpMux`] teaches the protocol-agnostic [`afs_ipc::Stager`] and
+//!   [`MuxHub`](afs_ipc::MuxHub) the wire shape of [`Op`]/[`OpReply`] —
+//!   which commands carry payload, which replies do, which command is the
+//!   terminal close, and when two writes are contiguous (those coalesce
+//!   into one entry).
+//! * A [`SessionHub`] is a sentinel whose opens are sessions: the pair
+//!   lane's `MuxHub`, the batched [`RingDriver`] or the §4.4
+//!   [`InlineShared`]; each of its sessions is a carrier on it.
+//! * [`Joinable`] is the one [`SharedSentinel`] over any of them: what the
+//!   open path's registry stores. Each attach admits the new session's
+//!   record to the sentinel — the [`dispatch`](super::dispatch) loop, or
+//!   the inline core — before the session can send a frame. `None` means
+//!   the sentinel already ran its terminal close and a fresh one is
+//!   needed.
+//!
+//! [`RingDriver`]: super::batch::RingDriver
+//! [`InlineShared`]: super::dll::InlineShared
 
 use std::sync::Arc;
 
-use afs_ipc::{MuxHub, MuxProtocol};
+use afs_ipc::{MuxProtocol, SessionHub};
 use afs_telemetry::intern;
+use afs_vfs::VPath;
 
 use crate::strategy::dispatch::{Joiners, Session};
 use crate::strategy::{ActiveOps, Instruments, Op, OpReply, Sticky};
@@ -89,40 +97,54 @@ pub(crate) trait SharedSentinel: Send + Sync {
     fn session_count(&self) -> usize;
 }
 
-/// The application side of a joinable §4.2/§4.3 sentinel: one transport,
-/// many sessions multiplexed over it.
-pub(crate) struct MuxShared {
-    pub(crate) hub: Arc<MuxHub<OpMux>>,
-    pub(crate) joiners: Joiners,
+/// The one [`SharedSentinel`]: a hub, and the door through which the
+/// sentinel serving it learns each session's record.
+pub(crate) struct Joinable<H> {
+    hub: Arc<H>,
+    joiners: Joiners,
     /// Interned data-part path, for the per-session span note.
-    pub(crate) file: &'static str,
-    pub(crate) instr: Instruments,
+    file: &'static str,
+    instr: Instruments,
 }
 
-impl SharedSentinel for MuxShared {
+impl<H: SessionHub<OpMux>> Joinable<H> {
+    pub(crate) fn new(hub: H, joiners: Joiners, path: &VPath, instr: Instruments) -> Arc<Self> {
+        let file = intern(&path.file_path().to_string());
+        Arc::new(Joinable {
+            hub: Arc::new(hub),
+            joiners,
+            file,
+            instr,
+        })
+    }
+}
+
+impl<H: SessionHub<OpMux>> SharedSentinel for Joinable<H> {
     fn attach(&self) -> Option<Arc<dyn ActiveOps>> {
-        let session = self.hub.attach()?;
-        let id = session.session_id();
+        let (id, live) = self.hub.attach()?;
         let sticky = Sticky::default();
         // Every sentinel-side span of this session carries the owning
         // session id and file, so slow-op ancestry and trace dumps name
-        // which of the multiplexed clients an op belongs to.
+        // which of the clients an op belongs to.
         let note = intern(&format!("session={id} file={}", self.file));
+        let side = self.instr.sentinel_side().with_note(note);
+        // Admitted before the session can send a frame.
         self.joiners.admit(
             Session {
                 id,
                 sticky: Arc::clone(&sticky),
-                side: self.instr.sentinel_side().with_note(note),
+                side,
             },
-            self.hub.live_sessions(),
+            live,
         );
         // The hub reaps the sentinel when the terminal close is
         // acknowledged; the handle has nothing to join.
-        Some(self.instr.handle(session, sticky, None))
+        let port = Arc::clone(&self.hub);
+        Some(self.instr.handle(port, id, sticky, None))
     }
 
     fn session_count(&self) -> usize {
-        self.hub.live_sessions().len()
+        self.hub.session_count()
     }
 }
 

@@ -12,15 +12,16 @@
 //!
 //! Every combination runs the same [`SentinelLoop`] over the matching
 //! [`SentinelPort`](super::dispatch::SentinelPort). The application side
-//! is layered only as far as the choice needs: a sentinel nobody can join
-//! is driven through the bare transport, because the session hub costs
-//! about a third of a microsecond of host time per operation that a lone
-//! handle has no use for.
+//! of a ring is always its session hub, a private one holding one
+//! session. A pair lane nobody can join is driven through the bare
+//! transport instead: a one-session [`MuxHub`] costs 115–141 ns (8–11 %)
+//! more per 128-byte read of a memory `mirror` file than the bare pair
+//! (41 alternating rounds of 20 000 reads, one CPU under `SCHED_BATCH`,
+//! hub slower in 35–41 of them), and a lone handle has no use for it.
 
 use std::sync::Arc;
 
 use afs_ipc::{Framed, MuxHub, PairPort, PairTransport, RingPair};
-use afs_telemetry::intern;
 use afs_winapi::Win32Error;
 
 use crate::ctx::SentinelCtx;
@@ -29,7 +30,7 @@ use crate::strategy::batch::RingDriver;
 use crate::strategy::dispatch::{
     Joiners, RingSentinelPort, SentinelLoop, Session, PRIVATE_SESSION,
 };
-use crate::strategy::mux::{MuxShared, SharedSentinel};
+use crate::strategy::mux::{Joinable, SharedSentinel};
 use crate::strategy::{to_win32, ActiveOps, Instruments, Op, OpReply, Reaper, Sticky};
 
 /// Which protection boundary the wire crosses.
@@ -55,12 +56,10 @@ pub(crate) enum Launched {
 /// process, or for "starts a thread for running the orchestration
 /// routine"), and wires the application side to it.
 ///
-/// `batch = Some(depth)` makes the lane a ring of that depth. A batched
-/// sentinel is never joinable: its driver stages writes and speculates
-/// reads application-side, which a hub over it would have to order across
-/// sessions, and that hub costs more host time per operation than a whole
-/// batched read. The loop is not what stands in the way — it takes the
-/// session from the port on every lane.
+/// `batch = Some(depth)` makes the lane a ring of that depth, always
+/// launched as a hub; whether later opens join it is the caller's
+/// registration. Otherwise a `joinable` sentinel gets a [`MuxHub`] and
+/// the rest the bare pair.
 pub(crate) fn open(
     boundary: Boundary,
     mut logic: Box<dyn SentinelLogic>,
@@ -71,40 +70,8 @@ pub(crate) fn open(
 ) -> Result<Launched, Win32Error> {
     logic.on_open(&mut ctx).map_err(|e| to_win32(&e))?;
     let joiners = Joiners::default();
-    if joinable && batch.is_none() {
-        let file = intern(&ctx.path().file_path().to_string());
-        let (transport, port) = pair(boundary, &instr);
-        let hub = MuxHub::new(
-            transport,
-            instr.model.clone(),
-            Some(Arc::clone(instr.tel.sessions())),
-        );
-        let done = SentinelLoop::spawn(&instr, logic, ctx, port, joiners.clone());
-        // The hub reaps by waiting on the executor's completion cell, the
-        // task-world stand-in for joining a dedicated sentinel thread.
-        hub.set_reaper(Box::new(move || done.wait()));
-        return Ok(Launched::Shared(Arc::new(MuxShared {
-            hub,
-            joiners,
-            file,
-            instr,
-        })));
-    }
-    let sticky = Sticky::default();
-    joiners.admit(
-        Session {
-            id: PRIVATE_SESSION,
-            sticky: Arc::clone(&sticky),
-            side: instr.sentinel_side(),
-        },
-        vec![PRIVATE_SESSION],
-    );
-    let ops = match batch {
-        None => {
-            let (transport, port) = pair(boundary, &instr);
-            let done = SentinelLoop::spawn(&instr, logic, ctx, port, joiners);
-            instr.handle(transport, sticky, Some(Reaper::Task(done)))
-        }
+    let path = ctx.path().clone();
+    let shared: Arc<dyn SharedSentinel> = match batch {
         Some(depth) => {
             let rings = Arc::clone(instr.tel.rings());
             let (ring, port) = match boundary {
@@ -114,13 +81,40 @@ pub(crate) fn open(
             // The driver watches the ctx's heal generation: a queued-write
             // replay on the sentinel side bumps it, and the driver retires
             // its speculative-cache epoch in response.
-            let driver = RingDriver::new(ring, &instr, ctx.heal_generation());
+            let heal = ctx.heal_generation();
             let port = RingSentinelPort::new(port);
+            let done = SentinelLoop::spawn(&instr, logic, ctx, port, joiners.clone());
+            let driver = RingDriver::new(ring, &instr, heal, Box::new(move || done.wait()));
+            Joinable::new(driver, joiners, &path, instr)
+        }
+        None if joinable => {
+            let (transport, port) = pair(boundary, &instr);
+            let done = SentinelLoop::spawn(&instr, logic, ctx, port, joiners.clone());
+            // The hub reaps by waiting on the executor's completion cell,
+            // the task-world stand-in for joining a dedicated sentinel
+            // thread.
+            let reaper = Box::new(move || done.wait());
+            let sessions = Arc::clone(instr.tel.sessions());
+            let hub = MuxHub::new(transport, instr.model.clone(), sessions, Some(reaper));
+            Joinable::new(hub, joiners, &path, instr)
+        }
+        None => {
+            let sticky = Sticky::default();
+            let side = instr.sentinel_side();
+            let session = Session {
+                id: PRIVATE_SESSION,
+                sticky: Arc::clone(&sticky),
+                side,
+            };
+            joiners.admit(session, vec![PRIVATE_SESSION]);
+            let (transport, port) = pair(boundary, &instr);
             let done = SentinelLoop::spawn(&instr, logic, ctx, port, joiners);
-            instr.handle(driver, sticky, Some(Reaper::Task(done)))
+            let reaper = Some(Reaper::Task(done));
+            let ops = instr.handle(Arc::new(transport), PRIVATE_SESSION, sticky, reaper);
+            return Ok(Launched::Private(ops));
         }
     };
-    Ok(Launched::Private(ops))
+    Ok(Launched::Shared(shared))
 }
 
 /// A command/reply pair lane, private or shared: its application end and

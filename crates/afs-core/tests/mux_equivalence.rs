@@ -3,11 +3,12 @@
 //! A handle attached to a shared sentinel must be indistinguishable from
 //! a handle with a private sentinel: same returned values op for op, same
 //! final file content. These tests drive the same interleaved two-handle
-//! script with sharing on (the default — both opens multiplex one
-//! sentinel) and off (`share=off` — one sentinel per open), unbatched and
-//! over rings of depth 1 and 8, and compare the transcripts byte for byte,
-//! for every strategy that can share. Sharing and batching are inputs to
-//! one sentinel-side loop, so they are inputs to one script here.
+//! script with sharing on (the default — both opens are sessions on one
+//! sentinel, over a pair hub or one ring) and off (`share=off` — one
+//! sentinel per open), unbatched and over rings of depth 1 and 8, and
+//! compare the transcripts byte for byte, for every strategy that can
+//! share. Sharing and batching compose: they are inputs to one
+//! sentinel-side loop, so they are inputs to one script here.
 
 use afs_core::{AfsWorld, Backing, SentinelSpec, Strategy};
 use afs_sim::clock;
@@ -46,13 +47,12 @@ fn transcript(strategy: Strategy, share: bool, batch: Option<&str>) -> Vec<Vec<u
     // Two private sentinels promise no order between the two handles: a
     // write is acknowledged before its sentinel (or, batched, its ring)
     // has applied it, so whether the other handle's sentinel sees it is a
-    // race. Where the script depends on that order, the private legs —
-    // `share=off`, and every batched open, which never shares — settle the
-    // writing handle with a synchronous op first. The shared leg gets no
-    // such help: flush-before-reply across sessions is what it checks.
-    let private = !share || batch.is_some();
+    // race. Where the script depends on that order, the `share=off` legs
+    // settle the writing handle with a synchronous op first. The shared
+    // legs — pair hub and ring alike — get no such help: flush-before-reply
+    // across sessions is what they check.
     let settle = |h| {
-        if private {
+        if !share {
             api.get_file_size(h).expect("settle");
         }
     };
@@ -248,4 +248,83 @@ fn simple_process_streams_never_share() {
     );
     api.close_handle(h1).expect("close");
     api.close_handle(h2).expect("close");
+}
+
+/// The out-of-line strategies, whose batched opens share one ring.
+const RINGED: [Strategy; 2] = [Strategy::ProcessControl, Strategy::DllThread];
+
+/// Bytes per block of the ring tests' file.
+const BLOCK: usize = 16;
+
+/// A world holding `/ring.af`, batched at `depth` over a memory cache and
+/// seeded with eight blocks of `b'a' + block`.
+fn ring_world(strategy: Strategy, depth: &str) -> AfsWorld {
+    let world = AfsWorld::new();
+    let spec = SentinelSpec::new("null", strategy)
+        .backing(Backing::Memory)
+        .with("batch", "on")
+        .with("ring_depth", depth);
+    world
+        .install_active_file("/ring.af", &spec)
+        .expect("install");
+    let seed: Vec<u8> = (0..8u8).flat_map(|b| [b'a' + b; BLOCK]).collect();
+    let path = afs_vfs::VPath::parse("/ring.af").expect("path");
+    world
+        .vfs()
+        .write_stream_replace(&path, &seed)
+        .expect("seed");
+    world
+}
+
+#[test]
+fn a_second_batched_open_joins_the_ring() {
+    for strategy in RINGED {
+        for depth in ["1", "8"] {
+            let world = ring_world(strategy, depth);
+            let api = world.api();
+            let _clock = clock::install(0);
+            let open = || {
+                api.create_file("/ring.af", Access::read_write(), Disposition::OpenExisting)
+                    .expect("open")
+            };
+            let (a, b) = (open(), open());
+            let shared = world.shared_sentinels();
+            assert_eq!(shared.len(), 1, "{strategy:?} depth {depth}: {shared:?}");
+            assert_eq!(shared[0].3, 2, "{strategy:?} depth {depth}: two sessions");
+            api.close_handle(a).expect("close a");
+            api.close_handle(b).expect("close b");
+            assert!(world.shared_sentinels().is_empty(), "{strategy:?}");
+        }
+    }
+}
+
+#[test]
+fn no_session_reads_speculation_older_than_another_sessions_write() {
+    for strategy in RINGED {
+        for depth in ["1", "8"] {
+            let world = ring_world(strategy, depth);
+            let api = world.api();
+            let _clock = clock::install(0);
+            let open = || {
+                api.create_file("/ring.af", Access::read_write(), Disposition::OpenExisting)
+                    .expect("open")
+            };
+            let (a, b) = (open(), open());
+            // A's read of block 0 speculates the blocks after it.
+            let mut block = [0u8; BLOCK];
+            assert_eq!(api.read_file(a, &mut block), Ok(BLOCK));
+            assert_eq!(block, [b'a'; BLOCK]);
+            // B's write of block 1 is acknowledged, staged, not synced.
+            api.set_file_pointer(b, BLOCK as i64, SeekMethod::Begin)
+                .expect("seek b");
+            assert_eq!(api.write_file(b, &[b'B'; BLOCK]), Ok(BLOCK));
+            assert_eq!(api.read_file(a, &mut block), Ok(BLOCK));
+            assert_eq!(
+                block, [b'B'; BLOCK],
+                "{strategy:?} depth {depth}: A read block 1 older than B's write"
+            );
+            api.close_handle(a).expect("close a");
+            api.close_handle(b).expect("close b");
+        }
+    }
 }

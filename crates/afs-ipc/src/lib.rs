@@ -30,7 +30,8 @@
 //!
 //! On top of the primitives, [`transport::PairTransport`] packages the
 //! complete §4.2/§4.3 wiring (typed command/reply lanes plus a data lane
-//! each way), [`mux::MuxHub`] shares one such wire among many sessions,
+//! each way), [`mux::MuxHub`] shares one such wire among many sessions
+//! (under the one session rule and write stager of [`mux`]),
 //! [`ring::RingPair`] adds io_uring-style submission/completion rings
 //! that cross the boundary once per *batch* instead of once per op, and
 //! [`pool::BufferPool`] recycles the staging buffers all of them use, so
@@ -56,7 +57,10 @@ pub mod transport;
 pub use control::{ChannelWaker, ControlChannel, ControlReceiver, ControlSender, Wake};
 pub use error::IpcError;
 pub use event::{Event, ResetMode};
-pub use mux::{Framed, MuxHub, MuxProtocol, MuxSession, SentinelReaper, STAGE_CAPACITY};
+pub use mux::{
+    AppPort, Framed, MuxHub, MuxProtocol, SentinelReaper, SessionHub, Sessions, Stager,
+    STAGE_CAPACITY,
+};
 pub use pipe::{Pipe, PipeReader, PipeWriter};
 pub use pool::BufferPool;
 pub use ring::{Cqe, RingPair, RingPort, RingTransport, Sqe};

@@ -11,23 +11,25 @@
 //! per write. A coalesced batch carries the trace context of the first
 //! write it merged.
 //!
-//! A [`MuxSession`] speaks in whole operations: [`MuxSession::post`] for
-//! the write nobody waits on, [`MuxSession::call`] for everything else,
-//! the bytes behind a reply landing in the caller's buffer.
+//! [`Sessions`] (who is attached, what a close does) and [`Stager`]
+//! (where posted writes wait, how they merge) are the rules of every
+//! sentinel with sessions: this hub, and the core crate's ring driver and
+//! inline §4.4 sentinel, each a [`SessionHub`]. A session speaks in
+//! whole operations: [`AppPort::post`] for the write nobody waits on,
+//! [`AppPort::call`] for everything else, the bytes behind a reply
+//! landing in the caller's buffer.
 //!
 //! Cost accounting stays honest: the hub charges the two crossing
 //! switches per *transmitted frame* (so a coalesced write charges only
 //! the user-level copy into its staging buffer), and every staging copy
-//! is charged as a [`Cost::Memcpy`]. Because of that, the layer driving a
-//! session must not add its own per-op round-trip charge.
+//! is charged as a [`Cost::Memcpy`].
 //!
 //! The hub is protocol-agnostic: a [`MuxProtocol`] implementation tells
 //! it how many payload bytes follow a command or reply on the data lane,
 //! which command is the terminal close, and when two payload-carrying
 //! commands form one contiguous transfer.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
@@ -38,8 +40,8 @@ use afs_telemetry::{SessionGauges, TraceContext};
 use crate::pool::BufferPool;
 use crate::{IpcError, PairTransport, Result};
 
-/// Writes staged per session before a forced flush; bounds both memory
-/// and the latency outlier of the flush-carrying operation.
+/// Bytes one staged entry may merge; bounds both memory and the latency
+/// outlier of the operation that flushes it.
 pub const STAGE_CAPACITY: usize = 64 * 1024;
 
 /// A command or reply framed with the session it belongs to: the
@@ -86,21 +88,228 @@ pub trait MuxProtocol: Send + Sync + 'static {
     fn coalesce(acc: &Self::Cmd, next: &Self::Cmd) -> Option<Self::Cmd>;
 }
 
-/// One session's staged, not-yet-transmitted contiguous write batch, in
-/// the frame of the first write it merged.
-struct WriteStage<C> {
-    frame: Framed<C>,
-    buf: Vec<u8>,
+/// Posted writes waiting to go out, per session, each entry the frame of
+/// the first write merged into it and the bytes of every one. One merge
+/// rule: a write joins its own session's newest entry when
+/// [`MuxProtocol::coalesce`] says they are adjacent and the entry stays
+/// within [`STAGE_CAPACITY`], so a failure parks in its writer's slot.
+/// Staging a write is its one user-level copy, charged to the writer as a
+/// [`Cost::Memcpy`]. How many entries a session may hold, and when they
+/// go, is the owner's policy.
+pub struct Stager<P: MuxProtocol> {
+    entries: Vec<(Framed<P::Cmd>, Vec<u8>)>,
+    model: CostModel,
+}
+
+impl<P: MuxProtocol> Default for Stager<P> {
+    fn default() -> Self {
+        Stager::new(CostModel::free())
+    }
+}
+
+impl<P: MuxProtocol> Stager<P> {
+    /// Stages nothing yet; charges its copies to `model`.
+    pub fn new(model: CostModel) -> Self {
+        let entries = Vec::new();
+        Stager { entries, model }
+    }
+
+    /// Merges `data`, the payload of `frame`, into its session's newest
+    /// entry; `false` when the merge rule refuses (nothing changed).
+    pub fn merge(&mut self, frame: &Framed<P::Cmd>, data: &[u8]) -> bool {
+        let mut newest = self.entries.iter_mut().rev();
+        let Some((staged, buf)) = newest.find(|(f, _)| f.session == frame.session) else {
+            return false;
+        };
+        let merged = (buf.len() + data.len() <= STAGE_CAPACITY)
+            .then(|| P::coalesce(&staged.body, &frame.body))
+            .flatten();
+        let Some(body) = merged else {
+            return false;
+        };
+        staged.body = body;
+        buf.extend_from_slice(data);
+        self.model.charge(Cost::Memcpy { bytes: data.len() });
+        true
+    }
+
+    /// Stages `frame` as a new entry, its payload copied into `buf`.
+    pub fn push(&mut self, frame: Framed<P::Cmd>, mut buf: Vec<u8>, data: &[u8]) {
+        buf.extend_from_slice(data);
+        self.model.charge(Cost::Memcpy { bytes: data.len() });
+        self.entries.push((frame, buf));
+    }
+
+    /// How many entries `session` holds.
+    pub fn held(&self, session: u32) -> usize {
+        self.entries
+            .iter()
+            .filter(|(f, _)| f.session == session)
+            .count()
+    }
+
+    /// Takes `session`'s entries — every session's, lowest id first, when
+    /// `None` — each session's oldest first.
+    pub fn take(&mut self, only: Option<u32>) -> std::vec::Drain<'_, (Framed<P::Cmd>, Vec<u8>)> {
+        if self.entries.len() > 1 {
+            let other = |f: &Framed<P::Cmd>| only.is_some_and(|s| f.session != s);
+            self.entries.sort_by_key(|(f, _)| (other(f), f.session));
+        }
+        let n = only.map_or(self.entries.len(), |s| self.held(s));
+        self.entries.drain(..n)
+    }
+}
+
+/// Deferred reap of whatever executes the shared sentinel: blocks until
+/// the sentinel has fully terminated and yields its final virtual time.
+pub type SentinelReaper = Box<dyn FnOnce() -> SimTime + Send>;
+
+/// Who is attached to one sentinel, and what a close does: the session
+/// rule of every sentinel that sessions share. Ids start at 1; an attach
+/// after the terminal close is refused (the caller launches a fresh
+/// sentinel instead); a close while others stay is acknowledged by its
+/// owner locally, after flushing; the last close is the terminal one,
+/// whose owner sends it and then [reaps](Sessions::reap) the sentinel.
+#[derive(Default)]
+pub struct Sessions {
+    live: Vec<u32>,
+    /// The newest id handed out.
+    newest: u32,
+    closed: bool,
+    gauges: Arc<SessionGauges>,
+    reaper: Option<SentinelReaper>,
+}
+
+impl Sessions {
+    /// No session yet; `reaper` is run by the terminal close.
+    pub fn new(gauges: Arc<SessionGauges>, reaper: Option<SentinelReaper>) -> Self {
+        Sessions {
+            gauges,
+            reaper,
+            ..Sessions::default()
+        }
+    }
+
+    /// Attaches a session: its id and the ids live now, or `None` once
+    /// the terminal close has gone out.
+    pub fn attach(&mut self) -> Option<(u32, Vec<u32>)> {
+        if self.closed {
+            return None;
+        }
+        self.newest += 1;
+        let id = self.newest;
+        self.live.push(id);
+        self.gauges.attached(self.live.len() as u64);
+        Some((id, self.live.clone()))
+    }
+
+    /// Detaches `session` on its close; `true` when it was the last, the
+    /// terminal close. From then on the sentinel takes no more commands.
+    pub fn detach(&mut self, session: u32) -> bool {
+        let before = self.live.len();
+        self.live.retain(|&id| id != session);
+        if self.live.len() < before {
+            self.gauges.detached();
+        }
+        self.closed = self.live.is_empty();
+        if self.closed {
+            self.gauges.terminal_close();
+        }
+        self.closed
+    }
+
+    /// Once the terminal close is answered: waits for the sentinel to
+    /// terminate and folds its final virtual time into this thread,
+    /// exactly like a private handle's reap on close.
+    pub fn reap(&mut self) {
+        if let Some(reaper) = self.reaper.take() {
+            clock::sync_to(reaper());
+        }
+    }
+
+    /// How many sessions are attached.
+    pub fn count(&self) -> usize {
+        self.live.len()
+    }
+
+    /// Whether the terminal close has gone out.
+    pub fn is_closed(&self) -> bool {
+        self.closed
+    }
+}
+
+/// The application end of one session's wire, as much of it as the
+/// layer above needs: an operation goes in whole, framed in its session,
+/// and comes back whole. The bare [`PairTransport`] carries one session,
+/// a [`SessionHub`] many; each charges the crossings it makes.
+pub trait AppPort<P: MuxProtocol>: Send + Sync {
+    /// Which protection boundary an operation round-trip crosses.
+    fn crossing(&self) -> CrossingKind;
+
+    /// Sends `frame` — a write, under its op's trace — and its bytes;
+    /// nobody waits for the outcome (a failure parks in the session's
+    /// sticky slot).
+    ///
+    /// # Errors
+    ///
+    /// The sentinel end is gone (or has closed).
+    fn post(&self, frame: Framed<P::Cmd>, payload: &[u8]) -> Result<()>;
+
+    /// Sends `frame`, waits for its reply, and lands the bytes that
+    /// follow the reply in the front of `into`; returns the reply and how
+    /// many.
+    ///
+    /// # Errors
+    ///
+    /// [`IpcError::BrokenPipe`] when the command went nowhere because the
+    /// sentinel end was already gone — or when the reply announced more
+    /// bytes than `into` has room for, a protocol violation that fails the
+    /// operation and leaves the wire usable. Anything else: the wire died
+    /// under the operation.
+    fn call(&self, frame: Framed<P::Cmd>, into: &mut [u8]) -> Result<(P::Reply, usize)>;
+}
+
+/// A sentinel whose opens are sessions: [`MuxHub`] over a pair lane, and
+/// the core crate's ring driver and inline §4.4 sentinel. Each keeps
+/// [`Sessions`] under the lock it takes per operation.
+pub trait SessionHub<P: MuxProtocol>: AppPort<P> + 'static {
+    /// [`Sessions::attach`].
+    fn attach(&self) -> Option<(u32, Vec<u32>)>;
+
+    /// How many sessions are attached.
+    fn session_count(&self) -> usize;
+}
+
+/// The bare pair carries one session: exactly the paper's sequence — "a
+/// 'read 50' command is sent to the sentinel, and then 50 bytes are read
+/// from the read pipe".
+impl<P: MuxProtocol> AppPort<P> for PairTransport<Framed<P::Cmd>, Framed<P::Reply>> {
+    fn crossing(&self) -> CrossingKind {
+        PairTransport::crossing(self)
+    }
+
+    fn post(&self, frame: Framed<P::Cmd>, payload: &[u8]) -> Result<()> {
+        self.send_cmd(frame)?;
+        if payload.is_empty() {
+            return Ok(());
+        }
+        self.send_data(payload)
+    }
+
+    fn call(&self, frame: Framed<P::Cmd>, into: &mut [u8]) -> Result<(P::Reply, usize)> {
+        self.send_awaited(frame, into.len())?;
+        let reply = self.recv_reply()?.body;
+        let n = self.recv_payload(P::reply_payload_len(&reply), into)?;
+        Ok((reply, n))
+    }
 }
 
 /// Send-side state, guarded by one lock so a command frame and its
 /// payload bytes reach the underlying lanes back to back.
 struct SendState<P: MuxProtocol> {
-    /// Ordered by session id: a flush drains lowest id first.
-    stages: BTreeMap<u32, WriteStage<P::Cmd>>,
-    live: Vec<u32>,
-    /// The terminal close went out (or the wire died): no more sends.
-    closed: bool,
+    /// At most one entry per session.
+    stages: Stager<P>,
+    sessions: Sessions,
 }
 
 /// A demultiplexed reply parked for its session: the reply frame plus
@@ -116,8 +325,8 @@ struct RecvState<P: MuxProtocol> {
     dead: bool,
 }
 
-/// The application-side multiplexer: owns the single underlying wire and
-/// hands out per-session [`MuxSession`] endpoints.
+/// The application-side multiplexer: owns the single underlying wire,
+/// which its sessions' whole operations share.
 pub struct MuxHub<P: MuxProtocol> {
     under: PairTransport<Framed<P::Cmd>, Framed<P::Reply>>,
     model: CostModel,
@@ -125,34 +334,25 @@ pub struct MuxHub<P: MuxProtocol> {
     send: Mutex<SendState<P>>,
     recv: Mutex<RecvState<P>>,
     recv_ready: Condvar,
-    next_session: AtomicU32,
-    gauges: Option<Arc<SessionGauges>>,
-    /// Reaps the shared sentinel — joining a dedicated thread or waiting
-    /// on an executor task's completion — and returns its final virtual
-    /// time; the session that transmits the terminal close runs it and
-    /// folds that time in.
-    reaper: Mutex<Option<SentinelReaper>>,
+    gauges: Arc<SessionGauges>,
 }
 
-/// Deferred reap of whatever executes the shared sentinel: blocks until
-/// the sentinel has fully terminated and yields its final virtual time.
-pub type SentinelReaper = Box<dyn FnOnce() -> SimTime + Send>;
-
 impl<P: MuxProtocol> MuxHub<P> {
-    /// Wraps `under`, charging crossings and staging copies to `model`.
+    /// Wraps `under`, charging staging copies to `model`; the terminal
+    /// close runs `reaper` (joining a dedicated sentinel thread, or
+    /// waiting on an executor task's completion).
     pub fn new(
         under: PairTransport<Framed<P::Cmd>, Framed<P::Reply>>,
         model: CostModel,
-        gauges: Option<Arc<SessionGauges>>,
-    ) -> Arc<Self> {
-        Arc::new(MuxHub {
+        gauges: Arc<SessionGauges>,
+        reaper: Option<SentinelReaper>,
+    ) -> Self {
+        MuxHub {
             under,
-            model,
             pool: BufferPool::new(),
             send: Mutex::new(SendState {
-                stages: BTreeMap::new(),
-                live: Vec::new(),
-                closed: false,
+                stages: Stager::new(model.clone()),
+                sessions: Sessions::new(Arc::clone(&gauges), reaper),
             }),
             recv: Mutex::new(RecvState {
                 mailboxes: HashMap::new(),
@@ -160,63 +360,15 @@ impl<P: MuxProtocol> MuxHub<P> {
                 dead: false,
             }),
             recv_ready: Condvar::new(),
-            next_session: AtomicU32::new(1),
             gauges,
-            reaper: Mutex::new(None),
-        })
-    }
-
-    /// Registers the reaper the terminal close will run.
-    pub fn set_reaper(&self, reaper: SentinelReaper) {
-        *self.reaper.lock() = Some(reaper);
-    }
-
-    /// Attaches a new session, or `None` once the hub has closed (the
-    /// caller then spawns a fresh sentinel instead).
-    pub fn attach(self: &Arc<Self>) -> Option<MuxSession<P>> {
-        let id = {
-            let mut s = self.send.lock();
-            if s.closed {
-                return None;
-            }
-            let id = self.next_session.fetch_add(1, Ordering::Relaxed);
-            s.live.push(id);
-            if let Some(g) = &self.gauges {
-                g.attached(s.live.len() as u64);
-            }
-            id
-        };
-        self.recv.lock().mailboxes.insert(id, VecDeque::new());
-        Some(MuxSession {
-            hub: Arc::clone(self),
-            id,
-            closing: AtomicBool::new(false),
-        })
-    }
-
-    /// Session ids currently attached.
-    pub fn live_sessions(&self) -> Vec<u32> {
-        self.send.lock().live.clone()
-    }
-
-    /// Whether the terminal close has gone out.
-    pub fn is_closed(&self) -> bool {
-        self.send.lock().closed
-    }
-
-    /// Runs the reaper and synchronises to the sentinel's final virtual
-    /// time, exactly like a private handle's reap on close.
-    fn reap(&self) {
-        if let Some(reaper) = self.reaper.lock().take() {
-            clock::sync_to(reaper());
+            model,
         }
     }
 
-    /// Charges the round trip and puts one frame (plus payload) on the
-    /// wire. Must run under the send lock so the command and its payload
-    /// stay adjacent on the data lane.
+    /// Puts one frame (plus payload) on the wire. Must run under the
+    /// send lock so the command and its payload stay adjacent on the data
+    /// lane.
     fn transmit_locked(&self, frame: Framed<P::Cmd>, payload: &[u8]) -> Result<()> {
-        self.charge_round_trip();
         self.under.send_cmd(frame)?;
         if !payload.is_empty() {
             self.under.send_data(payload)?;
@@ -234,31 +386,20 @@ impl<P: MuxProtocol> MuxHub<P> {
     /// worker, and a peer's reply already on the lane is pulled by its own
     /// waiter, which needs nothing this thread holds.
     fn transmit_call_locked(&self, frame: Framed<P::Cmd>, reply_room: usize) -> Result<()> {
-        self.charge_round_trip();
         self.under.send_awaited(frame, reply_room)
     }
 
-    /// Charges the switches of one transmitted frame's round trip.
-    fn charge_round_trip(&self) {
-        let crossing = self.under.crossing();
-        for _ in 0..crossing.round_trip_switches() {
-            self.model.charge(Cost::Crossing(crossing));
-        }
-    }
-
-    /// Flushes every session's staged batch, lowest session id first (a
-    /// deterministic order; concurrent sessions have no defined mutual
-    /// order anyway). Any operation that the sentinel must observe
-    /// *after* earlier writes — a read, a size query, a close — forces
-    /// this, preserving cross-session read-your-writes.
-    fn flush_stages_locked(&self, s: &mut SendState<P>) -> Result<()> {
-        while let Some((_, stage)) = s.stages.pop_first() {
-            let result = self.transmit_locked(stage.frame, &stage.buf);
-            self.pool.put(stage.buf);
+    /// Transmits the staged entries of `only` (every session's, lowest id
+    /// first, when `None`), each as one frame. Any operation that the
+    /// sentinel must observe *after* earlier writes — a read, a size
+    /// query, a close — flushes them all, preserving cross-session
+    /// read-your-writes.
+    fn flush_stages_locked(&self, s: &mut SendState<P>, only: Option<u32>) -> Result<()> {
+        for (frame, buf) in s.stages.take(only) {
+            let result = self.transmit_locked(frame, &buf);
+            self.pool.put(buf);
             result?;
-            if let Some(g) = &self.gauges {
-                g.flushed_batch();
-            }
+            self.gauges.flushed_batch();
         }
         Ok(())
     }
@@ -268,10 +409,10 @@ impl<P: MuxProtocol> MuxHub<P> {
     /// posted one (`None`).
     fn send_plain(&self, frame: Framed<P::Cmd>, reply_room: Option<usize>) -> Result<()> {
         let mut s = self.send.lock();
-        if s.closed {
+        if s.sessions.is_closed() {
             return Err(IpcError::BrokenPipe);
         }
-        self.flush_stages_locked(&mut s)?;
+        self.flush_stages_locked(&mut s, None)?;
         match reply_room {
             Some(room) => self.transmit_call_locked(frame, room),
             None => self.transmit_locked(frame, &[]),
@@ -280,77 +421,49 @@ impl<P: MuxProtocol> MuxHub<P> {
 
     /// Sends (or stages) a payload-carrying command. With a single live
     /// session the frame goes straight to the wire — the paper-exact
-    /// per-op profile; with contention it is staged and adjacent
-    /// contiguous writes coalesce into one crossing.
+    /// per-op profile; with contention it is staged, one entry per
+    /// session, and adjacent contiguous writes coalesce into one crossing.
     fn send_payload(&self, frame: Framed<P::Cmd>, data: &[u8]) -> Result<()> {
         let mut s = self.send.lock();
-        if s.closed {
+        if s.sessions.is_closed() {
             return Err(IpcError::BrokenPipe);
         }
-        if s.live.len() <= 1 {
-            self.flush_stages_locked(&mut s)?;
+        if s.sessions.count() <= 1 {
+            self.flush_stages_locked(&mut s, None)?;
             return self.transmit_locked(frame, data);
         }
-        let session = frame.session;
-        if let Some(stage) = s.stages.get_mut(&session) {
-            if stage.buf.len() + data.len() <= STAGE_CAPACITY {
-                if let Some(merged) = P::coalesce(&stage.frame.body, &frame.body) {
-                    stage.frame.body = merged;
-                    stage.buf.extend_from_slice(data);
-                    self.model.charge(Cost::Memcpy { bytes: data.len() });
-                    if let Some(g) = &self.gauges {
-                        g.coalesced_write();
-                    }
-                    return Ok(());
-                }
-            }
-            // Full or non-contiguous: the old batch goes out first.
-            let stage = s.stages.remove(&session).expect("stage");
-            let result = self.transmit_locked(stage.frame, &stage.buf);
-            self.pool.put(stage.buf);
-            result?;
-            if let Some(g) = &self.gauges {
-                g.flushed_batch();
-            }
+        if s.stages.merge(&frame, data) {
+            self.gauges.coalesced_write();
+            return Ok(());
         }
-        let mut buf = self.pool.take_capacity(data.len().min(STAGE_CAPACITY));
-        buf.extend_from_slice(data);
-        self.model.charge(Cost::Memcpy { bytes: data.len() });
-        s.stages.insert(session, WriteStage { frame, buf });
+        // Full or non-contiguous: the session's old entry goes out first.
+        self.flush_stages_locked(&mut s, Some(frame.session))?;
+        let buf = self.pool.take_capacity(data.len().min(STAGE_CAPACITY));
+        s.stages.push(frame, buf, data);
         Ok(())
     }
 
     /// Detaches the session `frame` comes from, with the close command it
-    /// carries. A non-final close is acknowledged locally — the shared
-    /// sentinel must keep running; the final close flushes, transmits, and
-    /// marks the hub closed.
-    fn send_close(&self, frame: Framed<P::Cmd>, closing: &AtomicBool) -> Result<()> {
+    /// carries, after flushing every staged entry. A non-final close is
+    /// acknowledged locally — the shared sentinel must keep running; the
+    /// final close is transmitted (`true`: the caller reaps).
+    fn send_close(&self, frame: Framed<P::Cmd>) -> Result<bool> {
         let session = frame.session;
         let mut s = self.send.lock();
-        if s.closed {
+        if s.sessions.is_closed() {
             return Err(IpcError::BrokenPipe);
         }
-        self.flush_stages_locked(&mut s)?;
-        s.live.retain(|&id| id != session);
-        if let Some(g) = &self.gauges {
-            g.detached();
+        self.flush_stages_locked(&mut s, None)?;
+        if s.sessions.detach(session) {
+            return self.transmit_call_locked(frame, 0).map(|()| true);
         }
-        if s.live.is_empty() {
-            s.closed = true;
-            closing.store(true, Ordering::SeqCst);
-            if let Some(g) = &self.gauges {
-                g.terminal_close();
-            }
-            self.transmit_call_locked(frame, 0)
-        } else {
-            drop(s);
-            let mut rs = self.recv.lock();
-            if let Some(mailbox) = rs.mailboxes.get_mut(&session) {
-                mailbox.push_back((P::close_ack(), Vec::new()));
-            }
-            self.recv_ready.notify_all();
-            Ok(())
+        drop(s);
+        let mut rs = self.recv.lock();
+        if let Some(mailbox) = rs.mailboxes.get_mut(&session) {
+            mailbox.push_back((P::close_ack(), Vec::new()));
         }
+        self.recv_ready.notify_all();
+        Ok(false)
     }
 
     /// Returns the next reply for `session` with its payload in `into`,
@@ -445,94 +558,53 @@ impl<P: MuxProtocol> MuxHub<P> {
     }
 }
 
+impl<P: MuxProtocol> SessionHub<P> for MuxHub<P> {
+    fn attach(&self) -> Option<(u32, Vec<u32>)> {
+        let (id, live) = self.send.lock().sessions.attach()?;
+        self.recv.lock().mailboxes.insert(id, VecDeque::new());
+        Some((id, live))
+    }
+
+    fn session_count(&self) -> usize {
+        self.send.lock().sessions.count()
+    }
+}
+
+impl<P: MuxProtocol> AppPort<P> for MuxHub<P> {
+    fn crossing(&self) -> CrossingKind {
+        self.under.crossing()
+    }
+
+    fn post(&self, frame: Framed<P::Cmd>, payload: &[u8]) -> Result<()> {
+        if P::cmd_payload_len(&frame.body) > 0 {
+            self.send_payload(frame, payload)
+        } else {
+            self.send_plain(frame, None)
+        }
+    }
+
+    fn call(&self, frame: Framed<P::Cmd>, into: &mut [u8]) -> Result<(P::Reply, usize)> {
+        let session = frame.session;
+        let terminal = if P::is_close(&frame.body) {
+            self.send_close(frame)?
+        } else {
+            self.send_plain(frame, Some(into.len()))?;
+            false
+        };
+        let result = self.recv_for(session, into);
+        if terminal {
+            // Acknowledged, or the wire is gone.
+            self.send.lock().sessions.reap();
+        }
+        result
+    }
+}
+
 /// What one pull took off the wire: the puller's own reply, its payload
 /// already delivered, or a peer's, staged.
 enum Pulled<R> {
     Own(R, usize),
     Peer(u32, R, Vec<u8>),
-}
-
-/// One session's view of a [`MuxHub`], indistinguishable in use from a
-/// private wiring. Nothing but its identity outlives an operation.
-pub struct MuxSession<P: MuxProtocol> {
-    hub: Arc<MuxHub<P>>,
-    id: u32,
-    /// This session transmitted the terminal close; its acknowledgement
-    /// reaps the sentinel thread.
-    closing: AtomicBool,
-}
-
-impl<P: MuxProtocol> MuxSession<P> {
-    /// This session's id on the hub.
-    pub fn session_id(&self) -> u32 {
-        self.id
-    }
-
-    /// The hub this session rides on.
-    pub fn hub(&self) -> &Arc<MuxHub<P>> {
-        &self.hub
-    }
-
-    /// Which protection boundary a transmitted frame crosses.
-    pub fn crossing(&self) -> CrossingKind {
-        self.hub.under.crossing()
-    }
-
-    /// Frames `cmd` for this session under the op's `trace`.
-    fn frame(&self, cmd: P::Cmd, trace: TraceContext) -> Framed<P::Cmd> {
-        Framed {
-            session: self.id,
-            trace,
-            body: cmd,
-        }
-    }
-
-    /// Sends `cmd`, under its op's `trace`, and the `payload` that
-    /// follows it, waiting for nothing. Under contention the frame is
-    /// staged instead, and adjacent ones coalesce.
-    ///
-    /// # Errors
-    ///
-    /// [`IpcError::BrokenPipe`] once the hub has closed or the wire is
-    /// gone.
-    pub fn post(&self, cmd: P::Cmd, trace: TraceContext, payload: &[u8]) -> Result<()> {
-        if P::cmd_payload_len(&cmd) > 0 {
-            self.hub.send_payload(self.frame(cmd, trace), payload)
-        } else {
-            self.hub.send_plain(self.frame(cmd, trace), None)
-        }
-    }
-
-    /// Sends `cmd` under its op's `trace`, waits for its reply, and
-    /// lands the bytes that follow the reply in `into`; returns the reply
-    /// and the byte count.
-    ///
-    /// # Errors
-    ///
-    /// [`IpcError::BrokenPipe`] when nothing was transmitted (the hub has
-    /// closed, the wire is gone) or the reply announced more bytes than
-    /// `into` holds; [`IpcError::Closed`] when the wire died before the
-    /// reply arrived.
-    pub fn call(
-        &self,
-        cmd: P::Cmd,
-        trace: TraceContext,
-        into: &mut [u8],
-    ) -> Result<(P::Reply, usize)> {
-        let frame = self.frame(cmd, trace);
-        if P::is_close(&frame.body) {
-            self.hub.send_close(frame, &self.closing)?;
-        } else {
-            self.hub.send_plain(frame, Some(into.len()))?;
-        }
-        let result = self.hub.recv_for(self.id, into);
-        if self.closing.load(Ordering::SeqCst) {
-            // Terminal close acknowledged (or wire gone): fold the
-            // sentinel's final virtual time into this thread.
-            self.hub.reap();
-        }
-        result
-    }
 }
 
 #[cfg(test)]
@@ -594,6 +666,47 @@ mod tests {
 
     type ToyHub = Arc<MuxHub<Toy>>;
 
+    /// One session of a toy hub, speaking in commands.
+    struct Sess {
+        hub: ToyHub,
+        id: u32,
+    }
+
+    impl Sess {
+        fn session_id(&self) -> u32 {
+            self.id
+        }
+
+        fn frame(&self, body: ToyCmd, trace: TraceContext) -> Framed<ToyCmd> {
+            Framed {
+                session: self.id,
+                trace,
+                body,
+            }
+        }
+
+        fn post(&self, cmd: ToyCmd, trace: TraceContext, payload: &[u8]) -> Result<()> {
+            self.hub.post(self.frame(cmd, trace), payload)
+        }
+
+        fn call(
+            &self,
+            cmd: ToyCmd,
+            trace: TraceContext,
+            into: &mut [u8],
+        ) -> Result<(ToyReply, usize)> {
+            self.hub.call(self.frame(cmd, trace), into)
+        }
+    }
+
+    fn attach(hub: &ToyHub) -> Option<Sess> {
+        let (id, _) = hub.attach()?;
+        Some(Sess {
+            hub: Arc::clone(hub),
+            id,
+        })
+    }
+
     const NO_TRACE: TraceContext = TraceContext {
         trace: 0,
         parent: 0,
@@ -603,7 +716,15 @@ mod tests {
 
     fn hub() -> (ToyHub, ToyPort) {
         let (transport, port) = PairTransport::shared(CostModel::free());
-        (MuxHub::new(transport, CostModel::free(), None), port)
+        (
+            Arc::new(MuxHub::new(
+                transport,
+                CostModel::free(),
+                Arc::default(),
+                None,
+            )),
+            port,
+        )
     }
 
     fn cmd(tag: u8, offset: u64, len: u32) -> ToyCmd {
@@ -628,13 +749,13 @@ mod tests {
     #[test]
     fn frames_carry_session_ids_and_replies_demultiplex() {
         let (hub, port) = hub();
-        let a = hub.attach().expect("a");
-        let b = hub.attach().expect("b");
+        let a = attach(&hub).expect("a");
+        let b = attach(&hub).expect("b");
         let (id_a, id_b) = (a.session_id(), b.session_id());
         std::thread::scope(|s| {
             // The data lane is a rendezvous (one-slot / bounded), so each
             // session calls from its own thread, like real handles do.
-            let read = |session: MuxSession<Toy>, offset| {
+            let read = |session: Sess, offset| {
                 move || {
                     let mut buf = [0u8; 4];
                     let (reply, n) = session
@@ -661,8 +782,8 @@ mod tests {
     #[test]
     fn contiguous_writes_coalesce_into_one_frame_under_contention() {
         let (hub, port) = hub();
-        let a = hub.attach().expect("a");
-        let _b = hub.attach().expect("b"); // second session switches staging on
+        let a = attach(&hub).expect("a");
+        let _b = attach(&hub).expect("b"); // second session switches staging on
                                            // Each write is its own op; the batch goes out in the first's.
         let op = |i: u64| TraceContext {
             trace: 100 + i,
@@ -692,7 +813,7 @@ mod tests {
     #[test]
     fn a_flush_sends_staged_batches_lowest_session_first() {
         let (hub, port) = hub();
-        let sessions: Vec<_> = (0..3).map(|_| hub.attach().expect("attach")).collect();
+        let sessions: Vec<_> = (0..3).map(|_| attach(&hub).expect("attach")).collect();
         // Staged out of id order: third, first, second.
         for i in [2usize, 0, 1] {
             sessions[i]
@@ -725,7 +846,7 @@ mod tests {
     #[test]
     fn single_session_writes_go_straight_to_the_wire() {
         let (hub, port) = hub();
-        let a = hub.attach().expect("a");
+        let a = attach(&hub).expect("a");
         a.post(cmd(1, 0, 3), NO_TRACE, b"abc").expect("write");
         let frame = port.recv_cmd().expect("frame");
         assert_eq!(frame.body.len, 3);
@@ -737,13 +858,13 @@ mod tests {
     #[test]
     fn only_the_last_close_reaches_the_wire() {
         let (hub, port) = hub();
-        let a = hub.attach().expect("a");
-        let b = hub.attach().expect("b");
+        let a = attach(&hub).expect("a");
+        let b = attach(&hub).expect("b");
         // a's close is acknowledged locally, nothing on the wire.
         let ack = a.call(cmd(9, 0, 0), NO_TRACE, &mut []).expect("local ack");
         assert_eq!(ack, (ToyReply { n: 0 }, 0));
         assert_eq!(port.poll_cmd().expect("empty"), None);
-        assert_eq!(hub.live_sessions(), vec![b.session_id()]);
+        assert_eq!(hub.session_count(), 1);
         std::thread::scope(|s| {
             let close = s.spawn(|| b.call(cmd(9, 0, 0), NO_TRACE, &mut []).expect("b close"));
             let frame = port.recv_cmd().expect("wire close");
@@ -751,7 +872,6 @@ mod tests {
             answer(&port, &frame, b"");
             close.join().expect("join");
         });
-        assert!(hub.is_closed());
         assert!(hub.attach().is_none(), "closed hub refuses new sessions");
     }
 
@@ -760,9 +880,9 @@ mod tests {
         let model = CostModel::new(afs_sim::HardwareProfile::pentium_ii_300());
         let (transport, port) =
             PairTransport::<Framed<ToyCmd>, Framed<ToyReply>>::shared(model.clone());
-        let hub: ToyHub = MuxHub::new(transport, model.clone(), None);
-        let a = hub.attach().expect("a");
-        let _b = hub.attach().expect("b");
+        let hub: ToyHub = Arc::new(MuxHub::new(transport, model.clone(), Arc::default(), None));
+        let a = attach(&hub).expect("a");
+        let _b = attach(&hub).expect("b");
         let before = model.snapshot();
         for i in 0..8u64 {
             a.post(cmd(1, i * 2, 2), NO_TRACE, b"hi").expect("write");
@@ -785,8 +905,8 @@ mod tests {
     #[test]
     fn non_contiguous_writes_flush_the_stage() {
         let (hub, port) = hub();
-        let a = hub.attach().expect("a");
-        let _b = hub.attach().expect("b");
+        let a = attach(&hub).expect("a");
+        let _b = attach(&hub).expect("b");
         a.post(cmd(1, 0, 2), NO_TRACE, b"aa").expect("staged");
         a.post(cmd(1, 100, 2), NO_TRACE, b"bb").expect("second");
         // The non-contiguous second write pushed the first out.

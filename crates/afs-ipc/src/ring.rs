@@ -20,9 +20,10 @@
 //!
 //! * **Submit** (application side): one doorbell — syscall + pipe message
 //!   across a process boundary, one event signal inside the process
-//!   (Appendix A.3) — plus `round_trip_switches()` crossings, *per batch*;
-//!   and one user-level copy per payload byte carried by the batch, the
-//!   same single copy §4.3 charges per transfer.
+//!   (Appendix A.3) — plus `round_trip_switches()` crossings, *per batch*.
+//!   A payload's one user-level copy, the same single copy §4.3 charges
+//!   per transfer, was charged when it was staged (see
+//!   [`Stager`](crate::Stager)).
 //! * **Drain** (sentinel side): observing an entry across a kernel
 //!   boundary costs the syscall a blocking receive would have cost;
 //!   draining the user-level ring is free, exactly like
@@ -197,8 +198,7 @@ impl<C: Send, R: Send> RingTransport<C, R> {
     }
 
     /// Submits `batch` in order and rings the doorbell once: one doorbell
-    /// charge, one round trip of crossings, and one user-level copy per
-    /// payload byte — for the whole batch.
+    /// charge and one round trip of crossings for the whole batch.
     ///
     /// # Errors
     ///
@@ -227,16 +227,7 @@ impl<C: Send, R: Send> RingTransport<C, R> {
             return Ok(());
         }
         let shared = &*self.shared;
-        for _ in 0..shared.crossing.round_trip_switches() {
-            shared.model.charge(Cost::Crossing(shared.crossing));
-        }
-        for payload in batch.iter().filter_map(|sqe| sqe.payload.as_ref()) {
-            if !payload.is_empty() {
-                shared.model.charge(Cost::Memcpy {
-                    bytes: payload.len(),
-                });
-            }
-        }
+        shared.model.charge_round_trip(shared.crossing);
         self.sq.send_all(batch.len(), batch, awaited)
     }
 
@@ -477,7 +468,9 @@ mod tests {
             payload: Some(vec![0u8; 100]),
         }])
         .expect("submit");
-        assert_eq!(model.snapshot().since(&before).memcpy_bytes, 100);
+        // The payload's copy is its staging's (see `Stager`), not the
+        // doorbell's.
+        assert_eq!(model.snapshot().since(&before).memcpy_bytes, 0);
         port.poll_sqe().expect("poll").expect("entry");
         let before = model.snapshot();
         port.post(Cqe {

@@ -9,8 +9,8 @@
 //! [`PairPort`] is the sentinel end the dispatch loop drains. The lanes
 //! carry whatever command and reply types the layer above frames; what an
 //! *operation* is (one `post`, or one `call` whose reply says how many
-//! bytes follow it) is that layer's business — the core crate's
-//! `AppPort` for one session, [`MuxHub`](crate::MuxHub) for many.
+//! bytes follow it) is [`AppPort`](crate::AppPort)'s business: the bare
+//! pair carries one session, a [`MuxHub`](crate::MuxHub) many.
 //!
 //! Both ends stage payloads through a [`BufferPool`](crate::BufferPool)
 //! rather than allocating per message.
@@ -99,6 +99,7 @@ pub struct PairTransport<C: Send + 'static, R: Send + 'static> {
     data_tx: Box<dyn DataTx>,
     data_rx: Box<dyn DataRx>,
     crossing: CrossingKind,
+    model: CostModel,
 }
 
 /// Sentinel side of a [`PairTransport`] wiring, drained by the dispatch
@@ -140,7 +141,7 @@ impl<C: Send + 'static, R: Send + 'static> PairTransport<C, R> {
             None => Pipe::anonymous(model, crossing),
         };
         let (to_sentinel_tx, to_sentinel_rx) = pipe(model.clone());
-        let (to_app_tx, to_app_rx) = pipe(model);
+        let (to_app_tx, to_app_rx) = pipe(model.clone());
         let pool = match gauges {
             Some(g) => Arc::new(BufferPool::observed(g)),
             None => Arc::new(BufferPool::new()),
@@ -152,6 +153,7 @@ impl<C: Send + 'static, R: Send + 'static> PairTransport<C, R> {
                 data_tx: Box::new(to_sentinel_tx),
                 data_rx: Box::new(to_app_rx),
                 crossing,
+                model,
             },
             PairPort {
                 commands: cmd_rx,
@@ -191,7 +193,7 @@ impl<C: Send + 'static, R: Send + 'static> PairTransport<C, R> {
             None => SharedBuffer::new(model),
         };
         let to_sentinel = buffer(model.clone());
-        let to_app = buffer(model);
+        let to_app = buffer(model.clone());
         let pool = match gauges {
             Some(g) => Arc::new(BufferPool::observed(g)),
             None => Arc::new(BufferPool::new()),
@@ -203,6 +205,7 @@ impl<C: Send + 'static, R: Send + 'static> PairTransport<C, R> {
                 data_tx: Box::new(to_sentinel.clone()),
                 data_rx: Box::new(to_app.clone()),
                 crossing,
+                model,
             },
             PairPort {
                 commands: cmd_rx,
@@ -221,12 +224,14 @@ impl<C: Send + 'static, R: Send + 'static> PairTransport<C, R> {
         self.crossing
     }
 
-    /// Sends one command to the sentinel.
+    /// Sends one command to the sentinel, charging the crossings of its
+    /// round trip.
     ///
     /// # Errors
     ///
     /// [`IpcError::BrokenPipe`] once the sentinel side is gone.
     pub fn send_cmd(&self, cmd: C) -> Result<()> {
+        self.model.charge_round_trip(self.crossing);
         self.commands.send(cmd)
     }
 
@@ -244,11 +249,11 @@ impl<C: Send + 'static, R: Send + 'static> PairTransport<C, R> {
     ///
     /// As [`send_cmd`](PairTransport::send_cmd).
     pub fn send_awaited(&self, cmd: C, reply_room: usize) -> Result<()> {
-        if reply_room <= self.data_rx.capacity() {
-            self.commands.send_awaited(cmd)
-        } else {
-            self.commands.send(cmd)
+        if reply_room > self.data_rx.capacity() {
+            return self.send_cmd(cmd);
         }
+        self.model.charge_round_trip(self.crossing);
+        self.commands.send_awaited(cmd)
     }
 
     /// Receives the sentinel's next reply.

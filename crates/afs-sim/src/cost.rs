@@ -355,6 +355,11 @@ impl CostModel {
         }
     }
 
+    /// Charges the crossings of one round trip over `crossing`.
+    pub fn charge_round_trip(&self, crossing: CrossingKind) {
+        (0..crossing.round_trip_switches()).for_each(|_| self.charge(Cost::Crossing(crossing)));
+    }
+
     /// Prices a cost without charging it; useful for analytic assertions in
     /// tests.
     pub fn price(&self, cost: Cost) -> u64 {

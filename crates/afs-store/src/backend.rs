@@ -119,12 +119,17 @@ pub trait StoreBackend: Send + std::fmt::Debug {
 pub struct MemBackend {
     data: Vec<u8>,
     model: CostModel,
+    /// Written since it was warmed or last persisted: a clean cache writes
+    /// nothing back, so it never overwrites what another sentinel of the
+    /// same file persisted meanwhile.
+    dirty: bool,
 }
 
 impl MemBackend {
     /// A memory backing warmed with `data`.
     pub fn new(data: Vec<u8>, model: CostModel) -> Self {
-        MemBackend { data, model }
+        let dirty = false;
+        MemBackend { data, model, dirty }
     }
 }
 
@@ -142,6 +147,7 @@ impl StoreBackend for MemBackend {
     }
 
     fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<usize, StoreError> {
+        self.dirty = true;
         let end = offset as usize + data.len();
         if self.data.len() < end {
             self.data.resize(end, 0);
@@ -161,10 +167,12 @@ impl StoreBackend for MemBackend {
             .filter(|&l| l as u64 <= isize::MAX as u64)
             .ok_or(StoreError::InvalidParameter)?;
         self.data.resize(len, 0);
+        self.dirty = true;
         Ok(())
     }
 
     fn replace(&mut self, contents: &[u8]) -> Result<(), StoreError> {
+        self.dirty = true;
         self.data.clear();
         self.data.extend_from_slice(contents);
         self.model.charge(Cost::Memcpy {
@@ -174,7 +182,9 @@ impl StoreBackend for MemBackend {
     }
 
     fn persist(&mut self, vfs: &Vfs, path: &VPath) {
-        let _ = vfs.write_stream_replace(path, &self.data);
+        if std::mem::take(&mut self.dirty) {
+            let _ = vfs.write_stream_replace(path, &self.data);
+        }
     }
 }
 
@@ -394,6 +404,27 @@ mod tests {
         b.write_at(0, b"mirrored").expect("write");
         b.persist(&vfs, &path);
         assert_eq!(vfs.read_stream_to_end(&path).expect("read"), b"mirrored");
+    }
+
+    #[test]
+    fn a_clean_memory_cache_writes_nothing_back() {
+        // Two sentinels warmed from one data part: the one that wrote
+        // persists, and the one that only read must not put its stale
+        // copy back over it, whichever closes last.
+        let vfs = Arc::new(Vfs::new());
+        let path = VPath::parse("/m.af").expect("path");
+        vfs.create_file(&path).expect("create");
+        let mut reader = MemBackend::new(b"old".to_vec(), CostModel::free());
+        let mut writer = MemBackend::new(b"old".to_vec(), CostModel::free());
+        writer.write_at(0, b"new").expect("write");
+        writer.persist(&vfs, &path);
+        reader.read_at(0, &mut [0u8; 3]).expect("read");
+        reader.persist(&vfs, &path);
+        assert_eq!(vfs.read_stream_to_end(&path).expect("read"), b"new");
+        // Written again, the writer persists again.
+        writer.set_len(2).expect("truncate");
+        writer.persist(&vfs, &path);
+        assert_eq!(vfs.read_stream_to_end(&path).expect("read"), b"ne");
     }
 
     #[test]

@@ -8,13 +8,18 @@
 //! whatever interleaving the executor picked for the concurrent rings,
 //! batching must never change what an application observes.
 //!
+//! A shared leg runs two handles per file, each on its own half, as two
+//! sessions on the file's one ring: every read must return that
+//! session's own last writes, and the final contents and transcripts must
+//! equal a serial unbatched replay.
+//!
 //! After the runs, teardown must be clean — no live sentinels — so a
 //! ring that wedged its drain loop or leaked a completion fails here.
 //!
 //! The seed honours `AFS_TEST_SEED`, so the CI seed sweep exercises
 //! eight different schedules and ring-depth mixes.
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use activefiles::prelude::*;
 use activefiles::{clock, FileClient, FileServer, Service, VPath};
@@ -229,5 +234,141 @@ fn concurrent_batched_rings_match_serial_unbatched_replay() {
                 depths[idx]
             );
         }
+    }
+}
+
+/// Handles per file in the shared leg, each on its own region.
+const SHARERS: usize = 2;
+
+/// One session's seeded script over region `half` of file `file`: reads,
+/// writes and seeks that stay inside the region, every read checked
+/// against the session's own model of it. `opened` is waited on between
+/// the open and the first op, so every session of a file is attached
+/// before any of them runs.
+fn run_region(
+    world: &AfsWorld,
+    file: usize,
+    half: usize,
+    seed: u64,
+    opened: &Barrier,
+) -> Vec<Vec<u8>> {
+    let region = EXTENT / SHARERS;
+    let base = (half * region) as i64;
+    let salt = (file * SHARERS + half) as u64;
+    let mut rng = SmallRng::seed_from_u64(seed ^ salt.wrapping_mul(0x9E37_79B9));
+    let api = world.api();
+    let _clock = clock::install(0);
+    let h = api
+        .create_file(
+            &stress_path(file),
+            Access::read_write(),
+            Disposition::OpenExisting,
+        )
+        .expect("open");
+    opened.wait();
+    let mut model = vec![file as u8; region];
+    let mut pos = region;
+    let mut log: Vec<Vec<u8>> = Vec::new();
+    for _ in 0..OPS_PER_THREAD {
+        let op = rng.gen_range(0..10u32);
+        if pos == region || op == 8 {
+            pos = rng.gen_range(0..region);
+            let at = api
+                .set_file_pointer(h, base + pos as i64, SeekMethod::Begin)
+                .expect("seek");
+            log.push(at.to_le_bytes().to_vec());
+            continue;
+        }
+        match op {
+            0..=5 => {
+                let mut buf = vec![0u8; rng.gen_range(1..=96usize).min(region - pos)];
+                let n = api.read_file(h, &mut buf).expect("read");
+                assert_eq!(
+                    buf[..n],
+                    model[pos..pos + n],
+                    "file {file} half {half}: a read missed this session's own writes"
+                );
+                pos += n;
+                buf.insert(0, b'r');
+                log.push(buf);
+            }
+            6..=7 => {
+                let len = rng.gen_range(1..=48usize).min(region - pos);
+                let data: Vec<u8> = (0..len).map(|_| rng.gen_range(0..=255) as u8).collect();
+                let n = api.write_file(h, &data).expect("write");
+                model[pos..pos + n].copy_from_slice(&data[..n]);
+                pos += n;
+                log.push(vec![b'w', n as u8]);
+            }
+            _ => {
+                let size = api.get_file_size(h).expect("size");
+                log.push(size.to_le_bytes().to_vec());
+            }
+        }
+    }
+    api.close_handle(h).expect("close");
+    log
+}
+
+/// Every file's data part, once its sessions have closed.
+fn contents(world: &AfsWorld, files: usize) -> Vec<Vec<u8>> {
+    (0..files)
+        .map(|idx| {
+            let path = VPath::parse(&stress_path(idx)).expect("path");
+            world.vfs().read_stream_to_end(&path).expect("data part")
+        })
+        .collect()
+}
+
+#[test]
+fn sessions_sharing_a_ring_match_serial_unbatched_replay() {
+    let seed = test_seed();
+    let files = THREADS / SHARERS;
+    for strategy in [Strategy::ProcessControl, Strategy::DllThread] {
+        let mut rng = SmallRng::seed_from_u64(seed.rotate_left(17));
+        let depths: Vec<usize> = (0..THREADS).map(|_| rng.gen_range(1..=12)).collect();
+
+        // Concurrent run: two threads per file, one ring per file.
+        let world = build_world(strategy, Some(&depths));
+        let mut joins = Vec::new();
+        for file in 0..files {
+            let opened = Arc::new(Barrier::new(SHARERS));
+            for half in 0..SHARERS {
+                let (world, opened) = (Arc::clone(&world), Arc::clone(&opened));
+                joins.push(std::thread::spawn(move || {
+                    run_region(&world, file, half, seed, &opened)
+                }));
+            }
+        }
+        let shared: Vec<Vec<Vec<u8>>> = joins
+            .into_iter()
+            .map(|j| j.join().expect("stress thread"))
+            .collect();
+        assert_eq!(world.open_sentinel_count(), 0, "{strategy:?}: teardown");
+        let peak = world.telemetry().sessions().snapshot().sessions_peak;
+        assert_eq!(
+            peak, SHARERS as u64,
+            "{strategy:?}: the sessions shared a ring"
+        );
+        let shared_contents = contents(&world, files);
+
+        // Serial unbatched replay: one session at a time.
+        let world = build_world(strategy, None);
+        let alone = Barrier::new(1);
+        for (at, log) in shared.iter().enumerate() {
+            let (file, half) = (at / SHARERS, at % SHARERS);
+            assert_eq!(
+                &run_region(&world, file, half, seed, &alone),
+                log,
+                "{strategy:?} seed {seed}: file {file} (ring_depth {}) half {half} diverged \
+                 from the unbatched replay",
+                depths[file]
+            );
+        }
+        assert_eq!(
+            contents(&world, files),
+            shared_contents,
+            "{strategy:?} seed {seed}: final contents"
+        );
     }
 }

@@ -13,7 +13,8 @@
 //! - on a private §4.3 file a run of reads wakes no worker and parks none,
 //!   and costs one sentinel poll per read;
 //! - a read that follows posted writes returns them, whichever thread
-//!   ends up serving it.
+//!   ends up serving it — on a shared carrier, through another session
+//!   than the writes'.
 //!
 //! The world's seed is irrelevant here, but the suite runs in the CI seed
 //! sweep beside the other concurrency suites.
@@ -23,25 +24,36 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use activefiles::prelude::*;
-use activefiles::{SeekMethod, VPath};
+use activefiles::{Handle, SeekMethod, VPath};
 
 /// One reply bigger than the §4.2 data pipe.
 const BIG: usize = 64 * 1024;
 
 /// The carriers a command can take: both out-of-line strategies, private
-/// and shared, and the batched ring.
-fn carriers() -> Vec<(&'static str, SentinelSpec)> {
+/// and shared, over the pair lane and over the batched ring, and how many
+/// sessions each test opens on it.
+fn carriers() -> Vec<(&'static str, SentinelSpec, usize)> {
     let spec = |strategy| SentinelSpec::new("null", strategy).backing(Backing::Memory);
     let mut all = Vec::new();
     for (name, strategy) in [
         ("process-control", Strategy::ProcessControl),
         ("dll-thread", Strategy::DllThread),
     ] {
-        all.push((name, spec(strategy).with("share", "off")));
-        all.push((name, spec(strategy).with("share", "on")));
-        all.push((name, spec(strategy).with("batch", "on")));
+        all.push((name, spec(strategy).with("share", "off"), 1));
+        all.push((name, spec(strategy).with("share", "on"), 1));
+        all.push((name, spec(strategy).with("share", "on"), 2));
+        let batched = spec(strategy).with("batch", "on");
+        all.push((name, batched.clone().with("share", "off"), 1));
+        all.push((name, batched, 2));
     }
     all
+}
+
+/// Opens `sessions` handles on `/c.af`.
+fn open(world: &AfsWorld, sessions: usize) -> Vec<Handle> {
+    let api = world.api();
+    let open = || api.create_file("/c.af", Access::read_write(), Disposition::OpenExisting);
+    (0..sessions).map(|_| open().expect("open")).collect()
 }
 
 /// A one-worker world holding `/c.af` under `spec`, seeded with `BIG`
@@ -83,12 +95,11 @@ fn settle(world: &AfsWorld) {
 
 #[test]
 fn a_reply_bigger_than_the_pipe_comes_back_from_an_idle_sentinel() {
-    for (name, spec) in carriers() {
+    for (name, spec, sessions) in carriers() {
         let world = world_with(&spec);
         let api = world.api();
-        let h = api
-            .create_file("/c.af", Access::read_write(), Disposition::OpenExisting)
-            .expect("open");
+        let handles = open(&world, sessions);
+        let h = handles[sessions - 1];
         settle(&world);
         let (done, result) = mpsc::channel();
         // The reader holds a reference to the world, so a hang fails
@@ -103,7 +114,9 @@ fn a_reply_bigger_than_the_pipe_comes_back_from_an_idle_sentinel() {
             .recv_timeout(Duration::from_secs(10))
             .unwrap_or_else(|_| panic!("{name} {spec:?}: a {BIG}-byte read hung"));
         assert_eq!(got, Ok((BIG, true)), "{name} {spec:?}");
-        api.close_handle(h).expect("close");
+        for h in handles {
+            api.close_handle(h).expect("close");
+        }
     }
 }
 
@@ -135,28 +148,29 @@ fn reads_on_a_private_thread_file_wake_no_worker() {
 
 #[test]
 fn a_read_after_posted_writes_returns_them() {
-    for (name, spec) in carriers() {
+    for (name, spec, sessions) in carriers() {
         let world = world_with(&spec);
         let api = world.api();
-        let h = api
-            .create_file("/c.af", Access::read_write(), Disposition::OpenExisting)
-            .expect("open");
+        let handles = open(&world, sessions);
+        let (writer, reader) = (handles[0], handles[sessions - 1]);
         settle(&world);
         for round in 0..50u8 {
             let at = u64::from(round) * 64;
-            api.set_file_pointer(h, at as i64, SeekMethod::Begin)
+            api.set_file_pointer(writer, at as i64, SeekMethod::Begin)
                 .expect("seek");
             let data = [round; 48];
             for chunk in data.chunks(16) {
-                assert_eq!(api.write_file(h, chunk), Ok(chunk.len()), "{name}");
+                assert_eq!(api.write_file(writer, chunk), Ok(chunk.len()), "{name}");
             }
-            api.set_file_pointer(h, at as i64, SeekMethod::Begin)
+            api.set_file_pointer(reader, at as i64, SeekMethod::Begin)
                 .expect("seek back");
             let mut back = [0u8; 64];
-            assert_eq!(api.read_file(h, &mut back), Ok(64), "{name} {spec:?}");
+            assert_eq!(api.read_file(reader, &mut back), Ok(64), "{name} {spec:?}");
             assert_eq!(back[..48], data, "{name} {spec:?}: round {round}");
             assert_eq!(back[48..], pattern(BIG)[at as usize + 48..][..16], "{name}");
         }
-        api.close_handle(h).expect("close");
+        for h in handles {
+            api.close_handle(h).expect("close");
+        }
     }
 }

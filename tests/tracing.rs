@@ -319,12 +319,13 @@ fn stolen_tasks_reparent_sentinel_spans_to_the_originating_op() {
     world.quiesce();
 }
 
-/// Every carrier a posted write can take to its sentinel: the four that
+/// Every carrier a posted write can take to its sentinel: the five that
 /// carry it out of line, and the inline one. The third field is how many
-/// sessions share the sentinel (the hub stages writes only with two).
+/// sessions share the sentinel (the hub stages writes only with two); with
+/// two, the read that flushes the write is the other session's.
 fn write_carriers(
     spec: impl Fn(Strategy) -> SentinelSpec,
-) -> [(&'static str, SentinelSpec, usize); 5] {
+) -> [(&'static str, SentinelSpec, usize); 6] {
     [
         ("thread", spec(Strategy::DllThread).with("share", "off"), 1),
         (
@@ -340,12 +341,20 @@ fn write_carriers(
                 .with("ring_depth", "4"),
             1,
         ),
+        (
+            "shared ring",
+            spec(Strategy::DllThread)
+                .with("batch", "on")
+                .with("ring_depth", "4"),
+            2,
+        ),
         ("dll-only", spec(Strategy::DllOnly), 1),
     ]
 }
 
-/// Runs `WriteFile` → `SetFilePointer` → `ReadFile` on `/w.af` with
-/// telemetry on, and returns the spans.
+/// Runs `WriteFile` on the first of `sessions` handles, then
+/// `SetFilePointer` → `ReadFile` on the last, on `/w.af` with telemetry
+/// on, and returns the spans.
 fn write_seek_read(world: &AfsWorld, sessions: usize) -> Vec<SpanRecord> {
     let _g = clock::install(0);
     world.telemetry().set_enabled(true);
@@ -356,11 +365,13 @@ fn write_seek_read(world: &AfsWorld, sessions: usize) -> Vec<SpanRecord> {
                 .expect("open")
         })
         .collect();
-    let h = handles[0];
-    api.write_file(h, b"data").expect("write");
-    api.set_file_pointer(h, 0, SeekMethod::Begin).expect("seek");
+    let (writer, reader) = (handles[0], handles[sessions - 1]);
+    api.write_file(writer, b"data").expect("write");
+    api.set_file_pointer(reader, 0, SeekMethod::Begin)
+        .expect("seek");
     let mut buf = [0u8; 4];
-    api.read_file(h, &mut buf).expect("read");
+    api.read_file(reader, &mut buf).expect("read");
+    assert_eq!(&buf, b"data", "the read returns the posted write");
     for h in handles {
         api.close_handle(h).expect("close");
     }
