@@ -16,19 +16,26 @@ use std::sync::Arc;
 
 use afs_sim::{Cost, CostModel};
 
-use crate::stamped::{End, Gauge, Stamped, Taking};
+use crate::stamped::{Doorbell, End, Gauge, Stamped, Taking};
 use crate::Result;
 
 /// Readiness hook of a poll-driven consumer, invoked whenever the channel
 /// transitions to "something to observe" (a new message, or the last
 /// sender dropping). It fires on the *sender's* thread.
+///
+/// A send may also be *held*: it rings nothing, because the same sender
+/// follows it under the same lock with a send that rings for both —
+/// awaited, unless the answer outgrows its lane — and whatever it carries
+/// went into the lanes without waiting on the consumer. A hub's call
+/// sends the staged writes it flushes that way, so the consumer finds
+/// them queued behind one awaited ring.
 pub trait Wake: Send + Sync {
     /// Something arrived. `awaited` marks a send whose sender blocks on
     /// the answer next and sends nothing after it, and whose answer fits
-    /// the lanes back: nothing the consumer sends while serving it can
-    /// wait on the sender's own drain. A consumer may serve such a send
-    /// on the sender's thread. Otherwise the hook must be cheap and must
-    /// not block on the consumer.
+    /// the lanes back: nothing the consumer sends while serving it (or the
+    /// held sends before it) can wait on the sender's own drain. A
+    /// consumer may serve such a send on the sender's thread. Otherwise
+    /// the hook must be cheap and must not block on the consumer.
     fn wake(&self, awaited: bool);
 }
 
@@ -104,7 +111,7 @@ impl<T: Send> ControlSender<T> {
     /// Returns [`IpcError::BrokenPipe`](crate::IpcError::BrokenPipe) if
     /// the receiving end is gone.
     pub fn send(&self, msg: T) -> Result<()> {
-        self.send_all(1, [msg], false)
+        self.send_all(1, [msg], Doorbell::Post)
     }
 
     /// Enqueues a command whose sender blocks on the answer next, sends
@@ -117,7 +124,7 @@ impl<T: Send> ControlSender<T> {
     ///
     /// As [`send`](ControlSender::send).
     pub fn send_awaited(&self, msg: T) -> Result<()> {
-        self.send_all(1, [msg], true)
+        self.send_all(1, [msg], Doorbell::Awaited)
     }
 
     /// Enqueues `n` commands behind one doorbell and one stamp.
@@ -125,7 +132,7 @@ impl<T: Send> ControlSender<T> {
         &self,
         n: usize,
         msgs: impl IntoIterator<Item = T>,
-        awaited: bool,
+        doorbell: Doorbell,
     ) -> Result<()> {
         let inner = &*self.inner;
         if inner.kernel {
@@ -134,7 +141,13 @@ impl<T: Send> ControlSender<T> {
         } else {
             inner.model.charge(Cost::EventSignal);
         }
-        inner.core.send(n, awaited, || msgs)
+        inner.core.send(n, doorbell, || msgs)
+    }
+
+    /// Rings the receiver's waker with nothing sent, as a posted send
+    /// would: what a sender whose held sends end in an error owes.
+    pub(crate) fn ring(&self) {
+        self.inner.core.ring();
     }
 
     /// Closes the channel from this side while the handle lives on: the
@@ -327,10 +340,14 @@ mod tests {
         let log = Arc::new(Log(parking_lot::Mutex::new(Vec::new())));
         rx.set_waker(Arc::clone(&log) as ChannelWaker);
         tx.send(1).expect("post");
-        tx.send_awaited(2).expect("awaited");
+        tx.send_all(1, [2], Doorbell::Held).expect("held");
+        tx.send_awaited(3).expect("awaited");
         drop(tx);
-        // The hang-up is no send anyone waits on.
+        // A held send rings nothing; the hang-up is no send anyone waits
+        // on.
         assert_eq!(*log.0.lock(), [false, true, false]);
+        assert_eq!(rx.poll_recv().expect("post"), Some(1));
+        assert_eq!(rx.poll_recv().expect("held"), Some(2));
     }
 
     #[test]

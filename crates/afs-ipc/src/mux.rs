@@ -140,6 +140,11 @@ impl<P: MuxProtocol> Stager<P> {
         self.entries.push((frame, buf));
     }
 
+    /// Whether no session holds an entry.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
     /// How many entries `session` holds.
     pub fn held(&self, session: u32) -> usize {
         self.entries
@@ -376,24 +381,41 @@ impl<P: MuxProtocol> MuxHub<P> {
         Ok(())
     }
 
-    /// Transmits a call's frame — the last this session sends before it
-    /// waits for the reply, with room for `reply_room` bytes behind it —
-    /// as an awaited send ([`PairTransport::send_awaited`]). The sentinel
-    /// may then run on this thread, still under the send lock. That
-    /// cannot cycle: the dispatch loop never takes the hub's lock, and a
-    /// lane too small for the reply is sent as any other frame is. Other
-    /// sessions' sends wait for the lock as they would behind a busy
-    /// worker, and a peer's reply already on the lane is pulled by its own
-    /// waiter, which needs nothing this thread holds.
-    fn transmit_call_locked(&self, frame: Framed<P::Cmd>, reply_room: usize) -> Result<()> {
-        self.under.send_awaited(frame, reply_room)
+    /// Transmits every staged entry and then a call's frame — the last
+    /// this session sends before it waits for the reply, with room for
+    /// `reply_room` bytes behind it — through
+    /// [`PairTransport::send_call_behind`]: the call rings once for the
+    /// writes it flushes, and the sentinel may then run on this thread,
+    /// still under the send lock. That cannot cycle: the dispatch loop
+    /// never takes the hub's lock, a flushed payload that would wait on
+    /// the sentinel's drain is rung for first, and a lane too small for
+    /// the reply is sent as any other frame is. Other sessions' sends wait
+    /// for the lock as they would behind a busy worker, and a peer's reply
+    /// already on the lane is pulled by its own waiter, which needs
+    /// nothing this thread holds.
+    fn call_locked(
+        &self,
+        s: &mut SendState<P>,
+        frame: Framed<P::Cmd>,
+        reply_room: usize,
+    ) -> Result<()> {
+        if s.stages.is_empty() {
+            // Nothing to hold: the one-session hub's every call.
+            return self.under.send_awaited(frame, reply_room);
+        }
+        let flush = s.stages.take(None);
+        self.under
+            .send_call_behind(flush, frame, reply_room, |buf| {
+                self.pool.put(buf);
+                self.gauges.flushed_batch();
+            })
     }
 
     /// Transmits the staged entries of `only` (every session's, lowest id
     /// first, when `None`), each as one frame. Any operation that the
     /// sentinel must observe *after* earlier writes — a read, a size
     /// query, a close — flushes them all, preserving cross-session
-    /// read-your-writes.
+    /// read-your-writes; a call does so in [`MuxHub::call_locked`].
     fn flush_stages_locked(&self, s: &mut SendState<P>, only: Option<u32>) -> Result<()> {
         for (frame, buf) in s.stages.take(only) {
             let result = self.transmit_locked(frame, &buf);
@@ -412,10 +434,12 @@ impl<P: MuxProtocol> MuxHub<P> {
         if s.sessions.is_closed() {
             return Err(IpcError::BrokenPipe);
         }
-        self.flush_stages_locked(&mut s, None)?;
         match reply_room {
-            Some(room) => self.transmit_call_locked(frame, room),
-            None => self.transmit_locked(frame, &[]),
+            Some(room) => self.call_locked(&mut s, frame, room),
+            None => {
+                self.flush_stages_locked(&mut s, None)?;
+                self.transmit_locked(frame, &[])
+            }
         }
     }
 
@@ -444,19 +468,20 @@ impl<P: MuxProtocol> MuxHub<P> {
     }
 
     /// Detaches the session `frame` comes from, with the close command it
-    /// carries, after flushing every staged entry. A non-final close is
+    /// carries, and flushes every staged entry. A non-final close is
     /// acknowledged locally — the shared sentinel must keep running; the
-    /// final close is transmitted (`true`: the caller reaps).
+    /// final close is transmitted as a call behind the flush (`true`: the
+    /// caller reaps).
     fn send_close(&self, frame: Framed<P::Cmd>) -> Result<bool> {
         let session = frame.session;
         let mut s = self.send.lock();
         if s.sessions.is_closed() {
             return Err(IpcError::BrokenPipe);
         }
-        self.flush_stages_locked(&mut s, None)?;
         if s.sessions.detach(session) {
-            return self.transmit_call_locked(frame, 0).map(|()| true);
+            return self.call_locked(&mut s, frame, 0).map(|()| true);
         }
+        self.flush_stages_locked(&mut s, None)?;
         drop(s);
         let mut rs = self.recv.lock();
         if let Some(mailbox) = rs.mailboxes.get_mut(&session) {
@@ -900,6 +925,52 @@ mod tests {
         let flushed = model.snapshot().since(&before);
         // One batch frame + one sync frame: two round trips total.
         assert_eq!(flushed.thread_switches, 4);
+    }
+
+    #[test]
+    fn a_call_rings_once_for_the_writes_it_flushes() {
+        struct Log(Mutex<Vec<bool>>);
+        impl crate::Wake for Log {
+            fn wake(&self, awaited: bool) {
+                self.0.lock().push(awaited);
+            }
+        }
+        // The doorbells one read behind one staged write of `len` bytes
+        // rings, the sentinel side served by hand.
+        let rings = |(transport, port): (_, ToyPort), len: usize| {
+            let hub: ToyHub = Arc::new(MuxHub::new(
+                transport,
+                CostModel::free(),
+                Arc::default(),
+                None,
+            ));
+            let a = attach(&hub).expect("a");
+            let b = attach(&hub).expect("b");
+            a.post(cmd(1, 0, len as u32), NO_TRACE, &vec![b'w'; len])
+                .expect("staged");
+            let log = Arc::new(Log(Mutex::new(Vec::new())));
+            port.set_wakeup(Arc::clone(&log) as crate::ChannelWaker);
+            std::thread::scope(|s| {
+                let read = s.spawn(|| b.call(cmd(2, 0, 1), NO_TRACE, &mut [0u8; 1]));
+                let flush = port.recv_cmd().expect("flush frame");
+                assert_eq!(flush.body, cmd(1, 0, len as u32));
+                port.recv_data_exact(&mut vec![0u8; len]).expect("payload");
+                let frame = port.recv_cmd().expect("read frame");
+                answer(&port, &frame, b"w");
+                assert_eq!(read.join().expect("join"), Ok((ToyReply { n: 1 }, 1)));
+            });
+            let rung = log.0.lock().clone();
+            rung
+        };
+        // The staged payload fits the lane: the read's ring serves both.
+        let shared = PairTransport::shared(CostModel::free());
+        assert_eq!(rings(shared, 16), [true]);
+        let kernel = PairTransport::kernel(CostModel::free());
+        assert_eq!(rings(kernel, 16), [true]);
+        // It outgrows the 16 KiB pipe: only the sentinel can drain it, so
+        // it is rung for before its payload waits.
+        let kernel = PairTransport::kernel(CostModel::free());
+        assert_eq!(rings(kernel, 20 * 1024), [false, true]);
     }
 
     #[test]

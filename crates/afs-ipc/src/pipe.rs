@@ -22,7 +22,7 @@ use afs_sim::{Cost, CostModel, CrossingKind};
 use afs_telemetry::QueueGauges;
 
 use crate::pool::BufferPool;
-use crate::stamped::{End, Flow, Gauge, Stamped};
+use crate::stamped::{Doorbell, End, Flow, Gauge, Stamped};
 use crate::Result;
 
 /// Default pipe capacity, matching the small in-kernel buffer of NT
@@ -146,13 +146,13 @@ impl PipeWriter {
         inner.model.charge(Cost::Syscall);
         inner.model.charge(Cost::PipeMessage);
         if buf.is_empty() {
-            return inner.core.send(0, false, || []);
+            return inner.core.send(0, Doorbell::Post, || []);
         }
         // Writes no larger than the capacity are atomic (PIPE_BUF
         // semantics): each chunk waits until it fits whole, so segments
         // from concurrent writers never interleave mid-write.
         for chunk in buf.chunks(inner.capacity) {
-            inner.core.send(chunk.len(), false, || {
+            inner.core.send(chunk.len(), Doorbell::Post, || {
                 // The user→kernel copy of this chunk.
                 inner.model.charge(Cost::PipeCopy { bytes: chunk.len() });
                 let mut data = inner.pool.take_capacity(chunk.len());
@@ -166,6 +166,12 @@ impl PipeWriter {
     /// The protection boundary this pipe crosses.
     pub fn crossing(&self) -> CrossingKind {
         self.inner.crossing
+    }
+
+    /// Whether a write of `len` bytes would go in whole now, without
+    /// waiting for a reader to drain.
+    pub(crate) fn fits(&self, len: usize) -> bool {
+        self.inner.core.fits(len)
     }
 
     /// Duplicates the handle (NT `DuplicateHandle` semantics): the pipe

@@ -44,7 +44,7 @@ use std::sync::Arc;
 use afs_sim::{clock, Cost, CostModel, CrossingKind, SimTime};
 use afs_telemetry::RingGauges;
 
-use crate::stamped::{Flow, Gauge, Signal};
+use crate::stamped::{Doorbell, Flow, Gauge, Signal};
 use crate::{ChannelWaker, ControlChannel, ControlReceiver, ControlSender, IpcError, Result};
 
 /// One submission-ring entry: a typed command plus its optional payload
@@ -204,7 +204,7 @@ impl<C: Send, R: Send> RingTransport<C, R> {
     ///
     /// [`IpcError::BrokenPipe`] once the sentinel side is gone.
     pub fn submit(&self, batch: Vec<Sqe<C>>) -> Result<()> {
-        self.ring(batch, false)
+        self.ring(batch, Doorbell::Post)
     }
 
     /// Submits `batch` like [`submit`], for a caller that blocks on its
@@ -219,16 +219,16 @@ impl<C: Send, R: Send> RingTransport<C, R> {
     ///
     /// As [`submit`](RingTransport::submit).
     pub fn submit_awaited(&self, batch: Vec<Sqe<C>>) -> Result<()> {
-        self.ring(batch, true)
+        self.ring(batch, Doorbell::Awaited)
     }
 
-    fn ring(&self, batch: Vec<Sqe<C>>, awaited: bool) -> Result<()> {
+    fn ring(&self, batch: Vec<Sqe<C>>, doorbell: Doorbell) -> Result<()> {
         if batch.is_empty() {
             return Ok(());
         }
         let shared = &*self.shared;
         shared.model.charge_round_trip(shared.crossing);
-        self.sq.send_all(batch.len(), batch, awaited)
+        self.sq.send_all(batch.len(), batch, doorbell)
     }
 
     /// Blocks until the completion for `id` is posted, moving the caller's

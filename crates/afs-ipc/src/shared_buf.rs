@@ -23,7 +23,7 @@ use afs_sim::{Cost, CostModel};
 use afs_telemetry::QueueGauges;
 
 use crate::pool::BufferPool;
-use crate::stamped::{Flow, Gauge, Stamped};
+use crate::stamped::{Doorbell, Flow, Gauge, Stamped};
 use crate::{IpcError, Result};
 
 #[derive(Debug)]
@@ -77,7 +77,7 @@ impl SharedBuffer {
         let inner = &*self.inner;
         inner
             .core
-            .send(1, false, || {
+            .send(1, Doorbell::Post, || {
                 inner.model.charge(Cost::Memcpy { bytes: data.len() });
                 inner.model.charge(Cost::EventSignal);
                 let mut staged = inner.pool.take_capacity(data.len());
@@ -85,6 +85,11 @@ impl SharedBuffer {
                 [staged]
             })
             .map_err(|_| IpcError::Closed)
+    }
+
+    /// Whether the slot is empty, so a send would not wait.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.inner.core.fits(1)
     }
 
     /// Takes the next message, copying as much as fits into `buf`, blocking

@@ -54,6 +54,31 @@ pub(crate) enum Flow {
 /// A channel's gauges hook.
 pub(crate) type Gauge = Box<dyn Fn(Flow) + Send + Sync>;
 
+/// What a send does with the consumer's waker (see
+/// [`Wake`](crate::control::Wake)).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Doorbell {
+    /// Rings it: nobody waits on this send.
+    Post,
+    /// Rings it for a sender that blocks on the answer next.
+    Awaited,
+    /// Leaves it silent: a send by the same sender that rings follows
+    /// under the same lock and rings for both, and nothing this one
+    /// carries can wait on the consumer meanwhile.
+    Held,
+}
+
+impl Doorbell {
+    /// What the waker is told (its `awaited` flag), or `None`: nothing.
+    fn rings(self) -> Option<bool> {
+        match self {
+            Doorbell::Post => Some(false),
+            Doorbell::Awaited => Some(true),
+            Doorbell::Held => None,
+        }
+    }
+}
+
 /// Which end of a channel a handle holds.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum End {
@@ -134,8 +159,8 @@ impl<T> Stamped<T> {
     /// Sends what `make` builds — `units` of capacity between its items,
     /// all under one stamp — blocking until they fit. `make` runs under
     /// the lock after the sender's clock has moved, so the charges it
-    /// makes land in the stamp. `awaited` is passed on to the waker (see
-    /// [`Wake`](crate::control::Wake)).
+    /// makes land in the stamp. `doorbell` says whether and how to ring
+    /// the waker.
     ///
     /// # Errors
     ///
@@ -144,7 +169,7 @@ impl<T> Stamped<T> {
     pub fn send<I: IntoIterator<Item = T>>(
         &self,
         units: usize,
-        awaited: bool,
+        doorbell: Doorbell,
         make: impl FnOnce() -> I,
     ) -> Result<()> {
         let n = units as u64;
@@ -179,8 +204,23 @@ impl<T> Stamped<T> {
             gauge(Flow::Sent { units, queued });
         }
         self.readable.notify_one();
-        Self::wake(s, awaited);
+        if let Some(awaited) = doorbell.rings() {
+            Self::wake(s, awaited);
+        }
         Ok(())
+    }
+
+    /// Whether `units` would go in now without waiting for capacity.
+    pub fn fits(&self, units: usize) -> bool {
+        let s = self.state.lock();
+        self.capacity
+            .is_none_or(|cap| s.sent - s.taken + units as u64 <= cap)
+    }
+
+    /// Rings the waker alone, as a posted send would: for a sender whose
+    /// held sends no awaited one followed.
+    pub fn ring(&self) {
+        Self::wake(self.state.lock(), false);
     }
 
     /// Waits for an item, holding the lock until the take finishes.

@@ -21,6 +21,7 @@ use afs_sim::{CostModel, CrossingKind};
 use afs_telemetry::QueueGauges;
 
 use crate::pool::BufferPool;
+use crate::stamped::Doorbell;
 use crate::{
     ControlChannel, ControlReceiver, ControlSender, IpcError, Pipe, PipeReader, PipeWriter, Result,
     SharedBuffer,
@@ -30,6 +31,10 @@ use crate::{
 pub trait DataTx: Send + Sync {
     /// Transfers one message of bytes.
     fn send(&self, data: &[u8]) -> Result<()>;
+
+    /// Whether a message of `len` bytes would go in now without its
+    /// sender waiting for the receiver to drain the lane first.
+    fn fits(&self, len: usize) -> bool;
 }
 
 /// Source for one direction of the data lane.
@@ -48,6 +53,11 @@ impl DataTx for PipeWriter {
     fn send(&self, data: &[u8]) -> Result<()> {
         self.write(data)
     }
+
+    /// The free room takes it whole.
+    fn fits(&self, len: usize) -> bool {
+        PipeWriter::fits(self, len)
+    }
 }
 
 impl DataRx for PipeReader {
@@ -63,6 +73,11 @@ impl DataRx for PipeReader {
 impl DataTx for SharedBuffer {
     fn send(&self, data: &[u8]) -> Result<()> {
         SharedBuffer::send(self, data)
+    }
+
+    /// The slot is empty: it takes any one message whole.
+    fn fits(&self, _len: usize) -> bool {
+        self.is_empty()
     }
 }
 
@@ -254,6 +269,56 @@ impl<C: Send + 'static, R: Send + 'static> PairTransport<C, R> {
         }
         self.model.charge_round_trip(self.crossing);
         self.commands.send_awaited(cmd)
+    }
+
+    /// Sends the frames a call flushes, each command with its payload
+    /// behind it, then the call's own `cmd` as [`send_awaited`] sends it;
+    /// `sent` gets each payload back once it is on the wire. A flushed
+    /// frame whose payload fits the sentinel-ward lane without waiting is
+    /// *held*: it rings nothing, and the call's one ring serves it too, so
+    /// a sentinel the call finds idle runs the flush and the call on this
+    /// thread instead of waking a worker for the flush. A payload that
+    /// would wait is rung for first, as [`send_cmd`] rings, since only the
+    /// sentinel can drain it; and an error after a held frame rings before
+    /// it returns, so no frame is left on the lane unrung. Must run under
+    /// the lock that keeps the caller's frames and payloads adjacent.
+    ///
+    /// [`send_awaited`]: PairTransport::send_awaited
+    /// [`send_cmd`]: PairTransport::send_cmd
+    ///
+    /// # Errors
+    ///
+    /// As [`send_cmd`](PairTransport::send_cmd), or a data lane's failure.
+    pub fn send_call_behind(
+        &self,
+        flush: impl IntoIterator<Item = (C, Vec<u8>)>,
+        cmd: C,
+        reply_room: usize,
+        mut sent: impl FnMut(Vec<u8>),
+    ) -> Result<()> {
+        let mut unrung = false;
+        let result = flush
+            .into_iter()
+            .try_for_each(|(frame, payload)| {
+                unrung = self.data_tx.fits(payload.len());
+                let doorbell = if unrung {
+                    Doorbell::Held
+                } else {
+                    Doorbell::Post
+                };
+                self.model.charge_round_trip(self.crossing);
+                self.commands.send_all(1, [frame], doorbell)?;
+                if !payload.is_empty() {
+                    self.data_tx.send(&payload)?;
+                }
+                sent(payload);
+                Ok(())
+            })
+            .and_then(|()| self.send_awaited(cmd, reply_room));
+        if result.is_err() && unrung {
+            self.commands.ring();
+        }
+        result
     }
 
     /// Receives the sentinel's next reply.

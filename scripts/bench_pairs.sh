@@ -9,8 +9,11 @@
 # <checkout>/target/benchmark: CARGO_TARGET_DIR is unset on purpose, two
 # checkouts sharing a target dir silently run each other's binaries. Odd
 # pairs run the parent first, even pairs the change. Prints every run, then
-# per side the median [q1-q3] of the five end-to-end metrics and the pairs
-# the change won. Exits 1 on an incorrect or unpinned run. Defaults: 10
+# per side the median [q1-q3] of the five end-to-end metrics, the pairs the
+# change won, the change/parent median ratio with its base, and whether the
+# change shows a gain (won >= 9/10 of the pairs, medians further apart than
+# the parent's interquartile range). Exits 1 on an incorrect or unpinned
+# run. Defaults: 10
 # pairs, seed 1, 10 s (BENCHMARK.json's run length); the dark pass only
 # (--trace 0). Nothing else should run on the machine meanwhile.
 set -euo pipefail
@@ -73,26 +76,40 @@ for pair in $(seq 1 "$pairs"); do
     fi
 done
 
-# Median and quartiles by linear interpolation between order statistics;
-# a pair is won by the side whose value is strictly better, ties to neither.
+# quantiles <side> <col>: "median q1 q3 n" of one side's runs, by linear
+# interpolation between order statistics.
+quantiles() {
+    awk -v side="$1" -v col="$2" '$1 == side { print $col }' "$runs" | sort -g |
+        awk '
+            function quantile(p,    at, lo, hi) {
+                at = (NR - 1) * p + 1
+                lo = int(at)
+                hi = lo < NR ? lo + 1 : lo
+                return v[lo] + (at - lo) * (v[hi] - v[lo])
+            }
+            { v[NR] = $1 }
+            END { printf "%.17g %.17g %.17g %d\n", quantile(0.5), quantile(0.25), quantile(0.75), NR }'
+}
+
+# Per metric: each side's median [q1-q3], the pairs won (a pair is won by
+# the side whose value is strictly better, ties to neither), the change's
+# median as a ratio of the parent's with that base, and the gain verdict:
+# the change won at least 9 in 10 pairs and its median is better than the
+# parent's by more than the parent's interquartile range.
 col=3
 for m in $metrics; do
-    for side in parent change; do
-        awk -v side="$side" -v col="$col" '$1 == side { print $col }' "$runs" | sort -g |
-            awk -v name="${m%%:*}" -v side="$side" '
-                function quantile(p,    at, lo, hi) {
-                    at = (NR - 1) * p + 1
-                    lo = int(at)
-                    hi = lo < NR ? lo + 1 : lo
-                    return v[lo] + (at - lo) * (v[hi] - v[lo])
-                }
-                { v[NR] = $1 }
-                END {
-                    printf "%-18s %-6s median %.6g [%.6g-%.6g] n=%d\n", name, side,
-                        quantile(0.5), quantile(0.25), quantile(0.75), NR
-                }'
-    done
-    awk -v col="$col" -v better="${m##*:}" -v name="${m%%:*}" '
+    read -r pmed pq1 pq3 pn <<<"$(quantiles parent "$col")"
+    read -r cmed cq1 cq3 cn <<<"$(quantiles change "$col")"
+    printf "%-18s %-6s median %.6g [%.6g-%.6g] n=%d\n" "${m%%:*}" parent "$pmed" "$pq1" "$pq3" "$pn"
+    printf "%-18s %-6s median %.6g [%.6g-%.6g] n=%d\n" "${m%%:*}" change "$cmed" "$cq1" "$cq3" "$cn"
+    awk -v col="$col" -v better="${m##*:}" -v name="${m%%:*}" \
+        -v pmed="$pmed" -v pq1="$pq1" -v pq3="$pq3" -v cmed="$cmed" '
+        function si(x,    a) {
+            a = x < 0 ? -x : x
+            if (a >= 1e6) return sprintf("%.4g M", x / 1e6)
+            if (a >= 1e3) return sprintf("%.4g k", x / 1e3)
+            return sprintf("%.4g", x)
+        }
         { v[$1, $2] = $col; if ($2 > n) n = $2 }
         END {
             for (i = 1; i <= n; i++) {
@@ -101,6 +118,12 @@ for m in $metrics; do
                 if (d > 0) wins++; else if (d < 0) losses++
             }
             printf "%-18s change wins %d, loses %d of %d pairs\n", name, wins, losses, n
+            if (pmed != 0) printf "%-18s change/parent %.3g× of %s\n", name, cmed / pmed, si(pmed)
+            else printf "%-18s change/parent n/a (parent median 0)\n", name
+            gap = better == "lower" ? pmed - cmed : cmed - pmed
+            gain = wins * 10 >= n * 9 && gap > pq3 - pq1
+            printf "%-18s verdict: %s (won %d/%d, needs 9/10; median gap %s vs parent IQR %s)\n",
+                name, gain ? "gain" : "no gain", wins, n, si(gap), si(pq3 - pq1)
         }' "$runs"
     col=$((col + 1))
 done

@@ -14,7 +14,13 @@
 //!   and costs one sentinel poll per read;
 //! - a read that follows posted writes returns them, whichever thread
 //!   ends up serving it — on a shared carrier, through another session
-//!   than the writes'.
+//!   than the writes';
+//! - on a shared pair the read carries the flush it forces: the staged
+//!   writes ring nothing of their own, so the reader serves them and the
+//!   read with no worker woken — unless a staged payload would wait for
+//!   the sentinel's drain (more than a 16 KiB pipe holds, or a second
+//!   message for the one-slot §4.3 buffer), which is rung for first (the
+//!   reads hang, and fail here by timeout, if that fit check is dropped).
 //!
 //! The world's seed is irrelevant here, but the suite runs in the CI seed
 //! sweep beside the other concurrency suites.
@@ -171,6 +177,109 @@ fn a_read_after_posted_writes_returns_them() {
         }
         for h in handles {
             api.close_handle(h).expect("close");
+        }
+    }
+}
+
+#[test]
+fn a_read_after_staged_writes_on_a_shared_pair_wakes_no_worker() {
+    const ROUNDS: u8 = 50;
+    for strategy in [Strategy::ProcessControl, Strategy::DllThread] {
+        let spec = SentinelSpec::new("null", strategy)
+            .backing(Backing::Memory)
+            .with("share", "on");
+        let world = world_with(&spec);
+        let api = world.api();
+        let handles = open(&world, 2);
+        let (writer, reader) = (handles[0], handles[1]);
+        settle(&world);
+        let fleet = world.telemetry().fleet();
+        let before = fleet.snapshot();
+        for round in 0..ROUNDS {
+            let at = i64::from(round) * 64;
+            api.set_file_pointer(writer, at, SeekMethod::Begin)
+                .expect("seek");
+            for _ in 0..3 {
+                assert_eq!(api.write_file(writer, &[round; 16]), Ok(16));
+            }
+            api.set_file_pointer(reader, at, SeekMethod::Begin)
+                .expect("seek back");
+            let mut back = [0u8; 64];
+            assert_eq!(api.read_file(reader, &mut back), Ok(64), "{strategy:?}");
+            assert_eq!(back[..48], [round; 48], "{strategy:?}: round {round}");
+        }
+        let after = fleet.snapshot();
+        assert_eq!(
+            after.wakeups, before.wakeups,
+            "{strategy:?}: no worker was woken"
+        );
+        assert_eq!(
+            after.parks, before.parks,
+            "{strategy:?}: no worker slept again"
+        );
+        assert_eq!(
+            after.polls - before.polls,
+            u64::from(ROUNDS),
+            "{strategy:?}: one poll per read-back"
+        );
+        for h in handles {
+            api.close_handle(h).expect("close");
+        }
+    }
+}
+
+#[test]
+fn staged_writes_that_outgrow_the_lane_still_flush() {
+    // (strategy, sessions, bytes each writer stages): one 20 KiB entry
+    // over a 16 KiB pipe; two entries for the one-slot shared buffer.
+    let cases = [
+        (Strategy::ProcessControl, 2, 20 * 1024),
+        (Strategy::DllThread, 3, 1024),
+    ];
+    for (strategy, sessions, staged) in cases {
+        let spec = SentinelSpec::new("null", strategy)
+            .backing(Backing::Memory)
+            .with("share", "on");
+        let world = world_with(&spec);
+        let handles = open(&world, sessions);
+        settle(&world);
+        let (done, result) = mpsc::channel();
+        // The thread holds a reference to the world, so a hang fails this
+        // test instead of wedging its teardown.
+        let worker = Arc::clone(&world);
+        std::thread::spawn(move || {
+            let api = worker.api();
+            let (writers, reader) = handles.split_at(sessions - 1);
+            let mut expect = pattern(BIG);
+            for (i, &writer) in writers.iter().enumerate() {
+                let at = i * staged;
+                let data: Vec<u8> = (0..staged).map(|b| (b % 7 + i * 16) as u8).collect();
+                api.set_file_pointer(writer, at as i64, SeekMethod::Begin)
+                    .expect("seek");
+                for chunk in data.chunks(1024) {
+                    assert_eq!(api.write_file(writer, chunk), Ok(chunk.len()));
+                }
+                expect[at..at + staged].copy_from_slice(&data);
+            }
+            // Read back in 4 KiB pieces: the first read flushes every
+            // staged entry.
+            let written = &expect[..writers.len() * staged];
+            api.set_file_pointer(reader[0], 0, SeekMethod::Begin)
+                .expect("seek back");
+            for want in written.chunks(4096) {
+                let mut back = vec![0u8; want.len()];
+                let read = api.read_file(reader[0], &mut back);
+                let _ = done.send(read.map(|n| n == want.len() && back == want));
+            }
+            for h in handles {
+                api.close_handle(h).expect("close");
+            }
+        });
+        for i in 0..((sessions - 1) * staged).div_ceil(4096) {
+            let got = result
+                .recv_timeout(Duration::from_secs(10))
+                .unwrap_or_else(|_| panic!("{strategy:?}: read {i} after the flush hung"));
+            assert_eq!(got, Ok(true), "{strategy:?}: read {i}");
         }
     }
 }
