@@ -554,7 +554,7 @@ pub struct FleetMeasurement {
 /// reads against each, timing every read under the virtual clock.
 ///
 /// `workers` pins the pool bound; `None` uses the world default (one per
-/// core, `AFS_FLEET_WORKERS`). The virtual latencies are identical either
+/// core). The virtual latencies are identical either
 /// way — the executor schedules real threads, the costs are charged on
 /// virtual clocks — which is exactly what `tests/fleet_equivalence.rs`
 /// asserts.

@@ -228,9 +228,9 @@ fn concurrency(doc: &BenchDoc) -> String {
 
 fn fleet(doc: &BenchDoc) -> String {
     let caption = format!(
-        "**Fleet panel** — sharded sentinel executor (Thread strategy, memory cache, \
-         {FLEET_BLOCK}-byte reads, one per file; the last row is one file on a one-worker \
-         pool, {} reads). Workers, shards, steals and wake-ups depend on the host: \
+        "**Fleet panel** — sentinel executor, one run queue (Thread strategy, memory \
+         cache, {FLEET_BLOCK}-byte reads, one per file; the last row is one file on a \
+         one-worker pool, {} reads). Workers, wake-ups and parks depend on the host: \
          `afsh fleet` and `benchmark/`'s `core.exec_*` report them.",
         doc.ops
     );

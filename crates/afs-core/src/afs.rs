@@ -32,7 +32,7 @@ use afs_winapi::{
 use crate::ctx::SentinelCtx;
 use crate::registry::SentinelRegistry;
 use crate::spec::{RuntimeSpec, SentinelSpec, Strategy};
-use crate::strategy::executor::{self, FleetShardStat, SentinelExecutor};
+use crate::strategy::executor::{self, SentinelExecutor};
 use crate::strategy::mux::SharedSentinel;
 use crate::strategy::wire::Launched;
 use crate::strategy::{self, ActiveOps, Instruments};
@@ -564,9 +564,10 @@ impl ActiveFilesLayer {
         self.runtime.exec.live()
     }
 
-    /// Per-shard executor occupancy, for diagnostics (`afsh fleet`).
-    pub fn fleet_shards(&self) -> Vec<FleetShardStat> {
-        self.runtime.exec.shard_stats()
+    /// Sentinel tasks waiting on a run queue for a thread to poll them,
+    /// for diagnostics (`afsh fleet`).
+    pub fn fleet_queued(&self) -> usize {
+        self.runtime.exec.queued()
     }
 
     /// Deterministic world teardown: drops every still-open active handle

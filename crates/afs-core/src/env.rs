@@ -1,13 +1,12 @@
-//! Central validation of the runtime's environment knobs.
+//! Central validation of the runtime's environment knob.
 //!
-//! Two knobs steer every world: `AFS_TEST_SEED` (the deterministic seed
-//! CI sweeps) and `AFS_FLEET_WORKERS` (the executor's worker-pool bound).
-//! Before this module they were parsed ad hoc with silent fallbacks — a
-//! CI job exporting `AFS_TEST_SEED=0x21` or `AFS_FLEET_WORKERS=0` ran
-//! quietly with a *different* configuration than it asked for. Malformed
-//! values are now clamped to a documented default **and reported loudly
-//! on stderr at startup**, so a typo'd matrix entry is visible in the
-//! job log instead of silently sweeping one seed eight times.
+//! One knob steers every world: `AFS_TEST_SEED`, the deterministic seed
+//! CI sweeps. Parsed ad hoc with a silent fallback, a CI job exporting
+//! `AFS_TEST_SEED=0x21` ran quietly with a *different* configuration than
+//! it asked for. A malformed value is clamped to a documented default
+//! **and reported loudly on stderr at startup**, so a typo'd matrix entry
+//! is visible in the job log instead of silently sweeping one seed eight
+//! times.
 //!
 //! The policy is clamp-and-warn rather than abort: a world must still
 //! come up under a hostile environment (tests run with arbitrary inherited
@@ -20,9 +19,6 @@ pub const DEFAULT_SEED: u64 = 0xAF5_0001;
 
 /// Environment variable naming the deterministic world seed.
 pub const ENV_TEST_SEED: &str = "AFS_TEST_SEED";
-
-/// Environment variable bounding the fleet executor's worker pool.
-pub const ENV_FLEET_WORKERS: &str = "AFS_FLEET_WORKERS";
 
 /// The outcome of validating one knob.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -82,41 +78,11 @@ pub fn validate_test_seed(raw: Option<&str>) -> KnobOutcome<u64> {
     }
 }
 
-/// Validates a raw `AFS_FLEET_WORKERS` value against `cores` (the
-/// fallback worker count). `0` asks for an empty pool — every sentinel
-/// would hang — and clamps to 1; garbage clamps to `cores`.
-pub fn validate_fleet_workers(raw: Option<&str>, cores: usize) -> KnobOutcome<usize> {
-    let Some(raw) = raw else {
-        return KnobOutcome::Unset(cores);
-    };
-    match raw.trim().parse::<usize>() {
-        Ok(0) => KnobOutcome::Clamped {
-            raw: raw.to_owned(),
-            used: 1,
-            reason: "a zero-worker pool can never run a sentinel".to_owned(),
-        },
-        Ok(n) => KnobOutcome::Valid(n),
-        Err(e) => KnobOutcome::Clamped {
-            raw: raw.to_owned(),
-            used: cores,
-            reason: format!("not a positive integer: {e}"),
-        },
-    }
-}
-
 /// Reads and validates `AFS_TEST_SEED`, warning on stderr if clamped.
 pub(crate) fn test_seed_from_env() -> u64 {
     let raw = std::env::var(ENV_TEST_SEED).ok();
     let outcome = validate_test_seed(raw.as_deref());
     outcome.warn(ENV_TEST_SEED);
-    outcome.value()
-}
-
-/// Reads and validates `AFS_FLEET_WORKERS`, warning on stderr if clamped.
-pub(crate) fn fleet_workers_from_env(cores: usize) -> usize {
-    let raw = std::env::var(ENV_FLEET_WORKERS).ok();
-    let outcome = validate_fleet_workers(raw.as_deref(), cores);
-    outcome.warn(ENV_FLEET_WORKERS);
     outcome.value()
 }
 
@@ -127,34 +93,12 @@ mod tests {
     #[test]
     fn unset_knobs_use_defaults_silently() {
         assert_eq!(validate_test_seed(None), KnobOutcome::Unset(DEFAULT_SEED));
-        assert_eq!(validate_fleet_workers(None, 8), KnobOutcome::Unset(8));
     }
 
     #[test]
     fn valid_knobs_parse() {
         assert_eq!(validate_test_seed(Some("21")), KnobOutcome::Valid(21));
         assert_eq!(validate_test_seed(Some(" 34 ")), KnobOutcome::Valid(34));
-        assert_eq!(validate_fleet_workers(Some("4"), 8), KnobOutcome::Valid(4));
-    }
-
-    #[test]
-    fn zero_fleet_workers_clamps_to_one() {
-        let outcome = validate_fleet_workers(Some("0"), 8);
-        assert!(outcome.clamped());
-        assert_eq!(
-            outcome.value(),
-            1,
-            "an empty pool would hang every sentinel"
-        );
-    }
-
-    #[test]
-    fn garbage_fleet_workers_clamps_to_cores() {
-        for raw in ["lots", "-3", "2.5", ""] {
-            let outcome = validate_fleet_workers(Some(raw), 6);
-            assert!(outcome.clamped(), "{raw:?} must be rejected");
-            assert_eq!(outcome.value(), 6);
-        }
     }
 
     #[test]

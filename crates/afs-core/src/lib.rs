@@ -70,12 +70,11 @@ mod world;
 pub use afs::{ActiveFileSystem, ActiveFilesLayer};
 pub use cache::CacheStore;
 pub use ctx::SentinelCtx;
-pub use env::{validate_fleet_workers, validate_test_seed, KnobOutcome, DEFAULT_SEED};
+pub use env::{validate_test_seed, KnobOutcome, DEFAULT_SEED};
 pub use logic::{NullSentinel, SentinelError, SentinelLogic, SentinelResult};
 pub use registry::{LogicFactory, SentinelRegistry};
 pub use security::{check_active_file, sign_active_file, SIGNATURE_STREAM};
 pub use spec::{Backing, SentinelSpec, Strategy};
-pub use strategy::executor::FleetShardStat;
 pub use strategy::process::{ProcessIo, RawProcessSentinel};
 pub use strategy::{CTL_QUERY_STALE, CTL_STORE_CHECKPOINT, CTL_STORE_STATS, CTL_STORE_SYNC};
 pub use world::{AfsWorld, AfsWorldBuilder};

@@ -1,5 +1,5 @@
-//! The sharded sentinel executor: thousands of active files on a bounded
-//! worker pool.
+//! The sentinel executor: thousands of active files on a bounded worker
+//! pool.
 //!
 //! The paper's §4.2/§4.3 strategies charge one dedicated thread per open
 //! active file, which caps concurrent active files at OS-thread scale.
@@ -12,18 +12,18 @@
 //! an idle sentinel is polled on the sender's thread instead, so the
 //! operation costs no thread switch on the host.
 //!
-//! Scheduling structures are striped into per-shard locks (the
-//! cache-padded striping idiom): each shard owns a run queue and a slice
-//! of the live-task table, a task's shard is a pure function of its id,
-//! and workers pop from their home shard first, stealing from the others
-//! only when home is empty. Virtual time is preserved exactly: each task
-//! carries its own [`SimTime`] across polls, installed on whichever thread
-//! polls it, so a sentinel's virtual timeline is identical to the one its
-//! dedicated thread would have produced.
+//! Scheduling is one [`RunQueue`]: the tasks with something to observe,
+//! oldest first, under one lock, which the workers pop from and park on.
+//! A sentinel pinned off the pool (§3 composition) is the same task on a
+//! run queue of its own, drained by a thread of its own with the same
+//! loop. Virtual time is preserved exactly: each task carries its own
+//! [`SimTime`] across polls, installed on whichever thread polls it, so a
+//! sentinel's virtual timeline is identical to the one its dedicated
+//! thread would have produced.
 
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 
@@ -34,11 +34,12 @@ use afs_sim::{clock, SimTime};
 use afs_telemetry::FleetGauges;
 
 thread_local! {
-    /// `true` on any thread currently executing sentinel code — fleet
-    /// workers and pinned sentinel threads. A sentinel spawned from such a
-    /// thread must never be pooled: the spawning sentinel may block a
-    /// worker waiting on the new one, and with every worker so occupied
-    /// the pool deadlocks (§3 composition chains).
+    /// `true` on any thread currently executing sentinel code — a thread
+    /// draining a run queue, or the sender of an awaited command while it
+    /// runs one. A sentinel spawned from such a thread must never be
+    /// pooled: the spawning sentinel may block a worker waiting on the new
+    /// one, and with every worker so occupied the pool deadlocks (§3
+    /// composition chains).
     static IN_SENTINEL: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -48,13 +49,9 @@ pub(crate) fn in_sentinel_context() -> bool {
     IN_SENTINEL.with(Cell::get)
 }
 
-/// Default worker-pool bound M: the `AFS_FLEET_WORKERS` environment
-/// variable when set to a positive integer, else one worker per core.
-/// Malformed or zero values clamp (with a stderr warning) instead of
-/// being silently ignored — see [`crate::env`].
+/// Default worker-pool bound M: one worker per core.
 pub(crate) fn default_workers() -> usize {
-    let cores = std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get);
-    crate::env::fleet_workers_from_env(cores)
+    std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get)
 }
 
 /// Outcome of one sentinel poll.
@@ -70,8 +67,8 @@ pub(crate) enum TaskPoll {
 /// blocking dispatch loop. `poll` must drain everything currently
 /// available and return instead of blocking on an empty command lane.
 pub(crate) trait SentinelPoll: Send {
-    /// Drains the transport; called by one thread at a time — a worker, or
-    /// the sender of an awaited command.
+    /// Drains the transport; called by one thread at a time — a worker, a
+    /// pinned task's own thread, or the sender of an awaited command.
     fn poll(&mut self) -> TaskPoll;
 
     /// Runs the sentinel's close hook without a transport exchange. Called
@@ -80,15 +77,10 @@ pub(crate) trait SentinelPoll: Send {
     fn abandon(&mut self);
 }
 
-/// Pads a shard to its own cache line so neighbouring shard locks do not
-/// false-share (the striped-lock idiom).
-#[repr(align(64))]
-struct CachePadded<T>(T);
-
 // Task scheduling states. Transitions:
-//   IDLE -QUEUED-> (waker)   QUEUED -RUNNING-> (worker pops)
+//   IDLE -QUEUED-> (waker)   QUEUED -RUNNING-> (a thread pops it)
 //   IDLE -RUNNING-> (awaited waker: the sender polls it)
-//   RUNNING -NOTIFIED-> (waker during poll, worker re-polls)
+//   RUNNING -NOTIFIED-> (waker during poll, the runner re-polls)
 //   RUNNING -IDLE-> (poll returned Pending, no wake raced)
 //   any -DONE-> (poll returned Ready)
 const IDLE: u8 = 0;
@@ -131,126 +123,114 @@ struct TaskHandle {
     /// The task's virtual clock, carried across polls. `None` means the
     /// opener had no clock (wall-clock benchmarking mode).
     vtime: Mutex<Option<SimTime>>,
+    /// Where a wake puts the task: the pool's run queue, or a pinned
+    /// task's own.
+    queue: Arc<RunQueue>,
     done: Arc<TaskDone>,
 }
 
-struct Shard {
-    /// Run queue: tasks with something to observe, awaiting a worker.
-    queue: Mutex<VecDeque<Arc<TaskHandle>>>,
-    /// `queue.len()`, stored under the queue lock by every push and pop,
-    /// so a worker passes an empty shard without taking its lock. Only a
-    /// hint — nothing is read through it (the queue lock publishes the
-    /// tasks), a stale 0 is caught by the re-scan under `idle` before a
-    /// worker parks — hence `Relaxed`.
-    queued: AtomicUsize,
-    /// This shard's stripe of the live-task table.
-    tasks: Mutex<HashMap<u64, Arc<TaskHandle>>>,
-}
-
-impl Shard {
-    /// Appends `task` to the run queue; returns the queue's new length.
-    fn push(&self, task: Arc<TaskHandle>) -> usize {
-        let mut queue = self.queue.lock();
-        queue.push_back(task);
-        let depth = queue.len();
-        self.queued.store(depth, Ordering::Relaxed);
-        depth
-    }
-
-    /// Takes the oldest queued task, if the hint says there may be one.
-    fn pop(&self) -> Option<Arc<TaskHandle>> {
-        if self.queued.load(Ordering::Relaxed) == 0 {
-            return None;
-        }
-        let mut queue = self.queue.lock();
-        let task = queue.pop_front();
-        self.queued.store(queue.len(), Ordering::Relaxed);
-        task
-    }
-}
-
-/// Park/wake state of one pinned sentinel thread (a sentinel spawned from
-/// inside another sentinel, kept off the pool so composition cannot
-/// starve it).
+/// Tasks with something to observe, oldest first, and the condvar the
+/// threads draining them park on. The pool has one for its workers; a
+/// pinned task has one of its own, drained by its own thread.
+///
+/// A traced pass of every `benchmark/` workload finds it at most one task
+/// deep, with no wake-ups at all: a command's sender runs an idle sentinel
+/// itself, so the queue carries only posted work. One lock serves that.
 #[derive(Default)]
-struct PinnedLane {
-    state: Mutex<PinnedState>,
+struct RunQueue {
+    state: Mutex<Queued>,
     cv: Condvar,
 }
 
 #[derive(Default)]
-struct PinnedState {
-    notified: bool,
-    shutdown: bool,
+struct Queued {
+    tasks: VecDeque<Arc<TaskHandle>>,
+    /// Set once; the draining threads return instead of parking.
+    closed: bool,
 }
 
-/// Occupancy of one executor shard, for diagnostics (`afsh fleet`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FleetShardStat {
-    /// Shard index.
-    pub shard: usize,
-    /// Live sentinels whose id hashes to this shard.
-    pub live: usize,
-    /// Tasks currently waiting in this shard's run queue.
-    pub queued: usize,
+impl RunQueue {
+    /// Appends `task` and wakes one parked thread; returns the queue's new
+    /// length.
+    fn push(&self, task: &Arc<TaskHandle>) -> usize {
+        let depth = {
+            let mut queued = self.state.lock();
+            queued.tasks.push_back(Arc::clone(task));
+            queued.tasks.len()
+        };
+        // After the unlock: the shim's condvar counts a waiter in under
+        // the lock, so this finds it either way.
+        self.cv.notify_one();
+        depth
+    }
+
+    /// The oldest queued task, parking while there is none; `None` once
+    /// the queue is closed.
+    fn pop(&self, gauges: &FleetGauges) -> Option<Arc<TaskHandle>> {
+        let mut queued = self.state.lock();
+        loop {
+            if queued.closed {
+                return None;
+            }
+            if let Some(task) = queued.tasks.pop_front() {
+                return Some(task);
+            }
+            gauges.park();
+            self.cv.wait(&mut queued);
+        }
+    }
+
+    /// Sends every thread draining the queue home. What is still queued is
+    /// dropped: the live-task table holds it, and teardown finishes it.
+    fn close(&self) {
+        let mut queued = self.state.lock();
+        queued.closed = true;
+        queued.tasks.clear();
+        drop(queued);
+        self.cv.notify_all();
+    }
+
+    fn len(&self) -> usize {
+        self.state.lock().tasks.len()
+    }
 }
 
 struct Inner {
-    shards: Vec<CachePadded<Shard>>,
+    /// The run queue the `worker_cap` workers drain.
+    pool: Arc<RunQueue>,
     worker_cap: usize,
     workers: Mutex<Vec<JoinHandle<()>>>,
-    /// Lock + condvar idle workers park on. No wakeup can slip between a
-    /// worker's last scan and its wait: an enqueuer stores the shard's
-    /// `queued` hint, *then* takes `idle` and notifies; a parker re-reads
-    /// every hint under `idle` before it waits. So either the enqueuer's
-    /// turn with `idle` came first and the parker sees the hint, or the
-    /// parker is already waiting (counted) when the notify comes.
-    idle: Mutex<()>,
-    idle_cv: Condvar,
-    /// Pinned sentinel threads, joined at shutdown *after* the pool
-    /// drains: a pooled task's close hook may still round-trip to a
-    /// pinned sentinel it composed over.
-    pinned: Mutex<Vec<(Arc<PinnedLane>, JoinHandle<()>)>>,
+    /// Each pinned task's run queue and the thread draining it, joined at
+    /// shutdown *after* the pool drains: a pooled task's close hook may
+    /// still round-trip to a pinned sentinel it composed over.
+    pinned: Mutex<Vec<(Arc<RunQueue>, JoinHandle<()>)>>,
+    /// Live tasks, pooled and pinned: what teardown finishes.
+    tasks: Mutex<HashMap<u64, Arc<TaskHandle>>>,
     shutdown: AtomicBool,
     next_id: AtomicU64,
-    live: AtomicU64,
     gauges: Arc<FleetGauges>,
 }
 
-/// The bounded, work-stealing scheduler all §4.2/§4.3 and mux sentinels
-/// run on. One per [`ActiveFilesLayer`](crate::ActiveFilesLayer); shared
-/// by every `ActiveFileSystem` the layer wraps.
+/// The bounded scheduler all §4.2/§4.3 and mux sentinels run on. One per
+/// [`ActiveFilesLayer`](crate::ActiveFilesLayer); shared by every
+/// `ActiveFileSystem` the layer wraps.
 pub(crate) struct SentinelExecutor {
     inner: Arc<Inner>,
 }
 
 impl SentinelExecutor {
-    /// Creates an executor with `workers` worker threads (spawned lazily
-    /// on first use) and a power-of-two shard count sized to stripe them.
+    /// Creates an executor with `workers` worker threads, spawned lazily
+    /// on first use.
     pub(crate) fn new(workers: usize, gauges: Arc<FleetGauges>) -> Arc<SentinelExecutor> {
-        let worker_cap = workers.max(1);
-        let shard_count = (worker_cap * 2).next_power_of_two().clamp(8, 64);
-        let shards = (0..shard_count)
-            .map(|_| {
-                CachePadded(Shard {
-                    queue: Mutex::new(VecDeque::new()),
-                    queued: AtomicUsize::new(0),
-                    tasks: Mutex::new(HashMap::new()),
-                })
-            })
-            .collect();
-        gauges.set_shards(shard_count as u64);
         Arc::new(SentinelExecutor {
             inner: Arc::new(Inner {
-                shards,
-                worker_cap,
+                pool: Arc::default(),
+                worker_cap: workers.max(1),
                 workers: Mutex::new(Vec::new()),
-                idle: Mutex::new(()),
-                idle_cv: Condvar::new(),
                 pinned: Mutex::new(Vec::new()),
+                tasks: Mutex::new(HashMap::new()),
                 shutdown: AtomicBool::new(false),
                 next_id: AtomicU64::new(0),
-                live: AtomicU64::new(0),
                 gauges,
             }),
         })
@@ -263,27 +243,15 @@ impl SentinelExecutor {
 
     /// Live sentinel tasks currently registered.
     pub(crate) fn live(&self) -> u64 {
-        self.inner.live.load(Ordering::Acquire)
+        self.inner.tasks.lock().len() as u64
     }
 
-    /// Per-shard occupancy, for `afsh fleet`.
-    pub(crate) fn shard_stats(&self) -> Vec<FleetShardStat> {
-        self.inner
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(i, shard)| {
-                let live = shard.0.tasks.lock().len();
-                let queue = shard.0.queue.lock();
-                // Both only change under this lock, together.
-                assert_eq!(shard.0.queued.load(Ordering::Relaxed), queue.len());
-                FleetShardStat {
-                    shard: i,
-                    live,
-                    queued: queue.len(),
-                }
-            })
-            .collect()
+    /// Tasks waiting on a run queue — the pool's or a pinned task's — for
+    /// a thread to poll them.
+    pub(crate) fn queued(&self) -> usize {
+        let pinned = self.inner.pinned.lock();
+        let own: usize = pinned.iter().map(|(queue, _)| queue.len()).sum();
+        self.inner.pool.len() + own
     }
 
     /// Registers a new sentinel task. `build` receives the readiness waker
@@ -292,28 +260,35 @@ impl SentinelExecutor {
     /// spawned sentinel thread would) and is scheduled once immediately,
     /// covering anything that arrived before the waker was installed.
     ///
+    /// A `pinned` task — a §3 composition open, or anything spawned from
+    /// sentinel code — gets a run queue and a thread of its own instead of
+    /// the pool's: its opener may block a worker waiting on it, and with
+    /// every worker so occupied a pooled task would never run.
+    ///
     /// The returned [`TaskDone`] is the executor's stand-in for a
     /// `JoinHandle`: close waits on it and syncs to the final time.
-    pub(crate) fn spawn<F>(&self, build: F) -> Arc<TaskDone>
+    pub(crate) fn spawn<F>(&self, pinned: bool, build: F) -> Arc<TaskDone>
     where
         F: FnOnce(ChannelWaker) -> Box<dyn SentinelPoll>,
     {
-        if in_sentinel_context() {
-            // Spawned from inside a sentinel: pooling it could deadlock
-            // (the spawner may block a worker waiting on it).
-            return self.spawn_pinned(build);
-        }
         let inner = &self.inner;
-        Inner::ensure_workers(inner);
-        let id = inner.next_id.fetch_add(1, Ordering::Relaxed);
+        let pinned = pinned || in_sentinel_context();
+        let queue = if pinned {
+            inner.gauges.task_pinned();
+            Arc::default()
+        } else {
+            Inner::ensure_workers(inner);
+            Arc::clone(&inner.pool)
+        };
         let done = Arc::new(TaskDone::default());
         let handle = Arc::new(TaskHandle {
-            id,
+            id: inner.next_id.fetch_add(1, Ordering::Relaxed),
             // Born QUEUED: wakes during construction are satisfied by the
             // unconditional first schedule below.
             state: AtomicU8::new(QUEUED),
             task: Mutex::new(None),
             vtime: Mutex::new(clock::is_active().then(clock::now)),
+            queue,
             done: Arc::clone(&done),
         });
         let waker: ChannelWaker = Arc::new(TaskWaker {
@@ -321,110 +296,33 @@ impl SentinelExecutor {
             task: Arc::clone(&handle),
         });
         *handle.task.lock() = Some(build(waker));
-        inner
-            .shard_of(id)
-            .tasks
-            .lock()
-            .insert(id, Arc::clone(&handle));
-        let live = inner.live.fetch_add(1, Ordering::AcqRel) + 1;
-        inner.gauges.task_spawned(live);
+        let live = {
+            let mut tasks = inner.tasks.lock();
+            tasks.insert(handle.id, Arc::clone(&handle));
+            tasks.len()
+        };
+        inner.gauges.task_spawned(live as u64);
         if inner.shutdown.load(Ordering::Acquire) {
-            // Spawn raced executor teardown: no workers will ever poll, so
+            // Spawn raced executor teardown: nothing will ever poll it, so
             // finish the task on the spot.
             inner.finish_inline(handle);
-        } else {
-            inner.enqueue(handle);
-        }
-        done
-    }
-
-    /// Registers a sentinel task on a dedicated thread instead of the
-    /// pool. Used for §3 composition: a sentinel opened *by another
-    /// sentinel* may be blocked on by its opener, so multiplexing it over
-    /// the same bounded pool risks deadlock (every worker occupied by a
-    /// blocked opener). The task keeps the executor's poll/waker
-    /// interface — its thread just parks on a private lane between polls.
-    pub(crate) fn spawn_pinned<F>(&self, build: F) -> Arc<TaskDone>
-    where
-        F: FnOnce(ChannelWaker) -> Box<dyn SentinelPoll>,
-    {
-        let inner = &self.inner;
-        let done = Arc::new(TaskDone::default());
-        let lane = Arc::new(PinnedLane::default());
-        let waker_lane = Arc::clone(&lane);
-        let waker: ChannelWaker = Arc::new(move || {
-            let mut state = waker_lane.state.lock();
-            state.notified = true;
-            waker_lane.cv.notify_one();
-        });
-        let mut task = build(waker);
-        let vtime = clock::is_active().then(clock::now);
-        let live = inner.live.fetch_add(1, Ordering::AcqRel) + 1;
-        inner.gauges.task_spawned(live);
-        inner.gauges.task_pinned();
-        if inner.shutdown.load(Ordering::Acquire) {
-            // Raced executor teardown: run the task to quiescence here.
-            let guard = vtime.map(clock::install);
-            inner.gauges.poll();
-            if matches!(task.poll(), TaskPoll::Pending) {
-                task.abandon();
-                inner.gauges.task_abandoned();
-            }
-            drop(task);
-            let final_time = clock::is_active().then(clock::now).unwrap_or(0);
-            drop(guard);
-            let live = inner.live.fetch_sub(1, Ordering::AcqRel) - 1;
-            inner.gauges.task_retired(live);
-            done.finish(final_time);
             return done;
         }
-        let thread_inner = Arc::clone(inner);
-        let thread_lane = Arc::clone(&lane);
-        let thread_done = Arc::clone(&done);
-        let join = std::thread::Builder::new()
-            .name("afs-fleet-pinned".to_owned())
-            .spawn(move || {
-                IN_SENTINEL.with(|flag| flag.set(true));
-                let _guard = vtime.map(clock::install);
-                let mut abandoned = false;
-                'run: loop {
-                    thread_inner.gauges.poll();
-                    if matches!(task.poll(), TaskPoll::Ready) {
-                        break 'run;
-                    }
-                    let mut state = thread_lane.state.lock();
-                    loop {
-                        if state.notified {
-                            state.notified = false;
-                            continue 'run;
-                        }
-                        if state.shutdown {
-                            abandoned = true;
-                            break 'run;
-                        }
-                        thread_lane.cv.wait(&mut state);
-                    }
-                }
-                if abandoned {
-                    task.abandon();
-                    thread_inner.gauges.task_abandoned();
-                }
-                // Drop before `finish` so the sentinel's transport is
-                // closed by the time the reaper returns, as with retire.
-                drop(task);
-                let live = thread_inner.live.fetch_sub(1, Ordering::AcqRel) - 1;
-                thread_inner.gauges.task_retired(live);
-                thread_done.finish(clock::is_active().then(clock::now).unwrap_or(0));
-            })
-            .expect("spawn pinned sentinel thread");
-        inner.pinned.lock().push((lane, join));
+        inner.enqueue(&handle);
+        if pinned {
+            let thread = Inner::start(inner, "afs-fleet-pinned".to_owned(), &handle.queue);
+            inner
+                .pinned
+                .lock()
+                .push((Arc::clone(&handle.queue), thread));
+        }
         done
     }
 
-    /// Deterministic teardown: joins every worker, then polls each
-    /// remaining task to completion inline (abandoning — close hook still
-    /// run — any whose application side is somehow still live), then
-    /// releases and joins the pinned sentinel threads. Idempotent.
+    /// Deterministic teardown: joins every worker and finishes each
+    /// remaining pooled task inline (abandoning — close hook still run —
+    /// any whose application side is somehow still live), then does the
+    /// same for the pinned tasks and their threads. Idempotent.
     pub(crate) fn shutdown(&self) {
         self.inner.shutdown_and_drain();
     }
@@ -436,7 +334,7 @@ impl Drop for SentinelExecutor {
     }
 }
 
-/// A pooled task's readiness hook, installed on its command lane.
+/// A task's readiness hook, installed on its command lane.
 struct TaskWaker {
     inner: Weak<Inner>,
     task: Arc<TaskHandle>,
@@ -455,25 +353,28 @@ impl Wake for TaskWaker {
 }
 
 impl Inner {
-    fn shard_of(&self, id: u64) -> &Shard {
-        &self.shards[id as usize & (self.shards.len() - 1)].0
-    }
-
     fn ensure_workers(self: &Arc<Inner>) {
         let mut workers = self.workers.lock();
         if !workers.is_empty() || self.shutdown.load(Ordering::Acquire) {
             return;
         }
         for index in 0..self.worker_cap {
-            let inner = Arc::clone(self);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("afs-fleet-{index}"))
-                    .spawn(move || inner.worker_loop(index))
-                    .expect("spawn fleet worker"),
-            );
+            workers.push(self.start(format!("afs-fleet-{index}"), &self.pool));
         }
         self.gauges.set_workers(self.worker_cap as u64);
+    }
+
+    /// Starts a thread running [`Inner::worker_loop`] over `queue`.
+    fn start(self: &Arc<Inner>, name: String, queue: &Arc<RunQueue>) -> JoinHandle<()> {
+        let (inner, queue) = (Arc::clone(self), Arc::clone(queue));
+        std::thread::Builder::new()
+            .name(name)
+            .spawn(move || inner.worker_loop(&queue))
+            .expect("spawn sentinel thread")
+    }
+
+    fn is_pooled(&self, task: &TaskHandle) -> bool {
+        Arc::ptr_eq(&task.queue, &self.pool)
     }
 
     /// Readiness wakeup: schedule the task unless it is already scheduled,
@@ -486,7 +387,7 @@ impl Inner {
             {
                 Ok(_) => {
                     self.gauges.wakeup();
-                    self.enqueue(Arc::clone(task));
+                    self.enqueue(task);
                     return;
                 }
                 Err(RUNNING) => {
@@ -505,13 +406,14 @@ impl Inner {
     }
 
     /// Readiness from an awaited send (see [`Wake`]): its sender blocks
-    /// on the answer next, so an idle task is claimed and run right here,
-    /// on the sender's thread, by the same [`Inner::run`] a worker uses —
-    /// instead of waking a worker and sleeping until it is done. The
-    /// task's own clock is installed for each poll and the sender's comes
-    /// back after it; the thread counts as sentinel code meanwhile, so a
-    /// §3 composition open still pins. Any other state means a worker has
-    /// the task or is coming for it: an ordinary wake.
+    /// on the answer next, so an idle task — pooled or pinned — is claimed
+    /// and run right here, on the sender's thread, by the same
+    /// [`Inner::run`] a worker uses, instead of waking a worker and
+    /// sleeping until it is done. The task's own clock is installed for
+    /// each poll and the sender's comes back after it; the thread counts
+    /// as sentinel code meanwhile, so a §3 composition open still pins.
+    /// Any other state means a thread has the task or is coming for it: an
+    /// ordinary wake.
     fn wake_awaited(&self, task: &Arc<TaskHandle>) {
         if task
             .state
@@ -525,59 +427,24 @@ impl Inner {
         IN_SENTINEL.with(|flag| flag.set(outer));
     }
 
-    fn enqueue(&self, task: Arc<TaskHandle>) {
-        let depth = self.shard_of(task.id).push(task);
+    fn enqueue(&self, task: &Arc<TaskHandle>) {
+        let depth = task.queue.push(task);
         self.gauges.note_queue_depth(depth as u64);
-        // The hint is stored; now `idle` (see its docs for the order).
-        let _guard = self.idle.lock();
-        self.idle_cv.notify_one();
     }
 
-    fn worker_loop(self: Arc<Inner>, index: usize) {
+    /// What every thread draining a run queue runs — a pool worker, or a
+    /// pinned task's own thread: take the oldest task and run it, until
+    /// the queue is closed.
+    fn worker_loop(&self, queue: &RunQueue) {
         IN_SENTINEL.with(|flag| flag.set(true));
-        let shard_count = self.shards.len();
-        let home = index % shard_count;
-        loop {
-            if self.shutdown.load(Ordering::Acquire) {
-                return;
-            }
-            let mut found = None;
-            for offset in 0..shard_count {
-                let shard = &self.shards[(home + offset) % shard_count].0;
-                if let Some(task) = shard.pop() {
-                    if offset != 0 {
-                        self.gauges.steal();
-                    }
-                    found = Some(task);
-                    break;
-                }
-            }
-            match found {
-                Some(task) => self.run(&task),
-                None => {
-                    let mut guard = self.idle.lock();
-                    if self.shutdown.load(Ordering::Acquire) {
-                        return;
-                    }
-                    if self.any_queued() {
-                        continue;
-                    }
-                    self.gauges.park();
-                    self.idle_cv.wait(&mut guard);
-                }
-            }
+        while let Some(task) = queue.pop(&self.gauges) {
+            self.run(&task);
         }
-    }
-
-    fn any_queued(&self) -> bool {
-        self.shards
-            .iter()
-            .any(|shard| shard.0.queued.load(Ordering::Relaxed) != 0)
     }
 
     /// Polls `task` until its lane is drained, re-polling if a wake raced
     /// the poll, under the task's own virtual clock. Whoever claimed the
-    /// task runs this: a worker that popped it, or the sender of an
+    /// task runs this: a thread that popped it, or the sender of an
     /// awaited command.
     fn run(&self, task: &Arc<TaskHandle>) {
         task.state.store(RUNNING, Ordering::Release);
@@ -623,14 +490,21 @@ impl Inner {
     }
 
     /// Marks the task terminated: drop the state machine (closing its
-    /// transport), unregister, and release anyone waiting in `reap`.
+    /// transport), unregister, send a pinned task's thread home, and
+    /// release anyone waiting in `reap`.
     fn retire(&self, task: &Arc<TaskHandle>) {
         let final_time = task.vtime.lock().unwrap_or(0);
         task.task.lock().take();
         task.state.store(DONE, Ordering::Release);
-        self.shard_of(task.id).tasks.lock().remove(&task.id);
-        let live = self.live.fetch_sub(1, Ordering::AcqRel) - 1;
-        self.gauges.task_retired(live);
+        let live = {
+            let mut tasks = self.tasks.lock();
+            tasks.remove(&task.id);
+            tasks.len()
+        };
+        self.gauges.task_retired(live as u64);
+        if !self.is_pooled(task) {
+            task.queue.close();
+        }
         task.done.finish(final_time);
     }
 
@@ -659,44 +533,40 @@ impl Inner {
         self.retire(&task);
     }
 
+    /// Finishes, on this thread, every live task `which` selects.
+    fn finish_all(&self, which: impl Fn(&TaskHandle) -> bool) {
+        loop {
+            let next = self.tasks.lock().values().find(|t| which(t)).cloned();
+            match next {
+                Some(task) => self.finish_inline(task),
+                None => return,
+            }
+        }
+    }
+
     fn shutdown_and_drain(&self) {
         if self.shutdown.swap(true, Ordering::AcqRel) {
             // Second caller (e.g. Drop after an explicit shutdown): the
-            // first pass already joined workers and drained every shard.
+            // first pass already joined every thread and drained every task.
             return;
         }
-        {
-            let _guard = self.idle.lock();
-            self.idle_cv.notify_all();
-        }
+        self.pool.close();
         let workers = std::mem::take(&mut *self.workers.lock());
         for worker in workers {
             let _ = worker.join();
         }
-        // Every shard drains on this thread — deterministic teardown.
-        for index in 0..self.shards.len() {
-            loop {
-                let task = {
-                    let tasks = self.shards[index].0.tasks.lock();
-                    tasks.values().next().cloned()
-                };
-                match task {
-                    Some(task) => self.finish_inline(task),
-                    None => break,
-                }
-            }
-        }
-        // Pinned sentinels last: a drained pool task's close hook may
-        // have round-tripped to one, so they must outlive the drain.
+        // The pool drains on this thread — deterministic teardown — and
+        // before the pinned tasks: a pooled task's close hook may
+        // round-trip to a pinned sentinel it composed over.
+        self.finish_all(|task| self.is_pooled(task));
         let pinned = std::mem::take(&mut *self.pinned.lock());
-        for (lane, _) in &pinned {
-            let mut state = lane.state.lock();
-            state.shutdown = true;
-            lane.cv.notify_all();
+        for (queue, _) in &pinned {
+            queue.close();
         }
-        for (_, join) in pinned {
-            let _ = join.join();
+        for (_, thread) in pinned {
+            let _ = thread.join();
         }
+        self.finish_all(|_| true);
         self.gauges.set_workers(0);
     }
 }
@@ -769,7 +639,7 @@ mod tests {
         let exec = SentinelExecutor::new(2, Arc::clone(&gauges));
         let fx = Fixture::new();
         let mut waker_slot = None;
-        let done = exec.spawn(|waker| {
+        let done = exec.spawn(false, |waker| {
             waker_slot = Some(waker);
             fx.task(0)
         });
@@ -795,7 +665,7 @@ mod tests {
         let exec = SentinelExecutor::new(1, Arc::new(FleetGauges::default()));
         let fx = Fixture::new();
         let mut waker_slot = None;
-        let done = exec.spawn(|waker| {
+        let done = exec.spawn(false, |waker| {
             waker_slot = Some(waker);
             fx.task(10)
         });
@@ -814,19 +684,12 @@ mod tests {
         let fx = Fixture::new();
         let _clock = clock::install(1_000);
         let mut waker_slot = None;
-        let done = exec.spawn(|waker| {
+        let done = exec.spawn(false, |waker| {
             waker_slot = Some(waker);
             fx.task(10)
         });
         let waker = waker_slot.expect("waker");
-        eventually("the task idles after its first poll", || {
-            exec.inner.shards.iter().any(|shard| {
-                let tasks = shard.0.tasks.lock();
-                tasks
-                    .values()
-                    .any(|t| t.state.load(Ordering::SeqCst) == IDLE)
-            })
-        });
+        eventually("the task idles after its first poll", || idle(&exec));
         let before = gauges.snapshot();
         clock::advance(5_000);
         fx.ticks.fetch_add(3, Ordering::SeqCst);
@@ -854,7 +717,7 @@ mod tests {
             .iter()
             .map(|fx| {
                 let mut slot = None;
-                let done = exec.spawn(|waker| {
+                let done = exec.spawn(false, |waker| {
                     slot = Some(waker);
                     fx.task(0)
                 });
@@ -872,7 +735,15 @@ mod tests {
         assert_eq!(snap.sentinels, 0);
         assert_eq!(snap.workers, 2);
         assert!(snap.sentinels_peak <= 64);
-        assert_eq!(exec.shard_stats().iter().map(|s| s.live).sum::<usize>(), 0);
+        assert_eq!(exec.live(), 0);
+    }
+
+    /// Whether some live task sits idle.
+    fn idle(exec: &SentinelExecutor) -> bool {
+        let tasks = exec.inner.tasks.lock();
+        tasks
+            .values()
+            .any(|t| t.state.load(Ordering::SeqCst) == IDLE)
     }
 
     /// Spins (yielding) until `cond` holds; fails after 30 s instead of
@@ -886,7 +757,7 @@ mod tests {
     }
 
     #[test]
-    fn every_wake_is_consumed_and_hints_match_queues() {
+    fn every_wake_is_consumed_and_the_queue_empties_at_rest() {
         const TASKS: usize = 64;
         const WAKES: usize = 1_000;
         let exec = SentinelExecutor::new(2, Arc::new(FleetGauges::default()));
@@ -895,7 +766,7 @@ mod tests {
         let dones: Vec<_> = fixtures
             .iter()
             .map(|fx| {
-                exec.spawn(|waker| {
+                exec.spawn(false, |waker| {
                     wakers.push(waker);
                     fx.task(0)
                 })
@@ -903,20 +774,15 @@ mod tests {
             .collect();
         let start = std::sync::Barrier::new(4);
         std::thread::scope(|scope| {
-            // Each thread wakes its own quarter of the tasks, round-robin,
-            // while also reading the shard stats: `shard_stats` asserts
-            // hint == queue length under the queue lock.
+            // Each thread wakes its own quarter of the tasks, round-robin.
             for (fxs, wakers) in fixtures.chunks(TASKS / 4).zip(wakers.chunks(TASKS / 4)) {
-                let (exec, start) = (&exec, &start);
+                let start = &start;
                 scope.spawn(move || {
                     start.wait();
-                    for round in 0..WAKES {
+                    for _ in 0..WAKES {
                         for (fx, waker) in fxs.iter().zip(wakers) {
                             fx.ticks.fetch_add(1, Ordering::SeqCst);
                             waker.wake(false);
-                        }
-                        if round % 50 == 0 {
-                            exec.shard_stats();
                         }
                     }
                 });
@@ -929,12 +795,7 @@ mod tests {
                 fx.consumed.load(Ordering::SeqCst) == WAKES
             });
         }
-        eventually("run queues empty at rest", || {
-            exec.shard_stats().iter().all(|s| s.queued == 0)
-        });
-        for shard in &exec.inner.shards {
-            assert_eq!(shard.0.queued.load(Ordering::Relaxed), 0);
-        }
+        eventually("the run queue empty at rest", || exec.queued() == 0);
         for (fx, waker) in fixtures.iter().zip(&wakers) {
             fx.closed.store(true, Ordering::SeqCst);
             waker.wake(false);
@@ -950,30 +811,31 @@ mod tests {
         let exec = SentinelExecutor::new(1, Arc::clone(&gauges));
         let fx = Fixture::new();
         let mut waker_slot = None;
-        let done = exec.spawn(|waker| {
+        let done = exec.spawn(false, |waker| {
             waker_slot = Some(waker);
             fx.task(0)
         });
         let waker = waker_slot.expect("waker");
         eventually("the first poll", || gauges.snapshot().polls >= 1);
-        // Catch the worker parked: a notify under `idle` that returns
-        // `true` found it waiting, and it cannot park again before `idle`
-        // is let go, so `parks` read here is exact.
+        // Catch the worker parked: a notify under the queue's lock that
+        // returns `true` found it waiting, and it cannot park again before
+        // the lock is let go, so `parks` read here is exact.
+        let pool = &exec.inner.pool;
         let parks = loop {
-            let idle = exec.inner.idle.lock();
-            if exec.inner.idle_cv.notify_one() {
+            let queued = pool.state.lock();
+            if pool.cv.notify_one() {
                 break gauges.snapshot().parks;
             }
-            drop(idle);
+            drop(queued);
             std::thread::yield_now();
         };
-        // `parks` is bumped under `idle` just before the wait, and the
-        // wake below takes `idle`: by then the worker is in the condvar,
-        // with nothing queued.
+        // `parks` is bumped under the queue's lock just before the wait,
+        // and the wake below takes that lock: by then the worker is in the
+        // condvar, with nothing queued.
         eventually("the worker parks again", || {
             gauges.snapshot().parks == parks + 1
         });
-        assert!(exec.shard_stats().iter().all(|s| s.queued == 0));
+        assert_eq!(exec.queued(), 0);
         fx.ticks.fetch_add(1, Ordering::SeqCst);
         waker.wake(false);
         eventually("the tick is consumed", || {
@@ -989,7 +851,7 @@ mod tests {
         let gauges = Arc::new(FleetGauges::default());
         let exec = SentinelExecutor::new(2, Arc::clone(&gauges));
         let fx = Fixture::new();
-        let done = exec.spawn(|_waker| fx.task(0));
+        let done = exec.spawn(false, |_waker| fx.task(0));
         exec.shutdown();
         done.wait();
         assert!(fx.abandoned.load(Ordering::SeqCst));
@@ -999,5 +861,70 @@ mod tests {
         assert_eq!(snap.workers, 0);
         // Idempotent.
         exec.shutdown();
+    }
+
+    #[test]
+    fn a_pinned_task_runs_on_a_thread_of_its_own_that_ends_with_it() {
+        let gauges = Arc::new(FleetGauges::default());
+        let exec = SentinelExecutor::new(1, Arc::clone(&gauges));
+        let fx = Fixture::new();
+        let mut waker_slot = None;
+        let done = exec.spawn(true, |waker| {
+            waker_slot = Some(waker);
+            fx.task(0)
+        });
+        let waker = waker_slot.expect("waker");
+        fx.ticks.fetch_add(2, Ordering::SeqCst);
+        waker.wake(false);
+        eventually("the ticks are consumed", || {
+            fx.consumed.load(Ordering::SeqCst) == 2
+        });
+        fx.closed.store(true, Ordering::SeqCst);
+        waker.wake(false);
+        done.wait();
+        let snap = gauges.snapshot();
+        assert_eq!((snap.pinned, snap.sentinels), (1, 0));
+        assert_eq!(snap.workers, 0, "a pinned task starts no pool worker");
+        eventually("the pinned thread ends with its task", || {
+            exec.inner.pinned.lock()[0].1.is_finished()
+        });
+    }
+
+    #[test]
+    fn an_awaited_wake_runs_an_idle_pinned_task_on_its_sender() {
+        let exec = SentinelExecutor::new(1, Arc::new(FleetGauges::default()));
+        let fx = Fixture::new();
+        let mut waker_slot = None;
+        let done = exec.spawn(true, |waker| {
+            waker_slot = Some(waker);
+            fx.task(0)
+        });
+        let waker = waker_slot.expect("waker");
+        eventually("the task idles after its first poll", || idle(&exec));
+        fx.ticks.fetch_add(3, Ordering::SeqCst);
+        waker.wake(true);
+        // Served before the wake returned: on this thread, not its own.
+        assert_eq!(fx.consumed.load(Ordering::SeqCst), 3);
+        fx.closed.store(true, Ordering::SeqCst);
+        waker.wake(true);
+        done.wait();
+        assert_eq!(exec.live(), 0);
+    }
+
+    #[test]
+    fn shutdown_abandons_pinned_tasks_after_the_pool() {
+        let gauges = Arc::new(FleetGauges::default());
+        let exec = SentinelExecutor::new(1, Arc::clone(&gauges));
+        let (pooled, pinned) = (Fixture::new(), Fixture::new());
+        let pooled_done = exec.spawn(false, |_waker| pooled.task(0));
+        let pinned_done = exec.spawn(true, |_waker| pinned.task(0));
+        exec.shutdown();
+        pooled_done.wait();
+        pinned_done.wait();
+        assert!(pooled.abandoned.load(Ordering::SeqCst));
+        assert!(pinned.abandoned.load(Ordering::SeqCst));
+        let snap = gauges.snapshot();
+        assert_eq!((snap.abandoned, snap.sentinels, snap.workers), (2, 0, 0));
+        assert!(exec.inner.pinned.lock().is_empty(), "pinned threads joined");
     }
 }

@@ -20,7 +20,7 @@
 //! side as [`next`/`reply`](dispatch::SentinelPort), and executed by
 //! [`execute_op`] wherever the sentinel lives. Out of line (§4.2/§4.3)
 //! the sentinel is one poll-driven [`dispatch::SentinelLoop`] on the
-//! sharded [`executor::SentinelExecutor`], wired by the one builder in
+//! [`executor::SentinelExecutor`], wired by the one builder in
 //! [`wire`]; private or shared, batched or not are inputs to that loop —
 //! which port it drains and which sessions it is handed — not code paths
 //! beside it. Inline (§4.4) the sentinel is an [`dll::InlineShared`] whose
@@ -122,11 +122,7 @@ impl Instruments {
     where
         F: FnOnce(afs_ipc::ChannelWaker) -> Box<dyn executor::SentinelPoll>,
     {
-        if self.pinned {
-            self.exec.spawn_pinned(build)
-        } else {
-            self.exec.spawn(build)
-        }
+        self.exec.spawn(self.pinned, build)
     }
 
     /// The sentinel-side observation bundle.
@@ -664,7 +660,7 @@ where
 pub(crate) enum Reaper {
     /// A dedicated sentinel thread.
     Thread(JoinHandle<SimTime>),
-    /// A task on the sharded sentinel executor.
+    /// A task on the sentinel executor.
     Task(Arc<executor::TaskDone>),
 }
 

@@ -77,8 +77,7 @@ impl AfsWorldBuilder {
 
     /// Bounds the sentinel executor at `workers` worker threads (the pool
     /// every §4.2/§4.3 and shared-mux sentinel is multiplexed over). When
-    /// not set, the `AFS_FLEET_WORKERS` environment variable is honoured;
-    /// the final fallback is one worker per core.
+    /// not set, the pool has one worker per core.
     pub fn fleet_workers(mut self, workers: usize) -> Self {
         self.fleet_workers = Some(workers);
         self
@@ -467,10 +466,10 @@ impl AfsWorld {
         self.layer.fleet_tasks()
     }
 
-    /// Per-shard executor occupancy: `(shard, live, queued)` rows for
-    /// diagnostics (`afsh fleet`).
-    pub fn fleet_shards(&self) -> Vec<crate::FleetShardStat> {
-        self.layer.fleet_shards()
+    /// Sentinel tasks waiting on a run queue for a thread to poll them,
+    /// for diagnostics (`afsh fleet`).
+    pub fn fleet_queued(&self) -> usize {
+        self.layer.fleet_queued()
     }
 
     /// Deterministic quiesce: closes every still-open active handle, waits

@@ -253,9 +253,9 @@ impl SessionGauges {
 }
 
 metric_family! {
-    /// Live gauges for the sharded sentinel executor: how many sentinel
-    /// state machines exist, how hard the bounded worker pool is working,
-    /// and how often schedulers had to steal across shards or park.
+    /// Live gauges for the sentinel executor: how many sentinel state
+    /// machines exist, how hard the bounded worker pool is working, and
+    /// how often the threads draining its run queues park.
     FleetGauges => FleetSnapshot {
         /// Sentinel state machines currently registered with the executor.
         sentinels: gauge "afs_fleet_sentinels",
@@ -265,18 +265,18 @@ metric_family! {
         spawned: counter "afs_fleet_spawned_total",
         /// Total state-machine polls executed by workers.
         polls: counter "afs_fleet_polls_total",
-        /// Polls served from a non-home shard (work stealing).
+        /// Always 0: the executor has one run queue, so nothing is stolen.
+        /// Kept while `benchmark/` reads it.
         steals: counter "afs_fleet_steals_total",
         /// Readiness wakeups that scheduled an idle sentinel.
         wakeups: counter "afs_fleet_wakeups_total",
-        /// Times a worker parked with every shard queue empty.
+        /// Times a thread draining a run queue (a worker, or a pinned
+        /// sentinel's own) found it empty and parked.
         parks: counter "afs_fleet_parks_total",
-        /// Deepest run queue any single shard has seen.
+        /// Deepest any run queue has been after an enqueue.
         queue_depth_peak: gauge "afs_fleet_queue_depth_peak",
         /// Live worker threads (0 before first spawn and after shutdown).
         workers: gauge "afs_fleet_workers",
-        /// Number of shards (striping width).
-        shards: gauge "afs_fleet_shards",
         /// Sentinels whose close hook ran at executor shutdown because
         /// their application side never closed them.
         abandoned: counter "afs_fleet_abandoned_total",
@@ -319,23 +319,17 @@ impl FleetGauges {
         self.polls.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a worker popping a task from a shard other than its home
-    /// shard.
-    pub fn steal(&self) {
-        self.steals.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Records a transport readiness wakeup scheduling an idle sentinel.
     pub fn wakeup(&self) {
         self.wakeups.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a worker parking because every shard queue was empty.
+    /// Records a thread parking on its empty run queue.
     pub fn park(&self) {
         self.parks.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records the run-queue depth of one shard at enqueue time.
+    /// Records a run queue's depth after an enqueue.
     pub fn note_queue_depth(&self, depth: u64) {
         self.queue_depth_peak.fetch_max(depth, Ordering::Relaxed);
     }
@@ -343,11 +337,6 @@ impl FleetGauges {
     /// Records the number of live worker threads (0 after shutdown).
     pub fn set_workers(&self, workers: u64) {
         self.workers.store(workers, Ordering::Relaxed);
-    }
-
-    /// Records the executor's shard count.
-    pub fn set_shards(&self, shards: u64) {
-        self.shards.store(shards, Ordering::Relaxed);
     }
 }
 
@@ -677,13 +666,11 @@ mod tests {
         g.task_retired(1);
         g.poll();
         g.poll();
-        g.steal();
         g.wakeup();
         g.park();
         g.note_queue_depth(4);
         g.note_queue_depth(2);
         g.set_workers(8);
-        g.set_shards(16);
         g.task_abandoned();
         g.task_pinned();
         let s = g.snapshot();
@@ -691,12 +678,11 @@ mod tests {
         assert_eq!(s.sentinels_peak, 2);
         assert_eq!(s.spawned, 2);
         assert_eq!(s.polls, 2);
-        assert_eq!(s.steals, 1);
+        assert_eq!(s.steals, 0, "nothing records a steal");
         assert_eq!(s.wakeups, 1);
         assert_eq!(s.parks, 1);
         assert_eq!(s.queue_depth_peak, 4);
         assert_eq!(s.workers, 8);
-        assert_eq!(s.shards, 16);
         assert_eq!(s.abandoned, 1);
         assert_eq!(s.pinned, 1);
     }

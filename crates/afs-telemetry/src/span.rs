@@ -19,7 +19,7 @@
 //! own span id), and children inherit it through frames or an explicit
 //! [`TraceContext`], so one causal trace covers interpose →
 //! strategy → executor poll → net RPC → remote backend even across retry,
-//! failover, and work-stealing boundaries.
+//! failover, and a sentinel moving between executor threads.
 
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -454,7 +454,7 @@ impl Telemetry {
         &self.sessions
     }
 
-    /// The sentinel-executor fleet gauges fed by the sharded scheduler.
+    /// The sentinel-executor fleet gauges fed by its scheduler.
     /// Always live, like the queue gauges.
     pub fn fleet(&self) -> &Arc<FleetGauges> {
         &self.fleet
@@ -762,12 +762,12 @@ pub fn now_ns() -> u64 {
     }
 }
 
-static INTERNED: std::sync::Mutex<Vec<&'static str>> = std::sync::Mutex::new(Vec::new());
+static INTERNED: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
 
 /// Interns a string, returning a `&'static str` (leaked once per distinct
 /// value). Used for sentinel names so [`SpanRecord`] stays `Copy`.
 pub fn intern(name: &str) -> &'static str {
-    let mut table = INTERNED.lock().expect("intern table poisoned");
+    let mut table = INTERNED.lock();
     if let Some(existing) = table.iter().find(|s| **s == name) {
         return existing;
     }

@@ -370,32 +370,21 @@ impl Shell {
                 let f = self.world.telemetry().fleet().snapshot();
                 writeln!(
                     out,
-                    "workers={}/{} shards={} live_tasks={}",
+                    "workers={}/{} live_tasks={} queued={}",
                     f.workers,
                     self.world.fleet_workers(),
-                    f.shards,
-                    self.world.fleet_task_count()
+                    self.world.fleet_task_count(),
+                    self.world.fleet_queued()
                 )
                 .expect("write to string");
-                for stat in self.world.fleet_shards() {
-                    if stat.live > 0 || stat.queued > 0 {
-                        writeln!(
-                            out,
-                            "shard {:>2}  live={} queued={}",
-                            stat.shard, stat.live, stat.queued
-                        )
-                        .expect("write to string");
-                    }
-                }
                 writeln!(
                     out,
-                    "spawned={} peak={} polls={} wakeups={} steals={} parks={} \
+                    "spawned={} peak={} polls={} wakeups={} parks={} \
                      queue_depth_peak={} pinned={} abandoned={}",
                     f.spawned,
                     f.sentinels_peak,
                     f.polls,
                     f.wakeups,
-                    f.steals,
                     f.parks,
                     f.queue_depth_peak,
                     f.pinned,
@@ -869,8 +858,8 @@ commands:
                                        gauges (attaches, queue depth,
                                        coalesced writes, batch flushes)
   fleet                                sentinel-executor status: worker
-                                       pool bound, per-shard occupancy,
-                                       poll/steal/park counters
+                                       pool bound, live and queued tasks,
+                                       poll/wake-up/park counters
   cluster                              replicated-fleet gauges: membership,
                                        primary-ack writes/replications,
                                        read failovers, bounded-staleness
@@ -979,6 +968,7 @@ mod tests {
         assert!(after.contains("live_tasks=0"), "{after}");
         assert!(!after.contains("spawned=0"), "{after}");
         assert!(after.contains("workers="), "{after}");
+        assert!(after.contains("queued=0"), "{after}");
     }
 
     #[test]

@@ -20,17 +20,20 @@
 //!   read with no worker woken — unless a staged payload would wait for
 //!   the sentinel's drain (more than a 16 KiB pipe holds, or a second
 //!   message for the one-slot §4.3 buffer), which is rung for first (the
-//!   reads hang, and fail here by timeout, if that fit check is dropped).
+//!   reads hang, and fail here by timeout, if that fit check is dropped);
+//! - a sentinel pinned to a thread of its own (§3 composition) is served
+//!   on its caller all the same when it is idle.
 //!
 //! The world's seed is irrelevant here, but the suite runs in the CI seed
 //! sweep beside the other concurrency suites.
 
+use std::collections::HashMap;
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use activefiles::prelude::*;
-use activefiles::{Handle, SeekMethod, VPath};
+use activefiles::{Handle, Layer, SeekMethod, SpanRecord, VPath};
 
 /// One reply bigger than the §4.2 data pipe.
 const BIG: usize = 64 * 1024;
@@ -93,9 +96,7 @@ fn eventually(what: &str, cond: impl Fn() -> bool) {
 fn settle(world: &AfsWorld) {
     let fleet = world.telemetry().fleet();
     eventually("the sentinel's first poll", || fleet.snapshot().polls >= 1);
-    eventually("an empty run queue", || {
-        world.fleet_shards().iter().all(|s| s.queued == 0)
-    });
+    eventually("an empty run queue", || world.fleet_queued() == 0);
     std::thread::sleep(Duration::from_millis(50));
 }
 
@@ -281,5 +282,59 @@ fn staged_writes_that_outgrow_the_lane_still_flush() {
                 .unwrap_or_else(|_| panic!("{strategy:?}: read {i} after the flush hung"));
             assert_eq!(got, Ok(true), "{strategy:?}: read {i}");
         }
+    }
+}
+
+#[test]
+fn an_awaited_call_to_an_idle_pinned_sentinel_runs_on_its_caller() {
+    const READS: usize = 10;
+    let world = Arc::new(AfsWorld::builder().fleet_workers(1).build());
+    activefiles::register_standard_sentinels(&world);
+    let inner = SentinelSpec::new("null", Strategy::DllThread)
+        .backing(Backing::Memory)
+        .with("share", "off");
+    world
+        .install_active_file("/inner.af", &inner)
+        .expect("install");
+    world
+        .vfs()
+        .write_stream_replace(&VPath::parse("/inner.af").expect("path"), b"pinned")
+        .expect("seed");
+    // The relay opens `/inner.af` through its ctx's API: a §3 composition
+    // open, whose sentinel gets a thread of its own. Inline itself, the
+    // relay calls the inner sentinel from the application's thread.
+    let outer = SentinelSpec::new("relay", Strategy::DllOnly).with("target", "/inner.af");
+    world
+        .install_active_file("/outer.af", &outer)
+        .expect("install");
+    let api = world.api();
+    let h = api
+        .create_file("/outer.af", Access::read_write(), Disposition::OpenExisting)
+        .expect("open");
+    assert_eq!(world.telemetry().fleet().snapshot().pinned, 1);
+    settle(&world);
+    world.telemetry().set_enabled(true);
+    let mut buf = [0u8; 6];
+    for _ in 0..READS {
+        api.set_file_pointer(h, 0, SeekMethod::Begin).expect("seek");
+        assert_eq!(api.read_file(h, &mut buf), Ok(6));
+        assert_eq!(&buf, b"pinned");
+    }
+    world.telemetry().set_enabled(false);
+    api.close_handle(h).expect("close");
+    let spans = world.telemetry().spans();
+    let by_id: HashMap<u64, &SpanRecord> = spans.iter().map(|s| (s.id, s)).collect();
+    let served: Vec<_> = spans
+        .iter()
+        .filter(|s| s.layer == Layer::Sentinel && s.strategy == "Thread" && s.name == "read")
+        .collect();
+    assert_eq!(served.len(), READS, "one inner sentinel span per read");
+    for s in served {
+        let root = by_id[&s.trace];
+        assert_eq!(root.name, "ReadFile");
+        assert_eq!(
+            s.thread, root.thread,
+            "the pinned sentinel served a read off its caller's thread"
+        );
     }
 }

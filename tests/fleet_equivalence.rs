@@ -1,4 +1,4 @@
-//! Worker-count equivalence: the sharded sentinel executor schedules
+//! Worker-count equivalence: the sentinel executor schedules
 //! *real* threads, but every cost is charged on *virtual* clocks — so the
 //! transcript of a workload must be bit-identical whether the pool has
 //! one worker or many. This is the refactor's core safety claim: moving

@@ -1,4 +1,4 @@
-//! Seeded fleet stress for the sharded sentinel executor.
+//! Seeded fleet stress for the sentinel executor.
 //!
 //! A bounded two-worker pool multiplexes a dozen executor-routed
 //! sentinels (§4.2 process-plus-control and §4.3 DLL-with-thread) while
@@ -16,14 +16,19 @@
 //! 3. **Teardown is deterministic** — after the threads finish,
 //!    [`AfsWorld::quiesce`] drains every sentinel cleanly: zero live
 //!    tasks, zero workers, zero abandoned state machines.
+//! 4. **Composition cannot starve the pool** — a sentinel that waits on a
+//!    sentinel it opened completes even when it holds the pool's only
+//!    worker.
 //!
 //! The seed honours `AFS_TEST_SEED`, so the CI seed sweep exercises
 //! eight different skew schedules.
 
-use std::sync::Arc;
+use std::sync::mpsc;
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use activefiles::prelude::*;
-use activefiles::{clock, HardwareProfile};
+use activefiles::{clock, Handle, HardwareProfile, SentinelCtx, SentinelError, SentinelResult};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -258,4 +263,108 @@ fn thousand_thread_strategy_opens_leave_no_residual_sentinels() {
 fn fleet_workers_knob_is_honoured() {
     let world = AfsWorld::builder().fleet_workers(3).build();
     assert_eq!(world.fleet_workers(), 3);
+}
+
+/// Passes each write through `/inner.af` before accepting it: one op that
+/// posts to the sentinel it composed over, then waits on its answer.
+/// Records which thread served each write.
+struct EchoThrough {
+    inner: Option<Handle>,
+    served_on: Arc<Mutex<Vec<String>>>,
+}
+
+fn failed(e: Win32Error) -> SentinelError {
+    SentinelError::Other(e.to_string())
+}
+
+impl SentinelLogic for EchoThrough {
+    fn on_open(&mut self, ctx: &mut SentinelCtx) -> SentinelResult<()> {
+        let api = ctx.api()?;
+        let h = api.create_file("/inner.af", Access::read_write(), Disposition::OpenExisting);
+        self.inner = Some(h.map_err(failed)?);
+        Ok(())
+    }
+
+    fn read(&mut self, _: &mut SentinelCtx, _: u64, _: &mut [u8]) -> SentinelResult<usize> {
+        Ok(0)
+    }
+
+    fn write(&mut self, ctx: &mut SentinelCtx, _: u64, data: &[u8]) -> SentinelResult<usize> {
+        let thread = std::thread::current().name().unwrap_or("").to_owned();
+        self.served_on.lock().expect("log").push(thread);
+        let (api, h) = (ctx.api()?, self.inner.ok_or(SentinelError::NoCache)?);
+        api.set_file_pointer(h, 0, SeekMethod::Begin)
+            .map_err(failed)?;
+        // Posted: wakes the inner sentinel without waiting for it.
+        api.write_file(h, data).map_err(failed)?;
+        api.set_file_pointer(h, 0, SeekMethod::Begin)
+            .map_err(failed)?;
+        // Awaited: this thread blocks until the inner sentinel answers.
+        let mut back = vec![0u8; data.len()];
+        let n = api.read_file(h, &mut back).map_err(failed)?;
+        if back[..n] != *data {
+            return Err(SentinelError::Other("the inner file lost the write".into()));
+        }
+        Ok(data.len())
+    }
+
+    fn on_close(&mut self, ctx: &mut SentinelCtx) -> SentinelResult<()> {
+        match self.inner.take() {
+            Some(h) => ctx.api()?.close_handle(h).map_err(failed),
+            None => Ok(()),
+        }
+    }
+}
+
+/// §3 composition on a one-worker pool: the outer sentinel's write is
+/// served by the pool's only worker, and blocks it on a call to the inner
+/// sentinel, which the write has just queued. Pinned to a thread of its
+/// own, the inner sentinel answers; on the pool it would wait for the
+/// worker that waits on it, and the close below would hang.
+#[test]
+fn composition_on_a_one_worker_pool_completes() {
+    const RUNS: usize = 20;
+    for run in 0..RUNS {
+        let world = Arc::new(AfsWorld::builder().fleet_workers(1).build());
+        register_standard_sentinels(&world);
+        let served_on = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&served_on);
+        world.sentinels().register("echo-through", move |_| {
+            Box::new(EchoThrough {
+                inner: None,
+                served_on: Arc::clone(&log),
+            })
+        });
+        for (path, name) in [("/inner.af", "null"), ("/outer.af", "echo-through")] {
+            let spec = SentinelSpec::new(name, Strategy::DllThread)
+                .backing(Backing::Memory)
+                .with("share", "off");
+            world.install_active_file(path, &spec).expect("install");
+        }
+        let (done, result) = mpsc::channel();
+        // The application thread holds a reference to the world, so a hang
+        // fails this test instead of wedging its teardown.
+        let app = Arc::clone(&world);
+        std::thread::spawn(move || {
+            let api = app.api();
+            let outcome = api
+                .create_file("/outer.af", Access::read_write(), Disposition::OpenExisting)
+                .and_then(|h| {
+                    api.write_file(h, b"composed")?;
+                    // A failed write-behind surfaces here.
+                    api.close_handle(h)
+                });
+            let _ = done.send(outcome);
+        });
+        let outcome = result
+            .recv_timeout(Duration::from_secs(10))
+            .unwrap_or_else(|_| panic!("run {run}: the composed write hung"));
+        assert_eq!(outcome, Ok(()), "run {run}");
+        assert_eq!(
+            *served_on.lock().expect("log"),
+            ["afs-fleet-0"],
+            "run {run}: the pool's only worker served the outer write"
+        );
+        assert_eq!(world.telemetry().fleet().snapshot().pinned, 1, "run {run}");
+    }
 }

@@ -220,13 +220,13 @@ fn trace_annotations_charge_nothing_to_the_cost_model() {
 }
 
 #[test]
-fn stolen_tasks_reparent_sentinel_spans_to_the_originating_op() {
-    // A two-worker pool under eight files and four threads steals tasks
-    // between shards; a migrated dispatch loop must still parent its
-    // sentinel-side spans to the originating op's transport span (carried
-    // on the command's frame), never to whatever frame the stealing worker
-    // happens to have open — nor, for a posted write, to the op the
-    // application has moved on to.
+fn migrated_tasks_reparent_sentinel_spans_to_the_originating_op() {
+    // A two-worker pool under eight files and four threads moves a file's
+    // sentinel between workers; a migrated dispatch loop must still parent
+    // its sentinel-side spans to the originating op's transport span
+    // (carried on the command's frame), never to whatever frame the worker
+    // that picked it up happens to have open — nor, for a posted write, to
+    // the op the application has moved on to.
     const FILES: usize = 8;
     const THREADS: usize = 4;
     let world = Arc::new(AfsWorld::builder().fleet_workers(2).build());
@@ -239,7 +239,7 @@ fn stolen_tasks_reparent_sentinel_spans_to_the_originating_op() {
         };
         world
             .install_active_file(
-                &format!("/steal/f{idx}.af"),
+                &format!("/migrate/f{idx}.af"),
                 &SentinelSpec::new("null", strategy).backing(Backing::Memory),
             )
             .expect("install");
@@ -247,7 +247,7 @@ fn stolen_tasks_reparent_sentinel_spans_to_the_originating_op() {
     world.telemetry().set_enabled(true);
 
     let mut rounds = 0;
-    while world.telemetry().fleet().snapshot().steals == 0 && rounds < 50 {
+    while !a_file_ran_on_two_workers(&world.telemetry().spans()) && rounds < 50 {
         rounds += 1;
         std::thread::scope(|scope| {
             for _ in 0..THREADS {
@@ -256,7 +256,7 @@ fn stolen_tasks_reparent_sentinel_spans_to_the_originating_op() {
                     let _g = clock::install(0);
                     let api = world.api();
                     for idx in 0..FILES {
-                        let path = format!("/steal/f{idx}.af");
+                        let path = format!("/migrate/f{idx}.af");
                         let h = api
                             .create_file(&path, Access::read_write(), Disposition::OpenExisting)
                             .expect("open");
@@ -273,8 +273,8 @@ fn stolen_tasks_reparent_sentinel_spans_to_the_originating_op() {
         });
     }
     assert!(
-        world.telemetry().fleet().snapshot().steals > 0,
-        "the two-worker pool never stole a task in {rounds} rounds"
+        a_file_ran_on_two_workers(&world.telemetry().spans()),
+        "no file's sentinel ran on both workers in {rounds} rounds"
     );
 
     let spans = world.telemetry().spans();
@@ -317,6 +317,28 @@ fn stolen_tasks_reparent_sentinel_spans_to_the_originating_op() {
     }
     assert!(checked > 0, "no sentinel spans survived to check");
     world.quiesce();
+}
+
+/// Whether one file's sentinel spans sit on two different worker lanes.
+/// A lane that holds an application's `Interpose` span is an application
+/// thread's (a caller that ran the sentinel itself); the rest are workers'.
+/// A shared sentinel's spans name their file in the session note.
+fn a_file_ran_on_two_workers(spans: &[SpanRecord]) -> bool {
+    let app_lanes: BTreeSet<u64> = spans
+        .iter()
+        .filter(|s| s.layer == Layer::Interpose)
+        .map(|s| s.thread)
+        .collect();
+    let mut lanes: HashMap<&str, BTreeSet<u64>> = HashMap::new();
+    for s in spans {
+        let file = s.note.split_once("file=").map(|(_, file)| file);
+        if let (Layer::Sentinel, Some(file)) = (s.layer, file) {
+            if !app_lanes.contains(&s.thread) {
+                lanes.entry(file).or_default().insert(s.thread);
+            }
+        }
+    }
+    lanes.values().any(|workers| workers.len() >= 2)
 }
 
 /// Every carrier a posted write can take to its sentinel: the five that
