@@ -387,17 +387,7 @@ impl AfsWorld {
     pub fn flight_dump(&self) -> String {
         fn esc(s: &str) -> String {
             let mut out = String::with_capacity(s.len());
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\r' => out.push_str("\\r"),
-                    '\t' => out.push_str("\\t"),
-                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => out.push(c),
-                }
-            }
+            afs_telemetry::json::escape(s, &mut out);
             out
         }
         let telemetry = self.telemetry();

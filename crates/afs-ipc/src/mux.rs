@@ -217,9 +217,6 @@ impl Sessions {
             self.gauges.detached();
         }
         self.closed = self.live.is_empty();
-        if self.closed {
-            self.gauges.terminal_close();
-        }
         self.closed
     }
 

@@ -8,9 +8,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use afs_sim::{clock, Cost, CostModel, Generations, SimRng, Striped};
-use afs_telemetry::{
-    flight_note, flight_trigger, intern, now_ns, retry_span, ClusterGauges, SpanGuard,
-};
+use afs_telemetry::{flight_trigger, intern, now_ns, retry_span, ClusterGauges, SpanGuard};
 
 use crate::cluster::Fleet;
 use crate::reliability::{
@@ -529,9 +527,9 @@ impl Network {
         };
         if self.with_breaker(cfg, name, |b| b.on_failure(now_ns())) {
             self.shared.reliability.note_breaker_trip();
-            // A breaker opening is a post-mortem moment: freeze the recent
-            // spans and event rings while the failing op is still in
-            // flight, so the bundle contains its causal trace.
+            // A breaker opening is a post-mortem moment: freeze the span
+            // ring and this thread's open chain while the failing op is
+            // still in flight, so the bundle contains its causal trace.
             flight_trigger("breaker_open", format!("service={name}"));
         }
     }
@@ -586,7 +584,7 @@ impl Network {
                     Ok(served) => {
                         self.breaker_success(breaker, name);
                         if index != 0 && policy.is_some() {
-                            self.failed_over(primary(), name);
+                            self.failed_over(name);
                         }
                         return Ok(served);
                     }
@@ -626,21 +624,16 @@ impl Network {
     fn refused(&self, name: &str) -> NetError {
         self.shared.reliability.note_breaker_rejection();
         drop(retry_span("breaker-reject", "cause=breaker_open"));
-        flight_note("net", format!("breaker_reject service={name}"));
         NetError::CircuitOpen(name.to_owned())
     }
 
     #[cold]
-    fn failed_over(&self, primary: &str, replica: &str) {
+    fn failed_over(&self, replica: &str) {
         self.shared.reliability.note_failover();
-        let _sp = retry_span(
+        drop(retry_span(
             "failover",
             intern(&format!("cause=failover replica={replica}")),
-        );
-        flight_note(
-            "net",
-            format!("failover service={primary} replica={replica}"),
-        );
+        ));
     }
 
     /// Waits out the backoff before the pass after `pass`, if `retry`

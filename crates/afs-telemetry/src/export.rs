@@ -9,24 +9,9 @@
 use std::fmt::Write as _;
 
 use crate::flight::FlightBundle;
+use crate::json::escape as escape_json;
 use crate::registry::{Metric, MetricValue};
 use crate::span::SpanRecord;
-
-fn escape_json(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
 
 /// Escapes a Prometheus label *value*: backslash, double quote, and both
 /// line terminators. CR has no defined exposition escape, so it borrows
@@ -326,10 +311,10 @@ fn span_record_json(span: &SpanRecord, out: &mut String) {
 }
 
 /// Renders flight-recorder bundles as a JSON object: `{"bundles":[...]}`.
-/// Each bundle carries its trigger cause/detail, the frozen recent spans,
-/// the open (in-flight) span chain, and the subsystem event rings — the
-/// schema `afsh dump` and `AfsWorld::flight_dump` artifacts embed (see
-/// `docs/OBSERVABILITY.md`).
+/// Each bundle carries its trigger cause/detail, the span ring it froze
+/// and the triggering thread's open chain, every span in one record
+/// schema — what `afsh dump` and `AfsWorld::flight_dump` artifacts embed
+/// (see `docs/OBSERVABILITY.md`).
 pub fn flight_bundles_json(bundles: &[FlightBundle]) -> String {
     let mut out = String::from("{\"bundles\":[");
     for (i, bundle) in bundles.iter().enumerate() {
@@ -344,40 +329,18 @@ pub fn flight_bundles_json(bundles: &[FlightBundle]) -> String {
         escape_json(bundle.cause, &mut out);
         out.push_str("\",\"detail\":\"");
         escape_json(&bundle.detail, &mut out);
-        out.push_str("\",\"spans\":[");
-        for (j, span) in bundle.spans.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
+        out.push('"');
+        for (key, spans) in [("spans", &bundle.spans), ("open", &bundle.open)] {
+            let _ = write!(out, ",\"{key}\":[");
+            for (j, span) in spans.iter().enumerate() {
+                if j > 0 {
+                    out.push(',');
+                }
+                span_record_json(span, &mut out);
             }
-            span_record_json(span, &mut out);
+            out.push(']');
         }
-        out.push_str("],\"open\":[");
-        for (j, open) in bundle.open.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"id\":{},\"parent\":{},\"trace\":{},\"name\":\"",
-                open.id, open.parent, open.trace
-            );
-            escape_json(open.name, &mut out);
-            out.push_str("\",\"note\":\"");
-            escape_json(open.note, &mut out);
-            out.push_str("\"}");
-        }
-        out.push_str("],\"events\":[");
-        for (j, event) in bundle.events.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"at_ns\":{},\"subsystem\":\"", event.at_ns);
-            escape_json(event.subsystem, &mut out);
-            out.push_str("\",\"message\":\"");
-            escape_json(&event.message, &mut out);
-            out.push_str("\"}");
-        }
-        out.push_str("]}");
+        out.push('}');
     }
     out.push_str("]}");
     out
@@ -635,11 +598,9 @@ mod tests {
     #[test]
     fn flight_bundles_render_as_valid_json() {
         let fr = crate::flight::FlightRecorder::new();
-        fr.note("net", "breaker opened service=\"fs\"\nline2".to_owned());
         fr.trigger_basic("breaker_open", "service=fs ünïcode".to_owned());
         let json = flight_bundles_json(&fr.bundles());
         assert!(json_is_valid(&json), "invalid JSON: {json}");
         assert!(json.contains("\"cause\":\"breaker_open\""));
-        assert!(json.contains("\"subsystem\":\"net\""));
     }
 }

@@ -1,52 +1,22 @@
-//! Always-on flight recorder: bounded per-subsystem event rings plus
-//! post-mortem bundles captured when something goes wrong.
+//! Post-mortem bundles: a cut of the span ring, taken when something goes
+//! wrong.
 //!
-//! Subsystems append cheap annotated events ([`FlightRecorder::note`])
-//! continuously; the rings are bounded so steady-state cost is a few
-//! hundred retained strings. When a *trigger* fires — circuit breaker
-//! opening, degraded-mode entry, torn-tail detection during WAL recovery,
-//! or a slow op over the telemetry threshold — the recorder freezes a
-//! [`FlightBundle`]: the recent finished spans, the in-flight open span
-//! chain, the event rings, and the trigger cause. Bundles are themselves
-//! ring-bounded; `afsh dump` and `AfsWorld::flight_dump` render them (plus
-//! live metrics/fault/store state) as a JSON artifact.
+//! The span ring and each thread's stack of open frames are the only
+//! recorders. When a *trigger* fires — circuit breaker opening,
+//! degraded-mode entry or a slow op over the telemetry threshold, each on
+//! the thread running the failing op, or torn-tail detection during WAL
+//! recovery — the recorder freezes a [`FlightBundle`]: the span ring at
+//! trigger time, the triggering thread's open spans, and the trigger
+//! cause. Bundles are themselves ring-bounded; `afsh dump` and
+//! `AfsWorld::flight_dump` render them (plus live metrics/fault/store
+//! state) as a JSON artifact.
 
 use parking_lot::Mutex;
 
-use crate::span::{now_ns, OpenSpan, SpanRecord};
-
-/// Most events retained per subsystem ring.
-const EVENTS_PER_SUBSYSTEM: usize = 128;
+use crate::span::{now_ns, SpanRecord};
 
 /// Most post-mortem bundles retained (oldest evicted first).
 const MAX_BUNDLES: usize = 8;
-
-/// One annotated event in a subsystem ring.
-#[derive(Debug, Clone)]
-pub struct FlightEvent {
-    /// Timestamp, ns (virtual when a sim clock is installed).
-    pub at_ns: u64,
-    /// Subsystem that recorded the event (`"net"`, `"store"`, `"mux"`, ...).
-    pub subsystem: &'static str,
-    /// Free-form message, e.g. `"breaker opened service=fileserver"`.
-    pub message: String,
-}
-
-/// A still-open span captured into a bundle — the in-flight causal chain
-/// at trigger time.
-#[derive(Debug, Clone, Copy)]
-pub struct PendingSpan {
-    /// Span id.
-    pub id: u64,
-    /// Parent span id (0 = root).
-    pub parent: u64,
-    /// Trace id.
-    pub trace: u64,
-    /// Span name.
-    pub name: &'static str,
-    /// Annotation (`""` when unannotated).
-    pub note: &'static str,
-}
 
 /// One post-mortem capture: everything the recorder knew when a trigger
 /// fired.
@@ -61,49 +31,26 @@ pub struct FlightBundle {
     pub cause: &'static str,
     /// Trigger detail line (cause-specific `key=value` text).
     pub detail: String,
-    /// Recent finished spans at trigger time (oldest first).
+    /// The span ring at trigger time (oldest first).
     pub spans: Vec<SpanRecord>,
-    /// Spans still open at trigger time.
-    pub open: Vec<PendingSpan>,
-    /// Event-ring contents at trigger time, oldest first across all
-    /// subsystems.
-    pub events: Vec<FlightEvent>,
+    /// The triggering thread's open spans of the hub, outermost first,
+    /// each with `end` 0: the failing op's chain, frozen mid-flight.
+    pub open: Vec<SpanRecord>,
 }
 
 #[derive(Debug, Default)]
-struct SubsystemRing {
-    subsystem: &'static str,
-    events: Vec<FlightEvent>,
-    head: usize,
-}
-
-impl SubsystemRing {
-    fn push(&mut self, event: FlightEvent) {
-        if self.events.len() < EVENTS_PER_SUBSYSTEM {
-            self.events.push(event);
-        } else {
-            self.events[self.head] = event;
-            self.head = (self.head + 1) % EVENTS_PER_SUBSYSTEM;
-        }
-    }
-
-    fn snapshot(&self) -> Vec<FlightEvent> {
-        let n = self.events.len();
-        (0..n)
-            .map(|i| self.events[(self.head + i) % n.max(1)].clone())
-            .collect()
-    }
+struct Kept {
+    fired: u64,
+    bundles: Vec<FlightBundle>,
 }
 
 /// The recorder itself. Owned by the telemetry hub (one per
 /// `AfsWorld`); subsystems without a hub reference reach it through
-/// [`crate::flight_note`] / [`crate::flight_trigger`] or an
-/// [`std::sync::Arc`] handed to them (the durable store's torn-tail path).
+/// [`crate::flight_trigger`] or an [`std::sync::Arc`] handed to them (the
+/// durable store's torn-tail path).
 #[derive(Debug, Default)]
 pub struct FlightRecorder {
-    rings: Mutex<Vec<SubsystemRing>>,
-    bundles: Mutex<Vec<FlightBundle>>,
-    seq: Mutex<u64>,
+    kept: Mutex<Kept>,
 }
 
 impl FlightRecorder {
@@ -112,127 +59,55 @@ impl FlightRecorder {
         FlightRecorder::default()
     }
 
-    /// Appends an event to `subsystem`'s bounded ring.
-    pub fn note(&self, subsystem: &'static str, message: String) {
-        let event = FlightEvent {
-            at_ns: now_ns(),
-            subsystem,
-            message,
-        };
-        let mut rings = self.rings.lock();
-        match rings.iter_mut().find(|r| r.subsystem == subsystem) {
-            Some(ring) => ring.push(event),
-            None => {
-                let mut ring = SubsystemRing {
-                    subsystem,
-                    ..SubsystemRing::default()
-                };
-                ring.push(event);
-                rings.push(ring);
-            }
-        }
-    }
-
-    /// Captures a bundle with span context — called by
-    /// `Telemetry::flight_trigger`, which owns the span ring.
-    pub(crate) fn trigger(
-        &self,
-        cause: &'static str,
-        detail: String,
-        spans: Vec<SpanRecord>,
-        open: &[OpenSpan],
-    ) {
-        let open = open
-            .iter()
-            .map(|o| PendingSpan {
-                id: o.id,
-                parent: o.parent,
-                trace: o.trace,
-                name: o.name,
-                note: o.note,
-            })
-            .collect();
-        self.capture(cause, detail, spans, open);
-    }
-
     /// Captures a bundle with no span context — for subsystems that hold
     /// only the recorder (the durable store's torn-tail detection).
     pub fn trigger_basic(&self, cause: &'static str, detail: String) {
         self.capture(cause, detail, Vec::new(), Vec::new());
     }
 
-    fn capture(
+    /// Captures a bundle — `Telemetry::flight_trigger` passes the span
+    /// ring and the triggering thread's open chain.
+    pub(crate) fn capture(
         &self,
         cause: &'static str,
         detail: String,
         spans: Vec<SpanRecord>,
-        open: Vec<PendingSpan>,
+        open: Vec<SpanRecord>,
     ) {
-        let mut events: Vec<FlightEvent> = {
-            let rings = self.rings.lock();
-            rings.iter().flat_map(|r| r.snapshot()).collect()
-        };
-        events.sort_by_key(|e| e.at_ns);
-        let seq = {
-            let mut seq = self.seq.lock();
-            *seq += 1;
-            *seq
-        };
-        let bundle = FlightBundle {
+        let at_ns = now_ns();
+        let mut kept = self.kept.lock();
+        kept.fired += 1;
+        if kept.bundles.len() == MAX_BUNDLES {
+            kept.bundles.remove(0);
+        }
+        let seq = kept.fired;
+        kept.bundles.push(FlightBundle {
             seq,
-            at_ns: now_ns(),
+            at_ns,
             cause,
             detail,
             spans,
             open,
-            events,
-        };
-        let mut bundles = self.bundles.lock();
-        if bundles.len() == MAX_BUNDLES {
-            bundles.remove(0);
-        }
-        bundles.push(bundle);
+        });
     }
 
     /// Retained bundles, oldest first.
     pub fn bundles(&self) -> Vec<FlightBundle> {
-        self.bundles.lock().clone()
+        self.kept.lock().bundles.clone()
     }
 
     /// Total triggers ever fired (survives bundle eviction).
     pub fn trigger_count(&self) -> u64 {
-        *self.seq.lock()
-    }
-
-    /// Current event-ring contents across all subsystems, oldest first.
-    pub fn events(&self) -> Vec<FlightEvent> {
-        let mut events: Vec<FlightEvent> = {
-            let rings = self.rings.lock();
-            rings.iter().flat_map(|r| r.snapshot()).collect()
-        };
-        events.sort_by_key(|e| e.at_ns);
-        events
+        self.kept.lock().fired
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use std::sync::{mpsc, Arc};
 
-    #[test]
-    fn rings_are_bounded_per_subsystem() {
-        let fr = FlightRecorder::new();
-        for i in 0..(EVENTS_PER_SUBSYSTEM + 40) {
-            fr.note("net", format!("event {i}"));
-        }
-        fr.note("store", "one".to_owned());
-        let events = fr.events();
-        let net: Vec<_> = events.iter().filter(|e| e.subsystem == "net").collect();
-        assert_eq!(net.len(), EVENTS_PER_SUBSYSTEM);
-        // Oldest entries were evicted.
-        assert_eq!(net[0].message, "event 40");
-        assert_eq!(events.iter().filter(|e| e.subsystem == "store").count(), 1);
-    }
+    use super::*;
+    use crate::span::{Layer, Telemetry};
 
     #[test]
     fn bundles_are_bounded_and_sequenced() {
@@ -249,14 +124,43 @@ mod tests {
     }
 
     #[test]
-    fn bundle_freezes_event_rings() {
-        let fr = FlightRecorder::new();
-        fr.note("mux", "before".to_owned());
-        fr.trigger_basic("manual", String::new());
-        fr.note("mux", "after".to_owned());
-        let bundles = fr.bundles();
-        assert_eq!(bundles[0].events.len(), 1);
-        assert_eq!(bundles[0].events[0].message, "before");
-        assert_eq!(fr.events().len(), 2);
+    fn bundle_freezes_the_span_ring() {
+        let tel = Telemetry::new();
+        tel.set_enabled(true);
+        let _clock = afs_sim::clock::install(0);
+        drop(tel.span(Layer::Interpose, "before"));
+        afs_sim::clock::advance(500);
+        tel.flight_trigger("manual", String::new());
+        drop(tel.span(Layer::Interpose, "after"));
+        let bundles = tel.flight().bundles();
+        let names: Vec<_> = bundles[0].spans.iter().map(|s| s.name).collect();
+        assert_eq!(names, ["before"]);
+        assert_eq!(bundles[0].at_ns, 500, "stamped at the trigger");
+        assert_eq!(tel.spans().len(), 2);
+    }
+
+    #[test]
+    fn bundle_holds_the_triggering_threads_chain() {
+        let tel = Telemetry::new();
+        tel.set_enabled(true);
+        let (opened, open_rx) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel::<()>();
+        std::thread::scope(|scope| {
+            let other = Arc::clone(&tel);
+            scope.spawn(move || {
+                let span = other.span(Layer::Interpose, "other-op").expect("on");
+                opened.send(span.trace()).expect("send");
+                release_rx.recv().expect("release");
+            });
+            let other_trace = open_rx.recv().expect("other span open");
+            let outer = tel.span(Layer::Interpose, "ReadFile").expect("on");
+            let inner = tel.span(Layer::Strategy, "read").expect("on");
+            tel.flight_trigger("manual", String::new());
+            let bundle = tel.flight().bundles().pop().expect("a bundle");
+            let open: Vec<_> = bundle.open.iter().map(|s| (s.id, s.end)).collect();
+            assert_eq!(open, [(outer.id(), 0), (inner.id(), 0)]);
+            assert!(bundle.open.iter().all(|s| s.trace != other_trace));
+            release.send(()).expect("release");
+        });
     }
 }

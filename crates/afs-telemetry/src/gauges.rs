@@ -184,12 +184,7 @@ metric_family! {
     /// are multiplexed onto shared sentinels, how deep the dispatch queues
     /// run, and how much write traffic the batcher absorbed without a
     /// crossing.
-    ///
-    /// `flight` is the flight recorder the session lifecycle feeds, when
-    /// attached. The mux hub lives in `afs-ipc` below the telemetry hub,
-    /// so the hook is injected here rather than reached through
-    /// [`crate::Telemetry`].
-    SessionGauges { flight: Mutex<Option<Arc<FlightRecorder>>> } => SessionSnapshot {
+    SessionGauges => SessionSnapshot {
         /// Sessions currently attached to shared sentinels.
         sessions: gauge "afs_sessions_current",
         /// High-water mark of sessions on any one shared sentinel.
@@ -210,33 +205,11 @@ impl SessionGauges {
         self.attaches.fetch_add(1, Ordering::Relaxed);
         self.sessions.fetch_add(1, Ordering::Relaxed);
         self.sessions_peak.fetch_max(live, Ordering::Relaxed);
-        if let Some(flight) = self.flight.lock().as_ref() {
-            flight.note("ipc", format!("session_attach live={live}"));
-        }
     }
 
     /// Records a session detaching (close).
     pub fn detached(&self) {
-        let left = self
-            .sessions
-            .fetch_sub(1, Ordering::Relaxed)
-            .saturating_sub(1);
-        if let Some(flight) = self.flight.lock().as_ref() {
-            flight.note("ipc", format!("session_detach live={left}"));
-        }
-    }
-
-    /// Records the last session's terminal close going out: the shared
-    /// sentinel is shutting down.
-    pub fn terminal_close(&self) {
-        if let Some(flight) = self.flight.lock().as_ref() {
-            flight.note("ipc", "mux_terminal_close".to_owned());
-        }
-    }
-
-    /// Attaches the flight recorder the session lifecycle should feed.
-    pub fn set_flight(&self, flight: Arc<FlightRecorder>) {
-        *self.flight.lock() = Some(flight);
+        self.sessions.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Records one write absorbed into a session's staged batch (no

@@ -1,16 +1,37 @@
 //! The workspace's one JSON reader: strict RFC 8259 grammar, builds a
 //! [`Value`], decodes every escape the exporters in this crate write
-//! (`\uXXXX` and surrogate pairs included). No external dependency.
+//! (`\uXXXX` and surrogate pairs included), plus the one string escaper
+//! they write with ([`escape`]). No external dependency.
 //!
 //! [`crate::json_is_valid`] is `parse(..).is_ok()`; the bench gate, the
 //! whole-path benchmark's report and the chrome-trace tests read their
 //! documents through [`parse`] (re-exported as `afs_bench::gate::json`).
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 /// Containers nested deeper than this are refused rather than recursed
 /// into: documents come from files, and the parser's stack is finite.
 const MAX_DEPTH: usize = 128;
+
+/// Appends `s` to `out` as the body of a JSON string: quote, backslash
+/// and the control characters escaped, everything else as is. The
+/// exporters and `AfsWorld::flight_dump` escape through this one.
+pub fn escape(s: &str, out: &mut String) {
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+}
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]

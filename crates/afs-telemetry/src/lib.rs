@@ -24,9 +24,13 @@
 //!   op to its sentinel (across mux sessions and executor poll/steal
 //!   boundaries) and RPC recovery, so one
 //!   causal trace covers interpose → strategy → executor → net → backend.
-//! * **Flight recorder** ([`FlightRecorder`]) — always-on bounded event
-//!   rings; breaker-open / degraded-entry / torn-tail / slow-op triggers
-//!   freeze post-mortem [`FlightBundle`]s (`afsh dump`).
+//! * **Flight recorder** ([`FlightRecorder`]) — breaker-open /
+//!   degraded-entry / slow-op triggers, fired on the thread running the
+//!   failing op, freeze post-mortem [`FlightBundle`]s (`afsh dump`): a cut
+//!   of the span ring plus that thread's open spans. Torn-tail detection
+//!   in the store freezes a bundle with no spans. The span ring and each
+//!   thread's stack of open frames are the only recorders; a span opens
+//!   and closes on its thread's frame stack alone.
 //! * **SLO burn rates** ([`SloTracker`]) — per-file latency/error
 //!   objectives from spec keys, multi-window burn evaluation in virtual
 //!   time, plus per-sentinel resource accounting ([`SentinelStats`]).
@@ -52,7 +56,7 @@ pub use export::{
     chrome_trace, flight_bundles_json, json_is_valid, json_snapshot, prometheus_is_valid,
     prometheus_text,
 };
-pub use flight::{FlightBundle, FlightEvent, FlightRecorder, PendingSpan};
+pub use flight::{FlightBundle, FlightRecorder};
 pub use gauges::{
     ClusterGauges, ClusterSnapshot, FleetGauges, FleetSnapshot, GaugesSnapshot, QueueGauges,
     RingGauges, RingSnapshot, SentinelStats, SentinelStatsSnapshot, SessionGauges, SessionSnapshot,
@@ -62,6 +66,6 @@ pub use hist::{HistogramSnapshot, LatencyHistogram, HIST_BUCKETS};
 pub use registry::{Metric, MetricValue, MetricsRegistry};
 pub use slo::{BurnRates, SloSnapshot, SloSpec, SloTracker};
 pub use span::{
-    backend_span, flight_note, flight_trigger, intern, now_ns, retry_span, Layer, SlowOp,
-    SpanGuard, SpanRecord, Telemetry, TraceContext, DEFAULT_SPAN_CAPACITY,
+    backend_span, flight_trigger, intern, now_ns, retry_span, Layer, SlowOp, SpanGuard, SpanRecord,
+    Telemetry, TraceContext, DEFAULT_SPAN_CAPACITY,
 };

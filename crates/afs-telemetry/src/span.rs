@@ -1,7 +1,9 @@
 //! The span model: one record per layer an operation passes through.
 //!
 //! A span is opened with [`Telemetry::span`] (or a sibling) and closed when
-//! the returned [`SpanGuard`] drops. A span's parent is one of:
+//! the returned [`SpanGuard`] drops. An open span is a frame on its
+//! thread's stack, holding its record; closing pops the frame and pushes
+//! the record to the hub's ring. A span's parent is one of:
 //!
 //! * **the innermost open span on this thread** created by the *same*
 //!   `Telemetry` instance (a thread-local stack of open frames). This
@@ -22,6 +24,10 @@
 //! failover, and a sentinel moving between executor threads.
 
 use std::cell::{Cell, RefCell};
+use std::collections::hash_map::DefaultHasher;
+use std::collections::HashSet;
+use std::hash::BuildHasherDefault;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -128,14 +134,15 @@ impl SpanRecord {
     }
 }
 
-/// A span that exceeded the configured slow-op threshold, with the names of
-/// its open ancestors at close time.
+/// A span that exceeded the configured slow-op threshold, with its
+/// ancestors as the span ring holds them.
 #[derive(Debug, Clone)]
 pub struct SlowOp {
     /// The offending span.
     pub record: SpanRecord,
     /// Ancestor chain rendered outermost-first, e.g.
-    /// `"ReadFile > read > round-trip"`.
+    /// `"ReadFile > read > round-trip"`; an ancestor still open or already
+    /// evicted from the ring renders as `#<id>` and ends the walk.
     pub ancestry: String,
 }
 
@@ -184,19 +191,32 @@ impl SpanRing {
     }
 }
 
-/// An in-flight span, tracked so slow-op reports can render ancestry and
-/// flight-recorder bundles can include the not-yet-finished chain.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct OpenSpan {
-    pub(crate) id: u64,
-    pub(crate) parent: u64,
-    pub(crate) trace: u64,
-    pub(crate) name: &'static str,
-    pub(crate) note: &'static str,
-}
+/// Shared values found or made by key under one lock, read back in key
+/// order.
+#[derive(Debug)]
+struct Keyed<K, V>(Mutex<Vec<(K, Arc<V>)>>);
 
-/// Interned `(strategy, op)` keys to their shared histograms.
-type StrategyHists = Vec<((&'static str, &'static str), Arc<LatencyHistogram>)>;
+impl<K: Ord + Copy, V> Keyed<K, V> {
+    const fn new() -> Self {
+        Keyed(Mutex::new(Vec::new()))
+    }
+
+    fn get_or(&self, key: K, make: impl FnOnce() -> V) -> Arc<V> {
+        let mut rows = self.0.lock();
+        if let Some((_, v)) = rows.iter().find(|(k, _)| *k == key) {
+            return Arc::clone(v);
+        }
+        let v = Arc::new(make());
+        rows.push((key, Arc::clone(&v)));
+        v
+    }
+
+    fn sorted<T>(&self, f: impl Fn(&Arc<V>) -> T) -> Vec<(K, T)> {
+        let mut out: Vec<_> = self.0.lock().iter().map(|(k, v)| (*k, f(v))).collect();
+        out.sort_by_key(|row| row.0);
+        out
+    }
+}
 
 /// The telemetry hub: span recorder, per-(strategy, op) and per-sentinel
 /// latency histograms, and queue gauges. Cheap to clone behind an [`Arc`];
@@ -208,8 +228,7 @@ pub struct Telemetry {
     slow_ns: AtomicU64,
     capacity: usize,
     ring: Mutex<SpanRing>,
-    open: Mutex<Vec<OpenSpan>>,
-    slow: Mutex<Vec<SlowOp>>,
+    slow: Mutex<Vec<SpanRecord>>,
     gauges: Arc<QueueGauges>,
     sessions: Arc<SessionGauges>,
     fleet: Arc<FleetGauges>,
@@ -217,10 +236,10 @@ pub struct Telemetry {
     rings: Arc<RingGauges>,
     cluster: Arc<ClusterGauges>,
     flight: Arc<FlightRecorder>,
-    slos: Mutex<Vec<Arc<SloTracker>>>,
-    sentinel_stats: Mutex<Vec<(&'static str, Arc<SentinelStats>)>>,
-    strategy_hists: Mutex<StrategyHists>,
-    sentinel_hists: Mutex<Vec<(&'static str, Arc<LatencyHistogram>)>>,
+    slos: Keyed<&'static str, SloTracker>,
+    sentinel_stats: Keyed<&'static str, SentinelStats>,
+    strategy_hists: Keyed<(&'static str, &'static str), LatencyHistogram>,
+    sentinel_hists: Keyed<&'static str, LatencyHistogram>,
 }
 
 impl Telemetry {
@@ -234,30 +253,26 @@ impl Telemetry {
         let flight = Arc::new(FlightRecorder::new());
         let store = Arc::new(StoreGauges::default());
         // Torn-tail detection in the durable store is a flight-recorder
-        // trigger even though afs-store never sees the hub; likewise the
-        // afs-ipc mux hub's session lifecycle feeds the `ipc` event ring.
+        // trigger even though afs-store never sees the hub.
         store.set_flight(Arc::clone(&flight));
-        let sessions = Arc::new(SessionGauges::default());
-        sessions.set_flight(Arc::clone(&flight));
         Arc::new(Telemetry {
             enabled: AtomicBool::new(false),
             next_id: AtomicU64::new(1),
             slow_ns: AtomicU64::new(0),
             capacity: capacity.max(1),
             ring: Mutex::new(SpanRing::default()),
-            open: Mutex::new(Vec::new()),
             slow: Mutex::new(Vec::new()),
             gauges: Arc::new(QueueGauges::default()),
-            sessions,
+            sessions: Arc::new(SessionGauges::default()),
             fleet: Arc::new(FleetGauges::default()),
             store,
             rings: Arc::new(RingGauges::default()),
             cluster: Arc::new(ClusterGauges::default()),
             flight,
-            slos: Mutex::new(Vec::new()),
-            sentinel_stats: Mutex::new(Vec::new()),
-            strategy_hists: Mutex::new(Vec::new()),
-            sentinel_hists: Mutex::new(Vec::new()),
+            slos: Keyed::new(),
+            sentinel_stats: Keyed::new(),
+            strategy_hists: Keyed::new(),
+            sentinel_hists: Keyed::new(),
         })
     }
 
@@ -332,49 +347,42 @@ impl Telemetry {
         // A root (or a span whose parent's trace is unknown) mints the
         // trace: the trace id IS the root span's id.
         let trace = if inherited != 0 { inherited } else { id };
-        self.open.lock().push(OpenSpan {
+        let record = SpanRecord {
             id,
             parent,
             trace,
+            layer,
             name,
+            strategy,
             note,
-        });
+            start: now_ns(),
+            end: 0,
+            bytes: 0,
+            thread: thread_id(),
+        };
         FRAMES.with(|frames| {
             frames.borrow_mut().push(Frame {
                 tel: Arc::clone(self),
-                span: id,
-                trace,
+                record,
             })
         });
         Some(SpanGuard {
-            tel: Arc::clone(self),
-            record: SpanRecord {
-                id,
-                parent,
-                trace,
-                layer,
-                name,
-                strategy,
-                note,
-                start: now_ns(),
-                end: 0,
-                bytes: 0,
-                thread: thread_id(),
-            },
+            id,
+            trace,
+            _thread: PhantomData,
         })
     }
 
     fn finish(&self, record: SpanRecord) {
-        {
-            let mut open = self.open.lock();
-            if let Some(pos) = open.iter().position(|o| o.id == record.id) {
-                open.swap_remove(pos);
-            }
-        }
         self.ring.lock().push(record);
         let slow = self.slow_ns.load(Ordering::Relaxed);
         if slow > 0 && record.duration_ns() >= slow {
-            self.note_slow(record);
+            {
+                let mut reports = self.slow.lock();
+                if reports.len() < MAX_SLOW {
+                    reports.push(record);
+                }
+            }
             self.flight_trigger(
                 "slow_op",
                 format!(
@@ -384,46 +392,6 @@ impl Telemetry {
                     record.duration_ns()
                 ),
             );
-        }
-    }
-
-    /// Renders one ancestry entry: the span name, with its annotation in
-    /// brackets when present (`read[session=3 file=/t.af]`).
-    fn chain_entry(name: &str, note: &str) -> String {
-        if note.is_empty() {
-            name.to_owned()
-        } else {
-            format!("{name}[{note}]")
-        }
-    }
-
-    fn note_slow(&self, record: SpanRecord) {
-        let mut chain = vec![Self::chain_entry(record.name, record.note)];
-        {
-            let open = self.open.lock();
-            let mut parent = record.parent;
-            let mut hops = 0;
-            while parent != 0 && hops < 16 {
-                match open.iter().find(|o| o.id == parent) {
-                    Some(anc) => {
-                        chain.push(Self::chain_entry(anc.name, anc.note));
-                        parent = anc.parent;
-                    }
-                    None => {
-                        chain.push(format!("#{parent}"));
-                        break;
-                    }
-                }
-                hops += 1;
-            }
-        }
-        chain.reverse();
-        let mut slow = self.slow.lock();
-        if slow.len() < MAX_SLOW {
-            slow.push(SlowOp {
-                record,
-                ancestry: chain.join(" > "),
-            });
         }
     }
 
@@ -437,9 +405,38 @@ impl Telemetry {
         self.ring.lock().pushed
     }
 
-    /// Slow-op reports collected so far (bounded).
+    /// Slow-op reports collected so far (bounded), each with its ancestry
+    /// read from the span ring as it is now.
     pub fn slow_ops(&self) -> Vec<SlowOp> {
-        self.slow.lock().clone()
+        let spans = self.spans();
+        let entry = |s: &SpanRecord| match s.note {
+            "" => s.name.to_owned(),
+            note => format!("{}[{note}]", s.name),
+        };
+        let slow = self.slow.lock().clone();
+        slow.into_iter()
+            .map(|record| {
+                let mut chain = vec![entry(&record)];
+                let mut parent = record.parent;
+                while parent != 0 && chain.len() <= 16 {
+                    match spans.iter().find(|s| s.id == parent) {
+                        Some(anc) => {
+                            chain.push(entry(anc));
+                            parent = anc.parent;
+                        }
+                        None => {
+                            chain.push(format!("#{parent}"));
+                            break;
+                        }
+                    }
+                }
+                chain.reverse();
+                SlowOp {
+                    record,
+                    ancestry: chain.join(" > "),
+                }
+            })
+            .collect()
     }
 
     /// The queue gauges fed by the IPC layer. Always live, even when span
@@ -478,20 +475,27 @@ impl Telemetry {
         &self.cluster
     }
 
-    /// The always-on flight recorder: bounded per-subsystem event rings
-    /// plus the post-mortem bundles captured on trigger.
+    /// The flight recorder: the post-mortem bundles captured on trigger.
     pub fn flight(&self) -> &Arc<FlightRecorder> {
         &self.flight
     }
 
-    /// Fires a flight-recorder trigger, capturing the recent finished
-    /// spans and the in-flight open chain into a post-mortem bundle.
-    /// `cause` is one of the documented trigger kinds (`breaker_open`,
-    /// `degraded_enter`, `torn_tail`, `slow_op`).
+    /// Fires a flight-recorder trigger, capturing the span ring and this
+    /// thread's open spans of this hub — the failing op's chain, when the
+    /// thread running it fires — into a post-mortem bundle. `cause` is
+    /// one of the documented trigger kinds (`breaker_open`,
+    /// `degraded_enter`, `slow_op`).
     pub fn flight_trigger(&self, cause: &'static str, detail: String) {
-        let spans = self.ring.lock().snapshot();
-        let open = self.open.lock().clone();
-        self.flight.trigger(cause, detail, spans, &open);
+        let spans = self.spans();
+        let open = FRAMES.with(|frames| {
+            frames
+                .borrow()
+                .iter()
+                .filter(|f| std::ptr::eq(Arc::as_ptr(&f.tel), self))
+                .map(|f| f.record)
+                .collect()
+        });
+        self.flight.capture(cause, detail, spans, open);
     }
 
     /// Registers (or finds) the SLO tracker for one active file. `file`
@@ -499,165 +503,148 @@ impl Telemetry {
     /// registration (first open wins).
     pub fn slo_register(&self, file: &str, sentinel: &str, spec: SloSpec) -> Arc<SloTracker> {
         let file = intern(file);
-        let mut slos = self.slos.lock();
-        if let Some(t) = slos.iter().find(|t| t.file() == file) {
-            return Arc::clone(t);
-        }
-        let t = Arc::new(SloTracker::new(file, intern(sentinel), spec));
-        slos.push(Arc::clone(&t));
-        t
+        self.slos
+            .get_or(file, || SloTracker::new(file, intern(sentinel), spec))
     }
 
     /// Every registered SLO tracker, sorted by file path.
     pub fn slo_trackers(&self) -> Vec<Arc<SloTracker>> {
-        let mut out: Vec<_> = self.slos.lock().iter().map(Arc::clone).collect();
-        out.sort_by(|a, b| a.file().cmp(b.file()));
-        out
+        self.slos
+            .sorted(Arc::clone)
+            .into_iter()
+            .map(|(_, t)| t)
+            .collect()
     }
 
     /// Finds or creates the per-sentinel resource-accounting counters
     /// (ops, bytes in/out, errors, queue-depth peak) — the substrate
     /// quota throttling enforces against.
     pub fn sentinel_stats(&self, name: &str) -> Arc<SentinelStats> {
-        let name = intern(name);
-        let mut stats = self.sentinel_stats.lock();
-        if let Some((_, s)) = stats.iter().find(|(n, _)| *n == name) {
-            return Arc::clone(s);
-        }
-        let s = Arc::new(SentinelStats::default());
-        stats.push((name, Arc::clone(&s)));
-        s
+        self.sentinel_stats
+            .get_or(intern(name), SentinelStats::default)
     }
 
     /// Snapshots every per-sentinel resource counter set, sorted by name.
     pub fn sentinel_stats_snapshots(&self) -> Vec<(&'static str, SentinelStatsSnapshot)> {
-        let mut out: Vec<_> = self
-            .sentinel_stats
-            .lock()
-            .iter()
-            .map(|(name, s)| (*name, s.snapshot()))
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(b.0));
-        out
+        self.sentinel_stats.sorted(|s| s.snapshot())
     }
 
     /// Finds or creates the latency histogram for one (strategy, op) pair.
     pub fn strategy_hist(&self, strategy: &'static str, op: &'static str) -> Arc<LatencyHistogram> {
-        let mut hists = self.strategy_hists.lock();
-        if let Some((_, h)) = hists.iter().find(|((s, o), _)| *s == strategy && *o == op) {
-            return Arc::clone(h);
-        }
-        let h = Arc::new(LatencyHistogram::new());
-        hists.push(((strategy, op), Arc::clone(&h)));
-        h
+        self.strategy_hists
+            .get_or((strategy, op), LatencyHistogram::new)
     }
 
     /// Finds or creates the latency histogram for one sentinel (by name;
     /// the name is interned).
     pub fn sentinel_hist(&self, name: &str) -> Arc<LatencyHistogram> {
-        let name = intern(name);
-        let mut hists = self.sentinel_hists.lock();
-        if let Some((_, h)) = hists.iter().find(|(n, _)| *n == name) {
-            return Arc::clone(h);
-        }
-        let h = Arc::new(LatencyHistogram::new());
-        hists.push((name, Arc::clone(&h)));
-        h
+        self.sentinel_hists
+            .get_or(intern(name), LatencyHistogram::new)
     }
 
     /// Snapshots every (strategy, op) histogram, sorted by key.
     pub fn strategy_hist_snapshots(
         &self,
     ) -> Vec<((&'static str, &'static str), HistogramSnapshot)> {
-        let mut out: Vec<_> = self
-            .strategy_hists
-            .lock()
-            .iter()
-            .map(|(key, h)| (*key, h.snapshot()))
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
+        self.strategy_hists.sorted(|h| h.snapshot())
     }
 
     /// Snapshots every per-sentinel histogram, sorted by name.
     pub fn sentinel_hist_snapshots(&self) -> Vec<(&'static str, HistogramSnapshot)> {
-        let mut out: Vec<_> = self
-            .sentinel_hists
-            .lock()
-            .iter()
-            .map(|(name, h)| (*name, h.snapshot()))
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(b.0));
-        out
+        self.sentinel_hists.sorted(|h| h.snapshot())
     }
 
     /// Sum of recorded nanoseconds across all (strategy, op) histograms —
     /// the histogram-derived replacement for ad-hoc start/stop timing.
     pub fn strategy_elapsed_total_ns(&self) -> u64 {
-        self.strategy_hists
-            .lock()
-            .iter()
-            .map(|(_, h)| h.snapshot().sum_ns)
-            .sum()
+        let sums = self.strategy_hists.sorted(|h| h.snapshot().sum_ns);
+        sums.iter().map(|(_, ns)| ns).sum()
     }
 }
 
-/// Closes its span when dropped, recording the finished [`SpanRecord`].
+/// Closes its span when dropped: pops the span's frame off this thread's
+/// stack and records it. A span opens and closes on one thread, so the
+/// guard is neither `Send` nor `Sync`.
 #[derive(Debug)]
 pub struct SpanGuard {
-    tel: Arc<Telemetry>,
-    record: SpanRecord,
+    id: u64,
+    trace: u64,
+    _thread: PhantomData<*const ()>,
 }
 
 impl SpanGuard {
     /// The span's unique id.
     pub fn id(&self) -> u64 {
-        self.record.id
+        self.id
     }
 
     /// The trace id this span belongs to.
     pub fn trace(&self) -> u64 {
-        self.record.trace
+        self.trace
     }
 
     /// The [`TraceContext`] a child of this span should adopt — what the
     /// strategy handle puts on the frame that carries its op.
     pub fn context(&self) -> TraceContext {
         TraceContext {
-            trace: self.record.trace,
-            parent: self.record.id,
+            trace: self.trace,
+            parent: self.id,
             sampled: true,
         }
     }
 
     /// Attributes payload bytes to the span.
     pub fn set_bytes(&mut self, bytes: u64) {
-        self.record.bytes = bytes;
+        self.edit(|r| r.bytes = bytes);
     }
 
     /// Annotates the span (interned string), e.g. `"cause=breaker_open"`.
     pub fn set_note(&mut self, note: &'static str) {
-        self.record.note = note;
+        self.edit(|r| r.note = note);
+    }
+
+    fn edit(&self, f: impl FnOnce(&mut SpanRecord)) {
+        FRAMES.with(|frames| {
+            if let Some(frame) = frames
+                .borrow_mut()
+                .iter_mut()
+                .rfind(|f| f.record.id == self.id)
+            {
+                f(&mut frame.record);
+            }
+        });
     }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        self.record.end = now_ns();
-        FRAMES.with(|frames| {
+        let frame = FRAMES.with(|frames| {
             let mut frames = frames.borrow_mut();
-            if let Some(pos) = frames.iter().rposition(|f| f.span == self.record.id) {
-                frames.remove(pos);
-            }
+            let pos = frames.iter().rposition(|f| f.record.id == self.id)?;
+            Some(frames.remove(pos))
         });
-        self.tel.finish(self.record);
+        if let Some(Frame { tel, mut record }) = frame {
+            record.end = now_ns();
+            tel.finish(record);
+        }
     }
 }
 
+/// One open span: its hub and its record so far (`end` 0).
 struct Frame {
     tel: Arc<Telemetry>,
-    span: u64,
-    trace: u64,
+    record: SpanRecord,
+}
+
+impl Frame {
+    /// The context a child of this span adopts.
+    fn context(&self) -> TraceContext {
+        TraceContext {
+            trace: self.record.trace,
+            parent: self.record.id,
+            sampled: true,
+        }
+    }
 }
 
 thread_local! {
@@ -685,11 +672,7 @@ fn current_context(tel: &Arc<Telemetry>) -> Option<TraceContext> {
             .iter()
             .rev()
             .find(|f| Arc::ptr_eq(&f.tel, tel))
-            .map(|f| TraceContext {
-                trace: f.trace,
-                parent: f.span,
-                sampled: true,
-            })
+            .map(|f| f.context())
     })
 }
 
@@ -698,16 +681,10 @@ fn current_context(tel: &Arc<Telemetry>) -> Option<TraceContext> {
 /// reference (afs-net, afs-store) join the caller's trace.
 fn top_frame() -> Option<(Arc<Telemetry>, TraceContext)> {
     FRAMES.with(|frames| {
-        frames.borrow().last().map(|f| {
-            (
-                Arc::clone(&f.tel),
-                TraceContext {
-                    trace: f.trace,
-                    parent: f.span,
-                    sampled: true,
-                },
-            )
-        })
+        frames
+            .borrow()
+            .last()
+            .map(|f| (Arc::clone(&f.tel), f.context()))
     })
 }
 
@@ -731,18 +708,10 @@ pub fn retry_span(name: &'static str, note: &'static str) -> Option<SpanGuard> {
     tel.span_in_context(Layer::Retry, name, "", ctx, note)
 }
 
-/// Records a flight-recorder event against the hub of the innermost open
-/// span on this thread. A no-op when no span is open (which is also the
-/// telemetry-disabled case), so any layer can call it unconditionally.
-pub fn flight_note(subsystem: &'static str, message: String) {
-    if let Some((tel, _)) = top_frame() {
-        tel.flight().note(subsystem, message);
-    }
-}
-
 /// Fires a flight-recorder trigger against the hub of the innermost open
 /// span on this thread (see [`Telemetry::flight_trigger`]). A no-op when
-/// no span is open, like [`flight_note`].
+/// no span is open (which is also the telemetry-disabled case), so any
+/// layer can call it unconditionally.
 pub fn flight_trigger(cause: &'static str, detail: String) {
     if let Some((tel, _)) = top_frame() {
         tel.flight_trigger(cause, detail);
@@ -762,23 +731,35 @@ pub fn now_ns() -> u64 {
     }
 }
 
-static INTERNED: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
+type Interned = HashSet<&'static str, BuildHasherDefault<DefaultHasher>>;
+
+static INTERNED: Mutex<Interned> = Mutex::new(HashSet::with_hasher(BuildHasherDefault::new()));
 
 /// Interns a string, returning a `&'static str` (leaked once per distinct
-/// value). Used for sentinel names so [`SpanRecord`] stays `Copy`.
+/// value, found by hash after that). Used for sentinel names and span
+/// notes so [`SpanRecord`] stays `Copy`.
 pub fn intern(name: &str) -> &'static str {
     let mut table = INTERNED.lock();
-    if let Some(existing) = table.iter().find(|s| **s == name) {
+    if let Some(&existing) = table.get(name) {
         return existing;
     }
     let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
-    table.push(leaked);
+    table.insert(leaked);
     leaked
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The open record behind `guard`, read off this thread's frames.
+    fn record(guard: &SpanGuard) -> SpanRecord {
+        FRAMES.with(|frames| {
+            let frames = frames.borrow();
+            let frame = frames.iter().find(|f| f.record.id == guard.id());
+            frame.expect("an open span has a frame").record
+        })
+    }
 
     #[test]
     fn disabled_telemetry_records_nothing() {
@@ -797,7 +778,7 @@ mod tests {
             let outer_id = outer.id();
             {
                 let inner = tel.span(Layer::Strategy, "read").expect("inner");
-                assert_eq!(inner.record.parent, outer_id);
+                assert_eq!(record(&inner).parent, outer_id);
             }
         }
         let spans = tel.spans();
@@ -823,7 +804,8 @@ mod tests {
         let cross = tel
             .span_in_context(Layer::Sentinel, "write", "Process", ctx, "")
             .expect("cross");
-        assert_eq!((cross.record.parent, cross.record.trace), (7777, 7000));
+        let cross = record(&cross);
+        assert_eq!((cross.parent, cross.trace), (7777, 7000));
     }
 
     #[test]
@@ -833,7 +815,7 @@ mod tests {
         tel.set_enabled(true);
         let outer = tel.span(Layer::Strategy, "read").expect("outer");
         let nested = backend_span("remote-get").expect("nested");
-        assert_eq!(nested.record.parent, outer.id());
+        assert_eq!(record(&nested).parent, outer.id());
     }
 
     #[test]

@@ -307,6 +307,40 @@ fn slow_ops_across_mux_sessions_name_their_session_and_file() {
 }
 
 #[test]
+fn a_posted_writes_sentinel_span_names_its_op() {
+    // Two sessions share the sentinel, so a write is posted: its sentinel
+    // span runs once the next call flushes it, after its `send` has
+    // closed. The slow-op report still walks the whole chain, because
+    // ancestry is read from the span ring.
+    for strategy in [Strategy::DllThread, Strategy::ProcessControl] {
+        let (w, file) = world_with(strategy);
+        w.telemetry().set_enabled(true);
+        w.telemetry().set_slow_threshold_ns(1);
+        let api = w.api();
+        let open = || {
+            api.create_file(file, Access::read_write(), Disposition::OpenExisting)
+                .expect("open")
+        };
+        let (h1, h2) = (open(), open());
+        api.write_file(h1, b"posted").expect("write");
+        let mut buf = [0u8; 8];
+        api.read_file(h1, &mut buf).expect("read");
+        api.close_handle(h1).expect("close 1");
+        api.close_handle(h2).expect("close 2");
+        let slow = w.telemetry().slow_ops();
+        let write = slow
+            .iter()
+            .find(|s| s.record.name == "write" && s.record.note.starts_with("session="))
+            .unwrap_or_else(|| panic!("{strategy:?}: no sentinel write report: {slow:#?}"));
+        assert_eq!(
+            write.ancestry,
+            format!("WriteFile > write > send > write[session=1 file={file}]"),
+            "{strategy:?}"
+        );
+    }
+}
+
+#[test]
 fn exported_span_trace_covers_the_interposition_chain() {
     // The CI gate formerly validated `figure6 --spans` output with a
     // python script; this is the same check in-tree. The exported
