@@ -11,7 +11,7 @@
 //! |--------|------|----------|
 //! | private, unbatched | `PairPort<Framed<Op>, Framed<OpReply>>` | the one admitted at open |
 //! | shared | `PairPort<Framed<Op>, Framed<OpReply>>` | admitted as opens attach |
-//! | batched | [`RingSentinelPort`] | the one admitted at open |
+//! | batched | `RingPort<Framed<Op>, OpReply>` | the one admitted at open |
 //!
 //! Every lane carries a command in one envelope, [`Framed`]: the session
 //! it belongs to (0 on a private wire) and the trace context of the op it
@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use afs_ipc::{BufferPool, ChannelWaker, Cqe, Framed, IpcError, PairPort, RingPort};
+use afs_ipc::{ChannelWaker, Cqe, Framed, FreeList, IpcError, PairPort, RingPort};
 use afs_telemetry::{SentinelStats, TraceContext};
 
 use crate::ctx::SentinelCtx;
@@ -47,23 +47,28 @@ pub(crate) struct Inbound {
     /// Submission id the reply comes back under (ring ports; 0 elsewhere).
     pub(crate) id: u64,
     pub(crate) op: Op,
-    /// A `Write`'s bytes; empty for every other command. The loop returns
-    /// it to the port's pool once the command has run.
+    /// A `Write`'s bytes; empty for every other command. The loop keeps
+    /// it on its staging list once the command has run.
     pub(crate) payload: Vec<u8>,
+    /// Its take left the open lane empty: nothing more is there until the
+    /// waker rings again.
+    pub(crate) emptied: bool,
 }
 
 /// The sentinel side of a wire, as much of it as the loop needs.
 pub(crate) trait SentinelPort: Send + 'static {
-    /// The next inbound command with its payload, `None` when the lane is
-    /// merely empty. Never blocks on an empty lane.
+    /// The next inbound command with its payload, staged from `staging`
+    /// when it crosses a lane of its own; `None` when the lane is merely
+    /// empty. Never blocks on an empty lane.
     ///
     /// # Errors
     ///
     /// The application side is gone — before a command, or between a
     /// `Write` and its payload.
-    fn next(&self) -> afs_ipc::Result<Option<Inbound>>;
+    fn next(&self, staging: &mut FreeList) -> afs_ipc::Result<Option<Inbound>>;
 
-    /// Sends `reply` (and any produced bytes) to `session`.
+    /// Sends `reply` (and any produced bytes) to `session`, handing back
+    /// the bytes' buffer if the port did not keep it.
     ///
     /// # Errors
     ///
@@ -74,29 +79,27 @@ pub(crate) trait SentinelPort: Send + 'static {
         id: u64,
         reply: OpReply,
         data: Option<Vec<u8>>,
-    ) -> afs_ipc::Result<()>;
-
-    /// Where payloads and read buffers are staged.
-    fn pool(&self) -> &BufferPool;
+    ) -> afs_ipc::Result<Option<Vec<u8>>>;
 
     /// Installs the readiness waker the sentinel executor parks on.
     fn set_wakeup(&self, waker: ChannelWaker);
 }
 
-/// The pair wire, private or shared: every frame names its session.
+/// The pair wire, private or shared: every frame names its session. A
+/// reply's bytes are copied onto the data lane, so their buffer comes back.
 impl SentinelPort for PairPort<Framed<Op>, Framed<OpReply>> {
-    fn next(&self) -> afs_ipc::Result<Option<Inbound>> {
-        let Some(frame) = self.poll_cmd()? else {
+    fn next(&self, staging: &mut FreeList) -> afs_ipc::Result<Option<Inbound>> {
+        let Some((frame, emptied)) = self.poll_cmd()? else {
             return Ok(None);
         };
         // The payload that follows a `Write` on the data lane.
         let payload = match frame.body {
             Op::Write { len, .. } if len > 0 => {
-                let mut buf = self.pool().take(len as usize);
+                let mut buf = staging.take(len as usize);
                 // A pipe reports a vanished writer as a short count, not
                 // an error: either way the payload is not coming.
                 if self.recv_data_exact(&mut buf).ok() != Some(buf.len()) {
-                    self.pool().put(buf);
+                    staging.put(buf);
                     return Err(IpcError::BrokenPipe);
                 }
                 buf
@@ -109,6 +112,7 @@ impl SentinelPort for PairPort<Framed<Op>, Framed<OpReply>> {
             id: 0,
             op: frame.body,
             payload,
+            emptied,
         }))
     }
 
@@ -118,24 +122,17 @@ impl SentinelPort for PairPort<Framed<Op>, Framed<OpReply>> {
         _id: u64,
         reply: OpReply,
         data: Option<Vec<u8>>,
-    ) -> afs_ipc::Result<()> {
+    ) -> afs_ipc::Result<Option<Vec<u8>>> {
         let frame = Framed {
             session,
             trace: TraceContext::default(),
             body: reply,
         };
-        let sent = self.send_reply(frame).and_then(|()| match &data {
-            Some(bytes) if !bytes.is_empty() => self.send_data(bytes),
-            _ => Ok(()),
-        });
-        if let Some(bytes) = data {
-            self.pool().put(bytes);
+        self.send_reply(frame)?;
+        if let Some(bytes) = data.as_ref().filter(|bytes| !bytes.is_empty()) {
+            self.send_data(bytes)?;
         }
-        sent
-    }
-
-    fn pool(&self) -> &BufferPool {
-        PairPort::pool(self)
+        Ok(data)
     }
 
     fn set_wakeup(&self, waker: ChannelWaker) {
@@ -144,29 +141,16 @@ impl SentinelPort for PairPort<Framed<Op>, Framed<OpReply>> {
 }
 
 /// The batched wire: submissions carry their payload, completions are
-/// posted by id (so the ring itself recycles nothing into the pool).
-pub(crate) struct RingSentinelPort {
-    ring: RingPort<Framed<Op>, OpReply>,
-    pool: BufferPool,
-}
-
-impl RingSentinelPort {
-    pub(crate) fn new(ring: RingPort<Framed<Op>, OpReply>) -> Self {
-        RingSentinelPort {
-            ring,
-            pool: BufferPool::new(),
-        }
-    }
-}
-
-impl SentinelPort for RingSentinelPort {
-    fn next(&self) -> afs_ipc::Result<Option<Inbound>> {
-        Ok(self.ring.poll_sqe()?.map(|sqe| Inbound {
+/// posted by id, each keeping its bytes' buffer.
+impl SentinelPort for RingPort<Framed<Op>, OpReply> {
+    fn next(&self, _staging: &mut FreeList) -> afs_ipc::Result<Option<Inbound>> {
+        Ok(self.poll_next()?.map(|(sqe, emptied)| Inbound {
             session: sqe.cmd.session,
             trace: sqe.cmd.trace,
             id: sqe.id,
             op: sqe.cmd.body,
             payload: sqe.payload.unwrap_or_default(),
+            emptied,
         }))
     }
 
@@ -176,16 +160,12 @@ impl SentinelPort for RingSentinelPort {
         id: u64,
         reply: OpReply,
         data: Option<Vec<u8>>,
-    ) -> afs_ipc::Result<()> {
-        self.ring.post(Cqe { id, reply, data })
-    }
-
-    fn pool(&self) -> &BufferPool {
-        &self.pool
+    ) -> afs_ipc::Result<Option<Vec<u8>>> {
+        self.post(Cqe { id, reply, data }).map(|()| None)
     }
 
     fn set_wakeup(&self, waker: ChannelWaker) {
-        self.ring.set_wakeup(waker);
+        RingPort::set_wakeup(self, waker);
     }
 }
 
@@ -288,6 +268,9 @@ pub(crate) struct SentinelLoop<P: SentinelPort> {
     ctx: SentinelCtx,
     port: P,
     sessions: SessionTable,
+    /// Where read replies and write payloads are staged. One thread at a
+    /// time polls the loop, through `&mut`, so the list takes no lock.
+    staging: FreeList,
     stats: Arc<SentinelStats>,
     /// The close hook has run; it runs exactly once whichever way the
     /// loop exits.
@@ -301,6 +284,7 @@ impl<P: SentinelPort> SentinelLoop<P> {
         port: P,
         joiners: Joiners,
         departed: SentinelSide,
+        staging: FreeList,
         stats: Arc<SentinelStats>,
     ) -> Self {
         SentinelLoop {
@@ -308,25 +292,28 @@ impl<P: SentinelPort> SentinelLoop<P> {
             ctx,
             port,
             sessions: SessionTable::new(joiners, departed),
+            staging,
             stats,
             closed: false,
         }
     }
 
-    /// Registers the loop for `port` on the sentinel executor.
+    /// Registers the loop for `port` on the sentinel executor, staging in
+    /// `staging`.
     pub(crate) fn spawn(
         instr: &Instruments,
         logic: Box<dyn SentinelLogic>,
         ctx: SentinelCtx,
         port: P,
         joiners: Joiners,
+        staging: FreeList,
     ) -> Arc<TaskDone> {
         let departed = instr.sentinel_side();
         let stats = instr.tel.sentinel_stats(instr.sentinel);
         instr.spawn_task(move |waker| {
             port.set_wakeup(waker);
             Box::new(SentinelLoop::new(
-                logic, ctx, port, joiners, departed, stats,
+                logic, ctx, port, joiners, departed, staging, stats,
             ))
         })
     }
@@ -338,12 +325,14 @@ impl<P: SentinelPort> SentinelLoop<P> {
             id,
             op,
             payload,
+            emptied: _,
         } = inbound;
         let Self {
             logic,
             ctx,
             port,
             sessions,
+            staging,
             stats,
             closed,
         } = self;
@@ -354,13 +343,13 @@ impl<P: SentinelPort> SentinelLoop<P> {
         if let Some(e) = take_sticky_preemption(&sess.sticky, &op) {
             return port
                 .reply(session, id, OpReply::Failed(e), None)
-                .map(|()| Served::Continue);
+                .map(|_| Served::Continue);
         }
         let write = matches!(op, Op::Write { .. });
         let close = matches!(op, Op::Close);
         // A read's bytes have a wire to cross: they are staged in a
-        // pooled buffer the reply takes with it.
-        let mut data = op.read_room().map(|room| port.pool().take(room));
+        // buffer the reply takes with it.
+        let mut data = op.read_room().map(|room| staging.take(room));
         let executed = sess.side.observe(op_name(&op), trace, || {
             let into = data.as_deref_mut().unwrap_or_default();
             execute_op(logic.as_mut(), ctx, op, &payload, into)
@@ -374,7 +363,7 @@ impl<P: SentinelPort> SentinelLoop<P> {
         if let (OpReply::Read { n }, Some(bytes)) = (&reply, &mut data) {
             bytes.truncate(*n as usize);
         } else if let Some(unused) = data.take() {
-            port.pool().put(unused);
+            staging.put(unused);
         }
         *closed |= close;
         stats.op(
@@ -382,7 +371,7 @@ impl<P: SentinelPort> SentinelLoop<P> {
             data.as_ref().map_or(0, |d| d.len() as u64),
             matches!(reply, OpReply::Failed(_)),
         );
-        port.pool().put(payload);
+        staging.put(payload);
         if write {
             // Acknowledged eagerly on the application side: no reply.
             if let OpReply::Failed(e) = reply {
@@ -390,7 +379,9 @@ impl<P: SentinelPort> SentinelLoop<P> {
             }
             return Ok(Served::Continue);
         }
-        port.reply(session, id, reply, data)?;
+        if let Some(spent) = port.reply(session, id, reply, data)? {
+            staging.put(spent);
+        }
         Ok(if close {
             Served::Closed
         } else {
@@ -400,41 +391,42 @@ impl<P: SentinelPort> SentinelLoop<P> {
 
     /// Runs the close hook unless `Close` already did: the application
     /// vanished without it (process killed, wire dead mid-operation) or
-    /// the executor is shutting down.
-    fn finish(&mut self) {
+    /// the executor is shutting down. The loop is done either way.
+    fn finish(&mut self) -> TaskPoll {
         if !std::mem::replace(&mut self.closed, true) {
             let _ = self.logic.on_close(&mut self.ctx);
             self.ctx.persist_cache();
         }
+        TaskPoll::Ready
     }
 }
 
 impl<P: SentinelPort> SentinelPoll for SentinelLoop<P> {
+    /// Serves commands until the lane is empty. A take that leaves the
+    /// open lane empty ends the poll once its command is served, without
+    /// locking the lane again to find nothing: a send that races in after
+    /// it rings a task that is running, and the executor re-polls.
     fn poll(&mut self) -> TaskPoll {
         // Commands served back-to-back in one poll were queued together:
         // the run length is the backlog depth this sentinel observed.
         let mut drained = 0u64;
         loop {
-            let served = match self.port.next() {
-                Ok(Some(inbound)) => {
-                    drained += 1;
-                    self.serve(inbound)
-                }
-                Ok(None) => {
-                    self.stats.note_queue_depth(drained);
-                    return TaskPoll::Pending;
-                }
-                Err(e) => Err(e),
+            let inbound = match self.port.next(&mut self.staging) {
+                Ok(Some(inbound)) => inbound,
+                Ok(None) => break,
+                Err(_) => return self.finish(),
             };
-            match served {
+            drained += 1;
+            let emptied = inbound.emptied;
+            match self.serve(inbound) {
+                Ok(Served::Continue) if emptied => break,
                 Ok(Served::Continue) => {}
                 Ok(Served::Closed) => return TaskPoll::Ready,
-                Err(_) => {
-                    self.finish();
-                    return TaskPoll::Ready;
-                }
+                Err(_) => return self.finish(),
             }
         }
+        self.stats.note_queue_depth(drained);
+        TaskPoll::Pending
     }
 
     fn abandon(&mut self) {

@@ -201,6 +201,7 @@ fn rig<P: SentinelPort>(
             port,
             joiners.clone(),
             instr.sentinel_side(),
+            FreeList::default(),
             instr.tel.sentinel_stats(instr.sentinel),
         )),
         seen,
@@ -225,7 +226,7 @@ fn rigs(fail_writes: bool) -> [Rig; 3] {
         }),
         rig("ring", fail_writes, PRIVATE_SESSION, |model| {
             let (t, port) = RingPair::shared(model, 4);
-            (App::Ring(t, 0), RingSentinelPort::new(port))
+            (App::Ring(t, 0), port)
         }),
     ]
 }

@@ -24,7 +24,7 @@
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use parking_lot::{Condvar, Mutex};
@@ -64,8 +64,11 @@ pub(crate) enum TaskPoll {
 }
 
 /// A resumable sentinel state machine: the executor-facing refactor of the
-/// blocking dispatch loop. `poll` must drain everything currently
-/// available and return instead of blocking on an empty command lane.
+/// blocking dispatch loop. `poll` serves what is available and returns
+/// instead of blocking on an empty command lane. It may return `Pending`
+/// as soon as a take leaves its open lane empty, without looking again: a
+/// send after that take finds the task running and flags it `NOTIFIED`,
+/// and [`Inner::run`] polls again.
 pub(crate) trait SentinelPoll: Send {
     /// Drains the transport; called by one thread at a time — a worker, a
     /// pinned task's own thread, or the sender of an awaited command.
@@ -117,16 +120,22 @@ impl TaskDone {
 struct TaskHandle {
     id: u64,
     state: AtomicU8,
-    /// The state machine itself; taken (and dropped, closing its
-    /// transport) when the task retires.
-    task: Mutex<Option<Box<dyn SentinelPoll>>>,
-    /// The task's virtual clock, carried across polls. `None` means the
-    /// opener had no clock (wall-clock benchmarking mode).
-    vtime: Mutex<Option<SimTime>>,
+    /// The state machine and its clock: one lock per poll.
+    cell: Mutex<TaskCell>,
     /// Where a wake puts the task: the pool's run queue, or a pinned
     /// task's own.
     queue: Arc<RunQueue>,
     done: Arc<TaskDone>,
+}
+
+/// What a poll needs of its task, under the one lock it takes.
+struct TaskCell {
+    /// The state machine itself; taken (and dropped, closing its
+    /// transport) when the task retires.
+    machine: Option<Box<dyn SentinelPoll>>,
+    /// The task's virtual clock, carried across polls. `None` means the
+    /// opener had no clock (wall-clock benchmarking mode).
+    vtime: Option<SimTime>,
 }
 
 /// Tasks with something to observe, oldest first, and the condvar the
@@ -286,16 +295,18 @@ impl SentinelExecutor {
             // Born QUEUED: wakes during construction are satisfied by the
             // unconditional first schedule below.
             state: AtomicU8::new(QUEUED),
-            task: Mutex::new(None),
-            vtime: Mutex::new(clock::is_active().then(clock::now)),
+            cell: Mutex::new(TaskCell {
+                machine: None,
+                vtime: clock::is_active().then(clock::now),
+            }),
             queue,
             done: Arc::clone(&done),
         });
         let waker: ChannelWaker = Arc::new(TaskWaker {
-            inner: Arc::downgrade(inner),
+            inner: Arc::clone(inner),
             task: Arc::clone(&handle),
         });
-        *handle.task.lock() = Some(build(waker));
+        handle.cell.lock().machine = Some(build(waker));
         let live = {
             let mut tasks = inner.tasks.lock();
             tasks.insert(handle.id, Arc::clone(&handle));
@@ -334,20 +345,24 @@ impl Drop for SentinelExecutor {
     }
 }
 
-/// A task's readiness hook, installed on its command lane.
+/// A task's readiness hook, installed on its command lane. It holds the
+/// executor strongly, so a ring touches no reference count. The cycle
+/// that makes (executor → task → its lane's sentinel end → hook) ends when
+/// the task retires or the executor drains, either of which drops the
+/// state machine. A lane's application end may keep the hook, and with it
+/// a drained executor's memory, until that end goes too; a task rung
+/// meanwhile is `DONE`, and the wake does nothing.
 struct TaskWaker {
-    inner: Weak<Inner>,
+    inner: Arc<Inner>,
     task: Arc<TaskHandle>,
 }
 
 impl Wake for TaskWaker {
     fn wake(&self, awaited: bool) {
-        if let Some(inner) = self.inner.upgrade() {
-            if awaited {
-                inner.wake_awaited(&self.task);
-            } else {
-                inner.wake(&self.task);
-            }
+        if awaited {
+            self.inner.wake_awaited(&self.task);
+        } else {
+            self.inner.wake(&self.task);
         }
     }
 }
@@ -443,9 +458,10 @@ impl Inner {
     }
 
     /// Polls `task` until its lane is drained, re-polling if a wake raced
-    /// the poll, under the task's own virtual clock. Whoever claimed the
-    /// task runs this: a thread that popped it, or the sender of an
-    /// awaited command.
+    /// the poll — the one way a send after the poll's last take is
+    /// served — under the task's own virtual clock, one lock per poll.
+    /// Whoever claimed the task runs this: a thread that popped it, or the
+    /// sender of an awaited command.
     fn run(&self, task: &Arc<TaskHandle>) {
         task.state.store(RUNNING, Ordering::Release);
         loop {
@@ -476,9 +492,9 @@ impl Inner {
     /// task's clock — or none, if it has none — replaces the polling
     /// thread's for the poll.
     fn poll_once(&self, task: &TaskHandle) -> Option<TaskPoll> {
-        let mut cell = task.task.lock();
-        let machine = cell.as_mut()?;
-        let mut vtime = task.vtime.lock();
+        let mut cell = task.cell.lock();
+        let TaskCell { machine, vtime } = &mut *cell;
+        let machine = machine.as_mut()?;
         let guard = clock::enter(*vtime);
         self.gauges.poll();
         let result = machine.poll();
@@ -493,8 +509,11 @@ impl Inner {
     /// transport), unregister, send a pinned task's thread home, and
     /// release anyone waiting in `reap`.
     fn retire(&self, task: &Arc<TaskHandle>) {
-        let final_time = task.vtime.lock().unwrap_or(0);
-        task.task.lock().take();
+        let final_time = {
+            let mut cell = task.cell.lock();
+            cell.machine = None;
+            cell.vtime.unwrap_or(0)
+        };
         task.state.store(DONE, Ordering::Release);
         let live = {
             let mut tasks = self.tasks.lock();
@@ -515,16 +534,15 @@ impl Inner {
         match self.poll_once(&task) {
             None | Some(TaskPoll::Ready) => {}
             Some(TaskPoll::Pending) => {
-                let mut cell = task.task.lock();
-                if let Some(machine) = cell.as_mut() {
-                    let mut vtime = task.vtime.lock();
+                let mut cell = task.cell.lock();
+                let TaskCell { machine, vtime } = &mut *cell;
+                if let Some(machine) = machine.as_mut() {
                     let guard = vtime.map(clock::install);
                     machine.abandon();
                     if guard.is_some() {
                         *vtime = Some(clock::now());
                     }
                     drop(guard);
-                    drop(vtime);
                     self.gauges.task_abandoned();
                 }
                 drop(cell);
@@ -575,6 +593,15 @@ impl Inner {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+
+    use afs_ipc::Framed;
+    use afs_telemetry::TraceContext;
+
+    use crate::ctx::SentinelCtx;
+    use crate::logic::{SentinelLogic, SentinelResult};
+    use crate::strategy::dispatch::tests::{instruments, probe_ctx};
+    use crate::strategy::dispatch::{Joiners, SentinelLoop, Session, PRIVATE_SESSION};
+    use crate::strategy::{Op, OpReply, Sticky};
 
     /// A sentinel stand-in: consumes ticks from a shared counter, becomes
     /// Ready once `closed` is set and the ticks are drained.
@@ -706,6 +733,81 @@ mod tests {
         // The task's own timeline: inherited 1_000, three ticks of 10 ns.
         assert_eq!(done.wait(), 1_030);
         assert_eq!(exec.live(), 0);
+    }
+
+    /// The application end of a §4.3 pair lane.
+    type App = afs_ipc::PairTransport<Framed<Op>, Framed<OpReply>>;
+
+    fn framed(body: Op) -> Framed<Op> {
+        Framed {
+            session: PRIVATE_SESSION,
+            trace: TraceContext::default(),
+            body,
+        }
+    }
+
+    /// A sentinel routine that, serving a read, posts a write through the
+    /// application's sender, on the thread running the loop: a send that
+    /// lands after the take that emptied the lane and before the loop's
+    /// early `Pending`.
+    struct PostsDuringRead {
+        app: Arc<App>,
+        served: Arc<Mutex<Vec<&'static str>>>,
+    }
+
+    impl SentinelLogic for PostsDuringRead {
+        fn read(&mut self, _: &mut SentinelCtx, _: u64, buf: &mut [u8]) -> SentinelResult<usize> {
+            self.served.lock().push("read");
+            self.app
+                .send_cmd(framed(Op::Write { offset: 0, len: 1 }))
+                .expect("post");
+            self.app.send_data(b"w").expect("payload");
+            Ok(buf.len())
+        }
+
+        fn write(&mut self, _: &mut SentinelCtx, _: u64, data: &[u8]) -> SentinelResult<usize> {
+            self.served.lock().push("write");
+            Ok(data.len())
+        }
+    }
+
+    #[test]
+    fn a_send_that_races_the_loops_early_pending_is_served_in_the_same_run() {
+        let instr = instruments();
+        let (app, port) = App::shared(afs_sim::CostModel::free());
+        let app = Arc::new(app);
+        let served = Arc::default();
+        let logic = Box::new(PostsDuringRead {
+            app: Arc::clone(&app),
+            served: Arc::clone(&served),
+        });
+        let joiners = Joiners::default();
+        let session = Session {
+            id: PRIVATE_SESSION,
+            sticky: Sticky::default(),
+            side: instr.sentinel_side(),
+        };
+        joiners.admit(session, vec![PRIVATE_SESSION]);
+        let staging = afs_ipc::FreeList::default();
+        let done = SentinelLoop::spawn(&instr, logic, probe_ctx(), port, joiners, staging);
+        eventually("the loop idles after its first poll", || idle(&instr.exec));
+        let polls = instr.tel.fleet().snapshot().polls;
+        // The awaited read runs the idle loop on this thread. Its take
+        // empties the lane, so the loop returns `Pending` once the read
+        // is served; the write posted meanwhile flagged the running task
+        // `NOTIFIED`, and the same run polls again and serves it.
+        app.send_awaited(framed(Op::Read { offset: 0, len: 4 }), 4)
+            .expect("read");
+        assert_eq!(*served.lock(), ["read", "write"]);
+        assert_eq!(instr.tel.fleet().snapshot().polls, polls + 2);
+        assert_eq!(
+            app.recv_reply().expect("reply").body,
+            OpReply::Read { n: 4 }
+        );
+        assert_eq!(app.recv_payload(4, &mut [0; 4]), Ok(4));
+        app.send_awaited(framed(Op::Close), 0).expect("close");
+        assert_eq!(app.recv_reply().expect("close reply").body, OpReply::Done);
+        done.wait();
     }
 
     #[test]

@@ -44,7 +44,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use afs_ipc::{AppPort, BufferPool, Framed, IpcError};
+use afs_ipc::{AppPort, Framed, FreeList, IpcError};
 use afs_sim::{clock, CostModel, CrossingKind, OpKind, OpTrace, OpWindow, TraceRecord};
 use afs_telemetry::{
     now_ns, LatencyHistogram, Layer, SloTracker, SpanGuard, Telemetry, TraceContext,
@@ -219,11 +219,17 @@ pub(crate) struct StrategyHandle<P: AppPort<OpMux> + ?Sized> {
     /// The file pointer. Holding it is what serialises the handle's
     /// operations: commands carry absolute offsets, so an operation owns
     /// the pointer from the offset it sends to the count it adds.
-    pointer: Mutex<u64>,
+    pointer: Mutex<Cursor>,
     sticky: Sticky,
     reaper: Mutex<Option<Reaper>>,
-    /// Scratch buffers for scatter reassembly.
-    pool: BufferPool,
+}
+
+/// What the pointer lock guards: the offset, and the scratch a scatter
+/// read reassembles in, which needs no lock of its own.
+#[derive(Default)]
+struct Cursor {
+    at: u64,
+    scratch: FreeList,
 }
 
 impl<P: AppPort<OpMux> + ?Sized> StrategyHandle<P> {
@@ -238,10 +244,9 @@ impl<P: AppPort<OpMux> + ?Sized> StrategyHandle<P> {
             port,
             session,
             rec,
-            pointer: Mutex::new(0),
+            pointer: Mutex::default(),
             sticky,
             reaper: Mutex::new(reaper),
-            pool: BufferPool::new(),
         }
     }
 
@@ -311,10 +316,10 @@ impl<P: AppPort<OpMux> + ?Sized> ActiveOps for StrategyHandle<P> {
         self.check_sticky()?;
         self.rec.traced(OpKind::Read, || {
             let op = Op::Read {
-                offset: *pointer,
+                offset: pointer.at,
                 len: buf.len() as u32,
             };
-            self.read_at(&mut pointer, op, buf)
+            self.read_at(&mut pointer.at, op, buf)
         })
     }
 
@@ -325,7 +330,7 @@ impl<P: AppPort<OpMux> + ?Sized> ActiveOps for StrategyHandle<P> {
             let (_wire, trace) = self.rec.transport_span("send");
             let result = (|| {
                 let op = Op::Write {
-                    offset: *pointer,
+                    offset: pointer.at,
                     len: data.len() as u32,
                 };
                 self.port
@@ -337,7 +342,7 @@ impl<P: AppPort<OpMux> + ?Sized> ActiveOps for StrategyHandle<P> {
                     // rather than write-behind style on a later op.
                     self.check_sticky()?;
                 }
-                *pointer += data.len() as u64;
+                pointer.at += data.len() as u64;
                 Ok(data.len())
             })();
             (result, data.len() as u64)
@@ -354,7 +359,7 @@ impl<P: AppPort<OpMux> + ?Sized> ActiveOps for StrategyHandle<P> {
         let mut pointer = self.pointer.lock();
         let base: i64 = match method {
             SeekMethod::Begin => 0,
-            SeekMethod::Current => *pointer as i64,
+            SeekMethod::Current => pointer.at as i64,
             SeekMethod::End => {
                 self.check_sticky()?;
                 self.size_locked()? as i64
@@ -366,7 +371,7 @@ impl<P: AppPort<OpMux> + ?Sized> ActiveOps for StrategyHandle<P> {
         if target < 0 {
             return Err(Win32Error::InvalidParameter);
         }
-        *pointer = target as u64;
+        pointer.at = target as u64;
         Ok(target as u64)
     }
 
@@ -379,24 +384,25 @@ impl<P: AppPort<OpMux> + ?Sized> ActiveOps for StrategyHandle<P> {
     fn read_scatter(&self, bufs: &mut [&mut [u8]]) -> Result<usize, Win32Error> {
         let mut pointer = self.pointer.lock();
         self.check_sticky()?;
+        let Cursor { at, scratch } = &mut *pointer;
         self.rec.traced(OpKind::ReadScatter, || {
             let op = Op::ReadScatter {
-                offset: *pointer,
+                offset: *at,
                 lens: bufs.iter().map(|b| b.len() as u32).collect(),
             };
             // The sentinel produces one contiguous message; it lands in
-            // pooled scratch and is dealt out to the caller's buffers in
-            // order. The deal-out is pointer shuffling inside the
-            // application, not a transfer, so it is not charged.
-            let mut scratch = self.pool.take(bufs.iter().map(|b| b.len()).sum());
-            let (result, n) = self.read_at(&mut pointer, op, &mut scratch);
-            let mut rest = &scratch[..n as usize];
+            // the handle's scratch and is dealt out to the caller's
+            // buffers in order. The deal-out is pointer shuffling inside
+            // the application, not a transfer, so it is not charged.
+            let mut message = scratch.take(bufs.iter().map(|b| b.len()).sum());
+            let (result, n) = self.read_at(at, op, &mut message);
+            let mut rest = &message[..n as usize];
             for buf in bufs.iter_mut() {
                 let (head, tail) = rest.split_at(buf.len().min(rest.len()));
                 buf[..head.len()].copy_from_slice(head);
                 rest = tail;
             }
-            self.pool.put(scratch);
+            scratch.put(message);
             (result, n)
         })
     }

@@ -27,10 +27,10 @@
 //! sessions call [`execute_op`] on the application thread; a private open
 //! is its one-session case. §4.1 carries no commands at all: its handle
 //! streams over the two pipes and drops the rest "with an appropriate
-//! return code". Out of line, per-command payload staging goes through an
-//! [`afs_ipc::BufferPool`] so a settled sentinel allocates nothing per
-//! operation; inline, a read lands in the caller's buffer and nothing is
-//! staged at all.
+//! return code". Out of line, the loop stages each command's payload in
+//! an [`afs_ipc::FreeList`] it owns, so a settled sentinel allocates
+//! nothing and locks nothing for it per operation; inline, a read lands
+//! in the caller's buffer and nothing is staged at all.
 
 pub(crate) mod batch;
 pub mod control;

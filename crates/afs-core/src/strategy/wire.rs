@@ -21,15 +21,13 @@
 
 use std::sync::Arc;
 
-use afs_ipc::{Framed, MuxHub, PairPort, PairTransport, RingPair};
+use afs_ipc::{Framed, FreeList, MuxHub, PairPort, PairTransport, RingPair};
 use afs_winapi::Win32Error;
 
 use crate::ctx::SentinelCtx;
 use crate::logic::SentinelLogic;
 use crate::strategy::batch::RingDriver;
-use crate::strategy::dispatch::{
-    Joiners, RingSentinelPort, SentinelLoop, Session, PRIVATE_SESSION,
-};
+use crate::strategy::dispatch::{Joiners, SentinelLoop, Session, PRIVATE_SESSION};
 use crate::strategy::mux::{Joinable, SharedSentinel};
 use crate::strategy::{to_win32, ActiveOps, Instruments, Op, OpReply, Reaper, Sticky};
 
@@ -82,14 +80,14 @@ pub(crate) fn open(
             // replay on the sentinel side bumps it, and the driver retires
             // its speculative-cache epoch in response.
             let heal = ctx.heal_generation();
-            let port = RingSentinelPort::new(port);
-            let done = SentinelLoop::spawn(&instr, logic, ctx, port, joiners.clone());
+            let staging = FreeList::default();
+            let done = SentinelLoop::spawn(&instr, logic, ctx, port, joiners.clone(), staging);
             let driver = RingDriver::new(ring, &instr, heal, Box::new(move || done.wait()));
             Joinable::new(driver, joiners, &path, instr)
         }
         None if joinable => {
-            let (transport, port) = pair(boundary, &instr);
-            let done = SentinelLoop::spawn(&instr, logic, ctx, port, joiners.clone());
+            let (transport, port, staging) = pair(boundary, &instr);
+            let done = SentinelLoop::spawn(&instr, logic, ctx, port, joiners.clone(), staging);
             // The hub reaps by waiting on the executor's completion cell,
             // the task-world stand-in for joining a dedicated sentinel
             // thread.
@@ -107,8 +105,8 @@ pub(crate) fn open(
                 side,
             };
             joiners.admit(session, vec![PRIVATE_SESSION]);
-            let (transport, port) = pair(boundary, &instr);
-            let done = SentinelLoop::spawn(&instr, logic, ctx, port, joiners);
+            let (transport, port, staging) = pair(boundary, &instr);
+            let done = SentinelLoop::spawn(&instr, logic, ctx, port, joiners, staging);
             let reaper = Some(Reaper::Task(done));
             let ops = instr.handle(Arc::new(transport), PRIVATE_SESSION, sticky, reaper);
             return Ok(Launched::Private(ops));
@@ -117,18 +115,22 @@ pub(crate) fn open(
     Ok(Launched::Shared(shared))
 }
 
-/// A command/reply pair lane, private or shared: its application end and
-/// its sentinel end.
+/// A command/reply pair lane, private or shared: its application end, its
+/// sentinel end, and the list its loop stages in.
 type Lane = (
     PairTransport<Framed<Op>, Framed<OpReply>>,
     PairPort<Framed<Op>, Framed<OpReply>>,
+    FreeList,
 );
 
-/// The pair lane over `boundary`'s substrate.
+/// The pair lane over `boundary`'s substrate. Its loop's staging counts
+/// into `afs_pool_*`; a ring loop's counts nowhere.
 fn pair(boundary: Boundary, instr: &Instruments) -> Lane {
     let gauges = Arc::clone(instr.tel.gauges());
-    match boundary {
+    let staging = FreeList::observed(Arc::clone(&gauges));
+    let (transport, port) = match boundary {
         Boundary::Kernel => PairTransport::kernel_observed(instr.model.clone(), gauges),
         Boundary::UserLevel => PairTransport::shared_observed(instr.model.clone(), gauges),
-    }
+    };
+    (transport, port, staging)
 }

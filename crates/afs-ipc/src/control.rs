@@ -141,7 +141,7 @@ impl<T: Send> ControlSender<T> {
         } else {
             inner.model.charge(Cost::EventSignal);
         }
-        inner.core.send(n, doorbell, || msgs)
+        inner.core.send(n, doorbell, |_| msgs)
     }
 
     /// Rings the receiver's waker with nothing sent, as a posted send
@@ -187,10 +187,15 @@ impl<T: Send> ControlReceiver<T> {
     /// loop uses this to terminate.
     pub fn recv(&self) -> Result<T> {
         self.charge_observed();
-        self.inner.core.take().map(Taking::whole)
+        self.inner.core.take().map(|taking| taking.whole().0)
     }
 
-    /// Non-blocking receive that charges exactly what [`recv`] would.
+    /// Non-blocking receive that charges exactly what [`recv`] would. A
+    /// command comes with whether its take left the channel empty while
+    /// senders remain: a poll-driven consumer then has nothing to look
+    /// for until the waker rings again. A drained channel whose senders
+    /// are gone, or that was closed, is not empty in this sense — its
+    /// closure is still to be observed.
     ///
     /// The blocking `recv` pays one kernel syscall per call, whether the
     /// message is already queued or arrives later; an empty poll in the
@@ -206,7 +211,7 @@ impl<T: Send> ControlReceiver<T> {
     ///
     /// [`IpcError::Closed`](crate::IpcError::Closed) once all senders are
     /// gone and the queue is drained.
-    pub fn poll_recv(&self) -> Result<Option<T>> {
+    pub fn poll_recv(&self) -> Result<Option<(T, bool)>> {
         let polled = self.inner.core.poll();
         if !matches!(polled, Ok(None)) {
             self.charge_observed();
@@ -223,7 +228,11 @@ impl<T: Send> ControlReceiver<T> {
     }
 
     /// Installs `waker`, invoked on every send and when the last sender
-    /// drops. Replaces any previously installed waker.
+    /// drops. It is installed once, by the channel's one consumer.
+    ///
+    /// # Panics
+    ///
+    /// If a waker is already installed.
     pub fn set_waker(&self, waker: ChannelWaker) {
         self.inner.core.set_waker(waker);
     }
@@ -279,7 +288,9 @@ mod tests {
         let (tx, rx) = ControlChannel::new::<u8>(CostModel::free());
         assert_eq!(rx.poll_recv().expect("empty"), None);
         tx.send(9).expect("send");
-        assert_eq!(rx.poll_recv().expect("one"), Some(9));
+        tx.send(10).expect("send");
+        assert_eq!(rx.poll_recv().expect("one"), Some((9, false)));
+        assert_eq!(rx.poll_recv().expect("two"), Some((10, true)), "emptied");
     }
 
     #[test]
@@ -324,7 +335,9 @@ mod tests {
         assert_eq!(fired.load(Ordering::SeqCst), 1);
         drop(tx2);
         assert_eq!(fired.load(Ordering::SeqCst), 2);
-        assert_eq!(rx.poll_recv().expect("queued"), Some(1));
+        // The last sender is gone: the take that drains the queue leaves
+        // the closure to observe, so it does not report the lane empty.
+        assert_eq!(rx.poll_recv().expect("queued"), Some((1, false)));
         assert_eq!(rx.poll_recv(), Err(IpcError::Closed));
     }
 
@@ -346,8 +359,8 @@ mod tests {
         // A held send rings nothing; the hang-up is no send anyone waits
         // on.
         assert_eq!(*log.0.lock(), [false, true, false]);
-        assert_eq!(rx.poll_recv().expect("post"), Some(1));
-        assert_eq!(rx.poll_recv().expect("held"), Some(2));
+        assert_eq!(rx.poll_recv().expect("post"), Some((1, false)));
+        assert_eq!(rx.poll_recv().expect("held"), Some((2, false)));
     }
 
     #[test]
@@ -361,7 +374,7 @@ mod tests {
         assert_eq!(clock::now(), 0);
         tx.send(7).expect("send");
         let before = clock::now();
-        assert_eq!(rx.poll_recv().expect("one"), Some(7));
+        assert_eq!(rx.poll_recv().expect("one"), Some((7, true)));
         assert_eq!(clock::now() - before, syscall);
     }
 

@@ -33,10 +33,11 @@
 //! each way), [`mux::MuxHub`] shares one such wire among many sessions
 //! (under the one session rule and write stager of [`mux`]),
 //! [`ring::RingPair`] adds io_uring-style submission/completion rings
-//! that cross the boundary once per *batch* instead of once per op, and
-//! [`pool::BufferPool`] recycles the staging buffers all of them use, so
-//! the hot path settles into a steady state with no per-operation
-//! allocation.
+//! that cross the boundary once per *batch* instead of once per op. Each
+//! byte lane recycles its buffers in a [`FreeList`] under the lock its
+//! crossing already takes, and whoever stages bytes keeps one where it
+//! already holds `&mut` or a lock, so the hot path settles into a steady
+//! state with no per-operation allocation and no lock of its own.
 //!
 //! All primitives work identically with or without a virtual clock
 //! installed, so the same code paths serve both the Figure 6 simulation and
@@ -47,7 +48,6 @@ pub mod error;
 pub mod event;
 pub mod mux;
 pub mod pipe;
-pub mod pool;
 pub mod ring;
 pub mod shared_buf;
 pub mod stamped;
@@ -62,9 +62,9 @@ pub use mux::{
     STAGE_CAPACITY,
 };
 pub use pipe::{Pipe, PipeReader, PipeWriter};
-pub use pool::BufferPool;
 pub use ring::{Cqe, RingPair, RingPort, RingTransport, Sqe};
 pub use shared_buf::SharedBuffer;
+pub use stamped::FreeList;
 pub use sync::{NamedSemaphore, SyncRegistry};
 pub use transport::{DataRx, DataTx, PairPort, PairTransport};
 

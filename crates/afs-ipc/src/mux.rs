@@ -37,8 +37,7 @@ use parking_lot::{Condvar, Mutex};
 use afs_sim::{clock, Cost, CostModel, CrossingKind, SimTime};
 use afs_telemetry::{SessionGauges, TraceContext};
 
-use crate::pool::BufferPool;
-use crate::{IpcError, PairTransport, Result};
+use crate::{FreeList, IpcError, PairTransport, Result};
 
 /// Bytes one staged entry may merge; bounds both memory and the latency
 /// outlier of the operation that flushes it.
@@ -311,6 +310,8 @@ impl<P: MuxProtocol> AppPort<P> for PairTransport<Framed<P::Cmd>, Framed<P::Repl
 struct SendState<P: MuxProtocol> {
     /// At most one entry per session.
     stages: Stager<P>,
+    /// Staging buffers a flush frees and a later stage reuses.
+    spare: FreeList,
     sessions: Sessions,
 }
 
@@ -332,7 +333,6 @@ struct RecvState<P: MuxProtocol> {
 pub struct MuxHub<P: MuxProtocol> {
     under: PairTransport<Framed<P::Cmd>, Framed<P::Reply>>,
     model: CostModel,
-    pool: BufferPool,
     send: Mutex<SendState<P>>,
     recv: Mutex<RecvState<P>>,
     recv_ready: Condvar,
@@ -351,9 +351,9 @@ impl<P: MuxProtocol> MuxHub<P> {
     ) -> Self {
         MuxHub {
             under,
-            pool: BufferPool::new(),
             send: Mutex::new(SendState {
                 stages: Stager::new(model.clone()),
+                spare: FreeList::default(),
                 sessions: Sessions::new(Arc::clone(&gauges), reaper),
             }),
             recv: Mutex::new(RecvState {
@@ -403,7 +403,7 @@ impl<P: MuxProtocol> MuxHub<P> {
         let flush = s.stages.take(None);
         self.under
             .send_call_behind(flush, frame, reply_room, |buf| {
-                self.pool.put(buf);
+                s.spare.put(buf);
                 self.gauges.flushed_batch();
             })
     }
@@ -416,7 +416,7 @@ impl<P: MuxProtocol> MuxHub<P> {
     fn flush_stages_locked(&self, s: &mut SendState<P>, only: Option<u32>) -> Result<()> {
         for (frame, buf) in s.stages.take(only) {
             let result = self.transmit_locked(frame, &buf);
-            self.pool.put(buf);
+            s.spare.put(buf);
             result?;
             self.gauges.flushed_batch();
         }
@@ -459,7 +459,7 @@ impl<P: MuxProtocol> MuxHub<P> {
         }
         // Full or non-contiguous: the session's old entry goes out first.
         self.flush_stages_locked(&mut s, Some(frame.session))?;
-        let buf = self.pool.take_capacity(data.len().min(STAGE_CAPACITY));
+        let buf = s.spare.take_capacity(data.len().min(STAGE_CAPACITY));
         s.stages.push(frame, buf, data);
         Ok(())
     }
@@ -540,7 +540,8 @@ impl<P: MuxProtocol> MuxHub<P> {
     }
 
     /// Pulls one framed reply and its payload off the wire. Only the
-    /// thread that set `pulling` runs this.
+    /// thread that set `pulling` runs this. A peer's payload lands in a
+    /// fresh buffer: only a contended hub pulls for a peer.
     ///
     /// # Errors
     ///
@@ -554,7 +555,7 @@ impl<P: MuxProtocol> MuxHub<P> {
             let n = self.under.recv_payload(n, into)?;
             return Ok(Pulled::Own(frame.body, n));
         }
-        let mut staged = self.pool.take(n);
+        let mut staged = vec![0; n];
         self.under.recv_payload(n, &mut staged)?;
         Ok(Pulled::Peer(frame.session, frame.body, staged))
     }
@@ -570,9 +571,8 @@ impl<P: MuxProtocol> MuxHub<P> {
         into: &mut [u8],
     ) -> Result<(P::Reply, usize)> {
         let n = staged.len();
-        let fits = into.get_mut(..n).map(|dst| dst.copy_from_slice(&staged));
-        self.pool.put(staged);
-        fits.ok_or(IpcError::BrokenPipe)?;
+        let dst = into.get_mut(..n).ok_or(IpcError::BrokenPipe)?;
+        dst.copy_from_slice(&staged);
         if n > 0 {
             self.model.charge(Cost::Memcpy { bytes: n });
         }

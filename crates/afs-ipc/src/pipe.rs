@@ -21,7 +21,6 @@ use std::sync::Arc;
 use afs_sim::{Cost, CostModel, CrossingKind};
 use afs_telemetry::QueueGauges;
 
-use crate::pool::BufferPool;
 use crate::stamped::{Doorbell, End, Flow, Gauge, Stamped};
 use crate::Result;
 
@@ -46,10 +45,10 @@ struct Inner {
     model: CostModel,
     crossing: CrossingKind,
     capacity: usize,
-    /// Recycles segment buffers: the reader returns fully-consumed
-    /// segments, the writer reuses them for subsequent chunks. Purely an
-    /// allocation optimisation — charges are identical either way.
-    pool: BufferPool,
+    /// Recycles segment buffers in its free list: the reader returns
+    /// fully-consumed segments, the writer reuses them for subsequent
+    /// chunks. Purely an allocation optimisation — charges are identical
+    /// either way.
     core: Stamped<Segment>,
 }
 
@@ -104,7 +103,6 @@ impl Pipe {
             model,
             crossing,
             capacity,
-            pool: BufferPool::new(),
             core: Stamped::new(Some(capacity), gauge),
         });
         (
@@ -146,16 +144,16 @@ impl PipeWriter {
         inner.model.charge(Cost::Syscall);
         inner.model.charge(Cost::PipeMessage);
         if buf.is_empty() {
-            return inner.core.send(0, Doorbell::Post, || []);
+            return inner.core.send(0, Doorbell::Post, |_| []);
         }
         // Writes no larger than the capacity are atomic (PIPE_BUF
         // semantics): each chunk waits until it fits whole, so segments
         // from concurrent writers never interleave mid-write.
         for chunk in buf.chunks(inner.capacity) {
-            inner.core.send(chunk.len(), Doorbell::Post, || {
+            inner.core.send(chunk.len(), Doorbell::Post, |spare| {
                 // The user→kernel copy of this chunk.
                 inner.model.charge(Cost::PipeCopy { bytes: chunk.len() });
-                let mut data = inner.pool.take_capacity(chunk.len());
+                let mut data = spare.take_capacity(chunk.len());
                 data.extend_from_slice(chunk);
                 [Segment { data, pos: 0 }]
             })?;
@@ -217,7 +215,7 @@ impl PipeReader {
             copied += take;
             if front.remaining() == 0 {
                 if let Some(spent) = taking.pop() {
-                    inner.pool.put(spent.data);
+                    taking.recycle(spent.data);
                 }
             }
         }
@@ -453,14 +451,14 @@ mod tests {
             assert!(ask.inner.core.drain_entries() <= 2);
         }
         assert_eq!(
-            ask.inner.pool.allocations(),
-            1,
-            "the pool still allocates once"
+            ask.inner.core.recycled(),
+            (9_999, 1),
+            "the lane's own list still allocates once"
         );
         drop(ask);
         let answer = server.join().expect("join");
         assert!(answer.inner.core.drain_entries() <= 2);
-        assert_eq!(answered.inner.pool.allocations(), 1);
+        assert_eq!(answered.inner.core.recycled(), (9_999, 1));
     }
 
     #[test]

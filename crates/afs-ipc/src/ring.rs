@@ -280,6 +280,12 @@ impl<C: Send, R: Send> RingPort<C, R> {
     /// [`IpcError::Closed`] once the application side is gone and the
     /// submission ring is drained.
     pub fn poll_sqe(&self) -> Result<Option<Sqe<C>>> {
+        Ok(self.poll_next()?.map(|(sqe, _)| sqe))
+    }
+
+    /// [`poll_sqe`](RingPort::poll_sqe), with whether the take left the
+    /// open ring empty (see [`ControlReceiver::poll_recv`]).
+    pub fn poll_next(&self) -> Result<Option<(Sqe<C>, bool)>> {
         self.sq.poll_recv()
     }
 
@@ -309,7 +315,7 @@ impl<C: Send, R: Send> RingPort<C, R> {
         })
     }
 
-    /// Installs a readiness waker, invoked on every doorbell and when the
+    /// Installs the readiness waker, once, invoked on every doorbell and when the
     /// application side shuts down. The sentinel executor parks on this.
     pub fn set_wakeup(&self, waker: ChannelWaker) {
         self.sq.set_waker(waker);
@@ -352,9 +358,10 @@ mod tests {
         app.submit((0..5).map(|i| sqe(i, i as u32 * 10)).collect())
             .expect("submit");
         for i in 0..5 {
-            let e = port.poll_sqe().expect("poll").expect("entry");
+            let (e, emptied) = port.poll_next().expect("poll").expect("entry");
             assert_eq!(e.id, i);
             assert_eq!(e.cmd, i as u32 * 10);
+            assert_eq!(emptied, i == 4, "only the last take empties the ring");
         }
         assert_eq!(port.poll_sqe().expect("drained"), None);
     }

@@ -22,17 +22,15 @@ use std::sync::Arc;
 use afs_sim::{Cost, CostModel};
 use afs_telemetry::QueueGauges;
 
-use crate::pool::BufferPool;
 use crate::stamped::{Doorbell, Flow, Gauge, Stamped};
 use crate::{IpcError, Result};
 
 #[derive(Debug)]
 struct Inner {
     model: CostModel,
-    /// Recycles slot buffers between transfers, mirroring the fixed
-    /// shared-memory region of the prototype. Allocation-only; charges are
-    /// unaffected.
-    pool: BufferPool,
+    /// Recycles slot buffers between transfers in its free list,
+    /// mirroring the fixed shared-memory region of the prototype.
+    /// Allocation-only; charges are unaffected.
     core: Stamped<Vec<u8>>,
 }
 
@@ -61,7 +59,6 @@ impl SharedBuffer {
         SharedBuffer {
             inner: Arc::new(Inner {
                 model,
-                pool: BufferPool::new(),
                 core: Stamped::new(Some(1), gauge),
             }),
         }
@@ -77,10 +74,10 @@ impl SharedBuffer {
         let inner = &*self.inner;
         inner
             .core
-            .send(1, Doorbell::Post, || {
+            .send(1, Doorbell::Post, |spare| {
                 inner.model.charge(Cost::Memcpy { bytes: data.len() });
                 inner.model.charge(Cost::EventSignal);
-                let mut staged = inner.pool.take_capacity(data.len());
+                let mut staged = spare.take_capacity(data.len());
                 staged.extend_from_slice(data);
                 [staged]
             })
@@ -110,7 +107,7 @@ impl SharedBuffer {
         let n = data.len().min(buf.len());
         buf[..n].copy_from_slice(&data[..n]);
         let len = data.len();
-        inner.pool.put(data);
+        taking.recycle(data);
         taking.finish(1, || {});
         Ok(len)
     }
@@ -169,8 +166,7 @@ mod tests {
             b.send(&[9u8; 8]).expect("send");
             b.recv_into(&mut buf).expect("recv");
         }
-        assert_eq!(b.inner.pool.allocations(), 1);
-        assert_eq!(b.inner.pool.reuses(), 4);
+        assert_eq!(b.inner.core.recycled(), (4, 1), "reuses, allocations");
         assert_eq!(b.inner.core.drain_entries(), 1);
     }
 

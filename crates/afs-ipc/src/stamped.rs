@@ -32,15 +32,97 @@
 //! `Signal` lends the same lock, condvar and receive rule to the two
 //! stamped carriers that are not FIFOs: the ring's completion index, taken
 //! by id, and [`Event`](crate::Event), a flag.
+//!
+//! A crossing takes this lock once per side and no other: a byte lane
+//! recycles its buffers in a [`FreeList`] under it (a send pops, a take
+//! pushes), and the waker is installed once and read in place.
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use afs_sim::{clock, SimTime};
+use afs_telemetry::QueueGauges;
 
 use crate::{ChannelWaker, IpcError, Result};
+
+/// Buffers retained at most; excess `put`s drop their buffer.
+const MAX_KEPT: usize = 32;
+
+/// Individual buffers larger than this are not retained, bounding a
+/// list's worst-case footprint.
+const MAX_KEPT_CAPACITY: usize = 1 << 20;
+
+/// Byte buffers kept for reuse by whoever owns the list — a lane under its
+/// stamped lock, a dispatch loop through `&mut`, a hub under its send
+/// lock — so it takes no lock of its own. Recycling is an allocation
+/// matter only: no charge depends on it, and a settled lane allocates
+/// nothing per message. Its calls are `#[inline]`: the dispatch loop makes
+/// them from another crate on every command.
+#[derive(Debug, Default)]
+pub struct FreeList {
+    free: Vec<Vec<u8>>,
+    /// Takes that reused a kept buffer, and takes that allocated.
+    reuses: u64,
+    allocations: u64,
+    /// Mirrors the two counts into `afs_pool_*`.
+    gauges: Option<Arc<QueueGauges>>,
+}
+
+impl FreeList {
+    /// An empty list counting into `gauges`.
+    pub fn observed(gauges: Arc<QueueGauges>) -> Self {
+        FreeList {
+            gauges: Some(gauges),
+            ..FreeList::default()
+        }
+    }
+
+    /// A zero-filled buffer of exactly `len` bytes.
+    #[inline]
+    pub fn take(&mut self, len: usize) -> Vec<u8> {
+        let mut buf = self.take_capacity(len);
+        buf.resize(len, 0);
+        buf
+    }
+
+    /// An empty buffer with at least `capacity` bytes reserved, reusing a
+    /// kept one when there is one.
+    #[inline]
+    pub fn take_capacity(&mut self, capacity: usize) -> Vec<u8> {
+        let gauges = self.gauges.as_deref();
+        match self.free.pop() {
+            Some(mut buf) => {
+                self.reuses += 1;
+                if let Some(g) = gauges {
+                    g.pool_reuse();
+                }
+                buf.clear();
+                buf.reserve(capacity);
+                buf
+            }
+            None => {
+                self.allocations += 1;
+                if let Some(g) = gauges {
+                    g.pool_alloc();
+                }
+                Vec::with_capacity(capacity)
+            }
+        }
+    }
+
+    /// Keeps `buf` for a later take, unless it is empty, oversized, or
+    /// the list is full.
+    #[inline]
+    pub fn put(&mut self, buf: Vec<u8>) {
+        let keep = (1..=MAX_KEPT_CAPACITY).contains(&buf.capacity());
+        if keep && self.free.len() < MAX_KEPT {
+            self.free.push(buf);
+        }
+    }
+}
 
 /// What a channel reports to its gauges hook, under its lock, so a depth
 /// gauge never sees a take before the send it drains.
@@ -99,10 +181,18 @@ struct State<T> {
     senders: usize,
     receivers: usize,
     closed: bool,
-    waker: Option<ChannelWaker>,
+    /// Buffers a byte lane's takes free and its sends reuse.
+    spare: FreeList,
 }
 
 impl<T> State<T> {
+    /// Whether the queue is empty while the channel is open: a consumer
+    /// has nothing to observe until the next send rings. An empty queue
+    /// with no senders, or a closed one, still has its closure to show.
+    fn idle(&self) -> bool {
+        self.queue.is_empty() && self.senders > 0 && !self.closed
+    }
+
     /// Drops the drain entries no later send can land on.
     fn prune(&mut self, capacity: u64) {
         while let Some(&(taken, drained)) = self.drains.front() {
@@ -124,6 +214,8 @@ pub(crate) struct Stamped<T> {
     /// Receivers wait here for an item, senders for capacity.
     readable: Condvar,
     writable: Condvar,
+    /// The consumer's readiness hook, installed once.
+    waker: OnceLock<ChannelWaker>,
 }
 
 impl<T> fmt::Debug for Stamped<T> {
@@ -149,18 +241,19 @@ impl<T> Stamped<T> {
                 senders: 1,
                 receivers: 1,
                 closed: false,
-                waker: None,
+                spare: FreeList::default(),
             }),
             readable: Condvar::new(),
             writable: Condvar::new(),
+            waker: OnceLock::new(),
         }
     }
 
     /// Sends what `make` builds — `units` of capacity between its items,
     /// all under one stamp — blocking until they fit. `make` runs under
     /// the lock after the sender's clock has moved, so the charges it
-    /// makes land in the stamp. `doorbell` says whether and how to ring
-    /// the waker.
+    /// makes land in the stamp, and builds from the lane's [`FreeList`].
+    /// `doorbell` says whether and how to ring the waker.
     ///
     /// # Errors
     ///
@@ -170,7 +263,7 @@ impl<T> Stamped<T> {
         &self,
         units: usize,
         doorbell: Doorbell,
-        make: impl FnOnce() -> I,
+        make: impl FnOnce(&mut FreeList) -> I,
     ) -> Result<()> {
         let n = units as u64;
         let mut s = self.state.lock();
@@ -191,7 +284,7 @@ impl<T> Stamped<T> {
                 clock::sync_to(drained);
             }
         }
-        let items = make();
+        let items = make(&mut s.spare);
         let stamp = clock::now();
         s.queue.extend(items.into_iter().map(|item| (item, stamp)));
         s.sent += n;
@@ -205,7 +298,7 @@ impl<T> Stamped<T> {
         }
         self.readable.notify_one();
         if let Some(awaited) = doorbell.rings() {
-            Self::wake(s, awaited);
+            self.wake(s, awaited);
         }
         Ok(())
     }
@@ -220,7 +313,7 @@ impl<T> Stamped<T> {
     /// Rings the waker alone, as a posted send would: for a sender whose
     /// held sends no awaited one followed.
     pub fn ring(&self) {
-        Self::wake(self.state.lock(), false);
+        self.wake(self.state.lock(), false);
     }
 
     /// Waits for an item, holding the lock until the take finishes.
@@ -282,7 +375,7 @@ impl<T> Stamped<T> {
                 s.senders -= 1;
                 if s.senders == 0 && !s.closed {
                     self.readable.notify_all();
-                    Self::wake(s, false);
+                    self.wake(s, false);
                 }
             }
         }
@@ -298,22 +391,29 @@ impl<T> Stamped<T> {
         self.readable.notify_all();
         self.writable.notify_all();
         if s.senders > 0 {
-            Self::wake(s, false);
+            self.wake(s, false);
         }
     }
 
     /// Installs `waker`, invoked after every send and when the senders'
-    /// side goes away. Replaces any previous waker.
+    /// side goes away. A channel's waker is installed once, by its one
+    /// consumer, and read in place by every send from then on.
+    ///
+    /// # Panics
+    ///
+    /// If a waker is already installed.
     pub fn set_waker(&self, waker: ChannelWaker) {
-        self.state.lock().waker = Some(waker);
+        assert!(
+            self.waker.set(waker).is_ok(),
+            "a channel's waker is installed once"
+        );
     }
 
     /// Fires the waker outside the lock: it runs on the sender's thread
     /// and may take the consumer's, or serve it there.
-    fn wake(s: MutexGuard<'_, State<T>>, awaited: bool) {
-        let waker = s.waker.clone();
+    fn wake(&self, s: MutexGuard<'_, State<T>>, awaited: bool) {
         drop(s);
-        if let Some(waker) = waker {
+        if let Some(waker) = self.waker.get() {
             waker.wake(awaited);
         }
     }
@@ -342,11 +442,18 @@ impl<T> Taking<'_, T> {
         Some(item)
     }
 
-    /// Takes the front item whole, as one unit.
-    pub fn whole(mut self) -> T {
+    /// Keeps a spent buffer on the lane's [`FreeList`] for a later send.
+    pub fn recycle(&mut self, buf: Vec<u8>) {
+        self.state.spare.put(buf);
+    }
+
+    /// Takes the front item whole, as one unit, and says whether that left
+    /// the open channel empty (see [`State::idle`]).
+    pub fn whole(mut self) -> (T, bool) {
         let item = self.pop().expect("a take holds an item");
+        let emptied = self.state.idle();
         self.finish(1, || {});
-        item
+        (item, emptied)
     }
 
     /// Ends the take of `units`: the receiver moves to the newest send
@@ -411,5 +518,62 @@ impl<T> Stamped<T> {
     /// How many drain entries the log holds.
     pub(crate) fn drain_entries(&self) -> usize {
         self.state.lock().drains.len()
+    }
+
+    /// How many sends reused a buffer from the lane's list, and how many
+    /// allocated.
+    pub(crate) fn recycled(&self) -> (u64, u64) {
+        let s = self.state.lock();
+        (s.spare.reuses, s.spare.allocations)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn take_put_take_reuses_the_allocation() {
+        let mut list = FreeList::default();
+        let buf = list.take(64);
+        assert_eq!(buf.len(), 64);
+        assert!(buf.iter().all(|&b| b == 0));
+        list.put(buf);
+        let again = list.take(16);
+        assert_eq!(again.len(), 16);
+        assert_eq!((list.reuses, list.allocations), (1, 1));
+    }
+
+    #[test]
+    fn reused_buffers_are_zeroed() {
+        let mut list = FreeList::default();
+        let mut buf = list.take(8);
+        buf.copy_from_slice(b"ABCDEFGH");
+        list.put(buf);
+        assert_eq!(list.take(8), vec![0u8; 8]);
+        assert!(list.take_capacity(128).is_empty());
+    }
+
+    #[test]
+    fn retention_is_bounded() {
+        let mut list = FreeList::default();
+        list.put(vec![0u8; MAX_KEPT_CAPACITY + 1]);
+        list.put(Vec::new());
+        assert!(list.free.is_empty(), "oversized and empty buffers go");
+        for _ in 0..(MAX_KEPT + 10) {
+            list.put(vec![0u8; 8]);
+        }
+        assert_eq!(list.free.len(), MAX_KEPT);
+    }
+
+    #[test]
+    fn an_observed_list_counts_into_the_pool_gauges() {
+        let gauges = Arc::new(QueueGauges::default());
+        let mut list = FreeList::observed(Arc::clone(&gauges));
+        let buf = list.take(4);
+        list.put(buf);
+        list.take(4);
+        let snap = gauges.snapshot();
+        assert_eq!((snap.pool_reuses, snap.pool_allocations), (1, 1));
     }
 }

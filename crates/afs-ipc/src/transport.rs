@@ -12,15 +12,14 @@
 //! bytes follow it) is [`AppPort`](crate::AppPort)'s business: the bare
 //! pair carries one session, a [`MuxHub`](crate::MuxHub) many.
 //!
-//! Both ends stage payloads through a [`BufferPool`](crate::BufferPool)
-//! rather than allocating per message.
+//! Each data lane recycles its own buffers under the lock its crossing
+//! already takes; what the sentinel stages, its dispatch loop keeps.
 
 use std::sync::Arc;
 
 use afs_sim::{CostModel, CrossingKind};
 use afs_telemetry::QueueGauges;
 
-use crate::pool::BufferPool;
 use crate::stamped::Doorbell;
 use crate::{
     ControlChannel, ControlReceiver, ControlSender, IpcError, Pipe, PipeReader, PipeWriter, Result,
@@ -124,7 +123,6 @@ pub struct PairPort<C: Send + 'static, R: Send + 'static> {
     replies: ControlSender<R>,
     data_rx: Box<dyn DataRx>,
     data_tx: Box<dyn DataTx>,
-    pool: Arc<BufferPool>,
 }
 
 impl<C: Send + 'static, R: Send + 'static> PairTransport<C, R> {
@@ -135,8 +133,7 @@ impl<C: Send + 'static, R: Send + 'static> PairTransport<C, R> {
         PairTransport::kernel_build(model, None)
     }
 
-    /// Like [`PairTransport::kernel`], but reports pipe depth and pool
-    /// reuse to `gauges`.
+    /// Like [`PairTransport::kernel`], but reports pipe depth to `gauges`.
     pub fn kernel_observed(
         model: CostModel,
         gauges: Arc<QueueGauges>,
@@ -157,10 +154,6 @@ impl<C: Send + 'static, R: Send + 'static> PairTransport<C, R> {
         };
         let (to_sentinel_tx, to_sentinel_rx) = pipe(model.clone());
         let (to_app_tx, to_app_rx) = pipe(model.clone());
-        let pool = match gauges {
-            Some(g) => Arc::new(BufferPool::observed(g)),
-            None => Arc::new(BufferPool::new()),
-        };
         (
             PairTransport {
                 commands: cmd_tx,
@@ -175,7 +168,6 @@ impl<C: Send + 'static, R: Send + 'static> PairTransport<C, R> {
                 replies: reply_tx,
                 data_rx: Box::new(to_sentinel_rx),
                 data_tx: Box::new(to_app_tx),
-                pool,
             },
         )
     }
@@ -187,8 +179,8 @@ impl<C: Send + 'static, R: Send + 'static> PairTransport<C, R> {
         PairTransport::shared_build(model, None)
     }
 
-    /// Like [`PairTransport::shared`], but reports slot occupancy and pool
-    /// reuse to `gauges`.
+    /// Like [`PairTransport::shared`], but reports slot occupancy to
+    /// `gauges`.
     pub fn shared_observed(
         model: CostModel,
         gauges: Arc<QueueGauges>,
@@ -209,10 +201,6 @@ impl<C: Send + 'static, R: Send + 'static> PairTransport<C, R> {
         };
         let to_sentinel = buffer(model.clone());
         let to_app = buffer(model.clone());
-        let pool = match gauges {
-            Some(g) => Arc::new(BufferPool::observed(g)),
-            None => Arc::new(BufferPool::new()),
-        };
         (
             PairTransport {
                 commands: cmd_tx,
@@ -227,7 +215,6 @@ impl<C: Send + 'static, R: Send + 'static> PairTransport<C, R> {
                 replies: reply_tx,
                 data_rx: Box::new(to_sentinel),
                 data_tx: Box::new(to_app),
-                pool,
             },
         )
     }
@@ -379,16 +366,18 @@ impl<C: Send + 'static, R: Send + 'static> PairPort<C, R> {
     /// Non-blocking receive with `recv_cmd`-equivalent charging: the
     /// kernel-syscall cost is paid when a command (or channel closure) is
     /// observed, never for an empty poll. This is what a poll-driven
-    /// sentinel drains instead of blocking in `recv_cmd`.
+    /// sentinel drains instead of blocking in `recv_cmd`. A command comes
+    /// with whether its take left the open lane empty (see
+    /// [`ControlReceiver::poll_recv`]).
     ///
     /// # Errors
     ///
     /// [`IpcError::Closed`] once the application side is gone.
-    pub fn poll_cmd(&self) -> Result<Option<C>> {
+    pub fn poll_cmd(&self) -> Result<Option<(C, bool)>> {
         self.commands.poll_recv()
     }
 
-    /// Installs a readiness waker on the command lane, invoked whenever a
+    /// Installs the command lane's readiness waker, once, invoked whenever a
     /// new command arrives or the application side drops its last sender.
     /// This is the hook the sentinel executor parks on: an idle sentinel
     /// is scheduled only when its transport has something to observe.
@@ -409,11 +398,6 @@ impl<C: Send + 'static, R: Send + 'static> PairPort<C, R> {
     /// Receives exactly `buf.len()` payload bytes from the application.
     pub fn recv_data_exact(&self, buf: &mut [u8]) -> Result<usize> {
         self.data_rx.recv_exact(buf)
-    }
-
-    /// The scratch-buffer pool the dispatch loop stages payloads in.
-    pub fn pool(&self) -> &Arc<BufferPool> {
-        &self.pool
     }
 }
 

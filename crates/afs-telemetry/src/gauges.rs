@@ -124,8 +124,8 @@ macro_rules! metric_family {
 }
 
 metric_family! {
-    /// Live depth/throughput gauges for pipes, shared buffers, and buffer
-    /// pools.
+    /// Live depth/throughput gauges for pipes and shared buffers, and the
+    /// reuse of the staging buffers pair-lane dispatch loops keep.
     QueueGauges => GaugesSnapshot {
         /// Bytes currently buffered across observed pipes.
         pipe_buffered: gauge "afs_pipe_buffered_bytes",
@@ -137,9 +137,9 @@ metric_family! {
         shm_pending: gauge "afs_shm_pending_slots",
         /// Total shared-buffer messages sent.
         shm_messages: counter "afs_shm_messages_total",
-        /// Buffers served from a pool free list.
+        /// Staging buffers a pair lane's dispatch loop reused from its free list.
         pool_reuses: counter "afs_pool_reuses_total",
-        /// Buffers freshly allocated by a pool.
+        /// Staging buffers a pair lane's dispatch loop had to allocate.
         pool_allocations: counter "afs_pool_allocations_total",
     }
 }
@@ -168,12 +168,12 @@ impl QueueGauges {
         self.shm_pending.fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// Records a buffer handed out from a pool free list.
+    /// Records a staging buffer reused from a free list.
     pub fn pool_reuse(&self) {
         self.pool_reuses.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a fresh buffer allocation by a pool.
+    /// Records a staging buffer a free list had to allocate.
     pub fn pool_alloc(&self) {
         self.pool_allocations.fetch_add(1, Ordering::Relaxed);
     }

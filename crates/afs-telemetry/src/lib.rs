@@ -12,8 +12,9 @@
 //!   (wall time otherwise, so the interactive shell still gets real data).
 //! * **Latency histograms** ([`LatencyHistogram`]) — fixed log2 buckets,
 //!   lock-free recording, p50/p90/p99/max without retaining raw samples.
-//! * **Queue gauges** ([`QueueGauges`]) — pipe/shared-memory depths and
-//!   buffer-pool reuse, fed by the `afs-ipc` transports.
+//! * **Queue gauges** ([`QueueGauges`]) — pipe/shared-memory depths, fed
+//!   by the `afs-ipc` transports, and staging-buffer reuse, fed by the
+//!   pair lanes' dispatch loops.
 //! * **Metrics registry** ([`MetricsRegistry`]) — one snapshot API over the
 //!   scattered counters (`CostModel`, `CallCounters`, histograms, gauges).
 //! * **Exporters** ([`prometheus_text`], [`json_snapshot`],
@@ -37,7 +38,7 @@
 //!
 //! Telemetry is **off by default** and adds no allocation to the per-op hot
 //! path: a single relaxed atomic load gates span creation, and the span
-//! ring is preallocated when telemetry is enabled (BufferPool-style reuse).
+//! ring is preallocated when telemetry is enabled and reused from then on.
 
 #![warn(missing_docs)]
 
