@@ -243,28 +243,35 @@ impl ActiveFileSystem {
             pinned: self.nested,
             slo,
         };
-        // Built *without* holding the registry lock — the open hook may
-        // recursively open other active files through this same layer.
-        let logic = || {
-            run.registry
-                .instantiate(&spec)
-                .ok_or(Win32Error::FileNotFound)
+        // Built and opened *without* holding the registry lock — the open
+        // hook may recursively open other active files through this same
+        // layer. A fault in the hook fails the open; nothing launches.
+        let logic = |ctx: &mut SentinelCtx| {
+            let instantiated = run.registry.instantiate(&spec);
+            let mut logic = instantiated.ok_or(Win32Error::FileNotFound)?;
+            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| logic.on_open(ctx))) {
+                Ok(opened) => opened.map(|()| logic).map_err(|e| strategy::to_win32(&e)),
+                Err(_) => {
+                    run.telemetry.sentinel_stats(spec.name()).fault();
+                    Err(Win32Error::BrokenPipe)
+                }
+            }
         };
         let launched = match spec.strategy() {
             // Prefer a hand-written process sentinel; fall back to the
             // adapted logic pump.
             Strategy::Process => Launched::Private(match run.registry.instantiate_raw(&spec) {
                 Some(raw) => strategy::process::open_raw(raw, ctx, instr),
-                None => strategy::process::open_logic(logic()?, ctx, instr)?,
+                None => strategy::process::open_logic(logic(&mut ctx)?, ctx, instr),
             }),
             Strategy::ProcessControl => {
-                strategy::control::open(logic()?, ctx, instr, rt.ring_depth, sharable)?
+                strategy::control::open(logic(&mut ctx)?, ctx, instr, rt.ring_depth, sharable)
             }
             Strategy::DllThread => {
-                strategy::thread::open(logic()?, ctx, instr, rt.ring_depth, sharable)?
+                strategy::thread::open(logic(&mut ctx)?, ctx, instr, rt.ring_depth, sharable)
             }
             Strategy::DllOnly => {
-                Launched::Shared(strategy::dll::open_shared(logic()?, ctx, instr)?)
+                Launched::Shared(strategy::dll::open_shared(logic(&mut ctx)?, ctx, instr))
             }
         };
         let (ops, shared) = match launched {

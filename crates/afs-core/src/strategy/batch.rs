@@ -47,7 +47,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use afs_ipc::{
-    AppPort, Framed, IpcError, RingTransport, SentinelReaper, SessionHub, Sessions, Sqe, Stager,
+    AppPort, Framed, IpcError, RingTransport, SentinelExit, SessionHub, Sessions, Sqe, Stager,
 };
 use afs_sim::CrossingKind;
 use afs_telemetry::{Layer, RingGauges, Telemetry};
@@ -131,9 +131,9 @@ impl RingDriver {
         ring: RingTransport<Framed<Op>, OpReply>,
         instr: &Instruments,
         heal_gen: Arc<AtomicU64>,
-        reaper: SentinelReaper,
+        exit: Arc<SentinelExit>,
     ) -> Self {
-        let sessions = Sessions::new(Arc::clone(instr.tel.sessions()), Some(reaper));
+        let sessions = Sessions::new(Arc::clone(instr.tel.sessions()), Some(exit));
         RingDriver {
             ring,
             state: Mutex::new(DriverState {

@@ -16,8 +16,6 @@
 //! [`PairTransport::kernel`]: afs_ipc::PairTransport::kernel
 //! [`StrategyHandle`]: crate::strategy::handle::StrategyHandle
 
-use afs_winapi::Win32Error;
-
 use crate::ctx::SentinelCtx;
 use crate::logic::SentinelLogic;
 use crate::strategy::wire::{self, Boundary, Launched};
@@ -35,6 +33,6 @@ pub(crate) fn open(
     instr: Instruments,
     batch: Option<usize>,
     joinable: bool,
-) -> Result<Launched, Win32Error> {
+) -> Launched {
     wire::open(Boundary::Kernel, logic, ctx, instr, batch, joinable)
 }

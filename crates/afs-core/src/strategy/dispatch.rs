@@ -29,12 +29,12 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use afs_ipc::{ChannelWaker, Cqe, Framed, FreeList, IpcError, PairPort, RingPort};
+use afs_ipc::{ChannelWaker, Cqe, Framed, FreeList, IpcError, PairPort, RingPort, SentinelExit};
 use afs_telemetry::{SentinelStats, TraceContext};
 
 use crate::ctx::SentinelCtx;
 use crate::logic::{SentinelError, SentinelLogic};
-use crate::strategy::executor::{SentinelPoll, TaskDone, TaskPoll};
+use crate::strategy::executor::{SentinelPoll, TaskPoll};
 use crate::strategy::{
     execute_op, op_name, take_sticky_preemption, Instruments, Op, OpReply, SentinelSide, Sticky,
 };
@@ -307,7 +307,7 @@ impl<P: SentinelPort> SentinelLoop<P> {
         port: P,
         joiners: Joiners,
         staging: FreeList,
-    ) -> Arc<TaskDone> {
+    ) -> Arc<SentinelExit> {
         let departed = instr.sentinel_side();
         let stats = instr.tel.sentinel_stats(instr.sentinel);
         instr.spawn_task(move |waker| {

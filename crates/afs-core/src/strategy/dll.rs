@@ -24,13 +24,13 @@ use parking_lot::Mutex;
 
 use afs_ipc::{AppPort, Framed, IpcError, SessionHub, Sessions};
 use afs_sim::CrossingKind;
-use afs_winapi::Win32Error;
+use afs_telemetry::SentinelStats;
 
 use crate::ctx::SentinelCtx;
 use crate::logic::SentinelLogic;
 use crate::strategy::dispatch::{Joiners, SessionTable};
 use crate::strategy::mux::{Joinable, OpMux};
-use crate::strategy::{execute_op, op_name, to_win32, Instruments, Op, OpReply};
+use crate::strategy::{execute_op, op_name, Instruments, Op, OpReply};
 
 /// The §4.4 sentinel: one logic/context pair behind one lock, its
 /// sessions calling into it inline. All execution serialises on this
@@ -46,12 +46,14 @@ struct InlineCore {
     ctx: SentinelCtx,
     sessions: Sessions,
     table: SessionTable,
+    stats: Arc<SentinelStats>,
 }
 
 impl InlineShared {
     /// Runs `frame` on this thread under the core lock — all there is to
     /// a §4.4 operation: the routine reads straight into `into`, nothing
-    /// is staged. A closed sentinel takes no more commands.
+    /// is staged. A closed sentinel takes no more commands; a routine that
+    /// faults ends every session, and the op fails as on a dead wire.
     fn run(&self, frame: Framed<Op>, payload: &[u8], into: &mut [u8]) -> afs_ipc::Result<OpReply> {
         let mut core = self.core.lock();
         if core.sessions.is_closed() {
@@ -68,8 +70,15 @@ impl InlineShared {
             logic, ctx, table, ..
         } = &mut *core;
         let side = &table.get(frame.session).side;
-        side.observe(op_name(&frame.body), frame.trace, || {
-            execute_op(logic.as_mut(), ctx, frame.body, payload, into)
+        let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            side.observe(op_name(&frame.body), frame.trace, || {
+                execute_op(logic.as_mut(), ctx, frame.body, payload, into)
+            })
+        }));
+        served.unwrap_or_else(|_| {
+            core.stats.fault();
+            core.sessions.end();
+            Err(IpcError::Closed)
         })
     }
 }
@@ -104,15 +113,14 @@ impl AppPort<OpMux> for InlineShared {
     }
 }
 
-/// Builds the DLL-only sentinel: runs the open hook once and returns what
-/// this open — and, if the caller registers it, later opens — attach
-/// through.
+/// Builds the DLL-only sentinel around `logic`, already opened, and
+/// returns what this open — and, if the caller registers it, later opens
+/// — attach through.
 pub(crate) fn open_shared(
-    mut logic: Box<dyn SentinelLogic>,
-    mut ctx: SentinelCtx,
+    logic: Box<dyn SentinelLogic>,
+    ctx: SentinelCtx,
     instr: Instruments,
-) -> Result<Arc<Joinable<InlineShared>>, Win32Error> {
-    logic.on_open(&mut ctx).map_err(|e| to_win32(&e))?;
+) -> Arc<Joinable<InlineShared>> {
     let path = ctx.path().clone();
     let joiners = Joiners::default();
     let core = InlineCore {
@@ -120,9 +128,10 @@ pub(crate) fn open_shared(
         ctx,
         sessions: Sessions::new(Arc::clone(instr.tel.sessions()), None),
         table: SessionTable::new(joiners.clone(), instr.sentinel_side()),
+        stats: instr.tel.sentinel_stats(instr.sentinel),
     };
     let hub = InlineShared {
         core: Mutex::new(core),
     };
-    Ok(Joinable::new(hub, joiners, &path, instr))
+    Joinable::new(hub, joiners, &path, instr)
 }

@@ -29,9 +29,9 @@ use std::thread::JoinHandle;
 
 use parking_lot::{Condvar, Mutex};
 
-use afs_ipc::{ChannelWaker, Wake};
+use afs_ipc::{ChannelWaker, SentinelExit, Wake};
 use afs_sim::{clock, SimTime};
-use afs_telemetry::FleetGauges;
+use afs_telemetry::{FleetGauges, SentinelStats};
 
 thread_local! {
     /// `true` on any thread currently executing sentinel code — a thread
@@ -92,31 +92,6 @@ const RUNNING: u8 = 2;
 const NOTIFIED: u8 = 3;
 const DONE: u8 = 4;
 
-/// Completion cell standing in for a sentinel thread's `JoinHandle`: the
-/// closing application waits on it and folds the final virtual time in.
-#[derive(Default)]
-pub(crate) struct TaskDone {
-    state: Mutex<Option<SimTime>>,
-    cv: Condvar,
-}
-
-impl TaskDone {
-    fn finish(&self, final_time: SimTime) {
-        *self.state.lock() = Some(final_time);
-        self.cv.notify_all();
-    }
-
-    /// Blocks until the task has fully terminated; returns its final
-    /// virtual time.
-    pub(crate) fn wait(&self) -> SimTime {
-        let mut state = self.state.lock();
-        while state.is_none() {
-            self.cv.wait(&mut state);
-        }
-        state.expect("task completion recorded")
-    }
-}
-
 struct TaskHandle {
     id: u64,
     state: AtomicU8,
@@ -125,7 +100,27 @@ struct TaskHandle {
     /// Where a wake puts the task: the pool's run queue, or a pinned
     /// task's own.
     queue: Arc<RunQueue>,
-    done: Arc<TaskDone>,
+    /// Signalled when the task retires; the closing application reaps it.
+    exit: Arc<SentinelExit>,
+    /// Its sentinel's, where a fault is counted.
+    stats: Arc<SentinelStats>,
+}
+
+impl TaskHandle {
+    /// Runs `f` on the task's machine under the task's own clock (or none)
+    /// in place of the thread's: the one place a sentinel runs out of line.
+    /// `None`: the task has no machine, or `f` faulted — counted, and the
+    /// caller retires the task as one whose wire died; the thread carries on.
+    fn enter<R>(&self, f: impl FnOnce(&mut dyn SentinelPoll) -> R) -> Option<R> {
+        let mut cell = self.cell.lock();
+        let TaskCell { machine, vtime } = &mut *cell;
+        let machine = machine.as_deref_mut()?;
+        let guard = clock::enter(*vtime);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(machine)));
+        *vtime = vtime.map(|_| clock::now());
+        drop(guard);
+        result.map_err(|_| self.stats.fault()).ok()
+    }
 }
 
 /// What a poll needs of its task, under the one lock it takes.
@@ -274,9 +269,14 @@ impl SentinelExecutor {
     /// the pool's: its opener may block a worker waiting on it, and with
     /// every worker so occupied a pooled task would never run.
     ///
-    /// The returned [`TaskDone`] is the executor's stand-in for a
-    /// `JoinHandle`: close waits on it and syncs to the final time.
-    pub(crate) fn spawn<F>(&self, pinned: bool, build: F) -> Arc<TaskDone>
+    /// The returned exit is signalled when the task retires, with its
+    /// final time; a fault is counted in `stats`.
+    pub(crate) fn spawn<F>(
+        &self,
+        pinned: bool,
+        stats: Arc<SentinelStats>,
+        build: F,
+    ) -> Arc<SentinelExit>
     where
         F: FnOnce(ChannelWaker) -> Box<dyn SentinelPoll>,
     {
@@ -289,7 +289,7 @@ impl SentinelExecutor {
             Inner::ensure_workers(inner);
             Arc::clone(&inner.pool)
         };
-        let done = Arc::new(TaskDone::default());
+        let exit = Arc::new(SentinelExit::default());
         let handle = Arc::new(TaskHandle {
             id: inner.next_id.fetch_add(1, Ordering::Relaxed),
             // Born QUEUED: wakes during construction are satisfied by the
@@ -300,7 +300,8 @@ impl SentinelExecutor {
                 vtime: clock::is_active().then(clock::now),
             }),
             queue,
-            done: Arc::clone(&done),
+            exit: Arc::clone(&exit),
+            stats,
         });
         let waker: ChannelWaker = Arc::new(TaskWaker {
             inner: Arc::clone(inner),
@@ -317,7 +318,7 @@ impl SentinelExecutor {
             // Spawn raced executor teardown: nothing will ever poll it, so
             // finish the task on the spot.
             inner.finish_inline(handle);
-            return done;
+            return exit;
         }
         inner.enqueue(&handle);
         if pinned {
@@ -327,7 +328,7 @@ impl SentinelExecutor {
                 .lock()
                 .push((Arc::clone(&handle.queue), thread));
         }
-        done
+        exit
     }
 
     /// Deterministic teardown: joins every worker and finishes each
@@ -488,31 +489,23 @@ impl Inner {
         }
     }
 
-    /// One clock-scoped poll; `None` means the task was already gone. The
-    /// task's clock — or none, if it has none — replaces the polling
-    /// thread's for the poll.
+    /// One poll of the task, [entered](TaskHandle::enter); `None` means
+    /// the task was already gone, or faulted.
     fn poll_once(&self, task: &TaskHandle) -> Option<TaskPoll> {
-        let mut cell = task.cell.lock();
-        let TaskCell { machine, vtime } = &mut *cell;
-        let machine = machine.as_mut()?;
-        let guard = clock::enter(*vtime);
-        self.gauges.poll();
-        let result = machine.poll();
-        if vtime.is_some() {
-            *vtime = Some(clock::now());
-        }
-        drop(guard);
-        Some(result)
+        task.enter(|machine| {
+            self.gauges.poll();
+            machine.poll()
+        })
     }
 
-    /// Marks the task terminated: drop the state machine (closing its
-    /// transport), unregister, send a pinned task's thread home, and
-    /// release anyone waiting in `reap`.
+    /// Marks the task terminated: unregister, send a pinned task's thread
+    /// home, signal its exit, and drop the state machine, closing its
+    /// lanes — after the signal, so an application that finds them closed
+    /// finds the sentinel exited too.
     fn retire(&self, task: &Arc<TaskHandle>) {
-        let final_time = {
+        let (machine, final_time) = {
             let mut cell = task.cell.lock();
-            cell.machine = None;
-            cell.vtime.unwrap_or(0)
+            (cell.machine.take(), cell.vtime.unwrap_or(0))
         };
         task.state.store(DONE, Ordering::Release);
         let live = {
@@ -524,29 +517,18 @@ impl Inner {
         if !self.is_pooled(task) {
             task.queue.close();
         }
-        task.done.finish(final_time);
+        task.exit.signal(final_time);
+        drop(machine);
     }
 
     /// Polls a task to completion on the current thread, abandoning it
     /// (close hook, no exchange) if it still has a live application side.
     fn finish_inline(&self, task: Arc<TaskHandle>) {
         task.state.store(RUNNING, Ordering::Release);
-        match self.poll_once(&task) {
-            None | Some(TaskPoll::Ready) => {}
-            Some(TaskPoll::Pending) => {
-                let mut cell = task.cell.lock();
-                let TaskCell { machine, vtime } = &mut *cell;
-                if let Some(machine) = machine.as_mut() {
-                    let guard = vtime.map(clock::install);
-                    machine.abandon();
-                    if guard.is_some() {
-                        *vtime = Some(clock::now());
-                    }
-                    drop(guard);
-                    self.gauges.task_abandoned();
-                }
-                drop(cell);
-            }
+        if self.poll_once(&task) == Some(TaskPoll::Pending)
+            && task.enter(|machine| machine.abandon()).is_some()
+        {
+            self.gauges.task_abandoned();
         }
         self.retire(&task);
     }
@@ -666,7 +648,7 @@ mod tests {
         let exec = SentinelExecutor::new(2, Arc::clone(&gauges));
         let fx = Fixture::new();
         let mut waker_slot = None;
-        let done = exec.spawn(false, |waker| {
+        let done = exec.spawn(false, Arc::default(), |waker| {
             waker_slot = Some(waker);
             fx.task(0)
         });
@@ -692,7 +674,7 @@ mod tests {
         let exec = SentinelExecutor::new(1, Arc::new(FleetGauges::default()));
         let fx = Fixture::new();
         let mut waker_slot = None;
-        let done = exec.spawn(false, |waker| {
+        let done = exec.spawn(false, Arc::default(), |waker| {
             waker_slot = Some(waker);
             fx.task(10)
         });
@@ -711,7 +693,7 @@ mod tests {
         let fx = Fixture::new();
         let _clock = clock::install(1_000);
         let mut waker_slot = None;
-        let done = exec.spawn(false, |waker| {
+        let done = exec.spawn(false, Arc::default(), |waker| {
             waker_slot = Some(waker);
             fx.task(10)
         });
@@ -819,7 +801,7 @@ mod tests {
             .iter()
             .map(|fx| {
                 let mut slot = None;
-                let done = exec.spawn(false, |waker| {
+                let done = exec.spawn(false, Arc::default(), |waker| {
                     slot = Some(waker);
                     fx.task(0)
                 });
@@ -868,7 +850,7 @@ mod tests {
         let dones: Vec<_> = fixtures
             .iter()
             .map(|fx| {
-                exec.spawn(false, |waker| {
+                exec.spawn(false, Arc::default(), |waker| {
                     wakers.push(waker);
                     fx.task(0)
                 })
@@ -913,7 +895,7 @@ mod tests {
         let exec = SentinelExecutor::new(1, Arc::clone(&gauges));
         let fx = Fixture::new();
         let mut waker_slot = None;
-        let done = exec.spawn(false, |waker| {
+        let done = exec.spawn(false, Arc::default(), |waker| {
             waker_slot = Some(waker);
             fx.task(0)
         });
@@ -953,7 +935,7 @@ mod tests {
         let gauges = Arc::new(FleetGauges::default());
         let exec = SentinelExecutor::new(2, Arc::clone(&gauges));
         let fx = Fixture::new();
-        let done = exec.spawn(false, |_waker| fx.task(0));
+        let done = exec.spawn(false, Arc::default(), |_waker| fx.task(0));
         exec.shutdown();
         done.wait();
         assert!(fx.abandoned.load(Ordering::SeqCst));
@@ -965,13 +947,40 @@ mod tests {
         exec.shutdown();
     }
 
+    /// A sentinel whose every poll faults.
+    struct Faults;
+
+    impl SentinelPoll for Faults {
+        fn poll(&mut self) -> TaskPoll {
+            panic!("sentinel fault: poll");
+        }
+
+        fn abandon(&mut self) {}
+    }
+
+    #[test]
+    fn a_task_that_faults_retires_and_its_worker_serves_on() {
+        let exec = SentinelExecutor::new(1, Arc::new(FleetGauges::default()));
+        let stats = Arc::new(SentinelStats::default());
+        let _clock = clock::install(1_000);
+        let faulted = exec.spawn(false, Arc::clone(&stats), |_waker| Box::new(Faults));
+        assert_eq!(faulted.wait(), 1_000, "retired at the time it faulted");
+        assert_eq!(stats.snapshot().faults, 1);
+        // The pool's one worker ran the fault and serves the next task.
+        let fx = Fixture::new();
+        fx.closed.store(true, Ordering::SeqCst);
+        exec.spawn(false, Arc::default(), |_waker| fx.task(0))
+            .wait();
+        assert_eq!(exec.live(), 0);
+    }
+
     #[test]
     fn a_pinned_task_runs_on_a_thread_of_its_own_that_ends_with_it() {
         let gauges = Arc::new(FleetGauges::default());
         let exec = SentinelExecutor::new(1, Arc::clone(&gauges));
         let fx = Fixture::new();
         let mut waker_slot = None;
-        let done = exec.spawn(true, |waker| {
+        let done = exec.spawn(true, Arc::default(), |waker| {
             waker_slot = Some(waker);
             fx.task(0)
         });
@@ -997,7 +1006,7 @@ mod tests {
         let exec = SentinelExecutor::new(1, Arc::new(FleetGauges::default()));
         let fx = Fixture::new();
         let mut waker_slot = None;
-        let done = exec.spawn(true, |waker| {
+        let done = exec.spawn(true, Arc::default(), |waker| {
             waker_slot = Some(waker);
             fx.task(0)
         });
@@ -1018,8 +1027,8 @@ mod tests {
         let gauges = Arc::new(FleetGauges::default());
         let exec = SentinelExecutor::new(1, Arc::clone(&gauges));
         let (pooled, pinned) = (Fixture::new(), Fixture::new());
-        let pooled_done = exec.spawn(false, |_waker| pooled.task(0));
-        let pinned_done = exec.spawn(true, |_waker| pinned.task(0));
+        let pooled_done = exec.spawn(false, Arc::default(), |_waker| pooled.task(0));
+        let pinned_done = exec.spawn(true, Arc::default(), |_waker| pinned.task(0));
         exec.shutdown();
         pooled_done.wait();
         pinned_done.wait();

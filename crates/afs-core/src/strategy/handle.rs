@@ -20,8 +20,8 @@
 //!
 //! A [`StrategyHandle`] drives the [`Op`]/[`OpReply`] protocol over any of
 //! them and keeps what is per-open: its session, the file pointer, the
-//! sticky write-behind error, the reaper. (§4.1 has no commands to carry;
-//! its handle is the stream handle in [`process`](super::process).)
+//! sticky write-behind error, its private sentinel's exit. (§4.1 has no
+//! commands to carry; its handle is the stream handle in [`process`](super::process).)
 //!
 //! Every command goes in a [`Framed`] envelope with its session and the
 //! [`TraceContext`] of its op's transport span (`send` or `round-trip`):
@@ -44,7 +44,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use afs_ipc::{AppPort, Framed, FreeList, IpcError};
+use afs_ipc::{AppPort, Framed, FreeList, IpcError, SentinelExit};
 use afs_sim::{clock, CostModel, CrossingKind, OpKind, OpTrace, OpWindow, TraceRecord};
 use afs_telemetry::{
     now_ns, LatencyHistogram, Layer, SloTracker, SpanGuard, Telemetry, TraceContext,
@@ -52,7 +52,7 @@ use afs_telemetry::{
 use afs_winapi::{SeekMethod, Win32Error};
 
 use crate::strategy::mux::OpMux;
-use crate::strategy::{reap, to_win32, ActiveOps, Op, OpReply, Reaper, Sticky};
+use crate::strategy::{to_win32, ActiveOps, Op, OpReply, Sticky};
 
 /// Lands the bytes a reply came with in the front of `into`, for the
 /// carrier that holds reply and bytes together (a ring completion). The
@@ -221,7 +221,8 @@ pub(crate) struct StrategyHandle<P: AppPort<OpMux> + ?Sized> {
     /// the pointer from the offset it sends to the count it adds.
     pointer: Mutex<Cursor>,
     sticky: Sticky,
-    reaper: Mutex<Option<Reaper>>,
+    /// A private sentinel's exit, reaped on close; a hub reaps its own.
+    exit: Option<Arc<SentinelExit>>,
 }
 
 /// What the pointer lock guards: the offset, and the scratch a scatter
@@ -238,7 +239,7 @@ impl<P: AppPort<OpMux> + ?Sized> StrategyHandle<P> {
         session: u32,
         rec: Recorder,
         sticky: Sticky,
-        reaper: Option<Reaper>,
+        exit: Option<Arc<SentinelExit>>,
     ) -> Self {
         StrategyHandle {
             port,
@@ -246,7 +247,7 @@ impl<P: AppPort<OpMux> + ?Sized> StrategyHandle<P> {
             rec,
             pointer: Mutex::default(),
             sticky,
-            reaper: Mutex::new(reaper),
+            exit,
         }
     }
 
@@ -453,7 +454,9 @@ impl<P: AppPort<OpMux> + ?Sized> ActiveOps for StrategyHandle<P> {
             };
             (r, 0)
         });
-        reap(&self.reaper);
+        if let Some(exit) = &self.exit {
+            exit.reap();
+        }
         let sticky = self.check_sticky();
         result.and(sticky)
     }

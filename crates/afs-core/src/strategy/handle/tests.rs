@@ -8,7 +8,7 @@
 use std::sync::mpsc;
 use std::time::Duration;
 
-use afs_ipc::{Cqe, Framed, MuxHub, PairPort, PairTransport, RingPair, SessionHub};
+use afs_ipc::{Cqe, Framed, MuxHub, PairPort, PairTransport, RingPair, SentinelExit, SessionHub};
 
 use super::*;
 use crate::ctx::SentinelCtx;
@@ -79,8 +79,8 @@ impl SentinelLogic for Scripted {
 /// sentinel thread the handle's close reaps. With `sessions > 1`,
 /// vanishing waits until every session has a command on the wire, so one
 /// of them is pulling and the rest are waiting on it.
-fn serve_pair(port: PairPort<Framed<Op>, Framed<OpReply>>, sessions: usize) -> Reaper {
-    Reaper::Thread(spawn_sentinel("scripted", move || {
+fn serve_pair(port: PairPort<Framed<Op>, Framed<OpReply>>, sessions: usize) -> Arc<SentinelExit> {
+    spawn_sentinel("scripted", &instruments(), move || {
         while let Ok(Framed {
             session, body: op, ..
         }) = port.recv_cmd()
@@ -110,7 +110,7 @@ fn serve_pair(port: PairPort<Framed<Op>, Framed<OpReply>>, sessions: usize) -> R
                 return;
             }
         }
-    }))
+    })
 }
 
 /// One carrier under test: a handle on it, and a sibling session where
@@ -126,9 +126,9 @@ struct Rig {
 fn handle(
     instr: &Instruments,
     port: impl AppPort<OpMux> + 'static,
-    reaper: Option<Reaper>,
+    exit: Option<Arc<SentinelExit>>,
 ) -> Arc<dyn ActiveOps> {
-    instr.handle(Arc::new(port), PRIVATE_SESSION, Sticky::default(), reaper)
+    instr.handle(Arc::new(port), PRIVATE_SESSION, Sticky::default(), exit)
 }
 
 /// Two sessions on `hub`, whose sentinel end takes no session records.
@@ -147,12 +147,11 @@ fn rigs() -> [Rig; 4] {
 
     let (wire, port) = PairTransport::kernel(model());
     let hub_end = serve_pair(port, 2);
-    let reaper = Box::new(move || hub_end.wait());
-    let hub = MuxHub::<OpMux>::new(wire, model(), Arc::default(), Some(reaper));
+    let hub = MuxHub::<OpMux>::new(wire, model(), Arc::default(), Some(hub_end));
     let [hub_a, hub_b] = sessions(hub, &instr);
 
     let (ring, port) = RingPair::shared::<Framed<Op>, OpReply>(model(), 4);
-    let ring_end = Reaper::Thread(spawn_sentinel("scripted-ring", move || loop {
+    let ring_end = spawn_sentinel("scripted-ring", &instr, move || loop {
         let sqe = match port.poll_sqe() {
             Ok(Some(sqe)) => sqe,
             Ok(None) => {
@@ -176,14 +175,13 @@ fn rigs() -> [Rig; 4] {
         if port.post(cqe).is_err() || matches!(op, Op::Close) {
             return;
         }
-    }));
-    let reaper = Box::new(move || ring_end.wait());
+    });
     let [ring_a, ring_b] = sessions(
-        RingDriver::new(ring, &instr, Arc::default(), reaper),
+        RingDriver::new(ring, &instr, Arc::default(), ring_end),
         &instr,
     );
 
-    let inline = dll::open_shared(Box::new(Scripted), probe_ctx(), instr.clone()).expect("open");
+    let inline = dll::open_shared(Box::new(Scripted), probe_ctx(), instr.clone());
     let [inline_a, inline_b] = [(); 2].map(|()| inline.attach().expect("attach"));
 
     [

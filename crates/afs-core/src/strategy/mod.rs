@@ -45,12 +45,11 @@ pub(crate) mod wire;
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use parking_lot::Mutex;
 
-use afs_ipc::IpcError;
-use afs_sim::{clock, CostModel, CrossingKind, OpTrace, SimTime};
+use afs_ipc::{IpcError, SentinelExit};
+use afs_sim::{clock, CostModel, CrossingKind, OpTrace};
 use afs_telemetry::{now_ns, LatencyHistogram, Layer, SloTracker, Telemetry, TraceContext};
 use afs_winapi::Win32Error;
 
@@ -118,11 +117,12 @@ pub(crate) struct Instruments {
 impl Instruments {
     /// Registers a sentinel state machine: pooled normally, pinned to a
     /// dedicated thread for composition opens (see `pinned`).
-    pub(crate) fn spawn_task<F>(&self, build: F) -> Arc<executor::TaskDone>
+    pub(crate) fn spawn_task<F>(&self, build: F) -> Arc<SentinelExit>
     where
         F: FnOnce(afs_ipc::ChannelWaker) -> Box<dyn executor::SentinelPoll>,
     {
-        self.exec.spawn(self.pinned, build)
+        let stats = self.tel.sentinel_stats(self.sentinel);
+        self.exec.spawn(self.pinned, stats, build)
     }
 
     /// The sentinel-side observation bundle.
@@ -149,8 +149,8 @@ impl Instruments {
     }
 
     /// The application end of `session`: a [`StrategyHandle`] driving
-    /// `port` and surfacing the failures its sentinel end parks in
-    /// `sticky`.
+    /// `port`, surfacing the failures its sentinel end parks in `sticky`,
+    /// and reaping a private sentinel's `exit` on close.
     ///
     /// [`StrategyHandle`]: handle::StrategyHandle
     pub(crate) fn handle(
@@ -158,10 +158,10 @@ impl Instruments {
         port: Arc<impl afs_ipc::AppPort<mux::OpMux> + 'static>,
         session: u32,
         sticky: Sticky,
-        reaper: Option<Reaper>,
+        exit: Option<Arc<SentinelExit>>,
     ) -> Arc<dyn ActiveOps> {
         let rec = self.recorder(port.crossing());
-        let handle = handle::StrategyHandle::new(port, session, rec, sticky, reaper);
+        let handle = handle::StrategyHandle::new(port, session, rec, sticky, exit);
         Arc::new(handle)
     }
 }
@@ -630,56 +630,27 @@ fn replay_queued_writes(logic: &mut dyn SentinelLogic, ctx: &mut SentinelCtx) {
     ctx.set_stale(false);
 }
 
-/// Spawns a sentinel thread that inherits the opener's virtual clock and
-/// reports its final virtual time, which the closing application joins on
-/// and synchronises to.
-pub(crate) fn spawn_sentinel<F>(name: &str, body: F) -> JoinHandle<SimTime>
+/// Runs `body` as `instr`'s sentinel on a thread of its own that inherits
+/// the opener's virtual clock, and returns its exit, signalled when the
+/// body returns or faults. A fault is counted; what the body held — its
+/// pipe ends — dropped in the unwind.
+pub(crate) fn spawn_sentinel<F>(name: &str, instr: &Instruments, body: F) -> Arc<SentinelExit>
 where
     F: FnOnce() + Send + 'static,
 {
-    let parent_active = clock::is_active();
-    let parent_now = clock::now();
+    let stats = instr.tel.sentinel_stats(instr.sentinel);
+    let start = clock::is_active().then(clock::now);
+    let exit = Arc::new(SentinelExit::default());
+    let signal = Arc::clone(&exit);
     std::thread::Builder::new()
         .name(format!("sentinel-{name}"))
         .spawn(move || {
-            if parent_active {
-                let _guard = clock::install(parent_now);
-                body();
-                clock::now()
-            } else {
-                body();
-                0
+            let _clock = start.map(clock::install);
+            if std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)).is_err() {
+                stats.fault();
             }
+            signal.signal(clock::now());
         })
-        .expect("spawn sentinel thread")
-}
-
-/// What close must wait on for sentinel termination: a dedicated thread's
-/// join handle (§4.1 pumps) or an executor task's completion cell
-/// (§4.2/§4.3 and mux sentinels).
-pub(crate) enum Reaper {
-    /// A dedicated sentinel thread.
-    Thread(JoinHandle<SimTime>),
-    /// A task on the sentinel executor.
-    Task(Arc<executor::TaskDone>),
-}
-
-impl Reaper {
-    /// Blocks until the sentinel has terminated; returns its final virtual
-    /// time.
-    pub(crate) fn wait(self) -> SimTime {
-        match self {
-            Reaper::Thread(join) => join.join().unwrap_or(0),
-            Reaper::Task(done) => done.wait(),
-        }
-    }
-}
-
-/// Waits for the sentinel on close and folds its final virtual time into
-/// the closing thread's clock (the application waits for sentinel
-/// termination).
-pub(crate) fn reap(slot: &Mutex<Option<Reaper>>) {
-    if let Some(reaper) = slot.lock().take() {
-        clock::sync_to(reaper.wait());
-    }
+        .expect("spawn sentinel thread");
+    exit
 }

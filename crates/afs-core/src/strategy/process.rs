@@ -28,7 +28,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use afs_ipc::{Pipe, PipeReader, PipeWriter};
+use afs_ipc::{Pipe, PipeReader, PipeWriter, SentinelExit};
 use afs_sim::{CrossingKind, OpKind};
 use afs_telemetry::TraceContext;
 use afs_winapi::{SeekMethod, Win32Error};
@@ -36,9 +36,7 @@ use afs_winapi::{SeekMethod, Win32Error};
 use crate::ctx::SentinelCtx;
 use crate::logic::SentinelLogic;
 use crate::strategy::handle::Recorder;
-use crate::strategy::{
-    reap, spawn_sentinel, to_win32, ActiveOps, Instruments, Reaper, SentinelSide,
-};
+use crate::strategy::{spawn_sentinel, ActiveOps, Instruments};
 
 /// Buffer size of the Figure 2 pump loops (`char buf[1024]`).
 const PUMP_CHUNK: usize = 1024;
@@ -70,7 +68,7 @@ struct StreamHandle {
     to_sentinel: Mutex<Option<PipeWriter>>,
     from_sentinel: Mutex<Option<PipeReader>>,
     rec: Recorder,
-    reaper: Mutex<Option<Reaper>>,
+    exit: Arc<SentinelExit>,
 }
 
 impl StreamHandle {
@@ -143,7 +141,7 @@ impl ActiveOps for StreamHandle {
             let (_wire, _) = self.rec.transport_span("shutdown");
             self.to_sentinel.lock().take();
             self.from_sentinel.lock().take();
-            reap(&self.reaper);
+            self.exit.reap();
             (Ok(()), 0)
         })
     }
@@ -161,15 +159,15 @@ fn wire(
     let (app_write, sentinel_stdin) = pipe();
     let (sentinel_stdout, app_read) = pipe();
     // §4.1 streams have no command lane to poll, so the pump pair keeps
-    // dedicated threads; the reaper joins them directly.
-    let join = spawn_sentinel("process", move || {
+    // dedicated threads; close reaps their exit.
+    let exit = spawn_sentinel("process", instr, move || {
         sentinel(sentinel_stdin, sentinel_stdout);
     });
     Arc::new(StreamHandle {
         to_sentinel: Mutex::new(Some(app_write)),
         from_sentinel: Mutex::new(Some(app_read)),
         rec: instr.recorder(CrossingKind::InterProcess),
-        reaper: Mutex::new(Some(Reaper::Thread(join))),
+        exit,
     })
 }
 
@@ -185,19 +183,32 @@ pub(crate) fn open_raw(
 }
 
 /// Builds the simple process strategy around a strategy-independent
-/// [`SentinelLogic`] by generating the Figure 2 pump sentinel: one thread
-/// streams `logic.read` into stdout, the main loop streams stdin into
-/// `logic.write`.
+/// [`SentinelLogic`], already opened, by generating the Figure 2 pump
+/// sentinel: one thread streams `logic.read` into stdout, the main loop
+/// streams stdin into `logic.write`.
 pub(crate) fn open_logic(
-    mut logic: Box<dyn SentinelLogic>,
-    mut ctx: SentinelCtx,
+    logic: Box<dyn SentinelLogic>,
+    ctx: SentinelCtx,
     instr: Instruments,
-) -> Result<Arc<dyn ActiveOps>, Win32Error> {
-    logic.on_open(&mut ctx).map_err(|e| to_win32(&e))?;
-    let side = instr.sentinel_side();
-    Ok(wire(&instr, move |stdin, stdout| {
-        pump(logic, ctx, stdin, stdout, side);
-    }))
+) -> Arc<dyn ActiveOps> {
+    let pumped = instr.clone();
+    wire(&instr, move |stdin, stdout| {
+        pump(logic, ctx, stdin, stdout, &pumped);
+    })
+}
+
+/// The pump's logic and context, which its two directions take turns on.
+/// A routine that faults takes them down with it: the other direction
+/// finds them gone at its next chunk, and the close hook never runs.
+type Pump = (Box<dyn SentinelLogic>, SentinelCtx);
+
+/// Runs `f` on the pump in `slot`; `None` once a routine has faulted.
+fn call<R>(slot: &Mutex<Option<Pump>>, f: impl FnOnce(&mut Pump) -> R) -> Option<R> {
+    let mut slot = slot.lock();
+    let mut pump = slot.take()?;
+    let result = f(&mut pump);
+    *slot = Some(pump);
+    Some(result)
 }
 
 /// The generated two-thread sentinel (Figure 2's `RWThrd` pair).
@@ -206,37 +217,34 @@ fn pump(
     ctx: SentinelCtx,
     stdin: PipeReader,
     stdout: PipeWriter,
-    side: SentinelSide,
+    instr: &Instruments,
 ) {
-    struct Shared {
-        logic: Box<dyn SentinelLogic>,
-        ctx: SentinelCtx,
-    }
-    let shared = Arc::new(Mutex::new(Shared { logic, ctx }));
+    let side = instr.sentinel_side();
+    let shared = Arc::new(Mutex::new(Some((logic, ctx))));
 
     // Read-direction thread: stream the logic's byte sequence into the
     // read pipe until end-of-data or the application stops listening.
     let reader_shared = Arc::clone(&shared);
     let reader_side = side.clone();
-    let reader = spawn_sentinel("process-read", move || {
+    let reader = spawn_sentinel("process-read", instr, move || {
         let mut cursor = 0u64;
         let mut buf = [0u8; PUMP_CHUNK];
         loop {
             // A streamed chunk serves no one application op: its span is a
             // root, as is the write direction's below.
             let produced = reader_side.observe("stream-read", TraceContext::default(), || {
-                let mut s = reader_shared.lock();
-                let Shared { logic, ctx } = &mut *s;
-                logic.read(ctx, cursor, &mut buf)
+                call(&reader_shared, |(logic, ctx)| {
+                    logic.read(ctx, cursor, &mut buf)
+                })
             });
             match produced {
-                Ok(0) | Err(_) => break,
-                Ok(n) => {
+                Some(Ok(n)) if n > 0 => {
                     cursor += n as u64;
                     if stdout.write(&buf[..n]).is_err() {
                         break; // application closed its read end
                     }
                 }
+                _ => break,
             }
         }
     });
@@ -249,11 +257,11 @@ fn pump(
             Ok(0) | Err(_) => break, // EOF: application closed
             Ok(n) => {
                 let accepted = side.observe("stream-write", TraceContext::default(), || {
-                    let mut s = shared.lock();
-                    let Shared { logic, ctx } = &mut *s;
-                    logic.write(ctx, cursor, &buf[..n]).is_ok()
+                    call(&shared, |(logic, ctx)| {
+                        logic.write(ctx, cursor, &buf[..n]).is_ok()
+                    })
                 });
-                if !accepted {
+                if accepted != Some(true) {
                     break;
                 }
                 cursor += n as u64;
@@ -261,11 +269,11 @@ fn pump(
         }
     }
 
-    let _ = reader.join();
-    let mut s = shared.lock();
-    let Shared { logic, ctx } = &mut *s;
-    let _ = logic.on_close(ctx);
-    ctx.persist_cache();
+    reader.wait();
+    call(&shared, |(logic, ctx)| {
+        let _ = logic.on_close(ctx);
+        ctx.persist_cache();
+    });
 }
 
 #[cfg(test)]

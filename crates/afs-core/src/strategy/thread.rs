@@ -24,8 +24,6 @@
 //! [`SharedBuffer::send`]: afs_ipc::SharedBuffer::send
 //! [`PairTransport::shared`]: afs_ipc::PairTransport::shared
 
-use afs_winapi::Win32Error;
-
 use crate::ctx::SentinelCtx;
 use crate::logic::SentinelLogic;
 use crate::strategy::wire::{self, Boundary, Launched};
@@ -44,6 +42,6 @@ pub(crate) fn open(
     instr: Instruments,
     batch: Option<usize>,
     joinable: bool,
-) -> Result<Launched, Win32Error> {
+) -> Launched {
     wire::open(Boundary::UserLevel, logic, ctx, instr, batch, joinable)
 }

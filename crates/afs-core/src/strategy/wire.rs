@@ -22,14 +22,13 @@
 use std::sync::Arc;
 
 use afs_ipc::{Framed, FreeList, MuxHub, PairPort, PairTransport, RingPair};
-use afs_winapi::Win32Error;
 
 use crate::ctx::SentinelCtx;
 use crate::logic::SentinelLogic;
 use crate::strategy::batch::RingDriver;
 use crate::strategy::dispatch::{Joiners, SentinelLoop, Session, PRIVATE_SESSION};
 use crate::strategy::mux::{Joinable, SharedSentinel};
-use crate::strategy::{to_win32, ActiveOps, Instruments, Op, OpReply, Reaper, Sticky};
+use crate::strategy::{ActiveOps, Instruments, Op, OpReply, Sticky};
 
 /// Which protection boundary the wire crosses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,9 +48,9 @@ pub(crate) enum Launched {
     Shared(Arc<dyn SharedSentinel>),
 }
 
-/// Builds a wire sentinel: runs the open hook, registers the dispatch
-/// loop on the sentinel executor (the stand-in for launching the sentinel
-/// process, or for "starts a thread for running the orchestration
+/// Builds a wire sentinel around `logic`, already opened: registers the
+/// dispatch loop on the sentinel executor (the stand-in for launching the
+/// sentinel process, or for "starts a thread for running the orchestration
 /// routine"), and wires the application side to it.
 ///
 /// `batch = Some(depth)` makes the lane a ring of that depth, always
@@ -60,13 +59,12 @@ pub(crate) enum Launched {
 /// the rest the bare pair.
 pub(crate) fn open(
     boundary: Boundary,
-    mut logic: Box<dyn SentinelLogic>,
-    mut ctx: SentinelCtx,
+    logic: Box<dyn SentinelLogic>,
+    ctx: SentinelCtx,
     instr: Instruments,
     batch: Option<usize>,
     joinable: bool,
-) -> Result<Launched, Win32Error> {
-    logic.on_open(&mut ctx).map_err(|e| to_win32(&e))?;
+) -> Launched {
     let joiners = Joiners::default();
     let path = ctx.path().clone();
     let shared: Arc<dyn SharedSentinel> = match batch {
@@ -81,19 +79,15 @@ pub(crate) fn open(
             // its speculative-cache epoch in response.
             let heal = ctx.heal_generation();
             let staging = FreeList::default();
-            let done = SentinelLoop::spawn(&instr, logic, ctx, port, joiners.clone(), staging);
-            let driver = RingDriver::new(ring, &instr, heal, Box::new(move || done.wait()));
+            let exit = SentinelLoop::spawn(&instr, logic, ctx, port, joiners.clone(), staging);
+            let driver = RingDriver::new(ring, &instr, heal, exit);
             Joinable::new(driver, joiners, &path, instr)
         }
         None if joinable => {
             let (transport, port, staging) = pair(boundary, &instr);
-            let done = SentinelLoop::spawn(&instr, logic, ctx, port, joiners.clone(), staging);
-            // The hub reaps by waiting on the executor's completion cell,
-            // the task-world stand-in for joining a dedicated sentinel
-            // thread.
-            let reaper = Box::new(move || done.wait());
+            let exit = SentinelLoop::spawn(&instr, logic, ctx, port, joiners.clone(), staging);
             let sessions = Arc::clone(instr.tel.sessions());
-            let hub = MuxHub::new(transport, instr.model.clone(), sessions, Some(reaper));
+            let hub = MuxHub::new(transport, instr.model.clone(), sessions, Some(exit));
             Joinable::new(hub, joiners, &path, instr)
         }
         None => {
@@ -106,13 +100,12 @@ pub(crate) fn open(
             };
             joiners.admit(session, vec![PRIVATE_SESSION]);
             let (transport, port, staging) = pair(boundary, &instr);
-            let done = SentinelLoop::spawn(&instr, logic, ctx, port, joiners, staging);
-            let reaper = Some(Reaper::Task(done));
-            let ops = instr.handle(Arc::new(transport), PRIVATE_SESSION, sticky, reaper);
-            return Ok(Launched::Private(ops));
+            let exit = SentinelLoop::spawn(&instr, logic, ctx, port, joiners, staging);
+            let ops = instr.handle(Arc::new(transport), PRIVATE_SESSION, sticky, Some(exit));
+            return Launched::Private(ops);
         }
     };
-    Ok(Launched::Shared(shared))
+    Launched::Shared(shared)
 }
 
 /// A command/reply pair lane, private or shared: its application end, its

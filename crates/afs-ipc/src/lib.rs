@@ -58,7 +58,7 @@ pub use control::{ChannelWaker, ControlChannel, ControlReceiver, ControlSender, 
 pub use error::IpcError;
 pub use event::{Event, ResetMode};
 pub use mux::{
-    AppPort, Framed, MuxHub, MuxProtocol, SentinelReaper, SessionHub, Sessions, Stager,
+    AppPort, Framed, MuxHub, MuxProtocol, SentinelExit, SessionHub, Sessions, Stager,
     STAGE_CAPACITY,
 };
 pub use pipe::{Pipe, PipeReader, PipeWriter};

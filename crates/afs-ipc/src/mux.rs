@@ -164,16 +164,43 @@ impl<P: MuxProtocol> Stager<P> {
     }
 }
 
-/// Deferred reap of whatever executes the shared sentinel: blocks until
-/// the sentinel has fully terminated and yields its final virtual time.
-pub type SentinelReaper = Box<dyn FnOnce() -> SimTime + Send>;
+/// How a sentinel ends, whatever ran it and however it stopped: signalled
+/// once, with its final virtual time, and reaped by the closing application.
+#[derive(Default)]
+pub struct SentinelExit {
+    at: Mutex<Option<SimTime>>,
+    cv: Condvar,
+}
+
+impl SentinelExit {
+    /// The sentinel has ended at virtual time `at`.
+    pub fn signal(&self, at: SimTime) {
+        *self.at.lock() = Some(at);
+        self.cv.notify_all();
+    }
+
+    /// Blocks until the sentinel has ended; returns its final virtual time.
+    pub fn wait(&self) -> SimTime {
+        let mut at = self.at.lock();
+        while at.is_none() {
+            self.cv.wait(&mut at);
+        }
+        at.unwrap_or_default()
+    }
+
+    /// Waits for the end and folds the final time into this thread's clock.
+    pub fn reap(&self) {
+        clock::sync_to(self.wait());
+    }
+}
 
 /// Who is attached to one sentinel, and what a close does: the session
 /// rule of every sentinel that sessions share. Ids start at 1; an attach
-/// after the terminal close is refused (the caller launches a fresh
-/// sentinel instead); a close while others stay is acknowledged by its
-/// owner locally, after flushing; the last close is the terminal one,
-/// whose owner sends it and then [reaps](Sessions::reap) the sentinel.
+/// after the terminal close or the sentinel's exit is refused (the caller
+/// launches a fresh sentinel instead); a close while others stay is
+/// acknowledged by its owner locally, after flushing; the last close is
+/// the terminal one, whose owner sends it and then [reaps](Sessions::reap)
+/// the sentinel.
 #[derive(Default)]
 pub struct Sessions {
     live: Vec<u32>,
@@ -181,23 +208,23 @@ pub struct Sessions {
     newest: u32,
     closed: bool,
     gauges: Arc<SessionGauges>,
-    reaper: Option<SentinelReaper>,
+    exit: Option<Arc<SentinelExit>>,
 }
 
 impl Sessions {
-    /// No session yet; `reaper` is run by the terminal close.
-    pub fn new(gauges: Arc<SessionGauges>, reaper: Option<SentinelReaper>) -> Self {
+    /// No session yet; the terminal close reaps `exit`.
+    pub fn new(gauges: Arc<SessionGauges>, exit: Option<Arc<SentinelExit>>) -> Self {
         Sessions {
             gauges,
-            reaper,
+            exit,
             ..Sessions::default()
         }
     }
 
     /// Attaches a session: its id and the ids live now, or `None` once
-    /// the terminal close has gone out.
+    /// the terminal close has gone out or the sentinel has exited.
     pub fn attach(&mut self) -> Option<(u32, Vec<u32>)> {
-        if self.closed {
+        if self.closed || self.exit.as_ref().is_some_and(|e| e.at.lock().is_some()) {
             return None;
         }
         self.newest += 1;
@@ -219,12 +246,16 @@ impl Sessions {
         self.closed
     }
 
-    /// Once the terminal close is answered: waits for the sentinel to
-    /// terminate and folds its final virtual time into this thread,
-    /// exactly like a private handle's reap on close.
-    pub fn reap(&mut self) {
-        if let Some(reaper) = self.reaper.take() {
-            clock::sync_to(reaper());
+    /// Ends every session: the sentinel faulted and takes no more commands.
+    pub fn end(&mut self) {
+        self.live.drain(..).for_each(|_| self.gauges.detached());
+        self.closed = true;
+    }
+
+    /// Once the terminal close is answered: reaps the sentinel's exit.
+    pub fn reap(&self) {
+        if let Some(exit) = &self.exit {
+            exit.reap();
         }
     }
 
@@ -341,20 +372,19 @@ pub struct MuxHub<P: MuxProtocol> {
 
 impl<P: MuxProtocol> MuxHub<P> {
     /// Wraps `under`, charging staging copies to `model`; the terminal
-    /// close runs `reaper` (joining a dedicated sentinel thread, or
-    /// waiting on an executor task's completion).
+    /// close reaps `exit`, the sentinel's.
     pub fn new(
         under: PairTransport<Framed<P::Cmd>, Framed<P::Reply>>,
         model: CostModel,
         gauges: Arc<SessionGauges>,
-        reaper: Option<SentinelReaper>,
+        exit: Option<Arc<SentinelExit>>,
     ) -> Self {
         MuxHub {
             under,
             send: Mutex::new(SendState {
                 stages: Stager::new(model.clone()),
                 spare: FreeList::default(),
-                sessions: Sessions::new(Arc::clone(&gauges), reaper),
+                sessions: Sessions::new(Arc::clone(&gauges), exit),
             }),
             recv: Mutex::new(RecvState {
                 mailboxes: HashMap::new(),

@@ -323,6 +323,9 @@ metric_family! {
         ops: counter "afs_sentinel_ops_total",
         /// Ops that returned an error.
         errors: counter "afs_sentinel_errors_total",
+        /// Faults (panics) that ended the sentinel, or failed its open
+        /// hook.
+        faults: counter "afs_sentinel_faults_total",
         /// Payload bytes carried into the sentinel (writes).
         bytes_in: counter "afs_sentinel_bytes_in_total",
         /// Payload bytes carried out of the sentinel (reads).
@@ -346,6 +349,11 @@ impl SentinelStats {
         if is_err {
             self.errors.fetch_add(1, Ordering::Relaxed);
         }
+    }
+
+    /// Records a fault caught where the sentinel was entered.
+    pub fn fault(&self) {
+        self.faults.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records how many commands one poll of the sentinel's dispatch loop

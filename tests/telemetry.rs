@@ -437,7 +437,7 @@ fn declared_families() -> Vec<(&'static str, &'static str)> {
 /// before they were declared as tables, in its order, plus the one the
 /// hand-copied list had dropped (`afs_fleet_pinned_total`). Nothing else
 /// may move.
-const GOLDEN_FAMILY_NAMES: [&str; 57] = [
+const GOLDEN_FAMILY_NAMES: [&str; 58] = [
     "afs_retries_total",
     "afs_failovers_total",
     "afs_breaker_trips_total",
@@ -492,6 +492,7 @@ const GOLDEN_FAMILY_NAMES: [&str; 57] = [
     "afs_cluster_rebalances_total",
     "afs_sentinel_ops_total",
     "afs_sentinel_errors_total",
+    "afs_sentinel_faults_total",
     "afs_sentinel_bytes_in_total",
     "afs_sentinel_bytes_out_total",
     "afs_sentinel_queue_depth_peak",
