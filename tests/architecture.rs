@@ -1,0 +1,295 @@
+//! The architecture is a test: each row below is one of the tree's
+//! one-mechanism claims, checked as text over the source. A row is the
+//! guard's test and name, why it holds, a sample that breaks its first
+//! clause, and its clauses. A clause bounds how many lines of its scope
+//! match a needle. A scope is paths from the repository root, applied in
+//! order: `*` matches any run, `/` included, and `a/**/b` matches `a/b`;
+//! `!` excludes; `#fn name` or `#struct Name` narrows a file to that item.
+//! An entry that matches nothing fails its row. A needle is literal text
+//! but for three regex atoms: `\b`, `\w*`, `.*`. DESIGN.md lists the rows.
+
+use std::{collections::BTreeMap, fs, iter::once, ops::Range, path::Path};
+
+macro_rules! guards {
+    ($($test:ident: $name:literal, $why:literal, $sample:literal => $($clause:expr),+;)+) => {
+        fn table() -> Vec<Guard> {
+            let row = |test, name, why, sample, clauses| Guard { test, name, why, sample, clauses };
+            vec![$(row(stringify!($test), $name, $why, $sample, vec![$($clause),+])),+]
+        }
+        $(#[test] fn $test() { hold(stringify!($test)) })+
+    };
+}
+
+guards! {
+    declared_once: "Declared once (runtime spec keys, metric families)", "A runtime key is read from a spec only by `RuntimeSpec::parse` and a metric family is named only by its `metric_family!` declaration: a literal of either anywhere else is a second copy of a list this tree keeps once.",
+    r#"    let share = spec.config().get("share");"# => grep(&["crates/**/*.rs", "src/**/*.rs", "!crates/afs-core/src/spec.rs"], &[
+        r#"config.*.get("share")"#, r#"config.*.get("allow_users")"#, r#"config.*.get("degraded")"#, r#"config.*.get("durable")"#, r#"config.*.get("sync")"#,
+        r#"config.*.get("checkpoint_pages")"#, r#"config.*.get("page_size")"#, r#"config.*.get("retry.*")"#, r#"config.*.get("replicas")"#,
+        r#"config.*.get("breaker.\w*")"#, r#"config.*.get("staleness_ms")"#, r#"config.*.get("slo_p99_us")"#, r#"config.*.get("slo_err_ppm")"#,
+        r#"config.*.get("batch")"#, r#"config.*.get("ring_depth")"#]).tests(),
+    grep(&["crates/afs-core/src/world.rs"], &[r#""afs_pipe"#, r#""afs_shm"#, r#""afs_pool"#, r#""afs_session"#, r#""afs_coalesced"#, r#""afs_batch_flushes"#,
+        r#""afs_fleet"#, r#""afs_store"#, r#""afs_ring"#, r#""afs_cluster"#, r#""afs_retries"#, r#""afs_failovers"#, r#""afs_breaker"#, r#""afs_degraded"#,
+        r#""afs_queued"#, r#""afs_replayed"#, r#""afs_sentinel_ops"#, r#""afs_sentinel_errors"#, r#""afs_sentinel_bytes"#, r#""afs_sentinel_queue"#]).tests();
+    one_seam: "One seam (an operation is one call on the application side)", "The four-step transport protocol, and what it took to glue its steps back together, are gone, and none of it comes back by name.",
+    "trait StreamTransport {}" => grep(&["crates/**", "src/**"], &["supports_control", "pending_write", "outbound_pos", "StreamTransport"]).tests();
+    no_shared_write_per_op: "No shared write per op (an inline operation writes nothing another thread's does)", "The per-operation path once reached a world-shared cache line three ways, none of which may come back: a lock around the interception chain, a whole-model snapshot around every op and a pooled staging buffer under the inline carrier.",
+    "    chain: RwLock<Vec<Hook>>," => grep(&["crates/afs-interpose/src/connector.rs"], &["RwLock"]).tests(),
+    grep(&["crates/afs-core/src/strategy/handle.rs"], &[".snapshot()"]).tests(), grep(&["crates/afs-core/src/strategy/dll.rs"], &["BufferPool", "FreeList"]).tests();
+    a_message_writes_nothing_another_clients_message_writes: "A message writes nothing another client's message writes", "Two cluster clients meet only at the servers they both reach: a message borrows its service from the registry with loads only, a network clone is one reference count with the cost model inside it, and each thread keeps its own memo of built rings.",
+    "        let services = self.registry.read();" => grep(&["crates/afs-net/src/net.rs"], &["RwLock", "registry.read()"]),
+    grep(&["crates/afs-net/src/cluster.rs"], &[r"static \w*:.*Mutex"]).tests(), grep(&["crates/afs-net/src/net.rs#struct Network"], &["CostModel"]).tests();
+    locks_come_from_the_shim: "Locks come from the shim (one choke point for every block and wake)", "vendor/parking_lot's `Condvar` skips the futex wake when nobody waits, and its locks are the one choke point a lock-level scheduler (ROADMAP item 1) can see, so a std lock beside them is a switch point it cannot reach.",
+    "use std::sync::{Arc, Mutex};" => grep(&["crates/**/*.rs", "src/**/*.rs"], &["std::sync::.*Mutex", "std::sync::.*RwLock", "std::sync::.*Condvar"]).tests();
+    one_stamped_channel: "One stamped channel (a write's clock does not depend on who won a race)", "Every FIFO carrier in afs-ipc is an instance of the stamped core, which holds the only blocking loop and the only two moves of a clock between threads: a receiver's to the stamp of what it takes, a sender's to the drain stamp of the capacity it reuses.",
+    "        clock::sync_to(stamp);" => grep(&["crates/afs-ipc/src/**", "!crates/afs-ipc/src/stamped.rs", "!crates/afs-ipc/src/mux.rs"], &["sync_to"]).tests(),
+    grep(&["crates/afs-ipc/src/**", "!crates/afs-ipc/src/stamped.rs", "!crates/afs-ipc/src/mux.rs", "!crates/afs-ipc/src/sync.rs"], &["Condvar"]).tests(),
+    grep(&["crates/**", "src/**"], &["struct WakerCell"]).tests().hits(0, 1);
+    one_lock_per_lane_crossing: "One lock per lane crossing (a lane recycles its own buffers, the waker is read in place)", "A round trip takes each lane's stamped lock once per side and no other lock in afs-ipc: a pipe or slot recycles its buffers under that lock, the dispatch loop stages in a list it owns, and the stamped core reads its waker in place.",
+    "use crate::BufferPool;" => grep(&["crates/afs-ipc/src/pipe.rs", "crates/afs-ipc/src/shared_buf.rs", "crates/afs-ipc/src/transport.rs",
+        "crates/afs-core/src/strategy/dispatch.rs"], &["BufferPool"]), grep(&["crates/afs-ipc/src/stamped.rs"], &["waker.clone()", "Arc::clone(&.*waker)"]);
+    one_poll_loop: "One poll loop (a caller that runs its sentinel runs the workers' loop)", "A sentinel is polled in one place, `poll_once`, which a worker, a pinned sentinel's own thread and the sender of an awaited command all reach through `Inner::run`.",
+    "            task.poll();" => grep(&["crates/afs-core/src/strategy/executor.rs"], &[".poll()"]).unless(&["gauges.poll()"]).hits(1, 1),
+    grep(&["crates/afs-core/src/strategy/executor.rs#fn wake_awaited"], &["self.run(task)"]).tests().hits(1, usize::MAX);
+    one_sentinel_exit: "One sentinel exit (a fault ends a sentinel where it is entered)", "A sentinel ends one way, its `SentinelExit` signalled and then reaped by the closing application, and a fault is caught only where a sentinel is entered: `TaskHandle::enter`, `spawn_sentinel`, `InlineShared::run` and the open hook in `open_active`.",
+    "struct Reaper;" => grep(&["crates/**/*.rs", "src/**/*.rs"], &[r"\bTaskDone\b", r"\bReaper\b", r"\bSentinelReaper\b", "JoinHandle<SimTime>"]),
+    grep(&["crates/**/*.rs", "src/**/*.rs", "!crates/afs-core/src/afs.rs#fn open_active", "!crates/afs-core/src/strategy/dll.rs#fn run",
+        "!crates/afs-core/src/strategy/executor.rs#fn enter", "!crates/afs-core/src/strategy/mod.rs#fn spawn_sentinel"], &["catch_unwind"]).tests(),
+    grep(&["crates/afs-core/src/afs.rs#fn open_active"], &["catch_unwind"]).tests().hits(1, 1),
+    grep(&["crates/afs-core/src/strategy/dll.rs#fn run"], &["catch_unwind"]).tests().hits(1, 1),
+    grep(&["crates/afs-core/src/strategy/executor.rs#fn enter"], &["catch_unwind"]).tests().hits(1, 1),
+    grep(&["crates/afs-core/src/strategy/mod.rs#fn spawn_sentinel"], &["catch_unwind"]).tests().hits(1, 1);
+    one_run_queue: "One run queue (a pinned sentinel is a task on a queue of its own)", "The pool's workers share one `RunQueue` and a pinned sentinel is the same task on a `RunQueue` of its own, so striped queues, their padding, a steal sweep or a private lane for pinned threads would be a second scheduler.",
+    "    shards: Vec<CachePadded<Shard>>," => grep(&["crates/afs-core/src/strategy/executor.rs"], &["Shard", "CachePadded", "PinnedLane", "shard_of", "steal("]);
+    a_call_carries_its_flush: "A call carries its flush (one held doorbell)", "A send that rings nothing is safe only when an awaited send by the same sender follows under the same lock, and `PairTransport::send_call_behind` is the one place that knows both.",
+    "        tx.send_all(0, [], Doorbell::Held)?;" => grep(&["crates/afs-ipc/src/*.rs", "!crates/afs-ipc/src/transport.rs#fn send_call_behind"],
+        &["Doorbell::Held"]).unless(&["Doorbell::Held =>"]),
+    grep(&["crates/afs-ipc/src/transport.rs#fn send_call_behind"], &["Doorbell::Held"]).hits(1, usize::MAX);
+    found_once: "Found once (one ring per fleet, one owner walk per op)", "A file session asks its endpoint for owner indices and borrows the names, and no session builds a ring: `Placement` resolves the fleet's shared one.",
+    "        let owners = endpoint.owners(path);" => grep(&["crates/afs-remote/src/file_server.rs", "crates/afs-remote/src/cluster.rs"], &[".owners("]),
+    grep(&["crates/afs-remote/src/**"], &["HashRing::new"]).tests();
+    one_failover_walk: "One failover walk (the network's, over the caller's owners)", "`Network::walk` is the tree's only loop that fails over, over owners the caller names, so a file session reads its refusals inside that walk and the runtime reaches services through endpoints, not typed clients of its own.",
+    "    replicas: Vec<String>," => grep(&["crates/afs-net/src/net.rs", "crates/afs-net/src/reliability.rs"], &["replicas"]),
+    grep(&["crates/afs-remote/**"], &["failover_worthy"]).tests(), grep(&["crates/afs-core/Cargo.toml"], &["afs-remote"]).tests();
+    a_cluster_read_is_one_message: "A cluster read is one message (the session's floor rides the read)", "Each owner a read asks gets one floor-carrying `GET`; a `STAT` first is the second round trip per read this tree took out.",
+    "    pub fn get(&self, path: &str) -> Vec<u8> {\n        self.stat(path);\n    }" =>
+    grep(&["crates/afs-remote/src/file_server.rs#fn get"], &["get_request(path, offset, len, floor)"]).hits(1, usize::MAX),
+    grep(&["crates/afs-remote/src/file_server.rs#fn get"], &[".stat(", "stat_request"]);
+    one_file_client: "One file client (the session is FileClient's; ClusterClient is a constructor)", "Reads and writes have one opcode each and only `FileClient` walks owners; `ClusterClient` is a name kept for `benchmark/`, not a second client.",
+    "pub const OP_PUT_ACK: u8 = 9;" => grep(&["crates/afs-remote/**"], &["OP_GET_AT_FLOOR", "OP_PUT_ACK"]).tests(),
+    grep(&["crates/afs-remote/src/*.rs", "!crates/afs-remote/src/file_server.rs"], &["net.walk(", "net().walk("]), grep(&["crates/afs-remote/src/cluster.rs"], &[""]).hits(0, 40);
+    a_commit_is_one_append: "A commit is one append (the staged batch is its own WAL image)", "`PageStore` frames each record straight onto the one staged buffer and keeps dirty pages as bits; staged records, a page set or a body built on the side to frame from are the per-commit allocations this tree took out.",
+    "    dirty: BTreeSet<u64>," => grep(&["crates/afs-store/src/store.rs"], &["BTreeSet", "Vec<WalRecord>"]),
+    grep(&["crates/afs-store/src/wal.rs"], &["let mut body", "body.push", "body.extend"]);
+    one_trace_carrier: "One trace carrier (an op's trace context rides the frame that carries the op)", "A sentinel span parents to the context its command's frame carried, not to a per-session cell, the thread's span stack or a bare parent id.",
+    "pub struct SpanScope;" => grep(&["crates/*/src/**", "src/**"], &["SpanScope", "span_with_parent", "observe_inline", "observe_root"]).tests();
+    one_recorder: "One recorder (a flight bundle is a cut of the span ring)", "The span ring and each thread's stack of open frames are the only recorders: a bundle freezes the ring and the triggering thread's frames, with no per-subsystem event ring or hub-wide list of open spans beside them.",
+    "pub struct FlightEvent;" => grep(&["crates/**/*.rs", "src/**/*.rs"], &["SubsystemRing", "FlightEvent", "PendingSpan", "OpenSpan", "flight_note"]);
+    batched_files_share: "Batched files share (batch=on composes with share, one round-trip charge)", "A batched open is a session on its file's one ring like any other sharable open, so no clause may force it private again and no carrier may leave its crossings to the handle.",
+    "        if spec.batch.is_none() {" => grep(&["crates/afs-core/src/**"], &["ring_depth.is_none()", "batch.is_none()", "charges_own_crossings"]).tests();
+    panels_are_views: "Panels are views (figure6 measures only through the grid)", "Every table figure6 prints reads the measured document, so a `measure*` call in the binary would print a number the gate does not hold.",
+    "    let grid = measure_grid(ops);" => grep(&["crates/afs-bench/src/bin/figure6.rs"], &[r"\bmeasure\w*("]).tests();
+    one_harness_per_clock: "One harness per clock (afs-bench is virtual time only)", "Host time belongs to `benchmark/`, so a Criterion target or a `benches/` directory in the workspace would be a benchmark no job runs.",
+    r#"criterion = "0.5""# => grep(&["Cargo.toml", "crates/*/Cargo.toml"], &["criterion", "[[bench]]"]).tests(),
+    grep(&["crates/**", "vendor/**"], &["/benches/", "/criterion/"]).paths().tests();
+}
+
+struct Guard {
+    test: &'static str,
+    name: &'static str,
+    why: &'static str,
+    sample: &'static str,
+    clauses: Vec<Clause>,
+}
+
+/// How many lines of `scope` may match a needle and no `unless` needle;
+/// `tests` reads test code too, and `paths` reads each file's path instead.
+#[derive(Default)]
+struct Clause {
+    scope: &'static [&'static str],
+    needles: &'static [&'static str],
+    unless: &'static [&'static str],
+    tests: bool,
+    paths: bool,
+    hits: (usize, usize),
+}
+
+/// A clause that no line of non-test code in `scope` may match.
+fn grep(scope: &'static [&'static str], needles: &'static [&'static str]) -> Clause {
+    let mut clause = Clause::default();
+    (clause.scope, clause.needles) = (scope, needles);
+    clause
+}
+
+impl Clause {
+    fn tests(self) -> Self {
+        let tests = true;
+        Clause { tests, ..self }
+    }
+    fn paths(self) -> Self {
+        let paths = true;
+        Clause { paths, ..self }
+    }
+    fn unless(self, unless: &'static [&'static str]) -> Self {
+        Clause { unless, ..self }
+    }
+    fn hits(self, lo: usize, hi: usize) -> Self {
+        let hits = (lo, hi);
+        Clause { hits, ..self }
+    }
+
+    /// Empty if the clause holds, else why, naming each hit `path:line: text`.
+    fn check(&self, read: &dyn Fn(&str) -> String) -> String {
+        let mut picked = BTreeMap::new();
+        for raw in self.scope {
+            let mut parts = raw.trim_start_matches('!').split('#');
+            let (glob, item) = (parts.next().unwrap(), parts.next());
+            let mut matched = false;
+            for f in files(glob) {
+                let text = if self.paths { f.clone() } else { read(&f) };
+                let lines = lines(&f, &text, self.tests);
+                let spans = item.map_or(once(0..lines.len()).collect(), |i| bodies(&lines, i));
+                matched |= !spans.is_empty();
+                let keep = &mut picked.entry(f).or_insert((text.clone(), vec![])).1;
+                keep.resize(lines.len(), false);
+                let pick = !raw.starts_with('!');
+                spans.into_iter().for_each(|span| keep[span].fill(pick));
+            }
+            if !matched {
+                return format!("`{raw}` matches nothing\n");
+            }
+        }
+        let any = |pats: &[&str], line: &str| pats.iter().any(|p| found(p, line));
+        let mut hits = String::new();
+        for (f, (text, keep)) in picked {
+            let could = self.needles.iter().any(|p| pieces_in(p, &text));
+            for (n, (line, _)) in text.lines().zip(keep).enumerate().filter(|(_, (_, k))| *k) {
+                if could && any(self.needles, line) && !any(self.unless, line) {
+                    hits += &format!("  {f}:{}: {}\n", n + 1, line.trim());
+                }
+            }
+        }
+        let ((lo, hi), n) = (self.hits, hits.lines().count());
+        let breach = format!("{n} hits of {:?}, not {lo}..={hi}:\n{hits}", self.needles);
+        (lo..=hi).contains(&n).then(String::new).unwrap_or(breach)
+    }
+}
+
+fn breaches(guard: &Guard, read: &dyn Fn(&str) -> String) -> String {
+    guard.clauses.iter().map(|c| c.check(read)).collect()
+}
+
+fn hold(test: &str) {
+    let guard = table().into_iter().find(|g| g.test == test).unwrap();
+    let breaches = breaches(&guard, &read);
+    assert!(breaches.is_empty(), "{}\n{breaches}", guard.name);
+}
+
+/// The lines of `text` a clause reads, under the one test-code rule: a file
+/// under a `tests/` directory or named `tests.rs` is test code, as is any
+/// other file from a line that is exactly `#[cfg(test)]` on.
+fn lines<'a>(path: &str, text: &'a str, tests: bool) -> Vec<&'a str> {
+    let test_file = !tests && (path.contains("/tests/") || path.ends_with("/tests.rs"));
+    let code = text.lines().take_while(|l| tests || *l != "#[cfg(test)]");
+    code.take_while(|_| !test_file).collect()
+}
+
+/// Each item `item` (`fn name`, `struct Name`) in `lines`: its header line
+/// through the first line that is `}` at the header's indent.
+fn bodies(lines: &[&str], item: &str) -> Vec<Range<usize>> {
+    let mut bodies = Vec::new();
+    for (i, l) in lines.iter().enumerate() {
+        if !l.trim_start().starts_with("//") && found(&format!(r"\b{item}\b"), l) {
+            let close = format!("{}}}", &l[..l.len() - l.trim_start().len()]);
+            let one_line = l.trim_end().ends_with(['}', ';']);
+            let end = lines[i..].iter().position(|m| one_line || *m == close);
+            bodies.push(i..end.map_or(lines.len(), |n| i + n + 1));
+        }
+    }
+    bodies
+}
+
+/// Does `text` hold every literal piece of needle `pat`? (A quick reject.)
+fn pieces_in(pat: &str, text: &str) -> bool {
+    let pat = pat.replace(r"\b", ".*").replace(r"\w*", ".*");
+    pat.split(".*").all(|piece| text.contains(piece))
+}
+
+fn found(pat: &str, line: &str) -> bool {
+    let mut starts = line.char_indices().map(|(i, _)| i).chain([line.len()]);
+    pieces_in(pat, line) && starts.any(|i| at(pat, line, i))
+}
+
+/// Does needle `pat` match `text` from byte `i` on?
+fn at(pat: &str, text: &str, i: usize) -> bool {
+    let is_word = |c: Option<char>| c.is_some_and(|c| c.is_alphanumeric() || c == '_');
+    let next = text[i..].chars().next();
+    if let Some(rest) = pat.strip_prefix(r"\b") {
+        return is_word(text[..i].chars().next_back()) != is_word(next) && at(rest, text, i);
+    }
+    let star = pat.strip_prefix(".*").map(|rest| (rest, true));
+    if let Some((rest, any)) = star.or_else(|| pat.strip_prefix(r"\w*").map(|rest| (rest, false))) {
+        let step = |c: char| (any || is_word(Some(c))) && at(pat, text, i + c.len_utf8());
+        return at(rest, text, i) || next.is_some_and(step);
+    }
+    match pat.chars().next() {
+        None => true,
+        Some(c) => next == Some(c) && at(&pat[c.len_utf8()..], text, i + c.len_utf8()),
+    }
+}
+
+fn read(path: &str) -> String {
+    let bytes = fs::read(Path::new(env!("CARGO_MANIFEST_DIR")).join(path));
+    String::from_utf8_lossy(&bytes.unwrap_or_default()).into_owned()
+}
+
+/// The files `glob` matches, sorted; no `target/` or dot-directory is walked.
+fn files(glob: &str) -> Vec<String> {
+    let pat = format!("{}\n", glob.replace("**/", "*").replace('*', ".*"));
+    let (mut todo, mut found) = (vec![glob.split("/*").next().unwrap().to_string()], vec![]);
+    while let Some(rel) = todo.pop() {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(&rel);
+        for entry in fs::read_dir(&path).into_iter().flatten().flatten() {
+            let name = entry.file_name().to_string_lossy().into_owned();
+            if name != "target" && !name.starts_with('.') {
+                todo.push(format!("{rel}/{name}"));
+            }
+        }
+        if path.is_file() && at(&pat, &format!("{rel}\n"), 0) {
+            found.push(rel);
+        }
+    }
+    found.sort();
+    found
+}
+
+/// Each test is named for its guard. Each guard that holds flags its sample
+/// planted atop its first clause's first file and, if that clause skips
+/// test code, passes it planted after `#[cfg(test)]`.
+#[test]
+fn every_guard_flags_its_planted_sample() {
+    for g in table() {
+        let short = g.name.split(" (").next().unwrap().to_lowercase();
+        assert_eq!(g.test, short.replace(' ', "_").replace('\'', ""));
+        if !breaches(&g, &read).is_empty() {
+            continue; // its own test names the breach
+        }
+        let first = &g.clauses[0];
+        let target = files(first.scope[0].split('#').next().unwrap()).remove(0);
+        let (file, real) = (&target, read(&target));
+        let plant = |text: String| move |f: &str| if f == file { text.clone() } else { read(f) };
+        let top = breaches(&g, &plant(format!("{}\n{real}", g.sample)));
+        let tail = breaches(&g, &plant(format!("{real}\n#[cfg(test)]\n{}", g.sample)));
+        assert!(!top.is_empty(), "{}: sample passes", g.name);
+        assert!(first.tests || tail.is_empty(), "{}: fails in tests", g.name);
+    }
+}
+
+/// DESIGN.md's "Invariants" lists every guard and its why, in table order.
+#[test]
+fn design_md_lists_exactly_the_guards() {
+    let design = read("DESIGN.md");
+    let (_, section) = design.split_once("## 8. Invariants").unwrap_or_default();
+    let listed: Vec<_> = section.lines().filter(|l| l.starts_with("- **")).collect();
+    let row = |g: Guard| format!("- **{}** — {}", g.name, g.why);
+    assert_eq!(listed, table().into_iter().map(row).collect::<Vec<_>>());
+}
