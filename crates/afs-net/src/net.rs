@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use afs_sim::{clock, Cost, CostModel, Generations, SimRng, Striped};
+use afs_sim::{clock, Cost, CostModel, Generations, SimRng, Striped, Tally};
 use afs_telemetry::{flight_trigger, intern, now_ns, retry_span, ClusterGauges, SpanGuard};
 
 use crate::cluster::Fleet;
@@ -236,11 +236,11 @@ impl Registry {
 /// The traffic counters, one set per stripe.
 #[derive(Default)]
 struct Traffic {
-    rpcs: AtomicU64,
-    casts: AtomicU64,
-    bytes_sent: AtomicU64,
-    bytes_received: AtomicU64,
-    dropped: AtomicU64,
+    rpcs: Tally,
+    casts: Tally,
+    bytes_sent: Tally,
+    bytes_received: Tally,
+    dropped: Tally,
 }
 
 /// Everything the clones of one network share, in one allocation: a clone
@@ -485,8 +485,8 @@ impl Network {
         }
         let ppm = faults.loss_ppm.load(Ordering::SeqCst);
         if consume_token(&faults.drop_next) || (ppm > 0 && faults.rng.lock().roll_ppm(ppm)) {
-            let traffic = self.shared.traffic.mine();
-            traffic.dropped.fetch_add(1, Ordering::Relaxed);
+            let (traffic, writer) = self.shared.traffic.mine();
+            traffic.dropped.add(writer, 1);
             return Err(NetError::Dropped(name.to_owned()));
         }
         Ok(())
@@ -691,14 +691,10 @@ impl Network {
         model.charge(Cost::NetBytes {
             bytes: response.len(),
         });
-        let traffic = self.shared.traffic.mine();
-        traffic.rpcs.fetch_add(1, Ordering::Relaxed);
-        traffic
-            .bytes_sent
-            .fetch_add(request.len() as u64, Ordering::Relaxed);
-        traffic
-            .bytes_received
-            .fetch_add(response.len() as u64, Ordering::Relaxed);
+        let (traffic, writer) = self.shared.traffic.mine();
+        traffic.rpcs.add(writer, 1);
+        traffic.bytes_sent.add(writer, request.len() as u64);
+        traffic.bytes_received.add(writer, response.len() as u64);
         Ok(response)
     }
 
@@ -709,11 +705,9 @@ impl Network {
             bytes: request.len(),
         });
         registered.service.handle_cast(request);
-        let traffic = self.shared.traffic.mine();
-        traffic.casts.fetch_add(1, Ordering::Relaxed);
-        traffic
-            .bytes_sent
-            .fetch_add(request.len() as u64, Ordering::Relaxed);
+        let (traffic, writer) = self.shared.traffic.mine();
+        traffic.casts.add(writer, 1);
+        traffic.bytes_sent.add(writer, request.len() as u64);
         Ok(())
     }
 
@@ -752,10 +746,8 @@ impl Network {
 
     /// Copies out aggregate statistics, summed over every stripe.
     pub fn stats(&self) -> NetworkStats {
-        let sum = |pick: fn(&Traffic) -> &AtomicU64| {
-            let load = |traffic| pick(traffic).load(Ordering::Relaxed);
-            self.shared.traffic.iter().map(load).sum()
-        };
+        let sum =
+            |pick: fn(&Traffic) -> &Tally| self.shared.traffic.iter().map(|t| pick(t).get()).sum();
         NetworkStats {
             rpcs: sum(|t| &t.rpcs),
             casts: sum(|t| &t.casts),

@@ -8,11 +8,10 @@
 //! per-op counts of the bench grid and `figure6`'s accounting view.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::clock;
-use crate::stripe::Striped;
+use crate::stripe::{Striped, Tally};
 
 /// Which protection boundary a handoff crosses. Determines whether a
 /// blocking handoff costs a process context switch, a thread switch, or
@@ -214,18 +213,18 @@ impl HardwareProfile {
 #[derive(Debug, Default)]
 #[repr(C)]
 struct Counters {
-    process_switches: AtomicU64,
-    thread_switches: AtomicU64,
-    copies: AtomicU64,
-    syscalls: AtomicU64,
-    memcpy_bytes: AtomicU64,
-    pipe_copy_bytes: AtomicU64,
-    pipe_messages: AtomicU64,
-    net_round_trips: AtomicU64,
-    net_bytes: AtomicU64,
-    disk_accesses: AtomicU64,
-    disk_bytes: AtomicU64,
-    event_signals: AtomicU64,
+    process_switches: Tally,
+    thread_switches: Tally,
+    copies: Tally,
+    syscalls: Tally,
+    memcpy_bytes: Tally,
+    pipe_copy_bytes: Tally,
+    pipe_messages: Tally,
+    net_round_trips: Tally,
+    net_bytes: Tally,
+    disk_accesses: Tally,
+    disk_bytes: Tally,
+    event_signals: Tally,
 }
 
 /// A point-in-time copy of the model's counters.
@@ -367,10 +366,8 @@ impl CostModel {
     }
 
     fn count(&self, cost: Cost) {
-        let c = self.counters.mine();
-        let add = |counter: &AtomicU64, n: u64| {
-            counter.fetch_add(n, Ordering::Relaxed);
-        };
+        let (c, writer) = self.counters.mine();
+        let add = |tally: &Tally, n: u64| tally.add(writer, n);
         let own = |crossings: u64, copies: u64| {
             let was = OWN.get();
             OWN.set(OpWindow {
@@ -412,10 +409,7 @@ impl CostModel {
 
     /// Copies out the current counters, summed over every stripe.
     pub fn snapshot(&self) -> CostSnapshot {
-        let sum = |pick: fn(&Counters) -> &AtomicU64| {
-            let load = |c| pick(c).load(Ordering::Relaxed);
-            self.counters.iter().map(load).sum()
-        };
+        let sum = |pick: fn(&Counters) -> &Tally| self.counters.iter().map(|c| pick(c).get()).sum();
         CostSnapshot {
             syscalls: sum(|c| &c.syscalls),
             process_switches: sum(|c| &c.process_switches),
@@ -438,9 +432,8 @@ impl CostModel {
     pub fn op_window(&self) -> OpWindow {
         let mut window = OpWindow::default();
         for c in self.counters.iter() {
-            window.crossings += c.process_switches.load(Ordering::Relaxed)
-                + c.thread_switches.load(Ordering::Relaxed);
-            window.copies += c.copies.load(Ordering::Relaxed);
+            window.crossings += c.process_switches.get() + c.thread_switches.get();
+            window.copies += c.copies.get();
         }
         window
     }
@@ -453,7 +446,9 @@ impl Default for CostModel {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
+    use std::borrow::Borrow;
+
     use super::*;
     use crate::clock;
     use crate::rng::SimRng;
@@ -529,7 +524,7 @@ mod tests {
     }
 
     /// A seeded charge of any kind.
-    fn seeded_charge(rng: &mut SimRng) -> Cost {
+    pub(crate) fn seeded_charge(rng: &mut SimRng) -> Cost {
         let bytes = rng.next_below(4096) as usize;
         let crossing = [
             CrossingKind::InterProcess,
@@ -555,10 +550,10 @@ mod tests {
 
     /// The arithmetic the counters must agree with: what `costs` add up
     /// to, charge by charge.
-    fn sum_of(costs: &[Cost]) -> CostSnapshot {
+    pub(crate) fn sum_of<C: Borrow<Cost>>(costs: impl IntoIterator<Item = C>) -> CostSnapshot {
         let mut sum = CostSnapshot::default();
-        for &cost in costs {
-            match cost {
+        for cost in costs {
+            match *cost.borrow() {
                 Cost::Syscall => sum.syscalls += 1,
                 Cost::ProcessSwitch | Cost::Crossing(CrossingKind::InterProcess) => {
                     sum.process_switches += 1;
@@ -622,7 +617,7 @@ mod tests {
     #[test]
     fn striped_counters_sum_exactly_under_threads() {
         let model = CostModel::free();
-        let expect = sum_of(&charge_from(&model, 8, 10_000));
+        let expect = sum_of(charge_from(&model, 8, 10_000));
         assert_eq!(model.snapshot(), expect);
         let window = model.op_window();
         assert_eq!(
@@ -632,9 +627,9 @@ mod tests {
         assert_eq!(window.copies, expect.copies);
     }
 
-    /// More chargers than stripes, so some share a stripe: a thread's own
-    /// window still moves by its own charges only (checked in every
-    /// charger), and the totals stay exact.
+    /// More chargers than owned cells, so some may write the shared one: a
+    /// thread's own window still moves by its own charges only (checked in
+    /// every charger), and the totals stay exact.
     #[test]
     fn own_window_moves_only_by_the_callers_charges() {
         let model = CostModel::free();

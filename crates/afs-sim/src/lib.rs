@@ -58,5 +58,5 @@ pub use cost::{Cost, CostModel, CostSnapshot, CrossingKind, HardwareProfile, OpW
 pub use generations::Generations;
 pub use rng::SimRng;
 pub use stats::{Series, Summary};
-pub use stripe::Striped;
+pub use stripe::{Striped, Tally};
 pub use trace::{OpKind, OpSummary, OpTrace, TraceRecord};

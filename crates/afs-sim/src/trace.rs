@@ -23,11 +23,11 @@
 //! does — §3 composition under a DLL-only outer file — shows in the
 //! nested handle's own row, not also in the outer one.
 
+use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::OnceLock;
 
-use parking_lot::Mutex;
-
-use crate::stripe::Striped;
+use crate::stripe::{Striped, Tally};
 
 /// Which application-visible operation a record describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -49,6 +49,18 @@ pub enum OpKind {
 }
 
 impl OpKind {
+    /// Every kind, in declaration order (an [`OpTrace`] row's column is
+    /// its kind's index here).
+    pub(crate) const ALL: [OpKind; 7] = [
+        OpKind::Read,
+        OpKind::ReadScatter,
+        OpKind::Write,
+        OpKind::Size,
+        OpKind::Flush,
+        OpKind::Control,
+        OpKind::Close,
+    ];
+
     /// Short human-readable label.
     pub fn label(self) -> &'static str {
         match self {
@@ -137,29 +149,59 @@ impl OpSummary {
     }
 }
 
-/// Adds `part` to the total of its (strategy, op) pair in `totals`.
-fn absorb(totals: &mut Vec<OpSummary>, part: OpSummary) {
-    match totals
-        .iter_mut()
-        .find(|t| t.strategy == part.strategy && t.op == part.op)
-    {
-        Some(total) => {
-            total.count += part.count;
-            total.bytes += part.bytes;
-            total.elapsed_ns += part.elapsed_ns;
-            total.crossings += part.crossings;
-            total.copies += part.copies;
-        }
-        None => totals.push(part),
+/// Strategy labels an [`OpTrace`] has rows for, per [`OpKind`]: the
+/// runtime's four strategies.
+const LABELS: usize = 4;
+
+/// One (strategy, op) row of a stripe: the strategy label, set once, and
+/// the five totals.
+#[derive(Debug, Default)]
+struct Row {
+    strategy: OnceLock<&'static str>,
+    count: Tally,
+    bytes: Tally,
+    elapsed_ns: Tally,
+    crossings: Tally,
+    copies: Tally,
+}
+
+/// One stripe's rows: a column of [`LABELS`] rows per [`OpKind`].
+#[derive(Debug, Default)]
+struct Rows([[Row; LABELS]; OpKind::ALL.len()]);
+
+impl Rows {
+    /// The row of (`strategy`, `op`), given the first free row of its
+    /// column if it has none yet.
+    fn row(&self, strategy: &'static str, op: OpKind) -> &Row {
+        let column = &self.0[op as usize];
+        let row = column
+            .iter()
+            .find(|row| *row.strategy.get_or_init(|| strategy) == strategy);
+        row.unwrap_or_else(|| {
+            panic!("an OpTrace holds {LABELS} strategies; {strategy:?} is one more")
+        })
+    }
+
+    /// Every row that has a label, with its op.
+    fn labelled(&self) -> impl Iterator<Item = (&'static str, OpKind, &Row)> + '_ {
+        OpKind::ALL
+            .into_iter()
+            .zip(&self.0)
+            .flat_map(|(op, column)| {
+                column
+                    .iter()
+                    .filter_map(move |row| Some((*row.strategy.get()?, op, row)))
+            })
     }
 }
 
 /// Exact cumulative per-(strategy, op) totals. Cheap to share behind an
-/// `Arc`; recording is one short hold of the recording thread's own
-/// stripe, and the readers merge the stripes.
+/// `Arc`; recording adds to the recording thread's own stripe, with a
+/// load and a store per total when the thread owns it (see
+/// [`Striped`]), and the readers merge the stripes.
 #[derive(Debug, Default)]
 pub struct OpTrace {
-    totals: Striped<Mutex<Vec<OpSummary>>>,
+    rows: Striped<Rows>,
 }
 
 impl OpTrace {
@@ -169,29 +211,44 @@ impl OpTrace {
     }
 
     /// Adds one record to its (strategy, op) total.
+    ///
+    /// # Panics
+    ///
+    /// If the record's strategy would be the fifth distinct label recorded
+    /// with its op: a trace has rows for the runtime's four strategies.
     pub fn record(&self, record: TraceRecord) {
-        let one = OpSummary {
-            strategy: record.strategy,
-            op: record.op,
-            count: 1,
-            bytes: record.bytes,
-            elapsed_ns: record.elapsed_ns,
-            crossings: record.crossings,
-            copies: record.copies,
-        };
-        absorb(&mut self.totals.mine().lock(), one);
+        let (rows, writer) = self.rows.mine();
+        let row = rows.row(record.strategy, record.op);
+        row.count.add(writer, 1);
+        row.bytes.add(writer, record.bytes);
+        row.elapsed_ns.add(writer, record.elapsed_ns);
+        row.crossings.add(writer, record.crossings);
+        row.copies.add(writer, record.copies);
     }
 
     /// Cumulative per-(strategy, op) totals, ordered by strategy then op.
     pub fn summary(&self) -> Vec<OpSummary> {
-        let mut totals = Vec::new();
-        for stripe in self.totals.iter() {
-            for part in stripe.lock().iter() {
-                absorb(&mut totals, part.clone());
-            }
+        let mut totals = BTreeMap::new();
+        for (strategy, op, row) in self.rows.iter().flat_map(Rows::labelled) {
+            let total = totals.entry((strategy, op)).or_insert(OpSummary {
+                strategy,
+                op,
+                count: 0,
+                bytes: 0,
+                elapsed_ns: 0,
+                crossings: 0,
+                copies: 0,
+            });
+            total.count += row.count.get();
+            total.bytes += row.bytes.get();
+            total.elapsed_ns += row.elapsed_ns.get();
+            total.crossings += row.crossings.get();
+            total.copies += row.copies.get();
         }
-        totals.sort_by(|a, b| a.strategy.cmp(b.strategy).then(a.op.cmp(&b.op)));
         totals
+            .into_values()
+            .filter(|total| total.count > 0)
+            .collect()
     }
 
     /// Total number of operations ever recorded.
@@ -204,16 +261,20 @@ impl OpTrace {
         self.len() == 0
     }
 
-    /// Discards all totals.
+    /// Discards all totals: exact only at rest, like a read.
     pub fn clear(&self) {
-        for stripe in self.totals.iter() {
-            stripe.lock().clear();
+        for (_, _, row) in self.rows.iter().flat_map(Rows::labelled) {
+            row.count.reset();
+            row.bytes.reset();
+            row.elapsed_ns.reset();
+            row.crossings.reset();
+            row.copies.reset();
         }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::rng::SimRng;
 
@@ -260,10 +321,10 @@ mod tests {
     /// The trace this one replaced — every record into one `Vec` — kept
     /// as the reference model.
     #[derive(Default)]
-    struct SingleVec(Vec<OpSummary>);
+    pub(crate) struct SingleVec(Vec<OpSummary>);
 
     impl SingleVec {
-        fn record(&mut self, r: &TraceRecord) {
+        pub(crate) fn record(&mut self, r: &TraceRecord) {
             match self
                 .0
                 .iter_mut()
@@ -288,34 +349,28 @@ mod tests {
             }
         }
 
-        fn summary(mut self) -> Vec<OpSummary> {
+        pub(crate) fn summary(mut self) -> Vec<OpSummary> {
             self.0
                 .sort_by(|a, b| a.strategy.cmp(b.strategy).then(a.op.cmp(&b.op)));
             self.0
         }
     }
 
+    /// A seeded record of any kind, under one of three strategies.
+    pub(crate) fn seeded_record(rng: &mut SimRng) -> TraceRecord {
+        TraceRecord {
+            strategy: ["Process", "Thread", "DLL"][rng.next_below(3) as usize],
+            op: OpKind::ALL[rng.next_below(7) as usize],
+            bytes: rng.next_below(4096),
+            elapsed_ns: rng.next_below(1_000_000),
+            crossings: rng.next_below(3),
+            copies: rng.next_below(4),
+        }
+    }
+
     fn seeded_records(thread: u64) -> Vec<TraceRecord> {
-        const OPS: [OpKind; 7] = [
-            OpKind::Read,
-            OpKind::ReadScatter,
-            OpKind::Write,
-            OpKind::Size,
-            OpKind::Flush,
-            OpKind::Control,
-            OpKind::Close,
-        ];
         let mut rng = SimRng::new(0x7ACE + thread);
-        (0..5_000)
-            .map(|_| TraceRecord {
-                strategy: ["Process", "Thread", "DLL"][rng.next_below(3) as usize],
-                op: OPS[rng.next_below(7) as usize],
-                bytes: rng.next_below(4096),
-                elapsed_ns: rng.next_below(1_000_000),
-                crossings: rng.next_below(3),
-                copies: rng.next_below(4),
-            })
-            .collect()
+        (0..5_000).map(|_| seeded_record(&mut rng)).collect()
     }
 
     #[test]
@@ -338,7 +393,28 @@ mod tests {
         assert_eq!(trace.summary(), model.summary());
         trace.clear();
         assert!(trace.is_empty());
-        assert!(trace.totals.iter().all(|stripe| stripe.lock().is_empty()));
+        assert!(trace.summary().is_empty());
+    }
+
+    #[test]
+    fn a_kinds_column_is_its_index_in_all() {
+        for (index, op) in OpKind::ALL.into_iter().enumerate() {
+            assert_eq!(op as usize, index);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "is one more")]
+    fn each_op_has_rows_for_as_many_strategies_as_labels() {
+        let trace = OpTrace::new();
+        let labels = ["A", "B", "C", "D", "E"];
+        for strategy in &labels[..LABELS] {
+            for op in OpKind::ALL {
+                trace.record(rec(strategy, op, 1));
+            }
+        }
+        assert_eq!(trace.summary().len(), LABELS * OpKind::ALL.len());
+        trace.record(rec(labels[LABELS], OpKind::Read, 1));
     }
 
     #[test]

@@ -20,9 +20,9 @@ use crate::flight::FlightRecorder;
 ///   the optional `{ extra: Type }` non-metric fields), with `snapshot()`;
 ///   or, declared `$live striped($cell)`, one [`Striped`](crate::Striped)
 ///   set of those fields (the struct `$cell`), so that threads writing it
-///   write lines of their own: a counter is added to the writer's stripe
-///   and summed by `snapshot()`, a gauge is a level, not a sum, and lives
-///   on the first stripe alone;
+///   write lines of their own: a counter is a [`Tally`](crate::Tally)
+///   added to the writer's stripe and summed by `snapshot()`, a gauge is a
+///   level, not a sum, an `AtomicU64` on the first stripe alone;
 /// * `$snap` — `Copy` struct of `pub u64` fields carrying the doc comments,
 ///   with `METRICS` (the `(exported name, kind)` rows, in export order)
 ///   and `metrics(labels, out)`, which pushes one [`Metric`](crate::Metric)
@@ -32,11 +32,10 @@ use crate::flight::FlightRecorder;
 /// `$live`.
 #[macro_export]
 macro_rules! metric_family {
+    (@cell counter) => { $crate::Tally };
+    (@cell gauge) => { ::std::sync::atomic::AtomicU64 };
     (@striped counter $cells:expr, $field:ident) => {
-        $cells
-            .iter()
-            .map(|cell| cell.$field.load(::std::sync::atomic::Ordering::Relaxed))
-            .sum()
+        $cells.iter().map(|cell| cell.$field.get()).sum()
     };
     (@striped gauge $cells:expr, $field:ident) => {
         $cells.first().$field.load(::std::sync::atomic::Ordering::Relaxed)
@@ -50,7 +49,7 @@ macro_rules! metric_family {
         #[doc = concat!("One stripe of [`", stringify!($live), "`].")]
         #[derive(Debug, Default)]
         struct $cell {
-            $($field: ::std::sync::atomic::AtomicU64,)+
+            $($field: $crate::metric_family!(@cell $kind),)+
         }
 
         $(#[$live_doc])*
@@ -317,8 +316,10 @@ metric_family! {
     /// Per-sentinel resource accounting: the substrate quota throttling
     /// will enforce against (ROADMAP sandboxing item). Fed by the
     /// sentinel-side dispatch paths; always live, like the queue gauges.
-    /// Exported once per sentinel, labelled `sentinel`.
-    SentinelStats => SentinelStatsSnapshot {
+    /// One set per sentinel *name*, exported labelled `sentinel`: every
+    /// file that names the sentinel adds to it, from whichever thread
+    /// serves the file, so it is striped.
+    SentinelStats striped(SentinelCell) => SentinelStatsSnapshot {
         /// Ops dispatched to the sentinel.
         ops: counter "afs_sentinel_ops_total",
         /// Ops that returned an error.
@@ -339,28 +340,31 @@ impl SentinelStats {
     /// Records one op dispatched to the sentinel, with the payload bytes
     /// it carried in (writes) and out (reads), and whether it errored.
     pub fn op(&self, bytes_in: u64, bytes_out: u64, is_err: bool) {
-        self.ops.fetch_add(1, Ordering::Relaxed);
+        let (mine, writer) = self.cells.mine();
+        mine.ops.add(writer, 1);
         if bytes_in > 0 {
-            self.bytes_in.fetch_add(bytes_in, Ordering::Relaxed);
+            mine.bytes_in.add(writer, bytes_in);
         }
         if bytes_out > 0 {
-            self.bytes_out.fetch_add(bytes_out, Ordering::Relaxed);
+            mine.bytes_out.add(writer, bytes_out);
         }
         if is_err {
-            self.errors.fetch_add(1, Ordering::Relaxed);
+            mine.errors.add(writer, 1);
         }
     }
 
     /// Records a fault caught where the sentinel was entered.
     pub fn fault(&self) {
-        self.faults.fetch_add(1, Ordering::Relaxed);
+        let (mine, writer) = self.cells.mine();
+        mine.faults.add(writer, 1);
     }
 
     /// Records how many commands one poll of the sentinel's dispatch loop
     /// served back-to-back: they were queued together, so the run length
     /// is the backlog that poll found.
     pub fn note_queue_depth(&self, depth: u64) {
-        self.queue_depth_peak.fetch_max(depth, Ordering::Relaxed);
+        let peak = &self.cells.first().queue_depth_peak;
+        peak.fetch_max(depth, Ordering::Relaxed);
     }
 }
 
@@ -513,20 +517,19 @@ impl ClusterGauges {
     /// casts it fanned out (`replicas`) and how many of those casts
     /// failed locally (`failed`).
     pub fn write(&self, replicas: u64, failed: u64) {
-        let mine = self.cells.mine();
-        mine.writes.fetch_add(1, Ordering::Relaxed);
-        mine.replications.fetch_add(replicas, Ordering::Relaxed);
-        mine.replication_failures
-            .fetch_add(failed, Ordering::Relaxed);
+        let (mine, writer) = self.cells.mine();
+        mine.writes.add(writer, 1);
+        mine.replications.add(writer, replicas);
+        mine.replication_failures.add(writer, failed);
     }
 
     /// Records one read; `failover` when it was served by a node other
     /// than the placement primary.
     pub fn read(&self, failover: bool) {
-        let mine = self.cells.mine();
-        mine.reads.fetch_add(1, Ordering::Relaxed);
+        let (mine, writer) = self.cells.mine();
+        mine.reads.add(writer, 1);
         if failover {
-            mine.read_failovers.fetch_add(1, Ordering::Relaxed);
+            mine.read_failovers.add(writer, 1);
         }
     }
 
@@ -534,29 +537,23 @@ impl ClusterGauges {
     /// behind the session's required sequence; the reader burned budget
     /// and retried).
     pub fn stale_wait(&self) {
-        self.cells
-            .mine()
-            .stale_waits
-            .fetch_add(1, Ordering::Relaxed);
+        let (mine, writer) = self.cells.mine();
+        mine.stale_waits.add(writer, 1);
     }
 
     /// Records a read rejected because no owner caught up within the
     /// staleness budget.
     pub fn stale_reject(&self) {
-        self.cells
-            .mine()
-            .stale_rejects
-            .fetch_add(1, Ordering::Relaxed);
+        let (mine, writer) = self.cells.mine();
+        mine.stale_rejects.add(writer, 1);
     }
 
     /// Records the fleet size after `changes` membership changes, counting
     /// each as one rebalance.
     pub fn membership(&self, nodes: u64, changes: u64) {
         self.cells.first().nodes.store(nodes, Ordering::Relaxed);
-        self.cells
-            .mine()
-            .rebalances
-            .fetch_add(changes, Ordering::Relaxed);
+        let (mine, writer) = self.cells.mine();
+        mine.rebalances.add(writer, changes);
     }
 }
 
@@ -617,6 +614,31 @@ mod tests {
         assert_eq!([s.nodes, s.rebalances], [5, 2]);
         g.membership(4, 3);
         assert_eq!([g.snapshot().nodes, g.snapshot().rebalances], [4, 5]);
+    }
+
+    /// Two threads serving files of one sentinel name add to one set.
+    #[test]
+    fn sentinel_stats_are_exact_after_two_threads() {
+        const N: u64 = 5_000;
+        let s = SentinelStats::default();
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for t in 1..=2 {
+                let (s, start) = (&s, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..N {
+                        s.op(i % 2 * 8, (i + 1) % 2 * 16, i % 5 == 0);
+                        s.note_queue_depth(t);
+                    }
+                    s.fault();
+                });
+            }
+        });
+        let snap = s.snapshot();
+        assert_eq!([snap.ops, snap.errors, snap.faults], [2 * N, 2 * N / 5, 2]);
+        assert_eq!([snap.bytes_in, snap.bytes_out], [8 * N, 16 * N]);
+        assert_eq!(snap.queue_depth_peak, 2);
     }
 
     #[test]

@@ -52,7 +52,7 @@ mod slo;
 mod span;
 
 /// The stripes a `striped` [`metric_family!`] keeps its counters in.
-pub use afs_sim::Striped;
+pub use afs_sim::{Striped, Tally};
 pub use export::{
     chrome_trace, flight_bundles_json, json_is_valid, json_snapshot, prometheus_is_valid,
     prometheus_text,

@@ -7,6 +7,7 @@
 //! state.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -37,11 +38,37 @@ impl std::fmt::Display for Handle {
 /// Shards per [`HandleTable`].
 const SHARDS: usize = 8;
 
+/// Hashes a handle number with one multiply (and a rotate, so that the
+/// low bits a map indexes by depend on every bit). Handle numbers are
+/// sequential and never reused, so they need spreading, not SipHash's
+/// defence against chosen keys.
+#[derive(Debug, Default)]
+struct HandleHasher(u64);
+
+impl Hasher for HandleHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&byte| self.write_u64(byte.into()));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n)
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .rotate_left(26);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// One shard's handles.
+type Handles<T> = HashMap<u64, Arc<T>, BuildHasherDefault<HandleHasher>>;
+
 /// One shard of the map, on cache lines of its own: operations on
 /// handles in different shards write nothing in common.
 #[derive(Debug)]
 #[repr(align(128))]
-struct Shard<T>(Mutex<HashMap<u64, Arc<T>>>);
+struct Shard<T>(Mutex<Handles<T>>);
 
 /// A concurrent map from [`Handle`] to per-open state `T`, sharded by
 /// handle number (consecutive opens land in different shards).
@@ -73,11 +100,11 @@ impl<T> HandleTable<T> {
     pub fn with_start(start: u64) -> Self {
         HandleTable {
             next: AtomicU64::new(start),
-            shards: std::array::from_fn(|_| Shard(Mutex::new(HashMap::new()))),
+            shards: std::array::from_fn(|_| Shard(Mutex::default())),
         }
     }
 
-    fn shard(&self, id: u64) -> &Mutex<HashMap<u64, Arc<T>>> {
+    fn shard(&self, id: u64) -> &Mutex<Handles<T>> {
         &self.shards[(id % SHARDS as u64) as usize].0
     }
 
@@ -150,6 +177,21 @@ mod tests {
         table.remove(h).expect("remove");
         assert_eq!(table.get(h), Err(Win32Error::InvalidHandle));
         assert!(table.is_empty());
+    }
+
+    /// The numbers one shard holds (16 + 8k) spread over the low bits a
+    /// map indexes its buckets by: a multiply alone would leave three of
+    /// them fixed and reach one bucket in eight.
+    #[test]
+    fn one_shards_handle_numbers_spread_over_the_low_bits() {
+        let buckets: std::collections::HashSet<u64> = (0..1024u64)
+            .map(|k| {
+                let mut hasher = HandleHasher::default();
+                hasher.write_u64(16 + 8 * k);
+                hasher.finish() % 1024
+            })
+            .collect();
+        assert!(buckets.len() > 600, "{} of 1024 buckets", buckets.len());
     }
 
     #[test]

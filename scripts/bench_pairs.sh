@@ -9,11 +9,12 @@
 # <checkout>/target/benchmark: CARGO_TARGET_DIR is unset on purpose, two
 # checkouts sharing a target dir silently run each other's binaries. Odd
 # pairs run the parent first, even pairs the change. Prints every run, then
-# per side the median [q1-q3] of the five end-to-end metrics, the pairs the
-# change won, the change/parent median ratio with its base, and whether the
-# change shows a gain (won >= 9/10 of the pairs, medians further apart than
-# the parent's interquartile range). Exits 1 on an incorrect or unpinned
-# run. Defaults: 10
+# per side the median [q1-q3] and the min and max of the five end-to-end
+# metrics, the pairs the change won, the change/parent median ratio with
+# its base, whether the change shows a gain (won >= 9/10 of the pairs,
+# medians further apart than the parent's interquartile range), and
+# whether the sides are separated (every change run better than every
+# parent run). Exits 1 on an incorrect or unpinned run. Defaults: 10
 # pairs, seed 1, 10 s (BENCHMARK.json's run length); the dark pass only
 # (--trace 0). Nothing else should run on the machine meanwhile.
 set -euo pipefail
@@ -76,8 +77,8 @@ for pair in $(seq 1 "$pairs"); do
     fi
 done
 
-# quantiles <side> <col>: "median q1 q3 n" of one side's runs, by linear
-# interpolation between order statistics.
+# quantiles <side> <col>: "median q1 q3 n min max" of one side's runs, by
+# linear interpolation between order statistics.
 quantiles() {
     awk -v side="$1" -v col="$2" '$1 == side { print $col }' "$runs" | sort -g |
         awk '
@@ -88,22 +89,30 @@ quantiles() {
                 return v[lo] + (at - lo) * (v[hi] - v[lo])
             }
             { v[NR] = $1 }
-            END { printf "%.17g %.17g %.17g %d\n", quantile(0.5), quantile(0.25), quantile(0.75), NR }'
+            END {
+                printf "%.17g %.17g %.17g %d %.17g %.17g\n",
+                    quantile(0.5), quantile(0.25), quantile(0.75), NR, v[1], v[NR]
+            }'
 }
 
-# Per metric: each side's median [q1-q3], the pairs won (a pair is won by
-# the side whose value is strictly better, ties to neither), the change's
-# median as a ratio of the parent's with that base, and the gain verdict:
-# the change won at least 9 in 10 pairs and its median is better than the
-# parent's by more than the parent's interquartile range.
+# Per metric: each side's median [q1-q3] and min and max, the pairs won (a
+# pair is won by the side whose value is strictly better, ties to neither),
+# the change's median as a ratio of the parent's with that base, the gain
+# verdict (the change won at least 9 in 10 pairs and its median is better
+# than the parent's by more than the parent's interquartile range), and
+# whether the sides are separated (the change's worst run is better than
+# the parent's best).
 col=3
 for m in $metrics; do
-    read -r pmed pq1 pq3 pn <<<"$(quantiles parent "$col")"
-    read -r cmed cq1 cq3 cn <<<"$(quantiles change "$col")"
-    printf "%-18s %-6s median %.6g [%.6g-%.6g] n=%d\n" "${m%%:*}" parent "$pmed" "$pq1" "$pq3" "$pn"
-    printf "%-18s %-6s median %.6g [%.6g-%.6g] n=%d\n" "${m%%:*}" change "$cmed" "$cq1" "$cq3" "$cn"
+    read -r pmed pq1 pq3 pn pmin pmax <<<"$(quantiles parent "$col")"
+    read -r cmed cq1 cq3 cn cmin cmax <<<"$(quantiles change "$col")"
+    printf "%-18s %-6s median %.6g [%.6g-%.6g] min %.6g max %.6g n=%d\n" \
+        "${m%%:*}" parent "$pmed" "$pq1" "$pq3" "$pmin" "$pmax" "$pn"
+    printf "%-18s %-6s median %.6g [%.6g-%.6g] min %.6g max %.6g n=%d\n" \
+        "${m%%:*}" change "$cmed" "$cq1" "$cq3" "$cmin" "$cmax" "$cn"
     awk -v col="$col" -v better="${m##*:}" -v name="${m%%:*}" \
-        -v pmed="$pmed" -v pq1="$pq1" -v pq3="$pq3" -v cmed="$cmed" '
+        -v pmed="$pmed" -v pq1="$pq1" -v pq3="$pq3" -v cmed="$cmed" \
+        -v pmin="$pmin" -v pmax="$pmax" -v cmin="$cmin" -v cmax="$cmax" '
         function si(x,    a) {
             a = x < 0 ? -x : x
             if (a >= 1e6) return sprintf("%.4g M", x / 1e6)
@@ -124,6 +133,8 @@ for m in $metrics; do
             gain = wins * 10 >= n * 9 && gap > pq3 - pq1
             printf "%-18s verdict: %s (won %d/%d, needs 9/10; median gap %s vs parent IQR %s)\n",
                 name, gain ? "gain" : "no gain", wins, n, si(gap), si(pq3 - pq1)
+            separated = better == "lower" ? cmax < pmin : cmin > pmax
+            printf "%-18s separated: %s\n", name, separated ? "yes" : "no"
         }' "$runs"
     col=$((col + 1))
 done

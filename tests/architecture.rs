@@ -43,10 +43,13 @@ guards! {
     one_stamped_channel: "One stamped channel (a write's clock does not depend on who won a race)", "Every FIFO carrier in afs-ipc is an instance of the stamped core, which holds the only blocking loop and the only two moves of a clock between threads: a receiver's to the stamp of what it takes, a sender's to the drain stamp of the capacity it reuses.",
     "        clock::sync_to(stamp);" => grep(&["crates/afs-ipc/src/**", "!crates/afs-ipc/src/stamped.rs", "!crates/afs-ipc/src/mux.rs"], &["sync_to"]).tests(),
     grep(&["crates/afs-ipc/src/**", "!crates/afs-ipc/src/stamped.rs", "!crates/afs-ipc/src/mux.rs", "!crates/afs-ipc/src/sync.rs"], &["Condvar"]).tests(),
-    grep(&["crates/**", "src/**"], &["struct WakerCell"]).tests().hits(0, 1);
+    grep(&["crates/**", "src/**"], &["struct WakerCell"]).tests();
     one_lock_per_lane_crossing: "One lock per lane crossing (a lane recycles its own buffers, the waker is read in place)", "A round trip takes each lane's stamped lock once per side and no other lock in afs-ipc: a pipe or slot recycles its buffers under that lock, the dispatch loop stages in a list it owns, and the stamped core reads its waker in place.",
     "use crate::BufferPool;" => grep(&["crates/afs-ipc/src/pipe.rs", "crates/afs-ipc/src/shared_buf.rs", "crates/afs-ipc/src/transport.rs",
         "crates/afs-core/src/strategy/dispatch.rs"], &["BufferPool"]), grep(&["crates/afs-ipc/src/stamped.rs"], &["waker.clone()", "Arc::clone(&.*waker)"]);
+    a_counter_has_one_writer: "A counter has one writer (each thread owns its stripe)", "A thread owns one cell of every `Striped` until it exits, so the cost model, the op trace and the striped families add with a load and a store; only `Tally`'s shared cell, written by threads that found no free cell, adds with a locked read-modify-write, and `SentinelStats`, one set per sentinel name, is striped.",
+    "        counter.fetch_add(n, Ordering::Relaxed);" => grep(&["crates/afs-sim/src/cost.rs", "crates/afs-sim/src/trace.rs"], &["fetch_add", "Mutex"]),
+    grep(&["crates/afs-sim/src/stripe.rs"], &["fetch_add"]).hits(1, 1), grep(&["crates/afs-telemetry/src/gauges.rs"], &["SentinelStats striped("]).hits(1, 1);
     one_poll_loop: "One poll loop (a caller that runs its sentinel runs the workers' loop)", "A sentinel is polled in one place, `poll_once`, which a worker, a pinned sentinel's own thread and the sender of an awaited command all reach through `Inner::run`.",
     "            task.poll();" => grep(&["crates/afs-core/src/strategy/executor.rs"], &[".poll()"]).unless(&["gauges.poll()"]).hits(1, 1),
     grep(&["crates/afs-core/src/strategy/executor.rs#fn wake_awaited"], &["self.run(task)"]).tests().hits(1, usize::MAX);
