@@ -532,13 +532,14 @@ impl FileClient {
     /// The read walk: `path`'s owners asked with the floor until one
     /// serves. Only a refusal above floor 0 is lag worth waiting for (at 0
     /// the file may live on a later owner); the fleet is released between
-    /// rounds, so a membership change can land.
+    /// rounds, so a membership change can land. Listed owners read at
+    /// floor 0 without the floor's lock: only a fleet's writes set one.
     fn read<T>(
         &self,
         path: &str,
         ask: impl Fn(Owner<'_>, u64) -> afs_net::Result<T>,
     ) -> afs_net::Result<T> {
-        let floor = self.acked_seq(path);
+        let floor = self.endpoint.fleet().map_or(0, |_| self.acked_seq(path));
         let mut budget = self.endpoint.staleness_ns().unwrap_or(0);
         loop {
             // The value and who served it, or the last owner behind.
@@ -916,6 +917,12 @@ mod tests {
         client.append("/f", b"!").expect("append");
         assert_eq!((primary.version("/f"), spare.version("/f")), (3, 1));
         assert_eq!(client.acked_seq("/f"), 0);
+        // No path has a floor, so a listed read skips the lookup.
+        client.put("/g", 0, b"another path").expect("put");
+        assert!(
+            client.acked.lock().is_empty(),
+            "a listed session keeps no floor"
+        );
         // With the first owner gone the spare serves its own bytes.
         net.plan("files").expect("plan").set_partitioned(true);
         assert_eq!(client.get_all("/f").expect("failover"), b"spare's own");

@@ -18,6 +18,12 @@
 //!   API layer, and
 //! * read-only/hidden attributes plus logical timestamps.
 //!
+//! A file keeps its default stream, the data part that every read of a
+//! passive or remote file reaches, in a field beside its map of named
+//! streams, so no op looks the empty name up in a map: that lookup was the
+//! biggest single cost of a file server's read (docs/CONCURRENCY.md, "An
+//! empty name is not free").
+//!
 //! The VFS is deliberately time-free: simulated disk costs are charged by
 //! the layers that decide whether a particular access models a disk (the
 //! sentinel's on-disk cache) or not.

@@ -142,15 +142,6 @@ impl Vfs {
         Ok(file)
     }
 
-    /// The stream `path` names in `file`, created empty on first use —
-    /// the only time its name is allocated.
-    fn stream_mut<'a>(file: &'a mut FileNode, path: &VPath) -> &'a mut Vec<u8> {
-        if !file.streams.contains_key(path.stream()) {
-            file.streams.insert(path.stream().to_owned(), Vec::new());
-        }
-        file.streams.get_mut(path.stream()).expect("just ensured")
-    }
-
     /// The end of `len` bytes at `offset`, or [`VfsError::OutOfRange`]
     /// when no stream can reach it: the sum overflows or passes
     /// `isize::MAX`.
@@ -243,16 +234,13 @@ impl Vfs {
                 return Err(VfsError::AlreadyExists(path.to_string()));
             }
         }
-        let mut streams = std::collections::BTreeMap::new();
-        streams.insert(DEFAULT_STREAM.to_owned(), Vec::new());
         let idx = Self::alloc(
             &mut inner,
-            Node::File(FileNode {
-                streams,
-                attributes: FileAttributes::default(),
+            Node::File(Box::new(FileNode {
                 created: tick,
                 modified: tick,
-            }),
+                ..FileNode::default()
+            })),
         );
         let name = name.to_owned();
         if let Node::Dir(dir) = inner.nodes[parent].as_mut().expect("live node") {
@@ -350,7 +338,7 @@ impl Vfs {
         let tick = self.tick();
         let mut inner = self.inner.write();
         let (_, file) = Self::file_node(&inner, from)?;
-        let mut copied = file.clone();
+        let mut copied = Box::new(file.clone());
         copied.created = tick;
         copied.modified = tick;
         let (to_parent, to_name) = Self::resolve_parent(&inner, to)?;
@@ -389,7 +377,7 @@ impl Vfs {
                     Node::File(f) => DirEntry {
                         name: name.clone(),
                         kind: NodeKind::File,
-                        len: f.streams.get(DEFAULT_STREAM).map_or(0, |s| s.len() as u64),
+                        len: f.data.len() as u64,
                         attributes: f.attributes,
                     },
                     Node::Dir(_) => DirEntry {
@@ -414,9 +402,9 @@ impl Vfs {
         Ok(match inner.nodes[idx].as_ref().expect("live node") {
             Node::File(f) => Metadata {
                 kind: NodeKind::File,
-                len: f.streams.get(DEFAULT_STREAM).map_or(0, |s| s.len() as u64),
-                total_len: f.streams.values().map(|s| s.len() as u64).sum(),
-                streams: f.streams.keys().cloned().collect(),
+                len: f.data.len() as u64,
+                total_len: f.total_len(),
+                streams: f.stream_names(),
                 attributes: f.attributes,
                 created: f.created,
                 modified: f.modified,
@@ -468,8 +456,7 @@ impl Vfs {
         let inner = self.inner.read();
         let (_, file) = Self::file_node(&inner, path)?;
         let data = file
-            .streams
-            .get(path.stream())
+            .stream(path.stream())
             .ok_or_else(|| VfsError::StreamNotFound(path.to_string()))?;
         let start = (offset as usize).min(data.len());
         let n = buf.len().min(data.len() - start);
@@ -485,8 +472,7 @@ impl Vfs {
     pub fn read_stream_to_end(&self, path: &VPath) -> Result<Vec<u8>> {
         let inner = self.inner.read();
         let (_, file) = Self::file_node(&inner, path)?;
-        file.streams
-            .get(path.stream())
+        file.stream(path.stream())
             .cloned()
             .ok_or_else(|| VfsError::StreamNotFound(path.to_string()))
     }
@@ -503,7 +489,7 @@ impl Vfs {
         let tick = self.tick();
         let mut inner = self.inner.write();
         let file = Self::writable(&mut inner, path)?;
-        let stream = Self::stream_mut(file, path);
+        let stream = file.stream_or_new(path.stream());
         if stream.len() < end {
             stream.resize(end, 0);
         }
@@ -523,7 +509,7 @@ impl Vfs {
         let tick = self.tick();
         let mut inner = self.inner.write();
         let file = Self::writable(&mut inner, path)?;
-        let stream = Self::stream_mut(file, path);
+        let stream = file.stream_or_new(path.stream());
         let at = stream.len() as u64;
         Self::range_end(path, at, data.len())?;
         stream.extend_from_slice(data);
@@ -531,7 +517,9 @@ impl Vfs {
         Ok(at)
     }
 
-    /// Replaces the stream's entire contents.
+    /// Replaces the stream's entire contents, in the stream's own buffer
+    /// when it has room: a sentinel that writes its cache back at close
+    /// allocates nothing, on whichever thread runs the close.
     ///
     /// # Errors
     ///
@@ -540,7 +528,9 @@ impl Vfs {
         let tick = self.tick();
         let mut inner = self.inner.write();
         let file = Self::writable(&mut inner, path)?;
-        file.streams.insert(path.stream().to_owned(), data.to_vec());
+        let stream = file.stream_or_new(path.stream());
+        stream.clear();
+        stream.extend_from_slice(data);
         file.modified = tick;
         Ok(())
     }
@@ -553,8 +543,7 @@ impl Vfs {
     pub fn stream_len(&self, path: &VPath) -> Result<u64> {
         let inner = self.inner.read();
         let (_, file) = Self::file_node(&inner, path)?;
-        file.streams
-            .get(path.stream())
+        file.stream(path.stream())
             .map(|s| s.len() as u64)
             .ok_or_else(|| VfsError::StreamNotFound(path.to_string()))
     }
@@ -572,8 +561,7 @@ impl Vfs {
         let mut inner = self.inner.write();
         let file = Self::writable(&mut inner, path)?;
         let stream = file
-            .streams
-            .get_mut(path.stream())
+            .stream_mut(path.stream())
             .ok_or_else(|| VfsError::StreamNotFound(path.to_string()))?;
         stream.resize(len, 0);
         file.modified = tick;
@@ -593,7 +581,7 @@ impl Vfs {
         let tick = self.tick();
         let mut inner = self.inner.write();
         let (_, file) = Self::file_node_mut(&mut inner, path)?;
-        if file.streams.remove(path.stream()).is_none() {
+        if file.named.remove(path.stream()).is_none() {
             return Err(VfsError::StreamNotFound(path.to_string()));
         }
         file.modified = tick;

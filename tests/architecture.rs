@@ -91,6 +91,13 @@ guards! {
     "        if spec.batch.is_none() {" => grep(&["crates/afs-core/src/**"], &["ring_depth.is_none()", "batch.is_none()", "charges_own_crossings"]).tests();
     panels_are_views: "Panels are views (figure6 measures only through the grid)", "Every table figure6 prints reads the measured document, so a `measure*` call in the binary would print a number the gate does not hold.",
     "    let grid = measure_grid(ops);" => grep(&["crates/afs-bench/src/bin/figure6.rs"], &[r"\bmeasure\w*("]).tests();
+    the_default_stream_is_a_field: "The default stream is a field (no op compares an empty name)", "A file's data part is `FileNode::data` and its map of named streams never holds the empty name, reached only through `FileNode::stream`, `stream_mut` and `stream_or_new`, which branch on it: a map lookup keyed by `\"\"` calls `memcmp` at Rust's dangling empty-string address, which cost a server read 100–150 ns.",
+    "        let data = file.streams.get(DEFAULT_STREAM);" => grep(&["crates/afs-vfs/src/**"], &[r"get\w*(DEFAULT_STREAM", "contains_key(DEFAULT_STREAM",
+        "insert(DEFAULT_STREAM", r"get\w*(path.stream()", "contains_key(path.stream()", "insert(path.stream()"]),
+    grep(&["crates/afs-vfs/src/**", "!crates/afs-vfs/src/node.rs#fn stream", "!crates/afs-vfs/src/node.rs#fn stream_mut",
+        "!crates/afs-vfs/src/node.rs#fn stream_or_new"], &[r"named.get\w*(", "named.contains_key(", "named.insert("]),
+    grep(&["crates/afs-vfs/src/node.rs#fn stream", "crates/afs-vfs/src/node.rs#fn stream_mut", "crates/afs-vfs/src/node.rs#fn stream_or_new"],
+        &["name.is_empty()"]).hits(3, 3);
     one_harness_per_clock: "One harness per clock (afs-bench is virtual time only)", "Host time belongs to `benchmark/`, so a Criterion target or a `benches/` directory in the workspace would be a benchmark no job runs.",
     r#"criterion = "0.5""# => grep(&["Cargo.toml", "crates/*/Cargo.toml"], &["criterion", "[[bench]]"]).tests(),
     grep(&["crates/**", "vendor/**"], &["/benches/", "/criterion/"]).paths().tests();
