@@ -142,7 +142,7 @@ pub fn measure_cluster(clients: usize, profile: HardwareProfile) -> ClusterMeasu
         let gauges = Arc::clone(&gauges);
         let count = per + usize::from(shard < extra);
         let first = shard * per + shard.min(extra);
-        joins.push(std::thread::spawn(move || {
+        joins.push(afs_sim::spawn(format!("shard-{shard}"), None, move || {
             let zipf = Zipf::new(CLUSTER_FILES, CLUSTER_THETA);
             let mut rng = SmallRng::seed_from_u64(0xC10D + shard as u64);
             let session = ClusterClient::new(net, CLUSTER_COPIES, Some(CLUSTER_STALENESS_MS));

@@ -492,8 +492,7 @@ pub fn measure_concurrency(
     for idx in 0..clients {
         let api = world.api();
         let barrier = Arc::clone(&barrier);
-        joins.push(std::thread::spawn(move || {
-            let _guard = clock::install(0);
+        joins.push(afs_sim::spawn(format!("mux-{idx}"), Some(0), move || {
             let h = api
                 .create_file(file, Access::read_write(), Disposition::OpenExisting)
                 .expect("open mux file");

@@ -59,7 +59,6 @@
 mod afs;
 mod cache;
 mod ctx;
-pub mod env;
 mod logic;
 mod registry;
 pub mod security;
@@ -70,7 +69,6 @@ mod world;
 pub use afs::{ActiveFileSystem, ActiveFilesLayer};
 pub use cache::CacheStore;
 pub use ctx::SentinelCtx;
-pub use env::{validate_test_seed, KnobOutcome, DEFAULT_SEED};
 pub use logic::{NullSentinel, SentinelError, SentinelLogic, SentinelResult};
 pub use registry::{LogicFactory, SentinelRegistry};
 pub use security::{check_active_file, sign_active_file, SIGNATURE_STREAM};

@@ -297,7 +297,7 @@ impl SentinelExecutor {
             state: AtomicU8::new(QUEUED),
             cell: Mutex::new(TaskCell {
                 machine: None,
-                vtime: clock::is_active().then(clock::now),
+                vtime: clock::current(),
             }),
             queue,
             exit: Arc::clone(&exit),
@@ -383,10 +383,7 @@ impl Inner {
     /// Starts a thread running [`Inner::worker_loop`] over `queue`.
     fn start(self: &Arc<Inner>, name: String, queue: &Arc<RunQueue>) -> JoinHandle<()> {
         let (inner, queue) = (Arc::clone(self), Arc::clone(queue));
-        std::thread::Builder::new()
-            .name(name)
-            .spawn(move || inner.worker_loop(&queue))
-            .expect("spawn sentinel thread")
+        afs_sim::spawn(name, None, move || inner.worker_loop(&queue))
     }
 
     fn is_pooled(&self, task: &TaskHandle) -> bool {

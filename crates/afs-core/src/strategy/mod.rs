@@ -639,18 +639,13 @@ where
     F: FnOnce() + Send + 'static,
 {
     let stats = instr.tel.sentinel_stats(instr.sentinel);
-    let start = clock::is_active().then(clock::now);
     let exit = Arc::new(SentinelExit::default());
     let signal = Arc::clone(&exit);
-    std::thread::Builder::new()
-        .name(format!("sentinel-{name}"))
-        .spawn(move || {
-            let _clock = start.map(clock::install);
-            if std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)).is_err() {
-                stats.fault();
-            }
-            signal.signal(clock::now());
-        })
-        .expect("spawn sentinel thread");
+    afs_sim::spawn(format!("sentinel-{name}"), clock::current(), move || {
+        if std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)).is_err() {
+            stats.fault();
+        }
+        signal.signal(clock::now());
+    });
     exit
 }

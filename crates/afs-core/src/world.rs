@@ -97,10 +97,7 @@ impl AfsWorldBuilder {
         let model = CostModel::new(self.profile);
         let vfs = self.vfs.unwrap_or_else(|| Arc::new(Vfs::new()));
         let net = Network::new(model.clone());
-        // An explicit builder seed wins; otherwise `AFS_TEST_SEED` is
-        // validated centrally — malformed values clamp to the default
-        // with a stderr warning rather than being silently ignored.
-        let seed = self.seed.unwrap_or_else(crate::env::test_seed_from_env);
+        let seed = self.seed.unwrap_or_else(|| afs_sim::test_seed(0xAF5_0001));
         net.set_seed(seed);
         let registry = SentinelRegistry::new();
         crate::world::register_builtin(&registry);

@@ -15,13 +15,11 @@
 //! ~20 % above what the code does today. The message counts are exact,
 //! and so is the open itself: it allocates its fleet and nothing else.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::Arc;
 
 use afs_net::{Network, Service};
 use afs_remote::{ClusterClient, FileServer};
-use afs_sim::CostModel;
+use afs_sim::{allocations, CostModel, CountingAlloc};
 use afs_telemetry::ClusterGauges;
 
 /// One open — `new`, five `add_node`s, `with_gauges` — and the first
@@ -45,56 +43,8 @@ const WRITE_BUDGET: u64 = 5;
 
 const FLEET: usize = 5;
 
-thread_local! {
-    /// Allocations made by this thread: the harness runs tests on
-    /// threads of their own, so a count is one test's alone.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-fn note() {
-    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counter is a `const`
-// thread-local `Cell` and touches no allocator state.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note();
-        // SAFETY: the caller's `layout` obligations pass straight through.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` via this allocator with the
-        // same `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note();
-        // SAFETY: as `alloc`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note();
-        // SAFETY: `ptr`/`layout` came from this allocator; `new_size` is
-        // the caller's obligation.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static GLOBAL: Counting = Counting;
-
-fn allocations(work: impl FnOnce()) -> u64 {
-    let before = ALLOCS.with(Cell::get);
-    work();
-    ALLOCS.with(Cell::get) - before
-}
+static ALLOC: CountingAlloc = CountingAlloc;
 
 fn member(i: usize) -> String {
     format!("files-{i}")
@@ -127,7 +77,7 @@ fn opening_a_session_costs_about_what_its_ops_cost() {
     // The fleet's first placement builds its ring; every session after
     // that, this one included, finds it built.
     drop(open(&net, &members, &gauges).owners("/data/f.af"));
-    let spent = allocations(|| {
+    let (spent, ()) = allocations(|| {
         let session = open(&net, &members, &gauges);
         assert_eq!(session.read("/data/f.af", 0, 128).expect("read").len(), 128);
     });
@@ -141,7 +91,7 @@ fn opening_a_session_costs_about_what_its_ops_cost() {
 fn an_open_given_its_gauges_allocates_only_its_fleet() {
     let net = fleet();
     let gauges = Arc::new(ClusterGauges::default());
-    let spent = allocations(|| {
+    let (spent, ()) = allocations(|| {
         let session = ClusterClient::new(net.clone(), 2, Some(10));
         drop(session.with_gauges(Arc::clone(&gauges)));
     });
@@ -158,7 +108,7 @@ fn a_steady_state_read_stays_within_its_budget() {
     session.read("/data/f.af", 0, 128).expect("warm-up read");
     const READS: u64 = 100;
     let before = net.stats();
-    let spent = allocations(|| {
+    let (spent, ()) = allocations(|| {
         for _ in 0..READS {
             session.read("/data/f.af", 0, 128).expect("read");
         }
@@ -183,7 +133,7 @@ fn a_steady_state_write_stays_within_its_budget() {
         .expect("warm-up write");
     const WRITES: u64 = 100;
     let before = net.stats();
-    let spent = allocations(|| {
+    let (spent, ()) = allocations(|| {
         for _ in 0..WRITES {
             assert_eq!(session.write("/data/f.af", 0, &[2u8; 128]), Ok(128));
         }

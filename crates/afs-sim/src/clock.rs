@@ -53,6 +53,12 @@ pub fn is_active() -> bool {
     CLOCK.with(|c| c.get().is_some())
 }
 
+/// The current thread's clock as [`enter`] takes it: its time, or `None`
+/// without one. This is how a thread hands its timeline to one it starts.
+pub fn current() -> Option<SimTime> {
+    CLOCK.with(Cell::get)
+}
+
 /// Reads the current thread's virtual time.
 ///
 /// Returns `0` when no clock is installed so that diagnostic code can call

@@ -45,18 +45,24 @@
 //! assert!(clock::now() > 0);
 //! ```
 
+mod alloc;
 pub mod clock;
 pub mod cost;
 pub mod generations;
 pub mod rng;
+mod seed;
+mod spawn;
 pub mod stats;
 pub mod stripe;
 pub mod trace;
 
+pub use alloc::{allocations, CountingAlloc};
 pub use clock::{ClockGuard, SimTime};
 pub use cost::{Cost, CostModel, CostSnapshot, CrossingKind, HardwareProfile, OpWindow};
 pub use generations::Generations;
 pub use rng::SimRng;
+pub use seed::test_seed;
+pub use spawn::spawn;
 pub use stats::{Series, Summary};
 pub use stripe::{Striped, Tally};
 pub use trace::{OpKind, OpSummary, OpTrace, TraceRecord};

@@ -1123,13 +1123,6 @@ mod tests {
         }
     }
 
-    fn seed_from_env() -> u64 {
-        std::env::var("AFS_TEST_SEED")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(0xAF5_0001)
-    }
-
     /// The framing change alters nothing a reader of the medium can see:
     /// seeded scripts drive the store and the reference side by side, and
     /// after every step the WAL images are byte-equal, and so are the
@@ -1138,7 +1131,7 @@ mod tests {
     /// `AFS_TEST_SEED` varies the scripts (CI's crash-sweep lanes).
     #[test]
     fn the_medium_holds_the_reference_framings_bytes() {
-        let seed = seed_from_env();
+        let seed = afs_sim::test_seed(0xAF5_0001);
         for page_size in [8u32, 4096] {
             for sync in [SyncMode::Always, SyncMode::Commit, SyncMode::Off] {
                 let opts = StoreOptions {

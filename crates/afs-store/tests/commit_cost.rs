@@ -14,11 +14,10 @@
 //! created — so once the streams have grown to their working size, none
 //! of the three allocates at all.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use std::hint::black_box;
 use std::sync::Arc;
 
-use afs_sim::CostModel;
+use afs_sim::{allocations, CostModel, CountingAlloc};
 use afs_store::{PageStore, StoreOptions, VfsMedium};
 use afs_telemetry::StoreGauges;
 use afs_vfs::{VPath, Vfs};
@@ -28,56 +27,8 @@ use rand::{Rng, RngCore, SeedableRng};
 const EXTENT: usize = 1 << 20;
 const BLOCK: usize = 128;
 
-thread_local! {
-    /// Allocations made by this thread: the harness runs tests on
-    /// threads of their own, so a count is one test's alone.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-fn note() {
-    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counter is a `const`
-// thread-local `Cell` and touches no allocator state.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note();
-        // SAFETY: the caller's `layout` obligations pass straight through.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` via this allocator with the
-        // same `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note();
-        // SAFETY: as `alloc`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note();
-        // SAFETY: `ptr`/`layout` came from this allocator; `new_size` is
-        // the caller's obligation.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static GLOBAL: Counting = Counting;
-
-fn allocations<T>(work: impl FnOnce() -> T) -> (u64, T) {
-    let before = ALLOCS.with(Cell::get);
-    let out = work();
-    (ALLOCS.with(Cell::get) - before, out)
-}
+static ALLOC: CountingAlloc = CountingAlloc;
 
 /// The rig, checkpointed over its seed and run until the WAL has been
 /// checkpointed away twice: every stream and buffer at working size.
@@ -148,4 +99,30 @@ fn an_explicit_checkpoint_allocates_nothing() {
     let (spent, report) = allocations(|| store.checkpoint().expect("checkpoint"));
     assert!(report.pages_written > 100, "{report:?}");
     assert_eq!(spent, 0, "a checkpoint made {spent} allocations");
+}
+
+/// The counter the budgets above read: the calling thread's allocations
+/// only, and a count taken inside another holds in both.
+#[test]
+fn the_counting_allocator_counts_this_thread_and_nests() {
+    let (ready, go) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
+    std::thread::scope(|s| {
+        let other = s.spawn(|| {
+            ready.wait();
+            let (spent, ()) = allocations(|| (0..1_000).for_each(|n| drop(black_box(vec![n; 8]))));
+            go.wait();
+            spent
+        });
+        let (here, ()) = allocations(|| {
+            ready.wait();
+            go.wait();
+        });
+        assert_eq!(other.join().unwrap(), 1_000);
+        assert_eq!(here, 0, "another thread's allocations are not counted here");
+    });
+    let (outer, (inner, ())) = allocations(|| {
+        drop(black_box(Box::new(1u8)));
+        allocations(|| drop(black_box(vec![0u8; 64])))
+    });
+    assert_eq!((outer, inner), (2, 1));
 }

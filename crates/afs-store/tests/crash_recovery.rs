@@ -13,13 +13,6 @@ use afs_store::{crash_sweep, CrashOp, CrashReport, StoreOptions, SyncMode};
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 
-fn seed_from_env() -> u64 {
-    std::env::var("AFS_TEST_SEED")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(0xAF5_0001)
-}
-
 /// A seeded random op script: bursts of writes with interleaved
 /// truncations, sealed by commits and occasional checkpoints.
 fn random_ops(seed: u64, n: usize) -> Vec<CrashOp> {
@@ -62,7 +55,7 @@ fn write_transcript(label: &str, report: &CrashReport) {
 
 #[test]
 fn recovery_holds_at_every_wal_boundary_for_the_seeded_workload() {
-    let seed = seed_from_env();
+    let seed = afs_sim::test_seed(0xAF5_0001);
     let opts = StoreOptions {
         page_size: 64,
         checkpoint_pages: 0, // explicit checkpoints only: keep the WAL long
@@ -90,7 +83,7 @@ fn recovery_holds_at_every_wal_boundary_for_the_seeded_workload() {
 
 #[test]
 fn recovery_holds_with_auto_checkpointing_and_sync_modes() {
-    let seed = seed_from_env() ^ 0x5EED;
+    let seed = afs_sim::test_seed(0xAF5_0001) ^ 0x5EED;
     for sync in [SyncMode::Always, SyncMode::Commit, SyncMode::Off] {
         let opts = StoreOptions {
             page_size: 32,

@@ -101,6 +101,15 @@ guards! {
     one_harness_per_clock: "One harness per clock (afs-bench is virtual time only)", "Host time belongs to `benchmark/`, so a Criterion target or a `benches/` directory in the workspace would be a benchmark no job runs.",
     r#"criterion = "0.5""# => grep(&["Cargo.toml", "crates/*/Cargo.toml"], &["criterion", "[[bench]]"]).tests(),
     grep(&["crates/**", "vendor/**"], &["/benches/", "/criterion/"]).paths().tests();
+    one_spawn: "One spawn (a thread starts named and on its clock in one place)", "An executor worker, a §4.1 or pinned sentinel and a benchmark client each start through `afs_sim::spawn`, which names the thread and puts it on the virtual clock it is given, so a thread started by hand is one the lock-level scheduler (ROADMAP item 1) would not see.",
+    "    let worker = std::thread::spawn(move || inner.worker_loop(&queue));" =>
+    grep(&["crates/**/*.rs", "src/**/*.rs", "!crates/afs-sim/src/spawn.rs#fn spawn"], &["thread::spawn", "thread::Builder"]);
+    one_seed: "One seed (AFS_TEST_SEED has one reader)", "`afs_sim::test_seed` is the one reader of the seed CI sweeps, with one grammar and one stderr line for a value outside it, so a world and every seeded suite run the seed their lane names: a reader of its own is a second grammar that can quietly run its default instead.",
+    r#"    let seed = std::env::var("AFS_TEST_SEED").ok().and_then(|v| v.parse().ok());"# =>
+    grep(&["crates/**/*.rs", "src/**/*.rs", "tests/*.rs", "examples/*.rs", "!crates/afs-sim/src/seed.rs", "!tests/architecture.rs"], &[r#""AFS_TEST_SEED""#]).tests();
+    one_counting_allocator: "One counting allocator (a cost test counts through afs-sim's)", "A test that budgets allocations installs `afs_sim::CountingAlloc` with one line and counts with `afs_sim::allocations`, so every budget counts the same thing the same way; `benchmark/` keeps its own copy until ROADMAP item 9 rebuilds that harness.",
+    "unsafe impl GlobalAlloc for Counting {}" =>
+    grep(&["crates/**/*.rs", "src/**/*.rs", "tests/*.rs", "!crates/afs-sim/src/alloc.rs", "!tests/architecture.rs"], &["GlobalAlloc for"]).tests();
 }
 
 struct Guard {

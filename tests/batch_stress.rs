@@ -30,13 +30,6 @@ const THREADS: usize = 8;
 const OPS_PER_THREAD: usize = 60;
 const EXTENT: usize = 1024;
 
-fn test_seed() -> u64 {
-    std::env::var("AFS_TEST_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42)
-}
-
 fn stress_path(idx: usize) -> String {
     format!("/batch/{idx}.af")
 }
@@ -201,7 +194,7 @@ fn post_heal_reads_never_observe_pre_replay_speculation() {
 
 #[test]
 fn concurrent_batched_rings_match_serial_unbatched_replay() {
-    let seed = test_seed();
+    let seed = afs_sim::test_seed(42);
     for strategy in [Strategy::ProcessControl, Strategy::DllThread] {
         let mut rng = SmallRng::seed_from_u64(seed);
         let depths: Vec<usize> = (0..THREADS).map(|_| rng.gen_range(1..=12)).collect();
@@ -322,7 +315,7 @@ fn contents(world: &AfsWorld, files: usize) -> Vec<Vec<u8>> {
 
 #[test]
 fn sessions_sharing_a_ring_match_serial_unbatched_replay() {
-    let seed = test_seed();
+    let seed = afs_sim::test_seed(42);
     let files = THREADS / SHARERS;
     for strategy in [Strategy::ProcessControl, Strategy::DllThread] {
         let mut rng = SmallRng::seed_from_u64(seed.rotate_left(17));

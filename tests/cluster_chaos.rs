@@ -28,13 +28,6 @@ use rand::{Rng, SeedableRng};
 
 use activefiles::{clock, ClusterClient, CostModel, FileServer, NetError, Network, Service};
 
-fn sweep_seed() -> u64 {
-    std::env::var("AFS_TEST_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(42)
-}
-
 fn member(i: usize) -> String {
     format!("files-{i}")
 }
@@ -54,7 +47,7 @@ fn fleet(net: &Network, nodes: usize, initial: usize, copies: usize) -> ClusterC
 
 #[test]
 fn partition_during_rebalance_preserves_read_your_writes() {
-    let seed = sweep_seed();
+    let seed = afs_sim::test_seed(42);
     let mut rng = SmallRng::seed_from_u64(seed);
     let _clock = clock::install(0);
     let net = Network::new(CostModel::free());
@@ -112,7 +105,7 @@ fn partition_during_rebalance_preserves_read_your_writes() {
 
 #[test]
 fn node_kill_mid_replication_fails_over_to_the_caught_up_replica() {
-    let seed = sweep_seed();
+    let seed = afs_sim::test_seed(42);
     let mut rng = SmallRng::seed_from_u64(seed ^ 0xD0D0);
     let _clock = clock::install(0);
     let net = Network::new(CostModel::free());

@@ -30,13 +30,6 @@ use rand::{Rng, SeedableRng};
 const THREADS: usize = 8;
 const OPS_PER_THREAD: usize = 30;
 
-fn test_seed() -> u64 {
-    std::env::var("AFS_TEST_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42)
-}
-
 fn build_world(strategy: Strategy) -> Arc<AfsWorld> {
     let world = Arc::new(AfsWorld::new());
     activefiles::register_standard_sentinels(&world);
@@ -137,7 +130,7 @@ fn stress_one_thread(
 fn run_stress(strategy: Strategy) {
     let world = build_world(strategy);
     world.telemetry().set_enabled(true);
-    let seed = test_seed();
+    let seed = afs_sim::test_seed(42);
     let mut joins = Vec::new();
     for idx in 0..THREADS {
         let api = world.api();
@@ -309,7 +302,7 @@ fn handoff_client(world: &AfsWorld, path: &str, base: usize, seed: u64) {
 /// own. A watchdog turns a hang into a failure; the sweep seed shapes
 /// the op mix.
 fn handoffs_lose_no_wake(strategy: Strategy, keys: &'static [(&'static str, &'static str)]) {
-    let seed = test_seed();
+    let seed = afs_sim::test_seed(42);
     let (done, finished) = std::sync::mpsc::channel();
     let clients = std::thread::spawn(move || {
         let world = AfsWorld::new();

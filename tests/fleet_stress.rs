@@ -44,13 +44,6 @@ const OPS_PER_THREAD: usize = 40;
 /// double-charging, or wedging a shard.
 const MAX_OP_LATENCY_NS: u64 = (THREADS * OPS_PER_THREAD) as u64 * 100_000;
 
-fn test_seed() -> u64 {
-    std::env::var("AFS_TEST_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42)
-}
-
 fn fleet_path(idx: usize) -> String {
     format!("/fleet/f{idx}.af")
 }
@@ -140,7 +133,7 @@ fn stress_one_thread(api: afs_interpose::ApiHandle, thread_idx: usize, seed: u64
 #[test]
 fn skewed_fleet_load_starves_no_sentinel_and_quiesces() {
     let world = build_fleet_world();
-    let seed = test_seed();
+    let seed = afs_sim::test_seed(42);
     let fleet = Arc::clone(world.telemetry().fleet());
 
     let joins: Vec<_> = (0..THREADS)

@@ -447,10 +447,7 @@ fn halfopen_window_admits_exactly_one_concurrent_probe() {
     plan.set_partitioned(false);
 
     // Seeded herd size so the CI sweep varies the contention shape.
-    let seed: u64 = std::env::var("AFS_TEST_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(42);
+    let seed = afs_sim::test_seed(42);
     let herd = 4 + (seed % 5) as usize;
 
     let rejections_before = net.reliability().breaker_rejections;
