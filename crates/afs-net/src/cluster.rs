@@ -12,11 +12,13 @@
 //!
 //! Hashing is an in-tree FNV-1a, so placement is bit-identical across runs
 //! and seeds. A ring is one sorted `Vec` of points over the sorted member
-//! names, a pure function of them, so it is built once per membership and
-//! thread and shared (`shared_ring` below): a placement owns only names.
+//! names, a pure function of them. A placement holds its ring, and a
+//! membership change steps to the next one through a per-thread memo
+//! (`step` below), so a thread builds each step once and a session that
+//! repeats a membership's steps allocates nothing.
 
 use std::cell::RefCell;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use afs_telemetry::ClusterGauges;
 use parking_lot::RwLock;
@@ -228,43 +230,83 @@ impl HashRing {
     }
 }
 
-/// Most memberships [`shared_ring`] remembers, per thread, before it
-/// starts over.
-const REMEMBERED_RINGS: usize = 16;
+/// Most membership steps [`step`] remembers, per thread, before it starts
+/// over. A step taken is remembered with its reverse, so a member that
+/// leaves and rejoins steps back onto the ring it left.
+const REMEMBERED_STEPS: usize = 32;
 
-thread_local! {
-    /// Every ring this thread built and still remembers, found again by
-    /// what it was built from. Per thread, so two clients opening sessions
-    /// on two threads share no lock and no reference count: each builds
-    /// the fleet's ring once. The memo holds its rings strongly: a
-    /// workload of short sessions drops each session before it opens the
-    /// next, so a memo of `Weak`s would find its ring dead and rebuild it
-    /// at most opens.
-    static RINGS: RefCell<Vec<Arc<HashRing>>> = const { RefCell::new(Vec::new()) };
+/// One membership step: `name` added to (or removed from) the ring `from`
+/// (`None`: the empty one) gives the ring `to`.
+struct Step {
+    from: Option<Arc<HashRing>>,
+    add: bool,
+    name: Box<str>,
+    to: Option<Arc<HashRing>>,
 }
 
-/// The ring of `nodes` (sorted) at `vnodes` points each: built on the
-/// thread's first request for that membership, the same allocation on
-/// every one after it. A [`Placement`] calls once per membership change,
-/// never per lookup.
-fn shared_ring(vnodes: usize, nodes: &[String]) -> Arc<HashRing> {
-    RINGS.with_borrow_mut(|rings| {
-        let known = rings
+thread_local! {
+    /// Every step this thread took and still remembers. Per thread, so two
+    /// clients opening sessions on two threads share no lock and no
+    /// reference count: each builds the fleet's rings once. A step holds
+    /// its rings strongly, so no other ring can take `from`'s address
+    /// while the step is remembered; and a workload of short sessions
+    /// drops each session before it opens the next, so a memo of `Weak`s
+    /// would find its rings dead and rebuild them at most opens.
+    static STEPS: RefCell<Vec<Step>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The ring after adding (`add`) or removing `name` from `from`, at
+/// [`HashRing::DEFAULT_VNODES`] points a member: built on the thread's
+/// first such step from that very ring, the same allocation on every one
+/// after it. A duplicate add or an unknown removal is no step.
+fn step(from: Option<&Arc<HashRing>>, name: &str, add: bool) -> Option<Arc<HashRing>> {
+    let same = |ring: &Option<Arc<HashRing>>| match (ring, from) {
+        (Some(ring), Some(from)) => Arc::ptr_eq(ring, from),
+        (None, None) => true,
+        _ => false,
+    };
+    STEPS.with_borrow_mut(|steps| {
+        let known = steps
             .iter()
-            .find(|ring| ring.vnodes == vnodes && ring.nodes == nodes);
-        if let Some(ring) = known {
-            return Arc::clone(ring);
+            .find(|step| same(&step.from) && step.add == add && *step.name == *name);
+        if let Some(step) = known {
+            return step.to.clone();
         }
-        let mut ring = HashRing::new(vnodes);
-        for name in nodes {
+        let nodes = from.map_or(&[][..], |ring| ring.nodes());
+        if position(nodes, name).is_ok() == add {
+            return from.cloned();
+        }
+        let mut ring = from.map_or_else(
+            || HashRing::new(HashRing::DEFAULT_VNODES),
+            |from| HashRing::clone(from),
+        );
+        if add {
             ring.add_node(name);
+        } else {
+            ring.remove_node(name);
         }
-        let ring = Arc::new(ring);
-        if rings.len() == REMEMBERED_RINGS {
-            rings.clear();
+        let to = (!ring.nodes.is_empty()).then(|| Arc::new(ring));
+        if steps.len() + 2 > REMEMBERED_STEPS {
+            steps.clear();
         }
-        rings.push(Arc::clone(&ring));
-        ring
+        let name = Box::<str>::from(name);
+        // The way back, unless it starts from the empty ring: no ring is
+        // new there, so the memo may hold that step already.
+        if let Some(back) = &to {
+            steps.push(Step {
+                from: Some(Arc::clone(back)),
+                add: !add,
+                name: name.clone(),
+                to: from.cloned(),
+            });
+        }
+        steps.push(Step {
+            from: from.cloned(),
+            add,
+            name,
+            to: to.clone(),
+        });
+        to
     })
 }
 
@@ -273,17 +315,15 @@ fn shared_ring(vnodes: usize, nodes: &[String]) -> Arc<HashRing> {
 ///
 /// `owners(path)` answers the cluster client's routing question — writes
 /// go to the first entry (the primary) and replicate to the rest; reads
-/// try the entries in order. A placement owns only its member names; the
-/// ring is shared with every other placement of the same members.
+/// try the entries in order. A placement holds its membership's ring,
+/// built once per thread: every placement that took the same membership
+/// steps on this thread holds the same one.
 #[derive(Debug, Clone)]
 pub struct Placement {
-    /// Member names, sorted.
-    nodes: Vec<String>,
+    /// The members' ring; `None` while there are none, so an empty
+    /// placement allocates nothing.
+    ring: Option<Arc<HashRing>>,
     copies: usize,
-    /// The ring of `nodes`, resolved by the first lookup after a
-    /// membership change: the memberships a fleet passes through while
-    /// it is being listed are never built.
-    ring: OnceLock<Arc<HashRing>>,
 }
 
 impl Placement {
@@ -292,9 +332,8 @@ impl Placement {
     /// virtual-node count.
     pub fn new(copies: usize) -> Placement {
         Placement {
-            nodes: Vec::new(),
+            ring: None,
             copies: copies.max(1),
-            ring: OnceLock::new(),
         }
     }
 
@@ -305,36 +344,27 @@ impl Placement {
 
     /// The member names, sorted.
     pub fn nodes(&self) -> &[String] {
-        &self.nodes
+        self.ring.as_deref().map_or(&[], HashRing::nodes)
     }
 
     /// Adds a member service to the fleet; a duplicate name is a no-op.
     pub fn add_node(&mut self, name: &str) {
-        if let Err(at) = position(&self.nodes, name) {
-            self.nodes.insert(at, name.to_owned());
-            self.ring = OnceLock::new();
-        }
+        self.ring = step(self.ring.as_ref(), name, true);
     }
 
     /// Removes a member service from the fleet; an unknown name is a
     /// no-op.
     pub fn remove_node(&mut self, name: &str) {
-        if let Ok(at) = position(&self.nodes, name) {
-            self.nodes.remove(at);
-            self.ring = OnceLock::new();
-        }
-    }
-
-    fn ring(&self) -> &Arc<HashRing> {
-        self.ring
-            .get_or_init(|| shared_ring(HashRing::DEFAULT_VNODES, &self.nodes))
+        self.ring = step(self.ring.as_ref(), name, false);
     }
 
     /// `[primary, replica, ...]` for `path` — distinct nodes, at most
     /// [`copies`](Placement::copies), deterministic for a given
     /// membership.
     pub fn owners(&self, path: &str) -> Vec<String> {
-        self.ring().owners(path, self.copies)
+        self.ring
+            .as_ref()
+            .map_or_else(Vec::new, |ring| ring.owners(path, self.copies))
     }
 
     /// [`owners`](Placement::owners) without naming anybody: fills `out`
@@ -344,7 +374,10 @@ impl Placement {
     /// slots — and returns the filled part. Allocates nothing.
     pub fn owner_indices<'a>(&self, path: &str, out: &'a mut [usize]) -> &'a [usize] {
         let want = out.len().min(self.copies);
-        self.ring().owner_indices(path, &mut out[..want])
+        match &self.ring {
+            Some(ring) => ring.owner_indices(path, &mut out[..want]),
+            None => &out[..0],
+        }
     }
 }
 
@@ -415,6 +448,13 @@ mod tests {
         /// The single owner of `key`, when the ring is non-empty.
         fn primary(&self, key: &str) -> Option<String> {
             self.owners(key, 1).into_iter().next()
+        }
+    }
+
+    impl Placement {
+        /// The ring of a placement with members.
+        fn ring(&self) -> &Arc<HashRing> {
+            self.ring.as_ref().expect("a placement with members")
         }
     }
 
@@ -696,9 +736,10 @@ mod tests {
     #[test]
     fn placements_of_one_membership_share_one_ring() {
         let a = placed(2, &["share-b", "share-a", "share-c"]);
-        let mut b = placed(3, &["share-c", "share-a", "share-b", "share-a"]);
-        assert!(Arc::ptr_eq(a.ring(), b.ring()), "same members, any order");
-        // A membership change resolves another ring and leaves a clone
+        let mut b = placed(3, &["share-b", "share-a", "share-c", "share-a"]);
+        assert!(Arc::ptr_eq(a.ring(), b.ring()), "same steps, same ring");
+        assert_eq!(a.nodes(), ["share-a", "share-b", "share-c"]);
+        // A membership change steps to another ring and leaves a clone
         // taken before it where it was.
         let before = b.clone();
         b.add_node("share-d");
@@ -709,15 +750,38 @@ mod tests {
         for key in keys(50) {
             assert_eq!(before.owners(&key)[..2], a.owners(&key)[..]);
         }
-        // Back at the first membership, back on its ring.
+        // Back at the first membership, back on its ring; and forward
+        // again, onto the ring the first step built.
+        let ahead = Arc::clone(b.ring());
         b.remove_node("share-d");
         assert!(Arc::ptr_eq(a.ring(), b.ring()));
+        b.add_node("share-d");
+        assert!(Arc::ptr_eq(&ahead, b.ring()));
         // Every placement gone, and the next one still finds it built.
         let ring = Arc::downgrade(a.ring());
-        drop((a, b, before));
-        let again = placed(1, &["share-a", "share-b", "share-c"]);
+        drop((a, b, before, ahead));
+        let again = placed(1, &["share-b", "share-a", "share-c"]);
         let kept = ring.upgrade().expect("the memo keeps its rings");
         assert!(Arc::ptr_eq(again.ring(), &kept));
+        // No member, no ring: an empty placement owns nothing.
+        let mut gone = placed(2, &["share-a"]);
+        gone.remove_node("share-a");
+        assert!(gone.ring.is_none() && gone.nodes().is_empty());
+        assert!(gone.owners("/x").is_empty());
+        assert!(gone.owner_indices("/x", &mut [0; 2]).is_empty());
+    }
+
+    #[test]
+    fn two_add_orders_of_one_membership_place_alike() {
+        let members = ["order-a", "order-b", "order-c", "order-d", "order-e"];
+        let forward = placed(3, &members);
+        let mut reversed = members;
+        reversed.reverse();
+        let backward = placed(3, &reversed);
+        assert_eq!(forward.nodes(), backward.nodes());
+        for key in keys(1_000) {
+            assert_eq!(forward.owners(&key), backward.owners(&key), "{key}");
+        }
     }
 
     #[test]
@@ -747,18 +811,28 @@ mod tests {
     fn more_memberships_than_the_memo_holds_still_place_correctly() {
         let keys = keys(40);
         for _round in 0..2 {
-            for size in 1..=REMEMBERED_RINGS + 3 {
+            for size in 1..=REMEMBERED_STEPS + 3 {
                 let members: Vec<String> = (0..size).map(|i| format!("many-{i}")).collect();
                 let mut placement = Placement::new(2);
                 let mut ring = HashRing::new(HashRing::DEFAULT_VNODES);
                 for name in &members {
                     placement.add_node(name);
                     ring.add_node(name);
+                    assert!(STEPS.with_borrow(Vec::len) <= REMEMBERED_STEPS);
                 }
                 for key in &keys {
                     assert_eq!(placement.owners(key), ring.owners(key, 2), "{size} {key}");
                 }
-                assert!(RINGS.with_borrow(Vec::len) <= REMEMBERED_RINGS);
+                // Leaving one at a time walks back through the memo, or
+                // past what it still holds.
+                for name in members.iter().rev().skip(1) {
+                    placement.remove_node(name);
+                    ring.remove_node(name);
+                }
+                for key in &keys {
+                    assert_eq!(placement.owners(key), ring.owners(key, 2), "{size} {key}");
+                }
+                assert!(STEPS.with_borrow(Vec::len) <= REMEMBERED_STEPS);
             }
         }
     }

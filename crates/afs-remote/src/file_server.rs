@@ -14,7 +14,7 @@ use parking_lot::{Mutex, RwLock};
 
 use afs_net::{Endpoint, NetError, Owner, Service, WireWriter};
 use afs_telemetry::{backend_span, intern, retry_span, ClusterGauges};
-use afs_vfs::{VPath, Vfs};
+use afs_vfs::{Pin, VPath, Vfs};
 
 use crate::{check_status, err_response, ok_response, STATUS_OK};
 
@@ -63,6 +63,10 @@ pub struct RemoteStat {
 struct Tracked {
     /// The path as the `Vfs` takes it, parsed when the entry was made.
     vpath: VPath,
+    /// Its file in the `Vfs`, pinned when a mutation made sure of it: GET,
+    /// STAT, PUT and REPL reach the file through it and walk no path while
+    /// it holds. Refreshed only under the table's write side.
+    pin: Pin,
     /// Monotonic version, bumped on every mutation.
     version: u64,
     /// Replication casts that arrived ahead of a sequence gap, held
@@ -161,6 +165,7 @@ impl FileServer {
             self.vfs
                 .write_stream_replace(&file.vpath, data)
                 .expect("seed write");
+            file.pin = self.vfs.pin(&file.vpath).expect("seeded file");
             file.version += 1;
             Ok(())
         })
@@ -172,18 +177,18 @@ impl FileServer {
         self.files.read().get(path).map_or(0, |file| file.version)
     }
 
-    /// Runs a read of `path` on its parsed form and version, under the
-    /// table's read side. A path the table does not hold is parsed here
-    /// and not kept: the request is untrusted, and a table that reads
-    /// could grow is memory anyone can spend.
+    /// Runs a read of `path` on its parsed form, pin and version, under
+    /// the table's read side. A path the table does not hold is parsed
+    /// here, pinned to nothing and not kept: the request is untrusted, and
+    /// a table that reads could grow is memory anyone can spend.
     fn inspect<T>(
         &self,
         path: &str,
-        read: impl FnOnce(&VPath, u64) -> Result<T, String>,
+        read: impl FnOnce(&VPath, Pin, u64) -> Result<T, String>,
     ) -> Result<T, String> {
         match self.files.read().get(path) {
-            Some(file) => read(&file.vpath, file.version),
-            None => read(&Self::parse(path)?, 0),
+            Some(file) => read(&file.vpath, file.pin, file.version),
+            None => read(&Self::parse(path)?, Pin::default(), 0),
         }
     }
 
@@ -203,6 +208,7 @@ impl FileServer {
         }
         let mut file = Tracked {
             vpath: Self::parse(path)?,
+            pin: Pin::default(),
             version: 0,
             held: PendingCasts::new(),
         };
@@ -234,7 +240,7 @@ impl FileServer {
             return Ok(file.version);
         }
         if seq == file.version + 1 {
-            self.write_at(&file.vpath, offset, data)?;
+            self.write_at(file, offset, data)?;
             file.version += 1;
         } else if file.held.len() < MAX_PENDING_REPL || file.held.contains_key(&seq) {
             file.held.insert(seq, (offset, data.to_vec()));
@@ -242,7 +248,7 @@ impl FileServer {
         // Held casts now in sequence drain: the ones this cast unblocked,
         // or one a local write took the version up to.
         while let Some((off, bytes)) = file.held.remove(&(file.version + 1)) {
-            self.write_at(&file.vpath, off, &bytes)?;
+            self.write_at(file, off, &bytes)?;
             file.version += 1;
         }
         Ok(file.version)
@@ -264,11 +270,22 @@ impl FileServer {
         self.vfs.create_file(vpath).map_err(|e| e.to_string())
     }
 
+    /// `file`'s pin, made to hold: while the one it has holds, the file
+    /// is there; else the file is made sure of, created if missing, and
+    /// pinned again.
+    fn hold(&self, file: &mut Tracked) -> Result<Pin, String> {
+        if !self.vfs.holds(file.pin) {
+            self.ensure_file(&file.vpath)?;
+            file.pin = self.vfs.pin(&file.vpath).unwrap_or_default();
+        }
+        Ok(file.pin)
+    }
+
     /// Writes `data` at `offset`, creating the file if needed.
-    fn write_at(&self, vpath: &VPath, offset: u64, data: &[u8]) -> Result<usize, String> {
-        self.ensure_file(vpath)?;
+    fn write_at(&self, file: &mut Tracked, offset: u64, data: &[u8]) -> Result<usize, String> {
+        let pin = self.hold(file)?;
         self.vfs
-            .write_stream(vpath, offset, data)
+            .write_stream_pinned(pin, &file.vpath, offset, data)
             .map_err(|e| e.to_string())
     }
 
@@ -286,14 +303,14 @@ impl FileServer {
                 // refuses, as it refuses a PUT, and the version it checks
                 // is the one the bytes are read under.
                 let floor = r.u64()?;
-                self.inspect(path, |vp, version| {
+                self.inspect(path, |vp, pin, version| {
                     check_floor(version, floor)?;
                     // The reply is built in place: the stream's bytes
                     // land behind the header, which is filled in after.
                     let mut reply = vec![STATUS_OK; GET_HEADER + len];
                     let n = self
                         .vfs
-                        .read_stream(vp, offset, &mut reply[GET_HEADER..])
+                        .read_stream_pinned(pin, vp, offset, &mut reply[GET_HEADER..])
                         .map_err(|e| e.to_string())?;
                     reply[1..GET_HEADER].copy_from_slice(&(n as u32).to_le_bytes());
                     reply.truncate(GET_HEADER + n);
@@ -316,7 +333,7 @@ impl FileServer {
                 check_extent(offset, data).and_then(|()| {
                     self.mutate(path, |file| {
                         check_floor(file.version, floor)?;
-                        let n = self.write_at(&file.vpath, offset, data)?;
+                        let n = self.write_at(file, offset, data)?;
                         file.version += 1;
                         Ok(ok_u64s(&[n as u64, file.version]))
                     })
@@ -341,14 +358,14 @@ impl FileServer {
                 let path = r.str()?;
                 let data = r.bytes()?;
                 self.mutate(path, |file| {
-                    self.ensure_file(&file.vpath)?;
+                    let pin = self.hold(file)?;
                     let len = self
                         .vfs
-                        .stream_len(&file.vpath)
+                        .stream_len_pinned(pin, &file.vpath)
                         .map_err(|e| e.to_string())?;
                     let n = self
                         .vfs
-                        .write_stream(&file.vpath, len, data)
+                        .write_stream_pinned(pin, &file.vpath, len, data)
                         .map_err(|e| e.to_string())?;
                     file.version += 1;
                     Ok(ok_u64s(&[n as u64]))
@@ -358,7 +375,7 @@ impl FileServer {
                 let path = r.str()?;
                 let data = r.bytes()?;
                 self.mutate(path, |file| {
-                    self.ensure_file(&file.vpath)?;
+                    self.hold(file)?;
                     self.vfs
                         .write_stream_replace(&file.vpath, data)
                         .map_err(|e| e.to_string())?;
@@ -369,9 +386,12 @@ impl FileServer {
             OP_STAT => {
                 let path = r.str()?;
                 let floor = r.u64()?;
-                self.inspect(path, |vp, version| {
+                self.inspect(path, |vp, pin, version| {
                     check_floor(version, floor)?;
-                    let len = self.vfs.stream_len(vp).map_err(|e| e.to_string())?;
+                    let len = self
+                        .vfs
+                        .stream_len_pinned(pin, vp)
+                        .map_err(|e| e.to_string())?;
                     Ok(ok_u64s(&[len, version]))
                 })
             }
@@ -1430,18 +1450,40 @@ mod tests {
         w.finish()
     }
 
+    /// Namespace changes made behind the server's back, in order, each
+    /// ending pins the table holds: the two files in `/d` deleted and
+    /// recreated in the other order with other bytes (so each may take the
+    /// other's node slot), `/d` renamed away and back, and `/d/c.af` renamed
+    /// over the vacated `/a`. What each call answered.
+    fn out_of_band(vfs: &Vfs, change: usize) -> Vec<afs_vfs::Result<()>> {
+        let p = |path: &str| VPath::parse(path).expect("path");
+        match change {
+            0 => vec![
+                vfs.delete(&p("/d/b")),
+                vfs.delete(&p("/d/c.af")),
+                vfs.create_file(&p("/d/b")),
+                vfs.write_stream(&p("/d/b"), 0, b"recreated b").map(drop),
+                vfs.create_file(&p("/d/c.af")),
+                vfs.write_stream(&p("/d/c.af"), 0, b"recreated c").map(drop),
+            ],
+            1 => vec![vfs.rename(&p("/d"), &p("/away"))],
+            2 => vec![vfs.rename(&p("/away"), &p("/d"))],
+            _ => vec![vfs.delete(&p("/a")), vfs.rename(&p("/d/c.af"), &p("/a"))],
+        }
+    }
+
     #[test]
     fn the_table_changes_no_reply() {
         for seed in 0..6 {
             let mut rng = afs_sim::SimRng::new(seed);
             let server = FileServer::new();
             let mut model = Model::default();
-            for vfs in [&*server.vfs, &model.vfs] {
+            for vfs in [server.vfs(), &model.vfs] {
                 let oob = VPath::parse("/oob").expect("path");
                 vfs.create_file(&oob).expect("create");
                 vfs.write_stream(&oob, 0, b"out of band").expect("write");
             }
-            let mut step = |request: Vec<u8>, what: &str| {
+            let step = |model: &mut Model, request: Vec<u8>, what: &str| {
                 assert_eq!(
                     server.handle(&request),
                     model.handle(&request),
@@ -1475,16 +1517,37 @@ mod tests {
             for (path, last, drained) in [("/d/b", held + 40, held + 1), ("/d/c.af", held, held)] {
                 for seq in 2..=last {
                     let cast = write_request(OP_REPL, path, seq % 50, seq, b"held");
-                    step(cast, "flood");
+                    step(&mut model, cast, "flood");
                 }
                 let queued = server.files.read()[path].held.len();
                 assert_eq!(queued, MAX_PENDING_REPL.min(last as usize - 1));
-                step(write_request(OP_REPL, path, 0, 1, b"gap"), "fill");
+                let fill = write_request(OP_REPL, path, 0, 1, b"gap");
+                step(&mut model, fill, "fill");
                 assert_eq!(server.version(path), drained);
             }
             for n in 0..1500 {
+                if n % 300 == 150 {
+                    // Every path is written, which pins its file, then
+                    // changed behind the server's back, then read back
+                    // while the pins taken before the change are still in
+                    // the table.
+                    for change in 0..4 {
+                        let what = format!("step {n} out-of-band change {change}");
+                        for path in WRITTEN_PATHS {
+                            let put = write_request(OP_PUT, path, 0, 0, b"pinned");
+                            step(&mut model, put, &what);
+                        }
+                        let answered = out_of_band(server.vfs(), change);
+                        let modelled = out_of_band(&model.vfs, change);
+                        assert_eq!(answered, modelled, "seed {seed} {what}");
+                        for path in WRITTEN_PATHS {
+                            step(&mut model, get_request(path, 0, 64, 0), &what);
+                            step(&mut model, stat_request(path, 0), &what);
+                        }
+                    }
+                }
                 let request = request(&mut rng, &server);
-                step(request, &format!("step {n}"));
+                step(&mut model, request, &format!("step {n}"));
             }
             // And the bytes behind the replies.
             for path in WRITTEN_PATHS {

@@ -7,10 +7,11 @@
 //! point (1035 allocations for the open and first read below on a
 //! five-member fleet), then built flat but still per session (40); and a
 //! read re-derived per message what its receiver already knew (23
-//! allocations where 4 carry bytes). A session now owns its member names
-//! and shares the fleet's one built ring with every other session of the
-//! same membership, a message is one buffer each way, and a read is one
-//! message (the session's floor rides it; it was a `STAT` and a `GET`).
+//! allocations where 4 carry bytes). A session now steps its membership
+//! through the thread's memo of built rings and holds the one it reaches,
+//! shared with every other session that took the same steps; a message is
+//! one buffer each way, and a read is one message (the session's floor
+//! rides it; it was a `STAT` and a `GET`).
 //! These budgets keep the rest from coming back unnoticed: they sit
 //! ~20 % above what the code does today. The message counts are exact,
 //! and so is the open itself: it allocates its fleet and nothing else.
@@ -24,13 +25,13 @@ use afs_telemetry::ClusterGauges;
 
 /// One open — `new`, five `add_node`s, `with_gauges` — and the first
 /// read, on a fleet some session of this thread has placed on before
-/// (measured: 10 — the fleet the session's endpoint shares, the five
-/// names, their `Vec` grown twice, and the read; 9 while the session
-/// owned its placement outright, 10 while `new` made gauges that
-/// `with_gauges` threw away, 12 while a read was two round trips, 40
-/// while every session built its ring, and the thread's first session
-/// still pays 18 more to build the one they share).
-const OPEN_AND_FIRST_READ_BUDGET: u64 = 11;
+/// (measured: 3 — the fleet the session's endpoint shares and the read's
+/// two buffers; 10 while the session kept its own copy of the member
+/// names, 9 while it owned its placement outright, 10 while `new` made
+/// gauges that `with_gauges` threw away, 12 while a read was two round
+/// trips, 40 while every session built its ring, and the thread's first
+/// session still builds the rings its steps pass through).
+const OPEN_AND_FIRST_READ_BUDGET: u64 = 4;
 /// One steady-state read, one round trip (measured: 2 — the request and
 /// the reply, nothing else; 4 as a stat and a get, 23 while the server
 /// parsed the path of every message).

@@ -24,6 +24,19 @@
 //! biggest single cost of a file server's read (docs/CONCURRENCY.md, "An
 //! empty name is not free").
 //!
+//! A caller that reaches one file many times can [`Vfs::pin`] it: a
+//! [`Pin`] is the file's slot in the node table plus the namespace epoch,
+//! a counter of the whole `Vfs` that every [`Vfs::delete`] and
+//! [`Vfs::rename`] bumps. The pinned calls ([`Vfs::read_stream_pinned`],
+//! [`Vfs::write_stream_pinned`], [`Vfs::stream_len_pinned`]) go straight
+//! to the slot while the epoch is the pin's, and otherwise resolve the path
+//! exactly as the path forms do, with the same errors; the path forms are
+//! the pinned ones with a pin that never holds. A per-slot generation
+//! would not be enough: it misses a rename of the file or of a directory
+//! above it. The epoch is a full `u64`, so it never wraps back to a stale
+//! pin's. A file server that keeps a table of its files holds one pin per
+//! entry, so a read of a known file walks no directory.
+//!
 //! The VFS is deliberately time-free: simulated disk costs are charged by
 //! the layers that decide whether a particular access models a disk (the
 //! sentinel's on-disk cache) or not.
@@ -52,7 +65,7 @@ mod vfs;
 pub use error::VfsError;
 pub use node::{DirEntry, FileAttributes, Metadata, NodeKind};
 pub use path::VPath;
-pub use vfs::{LockKind, LockOwner, Vfs};
+pub use vfs::{LockKind, LockOwner, Pin, Vfs};
 
 /// Result alias used across this crate.
 pub type Result<T> = std::result::Result<T, VfsError>;

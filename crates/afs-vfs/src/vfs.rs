@@ -47,6 +47,22 @@ struct Inner {
     locks: HashMap<usize, Vec<RangeLock>>,
 }
 
+/// A file's slot in one [`Vfs`]'s node table, taken at a namespace epoch.
+///
+/// A pin holds while no [`Vfs::delete`] or [`Vfs::rename`] has run since it
+/// was taken: only those free a slot or move a name, so until then the slot
+/// is the file the path named. A pinned call ([`Vfs::read_stream_pinned`],
+/// [`Vfs::write_stream_pinned`], [`Vfs::stream_len_pinned`]) goes straight
+/// to the slot while its pin holds and otherwise resolves the path, exactly
+/// as the path form does. `Pin::default()` pins nothing. A pin is only
+/// meaningful to the `Vfs` that made it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Pin {
+    slot: usize,
+    /// The epoch it was taken at; 0 is never one.
+    epoch: u64,
+}
+
 /// A thread-safe in-memory file system with NTFS-style named streams.
 ///
 /// All methods take `&self`; interior locking uses a reader-writer lock.
@@ -55,6 +71,9 @@ struct Inner {
 pub struct Vfs {
     inner: RwLock<Inner>,
     ticks: AtomicU64,
+    /// The namespace epoch, from 1: bumped, under the write lock, by every
+    /// delete and rename. A full `u64`, so it never wraps back to a pin's.
+    epoch: AtomicU64,
 }
 
 impl Default for Vfs {
@@ -79,11 +98,17 @@ impl Vfs {
                 locks: HashMap::new(),
             }),
             ticks: AtomicU64::new(1),
+            epoch: AtomicU64::new(1),
         }
     }
 
     fn tick(&self) -> u64 {
         self.ticks.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// Ends every pin taken so far. Called with the write lock held.
+    fn bump_epoch(&self) {
+        self.epoch.fetch_add(1, Ordering::Release);
     }
 
     // ---- resolution helpers -------------------------------------------------
@@ -117,25 +142,50 @@ impl Vfs {
         }
     }
 
+    /// The slot `path` names: `pin`'s while it holds, else the path's walk.
+    /// Called with the lock held, so no delete or rename runs meanwhile.
+    fn locate(&self, inner: &Inner, pin: Pin, path: &VPath) -> Result<usize> {
+        if self.holds(pin) {
+            Ok(pin.slot)
+        } else {
+            Self::resolve(inner, path)
+        }
+    }
+
+    fn file_at<'a>(inner: &'a Inner, idx: usize, path: &VPath) -> Result<&'a FileNode> {
+        match inner.nodes[idx].as_ref().expect("live node") {
+            Node::File(f) => Ok(f),
+            Node::Dir(_) => Err(VfsError::IsADirectory(path.to_string())),
+        }
+    }
+
     fn file_node<'a>(inner: &'a Inner, path: &VPath) -> Result<(usize, &'a FileNode)> {
         let idx = Self::resolve(inner, path)?;
-        match inner.nodes[idx].as_ref().expect("live node") {
-            Node::File(f) => Ok((idx, f)),
+        Ok((idx, Self::file_at(inner, idx, path)?))
+    }
+
+    fn file_at_mut<'a>(inner: &'a mut Inner, idx: usize, path: &VPath) -> Result<&'a mut FileNode> {
+        match inner.nodes[idx].as_mut().expect("live node") {
+            Node::File(f) => Ok(f),
             Node::Dir(_) => Err(VfsError::IsADirectory(path.to_string())),
         }
     }
 
     fn file_node_mut<'a>(inner: &'a mut Inner, path: &VPath) -> Result<(usize, &'a mut FileNode)> {
         let idx = Self::resolve(inner, path)?;
-        match inner.nodes[idx].as_mut().expect("live node") {
-            Node::File(f) => Ok((idx, f)),
-            Node::Dir(_) => Err(VfsError::IsADirectory(path.to_string())),
-        }
+        Ok((idx, Self::file_at_mut(inner, idx, path)?))
     }
 
-    /// The file a stream write may change: an existing, writable file.
-    fn writable<'a>(inner: &'a mut Inner, path: &VPath) -> Result<&'a mut FileNode> {
-        let (_, file) = Self::file_node_mut(inner, path)?;
+    /// The file a stream write may change, found through `pin`: an
+    /// existing, writable file.
+    fn writable<'a>(
+        &self,
+        inner: &'a mut Inner,
+        pin: Pin,
+        path: &VPath,
+    ) -> Result<&'a mut FileNode> {
+        let idx = self.locate(inner, pin, path)?;
+        let file = Self::file_at_mut(inner, idx, path)?;
         if file.attributes.readonly {
             return Err(VfsError::AccessDenied(path.to_string()));
         }
@@ -250,7 +300,7 @@ impl Vfs {
         Ok(())
     }
 
-    /// Deletes a file or an *empty* directory.
+    /// Deletes a file or an *empty* directory, ending every [`Pin`].
     ///
     /// # Errors
     ///
@@ -284,10 +334,12 @@ impl Vfs {
         inner.nodes[idx] = None;
         inner.free.push(idx);
         inner.locks.remove(&idx);
+        self.bump_epoch();
         Ok(())
     }
 
-    /// Renames/moves a file or directory. The destination must not exist.
+    /// Renames/moves a file or directory, ending every [`Pin`]. The
+    /// destination must not exist.
     ///
     /// Because all streams travel with the node, renaming an active file
     /// keeps its data and active parts together (Appendix A).
@@ -323,6 +375,7 @@ impl Vfs {
             dir.children.insert(to_name, idx);
             dir.modified = tick;
         }
+        self.bump_epoch();
         Ok(())
     }
 
@@ -442,6 +495,28 @@ impl Vfs {
             .unwrap_or(false)
     }
 
+    // ---- pins ----------------------------------------------------------------
+
+    /// Pins the file `path` names (its stream suffix aside), for the
+    /// pinned calls to reach without walking the path.
+    ///
+    /// # Errors
+    ///
+    /// Resolution errors if the path is not a file.
+    pub fn pin(&self, path: &VPath) -> Result<Pin> {
+        let inner = self.inner.read();
+        let (slot, _) = Self::file_node(&inner, path)?;
+        let epoch = self.epoch.load(Ordering::Acquire);
+        Ok(Pin { slot, epoch })
+    }
+
+    /// `true` while `pin` names the file it was taken for: no delete or
+    /// rename has run since. Without the lock this is a hint; a pinned
+    /// call checks again under it.
+    pub fn holds(&self, pin: Pin) -> bool {
+        pin.epoch == self.epoch.load(Ordering::Acquire)
+    }
+
     // ---- stream I/O ----------------------------------------------------------
 
     /// Reads from the stream addressed by `path` (default stream unless the
@@ -453,8 +528,24 @@ impl Vfs {
     ///
     /// [`VfsError::StreamNotFound`] if the named stream does not exist.
     pub fn read_stream(&self, path: &VPath, offset: u64, buf: &mut [u8]) -> Result<usize> {
+        self.read_stream_pinned(Pin::default(), path, offset, buf)
+    }
+
+    /// [`read_stream`](Vfs::read_stream) of `path`'s stream in the file
+    /// `pin` names while it holds.
+    ///
+    /// # Errors
+    ///
+    /// As [`Vfs::read_stream`].
+    pub fn read_stream_pinned(
+        &self,
+        pin: Pin,
+        path: &VPath,
+        offset: u64,
+        buf: &mut [u8],
+    ) -> Result<usize> {
         let inner = self.inner.read();
-        let (_, file) = Self::file_node(&inner, path)?;
+        let file = Self::file_at(&inner, self.locate(&inner, pin, path)?, path)?;
         let data = file
             .stream(path.stream())
             .ok_or_else(|| VfsError::StreamNotFound(path.to_string()))?;
@@ -485,10 +576,26 @@ impl Vfs {
     /// [`VfsError::AccessDenied`] if the file is read-only;
     /// [`VfsError::OutOfRange`] if `offset + data.len()` is out of reach.
     pub fn write_stream(&self, path: &VPath, offset: u64, data: &[u8]) -> Result<usize> {
+        self.write_stream_pinned(Pin::default(), path, offset, data)
+    }
+
+    /// [`write_stream`](Vfs::write_stream) to `path`'s stream in the file
+    /// `pin` names while it holds.
+    ///
+    /// # Errors
+    ///
+    /// As [`Vfs::write_stream`].
+    pub fn write_stream_pinned(
+        &self,
+        pin: Pin,
+        path: &VPath,
+        offset: u64,
+        data: &[u8],
+    ) -> Result<usize> {
         let end = Self::range_end(path, offset, data.len())?;
         let tick = self.tick();
         let mut inner = self.inner.write();
-        let file = Self::writable(&mut inner, path)?;
+        let file = self.writable(&mut inner, pin, path)?;
         let stream = file.stream_or_new(path.stream());
         if stream.len() < end {
             stream.resize(end, 0);
@@ -508,7 +615,7 @@ impl Vfs {
     pub fn append_stream(&self, path: &VPath, data: &[u8]) -> Result<u64> {
         let tick = self.tick();
         let mut inner = self.inner.write();
-        let file = Self::writable(&mut inner, path)?;
+        let file = self.writable(&mut inner, Pin::default(), path)?;
         let stream = file.stream_or_new(path.stream());
         let at = stream.len() as u64;
         Self::range_end(path, at, data.len())?;
@@ -527,7 +634,7 @@ impl Vfs {
     pub fn write_stream_replace(&self, path: &VPath, data: &[u8]) -> Result<()> {
         let tick = self.tick();
         let mut inner = self.inner.write();
-        let file = Self::writable(&mut inner, path)?;
+        let file = self.writable(&mut inner, Pin::default(), path)?;
         let stream = file.stream_or_new(path.stream());
         stream.clear();
         stream.extend_from_slice(data);
@@ -541,8 +648,18 @@ impl Vfs {
     ///
     /// [`VfsError::StreamNotFound`] if the stream does not exist.
     pub fn stream_len(&self, path: &VPath) -> Result<u64> {
+        self.stream_len_pinned(Pin::default(), path)
+    }
+
+    /// [`stream_len`](Vfs::stream_len) of `path`'s stream in the file
+    /// `pin` names while it holds.
+    ///
+    /// # Errors
+    ///
+    /// As [`Vfs::stream_len`].
+    pub fn stream_len_pinned(&self, pin: Pin, path: &VPath) -> Result<u64> {
         let inner = self.inner.read();
-        let (_, file) = Self::file_node(&inner, path)?;
+        let file = Self::file_at(&inner, self.locate(&inner, pin, path)?, path)?;
         file.stream(path.stream())
             .map(|s| s.len() as u64)
             .ok_or_else(|| VfsError::StreamNotFound(path.to_string()))
@@ -559,7 +676,7 @@ impl Vfs {
         let len = Self::range_end(path, len, 0)?;
         let tick = self.tick();
         let mut inner = self.inner.write();
-        let file = Self::writable(&mut inner, path)?;
+        let file = self.writable(&mut inner, Pin::default(), path)?;
         let stream = file
             .stream_mut(path.stream())
             .ok_or_else(|| VfsError::StreamNotFound(path.to_string()))?;

@@ -7,16 +7,31 @@
 //! after every step each file's streams, lengths and `stat` — `len`,
 //! `total_len` and the `streams` list, the default stream first — must
 //! agree. The default stream can never be deleted.
+//!
+//! The files live in one directory that moves away and back, and a pin per
+//! file is held across every step: a pinned read, write or length must
+//! answer what its path answers, whatever was deleted, recreated or moved
+//! since the pin was taken.
 
 use std::collections::BTreeMap;
 
-use afs_vfs::{Metadata, NodeKind, VPath, Vfs, VfsError};
+use afs_vfs::{Metadata, NodeKind, Pin, VPath, Vfs, VfsError};
 use proptest::prelude::*;
 
 /// The default stream, then three named ones.
 const STREAMS: [&str; 4] = ["", "active", "meta", "z"];
 
-type Model = BTreeMap<String, BTreeMap<String, Vec<u8>>>;
+/// Where the files live, and where [`Op::MoveDir`] takes them.
+const DIR: &str = "/d";
+const AWAY: &str = "/e";
+
+/// The files by name, each a map of its streams; and whether their
+/// directory is away, so that no path of theirs resolves.
+#[derive(Default)]
+struct Model {
+    files: BTreeMap<String, BTreeMap<String, Vec<u8>>>,
+    away: bool,
+}
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -29,10 +44,18 @@ enum Op {
     Copy(u8, u8),
     Rename(u8, u8),
     Stat(u8),
+    Delete(u8),
+    /// Renames the directory away, or back.
+    MoveDir,
+    /// Pins the file, to be held until it is pinned again.
+    Pin(u8),
+    PinnedWrite(u8, u8, u16, Vec<u8>),
+    PinnedRead(u8, u8),
+    PinnedLen(u8, u8),
 }
 
 fn file(i: u8) -> String {
-    format!("/f{}", i % 4)
+    format!("f{}", i % 4)
 }
 
 fn stream(s: u8) -> &'static str {
@@ -40,7 +63,16 @@ fn stream(s: u8) -> &'static str {
 }
 
 fn vpath(i: u8, s: u8) -> VPath {
-    VPath::parse(&file(i)).expect("path").with_stream(stream(s))
+    VPath::parse(&format!("{DIR}/{}", file(i)))
+        .expect("path")
+        .with_stream(stream(s))
+}
+
+/// Up to four bytes and how many there are, as one number.
+fn packed(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(bytes.len() as u64, |word, &b| word << 8 | u64::from(b))
 }
 
 fn bytes() -> impl Strategy<Value = Vec<u8>> {
@@ -59,6 +91,13 @@ fn op() -> impl Strategy<Value = Op> {
         (any::<u8>(), any::<u8>()).prop_map(|(a, b)| Op::Copy(a, b)),
         (any::<u8>(), any::<u8>()).prop_map(|(a, b)| Op::Rename(a, b)),
         any::<u8>().prop_map(Op::Stat),
+        any::<u8>().prop_map(Op::Delete),
+        Just(Op::MoveDir),
+        any::<u8>().prop_map(Op::Pin),
+        (any::<u8>(), any::<u8>(), 0u16..64, bytes())
+            .prop_map(|(f, s, o, d)| Op::PinnedWrite(f, s, o, d)),
+        (any::<u8>(), any::<u8>()).prop_map(|(f, s)| Op::PinnedRead(f, s)),
+        (any::<u8>(), any::<u8>()).prop_map(|(f, s)| Op::PinnedLen(f, s)),
     ]
 }
 
@@ -90,6 +129,18 @@ fn reported(meta: &Metadata) -> (u64, u64, Vec<String>) {
 
 /// Applies `op` to the model, returning the result the VFS must give.
 fn step(model: &mut Model, op: &Op) -> Result<u64, &'static str> {
+    if let Op::MoveDir = op {
+        model.away = !model.away;
+        return Ok(0);
+    }
+    if model.away {
+        // Nothing resolves, but the default stream's name is refused first.
+        return match op {
+            Op::DeleteStream(_, s) if stream(*s).is_empty() => Err("InvalidPath"),
+            _ => Err("NotFound"),
+        };
+    }
+    let model = &mut model.files;
     match op {
         Op::Create(i) => {
             if model.contains_key(&file(*i)) {
@@ -98,7 +149,7 @@ fn step(model: &mut Model, op: &Op) -> Result<u64, &'static str> {
             model.insert(file(*i), BTreeMap::from([(String::new(), Vec::new())]));
             Ok(0)
         }
-        Op::Write(i, s, offset, data) => {
+        Op::Write(i, s, offset, data) | Op::PinnedWrite(i, s, offset, data) => {
             let f = model.get_mut(&file(*i)).ok_or("NotFound")?;
             let st = f.entry(stream(*s).to_owned()).or_default();
             let (at, end) = (*offset as usize, *offset as usize + data.len());
@@ -154,12 +205,30 @@ fn step(model: &mut Model, op: &Op) -> Result<u64, &'static str> {
             .get(&file(*i))
             .map(|f| f.len() as u64)
             .ok_or("NotFound"),
+        Op::Delete(i) => model.remove(&file(*i)).map(|_| 0).ok_or("NotFound"),
+        Op::Pin(i) => model.get(&file(*i)).map(|_| 0).ok_or("NotFound"),
+        Op::PinnedRead(i, s) => {
+            let f = model.get(&file(*i)).ok_or("NotFound")?;
+            let st = f.get(stream(*s)).ok_or("StreamNotFound")?;
+            Ok(packed(
+                st.get(2..)
+                    .map_or(&[][..], |tail| &tail[..tail.len().min(4)]),
+            ))
+        }
+        Op::PinnedLen(i, s) => {
+            let f = model.get(&file(*i)).ok_or("NotFound")?;
+            f.get(stream(*s))
+                .map(|st| st.len() as u64)
+                .ok_or("StreamNotFound")
+        }
+        Op::MoveDir => unreachable!("handled above"),
     }
 }
 
-/// Applies `op` to the VFS.
-fn apply(vfs: &Vfs, op: &Op) -> Result<u64, &'static str> {
+/// Applies `op` to the VFS, taking and using the pins in `pins`.
+fn apply(vfs: &Vfs, pins: &mut [Pin; 4], op: &Op) -> Result<u64, &'static str> {
     let root = |i: u8| vpath(i, 0);
+    let pin = |i: u8| pins[i as usize % 4];
     kinded(match op {
         Op::Create(i) => vfs.create_file(&root(*i)).map(|()| 0),
         Op::Write(i, s, o, d) => vfs
@@ -172,6 +241,27 @@ fn apply(vfs: &Vfs, op: &Op) -> Result<u64, &'static str> {
         Op::Copy(a, b) => vfs.copy_file(&root(*a), &root(*b)).map(|()| 0),
         Op::Rename(a, b) => vfs.rename(&root(*a), &root(*b)).map(|()| 0),
         Op::Stat(i) => vfs.stat(&root(*i)).map(|m| m.streams.len() as u64),
+        Op::Delete(i) => vfs.delete(&root(*i)).map(|()| 0),
+        Op::MoveDir => {
+            let (dir, away) = (VPath::parse(DIR), VPath::parse(AWAY));
+            let (dir, away) = (dir.expect("dir"), away.expect("away"));
+            vfs.rename(&dir, &away)
+                .or_else(|_| vfs.rename(&away, &dir))
+                .map(|()| 0)
+        }
+        Op::Pin(i) => vfs
+            .pin(&root(*i))
+            .map(|p| pins[*i as usize % 4] = p)
+            .map(|()| 0),
+        Op::PinnedWrite(i, s, o, d) => vfs
+            .write_stream_pinned(pin(*i), &vpath(*i, *s), *o as u64, d)
+            .map(|n| n as u64),
+        Op::PinnedRead(i, s) => {
+            let mut buf = [0u8; 4];
+            vfs.read_stream_pinned(pin(*i), &vpath(*i, *s), 2, &mut buf)
+                .map(|n| packed(&buf[..n]))
+        }
+        Op::PinnedLen(i, s) => vfs.stream_len_pinned(pin(*i), &vpath(*i, *s)),
     })
 }
 
@@ -181,14 +271,19 @@ proptest! {
     #[test]
     fn streams_agree_with_model(ops in proptest::collection::vec(op(), 1..80)) {
         let vfs = Vfs::new();
-        let mut model = Model::new();
+        vfs.create_dir(&VPath::parse(DIR).expect("dir")).expect("mkdir");
+        let mut model = Model::default();
+        let mut pins = [Pin::default(); 4];
         for op in &ops {
             let want = step(&mut model, op);
-            prop_assert_eq!(apply(&vfs, op), want, "{:?}", op);
+            prop_assert_eq!(apply(&vfs, &mut pins, op), want, "{:?}", op);
+            if model.away {
+                continue;
+            }
 
             for i in 0..4u8 {
                 let root = vpath(i, 0);
-                let Some(streams) = model.get(&file(i)) else {
+                let Some(streams) = model.files.get(&file(i)) else {
                     prop_assert_eq!(kinded(vfs.stat(&root)).err(), Some("NotFound"));
                     continue;
                 };
@@ -209,9 +304,9 @@ proptest! {
                     prop_assert_eq!(read.ok().map(|n| buf[..n].to_vec()), tail);
                 }
             }
-            let listing = vfs.list_dir(&VPath::root()).expect("list");
+            let listing = vfs.list_dir(&VPath::parse(DIR).expect("dir")).expect("list");
             let lens: Vec<_> = listing.iter().map(|e| (e.name.clone(), e.len)).collect();
-            let want: Vec<_> = model.iter().map(|(p, f)| (p[1..].to_owned(), f[""].len() as u64)).collect();
+            let want: Vec<_> = model.files.iter().map(|(p, f)| (p.clone(), f[""].len() as u64)).collect();
             prop_assert_eq!(lens, want);
         }
     }

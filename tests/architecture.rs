@@ -67,9 +67,13 @@ guards! {
     "        tx.send_all(0, [], Doorbell::Held)?;" => grep(&["crates/afs-ipc/src/*.rs", "!crates/afs-ipc/src/transport.rs#fn send_call_behind"],
         &["Doorbell::Held"]).unless(&["Doorbell::Held =>"]),
     grep(&["crates/afs-ipc/src/transport.rs#fn send_call_behind"], &["Doorbell::Held"]).hits(1, usize::MAX);
-    found_once: "Found once (one ring per fleet, one owner walk per op)", "A file session asks its endpoint for owner indices and borrows the names, and no session builds a ring: `Placement` resolves the fleet's shared one.",
+    found_once: "Found once (one ring per fleet, one owner walk per op)", "A file session asks its endpoint for owner indices and borrows the names, and no session builds a ring: `Placement` steps its membership through the thread's memo of built rings.",
     "        let owners = endpoint.owners(path);" => grep(&["crates/afs-remote/src/file_server.rs", "crates/afs-remote/src/cluster.rs"], &[".owners("]),
     grep(&["crates/afs-remote/src/**"], &["HashRing::new"]).tests();
+    a_path_resolves_once: "A path resolves once (a tracked file is reached through its pin)", "The file server reads, writes and measures a file's streams only through the `Vfs`'s pinned entry points, so a tracked file's GET, STAT, PUT and REPL walk no path while its pin holds; and a placement holds its ring, so no membership is looked up again by comparing its names (`shared_ring`).",
+    "                    let n = self.vfs.read_stream(vp, offset, &mut reply[GET_HEADER..])" =>
+    grep(&["crates/afs-remote/src/file_server.rs"], &[".read_stream(", ".write_stream(", ".stream_len("]),
+    grep(&["crates/afs-net/src/**"], &["shared_ring"]).tests();
     one_failover_walk: "One failover walk (the network's, over the caller's owners)", "`Network::walk` is the tree's only loop that fails over, over owners the caller names, so a file session reads its refusals inside that walk and the runtime reaches services through endpoints, not typed clients of its own.",
     "    replicas: Vec<String>," => grep(&["crates/afs-net/src/net.rs", "crates/afs-net/src/reliability.rs"], &["replicas"]),
     grep(&["crates/afs-remote/**"], &["failover_worthy"]).tests(), grep(&["crates/afs-core/Cargo.toml"], &["afs-remote"]).tests();
