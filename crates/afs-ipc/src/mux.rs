@@ -29,10 +29,11 @@
 //! which command is the terminal close, and when two payload-carrying
 //! commands form one contiguous transfer.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use afs_sim::{clock, Cost, CostModel, CrossingKind, SimTime};
 use afs_telemetry::{SessionGauges, TraceContext};
@@ -352,11 +353,16 @@ type Mailbox<R> = VecDeque<(R, Vec<u8>)>;
 
 /// Receive-side state: demultiplexed replies waiting for their session.
 struct RecvState<P: MuxProtocol> {
-    mailboxes: HashMap<u32, Mailbox<P::Reply>>,
-    /// Some session thread is blocked pulling from the underlying wire;
-    /// everyone else waits on the condvar instead of contending.
-    pulling: bool,
+    /// Session `id`'s mailbox at `id - 1`: ids count up from 1 and a
+    /// mailbox stays when its session detaches.
+    mailboxes: Vec<Mailbox<P::Reply>>,
     dead: bool,
+}
+
+impl<P: MuxProtocol> RecvState<P> {
+    fn mailbox(&mut self, session: u32) -> Option<&mut Mailbox<P::Reply>> {
+        self.mailboxes.get_mut((session as usize).wrapping_sub(1))
+    }
 }
 
 /// The application-side multiplexer: owns the single underlying wire,
@@ -367,6 +373,13 @@ pub struct MuxHub<P: MuxProtocol> {
     send: Mutex<SendState<P>>,
     recv: Mutex<RecvState<P>>,
     recv_ready: Condvar,
+    /// Some session thread is pulling from the underlying wire; everyone
+    /// else waits on the condvar instead of contending. Set under the
+    /// receive lock; cleared by the puller, which takes the lock again
+    /// only when somebody waits.
+    pulling: AtomicBool,
+    /// Threads between deciding to wait for the puller and waking up.
+    waiting: AtomicUsize,
     gauges: Arc<SessionGauges>,
 }
 
@@ -387,11 +400,12 @@ impl<P: MuxProtocol> MuxHub<P> {
                 sessions: Sessions::new(Arc::clone(&gauges), exit),
             }),
             recv: Mutex::new(RecvState {
-                mailboxes: HashMap::new(),
-                pulling: false,
+                mailboxes: Vec::new(),
                 dead: false,
             }),
             recv_ready: Condvar::new(),
+            pulling: AtomicBool::new(false),
+            waiting: AtomicUsize::new(0),
             gauges,
             model,
         }
@@ -511,7 +525,7 @@ impl<P: MuxProtocol> MuxHub<P> {
         self.flush_stages_locked(&mut s, None)?;
         drop(s);
         let mut rs = self.recv.lock();
-        if let Some(mailbox) = rs.mailboxes.get_mut(&session) {
+        if let Some(mailbox) = rs.mailbox(session) {
             mailbox.push_back((P::close_ack(), Vec::new()));
         }
         self.recv_ready.notify_all();
@@ -525,11 +539,12 @@ impl<P: MuxProtocol> MuxHub<P> {
     /// *another* session is deposited, payload staged, in that session's
     /// mailbox; the puller's *own* payload goes straight into `into` with
     /// no staging copy, which keeps the uncontended profile identical to
-    /// a private transport.
+    /// a private transport. A puller that finds its own reply and nobody
+    /// waiting returns without taking the receive lock again.
     fn recv_for(&self, session: u32, into: &mut [u8]) -> Result<(P::Reply, usize)> {
         let mut rs = self.recv.lock();
         loop {
-            match rs.mailboxes.get_mut(&session) {
+            match rs.mailbox(session) {
                 Some(mailbox) => {
                     if let Some((reply, staged)) = mailbox.pop_front() {
                         drop(rs);
@@ -541,32 +556,56 @@ impl<P: MuxProtocol> MuxHub<P> {
             if rs.dead {
                 return Err(IpcError::Closed);
             }
-            if rs.pulling {
-                self.recv_ready.wait(&mut rs);
+            if self.pulling.load(Ordering::SeqCst) {
+                // Counted before the second look: a puller that clears the
+                // flag after the count sees it and takes the lock to wake
+                // this thread, which it gets only once the wait has let
+                // go of it; one that cleared it before, the look sees.
+                self.waiting.fetch_add(1, Ordering::SeqCst);
+                if self.pulling.load(Ordering::SeqCst) {
+                    self.recv_ready.wait(&mut rs);
+                }
+                self.waiting.fetch_sub(1, Ordering::SeqCst);
                 continue;
             }
-            rs.pulling = true;
+            self.pulling.store(true, Ordering::SeqCst);
             drop(rs);
-            let pulled = self.pull(session, into);
             // The wire is released on every way out of the pull.
-            rs = self.recv.lock();
-            rs.pulling = false;
-            self.recv_ready.notify_all();
-            match pulled {
-                Ok(Pulled::Own(reply, n)) => return Ok((reply, n)),
+            match self.pull(session, into) {
+                Ok(Pulled::Own(reply, n)) => {
+                    self.pulling.store(false, Ordering::SeqCst);
+                    if self.waiting.load(Ordering::SeqCst) > 0 {
+                        // Only the wake needs the lock: another thread may
+                        // be pulling already.
+                        let _rs = self.recv.lock();
+                        self.recv_ready.notify_all();
+                    }
+                    return Ok((reply, n));
+                }
                 Ok(Pulled::Peer(peer, reply, staged)) => {
-                    if let Some(mailbox) = rs.mailboxes.get_mut(&peer) {
+                    rs = self.release_wire();
+                    if let Some(mailbox) = rs.mailbox(peer) {
                         mailbox.push_back((reply, staged));
                     }
                 }
                 Err(e) => {
                     // An over-announced payload was drained: that fails
                     // this call, not the wire.
+                    rs = self.release_wire();
                     rs.dead = e != IpcError::BrokenPipe;
                     return Err(e);
                 }
             }
         }
+    }
+
+    /// Clears `pulling` under the receive lock and wakes every waiter;
+    /// returns the lock.
+    fn release_wire(&self) -> MutexGuard<'_, RecvState<P>> {
+        let rs = self.recv.lock();
+        self.pulling.store(false, Ordering::SeqCst);
+        self.recv_ready.notify_all();
+        rs
     }
 
     /// Pulls one framed reply and its payload off the wire. Only the
@@ -613,7 +652,13 @@ impl<P: MuxProtocol> MuxHub<P> {
 impl<P: MuxProtocol> SessionHub<P> for MuxHub<P> {
     fn attach(&self) -> Option<(u32, Vec<u32>)> {
         let (id, live) = self.send.lock().sessions.attach()?;
-        self.recv.lock().mailboxes.insert(id, VecDeque::new());
+        let mut rs = self.recv.lock();
+        // Two attaches may reach here out of order: the later id makes
+        // room for the earlier one's mailbox too.
+        if rs.mailboxes.len() < id as usize {
+            rs.mailboxes.resize_with(id as usize, VecDeque::new);
+        }
+        drop(rs);
         Some((id, live))
     }
 

@@ -23,6 +23,8 @@ use std::sync::Arc;
 use afs_telemetry::ClusterGauges;
 use parking_lot::RwLock;
 
+use crate::net::{Members, Registrations};
+
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 
 /// Continues an FNV-1a state over `bytes`.
@@ -97,6 +99,9 @@ pub struct HashRing {
     vnodes: usize,
     /// Member names in insertion-independent (sorted) order.
     nodes: Vec<String>,
+    /// Where each member was last found in a network's registry: a ring
+    /// is built once and walked by every message its placement sends.
+    registrations: Registrations,
 }
 
 impl HashRing {
@@ -111,6 +116,7 @@ impl HashRing {
             points: Vec::new(),
             vnodes: vnodes.max(1),
             nodes: Vec::new(),
+            registrations: Registrations::default(),
         }
     }
 
@@ -132,6 +138,7 @@ impl HashRing {
             return;
         };
         self.nodes.insert(at, name.to_owned());
+        self.registrations = Registrations::new(self.nodes.len());
         for point in &mut self.points {
             if point.1 >= at {
                 point.1 += 1;
@@ -160,6 +167,7 @@ impl HashRing {
             return;
         };
         self.nodes.remove(at);
+        self.registrations = Registrations::new(self.nodes.len());
         self.points.retain_mut(|point| {
             if point.1 > at {
                 point.1 -= 1;
@@ -345,6 +353,13 @@ impl Placement {
     /// The member names, sorted.
     pub fn nodes(&self) -> &[String] {
         self.ring.as_deref().map_or(&[], HashRing::nodes)
+    }
+
+    /// The members as a walk's targets.
+    pub(crate) fn members(&self) -> Members<'_> {
+        self.ring.as_deref().map_or(Members::NONE, |ring| {
+            Members::new(&ring.nodes, &ring.registrations)
+        })
     }
 
     /// Adds a member service to the fleet; a duplicate name is a no-op.

@@ -35,11 +35,12 @@ pub mod cluster;
 pub mod error;
 pub mod net;
 pub mod reliability;
+mod spare;
 pub mod wire;
 
 pub use cluster::{Fleet, HashRing, Placement};
 pub use error::NetError;
-pub use net::{Endpoint, FaultPlan, Network, NetworkStats, Owner, Service};
+pub use net::{Endpoint, FaultPlan, Members, Network, NetworkStats, Owner, Service, Target};
 pub use reliability::{
     BreakerConfig, CircuitBreaker, ReliabilityPolicy, ReliabilitySnapshot, ReliabilityStats,
     RetryPolicy,

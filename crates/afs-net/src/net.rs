@@ -2,6 +2,7 @@
 //! fault injection, and the failover walk every call runs.
 
 use std::collections::HashMap;
+use std::iter::once;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -15,7 +16,22 @@ use crate::reliability::{
     BreakerConfig, CircuitBreaker, ReliabilityPolicy, ReliabilitySnapshot, ReliabilityStats,
     RetryPolicy,
 };
-use crate::{NetError, Result};
+use crate::spare::MessageBuf;
+use crate::{NetError, Result, WireWriter};
+
+/// Writes `request`, already encoded, as it is: what the owned forms of a
+/// message send.
+fn raw(request: &[u8]) -> impl Fn(&mut WireWriter) + '_ {
+    move |w| {
+        w.raw(request);
+    }
+}
+
+/// What the owned forms of a message return: the reply buffer itself,
+/// which its thread then does not get back, so the reply is not copied.
+fn owned(reply: &mut Vec<u8>) -> Result<Vec<u8>> {
+    Ok(std::mem::take(reply))
+}
 
 /// A remote information source: receives a request payload, returns a
 /// response payload. Implementations live in `afs-remote`.
@@ -27,10 +43,29 @@ pub trait Service: Send + Sync {
     /// Application-level rejections surface as [`NetError::Rejected`].
     fn handle(&self, request: &[u8]) -> Result<Vec<u8>>;
 
-    /// Handles a one-way message (default: same as `handle`, response
-    /// discarded).
+    /// Handles one request, appending the response to `reply`: the network
+    /// passes a buffer of the calling thread's, empty, so a service that
+    /// writes its reply in place allocates nothing. By default it appends
+    /// what [`handle`](Service::handle) returns.
+    ///
+    /// # Errors
+    ///
+    /// As [`handle`](Service::handle).
+    fn handle_into(&self, request: &[u8], reply: &mut Vec<u8>) -> Result<()> {
+        let handled = self.handle(request)?;
+        if reply.is_empty() {
+            *reply = handled;
+        } else {
+            reply.extend_from_slice(&handled);
+        }
+        Ok(())
+    }
+
+    /// Handles a one-way message (default: as
+    /// [`handle_into`](Service::handle_into), into a buffer of the calling
+    /// thread's, the response discarded).
     fn handle_cast(&self, request: &[u8]) {
-        let _ = self.handle(request);
+        let _ = self.handle_into(request, &mut MessageBuf::take());
     }
 }
 
@@ -203,6 +238,100 @@ pub struct NetworkStats {
     pub dropped: u64,
 }
 
+/// The bits of a remembered registration that hold its index in the
+/// registry; the rest hold the stamp of the registry it was found in.
+const INDEX_BITS: u32 = 16;
+
+/// The stamp of the next registry published by any network: unique in
+/// the process, never 0 (a remembered registration of 0 is none).
+static STAMPS: AtomicU64 = AtomicU64::new(1);
+
+fn next_stamp() -> u64 {
+    STAMPS.fetch_add(1, Ordering::Relaxed)
+}
+
+/// Where each of a list of owner names was last found in a registry: per
+/// name, one word holding that registry's stamp and the name's index in
+/// it, so a message to the owner finds its service without comparing
+/// names until the registry changes. A clone starts over. A word publishes
+/// nothing but itself (the registry it names is loaded with `Acquire` on
+/// its own), so it is read and written `Relaxed`.
+#[derive(Default)]
+pub(crate) struct Registrations(Box<[AtomicU64]>);
+
+impl Registrations {
+    /// Nothing remembered for `names` names.
+    pub(crate) fn new(names: usize) -> Registrations {
+        Registrations((0..names).map(|_| AtomicU64::new(0)).collect())
+    }
+}
+
+impl Clone for Registrations {
+    fn clone(&self) -> Registrations {
+        Registrations::new(self.0.len())
+    }
+}
+
+impl std::fmt::Debug for Registrations {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Registrations").finish_non_exhaustive()
+    }
+}
+
+/// A service a message goes to: its name and, for a name of an owner
+/// list, where the list remembers its registration.
+#[derive(Debug, Clone, Copy)]
+pub struct Target<'a> {
+    name: &'a str,
+    registration: Option<&'a AtomicU64>,
+}
+
+impl<'a> From<&'a str> for Target<'a> {
+    fn from(name: &'a str) -> Target<'a> {
+        Target {
+            name,
+            registration: None,
+        }
+    }
+}
+
+/// The owner names a path's walk draws from ([`Endpoint::with_owners`]),
+/// each with where its registration is remembered.
+#[derive(Debug, Clone, Copy)]
+pub struct Members<'a> {
+    names: &'a [String],
+    registrations: &'a [AtomicU64],
+}
+
+impl<'a> Members<'a> {
+    /// No members: an empty fleet's.
+    pub(crate) const NONE: Members<'static> = Members {
+        names: &[],
+        registrations: &[],
+    };
+
+    pub(crate) fn new(names: &'a [String], registrations: &'a Registrations) -> Members<'a> {
+        debug_assert_eq!(names.len(), registrations.0.len());
+        Members {
+            names,
+            registrations: &registrations.0,
+        }
+    }
+
+    /// The name of member `index`.
+    pub fn name(&self, index: usize) -> &'a str {
+        &self.names[index]
+    }
+
+    /// Member `index` as a message's target.
+    pub fn target(&self, index: usize) -> Target<'a> {
+        Target {
+            name: &self.names[index],
+            registration: self.registrations.get(index),
+        }
+    }
+}
+
 /// One registered service and its fault state: what a message needs.
 struct Registered {
     name: String,
@@ -212,15 +341,27 @@ struct Registered {
 
 /// The registry as it stood between two changes: the seed every fault
 /// stream derives from, and the services, sorted by name. A change
-/// publishes a new one; the services it did not touch are shared with the
-/// one before.
-#[derive(Clone, Default)]
+/// publishes a new one, with a stamp of its own; the services it did not
+/// touch are shared with the one before.
+#[derive(Clone)]
 struct Registry {
+    /// Unique among every registry any network publishes: a remembered
+    /// [`Registrations`] index is good exactly while the stamp it was
+    /// found under is the newest registry's.
+    stamp: u64,
     seed: u64,
     services: Vec<Arc<Registered>>,
 }
 
 impl Registry {
+    /// The next registry: this one as `change` leaves it, newly stamped.
+    fn next(&self, change: impl FnOnce(&mut Registry)) -> Registry {
+        let mut next = self.clone();
+        change(&mut next);
+        next.stamp = next_stamp();
+        next
+    }
+
     /// Where `name` is (`Ok`) or belongs (`Err`).
     fn position(&self, name: &str) -> std::result::Result<usize, usize> {
         self.services
@@ -291,7 +432,11 @@ impl Network {
     /// Creates an empty network charging to `model`.
     pub fn new(model: CostModel) -> Self {
         let shared = Shared {
-            registry: Generations::new(Registry::default()),
+            registry: Generations::new(Registry {
+                stamp: next_stamp(),
+                seed: 0,
+                services: Vec::new(),
+            }),
             model,
             traffic: Striped::default(),
             breakers: Mutex::default(),
@@ -316,11 +461,11 @@ impl Network {
     /// wholly, and re-seeded if it was the old one.
     pub fn set_seed(&self, seed: u64) {
         let mut change = self.shared.registry.change();
-        let services = change.newest().services.clone();
-        for registered in &services {
+        let next = change.newest().next(|next| next.seed = seed);
+        for registered in &next.services {
             *registered.faults.rng.lock() = SimRng::derive(seed, &registered.name);
         }
-        change.publish(Registry { seed, services });
+        change.publish(next);
     }
 
     /// The current deterministic seed.
@@ -333,17 +478,16 @@ impl Network {
     /// finishes there; every call after it reaches the new one.
     pub fn register(&self, name: &str, service: Arc<dyn Service>) -> FaultPlan {
         let mut change = self.shared.registry.change();
-        let mut next = change.newest().clone();
-        let faults = Arc::new(Faults::seeded(next.seed, name));
+        let faults = Arc::new(Faults::seeded(change.newest().seed, name));
         let registered = Arc::new(Registered {
             name: name.to_owned(),
             service,
             faults: Arc::clone(&faults),
         });
-        match next.position(name) {
+        let next = change.newest().next(|next| match next.position(name) {
             Ok(at) => next.services[at] = registered,
             Err(at) => next.services.insert(at, registered),
-        }
+        });
         change.publish(next);
         FaultPlan { faults }
     }
@@ -360,9 +504,8 @@ impl Network {
     /// [`NetError::ServiceNotFound`], a call already in flight finishes.
     pub fn unregister(&self, name: &str) {
         let mut change = self.shared.registry.change();
-        let mut next = change.newest().clone();
-        if let Ok(at) = next.position(name) {
-            next.services.remove(at);
+        if let Ok(at) = change.newest().position(name) {
+            let next = change.newest().next(|next| drop(next.services.remove(at)));
             change.publish(next);
         }
     }
@@ -409,8 +552,8 @@ impl Network {
                 return self.placed(fleet.clone());
             }
         }
-        let ids = (0..names.len()).collect();
-        self.reach(Owners::Listed(names, ids))
+        let (ids, registrations) = ((0..names.len()).collect(), Registrations::new(names.len()));
+        self.reach(Owners::Listed(names, ids, registrations))
     }
 
     /// `fleet` as reached over this network and under its policy: every
@@ -450,12 +593,23 @@ impl Network {
         states
     }
 
-    /// The service a message to `name` reaches, borrowed from the newest
-    /// registry: loads only, no lock and no reference count.
-    fn lookup(&self, name: &str) -> Result<&Registered> {
-        self.registry()
-            .get(name)
-            .ok_or_else(|| NetError::ServiceNotFound(name.to_owned()))
+    /// The service a message to `target` reaches, borrowed from the newest
+    /// registry: loads only, no lock and no reference count. A target that
+    /// remembers its registration under this registry's stamp is found by
+    /// that index; any other is searched for by name and, found, remembered.
+    fn lookup(&self, target: Target<'_>) -> Result<&Registered> {
+        let registry = self.registry();
+        let remembered = target.registration.map_or(0, |r| r.load(Ordering::Relaxed));
+        if remembered >> INDEX_BITS == registry.stamp {
+            return Ok(&registry.services[(remembered & ((1 << INDEX_BITS) - 1)) as usize]);
+        }
+        let at = registry
+            .position(target.name)
+            .map_err(|_| NetError::ServiceNotFound(target.name.to_owned()))?;
+        if let Some(registration) = target.registration.filter(|_| at >> INDEX_BITS == 0) {
+            registration.store(registry.stamp << INDEX_BITS | at as u64, Ordering::Relaxed);
+        }
+        Ok(&registry.services[at])
     }
 
     fn check_faults(&self, name: &str, faults: &Faults) -> Result<()> {
@@ -552,12 +706,13 @@ impl Network {
     /// The first answer that is not a fault; else the last fault or
     /// breaker refusal. A pass an owner declined in ends with `Ok(None)`.
     #[inline]
-    pub fn walk<'a, T>(
+    pub fn walk<'a, T, O: Into<Target<'a>>>(
         &self,
-        owners: impl Iterator<Item = &'a str> + Clone,
+        owners: impl Iterator<Item = O> + Clone,
         mut ask: impl FnMut(Owner<'_>) -> Result<Option<T>>,
     ) -> Result<Option<T>> {
-        let primary = || owners.clone().next().unwrap_or_default();
+        let owners = owners.map(Into::into);
+        let primary = || owners.clone().next().map_or("", |target| target.name);
         let policy = self.policy.as_deref();
         let breaker = policy.and_then(|p| p.breaker.as_ref());
         let start = if policy.is_some() { now_ns() } else { 0 };
@@ -567,14 +722,15 @@ impl Network {
         let (mut rng, mut span) = (None, None);
         for pass in 0.. {
             let mut declined = false;
-            for (index, name) in owners.clone().enumerate() {
+            for (index, target) in owners.clone().enumerate() {
+                let name = target.name;
                 if !self.breaker_allow(breaker, name) {
                     last_fault = Some(self.refused(name));
                     continue;
                 }
                 match ask(Owner {
                     net: self,
-                    name,
+                    target,
                     index,
                 }) {
                     Ok(None) => {
@@ -672,39 +828,54 @@ impl Network {
     #[inline]
     fn call<'a, T>(
         &self,
-        owners: impl Iterator<Item = &'a str> + Clone,
-        mut once: impl FnMut(&str) -> Result<T>,
+        owners: impl Iterator<Item = Target<'a>> + Clone,
+        mut once: impl FnMut(Target<'_>) -> Result<T>,
     ) -> Result<T> {
-        self.walk(owners, |owner| once(owner.name).map(Some))
+        self.walk(owners, |owner| once(owner.target).map(Some))
             .map(|served| served.expect("no owner declines"))
     }
 
-    fn rpc_once(&self, service: &str, request: &[u8]) -> Result<Vec<u8>> {
-        let registered = self.lookup(service)?;
-        self.check_faults(service, &registered.faults)?;
+    /// The one request/response path every rpc form takes: the request is
+    /// encoded into a buffer of the calling thread's and the service
+    /// replies into a second, which `read` reads in place; both go back to
+    /// the thread when it returns. Charged and counted by the lengths
+    /// alone.
+    fn rpc_once<T>(
+        &self,
+        target: Target<'_>,
+        encode: impl FnOnce(&mut WireWriter),
+        read: impl FnOnce(&mut Vec<u8>) -> Result<T>,
+    ) -> Result<T> {
+        let registered = self.lookup(target)?;
+        self.check_faults(target.name, &registered.faults)?;
+        let mut request = MessageBuf::take();
+        request.encode(encode);
         let model = &self.shared.model;
         model.charge(Cost::NetBytes {
             bytes: request.len(),
         });
         model.charge(Cost::NetRoundTrip);
-        let response = registered.service.handle(request)?;
-        model.charge(Cost::NetBytes {
-            bytes: response.len(),
-        });
+        let mut reply = MessageBuf::take();
+        registered.service.handle_into(&request, &mut reply)?;
+        model.charge(Cost::NetBytes { bytes: reply.len() });
         let (traffic, writer) = self.shared.traffic.mine();
         traffic.rpcs.add(writer, 1);
         traffic.bytes_sent.add(writer, request.len() as u64);
-        traffic.bytes_received.add(writer, response.len() as u64);
-        Ok(response)
+        traffic.bytes_received.add(writer, reply.len() as u64);
+        read(&mut reply)
     }
 
-    fn cast_once(&self, service: &str, request: &[u8]) -> Result<()> {
-        let registered = self.lookup(service)?;
-        self.check_faults(service, &registered.faults)?;
+    /// The one one-way path: [`rpc_once`](Network::rpc_once)'s, with no
+    /// reply to read.
+    fn cast_once(&self, target: Target<'_>, encode: impl FnOnce(&mut WireWriter)) -> Result<()> {
+        let registered = self.lookup(target)?;
+        self.check_faults(target.name, &registered.faults)?;
+        let mut request = MessageBuf::take();
+        request.encode(encode);
         self.shared.model.charge(Cost::NetBytes {
             bytes: request.len(),
         });
-        registered.service.handle_cast(request);
+        registered.service.handle_cast(&request);
         let (traffic, writer) = self.shared.traffic.mine();
         traffic.casts.add(writer, 1);
         traffic.bytes_sent.add(writer, request.len() as u64);
@@ -724,8 +895,8 @@ impl Network {
     /// [`NetError::CircuitOpen`] when the breaker refuses the call, or
     /// whatever the service rejects with.
     pub fn rpc(&self, service: &str, request: &[u8]) -> Result<Vec<u8>> {
-        self.call(std::iter::once(service), |name| {
-            self.rpc_once(name, request)
+        self.call(once(service.into()), |target| {
+            self.rpc_once(target, raw(request), owned)
         })
     }
 
@@ -739,8 +910,22 @@ impl Network {
     /// [`NetError::ServiceNotFound`], fault-injection errors, and
     /// [`NetError::CircuitOpen`]; delivery itself cannot fail.
     pub fn cast(&self, service: &str, request: &[u8]) -> Result<()> {
-        self.call(std::iter::once(service), |name| {
-            self.cast_once(name, request)
+        self.cast_with(service, raw(request))
+    }
+
+    /// [`cast`](Network::cast) of the request `encode` writes, into a
+    /// buffer of the calling thread's.
+    ///
+    /// # Errors
+    ///
+    /// As [`Network::cast`].
+    pub fn cast_with<'a>(
+        &self,
+        service: impl Into<Target<'a>>,
+        mut encode: impl FnMut(&mut WireWriter),
+    ) -> Result<()> {
+        self.call(once(service.into()), |target| {
+            self.cast_once(target, &mut encode)
         })
     }
 
@@ -764,7 +949,7 @@ impl Network {
 #[derive(Clone, Copy)]
 pub struct Owner<'a> {
     net: &'a Network,
-    name: &'a str,
+    target: Target<'a>,
     index: usize,
 }
 
@@ -777,7 +962,22 @@ impl Owner<'_> {
     /// One request/response, charged and failing as [`Network::rpc`] does
     /// (a breaker's refusal is the walk's).
     pub fn rpc(&self, request: &[u8]) -> Result<Vec<u8>> {
-        self.net.rpc_once(self.name, request)
+        self.net.rpc_once(self.target, raw(request), owned)
+    }
+
+    /// [`rpc`](Owner::rpc) of the request `encode` writes, whose reply
+    /// `read` reads where it landed: both are buffers of the calling
+    /// thread's, so the message allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// As [`rpc`](Owner::rpc), and whatever `read` returns.
+    pub fn rpc_with<T>(
+        &self,
+        encode: impl FnOnce(&mut WireWriter),
+        read: impl FnOnce(&[u8]) -> Result<T>,
+    ) -> Result<T> {
+        self.net.rpc_once(self.target, encode, |reply| read(reply))
     }
 }
 
@@ -787,8 +987,9 @@ const INLINE_OWNERS: usize = 8;
 /// Who owns a path at an endpoint.
 #[derive(Debug, Clone)]
 enum Owners {
-    /// The same owners for every path, primary first, and their indices.
-    Listed(Vec<String>, Vec<usize>),
+    /// The same owners for every path, primary first, their indices and
+    /// where their registrations are remembered.
+    Listed(Vec<String>, Vec<usize>, Registrations),
     /// The owners a fleet's placement gives each path.
     Placed(Fleet),
 }
@@ -849,10 +1050,12 @@ impl Endpoint {
     pub fn with_owners<T>(
         &self,
         path: &str,
-        walk: impl FnOnce(&[String], &[usize]) -> Result<T>,
+        walk: impl FnOnce(Members<'_>, &[usize]) -> Result<T>,
     ) -> Result<T> {
         let fleet = match &self.owners {
-            Owners::Listed(names, ids) => return walk(names, ids),
+            Owners::Listed(names, ids, registrations) => {
+                return walk(Members::new(names, registrations), ids)
+            }
             Owners::Placed(fleet) => fleet,
         };
         let membership = fleet.0.read();
@@ -868,21 +1071,42 @@ impl Endpoint {
         if ids.is_empty() {
             return Err(NetError::ServiceNotFound("empty cluster".to_owned()));
         }
-        walk(placement.nodes(), ids)
+        walk(placement.members(), ids)
     }
 
     /// A walk of one message to the first of `path`'s owners to take it.
-    fn call<T>(&self, path: &str, once: impl FnMut(&str) -> Result<T>) -> Result<T> {
-        self.with_owners(path, |nodes, ids| {
+    fn call<T>(&self, path: &str, once: impl FnMut(Target<'_>) -> Result<T>) -> Result<T> {
+        self.with_owners(path, |members, ids| {
             self.net
-                .call(ids.iter().map(|&id| nodes[id].as_str()), once)
+                .call(ids.iter().map(|&id| members.target(id)), once)
         })
     }
 
     /// Request/response from the first of `path`'s owners to serve,
     /// charged as [`Network::rpc`]; its errors are [`Network::walk`]'s.
     pub fn rpc_at(&self, path: &str, request: &[u8]) -> Result<Vec<u8>> {
-        self.call(path, |name| self.net.rpc_once(name, request))
+        self.call(path, |target| {
+            self.net.rpc_once(target, raw(request), owned)
+        })
+    }
+
+    /// [`rpc_at`](Endpoint::rpc_at) of the request `encode` writes: `read`
+    /// reads the reply of the owner that served, where it landed
+    /// ([`Owner::rpc_with`]).
+    ///
+    /// # Errors
+    ///
+    /// [`Network::walk`]'s.
+    pub fn rpc_at_with<T>(
+        &self,
+        path: &str,
+        mut encode: impl FnMut(&mut WireWriter),
+        mut read: impl FnMut(&[u8]) -> T,
+    ) -> Result<T> {
+        self.call(path, |target| {
+            self.net
+                .rpc_once(target, &mut encode, |reply| Ok(read(reply)))
+        })
     }
 
     /// [`rpc_at`](Endpoint::rpc_at) for a service that owns no paths:
@@ -894,7 +1118,16 @@ impl Endpoint {
     /// Fire-and-forget to the first of `path`'s owners to take it, charged
     /// as [`Network::cast`]; its errors are [`Network::walk`]'s.
     pub fn cast_at(&self, path: &str, request: &[u8]) -> Result<()> {
-        self.call(path, |name| self.net.cast_once(name, request))
+        self.cast_at_with(path, raw(request))
+    }
+
+    /// [`cast_at`](Endpoint::cast_at) of the request `encode` writes.
+    ///
+    /// # Errors
+    ///
+    /// [`Network::walk`]'s.
+    pub fn cast_at_with(&self, path: &str, mut encode: impl FnMut(&mut WireWriter)) -> Result<()> {
+        self.call(path, |target| self.net.cast_once(target, &mut encode))
     }
 
     /// [`cast_at`](Endpoint::cast_at) for a service that owns no paths.
@@ -973,6 +1206,43 @@ mod tests {
         net.cast("echo", &[0u8; 1000]).expect("cast");
         assert_eq!(clock::now(), model.price(Cost::NetBytes { bytes: 1000 }));
         assert_eq!(net.stats().casts, 1);
+    }
+
+    #[test]
+    fn a_remembered_registration_follows_the_registry() {
+        let net = Network::new(CostModel::free());
+        net.register("b", Arc::new(Tagged("b")));
+        let endpoint = net.endpoint(["b"]);
+        assert_eq!(endpoint.rpc(b"x").expect("rpc"), b"b");
+        // A service sorted ahead of it moves it one index on, and one of
+        // its name replaces it.
+        net.register("a", Arc::new(Tagged("a")));
+        assert_eq!(endpoint.rpc(b"x").expect("rpc"), b"b");
+        net.register("b", Arc::new(Tagged("b2")));
+        assert_eq!(endpoint.rpc(b"x").expect("rpc"), b"b2");
+        net.unregister("a");
+        assert_eq!(endpoint.rpc(b"x").expect("rpc"), b"b2");
+        net.unregister("b");
+        assert!(matches!(
+            endpoint.rpc(b"x"),
+            Err(NetError::ServiceNotFound(_))
+        ));
+        // One fleet placed over two networks: each message finds its own
+        // network's service, at whatever index it has there.
+        let fleet = Fleet::new(1);
+        fleet.add_node("m");
+        let (one, two) = (
+            Network::new(CostModel::free()),
+            Network::new(CostModel::free()),
+        );
+        one.register("a", Arc::new(Tagged("a")));
+        one.register("m", Arc::new(Tagged("m on one")));
+        two.register("m", Arc::new(Tagged("m on two")));
+        let (at_one, at_two) = (one.placed(fleet.clone()), two.placed(fleet));
+        for _ in 0..3 {
+            assert_eq!(at_one.rpc_at("/f", b"x").expect("one"), b"m on one");
+            assert_eq!(at_two.rpc_at("/f", b"x").expect("two"), b"m on two");
+        }
     }
 
     #[test]

@@ -73,6 +73,13 @@ impl WireWriter {
         }
     }
 
+    /// Appends raw bytes, with no length prefix: a message already
+    /// encoded elsewhere.
+    pub fn raw(&mut self, bytes: &[u8]) -> &mut Self {
+        self.buf.extend_from_slice(bytes);
+        self
+    }
+
     /// Appends a `u8`.
     pub fn u8(&mut self, v: u8) -> &mut Self {
         self.buf.push(v);
@@ -132,6 +139,14 @@ impl WireWriter {
     /// `true` if nothing was written.
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
+    }
+}
+
+/// A writer that appends to `buf`: a message encoded into a buffer that
+/// is kept between messages allocates nothing once the buffer has grown.
+impl From<Vec<u8>> for WireWriter {
+    fn from(buf: Vec<u8>) -> Self {
+        WireWriter { buf }
     }
 }
 

@@ -12,11 +12,11 @@ use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Mutex, RwLock};
 
-use afs_net::{Endpoint, NetError, Owner, Service, WireWriter};
+use afs_net::{Endpoint, NetError, Owner, Service, WireReader, WireWriter};
 use afs_telemetry::{backend_span, intern, retry_span, ClusterGauges};
-use afs_vfs::{Pin, VPath, Vfs};
+use afs_vfs::{Pin, PinCell, VPath, Vfs};
 
-use crate::{check_status, err_response, ok_response, STATUS_OK};
+use crate::{check_status, err_into, STATUS_OK};
 
 const OP_GET: u8 = 1;
 const OP_PUT: u8 = 2;
@@ -65,8 +65,10 @@ struct Tracked {
     vpath: VPath,
     /// Its file in the `Vfs`, pinned when a mutation made sure of it: GET,
     /// STAT, PUT and REPL reach the file through it and walk no path while
-    /// it holds. Refreshed only under the table's write side.
-    pin: Pin,
+    /// it holds. A mutation refreshes it under the table's write side, and
+    /// a read that finds it ended by a delete or rename of any path pins
+    /// the file again on the read side.
+    pin: PinCell,
     /// Monotonic version, bumped on every mutation.
     version: u64,
     /// Replication casts that arrived ahead of a sequence gap, held
@@ -113,15 +115,12 @@ fn check_floor(version: u64, floor: u64) -> Result<(), String> {
     Ok(())
 }
 
-/// An OK reply of `u64` fields, sized before it is written: one
-/// allocation.
-fn ok_u64s(fields: &[u64]) -> Vec<u8> {
-    let mut w = WireWriter::with_capacity(1 + 8 * fields.len());
-    w.u8(STATUS_OK);
-    for &field in fields {
-        w.u64(field);
+/// Appends an OK reply of `u64` fields.
+fn ok_u64s(reply: &mut Vec<u8>, fields: &[u64]) {
+    reply.push(STATUS_OK);
+    for field in fields {
+        reply.extend_from_slice(&field.to_le_bytes());
     }
-    w.finish()
 }
 
 /// Refuses a write from the wire that would end past [`MAX_FILE_LEN`].
@@ -165,7 +164,8 @@ impl FileServer {
             self.vfs
                 .write_stream_replace(&file.vpath, data)
                 .expect("seed write");
-            file.pin = self.vfs.pin(&file.vpath).expect("seeded file");
+            file.pin
+                .set(self.vfs.pin(&file.vpath).expect("seeded file"));
             file.version += 1;
             Ok(())
         })
@@ -187,9 +187,25 @@ impl FileServer {
         read: impl FnOnce(&VPath, Pin, u64) -> Result<T, String>,
     ) -> Result<T, String> {
         match self.files.read().get(path) {
-            Some(file) => read(&file.vpath, file.pin, file.version),
+            Some(file) => read(&file.vpath, self.pinned(file), file.version),
             None => read(&Self::parse(path)?, Pin::default(), 0),
         }
+    }
+
+    /// `file`'s pin for a read: the one it has while that holds, else the
+    /// file pinned again and published for the reads after this one (one
+    /// walk of the path). A file that is gone keeps its ended pin, and the
+    /// read resolves the path and fails as it would unpinned.
+    fn pinned(&self, file: &Tracked) -> Pin {
+        let pin = file.pin.get();
+        if self.vfs.holds(pin) {
+            return pin;
+        }
+        let Ok(fresh) = self.vfs.pin(&file.vpath) else {
+            return pin;
+        };
+        file.pin.set(fresh);
+        fresh
     }
 
     /// Runs a mutation of `path` on its table entry, under the table's
@@ -208,7 +224,7 @@ impl FileServer {
         }
         let mut file = Tracked {
             vpath: Self::parse(path)?,
-            pin: Pin::default(),
+            pin: PinCell::default(),
             version: 0,
             held: PendingCasts::new(),
         };
@@ -273,12 +289,15 @@ impl FileServer {
     /// `file`'s pin, made to hold: while the one it has holds, the file
     /// is there; else the file is made sure of, created if missing, and
     /// pinned again.
-    fn hold(&self, file: &mut Tracked) -> Result<Pin, String> {
-        if !self.vfs.holds(file.pin) {
-            self.ensure_file(&file.vpath)?;
-            file.pin = self.vfs.pin(&file.vpath).unwrap_or_default();
+    fn hold(&self, file: &Tracked) -> Result<Pin, String> {
+        let pin = file.pin.get();
+        if self.vfs.holds(pin) {
+            return Ok(pin);
         }
-        Ok(file.pin)
+        self.ensure_file(&file.vpath)?;
+        let pin = self.vfs.pin(&file.vpath).unwrap_or_default();
+        file.pin.set(pin);
+        Ok(pin)
     }
 
     /// Writes `data` at `offset`, creating the file if needed.
@@ -289,9 +308,13 @@ impl FileServer {
             .map_err(|e| e.to_string())
     }
 
-    fn dispatch(&self, request: &[u8]) -> Result<Vec<u8>, NetError> {
-        let mut r = afs_net::WireReader::new(request);
-        let reply = match r.u8()? {
+    /// Serves `request`, appending the reply to `reply`: a GET's bytes go
+    /// from the file straight behind the reply's header, and no reply
+    /// allocates once `reply` has grown.
+    fn dispatch(&self, request: &[u8], reply: &mut Vec<u8>) -> Result<(), NetError> {
+        let start = reply.len();
+        let mut r = WireReader::new(request);
+        let done = match r.u8()? {
             OP_GET => {
                 let path = r.str()?;
                 let offset = r.u64()?;
@@ -305,16 +328,18 @@ impl FileServer {
                 let floor = r.u64()?;
                 self.inspect(path, |vp, pin, version| {
                     check_floor(version, floor)?;
-                    // The reply is built in place: the stream's bytes
-                    // land behind the header, which is filled in after.
-                    let mut reply = vec![STATUS_OK; GET_HEADER + len];
+                    // The stream's bytes land behind the header, whose
+                    // length is filled in after; room for the most the
+                    // reply can carry is made first, so a new buffer is
+                    // allocated once.
+                    reply.reserve(GET_HEADER + len);
+                    reply.extend_from_slice(&[STATUS_OK; GET_HEADER]);
                     let n = self
                         .vfs
-                        .read_stream_pinned(pin, vp, offset, &mut reply[GET_HEADER..])
+                        .read_stream_pinned_into(pin, vp, offset, len, reply)
                         .map_err(|e| e.to_string())?;
-                    reply[1..GET_HEADER].copy_from_slice(&(n as u32).to_le_bytes());
-                    reply.truncate(GET_HEADER + n);
-                    Ok(reply)
+                    reply[start + 1..start + GET_HEADER].copy_from_slice(&(n as u32).to_le_bytes());
+                    Ok(())
                 })
             }
             OP_PUT => {
@@ -335,7 +360,8 @@ impl FileServer {
                         check_floor(file.version, floor)?;
                         let n = self.write_at(file, offset, data)?;
                         file.version += 1;
-                        Ok(ok_u64s(&[n as u64, file.version]))
+                        ok_u64s(reply, &[n as u64, file.version]);
+                        Ok(())
                     })
                 })
             }
@@ -352,7 +378,7 @@ impl FileServer {
                     .and_then(|()| {
                         self.mutate(path, |file| self.apply_repl(file, offset, seq, data))
                     })
-                    .map(|version| ok_u64s(&[version]))
+                    .map(|version| ok_u64s(reply, &[version]))
             }
             OP_APPEND => {
                 let path = r.str()?;
@@ -368,7 +394,8 @@ impl FileServer {
                         .write_stream_pinned(pin, &file.vpath, len, data)
                         .map_err(|e| e.to_string())?;
                     file.version += 1;
-                    Ok(ok_u64s(&[n as u64]))
+                    ok_u64s(reply, &[n as u64]);
+                    Ok(())
                 })
             }
             OP_REPLACE => {
@@ -380,7 +407,8 @@ impl FileServer {
                         .write_stream_replace(&file.vpath, data)
                         .map_err(|e| e.to_string())?;
                     file.version += 1;
-                    Ok(ok_response(|_| {}))
+                    ok_u64s(reply, &[]);
+                    Ok(())
                 })
             }
             OP_STAT => {
@@ -392,32 +420,38 @@ impl FileServer {
                         .vfs
                         .stream_len_pinned(pin, vp)
                         .map_err(|e| e.to_string())?;
-                    Ok(ok_u64s(&[len, version]))
+                    ok_u64s(reply, &[len, version]);
+                    Ok(())
                 })
             }
             OP_LIST => Self::parse(r.str()?)
                 .and_then(|vp| self.vfs.list_dir(&vp).map_err(|e| e.to_string()))
                 .map(|entries| {
-                    ok_response(|w| {
-                        w.seq(entries.len());
-                        for e in &entries {
-                            w.str(&e.name)
-                                .bool(e.kind == afs_vfs::NodeKind::Directory)
-                                .u64(e.len);
-                        }
-                    })
+                    let mut w = WireWriter::from(std::mem::take(reply));
+                    w.u8(STATUS_OK).seq(entries.len());
+                    for e in &entries {
+                        w.str(&e.name)
+                            .bool(e.kind == afs_vfs::NodeKind::Directory)
+                            .u64(e.len);
+                    }
+                    *reply = w.finish();
                 }),
             OP_DELETE => {
                 let path = r.str()?;
                 self.mutate(path, |file| {
                     self.vfs.delete(&file.vpath).map_err(|e| e.to_string())?;
                     file.version += 1;
-                    Ok(ok_response(|_| {}))
+                    ok_u64s(reply, &[]);
+                    Ok(())
                 })
             }
             t => Err(format!("unknown file-server op {t}")),
         };
-        Ok(reply.unwrap_or_else(|e| err_response(&e)))
+        if let Err(e) = done {
+            reply.truncate(start);
+            err_into(reply, &e);
+        }
+        Ok(())
     }
 }
 
@@ -432,33 +466,34 @@ impl Default for FileServer {
 
 impl Service for FileServer {
     fn handle(&self, request: &[u8]) -> afs_net::Result<Vec<u8>> {
-        self.dispatch(request)
+        let mut reply = Vec::new();
+        self.dispatch(request, &mut reply)?;
+        Ok(reply)
+    }
+
+    fn handle_into(&self, request: &[u8], reply: &mut Vec<u8>) -> afs_net::Result<()> {
+        self.dispatch(request, reply)
     }
 }
 
 /// One wait for lagging owners, in virtual time.
 const STALE_WAIT_STEP_NS: u64 = 1_000_000; // 1 ms
 
-/// A `GET`, served only by a copy at or above `floor` (0: by any).
-fn get_request(path: &str, offset: u64, len: usize, floor: u64) -> Vec<u8> {
-    let mut w = WireWriter::with_capacity(1 + (4 + path.len()) + 8 + 4 + 8);
+/// Encodes a `GET`, served only by a copy at or above `floor` (0: by
+/// any).
+fn encode_get(w: &mut WireWriter, path: &str, offset: u64, len: usize, floor: u64) {
     w.u8(OP_GET).str(path).u64(offset);
     w.u32(len as u32).u64(floor);
-    w.finish()
 }
 
-/// A `PUT`, acknowledged only by a copy at or above `floor`.
-fn put_request(path: &str, offset: u64, floor: u64, data: &[u8]) -> Vec<u8> {
-    let mut w = WireWriter::with_capacity(1 + (4 + path.len()) + 8 + 8 + (4 + data.len()));
+/// Encodes a `PUT`, acknowledged only by a copy at or above `floor`.
+fn encode_put(w: &mut WireWriter, path: &str, offset: u64, floor: u64, data: &[u8]) {
     w.u8(OP_PUT).str(path).u64(offset).u64(floor).bytes(data);
-    w.finish()
 }
 
-/// A `STAT`, answered only by a copy at or above `floor`.
-fn stat_request(path: &str, floor: u64) -> Vec<u8> {
-    let mut w = WireWriter::with_capacity(1 + (4 + path.len()) + 8);
+/// Encodes a `STAT`, answered only by a copy at or above `floor`.
+fn encode_stat(w: &mut WireWriter, path: &str, floor: u64) {
     w.u8(OP_STAT).str(path).u64(floor);
-    w.finish()
 }
 
 /// A `PUT`'s (bytes written, version) or a `STAT`'s (length, version).
@@ -467,11 +502,10 @@ fn two_u64s(resp: &[u8]) -> afs_net::Result<(u64, u64)> {
     Ok((r.u64()?, r.u64()?))
 }
 
-/// A replication cast: a write at the sequence its primary acknowledged.
-pub(crate) fn repl_request(path: &str, offset: u64, seq: u64, data: &[u8]) -> Vec<u8> {
-    let mut w = WireWriter::with_capacity(1 + (4 + path.len()) + 8 + 8 + (4 + data.len()));
+/// Encodes a replication cast: a write at the sequence its primary
+/// acknowledged.
+fn encode_repl(w: &mut WireWriter, path: &str, offset: u64, seq: u64, data: &[u8]) {
     w.u8(OP_REPL).str(path).u64(offset).u64(seq).bytes(data);
-    w.finish()
 }
 
 /// Typed client for [`FileServer`], and the one file session: every op
@@ -528,8 +562,11 @@ impl FileClient {
 
     /// `path`'s owners, primary first.
     pub fn owners(&self, path: &str) -> Vec<String> {
-        let named = self.endpoint.with_owners(path, |nodes, owners| {
-            Ok(owners.iter().map(|&owner| nodes[owner].clone()).collect())
+        let named = self.endpoint.with_owners(path, |members, owners| {
+            Ok(owners
+                .iter()
+                .map(|&owner| members.name(owner).to_owned())
+                .collect())
         });
         named.unwrap_or_default()
     }
@@ -557,32 +594,32 @@ impl FileClient {
     fn read<T>(
         &self,
         path: &str,
-        ask: impl Fn(Owner<'_>, u64) -> afs_net::Result<T>,
+        mut ask: impl FnMut(Owner<'_>, u64) -> afs_net::Result<T>,
     ) -> afs_net::Result<T> {
         let floor = self.endpoint.fleet().map_or(0, |_| self.acked_seq(path));
         let mut budget = self.endpoint.staleness_ns().unwrap_or(0);
         loop {
             // The value and who served it, or the last owner behind.
-            let round = self.endpoint.with_owners(path, |nodes, owners| {
+            let round = self.endpoint.with_owners(path, |members, owners| {
                 let (mut behind, mut missing, mut fault) = (None, None, None);
-                let names = owners.iter().map(|&owner| nodes[owner].as_str());
-                let served = self
-                    .endpoint
-                    .net()
-                    .walk(names, |owner| match ask(owner, floor) {
-                        Ok(value) => Ok(Some((owner.index(), value))),
-                        Err(e @ NetError::Rejected(_)) => {
-                            if floor > 0 {
-                                behind = Some(owner.index());
+                let targets = owners.iter().map(|&owner| members.target(owner));
+                let served =
+                    self.endpoint
+                        .net()
+                        .walk(targets, |owner| match ask(owner, floor) {
+                            Ok(value) => Ok(Some((owner.index(), value))),
+                            Err(e @ NetError::Rejected(_)) => {
+                                if floor > 0 {
+                                    behind = Some(owner.index());
+                                }
+                                missing = Some(e);
+                                Ok(None)
                             }
-                            missing = Some(e);
-                            Ok(None)
-                        }
-                        Err(e) => Err(fault.insert(e).clone()),
-                    })?;
+                            Err(e) => Err(fault.insert(e).clone()),
+                        })?;
                 match (served, behind) {
                     (Some(served), _) => Ok(Ok(served)),
-                    (None, Some(at)) => Ok(Err(nodes[owners[at]].clone())),
+                    (None, Some(at)) => Ok(Err(members.name(owners[at]).to_owned())),
                     // Nobody is lagging: a transport fault or a file no
                     // owner holds, not staleness — no budget is burned.
                     (None, None) => Err(fault.or(missing).expect("an owner refused")),
@@ -620,12 +657,12 @@ impl FileClient {
     /// Returns bytes written.
     fn write(&self, path: &str, offset: u64, data: &[u8]) -> afs_net::Result<u64> {
         let (gauges, floor) = (self.gauges(), self.acked_seq(path));
-        let request = put_request(path, offset, floor, data);
-        self.endpoint.with_owners(path, |nodes, owners| {
+        self.endpoint.with_owners(path, |members, owners| {
             let mut last_err = None;
-            let names = owners.iter().map(|&owner| nodes[owner].as_str());
-            let acked = self.endpoint.net().walk(names, |owner| {
-                let ack = owner.rpc(&request).and_then(|resp| two_u64s(&resp));
+            let targets = owners.iter().map(|&owner| members.target(owner));
+            let acked = self.endpoint.net().walk(targets, |owner| {
+                let put = |w: &mut WireWriter| encode_put(w, path, offset, floor, data);
+                let ack = owner.rpc_with(put, two_u64s);
                 last_err = ack.as_ref().err().cloned();
                 match ack {
                     Ok(ack) => Ok(Some((owner.index(), ack))),
@@ -647,8 +684,13 @@ impl FileClient {
             let mut failed = 0u64;
             for (_, &other) in owners.iter().enumerate().filter(|&(i, _)| i != acker) {
                 let _bk = backend_span("remote-replicate");
-                let cast = repl_request(path, offset, seq, data);
-                if self.endpoint.net().cast(&nodes[other], &cast).is_err() {
+                let repl = |w: &mut WireWriter| encode_repl(w, path, offset, seq, data);
+                if self
+                    .endpoint
+                    .net()
+                    .cast_with(members.target(other), repl)
+                    .is_err()
+                {
                     failed += 1;
                 }
             }
@@ -665,14 +707,33 @@ impl FileClient {
     /// Network faults; [`NetError::Rejected`] if no owner holds the file or
     /// the reachable ones stayed behind past the staleness budget.
     pub fn get(&self, path: &str, offset: u64, len: usize) -> afs_net::Result<Vec<u8>> {
+        let mut out = vec![0; len.min(MAX_TRANSFER)];
+        let n = self.get_into(path, offset, &mut out)?;
+        out.truncate(n);
+        Ok(out)
+    }
+
+    /// [`get`](FileClient::get) of up to `buf.len()` bytes into `buf`,
+    /// returning how many: the payload is copied once, from the reply
+    /// where it landed, and the message allocates nothing. A service that
+    /// answers with more than was asked for is cut to what fits.
+    ///
+    /// # Errors
+    ///
+    /// As [`FileClient::get`].
+    pub fn get_into(&self, path: &str, offset: u64, buf: &mut [u8]) -> afs_net::Result<usize> {
         let _bk = backend_span("remote-get");
+        let len = buf.len().min(MAX_TRANSFER);
         self.read(path, |owner, floor| {
-            // The payload stays in the buffer it arrived in.
-            let mut resp = owner.rpc(&get_request(path, offset, len, floor))?;
-            let payload = check_status(&resp)?.bytes()?.len();
-            resp.drain(..GET_HEADER);
-            resp.truncate(payload);
-            Ok(resp)
+            owner.rpc_with(
+                |w| encode_get(w, path, offset, len, floor),
+                |reply| {
+                    let payload = check_status(reply)?.bytes()?;
+                    let n = payload.len().min(buf.len());
+                    buf[..n].copy_from_slice(&payload[..n]);
+                    Ok(n)
+                },
+            )
         })
     }
 
@@ -709,8 +770,9 @@ impl FileClient {
         if self.endpoint.fleet().is_some() {
             return self.write(path, offset, data);
         }
-        let request = put_request(path, offset, 0, data);
-        Ok(two_u64s(&self.endpoint.rpc_at(path, &request)?)?.0)
+        let put = |w: &mut WireWriter| encode_put(w, path, offset, 0, data);
+        let (n, _) = self.endpoint.rpc_at_with(path, put, two_u64s)??;
+        Ok(n)
     }
 
     /// Streams `data` at `offset` without waiting — the sentinel's
@@ -726,16 +788,22 @@ impl FileClient {
         if self.copies(path)? > 1 {
             return self.write(path, offset, data).map(drop);
         }
-        let request = put_request(path, offset, 0, data);
-        self.endpoint.cast_at(path, &request)
+        self.endpoint
+            .cast_at_with(path, |w| encode_put(w, path, offset, 0, data))
     }
 
-    /// `request`, an op copies do not sequence, for the first of `path`'s
-    /// owners to serve; refused over more than one copy, which it would
-    /// leave a version apart for good (every later cast waits on a gap).
-    fn unsequenced(&self, path: &str, request: &[u8]) -> afs_net::Result<Vec<u8>> {
+    /// The request `encode` writes, an op copies do not sequence, for the
+    /// first of `path`'s owners to serve, and its reply as `read` reads
+    /// it; refused over more than one copy, which it would leave a version
+    /// apart for good (every later cast waits on a gap).
+    fn unsequenced<T>(
+        &self,
+        path: &str,
+        encode: impl FnMut(&mut WireWriter),
+        read: impl FnMut(&[u8]) -> afs_net::Result<T>,
+    ) -> afs_net::Result<T> {
         match self.copies(path)? {
-            1 => self.endpoint.rpc_at(path, request),
+            1 => self.endpoint.rpc_at_with(path, encode, read)?,
             n => Err(NetError::Rejected(format!(
                 "{path} has {n} copies: only put replicates"
             ))),
@@ -750,11 +818,13 @@ impl FileClient {
     /// fleet keeping more than one copy of `path`.
     pub fn append(&self, path: &str, data: &[u8]) -> afs_net::Result<u64> {
         let _bk = backend_span("remote-append");
-        let mut w = WireWriter::new();
-        w.u8(OP_APPEND).str(path).bytes(data);
-        let resp = self.unsequenced(path, &w.finish())?;
-        let mut r = check_status(&resp)?;
-        Ok(r.u64()?)
+        self.unsequenced(
+            path,
+            |w| {
+                w.u8(OP_APPEND).str(path).bytes(data);
+            },
+            |reply| Ok(check_status(reply)?.u64()?),
+        )
     }
 
     /// Replaces a file's contents.
@@ -764,11 +834,13 @@ impl FileClient {
     /// As [`FileClient::append`].
     pub fn replace(&self, path: &str, data: &[u8]) -> afs_net::Result<()> {
         let _bk = backend_span("remote-replace");
-        let mut w = WireWriter::new();
-        w.u8(OP_REPLACE).str(path).bytes(data);
-        let resp = self.unsequenced(path, &w.finish())?;
-        check_status(&resp)?;
-        Ok(())
+        self.unsequenced(
+            path,
+            |w| {
+                w.u8(OP_REPLACE).str(path).bytes(data);
+            },
+            |reply| check_status(reply).map(drop),
+        )
     }
 
     /// Returns length and version, as [`get`](FileClient::get) reads.
@@ -779,7 +851,7 @@ impl FileClient {
     pub fn stat(&self, path: &str) -> afs_net::Result<RemoteStat> {
         let _bk = backend_span("remote-stat");
         let (len, version) = self.read(path, |owner, floor| {
-            two_u64s(&owner.rpc(&stat_request(path, floor))?)
+            owner.rpc_with(|w| encode_stat(w, path, floor), two_u64s)
         })?;
         Ok(RemoteStat { len, version })
     }
@@ -791,19 +863,10 @@ impl FileClient {
     /// Network faults or server rejection.
     pub fn list(&self, dir: &str) -> afs_net::Result<Vec<(String, bool, u64)>> {
         let _bk = backend_span("remote-list");
-        let mut w = WireWriter::new();
-        w.u8(OP_LIST).str(dir);
-        let resp = self.endpoint.rpc_at(dir, &w.finish())?;
-        let mut r = check_status(&resp)?;
-        let n = r.seq()?;
-        let mut out = Vec::with_capacity(n.min(256));
-        for _ in 0..n {
-            let name = r.str()?.to_owned();
-            let is_dir = r.bool()?;
-            let len = r.u64()?;
-            out.push((name, is_dir, len));
-        }
-        Ok(out)
+        let list = |w: &mut WireWriter| {
+            w.u8(OP_LIST).str(dir);
+        };
+        self.endpoint.rpc_at_with(dir, list, listing)?
     }
 
     /// Deletes a file.
@@ -813,18 +876,58 @@ impl FileClient {
     /// As [`FileClient::append`].
     pub fn delete(&self, path: &str) -> afs_net::Result<()> {
         let _bk = backend_span("remote-delete");
-        let mut w = WireWriter::new();
-        w.u8(OP_DELETE).str(path);
-        let resp = self.unsequenced(path, &w.finish())?;
-        check_status(&resp)?;
-        Ok(())
+        self.unsequenced(
+            path,
+            |w| {
+                w.u8(OP_DELETE).str(path);
+            },
+            |reply| check_status(reply).map(drop),
+        )
     }
+}
+
+/// A `LIST` reply's `(name, is_dir, len)` triples.
+fn listing(reply: &[u8]) -> afs_net::Result<Vec<(String, bool, u64)>> {
+    let mut r = check_status(reply)?;
+    let n = r.seq()?;
+    let mut out = Vec::with_capacity(n.min(256));
+    for _ in 0..n {
+        let name = r.str()?.to_owned();
+        let is_dir = r.bool()?;
+        let len = r.u64()?;
+        out.push((name, is_dir, len));
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{err_response, ok_response};
     use afs_sim::CostModel;
+
+    /// One request as the wire carries it.
+    fn request_of(encode: impl FnOnce(&mut WireWriter)) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        encode(&mut w);
+        w.finish()
+    }
+
+    fn get_request(path: &str, offset: u64, len: usize, floor: u64) -> Vec<u8> {
+        request_of(|w| encode_get(w, path, offset, len, floor))
+    }
+
+    fn put_request(path: &str, offset: u64, floor: u64, data: &[u8]) -> Vec<u8> {
+        request_of(|w| encode_put(w, path, offset, floor, data))
+    }
+
+    fn stat_request(path: &str, floor: u64) -> Vec<u8> {
+        request_of(|w| encode_stat(w, path, floor))
+    }
+
+    fn repl_request(path: &str, offset: u64, seq: u64, data: &[u8]) -> Vec<u8> {
+        request_of(|w| encode_repl(w, path, offset, seq, data))
+    }
 
     /// Casts one replication write to the client's server.
     fn replicate(
@@ -1561,6 +1664,28 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_read_pins_again_what_a_delete_of_another_path_ended() {
+        let (server, client) = setup();
+        server.seed("/keep", b"kept");
+        server.seed("/gone", b"gone");
+        let pin = || server.files.read()["/keep"].pin.get();
+        assert!(server.vfs().holds(pin()));
+        let gone = VPath::parse("/gone").expect("path");
+        server.vfs().delete(&gone).expect("out-of-band delete");
+        assert!(!server.vfs().holds(pin()), "a delete ends every pin");
+        assert_eq!(client.get("/keep", 0, 8).expect("first get"), b"kept");
+        let refreshed = pin();
+        assert!(
+            server.vfs().holds(refreshed),
+            "the first read pinned it again"
+        );
+        assert_eq!(client.get("/keep", 0, 8).expect("second get"), b"kept");
+        assert_eq!(pin(), refreshed, "the second read went through that pin");
+        assert_eq!(client.stat("/keep").expect("stat").len, 4);
+        assert_eq!(pin(), refreshed);
     }
 
     #[test]

@@ -54,9 +54,16 @@ pub(crate) fn ok_response(body: impl FnOnce(&mut afs_net::WireWriter)) -> Vec<u8
 }
 
 pub(crate) fn err_response(msg: &str) -> Vec<u8> {
-    let mut w = afs_net::WireWriter::new();
+    let mut reply = Vec::new();
+    err_into(&mut reply, msg);
+    reply
+}
+
+/// Appends an error reply to `reply`.
+pub(crate) fn err_into(reply: &mut Vec<u8>, msg: &str) {
+    let mut w = afs_net::WireWriter::from(std::mem::take(reply));
     w.u8(STATUS_ERR).str(msg);
-    w.finish()
+    *reply = w.finish();
 }
 
 /// Decodes the status byte of a response, turning server-side failures

@@ -9,12 +9,14 @@
 //! read re-derived per message what its receiver already knew (23
 //! allocations where 4 carry bytes). A session now steps its membership
 //! through the thread's memo of built rings and holds the one it reaches,
-//! shared with every other session that took the same steps; a message is
-//! one buffer each way, and a read is one message (the session's floor
-//! rides it; it was a `STAT` and a `GET`).
-//! These budgets keep the rest from coming back unnoticed: they sit
-//! ~20 % above what the code does today. The message counts are exact,
-//! and so is the open itself: it allocates its fleet and nothing else.
+//! shared with every other session that took the same steps; a read is one
+//! message (the session's floor rides it; it was a `STAT` and a `GET`);
+//! and a message's request and reply are two buffers its thread keeps
+//! between messages, so a message allocates nothing once they have grown.
+//! The open-and-first-read budget sits above what the code does today; the
+//! rest are exact, as are the message counts: the open allocates its fleet,
+//! a read into the caller's buffer nothing, a read that returns a `Vec`
+//! that `Vec`, and a write nothing.
 
 use std::sync::Arc;
 
@@ -25,22 +27,25 @@ use afs_telemetry::ClusterGauges;
 
 /// One open — `new`, five `add_node`s, `with_gauges` — and the first
 /// read, on a fleet some session of this thread has placed on before
-/// (measured: 3 — the fleet the session's endpoint shares and the read's
-/// two buffers; 10 while the session kept its own copy of the member
-/// names, 9 while it owned its placement outright, 10 while `new` made
-/// gauges that `with_gauges` threw away, 12 while a read was two round
-/// trips, 40 while every session built its ring, and the thread's first
-/// session still builds the rings its steps pass through).
+/// (measured: 2 — the fleet the session's endpoint shares and the `Vec`
+/// the read returns; 3 while a message allocated its request and reply,
+/// 10 while the session kept its own copy of the member names, 9 while it
+/// owned its placement outright, 10 while `new` made gauges that
+/// `with_gauges` threw away, 12 while a read was two round trips, 40 while
+/// every session built its ring, and the thread's first session still
+/// builds the rings its steps pass through, its first message the
+/// thread's message buffers).
 const OPEN_AND_FIRST_READ_BUDGET: u64 = 4;
-/// One steady-state read, one round trip (measured: 2 — the request and
-/// the reply, nothing else; 4 as a stat and a get, 23 while the server
-/// parsed the path of every message).
-const READ_BUDGET: u64 = 3;
+/// One steady-state read that returns a `Vec`, one round trip: exactly
+/// that `Vec` (2 while the message allocated its request and reply, 4 as
+/// a stat and a get, 23 while the server parsed the path of every
+/// message).
+const READ_BUDGET: u64 = 1;
 /// One steady-state write at two copies, a put-ack round trip and one
-/// replication cast (measured: 4 — the two requests and the two replies;
-/// 7 while the replica queued every cast before applying it: its bytes,
-/// its path, a map node; 32 before that).
-const WRITE_BUDGET: u64 = 5;
+/// replication cast: exactly nothing (4 while each message allocated its
+/// request and reply, 7 while the replica queued every cast before
+/// applying it: its bytes, its path, a map node; 32 before that).
+const WRITE_BUDGET: u64 = 0;
 
 const FLEET: usize = 5;
 
@@ -75,9 +80,12 @@ fn opening_a_session_costs_about_what_its_ops_cost() {
     let net = fleet();
     let members: Vec<String> = (0..FLEET).map(member).collect();
     let gauges = Arc::new(ClusterGauges::default());
-    // The fleet's first placement builds its ring; every session after
-    // that, this one included, finds it built.
-    drop(open(&net, &members, &gauges).owners("/data/f.af"));
+    // The fleet's first placement builds its ring, and the thread's first
+    // message its two message buffers; every session after that, this one
+    // included, finds both built.
+    let warm = open(&net, &members, &gauges);
+    warm.read("/data/f.af", 0, 128).expect("warm-up read");
+    drop(warm);
     let (spent, ()) = allocations(|| {
         let session = open(&net, &members, &gauges);
         assert_eq!(session.read("/data/f.af", 0, 128).expect("read").len(), 128);
@@ -114,14 +122,38 @@ fn a_steady_state_read_stays_within_its_budget() {
             session.read("/data/f.af", 0, 128).expect("read");
         }
     });
-    assert!(
-        spent <= READS * READ_BUDGET,
-        "{READS} reads made {spent} allocations, budget {READ_BUDGET} each"
+    assert_eq!(
+        spent,
+        READS * READ_BUDGET,
+        "{READS} reads made {spent} allocations, {READ_BUDGET} each expected"
     );
     // A healthy read is one request and its reply.
     let after = net.stats();
     assert_eq!(after.rpcs - before.rpcs, READS);
     assert_eq!(after.casts - before.casts, 0);
+}
+
+#[test]
+fn a_steady_state_read_into_the_callers_buffer_allocates_nothing() {
+    let net = fleet();
+    let members: Vec<String> = (0..FLEET).map(member).collect();
+    let session = open(&net, &members, &Arc::new(ClusterGauges::default()));
+    let mut buf = [0u8; 128];
+    session
+        .get_into("/data/f.af", 0, &mut buf)
+        .expect("warm-up read");
+    const READS: u64 = 100;
+    let (spent, ()) = allocations(|| {
+        for _ in 0..READS {
+            buf.fill(0);
+            assert_eq!(session.get_into("/data/f.af", 0, &mut buf), Ok(128));
+            assert_eq!(buf, [7u8; 128]);
+        }
+    });
+    assert_eq!(
+        spent, 0,
+        "{READS} reads into the caller's buffer made {spent} allocations"
+    );
 }
 
 #[test]
@@ -139,9 +171,10 @@ fn a_steady_state_write_stays_within_its_budget() {
             assert_eq!(session.write("/data/f.af", 0, &[2u8; 128]), Ok(128));
         }
     });
-    assert!(
-        spent <= WRITES * WRITE_BUDGET,
-        "{WRITES} writes made {spent} allocations, budget {WRITE_BUDGET} each"
+    assert_eq!(
+        spent,
+        WRITES * WRITE_BUDGET,
+        "{WRITES} writes made {spent} allocations, {WRITE_BUDGET} each expected"
     );
     // A write at two copies: the ack's round trip and one cast.
     let after = net.stats();

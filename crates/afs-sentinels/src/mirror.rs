@@ -105,12 +105,10 @@ impl SentinelLogic for MirrorSentinel {
             }
             return Ok(n);
         }
-        // A service may answer with more than was asked for; only what
-        // fits is the caller's.
-        let data = client.get(remote, offset, buf.len())?;
-        let n = buf.len().min(data.len());
-        buf[..n].copy_from_slice(&data[..n]);
-        Ok(n)
+        // The payload is copied once, from the reply where it landed; a
+        // service that answers with more than was asked for is cut to what
+        // fits.
+        Ok(client.get_into(remote, offset, buf)?)
     }
 
     fn write(&mut self, ctx: &mut SentinelCtx, offset: u64, data: &[u8]) -> SentinelResult<usize> {

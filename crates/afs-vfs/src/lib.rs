@@ -65,7 +65,7 @@ mod vfs;
 pub use error::VfsError;
 pub use node::{DirEntry, FileAttributes, Metadata, NodeKind};
 pub use path::VPath;
-pub use vfs::{LockKind, LockOwner, Pin, Vfs};
+pub use vfs::{LockKind, LockOwner, Pin, PinCell, Vfs};
 
 /// Result alias used across this crate.
 pub type Result<T> = std::result::Result<T, VfsError>;

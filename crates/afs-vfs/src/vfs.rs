@@ -1,7 +1,7 @@
 //! The virtual file system proper.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 
 use parking_lot::RwLock;
 
@@ -61,6 +61,57 @@ pub struct Pin {
     slot: usize,
     /// The epoch it was taken at; 0 is never one.
     epoch: u64,
+}
+
+/// A [`Pin`] that readers share and any of them may replace, published
+/// seqlock-style: [`get`](PinCell::get) returns a pin one
+/// [`set`](PinCell::set) stored whole, or [`Pin::default`] (which never
+/// holds) while a store is under way. Of two stores at once, the first
+/// stands and the other is skipped.
+///
+/// Orderings: a store's `Release` fence after it makes `seq` odd pairs
+/// with a load's `Acquire` fence before it reads `seq` again, so a load
+/// that saw any of the store's fields sees `seq` moved; the store's final
+/// `Release` of the even `seq` pairs with the load's first `Acquire`, so
+/// a load that saw it sees both fields.
+#[derive(Debug, Default)]
+pub struct PinCell {
+    /// Even while no store is under way; odd during one.
+    seq: AtomicU64,
+    slot: AtomicUsize,
+    epoch: AtomicU64,
+}
+
+impl PinCell {
+    /// The pin last stored, or [`Pin::default`] while a store is under way.
+    pub fn get(&self) -> Pin {
+        let seq = self.seq.load(Ordering::Acquire);
+        let pin = Pin {
+            slot: self.slot.load(Ordering::Relaxed),
+            epoch: self.epoch.load(Ordering::Relaxed),
+        };
+        fence(Ordering::Acquire);
+        if seq % 2 == 1 || self.seq.load(Ordering::Relaxed) != seq {
+            return Pin::default();
+        }
+        pin
+    }
+
+    /// Stores `pin`, unless another store is under way.
+    pub fn set(&self, pin: Pin) {
+        let seq = self.seq.load(Ordering::Relaxed);
+        if seq % 2 == 1
+            || (self.seq)
+                .compare_exchange(seq, seq + 1, Ordering::Relaxed, Ordering::Relaxed)
+                .is_err()
+        {
+            return;
+        }
+        fence(Ordering::Release);
+        self.slot.store(pin.slot, Ordering::Relaxed);
+        self.epoch.store(pin.epoch, Ordering::Relaxed);
+        self.seq.store(seq + 2, Ordering::Release);
+    }
 }
 
 /// A thread-safe in-memory file system with NTFS-style named streams.
@@ -544,14 +595,48 @@ impl Vfs {
         offset: u64,
         buf: &mut [u8],
     ) -> Result<usize> {
+        self.read_range(pin, path, offset, buf.len(), |bytes| {
+            buf[..bytes.len()].copy_from_slice(bytes);
+        })
+    }
+
+    /// [`read_stream_pinned`](Vfs::read_stream_pinned) of up to `len`
+    /// bytes, appended to `out`: the bytes go from the stream to the end
+    /// of `out` in one copy, with nothing zero-filled first.
+    ///
+    /// # Errors
+    ///
+    /// As [`Vfs::read_stream`].
+    pub fn read_stream_pinned_into(
+        &self,
+        pin: Pin,
+        path: &VPath,
+        offset: u64,
+        len: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<usize> {
+        self.read_range(pin, path, offset, len, |bytes| out.extend_from_slice(bytes))
+    }
+
+    /// Hands `take` up to `len` bytes of `path`'s stream from `offset`
+    /// (none at or past its end), in the file `pin` names while it holds;
+    /// returns how many.
+    fn read_range(
+        &self,
+        pin: Pin,
+        path: &VPath,
+        offset: u64,
+        len: usize,
+        take: impl FnOnce(&[u8]),
+    ) -> Result<usize> {
         let inner = self.inner.read();
         let file = Self::file_at(&inner, self.locate(&inner, pin, path)?, path)?;
         let data = file
             .stream(path.stream())
             .ok_or_else(|| VfsError::StreamNotFound(path.to_string()))?;
         let start = (offset as usize).min(data.len());
-        let n = buf.len().min(data.len() - start);
-        buf[..n].copy_from_slice(&data[start..start + n]);
+        let n = len.min(data.len() - start);
+        take(&data[start..start + n]);
         Ok(n)
     }
 
@@ -853,6 +938,29 @@ mod tests {
         }
         vfs.create_file(&vp).expect("create");
         vfs
+    }
+
+    #[test]
+    fn a_pin_cell_never_reads_a_torn_pin() {
+        let pins = [Pin { slot: 3, epoch: 7 }, Pin { slot: 9, epoch: 2 }];
+        let cell = PinCell::default();
+        assert_eq!(cell.get(), Pin::default());
+        std::thread::scope(|scope| {
+            for writer in 0..2 {
+                let cell = &cell;
+                scope.spawn(move || {
+                    for n in 0..20_000 {
+                        cell.set(pins[(n + writer) % 2]);
+                    }
+                });
+            }
+            for _ in 0..40_000 {
+                let pin = cell.get();
+                assert!(pins.contains(&pin) || pin == Pin::default(), "{pin:?}");
+            }
+        });
+        cell.set(pins[0]);
+        assert_eq!(cell.get(), pins[0], "a store with none under way stands");
     }
 
     #[test]

@@ -74,13 +74,17 @@ guards! {
     "                    let n = self.vfs.read_stream(vp, offset, &mut reply[GET_HEADER..])" =>
     grep(&["crates/afs-remote/src/file_server.rs"], &[".read_stream(", ".write_stream(", ".stream_len("]),
     grep(&["crates/afs-net/src/**"], &["shared_ring"]).tests();
+    a_messages_buffers_belong_to_its_thread: "A message's buffers belong to its thread (a file session's message allocates nothing)", "A message's request and reply are buffers its thread keeps between messages, and the network's one message path, `rpc_once` and `cast_once`, is the only caller of a service: the file client encodes into the one and reads its reply where it landed in the other, so a call that hands back an owned reply has no place in it.",
+    "        let resp = owner.rpc(&request)?;" => grep(&["crates/afs-remote/src/file_server.rs"], &["rpc(", "rpc_at("]),
+    grep(&["crates/afs-net/src/net.rs"], &["service.handle_into("]).hits(1, 1), grep(&["crates/afs-net/src/net.rs"], &["service.handle_cast("]).hits(1, 1),
+    grep(&["crates/afs-net/src/net.rs"], &["service.handle("]);
     one_failover_walk: "One failover walk (the network's, over the caller's owners)", "`Network::walk` is the tree's only loop that fails over, over owners the caller names, so a file session reads its refusals inside that walk and the runtime reaches services through endpoints, not typed clients of its own.",
     "    replicas: Vec<String>," => grep(&["crates/afs-net/src/net.rs", "crates/afs-net/src/reliability.rs"], &["replicas"]),
     grep(&["crates/afs-remote/**"], &["failover_worthy"]).tests(), grep(&["crates/afs-core/Cargo.toml"], &["afs-remote"]).tests();
     a_cluster_read_is_one_message: "A cluster read is one message (the session's floor rides the read)", "Each owner a read asks gets one floor-carrying `GET`; a `STAT` first is the second round trip per read this tree took out.",
-    "    pub fn get(&self, path: &str) -> Vec<u8> {\n        self.stat(path);\n    }" =>
-    grep(&["crates/afs-remote/src/file_server.rs#fn get"], &["get_request(path, offset, len, floor)"]).hits(1, usize::MAX),
-    grep(&["crates/afs-remote/src/file_server.rs#fn get"], &[".stat(", "stat_request"]);
+    "    pub fn get_into(&self, path: &str) -> usize {\n        self.stat(path);\n    }" =>
+    grep(&["crates/afs-remote/src/file_server.rs#fn get_into"], &["encode_get(w, path, offset, len, floor)"]).hits(1, usize::MAX),
+    grep(&["crates/afs-remote/src/file_server.rs#fn get_into"], &[".stat(", "encode_stat"]);
     one_file_client: "One file client (the session is FileClient's; ClusterClient is a constructor)", "Reads and writes have one opcode each and only `FileClient` walks owners; `ClusterClient` is a name kept for `benchmark/`, not a second client.",
     "pub const OP_PUT_ACK: u8 = 9;" => grep(&["crates/afs-remote/**"], &["OP_GET_AT_FLOOR", "OP_PUT_ACK"]).tests(),
     grep(&["crates/afs-remote/src/*.rs", "!crates/afs-remote/src/file_server.rs"], &["net.walk(", "net().walk("]), grep(&["crates/afs-remote/src/cluster.rs"], &[""]).hits(0, 40);
