@@ -353,15 +353,16 @@ type Mailbox<R> = VecDeque<(R, Vec<u8>)>;
 
 /// Receive-side state: demultiplexed replies waiting for their session.
 struct RecvState<P: MuxProtocol> {
-    /// Session `id`'s mailbox at `id - 1`: ids count up from 1 and a
-    /// mailbox stays when its session detaches.
-    mailboxes: Vec<Mailbox<P::Reply>>,
+    /// Each attached session's mailbox, found by a scan: a hub has a
+    /// handful of sessions, and a close takes its session's away.
+    mailboxes: Vec<(u32, Mailbox<P::Reply>)>,
     dead: bool,
 }
 
 impl<P: MuxProtocol> RecvState<P> {
     fn mailbox(&mut self, session: u32) -> Option<&mut Mailbox<P::Reply>> {
-        self.mailboxes.get_mut((session as usize).wrapping_sub(1))
+        let found = self.mailboxes.iter_mut().find(|(id, _)| *id == session);
+        found.map(|(_, mailbox)| mailbox)
     }
 }
 
@@ -652,13 +653,7 @@ impl<P: MuxProtocol> MuxHub<P> {
 impl<P: MuxProtocol> SessionHub<P> for MuxHub<P> {
     fn attach(&self) -> Option<(u32, Vec<u32>)> {
         let (id, live) = self.send.lock().sessions.attach()?;
-        let mut rs = self.recv.lock();
-        // Two attaches may reach here out of order: the later id makes
-        // room for the earlier one's mailbox too.
-        if rs.mailboxes.len() < id as usize {
-            rs.mailboxes.resize_with(id as usize, VecDeque::new);
-        }
-        drop(rs);
+        self.recv.lock().mailboxes.push((id, VecDeque::new()));
         Some((id, live))
     }
 
@@ -681,8 +676,8 @@ impl<P: MuxProtocol> AppPort<P> for MuxHub<P> {
     }
 
     fn call(&self, frame: Framed<P::Cmd>, into: &mut [u8]) -> Result<(P::Reply, usize)> {
-        let session = frame.session;
-        let terminal = if P::is_close(&frame.body) {
+        let (session, closing) = (frame.session, P::is_close(&frame.body));
+        let terminal = if closing {
             self.send_close(frame)?
         } else {
             self.send_plain(frame, Some(into.len()))?;
@@ -692,6 +687,8 @@ impl<P: MuxProtocol> AppPort<P> for MuxHub<P> {
         if terminal {
             // Acknowledged, or the wire is gone.
             self.send.lock().sessions.reap();
+        } else if closing {
+            self.recv.lock().mailboxes.retain(|(id, _)| *id != session);
         }
         result
     }
@@ -970,6 +967,26 @@ mod tests {
             close.join().expect("join");
         });
         assert!(hub.attach().is_none(), "closed hub refuses new sessions");
+    }
+
+    #[test]
+    fn a_closed_session_leaves_no_mailbox_behind() {
+        let (hub, _port) = hub();
+        let _stays = attach(&hub).expect("first");
+        for _ in 0..100 {
+            let brief = attach(&hub).expect("brief");
+            brief
+                .call(cmd(9, 0, 0), NO_TRACE, &mut [])
+                .expect("local ack");
+        }
+        let held: Vec<u32> = hub
+            .recv
+            .lock()
+            .mailboxes
+            .iter()
+            .map(|(id, _)| *id)
+            .collect();
+        assert_eq!(held, [1], "only the session still attached has one");
     }
 
     #[test]

@@ -65,14 +65,6 @@ impl WireWriter {
         WireWriter { buf: Vec::new() }
     }
 
-    /// Creates an empty writer with room for `bytes`: a message whose
-    /// size is known up front is encoded in one allocation.
-    pub fn with_capacity(bytes: usize) -> Self {
-        WireWriter {
-            buf: Vec::with_capacity(bytes),
-        }
-    }
-
     /// Appends raw bytes, with no length prefix: a message already
     /// encoded elsewhere.
     pub fn raw(&mut self, bytes: &[u8]) -> &mut Self {
