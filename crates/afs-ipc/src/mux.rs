@@ -511,9 +511,9 @@ impl<P: MuxProtocol> MuxHub<P> {
 
     /// Detaches the session `frame` comes from, with the close command it
     /// carries, and flushes every staged entry. A non-final close is
-    /// acknowledged locally — the shared sentinel must keep running; the
-    /// final close is transmitted as a call behind the flush (`true`: the
-    /// caller reaps).
+    /// acknowledged locally — the shared sentinel must keep running — and
+    /// its mailbox goes; the final close is transmitted as a call behind
+    /// the flush (`true`: the caller waits for its reply and reaps).
     fn send_close(&self, frame: Framed<P::Cmd>) -> Result<bool> {
         let session = frame.session;
         let mut s = self.send.lock();
@@ -525,11 +525,7 @@ impl<P: MuxProtocol> MuxHub<P> {
         }
         self.flush_stages_locked(&mut s, None)?;
         drop(s);
-        let mut rs = self.recv.lock();
-        if let Some(mailbox) = rs.mailbox(session) {
-            mailbox.push_back((P::close_ack(), Vec::new()));
-        }
-        self.recv_ready.notify_all();
+        self.recv.lock().mailboxes.retain(|(id, _)| *id != session);
         Ok(false)
     }
 
@@ -676,9 +672,12 @@ impl<P: MuxProtocol> AppPort<P> for MuxHub<P> {
     }
 
     fn call(&self, frame: Framed<P::Cmd>, into: &mut [u8]) -> Result<(P::Reply, usize)> {
-        let (session, closing) = (frame.session, P::is_close(&frame.body));
-        let terminal = if closing {
-            self.send_close(frame)?
+        let session = frame.session;
+        let terminal = if P::is_close(&frame.body) {
+            if !self.send_close(frame)? {
+                return Ok((P::close_ack(), 0));
+            }
+            true
         } else {
             self.send_plain(frame, Some(into.len()))?;
             false
@@ -687,8 +686,6 @@ impl<P: MuxProtocol> AppPort<P> for MuxHub<P> {
         if terminal {
             // Acknowledged, or the wire is gone.
             self.send.lock().sessions.reap();
-        } else if closing {
-            self.recv.lock().mailboxes.retain(|(id, _)| *id != session);
         }
         result
     }
