@@ -29,7 +29,9 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use afs_ipc::{ChannelWaker, Cqe, Framed, FreeList, IpcError, PairPort, RingPort, SentinelExit};
+use afs_ipc::{
+    ChannelWaker, Cqe, Framed, FreeList, IpcError, PairPort, RingPort, SentinelExit, Sqe,
+};
 use afs_telemetry::{SentinelStats, TraceContext};
 
 use crate::ctx::SentinelCtx;
@@ -141,15 +143,29 @@ impl SentinelPort for PairPort<Framed<Op>, Framed<OpReply>> {
 }
 
 /// The batched wire: submissions carry their payload, completions are
-/// posted by id, each keeping its bytes' buffer.
+/// posted by id, each keeping its bytes' buffer. A read's entry carries
+/// the buffer its bytes go back in: it goes on the staging list, where
+/// the read's reply takes it.
 impl SentinelPort for RingPort<Framed<Op>, OpReply> {
-    fn next(&self, _staging: &mut FreeList) -> afs_ipc::Result<Option<Inbound>> {
-        Ok(self.poll_next()?.map(|(sqe, emptied)| Inbound {
-            session: sqe.cmd.session,
-            trace: sqe.cmd.trace,
-            id: sqe.id,
-            op: sqe.cmd.body,
-            payload: sqe.payload.unwrap_or_default(),
+    fn next(&self, staging: &mut FreeList) -> afs_ipc::Result<Option<Inbound>> {
+        let Some((Sqe { id, cmd, payload }, emptied)) = self.poll_next()? else {
+            return Ok(None);
+        };
+        let payload = match (payload, &cmd.body) {
+            (Some(bytes), Op::Write { .. }) => bytes,
+            (spare, _) => {
+                if let Some(buf) = spare {
+                    staging.put(buf);
+                }
+                Vec::new()
+            }
+        };
+        Ok(Some(Inbound {
+            session: cmd.session,
+            trace: cmd.trace,
+            id,
+            op: cmd.body,
+            payload,
             emptied,
         }))
     }

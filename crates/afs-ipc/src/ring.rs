@@ -13,8 +13,11 @@
 //! The submission ring is a [`ControlChannel`] of entries — the same
 //! stamped, unbounded, waker-driven FIFO — that a batch enters under one
 //! doorbell and one stamp. The completion index is not a FIFO (it is
-//! harvested by id), so it keeps its own map and borrows only the stamped
-//! core's lock, condvar and receive rule.
+//! harvested by id), so it keeps its own short list, scanned by id, and
+//! borrows only the stamped core's lock, condvar and receive rule. It
+//! holds what its driver has submitted and not yet harvested, about two
+//! batches, so a scan beats a hash; neither it nor the submission ring
+//! allocates once it has grown to that.
 //!
 //! Charging is honest with respect to the unbatched wirings:
 //!
@@ -38,7 +41,6 @@
 //! wiring costs K doorbells + 2K crossings: crossings-per-op drop ~K× on
 //! workloads that batch well (the `ablation_batch` bench cell).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use afs_sim::{clock, Cost, CostModel, CrossingKind, SimTime};
@@ -59,7 +61,10 @@ pub struct Sqe<C> {
     /// The command.
     pub cmd: C,
     /// Payload bytes consumed by the command (e.g. a write's data), if
-    /// any.
+    /// any. A command that consumes none may carry a spare buffer here
+    /// instead, for the bytes it produces: a read's buffer travels to the
+    /// sentinel in its entry and back in its [`Cqe`], as io_uring's
+    /// provided buffers do, so a settled ring allocates nothing per read.
     pub payload: Option<Vec<u8>>,
 }
 
@@ -78,8 +83,9 @@ pub struct Cqe<R> {
 #[derive(Debug)]
 struct Completions<R> {
     /// The completion index: out-of-order completions park here until the
-    /// application harvests them by id.
-    cq: HashMap<u64, (Cqe<R>, SimTime)>,
+    /// application harvests them by id. Short (about two batches), so it
+    /// is scanned, not hashed.
+    cq: Vec<(Cqe<R>, SimTime)>,
     /// Highest id posted so far; a later post with a smaller id completed
     /// out of submission order (the gauge the bench panel reports).
     max_posted: Option<u64>,
@@ -161,7 +167,7 @@ impl RingPair {
             crossing,
             depth: depth.max(1),
             completions: Signal::new(Completions {
-                cq: HashMap::new(),
+                cq: Vec::new(),
                 max_posted: None,
                 app_alive: true,
                 sentinel_alive: true,
@@ -198,12 +204,14 @@ impl<C: Send, R: Send> RingTransport<C, R> {
     }
 
     /// Submits `batch` in order and rings the doorbell once: one doorbell
-    /// charge and one round trip of crossings for the whole batch.
+    /// charge and one round trip of crossings for the whole batch. The
+    /// entries are drained out of `batch`, and the `Vec` comes back empty
+    /// with its capacity, for the caller's next batch.
     ///
     /// # Errors
     ///
     /// [`IpcError::BrokenPipe`] once the sentinel side is gone.
-    pub fn submit(&self, batch: Vec<Sqe<C>>) -> Result<()> {
+    pub fn submit(&self, batch: Vec<Sqe<C>>) -> Result<Vec<Sqe<C>>> {
         self.ring(batch, Doorbell::Post)
     }
 
@@ -218,17 +226,17 @@ impl<C: Send, R: Send> RingTransport<C, R> {
     /// # Errors
     ///
     /// As [`submit`](RingTransport::submit).
-    pub fn submit_awaited(&self, batch: Vec<Sqe<C>>) -> Result<()> {
+    pub fn submit_awaited(&self, batch: Vec<Sqe<C>>) -> Result<Vec<Sqe<C>>> {
         self.ring(batch, Doorbell::Awaited)
     }
 
-    fn ring(&self, batch: Vec<Sqe<C>>, doorbell: Doorbell) -> Result<()> {
-        if batch.is_empty() {
-            return Ok(());
+    fn ring(&self, mut batch: Vec<Sqe<C>>, doorbell: Doorbell) -> Result<Vec<Sqe<C>>> {
+        if !batch.is_empty() {
+            let shared = &*self.shared;
+            shared.model.charge_round_trip(shared.crossing);
+            self.sq.send_all(batch.len(), batch.drain(..), doorbell)?;
         }
-        let shared = &*self.shared;
-        shared.model.charge_round_trip(shared.crossing);
-        self.sq.send_all(batch.len(), batch, doorbell)
+        Ok(batch)
     }
 
     /// Blocks until the completion for `id` is posted, moving the caller's
@@ -241,8 +249,11 @@ impl<C: Send, R: Send> RingTransport<C, R> {
     pub fn complete(&self, id: u64) -> Result<Cqe<R>> {
         self.shared
             .completions
-            .wait_take(|c| match c.cq.remove(&id) {
-                Some((cqe, stamp)) => Some((Ok(cqe), stamp)),
+            .wait_take(|c| match c.cq.iter().position(|(cqe, _)| cqe.id == id) {
+                Some(at) => {
+                    let (cqe, stamp) = c.cq.swap_remove(at);
+                    Some((Ok(cqe), stamp))
+                }
                 None => (!c.sentinel_alive).then_some((Err(IpcError::Closed), 0)),
             })
     }
@@ -310,7 +321,7 @@ impl<C: Send, R: Send> RingPort<C, R> {
             if let Some(g) = &shared.gauges {
                 g.completed(out_of_order);
             }
-            c.cq.insert(cqe.id, (cqe, stamp));
+            c.cq.push((cqe, stamp));
             Ok(())
         })
     }
@@ -367,6 +378,23 @@ mod tests {
     }
 
     #[test]
+    fn a_submitted_batch_hands_its_vec_back_for_the_next() {
+        let (app, port) = RingPair::shared::<u32, u32>(CostModel::free(), 8);
+        let batch: Vec<_> = (0..4).map(|i| sqe(i, 0)).collect();
+        let (capacity, at) = (batch.capacity(), batch.as_ptr());
+        let batch = app.submit_awaited(batch).expect("submit");
+        assert!(batch.is_empty(), "the entries were drained into the ring");
+        assert_eq!(
+            (batch.capacity(), batch.as_ptr()),
+            (capacity, at),
+            "the same Vec"
+        );
+        for i in 0..4 {
+            assert_eq!(port.poll_sqe().expect("poll").map(|e| e.id), Some(i));
+        }
+    }
+
+    #[test]
     fn completions_index_by_id_regardless_of_post_order() {
         let (app, port) = RingPair::shared::<u32, u32>(CostModel::free(), 8);
         app.submit(vec![sqe(1, 0), sqe(2, 0), sqe(3, 0)])
@@ -384,6 +412,8 @@ mod tests {
             let cqe = app.complete(id).expect("complete");
             assert_eq!(cqe.reply, id as u32 * 100);
         }
+        let held = port.shared.completions.wait_take(|c| Some((c.cq.len(), 0)));
+        assert_eq!(held, 0, "a harvested completion leaves the index");
     }
 
     #[test]

@@ -12,6 +12,8 @@
 //! * without a remote, it reads/writes the cache selected by the spec's
 //!   [`Backing`](afs_core::Backing) — disk or memory.
 
+use std::ops::Range;
+
 use afs_core::{SentinelCtx, SentinelError, SentinelLogic, SentinelRegistry, SentinelResult};
 use afs_remote::FileClient;
 
@@ -30,13 +32,19 @@ pub const CTL_GET_READAHEAD: u32 = 2;
 /// data … anticipating read requests from the user"): each remote fetch
 /// pulls twice the requested range and the second half is served from
 /// memory if the next read is sequential — halving round trips for
-/// streaming readers.
+/// streaming readers. A fetch lands in one buffer the sentinel keeps, and
+/// the prefetched half is served from where it landed, so a settled
+/// reader allocates nothing.
 pub struct MirrorSentinel {
     /// The remote file, when configured: a client for its service (built
     /// once, at open) and its path there.
     remote: Option<(FileClient, String)>,
     readahead: bool,
-    prefetched: Option<(u64, Vec<u8>)>,
+    /// Where the last readahead fetch landed.
+    fetched: Vec<u8>,
+    /// The prefetched half of `fetched`: the file offset it starts at and
+    /// its range in `fetched`.
+    prefetched: Option<(u64, Range<usize>)>,
 }
 
 impl MirrorSentinel {
@@ -45,13 +53,14 @@ impl MirrorSentinel {
         MirrorSentinel {
             remote: None,
             readahead: false,
+            fetched: Vec::new(),
             prefetched: None,
         }
     }
 
     fn serve_prefetch(&self, offset: u64, buf: &mut [u8]) -> Option<usize> {
-        let (start, data) = self.prefetched.as_ref()?;
-        let start = *start;
+        let (start, range) = self.prefetched.clone()?;
+        let data = &self.fetched[range];
         if offset < start || offset >= start + data.len() as u64 {
             return None;
         }
@@ -94,14 +103,13 @@ impl SentinelLogic for MirrorSentinel {
             if let Some(n) = self.serve_prefetch(offset, buf) {
                 return Ok(n);
             }
-            let want = buf.len() * 2;
-            let data = client.get(remote, offset, want)?;
-            let n = buf.len().min(data.len());
-            buf[..n].copy_from_slice(&data[..n]);
-            if data.len() > n {
-                self.prefetched = Some((offset + n as u64, data[n..].to_vec()));
-            } else {
-                self.prefetched = None;
+            self.prefetched = None;
+            self.fetched.resize(buf.len() * 2, 0);
+            let got = client.get_into(remote, offset, &mut self.fetched)?;
+            let n = buf.len().min(got);
+            buf[..n].copy_from_slice(&self.fetched[..n]);
+            if got > n {
+                self.prefetched = Some((offset + n as u64, n..got));
             }
             return Ok(n);
         }

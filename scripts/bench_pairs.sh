@@ -3,7 +3,7 @@
 # performance PR runs before it claims (or rules out) a move.
 #
 #   scripts/bench_pairs.sh <parent-checkout> <change-checkout> <workload>
-#                          [--pairs N] [--seed S] [--seconds T]
+#                          [--pairs N] [--seed S] [--seconds T] [--trace 0|1]
 #
 # Each side is built and run by its own benchmark/run.sh, into its own
 # <checkout>/target/benchmark: CARGO_TARGET_DIR is unset on purpose, two
@@ -15,8 +15,11 @@
 # medians further apart than the parent's interquartile range), and
 # whether the sides are separated (every change run better than every
 # parent run). Exits 1 on an incorrect or unpinned run. Defaults: 10
-# pairs, seed 1, 10 s (BENCHMARK.json's run length); the dark pass only
-# (--trace 0). Nothing else should run on the machine meanwhile.
+# pairs, seed 1, 10 s (BENCHMARK.json's run length), the dark pass
+# (--trace 0). --trace 1 runs the traced pass instead and compares what it
+# measures of the host: telemetry.overhead_share (lower),
+# bench.host_ops_per_s (higher) and bench.host_allocs_per_op (lower).
+# Nothing else should run on the machine meanwhile.
 set -euo pipefail
 
 usage() {
@@ -30,20 +33,26 @@ parent=$(cd "$1" && pwd)
 change=$(cd "$2" && pwd)
 workload=$3
 shift 3
-pairs=10 seed=1 seconds=10
+pairs=10 seed=1 seconds=10 trace=0
 while [ $# -gt 0 ]; do
     [ $# -ge 2 ] || usage
     case "$1" in
         --pairs) pairs=$2 ;;
         --seed) seed=$2 ;;
         --seconds) seconds=$2 ;;
+        --trace) trace=$2 ;;
         *) usage ;;
     esac
     shift 2
 done
 
-# name:which way is better, in the order of BENCHMARK.json's `end_to_end`.
-metrics="setup_s:lower ref_ops_per_s:higher ref_p50_us:lower ref_cpu_us_per_op:lower host_peak_rss_mb:lower"
+# name:which way is better: the dark pass's five in the order of
+# BENCHMARK.json's `end_to_end`, or the traced pass's host measures.
+case "$trace" in
+    0) metrics="setup_s:lower ref_ops_per_s:higher ref_p50_us:lower ref_cpu_us_per_op:lower host_peak_rss_mb:lower" ;;
+    1) metrics="telemetry.overhead_share:lower bench.host_ops_per_s:higher bench.host_allocs_per_op:lower" ;;
+    *) usage ;;
+esac
 runs=$(mktemp)
 trap 'rm -f "$runs"' EXIT
 
@@ -51,7 +60,7 @@ trap 'rm -f "$runs"' EXIT
 run_side() {
     local out result row="$1 $3" m
     out=$(cd "$2" && env -u CARGO_TARGET_DIR bash benchmark/run.sh \
-        --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0)
+        --workload "$workload" --seed "$seed" --seconds "$seconds" --trace "$trace")
     result=${out##*$'\n'}
     if ! grep -q '"correct": true' <<<"$result" || ! grep -q '"unpinned": false' <<<"$out"; then
         echo "$1 run of pair $3 is incorrect or unpinned:" >&2
@@ -64,7 +73,7 @@ run_side() {
     echo "$row" | tee -a "$runs"
 }
 
-echo "# $workload seed=$seed seconds=$seconds pairs=$pairs"
+echo "# $workload seed=$seed seconds=$seconds pairs=$pairs trace=$trace"
 echo "# parent=$parent change=$change"
 echo "# side pair $(sed -E 's/:(lower|higher)//g' <<<"$metrics")"
 for pair in $(seq 1 "$pairs"); do
@@ -106,9 +115,9 @@ col=3
 for m in $metrics; do
     read -r pmed pq1 pq3 pn pmin pmax <<<"$(quantiles parent "$col")"
     read -r cmed cq1 cq3 cn cmin cmax <<<"$(quantiles change "$col")"
-    printf "%-18s %-6s median %.6g [%.6g-%.6g] min %.6g max %.6g n=%d\n" \
+    printf "%-24s %-6s median %.6g [%.6g-%.6g] min %.6g max %.6g n=%d\n" \
         "${m%%:*}" parent "$pmed" "$pq1" "$pq3" "$pmin" "$pmax" "$pn"
-    printf "%-18s %-6s median %.6g [%.6g-%.6g] min %.6g max %.6g n=%d\n" \
+    printf "%-24s %-6s median %.6g [%.6g-%.6g] min %.6g max %.6g n=%d\n" \
         "${m%%:*}" change "$cmed" "$cq1" "$cq3" "$cmin" "$cmax" "$cn"
     awk -v col="$col" -v better="${m##*:}" -v name="${m%%:*}" \
         -v pmed="$pmed" -v pq1="$pq1" -v pq3="$pq3" -v cmed="$cmed" \
@@ -126,15 +135,15 @@ for m in $metrics; do
                 if (better == "lower") d = -d
                 if (d > 0) wins++; else if (d < 0) losses++
             }
-            printf "%-18s change wins %d, loses %d of %d pairs\n", name, wins, losses, n
-            if (pmed != 0) printf "%-18s change/parent %.3g× of %s\n", name, cmed / pmed, si(pmed)
-            else printf "%-18s change/parent n/a (parent median 0)\n", name
+            printf "%-24s change wins %d, loses %d of %d pairs\n", name, wins, losses, n
+            if (pmed != 0) printf "%-24s change/parent %.3g× of %s\n", name, cmed / pmed, si(pmed)
+            else printf "%-24s change/parent n/a (parent median 0)\n", name
             gap = better == "lower" ? pmed - cmed : cmed - pmed
             gain = wins * 10 >= n * 9 && gap > pq3 - pq1
-            printf "%-18s verdict: %s (won %d/%d, needs 9/10; median gap %s vs parent IQR %s)\n",
+            printf "%-24s verdict: %s (won %d/%d, needs 9/10; median gap %s vs parent IQR %s)\n",
                 name, gain ? "gain" : "no gain", wins, n, si(gap), si(pq3 - pq1)
             separated = better == "lower" ? cmax < pmin : cmin > pmax
-            printf "%-18s separated: %s\n", name, separated ? "yes" : "no"
+            printf "%-24s separated: %s\n", name, separated ? "yes" : "no"
         }' "$runs"
     col=$((col + 1))
 done

@@ -118,6 +118,9 @@ guards! {
     one_counting_allocator: "One counting allocator (a cost test counts through afs-sim's)", "A test that budgets allocations installs `afs_sim::CountingAlloc` with one line and counts with `afs_sim::allocations`, so every budget counts the same thing the same way; `benchmark/` keeps its own copy until ROADMAP item 9 rebuilds that harness.",
     "unsafe impl GlobalAlloc for Counting {}" =>
     grep(&["crates/**/*.rs", "src/**/*.rs", "tests/*.rs", "!crates/afs-sim/src/alloc.rs", "!tests/architecture.rs"], &["GlobalAlloc for"]).tests();
+    a_batched_read_hashes_nothing: "A batched read hashes nothing (a ring's bytes travel in the buffers it hands around)", "The ring's completion index and the driver's readahead are short lists scanned by id and by span, the driver keeps one batch `Vec` across doorbells, and a read's bytes come back in the buffer its submission entry carried: a hash map, a `Vec` built per batch or bytes copied out of a completion is the per-read host work this tree took out.",
+    "    cq: HashMap<u64, (Cqe<R>, SimTime)>," => grep(&["crates/afs-ipc/src/ring.rs", "crates/afs-core/src/strategy/batch.rs"], &["HashMap", "HashSet"]),
+    grep(&["crates/afs-core/src/strategy/batch.rs"], &["Vec::with_capacity", ".to_vec()"]);
 }
 
 struct Guard {
