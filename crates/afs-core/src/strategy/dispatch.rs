@@ -70,7 +70,8 @@ pub(crate) trait SentinelPort: Send + 'static {
     fn next(&self, staging: &mut FreeList) -> afs_ipc::Result<Option<Inbound>>;
 
     /// Sends `reply` (and any produced bytes) to `session`, handing back
-    /// the bytes' buffer if the port did not keep it.
+    /// a buffer for the staging list: the bytes' own if the port did not
+    /// keep it, or a spare it kept from an earlier reply.
     ///
     /// # Errors
     ///
@@ -88,7 +89,9 @@ pub(crate) trait SentinelPort: Send + 'static {
 }
 
 /// The pair wire, private or shared: every frame names its session. A
-/// reply's bytes are copied onto the data lane, so their buffer comes back.
+/// reply's bytes cross a §4.2 pipe, and their buffer comes back; on the
+/// §4.3 wiring the buffer goes with the reply, and a spare the lane kept
+/// comes back in its place.
 impl SentinelPort for PairPort<Framed<Op>, Framed<OpReply>> {
     fn next(&self, staging: &mut FreeList) -> afs_ipc::Result<Option<Inbound>> {
         let Some((frame, emptied)) = self.poll_cmd()? else {
@@ -130,11 +133,10 @@ impl SentinelPort for PairPort<Framed<Op>, Framed<OpReply>> {
             trace: TraceContext::default(),
             body: reply,
         };
-        self.send_reply(frame)?;
-        if let Some(bytes) = data.as_ref().filter(|bytes| !bytes.is_empty()) {
-            self.send_data(bytes)?;
+        match data {
+            Some(bytes) => self.send_reply_with(frame, bytes),
+            None => self.send_reply(frame).map(|()| None),
         }
-        Ok(data)
     }
 
     fn set_wakeup(&self, waker: ChannelWaker) {

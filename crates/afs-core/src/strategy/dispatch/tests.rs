@@ -117,7 +117,9 @@ impl App {
     fn reply(&mut self) -> OpReply {
         match self {
             App::Pair(t, session) => {
-                let frame = t.recv_reply().expect("reply");
+                let frame = t
+                    .recv_reply(|f| f.body.announced(), |f, bytes| bytes.keep().map(|_| f))
+                    .expect("reply");
                 assert_eq!(frame.session, *session, "reply names its session");
                 frame.body
             }

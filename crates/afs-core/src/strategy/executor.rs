@@ -308,12 +308,13 @@ impl SentinelExecutor {
             task: Arc::clone(&handle),
         });
         handle.cell.lock().machine = Some(build(waker));
-        let live = {
+        {
             let mut tasks = inner.tasks.lock();
             tasks.insert(handle.id, Arc::clone(&handle));
-            tasks.len()
-        };
-        inner.gauges.task_spawned(live as u64);
+            // Under the lock: the live gauge is a level, so two threads'
+            // counts must land in the order they were taken.
+            inner.gauges.task_spawned(tasks.len() as u64);
+        }
         if inner.shutdown.load(Ordering::Acquire) {
             // Spawn raced executor teardown: nothing will ever poll it, so
             // finish the task on the spot.
@@ -505,12 +506,11 @@ impl Inner {
             (cell.machine.take(), cell.vtime.unwrap_or(0))
         };
         task.state.store(DONE, Ordering::Release);
-        let live = {
+        {
             let mut tasks = self.tasks.lock();
             tasks.remove(&task.id);
-            tasks.len()
-        };
-        self.gauges.task_retired(live as u64);
+            self.gauges.task_retired(tasks.len() as u64);
+        }
         if !self.is_pooled(task) {
             task.queue.close();
         }
@@ -779,13 +779,15 @@ mod tests {
             .expect("read");
         assert_eq!(*served.lock(), ["read", "write"]);
         assert_eq!(instr.tel.fleet().snapshot().polls, polls + 2);
-        assert_eq!(
-            app.recv_reply().expect("reply").body,
-            OpReply::Read { n: 4 }
-        );
-        assert_eq!(app.recv_payload(4, &mut [0; 4]), Ok(4));
+        let reply = |into: &mut [u8]| {
+            app.recv_reply(
+                |f| f.body.announced(),
+                |f, bytes| Ok((f.body, bytes.land(into)?)),
+            )
+        };
+        assert_eq!(reply(&mut [0; 4]), Ok((OpReply::Read { n: 4 }, 4)));
         app.send_awaited(framed(Op::Close), 0).expect("close");
-        assert_eq!(app.recv_reply().expect("close reply").body, OpReply::Done);
+        assert_eq!(reply(&mut []), Ok((OpReply::Done, 0)));
         done.wait();
     }
 

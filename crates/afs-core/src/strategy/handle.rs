@@ -13,7 +13,7 @@
 //!
 //! | Carrier | `call` does | and charges |
 //! |---------|-------------|-------------|
-//! | [`PairTransport`](afs_ipc::PairTransport) (§4.2/§4.3, private) | command, reply, payload over the four lanes | two switches per command, the lanes' syscalls/events and copies |
+//! | [`PairTransport`](afs_ipc::PairTransport) (§4.2/§4.3, private) | command out; reply back with its payload (behind it on a §4.2 pipe, in it on §4.3) | two switches per command, the lanes' syscalls/events and copies |
 //! | [`MuxHub`](afs_ipc::MuxHub) (shared) | flushes staged writes, frames the command, pulls its reply or takes it from its mailbox | two switches per transmitted frame, `Memcpy` per staging copy |
 //! | [`RingDriver`](super::batch::RingDriver) (`batch=on`) | every session's staged writes + the command (+ readahead) in one batch, or a readahead hit | one doorbell and one switch pair per batch, `Memcpy` per staging copy |
 //! | [`InlineShared`](super::dll::InlineShared) (§4.4) | `execute_op` on this thread under the core lock | nothing beyond the logic's own |
@@ -54,10 +54,11 @@ use afs_winapi::{SeekMethod, Win32Error};
 use crate::strategy::mux::OpMux;
 use crate::strategy::{to_win32, ActiveOps, Op, OpReply, Sticky};
 
-/// Lands the bytes a reply came with in the front of `into`, for the
-/// carrier that holds reply and bytes together (a ring completion). The
-/// count the reply announces is what is delivered, under the same rule as
-/// on a wire: more than `into` holds fails the operation.
+/// Lands the bytes a reply came with in the front of `into`, for a ring
+/// completion, which holds reply and bytes together as a §4.3 pair reply
+/// does. The count the reply announces is what is delivered, under the
+/// rule of a pair wire's `afs_ipc::Payload::land`: more than `into` holds
+/// fails the operation.
 pub(crate) fn deliver(
     reply: OpReply,
     data: Option<&[u8]>,

@@ -98,12 +98,12 @@ fn serve_pair(port: PairPort<Framed<Op>, Framed<OpReply>>, sessions: usize) -> A
                 }
                 return;
             };
-            let sent = port.send_reply(Framed {
+            let reply = Framed {
                 session,
                 trace: TraceContext::default(),
                 body: reply,
-            });
-            if sent.is_err() || (!data.is_empty() && port.send_data(&data).is_err()) {
+            };
+            if port.send_reply_with(reply, data).is_err() {
                 return;
             }
             if matches!(op, Op::Close) {

@@ -12,16 +12,18 @@
 //! identical to the process-plus-control strategy (the six `AF_*` library
 //! calls of Appendix A.3 map onto it):
 //!
-//! | Appendix A.3 call        | Here                                      |
-//! |--------------------------|-------------------------------------------|
-//! | `AF_SendControl`         | command send on the user-level channel     |
-//! | `AF_GetControl`          | command recv in the dispatch loop          |
-//! | `AF_SendDataToSentinel`  | [`SharedBuffer::send`] app → sentinel      |
-//! | `AF_GetDataFromAppl`     | `recv` in the dispatch loop                |
-//! | `AF_SendDataToAppl`      | [`SharedBuffer::send`] sentinel → app      |
-//! | `AF_GetDataFromSentinel` | `recv_payload` in the pair wire's `call`    |
+//! | Appendix A.3 call        | Here                                                  |
+//! |--------------------------|-------------------------------------------------------|
+//! | `AF_SendControl`         | command send on the user-level channel                |
+//! | `AF_GetControl`          | command recv in the dispatch loop                     |
+//! | `AF_SendDataToSentinel`  | [`SharedBuffer::send`] app → sentinel                 |
+//! | `AF_GetDataFromAppl`     | `recv` in the dispatch loop                           |
+//! | `AF_SendDataToAppl`      | [`PairPort::send_reply_with`]: the reply carries the buffer the bytes were staged in |
+//! | `AF_GetDataFromSentinel` | [`Payload::land`] in the pair wire's `call`: the one copy into the caller's buffer |
 //!
 //! [`SharedBuffer::send`]: afs_ipc::SharedBuffer::send
+//! [`PairPort::send_reply_with`]: afs_ipc::PairPort::send_reply_with
+//! [`Payload::land`]: afs_ipc::Payload::land
 //! [`PairTransport::shared`]: afs_ipc::PairTransport::shared
 
 use crate::ctx::SentinelCtx;

@@ -19,18 +19,21 @@
 //! * [`event::Event`] — an NT auto-reset event.
 //! * [`shared_buf::SharedBuffer`] — a single-copy shared-memory handoff
 //!   ("File data is not copied from user space to kernel space and then to
-//!   user space …, instead using only one user-level copy", §4.3).
+//!   user space …, instead using only one user-level copy", §4.3), which
+//!   carries a write's bytes to a §4.3 sentinel; a read's come back inside
+//!   their reply.
 //! * [`sync::SyncRegistry`] — named semaphores/mutexes, the mechanism
 //!   multiple sentinels on the same active file use to synchronise
 //!   "amongst themselves in a program-dependent fashion" (§2.2).
 //!
-//! The pipe, the shared buffer, the control channel and the ring's
-//! submission queue are instances of one [stamped channel](stamped),
-//! which holds the crate's whole virtual-time rule.
+//! The pipe, the shared buffer, the control channel, the §4.3 reply lane
+//! and the ring's submission queue are instances of one [stamped
+//! channel](stamped), which holds the crate's whole virtual-time rule.
 //!
 //! On top of the primitives, [`transport::PairTransport`] packages the
-//! complete §4.2/§4.3 wiring (typed command/reply lanes plus a data lane
-//! each way), [`mux::MuxHub`] shares one such wire among many sessions
+//! complete §4.2/§4.3 wiring (typed command and reply lanes, a data lane
+//! to the sentinel, and a read's bytes behind or inside its reply),
+//! [`mux::MuxHub`] shares one such wire among many sessions
 //! (under the one session rule and write stager of [`mux`]),
 //! [`ring::RingPair`] adds io_uring-style submission/completion rings
 //! that cross the boundary once per *batch* instead of once per op. Each
@@ -66,7 +69,7 @@ pub use ring::{Cqe, RingPair, RingPort, RingTransport, Sqe};
 pub use shared_buf::SharedBuffer;
 pub use stamped::FreeList;
 pub use sync::{NamedSemaphore, SyncRegistry};
-pub use transport::{DataRx, DataTx, PairPort, PairTransport};
+pub use transport::{DataRx, DataTx, PairPort, PairTransport, Payload};
 
 /// Result alias used across this crate.
 pub type Result<T> = std::result::Result<T, IpcError>;

@@ -25,7 +25,7 @@
 //! is charged as a [`Cost::Memcpy`].
 //!
 //! The hub is protocol-agnostic: a [`MuxProtocol`] implementation tells
-//! it how many payload bytes follow a command or reply on the data lane,
+//! it how many payload bytes come with a command or a reply,
 //! which command is the terminal close, and when two payload-carrying
 //! commands form one contiguous transfer.
 
@@ -73,7 +73,7 @@ pub trait MuxProtocol: Send + Sync + 'static {
     /// Payload bytes that follow `cmd` on the data lane (a write's data).
     fn cmd_payload_len(cmd: &Self::Cmd) -> usize;
 
-    /// Payload bytes that follow `reply` on the data lane (a read's data).
+    /// Payload bytes that come with `reply` (a read's data).
     fn reply_payload_len(reply: &Self::Reply) -> usize;
 
     /// Whether `cmd` is the terminal close. Only the last live session's
@@ -331,9 +331,10 @@ impl<P: MuxProtocol> AppPort<P> for PairTransport<Framed<P::Cmd>, Framed<P::Repl
 
     fn call(&self, frame: Framed<P::Cmd>, into: &mut [u8]) -> Result<(P::Reply, usize)> {
         self.send_awaited(frame, into.len())?;
-        let reply = self.recv_reply()?.body;
-        let n = self.recv_payload(P::reply_payload_len(&reply), into)?;
-        Ok((reply, n))
+        self.recv_reply(
+            |frame| P::reply_payload_len(&frame.body),
+            |frame, payload| Ok((frame.body, payload.land(into)?)),
+        )
     }
 }
 
@@ -348,7 +349,7 @@ struct SendState<P: MuxProtocol> {
 }
 
 /// A demultiplexed reply parked for its session: the reply frame plus
-/// whatever payload bytes rode the data lane with it.
+/// whatever payload bytes came with it.
 type Mailbox<R> = VecDeque<(R, Vec<u8>)>;
 
 /// Receive-side state: demultiplexed replies waiting for their session.
@@ -531,12 +532,12 @@ impl<P: MuxProtocol> MuxHub<P> {
 
     /// Returns the next reply for `session` with its payload in `into`,
     /// demultiplexing on behalf of every waiter: whoever finds the wire
-    /// idle pulls the next framed reply and the payload behind it (the
-    /// data lane must stay aligned with the reply lane). A reply for
-    /// *another* session is deposited, payload staged, in that session's
-    /// mailbox; the puller's *own* payload goes straight into `into` with
-    /// no staging copy, which keeps the uncontended profile identical to
-    /// a private transport. A puller that finds its own reply and nobody
+    /// idle pulls the next reply and its payload (behind it on a §4.2
+    /// pipe, which must stay aligned with the reply lane). A reply for
+    /// *another* session is parked, its payload in a buffer of its own, in
+    /// that session's mailbox; the puller's *own* payload goes straight
+    /// into `into`, which keeps the uncontended profile identical to a
+    /// private transport. A puller that finds its own reply and nobody
     /// waiting returns without taking the receive lock again.
     fn recv_for(&self, session: u32, into: &mut [u8]) -> Result<(P::Reply, usize)> {
         let mut rs = self.recv.lock();
@@ -606,30 +607,35 @@ impl<P: MuxProtocol> MuxHub<P> {
     }
 
     /// Pulls one framed reply and its payload off the wire. Only the
-    /// thread that set `pulling` runs this. A peer's payload lands in a
-    /// fresh buffer: only a contended hub pulls for a peer.
+    /// thread that set `pulling` runs this. A peer's payload is parked in
+    /// a buffer of its own: on the §4.3 lane the one it came in, on a
+    /// §4.2 pipe a fresh one (only a contended hub pulls for a peer).
     ///
     /// # Errors
     ///
     /// [`IpcError::BrokenPipe`] when the caller's own reply announced
-    /// more bytes than `into` holds (see [`PairTransport::recv_payload`]);
-    /// anything else means the wire is dead.
+    /// more bytes than `into` holds (see [`Payload::land`]); anything else
+    /// means the wire is dead.
+    ///
+    /// [`Payload::land`]: crate::Payload::land
     fn pull(&self, session: u32, into: &mut [u8]) -> Result<Pulled<P::Reply>> {
-        let frame = self.under.recv_reply()?;
-        let n = P::reply_payload_len(&frame.body);
-        if frame.session == session {
-            let n = self.under.recv_payload(n, into)?;
-            return Ok(Pulled::Own(frame.body, n));
-        }
-        let mut staged = vec![0; n];
-        self.under.recv_payload(n, &mut staged)?;
-        Ok(Pulled::Peer(frame.session, frame.body, staged))
+        self.under.recv_reply(
+            |frame| P::reply_payload_len(&frame.body),
+            |frame, payload| {
+                if frame.session == session {
+                    return Ok(Pulled::Own(frame.body, payload.land(into)?));
+                }
+                Ok(Pulled::Peer(frame.session, frame.body, payload.keep()?))
+            },
+        )
     }
 
     /// Hands over a reply a peer pulled on this session's behalf. The
     /// wire transfer was charged when the peer pulled it; the copy out of
-    /// its staging buffer is an extra user-level copy the demultiplexer
-    /// really performs, so it is charged too.
+    /// its parked buffer is charged as the demultiplexer's extra
+    /// user-level copy, which it is on a §4.2 pipe (the pull copied the
+    /// bytes out of the pipe first) and which a §4.3 reply is charged
+    /// alike.
     fn unstage(
         &self,
         reply: P::Reply,
@@ -692,7 +698,7 @@ impl<P: MuxProtocol> AppPort<P> for MuxHub<P> {
 }
 
 /// What one pull took off the wire: the puller's own reply, its payload
-/// already delivered, or a peer's, staged.
+/// already delivered, or a peer's, with its payload parked.
 enum Pulled<R> {
     Own(R, usize),
     Peer(u32, R, Vec<u8>),
@@ -824,17 +830,14 @@ mod tests {
 
     /// Answers `frame` with `data` from the sentinel side.
     fn answer(port: &ToyPort, frame: &Framed<ToyCmd>, data: &[u8]) {
-        port.send_reply(Framed {
+        let reply = Framed {
             session: frame.session,
             trace: NO_TRACE,
             body: ToyReply {
                 n: data.len() as u32,
             },
-        })
-        .expect("reply");
-        if !data.is_empty() {
-            port.send_data(data).expect("data");
-        }
+        };
+        port.send_reply_with(reply, data.to_vec()).expect("reply");
     }
 
     #[test]
@@ -844,7 +847,7 @@ mod tests {
         let b = attach(&hub).expect("b");
         let (id_a, id_b) = (a.session_id(), b.session_id());
         std::thread::scope(|s| {
-            // The data lane is a rendezvous (one-slot / bounded), so each
+            // The reply lane is bounded (one unit / a pipe), so each
             // session calls from its own thread, like real handles do.
             let read = |session: Sess, offset| {
                 move || {
@@ -868,6 +871,46 @@ mod tests {
             assert_eq!(&call_a.join().expect("a"), b"AAAA");
             assert_eq!(&call_b.join().expect("b"), b"BBBB");
         });
+    }
+
+    /// The sentinel's clock after it answers a second session's read,
+    /// once the first session's reply was taken at 50 ms virtual (both
+    /// sessions wait from there, so whichever pulls it takes it then):
+    /// the second reply's bytes reuse the §4.3 lane's one unit, so its
+    /// send lands on that take's drain stamp.
+    fn second_reply_clock(found_space: bool) -> u64 {
+        let (hub, port) = hub();
+        let (a, b) = (attach(&hub).expect("a"), attach(&hub).expect("b"));
+        let read = |session: Sess, offset| {
+            move || {
+                let _g = clock::install(50_000_000);
+                session
+                    .call(cmd(2, offset, 4), NO_TRACE, &mut [0u8; 4])
+                    .expect("read")
+            }
+        };
+        std::thread::scope(|s| {
+            let first = s.spawn(read(a, 0));
+            let fa = port.recv_cmd().expect("a's read");
+            let second = s.spawn(read(b, 8));
+            let fb = port.recv_cmd().expect("b's read");
+            let _g = clock::install(0);
+            answer(&port, &fa, b"AAAA");
+            if found_space {
+                first.join().expect("a's reply was taken");
+            }
+            assert_eq!(clock::now(), 0);
+            answer(&port, &fb, b"BBBB");
+            second.join().expect("b");
+            clock::now()
+        })
+    }
+
+    #[test]
+    fn a_second_sessions_reply_lands_on_the_first_ones_drain_stamp() {
+        let waited = second_reply_clock(false);
+        assert_eq!(waited, 50_000_000, "the sender inherits the take");
+        assert_eq!(second_reply_clock(true), waited, "whether or not it waited");
     }
 
     #[test]

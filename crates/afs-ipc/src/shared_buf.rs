@@ -3,7 +3,7 @@
 //! "File data is not copied from user space to kernel space and then to
 //! user space (as is the case with pipes), instead using only one
 //! user-level copy" (§4.3). A [`SharedBuffer`] is a one-slot mailbox
-//! between the application thread and the in-process sentinel thread:
+//! between two threads:
 //!
 //! * [`SharedBuffer::send`] copies the caller's bytes into the shared slot
 //!   — *this is the single user-level copy and the only one charged*;
@@ -16,6 +16,11 @@
 //! one message: it blocks a sender while occupied and a receiver while
 //! empty, the rendezvous the prototype builds from events, and a sender
 //! moves to the clock at which the previous message was taken.
+//!
+//! In the §4.3 pair wire it carries a write's bytes to the sentinel; a
+//! read's bytes go back inside their reply, on a lane with the same
+//! capacity rule (see [`transport`](crate::transport)). The `benchmark/`
+//! probe of the §4.3 round trip drives two of them directly.
 
 use std::sync::Arc;
 
@@ -24,6 +29,16 @@ use afs_telemetry::QueueGauges;
 
 use crate::stamped::{Doorbell, Flow, Gauge, Stamped};
 use crate::{IpcError, Result};
+
+/// Reports a one-unit channel's occupancy to `gauges` as a slot: a send
+/// that takes the unit fills it, the take that frees it empties it.
+pub(crate) fn slot_gauge(gauges: Arc<QueueGauges>) -> Gauge {
+    Box::new(move |flow| match flow {
+        Flow::Sent { units: 0, .. } | Flow::Taken(0) => {}
+        Flow::Sent { .. } => gauges.shm_filled(),
+        Flow::Taken(_) => gauges.shm_taken(),
+    })
+}
 
 #[derive(Debug)]
 struct Inner {
@@ -43,23 +58,20 @@ pub struct SharedBuffer {
 impl SharedBuffer {
     /// Creates an empty buffer.
     pub fn new(model: CostModel) -> Self {
-        SharedBuffer::build(model, None)
+        SharedBuffer::reporting(model, None)
     }
 
     /// Like [`SharedBuffer::new`], but reports slot occupancy to `gauges`.
     pub fn observed(model: CostModel, gauges: Arc<QueueGauges>) -> Self {
-        let gauge: Gauge = Box::new(move |flow| match flow {
-            Flow::Sent { .. } => gauges.shm_filled(),
-            Flow::Taken(_) => gauges.shm_taken(),
-        });
-        SharedBuffer::build(model, Some(gauge))
+        SharedBuffer::reporting(model, Some(gauges))
     }
 
-    fn build(model: CostModel, gauge: Option<Gauge>) -> Self {
+    /// A buffer reporting its slot's occupancy to `gauges`, if any.
+    pub(crate) fn reporting(model: CostModel, gauges: Option<Arc<QueueGauges>>) -> Self {
         SharedBuffer {
             inner: Arc::new(Inner {
                 model,
-                core: Stamped::new(Some(1), gauge),
+                core: Stamped::new(Some(1), gauges.map(slot_gauge)),
             }),
         }
     }

@@ -3,30 +3,51 @@
 //! The paper's strategies differ in *what carries the bytes*, not in what
 //! the bytes mean: §4.2 adds a control channel beside two data pipes, and
 //! §4.3 swaps the pipes for shared memory plus events. A
-//! [`PairTransport`] is the application end of either choice — four
-//! lanes: typed commands out, typed replies in, bytes both ways —
-//! built by [`PairTransport::kernel`] or [`PairTransport::shared`], and a
-//! [`PairPort`] is the sentinel end the dispatch loop drains. The lanes
-//! carry whatever command and reply types the layer above frames; what an
-//! *operation* is (one `post`, or one `call` whose reply says how many
-//! bytes follow it) is [`AppPort`](crate::AppPort)'s business: the bare
-//! pair carries one session, a [`MuxHub`](crate::MuxHub) many.
+//! [`PairTransport`] is the application end of either choice, built by
+//! [`PairTransport::kernel`] or [`PairTransport::shared`], and a
+//! [`PairPort`] is the sentinel end the dispatch loop drains:
+//!
+//! | Lane | §4.2 `kernel` | §4.3 `shared` |
+//! |------|---------------|---------------|
+//! | commands | kernel control channel | user-level control channel |
+//! | a write's bytes | a pipe | a one-slot [`SharedBuffer`] |
+//! | replies | kernel control channel | one lane whose replies carry their bytes |
+//! | a read's bytes | a pipe, behind their reply | in their reply |
+//!
+//! The lanes carry whatever command and reply types the layer above
+//! frames; what an *operation* is (one `post`, or one `call` whose reply
+//! says how many bytes come with it) is [`AppPort`](crate::AppPort)'s
+//! business: the bare pair carries one session, a
+//! [`MuxHub`](crate::MuxHub) many.
+//!
+//! A §4.3 reply and its bytes are one message ("these 'messages' are
+//! implemented using events and shared memory", Appendix A.3), as a ring
+//! completion is: the sentinel hands over the buffer it staged the bytes
+//! in, the application copies them once into the caller's buffer and
+//! leaves the buffer on the lane's [`FreeList`], and the next reply's send
+//! hands a spare from there back to the sentinel. The lane is an instance
+//! of the [stamped core](crate::stamped) whose capacity counts one unit per
+//! reply that carries bytes and none for a bare reply, and a reply with
+//! bytes is charged one user-level copy and one event signal beyond the
+//! reply's own, so it costs what a reply and a one-slot buffer behind it
+//! cost, at the same virtual time.
 //!
 //! Each data lane recycles its own buffers under the lock its crossing
 //! already takes; what the sentinel stages, its dispatch loop keeps.
 
 use std::sync::Arc;
 
-use afs_sim::{CostModel, CrossingKind};
+use afs_sim::{Cost, CostModel, CrossingKind};
 use afs_telemetry::QueueGauges;
 
-use crate::stamped::Doorbell;
+use crate::shared_buf::slot_gauge;
+use crate::stamped::{Doorbell, End, Stamped};
 use crate::{
-    ControlChannel, ControlReceiver, ControlSender, IpcError, Pipe, PipeReader, PipeWriter, Result,
-    SharedBuffer,
+    ControlChannel, ControlReceiver, ControlSender, FreeList, IpcError, Pipe, PipeReader,
+    PipeWriter, Result, SharedBuffer,
 };
 
-/// Sink for one direction of the data lane.
+/// Sink for the sentinel-ward data lane.
 pub trait DataTx: Send + Sync {
     /// Transfers one message of bytes.
     fn send(&self, data: &[u8]) -> Result<()>;
@@ -36,16 +57,12 @@ pub trait DataTx: Send + Sync {
     fn fits(&self, len: usize) -> bool;
 }
 
-/// Source for one direction of the data lane.
+/// Source for the sentinel-ward data lane.
 pub trait DataRx: Send + Sync {
     /// Receives exactly `buf.len()` bytes (one logical message, possibly
     /// assembled from several physical ones). Returns the number of bytes
     /// received, which is less than `buf.len()` only at end-of-stream.
     fn recv_exact(&self, buf: &mut [u8]) -> Result<usize>;
-
-    /// The most bytes one message can bring without its sender waiting
-    /// for this end to drain the lane first.
-    fn capacity(&self) -> usize;
 }
 
 impl DataTx for PipeWriter {
@@ -62,10 +79,6 @@ impl DataTx for PipeWriter {
 impl DataRx for PipeReader {
     fn recv_exact(&self, buf: &mut [u8]) -> Result<usize> {
         self.read_exact(buf)
-    }
-
-    fn capacity(&self) -> usize {
-        PipeReader::capacity(self)
     }
 }
 
@@ -98,20 +111,199 @@ impl DataRx for SharedBuffer {
         }
         Ok(filled)
     }
+}
 
-    /// The slot takes any one message whole.
-    fn capacity(&self) -> usize {
-        usize::MAX
+/// The §4.3 reply lane: each item a reply and the bytes it brings back
+/// (none for a bare reply), stamped once.
+struct ReplyLane<R> {
+    model: CostModel,
+    core: Stamped<(R, Vec<u8>)>,
+}
+
+/// One end of a [`ReplyLane`]; dropping it hangs that end up.
+struct LaneEnd<R> {
+    lane: Arc<ReplyLane<R>>,
+    end: End,
+}
+
+impl<R> Drop for LaneEnd<R> {
+    fn drop(&mut self) {
+        self.lane.core.hang_up(self.end);
     }
 }
 
-/// Application side of the pair wire (§4.2/§4.3): a command channel, a
-/// reply channel, and one data lane per direction.
+/// A reply lane's sending and receiving ends. A reply that carries bytes
+/// takes the one unit of capacity, so it waits while the previous one's
+/// bytes are still unread, and reports to `gauges` as a filled slot.
+fn reply_lane<R>(model: CostModel, gauges: Option<Arc<QueueGauges>>) -> (LaneEnd<R>, LaneEnd<R>) {
+    let core = Stamped::new(Some(1), gauges.map(slot_gauge));
+    let lane = Arc::new(ReplyLane { model, core });
+    let sender = LaneEnd {
+        lane: Arc::clone(&lane),
+        end: End::Sender,
+    };
+    (
+        sender,
+        LaneEnd {
+            lane,
+            end: End::Receiver,
+        },
+    )
+}
+
+impl<R> LaneEnd<R> {
+    /// Sends `reply` with `bytes`, charging the reply's event signal and,
+    /// when it carries bytes, their one user-level copy and its own event
+    /// signal once the capacity it reuses has drained. Returns a buffer
+    /// for the sender to keep: `bytes` itself when empty, else a spare the
+    /// lane kept from an earlier reply, if it has one.
+    fn send(&self, reply: R, bytes: Vec<u8>) -> Result<Option<Vec<u8>>> {
+        let lane = &*self.lane;
+        lane.model.charge(Cost::EventSignal);
+        if bytes.is_empty() {
+            lane.core
+                .send(0, Doorbell::Post, |_| [(reply, Vec::new())])?;
+            return Ok(Some(bytes));
+        }
+        let mut back = None;
+        lane.core.send(1, Doorbell::Post, |spare| {
+            lane.model.charge(Cost::Memcpy { bytes: bytes.len() });
+            lane.model.charge(Cost::EventSignal);
+            back = spare.spare();
+            [(reply, bytes)]
+        })?;
+        Ok(back)
+    }
+
+    /// Takes the next reply and hands it to `land` with its bytes, under
+    /// the lane's lock; a buffer copied out of stays on the lane's list.
+    fn recv<T>(
+        &self,
+        announced: impl FnOnce(&R) -> usize,
+        land: impl FnOnce(R, Payload<'_>) -> Result<T>,
+    ) -> Result<T> {
+        let mut taking = self.lane.core.take()?;
+        let (reply, bytes) = taking.pop().expect("a take holds an item");
+        let units = usize::from(!bytes.is_empty());
+        let n = announced(&reply);
+        let landed = land(
+            reply,
+            Payload {
+                n,
+                from: Source::Carried(bytes, taking.spare()),
+            },
+        );
+        taking.finish(units, || {});
+        landed
+    }
+}
+
+/// The bytes a reply announced, where the wire holds them: behind the
+/// reply on a §4.2 pipe, or in the reply on the §4.3 lane. Each is landed
+/// or kept exactly once: a §4.2 payload left unread unframes its pipe.
+pub struct Payload<'a> {
+    n: usize,
+    from: Source<'a>,
+}
+
+enum Source<'a> {
+    Pipe(&'a PipeReader),
+    /// The buffer the sentinel staged them in, and the lane's list it
+    /// stays on once they are copied out.
+    Carried(Vec<u8>, &'a mut FreeList),
+}
+
+impl Payload<'_> {
+    /// Lands the bytes in the front of `into`, the one place the bytes
+    /// behind a reply reach the caller; returns how many.
+    ///
+    /// # Errors
+    ///
+    /// A reply announcing more bytes than `into` has room for (or, on the
+    /// §4.3 lane, than it carries) is a protocol violation: its bytes are
+    /// taken off the wire anyway, so a lane shared with other sessions
+    /// stays framed, and the landing fails with [`IpcError::BrokenPipe`].
+    /// [`IpcError::Closed`] means the sentinel side vanished mid-payload
+    /// and the lane is dead.
+    pub fn land(self, into: &mut [u8]) -> Result<usize> {
+        let n = self.n;
+        match self.from {
+            Source::Pipe(pipe) => match into.get_mut(..n) {
+                Some([]) => Ok(0),
+                Some(dst) => pull(pipe, dst).map(|()| n),
+                None => {
+                    pull(pipe, &mut vec![0; n])?;
+                    Err(IpcError::BrokenPipe)
+                }
+            },
+            Source::Carried(bytes, spare) => {
+                let landed = match (into.get_mut(..n), bytes.get(..n)) {
+                    (Some(dst), Some(src)) => {
+                        dst.copy_from_slice(src);
+                        Ok(n)
+                    }
+                    _ => Err(IpcError::BrokenPipe),
+                };
+                spare.put(bytes);
+                landed
+            }
+        }
+    }
+
+    /// The bytes in a buffer of their own: on the §4.3 lane the one the
+    /// sentinel staged them in, with no copy here.
+    ///
+    /// # Errors
+    ///
+    /// As [`Payload::land`] with room for every announced byte.
+    pub fn keep(self) -> Result<Vec<u8>> {
+        let n = self.n;
+        match self.from {
+            Source::Pipe(pipe) => {
+                let mut bytes = vec![0; n];
+                pull(pipe, &mut bytes).map(|()| bytes)
+            }
+            Source::Carried(mut bytes, _) if bytes.len() >= n => {
+                bytes.truncate(n);
+                Ok(bytes)
+            }
+            Source::Carried(bytes, spare) => {
+                spare.put(bytes);
+                Err(IpcError::BrokenPipe)
+            }
+        }
+    }
+}
+
+/// Fills `dst` from `pipe`. A pipe reports a vanished writer as a short
+/// count, not an error: either way the payload is not coming.
+fn pull(pipe: &PipeReader, dst: &mut [u8]) -> Result<()> {
+    match pipe.read_exact(dst) {
+        Ok(got) if got == dst.len() => Ok(()),
+        _ => Err(IpcError::Closed),
+    }
+}
+
+/// What brings replies and their bytes back to the application.
+enum Inbox<R> {
+    /// §4.2: a reply channel, and the pipe a reply's bytes follow it on.
+    Kernel(ControlReceiver<R>, PipeReader),
+    /// §4.3: one lane whose replies carry their bytes.
+    Shared(LaneEnd<R>),
+}
+
+/// The sentinel's end of an [`Inbox`].
+enum Outbox<R> {
+    Kernel(ControlSender<R>, PipeWriter),
+    Shared(LaneEnd<R>),
+}
+
+/// Application side of the pair wire (§4.2/§4.3): a command channel, the
+/// sentinel-ward data lane, and the replies with their bytes.
 pub struct PairTransport<C: Send + 'static, R: Send + 'static> {
     commands: ControlSender<C>,
-    replies: ControlReceiver<R>,
+    replies: Inbox<R>,
     data_tx: Box<dyn DataTx>,
-    data_rx: Box<dyn DataRx>,
     crossing: CrossingKind,
     model: CostModel,
 }
@@ -120,9 +312,8 @@ pub struct PairTransport<C: Send + 'static, R: Send + 'static> {
 /// loop.
 pub struct PairPort<C: Send + 'static, R: Send + 'static> {
     commands: ControlReceiver<C>,
-    replies: ControlSender<R>,
+    replies: Outbox<R>,
     data_rx: Box<dyn DataRx>,
-    data_tx: Box<dyn DataTx>,
 }
 
 impl<C: Send + 'static, R: Send + 'static> PairTransport<C, R> {
@@ -157,30 +348,30 @@ impl<C: Send + 'static, R: Send + 'static> PairTransport<C, R> {
         (
             PairTransport {
                 commands: cmd_tx,
-                replies: reply_rx,
+                replies: Inbox::Kernel(reply_rx, to_app_rx),
                 data_tx: Box::new(to_sentinel_tx),
-                data_rx: Box::new(to_app_rx),
                 crossing,
                 model,
             },
             PairPort {
                 commands: cmd_rx,
-                replies: reply_tx,
+                replies: Outbox::Kernel(reply_tx, to_app_tx),
                 data_rx: Box::new(to_sentinel_rx),
-                data_tx: Box::new(to_app_tx),
             },
         )
     }
 
-    /// Builds the §4.3 wiring: user-level control channels and one shared
-    /// buffer per direction inside the process. Every transfer costs one
-    /// user-level copy and the round trip two thread switches.
+    /// Builds the §4.3 wiring: a user-level command channel, a shared
+    /// buffer for a write's bytes and a reply lane that carries a read's,
+    /// inside the process. Every transfer costs one user-level copy and
+    /// the round trip two thread switches.
     pub fn shared(model: CostModel) -> (PairTransport<C, R>, PairPort<C, R>) {
         PairTransport::shared_build(model, None)
     }
 
     /// Like [`PairTransport::shared`], but reports slot occupancy to
-    /// `gauges`.
+    /// `gauges`: the shared buffer's, and the reply lane's as a slot a
+    /// reply with bytes fills.
     pub fn shared_observed(
         model: CostModel,
         gauges: Arc<QueueGauges>,
@@ -192,29 +383,21 @@ impl<C: Send + 'static, R: Send + 'static> PairTransport<C, R> {
         model: CostModel,
         gauges: Option<Arc<QueueGauges>>,
     ) -> (PairTransport<C, R>, PairPort<C, R>) {
-        let crossing = CrossingKind::InterThread;
         let (cmd_tx, cmd_rx) = ControlChannel::user_level::<C>(model.clone());
-        let (reply_tx, reply_rx) = ControlChannel::user_level::<R>(model.clone());
-        let buffer = |model: CostModel| match &gauges {
-            Some(g) => SharedBuffer::observed(model, Arc::clone(g)),
-            None => SharedBuffer::new(model),
-        };
-        let to_sentinel = buffer(model.clone());
-        let to_app = buffer(model.clone());
+        let (reply_tx, reply_rx) = reply_lane::<R>(model.clone(), gauges.clone());
+        let to_sentinel = SharedBuffer::reporting(model.clone(), gauges);
         (
             PairTransport {
                 commands: cmd_tx,
-                replies: reply_rx,
+                replies: Inbox::Shared(reply_rx),
                 data_tx: Box::new(to_sentinel.clone()),
-                data_rx: Box::new(to_app.clone()),
-                crossing,
+                crossing: CrossingKind::InterThread,
                 model,
             },
             PairPort {
                 commands: cmd_rx,
-                replies: reply_tx,
+                replies: Outbox::Shared(reply_tx),
                 data_rx: Box::new(to_sentinel),
-                data_tx: Box::new(to_app),
             },
         )
     }
@@ -239,9 +422,9 @@ impl<C: Send + 'static, R: Send + 'static> PairTransport<C, R> {
 
     /// Sends the command the caller blocks on the reply to next, sending
     /// nothing after it, with room for `reply_room` bytes behind the
-    /// reply. When that room fits the application-ward data lane, nothing
-    /// the sentinel sends while serving the command can wait on this
-    /// caller's drain, and the send is marked awaited (see
+    /// reply. When that room fits the application-ward lane, nothing the
+    /// sentinel sends while serving the command can wait on this caller's
+    /// drain, and the send is marked awaited (see
     /// [`Wake`](crate::control::Wake)): the sentinel may run on this
     /// thread. A larger room is sent as [`send_cmd`] sends.
     ///
@@ -251,11 +434,21 @@ impl<C: Send + 'static, R: Send + 'static> PairTransport<C, R> {
     ///
     /// As [`send_cmd`](PairTransport::send_cmd).
     pub fn send_awaited(&self, cmd: C, reply_room: usize) -> Result<()> {
-        if reply_room > self.data_rx.capacity() {
+        if reply_room > self.reply_room() {
             return self.send_cmd(cmd);
         }
         self.model.charge_round_trip(self.crossing);
         self.commands.send_awaited(cmd)
+    }
+
+    /// The most bytes one reply can bring without its sender waiting for
+    /// this end to drain the lane first: a pipe's capacity, or any number
+    /// for a reply that carries its bytes.
+    fn reply_room(&self) -> usize {
+        match &self.replies {
+            Inbox::Kernel(_, pipe) => pipe.capacity(),
+            Inbox::Shared(_) => usize::MAX,
+        }
     }
 
     /// Sends the frames a call flushes, each command with its payload
@@ -308,51 +501,38 @@ impl<C: Send + 'static, R: Send + 'static> PairTransport<C, R> {
         result
     }
 
-    /// Receives the sentinel's next reply.
+    /// Receives the sentinel's next reply and hands it to `land` with the
+    /// `announced(&reply)` bytes that come with it, which `land` lands in
+    /// a caller's buffer or keeps (see [`Payload`]).
     ///
     /// # Errors
     ///
-    /// [`IpcError::Closed`] once the sentinel side is gone.
-    pub fn recv_reply(&self) -> Result<R> {
-        self.replies.recv()
+    /// [`IpcError::Closed`] once the sentinel side is gone, or whatever
+    /// `land` returns.
+    pub fn recv_reply<T>(
+        &self,
+        announced: impl FnOnce(&R) -> usize,
+        land: impl FnOnce(R, Payload<'_>) -> Result<T>,
+    ) -> Result<T> {
+        match &self.replies {
+            Inbox::Kernel(replies, pipe) => {
+                let reply = replies.recv()?;
+                let n = announced(&reply);
+                land(
+                    reply,
+                    Payload {
+                        n,
+                        from: Source::Pipe(pipe),
+                    },
+                )
+            }
+            Inbox::Shared(lane) => lane.recv(announced, land),
+        }
     }
 
     /// Sends payload bytes to the sentinel.
     pub fn send_data(&self, data: &[u8]) -> Result<()> {
         self.data_tx.send(data)
-    }
-
-    /// Receives exactly `buf.len()` payload bytes (short only at
-    /// end-of-stream).
-    pub fn recv_data_exact(&self, buf: &mut [u8]) -> Result<usize> {
-        self.data_rx.recv_exact(buf)
-    }
-
-    /// Pulls the `n` payload bytes a reply announced into the front of
-    /// `into`: the one place the bytes behind a reply leave the wire.
-    ///
-    /// # Errors
-    ///
-    /// A reply announcing more bytes than `into` has room for is a
-    /// protocol violation: the excess is drained, so a lane shared with
-    /// other sessions stays framed, and the pull fails with
-    /// [`IpcError::BrokenPipe`]. [`IpcError::Closed`] means the sentinel
-    /// side vanished mid-payload and the lane is dead.
-    pub fn recv_payload(&self, n: usize, into: &mut [u8]) -> Result<usize> {
-        // A pipe reports a vanished writer as a short count, not an error:
-        // either way the payload is not coming.
-        let pull = |dst: &mut [u8]| match self.data_rx.recv_exact(dst) {
-            Ok(got) if got == dst.len() => Ok(()),
-            _ => Err(IpcError::Closed),
-        };
-        match into.get_mut(..n) {
-            Some([]) => Ok(0),
-            Some(dst) => pull(dst).map(|()| n),
-            None => {
-                pull(&mut vec![0; n])?;
-                Err(IpcError::BrokenPipe)
-            }
-        }
     }
 }
 
@@ -385,14 +565,35 @@ impl<C: Send + 'static, R: Send + 'static> PairPort<C, R> {
         self.commands.set_waker(waker);
     }
 
-    /// Sends a reply back to the application.
+    /// Sends a reply that brings no bytes back.
+    ///
+    /// # Errors
+    ///
+    /// [`IpcError::BrokenPipe`] once the application side is gone.
     pub fn send_reply(&self, reply: R) -> Result<()> {
-        self.replies.send(reply)
+        self.send_reply_with(reply, Vec::new()).map(drop)
     }
 
-    /// Sends payload bytes to the application.
-    pub fn send_data(&self, data: &[u8]) -> Result<()> {
-        self.data_tx.send(data)
+    /// Sends `reply` with `bytes`, and returns a buffer for the sender's
+    /// staging list: on the §4.2 wiring `bytes` itself, once its pipe has
+    /// copied them; on the §4.3 wiring `bytes` travels with the reply, and
+    /// what comes back is a spare the lane kept from an earlier reply, if
+    /// it has one (or `bytes`, when empty).
+    ///
+    /// # Errors
+    ///
+    /// [`IpcError::BrokenPipe`] once the application side is gone.
+    pub fn send_reply_with(&self, reply: R, bytes: Vec<u8>) -> Result<Option<Vec<u8>>> {
+        match &self.replies {
+            Outbox::Kernel(replies, pipe) => {
+                replies.send(reply)?;
+                if !bytes.is_empty() {
+                    pipe.write(&bytes)?;
+                }
+                Ok(Some(bytes))
+            }
+            Outbox::Shared(lane) => lane.send(reply, bytes),
+        }
     }
 
     /// Receives exactly `buf.len()` payload bytes from the application.
@@ -403,22 +604,41 @@ impl<C: Send + 'static, R: Send + 'static> PairPort<C, R> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::mpsc;
+
+    use afs_sim::{clock, HardwareProfile};
+
     use super::*;
+
+    /// A reply of `n` carries `n` bytes.
+    fn announced(reply: &u8) -> usize {
+        *reply as usize
+    }
+
+    /// Takes the next reply, landing its bytes in `into`.
+    fn land(app: &PairTransport<u8, u8>, into: &mut [u8]) -> Result<(u8, usize)> {
+        app.recv_reply(announced, |reply, bytes| Ok((reply, bytes.land(into)?)))
+    }
 
     #[test]
     fn kernel_pair_round_trips_commands_and_data() {
         let (app, port) = PairTransport::<u32, u64>::kernel(CostModel::free());
         app.send_cmd(7).expect("cmd");
         assert_eq!(port.recv_cmd().expect("recv cmd"), 7);
-        port.send_reply(99).expect("reply");
-        assert_eq!(app.recv_reply().expect("recv reply"), 99);
         app.send_data(b"down").expect("data down");
         let mut buf = [0u8; 4];
         port.recv_data_exact(&mut buf).expect("port recv");
         assert_eq!(&buf, b"down");
-        port.send_data(b"up!!").expect("data up");
-        app.recv_data_exact(&mut buf).expect("app recv");
-        assert_eq!(&buf, b"up!!");
+        let back = port.send_reply_with(4, b"up!!".to_vec()).expect("reply");
+        assert_eq!(back.as_deref(), Some(&b"up!!"[..]), "the pipe copied it");
+        let n = app.recv_reply(
+            |&r| r as usize,
+            |r, bytes| {
+                assert_eq!(r, 4);
+                bytes.land(&mut buf)
+            },
+        );
+        assert_eq!((n, &buf), (Ok(4), b"up!!"));
         assert_eq!(app.crossing(), CrossingKind::InterProcess);
     }
 
@@ -428,10 +648,38 @@ mod tests {
         app.send_cmd(1).expect("cmd");
         assert_eq!(port.recv_cmd().expect("recv cmd"), 1);
         app.send_data(b"x").expect("data");
-        let mut buf = [0u8; 1];
-        port.recv_data_exact(&mut buf).expect("recv");
-        assert_eq!(&buf, b"x");
+        let mut buf = [0u8; 2];
+        port.recv_data_exact(&mut buf[..1]).expect("recv");
+        assert_eq!(&buf[..1], b"x");
+        port.send_reply(0).expect("bare reply");
+        assert_eq!(land(&app, &mut []), Ok((0, 0)));
+        port.send_reply_with(2, b"up".to_vec()).expect("reply");
+        assert_eq!(land(&app, &mut buf), Ok((2, 2)));
+        assert_eq!(&buf, b"up");
         assert_eq!(app.crossing(), CrossingKind::InterThread);
+    }
+
+    /// The bytes travel in the sentinel's buffer, which the application
+    /// leaves on the lane and the next reply's send hands back.
+    #[test]
+    fn a_shared_reply_hands_its_buffer_round() {
+        let (app, port) = PairTransport::<u8, u8>::shared(CostModel::free());
+        let staged = b"abcd".to_vec();
+        let at = staged.as_ptr();
+        assert_eq!(port.send_reply_with(4, staged), Ok(None), "no spare yet");
+        let mut buf = [0u8; 4];
+        assert_eq!(land(&app, &mut buf), Ok((4, 4)));
+        let back = port.send_reply_with(2, b"ef".to_vec()).expect("second");
+        let spare = back.expect("the first reply's buffer comes back");
+        assert_eq!(spare.as_ptr(), at, "the same allocation");
+        // Kept bytes leave the lane with their buffer.
+        let kept = app.recv_reply(announced, |_, bytes| bytes.keep());
+        assert_eq!(kept.as_deref(), Ok(&b"ef"[..]));
+        assert_eq!(port.send_reply_with(1, b"g".to_vec()), Ok(None));
+        // An empty reply keeps its buffer on the sentinel's side.
+        let empty = Vec::with_capacity(8);
+        let back = port.send_reply_with(0, empty).expect("bare").expect("back");
+        assert_eq!(back.capacity(), 8);
     }
 
     #[test]
@@ -464,18 +712,122 @@ mod tests {
 
     #[test]
     fn an_over_announced_payload_is_drained_and_the_lane_stays_framed() {
-        let (app, port) = PairTransport::<u8, u8>::kernel(CostModel::free());
-        port.send_data(b"0123456789").expect("oversized payload");
-        port.send_data(b"next").expect("following payload");
-        let mut buf = [0u8; 4];
-        assert_eq!(app.recv_payload(10, &mut buf), Err(IpcError::BrokenPipe));
-        assert_eq!(buf, [0u8; 4], "nothing lands in the caller's buffer");
-        assert_eq!(app.recv_payload(4, &mut buf), Ok(4));
-        assert_eq!(&buf, b"next");
-        // The sentinel vanishing mid-payload is a dead lane, not a
-        // protocol violation.
-        port.send_data(b"ha").expect("half a payload");
+        let wirings = [PairTransport::kernel, PairTransport::shared];
+        for (i, wiring) in wirings.into_iter().enumerate() {
+            let (app, port) = wiring(CostModel::free());
+            let mut buf = [0u8; 4];
+            // The second reply waits on the first's take over the §4.3
+            // lane, so the sentinel side answers from a thread.
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    port.send_reply_with(10, b"0123456789".to_vec())
+                        .expect("oversized payload");
+                    port.send_reply_with(4, b"next".to_vec())
+                        .expect("following payload");
+                });
+                assert_eq!(land(&app, &mut buf), Err(IpcError::BrokenPipe), "{i}");
+                assert_eq!(buf, [0u8; 4], "{i}: nothing lands in the caller's buffer");
+                assert_eq!(land(&app, &mut buf), Ok((4, 4)), "{i}");
+            });
+            assert_eq!(&buf, b"next", "{i}");
+            // A reply that carries fewer bytes than it announces fails
+            // alike, and the lane stays framed.
+            port.send_reply_with(3, b"ab".to_vec()).expect("short");
+            if i == 1 {
+                assert_eq!(land(&app, &mut buf), Err(IpcError::BrokenPipe));
+                port.send_reply(0).expect("bare");
+                assert_eq!(land(&app, &mut buf), Ok((0, 0)));
+                continue;
+            }
+            // On a pipe the missing byte is a vanished sentinel: a dead
+            // lane, not a protocol violation.
+            drop(port);
+            assert_eq!(land(&app, &mut buf), Err(IpcError::Closed));
+        }
+    }
+
+    #[test]
+    fn a_bare_reply_takes_no_capacity_and_the_gauges_count_only_bytes() {
+        let gauges = Arc::new(QueueGauges::default());
+        let (app, port) =
+            PairTransport::<u8, u8>::shared_observed(CostModel::free(), Arc::clone(&gauges));
+        port.send_reply_with(1, b"a".to_vec())
+            .expect("fills the lane");
+        // Would wait on the first's take if it took a unit.
+        port.send_reply(0).expect("bare");
+        let snap = gauges.snapshot();
+        assert_eq!((snap.shm_pending, snap.shm_messages), (1, 1));
+        assert_eq!(land(&app, &mut [0; 1]), Ok((1, 1)));
+        assert_eq!(land(&app, &mut []), Ok((0, 0)));
+        assert_eq!(gauges.snapshot().shm_pending, 0);
         drop(port);
-        assert_eq!(app.recv_payload(4, &mut buf), Err(IpcError::Closed));
+        assert_eq!(land(&app, &mut []), Err(IpcError::Closed));
+    }
+
+    /// What a reply with bytes is charged: the reply's event, and the
+    /// copy and event of the slot the bytes used to follow it in.
+    #[test]
+    fn a_reply_with_bytes_is_charged_a_reply_and_a_slot() {
+        let model = CostModel::new(HardwareProfile::pentium_ii_300());
+        let (app, port) = PairTransport::<u8, u8>::shared(model.clone());
+        let _g = clock::install(0);
+        port.send_reply_with(128, vec![7; 128]).expect("reply");
+        let sent = clock::now();
+        let expected =
+            model.price(Cost::EventSignal) * 2 + model.price(Cost::Memcpy { bytes: 128 });
+        assert_eq!(sent, expected);
+        let snap = model.snapshot();
+        assert_eq!((snap.copies, snap.memcpy_bytes), (1, 128));
+        assert_eq!(land(&app, &mut [0; 128]), Ok((128, 128)));
+        assert_eq!(model.snapshot().copies, 1, "the landing is not charged");
+    }
+
+    /// The sentinel's clock after its second reply with bytes, when the
+    /// first is taken at 50 ms virtual before that send arrives or after
+    /// it blocked; and after a bare reply in between.
+    fn sentinel_clock_after_backpressure(taken_first: bool) -> u64 {
+        let model = CostModel::new(HardwareProfile::pentium_ii_300());
+        let (app, port) = PairTransport::<u8, u8>::shared(model);
+        let (first_sent, sent) = mpsc::channel();
+        let (taken, first_taken) = mpsc::channel();
+        std::thread::scope(|s| {
+            let app = &app;
+            s.spawn(move || {
+                let _g = clock::install(0);
+                sent.recv().expect("first send");
+                if !taken_first {
+                    std::thread::sleep(std::time::Duration::from_millis(30));
+                }
+                clock::advance(50_000_000);
+                land(app, &mut [0; 1]).expect("take");
+                taken.send(()).expect("signal");
+                land(app, &mut []).expect("bare");
+                land(app, &mut [0; 1]).expect("second");
+            });
+            let _g = clock::install(0);
+            port.send_reply_with(1, b"a".to_vec())
+                .expect("fills the lane");
+            assert!(clock::now() < 50_000_000);
+            port.send_reply(0).expect("a bare reply reuses nothing");
+            assert!(clock::now() < 50_000_000);
+            first_sent.send(()).expect("signal");
+            if taken_first {
+                first_taken.recv().expect("taken");
+            }
+            port.send_reply_with(1, b"b".to_vec())
+                .expect("reuses the unit");
+            clock::now()
+        })
+    }
+
+    #[test]
+    fn a_reply_with_bytes_moves_to_the_take_it_reuses_whether_or_not_it_waited() {
+        let waited = sentinel_clock_after_backpressure(false);
+        let found_space = sentinel_clock_after_backpressure(true);
+        assert!(
+            waited >= 50_000_000,
+            "the sender inherits the take, got {waited}"
+        );
+        assert_eq!(found_space, waited, "the real race does not move the clock");
     }
 }

@@ -7,7 +7,7 @@
 //! `snapshot()` and the exporter hook, so a signal cannot exist in one of
 //! the four and be forgotten in another.
 
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -122,10 +122,20 @@ macro_rules! metric_family {
     };
 }
 
+/// Raises `peak` to `level` if that is higher. A relaxed load first, so
+/// the common case — no new high — writes nothing another thread reads.
+#[inline]
+fn raise(peak: &AtomicU64, level: u64) {
+    if peak.load(Ordering::Relaxed) < level {
+        peak.fetch_max(level, Ordering::Relaxed);
+    }
+}
+
 metric_family! {
     /// Live depth/throughput gauges for pipes and shared buffers, and the
     /// reuse of the staging buffers pair-lane dispatch loops keep.
-    QueueGauges => GaugesSnapshot {
+    /// Striped: every message of every lane records here.
+    QueueGauges striped(QueueCell) => GaugesSnapshot {
         /// Bytes currently buffered across observed pipes.
         pipe_buffered: gauge "afs_pipe_buffered_bytes",
         /// High-water mark of buffered pipe bytes.
@@ -146,35 +156,43 @@ metric_family! {
 impl QueueGauges {
     /// Records `bytes` enqueued into a pipe (one message segment).
     pub fn pipe_enqueued(&self, bytes: u64) {
-        let now = self.pipe_buffered.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        self.pipe_buffered_peak.fetch_max(now, Ordering::Relaxed);
-        self.pipe_messages.fetch_add(1, Ordering::Relaxed);
+        let level = self.cells.first();
+        let now = level.pipe_buffered.fetch_add(bytes, Ordering::Relaxed) + bytes;
+        raise(&level.pipe_buffered_peak, now);
+        let (mine, writer) = self.cells.mine();
+        mine.pipe_messages.add(writer, 1);
     }
 
     /// Records `bytes` drained from a pipe.
     pub fn pipe_drained(&self, bytes: u64) {
-        self.pipe_buffered.fetch_sub(bytes, Ordering::Relaxed);
+        let level = &self.cells.first().pipe_buffered;
+        level.fetch_sub(bytes, Ordering::Relaxed);
     }
 
     /// Records one message placed in a shared-buffer slot.
     pub fn shm_filled(&self) {
-        self.shm_pending.fetch_add(1, Ordering::Relaxed);
-        self.shm_messages.fetch_add(1, Ordering::Relaxed);
+        let level = &self.cells.first().shm_pending;
+        level.fetch_add(1, Ordering::Relaxed);
+        let (mine, writer) = self.cells.mine();
+        mine.shm_messages.add(writer, 1);
     }
 
     /// Records one message taken from a shared-buffer slot.
     pub fn shm_taken(&self) {
-        self.shm_pending.fetch_sub(1, Ordering::Relaxed);
+        let level = &self.cells.first().shm_pending;
+        level.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Records a staging buffer reused from a free list.
     pub fn pool_reuse(&self) {
-        self.pool_reuses.fetch_add(1, Ordering::Relaxed);
+        let (mine, writer) = self.cells.mine();
+        mine.pool_reuses.add(writer, 1);
     }
 
     /// Records a staging buffer a free list had to allocate.
     pub fn pool_alloc(&self) {
-        self.pool_allocations.fetch_add(1, Ordering::Relaxed);
+        let (mine, writer) = self.cells.mine();
+        mine.pool_allocations.add(writer, 1);
     }
 }
 
@@ -203,7 +221,7 @@ impl SessionGauges {
     pub fn attached(&self, live: u64) {
         self.attaches.fetch_add(1, Ordering::Relaxed);
         self.sessions.fetch_add(1, Ordering::Relaxed);
-        self.sessions_peak.fetch_max(live, Ordering::Relaxed);
+        raise(&self.sessions_peak, live);
     }
 
     /// Records a session detaching (close).
@@ -227,8 +245,9 @@ impl SessionGauges {
 metric_family! {
     /// Live gauges for the sentinel executor: how many sentinel state
     /// machines exist, how hard the bounded worker pool is working, and
-    /// how often the threads draining its run queues park.
-    FleetGauges => FleetSnapshot {
+    /// how often the threads draining its run queues park. Striped: every
+    /// poll, wake-up and park of every thread records here.
+    FleetGauges striped(FleetCell) => FleetSnapshot {
         /// Sentinel state machines currently registered with the executor.
         sentinels: gauge "afs_fleet_sentinels",
         /// High-water mark of live sentinels.
@@ -259,56 +278,79 @@ metric_family! {
     }
 }
 
+// The event methods are `#[inline]`, as `raise` and the per-poll methods
+// of the other families are: the executor calls them from another crate
+// on every poll, wake-up and park, and a striped add is no longer the tiny
+// leaf function rustc inlines across crates unasked, so left alone each
+// became a call on the caller-runs path (ROADMAP 10(c)).
 impl FleetGauges {
     /// Records a sentinel task registered with the executor; `live` is the
     /// executor's live-task count afterwards.
+    #[inline]
     pub fn task_spawned(&self, live: u64) {
-        self.spawned.fetch_add(1, Ordering::Relaxed);
-        self.sentinels.store(live, Ordering::Relaxed);
-        self.sentinels_peak.fetch_max(live, Ordering::Relaxed);
+        let level = self.cells.first();
+        level.sentinels.store(live, Ordering::Relaxed);
+        raise(&level.sentinels_peak, live);
+        let (mine, writer) = self.cells.mine();
+        mine.spawned.add(writer, 1);
     }
 
     /// Records a sentinel task retiring (clean close); `live` is the
     /// executor's live-task count afterwards.
+    #[inline]
     pub fn task_retired(&self, live: u64) {
-        self.sentinels.store(live, Ordering::Relaxed);
+        let level = &self.cells.first().sentinels;
+        level.store(live, Ordering::Relaxed);
     }
 
     /// Records a sentinel abandoned at executor shutdown (its close hook
     /// was still run, but no application side remained to reap it).
+    #[inline]
     pub fn task_abandoned(&self) {
-        self.abandoned.fetch_add(1, Ordering::Relaxed);
+        let (mine, writer) = self.cells.mine();
+        mine.abandoned.add(writer, 1);
     }
 
     /// Records a sentinel pinned to a dedicated thread instead of the
     /// pool (spawned from inside another sentinel — §3 composition).
+    #[inline]
     pub fn task_pinned(&self) {
-        self.pinned.fetch_add(1, Ordering::Relaxed);
+        let (mine, writer) = self.cells.mine();
+        mine.pinned.add(writer, 1);
     }
 
     /// Records one poll of a sentinel state machine by a worker.
+    #[inline]
     pub fn poll(&self) {
-        self.polls.fetch_add(1, Ordering::Relaxed);
+        let (mine, writer) = self.cells.mine();
+        mine.polls.add(writer, 1);
     }
 
     /// Records a transport readiness wakeup scheduling an idle sentinel.
+    #[inline]
     pub fn wakeup(&self) {
-        self.wakeups.fetch_add(1, Ordering::Relaxed);
+        let (mine, writer) = self.cells.mine();
+        mine.wakeups.add(writer, 1);
     }
 
     /// Records a thread parking on its empty run queue.
+    #[inline]
     pub fn park(&self) {
-        self.parks.fetch_add(1, Ordering::Relaxed);
+        let (mine, writer) = self.cells.mine();
+        mine.parks.add(writer, 1);
     }
 
     /// Records a run queue's depth after an enqueue.
+    #[inline]
     pub fn note_queue_depth(&self, depth: u64) {
-        self.queue_depth_peak.fetch_max(depth, Ordering::Relaxed);
+        raise(&self.cells.first().queue_depth_peak, depth);
     }
 
     /// Records the number of live worker threads (0 after shutdown).
+    #[inline]
     pub fn set_workers(&self, workers: u64) {
-        self.workers.store(workers, Ordering::Relaxed);
+        let level = &self.cells.first().workers;
+        level.store(workers, Ordering::Relaxed);
     }
 }
 
@@ -362,9 +404,9 @@ impl SentinelStats {
     /// Records how many commands one poll of the sentinel's dispatch loop
     /// served back-to-back: they were queued together, so the run length
     /// is the backlog that poll found.
+    #[inline]
     pub fn note_queue_depth(&self, depth: u64) {
-        let peak = &self.cells.first().queue_depth_peak;
-        peak.fetch_max(depth, Ordering::Relaxed);
+        raise(&self.cells.first().queue_depth_peak, depth);
     }
 }
 
@@ -393,10 +435,11 @@ metric_family! {
 impl RingGauges {
     /// Records one doorbell ring carrying `ops` submissions; `occupancy`
     /// is the submission-ring depth right after the batch landed.
+    #[inline]
     pub fn batch_submitted(&self, ops: u64, occupancy: u64) {
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.ops_submitted.fetch_add(ops, Ordering::Relaxed);
-        self.occupancy_peak.fetch_max(occupancy, Ordering::Relaxed);
+        raise(&self.occupancy_peak, occupancy);
     }
 
     /// Records one completion posted; `out_of_order` when its id is lower
@@ -639,6 +682,78 @@ mod tests {
         assert_eq!([snap.ops, snap.errors, snap.faults], [2 * N, 2 * N / 5, 2]);
         assert_eq!([snap.bytes_in, snap.bytes_out], [8 * N, 16 * N]);
         assert_eq!(snap.queue_depth_peak, 2);
+    }
+
+    /// Writers racing to raise a peak leave their maximum, whoever wins.
+    #[test]
+    fn concurrent_peaks_read_their_writers_maximum() {
+        const N: u64 = 5_000;
+        let (fleet, stats, queue) = (
+            FleetGauges::default(),
+            SentinelStats::default(),
+            QueueGauges::default(),
+        );
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for t in 0..4u64 {
+                let (fleet, stats, queue, start) = (&fleet, &stats, &queue, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..N {
+                        let level = (i * 7 + t * 13) % (1_000 + t);
+                        fleet.note_queue_depth(level);
+                        stats.note_queue_depth(level);
+                        fleet.task_spawned(level);
+                    }
+                    queue.pipe_enqueued(10 + t);
+                });
+            }
+        });
+        let max = 1_000 + 3 - 1;
+        assert_eq!(fleet.snapshot().queue_depth_peak, max);
+        assert_eq!(fleet.snapshot().sentinels_peak, max);
+        assert_eq!(stats.snapshot().queue_depth_peak, max);
+        let q = queue.snapshot();
+        assert_eq!(q.pipe_buffered, 10 + 11 + 12 + 13, "a level is one sum");
+        assert_eq!(q.pipe_buffered_peak, q.pipe_buffered);
+    }
+
+    /// Two threads polling, waking, parking and moving bytes add to one
+    /// set of each family, exactly.
+    #[test]
+    fn queue_and_fleet_gauges_are_exact_after_two_threads() {
+        const N: u64 = 5_000;
+        let (fleet, queue) = (FleetGauges::default(), QueueGauges::default());
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                let (fleet, queue, start) = (&fleet, &queue, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..N {
+                        fleet.poll();
+                        if i % 2 == 0 {
+                            fleet.wakeup();
+                            queue.shm_filled();
+                            queue.pool_reuse();
+                        } else {
+                            fleet.park();
+                            queue.shm_taken();
+                            queue.pool_alloc();
+                        }
+                        queue.pipe_enqueued(3);
+                        queue.pipe_drained(3);
+                    }
+                });
+            }
+        });
+        let f = fleet.snapshot();
+        assert_eq!([f.polls, f.wakeups, f.parks], [2 * N, N, N]);
+        let q = queue.snapshot();
+        assert_eq!([q.shm_messages, q.shm_pending], [N, 0]);
+        assert_eq!([q.pool_reuses, q.pool_allocations], [N, N]);
+        assert_eq!([q.pipe_messages, q.pipe_buffered], [2 * N, 0]);
+        assert!((3..=6).contains(&q.pipe_buffered_peak));
     }
 
     #[test]

@@ -52,10 +52,11 @@ struct Inner {
 /// A pin holds while no [`Vfs::delete`] or [`Vfs::rename`] has run since it
 /// was taken: only those free a slot or move a name, so until then the slot
 /// is the file the path named. A pinned call ([`Vfs::read_stream_pinned`],
-/// [`Vfs::write_stream_pinned`], [`Vfs::stream_len_pinned`]) goes straight
-/// to the slot while its pin holds and otherwise resolves the path, exactly
-/// as the path form does. `Pin::default()` pins nothing. A pin is only
-/// meaningful to the `Vfs` that made it.
+/// [`Vfs::write_stream_pinned`], [`Vfs::stream_len_pinned`],
+/// [`Vfs::check_access_pinned`]) goes straight to the slot while its pin
+/// holds and otherwise resolves the path, exactly as the path form does.
+/// `Pin::default()` pins nothing. A pin is only meaningful to the `Vfs`
+/// that made it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Pin {
     slot: usize,
@@ -905,8 +906,27 @@ impl Vfs {
         len: u64,
         kind: LockKind,
     ) -> Result<()> {
+        self.check_access_pinned(Pin::default(), path, owner, start, len, kind)
+    }
+
+    /// [`check_access`](Vfs::check_access) of `path`'s stream in the file
+    /// `pin` names while it holds.
+    ///
+    /// # Errors
+    ///
+    /// As [`Vfs::check_access`].
+    pub fn check_access_pinned(
+        &self,
+        pin: Pin,
+        path: &VPath,
+        owner: LockOwner,
+        start: u64,
+        len: u64,
+        kind: LockKind,
+    ) -> Result<()> {
         let inner = self.inner.read();
-        let (idx, _) = Self::file_node(&inner, path)?;
+        let idx = self.locate(&inner, pin, path)?;
+        Self::file_at(&inner, idx, path)?;
         let end = start.saturating_add(len);
         if let Some(locks) = inner.locks.get(&idx) {
             for lock in locks {

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use afs_sim::{Cost, CostModel};
-use afs_vfs::{DirEntry, FileAttributes, LockKind, LockOwner, NodeKind, VPath, Vfs};
+use afs_vfs::{DirEntry, FileAttributes, LockKind, LockOwner, NodeKind, Pin, PinCell, VPath, Vfs};
 
 use std::collections::HashMap;
 
@@ -18,6 +18,10 @@ use crate::{ApiResult, Win32Error};
 #[derive(Debug)]
 pub(crate) struct OpenFile {
     path: VPath,
+    /// The file `path` named at open, or when a delete or rename last
+    /// ended the pin: reads, writes and sizes reach it without walking
+    /// the path while it holds, and resolve the path as before otherwise.
+    pin: PinCell,
     access: Access,
     pos: Mutex<u64>,
     lock_owner: LockOwner,
@@ -79,6 +83,18 @@ impl PassiveFileApi {
 
     fn parse(path: &str) -> ApiResult<VPath> {
         VPath::parse(path).map_err(Win32Error::from)
+    }
+
+    /// `open`'s pin, taken again if a delete or rename ended it (a pin
+    /// that still cannot be taken pins nothing, and the path resolves).
+    fn pinned(&self, open: &OpenFile) -> Pin {
+        let pin = open.pin.get();
+        if self.vfs.holds(pin) {
+            return pin;
+        }
+        let fresh = self.vfs.pin(&open.path).unwrap_or_default();
+        open.pin.set(fresh);
+        fresh
     }
 }
 
@@ -151,8 +167,11 @@ impl FileApi for PassiveFileApi {
             return Err(Win32Error::SharingViolation);
         }
         let owner = LockOwner(self.next_owner.fetch_add(1, Ordering::Relaxed));
+        let pin = PinCell::default();
+        pin.set(self.vfs.pin(&vpath).unwrap_or_default());
         let handle = self.handles.insert(OpenFile {
             path: vpath,
+            pin,
             access,
             pos: Mutex::new(0),
             lock_owner: owner,
@@ -172,14 +191,16 @@ impl FileApi for PassiveFileApi {
             return Err(Win32Error::AccessDenied);
         }
         let mut pos = open.pos.lock();
-        self.vfs.check_access(
+        let pin = self.pinned(&open);
+        self.vfs.check_access_pinned(
+            pin,
             &open.path,
             open.lock_owner,
             *pos,
             buf.len() as u64,
             LockKind::Shared,
         )?;
-        let n = self.vfs.read_stream(&open.path, *pos, buf)?;
+        let n = self.vfs.read_stream_pinned(pin, &open.path, *pos, buf)?;
         self.model.charge(Cost::Memcpy { bytes: n });
         *pos += n as u64;
         Ok(n)
@@ -192,14 +213,16 @@ impl FileApi for PassiveFileApi {
             return Err(Win32Error::AccessDenied);
         }
         let mut pos = open.pos.lock();
-        self.vfs.check_access(
+        let pin = self.pinned(&open);
+        self.vfs.check_access_pinned(
+            pin,
             &open.path,
             open.lock_owner,
             *pos,
             data.len() as u64,
             LockKind::Exclusive,
         )?;
-        let n = self.vfs.write_stream(&open.path, *pos, data)?;
+        let n = self.vfs.write_stream_pinned(pin, &open.path, *pos, data)?;
         self.model.charge(Cost::Memcpy { bytes: n });
         *pos += n as u64;
         Ok(n)
@@ -223,7 +246,8 @@ impl FileApi for PassiveFileApi {
     fn get_file_size(&self, handle: Handle) -> ApiResult<u64> {
         self.model.charge(Cost::Syscall);
         let open = self.handles.get(handle)?;
-        Ok(self.vfs.stream_len(&open.path).unwrap_or(0))
+        let pin = self.pinned(&open);
+        Ok(self.vfs.stream_len_pinned(pin, &open.path).unwrap_or(0))
     }
 
     fn set_file_pointer(&self, handle: Handle, offset: i64, method: SeekMethod) -> ApiResult<u64> {
@@ -233,7 +257,10 @@ impl FileApi for PassiveFileApi {
         let base: i64 = match method {
             SeekMethod::Begin => 0,
             SeekMethod::Current => *pos as i64,
-            SeekMethod::End => self.vfs.stream_len(&open.path).unwrap_or(0) as i64,
+            SeekMethod::End => {
+                let pin = self.pinned(&open);
+                self.vfs.stream_len_pinned(pin, &open.path).unwrap_or(0) as i64
+            }
         };
         let target = base
             .checked_add(offset)
@@ -610,6 +637,69 @@ mod tests {
         assert_eq!(info.size, 3);
         assert!(info.modified >= info.created);
         api.close_handle(h).expect("close");
+    }
+
+    /// A handle reads, writes and sizes its file through the pin it took
+    /// at open: after a delete elsewhere ends the pin, and after a rename
+    /// of the file's parent moves its name, each call answers what the
+    /// path form answers, bytes and errors alike.
+    #[test]
+    fn a_pinned_handle_answers_as_the_path_form_does() {
+        let api = api();
+        let vfs = Arc::clone(api.vfs());
+        api.create_directory("/d").expect("mkdir");
+        for name in ["/d/f", "/other"] {
+            let h = api
+                .create_file(name, Access::read_write(), Disposition::CreateNew)
+                .expect("create");
+            api.write_file(h, b"0123456789").expect("seed");
+            api.close_handle(h).expect("close");
+        }
+        let h = api
+            .create_file("/d/f", Access::read_write(), Disposition::OpenExisting)
+            .expect("open");
+        let path = VPath::parse("/d/f").expect("path");
+        // Reads 4 bytes and writes 2 through the handle, then through the
+        // path form at the same offsets; both must agree.
+        let step = |at: u64, write: &[u8]| {
+            api.set_file_pointer(h, at as i64, SeekMethod::Begin)
+                .expect("seek");
+            let mut by_handle = [0u8; 4];
+            let read = api.read_file(h, &mut by_handle);
+            let mut by_path = [0u8; 4];
+            let expected = vfs
+                .read_stream(&path, at, &mut by_path)
+                .map_err(Win32Error::from);
+            assert_eq!((read, by_handle), (expected, by_path), "read at {at}");
+            let wrote = api.write_file(h, write);
+            let expected = vfs
+                .write_stream(&path, at + 4, write)
+                .map_err(Win32Error::from);
+            assert_eq!(wrote, expected, "write at {}", at + 4);
+            let size = vfs.stream_len(&path).unwrap_or(0);
+            assert_eq!(api.get_file_size(h), Ok(size), "size");
+        };
+        step(0, b"ab");
+        api.delete_file("/other").expect("delete another file");
+        step(2, b"cd");
+        assert_eq!(
+            vfs.read_stream_to_end(&path).expect("bytes"),
+            b"0123abcd89",
+            "both forms wrote through to one file"
+        );
+        api.move_file("/d", "/e").expect("rename the parent");
+        step(0, b"ef");
+        assert_eq!(
+            api.read_file(h, &mut [0u8; 4]),
+            Err(Win32Error::FileNotFound),
+            "the name the handle holds is gone"
+        );
+        api.move_file("/e", "/d").expect("rename it back");
+        step(6, b"gh");
+        assert_eq!(
+            vfs.read_stream_to_end(&path).expect("bytes"),
+            b"0123abcd89gh"
+        );
     }
 
     #[test]
