@@ -277,26 +277,31 @@ impl ActiveFileSystem {
         let (ops, shared) = match launched {
             Launched::Private(ops) => (ops, None),
             Launched::Shared(built) => {
-                if sharable {
-                    let mut map = run.shared.lock();
-                    if let Some(existing) = map.get(&key).and_then(Weak::upgrade) {
-                        if let Some(ops) = existing.attach() {
-                            // Lost a racing first-open: join theirs.
-                            // Dropping `built` shuts its wire down; a
-                            // spawned loop sees the dead transport and
-                            // runs its close hook.
-                            drop(map);
-                            return Ok(run.handles.insert(ActiveEntry {
-                                ops,
-                                access,
-                                shared: Some(existing),
-                            }));
-                        }
+                let mut map = sharable.then(|| run.shared.lock());
+                let theirs = map.as_ref().and_then(|map| map.get(&key)?.upgrade());
+                if let Some(existing) = theirs {
+                    if let Some(ops) = existing.attach() {
+                        // Lost a racing first-open: join theirs.
+                        // Dropping `built` shuts its wire down; a
+                        // spawned loop sees the dead transport and
+                        // runs its close hook.
+                        drop(map);
+                        return Ok(run.handles.insert(ActiveEntry {
+                            ops,
+                            access,
+                            shared: Some(existing),
+                        }));
                     }
+                }
+                // This open's session attaches before the sentinel is
+                // published: a later open could otherwise join and close
+                // first, and its close, the terminal one, would end the
+                // sentinel before this open attached.
+                let ops = built.attach().ok_or(Win32Error::BrokenPipe)?;
+                if let Some(map) = &mut map {
                     map.retain(|_, weak| weak.strong_count() > 0);
                     map.insert(key, Arc::downgrade(&built));
                 }
-                let ops = built.attach().ok_or(Win32Error::BrokenPipe)?;
                 (ops, Some(built))
             }
         };

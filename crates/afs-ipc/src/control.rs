@@ -127,11 +127,7 @@ impl<T: Send> ControlSender<T> {
         self.send_all(1, [msg], Doorbell::Awaited)
     }
 
-    /// Enqueues `n` commands behind one doorbell and one stamp. Inlined
-    /// into its callers on purpose: left to the compiler, that choice flips
-    /// with unrelated edits to this crate, and a §4.3 round trip's host
-    /// time moved by up to 10 % with it.
-    #[inline]
+    /// Enqueues `n` commands behind one doorbell and one stamp.
     pub(crate) fn send_all(
         &self,
         n: usize,
@@ -215,8 +211,6 @@ impl<T: Send> ControlReceiver<T> {
     ///
     /// [`IpcError::Closed`](crate::IpcError::Closed) once all senders are
     /// gone and the queue is drained.
-    // Inlined on purpose, as `ControlSender::send_all` is.
-    #[inline]
     pub fn poll_recv(&self) -> Result<Option<(T, bool)>> {
         let polled = self.inner.core.poll();
         if !matches!(polled, Ok(None)) {

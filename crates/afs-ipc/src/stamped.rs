@@ -60,8 +60,7 @@ const MAX_KEPT_CAPACITY: usize = 1 << 20;
 /// stamped lock, a dispatch loop through `&mut`, a hub under its send
 /// lock — so it takes no lock of its own. Recycling is an allocation
 /// matter only: no charge depends on it, and a settled lane allocates
-/// nothing per message. Its calls are `#[inline]`: the dispatch loop makes
-/// them from another crate on every command.
+/// nothing per message.
 #[derive(Debug, Default)]
 pub struct FreeList {
     free: Vec<Vec<u8>>,
@@ -82,7 +81,6 @@ impl FreeList {
     }
 
     /// A zero-filled buffer of exactly `len` bytes.
-    #[inline]
     pub fn take(&mut self, len: usize) -> Vec<u8> {
         let mut buf = self.take_capacity(len);
         buf.resize(len, 0);
@@ -90,11 +88,7 @@ impl FreeList {
     }
 
     /// An empty buffer with at least `capacity` bytes reserved, reusing a
-    /// kept one when there is one. Always inlined: its count into the
-    /// pool gauges is a call, which LLVM weighs enough to keep the whole
-    /// take out of line, and the ring driver's per-entry push read
-    /// `ring-batch-read` 0.91× with it out of line.
-    #[inline(always)]
+    /// kept one when there is one.
     pub fn take_capacity(&mut self, capacity: usize) -> Vec<u8> {
         let gauges = self.gauges.as_deref();
         match self.free.pop() {
@@ -120,14 +114,12 @@ impl FreeList {
     /// A kept buffer as it was kept, for a lane that hands a spare back
     /// to whoever gave it one; counted neither as a reuse nor as an
     /// allocation, since the giver's list counts what it takes.
-    #[inline]
     pub(crate) fn spare(&mut self) -> Option<Vec<u8>> {
         self.free.pop()
     }
 
     /// Keeps `buf` for a later take, unless it is empty, oversized, or
     /// the list is full.
-    #[inline]
     pub fn put(&mut self, buf: Vec<u8>) {
         let keep = (1..=MAX_KEPT_CAPACITY).contains(&buf.capacity());
         if keep && self.free.len() < MAX_KEPT {

@@ -171,12 +171,17 @@ struct Rows([[Row; LABELS]; OpKind::ALL.len()]);
 
 impl Rows {
     /// The row of (`strategy`, `op`), given the first free row of its
-    /// column if it has none yet.
+    /// column if it has none yet. A label is one literal, so its row is
+    /// found by address; the compare by content, a `memcmp` per op, only
+    /// runs for a label spelled by another literal.
     fn row(&self, strategy: &'static str, op: OpKind) -> &Row {
         let column = &self.0[op as usize];
-        let row = column
-            .iter()
-            .find(|row| *row.strategy.get_or_init(|| strategy) == strategy);
+        let same = |row: &&Row| matches!(row.strategy.get(), Some(s) if std::ptr::eq(*s, strategy));
+        let row = column.iter().find(same).or_else(|| {
+            column
+                .iter()
+                .find(|row| *row.strategy.get_or_init(|| strategy) == strategy)
+        });
         row.unwrap_or_else(|| {
             panic!("an OpTrace holds {LABELS} strategies; {strategy:?} is one more")
         })
@@ -415,6 +420,17 @@ pub(crate) mod tests {
         }
         assert_eq!(trace.summary().len(), LABELS * OpKind::ALL.len());
         trace.record(rec(labels[LABELS], OpKind::Read, 1));
+    }
+
+    #[test]
+    fn a_label_from_another_literal_finds_its_row() {
+        let trace = OpTrace::new();
+        let copy: &'static str = Box::leak(String::from("Thread").into_boxed_str());
+        trace.record(rec("Thread", OpKind::Read, 8));
+        trace.record(rec(copy, OpKind::Read, 8));
+        trace.record(rec("Thread", OpKind::Read, 8));
+        let s = trace.summary();
+        assert_eq!((s.len(), s[0].strategy, s[0].count), (1, "Thread", 3));
     }
 
     #[test]

@@ -124,7 +124,6 @@ macro_rules! metric_family {
 
 /// Raises `peak` to `level` if that is higher. A relaxed load first, so
 /// the common case — no new high — writes nothing another thread reads.
-#[inline]
 fn raise(peak: &AtomicU64, level: u64) {
     if peak.load(Ordering::Relaxed) < level {
         peak.fetch_max(level, Ordering::Relaxed);
@@ -278,15 +277,9 @@ metric_family! {
     }
 }
 
-// The event methods are `#[inline]`, as `raise` and the per-poll methods
-// of the other families are: the executor calls them from another crate
-// on every poll, wake-up and park, and a striped add is no longer the tiny
-// leaf function rustc inlines across crates unasked, so left alone each
-// became a call on the caller-runs path (ROADMAP 10(c)).
 impl FleetGauges {
     /// Records a sentinel task registered with the executor; `live` is the
     /// executor's live-task count afterwards.
-    #[inline]
     pub fn task_spawned(&self, live: u64) {
         let level = self.cells.first();
         level.sentinels.store(live, Ordering::Relaxed);
@@ -297,7 +290,6 @@ impl FleetGauges {
 
     /// Records a sentinel task retiring (clean close); `live` is the
     /// executor's live-task count afterwards.
-    #[inline]
     pub fn task_retired(&self, live: u64) {
         let level = &self.cells.first().sentinels;
         level.store(live, Ordering::Relaxed);
@@ -305,7 +297,6 @@ impl FleetGauges {
 
     /// Records a sentinel abandoned at executor shutdown (its close hook
     /// was still run, but no application side remained to reap it).
-    #[inline]
     pub fn task_abandoned(&self) {
         let (mine, writer) = self.cells.mine();
         mine.abandoned.add(writer, 1);
@@ -313,41 +304,35 @@ impl FleetGauges {
 
     /// Records a sentinel pinned to a dedicated thread instead of the
     /// pool (spawned from inside another sentinel — §3 composition).
-    #[inline]
     pub fn task_pinned(&self) {
         let (mine, writer) = self.cells.mine();
         mine.pinned.add(writer, 1);
     }
 
     /// Records one poll of a sentinel state machine by a worker.
-    #[inline]
     pub fn poll(&self) {
         let (mine, writer) = self.cells.mine();
         mine.polls.add(writer, 1);
     }
 
     /// Records a transport readiness wakeup scheduling an idle sentinel.
-    #[inline]
     pub fn wakeup(&self) {
         let (mine, writer) = self.cells.mine();
         mine.wakeups.add(writer, 1);
     }
 
     /// Records a thread parking on its empty run queue.
-    #[inline]
     pub fn park(&self) {
         let (mine, writer) = self.cells.mine();
         mine.parks.add(writer, 1);
     }
 
     /// Records a run queue's depth after an enqueue.
-    #[inline]
     pub fn note_queue_depth(&self, depth: u64) {
         raise(&self.cells.first().queue_depth_peak, depth);
     }
 
     /// Records the number of live worker threads (0 after shutdown).
-    #[inline]
     pub fn set_workers(&self, workers: u64) {
         let level = &self.cells.first().workers;
         level.store(workers, Ordering::Relaxed);
@@ -404,7 +389,6 @@ impl SentinelStats {
     /// Records how many commands one poll of the sentinel's dispatch loop
     /// served back-to-back: they were queued together, so the run length
     /// is the backlog that poll found.
-    #[inline]
     pub fn note_queue_depth(&self, depth: u64) {
         raise(&self.cells.first().queue_depth_peak, depth);
     }
@@ -435,7 +419,6 @@ metric_family! {
 impl RingGauges {
     /// Records one doorbell ring carrying `ops` submissions; `occupancy`
     /// is the submission-ring depth right after the batch landed.
-    #[inline]
     pub fn batch_submitted(&self, ops: u64, occupancy: u64) {
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.ops_submitted.fetch_add(ops, Ordering::Relaxed);

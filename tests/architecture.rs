@@ -129,6 +129,13 @@ guards! {
     r#"parking_lot = { workspace = true, features = ["count"] }"# =>
     grep(&["Cargo.toml", "crates/*/Cargo.toml", "vendor/*/Cargo.toml", "benchmark/Cargo.toml", "!Cargo.toml#dev-dependencies",
         "!crates/*/Cargo.toml#dev-dependencies"], &[r#""count""#, "parking_lot/count"]);
+    one_release_profile: "One release profile (fat LTO, one codegen unit, set in .cargo/config.toml)", "`.cargo/config.toml` is the one place a profile is set, so the workspace, `benchmark/` (a workspace of its own) and every script build one fat-LTO unit that inlines across crate seams by what a call costs: a profile in a manifest reaches only its own workspace, and a panic strategy that aborts would end the process a sentinel's fault is caught in.",
+    "[profile.release]" => grep(&["crates/*/Cargo.toml", "Cargo.toml", "vendor/*/Cargo.toml", "benchmark/Cargo.toml", "scripts/*.sh", "benchmark/run.sh"],
+        &["[profile", "PROFILE_RELEASE_LTO", "PROFILE_RELEASE_CODEGEN_UNITS"]).tests(),
+    grep(&[".cargo/config.toml#profile.release"], &[r#"lto = "fat""#]).tests().hits(1, 1),
+    grep(&[".cargo/config.toml#profile.release"], &[r"codegen-units = 1\b"]).tests().hits(1, 1),
+    grep(&[".cargo/config.toml", "Cargo.toml", "crates/*/Cargo.toml", "vendor/*/Cargo.toml", "benchmark/Cargo.toml", "scripts/*.sh",
+        "benchmark/run.sh", ".github/workflows/*.yml"], &["panic.*abort", "PANIC.*abort"]).tests();
 }
 
 struct Guard {
@@ -330,4 +337,21 @@ fn design_md_lists_exactly_the_guards() {
     let listed: Vec<_> = section.lines().filter(|l| l.starts_with("- **")).collect();
     let row = |g: Guard| format!("- **{}** — {}", g.name, g.why);
     assert_eq!(listed, table().into_iter().map(row).collect::<Vec<_>>());
+}
+
+/// "One release profile" flags a release build that aborts on panic, its
+/// second sample beside the crate-manifest profile every row's test plants.
+#[test]
+fn one_release_profile_flags_an_abort() {
+    let g = table()
+        .into_iter()
+        .find(|g| g.test == "one_release_profile")
+        .unwrap();
+    let file = ".cargo/config.toml";
+    let text = format!("{}panic = \"abort\"\n", read(file));
+    let plant = |f: &str| if f == file { text.clone() } else { read(f) };
+    assert!(
+        !breaches(&g, &plant).is_empty(),
+        "an abort in {file} passes"
+    );
 }

@@ -331,6 +331,47 @@ fn handoffs_lose_no_wake(strategy: Strategy, keys: &'static [(&'static str, &'st
     }
 }
 
+/// An open that launches a shared sentinel attaches its own session before
+/// other opens can find the sentinel: were it published first, another
+/// open could join, close, and with that terminal close end the sentinel
+/// before the launching open attached, which then failed with
+/// `BrokenPipe` (it did, 3 to 41 times in 8 000 opens per strategy).
+#[test]
+fn an_open_racing_a_joiners_close_still_attaches() {
+    const THREADS: usize = 4;
+    const OPENS: usize = 2_000;
+    for strategy in [
+        Strategy::DllThread,
+        Strategy::ProcessControl,
+        Strategy::DllOnly,
+    ] {
+        let world = build_world(strategy);
+        std::thread::scope(|s| {
+            for _ in 0..THREADS {
+                let api = world.api();
+                s.spawn(move || {
+                    for _ in 0..OPENS {
+                        let h = api
+                            .create_file(
+                                "/stress.af",
+                                Access::read_write(),
+                                Disposition::OpenExisting,
+                            )
+                            .unwrap_or_else(|e| panic!("{strategy:?} open: {e:?}"));
+                        api.close_handle(h).expect("close");
+                    }
+                });
+            }
+        });
+        world.quiesce();
+        assert_eq!(
+            world.fleet_task_count(),
+            0,
+            "{strategy:?}: every sentinel ended"
+        );
+    }
+}
+
 #[test]
 fn handoffs_lose_no_wake_on_any_out_of_line_wiring() {
     for strategy in [Strategy::DllThread, Strategy::ProcessControl] {
