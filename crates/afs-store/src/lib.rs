@@ -9,7 +9,7 @@
 //!
 //! Layout:
 //!
-//! - [`checksum`] — CRC-32 for per-record integrity.
+//! - [`checksum`] — CRC-32C for per-record integrity.
 //! - [`wal`] — record framing, scanning, redo application.
 //! - [`medium`] — the two-area persistence substrate ([`MemMedium`] for
 //!   tests and crash injection, [`VfsMedium`] over named streams of the

@@ -7,11 +7,12 @@
 //! images can be captured and re-installed, which is what the
 //! crash-injection harness cuts at arbitrary byte positions.
 
+use std::cell::Cell;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use afs_vfs::{VPath, Vfs, VfsError};
+use afs_vfs::{Pin, VPath, Vfs, VfsError};
 
 use crate::StoreError;
 
@@ -118,11 +119,17 @@ impl StoreMedium for MemMedium {
 /// A medium stored in two named streams of a VFS file, so the durable
 /// state is part of the active file itself: copying the file copies the
 /// store, and reopening the file recovers it.
+///
+/// The streams are reached through a [`Pin`] of the file, so an append or
+/// a page write walks no path while it holds; a delete or rename ends it,
+/// and the next call pins the file again (or, if the path no longer names
+/// a file, resolves it and fails as an unpinned call would).
 #[derive(Debug)]
 pub struct VfsMedium {
     vfs: Arc<Vfs>,
     pages: VPath,
     wal: VPath,
+    pin: Cell<Pin>,
 }
 
 impl VfsMedium {
@@ -133,8 +140,22 @@ impl VfsMedium {
         VfsMedium {
             pages: file.with_stream(PAGES_STREAM),
             wal: file.with_stream(WAL_STREAM),
+            pin: Cell::default(),
             vfs,
         }
+    }
+
+    /// The file's pin: the one held while it holds, else the file pinned
+    /// again (one walk of the path; a path that names no file pins
+    /// nothing, and the call resolves it).
+    fn pinned(&self) -> Pin {
+        let pin = self.pin.get();
+        if self.vfs.holds(pin) {
+            return pin;
+        }
+        let fresh = self.vfs.pin(&self.wal).unwrap_or_default();
+        self.pin.set(fresh);
+        fresh
     }
 
     fn read_area(&self, path: &VPath) -> Result<Vec<u8>, StoreError> {
@@ -153,12 +174,15 @@ impl StoreMedium for VfsMedium {
     }
 
     fn write_pages_at(&self, offset: u64, data: &[u8]) -> Result<(), StoreError> {
-        self.vfs.write_stream(&self.pages, offset, data)?;
+        let pin = self.pinned();
+        self.vfs
+            .write_stream_pinned(pin, &self.pages, offset, data)?;
         Ok(())
     }
 
     fn set_pages_len(&self, len: u64) -> Result<(), StoreError> {
-        self.vfs.set_stream_len(&self.pages, len)?;
+        let pin = self.pinned();
+        self.vfs.set_stream_len_pinned(pin, &self.pages, len)?;
         Ok(())
     }
 
@@ -167,12 +191,14 @@ impl StoreMedium for VfsMedium {
     }
 
     fn append_wal(&self, data: &[u8]) -> Result<(), StoreError> {
-        self.vfs.append_stream(&self.wal, data)?;
+        let pin = self.pinned();
+        self.vfs.append_stream_pinned(pin, &self.wal, data)?;
         Ok(())
     }
 
     fn truncate_wal(&self, len: u64) -> Result<(), StoreError> {
-        match self.vfs.set_stream_len(&self.wal, len) {
+        let pin = self.pinned();
+        match self.vfs.set_stream_len_pinned(pin, &self.wal, len) {
             // A WAL never written is already empty.
             Err(VfsError::StreamNotFound(_) | VfsError::NotFound(_)) if len == 0 => Ok(()),
             other => other.map_err(StoreError::from),
@@ -217,5 +243,28 @@ mod tests {
         assert_eq!(m.read_pages().expect("read"), b"pp");
         // The data part is untouched by store traffic.
         assert_eq!(vfs.read_stream_to_end(&path).expect("data part"), b"");
+    }
+
+    #[test]
+    fn vfs_medium_follows_its_path_across_a_rename_and_a_delete() {
+        let vfs = Arc::new(Vfs::new());
+        let (path, away) = (VPath::parse("/f.af"), VPath::parse("/g.af"));
+        let (path, away) = (path.expect("path"), away.expect("path"));
+        vfs.create_file(&path).expect("create");
+        let m = VfsMedium::new(Arc::clone(&vfs), &path);
+        m.append_wal(b"one").expect("append, pinning the file");
+        vfs.rename(&path, &away).expect("rename");
+        assert!(m.append_wal(b"lost").is_err(), "the path names no file");
+        assert!(m.write_pages_at(0, b"lost").is_err());
+        vfs.create_file(&path).expect("a new file at the path");
+        m.append_wal(b"two").expect("append to the new file");
+        assert_eq!(m.read_wal().expect("read"), b"two");
+        vfs.delete(&path).expect("delete");
+        vfs.rename(&away, &path).expect("the first file back");
+        m.append_wal(b"three").expect("append");
+        m.write_pages_at(1, b"p").expect("pages");
+        m.set_pages_len(3).expect("pages");
+        assert_eq!(m.read_wal().expect("read"), b"onethree");
+        assert_eq!(m.read_pages().expect("read"), b"\0p\0");
     }
 }

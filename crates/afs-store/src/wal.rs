@@ -1,6 +1,6 @@
 //! Write-ahead-log record format: length-prefixed, checksummed, redo-only.
 //!
-//! Every record is `[u32 body_len][body][u32 crc32(body)]`, little-endian,
+//! Every record is `[u32 body_len][body][u32 crc32c(body)]`, little-endian,
 //! where the body starts with a one-byte kind tag. A batch of data records
 //! terminated by a [`WalRecord::Commit`] is the unit of atomicity: redo
 //! recovery replays complete, checksum-valid, commit-terminated batches

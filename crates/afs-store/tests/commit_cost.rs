@@ -1,4 +1,5 @@
-//! What a durable commit costs the host, in heap allocations.
+//! What a durable commit costs the host, in heap allocations and shim
+//! locks.
 //!
 //! The rig is the `durable-commit` workload's store: a `VfsMedium` over a
 //! 1 MiB seeded extent, 128-byte writes at random offsets, each committed,
@@ -13,6 +14,12 @@
 //! bits, and a stream's name is allocated only when the stream is
 //! created — so once the streams have grown to their working size, none
 //! of the three allocates at all.
+//!
+//! A steady commit takes one lock, the `Vfs` write lock of its WAL append,
+//! and a checkpoint one per pages-stream write and one per length change;
+//! the medium reaches both streams through its pin of the file, so none of
+//! them walks the path (one lock a commit before the pin too: the walk ran
+//! under the same lock).
 
 use std::hint::black_box;
 use std::sync::Arc;
@@ -21,6 +28,7 @@ use afs_sim::{allocations, CostModel, CountingAlloc};
 use afs_store::{PageStore, StoreOptions, VfsMedium};
 use afs_telemetry::StoreGauges;
 use afs_vfs::{VPath, Vfs};
+use parking_lot::locks_taken;
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 
@@ -86,6 +94,37 @@ fn a_steady_write_and_commit_allocate_nothing_checkpoint_included() {
         "{OPS} write_at calls made {in_write} allocations"
     );
     assert_eq!(in_commit, 0, "{OPS} commits made {in_commit} allocations");
+}
+
+#[test]
+fn a_steady_commit_takes_one_lock_and_a_checkpoint_one_per_stream_write() {
+    let mut rng = SmallRng::seed_from_u64(55);
+    let mut store = warm_store(&mut rng);
+    let mut block = [0u8; BLOCK];
+    let (mut commits, mut in_write, mut in_commit) = (0u64, 0, 0);
+    while commits < 1_000 {
+        rng.fill_bytes(&mut block);
+        let offset = (rng.gen_range(0..EXTENT / BLOCK) * BLOCK) as u64;
+        let checkpoints = store.stats().checkpoints;
+        let (write, _) = locks_taken(|| store.write_at(offset, &block).expect("write"));
+        let (commit, _) = locks_taken(|| store.commit().expect("commit"));
+        if store.stats().checkpoints == checkpoints {
+            commits += 1;
+            in_write += write;
+            in_commit += commit;
+        }
+    }
+    assert_eq!(
+        in_write, 0,
+        "{commits} write_at calls took {in_write} locks"
+    );
+    assert_eq!(
+        in_commit, commits,
+        "{commits} commits took {in_commit} locks"
+    );
+    let (locks, report) = locks_taken(|| store.checkpoint().expect("checkpoint"));
+    // Each dirty page, the header, the pages stream's length and the WAL's.
+    assert_eq!(locks, report.pages_written + 3, "{report:?}");
 }
 
 #[test]

@@ -16,13 +16,14 @@ use crate::flight::FlightRecorder;
 
 /// Declares one metric family from a single field list:
 ///
-/// * `$live` — `Default` struct of one relaxed `AtomicU64` per field (plus
-///   the optional `{ extra: Type }` non-metric fields), with `snapshot()`;
-///   or, declared `$live striped($cell)`, one [`Striped`](crate::Striped)
-///   set of those fields (the struct `$cell`), so that threads writing it
-///   write lines of their own: a counter is a [`Tally`](crate::Tally)
-///   added to the writer's stripe and summed by `snapshot()`, a gauge is a
-///   level, not a sum, an `AtomicU64` on the first stripe alone;
+/// * `$live` — `Default` struct of one relaxed `AtomicU64` per field, with
+///   `snapshot()`; or, declared `$live striped($cell)`, one
+///   [`Striped`](crate::Striped) set of those fields (the struct `$cell`)
+///   plus the optional `{ extra: Type }` non-metric fields, so that
+///   threads writing it write lines of their own: a counter is a
+///   [`Tally`](crate::Tally) added to the writer's stripe and summed by
+///   `snapshot()`, a gauge is a level, not a sum, an `AtomicU64` on the
+///   first stripe alone;
 /// * `$snap` — `Copy` struct of `pub u64` fields carrying the doc comments,
 ///   with `METRICS` (the `(exported name, kind)` rows, in export order)
 ///   and `metrics(labels, out)`, which pushes one [`Metric`](crate::Metric)
@@ -42,7 +43,7 @@ macro_rules! metric_family {
     };
     (
         $(#[$live_doc:meta])*
-        $live:ident striped($cell:ident) => $snap:ident {
+        $live:ident striped($cell:ident) $({ $($extra:ident: $extra_ty:ty),* $(,)? })? => $snap:ident {
             $($(#[$doc:meta])* $field:ident: $kind:ident $name:literal,)+
         }
     ) => {
@@ -56,6 +57,7 @@ macro_rules! metric_family {
         #[derive(Debug, Default)]
         pub struct $live {
             cells: $crate::Striped<$cell>,
+            $($($extra: $extra_ty,)*)?
         }
 
         impl $live {
@@ -74,7 +76,7 @@ macro_rules! metric_family {
     };
     (
         $(#[$live_doc:meta])*
-        $live:ident $({ $($extra:ident: $extra_ty:ty),* $(,)? })? => $snap:ident {
+        $live:ident => $snap:ident {
             $($(#[$doc:meta])* $field:ident: $kind:ident $name:literal,)+
         }
     ) => {
@@ -82,7 +84,6 @@ macro_rules! metric_family {
         #[derive(Debug, Default)]
         pub struct $live {
             $($field: ::std::sync::atomic::AtomicU64,)+
-            $($($extra: $extra_ty,)*)?
         }
 
         impl $live {
@@ -444,12 +445,13 @@ impl RingGauges {
 
 metric_family! {
     /// Live gauges for the durable page store: WAL traffic, commit/fsync
-    /// cadence, checkpoints, and what recovery found on reopen.
+    /// cadence, checkpoints, and what recovery found on reopen. Striped:
+    /// every commit records here.
     ///
     /// `flight` is the flight recorder torn-tail detection triggers. The
     /// store layer never sees the telemetry hub; the hub wires this up at
     /// construction.
-    StoreGauges { flight: Mutex<Option<Arc<FlightRecorder>>> } => StoreSnapshot {
+    StoreGauges striped(StoreCell) { flight: Mutex<Option<Arc<FlightRecorder>>> } => StoreSnapshot {
         /// WAL records appended.
         wal_appends: counter "afs_store_wal_appends_total",
         /// Bytes of WAL records appended to the medium.
@@ -470,36 +472,43 @@ metric_family! {
 impl StoreGauges {
     /// Records one WAL record appended, `bytes` long on the medium.
     pub fn wal_append(&self, bytes: u64) {
-        self.wal_appends.fetch_add(1, Ordering::Relaxed);
-        self.wal_bytes.fetch_add(bytes, Ordering::Relaxed);
+        let (mine, writer) = self.cells.mine();
+        mine.wal_appends.add(writer, 1);
+        mine.wal_bytes.add(writer, bytes);
     }
 
     /// Records one fsync barrier issued against the durable medium.
     pub fn fsync(&self) {
-        self.fsyncs.fetch_add(1, Ordering::Relaxed);
+        let (mine, writer) = self.cells.mine();
+        mine.fsyncs.add(writer, 1);
     }
 
     /// Records one committed WAL batch (group commit).
     pub fn commit(&self) {
-        self.commits.fetch_add(1, Ordering::Relaxed);
+        let (mine, writer) = self.cells.mine();
+        mine.commits.add(writer, 1);
     }
 
     /// Records one checkpoint (dirty pages written, WAL truncated).
     pub fn checkpoint(&self) {
-        self.checkpoints.fetch_add(1, Ordering::Relaxed);
+        let (mine, writer) = self.cells.mine();
+        mine.checkpoints.add(writer, 1);
     }
 
     /// Records `records` WAL records replayed by redo recovery on reopen.
     pub fn recovered(&self, records: u64) {
-        self.recovered_records.fetch_add(records, Ordering::Relaxed);
+        let (mine, writer) = self.cells.mine();
+        mine.recovered_records.add(writer, records);
     }
 
     /// Records one torn (incomplete or checksum-failing) WAL tail detected
     /// and discarded by recovery. A flight-recorder trigger when one is
     /// attached — torn tails are exactly the post-mortem moment.
     pub fn torn(&self) {
-        let total = self.torn_detected.fetch_add(1, Ordering::Relaxed) + 1;
+        let (mine, writer) = self.cells.mine();
+        mine.torn_detected.add(writer, 1);
         if let Some(flight) = self.flight.lock().as_ref() {
+            let total = self.snapshot().torn_detected;
             flight.trigger_basic("torn_tail", format!("torn_detected_total={total}"));
         }
     }

@@ -64,24 +64,46 @@ pub struct DirEntry {
 /// of a file server's read (docs/CONCURRENCY.md, "An empty name is not
 /// free"). So no op compares the empty name: [`FileNode::stream`],
 /// [`FileNode::stream_mut`] and [`FileNode::stream_or_new`] branch on it.
+///
+/// The named streams are a short `Vec` sorted by name and searched by
+/// index: a file has a few (an active file three at most), so a scan that
+/// tests names for equality finds one with a single compare, and a miss
+/// inserts at an index without a second search, where a map walks twice.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct FileNode {
     /// The default stream.
     pub(crate) data: Vec<u8>,
-    /// The named streams; never holds the empty name.
-    pub(crate) named: BTreeMap<String, Vec<u8>>,
+    /// The named streams, sorted by name; never holds the empty name.
+    named: Vec<(String, Vec<u8>)>,
     pub(crate) attributes: FileAttributes,
     pub(crate) created: u64,
     pub(crate) modified: u64,
 }
 
 impl FileNode {
+    /// An empty file, created at `tick`.
+    pub(crate) fn new(tick: u64) -> Self {
+        FileNode {
+            created: tick,
+            modified: tick,
+            ..FileNode::default()
+        }
+    }
+
+    /// The index of the named stream `name`. Names are tested for
+    /// equality, which compares bytes only with a name as long as its own
+    /// (so never with the empty one, which the list never holds).
+    fn find(&self, name: &str) -> Option<usize> {
+        self.named.iter().position(|(n, _)| n == name)
+    }
+
     /// The stream called `name` (`""`: the default stream), if it exists.
     pub(crate) fn stream(&self, name: &str) -> Option<&Vec<u8>> {
         if name.is_empty() {
             Some(&self.data)
         } else {
-            self.named.get(name)
+            let at = self.find(name)?;
+            Some(&self.named[at].1)
         }
     }
 
@@ -90,29 +112,44 @@ impl FileNode {
         if name.is_empty() {
             Some(&mut self.data)
         } else {
-            self.named.get_mut(name)
+            let at = self.find(name)?;
+            Some(&mut self.named[at].1)
         }
     }
 
     /// The stream called `name`, created empty on first use — the only
-    /// time a named stream's name is allocated.
+    /// time a named stream's name is allocated — after one search.
     pub(crate) fn stream_or_new(&mut self, name: &str) -> &mut Vec<u8> {
-        if !name.is_empty() && !self.named.contains_key(name) {
-            self.named.insert(name.to_owned(), Vec::new());
+        if name.is_empty() {
+            return &mut self.data;
         }
-        self.stream_mut(name).expect("just ensured")
+        let at = match self.find(name) {
+            Some(at) => at,
+            None => {
+                let at = self.named.partition_point(|(n, _)| n.as_str() < name);
+                self.named.insert(at, (name.to_owned(), Vec::new()));
+                at
+            }
+        };
+        &mut self.named[at].1
+    }
+
+    /// Deletes the named stream `name`, returning its bytes if it existed.
+    pub(crate) fn remove_named(&mut self, name: &str) -> Option<Vec<u8>> {
+        let at = self.find(name)?;
+        Some(self.named.remove(at).1)
     }
 
     /// Every stream's name, the default stream's (`""`) first, then the
     /// named ones sorted.
     pub(crate) fn stream_names(&self) -> Vec<String> {
-        let named = self.named.keys().cloned();
+        let named = self.named.iter().map(|(n, _)| n.clone());
         std::iter::once(String::new()).chain(named).collect()
     }
 
     /// The length of all streams together.
     pub(crate) fn total_len(&self) -> u64 {
-        let named: usize = self.named.values().map(Vec::len).sum();
+        let named: usize = self.named.iter().map(|(_, s)| s.len()).sum();
         (self.data.len() + named) as u64
     }
 }

@@ -52,7 +52,8 @@ struct Inner {
 /// A pin holds while no [`Vfs::delete`] or [`Vfs::rename`] has run since it
 /// was taken: only those free a slot or move a name, so until then the slot
 /// is the file the path named. A pinned call ([`Vfs::read_stream_pinned`],
-/// [`Vfs::write_stream_pinned`], [`Vfs::stream_len_pinned`],
+/// [`Vfs::write_stream_pinned`], [`Vfs::append_stream_pinned`],
+/// [`Vfs::set_stream_len_pinned`], [`Vfs::stream_len_pinned`],
 /// [`Vfs::check_access_pinned`]) goes straight to the slot while its pin
 /// holds and otherwise resolves the path, exactly as the path form does.
 /// `Pin::default()` pins nothing. A pin is only meaningful to the `Vfs`
@@ -336,14 +337,7 @@ impl Vfs {
                 return Err(VfsError::AlreadyExists(path.to_string()));
             }
         }
-        let idx = Self::alloc(
-            &mut inner,
-            Node::File(Box::new(FileNode {
-                created: tick,
-                modified: tick,
-                ..FileNode::default()
-            })),
-        );
+        let idx = Self::alloc(&mut inner, Node::File(Box::new(FileNode::new(tick))));
         let name = name.to_owned();
         if let Node::Dir(dir) = inner.nodes[parent].as_mut().expect("live node") {
             dir.children.insert(name, idx);
@@ -699,9 +693,19 @@ impl Vfs {
     ///
     /// Same as [`Vfs::write_stream`].
     pub fn append_stream(&self, path: &VPath, data: &[u8]) -> Result<u64> {
+        self.append_stream_pinned(Pin::default(), path, data)
+    }
+
+    /// [`append_stream`](Vfs::append_stream) to `path`'s stream in the
+    /// file `pin` names while it holds.
+    ///
+    /// # Errors
+    ///
+    /// As [`Vfs::append_stream`].
+    pub fn append_stream_pinned(&self, pin: Pin, path: &VPath, data: &[u8]) -> Result<u64> {
         let tick = self.tick();
         let mut inner = self.inner.write();
-        let file = self.writable(&mut inner, Pin::default(), path)?;
+        let file = self.writable(&mut inner, pin, path)?;
         let stream = file.stream_or_new(path.stream());
         let at = stream.len() as u64;
         Self::range_end(path, at, data.len())?;
@@ -759,10 +763,20 @@ impl Vfs {
     /// [`VfsError::StreamNotFound`] if the stream does not exist;
     /// [`VfsError::OutOfRange`] if `len` is out of reach.
     pub fn set_stream_len(&self, path: &VPath, len: u64) -> Result<()> {
+        self.set_stream_len_pinned(Pin::default(), path, len)
+    }
+
+    /// [`set_stream_len`](Vfs::set_stream_len) of `path`'s stream in the
+    /// file `pin` names while it holds.
+    ///
+    /// # Errors
+    ///
+    /// As [`Vfs::set_stream_len`].
+    pub fn set_stream_len_pinned(&self, pin: Pin, path: &VPath, len: u64) -> Result<()> {
         let len = Self::range_end(path, len, 0)?;
         let tick = self.tick();
         let mut inner = self.inner.write();
-        let file = self.writable(&mut inner, Pin::default(), path)?;
+        let file = self.writable(&mut inner, pin, path)?;
         let stream = file
             .stream_mut(path.stream())
             .ok_or_else(|| VfsError::StreamNotFound(path.to_string()))?;
@@ -784,7 +798,7 @@ impl Vfs {
         let tick = self.tick();
         let mut inner = self.inner.write();
         let (_, file) = Self::file_node_mut(&mut inner, path)?;
-        if file.named.remove(path.stream()).is_none() {
+        if file.remove_named(path.stream()).is_none() {
             return Err(VfsError::StreamNotFound(path.to_string()));
         }
         file.modified = tick;

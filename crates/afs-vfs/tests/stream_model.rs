@@ -9,9 +9,10 @@
 //! agree. The default stream can never be deleted.
 //!
 //! The files live in one directory that moves away and back, and a pin per
-//! file is held across every step: a pinned read, write or length must
-//! answer what its path answers, whatever was deleted, recreated or moved
-//! since the pin was taken.
+//! file is held across every step: a pinned read, write, append, length
+//! change or length must answer what its path answers, whatever was
+//! deleted, recreated or moved since the pin was taken — a pin a rename or
+//! delete ended falls back to the path walk.
 
 use std::collections::BTreeMap;
 
@@ -50,6 +51,8 @@ enum Op {
     /// Pins the file, to be held until it is pinned again.
     Pin(u8),
     PinnedWrite(u8, u8, u16, Vec<u8>),
+    PinnedAppend(u8, u8, Vec<u8>),
+    PinnedSetLen(u8, u8, u16),
     PinnedRead(u8, u8),
     PinnedLen(u8, u8),
 }
@@ -96,6 +99,8 @@ fn op() -> impl Strategy<Value = Op> {
         any::<u8>().prop_map(Op::Pin),
         (any::<u8>(), any::<u8>(), 0u16..64, bytes())
             .prop_map(|(f, s, o, d)| Op::PinnedWrite(f, s, o, d)),
+        (any::<u8>(), any::<u8>(), bytes()).prop_map(|(f, s, d)| Op::PinnedAppend(f, s, d)),
+        (any::<u8>(), any::<u8>(), 0u16..64).prop_map(|(f, s, l)| Op::PinnedSetLen(f, s, l)),
         (any::<u8>(), any::<u8>()).prop_map(|(f, s)| Op::PinnedRead(f, s)),
         (any::<u8>(), any::<u8>()).prop_map(|(f, s)| Op::PinnedLen(f, s)),
     ]
@@ -159,7 +164,7 @@ fn step(model: &mut Model, op: &Op) -> Result<u64, &'static str> {
             st[at..end].copy_from_slice(data);
             Ok(data.len() as u64)
         }
-        Op::Append(i, s, data) => {
+        Op::Append(i, s, data) | Op::PinnedAppend(i, s, data) => {
             let f = model.get_mut(&file(*i)).ok_or("NotFound")?;
             let st = f.entry(stream(*s).to_owned()).or_default();
             let at = st.len() as u64;
@@ -171,7 +176,7 @@ fn step(model: &mut Model, op: &Op) -> Result<u64, &'static str> {
             f.insert(stream(*s).to_owned(), data.clone());
             Ok(0)
         }
-        Op::SetLen(i, s, len) => {
+        Op::SetLen(i, s, len) | Op::PinnedSetLen(i, s, len) => {
             let f = model.get_mut(&file(*i)).ok_or("NotFound")?;
             let st = f.get_mut(stream(*s)).ok_or("StreamNotFound")?;
             st.resize(*len as usize, 0);
@@ -256,6 +261,10 @@ fn apply(vfs: &Vfs, pins: &mut [Pin; 4], op: &Op) -> Result<u64, &'static str> {
         Op::PinnedWrite(i, s, o, d) => vfs
             .write_stream_pinned(pin(*i), &vpath(*i, *s), *o as u64, d)
             .map(|n| n as u64),
+        Op::PinnedAppend(i, s, d) => vfs.append_stream_pinned(pin(*i), &vpath(*i, *s), d),
+        Op::PinnedSetLen(i, s, l) => vfs
+            .set_stream_len_pinned(pin(*i), &vpath(*i, *s), *l as u64)
+            .map(|()| 0),
         Op::PinnedRead(i, s) => {
             let mut buf = [0u8; 4];
             vfs.read_stream_pinned(pin(*i), &vpath(*i, *s), 2, &mut buf)

@@ -47,9 +47,10 @@ guards! {
     one_lock_per_lane_crossing: "One lock per lane crossing (a lane recycles its own buffers, the waker is read in place)", "A round trip takes each lane's stamped lock once per side and no other lock in afs-ipc: a pipe or slot recycles its buffers under that lock, the dispatch loop stages in a list it owns, and the stamped core reads its waker in place.",
     "use crate::BufferPool;" => grep(&["crates/afs-ipc/src/pipe.rs", "crates/afs-ipc/src/shared_buf.rs", "crates/afs-ipc/src/transport.rs",
         "crates/afs-core/src/strategy/dispatch.rs"], &["BufferPool"]), grep(&["crates/afs-ipc/src/stamped.rs"], &["waker.clone()", "Arc::clone(&.*waker)"]);
-    a_counter_has_one_writer: "A counter has one writer (each thread owns its stripe)", "A thread owns one cell of every `Striped` until it exits, so the cost model, the op trace and the striped families add with a load and a store; only `Tally`'s shared cell, written by threads that found no free cell, adds with a locked read-modify-write, and `SentinelStats` (one set per sentinel name), the queue gauges and the fleet gauges, which every message or poll records into, are striped.",
+    a_counter_has_one_writer: "A counter has one writer (each thread owns its stripe)", "A thread owns one cell of every `Striped` until it exits, so the cost model, the op trace and the striped families add with a load and a store; only `Tally`'s shared cell, written by threads that found no free cell, adds with a locked read-modify-write, and `SentinelStats` (one set per sentinel name), the queue gauges, the fleet gauges and the store gauges, which every message, poll or commit records into, are striped.",
     "        counter.fetch_add(n, Ordering::Relaxed);" => grep(&["crates/afs-sim/src/cost.rs", "crates/afs-sim/src/trace.rs"], &["fetch_add", "Mutex"]),
-    grep(&["crates/afs-sim/src/stripe.rs"], &["fetch_add"]).hits(1, 1), grep(&["crates/afs-telemetry/src/gauges.rs"], &["SentinelStats striped(", "QueueGauges striped(", "FleetGauges striped("]).hits(3, 3);
+    grep(&["crates/afs-sim/src/stripe.rs"], &["fetch_add"]).hits(1, 1),
+    grep(&["crates/afs-telemetry/src/gauges.rs"], &["SentinelStats striped(", "QueueGauges striped(", "FleetGauges striped(", "StoreGauges striped("]).hits(4, 4);
     one_poll_loop: "One poll loop (a caller that runs its sentinel runs the workers' loop)", "A sentinel is polled in one place, `poll_once`, which a worker, a pinned sentinel's own thread and the sender of an awaited command all reach through `Inner::run`.",
     "            task.poll();" => grep(&["crates/afs-core/src/strategy/executor.rs"], &[".poll()"]).unless(&["gauges.poll()"]).hits(1, 1),
     grep(&["crates/afs-core/src/strategy/executor.rs#fn wake_awaited"], &["self.run(task)"]).tests().hits(1, usize::MAX);
@@ -99,11 +100,16 @@ guards! {
     "        if spec.batch.is_none() {" => grep(&["crates/afs-core/src/**"], &["ring_depth.is_none()", "batch.is_none()", "charges_own_crossings"]).tests();
     panels_are_views: "Panels are views (figure6 measures only through the grid)", "Every table figure6 prints reads the measured document, so a `measure*` call in the binary would print a number the gate does not hold.",
     "    let grid = measure_grid(ops);" => grep(&["crates/afs-bench/src/bin/figure6.rs"], &[r"\bmeasure\w*("]).tests();
-    the_default_stream_is_a_field: "The default stream is a field (no op compares an empty name)", "A file's data part is `FileNode::data` and its map of named streams never holds the empty name, reached only through `FileNode::stream`, `stream_mut` and `stream_or_new`, which branch on it: a map lookup keyed by `\"\"` calls `memcmp` at Rust's dangling empty-string address, which cost a server read 100–150 ns.",
+    the_default_stream_is_a_field: "The default stream is a field (no op compares an empty name)", "A file's data part is `FileNode::data` and its sorted list of named streams never holds the empty name: `FileNode::find`, the one search of it, tests names for equality, which compares no bytes of names of unequal length, and only `stream`, `stream_mut`, `stream_or_new` (which branch on the empty name) and `remove_named` call it, and only `stream_or_new` orders names, to insert one. A map lookup keyed by `\"\"` calls `memcmp` at Rust's dangling empty-string address, which cost a server read 100–150 ns.",
     "        let data = file.streams.get(DEFAULT_STREAM);" => grep(&["crates/afs-vfs/src/**"], &[r"get\w*(DEFAULT_STREAM", "contains_key(DEFAULT_STREAM",
         "insert(DEFAULT_STREAM", r"get\w*(path.stream()", "contains_key(path.stream()", "insert(path.stream()"]),
+    grep(&["crates/afs-vfs/src/**", "!crates/afs-vfs/src/node.rs#fn find", "!crates/afs-vfs/src/node.rs#fn stream_or_new"],
+        &[r"named.get\w*(", "named.contains_key(", "named.insert(", "named.iter().position(", "named.iter().find(", "named.binary_search",
+        "named.partition_point("]),
+    grep(&["crates/afs-vfs/src/node.rs#fn stream_or_new"], &["named.partition_point(", "named.insert("]).hits(2, 2),
+    grep(&["crates/afs-vfs/src/node.rs#fn find"], &["n == name"]).hits(1, 1),
     grep(&["crates/afs-vfs/src/**", "!crates/afs-vfs/src/node.rs#fn stream", "!crates/afs-vfs/src/node.rs#fn stream_mut",
-        "!crates/afs-vfs/src/node.rs#fn stream_or_new"], &[r"named.get\w*(", "named.contains_key(", "named.insert("]),
+        "!crates/afs-vfs/src/node.rs#fn stream_or_new", "!crates/afs-vfs/src/node.rs#fn remove_named"], &["self.find("]),
     grep(&["crates/afs-vfs/src/node.rs#fn stream", "crates/afs-vfs/src/node.rs#fn stream_mut", "crates/afs-vfs/src/node.rs#fn stream_or_new"],
         &["name.is_empty()"]).hits(3, 3);
     one_harness_per_clock: "One harness per clock (afs-bench is virtual time only)", "Host time belongs to `benchmark/`, so a Criterion target or a `benches/` directory in the workspace would be a benchmark no job runs.",
