@@ -43,7 +43,9 @@
 //! one batch `Vec` across doorbells, finds speculations by scanning a list
 //! of at most one batch, and hands each read entry a spare buffer of its
 //! own that the sentinel fills and the completion brings back (see
-//! [`Sqe::payload`]).
+//! [`Sqe::payload`]). A staged write's buffer, which the sentinel keeps,
+//! is paid back when the sentinel takes the write, and the next doorbell
+//! collects it.
 //!
 //! [`StrategyHandle`]: super::handle::StrategyHandle
 
@@ -89,8 +91,10 @@ struct DriverState {
     /// The next doorbell's entries; empty between doorbells, its capacity
     /// kept for the next.
     batch: Vec<Sqe<Framed<Op>>>,
-    /// Buffers for the bytes reads produce: each read entry takes one,
-    /// and a delivered or discarded completion puts its bytes back.
+    /// Buffers for the bytes reads produce and writes stage: each read
+    /// entry takes one, and a delivered or discarded completion puts its
+    /// bytes back; a staged write takes one, and a later doorbell collects
+    /// it once the sentinel has run the write.
     spare: FreeList,
     /// Speculative reads in submission order: the landed ones (reaped,
     /// holding their bytes, all of the current epoch) first, then those
@@ -196,11 +200,13 @@ impl RingDriver {
         }
     }
 
-    /// Rings the doorbell for `batch`, draining it, under a
+    /// Rings the doorbell for the state's batch, draining it, under a
     /// transport-layer span (which nests under the in-flight op's strategy
-    /// span on this thread). `awaited`: this thread blocks on the batch's
-    /// completions next (see [`RingTransport::submit_awaited`]).
-    fn submit(&self, batch: &mut Vec<Sqe<Framed<Op>>>, awaited: bool) -> afs_ipc::Result<()> {
+    /// span on this thread), and collects the buffers of the writes the
+    /// sentinel has run onto the spare list. `awaited`: this thread blocks
+    /// on the batch's completions next (see [`RingTransport::submit_to`]).
+    fn submit(&self, state: &mut DriverState, awaited: bool) -> afs_ipc::Result<()> {
+        let DriverState { batch, spare, .. } = state;
         if batch.is_empty() {
             return Ok(());
         }
@@ -211,11 +217,7 @@ impl RingDriver {
             sp.set_bytes(batch.len() as u64);
         }
         let entries = std::mem::take(batch);
-        *batch = if awaited {
-            self.ring.submit_awaited(entries)?
-        } else {
-            self.ring.submit(entries)?
-        };
+        *batch = self.ring.submit_to(entries, awaited, spare)?;
         Ok(())
     }
 
@@ -254,7 +256,7 @@ impl RingDriver {
     /// Submits the batch and blocks for the completion of its entry `id`:
     /// the reply plus any produced bytes.
     fn roundtrip(&self, state: &mut DriverState, id: u64) -> Completed {
-        self.submit(&mut state.batch, true)?;
+        self.submit(state, true)?;
         let cqe = self.ring.complete(id)?;
         self.reap(state, id)?;
         Ok((cqe.reply, cqe.data))
@@ -380,7 +382,7 @@ impl AppPort<OpMux> for RingDriver {
         }
         if state.staged.held(session) >= self.ring.depth() {
             state.flush_staged(Some(session));
-            self.submit(&mut state.batch, false)?;
+            self.submit(&mut state, false)?;
         }
         Ok(())
     }
@@ -396,9 +398,7 @@ impl AppPort<OpMux> for RingDriver {
         let close = matches!(frame.body, Op::Close);
         if close && !state.sessions.detach(frame.session) {
             state.flush_staged(None);
-            return self
-                .submit(&mut state.batch, false)
-                .map(|()| (OpReply::Done, 0));
+            return self.submit(&mut state, false).map(|()| (OpReply::Done, 0));
         }
         let completed = match frame.body {
             Op::Read { .. } => self.demand_read(&mut state, frame),
@@ -421,10 +421,9 @@ impl AppPort<OpMux> for RingDriver {
 /// drop closes it. A sentinel that is already gone is ignored.
 impl Drop for RingDriver {
     fn drop(&mut self) {
-        let state = self.state.get_mut();
+        let mut state = std::mem::take(self.state.get_mut());
         state.flush_staged(None);
-        let mut batch = std::mem::take(&mut state.batch);
-        let _ = self.submit(&mut batch, false);
+        let _ = self.submit(&mut state, false);
     }
 }
 

@@ -30,13 +30,14 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use afs_ipc::{
-    ChannelWaker, Cqe, Framed, FreeList, IpcError, PairPort, RingPort, SentinelExit, Sqe,
+    ChannelWaker, Cqe, Framed, FreeList, MuxProtocol, PairPort, RingPort, SentinelExit, Sqe,
 };
 use afs_telemetry::{SentinelStats, TraceContext};
 
 use crate::ctx::SentinelCtx;
 use crate::logic::{SentinelError, SentinelLogic};
 use crate::strategy::executor::{SentinelPoll, TaskPoll};
+use crate::strategy::mux::OpMux;
 use crate::strategy::{
     execute_op, op_name, take_sticky_preemption, Instruments, Op, OpReply, SentinelSide, Sticky,
 };
@@ -59,14 +60,15 @@ pub(crate) struct Inbound {
 
 /// The sentinel side of a wire, as much of it as the loop needs.
 pub(crate) trait SentinelPort: Send + 'static {
-    /// The next inbound command with its payload, staged from `staging`
-    /// when it crosses a lane of its own; `None` when the lane is merely
-    /// empty. Never blocks on an empty lane.
+    /// The next inbound command with its payload, staged from `staging` or
+    /// in the buffer it came in, which the take pays back from `staging`;
+    /// `None` when the lane is merely empty. Never blocks on an empty lane.
     ///
     /// # Errors
     ///
     /// The application side is gone — before a command, or between a
-    /// `Write` and its payload.
+    /// `Write` and its payload — or a `Write` carries other than the bytes
+    /// it announces.
     fn next(&self, staging: &mut FreeList) -> afs_ipc::Result<Option<Inbound>>;
 
     /// Sends `reply` (and any produced bytes) to `session`, handing back
@@ -89,29 +91,13 @@ pub(crate) trait SentinelPort: Send + 'static {
 }
 
 /// The pair wire, private or shared: every frame names its session. A
-/// reply's bytes cross a §4.2 pipe, and their buffer comes back; on the
-/// §4.3 wiring the buffer goes with the reply, and a spare the lane kept
-/// comes back in its place.
+/// message's bytes cross a §4.2 pipe, behind it; on the §4.3 wiring they
+/// travel inside it, and a spare goes back in place of the buffer.
 impl SentinelPort for PairPort<Framed<Op>, Framed<OpReply>> {
     fn next(&self, staging: &mut FreeList) -> afs_ipc::Result<Option<Inbound>> {
-        let Some((frame, emptied)) = self.poll_cmd()? else {
-            return Ok(None);
-        };
-        // The payload that follows a `Write` on the data lane.
-        let payload = match frame.body {
-            Op::Write { len, .. } if len > 0 => {
-                let mut buf = staging.take(len as usize);
-                // A pipe reports a vanished writer as a short count, not
-                // an error: either way the payload is not coming.
-                if self.recv_data_exact(&mut buf).ok() != Some(buf.len()) {
-                    staging.put(buf);
-                    return Err(IpcError::BrokenPipe);
-                }
-                buf
-            }
-            _ => Vec::new(),
-        };
-        Ok(Some(Inbound {
+        let announced = |frame: &Framed<Op>| OpMux::cmd_payload_len(&frame.body);
+        let polled = self.poll_cmd(announced, staging)?;
+        Ok(polled.map(|(frame, payload, emptied)| Inbound {
             session: frame.session,
             trace: frame.trace,
             id: 0,
@@ -133,10 +119,7 @@ impl SentinelPort for PairPort<Framed<Op>, Framed<OpReply>> {
             trace: TraceContext::default(),
             body: reply,
         };
-        match data {
-            Some(bytes) => self.send_reply_with(frame, bytes),
-            None => self.send_reply(frame).map(|()| None),
-        }
+        self.send_reply_with(frame, data.unwrap_or_default())
     }
 
     fn set_wakeup(&self, waker: ChannelWaker) {
@@ -147,10 +130,13 @@ impl SentinelPort for PairPort<Framed<Op>, Framed<OpReply>> {
 /// The batched wire: submissions carry their payload, completions are
 /// posted by id, each keeping its bytes' buffer. A read's entry carries
 /// the buffer its bytes go back in: it goes on the staging list, where
-/// the read's reply takes it.
+/// the read's reply takes it. A write's bytes stay on the staging list,
+/// and its take pays the ring back from there, for the driver's next
+/// doorbell to collect.
 impl SentinelPort for RingPort<Framed<Op>, OpReply> {
     fn next(&self, staging: &mut FreeList) -> afs_ipc::Result<Option<Inbound>> {
-        let Some((Sqe { id, cmd, payload }, emptied)) = self.poll_next()? else {
+        let keeps = |sqe: &Sqe<Framed<Op>>| matches!(sqe.cmd.body, Op::Write { .. });
+        let Some((Sqe { id, cmd, payload }, emptied)) = self.poll_next(keeps, staging)? else {
             return Ok(None);
         };
         let payload = match (payload, &cmd.body) {

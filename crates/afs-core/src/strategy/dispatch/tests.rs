@@ -3,7 +3,10 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use afs_ipc::{PairTransport, RingPair, RingTransport, Sqe, SyncRegistry};
+use afs_ipc::{
+    AppPort, IpcError, MuxHub, PairTransport, RingPair, RingTransport, SessionHub, Sqe,
+    SyncRegistry,
+};
 use afs_net::Network;
 use afs_sim::{CostModel, OpTrace};
 use afs_telemetry::{intern, Telemetry};
@@ -13,6 +16,7 @@ use super::*;
 use crate::logic::{SentinelError, SentinelResult};
 use crate::spec::{RuntimeSpec, SentinelSpec, Strategy};
 use crate::strategy::executor::SentinelExecutor;
+use crate::strategy::mux::OpMux;
 
 /// What the probe logic saw, shared with the test body.
 #[derive(Default)]
@@ -70,20 +74,17 @@ const FRAMED_SESSION: u32 = 7;
 impl App {
     /// Sends `op`, with `payload` when it is a write. `payload: None`
     /// on a write is the application dying between the command and
-    /// its bytes (a ring carries both in one entry, so there it is
-    /// simply a write of nothing).
+    /// its bytes: on a pipe they never follow it (a ring carries both in
+    /// one entry, so there it is simply a write of nothing).
     fn send(&mut self, op: Op, payload: Option<&[u8]>) {
         match self {
             App::Pair(t, session) => {
-                t.send_cmd(Framed {
+                let frame = Framed {
                     session: *session,
                     trace: TraceContext::default(),
                     body: op,
-                })
-                .expect("cmd");
-                if let Some(p) = payload {
-                    t.send_data(p).expect("data");
-                }
+                };
+                t.send(frame, payload.unwrap_or_default()).expect("cmd");
             }
             App::Ring(t, next) => {
                 *next += 1;
@@ -376,4 +377,38 @@ fn sessions_join_a_running_loop_and_departed_ones_are_pruned() {
     r.task.poll();
     assert_eq!(r.seen.writes.lock().len(), 3, "a straggler still runs");
     assert!(late.take().is_none(), "and parks on nobody else");
+}
+
+/// A §4.3 `Write` whose carried bytes are not the `len` it announces
+/// fails the port's `next`, whether the bare pair or a one-session hub
+/// sent it, and the next frame on the lane is read as sent.
+#[test]
+fn a_write_carrying_other_than_its_len_fails_next_and_the_lane_stays_framed() {
+    type Port = PairPort<Framed<Op>, Framed<OpReply>>;
+    let write = |len| Op::Write { offset: 0, len };
+    let (bare, bare_end) = PairTransport::shared(CostModel::free());
+    let (under, hub_end) = PairTransport::shared(CostModel::free());
+    let hub = MuxHub::<OpMux>::new(under, CostModel::free(), Arc::default(), None);
+    let (session, _) = hub.attach().expect("a session");
+    let carriers: [(&dyn AppPort<OpMux>, &Port, u32); 2] = [
+        (&bare, &bare_end, PRIVATE_SESSION),
+        (&hub, &hub_end, session),
+    ];
+    let mut staging = FreeList::default();
+    for (app, port, session) in carriers {
+        let frame = |body| Framed {
+            session,
+            trace: TraceContext::default(),
+            body,
+        };
+        for wrong in [&b"abc"[..], b"abcde"] {
+            app.post(frame(write(4)), wrong).expect("mis-framed");
+            let failed = port.next(&mut staging).map(|_| ());
+            assert_eq!(failed, Err(IpcError::BrokenPipe), "{session}: {wrong:?}");
+            app.post(frame(write(2)), b"ok").expect("framed");
+            let next = port.next(&mut staging).expect("read").expect("a frame");
+            let read = (next.session, next.op, next.payload);
+            assert_eq!(read, (session, write(2), b"ok".to_vec()), "{session}");
+        }
+    }
 }

@@ -738,9 +738,8 @@ mod tests {
         fn read(&mut self, _: &mut SentinelCtx, _: u64, buf: &mut [u8]) -> SentinelResult<usize> {
             self.served.lock().push("read");
             self.app
-                .send_cmd(framed(Op::Write { offset: 0, len: 1 }))
+                .send(framed(Op::Write { offset: 0, len: 1 }), b"w")
                 .expect("post");
-            self.app.send_data(b"w").expect("payload");
             Ok(buf.len())
         }
 

@@ -8,7 +8,10 @@
 use std::sync::mpsc;
 use std::time::Duration;
 
-use afs_ipc::{Cqe, Framed, MuxHub, PairPort, PairTransport, RingPair, SentinelExit, SessionHub};
+use afs_ipc::{
+    Cqe, Framed, FreeList, MuxHub, MuxProtocol, PairPort, PairTransport, RingPair, SentinelExit,
+    SessionHub,
+};
 
 use super::*;
 use crate::ctx::SentinelCtx;
@@ -81,20 +84,27 @@ impl SentinelLogic for Scripted {
 /// of them is pulling and the rest are waiting on it.
 fn serve_pair(port: PairPort<Framed<Op>, Framed<OpReply>>, sessions: usize) -> Arc<SentinelExit> {
     spawn_sentinel("scripted", &instruments(), move || {
+        // The next frame, parking until the application rings.
+        let me = std::thread::current();
+        port.set_wakeup(Arc::new(move || me.unpark()));
+        let announced = |frame: &Framed<Op>| OpMux::cmd_payload_len(&frame.body);
+        let next = || loop {
+            match port.poll_cmd(announced, &mut FreeList::default()) {
+                Ok(Some((frame, _, _))) => return Ok(frame),
+                Ok(None) => std::thread::park(),
+                Err(e) => return Err(e),
+            }
+        };
         while let Ok(Framed {
             session, body: op, ..
-        }) = port.recv_cmd()
+        }) = next()
         {
-            if let Op::Write { len, .. } = op {
-                let mut payload = vec![0; len as usize];
-                if len > 0 && port.recv_data_exact(&mut payload).is_err() {
-                    return;
-                }
+            if matches!(op, Op::Write { .. }) {
                 continue;
             }
             let Some((reply, data)) = script(&op) else {
                 for _ in 1..sessions {
-                    let _ = port.recv_cmd();
+                    let _ = next();
                 }
                 return;
             };

@@ -14,14 +14,15 @@
 //!
 //! | Appendix A.3 call        | Here                                                  |
 //! |--------------------------|-------------------------------------------------------|
-//! | `AF_SendControl`         | command send on the user-level channel                |
-//! | `AF_GetControl`          | command recv in the dispatch loop                     |
-//! | `AF_SendDataToSentinel`  | [`SharedBuffer::send`] app → sentinel                 |
-//! | `AF_GetDataFromAppl`     | `recv` in the dispatch loop                           |
+//! | `AF_SendControl`         | command send on the user-level command lane           |
+//! | `AF_GetControl`          | command take in the dispatch loop                     |
+//! | `AF_SendDataToSentinel`  | [`PairTransport::send`]: the one copy into a buffer the command carries |
+//! | `AF_GetDataFromAppl`     | [`PairPort::poll_cmd`] in the dispatch loop: the command's buffer is the write's payload |
 //! | `AF_SendDataToAppl`      | [`PairPort::send_reply_with`]: the reply carries the buffer the bytes were staged in |
 //! | `AF_GetDataFromSentinel` | [`Payload::land`] in the pair wire's `call`: the one copy into the caller's buffer |
 //!
-//! [`SharedBuffer::send`]: afs_ipc::SharedBuffer::send
+//! [`PairTransport::send`]: afs_ipc::PairTransport::send
+//! [`PairPort::poll_cmd`]: afs_ipc::PairPort::poll_cmd
 //! [`PairPort::send_reply_with`]: afs_ipc::PairPort::send_reply_with
 //! [`Payload::land`]: afs_ipc::Payload::land
 //! [`PairTransport::shared`]: afs_ipc::PairTransport::shared
@@ -34,8 +35,8 @@ use crate::strategy::Instruments;
 /// Builds the DLL-with-thread strategy for one open: the
 /// `SentinelThrdMain` dispatch loop is registered with the sentinel
 /// executor (the bounded-pool stand-in for "starts a thread for running
-/// the orchestration routine") and wired over shared-memory buffers plus
-/// user-level control channels. With `batch = Some(depth)` the same
+/// the orchestration routine") and wired over two user-level lanes whose
+/// commands and replies carry their bytes. With `batch = Some(depth)` the same
 /// substrate is wired as a submission/completion ring instead — one
 /// crossing per batch (see [`crate::strategy::batch`]).
 pub(crate) fn open(

@@ -1,4 +1,4 @@
-//! What a batched read costs the host, in heap allocations.
+//! What a batched read and write cost the host, in heap allocations.
 //!
 //! A `batch=on` file crosses once per ring of reads, so the host work per
 //! read has to be small beside the crossing it saves. It was not: each
@@ -9,6 +9,11 @@
 //! short lists scanned by id and span, and a read's buffer travels to the
 //! sentinel in its submission entry and back in its completion, then
 //! waits on the driver's spare list for the next read.
+//!
+//! A write's bytes are staged in a buffer from the driver's spare list
+//! and travel in their entry; the sentinel keeps the buffer, pays the ring
+//! back with a spare from its staging list when it takes the write, and
+//! the driver's next doorbell collects that.
 //!
 //! The reads run on the caller-runs path (an idle sentinel is polled by
 //! the thread that waits on it; `tests/caller_runs.rs` at the root pins
@@ -27,6 +32,12 @@ use afs_winapi::{Access, Disposition, FileApi, Handle, SeekMethod};
 /// were a fresh `Vec` and each doorbell's entries another).
 const READ_BUDGET: u64 = 0;
 
+/// Steady-state 128 B writes to one offset on the same file, so that none
+/// merges into another and every eighth rings the doorbell: exactly
+/// nothing (one per write while a write's buffer stayed with the sentinel
+/// and only a read's completion brought one back).
+const WRITE_BUDGET: u64 = 0;
+
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
@@ -36,6 +47,11 @@ const FILE: usize = 256 * 1024;
 /// A one-worker world holding `/r.af`, `FILE` bytes of a known pattern
 /// behind a private batched §4.3 sentinel, opened for reading.
 fn batched_file() -> (AfsWorld, Handle) {
+    batched_file_for(Access::read_only())
+}
+
+/// [`batched_file`], opened with `access`.
+fn batched_file_for(access: Access) -> (AfsWorld, Handle) {
     let world = AfsWorld::builder().fleet_workers(1).build();
     let spec = SentinelSpec::new("null", Strategy::DllThread)
         .backing(Backing::Memory)
@@ -50,7 +66,7 @@ fn batched_file() -> (AfsWorld, Handle) {
         .expect("seed");
     let h = world
         .api()
-        .create_file("/r.af", Access::read_only(), Disposition::OpenExisting)
+        .create_file("/r.af", access, Disposition::OpenExisting)
         .expect("open");
     (world, h)
 }
@@ -97,4 +113,47 @@ fn a_steady_state_batched_read_allocates_nothing() {
         "{READS} batched reads made {spent} allocations, budget {READ_BUDGET}"
     );
     api.close_handle(h).expect("close");
+}
+
+#[test]
+fn a_steady_state_batched_write_allocates_nothing() {
+    const WRITES: usize = 256;
+    let (world, h) = batched_file_for(Access::read_write());
+    let api = world.api();
+    settle(&world);
+    let fleet = world.telemetry().fleet();
+    let block = [7u8; BLOCK];
+    // One write at offset 0, and when it rang the doorbell, a wait until
+    // the worker has run the batch and parked: its takes have paid the
+    // ring back before the next doorbell collects.
+    let write = || {
+        let before = fleet.snapshot();
+        api.set_file_pointer(h, 0, SeekMethod::Begin)
+            .expect("rewind");
+        let (spent, ()) = allocations(|| assert_eq!(api.write_file(h, &block), Ok(BLOCK)));
+        if fleet.snapshot().wakeups > before.wakeups {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while fleet.snapshot().parks == before.parks {
+                assert!(Instant::now() < deadline, "the batch was never run");
+                std::thread::yield_now();
+            }
+        }
+        spent
+    };
+    // Warm-up: the buffers that circulate settle on their lists.
+    for _ in 0..64 {
+        write();
+    }
+    let spent: u64 = (0..WRITES).map(|_| write()).sum();
+    assert_eq!(
+        spent, WRITE_BUDGET,
+        "{WRITES} batched writes made {spent} allocations, budget {WRITE_BUDGET}"
+    );
+    api.close_handle(h).expect("close");
+    let mut back = [0u8; BLOCK];
+    let read = world
+        .vfs()
+        .read_stream_to_end(&VPath::parse("/r.af").expect("path"));
+    back.copy_from_slice(&read.expect("read back")[..BLOCK]);
+    assert_eq!(back, block, "the writes landed");
 }

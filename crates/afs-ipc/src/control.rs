@@ -16,8 +16,8 @@ use std::sync::Arc;
 
 use afs_sim::{Cost, CostModel};
 
-use crate::stamped::{Doorbell, End, Gauge, Stamped, Taking};
-use crate::Result;
+use crate::stamped::{Doorbell, End, Gauge, Stamped};
+use crate::{FreeList, Result};
 
 /// Readiness hook of a poll-driven consumer, invoked whenever the channel
 /// transitions to "something to observe" (a new message, or the last
@@ -72,12 +72,6 @@ impl ControlChannel {
         Self::over(model, true, None)
     }
 
-    /// Creates a typed control channel carried over user-level events and
-    /// shared memory: each send charges only one event signal.
-    pub fn user_level<T: Send>(model: CostModel) -> (ControlSender<T>, ControlReceiver<T>) {
-        Self::over(model, false, None)
-    }
-
     pub(crate) fn over<T: Send>(
         model: CostModel,
         kernel: bool,
@@ -111,28 +105,18 @@ impl<T: Send> ControlSender<T> {
     /// Returns [`IpcError::BrokenPipe`](crate::IpcError::BrokenPipe) if
     /// the receiving end is gone.
     pub fn send(&self, msg: T) -> Result<()> {
-        self.send_all(1, [msg], Doorbell::Post)
+        self.send_all(1, [msg], Doorbell::Post, None)
     }
 
-    /// Enqueues a command whose sender blocks on the answer next, sends
-    /// nothing after it, and has room for whatever the answer brings back
-    /// (the waker is told so; see [`Wake`]). Charged like [`send`].
-    ///
-    /// [`send`]: ControlSender::send
-    ///
-    /// # Errors
-    ///
-    /// As [`send`](ControlSender::send).
-    pub fn send_awaited(&self, msg: T) -> Result<()> {
-        self.send_all(1, [msg], Doorbell::Awaited)
-    }
-
-    /// Enqueues `n` commands behind one doorbell and one stamp.
+    /// Enqueues `n` commands behind one doorbell and one stamp, and moves
+    /// the buffers the receiver handed back (see
+    /// [`ControlReceiver::poll_keeping`]) onto `reclaim`, if given.
     pub(crate) fn send_all(
         &self,
         n: usize,
         msgs: impl IntoIterator<Item = T>,
         doorbell: Doorbell,
+        reclaim: Option<&mut FreeList>,
     ) -> Result<()> {
         let inner = &*self.inner;
         if inner.kernel {
@@ -141,7 +125,12 @@ impl<T: Send> ControlSender<T> {
         } else {
             inner.model.charge(Cost::EventSignal);
         }
-        inner.core.send(n, doorbell, |_| msgs)
+        inner.core.send(n, doorbell, |kept| {
+            if let Some(to) = reclaim {
+                kept.move_to(to);
+            }
+            msgs
+        })
     }
 
     /// Rings the receiver's waker with nothing sent, as a posted send
@@ -187,7 +176,7 @@ impl<T: Send> ControlReceiver<T> {
     /// loop uses this to terminate.
     pub fn recv(&self) -> Result<T> {
         self.charge_observed();
-        self.inner.core.take().map(|taking| taking.whole().0)
+        self.inner.core.take().map(|taking| taking.whole(|_| 1).0)
     }
 
     /// Non-blocking receive that charges exactly what [`recv`] would. A
@@ -212,11 +201,28 @@ impl<T: Send> ControlReceiver<T> {
     /// [`IpcError::Closed`](crate::IpcError::Closed) once all senders are
     /// gone and the queue is drained.
     pub fn poll_recv(&self) -> Result<Option<(T, bool)>> {
+        self.poll_keeping(|_| false, &mut FreeList::default())
+    }
+
+    /// [`poll_recv`](ControlReceiver::poll_recv) for a consumer that keeps
+    /// the buffer a message brings when `keeps` says so: that take hands
+    /// the channel a spare from `staging`, for a later send to reclaim.
+    pub(crate) fn poll_keeping(
+        &self,
+        keeps: impl FnOnce(&T) -> bool,
+        staging: &mut FreeList,
+    ) -> Result<Option<(T, bool)>> {
         let polled = self.inner.core.poll();
         if !matches!(polled, Ok(None)) {
             self.charge_observed();
         }
-        Ok(polled?.map(Taking::whole))
+        let Some(mut taking) = polled? else {
+            return Ok(None);
+        };
+        if taking.front().is_some_and(|msg| keeps(msg)) {
+            taking.hand_back(staging);
+        }
+        Ok(Some(taking.whole(|_| 1)))
     }
 
     /// The receive-side syscall of a kernel channel, paid before the
@@ -349,12 +355,13 @@ mod tests {
                 self.0.lock().push(awaited);
             }
         }
-        let (tx, rx) = ControlChannel::user_level::<u8>(CostModel::free());
+        let (tx, rx) = ControlChannel::new::<u8>(CostModel::free());
         let log = Arc::new(Log(parking_lot::Mutex::new(Vec::new())));
         rx.set_waker(Arc::clone(&log) as ChannelWaker);
         tx.send(1).expect("post");
-        tx.send_all(1, [2], Doorbell::Held).expect("held");
-        tx.send_awaited(3).expect("awaited");
+        tx.send_all(1, [2], Doorbell::Held, None).expect("held");
+        tx.send_all(1, [3], Doorbell::Awaited, None)
+            .expect("awaited");
         drop(tx);
         // A held send rings nothing; the hang-up is no send anyone waits
         // on.

@@ -4,7 +4,7 @@
 //! thread and the in-process sentinel thread with events plus shared
 //! memory ("these 'messages' are implemented using events and shared
 //! memory", Appendix A.3); this runtime carries those messages on the
-//! user-level [`ControlChannel`](crate::ControlChannel), one event signal
+//! §4.3 lanes of the [pair wire](crate::transport), one event signal
 //! each. An [`Event`] is the standalone NT auto-reset event: a wait
 //! consumes the signal, so one waiter is released per signal, and signals
 //! set before a wait consumes them coalesce into one.

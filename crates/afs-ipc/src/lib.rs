@@ -13,26 +13,26 @@
 //!   kernel→user copy on the reader, exactly the two copies the paper
 //!   attributes to pipe-based strategies (§6).
 //! * [`control::ControlChannel`] — a typed command channel modelling the
-//!   third (control) pipe of the process-plus-control strategy (§4.2), or,
-//!   at user level, the event-signalled messages of the DLL-with-thread
-//!   strategy (Appendix A.3).
+//!   third (control) pipe of the process-plus-control strategy (§4.2),
+//!   and, at user level, the doorbell of a §4.3 ring.
 //! * [`event::Event`] — an NT auto-reset event.
-//! * [`shared_buf::SharedBuffer`] — a single-copy shared-memory handoff
-//!   ("File data is not copied from user space to kernel space and then to
-//!   user space …, instead using only one user-level copy", §4.3), which
-//!   carries a write's bytes to a §4.3 sentinel; a read's come back inside
-//!   their reply.
+//! * [`shared_buf::SharedBuffer`] — a single-copy one-slot shared-memory
+//!   handoff ("File data is not copied from user space to kernel space and
+//!   then to user space …, instead using only one user-level copy", §4.3),
+//!   kept as the primitive `benchmark/`'s §4.3 probe times: the §4.3 pair
+//!   wire carries a write's bytes in their command and a read's in their
+//!   reply.
 //! * [`sync::SyncRegistry`] — named semaphores/mutexes, the mechanism
 //!   multiple sentinels on the same active file use to synchronise
 //!   "amongst themselves in a program-dependent fashion" (§2.2).
 //!
-//! The pipe, the shared buffer, the control channel, the §4.3 reply lane
+//! The pipe, the shared buffer, the control channel, the two §4.3 lanes
 //! and the ring's submission queue are instances of one [stamped
 //! channel](stamped), which holds the crate's whole virtual-time rule.
 //!
 //! On top of the primitives, [`transport::PairTransport`] packages the
-//! complete §4.2/§4.3 wiring (typed command and reply lanes, a data lane
-//! to the sentinel, and a read's bytes behind or inside its reply),
+//! complete §4.2/§4.3 wiring (typed command and reply lanes, each
+//! message's bytes behind it on a pipe or inside it on a §4.3 lane),
 //! [`mux::MuxHub`] shares one such wire among many sessions
 //! (under the one session rule and write stager of [`mux`]),
 //! [`ring::RingPair`] adds io_uring-style submission/completion rings
@@ -69,7 +69,7 @@ pub use ring::{Cqe, RingPair, RingPort, RingTransport, Sqe};
 pub use shared_buf::SharedBuffer;
 pub use stamped::FreeList;
 pub use sync::{NamedSemaphore, SyncRegistry};
-pub use transport::{DataRx, DataTx, PairPort, PairTransport, Payload};
+pub use transport::{PairPort, PairTransport, Payload};
 
 /// Result alias used across this crate.
 pub type Result<T> = std::result::Result<T, IpcError>;

@@ -70,7 +70,7 @@ pub trait MuxProtocol: Send + Sync + 'static {
     /// Reply type carried sentinel → app.
     type Reply: Send + 'static;
 
-    /// Payload bytes that follow `cmd` on the data lane (a write's data).
+    /// Payload bytes that come with `cmd` (a write's data).
     fn cmd_payload_len(cmd: &Self::Cmd) -> usize;
 
     /// Payload bytes that come with `reply` (a read's data).
@@ -322,11 +322,7 @@ impl<P: MuxProtocol> AppPort<P> for PairTransport<Framed<P::Cmd>, Framed<P::Repl
     }
 
     fn post(&self, frame: Framed<P::Cmd>, payload: &[u8]) -> Result<()> {
-        self.send_cmd(frame)?;
-        if payload.is_empty() {
-            return Ok(());
-        }
-        self.send_data(payload)
+        self.send(frame, payload)
     }
 
     fn call(&self, frame: Framed<P::Cmd>, into: &mut [u8]) -> Result<(P::Reply, usize)> {
@@ -413,17 +409,6 @@ impl<P: MuxProtocol> MuxHub<P> {
         }
     }
 
-    /// Puts one frame (plus payload) on the wire. Must run under the
-    /// send lock so the command and its payload stay adjacent on the data
-    /// lane.
-    fn transmit_locked(&self, frame: Framed<P::Cmd>, payload: &[u8]) -> Result<()> {
-        self.under.send_cmd(frame)?;
-        if !payload.is_empty() {
-            self.under.send_data(payload)?;
-        }
-        Ok(())
-    }
-
     /// Transmits every staged entry and then a call's frame — the last
     /// this session sends before it waits for the reply, with room for
     /// `reply_room` bytes behind it — through
@@ -461,7 +446,7 @@ impl<P: MuxProtocol> MuxHub<P> {
     /// read-your-writes; a call does so in [`MuxHub::call_locked`].
     fn flush_stages_locked(&self, s: &mut SendState<P>, only: Option<u32>) -> Result<()> {
         for (frame, buf) in s.stages.take(only) {
-            let result = self.transmit_locked(frame, &buf);
+            let result = self.under.send(frame, &buf);
             s.spare.put(buf);
             result?;
             self.gauges.flushed_batch();
@@ -481,7 +466,7 @@ impl<P: MuxProtocol> MuxHub<P> {
             Some(room) => self.call_locked(&mut s, frame, room),
             None => {
                 self.flush_stages_locked(&mut s, None)?;
-                self.transmit_locked(frame, &[])
+                self.under.send(frame, &[])
             }
         }
     }
@@ -497,7 +482,7 @@ impl<P: MuxProtocol> MuxHub<P> {
         }
         if s.sessions.count() <= 1 {
             self.flush_stages_locked(&mut s, None)?;
-            return self.transmit_locked(frame, data);
+            return self.under.send(frame, data);
         }
         if s.stages.merge(&frame, data) {
             self.gauges.coalesced_write();
@@ -828,6 +813,19 @@ mod tests {
         ToyCmd { tag, offset, len }
     }
 
+    /// Takes the next frame off the sentinel end, with the payload it
+    /// carries, waiting for the application threads to send it.
+    fn next(port: &ToyPort) -> (Framed<ToyCmd>, Vec<u8>) {
+        let announced = |frame: &Framed<ToyCmd>| Toy::cmd_payload_len(&frame.body);
+        loop {
+            let polled = port.poll_cmd(announced, &mut FreeList::default());
+            if let Some((frame, payload, _)) = polled.expect("a frame") {
+                return (frame, payload);
+            }
+            std::thread::yield_now();
+        }
+    }
+
     /// Answers `frame` with `data` from the sentinel side.
     fn answer(port: &ToyPort, frame: &Framed<ToyCmd>, data: &[u8]) {
         let reply = Framed {
@@ -860,9 +858,9 @@ mod tests {
                 }
             };
             let call_a = s.spawn(read(a, 0));
-            let fa = port.recv_cmd().expect("frame a");
+            let (fa, _) = next(&port);
             let call_b = s.spawn(read(b, 8));
-            let fb = port.recv_cmd().expect("frame b");
+            let (fb, _) = next(&port);
             assert_eq!((fa.session, fb.session), (id_a, id_b));
             // Reply out of request order: whoever holds the wire pulls
             // b's frame first and leaves it in b's box.
@@ -891,9 +889,9 @@ mod tests {
         };
         std::thread::scope(|s| {
             let first = s.spawn(read(a, 0));
-            let fa = port.recv_cmd().expect("a's read");
+            let (fa, _) = next(&port);
             let second = s.spawn(read(b, 8));
-            let fb = port.recv_cmd().expect("b's read");
+            let (fb, _) = next(&port);
             let _g = clock::install(0);
             answer(&port, &fa, b"AAAA");
             if found_space {
@@ -928,16 +926,17 @@ mod tests {
             a.post(cmd(1, i * 4, 4), op(i), b"wxyz").expect("write");
         }
         // Nothing on the wire yet: all four writes sit in one stage.
-        assert_eq!(port.poll_cmd().expect("empty"), None);
+        assert!(port
+            .poll_cmd(|_| 0, &mut FreeList::default())
+            .expect("empty")
+            .is_none());
         std::thread::scope(|s| {
             // A read forces the flush: the batch frame precedes the read.
             let read = s.spawn(|| a.call(cmd(2, 0, 1), NO_TRACE, &mut [0u8; 1]).expect("read"));
-            let flush = port.recv_cmd().expect("flush frame");
+            let (flush, payload) = next(&port);
             assert_eq!((flush.body, flush.trace), (cmd(1, 0, 16), op(0)));
-            let mut payload = vec![0u8; 16];
-            port.recv_data_exact(&mut payload).expect("batch payload");
             assert_eq!(&payload, b"wxyzwxyzwxyzwxyz");
-            let frame = port.recv_cmd().expect("read frame");
+            let (frame, _) = next(&port);
             assert_eq!(frame.body.tag, 2);
             answer(&port, &frame, b"w");
             assert_eq!(read.join().expect("join"), (ToyReply { n: 1 }, 1));
@@ -954,7 +953,10 @@ mod tests {
                 .post(cmd(1, i as u64 * 8, 2), NO_TRACE, &[b'a' + i as u8; 2])
                 .expect("staged");
         }
-        assert_eq!(port.poll_cmd().expect("empty"), None);
+        assert!(port
+            .poll_cmd(|_| 0, &mut FreeList::default())
+            .expect("empty")
+            .is_none());
         std::thread::scope(|s| {
             let reader = &sessions[2];
             let read = s.spawn(|| {
@@ -963,14 +965,12 @@ mod tests {
                     .expect("read")
             });
             for (i, session) in sessions.iter().enumerate() {
-                let frame = port.recv_cmd().expect("batch frame");
+                let (frame, payload) = next(&port);
                 assert_eq!(frame.session, session.session_id());
                 assert_eq!(frame.body, cmd(1, i as u64 * 8, 2));
-                let mut payload = [0u8; 2];
-                port.recv_data_exact(&mut payload).expect("batch payload");
                 assert_eq!(payload, [b'a' + i as u8; 2]);
             }
-            let frame = port.recv_cmd().expect("read frame");
+            let (frame, _) = next(&port);
             assert_eq!((frame.session, frame.body.tag), (reader.session_id(), 2));
             answer(&port, &frame, b"a");
             read.join().expect("join");
@@ -982,11 +982,9 @@ mod tests {
         let (hub, port) = hub();
         let a = attach(&hub).expect("a");
         a.post(cmd(1, 0, 3), NO_TRACE, b"abc").expect("write");
-        let frame = port.recv_cmd().expect("frame");
+        let (frame, payload) = next(&port);
         assert_eq!(frame.body.len, 3);
-        let mut buf = [0u8; 3];
-        port.recv_data_exact(&mut buf).expect("payload");
-        assert_eq!(&buf, b"abc");
+        assert_eq!(&payload, b"abc");
     }
 
     #[test]
@@ -997,11 +995,14 @@ mod tests {
         // a's close is acknowledged locally, nothing on the wire.
         let ack = a.call(cmd(9, 0, 0), NO_TRACE, &mut []).expect("local ack");
         assert_eq!(ack, (ToyReply { n: 0 }, 0));
-        assert_eq!(port.poll_cmd().expect("empty"), None);
+        assert!(port
+            .poll_cmd(|_| 0, &mut FreeList::default())
+            .expect("empty")
+            .is_none());
         assert_eq!(hub.session_count(), 1);
         std::thread::scope(|s| {
             let close = s.spawn(|| b.call(cmd(9, 0, 0), NO_TRACE, &mut []).expect("b close"));
-            let frame = port.recv_cmd().expect("wire close");
+            let (frame, _) = next(&port);
             assert_eq!(frame.body.tag, 9);
             answer(&port, &frame, b"");
             close.join().expect("join");
@@ -1045,9 +1046,9 @@ mod tests {
         assert_eq!(staged.thread_switches, 0, "coalesced writes cross nothing");
         std::thread::scope(|s| {
             let sync = s.spawn(|| a.call(cmd(3, 0, 0), NO_TRACE, &mut []).expect("sync op"));
-            port.recv_cmd().expect("batch frame");
-            port.recv_data_exact(&mut [0u8; 16]).expect("batch payload");
-            let frame = port.recv_cmd().expect("sync frame");
+            let (_, payload) = next(&port);
+            assert_eq!(payload.len(), 16, "the batch");
+            let (frame, _) = next(&port);
             answer(&port, &frame, b"");
             sync.join().expect("join");
         });
@@ -1064,27 +1065,35 @@ mod tests {
                 self.0.lock().push(awaited);
             }
         }
-        // The doorbells one read behind one staged write of `len` bytes
-        // rings, the sentinel side served by hand.
-        let rings = |(transport, port): (_, ToyPort), len: usize| {
+        // The doorbells one read behind `staged` sessions' staged writes
+        // of `len` bytes rings, the sentinel side served by hand.
+        let rings = |(transport, port): (_, ToyPort), len: usize, staged: usize| {
             let hub: ToyHub = Arc::new(MuxHub::new(
                 transport,
                 CostModel::free(),
                 Arc::default(),
                 None,
             ));
-            let a = attach(&hub).expect("a");
-            let b = attach(&hub).expect("b");
-            a.post(cmd(1, 0, len as u32), NO_TRACE, &vec![b'w'; len])
-                .expect("staged");
+            let sessions = [attach(&hub).expect("a"), attach(&hub).expect("b")];
+            for writer in &sessions[..staged] {
+                writer
+                    .post(cmd(1, 0, len as u32), NO_TRACE, &vec![b'w'; len])
+                    .expect("staged");
+            }
             let log = Arc::new(Log(Mutex::new(Vec::new())));
             port.set_wakeup(Arc::clone(&log) as crate::ChannelWaker);
             std::thread::scope(|s| {
+                let b = &sessions[1];
                 let read = s.spawn(|| b.call(cmd(2, 0, 1), NO_TRACE, &mut [0u8; 1]));
-                let flush = port.recv_cmd().expect("flush frame");
-                assert_eq!(flush.body, cmd(1, 0, len as u32));
-                port.recv_data_exact(&mut vec![0u8; len]).expect("payload");
-                let frame = port.recv_cmd().expect("read frame");
+                // Served once rung, as a parked sentinel would be.
+                while log.0.lock().is_empty() {
+                    std::thread::yield_now();
+                }
+                for _ in 0..staged {
+                    let (flush, payload) = next(&port);
+                    assert_eq!((flush.body, payload.len()), (cmd(1, 0, len as u32), len));
+                }
+                let (frame, _) = next(&port);
                 answer(&port, &frame, b"w");
                 assert_eq!(read.join().expect("join"), Ok((ToyReply { n: 1 }, 1)));
             });
@@ -1093,13 +1102,20 @@ mod tests {
         };
         // The staged payload fits the lane: the read's ring serves both.
         let shared = PairTransport::shared(CostModel::free());
-        assert_eq!(rings(shared, 16), [true]);
+        assert_eq!(rings(shared, 16, 1), [true]);
         let kernel = PairTransport::kernel(CostModel::free());
-        assert_eq!(rings(kernel, 16), [true]);
+        assert_eq!(rings(kernel, 16, 1), [true]);
         // It outgrows the 16 KiB pipe: only the sentinel can drain it, so
         // it is rung for before its payload waits.
         let kernel = PairTransport::kernel(CostModel::free());
-        assert_eq!(rings(kernel, 20 * 1024), [false, true]);
+        assert_eq!(rings(kernel, 20 * 1024, 1), [false, true]);
+        // A §4.3 lane holds one frame's bytes: the second flushed frame
+        // rings for the first before it waits for the lane, then goes in
+        // held, and the read's ring serves it.
+        let shared = PairTransport::shared(CostModel::free());
+        assert_eq!(rings(shared, 16, 2), [false, true]);
+        let kernel = PairTransport::kernel(CostModel::free());
+        assert_eq!(rings(kernel, 16, 2), [true]);
     }
 
     #[test]
@@ -1110,11 +1126,11 @@ mod tests {
         a.post(cmd(1, 0, 2), NO_TRACE, b"aa").expect("staged");
         a.post(cmd(1, 100, 2), NO_TRACE, b"bb").expect("second");
         // The non-contiguous second write pushed the first out.
-        let frame = port.recv_cmd().expect("flushed first write");
-        assert_eq!(frame.body.offset, 0);
-        let mut buf = [0u8; 2];
-        port.recv_data_exact(&mut buf).expect("payload");
-        assert_eq!(&buf, b"aa");
-        assert_eq!(port.poll_cmd().expect("second still staged"), None);
+        let (frame, payload) = next(&port);
+        assert_eq!((frame.body.offset, payload.as_slice()), (0, &b"aa"[..]));
+        assert!(port
+            .poll_cmd(|_| 0, &mut FreeList::default())
+            .expect("second still staged")
+            .is_none());
     }
 }

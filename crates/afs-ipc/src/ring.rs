@@ -47,7 +47,9 @@ use afs_sim::{clock, Cost, CostModel, CrossingKind, SimTime};
 use afs_telemetry::RingGauges;
 
 use crate::stamped::{Doorbell, Flow, Gauge, Signal};
-use crate::{ChannelWaker, ControlChannel, ControlReceiver, ControlSender, IpcError, Result};
+use crate::{
+    ChannelWaker, ControlChannel, ControlReceiver, ControlSender, FreeList, IpcError, Result,
+};
 
 /// One submission-ring entry: a typed command plus its optional payload
 /// bytes (a write's data rides its entry, so the whole batch lands in one
@@ -212,29 +214,37 @@ impl<C: Send, R: Send> RingTransport<C, R> {
     ///
     /// [`IpcError::BrokenPipe`] once the sentinel side is gone.
     pub fn submit(&self, batch: Vec<Sqe<C>>) -> Result<Vec<Sqe<C>>> {
-        self.ring(batch, Doorbell::Post)
+        self.submit_to(batch, false, &mut FreeList::default())
     }
 
-    /// Submits `batch` like [`submit`], for a caller that blocks on its
-    /// completions next and submits nothing meanwhile. Completions land in
-    /// an index that never waits on the application, so every such batch
-    /// is marked awaited (see [`Wake`](crate::control::Wake)): the
-    /// sentinel may serve it on this thread.
+    /// Submits `batch` like [`submit`], and moves onto `spare` the buffers
+    /// of the entries whose bytes the sentinel kept since the last doorbell
+    /// (see [`RingPort::poll_next`]). `awaited`: the caller blocks on the
+    /// batch's completions next and submits nothing meanwhile, so the
+    /// sentinel may serve it on this thread (see
+    /// [`Wake`](crate::control::Wake)): completions never wait on it.
     ///
     /// [`submit`]: RingTransport::submit
     ///
     /// # Errors
     ///
     /// As [`submit`](RingTransport::submit).
-    pub fn submit_awaited(&self, batch: Vec<Sqe<C>>) -> Result<Vec<Sqe<C>>> {
-        self.ring(batch, Doorbell::Awaited)
-    }
-
-    fn ring(&self, mut batch: Vec<Sqe<C>>, doorbell: Doorbell) -> Result<Vec<Sqe<C>>> {
+    pub fn submit_to(
+        &self,
+        mut batch: Vec<Sqe<C>>,
+        awaited: bool,
+        spare: &mut FreeList,
+    ) -> Result<Vec<Sqe<C>>> {
         if !batch.is_empty() {
             let shared = &*self.shared;
             shared.model.charge_round_trip(shared.crossing);
-            self.sq.send_all(batch.len(), batch.drain(..), doorbell)?;
+            let doorbell = if awaited {
+                Doorbell::Awaited
+            } else {
+                Doorbell::Post
+            };
+            self.sq
+                .send_all(batch.len(), batch.drain(..), doorbell, Some(spare))?;
         }
         Ok(batch)
     }
@@ -291,13 +301,20 @@ impl<C: Send, R: Send> RingPort<C, R> {
     /// [`IpcError::Closed`] once the application side is gone and the
     /// submission ring is drained.
     pub fn poll_sqe(&self) -> Result<Option<Sqe<C>>> {
-        Ok(self.poll_next()?.map(|(sqe, _)| sqe))
+        let polled = self.poll_next(|_| false, &mut FreeList::default())?;
+        Ok(polled.map(|(sqe, _)| sqe))
     }
 
     /// [`poll_sqe`](RingPort::poll_sqe), with whether the take left the
-    /// open ring empty (see [`ControlReceiver::poll_recv`]).
-    pub fn poll_next(&self) -> Result<Option<(Sqe<C>, bool)>> {
-        self.sq.poll_recv()
+    /// open ring empty (see [`ControlReceiver::poll_recv`]). The take of an
+    /// entry whose buffer the sentinel `keeps` (a write's bytes) pays the
+    /// ring back from `staging`, for [`RingTransport::submit_to`].
+    pub fn poll_next(
+        &self,
+        keeps: impl FnOnce(&Sqe<C>) -> bool,
+        staging: &mut FreeList,
+    ) -> Result<Option<(Sqe<C>, bool)>> {
+        self.sq.poll_keeping(keeps, staging)
     }
 
     /// Posts one completion into the index, charging the single user-level
@@ -369,7 +386,8 @@ mod tests {
         app.submit((0..5).map(|i| sqe(i, i as u32 * 10)).collect())
             .expect("submit");
         for i in 0..5 {
-            let (e, emptied) = port.poll_next().expect("poll").expect("entry");
+            let polled = port.poll_next(|_| false, &mut FreeList::default());
+            let (e, emptied) = polled.expect("poll").expect("entry");
             assert_eq!(e.id, i);
             assert_eq!(e.cmd, i as u32 * 10);
             assert_eq!(emptied, i == 4, "only the last take empties the ring");
@@ -382,7 +400,9 @@ mod tests {
         let (app, port) = RingPair::shared::<u32, u32>(CostModel::free(), 8);
         let batch: Vec<_> = (0..4).map(|i| sqe(i, 0)).collect();
         let (capacity, at) = (batch.capacity(), batch.as_ptr());
-        let batch = app.submit_awaited(batch).expect("submit");
+        let batch = app
+            .submit_to(batch, true, &mut FreeList::default())
+            .expect("submit");
         assert!(batch.is_empty(), "the entries were drained into the ring");
         assert_eq!(
             (batch.capacity(), batch.as_ptr()),
@@ -392,6 +412,36 @@ mod tests {
         for i in 0..4 {
             assert_eq!(port.poll_sqe().expect("poll").map(|e| e.id), Some(i));
         }
+    }
+
+    /// The take of an entry whose bytes the sentinel keeps pays it back
+    /// with a spare from the sentinel's list, and the next doorbell
+    /// collects it; an entry it does not keep is paid nothing.
+    #[test]
+    fn a_kept_entrys_buffer_comes_back_at_the_next_doorbell() {
+        let (app, port) = RingPair::shared::<u32, u32>(CostModel::free(), 8);
+        let (mut spare, mut staging) = (FreeList::default(), FreeList::default());
+        let kept = |id| Sqe {
+            id,
+            cmd: 1,
+            payload: Some(vec![7; 4]),
+        };
+        let batch = vec![kept(1), sqe(2, 0), kept(3)];
+        app.submit_to(batch, false, &mut spare).expect("submit");
+        let keeps = |e: &Sqe<u32>| e.cmd == 1;
+        let take = |staging: &mut FreeList| port.poll_next(keeps, staging).expect("poll");
+        let (first, _) = take(&mut staging).expect("first");
+        let bytes = first.payload.expect("its bytes");
+        let at = bytes.as_ptr();
+        // Served: the sentinel keeps the bytes' buffer on its list.
+        staging.put(bytes);
+        take(&mut staging).expect("not kept: nothing handed back");
+        take(&mut staging).expect("kept: the first's buffer handed back");
+        app.submit_to(vec![sqe(4, 0)], true, &mut spare)
+            .expect("collects");
+        let (back, fresh) = (spare.take_capacity(4), spare.take_capacity(4));
+        assert_eq!(back.as_ptr(), at, "the same allocation");
+        assert!(fresh.as_ptr() != at, "and nothing else");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Single-copy shared-memory handoff for the DLL-with-thread strategy.
+//! A one-slot shared-memory mailbox: the §4.3 handoff as a primitive.
 //!
 //! "File data is not copied from user space to kernel space and then to
 //! user space (as is the case with pipes), instead using only one
@@ -17,28 +17,17 @@
 //! empty, the rendezvous the prototype builds from events, and a sender
 //! moves to the clock at which the previous message was taken.
 //!
-//! In the §4.3 pair wire it carries a write's bytes to the sentinel; a
-//! read's bytes go back inside their reply, on a lane with the same
-//! capacity rule (see [`transport`](crate::transport)). The `benchmark/`
-//! probe of the §4.3 round trip drives two of them directly.
+//! No wiring builds one: the §4.3 lanes carry each message's bytes inside
+//! it, charged as this slot behind it (see [`transport`](crate::transport)).
+//! It is kept only as the primitive `benchmark/`'s §4.3 probe times, until
+//! that probe times the lanes instead.
 
 use std::sync::Arc;
 
 use afs_sim::{Cost, CostModel};
-use afs_telemetry::QueueGauges;
 
-use crate::stamped::{Doorbell, Flow, Gauge, Stamped};
+use crate::stamped::{Doorbell, Stamped};
 use crate::{IpcError, Result};
-
-/// Reports a one-unit channel's occupancy to `gauges` as a slot: a send
-/// that takes the unit fills it, the take that frees it empties it.
-pub(crate) fn slot_gauge(gauges: Arc<QueueGauges>) -> Gauge {
-    Box::new(move |flow| match flow {
-        Flow::Sent { units: 0, .. } | Flow::Taken(0) => {}
-        Flow::Sent { .. } => gauges.shm_filled(),
-        Flow::Taken(_) => gauges.shm_taken(),
-    })
-}
 
 #[derive(Debug)]
 struct Inner {
@@ -58,20 +47,10 @@ pub struct SharedBuffer {
 impl SharedBuffer {
     /// Creates an empty buffer.
     pub fn new(model: CostModel) -> Self {
-        SharedBuffer::reporting(model, None)
-    }
-
-    /// Like [`SharedBuffer::new`], but reports slot occupancy to `gauges`.
-    pub fn observed(model: CostModel, gauges: Arc<QueueGauges>) -> Self {
-        SharedBuffer::reporting(model, Some(gauges))
-    }
-
-    /// A buffer reporting its slot's occupancy to `gauges`, if any.
-    pub(crate) fn reporting(model: CostModel, gauges: Option<Arc<QueueGauges>>) -> Self {
         SharedBuffer {
             inner: Arc::new(Inner {
                 model,
-                core: Stamped::new(Some(1), gauges.map(slot_gauge)),
+                core: Stamped::new(Some(1), None),
             }),
         }
     }
@@ -96,11 +75,6 @@ impl SharedBuffer {
             .map_err(|_| IpcError::Closed)
     }
 
-    /// Whether the slot is empty, so a send would not wait.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.inner.core.fits(1)
-    }
-
     /// Takes the next message, copying as much as fits into `buf`, blocking
     /// until a message arrives.
     ///
@@ -122,13 +96,6 @@ impl SharedBuffer {
         taking.recycle(data);
         taking.finish(1, || {});
         Ok(len)
-    }
-
-    /// Closes the buffer: pending and future operations fail with
-    /// [`IpcError::Closed`] (a message already in the slot can still be
-    /// received).
-    pub fn close(&self) {
-        self.inner.core.close();
     }
 }
 
@@ -195,40 +162,6 @@ mod tests {
         t.join().expect("join").expect("send b");
         b.recv_into(&mut buf).expect("recv b");
         assert_eq!(&buf, b"b");
-    }
-
-    #[test]
-    fn close_unblocks_receiver_with_closed() {
-        let b = SharedBuffer::new(CostModel::free());
-        let b2 = b.clone();
-        let t = std::thread::spawn(move || b2.recv_into(&mut [0u8; 4]));
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        b.close();
-        assert_eq!(t.join().expect("join"), Err(IpcError::Closed));
-        assert_eq!(b.send(b"x"), Err(IpcError::Closed));
-    }
-
-    #[test]
-    fn message_in_slot_survives_close() {
-        let b = SharedBuffer::new(CostModel::free());
-        b.send(b"last").expect("send");
-        b.close();
-        let mut buf = [0u8; 4];
-        assert_eq!(b.recv_into(&mut buf), Ok(4));
-        assert_eq!(&buf, b"last");
-        assert_eq!(b.recv_into(&mut buf), Err(IpcError::Closed));
-    }
-
-    #[test]
-    fn observed_buffer_reports_slot_occupancy() {
-        let gauges = Arc::new(QueueGauges::default());
-        let b = SharedBuffer::observed(CostModel::free(), Arc::clone(&gauges));
-        b.send(b"m").expect("send");
-        assert_eq!(gauges.snapshot().shm_pending, 1);
-        b.recv_into(&mut [0u8; 1]).expect("recv");
-        let snap = gauges.snapshot();
-        assert_eq!(snap.shm_pending, 0);
-        assert_eq!(snap.shm_messages, 1);
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! One stamped channel: the core every FIFO carrier in this crate is an
 //! instance of, and the one place virtual time crosses between threads.
 //!
-//! [`Pipe`](crate::Pipe), [`SharedBuffer`](crate::SharedBuffer),
-//! [`ControlChannel`](crate::ControlChannel), the §4.3 reply lane (see
+//! [`Pipe`](crate::Pipe), the [one-slot buffer](crate::shared_buf),
+//! [`ControlChannel`](crate::ControlChannel), the two §4.3 lanes (see
 //! [`transport`](crate::transport)) and the ring's submission queue are
 //! each a queue of `(item, send stamp)` with a capacity counted in units —
-//! bytes, slots, replies that carry bytes, or none at all — and their own
+//! bytes, slots, messages that carry bytes, or none at all — and their own
 //! cost charges on top. The virtual-time rule of such a channel is two sentences, written
 //! here once:
 //!
@@ -125,6 +125,11 @@ impl FreeList {
         if keep && self.free.len() < MAX_KEPT {
             self.free.push(buf);
         }
+    }
+
+    /// Moves every kept buffer onto `to`.
+    pub(crate) fn move_to(&mut self, to: &mut FreeList) {
+        self.free.drain(..).for_each(|buf| to.put(buf));
     }
 }
 
@@ -457,12 +462,20 @@ impl<T> Taking<'_, T> {
         &mut self.state.spare
     }
 
-    /// Takes the front item whole, as one unit, and says whether that left
-    /// the open channel empty (see [`State::idle`]).
-    pub fn whole(mut self) -> (T, bool) {
+    /// Hands the lane a spare from `staging`, for a later send to fill: what
+    /// a take owes whose item brought a buffer the receiver keeps.
+    pub fn hand_back(&mut self, staging: &mut FreeList) {
+        if let Some(buf) = staging.spare() {
+            self.recycle(buf);
+        }
+    }
+
+    /// Takes the front item whole, as `units(&item)` units, and says
+    /// whether that left the open channel empty (see [`State::idle`]).
+    pub fn whole(mut self, units: impl FnOnce(&T) -> usize) -> (T, bool) {
         let item = self.pop().expect("a take holds an item");
         let emptied = self.state.idle();
-        self.finish(1, || {});
+        self.finish(units(&item), || {});
         (item, emptied)
     }
 

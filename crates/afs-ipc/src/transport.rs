@@ -9,8 +9,8 @@
 //!
 //! | Lane | §4.2 `kernel` | §4.3 `shared` |
 //! |------|---------------|---------------|
-//! | commands | kernel control channel | user-level control channel |
-//! | a write's bytes | a pipe | a one-slot [`SharedBuffer`] |
+//! | commands | kernel control channel | one lane whose commands carry their bytes |
+//! | a write's bytes | a pipe, behind their command | in their command |
 //! | replies | kernel control channel | one lane whose replies carry their bytes |
 //! | a read's bytes | a pipe, behind their reply | in their reply |
 //!
@@ -20,174 +20,121 @@
 //! business: the bare pair carries one session, a
 //! [`MuxHub`](crate::MuxHub) many.
 //!
-//! A §4.3 reply and its bytes are one message ("these 'messages' are
-//! implemented using events and shared memory", Appendix A.3), as a ring
-//! completion is: the sentinel hands over the buffer it staged the bytes
-//! in, the application copies them once into the caller's buffer and
-//! leaves the buffer on the lane's [`FreeList`], and the next reply's send
-//! hands a spare from there back to the sentinel. The lane is an instance
-//! of the [stamped core](crate::stamped) whose capacity counts one unit per
-//! reply that carries bytes and none for a bare reply, and a reply with
-//! bytes is charged one user-level copy and one event signal beyond the
-//! reply's own, so it costs what a reply and a one-slot buffer behind it
-//! cost, at the same virtual time.
-//!
-//! Each data lane recycles its own buffers under the lock its crossing
-//! already takes; what the sentinel stages, its dispatch loop keeps.
+//! A §4.3 message and its bytes are one item of its lane ("these
+//! 'messages' are implemented using events and shared memory", Appendix
+//! A.3), as a ring entry is. The application copies a command's bytes
+//! once into a buffer from the command lane's [`FreeList`], which the
+//! dispatch loop keeps as the payload, paying the lane back from its
+//! staging list at its next take of bytes. A reply's bytes travel in the
+//! buffer the sentinel staged them in; the application copies them once
+//! into the caller's buffer and leaves the buffer on the reply lane's
+//! list, and the next reply's send hands a spare back to the sentinel.
+//! Each lane is an instance of the [stamped core](crate::stamped) whose
+//! capacity counts one unit per message that carries bytes and none for a
+//! bare one, and a message with bytes is charged one user-level copy and
+//! one event signal beyond its own, so it costs what a message and a
+//! one-slot buffer behind it cost, at the same virtual time.
 
 use std::sync::Arc;
 
 use afs_sim::{Cost, CostModel, CrossingKind};
 use afs_telemetry::QueueGauges;
 
-use crate::shared_buf::slot_gauge;
-use crate::stamped::{Doorbell, End, Stamped};
+use crate::stamped::{Doorbell, End, Flow, Gauge, Stamped};
 use crate::{
-    ControlChannel, ControlReceiver, ControlSender, FreeList, IpcError, Pipe, PipeReader,
-    PipeWriter, Result, SharedBuffer,
+    ChannelWaker, ControlChannel, ControlReceiver, ControlSender, FreeList, IpcError, Pipe,
+    PipeReader, PipeWriter, Result,
 };
 
-/// Sink for the sentinel-ward data lane.
-pub trait DataTx: Send + Sync {
-    /// Transfers one message of bytes.
-    fn send(&self, data: &[u8]) -> Result<()>;
-
-    /// Whether a message of `len` bytes would go in now without its
-    /// sender waiting for the receiver to drain the lane first.
-    fn fits(&self, len: usize) -> bool;
+/// Reports a §4.3 lane's occupancy to `gauges` as a slot: a send whose
+/// bytes take the unit fills it, the take that frees it empties it.
+fn slot_gauge(gauges: Arc<QueueGauges>) -> Gauge {
+    Box::new(move |flow| match flow {
+        Flow::Sent { units: 0, .. } | Flow::Taken(0) => {}
+        Flow::Sent { .. } => gauges.shm_filled(),
+        Flow::Taken(_) => gauges.shm_taken(),
+    })
 }
 
-/// Source for the sentinel-ward data lane.
-pub trait DataRx: Send + Sync {
-    /// Receives exactly `buf.len()` bytes (one logical message, possibly
-    /// assembled from several physical ones). Returns the number of bytes
-    /// received, which is less than `buf.len()` only at end-of-stream.
-    fn recv_exact(&self, buf: &mut [u8]) -> Result<usize>;
-}
-
-impl DataTx for PipeWriter {
-    fn send(&self, data: &[u8]) -> Result<()> {
-        self.write(data)
-    }
-
-    /// The free room takes it whole.
-    fn fits(&self, len: usize) -> bool {
-        PipeWriter::fits(self, len)
-    }
-}
-
-impl DataRx for PipeReader {
-    fn recv_exact(&self, buf: &mut [u8]) -> Result<usize> {
-        self.read_exact(buf)
-    }
-}
-
-impl DataTx for SharedBuffer {
-    fn send(&self, data: &[u8]) -> Result<()> {
-        SharedBuffer::send(self, data)
-    }
-
-    /// The slot is empty: it takes any one message whole.
-    fn fits(&self, _len: usize) -> bool {
-        self.is_empty()
-    }
-}
-
-impl DataRx for SharedBuffer {
-    /// Assembles `buf.len()` bytes from as many slot messages as needed.
-    ///
-    /// A message longer than the space left in `buf` would silently lose
-    /// its tail (the slot hands over whole messages), so that case is a
-    /// framing violation and fails with [`IpcError::BrokenPipe`] rather
-    /// than corrupting the stream.
-    fn recv_exact(&self, buf: &mut [u8]) -> Result<usize> {
-        let mut filled = 0;
-        while filled < buf.len() {
-            let n = self.recv_into(&mut buf[filled..])?;
-            if n > buf.len() - filled {
-                return Err(IpcError::BrokenPipe);
-            }
-            filled += n;
-        }
-        Ok(filled)
-    }
-}
-
-/// The §4.3 reply lane: each item a reply and the bytes it brings back
-/// (none for a bare reply), stamped once.
-struct ReplyLane<R> {
+/// One end of a §4.3 lane, each item of which is a command or a reply
+/// and the bytes it carries (none for a bare one), stamped once; dropping
+/// it hangs that end up.
+struct LaneEnd<T> {
+    core: Arc<Stamped<(T, Vec<u8>)>>,
     model: CostModel,
-    core: Stamped<(R, Vec<u8>)>,
-}
-
-/// One end of a [`ReplyLane`]; dropping it hangs that end up.
-struct LaneEnd<R> {
-    lane: Arc<ReplyLane<R>>,
     end: End,
 }
 
-impl<R> Drop for LaneEnd<R> {
+impl<T> Drop for LaneEnd<T> {
     fn drop(&mut self) {
-        self.lane.core.hang_up(self.end);
+        self.core.hang_up(self.end);
     }
 }
 
-/// A reply lane's sending and receiving ends. A reply that carries bytes
+/// A lane's sending and receiving ends. A message that carries bytes
 /// takes the one unit of capacity, so it waits while the previous one's
-/// bytes are still unread, and reports to `gauges` as a filled slot.
-fn reply_lane<R>(model: CostModel, gauges: Option<Arc<QueueGauges>>) -> (LaneEnd<R>, LaneEnd<R>) {
-    let core = Stamped::new(Some(1), gauges.map(slot_gauge));
-    let lane = Arc::new(ReplyLane { model, core });
-    let sender = LaneEnd {
-        lane: Arc::clone(&lane),
-        end: End::Sender,
+/// bytes are still untaken, and reports to `gauges` as a filled slot.
+fn lane<T>(model: CostModel, gauges: Option<Arc<QueueGauges>>) -> (LaneEnd<T>, LaneEnd<T>) {
+    let core = Arc::new(Stamped::new(Some(1), gauges.map(slot_gauge)));
+    let end = |end| LaneEnd {
+        core: Arc::clone(&core),
+        model: model.clone(),
+        end,
     };
-    (
-        sender,
-        LaneEnd {
-            lane,
-            end: End::Receiver,
-        },
-    )
+    (end(End::Sender), end(End::Receiver))
 }
 
-impl<R> LaneEnd<R> {
-    /// Sends `reply` with `bytes`, charging the reply's event signal and,
-    /// when it carries bytes, their one user-level copy and its own event
-    /// signal once the capacity it reuses has drained. Returns a buffer
-    /// for the sender to keep: `bytes` itself when empty, else a spare the
-    /// lane kept from an earlier reply, if it has one.
-    fn send(&self, reply: R, bytes: Vec<u8>) -> Result<Option<Vec<u8>>> {
-        let lane = &*self.lane;
-        lane.model.charge(Cost::EventSignal);
-        if bytes.is_empty() {
-            lane.core
-                .send(0, Doorbell::Post, |_| [(reply, Vec::new())])?;
-            return Ok(Some(bytes));
+impl<T> LaneEnd<T> {
+    /// Sends `item` with `len` bytes, which `stage` puts in a buffer given
+    /// the lane's list once the capacity they reuse has drained; a bare
+    /// item (`len` 0) takes neither. Charges the item's event signal and,
+    /// with bytes, their one user-level copy and an event signal of their
+    /// own.
+    fn send(
+        &self,
+        item: T,
+        len: usize,
+        doorbell: Doorbell,
+        stage: impl FnOnce(&mut FreeList) -> Vec<u8>,
+    ) -> Result<()> {
+        self.model.charge(Cost::EventSignal);
+        if len == 0 {
+            return self.core.send(0, doorbell, |_| [(item, Vec::new())]);
         }
-        let mut back = None;
-        lane.core.send(1, Doorbell::Post, |spare| {
-            lane.model.charge(Cost::Memcpy { bytes: bytes.len() });
-            lane.model.charge(Cost::EventSignal);
-            back = spare.spare();
-            [(reply, bytes)]
-        })?;
-        Ok(back)
+        self.core.send(1, doorbell, |spare| {
+            self.model.charge(Cost::Memcpy { bytes: len });
+            self.model.charge(Cost::EventSignal);
+            [(item, stage(spare))]
+        })
     }
 
-    /// Takes the next reply and hands it to `land` with its bytes, under
+    /// Takes the next item, if one is queued, with its bytes and whether
+    /// the take left the open lane empty. The receiver keeps the bytes, so
+    /// their take hands the lane a spare from `staging`, under its lock.
+    fn poll(&self, staging: &mut FreeList) -> Result<Option<(T, Vec<u8>, bool)>> {
+        let Some(mut taking) = self.core.poll()? else {
+            return Ok(None);
+        };
+        if taking.front().is_some_and(|(_, bytes)| !bytes.is_empty()) {
+            taking.hand_back(staging);
+        }
+        let ((item, bytes), emptied) = taking.whole(|(_, bytes)| usize::from(!bytes.is_empty()));
+        Ok(Some((item, bytes, emptied)))
+    }
+
+    /// Takes the next item and hands it to `land` with its bytes, under
     /// the lane's lock; a buffer copied out of stays on the lane's list.
-    fn recv<T>(
+    fn recv<U>(
         &self,
-        announced: impl FnOnce(&R) -> usize,
-        land: impl FnOnce(R, Payload<'_>) -> Result<T>,
-    ) -> Result<T> {
-        let mut taking = self.lane.core.take()?;
-        let (reply, bytes) = taking.pop().expect("a take holds an item");
+        announced: impl FnOnce(&T) -> usize,
+        land: impl FnOnce(T, Payload<'_>) -> Result<U>,
+    ) -> Result<U> {
+        let mut taking = self.core.take()?;
+        let (item, bytes) = taking.pop().expect("a take holds an item");
         let units = usize::from(!bytes.is_empty());
-        let n = announced(&reply);
+        let n = announced(&item);
         let landed = land(
-            reply,
+            item,
             Payload {
                 n,
                 from: Source::Carried(bytes, taking.spare()),
@@ -284,26 +231,126 @@ fn pull(pipe: &PipeReader, dst: &mut [u8]) -> Result<()> {
     }
 }
 
-/// What brings replies and their bytes back to the application.
-enum Inbox<R> {
-    /// §4.2: a reply channel, and the pipe a reply's bytes follow it on.
-    Kernel(ControlReceiver<R>, PipeReader),
-    /// §4.3: one lane whose replies carry their bytes.
-    Shared(LaneEnd<R>),
+/// What carries one direction's messages and their bytes, at the sending
+/// end: §4.2's control channel and the pipe the bytes follow it on, or
+/// §4.3's lane whose messages carry them.
+enum Outbox<T> {
+    Kernel(ControlSender<T>, PipeWriter),
+    Shared(LaneEnd<T>),
 }
 
-/// The sentinel's end of an [`Inbox`].
-enum Outbox<R> {
-    Kernel(ControlSender<R>, PipeWriter),
-    Shared(LaneEnd<R>),
+/// The receiving end of an [`Outbox`].
+enum Inbox<T> {
+    Kernel(ControlReceiver<T>, PipeReader),
+    Shared(LaneEnd<T>),
 }
 
-/// Application side of the pair wire (§4.2/§4.3): a command channel, the
-/// sentinel-ward data lane, and the replies with their bytes.
+impl<T: Send> Outbox<T> {
+    /// Sends `item` with a copy of `bytes`: the one user-level copy of a
+    /// command's bytes, into a buffer of the lane's on §4.3.
+    fn send(&self, item: T, bytes: &[u8], doorbell: Doorbell) -> Result<()> {
+        match self {
+            Outbox::Kernel(items, pipe) => {
+                items.send_all(1, [item], doorbell, None)?;
+                if !bytes.is_empty() {
+                    pipe.write(bytes)?;
+                }
+                Ok(())
+            }
+            Outbox::Shared(lane) => lane.send(item, bytes.len(), doorbell, |spare| {
+                let mut staged = spare.take_capacity(bytes.len());
+                staged.extend_from_slice(bytes);
+                staged
+            }),
+        }
+    }
+
+    /// Sends `item` with `bytes` themselves, and returns a buffer for the
+    /// sender's staging list: on a pipe `bytes`, once it has copied them;
+    /// on a lane (whose items carry their buffer) a spare it kept from an
+    /// earlier item, if it has one, or `bytes` when empty.
+    fn hand(&self, item: T, bytes: Vec<u8>) -> Result<Option<Vec<u8>>> {
+        match self {
+            Outbox::Kernel(..) => self
+                .send(item, &bytes, Doorbell::Post)
+                .map(|()| Some(bytes)),
+            Outbox::Shared(lane) if bytes.is_empty() => lane
+                .send(item, 0, Doorbell::Post, |_| Vec::new())
+                .map(|()| Some(bytes)),
+            Outbox::Shared(lane) => {
+                let mut back = None;
+                lane.send(item, bytes.len(), Doorbell::Post, |spare| {
+                    back = spare.spare();
+                    bytes
+                })?;
+                Ok(back)
+            }
+        }
+    }
+
+    /// Whether `len` bytes would go in now without waiting for the
+    /// receiver to drain the lane first.
+    fn fits(&self, len: usize) -> bool {
+        match self {
+            Outbox::Kernel(_, pipe) => pipe.fits(len),
+            Outbox::Shared(lane) => lane.core.fits(usize::from(len > 0)),
+        }
+    }
+
+    /// Rings the receiver's waker with nothing sent, as a posted send
+    /// would.
+    fn ring(&self) {
+        match self {
+            Outbox::Kernel(items, _) => items.ring(),
+            Outbox::Shared(lane) => lane.core.ring(),
+        }
+    }
+}
+
+impl<T: Send> Inbox<T> {
+    /// [`PairPort::poll_cmd`], for either wiring.
+    fn poll(
+        &self,
+        announced: impl FnOnce(&T) -> usize,
+        staging: &mut FreeList,
+    ) -> Result<Option<(T, Vec<u8>, bool)>> {
+        match self {
+            Inbox::Kernel(items, pipe) => {
+                let Some((item, emptied)) = items.poll_keeping(|_| false, staging)? else {
+                    return Ok(None);
+                };
+                let n = announced(&item);
+                if n == 0 {
+                    return Ok(Some((item, Vec::new(), emptied)));
+                }
+                let mut bytes = staging.take(n);
+                // A pipe reports a vanished writer as a short count, not
+                // an error: either way the bytes are not coming.
+                if pipe.read_exact(&mut bytes).ok() != Some(n) {
+                    staging.put(bytes);
+                    return Err(IpcError::BrokenPipe);
+                }
+                Ok(Some((item, bytes, emptied)))
+            }
+            Inbox::Shared(lane) => {
+                let Some((item, bytes, emptied)) = lane.poll(staging)? else {
+                    return Ok(None);
+                };
+                if bytes.len() != announced(&item) {
+                    staging.put(bytes);
+                    return Err(IpcError::BrokenPipe);
+                }
+                Ok(Some((item, bytes, emptied)))
+            }
+        }
+    }
+}
+
+/// Application side of the pair wire (§4.2/§4.3): commands with their
+/// bytes out, replies with theirs back.
 pub struct PairTransport<C: Send + 'static, R: Send + 'static> {
-    commands: ControlSender<C>,
+    commands: Outbox<C>,
     replies: Inbox<R>,
-    data_tx: Box<dyn DataTx>,
     crossing: CrossingKind,
     model: CostModel,
 }
@@ -311,9 +358,8 @@ pub struct PairTransport<C: Send + 'static, R: Send + 'static> {
 /// Sentinel side of a [`PairTransport`] wiring, drained by the dispatch
 /// loop.
 pub struct PairPort<C: Send + 'static, R: Send + 'static> {
-    commands: ControlReceiver<C>,
+    commands: Inbox<C>,
     replies: Outbox<R>,
-    data_rx: Box<dyn DataRx>,
 }
 
 impl<C: Send + 'static, R: Send + 'static> PairTransport<C, R> {
@@ -347,31 +393,28 @@ impl<C: Send + 'static, R: Send + 'static> PairTransport<C, R> {
         let (to_app_tx, to_app_rx) = pipe(model.clone());
         (
             PairTransport {
-                commands: cmd_tx,
+                commands: Outbox::Kernel(cmd_tx, to_sentinel_tx),
                 replies: Inbox::Kernel(reply_rx, to_app_rx),
-                data_tx: Box::new(to_sentinel_tx),
                 crossing,
                 model,
             },
             PairPort {
-                commands: cmd_rx,
+                commands: Inbox::Kernel(cmd_rx, to_sentinel_rx),
                 replies: Outbox::Kernel(reply_tx, to_app_tx),
-                data_rx: Box::new(to_sentinel_rx),
             },
         )
     }
 
-    /// Builds the §4.3 wiring: a user-level command channel, a shared
-    /// buffer for a write's bytes and a reply lane that carries a read's,
-    /// inside the process. Every transfer costs one user-level copy and
-    /// the round trip two thread switches.
+    /// Builds the §4.3 wiring: a command lane that carries a write's bytes
+    /// and a reply lane that carries a read's, inside the process. Every
+    /// transfer costs one user-level copy and the round trip two thread
+    /// switches.
     pub fn shared(model: CostModel) -> (PairTransport<C, R>, PairPort<C, R>) {
         PairTransport::shared_build(model, None)
     }
 
-    /// Like [`PairTransport::shared`], but reports slot occupancy to
-    /// `gauges`: the shared buffer's, and the reply lane's as a slot a
-    /// reply with bytes fills.
+    /// Like [`PairTransport::shared`], but reports each lane's occupancy
+    /// to `gauges`, as a slot a message with bytes fills.
     pub fn shared_observed(
         model: CostModel,
         gauges: Arc<QueueGauges>,
@@ -383,21 +426,18 @@ impl<C: Send + 'static, R: Send + 'static> PairTransport<C, R> {
         model: CostModel,
         gauges: Option<Arc<QueueGauges>>,
     ) -> (PairTransport<C, R>, PairPort<C, R>) {
-        let (cmd_tx, cmd_rx) = ControlChannel::user_level::<C>(model.clone());
-        let (reply_tx, reply_rx) = reply_lane::<R>(model.clone(), gauges.clone());
-        let to_sentinel = SharedBuffer::reporting(model.clone(), gauges);
+        let (cmd_tx, cmd_rx) = lane::<C>(model.clone(), gauges.clone());
+        let (reply_tx, reply_rx) = lane::<R>(model.clone(), gauges);
         (
             PairTransport {
-                commands: cmd_tx,
+                commands: Outbox::Shared(cmd_tx),
                 replies: Inbox::Shared(reply_rx),
-                data_tx: Box::new(to_sentinel.clone()),
                 crossing: CrossingKind::InterThread,
                 model,
             },
             PairPort {
-                commands: cmd_rx,
+                commands: Inbox::Shared(cmd_rx),
                 replies: Outbox::Shared(reply_tx),
-                data_rx: Box::new(to_sentinel),
             },
         )
     }
@@ -409,15 +449,16 @@ impl<C: Send + 'static, R: Send + 'static> PairTransport<C, R> {
         self.crossing
     }
 
-    /// Sends one command to the sentinel, charging the crossings of its
+    /// Sends one command with its `payload` (a write's bytes; empty for
+    /// any other command) to the sentinel, charging the crossings of its
     /// round trip.
     ///
     /// # Errors
     ///
     /// [`IpcError::BrokenPipe`] once the sentinel side is gone.
-    pub fn send_cmd(&self, cmd: C) -> Result<()> {
+    pub fn send(&self, cmd: C, payload: &[u8]) -> Result<()> {
         self.model.charge_round_trip(self.crossing);
-        self.commands.send(cmd)
+        self.commands.send(cmd, payload, Doorbell::Post)
     }
 
     /// Sends the command the caller blocks on the reply to next, sending
@@ -426,19 +467,19 @@ impl<C: Send + 'static, R: Send + 'static> PairTransport<C, R> {
     /// sentinel sends while serving the command can wait on this caller's
     /// drain, and the send is marked awaited (see
     /// [`Wake`](crate::control::Wake)): the sentinel may run on this
-    /// thread. A larger room is sent as [`send_cmd`] sends.
+    /// thread. A larger room is sent as [`send`] sends.
     ///
-    /// [`send_cmd`]: PairTransport::send_cmd
+    /// [`send`]: PairTransport::send
     ///
     /// # Errors
     ///
-    /// As [`send_cmd`](PairTransport::send_cmd).
+    /// As [`send`](PairTransport::send).
     pub fn send_awaited(&self, cmd: C, reply_room: usize) -> Result<()> {
         if reply_room > self.reply_room() {
-            return self.send_cmd(cmd);
+            return self.send(cmd, &[]);
         }
         self.model.charge_round_trip(self.crossing);
-        self.commands.send_awaited(cmd)
+        self.commands.send(cmd, &[], Doorbell::Awaited)
     }
 
     /// The most bytes one reply can bring without its sender waiting for
@@ -451,24 +492,25 @@ impl<C: Send + 'static, R: Send + 'static> PairTransport<C, R> {
         }
     }
 
-    /// Sends the frames a call flushes, each command with its payload
-    /// behind it, then the call's own `cmd` as [`send_awaited`] sends it;
-    /// `sent` gets each payload back once it is on the wire. A flushed
-    /// frame whose payload fits the sentinel-ward lane without waiting is
-    /// *held*: it rings nothing, and the call's one ring serves it too, so
-    /// a sentinel the call finds idle runs the flush and the call on this
-    /// thread instead of waking a worker for the flush. A payload that
-    /// would wait is rung for first, as [`send_cmd`] rings, since only the
-    /// sentinel can drain it; and an error after a held frame rings before
-    /// it returns, so no frame is left on the lane unrung. Must run under
-    /// the lock that keeps the caller's frames and payloads adjacent.
+    /// Sends the frames a call flushes, each command with its payload,
+    /// then the call's own `cmd` as [`send_awaited`] sends it; `sent` gets
+    /// each payload back once it is on the wire. A flushed frame whose
+    /// payload goes in without waiting is *held*: it rings nothing, and
+    /// the call's one ring serves it too, so a sentinel the call finds
+    /// idle runs the flush and the call on this thread instead of waking a
+    /// worker for the flush. A payload that would wait is rung for first,
+    /// since only the sentinel can drain the lane: a §4.2 frame is posted,
+    /// since the sentinel reads the pipe behind it only once it has the
+    /// frame, and a §4.3 one rings before it waits for the capacity, then
+    /// goes in held. An error after a held frame rings before it returns,
+    /// so no frame is left on the lane unrung. Must run under the lock
+    /// that keeps the caller's frames and payloads adjacent.
     ///
     /// [`send_awaited`]: PairTransport::send_awaited
-    /// [`send_cmd`]: PairTransport::send_cmd
     ///
     /// # Errors
     ///
-    /// As [`send_cmd`](PairTransport::send_cmd), or a data lane's failure.
+    /// As [`send`](PairTransport::send), or a pipe's failure.
     pub fn send_call_behind(
         &self,
         flush: impl IntoIterator<Item = (C, Vec<u8>)>,
@@ -480,17 +522,18 @@ impl<C: Send + 'static, R: Send + 'static> PairTransport<C, R> {
         let result = flush
             .into_iter()
             .try_for_each(|(frame, payload)| {
-                unrung = self.data_tx.fits(payload.len());
+                let fits = self.commands.fits(payload.len());
+                unrung = fits || matches!(self.commands, Outbox::Shared(_));
+                if !fits && unrung {
+                    self.commands.ring();
+                }
                 let doorbell = if unrung {
                     Doorbell::Held
                 } else {
                     Doorbell::Post
                 };
                 self.model.charge_round_trip(self.crossing);
-                self.commands.send_all(1, [frame], doorbell)?;
-                if !payload.is_empty() {
-                    self.data_tx.send(&payload)?;
-                }
+                self.commands.send(frame, &payload, doorbell)?;
                 sent(payload);
                 Ok(())
             })
@@ -529,76 +572,53 @@ impl<C: Send + 'static, R: Send + 'static> PairTransport<C, R> {
             Inbox::Shared(lane) => lane.recv(announced, land),
         }
     }
-
-    /// Sends payload bytes to the sentinel.
-    pub fn send_data(&self, data: &[u8]) -> Result<()> {
-        self.data_tx.send(data)
-    }
 }
 
 impl<C: Send + 'static, R: Send + 'static> PairPort<C, R> {
-    /// Receives the next command, blocking; fails with
-    /// [`IpcError::Closed`] once the application side is gone.
-    pub fn recv_cmd(&self) -> Result<C> {
-        self.commands.recv()
-    }
-
-    /// Non-blocking receive with `recv_cmd`-equivalent charging: the
-    /// kernel-syscall cost is paid when a command (or channel closure) is
-    /// observed, never for an empty poll. This is what a poll-driven
-    /// sentinel drains instead of blocking in `recv_cmd`. A command comes
-    /// with whether its take left the open lane empty (see
-    /// [`ControlReceiver::poll_recv`]).
+    /// Takes the next command and the `announced(&cmd)` bytes that come
+    /// with it, if one is queued, with whether its take left the open lane
+    /// empty (see [`ControlReceiver::poll_recv`]), charged as a blocking
+    /// receive would be, and nothing for an empty poll. Bytes read off a
+    /// §4.2 pipe land in a buffer from `staging`; a §4.3 command's come in
+    /// the buffer the application filled, which the caller keeps, so their
+    /// take hands the lane a spare from `staging`.
     ///
     /// # Errors
     ///
-    /// [`IpcError::Closed`] once the application side is gone.
-    pub fn poll_cmd(&self) -> Result<Option<(C, bool)>> {
-        self.commands.poll_recv()
+    /// [`IpcError::Closed`] once the application side is gone;
+    /// [`IpcError::BrokenPipe`] when the bytes do not come: the pipe's
+    /// writer vanished first, or a §4.3 command carries other than
+    /// `announced`. The command is taken either way: the lane stays framed.
+    pub fn poll_cmd(
+        &self,
+        announced: impl FnOnce(&C) -> usize,
+        staging: &mut FreeList,
+    ) -> Result<Option<(C, Vec<u8>, bool)>> {
+        self.commands.poll(announced, staging)
     }
 
     /// Installs the command lane's readiness waker, once, invoked whenever a
     /// new command arrives or the application side drops its last sender.
     /// This is the hook the sentinel executor parks on: an idle sentinel
     /// is scheduled only when its transport has something to observe.
-    pub fn set_wakeup(&self, waker: crate::ChannelWaker) {
-        self.commands.set_waker(waker);
+    pub fn set_wakeup(&self, waker: ChannelWaker) {
+        match &self.commands {
+            Inbox::Kernel(commands, _) => commands.set_waker(waker),
+            Inbox::Shared(lane) => lane.core.set_waker(waker),
+        }
     }
 
-    /// Sends a reply that brings no bytes back.
-    ///
-    /// # Errors
-    ///
-    /// [`IpcError::BrokenPipe`] once the application side is gone.
-    pub fn send_reply(&self, reply: R) -> Result<()> {
-        self.send_reply_with(reply, Vec::new()).map(drop)
-    }
-
-    /// Sends `reply` with `bytes`, and returns a buffer for the sender's
-    /// staging list: on the §4.2 wiring `bytes` itself, once its pipe has
-    /// copied them; on the §4.3 wiring `bytes` travels with the reply, and
-    /// what comes back is a spare the lane kept from an earlier reply, if
-    /// it has one (or `bytes`, when empty).
+    /// Sends `reply` with `bytes` (none for a bare reply), and returns a
+    /// buffer for the sender's staging list: on the §4.2 wiring `bytes`
+    /// itself, once its pipe has copied them; on the §4.3 wiring `bytes`
+    /// travels with the reply, and what comes back is a spare the lane
+    /// kept from an earlier reply, if it has one (or `bytes`, when empty).
     ///
     /// # Errors
     ///
     /// [`IpcError::BrokenPipe`] once the application side is gone.
     pub fn send_reply_with(&self, reply: R, bytes: Vec<u8>) -> Result<Option<Vec<u8>>> {
-        match &self.replies {
-            Outbox::Kernel(replies, pipe) => {
-                replies.send(reply)?;
-                if !bytes.is_empty() {
-                    pipe.write(&bytes)?;
-                }
-                Ok(Some(bytes))
-            }
-            Outbox::Shared(lane) => lane.send(reply, bytes),
-        }
-    }
-
-    /// Receives exactly `buf.len()` payload bytes from the application.
-    pub fn recv_data_exact(&self, buf: &mut [u8]) -> Result<usize> {
-        self.data_rx.recv_exact(buf)
+        self.replies.hand(reply, bytes)
     }
 }
 
@@ -620,15 +640,26 @@ mod tests {
         app.recv_reply(announced, |reply, bytes| Ok((reply, bytes.land(into)?)))
     }
 
+    /// A command of `n` carries `n` bytes.
+    fn carries(cmd: &u8) -> usize {
+        *cmd as usize
+    }
+
+    /// Takes the queued command with its bytes.
+    fn take<R: Send>(port: &PairPort<u8, R>) -> Result<(u8, Vec<u8>)> {
+        let taken = port.poll_cmd(carries, &mut FreeList::default())?;
+        Ok(taken
+            .map(|(cmd, bytes, _)| (cmd, bytes))
+            .expect("a queued command"))
+    }
+
     #[test]
     fn kernel_pair_round_trips_commands_and_data() {
-        let (app, port) = PairTransport::<u32, u64>::kernel(CostModel::free());
-        app.send_cmd(7).expect("cmd");
-        assert_eq!(port.recv_cmd().expect("recv cmd"), 7);
-        app.send_data(b"down").expect("data down");
+        let (app, port) = PairTransport::<u8, u64>::kernel(CostModel::free());
+        app.send(4, b"down").expect("cmd");
+        let down = take(&port).expect("recv cmd");
+        assert_eq!(down, (4, b"down".to_vec()));
         let mut buf = [0u8; 4];
-        port.recv_data_exact(&mut buf).expect("port recv");
-        assert_eq!(&buf, b"down");
         let back = port.send_reply_with(4, b"up!!".to_vec()).expect("reply");
         assert_eq!(back.as_deref(), Some(&b"up!!"[..]), "the pipe copied it");
         let n = app.recv_reply(
@@ -645,18 +676,78 @@ mod tests {
     #[test]
     fn shared_pair_round_trips_commands_and_data() {
         let (app, port) = PairTransport::<u8, u8>::shared(CostModel::free());
-        app.send_cmd(1).expect("cmd");
-        assert_eq!(port.recv_cmd().expect("recv cmd"), 1);
-        app.send_data(b"x").expect("data");
+        app.send(0, b"").expect("bare cmd");
+        assert_eq!(take(&port), Ok((0, Vec::new())));
+        app.send(1, b"x").expect("cmd");
+        assert_eq!(take(&port), Ok((1, b"x".to_vec())));
         let mut buf = [0u8; 2];
-        port.recv_data_exact(&mut buf[..1]).expect("recv");
-        assert_eq!(&buf[..1], b"x");
-        port.send_reply(0).expect("bare reply");
+        port.send_reply_with(0, Vec::new()).expect("bare reply");
         assert_eq!(land(&app, &mut []), Ok((0, 0)));
         port.send_reply_with(2, b"up".to_vec()).expect("reply");
         assert_eq!(land(&app, &mut buf), Ok((2, 2)));
         assert_eq!(&buf, b"up");
         assert_eq!(app.crossing(), CrossingKind::InterThread);
+    }
+
+    /// A command's bytes travel in a buffer of the lane's, which the
+    /// sentinel keeps; its next take of bytes hands the lane a spare from
+    /// its staging list, and the application's next send fills that.
+    #[test]
+    fn a_shared_command_is_paid_back_with_a_spare() {
+        let (app, port) = PairTransport::<u8, u8>::shared(CostModel::free());
+        let mut staging = FreeList::default();
+        app.send(2, b"ab").expect("first");
+        let (_, first, emptied) = port
+            .poll_cmd(carries, &mut staging)
+            .expect("poll")
+            .expect("a command");
+        assert!(emptied, "the take emptied the lane");
+        let at = first.as_ptr();
+        staging.put(first);
+        app.send(0, b"").expect("bare");
+        port.poll_cmd(carries, &mut staging)
+            .expect("bare")
+            .expect("a command");
+        app.send(1, b"c").expect("second");
+        let (_, second, _) = port
+            .poll_cmd(carries, &mut staging)
+            .expect("poll")
+            .expect("a command");
+        assert_eq!(second, b"c");
+        assert!(second.as_ptr() != at, "the first's buffer was still kept");
+        app.send(3, b"def").expect("third");
+        let (_, third, _) = port
+            .poll_cmd(carries, &mut staging)
+            .expect("poll")
+            .expect("a command");
+        assert_eq!(
+            (third.as_slice(), third.as_ptr()),
+            (&b"def"[..], at),
+            "the spare"
+        );
+        assert_eq!(port.poll_cmd(carries, &mut staging), Ok(None));
+    }
+
+    /// A command whose bytes are not the ones it announces fails its take,
+    /// on either wiring, and the next command is read as sent.
+    #[test]
+    fn a_command_that_carries_other_than_it_announces_fails_and_the_lane_stays_framed() {
+        let (app, port) = PairTransport::<u8, u8>::shared(CostModel::free());
+        let mut staging = FreeList::default();
+        for wrong in [&b"abc"[..], b"abcde", b""] {
+            app.send(4, wrong).expect("mis-framed");
+            let taken = port.poll_cmd(carries, &mut staging);
+            assert_eq!(taken, Err(IpcError::BrokenPipe), "{wrong:?}");
+            app.send(2, b"ok").expect("next");
+            let taken = port.poll_cmd(carries, &mut staging).expect("framed");
+            assert_eq!(taken, Some((2, b"ok".to_vec(), true)), "{wrong:?}");
+        }
+        // On a pipe, missing bytes are a vanished application.
+        let (app, port) = PairTransport::<u8, u8>::kernel(CostModel::free());
+        app.send(4, b"abc").expect("short");
+        drop(app);
+        let taken = port.poll_cmd(carries, &mut staging);
+        assert_eq!(taken, Err(IpcError::BrokenPipe));
     }
 
     /// The bytes travel in the sentinel's buffer, which the application
@@ -680,34 +771,6 @@ mod tests {
         let empty = Vec::with_capacity(8);
         let back = port.send_reply_with(0, empty).expect("bare").expect("back");
         assert_eq!(back.capacity(), 8);
-    }
-
-    #[test]
-    fn shared_buffer_recv_exact_assembles_multiple_messages() {
-        // Regression: the old implementation returned after one message,
-        // silently leaving the buffer tail unfilled.
-        let buffer = SharedBuffer::new(CostModel::free());
-        let producer = buffer.clone();
-        let t = std::thread::spawn(move || {
-            producer.send(b"0123").expect("first");
-            producer.send(b"456789").expect("second");
-        });
-        let mut buf = [0u8; 10];
-        let n = DataRx::recv_exact(&buffer, &mut buf).expect("recv_exact");
-        t.join().expect("join");
-        assert_eq!(n, 10);
-        assert_eq!(&buf, b"0123456789");
-    }
-
-    #[test]
-    fn shared_buffer_recv_exact_rejects_overlong_message() {
-        let buffer = SharedBuffer::new(CostModel::free());
-        buffer.send(b"0123456789").expect("send");
-        let mut buf = [0u8; 4];
-        assert_eq!(
-            DataRx::recv_exact(&buffer, &mut buf),
-            Err(IpcError::BrokenPipe)
-        );
     }
 
     #[test]
@@ -735,7 +798,7 @@ mod tests {
             port.send_reply_with(3, b"ab".to_vec()).expect("short");
             if i == 1 {
                 assert_eq!(land(&app, &mut buf), Err(IpcError::BrokenPipe));
-                port.send_reply(0).expect("bare");
+                port.send_reply_with(0, Vec::new()).expect("bare");
                 assert_eq!(land(&app, &mut buf), Ok((0, 0)));
                 continue;
             }
@@ -754,11 +817,19 @@ mod tests {
         port.send_reply_with(1, b"a".to_vec())
             .expect("fills the lane");
         // Would wait on the first's take if it took a unit.
-        port.send_reply(0).expect("bare");
+        port.send_reply_with(0, Vec::new()).expect("bare");
         let snap = gauges.snapshot();
         assert_eq!((snap.shm_pending, snap.shm_messages), (1, 1));
         assert_eq!(land(&app, &mut [0; 1]), Ok((1, 1)));
         assert_eq!(land(&app, &mut []), Ok((0, 0)));
+        assert_eq!(gauges.snapshot().shm_pending, 0);
+        // The command lane reports alike.
+        app.send(1, b"w").expect("fills the command lane");
+        app.send(0, b"").expect("bare");
+        let snap = gauges.snapshot();
+        assert_eq!((snap.shm_pending, snap.shm_messages), (1, 2));
+        assert_eq!(take(&port), Ok((1, b"w".to_vec())));
+        assert_eq!(take(&port), Ok((0, Vec::new())));
         assert_eq!(gauges.snapshot().shm_pending, 0);
         drop(port);
         assert_eq!(land(&app, &mut []), Err(IpcError::Closed));
@@ -808,7 +879,8 @@ mod tests {
             port.send_reply_with(1, b"a".to_vec())
                 .expect("fills the lane");
             assert!(clock::now() < 50_000_000);
-            port.send_reply(0).expect("a bare reply reuses nothing");
+            port.send_reply_with(0, Vec::new())
+                .expect("a bare reply reuses nothing");
             assert!(clock::now() < 50_000_000);
             first_sent.send(()).expect("signal");
             if taken_first {

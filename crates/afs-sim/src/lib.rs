@@ -4,7 +4,7 @@
 //!
 //! The original paper measured its prototype on a 300 MHz Pentium II cluster
 //! connected by 100 Mbps Fast Ethernet. We cannot re-run that hardware, so
-//! every substrate component in this workspace (pipes, shared buffers, the
+//! every substrate component in this workspace (pipes, §4.3 lanes, the
 //! simulated network, the simulated disk) *charges* the cost of what it does
 //! to a per-thread **virtual clock**. Charges are expressed through a
 //! [`CostModel`] whose parameters are calibrated to the paper's platform

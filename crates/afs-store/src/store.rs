@@ -477,8 +477,10 @@ impl PageStore {
         self.medium.append_wal(&self.staged)?;
         self.model.charge(Cost::Syscall);
         self.model.charge(Cost::DiskWriteBytes { bytes });
-        self.gauges.wal_append(bytes as u64);
-        self.stats.wal_appends += self.staged_records + 1;
+        // The staged records and the commit record that seals them.
+        let records = self.staged_records + 1;
+        self.gauges.wal_append(records, bytes as u64);
+        self.stats.wal_appends += records;
         self.stats.wal_bytes += bytes as u64;
         if self.opts.sync != SyncMode::Off {
             self.medium.sync()?;
@@ -731,6 +733,33 @@ mod tests {
         drop(store);
         let (store, _) = open_mem(&medium, opts);
         assert_eq!(store.contents(), b"x");
+    }
+
+    /// The exported counter counts WAL records, as the store's own stats
+    /// do: a commit appends its staged records and the commit record in
+    /// one batch.
+    #[test]
+    fn the_wal_append_gauge_counts_records_as_the_stats_do() {
+        let medium = MemMedium::new();
+        let gauges = Arc::new(StoreGauges::default());
+        let (mut store, _) = PageStore::open(
+            Box::new(medium.clone()),
+            no_auto(),
+            CostModel::free(),
+            Arc::clone(&gauges),
+        )
+        .expect("open");
+        for records in [1u64, 3, 2, 5] {
+            for i in 0..records {
+                store.write_at(i * 4, b"four").expect("write");
+            }
+            store.commit().expect("commit");
+        }
+        let stats = store.stats();
+        assert_eq!(stats.wal_appends, 11 + 4, "eleven writes, four commits");
+        let snap = gauges.snapshot();
+        assert_eq!(snap.wal_appends, stats.wal_appends);
+        assert_eq!(snap.wal_bytes, stats.wal_bytes);
     }
 
     #[test]

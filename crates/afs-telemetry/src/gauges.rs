@@ -132,7 +132,7 @@ fn raise(peak: &AtomicU64, level: u64) {
 }
 
 metric_family! {
-    /// Live depth/throughput gauges for pipes and shared buffers, and the
+    /// Live depth/throughput gauges for pipes and the §4.3 lanes, and the
     /// reuse of the staging buffers pair-lane dispatch loops keep.
     /// Striped: every message of every lane records here.
     QueueGauges striped(QueueCell) => GaugesSnapshot {
@@ -142,9 +142,9 @@ metric_family! {
         pipe_buffered_peak: gauge "afs_pipe_buffered_peak_bytes",
         /// Total pipe message segments enqueued.
         pipe_messages: counter "afs_pipe_queue_messages_total",
-        /// Shared-buffer slots currently holding an unread message.
+        /// §4.3 lane slots currently holding a message's untaken bytes.
         shm_pending: gauge "afs_shm_pending_slots",
-        /// Total shared-buffer messages sent.
+        /// Total §4.3 messages sent with bytes (a write's command, a read's reply).
         shm_messages: counter "afs_shm_messages_total",
         /// Staging buffers a pair lane's dispatch loop reused from its free list.
         pool_reuses: counter "afs_pool_reuses_total",
@@ -169,7 +169,7 @@ impl QueueGauges {
         level.fetch_sub(bytes, Ordering::Relaxed);
     }
 
-    /// Records one message placed in a shared-buffer slot.
+    /// Records one message's bytes placed in a §4.3 lane's slot.
     pub fn shm_filled(&self) {
         let level = &self.cells.first().shm_pending;
         level.fetch_add(1, Ordering::Relaxed);
@@ -177,7 +177,7 @@ impl QueueGauges {
         mine.shm_messages.add(writer, 1);
     }
 
-    /// Records one message taken from a shared-buffer slot.
+    /// Records one message's bytes taken from a §4.3 lane's slot.
     pub fn shm_taken(&self) {
         let level = &self.cells.first().shm_pending;
         level.fetch_sub(1, Ordering::Relaxed);
@@ -470,10 +470,11 @@ metric_family! {
 }
 
 impl StoreGauges {
-    /// Records one WAL record appended, `bytes` long on the medium.
-    pub fn wal_append(&self, bytes: u64) {
+    /// Records `records` WAL records appended together, `bytes` long on
+    /// the medium.
+    pub fn wal_append(&self, records: u64, bytes: u64) {
         let (mine, writer) = self.cells.mine();
-        mine.wal_appends.add(writer, 1);
+        mine.wal_appends.add(writer, records);
         mine.wal_bytes.add(writer, bytes);
     }
 
@@ -751,15 +752,15 @@ mod tests {
     #[test]
     fn store_gauges_track_wal_and_recovery() {
         let g = StoreGauges::default();
-        g.wal_append(32);
-        g.wal_append(16);
+        g.wal_append(1, 32);
+        g.wal_append(3, 16);
         g.fsync();
         g.commit();
         g.checkpoint();
         g.recovered(5);
         g.torn();
         let s = g.snapshot();
-        assert_eq!(s.wal_appends, 2);
+        assert_eq!(s.wal_appends, 4, "records, not appends");
         assert_eq!(s.wal_bytes, 48);
         assert_eq!(s.fsyncs, 1);
         assert_eq!(s.commits, 1);

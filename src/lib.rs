@@ -44,7 +44,7 @@
 //! |-------|------|
 //! | `afs-sim` | virtual clocks + the calibrated hardware cost model |
 //! | `afs-vfs` | in-memory VFS with NTFS-style named streams |
-//! | `afs-ipc` | pipes, control channels, events, shared buffers, named semaphores |
+//! | `afs-ipc` | pipes, control channels, events, the §4.3 lanes, named semaphores |
 //! | `afs-winapi` | the Win32-shaped [`FileApi`] surface + handle tables |
 //! | `afs-interpose` | runtime API interception (Mediating Connectors analogue) |
 //! | `afs-net` | simulated network with latency/bandwidth accounting |
@@ -58,9 +58,7 @@ pub use afs_core::{
     SentinelRegistry, SentinelResult, SentinelSpec, Strategy, ACTIVE_EXTENSION, CTL_QUERY_STALE,
 };
 pub use afs_interpose::{ApiHandle, ApiLayer, CallCounters, CountingLayer, MediatingConnector};
-pub use afs_ipc::{
-    ControlChannel, Event, PairTransport, Pipe, ResetMode, SharedBuffer, SyncRegistry,
-};
+pub use afs_ipc::{ControlChannel, Event, PairTransport, Pipe, ResetMode, SyncRegistry};
 pub use afs_net::{
     BreakerConfig, CircuitBreaker, Endpoint, FaultPlan, Fleet, NetError, Network,
     ReliabilityPolicy, ReliabilitySnapshot, RetryPolicy, Service,

@@ -44,9 +44,10 @@ guards! {
     "        clock::sync_to(stamp);" => grep(&["crates/afs-ipc/src/**", "!crates/afs-ipc/src/stamped.rs", "!crates/afs-ipc/src/mux.rs"], &["sync_to"]).tests(),
     grep(&["crates/afs-ipc/src/**", "!crates/afs-ipc/src/stamped.rs", "!crates/afs-ipc/src/mux.rs", "!crates/afs-ipc/src/sync.rs"], &["Condvar"]).tests(),
     grep(&["crates/**", "src/**"], &["struct WakerCell"]).tests();
-    one_lock_per_lane_crossing: "One lock per lane crossing (a lane recycles its own buffers, the waker is read in place)", "A round trip takes each lane's stamped lock once per side and no other lock in afs-ipc: a pipe or slot recycles its buffers under that lock, the dispatch loop stages in a list it owns, and the stamped core reads its waker in place.",
-    "use crate::BufferPool;" => grep(&["crates/afs-ipc/src/pipe.rs", "crates/afs-ipc/src/shared_buf.rs", "crates/afs-ipc/src/transport.rs",
-        "crates/afs-core/src/strategy/dispatch.rs"], &["BufferPool"]), grep(&["crates/afs-ipc/src/stamped.rs"], &["waker.clone()", "Arc::clone(&.*waker)"]);
+    one_lock_per_lane_crossing: "One lock per lane crossing (a lane recycles its own buffers, the waker is read in place)", "A round trip takes each lane's stamped lock once per side and no other lock in afs-ipc: a pipe, a §4.3 lane or a ring recycles its buffers under that lock, a take that keeps a sender's buffer pays the lane back under it, the dispatch loop stages in a list it owns, and the stamped core reads its waker in place.",
+    "use crate::BufferPool;" => grep(&["crates/afs-ipc/src/pipe.rs", "crates/afs-ipc/src/transport.rs", "crates/afs-ipc/src/control.rs",
+        "crates/afs-ipc/src/ring.rs", "crates/afs-core/src/strategy/dispatch.rs", "crates/afs-core/src/strategy/batch.rs"], &["BufferPool"]),
+    grep(&["crates/afs-ipc/src/stamped.rs"], &["waker.clone()", "Arc::clone(&.*waker)"]);
     a_counter_has_one_writer: "A counter has one writer (each thread owns its stripe)", "A thread owns one cell of every `Striped` until it exits, so the cost model, the op trace and the striped families add with a load and a store; only `Tally`'s shared cell, written by threads that found no free cell, adds with a locked read-modify-write, and `SentinelStats` (one set per sentinel name), the queue gauges, the fleet gauges and the store gauges, which every message, poll or commit records into, are striped.",
     "        counter.fetch_add(n, Ordering::Relaxed);" => grep(&["crates/afs-sim/src/cost.rs", "crates/afs-sim/src/trace.rs"], &["fetch_add", "Mutex"]),
     grep(&["crates/afs-sim/src/stripe.rs"], &["fetch_add"]).hits(1, 1),
@@ -127,10 +128,14 @@ guards! {
     a_batched_read_hashes_nothing: "A batched read hashes nothing (a ring's bytes travel in the buffers it hands around)", "The ring's completion index and the driver's readahead are short lists scanned by id and by span, the driver keeps one batch `Vec` across doorbells, and a read's bytes come back in the buffer its submission entry carried: a hash map, a `Vec` built per batch or bytes copied out of a completion is the per-read host work this tree took out.",
     "    cq: HashMap<u64, (Cqe<R>, SimTime)>," => grep(&["crates/afs-ipc/src/ring.rs", "crates/afs-core/src/strategy/batch.rs"], &["HashMap", "HashSet"]),
     grep(&["crates/afs-core/src/strategy/batch.rs"], &["Vec::with_capacity", ".to_vec()"]);
-    a_thread_reply_carries_its_bytes: "A thread reply carries its bytes (§4.3: one lane back to the application)", "A read's reply and the buffer the sentinel staged its bytes in are one item of the reply lane, as a ring completion is, so the §4.3 wiring builds one shared buffer (for a write's bytes), and a hub parks a peer's reply in the buffer it came in: a slot of the application's own, or a buffer zero-filled to copy a reply into, is the per-read host work this tree took out.",
+    a_thread_reply_carries_its_bytes: "A thread reply carries its bytes (§4.3: one lane back to the application)", "A read's reply and the buffer the sentinel staged its bytes in are one item of the reply lane, as a ring completion is, so the §4.3 wiring builds no shared buffer, and a hub parks a peer's reply in the buffer it came in: a slot of the application's own, or a buffer zero-filled to copy a reply into, is the per-read host work this tree took out.",
     "    fn shared_build() { let to_app = SharedBuffer::new(model); }" =>
-    grep(&["crates/afs-ipc/src/transport.rs#fn shared_build"], &["SharedBuffer::"]).hits(0, 1),
+    grep(&["crates/afs-ipc/src/transport.rs#fn shared_build"], &["SharedBuffer::"]).hits(0, 0),
     grep(&["crates/afs-ipc/src/mux.rs#fn pull"], &["vec![0;"]);
+    a_thread_command_carries_its_bytes: "A thread command carries its bytes (§4.3: one lane to the sentinel)", "A write's command and the buffer its bytes were copied into are one item of the command lane, as a ring entry is, and the dispatch loop takes that buffer as the write's payload: a data lane beside the commands, read by length after its command, is the second mechanism and the per-write slot this tree took out, and the one-slot buffer it was is left only for `benchmark/`'s probe to time.",
+    "pub trait DataTx: Send + Sync {}" =>
+    grep(&["crates/**/*.rs", "src/**/*.rs"], &[r"\bDataTx\b", r"\bDataRx\b", r"\brecv_data_exact\b", r"\bsend_data\b"]).tests(),
+    grep(&["crates/**/*.rs", "src/**/*.rs", "!crates/afs-ipc/src/shared_buf.rs", "!crates/afs-ipc/src/lib.rs"], &["SharedBuffer"]).tests();
     locks_are_counted_by_tests_only: "Locks are counted by tests only (the shim's count is a dev-dependency's)", "The shim counts each thread's locks under its `count` feature, which a cost test turns on through `[dev-dependencies]`: a manifest that turns it on anywhere else would count every lock of a release build or of `benchmark/`.",
     r#"parking_lot = { workspace = true, features = ["count"] }"# =>
     grep(&["Cargo.toml", "crates/*/Cargo.toml", "vendor/*/Cargo.toml", "benchmark/Cargo.toml", "!Cargo.toml#dev-dependencies",
