@@ -97,6 +97,13 @@ impl SharedBuffer {
         taking.finish(1, || {});
         Ok(len)
     }
+
+    /// Closes the buffer: pending and future operations fail with
+    /// [`IpcError::Closed`] (a message already in the slot can still be
+    /// received).
+    pub fn close(&self) {
+        self.inner.core.close();
+    }
 }
 
 #[cfg(test)]
@@ -162,6 +169,28 @@ mod tests {
         t.join().expect("join").expect("send b");
         b.recv_into(&mut buf).expect("recv b");
         assert_eq!(&buf, b"b");
+    }
+
+    #[test]
+    fn close_unblocks_receiver_with_closed() {
+        let b = SharedBuffer::new(CostModel::free());
+        let b2 = b.clone();
+        let t = std::thread::spawn(move || b2.recv_into(&mut [0u8; 4]));
+        std::thread::sleep(std::time::Duration::from_millis(10));
+        b.close();
+        assert_eq!(t.join().expect("join"), Err(IpcError::Closed));
+        assert_eq!(b.send(b"x"), Err(IpcError::Closed));
+    }
+
+    #[test]
+    fn message_in_slot_survives_close() {
+        let b = SharedBuffer::new(CostModel::free());
+        b.send(b"last").expect("send");
+        b.close();
+        let mut buf = [0u8; 4];
+        assert_eq!(b.recv_into(&mut buf), Ok(4));
+        assert_eq!(&buf, b"last");
+        assert_eq!(b.recv_into(&mut buf), Err(IpcError::Closed));
     }
 
     #[test]

@@ -246,8 +246,9 @@ enum Inbox<T> {
 }
 
 impl<T: Send> Outbox<T> {
-    /// Sends `item` with a copy of `bytes`: the one user-level copy of a
-    /// command's bytes, into a buffer of the lane's on §4.3.
+    /// Sends `item` with a copy of `bytes`: into the pipe behind it on
+    /// §4.2, or on §4.3 into a buffer of the lane's, the one user-level
+    /// copy.
     fn send(&self, item: T, bytes: &[u8], doorbell: Doorbell) -> Result<()> {
         match self {
             Outbox::Kernel(items, pipe) => {
@@ -265,36 +266,31 @@ impl<T: Send> Outbox<T> {
         }
     }
 
-    /// Sends `item` with `bytes` themselves, and returns a buffer for the
-    /// sender's staging list: on a pipe `bytes`, once it has copied them;
-    /// on a lane (whose items carry their buffer) a spare it kept from an
-    /// earlier item, if it has one, or `bytes` when empty.
-    fn hand(&self, item: T, bytes: Vec<u8>) -> Result<Option<Vec<u8>>> {
-        match self {
-            Outbox::Kernel(..) => self
-                .send(item, &bytes, Doorbell::Post)
-                .map(|()| Some(bytes)),
-            Outbox::Shared(lane) if bytes.is_empty() => lane
-                .send(item, 0, Doorbell::Post, |_| Vec::new())
-                .map(|()| Some(bytes)),
+    /// Sends a frame a call flushes ahead of itself, with a copy of
+    /// `bytes`, and returns whether it went in *held*: ringing nothing,
+    /// for the call's one ring to serve it too. A frame whose bytes go in
+    /// without waiting is held. One whose bytes would wait is rung for
+    /// first, since only the receiver can drain the lane: a pipe's frame
+    /// is posted, since the receiver reads the pipe behind it only once it
+    /// has the frame; a lane rings before it waits for the capacity, then
+    /// holds the frame. A held frame whose send fails rings before the
+    /// error returns, so it is not left on the lane unrung.
+    fn send_flushed(&self, item: T, bytes: &[u8]) -> Result<bool> {
+        let held = match self {
+            Outbox::Kernel(_, pipe) => pipe.fits(bytes.len()),
             Outbox::Shared(lane) => {
-                let mut back = None;
-                lane.send(item, bytes.len(), Doorbell::Post, |spare| {
-                    back = spare.spare();
-                    bytes
-                })?;
-                Ok(back)
+                if !lane.core.fits(usize::from(!bytes.is_empty())) {
+                    lane.core.ring();
+                }
+                true
             }
+        };
+        let doorbell = if held { Doorbell::Held } else { Doorbell::Post };
+        let result = self.send(item, bytes, doorbell);
+        if result.is_err() && held {
+            self.ring();
         }
-    }
-
-    /// Whether `len` bytes would go in now without waiting for the
-    /// receiver to drain the lane first.
-    fn fits(&self, len: usize) -> bool {
-        match self {
-            Outbox::Kernel(_, pipe) => pipe.fits(len),
-            Outbox::Shared(lane) => lane.core.fits(usize::from(len > 0)),
-        }
+        result.map(|()| held)
     }
 
     /// Rings the receiver's waker with nothing sent, as a posted send
@@ -303,45 +299,6 @@ impl<T: Send> Outbox<T> {
         match self {
             Outbox::Kernel(items, _) => items.ring(),
             Outbox::Shared(lane) => lane.core.ring(),
-        }
-    }
-}
-
-impl<T: Send> Inbox<T> {
-    /// [`PairPort::poll_cmd`], for either wiring.
-    fn poll(
-        &self,
-        announced: impl FnOnce(&T) -> usize,
-        staging: &mut FreeList,
-    ) -> Result<Option<(T, Vec<u8>, bool)>> {
-        match self {
-            Inbox::Kernel(items, pipe) => {
-                let Some((item, emptied)) = items.poll_keeping(|_| false, staging)? else {
-                    return Ok(None);
-                };
-                let n = announced(&item);
-                if n == 0 {
-                    return Ok(Some((item, Vec::new(), emptied)));
-                }
-                let mut bytes = staging.take(n);
-                // A pipe reports a vanished writer as a short count, not
-                // an error: either way the bytes are not coming.
-                if pipe.read_exact(&mut bytes).ok() != Some(n) {
-                    staging.put(bytes);
-                    return Err(IpcError::BrokenPipe);
-                }
-                Ok(Some((item, bytes, emptied)))
-            }
-            Inbox::Shared(lane) => {
-                let Some((item, bytes, emptied)) = lane.poll(staging)? else {
-                    return Ok(None);
-                };
-                if bytes.len() != announced(&item) {
-                    staging.put(bytes);
-                    return Err(IpcError::BrokenPipe);
-                }
-                Ok(Some((item, bytes, emptied)))
-            }
         }
     }
 }
@@ -498,13 +455,11 @@ impl<C: Send + 'static, R: Send + 'static> PairTransport<C, R> {
     /// payload goes in without waiting is *held*: it rings nothing, and
     /// the call's one ring serves it too, so a sentinel the call finds
     /// idle runs the flush and the call on this thread instead of waking a
-    /// worker for the flush. A payload that would wait is rung for first,
-    /// since only the sentinel can drain the lane: a §4.2 frame is posted,
-    /// since the sentinel reads the pipe behind it only once it has the
-    /// frame, and a §4.3 one rings before it waits for the capacity, then
-    /// goes in held. An error after a held frame rings before it returns,
-    /// so no frame is left on the lane unrung. Must run under the lock
-    /// that keeps the caller's frames and payloads adjacent.
+    /// worker for the flush. A payload that would wait is rung for first
+    /// (a §4.2 frame is posted, a §4.3 one goes in held after the ring).
+    /// An error after a held frame rings before it returns, so no frame
+    /// is left on the lane unrung. Must run under the lock that keeps the
+    /// caller's frames and payloads adjacent.
     ///
     /// [`send_awaited`]: PairTransport::send_awaited
     ///
@@ -519,25 +474,12 @@ impl<C: Send + 'static, R: Send + 'static> PairTransport<C, R> {
         mut sent: impl FnMut(Vec<u8>),
     ) -> Result<()> {
         let mut unrung = false;
-        let result = flush
-            .into_iter()
-            .try_for_each(|(frame, payload)| {
-                let fits = self.commands.fits(payload.len());
-                unrung = fits || matches!(self.commands, Outbox::Shared(_));
-                if !fits && unrung {
-                    self.commands.ring();
-                }
-                let doorbell = if unrung {
-                    Doorbell::Held
-                } else {
-                    Doorbell::Post
-                };
-                self.model.charge_round_trip(self.crossing);
-                self.commands.send(frame, &payload, doorbell)?;
-                sent(payload);
-                Ok(())
-            })
-            .and_then(|()| self.send_awaited(cmd, reply_room));
+        for (frame, payload) in flush {
+            self.model.charge_round_trip(self.crossing);
+            unrung = self.commands.send_flushed(frame, &payload)?;
+            sent(payload);
+        }
+        let result = self.send_awaited(cmd, reply_room);
         if result.is_err() && unrung {
             self.commands.ring();
         }
@@ -594,7 +536,33 @@ impl<C: Send + 'static, R: Send + 'static> PairPort<C, R> {
         announced: impl FnOnce(&C) -> usize,
         staging: &mut FreeList,
     ) -> Result<Option<(C, Vec<u8>, bool)>> {
-        self.commands.poll(announced, staging)
+        match &self.commands {
+            Inbox::Kernel(commands, pipe) => {
+                let Some((cmd, emptied)) = commands.poll_keeping(|_| false, staging)? else {
+                    return Ok(None);
+                };
+                let n = announced(&cmd);
+                if n == 0 {
+                    return Ok(Some((cmd, Vec::new(), emptied)));
+                }
+                let mut bytes = staging.take(n);
+                if pull(pipe, &mut bytes).is_err() {
+                    staging.put(bytes);
+                    return Err(IpcError::BrokenPipe);
+                }
+                Ok(Some((cmd, bytes, emptied)))
+            }
+            Inbox::Shared(lane) => {
+                let Some((cmd, bytes, emptied)) = lane.poll(staging)? else {
+                    return Ok(None);
+                };
+                if bytes.len() != announced(&cmd) {
+                    staging.put(bytes);
+                    return Err(IpcError::BrokenPipe);
+                }
+                Ok(Some((cmd, bytes, emptied)))
+            }
+        }
     }
 
     /// Installs the command lane's readiness waker, once, invoked whenever a
@@ -618,7 +586,20 @@ impl<C: Send + 'static, R: Send + 'static> PairPort<C, R> {
     ///
     /// [`IpcError::BrokenPipe`] once the application side is gone.
     pub fn send_reply_with(&self, reply: R, bytes: Vec<u8>) -> Result<Option<Vec<u8>>> {
-        self.replies.hand(reply, bytes)
+        match &self.replies {
+            Outbox::Shared(lane) if !bytes.is_empty() => {
+                let mut back = None;
+                lane.send(reply, bytes.len(), Doorbell::Post, |spare| {
+                    back = spare.spare();
+                    bytes
+                })?;
+                Ok(back)
+            }
+            _ => self
+                .replies
+                .send(reply, &bytes, Doorbell::Post)
+                .map(|()| Some(bytes)),
+        }
     }
 }
 

@@ -65,10 +65,12 @@ guards! {
     grep(&["crates/afs-core/src/strategy/mod.rs#fn spawn_sentinel"], &["catch_unwind"]).tests().hits(1, 1);
     one_run_queue: "One run queue (a pinned sentinel is a task on a queue of its own)", "The pool's workers share one `RunQueue` and a pinned sentinel is the same task on a `RunQueue` of its own, so striped queues, their padding, a steal sweep or a private lane for pinned threads would be a second scheduler.",
     "    shards: Vec<CachePadded<Shard>>," => grep(&["crates/afs-core/src/strategy/executor.rs"], &["Shard", "CachePadded", "PinnedLane", "shard_of", "steal("]);
-    a_call_carries_its_flush: "A call carries its flush (one held doorbell)", "A send that rings nothing is safe only when an awaited send by the same sender follows under the same lock, and `PairTransport::send_call_behind` is the one place that knows both.",
-    "        tx.send_all(0, [], Doorbell::Held)?;" => grep(&["crates/afs-ipc/src/*.rs", "!crates/afs-ipc/src/transport.rs#fn send_call_behind"],
+    a_call_carries_its_flush: "A call carries its flush (one held doorbell)", "A send that rings nothing is safe only when an awaited send by the same sender follows under the same lock: `PairTransport::send_call_behind` is the one place that knows both, and the `Outbox::send_flushed` it calls is the one send that holds a frame.",
+    "        tx.send_all(0, [], Doorbell::Held)?;" => grep(&["crates/afs-ipc/src/*.rs", "!crates/afs-ipc/src/transport.rs#fn send_flushed"],
         &["Doorbell::Held"]).unless(&["Doorbell::Held =>"]),
-    grep(&["crates/afs-ipc/src/transport.rs#fn send_call_behind"], &["Doorbell::Held"]).hits(1, usize::MAX);
+    grep(&["crates/afs-ipc/src/transport.rs#fn send_flushed"], &["Doorbell::Held"]).hits(1, usize::MAX),
+    grep(&["crates/afs-ipc/src/*.rs", "!crates/afs-ipc/src/transport.rs#fn send_call_behind"], &[".send_flushed("]),
+    grep(&["crates/afs-ipc/src/transport.rs#fn send_call_behind"], &[".send_flushed("]).hits(1, 1);
     found_once: "Found once (one ring per fleet, one owner walk per op)", "A file session asks its endpoint for owner indices and borrows the names, and no session builds a ring: `Placement` steps its membership through the thread's memo of built rings.",
     "        let owners = endpoint.owners(path);" => grep(&["crates/afs-remote/src/file_server.rs", "crates/afs-remote/src/cluster.rs"], &[".owners("]),
     grep(&["crates/afs-remote/src/**"], &["HashRing::new"]).tests();
