@@ -244,21 +244,20 @@ pub fn span_trace(ops: usize, profile: HardwareProfile) -> String {
 
 /// The `ablation_trace` cell: the `Thread` gate cell (memory path,
 /// DLL-with-thread, 128-byte sequential reads) re-run with telemetry fully
-/// on — span capture, slow-op scanning, a declared SLO, and the
-/// flight-recorder rings all active. Because latency is virtual time and
-/// spans charge nothing, it must equal the `Thread` cell in every field.
+/// on — span capture, slow-op scanning and the flight-recorder rings all
+/// active. Because latency is virtual time and spans charge nothing, it
+/// must equal the `Thread` cell in every field.
 pub fn measure_instrumented(ops: usize, profile: HardwareProfile) -> Measurement {
     const BLOCK: usize = 128;
-    // A slow-op threshold low enough to scan every op, and a declared SLO
-    // so the burn-rate windows tick per operation.
     let (world, file) = build_world(
         PathKind::Memory,
         Strategy::DllThread,
         profile,
         &filler(BLOCK * ops),
-        &[("slo_p99_us", "1000"), ("slo_err_ppm", "100000")],
+        &[],
     );
     world.telemetry().set_enabled(true);
+    // A slow-op threshold low enough to scan every op.
     world.telemetry().set_slow_threshold_ns(1);
     run_blocks(&world, file, Direction::Read, BLOCK, ops)
 }
@@ -888,9 +887,9 @@ mod tests {
     fn trace_ablation_is_free() {
         // The acceptance bound is <= 5% p99 overhead with zero extra §4
         // charges; in virtual time the two must in fact coincide, because
-        // spans, slow-op scans, SLO windows, and flight rings charge the
-        // cost model nothing — the 5% headroom is for the day that stops
-        // being true, so the gate fails loudly rather than drifting.
+        // spans, slow-op scans and flight rings charge the cost model
+        // nothing — the 5% headroom is for the day that stops being true,
+        // so the gate fails loudly rather than drifting.
         let profile = HardwareProfile::pentium_ii_300();
         let dark = measure(
             PathKind::Memory,

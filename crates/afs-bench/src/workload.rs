@@ -145,10 +145,10 @@ impl Trace {
 }
 
 /// Replays a trace against a fresh world per strategy and returns the
-/// total virtual time consumed (ns), read back from the telemetry
-/// latency histograms: every strategy-layer operation records its virtual
-/// duration into the per-(strategy, op) histogram, and the histogram sums
-/// are exact — no ad-hoc clock arithmetic around the replay loop.
+/// total virtual time consumed (ns), read back from the op trace: every
+/// strategy-layer operation records its virtual duration there, whether
+/// or not telemetry is on — no ad-hoc clock arithmetic around the replay
+/// loop.
 pub fn replay_virtual_time(
     trace: &Trace,
     path: crate::PathKind,
@@ -157,7 +157,6 @@ pub fn replay_virtual_time(
 ) -> u64 {
     let extent = crate::filler(trace.extent as usize + 2048);
     let (world, file) = crate::build_world(path, strategy, profile, &extent, &[]);
-    world.telemetry().set_enabled(true);
     let api = world.api();
     let _guard = clock::install(0);
     let h = api
@@ -165,7 +164,8 @@ pub fn replay_virtual_time(
         .expect("open");
     trace.replay(&api, h);
     api.close_handle(h).expect("close");
-    world.telemetry().strategy_elapsed_total_ns()
+    let rows = world.trace().summary();
+    rows.iter().map(|row| row.elapsed_ns).sum()
 }
 
 #[cfg(test)]

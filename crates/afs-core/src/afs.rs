@@ -227,12 +227,6 @@ impl ActiveFileSystem {
             nested: true,
             ..self.clone()
         })));
-        // Service-level objectives: spec keys declare the targets, the
-        // telemetry hub tracks burn rates per file.
-        let slo = rt.slo.is_declared().then(|| {
-            run.telemetry
-                .slo_register(&vpath.file_path().to_string(), spec.name(), rt.slo)
-        });
         let instr = Instruments {
             model: run.model.clone(),
             trace: Arc::clone(&run.trace),
@@ -241,7 +235,6 @@ impl ActiveFileSystem {
             sentinel: intern(spec.name()),
             exec: Arc::clone(&run.exec),
             pinned: self.nested,
-            slo,
         };
         // Built and opened *without* holding the registry lock — the open
         // hook may recursively open other active files through this same

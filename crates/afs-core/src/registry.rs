@@ -224,6 +224,21 @@ mod tests {
         assert!(err.to_string().contains("strict"), "{err}");
     }
 
+    /// A key the runtime once owned is, to the world's `null` (which
+    /// declares its keys: none), an unknown key like any other.
+    #[test]
+    fn a_retired_runtime_key_is_refused_naming_the_key() {
+        let retired = "slo_p99_us";
+        let world = crate::AfsWorld::new();
+        let spec = SentinelSpec::new("null", Strategy::DllOnly).with(retired, "1000");
+        let err = world
+            .sentinels()
+            .validate_spec(&spec)
+            .expect_err("no runtime key and not declared by `null`");
+        assert_eq!(err.key(), retired);
+        assert!(err.to_string().contains(&format!("`{retired}`")), "{err}");
+    }
+
     #[test]
     fn undeclared_sentinels_stay_permissive() {
         let reg = SentinelRegistry::new();

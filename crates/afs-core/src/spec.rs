@@ -13,7 +13,6 @@ use std::ops::RangeInclusive;
 
 use afs_net::{BreakerConfig, ReliabilityPolicy, WireError, WireReader, WireWriter};
 use afs_store::{StoreOptions, SyncMode};
-use afs_telemetry::SloSpec;
 
 /// Which of the four implementation approaches of §4 runs this file's
 /// sentinel.
@@ -154,8 +153,6 @@ pub(crate) struct RuntimeSpec {
     /// `breaker.threshold` is; the sentinel's network then walks every
     /// remote call under it.
     pub reliability: Option<ReliabilityPolicy>,
-    /// `slo_p99_us` / `slo_err_ppm`: the objectives telemetry tracks.
-    pub slo: SloSpec,
     /// `batch=on` with `ring_depth` (default 8): the §4.2/§4.3 boundary
     /// is a submission/completion ring of this many slots. `Process`
     /// streams and `DllOnly` inline calls have no such boundary and
@@ -173,7 +170,6 @@ impl Default for RuntimeSpec {
             durable: None,
             replicas: Vec::new(),
             reliability: None,
-            slo: SloSpec::default(),
             ring_depth: None,
         }
     }
@@ -256,15 +252,6 @@ const RUNTIME_KEYS: &[(&str, &str, Apply)] = &[
     ),
     ("breaker.cooldown_us", MICROS, |d, v| {
         set(&mut d.breaker.cooldown_ns, scaled(v, 1_000))
-    }),
-    ("slo_p99_us", "positive integer microseconds", |d, v| {
-        set(
-            &mut d.rt.slo.p99_ns,
-            scaled(v, 1_000).filter(|&ns| ns > 0).map(Some),
-        )
-    }),
-    ("slo_err_ppm", "integer 0..=1000000", |d, v| {
-        set(&mut d.rt.slo.err_ppm, int(v, 0..=1_000_000).map(Some))
     }),
     ("batch", FLAG, |d, v| set(&mut d.batch, flag(v))),
     ("ring_depth", "positive integer slots", |d, v| {
@@ -637,12 +624,6 @@ mod tests {
         ("breaker.cooldown_us", "2000", &[("retry", "3")], |rt| {
             policy(rt).breaker.is_none()
         }),
-        ("slo_p99_us", "500", &[], |rt| {
-            rt.slo.p99_ns == Some(500_000)
-        }),
-        ("slo_err_ppm", "1000000", &[], |rt| {
-            rt.slo.err_ppm == Some(1_000_000)
-        }),
         ("batch", "on", &[], |rt| {
             rt.ring_depth == Some(DEFAULT_RING_DEPTH)
         }),
@@ -725,8 +706,6 @@ mod tests {
         for (key, value) in [
             ("page_size", "0"),
             ("ring_depth", "0"),
-            ("slo_p99_us", "0"),
-            ("slo_err_ppm", "1000001"),
             ("checkpoint_pages", "4294967296"),
         ] {
             assert!(parsed(&[(key, value)]).is_err(), "{key}={value}");

@@ -148,7 +148,6 @@ pub(crate) fn instruments() -> Instruments {
         tel,
         sentinel: intern("probe"),
         pinned: false,
-        slo: None,
     }
 }
 

@@ -46,9 +46,7 @@ use parking_lot::Mutex;
 
 use afs_ipc::{AppPort, Framed, FreeList, IpcError, SentinelExit};
 use afs_sim::{clock, CostModel, CrossingKind, OpKind, OpTrace, OpWindow, TraceRecord};
-use afs_telemetry::{
-    now_ns, LatencyHistogram, Layer, SloTracker, SpanGuard, Telemetry, TraceContext,
-};
+use afs_telemetry::{now_ns, LatencyHistogram, Layer, SpanGuard, Telemetry, TraceContext};
 use afs_winapi::{SeekMethod, Win32Error};
 
 use crate::strategy::mux::OpMux;
@@ -96,8 +94,7 @@ fn op_index(op: OpKind) -> usize {
 }
 
 /// What every application-side handle records an operation into: the
-/// op trace, the file's SLO tracker, the per-(strategy, op) histogram
-/// and the op's strategy span.
+/// op trace, the per-(strategy, op) histogram and the op's strategy span.
 pub(crate) struct Recorder {
     model: CostModel,
     trace: Arc<OpTrace>,
@@ -105,8 +102,6 @@ pub(crate) struct Recorder {
     /// The boundary this handle's operations cross.
     crossing: CrossingKind,
     tel: Arc<Telemetry>,
-    /// The file's SLO tracker, when objectives are declared in the spec.
-    slo: Option<Arc<SloTracker>>,
     /// Per-(strategy, op) latency histograms, resolved once at open.
     hists: [Arc<LatencyHistogram>; 7],
 }
@@ -118,7 +113,6 @@ impl Recorder {
         strategy: &'static str,
         crossing: CrossingKind,
         tel: Arc<Telemetry>,
-        slo: Option<Arc<SloTracker>>,
     ) -> Self {
         let hists = OP_KINDS.map(|kind| tel.strategy_hist(strategy, kind.label()));
         Recorder {
@@ -127,7 +121,6 @@ impl Recorder {
             strategy,
             crossing,
             tel,
-            slo,
             hists,
         }
     }
@@ -195,11 +188,6 @@ impl Recorder {
             crossings: charged.crossings,
             copies: charged.copies,
         });
-        if let Some(slo) = &self.slo {
-            // Virtual elapsed time, so burn rates are exact under the sim
-            // clock and objectives survive telemetry being off.
-            slo.record(elapsed_ns, result.is_err());
-        }
         if tel_on {
             self.hists[op_index(op)].record(now_ns().saturating_sub(tel_started));
             if let Some(sp) = span.as_mut() {

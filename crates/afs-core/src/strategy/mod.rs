@@ -50,7 +50,7 @@ use parking_lot::Mutex;
 
 use afs_ipc::{IpcError, SentinelExit};
 use afs_sim::{clock, CostModel, CrossingKind, OpTrace};
-use afs_telemetry::{now_ns, LatencyHistogram, Layer, SloTracker, Telemetry, TraceContext};
+use afs_telemetry::{now_ns, LatencyHistogram, Layer, Telemetry, TraceContext};
 use afs_winapi::Win32Error;
 
 use crate::ctx::SentinelCtx;
@@ -108,10 +108,6 @@ pub(crate) struct Instruments {
     /// the opener — which may block a pool worker waiting on it — cannot
     /// starve it of the bounded pool.
     pub(crate) pinned: bool,
-    /// The file's SLO tracker when the spec declares objectives
-    /// (`slo_p99_us=` / `slo_err_ppm=`); the strategy handle records every
-    /// op into it.
-    pub(crate) slo: Option<Arc<SloTracker>>,
 }
 
 impl Instruments {
@@ -144,7 +140,6 @@ impl Instruments {
             self.strategy,
             crossing,
             Arc::clone(&self.tel),
-            self.slo.clone(),
         )
     }
 

@@ -146,8 +146,8 @@ impl AfsWorldBuilder {
 
 /// Registers the world's standard collectors: cost-model counters, the
 /// per-(strategy, op) trace aggregates, the telemetry latency summaries,
-/// flight-recorder and SLO series, and the eight declared counter
-/// families — each of which names its own metrics (see
+/// flight-recorder series, and the eight declared counter families —
+/// each of which names its own metrics (see
 /// `afs_telemetry::metric_family!`), so none is named here.
 fn register_world_collectors(
     metrics: &MetricsRegistry,
@@ -244,38 +244,6 @@ fn register_world_collectors(
             "afs_flight_bundles",
             telemetry.flight().bundles().len() as u64,
         ));
-        for slo in telemetry.slo_trackers() {
-            let s = slo.snapshot();
-            let tag = |m: Metric| m.label("file", s.file).label("sentinel", s.sentinel);
-            out.push(tag(Metric::counter("afs_slo_ops_total", s.ops)));
-            out.push(tag(Metric::counter("afs_slo_errors_total", s.errors)));
-            out.push(tag(Metric::counter(
-                "afs_slo_latency_breaches_total",
-                s.lat_breaches,
-            )));
-            if let Some(p99) = s.spec.p99_ns {
-                out.push(tag(Metric::gauge("afs_slo_latency_target_ns", p99)));
-            }
-            if let Some(ppm) = s.spec.err_ppm {
-                out.push(tag(Metric::gauge(
-                    "afs_slo_error_budget_ppm",
-                    u64::from(ppm),
-                )));
-            }
-            for (window, rates) in [("short", &s.short), ("long", &s.long)] {
-                out.push(
-                    tag(Metric::gauge(
-                        "afs_slo_latency_burn_milli",
-                        rates.latency_milli,
-                    ))
-                    .label("window", window),
-                );
-                out.push(
-                    tag(Metric::gauge("afs_slo_error_burn_milli", rates.error_milli))
-                        .label("window", window),
-                );
-            }
-        }
         for (sentinel, stats) in telemetry.sentinel_stats_snapshots() {
             stats.metrics(&[("sentinel", sentinel)], out);
         }
@@ -378,9 +346,8 @@ impl AfsWorld {
 
     /// The post-mortem bundle: every frozen flight-recorder bundle plus
     /// the live context an operator needs to read them — the full metrics
-    /// snapshot (cost model, store, fleet, SLO burn rates), per-service
-    /// fault-plan state, and circuit-breaker states — as one JSON
-    /// document (`afsh dump`).
+    /// snapshot (cost model, store, fleet), per-service fault-plan state,
+    /// and circuit-breaker states — as one JSON document (`afsh dump`).
     pub fn flight_dump(&self) -> String {
         fn esc(s: &str) -> String {
             let mut out = String::with_capacity(s.len());

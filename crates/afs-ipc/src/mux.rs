@@ -140,11 +140,6 @@ impl<P: MuxProtocol> Stager<P> {
         self.entries.push((frame, buf));
     }
 
-    /// Whether no session holds an entry.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// How many entries `session` holds.
     pub fn held(&self, session: u32) -> usize {
         self.entries
@@ -427,10 +422,6 @@ impl<P: MuxProtocol> MuxHub<P> {
         frame: Framed<P::Cmd>,
         reply_room: usize,
     ) -> Result<()> {
-        if s.stages.is_empty() {
-            // Nothing to hold: the one-session hub's every call.
-            return self.under.send_awaited(frame, reply_room);
-        }
         let flush = s.stages.take(None);
         self.under
             .send_call_behind(flush, frame, reply_room, |buf| {

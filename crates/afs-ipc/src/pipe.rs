@@ -196,21 +196,38 @@ impl PipeReader {
     /// writers closed and the pipe drained). Charges one syscall per call
     /// and a kernel→user copy per byte actually read.
     pub fn read(&self, buf: &mut [u8]) -> Result<usize> {
+        let mut at = 0;
+        self.read_with(buf.len(), |chunk| {
+            buf[at..at + chunk.len()].copy_from_slice(chunk);
+            at += chunk.len();
+        })
+    }
+
+    /// [`PipeReader::read`] of up to `n` bytes onto the end of `buf`, so
+    /// a buffer taken with room for them is not zero-filled first. Charges
+    /// as `read` does.
+    pub fn read_append(&self, buf: &mut Vec<u8>, n: usize) -> Result<usize> {
+        self.read_with(n, |chunk| buf.extend_from_slice(chunk))
+    }
+
+    /// One read of up to `max` bytes, handing each buffered run of them
+    /// to `copy` in order.
+    fn read_with(&self, max: usize, mut copy: impl FnMut(&[u8])) -> Result<usize> {
         let inner = &*self.inner;
         inner.model.charge(Cost::Syscall);
-        if buf.is_empty() {
+        if max == 0 {
             return Ok(0);
         }
         let Ok(mut taking) = inner.core.take() else {
             return Ok(0);
         };
         let mut copied = 0;
-        while copied < buf.len() {
+        while copied < max {
             let Some(front) = taking.front() else {
                 break;
             };
-            let take = front.remaining().min(buf.len() - copied);
-            buf[copied..copied + take].copy_from_slice(&front.data[front.pos..front.pos + take]);
+            let take = front.remaining().min(max - copied);
+            copy(&front.data[front.pos..front.pos + take]);
             front.pos += take;
             copied += take;
             if front.remaining() == 0 {
@@ -365,6 +382,34 @@ mod tests {
         assert_eq!(snap.copies, 2);
         assert_eq!(snap.syscalls, 2);
         assert_eq!(snap.pipe_messages, 1);
+    }
+
+    #[test]
+    fn an_appending_read_returns_and_charges_what_read_exact_does() {
+        let payload: Vec<u8> = (0..64u8).collect();
+        for writes in [vec![&payload[..]], vec![&payload[..24], &payload[24..]]] {
+            let run = |read: &dyn Fn(&PipeReader) -> Vec<u8>| {
+                let model = CostModel::new(HardwareProfile::pentium_ii_300());
+                let (w, r) = Pipe::anonymous(model.clone(), CrossingKind::InterProcess);
+                let _g = clock::install(0);
+                for part in &writes {
+                    w.write(part).expect("write");
+                }
+                (read(&r), model.snapshot(), clock::now())
+            };
+            let exact = run(&|r| {
+                let mut buf = vec![0u8; 64];
+                assert_eq!(r.read_exact(&mut buf).expect("read_exact"), 64);
+                buf
+            });
+            let appended = run(&|r| {
+                let mut buf = Vec::with_capacity(64);
+                assert_eq!(r.read_append(&mut buf, 64).expect("read_append"), 64);
+                buf
+            });
+            assert_eq!(exact.0, payload);
+            assert_eq!(appended, exact, "{} writes", writes.len());
+        }
     }
 
     #[test]

@@ -207,8 +207,8 @@ impl Payload<'_> {
         let n = self.n;
         match self.from {
             Source::Pipe(pipe) => {
-                let mut bytes = vec![0; n];
-                pull(pipe, &mut bytes).map(|()| bytes)
+                let mut bytes = Vec::with_capacity(n);
+                pull_into(pipe, &mut bytes, n).map(|()| bytes)
             }
             Source::Carried(mut bytes, _) if bytes.len() >= n => {
                 bytes.truncate(n);
@@ -229,6 +229,17 @@ fn pull(pipe: &PipeReader, dst: &mut [u8]) -> Result<()> {
         Ok(got) if got == dst.len() => Ok(()),
         _ => Err(IpcError::Closed),
     }
+}
+
+/// [`pull`] of `n` bytes into the empty `dst`, which is not zero-filled
+/// for them first.
+fn pull_into(pipe: &PipeReader, dst: &mut Vec<u8>, n: usize) -> Result<()> {
+    while dst.len() < n {
+        if !matches!(pipe.read_append(dst, n - dst.len()), Ok(1..)) {
+            return Err(IpcError::Closed);
+        }
+    }
+    Ok(())
 }
 
 /// What carries one direction's messages and their bytes, at the sending
@@ -545,8 +556,8 @@ impl<C: Send + 'static, R: Send + 'static> PairPort<C, R> {
                 if n == 0 {
                     return Ok(Some((cmd, Vec::new(), emptied)));
                 }
-                let mut bytes = staging.take(n);
-                if pull(pipe, &mut bytes).is_err() {
+                let mut bytes = staging.take_capacity(n);
+                if pull_into(pipe, &mut bytes, n).is_err() {
                     staging.put(bytes);
                     return Err(IpcError::BrokenPipe);
                 }

@@ -670,10 +670,24 @@ mod tests {
         // Cut mid-way through the second batch: a torn append.
         let cut = wal.len() - 5;
         let damaged = MemMedium::from_parts(pages, wal[..cut].to_vec());
-        let (store2, report) = open_mem(&damaged, no_auto());
+        let gauges = Arc::new(StoreGauges::default());
+        let (store2, report) = PageStore::open(
+            Box::new(damaged.clone()),
+            no_auto(),
+            CostModel::free(),
+            Arc::clone(&gauges),
+        )
+        .expect("reopen");
         assert_eq!(store2.contents(), b"stable");
         assert!(report.torn_detected);
         assert!(report.discarded_bytes > 0);
+        // The reopen's gauges count what its report says.
+        let snap = gauges.snapshot();
+        assert_eq!(
+            (snap.torn_detected, snap.recovered_records),
+            (1, report.recovered_records)
+        );
+        assert_eq!(report.recovered_records, 1, "the stable batch replayed");
         // The damaged medium was truncated back to the committed seal.
         let (_, wal_after) = damaged.images();
         assert_eq!(wal_after.len() as u64, cut as u64 - report.discarded_bytes);

@@ -32,9 +32,8 @@
 //!   in the store freezes a bundle with no spans. The span ring and each
 //!   thread's stack of open frames are the only recorders; a span opens
 //!   and closes on its thread's frame stack alone.
-//! * **SLO burn rates** ([`SloTracker`]) — per-file latency/error
-//!   objectives from spec keys, multi-window burn evaluation in virtual
-//!   time, plus per-sentinel resource accounting ([`SentinelStats`]).
+//! * **Per-sentinel accounting** ([`SentinelStats`]) — ops, errors,
+//!   faults, bytes in and out, and queue-depth peak per sentinel.
 //!
 //! Telemetry is **off by default** and adds no allocation to the per-op hot
 //! path: a single relaxed atomic load gates span creation, and the span
@@ -48,7 +47,6 @@ mod gauges;
 mod hist;
 pub mod json;
 mod registry;
-mod slo;
 mod span;
 
 /// The stripes a `striped` [`metric_family!`] keeps its counters in.
@@ -65,7 +63,6 @@ pub use gauges::{
 };
 pub use hist::{HistogramSnapshot, LatencyHistogram, HIST_BUCKETS};
 pub use registry::{Metric, MetricValue, MetricsRegistry};
-pub use slo::{BurnRates, SloSnapshot, SloSpec, SloTracker};
 pub use span::{
     backend_span, flight_trigger, intern, now_ns, retry_span, Layer, SlowOp, SpanGuard, SpanRecord,
     Telemetry, TraceContext, DEFAULT_SPAN_CAPACITY,

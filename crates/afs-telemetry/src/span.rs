@@ -41,7 +41,6 @@ use crate::gauges::{
     SessionGauges, StoreGauges,
 };
 use crate::hist::{HistogramSnapshot, LatencyHistogram};
-use crate::slo::{SloSpec, SloTracker};
 
 /// Which layer of the interposition chain a span describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -236,7 +235,6 @@ pub struct Telemetry {
     rings: Arc<RingGauges>,
     cluster: Arc<ClusterGauges>,
     flight: Arc<FlightRecorder>,
-    slos: Keyed<&'static str, SloTracker>,
     sentinel_stats: Keyed<&'static str, SentinelStats>,
     strategy_hists: Keyed<(&'static str, &'static str), LatencyHistogram>,
     sentinel_hists: Keyed<&'static str, LatencyHistogram>,
@@ -269,7 +267,6 @@ impl Telemetry {
             rings: Arc::new(RingGauges::default()),
             cluster: Arc::new(ClusterGauges::default()),
             flight,
-            slos: Keyed::new(),
             sentinel_stats: Keyed::new(),
             strategy_hists: Keyed::new(),
             sentinel_hists: Keyed::new(),
@@ -498,27 +495,8 @@ impl Telemetry {
         self.flight.capture(cause, detail, spans, open);
     }
 
-    /// Registers (or finds) the SLO tracker for one active file. `file`
-    /// and `sentinel` are interned; `spec` is ignored for an existing
-    /// registration (first open wins).
-    pub fn slo_register(&self, file: &str, sentinel: &str, spec: SloSpec) -> Arc<SloTracker> {
-        let file = intern(file);
-        self.slos
-            .get_or(file, || SloTracker::new(file, intern(sentinel), spec))
-    }
-
-    /// Every registered SLO tracker, sorted by file path.
-    pub fn slo_trackers(&self) -> Vec<Arc<SloTracker>> {
-        self.slos
-            .sorted(Arc::clone)
-            .into_iter()
-            .map(|(_, t)| t)
-            .collect()
-    }
-
     /// Finds or creates the per-sentinel resource-accounting counters
-    /// (ops, bytes in/out, errors, queue-depth peak) — the substrate
-    /// quota throttling enforces against.
+    /// (ops, errors, faults, bytes in/out, queue-depth peak).
     pub fn sentinel_stats(&self, name: &str) -> Arc<SentinelStats> {
         self.sentinel_stats
             .get_or(intern(name), SentinelStats::default)
@@ -552,13 +530,6 @@ impl Telemetry {
     /// Snapshots every per-sentinel histogram, sorted by name.
     pub fn sentinel_hist_snapshots(&self) -> Vec<(&'static str, HistogramSnapshot)> {
         self.sentinel_hists.sorted(|h| h.snapshot())
-    }
-
-    /// Sum of recorded nanoseconds across all (strategy, op) histograms —
-    /// the histogram-derived replacement for ad-hoc start/stop timing.
-    pub fn strategy_elapsed_total_ns(&self) -> u64 {
-        let sums = self.strategy_hists.sorted(|h| h.snapshot().sum_ns);
-        sums.iter().map(|(_, ns)| ns).sum()
     }
 }
 
@@ -865,7 +836,6 @@ mod tests {
         assert!(Arc::ptr_eq(&h1, &h2));
         h1.record(100);
         assert_eq!(tel.strategy_hist_snapshots()[0].1.count, 1);
-        assert_eq!(tel.strategy_elapsed_total_ns(), 100);
         let s1 = tel.sentinel_hist("null");
         let s2 = tel.sentinel_hist("null");
         assert!(Arc::ptr_eq(&s1, &s2));

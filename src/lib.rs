@@ -73,9 +73,9 @@ pub use afs_sim::{
 };
 pub use afs_telemetry::{
     chrome_trace, flight_bundles_json, json_is_valid, json_snapshot, prometheus_is_valid,
-    prometheus_text, BurnRates, FlightBundle, FlightRecorder, GaugesSnapshot, HistogramSnapshot,
+    prometheus_text, FlightBundle, FlightRecorder, GaugesSnapshot, HistogramSnapshot,
     LatencyHistogram, Layer, Metric, MetricValue, MetricsRegistry, QueueGauges,
-    SentinelStatsSnapshot, SloSnapshot, SloSpec, SlowOp, SpanRecord, Telemetry, TraceContext,
+    SentinelStatsSnapshot, SlowOp, SpanRecord, Telemetry, TraceContext,
 };
 pub use afs_vfs::{VPath, Vfs, VfsError};
 pub use afs_winapi::{

@@ -315,7 +315,6 @@ impl Shell {
                     ))),
                 }
             }
-            "slo" => Ok(self.render_slo()),
             "dump" => Ok(self.world.flight_dump() + "\n"),
             "telemetry" => {
                 let tel = self.world.telemetry();
@@ -568,8 +567,8 @@ impl Shell {
     }
 
     /// Renders the `top` table: per-(strategy, op) latency percentiles
-    /// from the telemetry histograms, per-sentinel service latencies, and
-    /// the call counters.
+    /// from the telemetry histograms, per-sentinel service latencies and
+    /// resource accounting, and the call counters.
     fn render_top(&self) -> String {
         let tel = self.world.telemetry();
         let strategy_rows = tel.strategy_hist_snapshots();
@@ -612,6 +611,23 @@ impl Shell {
                     us(h.p50_ns()),
                     us(h.p90_ns()),
                     us(h.max_ns),
+                )
+                .expect("write to string");
+            }
+        }
+        let stats = tel.sentinel_stats_snapshots();
+        if !stats.is_empty() {
+            writeln!(
+                out,
+                "\n{:<14} {:>8} {:>7} {:>12} {:>12} {:>10}",
+                "sentinel", "ops", "errors", "bytes_in", "bytes_out", "queue_peak"
+            )
+            .expect("write to string");
+            for (name, s) in stats {
+                writeln!(
+                    out,
+                    "{name:<14} {:>8} {:>7} {:>12} {:>12} {:>10}",
+                    s.ops, s.errors, s.bytes_in, s.bytes_out, s.queue_depth_peak,
                 )
                 .expect("write to string");
             }
@@ -699,66 +715,6 @@ impl Shell {
         out
     }
 
-    /// Renders the `slo` view: declared objectives, cumulative counters,
-    /// and short/long-window burn rates per tracked file, then the
-    /// per-sentinel resource accounting.
-    fn render_slo(&self) -> String {
-        let tel = self.world.telemetry();
-        let trackers = tel.slo_trackers();
-        let mut out = String::new();
-        if trackers.is_empty() {
-            out.push_str("no SLOs declared (spec keys slo_p99_us= / slo_err_ppm=)\n");
-        } else {
-            writeln!(
-                out,
-                "{:<24} {:<12} {:>8} {:>7} {:>8} {:>11} {:>11}",
-                "file", "sentinel", "ops", "errors", "lat_bad", "burn(short)", "burn(long)"
-            )
-            .expect("write to string");
-            for tracker in trackers {
-                let s = tracker.snapshot();
-                let burn = |r: &afs_telemetry::BurnRates| {
-                    format!(
-                        "{:.2}/{:.2}",
-                        r.latency_milli as f64 / 1000.0,
-                        r.error_milli as f64 / 1000.0
-                    )
-                };
-                writeln!(
-                    out,
-                    "{:<24} {:<12} {:>8} {:>7} {:>8} {:>11} {:>11}",
-                    s.file,
-                    s.sentinel,
-                    s.ops,
-                    s.errors,
-                    s.lat_breaches,
-                    burn(&s.short),
-                    burn(&s.long),
-                )
-                .expect("write to string");
-            }
-            out.push_str("(burn is latency/error, 1.00 = exactly at budget)\n");
-        }
-        let stats = tel.sentinel_stats_snapshots();
-        if !stats.is_empty() {
-            writeln!(
-                out,
-                "\n{:<14} {:>8} {:>7} {:>12} {:>12} {:>10}",
-                "sentinel", "ops", "errors", "bytes_in", "bytes_out", "queue_peak"
-            )
-            .expect("write to string");
-            for (name, s) in stats {
-                writeln!(
-                    out,
-                    "{name:<14} {:>8} {:>7} {:>12} {:>12} {:>10}",
-                    s.ops, s.errors, s.bytes_in, s.bytes_out, s.queue_depth_peak,
-                )
-                .expect("write to string");
-            }
-        }
-        out
-    }
-
     /// Runs a multi-line script, concatenating outputs. Stops at the
     /// first error.
     ///
@@ -831,13 +787,13 @@ commands:
   stats                                per-strategy/per-op cost table
                                        (crossings, copies, bytes, time)
   top                                  latency percentiles per strategy/op
-                                       and per sentinel, plus call counts
+                                       and per sentinel, per-sentinel ops,
+                                       errors, bytes and queue peak, plus
+                                       call counts
   spans                                recent span trees across the chain
                                        (interpose > strategy > transport >
                                        sentinel > backend) and slow ops
   spans --trace <id>                   only the spans of one causal trace
-  slo                                  declared objectives with burn rates
-                                       and per-sentinel resource accounting
   dump                                 flight-recorder post-mortem bundles
                                        plus metrics/fault/breaker state, as
                                        one JSON document
@@ -1070,6 +1026,22 @@ mod tests {
         assert!(top.contains("Thread"), "strategy row present: {top}");
         assert!(top.contains("p99 us"), "percentile header present: {top}");
         assert!(top.contains("calls:"), "call counters present: {top}");
+        let accounting = top
+            .split_once("queue_peak\n")
+            .unwrap_or_else(|| panic!("per-sentinel accounting header: {top}"))
+            .1;
+        let row: Vec<&str> = accounting
+            .lines()
+            .next()
+            .expect("a sentinel row")
+            .split_whitespace()
+            .collect();
+        let count = |i: usize| row[i].parse::<u64>().expect("a count");
+        assert_eq!(row[0], "null", "one row per sentinel: {top}");
+        assert!(count(1) >= 2, "the append and the read are ops: {top}");
+        assert_eq!(count(2), 0, "no errors: {top}");
+        assert!(count(3) >= 7 && count(4) >= 7, "payload in and out: {top}");
+        assert!(count(5) >= 1, "a served op was queued: {top}");
         let spans = sh.run("spans").expect("spans");
         assert!(spans.contains("interpose ReadFile"), "root span: {spans}");
         assert!(spans.contains("strategy read"), "strategy span: {spans}");

@@ -25,7 +25,7 @@ guards! {
     r#"    let share = spec.config().get("share");"# => grep(&["crates/**/*.rs", "src/**/*.rs", "!crates/afs-core/src/spec.rs"], &[
         r#"config.*.get("share")"#, r#"config.*.get("allow_users")"#, r#"config.*.get("degraded")"#, r#"config.*.get("durable")"#, r#"config.*.get("sync")"#,
         r#"config.*.get("checkpoint_pages")"#, r#"config.*.get("page_size")"#, r#"config.*.get("retry.*")"#, r#"config.*.get("replicas")"#,
-        r#"config.*.get("breaker.\w*")"#, r#"config.*.get("staleness_ms")"#, r#"config.*.get("slo_p99_us")"#, r#"config.*.get("slo_err_ppm")"#,
+        r#"config.*.get("breaker.\w*")"#, r#"config.*.get("staleness_ms")"#,
         r#"config.*.get("batch")"#, r#"config.*.get("ring_depth")"#]).tests(),
     grep(&["crates/afs-core/src/world.rs"], &[r#""afs_pipe"#, r#""afs_shm"#, r#""afs_pool"#, r#""afs_session"#, r#""afs_coalesced"#, r#""afs_batch_flushes"#,
         r#""afs_fleet"#, r#""afs_store"#, r#""afs_ring"#, r#""afs_cluster"#, r#""afs_retries"#, r#""afs_failovers"#, r#""afs_breaker"#, r#""afs_degraded"#,

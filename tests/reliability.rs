@@ -106,6 +106,54 @@ fn retry_exhaustion_surfaces_a_network_error() {
     api.close_handle(h).expect("close");
 }
 
+/// A read through a mirror whose service never answers, under `keys`
+/// beside `retry=6` and a 100 µs first backoff: the retries it made and
+/// the virtual time it took.
+fn partitioned_read(keys: &[(&str, &str)]) -> (u64, u64) {
+    let mut spec = vec![("retry", "6"), ("retry.backoff_us", "100")];
+    spec.extend_from_slice(keys);
+    let (world, _server) = reliable_world(&spec);
+    world
+        .net()
+        .plan("files")
+        .expect("plan")
+        .set_partitioned(true);
+    let _g = clock::install(0);
+    let api = world.api();
+    let h = api
+        .create_file("/m.af", Access::read_only(), Disposition::OpenExisting)
+        .expect("open");
+    let started = clock::now();
+    let mut buf = [0u8; 8];
+    assert_eq!(api.read_file(h, &mut buf), Err(Win32Error::NetworkError));
+    let elapsed = clock::now() - started;
+    api.close_handle(h).expect("close");
+    (world.net().reliability().retries, elapsed)
+}
+
+#[test]
+fn backoff_cap_and_deadline_bound_the_retry_walk() {
+    // Five waits of 100·2^k µs plus up to half again of jitter: capped at
+    // 200 µs they sum to 900 µs (1 350 µs at most with jitter), uncapped
+    // to 3 100 µs.
+    let (retries, elapsed) = partitioned_read(&[("retry.max_backoff_us", "200")]);
+    assert_eq!(retries, 5, "retry=6 allows five waits");
+    assert!(
+        (900_000..3_100_000).contains(&elapsed),
+        "capped waits take at least their sum and less than the uncapped one: {elapsed} ns"
+    );
+    // A deadline below the capped sum ends the walk early.
+    let (retries, elapsed) = partitioned_read(&[
+        ("retry.max_backoff_us", "200"),
+        ("retry.deadline_us", "500"),
+    ]);
+    assert!(
+        (1..5).contains(&retries),
+        "the deadline cut the walk short: {retries} retries"
+    );
+    assert!(elapsed < 900_000, "{elapsed} ns");
+}
+
 #[test]
 fn failover_prefers_the_first_healthy_replica() {
     let (world, _primary) = reliable_world(&[("retry", "1"), ("replicas", "files-a,files-b")]);

@@ -500,7 +500,7 @@ const GOLDEN_FAMILY_NAMES: [&str; 58] = [
 
 /// Names exported by the collectors that are not families: their label
 /// sets (or their very presence) depend on what ran.
-const DYNAMIC_PREFIXES: [&str; 8] = [
+const DYNAMIC_PREFIXES: [&str; 7] = [
     "afs_cost_",
     "afs_net_dropped_total",
     "afs_ops_total",
@@ -508,12 +508,11 @@ const DYNAMIC_PREFIXES: [&str; 8] = [
     "afs_spans_total",
     "afs_sentinel_latency_ns",
     "afs_flight_",
-    "afs_slo_",
 ];
 
 /// A small workload that touches every layer a family counts: two shared
 /// sessions over shared memory, a kernel-pipe sentinel, a batched ring, a
-/// durable store, an SLO-tracked file, and a §3 composition open.
+/// durable store, and a §3 composition open.
 fn mixed_workload() -> AfsWorld {
     let w = AfsWorld::new();
     register_standard_sentinels(&w);
@@ -527,12 +526,7 @@ fn mixed_workload() -> AfsWorld {
                 .with("batch", "on")
                 .with("ring_depth", "4"),
         ),
-        (
-            "/ledger.af",
-            null(Strategy::DllOnly)
-                .with("durable", "on")
-                .with("slo_p99_us", "1000"),
-        ),
+        ("/ledger.af", null(Strategy::DllOnly).with("durable", "on")),
         ("/inner.af", null(Strategy::DllThread)),
         (
             "/outer.af",
@@ -752,5 +746,29 @@ fn observability_md_lists_exactly_the_declared_metrics() {
     for ((name, kind), (want_name, want_kind)) in listed.iter().zip(&declared) {
         assert_eq!(format!("afs_{name}"), *want_name);
         assert_eq!(kind, want_kind, "{want_name}");
+    }
+}
+
+/// `docs/OBSERVABILITY.md`'s consumer table has one row per family
+/// metric, in declaration order, and every row names a test or a tool.
+#[test]
+fn every_family_metric_names_its_reader() {
+    let doc = include_str!("../docs/OBSERVABILITY.md");
+    let table = doc
+        .split("\n### Who reads each family metric\n")
+        .nth(1)
+        .expect("OBSERVABILITY.md has the consumer table")
+        .split("\n#")
+        .next()
+        .expect("section body");
+    let rows: Vec<(&str, &str)> = table
+        .lines()
+        .filter_map(|l| l.strip_prefix("| afs_"))
+        .filter_map(|l| l.strip_suffix(" |")?.split_once(" | "))
+        .collect();
+    let names: Vec<String> = rows.iter().map(|(name, _)| format!("afs_{name}")).collect();
+    assert_eq!(names, GOLDEN_FAMILY_NAMES, "one row per family metric");
+    for (name, reader) in rows {
+        assert!(!reader.trim().is_empty(), "afs_{name} names no reader");
     }
 }

@@ -10,8 +10,8 @@ use std::sync::Arc;
 
 use activefiles::prelude::*;
 use activefiles::{
-    clock, prometheus_text, Cost, CostModel, FileClient, FileServer, Fleet, HardwareProfile, Layer,
-    Service, SpanRecord, VPath,
+    clock, Cost, CostModel, FileClient, FileServer, Fleet, HardwareProfile, Layer, Service,
+    SpanRecord, VPath,
 };
 use afs_sim::CostSnapshot;
 
@@ -170,10 +170,10 @@ fn assert_free(carrier: &str, world: &dyn Fn() -> AfsWorld, script: &dyn Fn(&Afs
 
 #[test]
 fn trace_annotations_charge_nothing_to_the_cost_model() {
-    // The whole observability layer — spans, notes, flight bundles, SLO
-    // windows, the trace context on every frame — must be free in §4
-    // terms: bit-identical cost-model charges and virtual-clock advance
-    // whether telemetry is on or off, on every carrier.
+    // The whole observability layer — spans, notes, flight bundles, the
+    // trace context on every frame — must be free in §4 terms:
+    // bit-identical cost-model charges and virtual-clock advance whether
+    // telemetry is on or off, on every carrier.
     let failover = |world: &AfsWorld| {
         schedule_faults(world);
         let api = world.api();
@@ -470,83 +470,6 @@ fn name_of(spans: &[SpanRecord], id: u64) -> String {
         Some(s) => format!("{} (in {})", s.name, find(s.trace).map_or("?", |r| r.name)),
         None => format!("#{id}"),
     }
-}
-
-#[test]
-fn slo_spec_keys_validate_and_export_burn_rates() {
-    let world = AfsWorld::new();
-    register_standard_sentinels(&world);
-    world
-        .install_active_file(
-            "/bad.af",
-            &SentinelSpec::new("null", Strategy::DllThread)
-                .backing(Backing::Memory)
-                .with("slo_p99_us", "fast"),
-        )
-        .expect("install is lazy about SLO values");
-    let api = world.api();
-    assert!(
-        matches!(
-            api.create_file("/bad.af", Access::read_only(), Disposition::OpenExisting),
-            Err(Win32Error::InvalidParameter)
-        ),
-        "a malformed SLO key is rejected at open, not silently ignored"
-    );
-
-    world
-        .install_active_file(
-            "/slo.af",
-            &SentinelSpec::new("null", Strategy::DllThread)
-                .backing(Backing::Memory)
-                .with("slo_p99_us", "500")
-                .with("slo_err_ppm", "1000"),
-        )
-        .expect("install");
-    world.telemetry().set_enabled(true);
-    let h = api
-        .create_file("/slo.af", Access::read_write(), Disposition::OpenExisting)
-        .expect("open");
-    api.write_file(h, b"slo payload").expect("write");
-    let mut buf = [0u8; 4];
-    for _ in 0..12 {
-        api.set_file_pointer(h, 0, SeekMethod::Begin).expect("seek");
-        api.read_file(h, &mut buf).expect("read");
-    }
-    api.close_handle(h).expect("close");
-
-    let snap = world
-        .telemetry()
-        .slo_trackers()
-        .iter()
-        .map(|t| t.snapshot())
-        .find(|s| s.file == "/slo.af")
-        .expect("declaring slo_* keys registers a tracker at open");
-    assert_eq!(snap.sentinel, "null");
-    assert_eq!(snap.spec.p99_ns, Some(500_000), "microseconds scale to ns");
-    assert_eq!(snap.spec.err_ppm, Some(1_000));
-    assert!(
-        snap.ops >= 12,
-        "every traced op feeds the window: {}",
-        snap.ops
-    );
-    assert_eq!(snap.errors, 0);
-
-    let prom = prometheus_text(&world.metrics().snapshot());
-    for metric in [
-        "afs_slo_ops_total{",
-        "afs_slo_latency_target_ns{",
-        "afs_slo_error_budget_ppm{",
-        "afs_slo_latency_burn_milli{",
-        "afs_slo_error_burn_milli{",
-        "afs_sentinel_ops_total{",
-        "afs_sentinel_queue_depth_peak{",
-    ] {
-        assert!(prom.contains(metric), "{metric} missing from:\n{prom}");
-    }
-    assert!(
-        prom.contains("file=\"/slo.af\""),
-        "SLO series are labelled by file:\n{prom}"
-    );
 }
 
 /// What `delta`'s counters cost under `model`: every charge the read made.
