@@ -39,7 +39,7 @@ use crate::logic::{SentinelError, SentinelLogic};
 use crate::strategy::executor::{SentinelPoll, TaskPoll};
 use crate::strategy::mux::OpMux;
 use crate::strategy::{
-    execute_op, op_name, take_sticky_preemption, Instruments, Op, OpReply, SentinelSide, Sticky,
+    execute_op, take_sticky_preemption, Instruments, Op, OpReply, SentinelSide, Sticky,
 };
 
 /// One command as the loop sees it, whatever carried it.
@@ -205,6 +205,10 @@ impl Joiners {
     /// called under it.)
     pub(crate) fn admit(&self, session: Session, live: Vec<u32>) {
         let mut door = self.0.lock();
+        // A session admitted before and closed since never reaches the
+        // loop: drop it now, by the rule the loop prunes by, so sessions
+        // that open and close without a frame do not pile up here.
+        door.sessions.retain(|s| live.contains(&s.id));
         door.census = (session.id, live);
         door.sessions.push(session);
     }
@@ -354,7 +358,7 @@ impl<P: SentinelPort> SentinelLoop<P> {
         // A read's bytes have a wire to cross: they are staged in a
         // buffer the reply takes with it.
         let mut data = op.read_room().map(|room| staging.take(room));
-        let executed = sess.side.observe(op_name(&op), trace, || {
+        let executed = sess.side.observe(op.kind().label(), trace, || {
             let into = data.as_deref_mut().unwrap_or_default();
             execute_op(logic.as_mut(), ctx, op, &payload, into)
         });

@@ -30,7 +30,7 @@ use crate::ctx::SentinelCtx;
 use crate::logic::SentinelLogic;
 use crate::strategy::dispatch::{Joiners, SessionTable};
 use crate::strategy::mux::{Joinable, OpMux};
-use crate::strategy::{execute_op, op_name, Instruments, Op, OpReply};
+use crate::strategy::{execute_op, Instruments, Op, OpReply};
 
 /// The §4.4 sentinel: one logic/context pair behind one lock, its
 /// sessions calling into it inline. All execution serialises on this
@@ -71,7 +71,7 @@ impl InlineShared {
         } = &mut *core;
         let side = &table.get(frame.session).side;
         let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            side.observe(op_name(&frame.body), frame.trace, || {
+            side.observe(frame.body.kind().label(), frame.trace, || {
                 execute_op(logic.as_mut(), ctx, frame.body, payload, into)
             })
         }));

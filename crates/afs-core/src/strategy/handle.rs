@@ -70,29 +70,6 @@ pub(crate) fn deliver(
     Ok((reply, n))
 }
 
-/// Every [`OpKind`] in [`op_index`] order, for the per-op histogram cache.
-const OP_KINDS: [OpKind; 7] = [
-    OpKind::Read,
-    OpKind::ReadScatter,
-    OpKind::Write,
-    OpKind::Size,
-    OpKind::Flush,
-    OpKind::Control,
-    OpKind::Close,
-];
-
-fn op_index(op: OpKind) -> usize {
-    match op {
-        OpKind::Read => 0,
-        OpKind::ReadScatter => 1,
-        OpKind::Write => 2,
-        OpKind::Size => 3,
-        OpKind::Flush => 4,
-        OpKind::Control => 5,
-        OpKind::Close => 6,
-    }
-}
-
 /// What every application-side handle records an operation into: the
 /// op trace, the per-(strategy, op) histogram and the op's strategy span.
 pub(crate) struct Recorder {
@@ -102,8 +79,9 @@ pub(crate) struct Recorder {
     /// The boundary this handle's operations cross.
     crossing: CrossingKind,
     tel: Arc<Telemetry>,
-    /// Per-(strategy, op) latency histograms, resolved once at open.
-    hists: [Arc<LatencyHistogram>; 7],
+    /// Per-(strategy, op) latency histograms, resolved once at open, in
+    /// [`OpKind::ALL`] order.
+    hists: [Arc<LatencyHistogram>; OpKind::ALL.len()],
 }
 
 impl Recorder {
@@ -114,7 +92,7 @@ impl Recorder {
         crossing: CrossingKind,
         tel: Arc<Telemetry>,
     ) -> Self {
-        let hists = OP_KINDS.map(|kind| tel.strategy_hist(strategy, kind.label()));
+        let hists = OpKind::ALL.map(|kind| tel.strategy_hist(strategy, kind.label()));
         Recorder {
             model,
             trace,
@@ -189,7 +167,7 @@ impl Recorder {
             copies: charged.copies,
         });
         if tel_on {
-            self.hists[op_index(op)].record(now_ns().saturating_sub(tel_started));
+            self.hists[op as usize].record(now_ns().saturating_sub(tel_started));
             if let Some(sp) = span.as_mut() {
                 sp.set_bytes(bytes);
             }

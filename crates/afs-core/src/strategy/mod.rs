@@ -49,7 +49,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use afs_ipc::{IpcError, SentinelExit};
-use afs_sim::{clock, CostModel, CrossingKind, OpTrace};
+use afs_sim::{clock, CostModel, CrossingKind, OpKind, OpTrace};
 use afs_telemetry::{now_ns, LatencyHistogram, Layer, Telemetry, TraceContext};
 use afs_winapi::Win32Error;
 
@@ -128,6 +128,7 @@ impl Instruments {
             tel: Arc::clone(&self.tel),
             strategy: self.strategy,
             note: "",
+            session: 0,
         }
     }
 
@@ -168,17 +169,19 @@ pub(crate) struct SentinelSide {
     tel: Arc<Telemetry>,
     hist: Arc<LatencyHistogram>,
     strategy: &'static str,
-    /// Annotation applied to every span this side opens; the mux layer
-    /// sets `"session=<id> file=<path>"` so slow-op ancestry and traces
-    /// name the owning session.
+    /// Annotation applied to every span this side opens; a shared
+    /// sentinel's session sets `"file=<path>"` and its id, so slow-op
+    /// ancestry and traces name the owning session.
     note: &'static str,
+    /// The session every span this side opens serves (0: none).
+    session: u32,
 }
 
 impl SentinelSide {
-    /// Returns this side with `note` (interned) annotating every span it
-    /// opens.
-    pub(crate) fn with_note(mut self, note: &'static str) -> SentinelSide {
-        self.note = note;
+    /// Returns this side annotating every span it opens with `session`
+    /// and `file`, the interned `"file=<path>"` note.
+    pub(crate) fn in_session(mut self, session: u32, file: &'static str) -> SentinelSide {
+        (self.session, self.note) = (session, file);
         self
     }
 
@@ -197,26 +200,18 @@ impl SentinelSide {
         if !self.tel.enabled() {
             return f();
         }
-        let _span =
-            self.tel
-                .span_in_context(Layer::Sentinel, name, self.strategy, trace, self.note);
+        let _span = self.tel.span_in_context(
+            Layer::Sentinel,
+            name,
+            self.strategy,
+            trace,
+            self.note,
+            self.session,
+        );
         let started = now_ns();
         let result = f();
         self.hist.record(now_ns().saturating_sub(started));
         result
-    }
-}
-
-/// Span name for one protocol command (matches [`afs_sim::OpKind::label`]).
-pub(crate) fn op_name(op: &Op) -> &'static str {
-    match op {
-        Op::Read { .. } => "read",
-        Op::ReadScatter { .. } => "scatter",
-        Op::Write { .. } => "write",
-        Op::GetSize => "size",
-        Op::Flush => "flush",
-        Op::Control { .. } => "control",
-        Op::Close => "close",
     }
 }
 
@@ -337,6 +332,20 @@ pub(crate) enum OpReply {
 }
 
 impl Op {
+    /// The application-visible operation this command carries; its
+    /// [`label`](OpKind::label) names the command's sentinel span.
+    pub(crate) fn kind(&self) -> OpKind {
+        match self {
+            Op::Read { .. } => OpKind::Read,
+            Op::ReadScatter { .. } => OpKind::ReadScatter,
+            Op::Write { .. } => OpKind::Write,
+            Op::GetSize => OpKind::Size,
+            Op::Flush => OpKind::Flush,
+            Op::Control { .. } => OpKind::Control,
+            Op::Close => OpKind::Close,
+        }
+    }
+
     /// How many bytes a read command asks for — the room its bytes need
     /// where they land; `None` for every other command.
     pub(crate) fn read_room(&self) -> Option<usize> {

@@ -102,14 +102,15 @@ pub(crate) trait SharedSentinel: Send + Sync {
 pub(crate) struct Joinable<H> {
     hub: Arc<H>,
     joiners: Joiners,
-    /// Interned data-part path, for the per-session span note.
+    /// The per-session span note: `"file=<data-part path>"`, interned
+    /// once per sentinel.
     file: &'static str,
     instr: Instruments,
 }
 
 impl<H: SessionHub<OpMux>> Joinable<H> {
     pub(crate) fn new(hub: H, joiners: Joiners, path: &VPath, instr: Instruments) -> Arc<Self> {
-        let file = intern(&path.file_path().to_string());
+        let file = intern(&format!("file={}", path.file_path()));
         Arc::new(Joinable {
             hub: Arc::new(hub),
             joiners,
@@ -126,8 +127,7 @@ impl<H: SessionHub<OpMux>> SharedSentinel for Joinable<H> {
         // Every sentinel-side span of this session carries the owning
         // session id and file, so slow-op ancestry and trace dumps name
         // which of the clients an op belongs to.
-        let note = intern(&format!("session={id} file={}", self.file));
-        let side = self.instr.sentinel_side().with_note(note);
+        let side = self.instr.sentinel_side().in_session(id, self.file);
         // Admitted before the session can send a frame.
         self.joiners.admit(
             Session {

@@ -144,11 +144,12 @@ impl AfsWorldBuilder {
     }
 }
 
-/// Registers the world's standard collectors: cost-model counters, the
-/// per-(strategy, op) trace aggregates, the telemetry latency summaries,
-/// flight-recorder series, and the eight declared counter families —
-/// each of which names its own metrics (see
-/// `afs_telemetry::metric_family!`), so none is named here.
+/// Registers the world's standard collectors: the per-(strategy, op)
+/// trace aggregates, the telemetry latency summaries, flight-recorder
+/// series, and the ten declared counter families (the network's
+/// reliability and traffic, the cost model's counters and the
+/// telemetry hub's seven) — each of which names its own metrics (see
+/// `afs_sim::metric_family!`), so none is named here.
 fn register_world_collectors(
     metrics: &MetricsRegistry,
     model: CostModel,
@@ -158,46 +159,8 @@ fn register_world_collectors(
 ) {
     metrics.register(move |out| {
         net.reliability().metrics(&[], out);
-        let net_stats = net.stats();
-        out.push(Metric::counter("afs_net_dropped_total", net_stats.dropped));
-    });
-    metrics.register(move |out| {
-        let snap = model.snapshot();
-        out.push(Metric::counter("afs_cost_syscalls_total", snap.syscalls));
-        out.push(Metric::counter(
-            "afs_cost_process_switches_total",
-            snap.process_switches,
-        ));
-        out.push(Metric::counter(
-            "afs_cost_thread_switches_total",
-            snap.thread_switches,
-        ));
-        out.push(Metric::counter("afs_cost_copies_total", snap.copies));
-        out.push(Metric::counter(
-            "afs_cost_memcpy_bytes_total",
-            snap.memcpy_bytes,
-        ));
-        out.push(Metric::counter(
-            "afs_cost_pipe_copy_bytes_total",
-            snap.pipe_copy_bytes,
-        ));
-        out.push(Metric::counter(
-            "afs_cost_pipe_messages_total",
-            snap.pipe_messages,
-        ));
-        out.push(Metric::counter(
-            "afs_cost_event_signals_total",
-            snap.event_signals,
-        ));
-        out.push(Metric::counter(
-            "afs_cost_net_round_trips_total",
-            snap.net_round_trips,
-        ));
-        out.push(Metric::counter("afs_cost_net_bytes_total", snap.net_bytes));
-        out.push(Metric::counter(
-            "afs_cost_disk_accesses_total",
-            snap.disk_accesses,
-        ));
+        net.stats().metrics(&[], out);
+        model.snapshot().metrics(&[], out);
     });
     metrics.register(move |out| {
         for row in trace.summary() {

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use afs_sim::{clock, Cost, CostModel, Generations, SimRng, Striped, Tally};
+use afs_sim::{clock, Cost, CostModel, Generations, SimRng};
 use afs_telemetry::{flight_trigger, intern, now_ns, retry_span, ClusterGauges, SpanGuard};
 
 use crate::cluster::Fleet;
@@ -223,19 +223,22 @@ impl FaultPlan {
     }
 }
 
-/// Aggregate traffic statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NetworkStats {
-    /// Completed request/response calls.
-    pub rpcs: u64,
-    /// Fire-and-forget messages delivered.
-    pub casts: u64,
-    /// Total request bytes accepted.
-    pub bytes_sent: u64,
-    /// Total response bytes returned.
-    pub bytes_received: u64,
-    /// Messages lost to fault injection.
-    pub dropped: u64,
+afs_telemetry::metric_family! {
+    /// A network's traffic counters, one set per stripe: a message adds to
+    /// its own thread's stripe, so two clients' messages write nothing in
+    /// common.
+    Traffic striped(TrafficCell) => NetworkStats {
+        /// Completed request/response calls.
+        rpcs: counter "afs_net_rpcs_total",
+        /// Fire-and-forget messages delivered.
+        casts: counter "afs_net_casts_total",
+        /// Total request bytes accepted.
+        bytes_sent: counter "afs_net_bytes_sent_total",
+        /// Total response bytes returned.
+        bytes_received: counter "afs_net_bytes_received_total",
+        /// Messages lost to fault injection.
+        dropped: counter "afs_net_dropped_total",
+    }
 }
 
 /// The bits of a remembered registration that hold its index in the
@@ -374,16 +377,6 @@ impl Registry {
     }
 }
 
-/// The traffic counters, one set per stripe.
-#[derive(Default)]
-struct Traffic {
-    rpcs: Tally,
-    casts: Tally,
-    bytes_sent: Tally,
-    bytes_received: Tally,
-    dropped: Tally,
-}
-
 /// Everything the clones of one network share, in one allocation: a clone
 /// moves one reference count for all of it. What a message does here is
 /// load the newest registry and add to its own thread's traffic stripe,
@@ -396,7 +389,7 @@ struct Shared {
     /// change lock serialises them.
     registry: Generations<Registry>,
     model: CostModel,
-    traffic: Striped<Traffic>,
+    traffic: Traffic,
     breakers: Mutex<HashMap<String, CircuitBreaker>>,
     reliability: ReliabilityStats,
     /// The named fleets: read when an endpoint is made, never by a message.
@@ -438,7 +431,7 @@ impl Network {
                 services: Vec::new(),
             }),
             model,
-            traffic: Striped::default(),
+            traffic: Traffic::default(),
             breakers: Mutex::default(),
             reliability: ReliabilityStats::default(),
             fleets: Mutex::default(),
@@ -639,7 +632,7 @@ impl Network {
         }
         let ppm = faults.loss_ppm.load(Ordering::SeqCst);
         if consume_token(&faults.drop_next) || (ppm > 0 && faults.rng.lock().roll_ppm(ppm)) {
-            let (traffic, writer) = self.shared.traffic.mine();
+            let (traffic, writer) = self.shared.traffic.cells.mine();
             traffic.dropped.add(writer, 1);
             return Err(NetError::Dropped(name.to_owned()));
         }
@@ -858,7 +851,7 @@ impl Network {
         let mut reply = MessageBuf::take();
         registered.service.handle_into(&request, &mut reply)?;
         model.charge(Cost::NetBytes { bytes: reply.len() });
-        let (traffic, writer) = self.shared.traffic.mine();
+        let (traffic, writer) = self.shared.traffic.cells.mine();
         traffic.rpcs.add(writer, 1);
         traffic.bytes_sent.add(writer, request.len() as u64);
         traffic.bytes_received.add(writer, reply.len() as u64);
@@ -876,7 +869,7 @@ impl Network {
             bytes: request.len(),
         });
         registered.service.handle_cast(&request);
-        let (traffic, writer) = self.shared.traffic.mine();
+        let (traffic, writer) = self.shared.traffic.cells.mine();
         traffic.casts.add(writer, 1);
         traffic.bytes_sent.add(writer, request.len() as u64);
         Ok(())
@@ -931,15 +924,7 @@ impl Network {
 
     /// Copies out aggregate statistics, summed over every stripe.
     pub fn stats(&self) -> NetworkStats {
-        let sum =
-            |pick: fn(&Traffic) -> &Tally| self.shared.traffic.iter().map(|t| pick(t).get()).sum();
-        NetworkStats {
-            rpcs: sum(|t| &t.rpcs),
-            casts: sum(|t| &t.casts),
-            bytes_sent: sum(|t| &t.bytes_sent),
-            bytes_received: sum(|t| &t.bytes_received),
-            dropped: sum(|t| &t.dropped),
-        }
+        self.shared.traffic.snapshot()
     }
 }
 

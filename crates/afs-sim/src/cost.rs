@@ -11,7 +11,8 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use crate::clock;
-use crate::stripe::{Striped, Tally};
+use crate::metric_family;
+use crate::stripe::Tally;
 
 /// Which protection boundary a handoff crosses. Determines whether a
 /// blocking handoff costs a process context switch, a thread switch, or
@@ -205,77 +206,38 @@ impl HardwareProfile {
     }
 }
 
-/// Per-kind counters accumulated by a [`CostModel`], one set per stripe:
-/// a charge adds to the charging thread's stripe, a reader sums them all.
-/// They back the "copies per operation" diagnostic of the benchmark
-/// harness. The three an [`OpWindow`] reads come first, so the window
-/// loads one line per stripe.
-#[derive(Debug, Default)]
-#[repr(C)]
-struct Counters {
-    process_switches: Tally,
-    thread_switches: Tally,
-    copies: Tally,
-    syscalls: Tally,
-    memcpy_bytes: Tally,
-    pipe_copy_bytes: Tally,
-    pipe_messages: Tally,
-    net_round_trips: Tally,
-    net_bytes: Tally,
-    disk_accesses: Tally,
-    disk_bytes: Tally,
-    event_signals: Tally,
-}
-
-/// A point-in-time copy of the model's counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CostSnapshot {
-    /// Kernel entries.
-    pub syscalls: u64,
-    /// Process context switches.
-    pub process_switches: u64,
-    /// Thread switches.
-    pub thread_switches: u64,
-    /// Bytes moved by user-level memcpy.
-    pub memcpy_bytes: u64,
-    /// Bytes moved through pipe (user<->kernel) copies.
-    pub pipe_copy_bytes: u64,
-    /// Pipe messages.
-    pub pipe_messages: u64,
-    /// Network round trips.
-    pub net_round_trips: u64,
-    /// Bytes streamed over the network.
-    pub net_bytes: u64,
-    /// Disk accesses.
-    pub disk_accesses: u64,
-    /// Bytes moved to/from disk.
-    pub disk_bytes: u64,
-    /// Event signals.
-    pub event_signals: u64,
-    /// Total buffer copies of any kind (memcpy + pipe copies), counted per
-    /// copy operation rather than per byte.
-    pub copies: u64,
-}
-
-impl CostSnapshot {
-    /// Component-wise difference `self - earlier`, saturating at zero.
-    pub fn since(&self, earlier: &CostSnapshot) -> CostSnapshot {
-        CostSnapshot {
-            syscalls: self.syscalls.saturating_sub(earlier.syscalls),
-            process_switches: self
-                .process_switches
-                .saturating_sub(earlier.process_switches),
-            thread_switches: self.thread_switches.saturating_sub(earlier.thread_switches),
-            memcpy_bytes: self.memcpy_bytes.saturating_sub(earlier.memcpy_bytes),
-            pipe_copy_bytes: self.pipe_copy_bytes.saturating_sub(earlier.pipe_copy_bytes),
-            pipe_messages: self.pipe_messages.saturating_sub(earlier.pipe_messages),
-            net_round_trips: self.net_round_trips.saturating_sub(earlier.net_round_trips),
-            net_bytes: self.net_bytes.saturating_sub(earlier.net_bytes),
-            disk_accesses: self.disk_accesses.saturating_sub(earlier.disk_accesses),
-            disk_bytes: self.disk_bytes.saturating_sub(earlier.disk_bytes),
-            event_signals: self.event_signals.saturating_sub(earlier.event_signals),
-            copies: self.copies.saturating_sub(earlier.copies),
-        }
+metric_family! {
+    /// Per-kind counters accumulated by a [`CostModel`], one set per
+    /// stripe: a charge adds to the charging thread's stripe, a reader
+    /// sums them all. They back the per-op counts of the bench grid and
+    /// `figure6`'s accounting view. The three an [`OpWindow`] reads come
+    /// first, so the window loads one line per stripe.
+    CostCounters striped(CostCell) => CostSnapshot {
+        /// Process context switches.
+        process_switches: counter "afs_cost_process_switches_total",
+        /// Thread switches.
+        thread_switches: counter "afs_cost_thread_switches_total",
+        /// Total buffer copies of any kind (memcpy + pipe copies), counted
+        /// per copy operation rather than per byte.
+        copies: counter "afs_cost_copies_total",
+        /// Kernel entries.
+        syscalls: counter "afs_cost_syscalls_total",
+        /// Bytes moved by user-level memcpy.
+        memcpy_bytes: counter "afs_cost_memcpy_bytes_total",
+        /// Bytes moved through pipe (user<->kernel) copies.
+        pipe_copy_bytes: counter "afs_cost_pipe_copy_bytes_total",
+        /// Pipe messages.
+        pipe_messages: counter "afs_cost_pipe_messages_total",
+        /// Network round trips.
+        net_round_trips: counter "afs_cost_net_round_trips_total",
+        /// Bytes streamed over the network.
+        net_bytes: counter "afs_cost_net_bytes_total",
+        /// Disk accesses.
+        disk_accesses: counter "afs_cost_disk_accesses_total",
+        /// Bytes moved to/from disk.
+        disk_bytes: counter "afs_cost_disk_bytes_total",
+        /// Event signals.
+        event_signals: counter "afs_cost_event_signals_total",
     }
 }
 
@@ -320,7 +282,7 @@ impl OpWindow {
 #[derive(Debug, Clone)]
 pub struct CostModel {
     profile: Arc<HardwareProfile>,
-    counters: Arc<Striped<Counters>>,
+    counters: Arc<CostCounters>,
 }
 
 impl CostModel {
@@ -366,7 +328,7 @@ impl CostModel {
     }
 
     fn count(&self, cost: Cost) {
-        let (c, writer) = self.counters.mine();
+        let (c, writer) = self.counters.cells.mine();
         let add = |tally: &Tally, n: u64| tally.add(writer, n);
         let own = |crossings: u64, copies: u64| {
             let was = OWN.get();
@@ -409,21 +371,7 @@ impl CostModel {
 
     /// Copies out the current counters, summed over every stripe.
     pub fn snapshot(&self) -> CostSnapshot {
-        let sum = |pick: fn(&Counters) -> &Tally| self.counters.iter().map(|c| pick(c).get()).sum();
-        CostSnapshot {
-            syscalls: sum(|c| &c.syscalls),
-            process_switches: sum(|c| &c.process_switches),
-            thread_switches: sum(|c| &c.thread_switches),
-            memcpy_bytes: sum(|c| &c.memcpy_bytes),
-            pipe_copy_bytes: sum(|c| &c.pipe_copy_bytes),
-            pipe_messages: sum(|c| &c.pipe_messages),
-            net_round_trips: sum(|c| &c.net_round_trips),
-            net_bytes: sum(|c| &c.net_bytes),
-            disk_accesses: sum(|c| &c.disk_accesses),
-            disk_bytes: sum(|c| &c.disk_bytes),
-            event_signals: sum(|c| &c.event_signals),
-            copies: sum(|c| &c.copies),
-        }
+        self.counters.snapshot()
     }
 
     /// The [`OpWindow`] of everything charged to this model by any thread:
@@ -431,7 +379,7 @@ impl CostModel {
     /// operation served on another thread has to be measured with.
     pub fn op_window(&self) -> OpWindow {
         let mut window = OpWindow::default();
-        for c in self.counters.iter() {
+        for c in self.counters.cells.iter() {
             window.crossings += c.process_switches.get() + c.thread_switches.get();
             window.copies += c.copies.get();
         }

@@ -49,6 +49,7 @@ mod alloc;
 pub mod clock;
 pub mod cost;
 pub mod generations;
+mod metric;
 pub mod rng;
 mod seed;
 mod spawn;
@@ -60,6 +61,7 @@ pub use alloc::{allocations, CountingAlloc};
 pub use clock::{ClockGuard, SimTime};
 pub use cost::{Cost, CostModel, CostSnapshot, CrossingKind, HardwareProfile, OpWindow};
 pub use generations::Generations;
+pub use metric::{HistogramSnapshot, Metric, MetricValue, HIST_BUCKETS};
 pub use rng::SimRng;
 pub use seed::test_seed;
 pub use spawn::spawn;

@@ -2,12 +2,12 @@
 //! one shared cell, so that a sum every operation adds to has one writer.
 //!
 //! Bookkeeping that every operation of every thread writes and a report
-//! reads at the end ([`CostModel`](crate::CostModel) counters,
-//! [`OpTrace`](crate::OpTrace) totals, a network's traffic counters, the
-//! striped metric families) kept in one place makes independent clients
-//! take turns on a cache line; striped, a writer touches only its own
-//! lines and the rare reader visits all of them. The tree has this one
-//! mechanism.
+//! reads at the end ([`OpTrace`](crate::OpTrace) totals, and the striped
+//! metric families: the [`CostModel`](crate::CostModel) counters, a
+//! network's traffic, the busiest gauges) kept in one place makes
+//! independent clients take turns on a cache line; striped, a writer
+//! touches only its own lines and the rare reader visits all of them.
+//! The tree has this one mechanism.
 //!
 //! The ownership rule: a thread claims a free owned cell index at its
 //! first use of any [`Striped`] (an Acquire compare-and-swap on a global

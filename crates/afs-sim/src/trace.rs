@@ -49,9 +49,9 @@ pub enum OpKind {
 }
 
 impl OpKind {
-    /// Every kind, in declaration order (an [`OpTrace`] row's column is
-    /// its kind's index here).
-    pub(crate) const ALL: [OpKind; 7] = [
+    /// Every kind, in declaration order: a kind's index here is
+    /// `kind as usize` (an [`OpTrace`] row's column).
+    pub const ALL: [OpKind; 7] = [
         OpKind::Read,
         OpKind::ReadScatter,
         OpKind::Write,

@@ -8,9 +8,10 @@
 
 use std::fmt::Write as _;
 
+use afs_sim::{Metric, MetricValue};
+
 use crate::flight::FlightBundle;
 use crate::json::escape as escape_json;
-use crate::registry::{Metric, MetricValue};
 use crate::span::SpanRecord;
 
 /// Escapes a Prometheus label *value*: backslash, double quote, and both
@@ -281,7 +282,7 @@ pub fn chrome_trace(groups: &[(&str, Vec<SpanRecord>)]) -> String {
             );
             escape_json(span.strategy, &mut out);
             out.push_str("\",\"note\":\"");
-            escape_json(span.note, &mut out);
+            escape_json(&span.annotation(), &mut out);
             let _ = write!(out, "\",\"bytes\":{}}}}}", span.bytes);
         }
     }
@@ -302,7 +303,7 @@ fn span_record_json(span: &SpanRecord, out: &mut String) {
     out.push_str("\",\"strategy\":\"");
     escape_json(span.strategy, out);
     out.push_str("\",\"note\":\"");
-    escape_json(span.note, out);
+    escape_json(&span.annotation(), out);
     let _ = write!(
         out,
         "\",\"start_ns\":{},\"end_ns\":{},\"bytes\":{},\"thread\":{}}}",
@@ -367,6 +368,7 @@ mod tests {
             name: "read",
             strategy: "Process",
             note: "",
+            session: 0,
             start: 1_000,
             end: 5_500,
             bytes: 512,
@@ -449,6 +451,27 @@ mod tests {
         assert!(json_is_valid(&json), "invalid JSON: {json}");
         assert!(json.contains("\"trace\":7"));
         assert!(json.contains("\"note\":\"cause=breaker_open\""));
+    }
+
+    /// A session's span prints its id before its note, in both span
+    /// schemas.
+    #[test]
+    fn a_session_span_renders_its_session_and_file() {
+        let mut span = sample_span(9, 3);
+        (span.note, span.session) = ("file=/t.af", 3);
+        let want = "\"note\":\"session=3 file=/t.af\"";
+        let trace = chrome_trace(&[("Thread", vec![span])]);
+        assert!(trace.contains(want), "{trace}");
+        let bundle = FlightBundle {
+            seq: 1,
+            at_ns: 0,
+            cause: "manual",
+            detail: String::new(),
+            spans: vec![span],
+            open: Vec::new(),
+        };
+        let dump = flight_bundles_json(&[bundle]);
+        assert!(json_is_valid(&dump) && dump.contains(want), "{dump}");
     }
 
     /// Adversarial corpus shared by the exporter-hardening tests: every

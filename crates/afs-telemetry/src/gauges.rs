@@ -10,118 +10,10 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use afs_sim::metric_family;
 use parking_lot::Mutex;
 
 use crate::flight::FlightRecorder;
-
-/// Declares one metric family from a single field list:
-///
-/// * `$live` — `Default` struct of one relaxed `AtomicU64` per field, with
-///   `snapshot()`; or, declared `$live striped($cell)`, one
-///   [`Striped`](crate::Striped) set of those fields (the struct `$cell`)
-///   plus the optional `{ extra: Type }` non-metric fields, so that
-///   threads writing it write lines of their own: a counter is a
-///   [`Tally`](crate::Tally) added to the writer's stripe and summed by
-///   `snapshot()`, a gauge is a level, not a sum, an `AtomicU64` on the
-///   first stripe alone;
-/// * `$snap` — `Copy` struct of `pub u64` fields carrying the doc comments,
-///   with `METRICS` (the `(exported name, kind)` rows, in export order)
-///   and `metrics(labels, out)`, which pushes one [`Metric`](crate::Metric)
-///   per row.
-///
-/// Event methods (which fields an event touches) stay hand-written on
-/// `$live`.
-#[macro_export]
-macro_rules! metric_family {
-    (@cell counter) => { $crate::Tally };
-    (@cell gauge) => { ::std::sync::atomic::AtomicU64 };
-    (@striped counter $cells:expr, $field:ident) => {
-        $cells.iter().map(|cell| cell.$field.get()).sum()
-    };
-    (@striped gauge $cells:expr, $field:ident) => {
-        $cells.first().$field.load(::std::sync::atomic::Ordering::Relaxed)
-    };
-    (
-        $(#[$live_doc:meta])*
-        $live:ident striped($cell:ident) $({ $($extra:ident: $extra_ty:ty),* $(,)? })? => $snap:ident {
-            $($(#[$doc:meta])* $field:ident: $kind:ident $name:literal,)+
-        }
-    ) => {
-        #[doc = concat!("One stripe of [`", stringify!($live), "`].")]
-        #[derive(Debug, Default)]
-        struct $cell {
-            $($field: $crate::metric_family!(@cell $kind),)+
-        }
-
-        $(#[$live_doc])*
-        #[derive(Debug, Default)]
-        pub struct $live {
-            cells: $crate::Striped<$cell>,
-            $($($extra: $extra_ty,)*)?
-        }
-
-        impl $live {
-            /// Copies out the current values: each counter summed over
-            /// the stripes, each gauge read from the first.
-            pub fn snapshot(&self) -> $snap {
-                $snap {
-                    $($field: $crate::metric_family!(@striped $kind self.cells, $field),)+
-                }
-            }
-        }
-
-        $crate::metric_family!(@snapshot $live => $snap {
-            $($(#[$doc])* $field: $kind $name,)+
-        });
-    };
-    (
-        $(#[$live_doc:meta])*
-        $live:ident => $snap:ident {
-            $($(#[$doc:meta])* $field:ident: $kind:ident $name:literal,)+
-        }
-    ) => {
-        $(#[$live_doc])*
-        #[derive(Debug, Default)]
-        pub struct $live {
-            $($field: ::std::sync::atomic::AtomicU64,)+
-        }
-
-        impl $live {
-            /// Copies out the current values.
-            pub fn snapshot(&self) -> $snap {
-                $snap {
-                    $($field: self.$field.load(::std::sync::atomic::Ordering::Relaxed),)+
-                }
-            }
-        }
-
-        $crate::metric_family!(@snapshot $live => $snap {
-            $($(#[$doc])* $field: $kind $name,)+
-        });
-    };
-    (@snapshot $live:ident => $snap:ident {
-        $($(#[$doc:meta])* $field:ident: $kind:ident $name:literal,)+
-    }) => {
-        #[doc = concat!("A point-in-time copy of [`", stringify!($live), "`].")]
-        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-        pub struct $snap {
-            $($(#[$doc])* pub $field: u64,)+
-        }
-
-        impl $snap {
-            /// `(exported name, kind)` of every metric of the family, in
-            /// export order.
-            pub const METRICS: &'static [(&'static str, &'static str)] =
-                &[$(($name, stringify!($kind)),)+];
-
-            /// Appends the family's metrics, each carrying `labels`.
-            pub fn metrics(&self, labels: &[(&'static str, &str)], out: &mut Vec<$crate::Metric>) {
-                let tag = |m: $crate::Metric| labels.iter().fold(m, |m, &(k, v)| m.label(k, v));
-                $(out.push(tag($crate::Metric::$kind($name, self.$field)));)+
-            }
-        }
-    };
-}
 
 /// Raises `peak` to `level` if that is higher. A relaxed load first, so
 /// the common case — no new high — writes nothing another thread reads.
@@ -135,15 +27,15 @@ metric_family! {
     /// Live depth/throughput gauges for pipes and the §4.3 lanes, and the
     /// reuse of the staging buffers pair-lane dispatch loops keep.
     /// Striped: every message of every lane records here.
-    QueueGauges striped(QueueCell) => GaugesSnapshot {
-        /// Bytes currently buffered across observed pipes.
-        pipe_buffered: gauge "afs_pipe_buffered_bytes",
+    ///
+    /// `pipe_buffered` is the bytes buffered across observed pipes now:
+    /// the level whose high-water mark is exported, not exported itself
+    /// (it reads 0 whenever the world is quiet).
+    QueueGauges striped(QueueCell) { pipe_buffered: AtomicU64 } => GaugesSnapshot {
         /// High-water mark of buffered pipe bytes.
         pipe_buffered_peak: gauge "afs_pipe_buffered_peak_bytes",
         /// Total pipe message segments enqueued.
         pipe_messages: counter "afs_pipe_queue_messages_total",
-        /// §4.3 lane slots currently holding a message's untaken bytes.
-        shm_pending: gauge "afs_shm_pending_slots",
         /// Total §4.3 messages sent with bytes (a write's command, a read's reply).
         shm_messages: counter "afs_shm_messages_total",
         /// Staging buffers a pair lane's dispatch loop reused from its free list.
@@ -156,31 +48,21 @@ metric_family! {
 impl QueueGauges {
     /// Records `bytes` enqueued into a pipe (one message segment).
     pub fn pipe_enqueued(&self, bytes: u64) {
-        let level = self.cells.first();
-        let now = level.pipe_buffered.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        raise(&level.pipe_buffered_peak, now);
+        let now = self.pipe_buffered.fetch_add(bytes, Ordering::Relaxed) + bytes;
+        raise(&self.cells.first().pipe_buffered_peak, now);
         let (mine, writer) = self.cells.mine();
         mine.pipe_messages.add(writer, 1);
     }
 
     /// Records `bytes` drained from a pipe.
     pub fn pipe_drained(&self, bytes: u64) {
-        let level = &self.cells.first().pipe_buffered;
-        level.fetch_sub(bytes, Ordering::Relaxed);
+        self.pipe_buffered.fetch_sub(bytes, Ordering::Relaxed);
     }
 
-    /// Records one message's bytes placed in a §4.3 lane's slot.
+    /// Records one message sent with bytes on a §4.3 lane.
     pub fn shm_filled(&self) {
-        let level = &self.cells.first().shm_pending;
-        level.fetch_add(1, Ordering::Relaxed);
         let (mine, writer) = self.cells.mine();
         mine.shm_messages.add(writer, 1);
-    }
-
-    /// Records one message's bytes taken from a §4.3 lane's slot.
-    pub fn shm_taken(&self) {
-        let level = &self.cells.first().shm_pending;
-        level.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Records a staging buffer reused from a free list.
@@ -706,9 +588,8 @@ mod tests {
         assert_eq!(fleet.snapshot().queue_depth_peak, max);
         assert_eq!(fleet.snapshot().sentinels_peak, max);
         assert_eq!(stats.snapshot().queue_depth_peak, max);
-        let q = queue.snapshot();
-        assert_eq!(q.pipe_buffered, 10 + 11 + 12 + 13, "a level is one sum");
-        assert_eq!(q.pipe_buffered_peak, q.pipe_buffered);
+        let peak = queue.snapshot().pipe_buffered_peak;
+        assert_eq!(peak, 10 + 11 + 12 + 13, "a level is one sum");
     }
 
     /// Two threads polling, waking, parking and moving bytes add to one
@@ -731,7 +612,6 @@ mod tests {
                             queue.pool_reuse();
                         } else {
                             fleet.park();
-                            queue.shm_taken();
                             queue.pool_alloc();
                         }
                         queue.pipe_enqueued(3);
@@ -743,9 +623,9 @@ mod tests {
         let f = fleet.snapshot();
         assert_eq!([f.polls, f.wakeups, f.parks], [2 * N, N, N]);
         let q = queue.snapshot();
-        assert_eq!([q.shm_messages, q.shm_pending], [N, 0]);
+        assert_eq!(q.shm_messages, N);
         assert_eq!([q.pool_reuses, q.pool_allocations], [N, N]);
-        assert_eq!([q.pipe_messages, q.pipe_buffered], [2 * N, 0]);
+        assert_eq!(q.pipe_messages, 2 * N);
         assert!((3..=6).contains(&q.pipe_buffered_peak));
     }
 
@@ -840,9 +720,11 @@ mod tests {
         g.pipe_enqueued(50);
         g.pipe_drained(120);
         let s = g.snapshot();
-        assert_eq!(s.pipe_buffered, 30);
         assert_eq!(s.pipe_buffered_peak, 150);
         assert_eq!(s.pipe_messages, 2);
+        // The drain lowered the level the next peak rises from: 30 + 200.
+        g.pipe_enqueued(200);
+        assert_eq!(g.snapshot().pipe_buffered_peak, 230);
     }
 
     #[test]
@@ -850,12 +732,10 @@ mod tests {
         let g = QueueGauges::default();
         g.shm_filled();
         g.shm_filled();
-        g.shm_taken();
         g.pool_alloc();
         g.pool_reuse();
         g.pool_reuse();
         let s = g.snapshot();
-        assert_eq!(s.shm_pending, 1);
         assert_eq!(s.shm_messages, 2);
         assert_eq!(s.pool_allocations, 1);
         assert_eq!(s.pool_reuses, 2);

@@ -9,22 +9,10 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Number of buckets: one for zero plus one per power of two up to `2^63`.
-pub const HIST_BUCKETS: usize = 64;
+use afs_sim::{HistogramSnapshot, HIST_BUCKETS};
 
 fn bucket_index(ns: u64) -> usize {
     (64 - ns.leading_zeros() as usize).min(HIST_BUCKETS - 1)
-}
-
-/// Upper bound (inclusive) of values landing in `bucket`.
-fn bucket_upper(bucket: usize) -> u64 {
-    if bucket == 0 {
-        0
-    } else if bucket >= 63 {
-        u64::MAX
-    } else {
-        (1u64 << bucket) - 1
-    }
 }
 
 /// A lock-free latency histogram with log2 buckets.
@@ -73,70 +61,6 @@ impl LatencyHistogram {
             sum_ns: self.sum.load(Ordering::Relaxed),
             max_ns: self.max.load(Ordering::Relaxed),
         }
-    }
-}
-
-/// A point-in-time copy of a [`LatencyHistogram`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HistogramSnapshot {
-    /// Per-bucket sample counts.
-    pub buckets: [u64; HIST_BUCKETS],
-    /// Total samples.
-    pub count: u64,
-    /// Sum of all samples, ns.
-    pub sum_ns: u64,
-    /// Largest sample, ns.
-    pub max_ns: u64,
-}
-
-impl Default for HistogramSnapshot {
-    fn default() -> Self {
-        HistogramSnapshot {
-            buckets: [0u64; HIST_BUCKETS],
-            count: 0,
-            sum_ns: 0,
-            max_ns: 0,
-        }
-    }
-}
-
-impl HistogramSnapshot {
-    /// The `q`-quantile (0.0 ..= 1.0): upper bound of the bucket holding
-    /// the `ceil(q * count)`-th smallest sample, capped at the observed
-    /// max. Returns 0 for an empty histogram.
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return bucket_upper(i).min(self.max_ns);
-            }
-        }
-        self.max_ns
-    }
-
-    /// Median estimate, ns.
-    pub fn p50_ns(&self) -> u64 {
-        self.quantile(0.50)
-    }
-
-    /// 90th-percentile estimate, ns.
-    pub fn p90_ns(&self) -> u64 {
-        self.quantile(0.90)
-    }
-
-    /// 99th-percentile estimate, ns.
-    pub fn p99_ns(&self) -> u64 {
-        self.quantile(0.99)
-    }
-
-    /// Arithmetic mean, ns (exact: the sum is tracked directly).
-    pub fn mean_ns(&self) -> u64 {
-        self.sum_ns.checked_div(self.count).unwrap_or(0)
     }
 }
 

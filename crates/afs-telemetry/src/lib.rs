@@ -49,8 +49,12 @@ pub mod json;
 mod registry;
 mod span;
 
-/// The stripes a `striped` [`metric_family!`] keeps its counters in.
-pub use afs_sim::{Striped, Tally};
+/// The family declaration and what it is built on: the stripes a
+/// `striped` [`metric_family!`] keeps its counters in, and the exported
+/// [`Metric`] rows, a summary carrying a [`HistogramSnapshot`].
+pub use afs_sim::{
+    metric_family, HistogramSnapshot, Metric, MetricValue, Striped, Tally, HIST_BUCKETS,
+};
 pub use export::{
     chrome_trace, flight_bundles_json, json_is_valid, json_snapshot, prometheus_is_valid,
     prometheus_text,
@@ -61,8 +65,8 @@ pub use gauges::{
     RingGauges, RingSnapshot, SentinelStats, SentinelStatsSnapshot, SessionGauges, SessionSnapshot,
     StoreGauges, StoreSnapshot,
 };
-pub use hist::{HistogramSnapshot, LatencyHistogram, HIST_BUCKETS};
-pub use registry::{Metric, MetricValue, MetricsRegistry};
+pub use hist::LatencyHistogram;
+pub use registry::MetricsRegistry;
 pub use span::{
     backend_span, flight_trigger, intern, now_ns, retry_span, Layer, SlowOp, SpanGuard, SpanRecord,
     Telemetry, TraceContext, DEFAULT_SPAN_CAPACITY,

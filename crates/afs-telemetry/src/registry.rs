@@ -8,70 +8,10 @@
 
 use parking_lot::Mutex;
 
-use crate::hist::HistogramSnapshot;
+use afs_sim::Metric;
 
 /// A collector closure: appends its metrics to the snapshot under way.
 type Collector = Box<dyn Fn(&mut Vec<Metric>) + Send + Sync>;
-
-/// A named measurement with optional labels.
-#[derive(Debug, Clone)]
-pub struct Metric {
-    /// Metric name, e.g. `"afs_cost_syscalls_total"`.
-    pub name: String,
-    /// Label pairs, e.g. `[("strategy", "Process"), ("op", "read")]`.
-    pub labels: Vec<(&'static str, String)>,
-    /// The measurement.
-    pub value: MetricValue,
-}
-
-/// The kinds of measurement a [`Metric`] can carry. Summaries embed the
-/// full bucket array; metrics only exist in snapshot vectors, never on the
-/// per-op hot path, so the size skew is irrelevant.
-#[derive(Debug, Clone)]
-#[allow(clippy::large_enum_variant)]
-pub enum MetricValue {
-    /// Monotonically increasing count.
-    Counter(u64),
-    /// Instantaneous level.
-    Gauge(u64),
-    /// Latency distribution (rendered as quantiles).
-    Summary(HistogramSnapshot),
-}
-
-impl Metric {
-    /// A counter metric.
-    pub fn counter(name: impl Into<String>, value: u64) -> Metric {
-        Metric {
-            name: name.into(),
-            labels: Vec::new(),
-            value: MetricValue::Counter(value),
-        }
-    }
-
-    /// A gauge metric.
-    pub fn gauge(name: impl Into<String>, value: u64) -> Metric {
-        Metric {
-            name: name.into(),
-            labels: Vec::new(),
-            value: MetricValue::Gauge(value),
-        }
-    }
-
-    /// A latency-summary metric.
-    pub fn summary(name: impl Into<String>, snapshot: HistogramSnapshot) -> Metric {
-        Metric {
-            name: name.into(),
-            labels: Vec::new(),
-            value: MetricValue::Summary(snapshot),
-        }
-    }
-
-    /// Adds one label pair (builder style).
-    pub fn label(mut self, key: &'static str, value: impl Into<String>) -> Metric {
-        self.labels.push((key, value.into()));
-        self
-    }
-}
 
 /// A set of registered collectors producing unified metric snapshots.
 #[derive(Default)]
@@ -111,6 +51,8 @@ impl MetricsRegistry {
 
 #[cfg(test)]
 mod tests {
+    use afs_sim::MetricValue;
+
     use super::*;
 
     #[test]

@@ -23,6 +23,7 @@
 //! strategy → executor poll → net RPC → remote backend even across retry,
 //! failover, and a sentinel moving between executor threads.
 
+use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashSet;
@@ -32,7 +33,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use afs_sim::clock;
+use afs_sim::{clock, HistogramSnapshot};
 use parking_lot::Mutex;
 
 use crate::flight::FlightRecorder;
@@ -40,7 +41,7 @@ use crate::gauges::{
     ClusterGauges, FleetGauges, QueueGauges, RingGauges, SentinelStats, SentinelStatsSnapshot,
     SessionGauges, StoreGauges,
 };
-use crate::hist::{HistogramSnapshot, LatencyHistogram};
+use crate::hist::LatencyHistogram;
 
 /// Which layer of the interposition chain a span describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -113,9 +114,12 @@ pub struct SpanRecord {
     /// Strategy label when known (`"Process"`, `"Thread"`, ...), else `""`.
     pub strategy: &'static str,
     /// Annotation (interned), e.g. `"cause=breaker_open"` on a rejection
-    /// span or `"session=3 file=/t.af"` on a mux sentinel span; `""` when
+    /// span or `"file=/t.af"` on a shared sentinel's span; `""` when
     /// unannotated.
     pub note: &'static str,
+    /// The shared-sentinel session whose op the span serves (ids start at
+    /// 1), or 0 for a span of no session.
+    pub session: u32,
     /// Start timestamp, ns (virtual when a sim clock is installed).
     pub start: u64,
     /// End timestamp, ns.
@@ -130,6 +134,15 @@ impl SpanRecord {
     /// Span duration in nanoseconds.
     pub fn duration_ns(&self) -> u64 {
         self.end.saturating_sub(self.start)
+    }
+
+    /// The annotation as every renderer prints it: the note, after
+    /// `session=<id> ` on a session's span (`session=3 file=/t.af`).
+    pub fn annotation(&self) -> Cow<'static, str> {
+        match self.session {
+            0 => Cow::Borrowed(self.note),
+            id => Cow::Owned(format!("session={id} {}", self.note)),
+        }
     }
 }
 
@@ -296,7 +309,7 @@ impl Telemetry {
     /// created by this hub (a root if there is none). Returns `None` when
     /// telemetry is disabled.
     pub fn span(self: &Arc<Self>, layer: Layer, name: &'static str) -> Option<SpanGuard> {
-        self.begin(layer, name, "", "", None)
+        self.begin(layer, name, "", "", 0, None)
     }
 
     /// Like [`Telemetry::span`] but tags the span with a strategy label.
@@ -306,14 +319,15 @@ impl Telemetry {
         name: &'static str,
         strategy: &'static str,
     ) -> Option<SpanGuard> {
-        self.begin(layer, name, strategy, "", None)
+        self.begin(layer, name, strategy, "", 0, None)
     }
 
     /// Opens a span under an explicit propagated [`TraceContext`] — the
     /// cross-boundary form used by sentinel-side execution (the context
     /// its command's frame carried) and RPC recovery. `note` annotates the
-    /// span (`""` for none); an unsampled context still records, as a new
-    /// root.
+    /// span (`""` for none) and `session` names the shared-sentinel
+    /// session it serves (0 for none); an unsampled context still records,
+    /// as a new root.
     pub fn span_in_context(
         self: &Arc<Self>,
         layer: Layer,
@@ -321,8 +335,9 @@ impl Telemetry {
         strategy: &'static str,
         ctx: TraceContext,
         note: &'static str,
+        session: u32,
     ) -> Option<SpanGuard> {
-        self.begin(layer, name, strategy, note, Some(ctx))
+        self.begin(layer, name, strategy, note, session, Some(ctx))
     }
 
     fn begin(
@@ -331,6 +346,7 @@ impl Telemetry {
         name: &'static str,
         strategy: &'static str,
         note: &'static str,
+        session: u32,
         ctx: Option<TraceContext>,
     ) -> Option<SpanGuard> {
         if !self.enabled() {
@@ -352,6 +368,7 @@ impl Telemetry {
             name,
             strategy,
             note,
+            session,
             start: now_ns(),
             end: 0,
             bytes: 0,
@@ -406,8 +423,8 @@ impl Telemetry {
     /// read from the span ring as it is now.
     pub fn slow_ops(&self) -> Vec<SlowOp> {
         let spans = self.spans();
-        let entry = |s: &SpanRecord| match s.note {
-            "" => s.name.to_owned(),
+        let entry = |s: &SpanRecord| match s.annotation() {
+            note if note.is_empty() => s.name.to_owned(),
             note => format!("{}[{note}]", s.name),
         };
         let slow = self.slow.lock().clone();
@@ -665,7 +682,7 @@ fn top_frame() -> Option<(Arc<Telemetry>, TraceContext)> {
 /// telemetry-disabled case, so backend code can call this unconditionally.
 pub fn backend_span(name: &'static str) -> Option<SpanGuard> {
     let (tel, ctx) = top_frame()?;
-    tel.span_in_context(Layer::Backend, name, "", ctx, "")
+    tel.span_in_context(Layer::Backend, name, "", ctx, "", 0)
 }
 
 /// Opens a [`Layer::Retry`] span parented like [`backend_span`] and
@@ -676,7 +693,7 @@ pub fn backend_span(name: &'static str) -> Option<SpanGuard> {
 /// through.
 pub fn retry_span(name: &'static str, note: &'static str) -> Option<SpanGuard> {
     let (tel, ctx) = top_frame()?;
-    tel.span_in_context(Layer::Retry, name, "", ctx, note)
+    tel.span_in_context(Layer::Retry, name, "", ctx, note, 0)
 }
 
 /// Fires a flight-recorder trigger against the hub of the innermost open
@@ -773,7 +790,7 @@ mod tests {
             sampled: true,
         };
         let cross = tel
-            .span_in_context(Layer::Sentinel, "write", "Process", ctx, "")
+            .span_in_context(Layer::Sentinel, "write", "Process", ctx, "", 0)
             .expect("cross");
         let cross = record(&cross);
         assert_eq!((cross.parent, cross.trace), (7777, 7000));

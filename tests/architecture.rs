@@ -29,7 +29,8 @@ guards! {
         r#"config.*.get("batch")"#, r#"config.*.get("ring_depth")"#]).tests(),
     grep(&["crates/afs-core/src/world.rs"], &[r#""afs_pipe"#, r#""afs_shm"#, r#""afs_pool"#, r#""afs_session"#, r#""afs_coalesced"#, r#""afs_batch_flushes"#,
         r#""afs_fleet"#, r#""afs_store"#, r#""afs_ring"#, r#""afs_cluster"#, r#""afs_retries"#, r#""afs_failovers"#, r#""afs_breaker"#, r#""afs_degraded"#,
-        r#""afs_queued"#, r#""afs_replayed"#, r#""afs_sentinel_ops"#, r#""afs_sentinel_errors"#, r#""afs_sentinel_bytes"#, r#""afs_sentinel_queue"#]).tests();
+        r#""afs_queued"#, r#""afs_replayed"#, r#""afs_sentinel_ops"#, r#""afs_sentinel_errors"#, r#""afs_sentinel_bytes"#, r#""afs_sentinel_queue"#,
+        r#""afs_cost"#, r#""afs_net"#]).tests();
     one_seam: "One seam (an operation is one call on the application side)", "The four-step transport protocol, and what it took to glue its steps back together, are gone, and none of it comes back by name.",
     "trait StreamTransport {}" => grep(&["crates/**", "src/**"], &["supports_control", "pending_write", "outbound_pos", "StreamTransport"]).tests();
     no_shared_write_per_op: "No shared write per op (an inline operation writes nothing another thread's does)", "The per-operation path once reached a world-shared cache line three ways, none of which may come back: a lock around the interception chain, a whole-model snapshot around every op and a pooled staging buffer under the inline carrier.",
