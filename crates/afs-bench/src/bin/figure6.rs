@@ -6,7 +6,7 @@
 //! Usage:
 //!
 //! ```text
-//! figure6 [--ops N] [--profile pentium|modern] [--workers M] [--trace] [--spans FILE] [--json FILE]
+//! figure6 [--ops N] [--profile pentium|modern] [--workers M] [--spans FILE] [--json FILE]
 //! ```
 //!
 //! `figure6` measures every cell of the grid once (`afs_bench::grid`) and
@@ -17,9 +17,7 @@
 //! compares against `BENCH_baseline.json` (see the `bench_gate` binary);
 //! `--profile modern` measures it with present-day constants as an
 //! ablation; `--workers M` pins the fleet cells' pool (no virtual number
-//! moves); `--trace` appends the per-op [`afs_sim::OpTrace`] summary —
-//! the live §4 cost profile (crossings/copies per op) as the strategy
-//! handles recorded it; `--spans FILE` measures no grid and instead
+//! moves); `--spans FILE` measures no grid and instead
 //! records a telemetry span trace of `--ops` reads per strategy, written
 //! as chrome://tracing JSON (open in `chrome://tracing` or Perfetto).
 
@@ -30,7 +28,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut ops = DEFAULT_OPS;
     let mut profile = HardwareProfile::pentium_ii_300();
-    let mut show_trace = false;
     let mut fleet_workers: Option<usize> = None;
     let mut spans_out: Option<String> = None;
     let mut json_out: Option<String> = None;
@@ -60,7 +57,6 @@ fn main() {
                         .unwrap_or_else(|| die("--workers needs a number")),
                 );
             }
-            "--trace" => show_trace = true,
             "--spans" => {
                 i += 1;
                 spans_out = Some(
@@ -96,10 +92,6 @@ fn main() {
         eprintln!("figure6: wrote the measured document to {out}");
     }
     print!("{}", afs_bench::render(&grid));
-    if show_trace {
-        println!();
-        print!("{}", afs_bench::op_trace_rows(ops, &profile));
-    }
 }
 
 fn die(msg: &str) -> ! {

@@ -181,41 +181,6 @@ pub fn measure(
     run_blocks(&world, file, direction, block, ops)
 }
 
-/// The live §4 cost profile `figure6 --trace` appends: every strategy's
-/// per-op [`afs_sim::OpTrace`] summary over `ops` 2048-byte memory-path
-/// reads, as the strategy handles recorded it.
-pub fn op_trace_rows(ops: usize, profile: &HardwareProfile) -> String {
-    const BLOCK: usize = 2048;
-    let mut out = format!(
-        "Per-op trace at block={BLOCK}, memory path ({ops} reads per strategy)\n\
-         {:>14} {:>8} {:>6} {:>10} {:>9} {:>10} {:>9}\n",
-        "strategy", "op", "count", "bytes/op", "us/op", "cross/op", "copies/op"
-    );
-    for strategy in FIGURE6_STRATEGIES {
-        let (world, file) = build_world(
-            PathKind::Memory,
-            strategy,
-            profile.clone(),
-            &filler(BLOCK * ops),
-            &[],
-        );
-        run_blocks(&world, file, Direction::Read, BLOCK, ops);
-        for row in world.trace().summary() {
-            out.push_str(&format!(
-                "{:>14} {:>8} {:>6} {:>10.1} {:>9.2} {:>10.2} {:>9.2}\n",
-                row.strategy,
-                row.op.label(),
-                row.count,
-                row.bytes_per_op(),
-                row.micros_per_op(),
-                row.crossings_per_op(),
-                row.copies_per_op(),
-            ));
-        }
-    }
-    out
-}
-
 /// Runs a small sequential-read workload through all four §4 strategies
 /// with telemetry enabled and renders every collected span as one
 /// chrome://tracing JSON document (one trace-viewer "process" per
@@ -244,9 +209,9 @@ pub fn span_trace(ops: usize, profile: HardwareProfile) -> String {
 
 /// The `ablation_trace` cell: the `Thread` gate cell (memory path,
 /// DLL-with-thread, 128-byte sequential reads) re-run with telemetry fully
-/// on — span capture, slow-op scanning and the flight-recorder rings all
-/// active. Because latency is virtual time and spans charge nothing, it
-/// must equal the `Thread` cell in every field.
+/// on — span capture, slow-op scanning and a flight bundle cut at every
+/// slow op all active. Because latency is virtual time and spans charge
+/// nothing, it must equal the `Thread` cell in every field.
 pub fn measure_instrumented(ops: usize, profile: HardwareProfile) -> Measurement {
     const BLOCK: usize = 128;
     let (world, file) = build_world(
@@ -887,7 +852,7 @@ mod tests {
     fn trace_ablation_is_free() {
         // The acceptance bound is <= 5% p99 overhead with zero extra §4
         // charges; in virtual time the two must in fact coincide, because
-        // spans, slow-op scans and flight rings charge the cost model
+        // spans, slow-op scans and flight bundles charge the cost model
         // nothing — the 5% headroom is for the day that stops being true,
         // so the gate fails loudly rather than drifting.
         let profile = HardwareProfile::pentium_ii_300();

@@ -585,8 +585,8 @@ impl ActiveFilesLayer {
         self.runtime.exec.shutdown();
     }
 
-    /// The per-world observability ring: every operation on every active
-    /// handle records strategy, kind, bytes, time, crossings, and copies.
+    /// The per-world op trace: every operation on every active handle
+    /// adds its bytes and time to its (strategy, kind) totals.
     pub fn trace(&self) -> &Arc<OpTrace> {
         &self.runtime.trace
     }

@@ -30,22 +30,18 @@
 //! late the command is served. A command is charged per message, never
 //! by size, so the envelope costs nothing.
 //!
-//! Every operation is recorded by a [`Recorder`] in an [`OpTrace`]:
-//! virtual elapsed time, payload bytes, and the protection-domain
-//! crossings and buffer copies charged while it ran, so a run can be
-//! audited against the per-strategy cost table of §4. The inline carrier's
-//! operations are measured by their own thread's charges, the others' by
-//! the whole model's (see `Recorder::window`). One caveat: writes
-//! are acknowledged eagerly (write-behind), so sentinel-side charges for a
-//! write may land in a *later* operation's record — per-op write costs are
-//! eventual, while totals stay exact.
+//! Every operation is recorded by a [`Recorder`] in an [`OpTrace`]: its
+//! count, payload bytes and virtual elapsed time. The crossings and
+//! copies it made are the cost model's count alone
+//! ([`CostModel::snapshot`]); a run is audited against §4's per-strategy
+//! cost table from that.
 
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use afs_ipc::{AppPort, Framed, FreeList, IpcError, SentinelExit};
-use afs_sim::{clock, CostModel, CrossingKind, OpKind, OpTrace, OpWindow, TraceRecord};
+use afs_sim::{clock, CostModel, CrossingKind, OpKind, OpTrace, TraceRecord};
 use afs_telemetry::{now_ns, LatencyHistogram, Layer, SpanGuard, Telemetry, TraceContext};
 use afs_winapi::{SeekMethod, Win32Error};
 
@@ -120,23 +116,9 @@ impl Recorder {
         self.model.charge_round_trip(self.crossing);
     }
 
-    /// The counters an operation's record is the movement of. An inline
-    /// (§4.4) operation runs wholly on its caller's thread, so that
-    /// thread's own charges are its cost exactly, whatever other handles
-    /// do meanwhile — and reading them touches nothing shared. An
-    /// operation served across a boundary is charged on other threads
-    /// too, so its window is the whole model's (and takes in whatever
-    /// else was charged while it ran).
-    fn window(&self) -> OpWindow {
-        match self.crossing {
-            CrossingKind::None => OpWindow::of_this_thread(),
-            _ => self.model.op_window(),
-        }
-    }
-
     /// Runs one operation under trace: the closure returns the result plus
-    /// the payload byte count, and the wrapper attributes the virtual time
-    /// and the cost-counter deltas that accrued meanwhile. With telemetry
+    /// the payload byte count, and the wrapper records it with the virtual
+    /// time that accrued meanwhile on this thread. With telemetry
     /// enabled it additionally opens the op's [`Layer::Strategy`] span and
     /// records the latency histogram for `(strategy, op)`.
     pub(crate) fn traced<R>(
@@ -154,17 +136,13 @@ impl Recorder {
             tel_started = now_ns();
         }
         let started = clock::now();
-        let before = self.window();
         let (result, bytes) = f();
         let elapsed_ns = clock::now().saturating_sub(started);
-        let charged = self.window().since(&before);
         self.trace.record(TraceRecord {
             strategy: self.strategy,
             op,
             bytes,
             elapsed_ns,
-            crossings: charged.crossings,
-            copies: charged.copies,
         });
         if tel_on {
             self.hists[op as usize].record(now_ns().saturating_sub(tel_started));

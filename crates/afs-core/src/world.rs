@@ -174,11 +174,6 @@ fn register_world_collectors(
                 "afs_op_virtual_ns_total",
                 row.elapsed_ns,
             )));
-            out.push(tag(Metric::counter(
-                "afs_op_crossings_total",
-                row.crossings,
-            )));
-            out.push(tag(Metric::counter("afs_op_copies_total", row.copies)));
         }
     });
     metrics.register(move |out| {
@@ -284,10 +279,10 @@ impl AfsWorld {
         &self.model
     }
 
-    /// The observability ring: every operation on every active handle in
-    /// this world records strategy, op kind, bytes, elapsed simulated
-    /// time, domain crossings, and data copies. Drive I/O, then inspect
-    /// [`afs_sim::OpTrace::summary`] to see the §4 cost profiles live.
+    /// The op trace: every operation on every active handle in this world
+    /// adds its bytes and elapsed simulated time to its (strategy, op
+    /// kind) totals, read with [`afs_sim::OpTrace::summary`]. The §4
+    /// crossings and copies are the [`model`](Self::model)'s count.
     pub fn trace(&self) -> &Arc<afs_sim::OpTrace> {
         self.layer.trace()
     }

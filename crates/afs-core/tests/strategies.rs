@@ -462,12 +462,13 @@ fn scatter_reads_are_equivalent_across_strategies() {
     }
 }
 
-/// The §4 cost table, asserted from live traces: per read, the
-/// process-based strategy pays two kernel-boundary crossings and two
-/// pipe copies more than DLL-only; the thread strategy pays two thread
-/// crossings and one user-level copy more; DLL-only crosses nothing.
+/// The §4 cost table, asserted from the cost model's count around four
+/// reads: per read, the process-based strategy pays two process switches
+/// and two pipe copies more than DLL-only; the thread strategy pays two
+/// thread switches and one user-level copy more; DLL-only crosses nothing.
 #[test]
 fn traces_reproduce_the_section4_cost_table() {
+    const READS: u64 = 4;
     let mut per_strategy = std::collections::HashMap::new();
     for strategy in [
         Strategy::ProcessControl,
@@ -486,60 +487,61 @@ fn traces_reproduce_the_section4_cost_table() {
         // Writes are acknowledged eagerly, so the sentinel-side cost of
         // the write is still in flight; a GetFileSize round trip drains
         // the command channel so those charges cannot bleed into the
-        // read records below.
+        // reads' count below.
         api.get_file_size(h).expect("size barrier");
         api.set_file_pointer(h, 0, SeekMethod::Begin)
             .expect("rewind");
+        let before = world.model().snapshot();
         let mut buf = [0u8; 64];
-        for _ in 0..4 {
+        for _ in 0..READS {
             api.read_file(h, &mut buf).expect("read");
         }
+        let reads = world.model().snapshot().since(&before);
         api.close_handle(h).expect("close");
-        let summary = world.trace().summary();
-        let read = summary
-            .iter()
+        let read = world
+            .trace()
+            .summary()
+            .into_iter()
             .find(|row| row.op == afs_sim::OpKind::Read)
-            .expect("read row traced")
-            .clone();
-        assert_eq!(read.count, 4);
-        assert_eq!(read.bytes, 4 * 64);
-        per_strategy.insert(strategy, read);
+            .expect("read row traced");
+        assert_eq!((read.count, read.bytes), (READS, READS * 64));
+        per_strategy.insert(strategy, (read.strategy, reads));
     }
-    let process = &per_strategy[&Strategy::ProcessControl];
-    let thread = &per_strategy[&Strategy::DllThread];
-    let dll = &per_strategy[&Strategy::DllOnly];
-    assert_eq!(process.strategy, "Process");
-    assert_eq!(thread.strategy, "Thread");
-    assert_eq!(dll.strategy, "DLL");
+    let (process_label, process) = per_strategy[&Strategy::ProcessControl];
+    let (thread_label, thread) = per_strategy[&Strategy::DllThread];
+    let (dll_label, dll) = per_strategy[&Strategy::DllOnly];
+    assert_eq!(
+        (process_label, thread_label, dll_label),
+        ("Process", "Thread", "DLL")
+    );
     // Crossings: two per round trip for both boundary strategies
     // (request over, reply back), none inline.
     assert_eq!(
-        process.crossings_per_op(),
-        2.0,
-        "§4.2: two process switches per op"
+        (process.process_switches, process.thread_switches),
+        (2 * READS, 0),
+        "§4.2: two process switches per read"
     );
     assert_eq!(
-        thread.crossings_per_op(),
-        2.0,
-        "§4.3: two thread switches per op"
+        (thread.process_switches, thread.thread_switches),
+        (0, 2 * READS),
+        "§4.3: two thread switches per read"
     );
     assert_eq!(
-        dll.crossings_per_op(),
-        0.0,
+        (dll.process_switches, dll.thread_switches),
+        (0, 0),
         "§4.4: no domain crossing at all"
     );
     // Copies, relative to the DLL-only floor (the logic's own cache
     // memcpy is common to all three): pipes cost two kernel copies per
     // transfer, shared memory one user-level copy, inline zero.
-    let floor = dll.copies_per_op();
     assert_eq!(
-        process.copies_per_op() - floor,
-        2.0,
+        process.copies - dll.copies,
+        2 * READS,
         "§4.2: 2 kernel copies per transfer"
     );
     assert_eq!(
-        thread.copies_per_op() - floor,
-        1.0,
+        thread.copies - dll.copies,
+        READS,
         "§4.3: 1 user copy per transfer"
     );
 }

@@ -7,7 +7,6 @@
 //! counts how many of each kind of charge happened, which backs the
 //! per-op counts of the bench grid and `figure6`'s accounting view.
 
-use std::cell::Cell;
 use std::sync::Arc;
 
 use crate::clock;
@@ -210,8 +209,7 @@ metric_family! {
     /// Per-kind counters accumulated by a [`CostModel`], one set per
     /// stripe: a charge adds to the charging thread's stripe, a reader
     /// sums them all. They back the per-op counts of the bench grid and
-    /// `figure6`'s accounting view. The three an [`OpWindow`] reads come
-    /// first, so the window loads one line per stripe.
+    /// `figure6`'s accounting view.
     CostCounters striped(CostCell) => CostSnapshot {
         /// Process context switches.
         process_switches: counter "afs_cost_process_switches_total",
@@ -238,41 +236,6 @@ metric_family! {
         disk_bytes: counter "afs_cost_disk_bytes_total",
         /// Event signals.
         event_signals: counter "afs_cost_event_signals_total",
-    }
-}
-
-/// The part of the counters one operation's record is made of, read
-/// before and after the operation: protection-domain crossings (process
-/// plus thread switches) and buffer copies.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OpWindow {
-    /// Process switches plus thread switches.
-    pub crossings: u64,
-    /// Buffer copies of any kind, per copy operation.
-    pub copies: u64,
-}
-
-thread_local! {
-    /// What this thread has charged, to any model: its simulation state
-    /// beside the virtual clock.
-    static OWN: Cell<OpWindow> = const { Cell::new(OpWindow { crossings: 0, copies: 0 }) };
-}
-
-impl OpWindow {
-    /// The calling thread's own charges since it started, whatever model
-    /// they went to. Moves only when this thread charges, so a difference
-    /// of two readings is exact whatever other threads do meanwhile — the
-    /// window of an operation that runs wholly on its caller's thread.
-    pub fn of_this_thread() -> OpWindow {
-        OWN.get()
-    }
-
-    /// Component-wise difference `self - earlier`, saturating at zero.
-    pub fn since(&self, earlier: &OpWindow) -> OpWindow {
-        OpWindow {
-            crossings: self.crossings.saturating_sub(earlier.crossings),
-            copies: self.copies.saturating_sub(earlier.copies),
-        }
     }
 }
 
@@ -330,33 +293,22 @@ impl CostModel {
     fn count(&self, cost: Cost) {
         let (c, writer) = self.counters.cells.mine();
         let add = |tally: &Tally, n: u64| tally.add(writer, n);
-        let own = |crossings: u64, copies: u64| {
-            let was = OWN.get();
-            OWN.set(OpWindow {
-                crossings: was.crossings + crossings,
-                copies: was.copies + copies,
-            });
-        };
         match cost {
             Cost::Syscall => add(&c.syscalls, 1),
             Cost::ProcessSwitch | Cost::Crossing(CrossingKind::InterProcess) => {
-                add(&c.process_switches, 1);
-                own(1, 0);
+                add(&c.process_switches, 1)
             }
             Cost::ThreadSwitch | Cost::Crossing(CrossingKind::InterThread) => {
-                add(&c.thread_switches, 1);
-                own(1, 0);
+                add(&c.thread_switches, 1)
             }
             Cost::Crossing(CrossingKind::None) => {}
             Cost::Memcpy { bytes } => {
                 add(&c.memcpy_bytes, bytes as u64);
                 add(&c.copies, 1);
-                own(0, 1);
             }
             Cost::PipeCopy { bytes } => {
                 add(&c.pipe_copy_bytes, bytes as u64);
                 add(&c.copies, 1);
-                own(0, 1);
             }
             Cost::PipeMessage => add(&c.pipe_messages, 1),
             Cost::NetRoundTrip => add(&c.net_round_trips, 1),
@@ -372,18 +324,6 @@ impl CostModel {
     /// Copies out the current counters, summed over every stripe.
     pub fn snapshot(&self) -> CostSnapshot {
         self.counters.snapshot()
-    }
-
-    /// The [`OpWindow`] of everything charged to this model by any thread:
-    /// the three counters a record needs and no others, which is what an
-    /// operation served on another thread has to be measured with.
-    pub fn op_window(&self) -> OpWindow {
-        let mut window = OpWindow::default();
-        for c in self.counters.cells.iter() {
-            window.crossings += c.process_switches.get() + c.thread_switches.get();
-            window.copies += c.copies.get();
-        }
-        window
     }
 }
 
@@ -532,8 +472,7 @@ pub(crate) mod tests {
     }
 
     /// Runs `threads` chargers of `model` side by side, each making
-    /// `charges` seeded charges and checking that its own window moved by
-    /// exactly those; returns everything they charged.
+    /// `charges` seeded charges; returns everything they charged.
     fn charge_from(model: &CostModel, threads: u64, charges: u32) -> Vec<Cost> {
         let start = std::sync::Barrier::new(threads as usize);
         std::thread::scope(|scope| {
@@ -545,12 +484,7 @@ pub(crate) mod tests {
                         let costs: Vec<Cost> =
                             (0..charges).map(|_| seeded_charge(&mut rng)).collect();
                         start.wait();
-                        let before = OpWindow::of_this_thread();
                         costs.iter().for_each(|&cost| model.charge(cost));
-                        let own = OpWindow::of_this_thread().since(&before);
-                        let sum = sum_of(&costs);
-                        assert_eq!(own.crossings, sum.process_switches + sum.thread_switches);
-                        assert_eq!(own.copies, sum.copies);
                         costs
                     })
                 })
@@ -567,19 +501,12 @@ pub(crate) mod tests {
         let model = CostModel::free();
         let expect = sum_of(charge_from(&model, 8, 10_000));
         assert_eq!(model.snapshot(), expect);
-        let window = model.op_window();
-        assert_eq!(
-            window.crossings,
-            expect.process_switches + expect.thread_switches
-        );
-        assert_eq!(window.copies, expect.copies);
     }
 
-    /// More chargers than owned cells, so some may write the shared one: a
-    /// thread's own window still moves by its own charges only (checked in
-    /// every charger), and the totals stay exact.
+    /// More chargers than owned cells, so some write the shared one: the
+    /// totals stay exact.
     #[test]
-    fn own_window_moves_only_by_the_callers_charges() {
+    fn totals_stay_exact_when_chargers_outnumber_cells() {
         let model = CostModel::free();
         let charged = charge_from(&model, 12, 2_000);
         assert_eq!(model.snapshot(), sum_of(&charged));

@@ -59,7 +59,7 @@ pub mod trace;
 
 pub use alloc::{allocations, CountingAlloc};
 pub use clock::{ClockGuard, SimTime};
-pub use cost::{Cost, CostModel, CostSnapshot, CrossingKind, HardwareProfile, OpWindow};
+pub use cost::{Cost, CostModel, CostSnapshot, CrossingKind, HardwareProfile};
 pub use generations::Generations;
 pub use metric::{HistogramSnapshot, Metric, MetricValue, HIST_BUCKETS};
 pub use rng::SimRng;

@@ -1,27 +1,14 @@
 //! Per-operation observability: the [`OpTrace`] totals.
 //!
-//! The paper's §4 analysis reasons about each strategy in terms of *what
-//! one operation costs*: how many protection-domain crossings, how many
-//! buffer copies, how many bytes moved. The [`CostModel`](crate::CostModel)
-//! counters aggregate those quantities globally; an [`OpTrace`] attributes
-//! them to individual application-visible operations, so a run can be
-//! audited against the paper's table (process strategies: 2 kernel copies
-//! and 2 process switches per transfer; DLL-with-thread: 1 user copy and
-//! 2 thread switches; DLL-only: nothing).
-//!
 //! The strategy handles record one [`TraceRecord`] per completed
-//! operation into a cumulative per-(strategy, op) aggregate, so runs of
-//! any length keep exact totals.
-//!
-//! Attribution rule: a record's crossings and copies are what was charged
-//! between the operation's start and end — by the **calling thread** when
-//! the strategy is inline (§4.4: every charge of the operation happens on
-//! that thread, so the row is exact however many clients run beside it),
-//! by **all threads** when the operation crosses a boundary (the sentinel
-//! charges its share elsewhere; rows of concurrent wire clients take in
-//! each other's charges). So work a *nested* sentinel's worker thread
-//! does — §3 composition under a DLL-only outer file — shows in the
-//! nested handle's own row, not also in the outer one.
+//! application-visible operation into a cumulative per-(strategy, op)
+//! aggregate — count, payload bytes and virtual nanoseconds — so runs of
+//! any length keep exact totals. What the operations cost in the paper's
+//! §4 terms (protection-domain crossings and buffer copies) is the
+//! [`CostModel`](crate::CostModel)'s count, read with
+//! [`CostModel::snapshot`](crate::CostModel::snapshot): the process
+//! strategies make 2 kernel copies and 2 process switches per transfer,
+//! DLL-with-thread 1 user copy and 2 thread switches, DLL-only nothing.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -92,12 +79,6 @@ pub struct TraceRecord {
     pub bytes: u64,
     /// Virtual nanoseconds the operation took on the calling thread.
     pub elapsed_ns: u64,
-    /// Protection-domain crossings (process + thread switches) charged
-    /// while the operation ran.
-    pub crossings: u64,
-    /// Buffer copies (kernel pipe copies + user memcpys) charged while the
-    /// operation ran.
-    pub copies: u64,
 }
 
 /// Cumulative totals for one (strategy, op) pair.
@@ -113,10 +94,6 @@ pub struct OpSummary {
     pub bytes: u64,
     /// Total virtual nanoseconds.
     pub elapsed_ns: u64,
-    /// Total crossings.
-    pub crossings: u64,
-    /// Total copies.
-    pub copies: u64,
 }
 
 impl OpSummary {
@@ -128,16 +105,6 @@ impl OpSummary {
     /// Mean virtual microseconds per operation.
     pub fn micros_per_op(&self) -> f64 {
         self.per(self.elapsed_ns) / 1_000.0
-    }
-
-    /// Mean domain crossings per operation.
-    pub fn crossings_per_op(&self) -> f64 {
-        self.per(self.crossings)
-    }
-
-    /// Mean buffer copies per operation.
-    pub fn copies_per_op(&self) -> f64 {
-        self.per(self.copies)
     }
 
     fn per(&self, total: u64) -> f64 {
@@ -154,15 +121,13 @@ impl OpSummary {
 const LABELS: usize = 4;
 
 /// One (strategy, op) row of a stripe: the strategy label, set once, and
-/// the five totals.
+/// the three totals.
 #[derive(Debug, Default)]
 struct Row {
     strategy: OnceLock<&'static str>,
     count: Tally,
     bytes: Tally,
     elapsed_ns: Tally,
-    crossings: Tally,
-    copies: Tally,
 }
 
 /// One stripe's rows: a column of [`LABELS`] rows per [`OpKind`].
@@ -227,8 +192,6 @@ impl OpTrace {
         row.count.add(writer, 1);
         row.bytes.add(writer, record.bytes);
         row.elapsed_ns.add(writer, record.elapsed_ns);
-        row.crossings.add(writer, record.crossings);
-        row.copies.add(writer, record.copies);
     }
 
     /// Cumulative per-(strategy, op) totals, ordered by strategy then op.
@@ -241,14 +204,10 @@ impl OpTrace {
                 count: 0,
                 bytes: 0,
                 elapsed_ns: 0,
-                crossings: 0,
-                copies: 0,
             });
             total.count += row.count.get();
             total.bytes += row.bytes.get();
             total.elapsed_ns += row.elapsed_ns.get();
-            total.crossings += row.crossings.get();
-            total.copies += row.copies.get();
         }
         totals
             .into_values()
@@ -272,8 +231,6 @@ impl OpTrace {
             row.count.reset();
             row.bytes.reset();
             row.elapsed_ns.reset();
-            row.crossings.reset();
-            row.copies.reset();
         }
     }
 }
@@ -289,8 +246,6 @@ pub(crate) mod tests {
             op,
             bytes,
             elapsed_ns: 1_000,
-            crossings: 2,
-            copies: 2,
         }
     }
 
@@ -310,7 +265,6 @@ pub(crate) mod tests {
         );
         assert_eq!(reads.bytes, 400);
         assert!((reads.bytes_per_op() - 200.0).abs() < f64::EPSILON);
-        assert!((reads.crossings_per_op() - 2.0).abs() < f64::EPSILON);
     }
 
     #[test]
@@ -339,8 +293,6 @@ pub(crate) mod tests {
                     t.count += 1;
                     t.bytes += r.bytes;
                     t.elapsed_ns += r.elapsed_ns;
-                    t.crossings += r.crossings;
-                    t.copies += r.copies;
                 }
                 None => self.0.push(OpSummary {
                     strategy: r.strategy,
@@ -348,8 +300,6 @@ pub(crate) mod tests {
                     count: 1,
                     bytes: r.bytes,
                     elapsed_ns: r.elapsed_ns,
-                    crossings: r.crossings,
-                    copies: r.copies,
                 }),
             }
         }
@@ -368,8 +318,6 @@ pub(crate) mod tests {
             op: OpKind::ALL[rng.next_below(7) as usize],
             bytes: rng.next_below(4096),
             elapsed_ns: rng.next_below(1_000_000),
-            crossings: rng.next_below(3),
-            copies: rng.next_below(4),
         }
     }
 

@@ -2,8 +2,9 @@
 //!
 //! The paper's §4 argument is a cost-accounting exercise: protection-domain
 //! crossings, buffer copies, and switches *per operation*. The
-//! [`OpTrace`](afs_sim) totals aggregate those costs after the fact; this
-//! crate makes one operation followable end to end:
+//! [`CostModel`](afs_sim) counts those costs and the
+//! [`OpTrace`](afs_sim) totals each (strategy, op)'s count, bytes and
+//! time; this crate makes one operation followable end to end:
 //!
 //! * **Spans** ([`Telemetry`], [`SpanGuard`], [`Layer`]) — every
 //!   application-visible op produces a span tree covering

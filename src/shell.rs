@@ -254,9 +254,8 @@ impl Shell {
                 Ok(String::new())
             }
             "stats" => {
-                // Rendered from the trace's exact cumulative aggregates,
-                // not the bounded ring of recent records — the table stays
-                // correct after the ring wraps on long sessions.
+                // Rendered from the trace's exact cumulative aggregates;
+                // the §4 crossings and copies are the cost model's count.
                 let summary = self.world.trace().summary();
                 if summary.is_empty() {
                     return Ok("no active-file operations recorded yet\n".to_owned());
@@ -264,8 +263,8 @@ impl Shell {
                 let mut out = String::new();
                 writeln!(
                     out,
-                    "{:<14} {:<8} {:>6} {:>10} {:>9} {:>10} {:>8}",
-                    "strategy", "op", "count", "bytes/op", "us/op", "cross/op", "copies/op"
+                    "{:<14} {:<8} {:>6} {:>10} {:>9}",
+                    "strategy", "op", "count", "bytes/op", "us/op"
                 )
                 .expect("write to string");
                 let (mut ops, mut bytes, mut elapsed) = (0u64, 0u64, 0u64);
@@ -275,21 +274,22 @@ impl Shell {
                     elapsed += row.elapsed_ns;
                     writeln!(
                         out,
-                        "{:<14} {:<8} {:>6} {:>10.1} {:>9.2} {:>10.2} {:>8.2}",
+                        "{:<14} {:<8} {:>6} {:>10.1} {:>9.2}",
                         row.strategy,
                         row.op.label(),
                         row.count,
                         row.bytes_per_op(),
                         row.micros_per_op(),
-                        row.crossings_per_op(),
-                        row.copies_per_op(),
                     )
                     .expect("write to string");
                 }
+                let cost = self.world.model().snapshot();
                 writeln!(
                     out,
-                    "total: {ops} ops, {bytes} bytes, {:.2} virtual ms",
-                    elapsed as f64 / 1_000_000.0
+                    "total: {ops} ops, {bytes} bytes, {:.2} virtual ms, {} crossings, {} copies",
+                    elapsed as f64 / 1_000_000.0,
+                    cost.process_switches + cost.thread_switches,
+                    cost.copies,
                 )
                 .expect("write to string");
                 Ok(out)
@@ -751,9 +751,13 @@ fn render_span_tree(out: &mut String, spans: &[SpanRecord], span: &SpanRecord, d
     } else {
         format!(" [{}]", span.strategy)
     };
+    let note = match span.annotation() {
+        note if note.is_empty() => String::new(),
+        note => format!("[{note}]"),
+    };
     writeln!(
         out,
-        "{:indent$}{} {}{} ({:.2} us, {} bytes)",
+        "{:indent$}{} {}{note}{} ({:.2} us, {} bytes)",
         "",
         span.layer.label(),
         span.name,
@@ -784,8 +788,9 @@ commands:
                                        strategy: process|control|thread|dll
                                        backing:  none|memory|disk
   sentinels | services                 list registered names
-  stats                                per-strategy/per-op cost table
-                                       (crossings, copies, bytes, time)
+  stats                                per-strategy/per-op table (count,
+                                       bytes, time) and the cost model's
+                                       crossings and copies
   top                                  latency percentiles per strategy/op
                                        and per sentinel, per-sentinel ops,
                                        errors, bytes and queue peak, plus
@@ -982,6 +987,7 @@ mod tests {
         assert!(stats.contains("DLL"), "strategy column present: {stats}");
         assert!(stats.contains("read"), "read row present: {stats}");
         assert!(stats.contains("write"), "write row present: {stats}");
+        assert!(stats.contains(" copies"), "the model's totals: {stats}");
     }
 
     #[test]
@@ -1046,6 +1052,35 @@ mod tests {
         assert!(spans.contains("interpose ReadFile"), "root span: {spans}");
         assert!(spans.contains("strategy read"), "strategy span: {spans}");
         assert!(spans.contains("transport"), "transport span: {spans}");
+    }
+
+    /// Two sessions of one shared file: each sentinel span names its
+    /// session in the tree, as slow-op ancestry does.
+    #[test]
+    fn spans_name_each_session_of_a_shared_file() {
+        let mut sh = Shell::new();
+        sh.run("install /two.af null thread memory")
+            .expect("install");
+        sh.run("append /two.af payload").expect("append");
+        let open = || {
+            sh.api
+                .create_file("/two.af", Access::read_only(), Disposition::OpenExisting)
+                .expect("open")
+        };
+        let (a, b) = (open(), open());
+        let mut buf = [0u8; 4];
+        sh.api.read_file(a, &mut buf).expect("read a");
+        sh.api.read_file(b, &mut buf).expect("read b");
+        sh.api.close_handle(a).expect("close a");
+        sh.api.close_handle(b).expect("close b");
+        let spans = sh.run("spans").expect("spans");
+        let sessions: std::collections::BTreeSet<&str> = spans
+            .lines()
+            .filter(|l| l.trim_start().starts_with("sentinel "))
+            .filter_map(|l| l.split("session=").nth(1)?.split(' ').next())
+            .collect();
+        assert_eq!(sessions.len(), 2, "both sessions' ids show: {spans}");
+        assert!(spans.contains("file=/two.af"), "the file shows: {spans}");
     }
 
     #[test]

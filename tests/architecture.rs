@@ -150,6 +150,8 @@ guards! {
     grep(&[".cargo/config.toml#profile.release"], &[r"codegen-units = 1\b"]).tests().hits(1, 1),
     grep(&[".cargo/config.toml", "Cargo.toml", "crates/*/Cargo.toml", "vendor/*/Cargo.toml", "benchmark/Cargo.toml", "scripts/*.sh",
         "benchmark/run.sh", ".github/workflows/*.yml"], &["panic.*abort", "PANIC.*abort"]).tests();
+    one_4_accounting: "One §4 accounting (the cost model counts crossings and copies)", "The crossings and copies §4 compares strategies by are counted once, by the cost model's striped counters, exact for any number of clients: a per-op window of them, read from a thread-local every charge updates or from every stripe around each op, is the second count, an upper bound under concurrent wire clients, that this tree took out.",
+    "pub struct OpWindow;" => grep(&["crates/**", "src/**"], &["OpWindow", "op_window", "of_this_thread"]).tests();
 }
 
 struct Guard {
@@ -328,7 +330,7 @@ fn files(glob: &str) -> Vec<String> {
 fn every_guard_flags_its_planted_sample() {
     for g in table() {
         let short = g.name.split(" (").next().unwrap().to_lowercase();
-        assert_eq!(g.test, short.replace(' ', "_").replace('\'', ""));
+        assert_eq!(g.test, short.replace(' ', "_").replace(['\'', '§'], ""));
         if !breaches(&g, &read).is_empty() {
             continue; // its own test names the breach
         }

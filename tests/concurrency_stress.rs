@@ -204,11 +204,11 @@ fn stress_dll_only() {
     run_stress(Strategy::DllOnly);
 }
 
-/// An inline (§4.4) operation's record is made of its own thread's
-/// charges, so the `DLL` rows stay exact whatever other clients charge
-/// meanwhile: twelve threads — more than the cost model has stripes —
-/// each reading its own DLL-only file, and every read is recorded with
-/// exactly the one copy it made.
+/// Inline (§4.4) reads stay exact under concurrent clients: twelve
+/// threads — more than the cost model has stripes — each read their own
+/// DLL-only file, the trace counts every read, and the model counts
+/// exactly one copy per read and no crossing between a barrier after
+/// every open and a barrier before every close.
 #[test]
 fn inline_rows_are_exact_under_concurrent_clients() {
     const CLIENTS: usize = 12;
@@ -216,35 +216,49 @@ fn inline_rows_are_exact_under_concurrent_clients() {
     let world = AfsWorld::new();
     activefiles::register_standard_sentinels(&world);
     let dll = SentinelSpec::new("null", Strategy::DllOnly).backing(Backing::Memory);
-    let start = std::sync::Barrier::new(CLIENTS);
-    std::thread::scope(|scope| {
+    // The clients and this thread: the clients wait after opening, before
+    // reading, after reading and before closing; this thread snapshots the
+    // model between the first two waits and between the last two.
+    let phase = std::sync::Barrier::new(CLIENTS + 1);
+    let reads = std::thread::scope(|scope| {
         for client in 0..CLIENTS {
             let path = format!("/inline-{client}.af");
             world.install_active_file(&path, &dll).expect("install");
-            let (api, start) = (world.api(), &start);
+            let (api, phase) = (world.api(), &phase);
             scope.spawn(move || {
                 let _clock = clock::install(0);
                 let h = api
                     .create_file(&path, Access::read_only(), Disposition::OpenExisting)
                     .expect("open");
-                start.wait();
+                phase.wait();
+                phase.wait();
                 for _ in 0..READS {
                     api.read_file(h, &mut [0u8; 8]).expect("read");
                 }
+                phase.wait();
+                phase.wait();
                 api.close_handle(h).expect("close");
             });
         }
+        phase.wait();
+        let opened = world.model().snapshot();
+        phase.wait();
+        phase.wait();
+        let read = world.model().snapshot().since(&opened);
+        phase.wait();
+        read
     });
-    let reads = world
+    let row = world
         .trace()
         .summary()
         .into_iter()
         .find(|row| row.strategy == "DLL" && row.op == OpKind::Read)
         .expect("a DLL read row");
-    assert_eq!(reads.count, CLIENTS as u64 * READS);
+    let total = CLIENTS as u64 * READS;
+    assert_eq!(row.count, total);
     assert_eq!(
-        (reads.copies, reads.crossings),
-        (reads.count, 0),
+        (reads.copies, reads.process_switches + reads.thread_switches),
+        (total, 0),
         "one copy per read"
     );
 }

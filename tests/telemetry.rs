@@ -200,6 +200,73 @@ fn exporters_emit_valid_non_empty_documents() {
     );
 }
 
+/// The op-trace series are the trace's totals: each exported
+/// `afs_ops_total`, `afs_op_bytes_total` and `afs_op_virtual_ns_total`
+/// sample is its (strategy, op) row's field of `world.trace().summary()`,
+/// and every row is exported.
+#[test]
+fn op_trace_series_export_the_trace_totals() {
+    let w = AfsWorld::builder()
+        .profile(activefiles::HardwareProfile::pentium_ii_300())
+        .build();
+    register_standard_sentinels(&w);
+    let spec = SentinelSpec::new("null", Strategy::DllThread).backing(Backing::Memory);
+    w.install_active_file("/t.af", &spec).expect("install");
+    let api = w.api();
+    let _clock = activefiles::clock::install(0);
+    let h = api
+        .create_file("/t.af", Access::read_write(), Disposition::OpenExisting)
+        .expect("open");
+    api.write_file(h, b"telemetry").expect("write");
+    api.set_file_pointer(h, 0, SeekMethod::Begin)
+        .expect("rewind");
+    let mut buf = [0u8; 16];
+    assert_eq!(api.read_file(h, &mut buf), Ok(9));
+    api.close_handle(h).expect("close");
+
+    let summary = w.trace().summary();
+    assert!(summary.iter().all(|row| row.elapsed_ns > 0), "{summary:?}");
+    let snapshot = w.metrics().snapshot();
+    let exported = |name: &str| -> Vec<(String, String, u64)> {
+        let mut samples: Vec<_> = snapshot
+            .iter()
+            .filter(|m| m.name == name)
+            .map(|m| {
+                let label = |key| {
+                    let found = m.labels.iter().find(|(k, _)| *k == key);
+                    found.map(|(_, v)| v.clone()).expect("labelled")
+                };
+                match m.value {
+                    activefiles::MetricValue::Counter(v) => (label("strategy"), label("op"), v),
+                    _ => panic!("{name} is a counter"),
+                }
+            })
+            .collect();
+        samples.sort();
+        samples
+    };
+    let from_trace = |field: fn(&activefiles::OpSummary) -> u64| {
+        let mut rows: Vec<_> = summary
+            .iter()
+            .map(|row| {
+                (
+                    row.strategy.to_owned(),
+                    row.op.label().to_owned(),
+                    field(row),
+                )
+            })
+            .collect();
+        rows.sort();
+        rows
+    };
+    assert_eq!(exported("afs_ops_total"), from_trace(|row| row.count));
+    assert_eq!(exported("afs_op_bytes_total"), from_trace(|row| row.bytes));
+    assert_eq!(
+        exported("afs_op_virtual_ns_total"),
+        from_trace(|row| row.elapsed_ns)
+    );
+}
+
 #[test]
 fn disabled_telemetry_records_nothing() {
     let (w, file) = world_with(Strategy::ProcessControl);
@@ -520,6 +587,14 @@ const GOLDEN_FAMILY_NAMES: [&str; 73] = [
     "afs_sentinel_queue_depth_peak",
 ];
 
+/// The op trace's per-(strategy, op) series, in the order the world
+/// exports them; each has a reader row after the families'.
+const OP_TRACE_SERIES: [&str; 3] = [
+    "afs_ops_total",
+    "afs_op_bytes_total",
+    "afs_op_virtual_ns_total",
+];
+
 /// Names exported by the collectors that are not families: their label
 /// sets (or their very presence) depend on what ran.
 const DYNAMIC_PREFIXES: [&str; 5] = [
@@ -770,7 +845,8 @@ fn observability_md_lists_exactly_the_declared_metrics() {
 }
 
 /// `docs/OBSERVABILITY.md`'s consumer table has one row per family
-/// metric, in declaration order, and every row names a test or a tool.
+/// metric, in declaration order, then one per op-trace series, and every
+/// row names a test or a tool.
 #[test]
 fn every_family_metric_names_its_reader() {
     let doc = include_str!("../docs/OBSERVABILITY.md");
@@ -787,7 +863,12 @@ fn every_family_metric_names_its_reader() {
         .filter_map(|l| l.strip_suffix(" |")?.split_once(" | "))
         .collect();
     let names: Vec<String> = rows.iter().map(|(name, _)| format!("afs_{name}")).collect();
-    assert_eq!(names, GOLDEN_FAMILY_NAMES, "one row per family metric");
+    let want: Vec<&str> = GOLDEN_FAMILY_NAMES
+        .iter()
+        .chain(&OP_TRACE_SERIES)
+        .copied()
+        .collect();
+    assert_eq!(names, want, "one row per family metric and op-trace series");
     for (name, reader) in rows {
         assert!(!reader.trim().is_empty(), "afs_{name} names no reader");
     }
