@@ -99,19 +99,10 @@ pub struct OpSummary {
 impl OpSummary {
     /// Mean payload bytes per operation.
     pub fn bytes_per_op(&self) -> f64 {
-        self.per(self.bytes)
-    }
-
-    /// Mean virtual microseconds per operation.
-    pub fn micros_per_op(&self) -> f64 {
-        self.per(self.elapsed_ns) / 1_000.0
-    }
-
-    fn per(&self, total: u64) -> f64 {
         if self.count == 0 {
             0.0
         } else {
-            total as f64 / self.count as f64
+            self.bytes as f64 / self.count as f64
         }
     }
 }
@@ -379,14 +370,5 @@ pub(crate) mod tests {
         trace.record(rec("Thread", OpKind::Read, 8));
         let s = trace.summary();
         assert_eq!((s.len(), s[0].strategy, s[0].count), (1, "Thread", 3));
-    }
-
-    #[test]
-    fn micros_per_op_divides() {
-        let trace = OpTrace::new();
-        trace.record(rec("Thread", OpKind::Read, 8));
-        trace.record(rec("Thread", OpKind::Read, 8));
-        let s = trace.summary();
-        assert!((s[0].micros_per_op() - 1.0).abs() < f64::EPSILON);
     }
 }

@@ -263,31 +263,28 @@ impl Shell {
                 let mut out = String::new();
                 writeln!(
                     out,
-                    "{:<14} {:<8} {:>6} {:>10} {:>9}",
-                    "strategy", "op", "count", "bytes/op", "us/op"
+                    "{:<14} {:<8} {:>6} {:>10}",
+                    "strategy", "op", "count", "bytes/op"
                 )
                 .expect("write to string");
-                let (mut ops, mut bytes, mut elapsed) = (0u64, 0u64, 0u64);
+                let (mut ops, mut bytes) = (0u64, 0u64);
                 for row in summary {
                     ops += row.count;
                     bytes += row.bytes;
-                    elapsed += row.elapsed_ns;
                     writeln!(
                         out,
-                        "{:<14} {:<8} {:>6} {:>10.1} {:>9.2}",
+                        "{:<14} {:<8} {:>6} {:>10.1}",
                         row.strategy,
                         row.op.label(),
                         row.count,
                         row.bytes_per_op(),
-                        row.micros_per_op(),
                     )
                     .expect("write to string");
                 }
                 let cost = self.world.model().snapshot();
                 writeln!(
                     out,
-                    "total: {ops} ops, {bytes} bytes, {:.2} virtual ms, {} crossings, {} copies",
-                    elapsed as f64 / 1_000_000.0,
+                    "total: {ops} ops, {bytes} bytes, {} crossings, {} copies",
                     cost.process_switches + cost.thread_switches,
                     cost.copies,
                 )
@@ -789,7 +786,7 @@ commands:
                                        backing:  none|memory|disk
   sentinels | services                 list registered names
   stats                                per-strategy/per-op table (count,
-                                       bytes, time) and the cost model's
+                                       bytes) and the cost model's
                                        crossings and copies
   top                                  latency percentiles per strategy/op
                                        and per sentinel, per-sentinel ops,
@@ -984,6 +981,13 @@ mod tests {
         sh.run("append /s.af abc").expect("append");
         sh.run("cat /s.af").expect("cat");
         let stats = sh.run("stats").expect("stats");
+        let header = stats.lines().next().expect("header");
+        assert_eq!(
+            header.split_whitespace().collect::<Vec<_>>(),
+            ["strategy", "op", "count", "bytes/op"],
+            "no time column: the shell runs no virtual clock"
+        );
+        assert!(!stats.contains("virtual"), "no time in the footer: {stats}");
         assert!(stats.contains("DLL"), "strategy column present: {stats}");
         assert!(stats.contains("read"), "read row present: {stats}");
         assert!(stats.contains("write"), "write row present: {stats}");

@@ -152,6 +152,9 @@ guards! {
         "benchmark/run.sh", ".github/workflows/*.yml"], &["panic.*abort", "PANIC.*abort"]).tests();
     one_4_accounting: "One §4 accounting (the cost model counts crossings and copies)", "The crossings and copies §4 compares strategies by are counted once, by the cost model's striped counters, exact for any number of clients: a per-op window of them, read from a thread-local every charge updates or from every stripe around each op, is the second count, an upper bound under concurrent wire clients, that this tree took out.",
     "pub struct OpWindow;" => grep(&["crates/**", "src/**"], &["OpWindow", "op_window", "of_this_thread"]).tests();
+    one_failover_trace_check: "One failover-trace check (tests/tracing.rs runs the seeded failover read)", "The seeded failover read is checked in one place, `tests/tracing.rs`, which tier-1 and every seed of the sweep run and which leaves the chrome trace and flight dump it asserts on: a binary that rebuilds the same world is a second copy of the scenario that checks less of it.",
+    "--bin trace_validate" => grep(&["crates/**", "src/**", ".github/**"], &["trace_validate"]).tests(),
+    grep(&["crates/afs-bench/src/bin/*", "!crates/afs-bench/src/bin/figure6.rs", "!crates/afs-bench/src/bin/bench_gate.rs"], &[""]).paths().tests();
 }
 
 struct Guard {
@@ -330,7 +333,8 @@ fn files(glob: &str) -> Vec<String> {
 fn every_guard_flags_its_planted_sample() {
     for g in table() {
         let short = g.name.split(" (").next().unwrap().to_lowercase();
-        assert_eq!(g.test, short.replace(' ', "_").replace(['\'', '§'], ""));
+        let test = short.replace([' ', '-'], "_").replace(['\'', '§'], "");
+        assert_eq!(g.test, test);
         if !breaches(&g, &read).is_empty() {
             continue; // its own test names the breach
         }

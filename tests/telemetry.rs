@@ -417,7 +417,7 @@ fn exported_span_trace_covers_the_interposition_chain() {
     // layers across the four-strategy sweep.
     let trace = afs_bench::span_trace(20, activefiles::HardwareProfile::pentium_ii_300());
     assert!(json_is_valid(&trace), "chrome trace parses: {trace}");
-    let root = afs_bench::gate::json::parse(&trace).expect("chrome trace JSON");
+    let root = afs_telemetry::json::parse(&trace).expect("chrome trace JSON");
     let events = root.as_array().expect("trace is an event array");
     let spans: Vec<_> = events
         .iter()

@@ -4,16 +4,23 @@
 //! replica failovers as annotated child spans; a breaker trip freezes the
 //! in-flight trace into a flight-recorder bundle; and none of it charges
 //! the §4 cost model or consumes virtual time.
+//!
+//! The seeded failover read writes its chrome trace and flight dump as
+//! `trace.json` and `flight-dump.json` into Cargo's test scratch directory
+//! (`target/tmp/` by default).
 
 use std::collections::{BTreeSet, HashMap};
+use std::fs;
+use std::path::Path;
 use std::sync::Arc;
 
 use activefiles::prelude::*;
 use activefiles::{
-    clock, Cost, CostModel, FileClient, FileServer, Fleet, HardwareProfile, Layer, Service,
-    SpanRecord, VPath,
+    chrome_trace, clock, Cost, CostModel, FileClient, FileServer, Fleet, HardwareProfile, Layer,
+    Service, SpanRecord, VPath,
 };
 use afs_sim::CostSnapshot;
+use afs_telemetry::json;
 
 const REPLICA_BODY: &[u8] = b"replica B body !!";
 
@@ -73,15 +80,34 @@ fn failover_read_yields_one_contiguous_causal_trace() {
         .create_file("/m.af", Access::read_only(), Disposition::OpenExisting)
         .expect("open");
     let mut buf = [0u8; 17];
-    assert_eq!(api.read_file(h, &mut buf).expect("read fails over"), 17);
-    assert_eq!(&buf[..], REPLICA_BODY, "the replica served the read");
+    let read = api.read_file(h, &mut buf);
     api.close_handle(h).expect("close");
 
+    // The evidence is written before anything is asserted, so a failing
+    // run leaves it too (CI uploads both files).
     let spans = world.telemetry().spans();
-    let root = spans
+    let chrome = chrome_trace(&[("failover", spans.clone())]);
+    let dump = world.flight_dump();
+    let tmp = Path::new(env!("CARGO_TARGET_TMPDIR"));
+    fs::write(tmp.join("trace.json"), &chrome).expect("write trace.json");
+    fs::write(tmp.join("flight-dump.json"), &dump).expect("write flight-dump.json");
+
+    assert_eq!(read, Ok(17), "the read fails over");
+    assert_eq!(&buf[..], REPLICA_BODY, "the replica served the read");
+    let events = json::parse(&chrome).expect("the chrome trace parses");
+    let complete = events
+        .as_array()
+        .expect("an event array")
         .iter()
-        .find(|s| s.name == "ReadFile" && s.parent == 0)
-        .expect("interpose root span");
+        .filter_map(json::Value::as_object)
+        .filter(|e| e.get("ph").and_then(json::Value::as_str) == Some("X"))
+        .count();
+    assert_eq!(complete, spans.len(), "one complete event per span");
+
+    let reads: Vec<&SpanRecord> = spans.iter().filter(|s| s.name == "ReadFile").collect();
+    assert_eq!(reads.len(), 1, "the read is one trace: {reads:#?}");
+    let root = reads[0];
+    assert_eq!(root.parent, 0, "the read's span is its trace's root");
     assert_eq!(root.trace, root.id, "a root starts its own trace");
     let trace: Vec<&SpanRecord> = spans.iter().filter(|s| s.trace == root.trace).collect();
     assert!(
@@ -136,6 +162,7 @@ fn failover_read_yields_one_contiguous_causal_trace() {
         bundle.open.iter().any(|p| p.trace == root.trace),
         "the failing op's trace is frozen mid-flight in the bundle: {bundle:#?}"
     );
+    assert!(json::parse(&dump).is_ok(), "the flight dump parses: {dump}");
 }
 
 /// What `script` charged to the cost model and how far it moved the
